@@ -10,8 +10,9 @@ Two implementations are provided and cross-checked by the tests:
 * :func:`extract_kmers_scalar` — the obvious per-read Python loop, the
   readable reference;
 * :func:`extract_kmers` — the vectorized version used by the virtual-GPU
-  kernels: strided window views, a shift-or pack over k positions, and a
-  validity mask, all without per-k-mer Python work.
+  kernels: a doubling shift-or pack and a doubling AND over one-byte base
+  flags for validity (O(log k) full-array passes each), without per-k-mer
+  Python work.
 """
 
 from __future__ import annotations
@@ -19,13 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dna.alphabet import SENTINEL
 from ..dna.encoding import canonical_batch, pack_kmer
 from ..dna.reads import ReadSet
 
-__all__ = ["KmerWindows", "window_values", "extract_kmers", "extract_kmers_scalar"]
+__all__ = [
+    "KmerWindows",
+    "sliding_reduce",
+    "mask_codes",
+    "valid_windows",
+    "pack_windows",
+    "window_values",
+    "extract_kmers",
+    "extract_kmers_scalar",
+]
 
 
 @dataclass(frozen=True)
@@ -56,43 +65,85 @@ class KmerWindows:
         return self.values[self.valid]
 
 
+def sliding_reduce(x: np.ndarray, width: int, combine) -> np.ndarray:
+    """Reduce every length-``width`` window of ``x`` by doubling.
+
+    ``combine(left, right, n_left, n_right)`` merges the reductions of two
+    adjacent windows — ``left`` over ``n_left`` elements, ``right`` over the
+    next ``n_right`` — and must be associative.  Windows of 1, 2, 4, ...
+    elements are built by combining each level with itself shifted; the
+    final window is the left-to-right combination of the power-of-two
+    blocks of ``width``'s binary decomposition.  That is
+    ``floor(log2 width) + popcount(width) - 1`` full-array passes instead
+    of one per element.  Returns ``len(x) - width + 1`` results
+    (``width <= len(x)``); for ``width == 1`` that is ``x`` itself.
+    """
+    n = x.shape[0] - width + 1
+    pow2 = {1: x}
+    w = 1
+    while w * 2 <= width:
+        prev = pow2[w]
+        pow2[w * 2] = combine(prev[: prev.shape[0] - w], prev[w:], w, w)
+        w *= 2
+    out = None
+    covered = 0
+    for b in sorted(pow2, reverse=True):
+        if width & b:
+            part = pow2[b][covered : covered + n]
+            out = part if out is None else combine(out, part, covered, b)
+            covered += b
+    return out
+
+
+def mask_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask a code array once: ``(safe, is_base)``.
+
+    ``safe`` is ``codes`` with every non-base (sentinel, N) zeroed, still
+    uint8, so shift-or arithmetic never sees an out-of-range code;
+    ``is_base`` flags the real bases.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    is_base = codes < SENTINEL
+    return codes * is_base, is_base
+
+
+def valid_windows(is_base: np.ndarray, width: int) -> np.ndarray:
+    """``valid[i]``: all of ``codes[i:i+width]`` are real bases.
+
+    A sliding AND over one-byte flags (empty when ``width > len``).
+    """
+    if is_base.shape[0] < width:
+        return np.empty(0, dtype=bool)
+    return sliding_reduce(is_base, width, lambda left, right, *_: left & right)
+
+
+def pack_windows(safe: np.ndarray, width: int) -> np.ndarray:
+    """2-bit pack of every length-``width`` window of ``safe``, in its dtype.
+
+    ``safe`` holds codes 0..3 in an unsigned dtype of at least ``2 * width``
+    bits.  The first base lands in the most significant occupied field —
+    bit-for-bit the value a per-base shift-or loop gives.
+    """
+    dt = safe.dtype.type
+    return sliding_reduce(safe, width, lambda left, right, _, n_right: (left << dt(2 * n_right)) | right)
+
+
 def window_values(codes: np.ndarray, width: int) -> KmerWindows:
     """Pack every length-``width`` window of ``codes`` into uint64 + validity.
 
     Works for k-mers and m-mers alike.  A window is valid iff all of its
     bases are real (code < SENTINEL).  Sentinel codes are masked to 0 before
-    packing so the shift-or arithmetic never sees an out-of-range code; the
-    garbage values this produces are flagged invalid.
+    packing; the garbage values this produces are flagged invalid.
     """
     if not 1 <= width <= 32:
         raise ValueError(f"window width must be in [1, 32], got {width}")
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    n = codes.shape[0] - width + 1
-    if n <= 0:
-        empty64 = np.empty(0, dtype=np.uint64)
-        return KmerWindows(k=width, values=empty64, valid=np.empty(0, dtype=bool))
-    is_base = codes < SENTINEL
-    safe = np.where(is_base, codes, 0).astype(np.uint64)
-    # Doubling pack: pow2[w][i] holds the 2w-bit pack of codes[i:i+w], built
-    # in O(log width) full-array passes instead of one shift-or per base.
-    # The final window is the MSB-first concatenation of the power-of-two
-    # blocks of width's binary decomposition — bit-for-bit the same value the
-    # per-base shift-or loop produced.
-    pow2 = {1: safe}
-    w = 1
-    while w * 2 <= width:
-        prev = pow2[w]
-        pow2[w * 2] = (prev[: prev.shape[0] - w] << np.uint64(2 * w)) | prev[w:]
-        w *= 2
-    blocks = [b for b in sorted(pow2, reverse=True) if width & b]
-    values = pow2[blocks[0]][:n]
-    covered = blocks[0]
-    for b in blocks[1:]:
-        values = (values << np.uint64(2 * b)) | pow2[b][covered : covered + n]
-        covered += b
-    # valid[i] = all bases in [i, i+width) are real; windowed AND via views.
-    valid = sliding_window_view(is_base, width).all(axis=1)
-    return KmerWindows(k=width, values=values, valid=np.ascontiguousarray(valid))
+    safe, is_base = mask_codes(codes)
+    if safe.shape[0] < width:
+        return KmerWindows(k=width, values=np.empty(0, dtype=np.uint64), valid=np.empty(0, dtype=bool))
+    # Values first: the validity pass then reuses the pack's freed levels
+    # instead of leaving its own small ones as holes under them.
+    values = pack_windows(safe.astype(np.uint64), width)
+    return KmerWindows(k=width, values=values, valid=valid_windows(is_base, width))
 
 
 def extract_kmers(reads: ReadSet, k: int, *, canonical: bool = False) -> np.ndarray:

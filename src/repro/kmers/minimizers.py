@@ -6,9 +6,10 @@ ordering (Section II-B).  For supermer construction the pipeline needs, for
 k-mer's minimizer — adjacent k-mers sharing a minimizer value is precisely
 the condition that lets them merge into one supermer (Section IV-A).
 
-The vectorized path computes all m-mer ranks once, then takes a sliding
-windowed argmin of width ``k - m + 1`` over them, so the whole scan is
-O(n * (k-m)) NumPy work with no Python per-position loop.  A scalar
+The vectorized path computes all m-mer ranks once in the narrowest dtype
+that holds them, then takes a sliding leftmost argmin of width
+``k - m + 1`` over them by doubling, so the whole scan is O(log(k-m))
+full-array NumPy passes with no Python per-position loop.  A scalar
 reference (:func:`minimizer_scalar`) implements the textbook definition for
 cross-checking.
 """
@@ -18,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dna.alphabet import MinimizerOrdering, get_ordering
-from ..dna.encoding import string_to_codes
-from .extract import window_values
+from ..dna.encoding import canonical_batch, string_to_codes
+from .extract import mask_codes, pack_windows, sliding_reduce, valid_windows
 
-__all__ = ["KmerMinimizers", "minimizers_for_windows", "minimizer_scalar"]
+__all__ = ["KmerMinimizers", "sliding_minimizers", "minimizers_for_windows", "minimizer_scalar"]
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,9 @@ class KmerMinimizers:
     Arrays are aligned with the k-mer window positions of the same code
     array (length ``len(codes) - k + 1``):
 
-    ``kmer_values``/``valid``
-        packed k-mers and their validity (as in :class:`KmerWindows`);
+    ``valid``
+        whether all k bases of the window are real (as in
+        :class:`~repro.kmers.extract.KmerWindows`);
     ``minimizer_values``
         packed m-mer value of each k-mer's minimizer (garbage where invalid);
     ``minimizer_positions``
@@ -46,14 +47,65 @@ class KmerMinimizers:
     k: int
     m: int
     ordering_name: str
-    kmer_values: np.ndarray  # uint64
     valid: np.ndarray  # bool
     minimizer_values: np.ndarray  # uint64
     minimizer_positions: np.ndarray  # int64
 
     @property
     def n_windows(self) -> int:
-        return int(self.kmer_values.shape[0])
+        return int(self.valid.shape[0])
+
+
+def _uint_for_bits(bits: int) -> type[np.unsignedinteger]:
+    """Narrowest of uint16/32/64 holding ``bits`` bits."""
+    return np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
+
+
+def sliding_minimizers(
+    safe: np.ndarray,
+    k: int,
+    m: int,
+    ordering: MinimizerOrdering,
+    *,
+    canonical: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer of every k-window of masked codes: ``(values, positions)``.
+
+    ``safe`` is the uint8 output of :func:`~repro.kmers.extract.mask_codes`
+    with at least ``k`` entries.  ``values`` are the winning packed m-mers
+    in the narrowest unsigned dtype holding a rank (``2m + 1`` bits: the
+    KMC2 bias doubles the range) — uint64 for canonical minimizers;
+    ``positions`` (int64) are their absolute start offsets.
+    """
+    span = k - m + 1  # number of m-mers inside one k-mer
+    if canonical:
+        mvalues = canonical_batch(pack_windows(safe.astype(np.uint64), m), m)
+        ranks = ordering.rank_array(mvalues, m)
+    else:
+        # Ranks at the base level: remapping each base and packing equals
+        # remapping each 2-bit field of the packed m-mer (rank_array).
+        rank_dt = _uint_for_bits(2 * m + 1)
+        mvalues = pack_windows(safe.astype(rank_dt), m)
+        ranks = pack_windows(np.take(ordering.remap.astype(rank_dt), safe), m)
+        bias = ordering.bias_array(mvalues, m)
+        if bias is not None:
+            if int(bias.max()) > 4**m:
+                raise ValueError(f"ordering {ordering.name!r}: bias above 4**m, ranks must fit 2m+1 bits")
+            ranks = ranks + bias.astype(rank_dt)
+    # Sliding leftmost argmin by doubling over (rank, local offset) keys
+    # packed rank-major into one word: the smaller key is the smaller rank
+    # and, among equal ranks (the same m-mer repeated inside one k-mer), the
+    # smaller offset — leftmost, like argmin and like the scalar scan.
+    offset_bits = (span - 1).bit_length()
+    key_dt = _uint_for_bits(2 * m + 1 + offset_bits)
+    keys = sliding_reduce(
+        ranks.astype(key_dt, copy=False) << key_dt(offset_bits),
+        span,
+        lambda left, right, n_left, _: np.minimum(left, right + key_dt(n_left)),
+    )
+    positions = np.arange(keys.shape[0], dtype=np.int64)
+    positions += (keys & key_dt((1 << offset_bits) - 1)).astype(np.int64)
+    return mvalues[positions], positions
 
 
 def minimizers_for_windows(
@@ -80,45 +132,18 @@ def minimizers_for_windows(
     if not 1 <= m < k:
         raise ValueError(f"need 1 <= m < k, got m={m}, k={k}")
     ordering = get_ordering(ordering)
-
-    kwin = window_values(codes, k)
-    mwin = window_values(codes, m)
-    n_k = kwin.n_windows
-    span = k - m + 1  # number of m-mers inside one k-mer
-    if n_k == 0:
-        empty64 = np.empty(0, dtype=np.uint64)
-        return KmerMinimizers(
-            k=k,
-            m=m,
-            ordering_name=ordering.name,
-            kmer_values=empty64,
-            valid=np.empty(0, dtype=bool),
-            minimizer_values=empty64.copy(),
-            minimizer_positions=np.empty(0, dtype=np.int64),
-        )
-
-    mvalues = mwin.values
-    if canonical:
-        from ..dna.encoding import canonical_batch
-
-        mvalues = canonical_batch(mvalues, m)
-    ranks = ordering.rank_array(mvalues, m)
-    # Sliding argmin of width `span` over the m-mer ranks.  np.argmin takes
-    # the first occurrence on ties; distinct m-mers never tie (ranks are
-    # injective per ordering), but equal m-mers repeated inside one k-mer do
-    # — first occurrence is then the leftmost, matching the scalar scan.
-    rank_windows = sliding_window_view(ranks, span)[:n_k]
-    local_argmin = rank_windows.argmin(axis=1)
-    positions = np.arange(n_k, dtype=np.int64) + local_argmin
-    minimizer_values = mvalues[positions]
-
+    safe, is_base = mask_codes(codes)
+    valid = valid_windows(is_base, k)
+    if valid.shape[0] == 0:
+        values, positions = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    else:
+        values, positions = sliding_minimizers(safe, k, m, ordering, canonical=canonical)
     return KmerMinimizers(
         k=k,
         m=m,
         ordering_name=ordering.name,
-        kmer_values=kwin.values,
-        valid=kwin.valid,
-        minimizer_values=minimizer_values,
+        valid=valid,
+        minimizer_values=values.astype(np.uint64, copy=False),
         minimizer_positions=positions,
     )
 

@@ -33,7 +33,8 @@ import numpy as np
 from ..dna.alphabet import SENTINEL, MinimizerOrdering, get_ordering
 from ..dna.encoding import codes_to_string, string_to_codes
 from ..dna.reads import ReadSet
-from .minimizers import minimizer_scalar, minimizers_for_windows
+from .extract import mask_codes, pack_windows, valid_windows
+from .minimizers import minimizer_scalar, sliding_minimizers
 
 __all__ = [
     "SUPERMER_LENGTH_BYTES",
@@ -52,12 +53,25 @@ SUPERMER_LENGTH_BYTES: int = 1
 #: A packed supermer travels as one 64-bit machine word.
 SUPERMER_WORD_BYTES: int = 8
 
+#: Supermers unpacked per block by :func:`extract_kmers_from_packed`: a few
+#: hundred KB of temporaries per pass at the paper's k=17/window=15 (swept
+#: on the benchmark host; see docs/PERFORMANCE.md).
+UNPACK_BLOCK_SUPERMERS: int = 1 << 13
+
 
 def max_window_for(k: int) -> int:
     """Largest window so every supermer (window + k - 1 bases) packs in 64 bits."""
     if not 2 <= k <= 31:
         raise ValueError("supermer packing needs 2 <= k <= 31")
     return 32 - k + 1
+
+
+def _check_wire_lengths(n_kmers: np.ndarray, k: int) -> None:
+    """Reject per-supermer k-mer counts no packed 64-bit word can carry."""
+    if n_kmers.size and int(n_kmers.min()) < 1:
+        raise ValueError("every supermer must carry at least one k-mer")
+    if n_kmers.size and int(n_kmers.max()) + k - 1 > 32:
+        raise ValueError("supermer longer than 32 bases cannot be word-packed")
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,7 @@ class SupermerBatch:
         minimizers = np.ascontiguousarray(self.minimizers, dtype=np.uint64)
         if not (packed.shape == n_kmers.shape == minimizers.shape):
             raise ValueError("packed, n_kmers, minimizers must be parallel arrays")
-        if n_kmers.size and int(n_kmers.min()) < 1:
-            raise ValueError("every supermer must carry at least one k-mer")
-        if n_kmers.size and int(n_kmers.max()) + self.k - 1 > 32:
-            raise ValueError("supermer longer than 32 bases cannot be word-packed")
+        _check_wire_lengths(n_kmers, self.k)
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "n_kmers", n_kmers)
         object.__setattr__(self, "minimizers", minimizers)
@@ -188,25 +199,36 @@ def extract_kmers_from_packed(packed: np.ndarray, n_kmers: np.ndarray, k: int) -
     This is what a receiving rank runs on the raw ``(packed, lengths)``
     arrays that came off the exchange, before it ever rebuilds a
     :class:`SupermerBatch`: k-mer ``i`` of a supermer with ``b`` bases is
-    bits ``[2*(b-k-i), 2*(b-i))`` of the packed word.
+    bits ``[2*(b-k-i), 2*(b-i))`` of the packed word, i.e. the word shifted
+    right by twice the number of k-mers that follow it.  Lengths come off
+    the wire (or a spool/run file), so they are validated like a batch's.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint64)
     counts = np.ascontiguousarray(n_kmers, dtype=np.int64)
     if packed.shape != counts.shape:
         raise ValueError("packed and n_kmers must be parallel arrays")
+    _check_wire_lengths(counts, k)
     if packed.size == 0:
         return np.empty(0, dtype=np.uint64)
-    if int(counts.min()) < 1:
-        raise ValueError("every supermer must carry at least one k-mer")
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(packed.shape[0], dtype=np.int64), counts)
-    # Index of each k-mer within its supermer: 0,1,...,n_kmers-1.
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.int64) - starts[owner]
-    n_bases = counts + (k - 1)
-    shifts = (2 * (n_bases[owner] - k - within)).astype(np.uint64)
+    ends = np.cumsum(counts)
+    out = np.empty(int(ends[-1]), dtype=np.uint64)
     mask = np.uint64((1 << (2 * k)) - 1)
-    return (packed[owner] >> shifts) & mask
+    # Sequential repeats and a countdown shift, a cache-sized block of
+    # supermers at a time: every temporary stays resident between passes.
+    for lo in range(0, packed.shape[0], UNPACK_BLOCK_SUPERMERS):
+        hi = min(lo + UNPACK_BLOCK_SUPERMERS, packed.shape[0])
+        block_counts = counts[lo:hi]
+        o0 = int(ends[lo] - block_counts[0])
+        o1 = int(ends[hi - 1])
+        words = np.repeat(packed[lo:hi], block_counts)
+        # k-mers still to come in the owning supermer: its last output
+        # index minus this one.
+        following = np.repeat((ends[lo:hi] - (o0 + 1)).astype(np.int32), block_counts)
+        following -= np.arange(o1 - o0, dtype=np.int32)
+        following <<= 1
+        np.right_shift(words, following.astype(np.uint8), out=words)
+        np.bitwise_and(words, mask, out=out[o0:o1])
+    return out
 
 
 def build_supermers(
@@ -222,8 +244,8 @@ def build_supermers(
 
     Implements Algorithm 2 with the boundary rule documented in the module
     docstring, entirely with array operations: per-position minimizers, a
-    boundary flag, run labelling by cumulative sum, and a masked shift-or
-    pack of each run's bases.
+    start flag and an end flag per k-mer position, and one shifted gather
+    of the packed bases at each start.
 
     ``canonical_minimizers=True`` ranks strand-neutral (canonical) m-mers,
     so a k-mer and its reverse complement always carry the same minimizer —
@@ -264,53 +286,53 @@ def build_supermers_with_positions(
             f"window {window} with k={k} gives supermers of up to {window + k - 1} bases; "
             f"they must fit 32 bases (max window {max_window_for(k)})"
         )
-    mins = minimizers_for_windows(reads.codes, k, m, ordering, canonical=canonical_minimizers)
-    n = mins.n_windows
-    if n == 0 or not mins.valid.any():
+    if not 1 <= m < k:
+        raise ValueError(f"need 1 <= m < k, got m={m}, k={k}")
+    safe, is_base = mask_codes(reads.codes)
+    valid = valid_windows(is_base, k)
+    n = valid.shape[0]
+    if n == 0 or reads.n_reads == 0 or not valid.any():
         return SupermerBatch.empty(k), np.empty(0, dtype=np.int64)
+    min_values, _ = sliding_minimizers(safe, k, m, get_ordering(ordering), canonical=canonical_minimizers)
 
-    valid = mins.valid
-    positions = np.arange(n, dtype=np.int64)
-    # Relative k-mer position within the owning read, for window boundaries.
-    # Window positions before the first read offset cannot be valid, and
-    # searchsorted handles interior positions; clip guards the degenerate
-    # empty-reads case.
-    read_idx = np.searchsorted(reads.offsets, positions, side="right") - 1
-    read_idx = np.clip(read_idx, 0, max(len(reads.offsets) - 1, 0))
-    rel = positions - reads.offsets[read_idx]
+    # Boundary rule of the module docstring, one flag per k-mer position.
+    # Window starts are scattered, not computed per position: read r owns
+    # positions [offsets[r], offsets[r+1]) and flags every window-th one
+    # (positions before the first read count back from it).
+    seg_start = reads.offsets.copy()
+    seg_start[0] %= window
+    np.minimum(seg_start, n, out=seg_start)
+    seg_end = np.append(seg_start[1:], n)
+    per_read = (seg_end - seg_start + (window - 1)) // window
+    first_flag = np.cumsum(per_read) - per_read
+    steps = np.arange(int(per_read.sum()), dtype=np.int64) - np.repeat(first_flag, per_read)
+    starts_flag = np.zeros(n, dtype=bool)
+    starts_flag[np.repeat(seg_start, per_read) + steps * window] = True
+    starts_flag[0] = True  # no previous k-mer
+    starts_flag[1:] |= ~valid[:-1]
+    starts_flag[1:] |= min_values[1:] != min_values[:-1]
+    starts_flag &= valid
 
-    prev_valid = np.zeros(n, dtype=bool)
-    prev_valid[1:] = valid[:-1]
-    same_min = np.zeros(n, dtype=bool)
-    same_min[1:] = mins.minimizer_values[1:] == mins.minimizer_values[:-1]
-    new_window = (rel % window) == 0
-    starts_flag = valid & (new_window | ~prev_valid | ~same_min)
+    # A supermer runs from its start to the last valid k-mer before the
+    # next start or invalid position.
+    ends_flag = valid.copy()
+    ends_flag[:-1] &= starts_flag[1:] | ~valid[1:]
+    start_positions = np.flatnonzero(starts_flag)
+    n_kmers = (np.flatnonzero(ends_flag) - start_positions + 1).astype(np.int32)
+    minimizers = min_values[start_positions].astype(np.uint64)
 
-    # Label each valid k-mer position with its supermer id.
-    run_id = np.cumsum(starts_flag) - 1  # valid positions only are meaningful
-    valid_run_id = run_id[valid]
-    n_supermers = int(valid_run_id[-1]) + 1 if valid_run_id.size else 0
-    n_kmers = np.bincount(valid_run_id, minlength=n_supermers).astype(np.int32)
-
-    start_positions = positions[starts_flag]
-    minimizers = mins.minimizer_values[starts_flag]
-
-    # Pack each supermer's bases back-aligned: the t-th base from the end
-    # lands at bit 2t, so each iteration is one full-width gather+or with
-    # no boolean compaction (the old front-aligned loop re-compressed a
-    # shrinking `active` subset every step).  Every supermer has at least
-    # k bases, so the first k iterations need no mask at all.
-    n_bases = n_kmers.astype(np.int64) + (k - 1)
-    max_bases = int(n_bases.max())
-    min_bases = int(n_bases.min())
-    safe = np.where(reads.codes < SENTINEL, reads.codes, 0).astype(np.uint64)
-    end1 = start_positions + n_bases - 1  # index of each supermer's last base
-    packed = safe[end1].copy()
-    for t in range(1, max_bases):
-        contrib = safe[end1 - t] << np.uint64(2 * t)
-        if t >= min_bases:
-            contrib = np.where(n_bases > t, contrib, np.uint64(0))
-        packed |= contrib
+    # Every supermer is a prefix of the 32-base window at its start.  Pack
+    # all 8-base windows of the zero-padded codes in uint16, gather the four
+    # that tile each start's 32 bases, and shift the bases past the
+    # supermer's end back out.
+    padded = np.zeros(safe.shape[0] + 31, dtype=np.uint16)
+    padded[: safe.shape[0]] = safe
+    pack8 = pack_windows(padded, 8)
+    packed = pack8[start_positions].astype(np.uint64)
+    for tile in (8, 16, 24):
+        packed <<= np.uint64(16)
+        packed |= pack8[start_positions + tile]
+    packed >>= (2 * (32 - (k - 1)) - 2 * n_kmers).astype(np.uint64)
 
     batch = SupermerBatch(k=k, packed=packed, n_kmers=n_kmers, minimizers=minimizers)
     return batch, start_positions

@@ -42,6 +42,21 @@ class TestWindowValues:
         with pytest.raises(ValueError):
             window_values(np.zeros(40, dtype=np.uint8), 33)
 
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_every_width_matches_scalar(self, width):
+        """Doubling pack and doubling validity, power-of-two widths and not."""
+        from repro.dna.encoding import codes_to_string
+
+        rng = np.random.default_rng(width)
+        codes = rng.integers(0, 4, size=120).astype(np.uint8)
+        codes[rng.integers(0, 120, size=3)] = 4
+        codes[60:62] = 4
+        read = codes_to_string(codes)
+        w = window_values(codes, width)
+        assert w.values.dtype == np.uint64 and w.valid.dtype == bool
+        assert w.valid.tolist() == ["N" not in read[i : i + width] for i in range(120 - width + 1)]
+        assert w.compact().tolist() == extract_kmers_scalar(read, width)
+
     def test_compact(self):
         from repro.dna.encoding import string_to_codes
 
