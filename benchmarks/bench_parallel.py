@@ -36,9 +36,9 @@ from repro.bench.runner import dataset_with_multiplier  # noqa: E402
 from repro.core.config import PipelineConfig  # noqa: E402
 from repro.core.engine import EngineOptions, run_pipeline  # noqa: E402
 from repro.core.parallel import resolve_workers  # noqa: E402
-from repro.core.tracing import WallClockRecorder  # noqa: E402
 from repro.dna.datasets import SMALL_DATASETS  # noqa: E402
 from repro.mpi.topology import summit_cpu, summit_gpu  # noqa: E402
+from repro.telemetry.spans import SpanRecorder  # noqa: E402
 
 #: The Fig. 6 variant grid: (backend, mode, minimizer_len).
 VARIANTS = [("cpu", "kmer", 7), ("gpu", "kmer", 7), ("gpu", "supermer", 7)]
@@ -67,7 +67,7 @@ def _run_grid(datasets, nodes, parallel, repeats, recorder=None):
         for backend, mode, m in VARIANTS:
             cluster = summit_gpu(nodes) if backend == "gpu" else summit_cpu(nodes)
             config = PipelineConfig(k=17, mode=mode, minimizer_len=m)
-            options = EngineOptions(work_multiplier=mult, parallel=parallel, span_recorder=recorder)
+            options = EngineOptions(work_multiplier=mult, parallel=parallel, trace=recorder)
             best, result = float("inf"), None
             for _ in range(repeats):
                 t0 = perf_counter()
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"fig6 workload: {datasets} on {args.nodes} nodes ({world} GPU ranks), {workers} workers")
     seq_cells = _run_grid(datasets, args.nodes, 1, args.repeats)
-    recorder = WallClockRecorder()
+    recorder = SpanRecorder()
     par_cells = _run_grid(datasets, args.nodes, workers, args.repeats, recorder=recorder)
 
     rows = []

@@ -14,7 +14,7 @@ from conftest import run_once
 
 from repro.bench import format_table, write_report
 from repro.gpu.blocks import analyze_thread_mapping
-from repro.gpu.device import v100
+from repro.machines import v100
 
 MAPPINGS = ["read", "window", "base"]
 

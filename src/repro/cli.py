@@ -372,7 +372,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         machine=machine,
         telemetry=registry,
         stages=stages,
-        fused=True if args.fused else None,
+        fused=args.fused,
         spill_dir=args.spill,
         table_dir=args.table_dir,
         host_memory_budget=args.memory_limit,

@@ -1,5 +1,6 @@
 """Core pipelines: the paper's distributed k-mer counting on the substrates."""
 
+from ..machines import CpuRates, GpuPipelineModel, power9_rates
 from .analysis import (
     CommunicationTheory,
     base_compression_exact,
@@ -8,10 +9,8 @@ from .analysis import (
     theory_for,
 )
 from .config import PipelineConfig, paper_config
-from .cpu_model import CpuRates, power9_rates
 from .driver import count_distributed, cpu_cluster, gpu_cluster, run_paper_comparison
 from .engine import EngineOptions, run_pipeline
-from .gpu_model import GpuPipelineModel
 from .incremental import DistributedCounter
 from .parallel import (
     RankPool,
@@ -38,8 +37,6 @@ from .stages import (
 from .sweep import SweepPoint, SweepResult, sweep
 from .spmd import count_spmd, kmer_count_program, supermer_count_program
 from .tracing import (
-    WallClockRecorder,
-    WallSpan,
     trace_events,
     wall_trace_events,
     write_chrome_trace,
@@ -72,8 +69,6 @@ __all__ = [
     "supermer_count_program",
     "trace_events",
     "write_chrome_trace",
-    "WallClockRecorder",
-    "WallSpan",
     "wall_trace_events",
     "write_wall_trace",
     "RankPool",

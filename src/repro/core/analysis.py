@@ -256,8 +256,8 @@ def _region_path(span: dict, by_id: dict[object, dict]) -> str:
 def _work_groups(spans: list[dict]) -> list[tuple[str, list[dict]]]:
     """Work leaves grouped by enclosing region path, in start-time order.
 
-    Leaves whose parent is missing (a flat :class:`WallClockRecorder`
-    export, or a truncated payload) group under their own base name, so
+    Leaves whose parent is missing (recorded outside any region, or a
+    truncated payload) group under their own base name, so
     the analysis still works on hierarchy-free span lists.
     """
     by_id = _span_index(spans)

@@ -5,14 +5,16 @@ stages — parse, partition, exchange, count, merge — with typed buffers
 between them (:mod:`.buffers`), structural protocols per stage kind
 (:mod:`.protocols`), the paper's implementations (:mod:`.standard`), a
 backend/extension registry (:mod:`.registry`), and the single round
-scheduler that owns the memory-bounded execution loop (:mod:`.scheduler`).
+driver that owns the memory-bounded execution loop (:mod:`.scheduler`)
+over a data layout (per-rank | flat, :mod:`.fused`) and a receive-buffer
+residency (RAM | spool, :mod:`.spill`).
 See ``docs/ARCHITECTURE.md`` for the full picture and the recipe for
 registering custom stages.
 """
 
 from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
 from .context import EngineOptions, StageContext
-from .fused import FusedPipeline, resolve_fused, supports_fusion
+from .fused import supports_fusion
 from .protocols import (
     CountStage,
     ExchangeStage,
@@ -35,14 +37,7 @@ from .registry import (
     substrate_names,
 )
 from .scheduler import PipelineState, RoundScheduler
-from .spill import (
-    FusedSpillPipeline,
-    SpillExchange,
-    SpillPipeline,
-    SpillSpool,
-    external_merge,
-    supports_spill,
-)
+from .spill import SpillExchange, SpillSpool, external_merge, supports_spill
 from .spmd import staged_rank_program
 
 __all__ = [
@@ -72,12 +67,8 @@ __all__ = [
     "PipelineState",
     "RoundScheduler",
     "staged_rank_program",
-    "FusedPipeline",
-    "resolve_fused",
     "supports_fusion",
-    "FusedSpillPipeline",
     "SpillExchange",
-    "SpillPipeline",
     "SpillSpool",
     "external_merge",
     "supports_spill",

@@ -8,6 +8,8 @@ Every arrow in the stage graph has an explicit record type:
   the generalization of the old engine's private ``_RankParse``);
 * exchange → count: :class:`ExchangeOutcome` (received buffers plus the
   modeled exchange-time breakdown);
+* parse → round driver: :class:`ParseSummary` (the per-rank statistics
+  the driver keeps once the send buffers themselves are dropped);
 * count → merge: :class:`CountOutcome` per rank (modeled time, instance
   count, hash-table insert statistics).
 
@@ -24,18 +26,7 @@ import numpy as np
 
 from ...gpu.hashtable import InsertStats
 
-__all__ = ["ParsedItems", "RankParse", "ExchangeOutcome", "CountOutcome", "add_link_seconds"]
-
-
-def add_link_seconds(totals: dict[str, float], links: tuple[tuple[str, float], ...]) -> None:
-    """Fold one round's per-link breakdown into a running ``name -> s`` dict.
-
-    Shared by every engine so multi-round runs accumulate link rows the
-    same way they accumulate ``alltoallv_seconds``; insertion order keeps
-    links innermost-first, as the cost model emits them.
-    """
-    for name, seconds in links:
-        totals[name] = totals.get(name, 0.0) + seconds
+__all__ = ["ParsedItems", "RankParse", "ParseSummary", "ExchangeOutcome", "CountOutcome"]
 
 
 @dataclass
@@ -71,11 +62,32 @@ class RankParse:
 
 
 @dataclass
-class ExchangeOutcome:
-    """All ranks' received buffers plus the exchange-phase time breakdown."""
+class ParseSummary:
+    """What the round driver keeps of a parse phase, whatever the layout.
 
-    recv_data: list[np.ndarray]
-    recv_lengths: list[np.ndarray] | None
+    Small per-rank statistics only — the send buffers they describe are
+    layout-private and are dropped as soon as the last round is exchanged.
+    """
+
+    times: np.ndarray  # float64 per rank: modeled parse seconds
+    n_kmers: np.ndarray  # int64 per rank: k-mer instances parsed
+    counts_matrix: np.ndarray  # (p, p) int64: [src, dst] items before round splitting
+    n_supermers: int
+    supermer_bases: int
+
+
+@dataclass
+class ExchangeOutcome:
+    """All ranks' received buffers plus the exchange-phase time breakdown.
+
+    The per-rank layout receives one array per rank; the flat layout
+    receives a single rank-segmented array (``recv_data``/``recv_lengths``
+    are then plain arrays) with ``recv_offsets`` marking the p+1 segment
+    boundaries.
+    """
+
+    recv_data: list[np.ndarray] | np.ndarray
+    recv_lengths: list[np.ndarray] | np.ndarray | None
     counts_matrix: np.ndarray  # items, [src, dst]
     seconds: float  # overhead + network + staging (the phase's bulk time)
     alltoallv_seconds: float  # MPI_Alltoallv routine time only (Fig. 8's metric)
@@ -84,6 +96,7 @@ class ExchangeOutcome:
     # link first, with staging appended as a "host-staging" row when it
     # applies.  Empty only for legacy constructors.
     link_seconds: tuple[tuple[str, float], ...] = ()
+    recv_offsets: np.ndarray | None = None  # flat layout only
 
 
 @dataclass

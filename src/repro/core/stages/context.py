@@ -25,7 +25,6 @@ from ...telemetry.spans import SpanRecorder
 from ..config import PipelineConfig
 from ..memory import ScratchArena
 from ..parallel import ParallelSetting, RankPool
-from ..tracing import WallClockRecorder
 
 __all__ = ["EngineOptions", "StageContext"]
 
@@ -56,13 +55,12 @@ class EngineOptions:
     # REPRO_PARALLEL environment variable. Accepts "thread[:N]",
     # "process[:N]", a bare worker count, or "off"; see repro.core.parallel.
     parallel: ParallelSetting = None
-    span_recorder: WallClockRecorder | SpanRecorder | None = None  # host wall-clock spans per (phase, rank)
     # Opt-in hierarchical tracing (run → batch → round → stage → rank work):
     # ``True`` creates a fresh repro.telemetry.spans.SpanRecorder (retrieve
     # it from ``opts.trace`` after construction), or pass one explicitly.
-    # The trace recorder doubles as the span_recorder, so every wall-metric
-    # consumer sees the same leaf spans; deterministic observables are
-    # untouched (host timestamps only).
+    # Its per-(phase, rank) work leaves are the host wall-clock spans every
+    # wall-metric consumer reads; deterministic observables are untouched
+    # (host timestamps only).
     trace: SpanRecorder | bool | None = None
     # Metrics sink for this run: installed as the telemetry session so every
     # layer (collectives, hash table, kernels, pools) feeds it.  None = off.
@@ -70,12 +68,12 @@ class EngineOptions:
     # Extension stage plugins by registry name (e.g. ("bloom", "balanced"));
     # resolved through repro.core.stages.registry when the composition is built.
     stages: tuple[str, ...] = ()
-    # Fused whole-cluster execution (repro.core.stages.fused): None defers to
-    # the REPRO_FUSED environment variable.  Results are bit-identical to the
-    # staged path; compositions with custom stage types fall back to staged.
-    fused: bool | None = None
+    # Fused whole-cluster execution (the flat layout, repro.core.stages.fused).
+    # Results are bit-identical to the per-rank layout; compositions with
+    # custom stage types fall back to it.
+    fused: bool = False
     # Scratch-buffer pool shared across runs/sweep cells in fused mode; None
-    # lets the scheduler create a private one per run.
+    # lets the scheduler create a private one.
     arena: ScratchArena | None = None
     # Out-of-core execution (repro.core.stages.spill): a spool directory for
     # disk-spilled exchange partitions.  When set, the one-shot run writes
@@ -124,13 +122,6 @@ class EngineOptions:
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.trace is not None and not isinstance(self.trace, SpanRecorder):
             object.__setattr__(self, "trace", SpanRecorder() if self.trace else None)
-        if self.trace is not None:
-            if self.span_recorder is not None and self.span_recorder is not self.trace:
-                raise ValueError(
-                    "pass either trace= or span_recorder=, not both "
-                    "(the trace recorder subsumes the wall-span recorder)"
-                )
-            object.__setattr__(self, "span_recorder", self.trace)
 
 
 @dataclass
@@ -144,7 +135,7 @@ class StageContext:
     pool: RankPool
     comm_model: CommCostModel
     stats: TrafficStats
-    recorder: WallClockRecorder | SpanRecorder | None = None
+    recorder: SpanRecorder | None = None
     registry: MetricRegistry | None = None
     # None defers to opts.verify_exchange; the batch scheduler path sets
     # False (streamed batches never checksummed, matching the original

@@ -1,6 +1,6 @@
-"""Fused whole-cluster supersteps: each stage runs once over all ranks.
+"""The flat layout: fused whole-cluster supersteps, each stage once over all ranks.
 
-The staged scheduler executes every superstep as P independent per-rank
+The per-rank layout executes every superstep as P independent per-rank
 NumPy call sequences.  At fig6 scale (P = 96 simulated ranks, small
 per-rank shards) host wall time is dominated by array-dispatch overhead
 and allocation churn, not by the modeled work — the same observation
@@ -32,14 +32,17 @@ golden suite replays the full engine matrix with ``fused=True`` against
 the same golden file to enforce this.
 
 Compositions whose stages are not the standard classes (custom
-registered stages) fall back to the staged scheduler; plugin *hooks*
+registered stages) fall back to the per-rank layout; plugin *hooks*
 (bloom filter, balanced partition) are supported, since they act through
 the standard stage seams.
+
+:class:`FlatLayout` is one of the two layouts the round driver
+(:meth:`repro.core.stages.scheduler.RoundScheduler._drive`) calls; the
+skeleton, the accounting and the result assembly live there.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -53,13 +56,10 @@ from ...gpu.segmented import SegmentedHashTable
 from ...kmers.extract import window_values
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ...mpi.collectives import alltoallv_flat
-from ...mpi.stats import TrafficStats
 from ...telemetry import active
 from ..memory import ScratchArena
 from ..parallel import get_pool
-from ..results import CountResult, PhaseTiming
-from ..tracing import recording_region
-from .buffers import add_link_seconds
+from .buffers import ExchangeOutcome, ParseSummary
 from .registry import StageComposition
 from .standard import (
     AlltoallvExchange,
@@ -75,10 +75,7 @@ from .standard import (
     outgoing_buffer_hot_fraction,
 )
 
-__all__ = ["ENV_VAR", "FusedPipeline", "resolve_fused", "supports_fusion"]
-
-#: Environment switch consulted when ``EngineOptions.fused`` is ``None``.
-ENV_VAR = "REPRO_FUSED"
+__all__ = ["FlatLayout", "supports_fusion"]
 
 #: Extraction kernels (window packing, minimizer scans, supermer builds)
 #: are multi-pass: they materialize several full-array intermediates per
@@ -88,22 +85,6 @@ ENV_VAR = "REPRO_FUSED"
 #: every pass's working set in L2.  128Ki bases ≈ 1-2 MB of intermediates
 #: per pass (swept on the benchmark host; see docs/PERFORMANCE.md).
 PARSE_BLOCK_BASES = 1 << 17
-
-_ON = frozenset({"1", "on", "true", "yes", "auto", "fused"})
-_OFF = frozenset({"", "0", "off", "false", "no", "none"})
-
-
-def resolve_fused(setting: bool | None) -> bool:
-    """Resolve the fused switch: explicit option, else ``REPRO_FUSED``."""
-    if setting is not None:
-        return bool(setting)
-    raw = os.environ.get(ENV_VAR, "")
-    value = raw.strip().lower()
-    if value in _ON:
-        return True
-    if value in _OFF:
-        return False
-    raise ValueError(f"{ENV_VAR}={raw!r} not understood (use on/off)")
 
 
 def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -149,33 +130,109 @@ def supports_fusion(comp: StageComposition) -> bool:
 
 
 @dataclass
-class _FusedParse:
-    """Whole-cluster parse output: rank-segmented flat buffers + per-rank stats."""
+class _FlatSend:
+    """Whole-cluster send buffers: rank-segmented flat arrays (the wire form)."""
 
-    data: np.ndarray  # uint64, src-major / dst-segmented (the wire form)
+    data: np.ndarray  # uint64, src-major / dst-segmented
     lengths: np.ndarray | None  # uint8, parallel to data (supermer mode)
     counts_matrix: np.ndarray  # (p, p) int64: [src, dst] item counts
-    n_kmers: np.ndarray  # int64 per rank
-    n_supermers: np.ndarray  # int64 per rank
-    supermer_bases: np.ndarray  # int64 per rank
-    times: np.ndarray  # float64 per rank: modeled parse seconds
-
-    @property
-    def total_kmers(self) -> int:
-        return int(self.n_kmers.sum())
 
 
-class FusedPipeline:
-    """Fused execution engine bound to one :class:`RoundScheduler`."""
+class FlatLayout:
+    """The flat data layout: rank-segmented arrays + one segmented table.
 
-    def __init__(self, scheduler) -> None:
+    The whole cluster's send buffer is one flat array (plus a counts
+    matrix), its receive buffer another, and all P table partitions live
+    in one :class:`~repro.gpu.segmented.SegmentedHashTable` — so each
+    superstep is one whole-cluster block on the driving thread, recorded
+    as a rank-0 wall span named ``fused:*`` (distinct from the per-rank
+    layout's per-rank rows, which these blocks are *not*).
+    """
+
+    flat = True
+    prefix = "fused:"
+
+    def __init__(self, scheduler, arena: ScratchArena) -> None:
         self.sched = scheduler
-        opts = scheduler.opts
-        self.arena = opts.arena if opts.arena is not None else ScratchArena()
+        self.arena = arena
+
+    def pool(self, state) -> None:
+        """Supersteps run on the driving thread (parse blocks fetch their own pool)."""
+        return None
+
+    # -- the driver's layout calls ------------------------------------
+
+    def send_lists(self, round_send):
+        """Per-source views of the src-major flat round buffer (the exchange-stage form)."""
+        data, lengths, counts, _owned = round_send
+        p = counts.shape[0]
+        base = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=1), out=base[1:])
+        return (
+            [data[base[s] : base[s + 1]] for s in range(p)],
+            [lengths[base[s] : base[s + 1]] for s in range(p)] if lengths is not None else None,
+            [counts[s] for s in range(p)],
+        )
+
+    def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
+        data, lengths, counts, _owned = round_send
+        return self._exchange(data, lengths, counts, label, sctx)
+
+    def release_round(self, round_send) -> None:
+        """Hand a round-owned gather (multi-round runs) back to the arena."""
+        data, lengths, _counts, owned = round_send
+        if owned:
+            self.arena.release(data, lengths)
+
+    def release(self, send: _FlatSend) -> None:
+        self.arena.release(send.data, send.lengths)
+
+    def tables(self, state, hints: list[int], cleanup) -> SegmentedHashTable:
+        opts = self.sched.opts
+        if state is None:
+            table = SegmentedHashTable(
+                hints, seed=self.sched.config.table_seed, table_dir=opts.table_dir
+            )
+            cleanup.callback(table.close)  # reclaims the mmap slab files when table_dir is set
+            return table
+        if state.fused_table is None:
+            # Adopt the per-rank tables layout-verbatim, so a state that
+            # already counted per-rank batches continues bit-identically.
+            state.fused_table = SegmentedHashTable.from_tables(state.tables, table_dir=opts.table_dir)
+            state.tables = state.fused_table.views()
+        return state.fused_table
+
+    def count(self, table, outcome: ExchangeOutcome, suffix: str, sctx, acct) -> None:
+        t0 = perf_counter()
+        times, n_seen, stats = self._count(
+            table, outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets, sctx
+        )
+        if sctx.recorder is not None:
+            sctx.recorder.record("fused:count" + suffix, 0, t0, perf_counter())
+        self.arena.release(outcome.recv_data, outcome.recv_lengths)
+        acct.add_count(0, times, n_seen, stats)
+
+    def merge(self, table: SegmentedHashTable):
+        # Plugins adjust each rank partition separately, so keep the
+        # per-rank item lists when any are active.  Without plugins the
+        # merge is one global np.unique over the concatenation, which is
+        # order-insensitive (integer count sums are exact in float64), so
+        # a single whole-table extraction replaces p masked key sorts.
+        merge = self.sched.comp.merge
+        if merge.plugins:
+            pairs = [table.items_of(r) for r in range(self.sched.cluster.n_ranks)]
+        else:
+            pairs = [table.items_flat()]
+        return merge.merge_items(pairs, self.sched.config.k)
+
+    def fill(self, table: SegmentedHashTable) -> tuple[list[int], list[float]]:
+        entries = [int(n) for n in table.n_entries_per_rank]
+        return entries, [n / int(c) for n, c in zip(entries, table.capacities)]
 
     # -- parse phase -------------------------------------------------
 
-    def _parse(self, shards: list[ReadSet], sctx) -> _FusedParse:
+    def parse(self, shards: list[ReadSet], sctx) -> tuple[_FlatSend, ParseSummary]:
+        t0 = perf_counter()
         comp = self.sched.comp
         config = self.sched.config
         p = len(shards)
@@ -343,25 +400,26 @@ class FusedPipeline:
                     int(n_kmers[r]) * mult, supermer_mode=supermer
                 )
 
-        return _FusedParse(
-            data=data,
-            lengths=lengths_flat,
-            counts_matrix=counts_matrix,
-            n_kmers=n_kmers,
-            n_supermers=n_supermers,
-            supermer_bases=supermer_bases,
+        if sctx.recorder is not None:
+            sctx.recorder.record("fused:parse", 0, t0, perf_counter())
+        send = _FlatSend(data=data, lengths=lengths_flat, counts_matrix=counts_matrix)
+        return send, ParseSummary(
             times=times,
+            n_kmers=n_kmers,
+            counts_matrix=counts_matrix,
+            n_supermers=int(n_supermers.sum()),
+            supermer_bases=int(supermer_bases.sum()),
         )
 
     # -- exchange phase ----------------------------------------------
 
-    def _round_gather(
-        self, fp: _FusedParse, rnd: int, n_rounds: int
+    def round_send(
+        self, fp: _FlatSend, rnd: int, n_rounds: int
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, bool]:
         """Round ``rnd``'s slice of the flat send buffer (still src-major).
 
         Splits every (src, dst) segment evenly across rounds exactly like
-        the staged ``_round_slice``; the gathered flat array equals the
+        the per-rank ``_round_slice``; the gathered flat array equals the
         concatenation of the per-rank round buffers.  Returns
         ``(data, lengths, counts, arena_backed)``.
         """
@@ -397,15 +455,7 @@ class FusedPipeline:
         round_counts: np.ndarray,
         label: str,
         sctx,
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray | None,
-        np.ndarray,
-        float,
-        float,
-        float,
-        tuple[tuple[str, float], ...],
-    ]:
+    ) -> ExchangeOutcome:
         """One fused exchange round; mirrors ``AlltoallvExchange.exchange``."""
         wire = sctx.wire_bytes
         shuffled, dst_offsets = alltoallv_flat(
@@ -425,7 +475,16 @@ class FusedPipeline:
         if do_verify:
             _verify_flat(send_flat, shuffled, round_counts, label)
         seconds, t_a2av, t_stage, links = exchange_time_model(round_counts, sctx)
-        return shuffled, shuffled_lengths, dst_offsets, seconds, t_a2av, t_stage, links
+        return ExchangeOutcome(
+            recv_data=shuffled,
+            recv_lengths=shuffled_lengths,
+            counts_matrix=round_counts,
+            seconds=seconds,
+            alltoallv_seconds=t_a2av,
+            staging_seconds=t_stage,
+            link_seconds=links,
+            recv_offsets=dst_offsets,
+        )
 
     # -- count phase -------------------------------------------------
 
@@ -547,256 +606,6 @@ class FusedPipeline:
                     int(inserted[r]) * mult, supermer_mode=sctx.supermer_mode
                 )
         return times, n_seen, stats
-
-    # -- one-shot run ------------------------------------------------
-
-    def run_once(self, reads: ReadSet, recorder, reg) -> CountResult:
-        from .scheduler import _rounds_for_recv_items  # local import avoids a cycle
-
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        opts = sched.opts
-        p = sched.cluster.n_ranks
-        mult = opts.work_multiplier
-        stats = TrafficStats()
-        sctx = sched._context(None, stats, recorder, reg)
-
-        shards = sched._shard(reads)
-
-        # The fused path executes each superstep as one whole-cluster block
-        # on the driving thread, so wall rows are rank-0 spans named
-        # ``fused:*`` — distinct from the staged path's per-rank rows, which
-        # these blocks are *not* (one block covers all ranks' work at once).
-        with recording_region(recorder, "parse", cat="stage"):
-            t0 = perf_counter()
-            fp = self._parse(shards, sctx)
-            if recorder is not None:
-                recorder.record("fused:parse", 0, t0, perf_counter())
-        t_parse = float(fp.times.max()) if p else 0.0
-        total_parsed_kmers = fp.total_kmers
-
-        wire = sctx.wire_bytes
-        supermer_mode = sctx.supermer_mode
-        recv_items = fp.counts_matrix.sum(axis=0).astype(np.float64)
-        n_rounds = max(
-            config.n_rounds, _rounds_for_recv_items(recv_items, wire, mult, opts, comp.backend)
-        )
-
-        table = SegmentedHashTable(
-            [max(64, int(nk) // max(p, 1) + 16) for nk in fp.n_kmers],
-            seed=config.table_seed,
-            table_dir=opts.table_dir,
-        )
-        received_kmers = np.zeros(p, dtype=np.int64)
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        t_exchange = 0.0
-        t_alltoallv = 0.0
-        staging_total = 0.0
-        link_totals: dict[str, float] = {}
-        counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-        insert_total = InsertStats.zero()
-
-        for rnd in range(n_rounds):
-            with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                send_flat, send_lengths, round_counts, round_owned = self._round_gather(
-                    fp, rnd, n_rounds
-                )
-                label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                exch_name = "fused:exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                n_traffic_before = len(stats.records)
-                with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                    t0 = perf_counter()
-                    shuffled, shuffled_lengths, dst_offsets, seconds, t_a2av, t_stage, links = (
-                        self._exchange(send_flat, send_lengths, round_counts, label, sctx)
-                    )
-                    if recorder is not None:
-                        recorder.record(exch_name, 0, t0, perf_counter())
-                    if ereg is not None:
-                        ereg.note(
-                            label=label,
-                            traffic_records=[n_traffic_before, len(stats.records)],
-                            items=int(round_counts.sum()),
-                            model_seconds=seconds,
-                            link_seconds=dict(links),
-                        )
-                if round_owned:
-                    self.arena.release(send_flat, send_lengths)
-                counts_matrix_total += round_counts
-                t_exchange += seconds
-                t_alltoallv += t_a2av
-                staging_total += t_stage
-                add_link_seconds(link_totals, links)
-                if reg is not None:
-                    backend = comp.backend
-                    reg.counter(
-                        "exchange_rounds_total", "Exchange/count rounds executed", engine=backend
-                    ).inc()
-                    reg.counter(
-                        "exchange_model_seconds_total",
-                        "Modeled exchange seconds (overhead + network + staging)",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(seconds)
-                    reg.counter(
-                        "alltoallv_model_seconds_total",
-                        "Modeled MPI_Alltoallv routine seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(t_a2av)
-                    reg.counter(
-                        "staging_model_seconds_total",
-                        "Modeled host<->device staging seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(t_stage)
-                    reg.counter(
-                        "exchange_items_round_total",
-                        "Items exchanged per round",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(int(round_counts.sum()))
-
-                count_label = "fused:count" + (f"-round{rnd}" if n_rounds > 1 else "")
-                with recording_region(recorder, "count", cat="stage", round=rnd):
-                    t0 = perf_counter()
-                    times, n_seen, ins_list = self._count(
-                        table, shuffled, shuffled_lengths, dst_offsets, sctx
-                    )
-                    if recorder is not None:
-                        recorder.record(count_label, 0, t0, perf_counter())
-                self.arena.release(shuffled, shuffled_lengths)
-                per_rank_count += times
-                received_kmers += n_seen
-                for ins in ins_list:
-                    insert_total = insert_total.combined(ins)
-
-        self.arena.release(fp.data, fp.lengths)
-        t_count = float(per_rank_count.max()) if p else 0.0
-
-        # Plugins adjust each rank partition separately, so keep the
-        # per-rank item lists when any are active.  Without plugins the
-        # merge is one global np.unique over the concatenation, which is
-        # order-insensitive (integer count sums are exact in float64), so
-        # a single whole-table extraction replaces p masked key sorts.
-        with recording_region(recorder, "merge", cat="stage"):
-            t0 = perf_counter()
-            if comp.merge.plugins:
-                spectrum = comp.merge.merge_items([table.items_of(r) for r in range(p)], config.k)
-            else:
-                spectrum = comp.merge.merge_items([table.items_flat()], config.k)
-            if recorder is not None:
-                recorder.record("fused:merge", 0, t0, perf_counter())
-        if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-            raise AssertionError(
-                f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-            )
-
-        exchanged_items = int(counts_matrix_total.sum())
-        supermer_bases = int(fp.supermer_bases.sum())
-        n_supermers = int(fp.n_supermers.sum())
-        if reg is not None:
-            backend = comp.backend
-            for r in range(p):
-                reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                    int(table.n_entries_per_rank[r])
-                )
-                reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                    int(table.n_entries_per_rank[r]) / int(table.capacities[r])
-                )
-            reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                total_parsed_kmers
-            )
-            if n_supermers:
-                reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
-                    supermer_bases
-                )
-        table.close()  # reclaims the mmap slab files when table_dir is set
-        return CountResult(
-            config=config,
-            cluster=sched.cluster,
-            backend=comp.backend,
-            spectrum=spectrum,
-            timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-            per_rank_parse=fp.times.copy(),
-            per_rank_count=per_rank_count,
-            received_kmers=received_kmers,
-            exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * wire),
-            counts_matrix=counts_matrix_total,
-            work_multiplier=mult,
-            traffic=stats,
-            insert_stats=insert_total,
-            mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-            staging_seconds=staging_total,
-            alltoallv_seconds=t_alltoallv,
-            link_seconds=tuple(link_totals.items()),
-            n_rounds_used=n_rounds,
-        )
-
-    # -- streamed batches --------------------------------------------
-
-    def run_batch(self, reads: ReadSet, state) -> PhaseTiming:
-        sched = self.sched
-        config = sched.config
-        p = sched.cluster.n_ranks
-        recorder = sched.opts.span_recorder
-        sctx = sched._context(None, state.traffic, recorder, None, verify=False)
-
-        # Prepare before sharding, matching the one-shot and staged paths.
-        sched._prepare_plugins(reads)
-        shards = sched._shard(reads)
-        with recording_region(recorder, "parse", cat="stage"):
-            t0 = perf_counter()
-            fp = self._parse(shards, sctx)
-            if recorder is not None:
-                recorder.record("fused:parse", 0, t0, perf_counter())
-        t_parse = float(fp.times.max()) if p else 0.0
-
-        label = f"{config.mode}-batch{state.n_batches}"
-        n_traffic_before = len(state.traffic.records)
-        with recording_region(recorder, "exchange", cat="stage") as ereg:
-            t0 = perf_counter()
-            shuffled, shuffled_lengths, dst_offsets, seconds, _t_a2av, _t_stage, _links = (
-                self._exchange(fp.data, fp.lengths, fp.counts_matrix, label, sctx)
-            )
-            if recorder is not None:
-                recorder.record("fused:exchange", 0, t0, perf_counter())
-            if ereg is not None:
-                ereg.note(
-                    label=label,
-                    traffic_records=[n_traffic_before, len(state.traffic.records)],
-                    items=int(fp.counts_matrix.sum()),
-                    model_seconds=seconds,
-                )
-
-        table = state.fused_table
-        if table is None:
-            # Adopt the per-rank tables layout-verbatim, so a state that
-            # already counted staged batches continues bit-identically.
-            table = SegmentedHashTable.from_tables(state.tables, table_dir=sched.opts.table_dir)
-            state.fused_table = table
-            state.tables = table.views()
-
-        with recording_region(recorder, "count", cat="stage"):
-            t0 = perf_counter()
-            times, n_seen, ins_list = self._count(
-                table, shuffled, shuffled_lengths, dst_offsets, sctx
-            )
-            if recorder is not None:
-                recorder.record("fused:count", 0, t0, perf_counter())
-        self.arena.release(shuffled, shuffled_lengths, fp.data, fp.lengths)
-        for r in range(p):
-            state.received_kmers[r] += int(n_seen[r])
-            state.insert_stats = state.insert_stats.combined(ins_list[r])
-        batch_timing = PhaseTiming(
-            parse=t_parse, exchange=seconds, count=float(times.max()) if p else 0.0
-        )
-        state.timing = state.timing.add(batch_timing)
-        state.exchanged_items += int(fp.counts_matrix.sum())
-        state.n_batches += 1
-        return batch_timing
 
 
 def _verify_flat(

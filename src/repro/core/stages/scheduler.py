@@ -1,13 +1,15 @@
-"""The round scheduler: memory-bounded multi-round execution of a composition.
+"""The round driver: memory-bounded multi-round execution of a composition.
 
-This is the single owner of the parse → exchange → count → merge loop.
-Every execution surface drives it:
+This is the single owner of the parse → exchange → count → merge loop —
+one private driver (:meth:`RoundScheduler._drive`) that every execution
+surface and every strategy runs:
 
 * :func:`repro.core.engine.run_pipeline` builds a composition and calls
   :meth:`RoundScheduler.run` (one-shot run, full :class:`CountResult`);
 * :class:`repro.core.incremental.DistributedCounter` holds a
   :class:`PipelineState` and calls :meth:`RoundScheduler.run_batch` per
-  read batch (streaming, checkpointable);
+  read batch (streaming, checkpointable) — the same drive with one round
+  and persistent tables;
 * the SPMD rank programs (:mod:`repro.core.stages.spmd`) reuse the same
   stage objects inside per-rank threads.
 
@@ -17,6 +19,14 @@ performed, and the phase's bulk time is the max over ranks.  When the
 modeled per-round working set exceeds device memory (``auto_rounds``), or
 the config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange + count phases repeat.
+
+The four strategies (``staged``, ``fused``, ``spill``, ``fused-spill``)
+are the 2×2 of two small objects the driver calls, each hiding a data
+format: a *layout* (:class:`PerRankLayout` here |
+:class:`~repro.core.stages.fused.FlatLayout`) and a *residency*
+(:class:`~repro.core.stages.spill.Resident` |
+:class:`~repro.core.stages.spill.Spooled`).  :class:`RoundAccounting` is
+the one place their outcomes are summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
 the persistent per-rank tables and accounting across batches and
@@ -28,28 +38,33 @@ version-1 files still load, with zeroed stats and empty traffic).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...dna.reads import ReadSet
+from ...gpu.hashtable import DeviceHashTable, InsertStats
+from ...kmers.spectrum import KmerSpectrum
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
 from ...telemetry import MetricRegistry, event, session
+from ...telemetry.spans import SpanRecorder
 from ..config import PipelineConfig
-from ..parallel import get_pool
+from ..memory import ScratchArena
+from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
-from ..tracing import WallClockRecorder, recording_region
-from .buffers import RankParse, add_link_seconds
+from ..tracing import recording_region
+from .buffers import CountOutcome, ExchangeOutcome, ParseSummary, RankParse
 from .context import EngineOptions, StageContext
+from .fused import FlatLayout, supports_fusion
 from .registry import StageComposition
+from .spill import Resident, Spooled, supports_spill
 
-__all__ = ["RoundScheduler", "PipelineState"]
+__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "PerRankLayout", "Strategy"]
 
 #: Version 2 adds ``insert_stats`` and the traffic record log to version
 #: 1's tables/timing/volume layout; :meth:`PipelineState.load` accepts both.
@@ -190,6 +205,292 @@ class PipelineState:
                     )
 
 
+class RoundAccounting:
+    """The one accumulator of a drive's model accounting.
+
+    Every layout × residency cell reports its exchange outcomes and count
+    outcomes here, and nothing else sums modeled seconds, link seconds,
+    counts matrices, per-rank count seconds, received k-mers or
+    :class:`InsertStats` — so the two surfaces and four strategies cannot
+    drift apart.  It is also the only emitter of the scheduler's per-round
+    and end-of-run model metrics (``reg`` is ``None`` on the batch surface,
+    which never emitted them).
+
+    Accumulation order is part of the bit-identity contract: each rank's
+    count seconds are added in round order (float addition does not
+    commute with regrouping), while the integer totals and
+    :meth:`InsertStats.combined` are associative, so rank-major streams
+    and round-major loops reduce to the same values.
+    """
+
+    def __init__(self, p: int, backend: str, reg: MetricRegistry | None) -> None:
+        self.backend = backend
+        self.reg = reg
+        self.counts_matrix = np.zeros((p, p), dtype=np.int64)
+        self.t_exchange = 0.0
+        self.t_alltoallv = 0.0
+        self.staging = 0.0
+        self.link_totals: dict[str, float] = {}  # innermost link first, as the cost model emits
+        self.per_rank_count = np.zeros(p, dtype=np.float64)
+        self.received_kmers = np.zeros(p, dtype=np.int64)
+        self.insert = InsertStats.zero()
+
+    def add_exchange(self, rnd: int, outcome: ExchangeOutcome) -> None:
+        """Fold one exchange round's outcome; emit its per-round metrics."""
+        items = int(outcome.counts_matrix.sum())
+        self.counts_matrix += outcome.counts_matrix
+        self.t_exchange += outcome.seconds
+        self.t_alltoallv += outcome.alltoallv_seconds
+        self.staging += outcome.staging_seconds
+        for name, seconds in outcome.link_seconds:
+            self.link_totals[name] = self.link_totals.get(name, 0.0) + seconds
+        reg, backend = self.reg, self.backend
+        if reg is None:
+            return
+        reg.counter("exchange_rounds_total", "Exchange/count rounds executed", engine=backend).inc()
+        for name, desc, value in (
+            (
+                "exchange_model_seconds_total",
+                "Modeled exchange seconds (overhead + network + staging)",
+                outcome.seconds,
+            ),
+            (
+                "alltoallv_model_seconds_total",
+                "Modeled MPI_Alltoallv routine seconds",
+                outcome.alltoallv_seconds,
+            ),
+            (
+                "staging_model_seconds_total",
+                "Modeled host<->device staging seconds",
+                outcome.staging_seconds,
+            ),
+            ("exchange_items_round_total", "Items exchanged per round", items),
+        ):
+            reg.counter(name, desc, engine=backend, round=rnd).inc(value)
+
+    def add_count(self, r0: int, times, n_seen, stats) -> None:
+        """Fold the count outcomes of consecutive ranks ``r0, r0+1, ...``."""
+        r1 = r0 + len(stats)
+        self.per_rank_count[r0:r1] += times
+        self.received_kmers[r0:r1] += n_seen
+        for ins in stats:
+            self.insert = self.insert.combined(ins)
+
+    def add_rank_count(self, r: int, co: CountOutcome) -> None:
+        self.add_count(r, (co.time_s,), (co.n_instances,), (co.insert_stats,))
+
+    def timing(self, t_parse: float) -> PhaseTiming:
+        """Bulk-synchronous phase times: each phase costs its slowest rank."""
+        t_count = float(self.per_rank_count.max()) if self.per_rank_count.size else 0.0
+        return PhaseTiming(parse=t_parse, exchange=self.t_exchange, count=t_count)
+
+    def emit_run(
+        self,
+        result: CountResult,
+        fill: tuple[list[int], list[float]],
+        summary: ParseSummary,
+        recorder: SpanRecorder | None,
+    ) -> None:
+        """End-of-run metrics of a one-shot run.
+
+        Everything here is computed from the deterministic result payload
+        (so every strategy and substrate records identical values), except
+        the ``wall=True`` families, which come from host wall-clock spans.
+        """
+        reg, backend = self.reg, self.backend
+        if reg is None:
+            return
+        # Recorded here (not in the hash table) because only the engine knows
+        # the rank index; plain Gauge.set is safe from this ordered loop.
+        for r, (entries, load) in enumerate(zip(*fill)):
+            reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(entries)
+            reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(load)
+        reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
+            int(summary.n_kmers.sum())
+        )
+        if summary.n_supermers:
+            reg.counter("supermers_total", "Supermers built", engine=backend).inc(summary.n_supermers)
+            reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
+                summary.supermer_bases
+            )
+        t = result.timing
+        for phase, secs in (("parse", t.parse), ("exchange", t.exchange), ("count", t.count)):
+            reg.counter(
+                "phase_model_seconds_total",
+                "Bulk-synchronous phase time (max over ranks)",
+                engine=backend,
+                phase=phase,
+            ).inc(secs)
+        for r in range(result.cluster.n_ranks):
+            for phase, per_rank in (("parse", result.per_rank_parse), ("count", result.per_rank_count)):
+                reg.gauge(
+                    "rank_phase_model_seconds",
+                    "Per-rank modeled phase seconds",
+                    engine=backend,
+                    phase=phase,
+                    rank=r,
+                ).set(float(per_rank[r]))
+            reg.gauge("rank_received_kmers", "k-mer instances counted per rank", rank=r).set(
+                int(result.received_kmers[r])
+            )
+        loads = result.load_stats()
+        reg.gauge("load_imbalance", "max/mean received k-mers (Table III)", engine=backend).set(
+            loads.imbalance
+        )
+        reg.counter("exchange_items_total", "Items routed through the exchange", engine=backend).inc(
+            result.exchanged_items
+        )
+        reg.counter("exchange_bytes_total", "Wire bytes at measured scale", engine=backend).inc(
+            result.exchanged_bytes
+        )
+        if recorder is not None and len(recorder):
+            for name in recorder.phases():
+                reg.counter(
+                    "wall_phase_seconds_total", "Host wall-clock rank-seconds per phase", wall=True, phase=name
+                ).inc(recorder.busy_seconds(name))
+            reg.gauge("wall_busy_seconds", "Total host rank-seconds", wall=True).set(recorder.busy_seconds())
+            reg.gauge("wall_elapsed_seconds", "Host wall window of the run", wall=True).set(
+                recorder.elapsed_seconds()
+            )
+            reg.gauge("wall_overlap_factor", "Achieved rank concurrency", wall=True).set(
+                recorder.overlap_factor()
+            )
+
+
+class PerRankLayout:
+    """The per-rank data layout: one send buffer and one table per rank.
+
+    Each rank's parse output is its own :class:`RankParse`, each rank owns
+    a :class:`DeviceHashTable`, and every phase is P independent calls
+    through the composition's substrate (``parse_rank``/``count_rank``)
+    mapped over the rank pool.  This is the layout custom stages see; the
+    flat twin (:class:`~repro.core.stages.fused.FlatLayout`) re-implements
+    the standard stages over rank-segmented arrays.
+
+    Parallel rank-execution contract: each closure touches rank-private
+    state only and ``pool.map`` returns results in rank order, so any
+    substrate is bit-identical to the sequential loop.  Closures return
+    the table alongside the outcome: an out-of-process worker mutates a
+    copy-on-write clone, so the grown table must travel back (a no-op
+    reassignment in-process).
+    """
+
+    flat = False
+    prefix = ""  # work-leaf names are the bare phase names
+
+    def __init__(self, sched: "RoundScheduler", arena: ScratchArena, in_process_only: bool) -> None:
+        self.sched = sched
+        self.arena = arena
+        self.in_process_only = in_process_only
+
+    def pool(self, state: PipelineState | None) -> RankPool:
+        """The substrate the per-rank closures run on.
+
+        Stateful count/merge plugins (e.g. the bloom prefilter, whose
+        filter state mutates inside the count closures and is read again
+        at merge time) need their side effects in the driving process, so
+        a process substrate becomes an equally wide thread pool (announced
+        by ``resolve_strategy``).  Results are bit-identical either way.
+        """
+        if state is not None and state.fused_table is not None:
+            # A state the flat layout adopted keeps every partition in one
+            # shared segmented table (``state.tables`` are views of it), so
+            # the rank closures must run serially in the driving process.
+            return get_pool(1)
+        pool = get_pool(self.sched.opts.parallel)
+        if self.in_process_only and not pool.in_process:
+            pool = get_pool(f"thread:{pool.workers}")
+        return pool
+
+    def parse(self, shards: list[ReadSet], sctx: StageContext) -> tuple[list[RankParse], ParseSummary]:
+        comp = self.sched.comp
+        recorder = sctx.recorder
+
+        def _parse_one(r: int) -> RankParse:
+            t0 = perf_counter()
+            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
+            if recorder is not None:
+                recorder.record("parse", r, t0, perf_counter())
+            return out
+
+        parsed = sctx.pool.map(_parse_one, range(len(shards)), recorder=recorder)
+        return parsed, ParseSummary(
+            times=np.array([pr.time_s for pr in parsed]),
+            n_kmers=np.array([pr.n_kmers_parsed for pr in parsed], dtype=np.int64),
+            counts_matrix=np.array([pr.counts for pr in parsed], dtype=np.int64),
+            n_supermers=sum(pr.n_supermers for pr in parsed),
+            supermer_bases=sum(pr.supermer_bases for pr in parsed),
+        )
+
+    def round_send(self, parsed: list[RankParse], rnd: int, n_rounds: int):
+        """Round ``rnd``'s per-source ``(data, lengths, counts)`` lists: the exchange-stage form."""
+        data, lengths, counts = zip(*(_round_slice(pr, rnd, n_rounds) for pr in parsed))
+        supermer_mode = self.sched.config.mode == "supermer"
+        return list(data), list(lengths) if supermer_mode else None, list(counts)
+
+    def send_lists(self, round_send):
+        return round_send
+
+    def exchange(self, round_send, label: str, sctx: StageContext) -> ExchangeOutcome:
+        return self.sched.comp.exchange.exchange(*round_send, label, sctx)
+
+    def release_round(self, round_send) -> None:
+        """Round slices are views or garbage-collected copies: nothing to hand back."""
+
+    def release(self, parsed) -> None:
+        """Send buffers are plain arrays, freed when the driver drops them."""
+
+    def tables(self, state: PipelineState | None, hints: list[int], cleanup) -> list[DeviceHashTable]:
+        if state is not None:
+            return state.tables
+        seed = self.sched.config.table_seed
+        return [DeviceHashTable(capacity_hint=hint, seed=seed) for hint in hints]
+
+    def count(self, tables, outcome: ExchangeOutcome, suffix: str, sctx: StageContext, acct) -> None:
+        comp = self.sched.comp
+        recorder = sctx.recorder
+        recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
+
+        def _count_one(r: int):
+            lengths_r = recv_lengths[r] if recv_lengths is not None else None
+            t0 = perf_counter()
+            out = comp.substrate.count_rank(r, recv_data[r], lengths_r, tables[r], comp.count, sctx)
+            if recorder is not None:
+                recorder.record("count" + suffix, r, t0, perf_counter())
+            return out, tables[r]
+
+        counted = sctx.pool.map(_count_one, range(len(tables)), recorder=recorder)
+        for r, (co, table) in enumerate(counted):
+            tables[r] = table
+            acct.add_rank_count(r, co)
+
+    def merge(self, tables: list[DeviceHashTable]) -> KmerSpectrum:
+        return self.sched.comp.merge.merge_tables(tables, self.sched.config.k)
+
+    def fill(self, tables: list[DeviceHashTable]) -> tuple[list[int], list[float]]:
+        return [t.n_entries for t in tables], [t.load_factor for t in tables]
+
+
+#: Strategy name by (flat layout?, spooled residency?) — the run span's
+#: ``strategy`` meta and the only names the 2×2 has.
+_STRATEGY_NAMES = {
+    (False, False): "staged",
+    (True, False): "fused",
+    (False, True): "spill",
+    (True, True): "fused-spill",
+}
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One cell of the layout × residency 2×2, as resolved from the options."""
+
+    name: str  # "staged" | "fused" | "spill" | "fused-spill"
+    layout: "PerRankLayout | FlatLayout"  # persists across batches (it owns the arena)
+    residency: type[Resident]  # instantiated per drive (it owns the drive's spool)
+    opts: EngineOptions  # the options this was resolved from
+
+
 class RoundScheduler:
     """Drives one stage composition through rounds on a rank pool."""
 
@@ -206,11 +507,7 @@ class RoundScheduler:
         self.opts = opts
         self.comm_model = CommCostModel(cluster)
         self._prepared = False
-        self._fused_impl = None
-        self._fused_checked = False
-        self._spill_impl = None
-        self._spill_checked = False
-        self._process_fallback_announced = False
+        self._strategy: Strategy | None = None
 
     # -- shared helpers ------------------------------------------------------
 
@@ -228,119 +525,68 @@ class RoundScheduler:
         for plugin in self.comp.plugins:
             plugin.prepare(reads, self.config, self.cluster, self.opts)
 
-    def _fused(self):
-        """The fused pipeline for this scheduler, or ``None`` (staged path).
+    def resolve_strategy(self) -> Strategy:
+        """The layout × residency cell ``self.opts`` selects for this composition.
 
-        Resolved once: ``opts.fused`` (or ``REPRO_FUSED``) must be on AND the
-        composition must consist of the standard stage types the fused path
-        re-implements.  A fused request over a custom composition falls back
-        to the staged scheduler with an event, never an error — results are
-        identical either way.
+        Resolved once per options object — assigning ``scheduler.opts``
+        re-resolves on the next drive, nothing else needs resetting — so
+        each fallback below is announced once.  Every rung is an event,
+        never an error, because results are identical on every path:
+
+        1. ``spill_dir`` over a custom exchange/merge stage counts in
+           memory (``engine.spill.fallback``): the spooled residency
+           substitutes both, so they must be the standard classes.
+        2. ``fused`` over any custom stage type keeps the per-rank layout
+           (``engine.fused.fallback``): the flat layout re-implements the
+           standard stages' data flow.  Plugins are fine on both rungs —
+           they act through the standard seams.
+        3. ``table_dir`` without the flat layout leaves the tables
+           resident (``engine.table.fallback``): the mmap backing is a
+           :class:`~repro.gpu.segmented.SegmentedHashTable` feature.
+        4. A process pool under the per-rank layout with stateful plugins
+           becomes a thread pool (``engine.process.fallback``, see
+           :meth:`PerRankLayout.pool`).
         """
-        if not self._fused_checked:
-            self._fused_checked = True
-            from .fused import FusedPipeline, resolve_fused, supports_fusion
+        opts, comp = self.opts, self.comp
+        if self._strategy is not None and self._strategy.opts is opts:
+            return self._strategy
 
-            if resolve_fused(self.opts.fused):
-                if supports_fusion(self.comp):
-                    self._fused_impl = FusedPipeline(self)
-                else:
-                    event(
-                        "engine.fused.fallback",
-                        subsystem="engine",
-                        backend=self.comp.backend,
-                        reason="composition has custom stages; using staged path",
-                    )
-        return self._fused_impl
+        def fallback(knob: str, reason: str) -> None:
+            event(f"engine.{knob}.fallback", subsystem="engine", backend=comp.backend, reason=reason)
 
-    def _spill(self):
-        """The out-of-core pipeline for this scheduler, or ``None``.
-
-        Resolved once: ``opts.spill_dir`` must be set AND the composition's
-        exchange/merge must be the standard classes whose semantics the
-        spill path mirrors (:func:`repro.core.stages.spill.supports_spill`).
-        A simultaneous fused request selects the blocked fused×spill
-        composition when every stage is the standard fusable type;
-        otherwise the staged spill loop runs (with the usual fused-fallback
-        event).  A spill request over a custom exchange/merge composition
-        falls back to the in-memory scheduler with an event, never an
-        error.  Results are identical on every path.
-        """
-        if not self._spill_checked:
-            self._spill_checked = True
-            if self.opts.spill_dir is not None:
-                from .fused import resolve_fused, supports_fusion
-                from .spill import FusedSpillPipeline, SpillPipeline, supports_spill
-
-                fused_on = resolve_fused(self.opts.fused)
-                if not supports_spill(self.comp):
-                    event(
-                        "engine.spill.fallback",
-                        subsystem="engine",
-                        backend=self.comp.backend,
-                        reason="composition has custom exchange/merge stages; counting in memory",
-                    )
-                elif fused_on and supports_fusion(self.comp):
-                    self._spill_impl = FusedSpillPipeline(self)
-                else:
-                    if fused_on:
-                        event(
-                            "engine.fused.fallback",
-                            subsystem="engine",
-                            backend=self.comp.backend,
-                            reason="composition has custom stages; spilling via the staged loop",
-                        )
-                    self._spill_impl = SpillPipeline(self)
-        return self._spill_impl
-
-    def _pool(self):
-        """The resolved execution substrate for this scheduler's runs.
-
-        Compositions with stateful count/merge plugins (e.g. the bloom
-        prefilter, whose filter state mutates inside the per-rank count
-        closures and is read again at merge time) need those side effects
-        to happen in the driving process, so a process substrate falls
-        back to an equally wide thread pool with an event.  Results are
-        bit-identical either way — the thread pool honours the same
-        determinism contract — only the execution placement changes.
-        """
-        pool = get_pool(self.opts.parallel)
-        if not pool.in_process and (
-            getattr(self.comp.count, "plugins", ()) or getattr(self.comp.merge, "plugins", ())
-        ):
-            if not self._process_fallback_announced:
-                self._process_fallback_announced = True
-                event(
-                    "engine.process.fallback",
-                    subsystem="engine",
-                    backend=self.comp.backend,
-                    reason="composition has stateful plugins; using the thread substrate",
-                )
-            pool = get_pool(f"thread:{pool.workers}")
-        return pool
-
-    def _context(
-        self,
-        pool,
-        stats: TrafficStats,
-        recorder: WallClockRecorder | None,
-        reg: MetricRegistry | None,
-        verify: bool | None = None,
-    ) -> StageContext:
-        return StageContext(
-            config=self.config,
-            cluster=self.cluster,
-            opts=self.opts,
-            backend=self.comp.backend,
-            pool=pool,
-            comm_model=self.comm_model,
-            stats=stats,
-            recorder=recorder,
-            registry=reg,
-            verify=verify,
+        spooled = opts.spill_dir is not None
+        if spooled and not supports_spill(comp):
+            fallback("spill", "composition has custom exchange/merge stages; counting in memory")
+            spooled = False
+        flat = bool(opts.fused)
+        if flat and not supports_fusion(comp):
+            via = "spilling via the staged loop" if spooled else "using staged path"
+            fallback("fused", f"composition has custom stages; {via}")
+            flat = False
+        if opts.table_dir is not None and not flat:
+            fallback(
+                "table",
+                "table_dir applies to the fused segmented table; per-rank tables stay resident",
+            )
+        arena = opts.arena if opts.arena is not None else ScratchArena()
+        if flat:
+            layout = FlatLayout(self, arena)
+        else:
+            stateful = bool(
+                getattr(comp.count, "plugins", ()) or getattr(comp.merge, "plugins", ())
+            )
+            layout = PerRankLayout(self, arena, in_process_only=stateful)
+            if stateful and not get_pool(opts.parallel).in_process:
+                fallback("process", "composition has stateful plugins; using the thread substrate")
+        self._strategy = Strategy(
+            name=_STRATEGY_NAMES[flat, spooled],
+            layout=layout,
+            residency=Spooled if spooled else Resident,
+            opts=opts,
         )
+        return self._strategy
 
-    # -- one-shot run (the classic engine surface) ---------------------------
+    # -- the two surfaces ----------------------------------------------------
 
     def run(self, reads: ReadSet) -> CountResult:
         """Run the composition over ``reads`` and return its full result.
@@ -348,17 +594,15 @@ class RoundScheduler:
         When ``opts.telemetry`` is set, the registry is installed as the
         active telemetry session for the duration of the run — every layer
         underneath (collectives, hash tables, kernels, worker pools) feeds
-        it — and the scheduler adds its own phase/rank/round metrics plus
-        wall-clock metrics afterwards.  Model metrics are bit-identical
-        across execution engines; only families registered as wall metrics
-        may differ.
+        it — and the driver adds its own phase/rank/round metrics plus
+        wall-clock metrics at the end.  Model metrics are bit-identical
+        across strategies and substrates; only families registered as wall
+        metrics may differ.
         """
-        opts = self.opts
-        reg = opts.telemetry
-        recorder = opts.span_recorder
+        reg = self.opts.telemetry
+        recorder = self.opts.trace
         if reg is not None and recorder is None:
-            recorder = WallClockRecorder()  # wall metrics need spans even if the caller kept none
-        self._prepare_plugins(reads)
+            recorder = SpanRecorder()  # wall metrics need spans even if the caller kept none
         event(
             "engine.run.start",
             subsystem="engine",
@@ -368,34 +612,17 @@ class RoundScheduler:
             ranks=self.cluster.n_ranks,
             reads=reads.n_reads,
         )
-        spill = self._spill()
-        strategy = (
-            spill.strategy
-            if spill is not None
-            else ("fused" if self._fused() is not None else "staged")
-        )
-        if opts.table_dir is not None and strategy in ("staged", "spill"):
-            # The mmap-backed table is a SegmentedHashTable feature; the
-            # per-rank DeviceHashTables of these strategies stay resident.
-            event(
-                "engine.table.fallback",
-                subsystem="engine",
-                backend=self.comp.backend,
-                reason="table_dir applies to the fused segmented table; per-rank tables stay resident",
-            )
         ctx = session(reg) if reg is not None else nullcontext()
         with ctx, recording_region(
             recorder,
             "run",
             cat="run",
-            strategy=strategy,
+            strategy=self.resolve_strategy().name,
             backend=self.comp.backend,
             mode=self.config.mode,
             ranks=self.cluster.n_ranks,
         ):
-            result = self._run_once(reads, recorder, reg)
-        if reg is not None:
-            _record_run_metrics(reg, result, recorder)
+            result = self._drive(reads, None, recorder, reg)
         event(
             "engine.run.done",
             subsystem="engine",
@@ -407,363 +634,188 @@ class RoundScheduler:
         )
         return result
 
-    def _run_once(
-        self, reads: ReadSet, recorder: WallClockRecorder | None, reg: MetricRegistry | None
-    ) -> CountResult:
-        spill = self._spill()
-        if spill is not None:
-            return spill.run_once(reads, recorder, reg)
-        fused = self._fused()
-        if fused is not None:
-            return fused.run_once(reads, recorder, reg)
-        comp = self.comp
-        config = self.config
-        opts = self.opts
-        p = self.cluster.n_ranks
-        mult = opts.work_multiplier
-        stats = TrafficStats()
-        pool = self._pool()
-        sctx = self._context(pool, stats, recorder, reg)
-
-        # ---- input partitioning (the paper's parallel I/O; Section IV-D) ----
-        shards = self._shard(reads)
-
-        # ---- phase 1: parse (& build supermers) per rank ----
-        # Each rank's parse touches only its own shard and builds rank-private
-        # outputs, so the pool may run ranks concurrently; results come back in
-        # rank order and are bit-identical to the sequential loop.
-        def _parse_one(r: int) -> RankParse:
-            t0 = perf_counter()
-            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
-            if recorder is not None:
-                recorder.record("parse", r, t0, perf_counter())
-            return out
-
-        with recording_region(recorder, "parse", cat="stage"):
-            parsed: list[RankParse] = pool.map(_parse_one, range(p), recorder=recorder)
-        t_parse = max(pr.time_s for pr in parsed)
-        total_parsed_kmers = sum(pr.n_kmers_parsed for pr in parsed)
-
-        # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
-        wire = sctx.wire_bytes
-        supermer_mode = sctx.supermer_mode
-        n_rounds = max(config.n_rounds, _rounds_for_memory(parsed, p, wire, mult, opts, comp.backend))
-        tables = [
-            DeviceHashTable(
-                capacity_hint=max(64, pr.n_kmers_parsed // max(p, 1) + 16), seed=config.table_seed
-            )
-            for pr in parsed
-        ]
-        received_kmers = np.zeros(p, dtype=np.int64)
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        t_exchange = 0.0
-        t_alltoallv = 0.0
-        staging_total = 0.0
-        link_totals: dict[str, float] = {}
-        counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-        insert_total = InsertStats.zero()
-
-        for rnd in range(n_rounds):
-            with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                round_send = [_round_slice(pr, rnd, n_rounds) for pr in parsed]
-                send_data = [rs[0] for rs in round_send]
-                send_lengths = [rs[1] for rs in round_send] if supermer_mode else None
-                send_counts = [rs[2] for rs in round_send]
-                label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                exch_name = "exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                n_traffic_before = len(stats.records)
-                with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                    t0x = perf_counter()
-                    outcome = comp.exchange.exchange(send_data, send_lengths, send_counts, label, sctx)
-                    if recorder is not None:
-                        recorder.record(exch_name, 0, t0x, perf_counter())
-                    if ereg is not None:
-                        # Causal link: the traffic records this collective appended.
-                        ereg.note(
-                            label=label,
-                            traffic_records=[n_traffic_before, len(stats.records)],
-                            items=int(outcome.counts_matrix.sum()),
-                            model_seconds=outcome.seconds,
-                            link_seconds=dict(outcome.link_seconds),
-                        )
-                counts_matrix_total += outcome.counts_matrix
-                t_exchange += outcome.seconds
-                t_alltoallv += outcome.alltoallv_seconds
-                staging_total += outcome.staging_seconds
-                add_link_seconds(link_totals, outcome.link_seconds)
-                if reg is not None:
-                    backend = comp.backend
-                    reg.counter("exchange_rounds_total", "Exchange/count rounds executed", engine=backend).inc()
-                    reg.counter(
-                        "exchange_model_seconds_total",
-                        "Modeled exchange seconds (overhead + network + staging)",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.seconds)
-                    reg.counter(
-                        "alltoallv_model_seconds_total",
-                        "Modeled MPI_Alltoallv routine seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.alltoallv_seconds)
-                    reg.counter(
-                        "staging_model_seconds_total",
-                        "Modeled host<->device staging seconds",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(outcome.staging_seconds)
-                    reg.counter(
-                        "exchange_items_round_total",
-                        "Items exchanged per round",
-                        engine=backend,
-                        round=rnd,
-                    ).inc(int(outcome.counts_matrix.sum()))
-
-                # ---- count phase ----
-                # Rank r's count touches only recv_data[r] and its own table
-                # partition, so ranks run concurrently; the stats reduction below
-                # stays in rank order (pool.map returns results in input order) so
-                # the combined InsertStats is identical to the sequential engine's.
-                # The closure returns the table alongside the outcome: an
-                # out-of-process worker mutates a copy-on-write clone, so the
-                # grown table must travel back (a no-op reassignment in-process).
-                count_label = "count" + (f"-round{rnd}" if n_rounds > 1 else "")
-                recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
-
-                def _count_one(r: int):
-                    lengths_r = recv_lengths[r] if recv_lengths is not None else None
-                    t0 = perf_counter()
-                    out = comp.substrate.count_rank(r, recv_data[r], lengths_r, tables[r], comp.count, sctx)
-                    if recorder is not None:
-                        recorder.record(count_label, r, t0, perf_counter())
-                    return out, tables[r]
-
-                with recording_region(recorder, "count", cat="stage", round=rnd):
-                    counted = pool.map(_count_one, range(p), recorder=recorder)
-                for r, (co, table) in enumerate(counted):
-                    tables[r] = table
-                    per_rank_count[r] += co.time_s
-                    received_kmers[r] += co.n_instances
-                    insert_total = insert_total.combined(co.insert_stats)
-
-        t_count = float(per_rank_count.max()) if p else 0.0
-
-        # ---- merge the partitioned global table into one spectrum ----
-        with recording_region(recorder, "merge", cat="stage"):
-            t0m = perf_counter()
-            spectrum = comp.merge.merge_tables(tables, config.k)
-            if recorder is not None:
-                recorder.record("merge", 0, t0m, perf_counter())
-        if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-            raise AssertionError(
-                f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-            )
-
-        exchanged_items = int(counts_matrix_total.sum())
-        supermer_bases = sum(pr.supermer_bases for pr in parsed)
-        n_supermers = sum(pr.n_supermers for pr in parsed)
-        if reg is not None:
-            backend = comp.backend
-            # Recorded here (not in the hash table) because only the engine knows
-            # the rank index; plain Gauge.set is safe from this ordered loop.
-            for r, table in enumerate(tables):
-                reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                    table.n_entries
-                )
-                reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                    table.load_factor
-                )
-            reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                total_parsed_kmers
-            )
-            if n_supermers:
-                reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                reg.counter("supermer_bases_total", "Bases covered by supermers", engine=backend).inc(
-                    supermer_bases
-                )
-        return CountResult(
-            config=config,
-            cluster=self.cluster,
-            backend=comp.backend,
-            spectrum=spectrum,
-            timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-            per_rank_parse=np.array([pr.time_s for pr in parsed]),
-            per_rank_count=per_rank_count,
-            received_kmers=received_kmers,
-            exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * wire),
-            counts_matrix=counts_matrix_total,
-            work_multiplier=mult,
-            traffic=stats,
-            insert_stats=insert_total,
-            mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-            staging_seconds=staging_total,
-            alltoallv_seconds=t_alltoallv,
-            link_seconds=tuple(link_totals.items()),
-            n_rounds_used=n_rounds,
-        )
-
-    # -- streamed batches (the incremental counter surface) ------------------
-
     def run_batch(self, reads: ReadSet, state: PipelineState) -> PhaseTiming:
         """Fold one batch of reads into ``state``; returns the batch timing.
 
-        Single-round by construction (streamed batches are already small);
-        the exchange skips the checksum verification pass, matching the
-        original incremental counter exactly.  When ``opts.span_recorder``
-        is set (``trace=`` / ``--trace``), the batch records a ``batch{n}``
-        region with the same stage/work structure as the one-shot run.
+        The same drive as :meth:`run` with one round (streamed batches are
+        already small), no checksum verification pass (matching the
+        original incremental counter exactly), and ``state``'s persistent
+        tables and accounting instead of fresh ones.  When ``opts.trace``
+        is set, the batch records a ``batch{n}`` region with the same
+        stage/work structure as the one-shot run.
         """
-        recorder = self.opts.span_recorder
-        if reads.offsets.size:
+        recorder = self.opts.trace
+        with recording_region(
+            recorder, f"batch{state.n_batches}", cat="batch", batch=state.n_batches
+        ):
+            return self._drive(reads, state, recorder, None)
+
+    # -- the round driver ----------------------------------------------------
+
+    def _drive(
+        self,
+        reads: ReadSet,
+        state: PipelineState | None,
+        recorder: SpanRecorder | None,
+        reg: MetricRegistry | None,
+    ) -> CountResult | PhaseTiming:
+        """The one superstep skeleton every strategy and surface runs.
+
+        prepare plugins → shard → parse → round count → per round {slice,
+        exchange, span note, accounting, count} → and, for the one-shot
+        surface (``state is None``), merge + conservation check + final
+        gauges + the :class:`CountResult`.  What differs between
+        strategies is behind two objects (:meth:`resolve_strategy`): the
+        *layout* hides the buffer/table format, the *residency* hides where
+        receive buffers live.  A resident exchange is counted inside its
+        round; a spooled one defers the count until every round is on disk
+        and the send buffers are dropped (Gerbil's two phases), which is
+        the only shape difference the skeleton knows about.
+        """
+        comp, config, opts = self.comp, self.config, self.opts
+        p = self.cluster.n_ranks
+        one_shot = state is None
+        strategy = self.resolve_strategy()
+        layout = strategy.layout
+        stats = TrafficStats() if one_shot else state.traffic
+        sctx = StageContext(
+            config=config,
+            cluster=self.cluster,
+            opts=opts,
+            backend=comp.backend,
+            pool=layout.pool(state),
+            comm_model=self.comm_model,
+            stats=stats,
+            recorder=recorder,
+            registry=reg,
+            verify=None if one_shot else False,  # streamed batches are never checksummed
+        )
+        acct = RoundAccounting(p, comp.backend, reg)
+        wire = sctx.wire_bytes
+        if not one_shot and reads.offsets.size:
             # Batches are single-round, so the budget cannot split work —
             # but a budget below one received item is invalid everywhere
             # and the streamed surface must report the same floor the
             # one-shot run does.
-            wire = (
-                self.config.supermer_wire_bytes
-                if self.config.mode == "supermer"
-                else self.config.kmer_wire_bytes
-            )
-            _check_host_budget_floor(wire, self.opts.work_multiplier, self.opts)
-        with recording_region(
-            recorder, f"batch{state.n_batches}", cat="batch", batch=state.n_batches
-        ):
-            spill = self._spill()
-            if spill is not None:
-                return spill.run_batch(reads, state)
-            fused = self._fused()
-            if fused is not None:
-                return fused.run_batch(reads, state)
-            return self._run_batch_staged(reads, state, recorder)
+            _check_host_budget_floor(wire, opts)
 
-    def _run_batch_staged(
-        self, reads: ReadSet, state: PipelineState, recorder: WallClockRecorder | None
-    ) -> PhaseTiming:
-        comp = self.comp
-        config = self.config
-        p = self.cluster.n_ranks
-        pool = self._pool()
-        sctx = self._context(pool, state.traffic, recorder, None, verify=False)
-
-        # Plugins prepare before sharding, exactly as `run` does: a plugin
-        # whose `prepare` influences partitioning must see the same state on
-        # the streamed path as on the one-shot path.
+        # Plugins prepare before sharding on both surfaces: a plugin whose
+        # `prepare` influences partitioning must see the same state on the
+        # streamed path as on the one-shot path.
         self._prepare_plugins(reads)
+        # ---- input partitioning (the paper's parallel I/O; Section IV-D) ----
         shards = self._shard(reads)
 
-        # Same parallel rank-execution contract as the one-shot run: pool.map
-        # keeps rank order, each closure touches rank-private state only,
-        # so batches fold in bit-identically to the sequential loop.
-        def _parse_one(r: int) -> RankParse:
-            t0 = perf_counter()
-            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
-            if recorder is not None:
-                recorder.record("parse", r, t0, perf_counter())
-            return out
-
+        # ---- phase 1: parse (& build supermers) ----
         with recording_region(recorder, "parse", cat="stage"):
-            parsed = pool.map(_parse_one, range(p), recorder=recorder)
-        t_parse = max(pr.time_s for pr in parsed)
+            send, summary = layout.parse(shards, sctx)
+        del shards
+        t_parse = float(summary.times.max()) if p else 0.0
+        n_rounds = 1
+        if one_shot:
+            recv_items = summary.counts_matrix.sum(axis=0).astype(np.float64)
+            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.backend))
+        hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]
 
-        supermer_mode = sctx.supermer_mode
-        label = f"{config.mode}-batch{state.n_batches}"
-        n_traffic_before = len(state.traffic.records)
-        with recording_region(recorder, "exchange", cat="stage") as ereg:
-            t0x = perf_counter()
-            outcome = comp.exchange.exchange(
-                [pr.data for pr in parsed],
-                [pr.lengths for pr in parsed] if supermer_mode else None,
-                [pr.counts for pr in parsed],
-                label,
-                sctx,
-            )
-            if recorder is not None:
-                recorder.record("exchange", 0, t0x, perf_counter())
-            if ereg is not None:
-                ereg.note(
-                    label=label,
-                    traffic_records=[n_traffic_before, len(state.traffic.records)],
-                    items=int(outcome.counts_matrix.sum()),
-                    model_seconds=outcome.seconds,
-                )
-        recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
+        # One cleanup scope for everything a drive opens: the residency's
+        # spool directory and a one-shot flat table's mmap slabs are
+        # reclaimed on any exit, success or raise.
+        with ExitStack() as cleanup:
+            residency = strategy.residency(layout, cleanup)
+            tables = None if residency.spooled else layout.tables(state, hints, cleanup)
 
-        # As in the one-shot run: the mutated table partition travels back
-        # with the outcome so out-of-process workers fold in correctly.
-        def _count_one(r: int):
-            lengths_r = recv_lengths[r] if recv_lengths is not None else None
-            t0 = perf_counter()
-            out = comp.substrate.count_rank(r, recv_data[r], lengths_r, state.tables[r], comp.count, sctx)
-            if recorder is not None:
-                recorder.record("count", r, t0, perf_counter())
-            return out, state.tables[r]
+            # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
+            for rnd in range(n_rounds):
+                suffix = f"-round{rnd}" if n_rounds > 1 else ""
+                if one_shot:
+                    label, meta = f"{config.mode}-exchange{suffix}", {"round": rnd}
+                    round_region = recording_region(recorder, f"round{rnd}", cat="round", round=rnd)
+                else:
+                    label, meta = f"{config.mode}-batch{state.n_batches}", {}
+                    round_region = nullcontext()
+                with round_region:
+                    round_send = layout.round_send(send, rnd, n_rounds)
+                    n_traffic_before = len(stats.records)
+                    with recording_region(recorder, "exchange", cat="stage", **meta) as ereg:
+                        t0 = perf_counter()
+                        outcome = residency.exchange(round_send, label, sctx)
+                        if recorder is not None:
+                            recorder.record(residency.exchange_leaf + suffix, 0, t0, perf_counter())
+                        if ereg is not None:
+                            # Causal link: the traffic records this collective appended.
+                            ereg.note(
+                                label=label,
+                                traffic_records=[n_traffic_before, len(stats.records)],
+                                items=int(outcome.counts_matrix.sum()),
+                                model_seconds=outcome.seconds,
+                                link_seconds=dict(outcome.link_seconds),
+                            )
+                    layout.release_round(round_send)
+                    acct.add_exchange(rnd, outcome)
+                    if not residency.spooled:
+                        with recording_region(recorder, "count", cat="stage", **meta):
+                            layout.count(tables, outcome, suffix, sctx, acct)
+                    # Round-owned slices and receive views die with their round,
+                    # not when the next round's are already built beside them.
+                    del round_send, outcome
 
-        per_rank_count = np.zeros(p, dtype=np.float64)
-        with recording_region(recorder, "count", cat="stage"):
-            counted = pool.map(_count_one, range(p), recorder=recorder)
-        for r, (co, table) in enumerate(counted):
-            state.tables[r] = table
-            per_rank_count[r] = co.time_s
-            state.received_kmers[r] += co.n_instances
-            state.insert_stats = state.insert_stats.combined(co.insert_stats)
-        batch_timing = PhaseTiming(
-            parse=t_parse, exchange=outcome.seconds, count=float(per_rank_count.max()) if p else 0.0
+            # Every round is exchanged: drop the send buffers *before* a
+            # spooled count starts, so its peak residency is one rank
+            # (block)'s partition + table, not the whole parse output.
+            layout.release(send)
+            del send
+            if residency.spooled:
+                with recording_region(recorder, "count", cat="stage"):
+                    tables = residency.count(state, hints, cleanup, sctx, acct)
+
+            if one_shot:
+                # ---- merge the partitioned global table into one spectrum ----
+                with recording_region(recorder, "merge", cat="stage"):
+                    t0 = perf_counter()
+                    leaf, spectrum = residency.merge(tables)
+                    if recorder is not None:
+                        recorder.record(leaf, 0, t0, perf_counter())
+                n_parsed = int(summary.n_kmers.sum())
+                if comp.conserves_kmers and spectrum.n_total != n_parsed:
+                    raise AssertionError(
+                        f"pipeline lost k-mers: parsed {n_parsed}, counted {spectrum.n_total}"
+                    )
+                fill = residency.fill(tables)
+
+        timing = acct.timing(t_parse)
+        exchanged_items = int(acct.counts_matrix.sum())
+        if not one_shot:
+            state.timing = state.timing.add(timing)
+            state.received_kmers += acct.received_kmers
+            state.insert_stats = state.insert_stats.combined(acct.insert)
+            state.exchanged_items += exchanged_items
+            state.n_batches += 1
+            return timing
+        result = CountResult(
+            config=config,
+            cluster=self.cluster,
+            backend=comp.backend,
+            spectrum=spectrum,
+            timing=timing,
+            per_rank_parse=summary.times,
+            per_rank_count=acct.per_rank_count,
+            received_kmers=acct.received_kmers,
+            exchanged_items=exchanged_items,
+            exchanged_bytes=int(exchanged_items * wire),
+            counts_matrix=acct.counts_matrix,
+            work_multiplier=opts.work_multiplier,
+            traffic=stats,
+            insert_stats=acct.insert,
+            mean_supermer_length=(
+                summary.supermer_bases / summary.n_supermers if summary.n_supermers else 0.0
+            ),
+            staging_seconds=acct.staging,
+            alltoallv_seconds=acct.t_alltoallv,
+            link_seconds=tuple(acct.link_totals.items()),
+            n_rounds_used=n_rounds,
         )
-        state.timing = state.timing.add(batch_timing)
-        state.exchanged_items += int(outcome.counts_matrix.sum())
-        state.n_batches += 1
-        return batch_timing
-
-
-def _record_run_metrics(
-    reg: MetricRegistry, result: CountResult, recorder: WallClockRecorder | None
-) -> None:
-    """Engine-level metrics derived from the finished result.
-
-    Everything here is computed from the deterministic result payload (so
-    sequential and parallel engines record identical values), except the
-    ``wall=True`` families, which come from host wall-clock spans.
-    """
-    backend = result.backend
-    t = result.timing
-    for phase, secs in (("parse", t.parse), ("exchange", t.exchange), ("count", t.count)):
-        reg.counter(
-            "phase_model_seconds_total",
-            "Bulk-synchronous phase time (max over ranks)",
-            engine=backend,
-            phase=phase,
-        ).inc(secs)
-    for r in range(result.cluster.n_ranks):
-        reg.gauge(
-            "rank_phase_model_seconds", "Per-rank modeled phase seconds", engine=backend, phase="parse", rank=r
-        ).set(float(result.per_rank_parse[r]))
-        reg.gauge(
-            "rank_phase_model_seconds", "Per-rank modeled phase seconds", engine=backend, phase="count", rank=r
-        ).set(float(result.per_rank_count[r]))
-        reg.gauge("rank_received_kmers", "k-mer instances counted per rank", rank=r).set(
-            int(result.received_kmers[r])
-        )
-    loads = result.load_stats()
-    reg.gauge("load_imbalance", "max/mean received k-mers (Table III)", engine=backend).set(loads.imbalance)
-    reg.counter("exchange_items_total", "Items routed through the exchange", engine=backend).inc(
-        result.exchanged_items
-    )
-    reg.counter("exchange_bytes_total", "Wire bytes at measured scale", engine=backend).inc(
-        result.exchanged_bytes
-    )
-    if recorder is not None and len(recorder):
-        for name in recorder.phases():
-            reg.counter(
-                "wall_phase_seconds_total", "Host wall-clock rank-seconds per phase", wall=True, phase=name
-            ).inc(recorder.busy_seconds(name))
-        reg.gauge("wall_busy_seconds", "Total host rank-seconds", wall=True).set(recorder.busy_seconds())
-        reg.gauge("wall_elapsed_seconds", "Host wall window of the run", wall=True).set(
-            recorder.elapsed_seconds()
-        )
-        reg.gauge("wall_overlap_factor", "Achieved rank concurrency", wall=True).set(
-            recorder.overlap_factor()
-        )
+        acct.emit_run(result, fill, summary, recorder)
+        return result
 
 
 def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -795,41 +847,21 @@ def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np
     return data, lengths, counts
 
 
-def _rounds_for_memory(
-    parsed: list[RankParse], p: int, wire: int, mult: float, opts: EngineOptions, backend: str
-) -> int:
+def _rounds_for_recv_items(recv_items: np.ndarray, wire: int, opts: EngineOptions, backend: str) -> int:
     """Rounds needed so every rank's round working set fits its memory budgets.
 
     Models Section III-A: "Depending on the total size of the input,
     relative to software limits (approximating available memory), the
-    computation and communication may proceed in multiple rounds."  The
-    per-rank working set of one round is its received wire buffer plus the
-    growing hash table (keys + counts per distinct key, bounded by received
-    instances), evaluated at full (multiplied) scale.
+    computation and communication may proceed in multiple rounds."
+    ``recv_items`` is the per-rank received-item total (the parse
+    summary's counts-matrix column sums, exact in float64 below 2**53),
+    evaluated at full (multiplied) scale.  Two independent budgets apply:
+    the modeled device-HBM budget (``auto_rounds``, GPU substrate only)
+    and the *host* budget (``opts.host_memory_budget``, any substrate),
+    which bounds one round's per-rank host working set: the received
+    partition, its extraction copy, and the table growth it can cause.
     """
-    recv_items = np.zeros(p, dtype=np.float64)
-    for pr in parsed:
-        recv_items += pr.counts
-    return _rounds_for_recv_items(recv_items, wire, mult, opts, backend)
-
-
-def _rounds_for_recv_items(
-    recv_items: np.ndarray, wire: int, mult: float, opts: EngineOptions, backend: str
-) -> int:
-    """Core of :func:`_rounds_for_memory` on per-rank received-item totals.
-
-    Shared by every execution path — the fused engine derives
-    ``recv_items`` from the counts-matrix column sums (the same values,
-    exactly, since the int64 column sums convert to float64 losslessly
-    below 2**53), and the spill path calls it with the staged inputs — so
-    ``n_rounds_used`` is bit-identical across paths.  Two independent
-    budgets apply: the modeled device-HBM budget (``auto_rounds``, GPU
-    substrate only, as before) and the *host* budget
-    (``opts.host_memory_budget``, any substrate), which bounds one round's
-    per-rank host working set: the received partition, its extraction
-    copy, and the table growth it can cause.
-    """
-    worst = float(recv_items.max(initial=0.0)) * mult
+    worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
     rounds = 1
     if opts.auto_rounds and backend == "gpu":
         # Wire buffer + staged copy + table entries (16 B/slot at ~0.7 load).
@@ -842,12 +874,12 @@ def _rounds_for_recv_items(
         # slots (16 B each at ~0.7 target load) the round may add.
         host_bytes_per_item = wire * 2 + 8.0 + 16 / 0.7
         if worst > 0:
-            _check_host_budget_floor(wire, mult, opts)
+            _check_host_budget_floor(wire, opts)
         rounds = max(rounds, int(np.ceil(worst * host_bytes_per_item / opts.host_memory_budget)))
     return rounds
 
 
-def _check_host_budget_floor(wire: int, mult: float, opts: EngineOptions) -> None:
+def _check_host_budget_floor(wire: int, opts: EngineOptions) -> None:
     """Reject a host budget smaller than one received item's working set.
 
     Rounds cannot shrink the per-round set below one item per rank, so a
@@ -858,6 +890,7 @@ def _check_host_budget_floor(wire: int, mult: float, opts: EngineOptions) -> Non
     """
     if opts.host_memory_budget is None:
         return
+    mult = opts.work_multiplier
     host_bytes_per_item = wire * 2 + 8.0 + 16 / 0.7
     floor = int(np.ceil(host_bytes_per_item * mult))
     if opts.host_memory_budget < floor:

@@ -1,12 +1,12 @@
-"""Out-of-core execution tier: spill-to-disk exchange + external merge.
+"""The residency axis of the round driver: receive buffers in RAM or on disk.
 
-Every other execution path holds the whole run in RAM — the parsed send
-buffers, every rank's received buffer, and all P hash-table partitions
-live simultaneously, which caps the dataset registry at tiny scales.
-Gerbil-style two-phase counting (PAPERS.md) splits that: phase one hashes
-reads into minimizer-keyed temporary partition files, phase two counts
-one partition at a time.  We already partition by minimizer shard, so
-this module adds the missing pieces:
+Held entirely in RAM, a run keeps the parsed send buffers, every rank's
+received buffer, and all P hash-table partitions live simultaneously,
+which caps the dataset registry at tiny scales.  Gerbil-style two-phase
+counting (PAPERS.md) splits that: phase one hashes reads into
+minimizer-keyed temporary partition files, phase two counts one partition
+at a time.  We already partition by minimizer shard, so this module adds
+the missing pieces:
 
 * :class:`SpillExchange` — a sibling of
   :class:`~repro.core.stages.standard.AlltoallvExchange` that writes each
@@ -18,27 +18,11 @@ this module adds the missing pieces:
   returned receive "buffers" are read-only memory maps of the partition
   files.
 
-* :class:`SpillPipeline` — the staged out-of-core run loop bound to a
-  :class:`~repro.core.stages.scheduler.RoundScheduler`.  The one-shot run
-  spools all rounds first, then streams the count phase one rank at a
-  time: rank r's partitions are read back round by round into the
-  standard count stage, the finished table partition is dumped as a
-  sorted ``(key, count)`` run file, and the table is freed before rank
-  r+1 starts.  The final spectrum is produced by an external k-way merge
-  of the sorted runs (a heap orders the run cursors, cf. the ``heapq``
-  idiom in :mod:`repro.ext.balanced`), so peak residency is one rank's
-  partition + table, not P of them.
-
-* :class:`FusedSpillPipeline` — the blocked fused×spill composition
-  (``fused=True`` + ``spill_dir``).  The fused superstep's rank-segmented
-  flat send buffer is spooled through the same :class:`SpillExchange`
-  (per-source views of the flat array are exactly the per-rank buffers
-  the staged exchange sees), then partitions stream back into a
-  :class:`~repro.gpu.segmented.SegmentedHashTable` one consecutive
-  *rank block* at a time (:data:`FUSED_SPILL_BLOCK_BYTES` per block), so
-  neither the whole-cluster receive buffer nor P resident per-rank
-  tables are ever live at once.  With ``EngineOptions(table_dir=)`` the
-  segmented table itself is file-backed, lifting the last RAM ceiling.
+* :class:`Resident` | :class:`Spooled` — the two residencies the round
+  driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
+  chooses between: the layout's own in-memory exchange, or every round
+  spooled first and the count phase streamed back from disk in the
+  layout's format (see :class:`Spooled` for what stays resident).
 
 All partition/run I/O is buffered and coalesced: each destination's
 segments are gathered into one :class:`~repro.core.memory.ScratchArena`
@@ -47,11 +31,11 @@ partitions are read back with readahead-sized ``readinto`` calls into
 recycled arena buffers instead of page-faulting memory maps.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
-traffic records, counts matrices, and InsertStats all equal the in-memory
-staged path's (``tests/test_spill.py`` enforces it, and
+traffic records, counts matrices, and InsertStats all equal the resident
+path's (``tests/test_spill.py`` enforces it, and
 ``benchmarks/bench_guard.py`` gates it in CI).  Only ``wall=True``
 telemetry families (``spill_*``) differ.  Compositions with custom
-exchange/merge stages fall back to the in-memory scheduler with an
+exchange/merge stages fall back to the resident path with an
 ``engine.spill.fallback`` event, never an error.
 """
 
@@ -65,24 +49,20 @@ from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import DeviceHashTable, InsertStats
+from ...gpu.hashtable import DeviceHashTable
 from ...gpu.segmented import SegmentedHashTable
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.stats import TrafficStats
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from ..results import CountResult, PhaseTiming
-from ..tracing import recording_region
-from .buffers import ExchangeOutcome, RankParse, add_link_seconds
-from .fused import FusedPipeline
+from .buffers import ExchangeOutcome
 from .registry import StageComposition
 from .standard import AlltoallvExchange, SpectrumMerge, exchange_time_model, verify_exchange
 
 __all__ = [
-    "FusedSpillPipeline",
+    "Resident",
     "SpillExchange",
-    "SpillPipeline",
     "SpillSpool",
+    "Spooled",
     "external_merge",
     "supports_spill",
 ]
@@ -91,8 +71,8 @@ __all__ = [
 MERGE_BLOCK_KEYS = 1 << 16
 
 #: Target bytes of spooled partition data streamed back per rank block in
-#: the fused×spill count phase.  One block's receive buffer (plus its
-#: extraction copy) is the path's peak transient; 16 MiB keeps it cache-
+#: the flat layout's spooled count phase.  One block's receive buffer (plus
+#: its extraction copy) is the path's peak transient; 16 MiB keeps it cache-
 #: friendly while amortizing the per-read syscall cost.
 FUSED_SPILL_BLOCK_BYTES = 1 << 24
 
@@ -338,15 +318,12 @@ class SpillExchange:
     exactly as the in-memory exchange computes them.  Only the data
     placement differs — each destination's segments are appended to a
     per-(rank, label) partition file, and ``recv_data`` comes back as
-    read-only memory maps.
+    read-only memory maps that exist only for the checksum pass (their
+    reads are not accounted; the streamed count re-reads each partition).
     """
 
-    def __init__(self, spool: SpillSpool, *, account_reads: bool = True) -> None:
+    def __init__(self, spool: SpillSpool) -> None:
         self.spool = spool
-        # False when the one-shot run's streamed count phase re-reads the
-        # partitions itself (with accounting); the maps returned here then
-        # exist only for the checksum pass.
-        self.account_reads = account_reads
 
     def exchange(self, send_data, send_lengths, send_counts, label, ctx) -> ExchangeOutcome:
         p = len(send_data)
@@ -390,13 +367,13 @@ class SpillExchange:
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
 
         recv_data = [
-            self.spool.map_partition(label, dst, send_data[0].dtype, account=self.account_reads)
+            self.spool.map_partition(label, dst, send_data[0].dtype, account=False)
             for dst in range(p)
         ]
         recv_lengths = None
         if send_lengths is not None:
             recv_lengths = [
-                self.spool.map_partition(label, dst, np.uint8, lens=True, account=self.account_reads)
+                self.spool.map_partition(label, dst, np.uint8, lens=True, account=False)
                 for dst in range(p)
             ]
 
@@ -499,403 +476,169 @@ def external_merge(
     return KmerSpectrum(k=k, values=np.concatenate(out_keys), counts=np.concatenate(out_counts))
 
 
-class SpillPipeline:
-    """Staged out-of-core execution engine bound to one :class:`RoundScheduler`."""
+class Resident:
+    """Residency in RAM: the layout's own exchange, counted round by round.
 
-    strategy = "spill"
-
-    def __init__(self, scheduler) -> None:
-        self.sched = scheduler
-        opts = scheduler.opts
-        self.arena = opts.arena if opts.arena is not None else ScratchArena()
-
-    def _spool(self) -> SpillSpool:
-        return SpillSpool(Path(self.sched.opts.spill_dir), arena=self.arena)
-
-    # -- one-shot run ------------------------------------------------
-
-    def run_once(self, reads, recorder, reg) -> CountResult:
-        from .scheduler import _round_slice, _rounds_for_memory
-
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        opts = sched.opts
-        p = sched.cluster.n_ranks
-        mult = opts.work_multiplier
-        pool = sched._pool()
-        spool = self._spool()
-        try:
-            stats = TrafficStats()
-            sctx = sched._context(pool, stats, recorder, reg)
-            exchange = SpillExchange(spool, account_reads=False)
-
-            # ---- phase 1: parse, exactly as the in-memory staged path ----
-            shards = sched._shard(reads)
-
-            def _parse_one(r: int) -> RankParse:
-                t0 = perf_counter()
-                out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
-                if recorder is not None:
-                    recorder.record("parse", r, t0, perf_counter())
-                return out
-
-            with recording_region(recorder, "parse", cat="stage"):
-                parsed: list[RankParse] = pool.map(_parse_one, range(p), recorder=recorder)
-            t_parse = max(pr.time_s for pr in parsed)
-            total_parsed_kmers = sum(pr.n_kmers_parsed for pr in parsed)
-
-            wire = sctx.wire_bytes
-            supermer_mode = sctx.supermer_mode
-            n_rounds = max(
-                config.n_rounds, _rounds_for_memory(parsed, p, wire, mult, opts, comp.backend)
-            )
-
-            # ---- phase 2: spool every round's partitions to disk ----
-            counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-            t_exchange = 0.0
-            t_alltoallv = 0.0
-            staging_total = 0.0
-            link_totals: dict[str, float] = {}
-            labels: list[str] = []
-            for rnd in range(n_rounds):
-                with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                    round_send = [_round_slice(pr, rnd, n_rounds) for pr in parsed]
-                    send_data = [rs[0] for rs in round_send]
-                    send_lengths = [rs[1] for rs in round_send] if supermer_mode else None
-                    send_counts = [rs[2] for rs in round_send]
-                    label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                    labels.append(label)
-                    # The spool write is the spill path's exchange superstep:
-                    # one whole-cluster block on the driving thread (rank 0
-                    # wall row), like the fused path's supersteps.
-                    spool_name = "spill:spool" + (f"-round{rnd}" if n_rounds > 1 else "")
-                    n_traffic_before = len(stats.records)
-                    with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                        t0 = perf_counter()
-                        outcome = exchange.exchange(send_data, send_lengths, send_counts, label, sctx)
-                        if recorder is not None:
-                            recorder.record(spool_name, 0, t0, perf_counter())
-                        if ereg is not None:
-                            ereg.note(
-                                label=label,
-                                traffic_records=[n_traffic_before, len(stats.records)],
-                                items=int(outcome.counts_matrix.sum()),
-                                model_seconds=outcome.seconds,
-                                link_seconds=dict(outcome.link_seconds),
-                            )
-                    # outcome's receive views exist only for the checksum pass;
-                    # the streamed count phase re-reads each rank's partition.
-                    counts_matrix_total += outcome.counts_matrix
-                    t_exchange += outcome.seconds
-                    t_alltoallv += outcome.alltoallv_seconds
-                    staging_total += outcome.staging_seconds
-                    add_link_seconds(link_totals, outcome.link_seconds)
-                    _round_metrics(reg, comp.backend, rnd, outcome)
-
-            # The big destination-ordered send buffers are now on disk;
-            # free them before the count phase so peak residency is one
-            # rank's partition + table, not the whole parse output.
-            capacity_hints = [max(64, pr.n_kmers_parsed // max(p, 1) + 16) for pr in parsed]
-            per_rank_parse = np.array([pr.time_s for pr in parsed])
-            supermer_bases = sum(pr.supermer_bases for pr in parsed)
-            n_supermers = sum(pr.n_supermers for pr in parsed)
-            del parsed, round_send, send_data, send_lengths
-
-            # ---- phase 3: streamed count, one rank partition at a time ----
-            # Each rank's stream is private in memory (its own fresh table)
-            # and on disk (per-rank partition and run files), so the pool
-            # may run rank streams concurrently on any substrate — peak
-            # residency per worker is still one rank's partition + table.
-            # InsertStats combination is associative, so the per-rank
-            # grouping below reduces to exactly the serial (rank, round)
-            # accumulation order.
-            received_kmers = np.zeros(p, dtype=np.int64)
-            per_rank_count = np.zeros(p, dtype=np.float64)
-            insert_total = InsertStats.zero()
-            table_entries = np.zeros(p, dtype=np.int64)
-            table_load = np.zeros(p, dtype=np.float64)
-
-            def _stream_one(r: int):
-                table = DeviceHashTable(capacity_hint=capacity_hints[r], seed=config.table_seed)
-                time_r = 0.0
-                recv_r = 0
-                ins_r = InsertStats.zero()
-                for rnd, label in enumerate(labels):
-                    recv = spool.read_partition(label, r, np.uint64)
-                    lengths_r = (
-                        spool.read_partition(label, r, np.uint8, lens=True)
-                        if supermer_mode
-                        else None
-                    )
-                    count_label = "count" + (f"-round{rnd}" if n_rounds > 1 else "")
-                    t0 = perf_counter()
-                    co = comp.substrate.count_rank(r, recv, lengths_r, table, comp.count, sctx)
-                    if recorder is not None:
-                        recorder.record(count_label, r, t0, perf_counter())
-                    time_r += co.time_s
-                    recv_r += co.n_instances
-                    ins_r = ins_r.combined(co.insert_stats)
-                    spool.release(recv, lengths_r)
-                for label in labels:
-                    spool.drop_partitions(label, r)
-                t0 = perf_counter()
-                values, counts = table.items()
-                for plugin in comp.merge.plugins:
-                    values, counts = plugin.adjust_merge_items(values, counts)
-                if values.size > 1 and not np.all(values[1:] > values[:-1]):
-                    order = np.argsort(values, kind="stable")
-                    values, counts = values[order], counts[order]
-                spool.write_run(r, values, counts)
-                if recorder is not None:
-                    recorder.record("spill:run-write", r, t0, perf_counter())
-                return time_r, recv_r, ins_r, table.n_entries, table.load_factor
-
-            with recording_region(recorder, "count", cat="stage"):
-                streamed = pool.map(_stream_one, range(p), recorder=recorder)
-            for r, (time_r, recv_r, ins_r, entries_r, load_r) in enumerate(streamed):
-                per_rank_count[r] = time_r
-                received_kmers[r] = recv_r
-                insert_total = insert_total.combined(ins_r)
-                table_entries[r] = entries_r
-                table_load[r] = load_r
-
-            t_count = float(per_rank_count.max()) if p else 0.0
-
-            # ---- phase 4: external merge of the sorted runs ----
-            with recording_region(recorder, "merge", cat="stage"):
-                t0 = perf_counter()
-                spectrum = external_merge([spool.map_run(r) for r in range(p)], config.k)
-                if recorder is not None:
-                    recorder.record("spill:merge", 0, t0, perf_counter())
-            if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-                raise AssertionError(
-                    f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-                )
-
-            exchanged_items = int(counts_matrix_total.sum())
-            if reg is not None:
-                backend = comp.backend
-                for r in range(p):
-                    reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                        int(table_entries[r])
-                    )
-                    reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                        float(table_load[r])
-                    )
-                reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                    total_parsed_kmers
-                )
-                if n_supermers:
-                    reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                    reg.counter(
-                        "supermer_bases_total", "Bases covered by supermers", engine=backend
-                    ).inc(supermer_bases)
-            return CountResult(
-                config=config,
-                cluster=sched.cluster,
-                backend=comp.backend,
-                spectrum=spectrum,
-                timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-                per_rank_parse=per_rank_parse,
-                per_rank_count=per_rank_count,
-                received_kmers=received_kmers,
-                exchanged_items=exchanged_items,
-                exchanged_bytes=int(exchanged_items * wire),
-                counts_matrix=counts_matrix_total,
-                work_multiplier=mult,
-                traffic=sctx.stats,
-                insert_stats=insert_total,
-                mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-                staging_seconds=staging_total,
-                alltoallv_seconds=t_alltoallv,
-                link_seconds=tuple(link_totals.items()),
-                n_rounds_used=n_rounds,
-            )
-        except BaseException:
-            spool.close(failed=True)
-            raise
-        finally:
-            spool.close()
-
-    # -- streamed batches --------------------------------------------
-
-    def run_batch(self, reads, state) -> PhaseTiming:
-        """One spilled batch folded into persistent ``state``.
-
-        The exchange partitions go through the spool and the count phase
-        walks them rank by rank with streamed reads, so the batch's receive
-        buffers never reside in RAM; the persistent tables (the cross-batch
-        state itself) stay in memory.  Observables are bit-identical to the
-        in-memory ``RoundScheduler.run_batch``.
-        """
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        p = sched.cluster.n_ranks
-        pool = sched._pool()
-        recorder = sched.opts.span_recorder
-        sctx = sched._context(pool, state.traffic, recorder, None, verify=False)
-        spool = self._spool()
-        try:
-            exchange = SpillExchange(spool, account_reads=False)
-            sched._prepare_plugins(reads)
-            shards = sched._shard(reads)
-
-            def _parse_one(r: int):
-                t0 = perf_counter()
-                out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
-                if recorder is not None:
-                    recorder.record("parse", r, t0, perf_counter())
-                return out
-
-            with recording_region(recorder, "parse", cat="stage"):
-                parsed = pool.map(_parse_one, range(p), recorder=recorder)
-            t_parse = max(pr.time_s for pr in parsed)
-
-            supermer_mode = sctx.supermer_mode
-            label = f"{config.mode}-batch{state.n_batches}"
-            n_traffic_before = len(state.traffic.records)
-            with recording_region(recorder, "exchange", cat="stage") as ereg:
-                t0 = perf_counter()
-                outcome = exchange.exchange(
-                    [pr.data for pr in parsed],
-                    [pr.lengths for pr in parsed] if supermer_mode else None,
-                    [pr.counts for pr in parsed],
-                    label,
-                    sctx,
-                )
-                if recorder is not None:
-                    recorder.record("spill:spool", 0, t0, perf_counter())
-                if ereg is not None:
-                    ereg.note(
-                        label=label,
-                        traffic_records=[n_traffic_before, len(state.traffic.records)],
-                        items=int(outcome.counts_matrix.sum()),
-                        model_seconds=outcome.seconds,
-                    )
-            counts_matrix = outcome.counts_matrix
-            exch_seconds = outcome.seconds
-            # The batch's send buffers are on disk now: free them (and the
-            # outcome's verification maps) before the streamed count.
-            del parsed, outcome
-
-            # Rank streams are private (own partition files, own persistent
-            # table), so the pool may run them concurrently; as on every
-            # other path, the mutated table travels back with the outcome
-            # for out-of-process substrates.
-            def _count_one(r: int):
-                recv = spool.read_partition(label, r, np.uint64)
-                lengths_r = (
-                    spool.read_partition(label, r, np.uint8, lens=True) if supermer_mode else None
-                )
-                t0 = perf_counter()
-                co = comp.substrate.count_rank(
-                    r, recv, lengths_r, state.tables[r], comp.count, sctx
-                )
-                if recorder is not None:
-                    recorder.record("count", r, t0, perf_counter())
-                spool.release(recv, lengths_r)
-                spool.drop_partitions(label, r)
-                return co, state.tables[r]
-
-            per_rank_count = np.zeros(p, dtype=np.float64)
-            with recording_region(recorder, "count", cat="stage"):
-                counted = pool.map(_count_one, range(p), recorder=recorder)
-            for r, (co, table) in enumerate(counted):
-                state.tables[r] = table
-                per_rank_count[r] = co.time_s
-                state.received_kmers[r] += co.n_instances
-                state.insert_stats = state.insert_stats.combined(co.insert_stats)
-
-            batch_timing = PhaseTiming(
-                parse=t_parse, exchange=exch_seconds, count=float(per_rank_count.max()) if p else 0.0
-            )
-            state.timing = state.timing.add(batch_timing)
-            state.exchanged_items += int(counts_matrix.sum())
-            state.n_batches += 1
-            return batch_timing
-        except BaseException:
-            spool.close(failed=True)
-            raise
-        finally:
-            spool.close()
-
-
-class FusedSpillPipeline:
-    """Blocked fused×spill composition: fused supersteps over a spool.
-
-    The fused parse builds the whole cluster's rank-segmented flat send
-    buffer as usual; each round's buffer is then spooled through
-    :class:`SpillExchange` (the flat array is source-major, so per-source
-    views slice it for free) instead of being gathered into a resident
-    whole-cluster receive buffer.  The count phase streams partitions back
-    one consecutive rank block at a time into one
-    :class:`~repro.gpu.segmented.SegmentedHashTable` — optionally
-    file-backed via ``EngineOptions(table_dir=)`` — and the merge is the
-    fused in-memory item extraction (the table holds the whole spectrum;
-    no run files or external merge are needed).
-
-    Bit-identity with the fused (hence staged) path holds because (a) the
-    segmented table's regions are slot-disjoint, so any grouping of whole
-    ranks per insert call leaves every per-rank probe sequence unchanged,
-    (b) rounds stream per rank in round order, preserving each rank's
-    float accumulation order, and (c) InsertStats combination is a
-    commutative monoid, so (block, round) iteration reduces to the same
-    totals as (round, all-ranks).
+    The receive buffers of one round are live arrays, so the driver counts
+    them inside the round and the next round overwrites them; tables,
+    merge and fill statistics are whatever the layout keeps.  ``cleanup``
+    is the driver's exit scope — nothing to register for RAM.
     """
 
-    strategy = "fused-spill"
+    spooled = False
 
-    def __init__(self, scheduler) -> None:
-        self.sched = scheduler
-        self.fused = FusedPipeline(scheduler)
-        self.arena = self.fused.arena
+    def __init__(self, layout, cleanup) -> None:
+        self.layout = layout
+        self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
 
-    def _spool(self) -> SpillSpool:
-        return SpillSpool(Path(self.sched.opts.spill_dir), arena=self.arena)
+    def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
+        return self.layout.exchange(round_send, label, sctx)
 
-    @staticmethod
-    def _src_views(flat: np.ndarray | None, counts_matrix: np.ndarray) -> list[np.ndarray] | None:
-        """Per-source views of a src-major flat send buffer."""
-        if flat is None:
-            return None
-        p = counts_matrix.shape[0]
-        base = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(counts_matrix.sum(axis=1), out=base[1:])
-        return [flat[base[s] : base[s + 1]] for s in range(p)]
+    def merge(self, tables) -> tuple[str, KmerSpectrum]:
+        """``(work-leaf name, spectrum)`` of the one-shot merge."""
+        return self.layout.prefix + "merge", self.layout.merge(tables)
 
-    def _stream_blocks(
-        self,
-        spool: SpillSpool,
-        table: SegmentedHashTable,
-        labels: list[str],
-        round_recv: list[np.ndarray],
-        sctx,
-        recorder,
-        on_block_round,
-    ) -> None:
+    def fill(self, tables) -> tuple[list[int], list[float]]:
+        """Per-rank ``(entries, load factor)`` of the final partitions."""
+        return self.layout.fill(tables)
+
+
+class Spooled(Resident):
+    """Residency on disk: rounds are spooled, then streamed back and counted.
+
+    Every round's send buffers go through :class:`SpillExchange` into one
+    spool directory per drive (removed by the driver's cleanup scope on
+    any exit).  Once the driver has dropped the send buffers, :meth:`count`
+    streams the partitions back in the layout's format:
+
+    * per-rank layout — one rank at a time on the pool
+      (:meth:`_stream_ranks`).  A one-shot run counts each rank into a
+      fresh table, dumps it as a sorted ``(key, count)`` run file and frees
+      it before the worker's next rank, and merges the runs externally
+      (a heap orders the run cursors, cf. the ``heapq`` idiom in
+      :mod:`repro.ext.balanced`) — peak residency is one rank's partition
+      + table per worker, not P of them.  A batch counts into the
+      persistent tables, which are the cross-batch state itself.
+    * flat layout — one consecutive *rank block* at a time
+      (:meth:`_stream_blocks`, :data:`FUSED_SPILL_BLOCK_BYTES` per block)
+      into the segmented table, which ``EngineOptions(table_dir=)`` makes
+      file-backed; the merge is the layout's in-memory one.
+    """
+
+    spooled = True
+
+    def __init__(self, layout, cleanup) -> None:
+        super().__init__(layout, cleanup)
+        self.exchange_leaf = "spill:spool"  # one whole-cluster block on the driving thread
+        self.spool = SpillSpool(Path(layout.sched.opts.spill_dir), arena=layout.arena)
+        # A failed exit is announced (engine.spill.cleanup) before removal.
+        cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
+        self.labels: list[str] = []
+        self.round_recv: list[np.ndarray] = []  # items received per rank, per round
+        self.run_fill: tuple[list[int], list[float]] | None = None  # set once runs are written
+
+    def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
+        # The outcome's receive views exist only for the checksum pass;
+        # the streamed count re-reads each partition (with accounting).
+        outcome = SpillExchange(self.spool).exchange(*self.layout.send_lists(round_send), label, sctx)
+        self.labels.append(label)
+        self.round_recv.append(outcome.counts_matrix.sum(axis=0))
+        return outcome
+
+    def count(self, state, hints: list[int], cleanup, sctx, acct):
+        """Stream every spooled round back and count it; returns the tables."""
+        if self.layout.flat:
+            table = self.layout.tables(state, hints, cleanup)
+            self._stream_blocks(table, sctx, acct)
+            return table
+        return self._stream_ranks(None if state is None else state.tables, hints, sctx, acct)
+
+    def _stream_ranks(self, tables, hints: list[int], sctx, acct):
+        """Per-rank streamed count, one rank partition at a time.
+
+        Each rank's stream is private in memory (its own table) and on
+        disk (per-rank partition and run files), so the pool may run rank
+        streams concurrently on any substrate.  ``tables is None`` is the
+        one-shot run: fresh table per rank, dumped as a sorted run.  As on
+        every per-rank path, a persistent table travels back with the
+        outcomes for out-of-process substrates.
+        """
+        sched = self.layout.sched
+        comp, config = sched.comp, sched.config
+        spool, labels, recorder = self.spool, self.labels, sctx.recorder
+        suffixes = [f"-round{rnd}" if len(labels) > 1 else "" for rnd in range(len(labels))]
+
+        def _stream_one(r: int):
+            table = tables[r] if tables is not None else DeviceHashTable(
+                capacity_hint=hints[r], seed=config.table_seed
+            )
+            outcomes = []
+            for label, suffix in zip(labels, suffixes):
+                recv = spool.read_partition(label, r, np.uint64)
+                lengths_r = (
+                    spool.read_partition(label, r, np.uint8, lens=True)
+                    if sctx.supermer_mode
+                    else None
+                )
+                t0 = perf_counter()
+                outcomes.append(comp.substrate.count_rank(r, recv, lengths_r, table, comp.count, sctx))
+                if recorder is not None:
+                    recorder.record("count" + suffix, r, t0, perf_counter())
+                spool.release(recv, lengths_r)
+            for label in labels:
+                spool.drop_partitions(label, r)
+            if tables is not None:
+                return outcomes, table
+            t0 = perf_counter()
+            values, counts = table.items()
+            for plugin in comp.merge.plugins:
+                values, counts = plugin.adjust_merge_items(values, counts)
+            if values.size > 1 and not np.all(values[1:] > values[:-1]):
+                order = np.argsort(values, kind="stable")
+                values, counts = values[order], counts[order]
+            spool.write_run(r, values, counts)
+            if recorder is not None:
+                recorder.record("spill:run-write", r, t0, perf_counter())
+            return outcomes, (table.n_entries, table.load_factor)
+
+        streamed = sctx.pool.map(_stream_one, range(len(hints)), recorder=recorder)
+        for r, (outcomes, kept) in enumerate(streamed):
+            for co in outcomes:  # round order per rank: identical float accumulation
+                acct.add_rank_count(r, co)
+            if tables is not None:
+                tables[r] = kept
+        if tables is None:
+            entries, loads = zip(*(kept for _, kept in streamed))
+            self.run_fill = list(entries), list(loads)
+        return tables
+
+    def _stream_blocks(self, table: SegmentedHashTable, sctx, acct) -> None:
         """Stream spooled partitions into ``table`` one rank block at a time.
 
         For every consecutive rank block (sized by partition bytes against
         :data:`FUSED_SPILL_BLOCK_BYTES`) and every round label, the block's
         partitions are read back into one contiguous arena buffer and
-        counted via the fused count kernel restricted to the block
-        (``rank_range``); ``on_block_round(r0, r1, rnd, times, n_seen,
-        ins_list)`` folds the outcome.  Rounds run innermost so each rank
-        sees its rounds in order (identical float accumulation).
+        counted via the flat count kernel restricted to the block
+        (``rank_range``).  Bit-identity with the resident flat count holds
+        because (a) the segmented table's regions are slot-disjoint, so any
+        grouping of whole ranks per insert call leaves every per-rank probe
+        sequence unchanged, (b) rounds run innermost, so each rank sees its
+        rounds in order (identical float accumulation), and (c) InsertStats
+        combination is a commutative monoid, so (block, round) iteration
+        reduces to the same totals as (round, all-ranks).
         """
+        spool, labels, recorder = self.spool, self.labels, sctx.recorder
         supermer_mode = sctx.supermer_mode
         n_rounds = len(labels)
-        arena = self.arena
-        recv_per_rank = np.sum(round_recv, axis=0)
+        arena = self.layout.arena
+        recv_per_rank = np.sum(self.round_recv, axis=0)
         item_bytes = 9 if supermer_mode else 8  # 8 B payload + 1 B length
         blocks = _rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES)
         for r0, r1 in blocks:
             nb = r1 - r0
             for rnd, label in enumerate(labels):
-                total = int(round_recv[rnd][r0:r1].sum())
-                read_name = "spill:read" + (f"-round{rnd}" if n_rounds > 1 else "")
+                suffix = f"-round{rnd}" if n_rounds > 1 else ""
+                total = int(self.round_recv[rnd][r0:r1].sum())
                 t0 = perf_counter()
                 shuffled = arena.take(total, np.uint64)
                 shuffled_lengths = arena.take(total, np.uint8) if supermer_mode else None
@@ -910,10 +653,9 @@ class FusedSpillPipeline:
                     pos += int(part.shape[0])
                     dst_offsets[i + 1] = pos
                 if recorder is not None:
-                    recorder.record(read_name, r0, t0, perf_counter())
-                count_label = "fused:count" + (f"-round{rnd}" if n_rounds > 1 else "")
+                    recorder.record("spill:read" + suffix, r0, t0, perf_counter())
                 t0 = perf_counter()
-                times, n_seen, ins_list = self.fused._count(
+                times, n_seen, ins_list = self.layout._count(
                     table,
                     shuffled[:pos],
                     shuffled_lengths[:pos] if supermer_mode else None,
@@ -922,301 +664,19 @@ class FusedSpillPipeline:
                     rank_range=(r0, r1),
                 )
                 if recorder is not None:
-                    recorder.record(count_label, r0, t0, perf_counter())
+                    recorder.record("fused:count" + suffix, r0, t0, perf_counter())
                 arena.release(shuffled, shuffled_lengths)
-                on_block_round(r0, r1, rnd, times, n_seen, ins_list)
+                acct.add_count(r0, times, n_seen, ins_list)
             for r in range(r0, r1):
                 for label in labels:
                     spool.drop_partitions(label, r)
 
-    # -- one-shot run ------------------------------------------------
+    def merge(self, tables) -> tuple[str, KmerSpectrum]:
+        if self.run_fill is None:
+            return super().merge(tables)
+        sched = self.layout.sched
+        runs = [self.spool.map_run(r) for r in range(sched.cluster.n_ranks)]
+        return "spill:merge", external_merge(runs, sched.config.k)
 
-    def run_once(self, reads, recorder, reg) -> CountResult:
-        from .scheduler import _rounds_for_recv_items
-
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        opts = sched.opts
-        p = sched.cluster.n_ranks
-        mult = opts.work_multiplier
-        arena = self.arena
-        spool = self._spool()
-        try:
-            stats = TrafficStats()
-            sctx = sched._context(None, stats, recorder, reg)
-            exchange = SpillExchange(spool, account_reads=False)
-
-            shards = sched._shard(reads)
-            with recording_region(recorder, "parse", cat="stage"):
-                t0 = perf_counter()
-                fp = self.fused._parse(shards, sctx)
-                if recorder is not None:
-                    recorder.record("fused:parse", 0, t0, perf_counter())
-            t_parse = float(fp.times.max()) if p else 0.0
-            total_parsed_kmers = fp.total_kmers
-
-            wire = sctx.wire_bytes
-            supermer_mode = sctx.supermer_mode
-            recv_items = fp.counts_matrix.sum(axis=0).astype(np.float64)
-            n_rounds = max(
-                config.n_rounds, _rounds_for_recv_items(recv_items, wire, mult, opts, comp.backend)
-            )
-
-            # ---- phase 2: spool every round's flat send slice to disk ----
-            counts_matrix_total = np.zeros((p, p), dtype=np.int64)
-            t_exchange = 0.0
-            t_alltoallv = 0.0
-            staging_total = 0.0
-            link_totals: dict[str, float] = {}
-            labels: list[str] = []
-            round_recv: list[np.ndarray] = []
-            for rnd in range(n_rounds):
-                with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
-                    send_flat, send_lengths, round_counts, round_owned = self.fused._round_gather(
-                        fp, rnd, n_rounds
-                    )
-                    send_data = self._src_views(send_flat, round_counts)
-                    lengths_list = (
-                        self._src_views(send_lengths, round_counts) if supermer_mode else None
-                    )
-                    send_counts = [round_counts[s] for s in range(p)]
-                    label = f"{config.mode}-exchange" + (f"-round{rnd}" if n_rounds > 1 else "")
-                    labels.append(label)
-                    spool_name = "spill:spool" + (f"-round{rnd}" if n_rounds > 1 else "")
-                    n_traffic_before = len(stats.records)
-                    with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
-                        t0 = perf_counter()
-                        outcome = exchange.exchange(
-                            send_data, lengths_list, send_counts, label, sctx
-                        )
-                        if recorder is not None:
-                            recorder.record(spool_name, 0, t0, perf_counter())
-                        if ereg is not None:
-                            ereg.note(
-                                label=label,
-                                traffic_records=[n_traffic_before, len(stats.records)],
-                                items=int(outcome.counts_matrix.sum()),
-                                model_seconds=outcome.seconds,
-                                link_seconds=dict(outcome.link_seconds),
-                            )
-                    if round_owned:
-                        arena.release(send_flat, send_lengths)
-                    counts_matrix_total += outcome.counts_matrix
-                    round_recv.append(outcome.counts_matrix.sum(axis=0))
-                    t_exchange += outcome.seconds
-                    t_alltoallv += outcome.alltoallv_seconds
-                    staging_total += outcome.staging_seconds
-                    add_link_seconds(link_totals, outcome.link_seconds)
-                    _round_metrics(reg, comp.backend, rnd, outcome)
-
-            # The whole-cluster send buffer is on disk now; release it so
-            # the count phase's residency is one rank block + the table.
-            capacity_hints = [max(64, int(nk) // max(p, 1) + 16) for nk in fp.n_kmers]
-            per_rank_parse = fp.times.copy()
-            supermer_bases = int(fp.supermer_bases.sum())
-            n_supermers = int(fp.n_supermers.sum())
-            arena.release(fp.data, fp.lengths)
-            del fp
-
-            # ---- phase 3: blocked streamed count into the segmented table ----
-            table = SegmentedHashTable(
-                capacity_hints, seed=config.table_seed, table_dir=opts.table_dir
-            )
-            received_kmers = np.zeros(p, dtype=np.int64)
-            per_rank_count = np.zeros(p, dtype=np.float64)
-            insert_total = InsertStats.zero()
-
-            def _fold(r0, r1, rnd, times, n_seen, ins_list):
-                nonlocal insert_total
-                per_rank_count[r0:r1] += times
-                received_kmers[r0:r1] += n_seen
-                for ins in ins_list:
-                    insert_total = insert_total.combined(ins)
-
-            with recording_region(recorder, "count", cat="stage"):
-                self._stream_blocks(spool, table, labels, round_recv, sctx, recorder, _fold)
-            t_count = float(per_rank_count.max()) if p else 0.0
-
-            # ---- phase 4: fused in-memory merge (the table is resident) ----
-            with recording_region(recorder, "merge", cat="stage"):
-                t0 = perf_counter()
-                if comp.merge.plugins:
-                    spectrum = comp.merge.merge_items(
-                        [table.items_of(r) for r in range(p)], config.k
-                    )
-                else:
-                    spectrum = comp.merge.merge_items([table.items_flat()], config.k)
-                if recorder is not None:
-                    recorder.record("fused:merge", 0, t0, perf_counter())
-            if comp.conserves_kmers and spectrum.n_total != total_parsed_kmers:
-                raise AssertionError(
-                    f"pipeline lost k-mers: parsed {total_parsed_kmers}, counted {spectrum.n_total}"
-                )
-
-            exchanged_items = int(counts_matrix_total.sum())
-            if reg is not None:
-                backend = comp.backend
-                for r in range(p):
-                    reg.gauge("hashtable_entries", "Distinct keys per rank partition", rank=r).set(
-                        int(table.n_entries_per_rank[r])
-                    )
-                    reg.gauge("hashtable_load_factor", "Final load factor per rank", rank=r).set(
-                        int(table.n_entries_per_rank[r]) / int(table.capacities[r])
-                    )
-                reg.counter("kmers_parsed_total", "k-mer instances parsed", engine=backend).inc(
-                    total_parsed_kmers
-                )
-                if n_supermers:
-                    reg.counter("supermers_total", "Supermers built", engine=backend).inc(n_supermers)
-                    reg.counter(
-                        "supermer_bases_total", "Bases covered by supermers", engine=backend
-                    ).inc(supermer_bases)
-            result = CountResult(
-                config=config,
-                cluster=sched.cluster,
-                backend=comp.backend,
-                spectrum=spectrum,
-                timing=PhaseTiming(parse=t_parse, exchange=t_exchange, count=t_count),
-                per_rank_parse=per_rank_parse,
-                per_rank_count=per_rank_count,
-                received_kmers=received_kmers,
-                exchanged_items=exchanged_items,
-                exchanged_bytes=int(exchanged_items * wire),
-                counts_matrix=counts_matrix_total,
-                work_multiplier=mult,
-                traffic=stats,
-                insert_stats=insert_total,
-                mean_supermer_length=(supermer_bases / n_supermers) if n_supermers else 0.0,
-                staging_seconds=staging_total,
-                alltoallv_seconds=t_alltoallv,
-                link_seconds=tuple(link_totals.items()),
-                n_rounds_used=n_rounds,
-            )
-            table.close()
-            return result
-        except BaseException:
-            spool.close(failed=True)
-            raise
-        finally:
-            spool.close()
-
-    # -- streamed batches --------------------------------------------
-
-    def run_batch(self, reads, state) -> PhaseTiming:
-        """One fused×spill batch folded into persistent ``state``.
-
-        Single-round like every batch path: the fused parse's flat send
-        buffer is spooled, then streamed back block by block into the
-        persistent segmented table (adopted from ``state.tables`` exactly
-        as the fused batch path does).  Observables are bit-identical to
-        the in-memory fused batches.
-        """
-        sched = self.sched
-        comp = sched.comp
-        config = sched.config
-        opts = sched.opts
-        p = sched.cluster.n_ranks
-        recorder = sched.opts.span_recorder
-        arena = self.arena
-        sctx = sched._context(None, state.traffic, recorder, None, verify=False)
-        spool = self._spool()
-        try:
-            exchange = SpillExchange(spool, account_reads=False)
-            sched._prepare_plugins(reads)
-            shards = sched._shard(reads)
-            with recording_region(recorder, "parse", cat="stage"):
-                t0 = perf_counter()
-                fp = self.fused._parse(shards, sctx)
-                if recorder is not None:
-                    recorder.record("fused:parse", 0, t0, perf_counter())
-            t_parse = float(fp.times.max()) if p else 0.0
-
-            supermer_mode = sctx.supermer_mode
-            label = f"{config.mode}-batch{state.n_batches}"
-            send_data = self._src_views(fp.data, fp.counts_matrix)
-            lengths_list = self._src_views(fp.lengths, fp.counts_matrix) if supermer_mode else None
-            send_counts = [fp.counts_matrix[s] for s in range(p)]
-            n_traffic_before = len(state.traffic.records)
-            with recording_region(recorder, "exchange", cat="stage") as ereg:
-                t0 = perf_counter()
-                outcome = exchange.exchange(send_data, lengths_list, send_counts, label, sctx)
-                if recorder is not None:
-                    recorder.record("spill:spool", 0, t0, perf_counter())
-                if ereg is not None:
-                    ereg.note(
-                        label=label,
-                        traffic_records=[n_traffic_before, len(state.traffic.records)],
-                        items=int(outcome.counts_matrix.sum()),
-                        model_seconds=outcome.seconds,
-                    )
-            counts_matrix = outcome.counts_matrix
-            exch_seconds = outcome.seconds
-            round_recv = [counts_matrix.sum(axis=0)]
-            arena.release(fp.data, fp.lengths)
-            del fp, outcome, send_data, lengths_list
-
-            table = state.fused_table
-            if table is None:
-                # Adopt the per-rank tables layout-verbatim, so a state that
-                # already counted staged batches continues bit-identically.
-                table = SegmentedHashTable.from_tables(state.tables, table_dir=opts.table_dir)
-                state.fused_table = table
-                state.tables = table.views()
-
-            per_rank_count = np.zeros(p, dtype=np.float64)
-
-            def _fold(r0, r1, rnd, times, n_seen, ins_list):
-                per_rank_count[r0:r1] = times
-                for i, r in enumerate(range(r0, r1)):
-                    state.received_kmers[r] += int(n_seen[i])
-                    state.insert_stats = state.insert_stats.combined(ins_list[i])
-
-            with recording_region(recorder, "count", cat="stage"):
-                self._stream_blocks(spool, table, [label], round_recv, sctx, recorder, _fold)
-
-            batch_timing = PhaseTiming(
-                parse=t_parse,
-                exchange=exch_seconds,
-                count=float(per_rank_count.max()) if p else 0.0,
-            )
-            state.timing = state.timing.add(batch_timing)
-            state.exchanged_items += int(counts_matrix.sum())
-            state.n_batches += 1
-            return batch_timing
-        except BaseException:
-            spool.close(failed=True)
-            raise
-        finally:
-            spool.close()
-
-
-def _round_metrics(reg, backend: str, rnd: int, outcome: ExchangeOutcome) -> None:
-    """The scheduler's per-round exchange metrics, verbatim."""
-    if reg is None:
-        return
-    reg.counter("exchange_rounds_total", "Exchange/count rounds executed", engine=backend).inc()
-    reg.counter(
-        "exchange_model_seconds_total",
-        "Modeled exchange seconds (overhead + network + staging)",
-        engine=backend,
-        round=rnd,
-    ).inc(outcome.seconds)
-    reg.counter(
-        "alltoallv_model_seconds_total",
-        "Modeled MPI_Alltoallv routine seconds",
-        engine=backend,
-        round=rnd,
-    ).inc(outcome.alltoallv_seconds)
-    reg.counter(
-        "staging_model_seconds_total",
-        "Modeled host<->device staging seconds",
-        engine=backend,
-        round=rnd,
-    ).inc(outcome.staging_seconds)
-    reg.counter(
-        "exchange_items_round_total",
-        "Items exchanged per round",
-        engine=backend,
-        round=rnd,
-    ).inc(int(outcome.counts_matrix.sum()))
+    def fill(self, tables) -> tuple[list[int], list[float]]:
+        return self.run_fill if self.run_fill is not None else super().fill(tables)

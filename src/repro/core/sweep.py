@@ -107,7 +107,7 @@ def sweep(
     parallel: ParallelSetting = None,
     telemetry: bool = False,
     stages: tuple[str, ...] = (),
-    fused: bool | None = None,
+    fused: bool = False,
     machine: MachineSpec | str | None = None,
 ) -> SweepResult:
     """Run the full cartesian grid; k-mer mode collapses the supermer axes.
@@ -133,8 +133,7 @@ def sweep(
     ``("bloom",)``) on every grid point.
 
     ``fused`` selects the whole-cluster fused execution path on every grid
-    point (``None`` defers to ``REPRO_FUSED``); results are bit-identical
-    to the staged path.  One scratch arena is shared across all grid points
+    point; results are bit-identical to the staged path.  One scratch arena is shared across all grid points
     so large temporaries are recycled between cells.
     """
     explicit_machine = resolve_machine(machine) if machine is not None else None

@@ -9,32 +9,29 @@ The exchange is a single global span (bulk-synchronous collective); parse
 and count use each rank's own modeled duration, aligned to the phase start
 as on the real machine.
 
-A second timeline lives here too: :class:`WallClockRecorder` captures the
-*host* wall-clock span of each rank's phase body as the engine actually
-executed it.  Under the sequential engine the spans form a staircase (one
-rank after another); under the parallel engine (``REPRO_PARALLEL``) they
-overlap, and :meth:`WallClockRecorder.overlap_factor` quantifies by how
-much.  Model time and wall time are deliberately separate timelines —
+A second timeline lives here too: the work leaves of a
+:class:`repro.telemetry.spans.SpanRecorder` capture the *host* wall-clock
+span of each rank's phase body as the engine actually executed it.  Under
+the sequential engine the spans form a staircase (one rank after
+another); under the parallel engine (``REPRO_PARALLEL``) they overlap, and
+:meth:`~repro.telemetry.spans.SpanRecorder.overlap_factor` quantifies by
+how much.  Model time and wall time are deliberately separate timelines —
 parallel execution changes only the second.
 
-A third timeline arrived with hierarchical tracing
-(:class:`repro.telemetry.spans.SpanRecorder`): the scheduler's region tree
+The same recorder carries a third timeline: the scheduler's region tree
 (run → batch → round → stage) with the per-rank wall spans as its leaves.
 :func:`run_trace_payload` / :func:`write_run_trace` assemble all three
 into one trace file (schema ``repro-trace/1``) consumed by
 ``chrome://tracing`` / Perfetto *and* by ``repro analyze``
 (:mod:`repro.core.analysis`).  :func:`recording_region` is the engine-side
-glue: a no-op on ``None`` or a plain :class:`WallClockRecorder`, a real
-nested region on a :class:`~repro.telemetry.spans.SpanRecorder` — so the
+glue: a no-op on ``None``, a real nested region on a recorder — so the
 scheduler instruments one way and tracing stays strictly opt-in.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -47,8 +44,6 @@ if TYPE_CHECKING:  # typing only — no runtime import cycle
 __all__ = [
     "trace_events",
     "write_chrome_trace",
-    "WallSpan",
-    "WallClockRecorder",
     "wall_trace_events",
     "write_wall_trace",
     "recording_region",
@@ -125,97 +120,12 @@ def trace_events(result: CountResult, *, max_ranks: int | None = 64) -> list[dic
     return events
 
 
-@dataclass(frozen=True)
-class WallSpan:
-    """One rank's phase body as executed on the host: [start_s, end_s)."""
-
-    name: str  # phase label, e.g. "parse", "count-round0"
-    rank: int
-    start_s: float
-    end_s: float
-
-    @property
-    def dur_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
-
-
-class WallClockRecorder:
-    """Thread-safe log of per-rank wall-clock phase spans.
-
-    Pass one via ``EngineOptions(span_recorder=...)``; the engine records a
-    span per (phase, rank) pair with host ``perf_counter`` timestamps.
-    Worker threads append concurrently, so the log is lock-protected; spans
-    are returned sorted by (start, rank) so output never depends on
-    completion order.
-    """
-
-    def __init__(self) -> None:
-        self._spans: list[WallSpan] = []
-        self._lock = threading.Lock()
-
-    def record(self, name: str, rank: int, start_s: float, end_s: float) -> None:
-        with self._lock:
-            self._spans.append(WallSpan(name=name, rank=rank, start_s=start_s, end_s=end_s))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-
-    def spans(self, name: str | None = None) -> list[WallSpan]:
-        with self._lock:
-            spans = list(self._spans)
-        if name is not None:
-            spans = [s for s in spans if s.name == name]
-        return sorted(spans, key=lambda s: (s.start_s, s.rank))
-
-    def phases(self) -> list[str]:
-        """Distinct phase names in first-appearance order."""
-        seen: dict[str, None] = {}
-        with self._lock:
-            for s in self._spans:
-                seen.setdefault(s.name, None)
-        return list(seen)
-
-    def busy_seconds(self, name: str | None = None) -> float:
-        """Sum of span durations (total rank-seconds of work)."""
-        return sum(s.dur_s for s in self.spans(name))
-
-    def elapsed_seconds(self, name: str | None = None) -> float:
-        """Wall window covering the spans (max end - min start)."""
-        spans = self.spans(name)
-        if not spans:
-            return 0.0
-        return max(s.end_s for s in spans) - min(s.start_s for s in spans)
-
-    def overlap_factor(self, name: str | None = None) -> float:
-        """Achieved concurrency: busy seconds / elapsed seconds.
-
-        1.0 means fully serialized (the sequential engine); N means N
-        ranks' work overlapped perfectly on average.  An empty recorder (or
-        one whose spans are all zero-length) reports the neutral 1.0 — "no
-        concurrency evidence either way" — so ratio consumers never divide
-        by zero.
-        """
-        elapsed = self.elapsed_seconds(name)
-        return self.busy_seconds(name) / elapsed if elapsed > 0 else 1.0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
-    def region(self, name: str, *, cat: str = "stage", rank: int | None = None, **meta: Any):
-        """No-op region: hierarchy needs a :class:`SpanRecorder` (same API)."""
-        del name, cat, rank, meta
-        return nullcontext(None)
-
-
 def recording_region(recorder: Any, name: str, *, cat: str = "stage", **meta: Any):
-    """A region context on whatever recorder the run carries.
+    """A region context on the recorder the run carries, if any.
 
-    ``None`` (tracing off) and :class:`WallClockRecorder` (flat wall spans
-    only) yield ``None``; a :class:`~repro.telemetry.spans.SpanRecorder`
-    opens a real nested region and yields its handle (``.note(**kv)``
-    attaches late metadata).  Engine code wraps phases with this
+    ``None`` (tracing off) yields ``None``; a
+    :class:`~repro.telemetry.spans.SpanRecorder` opens a real nested
+    region and yields its handle (``.note(**kv)`` attaches late metadata).  Engine code wraps phases with this
     unconditionally — the overhead when tracing is off is one ``is None``
     check and a ``nullcontext``.
     """
@@ -224,7 +134,7 @@ def recording_region(recorder: Any, name: str, *, cat: str = "stage", **meta: An
     return recorder.region(name, cat=cat, **meta)
 
 
-def wall_trace_events(recorder: WallClockRecorder) -> list[dict[str, Any]]:
+def wall_trace_events(recorder: SpanRecorder) -> list[dict[str, Any]]:
     """Chrome trace events of the recorded wall-clock spans.
 
     Timestamps are rebased so the earliest span starts at 0; one trace row
@@ -256,7 +166,7 @@ def wall_trace_events(recorder: WallClockRecorder) -> list[dict[str, Any]]:
     return events
 
 
-def write_wall_trace(recorder: WallClockRecorder, path: str | Path) -> Path:
+def write_wall_trace(recorder: SpanRecorder, path: str | Path) -> Path:
     """Write the recorded wall-clock spans as a Chrome trace JSON file."""
     path = Path(path)
     payload = {
@@ -312,7 +222,7 @@ def write_chrome_trace(
 
 
 def run_trace_payload(
-    recorder: "WallClockRecorder | SpanRecorder | None",
+    recorder: SpanRecorder | None,
     *,
     result: CountResult | None = None,
     counter: "DistributedCounter | None" = None,
@@ -327,9 +237,9 @@ def run_trace_payload(
     * ``pid 0`` — the *model* timeline (per-rank parse/exchange/count in
       modeled seconds; requires ``result``);
     * ``pid 1`` — the *wall* timeline (per-rank work spans as the host
-      executed them; any recorder);
+      executed them: the recorder's work leaves);
     * ``pid 2`` — the scheduler's nested region tree (run → batch → round
-      → stage; :class:`~repro.telemetry.spans.SpanRecorder` only);
+      → stage);
     * counter tracks from ``registry`` (``ph: "C"``), when given.
 
     Beyond ``traceEvents`` the payload carries the raw ``"spans"`` array
@@ -347,8 +257,7 @@ def run_trace_payload(
         events.extend(trace_events(result, max_ranks=max_ranks))
     if recorder is not None:
         events.extend(wall_trace_events(recorder))
-        if isinstance(recorder, SpanRecorder):
-            events.extend(span_tree_events(recorder))
+        events.extend(span_tree_events(recorder))
     if registry is not None:
         from ..telemetry import metric_trace_events
 
@@ -388,7 +297,7 @@ def run_trace_payload(
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "spans": span_payload(recorder) if isinstance(recorder, SpanRecorder) else [],
+        "spans": span_payload(recorder) if recorder is not None else [],
         "metadata": {
             "schema": TRACE_SCHEMA,
             "run": run_meta,
@@ -401,7 +310,7 @@ def run_trace_payload(
 
 def write_run_trace(
     path: str | Path,
-    recorder: "WallClockRecorder | SpanRecorder | None",
+    recorder: SpanRecorder | None,
     *,
     result: CountResult | None = None,
     counter: "DistributedCounter | None" = None,

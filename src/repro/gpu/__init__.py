@@ -9,7 +9,7 @@ from .blocks import (
     warp_divergence_factor,
 )
 from .costmodel import KernelCostModel, TrafficEstimate, staging_time
-from .device import DeviceSpec, generic_gpu, v100
+from ..machines import DeviceSpec, generic_gpu, v100
 from .hashtable import EMPTY_KEY, DeviceHashTable, InsertStats
 from .kernels import KernelStats, VirtualGPU
 

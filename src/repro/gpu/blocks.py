@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dna.reads import ReadSet
-from .device import DeviceSpec
+from ..machines import DeviceSpec
 
 __all__ = [
     "MappingAnalysis",

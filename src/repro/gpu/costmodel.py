@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .device import DeviceSpec
+from ..machines import DeviceSpec
 
 __all__ = ["TrafficEstimate", "KernelCostModel", "staging_time"]
 

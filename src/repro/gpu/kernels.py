@@ -23,7 +23,7 @@ import numpy as np
 
 from ..telemetry import active
 from .costmodel import KernelCostModel, TrafficEstimate, staging_time
-from .device import DeviceSpec, v100
+from ..machines import DeviceSpec, v100
 
 __all__ = ["KernelStats", "VirtualGPU"]
 

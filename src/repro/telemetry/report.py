@@ -27,7 +27,7 @@ from .registry import MetricRegistry
 if TYPE_CHECKING:  # typing only — keeps telemetry import-light (no cycles)
     from ..core.incremental import DistributedCounter
     from ..core.results import CountResult
-    from ..core.tracing import WallClockRecorder
+    from .spans import SpanRecorder
 
 __all__ = ["RunReport", "REPORT_VERSION"]
 
@@ -60,7 +60,7 @@ def _insert_section(ins: Any) -> dict[str, Any]:
     }
 
 
-def _wall_section(recorder: "WallClockRecorder") -> dict[str, Any]:
+def _wall_section(recorder: "SpanRecorder") -> dict[str, Any]:
     return {
         "phases": {
             name: {
@@ -97,7 +97,7 @@ class RunReport:
         result: "CountResult",
         *,
         registry: MetricRegistry | None = None,
-        recorder: "WallClockRecorder | None" = None,
+        recorder: "SpanRecorder | None" = None,
     ) -> "RunReport":
         """Aggregate a finished :class:`CountResult` into a report."""
         loads = result.load_stats()
@@ -161,7 +161,7 @@ class RunReport:
         counter: "DistributedCounter",
         *,
         registry: MetricRegistry | None = None,
-        recorder: "WallClockRecorder | None" = None,
+        recorder: "SpanRecorder | None" = None,
     ) -> "RunReport":
         """Aggregate a :class:`DistributedCounter`'s cumulative state."""
         loads = counter.load_stats()

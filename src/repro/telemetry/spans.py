@@ -1,17 +1,14 @@
 """Hierarchical span recording: run → batch → round → stage → rank work.
 
-The engine's original wall-clock instrumentation
-(:class:`repro.core.tracing.WallClockRecorder`) is a flat log of per-rank
-phase bodies — enough for busy/elapsed/overlap arithmetic, but it cannot
-say *which round* a span belonged to, what enclosed it, or how the
-scheduler's own structure (parse → rounds of exchange+count → merge)
-decomposed the wall window.  :class:`SpanRecorder` is the hierarchical
-superset: the driving scheduler thread opens nested **regions** (run,
+A flat log of per-rank phase bodies is enough for busy/elapsed/overlap
+arithmetic, but it cannot say *which round* a span belonged to, what
+enclosed it, or how the scheduler's own structure (parse → rounds of
+exchange+count → merge) decomposed the wall window.  :class:`SpanRecorder`
+records both: the driving scheduler thread opens nested **regions** (run,
 batch, round, stage) with :meth:`SpanRecorder.region`, and worker threads
-record flat **work** leaves with the exact
-``record(name, rank, start_s, end_s)`` signature of the old recorder —
-so a ``SpanRecorder`` drops into ``EngineOptions(span_recorder=...)``
-unchanged and subsumes the old class as the per-rank leaf layer.
+record flat **work** leaves with ``record(name, rank, start_s, end_s)``.
+It is the engine's one recorder: ``EngineOptions(trace=...)`` carries it,
+and the wall metrics read its leaf layer.
 
 Thread-safety contract: regions are opened and closed only by the single
 driving thread (the scheduler), so the open-region stack needs no
@@ -51,8 +48,7 @@ __all__ = [
 ]
 
 #: The hierarchy levels, outermost first.  ``work`` is the per-rank leaf
-#: level (the old ``WallClockRecorder`` population); everything above it
-#: is a region opened by the driving thread.
+#: level; everything above it is a region opened by the driving thread.
 SPAN_CATEGORIES = ("run", "batch", "round", "stage", "work")
 
 _US = 1e6  # Chrome trace timestamps are microseconds
@@ -92,15 +88,12 @@ class _Region:
 
 
 class SpanRecorder:
-    """Hierarchical wall-clock span log, leaf-compatible with the flat one.
+    """Hierarchical wall-clock span log with a flat view of its leaves.
 
-    The flat-recorder API (``record``/``spans``/``phases``/
-    ``busy_seconds``/``elapsed_seconds``/``overlap_factor``/``__len__``)
-    operates on the **work leaves only**, so wall metrics computed from a
-    ``SpanRecorder`` equal those of a plain
-    :class:`~repro.core.tracing.WallClockRecorder` fed the same
-    ``record`` calls — regions add structure without double-counting
-    busy seconds.  :meth:`all_spans` / :func:`span_payload` expose the
+    The flat API (``record``/``spans``/``phases``/``busy_seconds``/
+    ``elapsed_seconds``/``overlap_factor``/``__len__``) operates on the
+    **work leaves only**, so wall metrics depend on the ``record`` calls
+    alone — regions add structure without double-counting busy seconds.  :meth:`all_spans` / :func:`span_payload` expose the
     full tree.
     """
 
@@ -150,7 +143,7 @@ class SpanRecorder:
                     )
                 )
 
-    # -- work leaves (any thread; WallClockRecorder signature) ----------
+    # -- work leaves (any thread) ---------------------------------------
 
     def record(self, name: str, rank: int, start_s: float, end_s: float, **meta: Any) -> None:
         """Record one rank's work item under the innermost open region."""

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import PipelineConfig, paper_config
-from repro.core.cpu_model import CpuRates, power9_rates
-from repro.core.gpu_model import GpuPipelineModel
+from repro.machines import CpuRates, GpuPipelineModel, power9_rates
 
 
 class TestPipelineConfig:
@@ -116,7 +115,7 @@ class TestGpuPipelineModel:
 
     def test_calibrated_per_gpu_rate(self):
         """~12 ns/k-mer at op_rate 1e11 -> ~85M k-mers/s/GPU (Fig. 3b)."""
-        from repro.gpu.device import v100
+        from repro.machines import v100
 
         m = GpuPipelineModel()
         rate = v100().op_rate / m.ops_parse_kmer

@@ -2,7 +2,7 @@
 
 Covers the scratch-buffer arena, the segmented hash table against its
 per-rank reference, the ``assume_unique`` insert fast path, the doubling
-window pack, fused-mode resolution (flag/env/fallback), and the CLI
+window pack, fused-mode resolution (flag/fallback), and the CLI
 surface (``--fused``, ``--profile``).  The end-to-end bit-identity of
 fused runs is proven by the golden suite (``test_stages_golden.py``) and
 the randomized differential suite (``test_fused_property.py``).
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.memory import ScratchArena
-from repro.core.stages.fused import resolve_fused, supports_fusion
+from repro.core.stages.fused import supports_fusion
 from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.extract import extract_kmers_scalar, window_values
@@ -338,11 +338,26 @@ def test_window_values_rejects_bad_width():
 # -- fused-mode resolution ----------------------------------------------------
 
 
+def _resolved(**opt_kw) -> str:
+    """Strategy name the scheduler resolves for a standard gpu:kmer composition."""
+    from repro.core.config import PipelineConfig
+    from repro.core.engine import EngineOptions
+    from repro.core.stages.registry import resolve
+    from repro.core.stages.scheduler import RoundScheduler
+    from repro.mpi.topology import summit_gpu
+
+    config = PipelineConfig(k=15, mode="kmer")
+    opts = EngineOptions(**opt_kw)
+    comp = resolve("gpu:kmer", config, opts)
+    return RoundScheduler(summit_gpu(1), config, comp, opts).resolve_strategy().name
+
+
 def test_resolve_fused_explicit_flag_wins(monkeypatch):
+    """``EngineOptions(fused=)`` is the one switch: a stale REPRO_FUSED is not read."""
     monkeypatch.setenv("REPRO_FUSED", "1")
-    assert resolve_fused(False) is False
+    assert _resolved(fused=False) == "staged"
     monkeypatch.setenv("REPRO_FUSED", "0")
-    assert resolve_fused(True) is True
+    assert _resolved(fused=True) == "fused"
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -350,19 +365,18 @@ def test_resolve_fused_explicit_flag_wins(monkeypatch):
     ("", False), ("0", False), ("off", False), ("no", False), ("none", False),
 ])
 def test_resolve_fused_env_values(monkeypatch, value, expected):
+    """Whatever the retired variable holds, the default is off and the flag decides."""
     monkeypatch.setenv("REPRO_FUSED", value)
-    assert resolve_fused(None) is expected
+    assert _resolved() == "staged"
+    assert _resolved(fused=expected) == ("fused" if expected else "staged")
 
 
 def test_resolve_fused_unset_env_defaults_off(monkeypatch):
+    from repro.core.engine import EngineOptions
+
     monkeypatch.delenv("REPRO_FUSED", raising=False)
-    assert resolve_fused(None) is False
-
-
-def test_resolve_fused_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSED", "maybe")
-    with pytest.raises(ValueError, match="REPRO_FUSED"):
-        resolve_fused(None)
+    assert EngineOptions().fused is False
+    assert _resolved() == "staged"
 
 
 def test_supports_fusion_standard_compositions():
@@ -419,8 +433,6 @@ def test_fused_then_staged_batches_share_one_table_state():
     mixed = DistributedCounter(summit_gpu(1), config, backend="gpu", options=EngineOptions(fused=True))
     mixed.add_reads(batches[0])
     mixed._scheduler.opts = EngineOptions(fused=False)
-    mixed._scheduler._fused_checked = False
-    mixed._scheduler._fused_impl = None
     mixed.add_reads(batches[1])
 
     plain = DistributedCounter(summit_gpu(1), config, backend="gpu")

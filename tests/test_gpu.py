@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.costmodel import KernelCostModel, TrafficEstimate, staging_time
-from repro.gpu.device import DeviceSpec, generic_gpu, v100
+from repro.machines import DeviceSpec, generic_gpu, v100
 from repro.gpu.kernels import VirtualGPU
 
 

@@ -15,7 +15,7 @@ from repro.gpu.blocks import (
     tail_efficiency,
     warp_divergence_factor,
 )
-from repro.gpu.device import v100
+from repro.machines import v100
 
 work_lists = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=300)
 

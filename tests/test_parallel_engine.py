@@ -29,7 +29,8 @@ from repro.core.parallel import (
     shutdown_pools,
     substrate_kinds,
 )
-from repro.core.tracing import WallClockRecorder, wall_trace_events, write_wall_trace
+from repro.core.tracing import wall_trace_events, write_wall_trace
+from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import ClusterSpec
@@ -279,29 +280,31 @@ class TestProcessPoolMachinery:
         assert_results_identical(seq, par)
 
     def test_process_span_recorder(self, reads):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         p = 6
         run_pipeline(
             reads,
             _cluster(p),
             PipelineConfig(k=17, mode="supermer"),
             backend="gpu",
-            options=EngineOptions(parallel="process:2", span_recorder=rec),
+            options=EngineOptions(parallel="process:2", trace=rec),
         )
         assert {s.rank for s in rec.spans("parse")} == set(range(p))
         assert {s.rank for s in rec.spans("count")} == set(range(p))
 
 
 class TestWallClockRecorder:
+    """Wall-clock work leaves: the flat view of the engine's one ``SpanRecorder``."""
+
     def test_engine_records_spans(self, reads):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         p = 6
         run_pipeline(
             reads,
             _cluster(p),
             PipelineConfig(k=17, mode="supermer"),
             backend="gpu",
-            options=EngineOptions(parallel=3, span_recorder=rec),
+            options=EngineOptions(parallel=3, trace=rec),
         )
         assert len(rec.spans("parse")) == p
         assert len(rec.spans("count")) == p
@@ -311,26 +314,26 @@ class TestWallClockRecorder:
         assert rec.overlap_factor() >= 1.0 or rec.elapsed_seconds() == 0
 
     def test_multi_round_span_labels(self, reads):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         run_pipeline(
             reads,
             _cluster(4),
             PipelineConfig(k=17, n_rounds=2),
             backend="gpu",
-            options=EngineOptions(parallel=2, span_recorder=rec),
+            options=EngineOptions(parallel=2, trace=rec),
         )
         assert "count-round0" in rec.phases() and "count-round1" in rec.phases()
 
     def test_wall_trace_export(self, reads, tmp_path):
         import json
 
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         run_pipeline(
             reads,
             _cluster(4),
             PipelineConfig(k=17),
             backend="cpu",
-            options=EngineOptions(parallel=2, span_recorder=rec),
+            options=EngineOptions(parallel=2, trace=rec),
         )
         events = wall_trace_events(rec)
         assert any(e["ph"] == "X" for e in events)
@@ -341,7 +344,7 @@ class TestWallClockRecorder:
         assert len(payload["traceEvents"]) == len(events)
 
     def test_empty_recorder(self):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         assert rec.spans() == []
         # Neutral concurrency on an empty recorder: ratio consumers must
         # never divide by zero or see a bogus 0x overlap.

@@ -1,0 +1,169 @@
+"""The round driver's 2×2: layout × residency, on both surfaces.
+
+``RoundScheduler._drive`` is the one loop behind ``staged``, ``fused``,
+``spill`` and ``fused-spill``, behind ``run()`` and ``run_batch()``.  These
+tests pin what that buys, cell by cell against the ``staged`` cell:
+
+* identical model-metric telemetry, identical ``CountResult`` /
+  ``PipelineState`` observables, and the same region tree (the spooled
+  residency differs in exactly one documented way: its count is one
+  region after the last round, because partitions stream back rank-major
+  once every round is on disk);
+* a stream may change strategy between batches, in either direction, by
+  assigning ``scheduler.opts`` and nothing else;
+* the fixes the single site gives for free: batch exchange spans carry
+  ``link_seconds``, and a one-shot mmap table is reclaimed on a raise.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions, run_pipeline
+from repro.core.incremental import DistributedCounter
+from repro.mpi.topology import summit_gpu
+from repro.telemetry import MetricRegistry
+from repro.telemetry.spans import SpanRecorder, span_payload
+
+from .golden_cases import batch_reads, golden_reads, summarize_counter, summarize_result
+
+pytestmark = pytest.mark.engines
+
+STRATEGIES = ("staged", "fused", "spill", "fused-spill")
+CONFIG = {"k": 17, "mode": "supermer", "minimizer_len": 7}
+
+
+def _options(strategy: str, tmp_path, **kw) -> EngineOptions:
+    if "fused" in strategy:
+        kw["fused"] = True
+    if "spill" in strategy:
+        kw["spill_dir"] = tmp_path / f"spool-{strategy}"
+    return EngineOptions(**kw)
+
+
+def _region_tree(recorder: SpanRecorder) -> list:
+    """Nested ``[name, cat, meta, children]`` of the regions, in open order.
+
+    ``meta`` keeps the ``round``/``batch`` values and, for exchange spans,
+    the *keys* of the causal note (its values are checked by the
+    observable comparisons: they are the traffic log and model seconds).
+    """
+    nodes: dict[int, list] = {}
+    roots: list = []
+    for s in span_payload(recorder):
+        if s["cat"] == "work":
+            continue
+        meta = {key: s["meta"][key] for key in ("round", "batch") if key in s["meta"]}
+        if s["name"] == "exchange":
+            meta["note"] = sorted(set(s["meta"]) - {"round"})
+        nodes[s["id"]] = node = [s["name"], s["cat"], meta, []]
+        (nodes[s["parent"]][3] if s["parent"] is not None else roots).append(node)
+    return roots
+
+
+def _hoist_counts(tree: list) -> list:
+    """The spooled residency's shape of a resident region tree.
+
+    Per-round ``count`` regions become one ``count`` after the last round.
+    Batch roots have no rounds, so they come back unchanged.
+    """
+    out = []
+    for name, cat, meta, children in tree:
+        if any(child[1] == "round" for child in children):
+            rounds = [
+                [*child[:3], [c for c in child[3] if c[0] != "count"]] if child[1] == "round" else child
+                for child in children
+            ]
+            at = next(i for i, child in enumerate(rounds) if child[0] == "merge")
+            children = [*rounds[:at], ["count", "stage", {}, []], *rounds[at:]]
+        out.append([name, cat, meta, children])
+    return out
+
+
+def _one_shot(strategy: str, n_rounds: int, tmp_path):
+    reg, rec = MetricRegistry(), SpanRecorder()
+    result = run_pipeline(
+        golden_reads(),
+        summit_gpu(1),
+        PipelineConfig(n_rounds=n_rounds, **CONFIG),
+        backend="gpu",
+        options=_options(strategy, tmp_path, telemetry=reg, trace=rec),
+    )
+    run_span = next(s for s in rec.all_spans() if s.cat == "run")
+    assert run_span.meta["strategy"] == strategy
+    observables = summarize_result(result) | {"link_seconds": list(result.link_seconds)}
+    return observables, reg.snapshot(include_wall=False), _region_tree(rec)
+
+
+def _batches(strategy: str, tmp_path):
+    reg, rec = MetricRegistry(), SpanRecorder()
+    counter = DistributedCounter(
+        summit_gpu(1),
+        PipelineConfig(**CONFIG),
+        backend="gpu",
+        options=_options(strategy, tmp_path, telemetry=reg, trace=rec),
+    )
+    for batch in batch_reads():
+        counter.add_reads(batch)
+    observables = summarize_counter(counter) | {
+        "insert_stats": counter.insert_stats,
+        "traffic_labels": [r.label for r in counter.traffic.records],
+    }
+    return observables, reg.snapshot(include_wall=False), _region_tree(rec)
+
+
+@pytest.mark.parametrize("surface", ["one-shot-1", "one-shot-3", "batches"])
+@pytest.mark.parametrize("strategy", STRATEGIES[1:])
+def test_cell_matches_staged(strategy, surface, tmp_path):
+    def cell(name):
+        if surface == "batches":
+            return _batches(name, tmp_path)
+        return _one_shot(name, int(surface[-1]), tmp_path)
+
+    observables, snapshot, tree = cell(strategy)
+    ref_observables, ref_snapshot, ref_tree = cell("staged")
+    assert observables == ref_observables
+    assert snapshot == ref_snapshot
+    assert tree == (_hoist_counts(ref_tree) if "spill" in strategy else ref_tree)
+    for sub in tmp_path.iterdir():
+        assert list(sub.iterdir()) == []  # every spool removed
+
+
+@pytest.mark.parametrize("first,then", [("staged", "fused"), ("fused", "staged"),
+                                        ("spill", "fused-spill"), ("fused-spill", "staged")])
+def test_mid_stream_strategy_flip_sets_opts_only(first, then, tmp_path):
+    """Batch 1 on one strategy, batch 2 on another, batch 3 back: one state throughout."""
+    config = PipelineConfig(**CONFIG)
+    batches = batch_reads()
+    mixed = DistributedCounter(
+        summit_gpu(1), config, backend="gpu", options=_options(first, tmp_path)
+    )
+    for strategy, batch in zip((first, then, first), batches):
+        mixed._scheduler.opts = _options(strategy, tmp_path)
+        assert mixed._scheduler.resolve_strategy().name == strategy
+        mixed.add_reads(batch)
+
+    plain = DistributedCounter(summit_gpu(1), config, backend="gpu")
+    for batch in batches:
+        plain.add_reads(batch)
+    assert summarize_counter(mixed) == summarize_counter(plain)
+    assert mixed.insert_stats == plain.insert_stats
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_batch_exchange_spans_carry_link_seconds(strategy, tmp_path):
+    """Regression: the batch loops dropped the per-link breakdown the
+    one-shot loops attach to every exchange span."""
+    rec = SpanRecorder()
+    counter = DistributedCounter(
+        summit_gpu(2),
+        PipelineConfig(**CONFIG),
+        backend="gpu",
+        options=_options(strategy, tmp_path, trace=rec),
+    )
+    counter.add_reads(batch_reads()[0])
+    (exchange,) = [s for s in rec.all_spans() if s.cat == "stage" and s.name == "exchange"]
+    links = exchange.meta["link_seconds"]
+    assert links and all(seconds >= 0.0 for seconds in links.values())
+    assert exchange.meta["model_seconds"] == counter.timing.exchange

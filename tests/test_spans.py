@@ -3,7 +3,7 @@
 Four contracts from the observability layer:
 
 * :class:`repro.telemetry.spans.SpanRecorder` builds a correct tree and is
-  a drop-in superset of the flat ``WallClockRecorder`` leaf API;
+  a flat leaf API that ignores regions;
 * tracing is observability-only — every deterministic payload of a traced
   run (staged, fused, spilled; one-shot and streamed) is bit-identical to
   the untraced run, including the model-metric snapshot and traffic log;
@@ -29,7 +29,6 @@ from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.tracing import (
     TRACE_SCHEMA,
-    WallClockRecorder,
     recording_region,
     run_trace_payload,
     wall_trace_events,
@@ -76,9 +75,9 @@ class TestSpanRecorder:
         assert {s.parent for s in leaves} == {stage.sid}
         assert sorted(s.rank for s in leaves) == [0, 1]
 
-    def test_flat_api_matches_wallclock_recorder(self):
-        """Wall metrics must not change when the recorder gains hierarchy."""
-        flat, tree = WallClockRecorder(), SpanRecorder()
+    def test_flat_api_ignores_regions(self):
+        """Wall metrics depend on the work leaves alone, not on the hierarchy."""
+        flat, tree = SpanRecorder(), SpanRecorder()
         calls = [("parse", 0, 0.0, 1.0), ("parse", 1, 0.5, 2.0), ("count", 0, 2.0, 2.25)]
         for args in calls:
             flat.record(*args)
@@ -139,7 +138,6 @@ class TestEngineOptionsTrace:
     def test_trace_true_materializes_recorder(self):
         opts = EngineOptions(trace=True)
         assert isinstance(opts.trace, SpanRecorder)
-        assert opts.span_recorder is opts.trace
 
     def test_trace_false_and_none_off(self):
         assert EngineOptions(trace=False).trace is None
@@ -148,15 +146,7 @@ class TestEngineOptionsTrace:
     def test_explicit_recorder_passes_through(self):
         rec = SpanRecorder()
         opts = EngineOptions(trace=rec)
-        assert opts.trace is rec and opts.span_recorder is rec
-
-    def test_trace_with_span_recorder_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            EngineOptions(trace=True, span_recorder=WallClockRecorder())
-
-    def test_plain_recorder_still_accepted(self):
-        rec = WallClockRecorder()
-        assert EngineOptions(span_recorder=rec).span_recorder is rec
+        assert opts.trace is rec
 
 
 def _run(reads, *, config, p=4, **opt_kw):
@@ -428,17 +418,8 @@ class TestTracePayload:
             assert records and all(r.label == region["meta"]["label"] for r in records)
             assert region["meta"]["items"] == sum(r.total_items for r in records)
 
-    def test_wallclock_recorder_payload(self, reads):
-        """A flat recorder still produces a valid (span-less) trace."""
-        rec = WallClockRecorder()
-        result, _ = _run(reads, config=self.CONFIG, span_recorder=rec)
-        payload = run_trace_payload(rec, result=result)
-        assert payload["spans"] == []
-        assert any(e.get("pid") == 1 for e in payload["traceEvents"])
-
     def test_recording_region_glue(self):
         assert recording_region(None, "x").__enter__() is None
-        assert recording_region(WallClockRecorder(), "x").__enter__() is None
         rec = SpanRecorder()
         with recording_region(rec, "x", cat="stage") as handle:
             assert handle is not None

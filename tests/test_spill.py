@@ -218,7 +218,7 @@ class TestSpillFallbacks:
                 cluster,
                 config,
                 backend="gpu",
-                options=EngineOptions(spill_dir=tmp_path, fused=True, span_recorder=rec),
+                options=EngineOptions(spill_dir=tmp_path, fused=True, trace=rec),
             )
         assert not any("engine.spill.fallback" in rec_.message for rec_ in caplog.records)
         assert not any("engine.fused.fallback" in rec_.message for rec_ in caplog.records)
@@ -512,13 +512,13 @@ class TestSpillCleanupOnFailure:
         )
 
     def test_fused_spill_raise_removes_spool(self, caplog, genome_reads, tmp_path, monkeypatch):
-        import repro.core.stages.spill as spill_mod
+        import repro.core.stages.fused as fused_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        # The segmented table is built after every round has spooled.
-        monkeypatch.setattr(spill_mod, "SegmentedHashTable", boom)
+        # The flat layout builds the segmented table after every round has spooled.
+        monkeypatch.setattr(fused_mod, "SegmentedHashTable", boom)
         config = PipelineConfig(k=15, mode="kmer")
         self._assert_cleanup(
             caplog,
@@ -531,6 +531,30 @@ class TestSpillCleanupOnFailure:
                 options=EngineOptions(spill_dir=tmp_path, fused=True),
             ),
         )
+
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["fused", "fused-spill"])
+    def test_fused_table_dir_raise_removes_slabs(self, genome_reads, tmp_path, monkeypatch, spill):
+        """A raise after the mmap table exists must still reclaim its slab
+        files: the driver's cleanup scope closes the table on any exit, not
+        on the success path only (where the slabs outlived the traceback)."""
+        from repro.core.stages.standard import SpectrumMerge
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        # The merge runs once every round is counted: the table is at its fullest.
+        monkeypatch.setattr(SpectrumMerge, "merge_items", boom)
+        table_dir = tmp_path / "table"
+        options = EngineOptions(
+            fused=True, table_dir=table_dir, spill_dir=tmp_path / "spool" if spill else None
+        )
+        with pytest.raises(RuntimeError, match="boom") as excinfo:
+            run_pipeline(
+                genome_reads, summit_gpu(1), PipelineConfig(k=15, mode="kmer"), backend="gpu", options=options
+            )
+        assert excinfo.traceback  # the frames (and their locals) are still alive here
+        assert list(table_dir.iterdir()) == []
 
 
 class TestHostBudgetFloor:

@@ -212,7 +212,6 @@ class TestFusedGolden:
         )
         counter.add_reads(batches[0])
         counter._scheduler.opts = EngineOptions(fused=True)  # switch paths mid-stream
-        counter._scheduler._fused_checked = False
         for batch in batches[1:]:
             counter.add_reads(batch)
         _assert_same(golden["counter"][name], summarize_counter(counter), f"fused-adopt[{name}]")

@@ -28,7 +28,8 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.sweep import sweep
-from repro.core.tracing import WallClockRecorder, wall_trace_events, write_chrome_trace
+from repro.core.tracing import wall_trace_events, write_chrome_trace
+from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.mpi.topology import ClusterSpec
 from repro.telemetry import (
@@ -391,14 +392,14 @@ class TestEngineIntegration:
         assert full["wall_overlap_factor"]["wall"] is True
 
     def test_explicit_recorder_feeds_report_wall_section(self, reads):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         reg = MetricRegistry()
         result = run_pipeline(
             reads,
             _cluster(4),
             PipelineConfig(k=17),
             backend="gpu",
-            options=EngineOptions(telemetry=reg, span_recorder=rec),
+            options=EngineOptions(telemetry=reg, trace=rec),
         )
         report = RunReport.from_result(result, registry=reg, recorder=rec)
         assert report.wall["busy_seconds"] > 0
@@ -569,18 +570,18 @@ class TestSurfaces:
 
 
 # ---------------------------------------------------------------------------
-# Satellite regressions: empty WallClockRecorder
+# Satellite regressions: empty SpanRecorder
 # ---------------------------------------------------------------------------
 
 
 class TestEmptyRecorder:
     def test_overlap_factor_neutral(self):
-        assert WallClockRecorder().overlap_factor() == 1.0
+        assert SpanRecorder().overlap_factor() == 1.0
 
     def test_wall_trace_events_empty(self):
-        assert wall_trace_events(WallClockRecorder()) == []
+        assert wall_trace_events(SpanRecorder()) == []
 
     def test_zero_length_spans_stay_neutral(self):
-        rec = WallClockRecorder()
+        rec = SpanRecorder()
         rec.record("parse", 0, 5.0, 5.0)
         assert rec.overlap_factor() == 1.0

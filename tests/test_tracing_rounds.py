@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.tracing import trace_events, write_chrome_trace
-from repro.gpu.device import v100
+from repro.machines import v100
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
