@@ -26,7 +26,44 @@ import numpy as np
 
 from ...gpu.hashtable import InsertStats
 
-__all__ = ["ParsedItems", "RankParse", "ParseSummary", "ExchangeOutcome", "CountOutcome"]
+__all__ = [
+    "ParsedItems",
+    "RankParse",
+    "ParseSummary",
+    "ExchangeOutcome",
+    "CountOutcome",
+    "round_split",
+    "segment_gather_index",
+]
+
+
+def segment_gather_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Index that concatenates the segments ``[starts[i], starts[i] + lens[i])`` in order.
+
+    ``buffer[segment_gather_index(starts, lens)]`` equals
+    ``np.concatenate([buffer[s : s + n] for s, n in zip(starts, lens)])``
+    without the Python-level loop: one ``arange`` plus each segment's
+    (source start − output start) shift, repeated over its items.
+    """
+    out_starts = np.cumsum(lens) - lens
+    idx = np.repeat(starts - out_starts, lens)
+    idx += np.arange(idx.shape[0], dtype=np.int64)
+    return idx
+
+
+def round_split(seg_lens: np.ndarray, rnd: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round ``rnd``'s even share of back-to-back segments: ``(lens, gather index)``.
+
+    Segment ``i`` (``seg_lens[i]`` items, laid out consecutively) gives
+    round ``rnd`` its items ``[len·rnd // n, len·(rnd+1) // n)`` (Section
+    III-A's multi-round split), so the rounds' shares tile every segment
+    in order.  The index gathers the shares in segment order.
+    """
+    seg_starts = np.cumsum(seg_lens) - seg_lens
+    lo = seg_starts + (seg_lens * rnd) // n_rounds
+    hi = seg_starts + (seg_lens * (rnd + 1)) // n_rounds
+    rlens = hi - lo
+    return rlens, segment_gather_index(lo, rlens)
 
 
 @dataclass

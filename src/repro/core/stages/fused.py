@@ -59,7 +59,7 @@ from ...mpi.collectives import alltoallv_flat
 from ...telemetry import active
 from ..memory import ScratchArena
 from ..parallel import get_pool
-from .buffers import ExchangeOutcome, ParseSummary
+from .buffers import ExchangeOutcome, ParseSummary, round_split
 from .registry import StageComposition
 from .standard import (
     AlltoallvExchange,
@@ -425,21 +425,9 @@ class FlatLayout:
         """
         if n_rounds == 1:
             return fp.data, fp.lengths, fp.counts_matrix, False
-        seg_lens = fp.counts_matrix.reshape(-1)
-        seg_starts = np.zeros(seg_lens.shape[0], dtype=np.int64)
-        np.cumsum(seg_lens[:-1], out=seg_starts[1:])
-        lo = seg_starts + (seg_lens * rnd) // n_rounds
-        hi = seg_starts + (seg_lens * (rnd + 1)) // n_rounds
-        rlens = hi - lo
-        round_counts = rlens.reshape(fp.counts_matrix.shape).copy()
-        out_offsets = np.zeros(rlens.shape[0], dtype=np.int64)
-        np.cumsum(rlens[:-1], out=out_offsets[1:])
-        total = int(rlens.sum())
-        idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(out_offsets, rlens)
-            + np.repeat(lo, rlens)
-        )
+        rlens, idx = round_split(fp.counts_matrix.reshape(-1), rnd, n_rounds)
+        round_counts = rlens.reshape(fp.counts_matrix.shape)
+        total = idx.shape[0]
         data = np.take(fp.data, idx, out=self.arena.take(total, np.uint64))
         lengths = (
             np.take(fp.lengths, idx, out=self.arena.take(total, np.uint8))

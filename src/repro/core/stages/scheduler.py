@@ -58,7 +58,7 @@ from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from ..tracing import recording_region
-from .buffers import CountOutcome, ExchangeOutcome, ParseSummary, RankParse
+from .buffers import CountOutcome, ExchangeOutcome, ParseSummary, RankParse, round_split
 from .context import EngineOptions, StageContext
 from .fused import FlatLayout, supports_fusion
 from .registry import StageComposition
@@ -824,27 +824,14 @@ def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np
     Each destination segment is split evenly across rounds (Section III-A:
     when the data exceeds memory limits "the computation and communication
     may proceed in multiple rounds").  Preserves destination order within
-    the round.
+    the round; the split is :func:`~repro.core.stages.buffers.round_split`,
+    the same one the flat layout gathers with.
     """
     if n_rounds == 1:
         return pr.data, pr.lengths, pr.counts
-    p = pr.counts.shape[0]
-    offsets = np.concatenate(([0], np.cumsum(pr.counts)))
-    pieces: list[np.ndarray] = []
-    lpieces: list[np.ndarray] = []
-    counts = np.zeros(p, dtype=np.int64)
-    for dst in range(p):
-        seg_start, seg_end = offsets[dst], offsets[dst + 1]
-        seg_len = seg_end - seg_start
-        lo = seg_start + (seg_len * rnd) // n_rounds
-        hi = seg_start + (seg_len * (rnd + 1)) // n_rounds
-        counts[dst] = hi - lo
-        pieces.append(pr.data[lo:hi])
-        if pr.lengths is not None:
-            lpieces.append(pr.lengths[lo:hi])
-    data = np.concatenate(pieces) if pieces else pr.data[:0]
-    lengths = (np.concatenate(lpieces) if lpieces else None) if pr.lengths is not None else None
-    return data, lengths, counts
+    counts, idx = round_split(np.asarray(pr.counts, dtype=np.int64), rnd, n_rounds)
+    lengths = pr.lengths[idx] if pr.lengths is not None else None
+    return pr.data[idx], lengths, counts
 
 
 def _rounds_for_recv_items(recv_items: np.ndarray, wire: int, opts: EngineOptions, backend: str) -> int:

@@ -9,14 +9,18 @@ at a time.  We already partition by minimizer shard, so this module adds
 the missing pieces:
 
 * :class:`SpillExchange` — a sibling of
-  :class:`~repro.core.stages.standard.AlltoallvExchange` that writes each
-  round's destination-ordered send segments to one partition file per
-  (destination rank, round) in a spool directory, instead of materializing
-  in-memory receive buffers.  Byte/item traffic accounting and the modeled
-  exchange time are computed through the identical code paths, so every
-  model observable matches the in-memory exchange bit for bit; the
-  returned receive "buffers" are read-only memory maps of the partition
-  files.
+  :class:`~repro.core.stages.standard.AlltoallvExchange` that appends each
+  round's receive side — every destination's partition in rank order — to
+  one segment file per exchange label in a spool directory, instead of
+  materializing in-memory receive buffers.  Byte/item traffic accounting
+  and the modeled exchange time are computed through the identical code
+  paths, so every model observable matches the in-memory exchange bit for
+  bit; the returned receive "buffers" are read-only views of one memory
+  map of that file.
+
+* :class:`SpillSpool` — the spool directory: one append-only segment file
+  per label (plus a ``.lens`` twin in supermer mode) with an in-memory
+  ``rank → (item offset, count)`` index, and one sorted run file per rank.
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
@@ -24,11 +28,14 @@ the missing pieces:
   spooled first and the count phase streamed back from disk in the
   layout's format (see :class:`Spooled` for what stays resident).
 
-All partition/run I/O is buffered and coalesced: each destination's
-segments are gathered into one :class:`~repro.core.memory.ScratchArena`
-buffer and written with a single call (P writes per round, not P²), and
-partitions are read back with readahead-sized ``readinto`` calls into
-recycled arena buffers instead of page-faulting memory maps.
+Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
+gathered one destination block at a time and costs one ``open`` and one
+write per block — Python-level work per round is P slices per block, not
+P² segment copies and P files — and is read back with positional reads at
+indexed offsets through the descriptor opened at the first append, a whole
+rank block at a time where the layout counts in blocks.  A file shorter
+than its index says is an ``OSError`` naming file, label, ranks and the
+expected and found bytes, never a silently smaller count.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the resident
@@ -42,8 +49,11 @@ exchange/merge stages fall back to the resident path with an
 from __future__ import annotations
 
 import heapq
+import mmap
+import os
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 from time import perf_counter
 
@@ -54,7 +64,7 @@ from ...gpu.segmented import SegmentedHashTable
 from ...kmers.spectrum import KmerSpectrum
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome
+from .buffers import ExchangeOutcome, segment_gather_index
 from .registry import StageComposition
 from .standard import AlltoallvExchange, SpectrumMerge, exchange_time_model, verify_exchange
 
@@ -69,6 +79,17 @@ __all__ = [
 
 #: Keys loaded from each sorted run per refill during the external merge.
 MERGE_BLOCK_KEYS = 1 << 16
+
+#: Target bytes of one destination block of the spooling gather
+#: (:meth:`SpillExchange._spool_round`).  A block costs its staging buffer,
+#: its permuted copy and an int64 gather index of as many items — ~4x this
+#: constant — all live beside the still-resident send buffers, so it is
+#: kept small: measured on the 672-rank two-round workload, 2 MiB and
+#: 16 MiB blocks spool equally fast (the per-block Python work is P slices
+#: either way), but 16 MiB raised peak RSS 218 -> 230 MB and pushed
+#: ``tools/check_spill.py``'s staged probe over its default ``RLIMIT_AS``
+#: cap, while 2 MiB left both where the per-partition spool had them.
+SPOOL_BLOCK_BYTES = 1 << 21
 
 #: Target bytes of spooled partition data streamed back per rank block in
 #: the flat layout's spooled count phase.  One block's receive buffer (plus
@@ -126,15 +147,82 @@ def _rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
     return blocks
 
 
-class SpillSpool:
-    """One run's spool directory: partition files keyed by (label, rank).
+class _SegmentFile:
+    """One append-only spool file plus its ``rank → (item offset, count)`` index.
 
-    Partition payloads are raw little-endian dtype bytes (``tofile``
-    format), one file per destination rank per exchange label, with an
-    optional parallel ``.lens`` file for supermer length bytes.  Empty
-    partitions create no file.  When an ``arena`` is given, write
-    coalescing and read-back buffers are borrowed from it instead of
-    allocated fresh per call.
+    The descriptor is opened once (read/write, ``O_APPEND``) and serves
+    every append, positional read and map: ``preadv`` carries its own
+    offset, so threads and forked pool workers share it without seeking.
+    """
+
+    def __init__(self, path: Path, label: str) -> None:
+        self.path = path
+        self.label = label
+        self.fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o600)
+        self.starts = np.zeros(0, dtype=np.int64)  # per rank: first item's offset in the file
+        self.counts = np.zeros(0, dtype=np.int64)  # per rank: items spooled (0 = none)
+        self.n_items = 0
+
+    def append(self, rank0: int, counts: np.ndarray, data: np.ndarray) -> None:
+        """Append ``data`` — the items of ranks ``rank0, rank0+1, ...`` back to back."""
+        r1 = rank0 + counts.shape[0]
+        grow = r1 - self.counts.shape[0]
+        if grow > 0:
+            self.starts, self.counts = np.pad(self.starts, (0, grow)), np.pad(self.counts, (0, grow))
+        self.starts[rank0:r1] = self.n_items + np.cumsum(counts) - counts
+        self.counts[rank0:r1] = counts
+        view = memoryview(data).cast("B")
+        done = 0
+        while done < len(view):
+            done += os.write(self.fd, view[done:])
+        self.n_items += int(data.shape[0])
+
+    def extents(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, counts)`` of the ranks in ``[r0, r1)`` that hold items."""
+        counts = self.counts[r0:r1]
+        held = counts > 0
+        return self.starts[r0:r1][held], counts[held]
+
+    def truncated(self, r0: int, r1: int, need: int) -> OSError:
+        """The one error a short spool file raises, whichever read found it."""
+        ranks = f"rank {r0}" if r1 - r0 == 1 else f"ranks {r0}..{r1 - 1}"
+        return OSError(
+            f"spool file {self.path} (label {self.label!r}, {ranks}) is truncated: "
+            f"expected {need} bytes, found {os.fstat(self.fd).st_size}"
+        )
+
+    def read_into(self, view: memoryview, offset: int, r0: int, r1: int) -> None:
+        """Fill ``view`` from file byte ``offset`` on (the extent of ranks ``[r0, r1)``)."""
+        got = 0
+        while got < len(view):
+            n = os.preadv(self.fd, [view[got:]], offset + got)
+            if not n:
+                raise self.truncated(r0, r1, offset + len(view))
+            got += n
+
+    def mapped(self, dtype, start: int, count: int, r0: int, r1: int) -> np.ndarray:
+        """Read-only map of items ``[start, start + count)`` (the extent of ranks ``[r0, r1)``)."""
+        dt = np.dtype(dtype)
+        lo, hi = start * dt.itemsize, (start + count) * dt.itemsize
+        if os.fstat(self.fd).st_size < hi:
+            raise self.truncated(r0, r1, hi)
+        base = lo - lo % mmap.ALLOCATIONGRANULARITY
+        window = mmap.mmap(self.fd, hi - base, access=mmap.ACCESS_READ, offset=base)
+        return np.frombuffer(window, dtype=dt, count=count, offset=lo - base)
+
+
+class SpillSpool:
+    """One run's spool directory: a segment file per exchange label, plus runs.
+
+    Each exchange label owns one append-only ``<label>.data`` file of raw
+    little-endian dtype bytes (``tofile`` format) and, in supermer mode, a
+    parallel ``<label>.lens`` file of length bytes.  Where a destination
+    rank's partition sits inside them is an in-memory index (see
+    :class:`_SegmentFile`) — the directory holds a handful of large
+    sequential files, not P small ones per round.  A label nothing was
+    written to has no file.  When an ``arena`` is given, coalescing and
+    read-back buffers are borrowed from it instead of allocated fresh per
+    call.
     """
 
     def __init__(self, base_dir: Path, *, arena: ScratchArena | None = None) -> None:
@@ -143,8 +231,11 @@ class SpillSpool:
         self.arena = arena
         self.bytes_written = 0
         self.bytes_read = 0
+        self._tally = threading.Lock()  # rank streams on a thread pool account concurrently
+        self._segments: dict[tuple[str, bool], _SegmentFile] = {}
 
-    def _buffer(self, n: int, dtype) -> np.ndarray:
+    def take(self, n: int, dtype) -> np.ndarray:
+        """An uninitialised ``n``-item buffer, from the arena when there is one."""
         if self.arena is not None:
             return self.arena.take(n, dtype)
         return np.empty(n, dtype=dtype)
@@ -154,9 +245,33 @@ class SpillSpool:
         if self.arena is not None:
             self.arena.release(*arrays)
 
-    def partition_path(self, label: str, rank: int, *, lens: bool = False) -> Path:
-        suffix = "lens" if lens else "data"
-        return self.dir / f"{label}.dst{rank}.{suffix}"
+    def _account_read(self, nbytes: int) -> None:
+        with self._tally:
+            self.bytes_read += nbytes
+        _spill_counter("spill_bytes_read_total", "Bytes read back from spool files", nbytes)
+
+    def _account_written(self, nbytes: int) -> None:
+        with self._tally:
+            self.bytes_written += nbytes
+        _spill_counter("spill_bytes_written_total", "Bytes written to spool partition files", nbytes)
+
+    def append_partitions(
+        self, label: str, rank0: int, counts: np.ndarray, data: np.ndarray, *, lens: bool = False
+    ) -> None:
+        """Append the partitions of ranks ``rank0, rank0+1, ...`` in one write.
+
+        ``data`` holds those ranks' partitions back to back, ``counts[i]``
+        items for rank ``rank0 + i``, each in source-rank order.  A rank is
+        appended once per label.
+        """
+        if data.shape[0] == 0:
+            return
+        seg = self._segments.get((label, lens))
+        if seg is None:
+            path = self.dir / f"{label}.{'lens' if lens else 'data'}"
+            seg = self._segments[label, lens] = _SegmentFile(path, label)
+        seg.append(rank0, counts, data)
+        self._account_written(int(data.nbytes))
 
     def write_partition(
         self,
@@ -166,50 +281,74 @@ class SpillSpool:
         *,
         lens: bool = False,
     ) -> int:
-        """Write ``segments`` (in source-rank order) as one partition file.
-
-        The segments are coalesced into a single contiguous buffer and
-        written with one call — P writes per exchange instead of P² tiny
-        per-segment ones, which dominated the spill tier's overhead.
-        """
+        """Append ``segments`` (in source-rank order) as rank ``rank``'s partition."""
         total = sum(int(seg.shape[0]) for seg in segments)
         if total == 0:
             return 0
-        dtype = segments[0].dtype
-        buf = self._buffer(total, dtype)
-        pos = 0
-        for seg in segments:
-            n = int(seg.shape[0])
-            if n:
-                buf[pos : pos + n] = seg
-                pos += n
-        path = self.partition_path(label, rank, lens=lens)
-        with open(path, "wb") as fh:
-            buf[:total].tofile(fh)
+        buf = np.concatenate(segments, out=self.take(total, segments[0].dtype))
+        self.append_partitions(label, rank, np.array([total]), buf, lens=lens)
         self.release(buf)
-        nbytes = total * dtype.itemsize
-        self.bytes_written += nbytes
-        _spill_counter("spill_bytes_written_total", "Bytes written to spool partition files", nbytes)
-        return nbytes
+        return int(buf.nbytes)
 
-    def map_partition(
-        self, label: str, rank: int, dtype, *, lens: bool = False, account: bool = True
-    ) -> np.ndarray:
-        """Memory-map one partition back (empty array if nothing was spooled).
-
-        ``account=False`` skips the read-byte accounting — used when the
-        map is handed out only for checksum verification and the real
-        streamed read happens (and is accounted) later.
-        """
-        path = self.partition_path(label, rank, lens=lens)
-        if not path.exists():
+    def map_partition(self, label: str, rank: int, dtype, *, lens: bool = False) -> np.ndarray:
+        """Read-only map of one partition (empty array if nothing was spooled)."""
+        seg = self._segments.get((label, lens))
+        if seg is None or rank >= seg.counts.shape[0] or not seg.counts[rank]:
             return np.empty(0, dtype=dtype)
-        data = np.memmap(path, dtype=dtype, mode="r")
-        if account:
-            self.bytes_read += int(data.nbytes)
-            _spill_counter(
-                "spill_bytes_read_total", "Bytes read back from spool files", int(data.nbytes)
-            )
+        data = seg.mapped(dtype, int(seg.starts[rank]), int(seg.counts[rank]), rank, rank + 1)
+        self._account_read(int(data.nbytes))
+        return data
+
+    def map_partitions(self, label: str, p: int, dtype, *, lens: bool = False) -> list[np.ndarray]:
+        """Every rank's partition in ``range(p)`` as read-only views of one map of the file.
+
+        For checksum verification only: the reads are not accounted — the
+        streamed count re-reads (and accounts) each partition later.
+        """
+        seg = self._segments.get((label, lens))
+        if seg is None:
+            return [np.empty(0, dtype=dtype)] * p
+        whole = seg.mapped(dtype, 0, seg.n_items, 0, p)
+        starts, counts = np.pad(seg.starts, (0, p))[:p], np.pad(seg.counts, (0, p))[:p]
+        return [whole[s : s + n] for s, n in zip(starts.tolist(), counts.tolist())]
+
+    def read_range(
+        self,
+        label: str,
+        r0: int,
+        r1: int,
+        dtype,
+        *,
+        lens: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Stream the partitions of ranks ``[r0, r1)`` back, concatenated in rank order.
+
+        Partitions that sit back to back in the file — a whole rank block
+        of an exchange does — come in with one positional read into an
+        arena-recycled buffer (or the front of ``out`` when given), so the
+        count phase pays readahead-sized I/O instead of per-page faults or
+        per-rank opens.  Returns the filled array (length 0 when nothing
+        was spooled for these ranks).
+        """
+        dt = np.dtype(dtype)
+        seg = self._segments.get((label, lens))
+        starts, counts = seg.extents(r0, r1) if seg is not None else (np.zeros(0, np.int64),) * 2
+        total = int(counts.sum())
+        data = out[:total] if out is not None else self.take(total, dt)
+        if total == 0:
+            return data
+        view = memoryview(data).cast("B")
+        # One read per run of file-adjacent partitions (one in all when the
+        # ranks were appended in order).
+        ends = starts + counts
+        cuts = np.flatnonzero(starts[1:] != ends[:-1]) + 1
+        pos = 0
+        for a, b in zip((0, *cuts), (*cuts, starts.shape[0])):
+            nbytes = int(ends[b - 1] - starts[a]) * dt.itemsize
+            seg.read_into(view[pos : pos + nbytes], int(starts[a]) * dt.itemsize, r0, r1)
+            pos += nbytes
+        self._account_read(pos)
         return data
 
     def read_partition(
@@ -221,39 +360,20 @@ class SpillSpool:
         lens: bool = False,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Stream one partition back with sequential ``readinto`` reads.
+        """:meth:`read_range` of the one rank ``rank``."""
+        return self.read_range(label, rank, rank + 1, dtype, lens=lens, out=out)
 
-        Unlike :meth:`map_partition` this performs one unbuffered
-        sequential read into an arena-recycled buffer (or the front of
-        ``out`` when given), so the count phase pays readahead-sized I/O
-        instead of per-page faults.  Returns the filled array (a length-0
-        view of ``out`` when nothing was spooled).
+    def drop_partitions(self, label: str) -> None:
+        """Delete a label's files — once its last rank is counted.
+
+        A segment file is shared by every rank, so it is freed whole: a
+        round's spool bytes stay on disk until the count phase is through.
         """
-        dt = np.dtype(dtype)
-        path = self.partition_path(label, rank, lens=lens)
-        if not path.exists():
-            return out[:0] if out is not None else np.empty(0, dtype=dt)
-        size = path.stat().st_size
-        n = size // dt.itemsize
-        data = out[:n] if out is not None else self._buffer(n, dt)
-        view = memoryview(data).cast("B")
-        with open(path, "rb", buffering=0) as fh:
-            got = 0
-            while got < size:
-                n_read = fh.readinto(view[got:size])
-                if not n_read:
-                    raise OSError(f"short read from spool partition {path}")
-                got += n_read
-        self.bytes_read += size
-        _spill_counter("spill_bytes_read_total", "Bytes read back from spool files", size)
-        return data
-
-    def drop_partitions(self, label: str, rank: int) -> None:
-        """Delete one rank's partition files for a label (after counting)."""
         for lens in (False, True):
-            path = self.partition_path(label, rank, lens=lens)
-            if path.exists():
-                path.unlink()
+            seg = self._segments.pop((label, lens), None)
+            if seg is not None:
+                os.close(seg.fd)
+                seg.path.unlink(missing_ok=True)
 
     def write_run(self, rank: int, keys: np.ndarray, counts: np.ndarray) -> Path:
         """Persist one rank's sorted (key, count) run for the external merge.
@@ -266,23 +386,25 @@ class SpillSpool:
         with open(path, "wb") as fh:
             np.ascontiguousarray(keys, dtype=np.uint64).tofile(fh)
             np.ascontiguousarray(counts, dtype=np.int64).tofile(fh)
-        nbytes = int(keys.nbytes + counts.nbytes)
-        self.bytes_written += nbytes
-        _spill_counter("spill_bytes_written_total", "Bytes written to spool partition files", nbytes)
+        self._account_written(int(keys.nbytes + counts.nbytes))
         _spill_counter("spill_merge_runs_total", "Sorted runs produced for the external merge", 1)
         return path
 
     def map_run(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(keys, counts)`` views of one map of rank ``rank``'s run file."""
         path = self.dir / f"run.r{rank}.bin"
         size = path.stat().st_size if path.exists() else 0
         if size == 0:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        n = size // 16  # 8 B key + 8 B count per entry
-        keys = np.memmap(path, dtype=np.uint64, mode="r", shape=(n,))
-        counts = np.memmap(path, dtype=np.int64, mode="r", offset=n * 8, shape=(n,))
-        self.bytes_read += size
-        _spill_counter("spill_bytes_read_total", "Bytes read back from spool files", size)
-        return keys, counts
+        if size % 16:  # 8 B key + 8 B count per entry
+            raise OSError(
+                f"spool run file {path} (rank {rank}) is truncated: "
+                f"{size} bytes is not a whole number of 16-byte (key, count) entries"
+            )
+        n = size // 16
+        words = np.memmap(path, dtype=np.uint64, mode="r", shape=(2 * n,))
+        self._account_read(size)
+        return words[:n], words[n:].view(np.int64)
 
     def pending_files(self) -> tuple[int, int]:
         """(file count, total bytes) still sitting in the spool directory."""
@@ -306,6 +428,9 @@ class SpillSpool:
                 bytes=n_bytes,
                 dir=str(self.dir),
             )
+        for seg in self._segments.values():
+            os.close(seg.fd)
+        self._segments.clear()
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
@@ -316,10 +441,11 @@ class SpillExchange:
     record, the collective-layer telemetry counters, the end-to-end
     checksum verification, and the modeled phase time are all computed
     exactly as the in-memory exchange computes them.  Only the data
-    placement differs — each destination's segments are appended to a
-    per-(rank, label) partition file, and ``recv_data`` comes back as
-    read-only memory maps that exist only for the checksum pass (their
-    reads are not accounted; the streamed count re-reads each partition).
+    placement differs — the round is gathered one destination block at a
+    time (:data:`SPOOL_BLOCK_BYTES`) into the label's segment file, and
+    ``recv_data`` comes back as read-only views of one memory map of that
+    file, which exist only for the checksum pass (their reads are not
+    accounted; the streamed count re-reads each partition).
     """
 
     def __init__(self, spool: SpillSpool) -> None:
@@ -329,7 +455,6 @@ class SpillExchange:
         p = len(send_data)
         wire = ctx.wire_bytes
         counts_matrix = np.zeros((p, p), dtype=np.int64)
-        offsets = []
         for src in range(p):
             counts = np.ascontiguousarray(send_counts[src], dtype=np.int64)
             if counts.shape != (p,):
@@ -339,9 +464,6 @@ class SpillExchange:
                     f"rank {src}: counts sum {int(counts.sum())} != data length {send_data[src].shape[0]}"
                 )
             counts_matrix[src] = counts
-            off = np.zeros(p + 1, dtype=np.int64)
-            np.cumsum(counts, out=off[1:])
-            offsets.append(off)
 
         # Model accounting first, identical to alltoallv_segments: one
         # logical alltoallv for the payload (recorded into the traffic
@@ -354,28 +476,13 @@ class SpillExchange:
         if send_lengths is not None:
             _record_comm_telemetry(p)
 
-        # The disk form of recv_data[dst]: every source's segment for dst,
-        # in source-rank order — byte-identical to the in-memory gather.
-        for dst in range(p):
-            segs = [send_data[src][offsets[src][dst] : offsets[src][dst + 1]] for src in range(p)]
-            self.spool.write_partition(label, dst, segs)
-            if send_lengths is not None:
-                lens = [
-                    send_lengths[src][offsets[src][dst] : offsets[src][dst + 1]] for src in range(p)
-                ]
-                self.spool.write_partition(label, dst, lens, lens=True)
+        self._spool_round(send_data, send_lengths, counts_matrix, label)
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
 
-        recv_data = [
-            self.spool.map_partition(label, dst, send_data[0].dtype, account=False)
-            for dst in range(p)
-        ]
+        recv_data = self.spool.map_partitions(label, p, send_data[0].dtype)
         recv_lengths = None
         if send_lengths is not None:
-            recv_lengths = [
-                self.spool.map_partition(label, dst, np.uint8, lens=True, account=False)
-                for dst in range(p)
-            ]
+            recv_lengths = self.spool.map_partitions(label, p, np.uint8, lens=True)
 
         do_verify = ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange
         if do_verify:
@@ -391,6 +498,46 @@ class SpillExchange:
             staging_seconds=t_stage,
             link_seconds=links,
         )
+
+    def _spool_round(self, send_data, send_lengths, counts_matrix: np.ndarray, label: str) -> None:
+        """Append the disk form of ``recv_data`` to the label's file, block by block.
+
+        The disk form is every destination's partition in rank order, each
+        holding its sources' segments in source-rank order — byte-identical
+        to the in-memory gather.  Send buffers are destination-ordered, so
+        a block of consecutive destinations is one contiguous slice per
+        source: the P slices are staged back to back (src-major) and
+        permuted to (dst, src)-major with one gather, the index
+        ``alltoallv_flat`` builds for the whole round restricted to the
+        block.  The transient is the two block buffers plus that index.
+        """
+        spool = self.spool
+        p = counts_matrix.shape[0]
+        offsets = np.zeros((p, p + 1), dtype=np.int64)  # [src, dst]: start of the segment for dst
+        np.cumsum(counts_matrix, axis=1, out=offsets[:, 1:])
+        item_bytes = send_data[0].dtype.itemsize + (send_lengths is not None)
+        for d0, d1 in _rank_blocks(counts_matrix.sum(axis=0) * item_bytes, SPOOL_BLOCK_BYTES):
+            block = counts_matrix[:, d0:d1]  # [src, dst - d0]
+            total = int(block.sum())
+            if total == 0:
+                continue
+            idx = None
+            if d1 - d0 > 1:  # one destination's sources are already in order
+                staged_starts = (np.cumsum(block) - block.reshape(-1)).reshape(block.shape)
+                idx = segment_gather_index(staged_starts.T.reshape(-1), block.T.reshape(-1))
+            recv_counts = block.sum(axis=0)
+            bounds = list(zip(offsets[:, d0].tolist(), offsets[:, d1].tolist()))
+            for send, lens in ((send_data, False), (send_lengths, True)):
+                if send is None:
+                    continue
+                slices = [buf[lo:hi] for buf, (lo, hi) in zip(send, bounds)]
+                staged = np.concatenate(slices, out=spool.take(total, send[0].dtype))
+                if idx is not None:
+                    ordered = np.take(staged, idx, out=spool.take(total, staged.dtype))
+                    spool.release(staged)
+                    staged = ordered
+                spool.append_partitions(label, d0, recv_counts, staged, lens=lens)
+                spool.release(staged)
 
 
 def external_merge(
@@ -557,8 +704,9 @@ class Spooled(Resident):
         """Per-rank streamed count, one rank partition at a time.
 
         Each rank's stream is private in memory (its own table) and on
-        disk (per-rank partition and run files), so the pool may run rank
-        streams concurrently on any substrate.  ``tables is None`` is the
+        disk (its own extent of each round's segment file, read at an
+        offset through the shared descriptor, and its own run file), so the
+        pool may run rank streams concurrently on any substrate.  ``tables is None`` is the
         one-shot run: fresh table per rank, dumped as a sorted run.  As on
         every per-rank path, a persistent table travels back with the
         outcomes for out-of-process substrates.
@@ -585,8 +733,6 @@ class Spooled(Resident):
                 if recorder is not None:
                     recorder.record("count" + suffix, r, t0, perf_counter())
                 spool.release(recv, lengths_r)
-            for label in labels:
-                spool.drop_partitions(label, r)
             if tables is not None:
                 return outcomes, table
             t0 = perf_counter()
@@ -602,6 +748,8 @@ class Spooled(Resident):
             return outcomes, (table.n_entries, table.load_factor)
 
         streamed = sctx.pool.map(_stream_one, range(len(hints)), recorder=recorder)
+        for label in labels:  # the last rank is counted: free the rounds' files
+            spool.drop_partitions(label)
         for r, (outcomes, kept) in enumerate(streamed):
             for co in outcomes:  # round order per rank: identical float accumulation
                 acct.add_rank_count(r, co)
@@ -617,9 +765,9 @@ class Spooled(Resident):
 
         For every consecutive rank block (sized by partition bytes against
         :data:`FUSED_SPILL_BLOCK_BYTES`) and every round label, the block's
-        partitions are read back into one contiguous arena buffer and
-        counted via the flat count kernel restricted to the block
-        (``rank_range``).  Bit-identity with the resident flat count holds
+        partitions — contiguous in the round's segment file — are read back
+        with one positional read into an arena buffer and counted via the
+        flat count kernel restricted to the block (``rank_range``).  Bit-identity with the resident flat count holds
         because (a) the segmented table's regions are slot-disjoint, so any
         grouping of whole ranks per insert call leaves every per-rank probe
         sequence unchanged, (b) rounds run innermost, so each rank sees its
@@ -635,30 +783,25 @@ class Spooled(Resident):
         item_bytes = 9 if supermer_mode else 8  # 8 B payload + 1 B length
         blocks = _rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES)
         for r0, r1 in blocks:
-            nb = r1 - r0
             for rnd, label in enumerate(labels):
                 suffix = f"-round{rnd}" if n_rounds > 1 else ""
-                total = int(self.round_recv[rnd][r0:r1].sum())
+                dst_offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+                np.cumsum(self.round_recv[rnd][r0:r1], out=dst_offsets[1:])
+                total = int(dst_offsets[-1])
                 t0 = perf_counter()
-                shuffled = arena.take(total, np.uint64)
-                shuffled_lengths = arena.take(total, np.uint8) if supermer_mode else None
-                dst_offsets = np.zeros(nb + 1, dtype=np.int64)
-                pos = 0
-                for i, r in enumerate(range(r0, r1)):
-                    part = spool.read_partition(label, r, np.uint64, out=shuffled[pos:])
-                    if supermer_mode:
-                        spool.read_partition(
-                            label, r, np.uint8, lens=True, out=shuffled_lengths[pos:]
-                        )
-                    pos += int(part.shape[0])
-                    dst_offsets[i + 1] = pos
+                shuffled = spool.read_range(label, r0, r1, np.uint64, out=arena.take(total, np.uint64))
+                shuffled_lengths = None
+                if supermer_mode:
+                    shuffled_lengths = spool.read_range(
+                        label, r0, r1, np.uint8, lens=True, out=arena.take(total, np.uint8)
+                    )
                 if recorder is not None:
                     recorder.record("spill:read" + suffix, r0, t0, perf_counter())
                 t0 = perf_counter()
                 times, n_seen, ins_list = self.layout._count(
                     table,
-                    shuffled[:pos],
-                    shuffled_lengths[:pos] if supermer_mode else None,
+                    shuffled,
+                    shuffled_lengths,
                     dst_offsets,
                     sctx,
                     rank_range=(r0, r1),
@@ -667,9 +810,8 @@ class Spooled(Resident):
                     recorder.record("fused:count" + suffix, r0, t0, perf_counter())
                 arena.release(shuffled, shuffled_lengths)
                 acct.add_count(r0, times, n_seen, ins_list)
-            for r in range(r0, r1):
-                for label in labels:
-                    spool.drop_partitions(label, r)
+        for label in labels:  # the last block is counted: free the rounds' files
+            spool.drop_partitions(label)
 
     def merge(self, tables) -> tuple[str, KmerSpectrum]:
         if self.run_fill is None:

@@ -17,11 +17,14 @@ tests pin what that buys, cell by cell against the ``staged`` cell:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
+from repro.core.stages.buffers import RankParse
+from repro.core.stages.scheduler import _round_slice
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -167,3 +170,62 @@ def test_batch_exchange_spans_carry_link_seconds(strategy, tmp_path):
     links = exchange.meta["link_seconds"]
     assert links and all(seconds >= 0.0 for seconds in links.values())
     assert exchange.meta["model_seconds"] == counter.timing.exchange
+
+
+def _round_slice_reference(pr, rnd: int, n_rounds: int):
+    """The per-destination scalar loop ``_round_slice`` replaced, kept as the oracle."""
+    if n_rounds == 1:
+        return pr.data, pr.lengths, pr.counts
+    p = pr.counts.shape[0]
+    offsets = np.concatenate(([0], np.cumsum(pr.counts)))
+    pieces, lpieces = [], []
+    counts = np.zeros(p, dtype=np.int64)
+    for dst in range(p):
+        seg_start, seg_end = offsets[dst], offsets[dst + 1]
+        seg_len = seg_end - seg_start
+        lo = seg_start + (seg_len * rnd) // n_rounds
+        hi = seg_start + (seg_len * (rnd + 1)) // n_rounds
+        counts[dst] = hi - lo
+        pieces.append(pr.data[lo:hi])
+        if pr.lengths is not None:
+            lpieces.append(pr.lengths[lo:hi])
+    data = np.concatenate(pieces) if pieces else pr.data[:0]
+    lengths = (np.concatenate(lpieces) if lpieces else None) if pr.lengths is not None else None
+    return data, lengths, counts
+
+
+@pytest.mark.parametrize("n_rounds", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
+@pytest.mark.parametrize("p", [1, 6, 42])
+def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
+    """Vectorised round split ≡ the old loop; rounds tile every segment in order."""
+    rng = np.random.default_rng(100 * p + n_rounds)
+    counts = rng.integers(0, 12, size=p).astype(np.int64)  # lengths not divisible by n_rounds
+    counts[rng.random(p) < 0.3] = 0  # destinations that get nothing
+    n = int(counts.sum())
+    pr = RankParse(
+        data=rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
+        lengths=rng.integers(1, 200, size=n).astype(np.uint8) if with_lengths else None,
+        counts=counts,
+        time_s=0.0,
+        n_kmers_parsed=n,
+        n_supermers=0,
+        supermer_bases=0,
+    )
+    rounds = [_round_slice(pr, rnd, n_rounds) for rnd in range(n_rounds)]
+    for rnd, (data, lengths, rcounts) in enumerate(rounds):
+        ref_data, ref_lengths, ref_counts = _round_slice_reference(pr, rnd, n_rounds)
+        assert data.dtype == ref_data.dtype and np.array_equal(data, ref_data)
+        assert rcounts.dtype == np.int64 and np.array_equal(rcounts, ref_counts)
+        assert (lengths is None) == (ref_lengths is None)
+        if lengths is not None:
+            assert lengths.dtype == np.uint8 and np.array_equal(lengths, ref_lengths)
+    assert np.array_equal(sum(rc for _, _, rc in rounds), pr.counts)
+    # Per destination, the rounds' pieces concatenate back to the original segment.
+    seg_offsets = np.concatenate(([0], np.cumsum(pr.counts)))
+    round_offsets = [np.concatenate(([0], np.cumsum(rc))) for _, _, rc in rounds]
+    for dst in range(p):
+        for field in (0, 1) if with_lengths else (0,):
+            pieces = [r[field][off[dst] : off[dst + 1]] for r, off in zip(rounds, round_offsets)]
+            original = (pr.data, pr.lengths)[field][seg_offsets[dst] : seg_offsets[dst + 1]]
+            assert np.array_equal(np.concatenate(pieces), original)

@@ -9,7 +9,10 @@ statistics, round counts, and the model-metric telemetry snapshot.  Only
 
 from __future__ import annotations
 
+import builtins
+import io
 import logging
+import os
 import random
 
 import numpy as np
@@ -18,9 +21,17 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.spill import MERGE_BLOCK_KEYS, SpillSpool, external_merge, supports_spill
+from repro.core.stages.spill import (
+    MERGE_BLOCK_KEYS,
+    SpillExchange,
+    SpillSpool,
+    Spooled,
+    external_merge,
+    supports_spill,
+)
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator, simulate_dataset
 from repro.kmers.spectrum import count_kmers_exact
+from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import summit_cpu, summit_gpu
 from repro.telemetry import MetricRegistry
 
@@ -557,6 +568,66 @@ class TestSpillCleanupOnFailure:
         assert list(table_dir.iterdir()) == []
 
 
+class TestTruncatedSpoolFiles:
+    """A spool or run file cut short mid-run is one descriptive ``OSError``.
+
+    The index knows every partition's extent, so a short file can no
+    longer be counted silently with fewer items; the failed drive still
+    announces and removes its spool.
+    """
+
+    def _assert_truncation(self, caplog, reads, spill_dir, options, match):
+        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
+            with pytest.raises(OSError, match=match):
+                run_pipeline(
+                    reads,
+                    summit_gpu(1),
+                    PipelineConfig(k=15, mode="kmer", n_rounds=2),
+                    backend="gpu",
+                    options=options,
+                )
+        assert any("engine.spill.cleanup" in rec.message for rec in caplog.records)
+        assert list(spill_dir.iterdir()) == []  # no spool-* directory left
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["spill", "fused-spill"])
+    def test_truncated_round_file(self, caplog, genome_reads, tmp_path, monkeypatch, fused):
+        count = Spooled.count
+
+        def truncate_then_count(self, *args, **kwargs):
+            # Every round is on disk and the send buffers are gone: cut the
+            # last round's file in half before the first read-back.
+            path = self.spool.dir / f"{self.labels[-1]}.data"
+            os.truncate(path, path.stat().st_size // 2 // 8 * 8)
+            return count(self, *args, **kwargs)
+
+        monkeypatch.setattr(Spooled, "count", truncate_then_count)
+        self._assert_truncation(
+            caplog,
+            genome_reads,
+            tmp_path,
+            EngineOptions(spill_dir=tmp_path, fused=fused),
+            r"kmer-exchange-round1\.data \(label 'kmer-exchange-round1', ranks? [\d.]+\) "
+            r"is truncated: expected \d+ bytes, found \d+",
+        )
+
+    def test_truncated_run_file(self, caplog, genome_reads, tmp_path, monkeypatch):
+        map_run = SpillSpool.map_run
+
+        def truncate_then_map(self, rank):
+            path = self.dir / f"run.r{rank}.bin"
+            os.truncate(path, path.stat().st_size - 8)
+            return map_run(self, rank)
+
+        monkeypatch.setattr(SpillSpool, "map_run", truncate_then_map)
+        self._assert_truncation(
+            caplog,
+            genome_reads,
+            tmp_path,
+            EngineOptions(spill_dir=tmp_path),
+            r"run\.r0\.bin \(rank 0\) is truncated: \d+ bytes is not a whole number of 16-byte",
+        )
+
+
 class TestHostBudgetFloor:
     """A budget below one received item's working set must fail loudly."""
 
@@ -754,6 +825,191 @@ class TestSpillSpool:
         spool.close()
         assert not spool.dir.exists()
         assert tmp_path.exists()
+
+
+def _random_send(rng: np.random.Generator, p: int, with_lengths: bool, empty_round: bool):
+    """Destination-ordered send buffers with empty rows, columns and segments."""
+    counts = rng.integers(0, 9, size=(p, p))
+    counts[rng.random((p, p)) < 0.3] = 0
+    if p > 1:
+        counts[rng.integers(p)] = 0  # a source with nothing to send
+        counts[:, rng.integers(p)] = 0  # a destination that receives nothing
+    if empty_round:
+        counts[:] = 0
+    send_data = [rng.integers(0, 1 << 63, size=int(row.sum()), dtype=np.uint64) for row in counts]
+    send_lengths = (
+        [rng.integers(1, 200, size=d.shape[0]).astype(np.uint8) for d in send_data]
+        if with_lengths
+        else None
+    )
+    return send_data, send_lengths, counts.astype(np.int64)
+
+
+class TestSpoolRoundTrip:
+    """What comes back from the segment file is ``alltoallv_segments``' ``recv_data``."""
+
+    def _assert_reads_back(self, spool, label, expected, dtype, lens, rng):
+        p = len(expected)
+        for r in range(p):
+            assert spool.read_partition(label, r, dtype, lens=lens).tobytes() == expected[r].tobytes()
+            mapped = spool.map_partition(label, r, dtype, lens=lens)
+            assert mapped.dtype == dtype and mapped.tobytes() == expected[r].tobytes()
+        for _ in range(8):
+            r0, r1 = sorted(rng.integers(0, p + 1, size=2))
+            whole = b"".join(part.tobytes() for part in expected[r0:r1])
+            assert spool.read_range(label, r0, r1, dtype, lens=lens).tobytes() == whole
+            out = np.empty(len(whole) // np.dtype(dtype).itemsize + 3, dtype=dtype)
+            got = spool.read_range(label, r0, r1, dtype, lens=lens, out=out)
+            assert got.tobytes() == whole and (got.size == 0 or np.shares_memory(got, out))
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 64])
+    @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
+    @pytest.mark.parametrize("block_items", [1, 5, 40, 1 << 18])
+    def test_bulk_append_matches_alltoallv(self, tmp_path, monkeypatch, p, with_lengths, block_items):
+        import repro.core.stages.spill as spill_mod
+
+        # A few items per block: boundaries fall inside, at and across ranks.
+        monkeypatch.setattr(spill_mod, "SPOOL_BLOCK_BYTES", block_items * (9 if with_lengths else 8))
+        rng = np.random.default_rng(1000 * p + block_items)
+        spool = SpillSpool(tmp_path)
+        try:
+            for rnd, empty_round in enumerate((False, True, False)):
+                send_data, send_lengths, counts = _random_send(rng, p, with_lengths, empty_round)
+                label = f"round{rnd}"
+                SpillExchange(spool)._spool_round(send_data, send_lengths, counts, label)
+                assert spool.pending_files()[0] <= (rnd + 1) * (2 if with_lengths else 1)
+                recv, _ = alltoallv_segments(send_data, list(counts))
+                self._assert_reads_back(spool, label, recv, np.uint64, False, rng)
+                if with_lengths:
+                    recv_lens, _ = alltoallv_segments(send_lengths, list(counts))
+                    self._assert_reads_back(spool, label, recv_lens, np.uint8, True, rng)
+            expected_bytes = sum(p.stat().st_size for p in spool.dir.iterdir())
+            assert spool.bytes_written == expected_bytes
+        finally:
+            spool.close()
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 64])
+    def test_write_partition_in_shuffled_rank_order(self, tmp_path, p):
+        rng = np.random.default_rng(p)
+        send_data, send_lengths, counts = _random_send(rng, p, True, False)
+        offsets = np.zeros((p, p + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=offsets[:, 1:])
+        spool = SpillSpool(tmp_path)
+        try:
+            for dst in rng.permutation(p):
+                for send, lens in ((send_data, False), (send_lengths, True)):
+                    segs = [send[src][offsets[src, dst] : offsets[src, dst + 1]] for src in range(p)]
+                    spool.write_partition("lbl", int(dst), segs, lens=lens)
+            assert spool.pending_files()[0] <= 2
+            recv, _ = alltoallv_segments(send_data, list(counts))
+            self._assert_reads_back(spool, "lbl", recv, np.uint64, False, rng)
+            recv_lens, _ = alltoallv_segments(send_lengths, list(counts))
+            self._assert_reads_back(spool, "lbl", recv_lens, np.uint8, True, rng)
+        finally:
+            spool.close()
+
+
+    def test_concurrent_reads_share_one_descriptor(self, tmp_path):
+        """More reader threads than cores on one segment file: every byte and the tally exact."""
+        import sys
+        import threading
+
+        p, n_threads = 64, 8
+        rng = np.random.default_rng(7)
+        send_data, _, counts = _random_send(rng, p, False, False)
+        recv, _ = alltoallv_segments(send_data, list(counts))
+        spool = SpillSpool(tmp_path)
+        SpillExchange(spool)._spool_round(send_data, None, counts, "lbl")
+        wrong: list[int] = []
+
+        def reader(seed: int) -> None:
+            for r in np.random.default_rng(seed).permutation(p):
+                if spool.read_partition("lbl", int(r), np.uint64).tobytes() != recv[r].tobytes():
+                    wrong.append(int(r))
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            alive = [t for t in threads if t.is_alive()]
+            spool.close()
+        assert not alive and not wrong
+        assert spool.bytes_read == n_threads * spool.bytes_written
+
+
+class TestSpoolFileCount:
+    """The spool is a handful of files: counted, not timed.
+
+    A round is one segment file (two in supermer mode) whatever the rank
+    count, and the opens made on spool files grow with rounds and runs,
+    never with ranks × rounds.  Under a process substrate the workers'
+    opens are not seen from here, which only loosens the same bounds.
+    """
+
+    def _run_counting(self, monkeypatch, reads, cluster, config, backend, options):
+        opened: list[str] = []
+        pending: list[int] = []
+
+        def counting(real):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    opened.append(os.path.basename(os.fspath(file)))
+                return real(file, *args, **kwargs)
+
+            return wrapper
+
+        exchange = Spooled.exchange
+
+        def exchange_then_list(self, *args, **kwargs):
+            outcome = exchange(self, *args, **kwargs)
+            pending.append(self.spool.pending_files()[0])
+            return outcome
+
+        monkeypatch.setattr(Spooled, "exchange", exchange_then_list)
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(io, "open", counting(io.open))
+        monkeypatch.setattr(os, "open", counting(os.open))
+        result = run_pipeline(reads, cluster, config, backend=backend, options=options)
+        monkeypatch.undo()
+        rounds = [name for name in opened if name.endswith((".data", ".lens"))]
+        runs = [name for name in opened if name.startswith("run.r")]
+        return result, pending, rounds, runs
+
+    def test_per_rank_spill_two_rounds(self, genome_reads, tmp_path, monkeypatch):
+        cluster = summit_cpu(2)
+        assert cluster.n_ranks >= 64
+        result, pending, rounds, runs = self._run_counting(
+            monkeypatch,
+            genome_reads,
+            cluster,
+            PipelineConfig(k=15, mode="kmer", n_rounds=2),
+            "cpu",
+            EngineOptions(spill_dir=tmp_path),
+        )
+        assert result.n_rounds_used == 2 and result.spectrum.equals(count_kmers_exact(genome_reads, 15))
+        assert pending == [1, 2]  # one file per round so far
+        assert len(rounds) <= 2 * 2  # per round: the descriptor and the checksum map
+        assert len(runs) <= 2 * cluster.n_ranks  # per run: written once, mapped once
+
+    def test_fused_spill_supermer_two_rounds(self, genome_reads, tmp_path, monkeypatch):
+        cluster = summit_cpu(2)
+        result, pending, rounds, runs = self._run_counting(
+            monkeypatch,
+            genome_reads,
+            cluster,
+            PipelineConfig(k=17, mode="supermer", n_rounds=2),
+            "cpu",
+            EngineOptions(spill_dir=tmp_path, fused=True),
+        )
+        assert result.n_rounds_used == 2 and result.spectrum.equals(count_kmers_exact(genome_reads, 17))
+        assert pending == [2, 4]  # payload + length bytes per round
+        assert len(rounds) <= 2 * 4 and not runs  # the flat layout merges in memory
 
 
 # ---------------------------------------------------------------------------
