@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""CI guard: the fused path must stay identical and stay fast.
+"""CI guard: every execution path must stay identical, the model exact.
 
 Runs a deliberately small slice of the fig6 grid (one Table I dataset,
-all three variants) with the staged-sequential and fused paths timed
-back-to-back, then enforces these gates:
+all three variants) through the staged-sequential, fused, spilled and
+process-substrate paths, then enforces these gates — all exact
+comparisons, none depending on how fast the host is:
 
 1. **identity** — the fused results must be bit-identical to the staged
    results (spectrum, timing floats, traffic, insert statistics), and so
@@ -13,15 +14,11 @@ back-to-back, then enforces these gates:
    (``parallel="process:2"``, forked workers + shared-memory transport;
    skipped only where ``os.fork`` does not exist).  Any divergence is an
    immediate failure; there is no tolerance.
-2. **speedup floor** — the measured staged/fused host-time ratio must
-   not fall below the committed ``BENCH_fused.json`` grid ratio scaled
-   by the benchmark's noise band.  The ratio is a same-machine paired
-   measurement, so unlike absolute seconds it transfers across CI
-   hardware; the noise-band scaling absorbs the remaining jitter of a
-   shared runner and the smaller workload.  The gate is machine-aware:
-   on a single-core host (``os.cpu_count() == 1``) identity is still
-   enforced but speedup floors are skipped with an explicit message — a
-   one-core runner can prove correctness, not concurrency.
+2. *(retired)* — the fused path's host cost is bounded in absolute
+   seconds by the ``grid-staged`` / ``grid-fused`` workloads of
+   ``benchmarks/perf`` (``wall_s``); the staged/fused *ratio* floor
+   skipped itself on one-core hosts and bounded nothing those two
+   numbers do not.
 3. **calibration drift** — each cell's *modeled* phase seconds (parse,
    exchange, count) must equal the ``model_times`` recorded in
    ``BENCH_fused.json`` before the machine-model refactor, exactly.
@@ -59,7 +56,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_stages import NOISE_BAND, _assert_identical, _run_grid  # noqa: E402
+from bench_stages import _assert_identical, _run_grid  # noqa: E402
 
 from repro.core.memory import ScratchArena  # noqa: E402
 
@@ -76,20 +73,16 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     committed = json.loads(Path(args.bench).read_text())
-    committed_speedup = committed["fused_speedup"]
-    floor = round(NOISE_BAND[0] * committed_speedup, 3)
 
     datasets = [d for d in args.datasets.split(",") if d]
     substrates = ("process:2",) if hasattr(os, "fork") else ()
     with tempfile.TemporaryDirectory(prefix="guard-spool-") as spool:
         cells = _run_grid(
-            datasets, args.nodes, 1, args.repeats, ScratchArena(),
-            spill_dir=spool, substrates=substrates,
+            datasets, args.nodes, args.repeats, ScratchArena(), spill_dir=spool, substrates=substrates
         )
 
     committed_model = committed.get("model_times", {})
     drifted: list[str] = []
-    total_seq = total_fused = 0.0
     for key, (best, results) in cells.items():
         _assert_identical(results["sequential"], results["fused"], f"{key} (fused)")
         _assert_identical(results["sequential"], results["spill"], f"{key} (spill)")
@@ -110,8 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             for phase, want in expected.items():
                 if got[phase] != want:
                     drifted.append(f"{key}: {phase} modeled {got[phase]!r}, committed {want!r}")
-        total_seq += best["sequential"]
-        total_fused += best["fused"]
         print(
             f"  {key:45s} seq {best['sequential']:7.3f}s  fused {best['fused']:7.3f}s "
             f"({best['sequential'] / best['fused']:.2f}x)"
@@ -164,23 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(f"figure calibration: {figures_bench} not found; gate skipped")
 
-    cpu_count = os.cpu_count() or 1
     substrate_label = " + ".join(substrates) if substrates else "no process substrate (no fork)"
-    speedup = total_seq / total_fused
-    print(
-        f"fused + spill + {substrate_label} identity: OK; fused speedup {speedup:.3f}x "
-        f"(committed {committed_speedup}x, floor {floor}x = {NOISE_BAND[0]} * committed; "
-        f"cpu_count={cpu_count})"
-    )
-    if cpu_count < 2:
-        print(
-            f"speedup floor: SKIPPED (cpu_count={cpu_count}; a single-core host proves "
-            "bit-identity but cannot demonstrate concurrency — see docs/EXECUTION.md)"
-        )
-        return 0
-    if speedup < floor:
-        print(f"FAIL: fused speedup {speedup:.3f}x fell below the floor {floor}x", file=sys.stderr)
-        return 1
+    print(f"fused + spill + {substrate_label} identity: OK")
     return 0
 
 

@@ -32,10 +32,11 @@ def test_ablation_probing(benchmark, cache, results_dir):
             subset = kmers[:n]
             row = [f"{n / capacity:.2f}"]
             for probing in ("linear", "quadratic", "double"):
-                table = DeviceHashTable(64, probing=probing, max_load_factor=0.97)
-                table._alloc(capacity)
-                table._n_entries = 0
-                stats = table._insert_unique(subset, np.ones(n, dtype=np.int64))
+                # Half the capacity as the hint sizes the table to exactly
+                # ``capacity`` at this load-factor cap, and no load resizes it.
+                table = DeviceHashTable(capacity // 2, probing=probing, max_load_factor=0.97)
+                assert table.capacity == capacity
+                stats = table.insert_batch(subset, assume_unique=True)
                 row.append(f"{stats.total_probes / n:.2f} (max {stats.max_probe})")
             rows.append(row)
         return rows

@@ -131,7 +131,7 @@ class ExchangeOutcome:
     staging_seconds: float  # host<->device staging copies
     # Per-link (name, seconds) breakdown of the routed alltoallv, innermost
     # link first, with staging appended as a "host-staging" row when it
-    # applies.  Empty only for legacy constructors.
+    # applies (every exchange fills it from ``exchange_time_model``).
     link_seconds: tuple[tuple[str, float], ...] = ()
     recv_offsets: np.ndarray | None = None  # flat layout only
 

@@ -1,7 +1,7 @@
 """Run options and the per-run stage context.
 
-:class:`EngineOptions` is the public backend/substrate knob set (moved here
-from :mod:`repro.core.engine`, which re-exports it for compatibility).  The
+:class:`EngineOptions` is the public backend/substrate knob set (defined
+here; :mod:`repro.core.engine`, the documented entry point, exports it).  The
 :class:`StageContext` is the single object threaded through every stage
 invocation: configuration, cluster, substrate options, the rank pool, and
 the run's accounting sinks.  Stages never reach for globals — everything a

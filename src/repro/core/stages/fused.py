@@ -24,12 +24,15 @@ simulator itself:
 
 Bit-identity contract: every observable of the staged path — spectrum,
 per-rank model times, timing floats, traffic matrices and byte totals,
-InsertStats, model-metric telemetry — is reproduced exactly.  Per-rank
-model times are recomputed with the identical scalar formulas on
-identical per-rank quantities; per-rank probe behaviour is identical by
-the segmented table's construction (see its module docstring).  The
-golden suite replays the full engine matrix with ``fused=True`` against
-the same golden file to enforce this.
+InsertStats, model-metric telemetry — is reproduced exactly, and by
+construction rather than by keeping copies in step: per-rank model times
+and kernel telemetry are the composition's own substrate charges
+(``comp.substrate.charge_parse`` / ``charge_count``) looped over the
+per-rank figures, k-mer extraction is ``comp.count.extract_kmers``, the
+checksum is ``verify_exchange``, and the segmented table probes through
+the per-rank table's functions (see its module docstring).  The golden
+suite replays the full engine matrix with ``fused=True`` against the
+same golden file.
 
 Compositions whose stages are not the standard classes (custom
 registered stages) fall back to the per-rank layout; plugin *hooks*
@@ -50,13 +53,11 @@ import numpy as np
 
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet
-from ...gpu.costmodel import KernelCostModel, TrafficEstimate
 from ...gpu.hashtable import InsertStats
-from ...gpu.segmented import SegmentedHashTable
+from ...gpu.segmented import SegmentedHashTable, rank_blocks
 from ...kmers.extract import window_values
-from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
+from ...kmers.supermers import build_supermers_with_positions
 from ...mpi.collectives import alltoallv_flat
-from ...telemetry import active
 from ..memory import ScratchArena
 from ..parallel import get_pool
 from .buffers import ExchangeOutcome, ParseSummary, round_split
@@ -72,7 +73,7 @@ from .standard import (
     SupermerParse,
     TableCount,
     exchange_time_model,
-    outgoing_buffer_hot_fraction,
+    verify_exchange,
 )
 
 __all__ = ["FlatLayout", "supports_fusion"]
@@ -96,26 +97,12 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _shard_blocks(code_base: np.ndarray, target: int) -> list[tuple[int, int]]:
-    """Consecutive shard ranges of roughly ``target`` codes each."""
-    p = code_base.shape[0] - 1
-    blocks: list[tuple[int, int]] = []
-    s = 0
-    while s < p:
-        e = s + 1
-        while e < p and code_base[e + 1] - code_base[s] <= target:
-            e += 1
-        blocks.append((s, e))
-        s = e
-    return blocks
-
-
 def supports_fusion(comp: StageComposition) -> bool:
     """Whether a composition consists solely of the standard stage types.
 
-    The fused path re-implements the standard stages' data flow; a
-    composition carrying a *custom* stage class must keep the staged
-    scheduler (its semantics are unknown here).  Plugins are fine: they
+    The flat layout runs the standard stages' bodies once over all ranks;
+    a composition carrying a *custom* stage class must keep the per-rank
+    layout (its semantics are unknown here).  Plugins are fine: they
     act through the standard seams (per-rank receive filter, merge
     adjustment, partition override), all of which the fused path honours.
     """
@@ -257,7 +244,7 @@ class FlatLayout:
         # its slice of the flat code array and returns fresh arrays, so
         # any substrate may run blocks concurrently and the in-order
         # concatenation below is bit-identical to the serial loop.
-        blocks = _shard_blocks(code_base, PARSE_BLOCK_BASES)
+        blocks = rank_blocks(sizes, PARSE_BLOCK_BASES)
         pool = get_pool(self.sched.opts.parallel)
         supermer = sctx.supermer_mode
         if not supermer:
@@ -352,53 +339,21 @@ class FlatLayout:
         )
         arena.release(codes)
 
-        # Per-rank modeled parse time, with the exact per-rank formulas of
-        # the staged substrates evaluated on the same per-rank quantities.
-        times = np.zeros(p, dtype=np.float64)
-        opts = self.sched.opts
-        mult = sctx.mult
-        if sctx.backend == "gpu":
-            cost = KernelCostModel(opts.device)
-            model = opts.gpu_model
-            hot = outgoing_buffer_hot_fraction(p, opts.device.atomic_serialization)
-            reg = active()
-            kernel = comp.parse.kernel_name
-            for r in range(p):
-                nk = int(n_kmers[r])
-                if supermer:
-                    ops = model.ops_parse_supermer * nk
-                    atomics = int(n_supermers[r])
-                    written = 9.0 * int(n_supermers[r])
-                else:
-                    ops = model.ops_parse_kmer * nk
-                    atomics = nk
-                    written = 8.0 * nk
-                traffic = TrafficEstimate(
-                    streaming_bytes=(2.0 * shards[r].codes.nbytes + written) * mult,
-                    atomic_ops=atomics * mult,
-                    atomic_hot_fraction=hot,
-                    thread_ops=ops * mult,
+        # Per-rank modeled parse time: the substrate's own charge, in rank
+        # order (telemetry float sums accumulate as the per-rank layout's do).
+        times = np.array(
+            [
+                comp.substrate.charge_parse(
+                    comp.parse,
+                    int(n_kmers[r]),
+                    int(n_supermers[r]),
+                    int(shards[r].codes.nbytes),
+                    comp.parse.grid_threads(shards[r], config),
+                    sctx,
                 )
-                t = cost.kernel_time(traffic)
-                times[r] = t
-                if reg is not None:
-                    grid = max(int(shards[r].codes.shape[0]) - config.k + 1, 0)
-                    reg.counter("gpu_kernel_launches_total", "Kernel launches", kernel=kernel).inc()
-                    reg.counter(
-                        "gpu_kernel_threads_total", "Logical threads launched", kernel=kernel
-                    ).inc(grid)
-                    reg.counter(
-                        "gpu_kernel_model_seconds_total", "Modeled kernel seconds", kernel=kernel
-                    ).inc(t)
-                    reg.counter(
-                        "gpu_kernel_atomic_ops_total", "Modeled atomic operations", kernel=kernel
-                    ).inc(traffic.atomic_ops)
-        else:
-            rates = opts.cpu_rates
-            for r in range(p):
-                times[r] = rates.phase_overhead + rates.parse_time(
-                    int(n_kmers[r]) * mult, supermer_mode=supermer
-                )
+                for r in range(p)
+            ]
+        )
 
         if sctx.recorder is not None:
             sctx.recorder.record("fused:parse", 0, t0, perf_counter())
@@ -461,7 +416,9 @@ class FlatLayout:
             )
         do_verify = sctx.verify if sctx.verify is not None else sctx.opts.verify_exchange
         if do_verify:
-            _verify_flat(send_flat, shuffled, round_counts, label)
+            # XOR is commutative/associative: the whole-cluster buffers check
+            # as one send and one receive buffer.
+            verify_exchange([send_flat], [shuffled], round_counts, label)
         seconds, t_a2av, t_stage, links = exchange_time_model(round_counts, sctx)
         return ExchangeOutcome(
             recv_data=shuffled,
@@ -505,24 +462,16 @@ class FlatLayout:
         """
         comp = self.sched.comp
         config = self.sched.config
-        opts = self.sched.opts
         p = self.sched.cluster.n_ranks
         r0, r1 = (0, p) if rank_range is None else rank_range
         nb = r1 - r0
-        mult = sctx.mult
 
+        all_kmers = comp.count.extract_kmers(shuffled, shuffled_lengths, config)
         if sctx.supermer_mode:
-            if shuffled.size:
-                all_kmers = extract_kmers_from_packed(shuffled, shuffled_lengths, config.k)
-            else:
-                all_kmers = np.empty(0, dtype=np.uint64)
-            if config.canonical and all_kmers.size:
-                all_kmers = canonical_batch(all_kmers, config.k)
             kmer_cum = np.zeros(shuffled.shape[0] + 1, dtype=np.int64)
             np.cumsum(shuffled_lengths.astype(np.int64), out=kmer_cum[1:])
             kmer_offsets = kmer_cum[dst_offsets]
         else:
-            all_kmers = shuffled
             kmer_offsets = dst_offsets
 
         n_seen = np.diff(kmer_offsets).astype(np.int64)
@@ -555,60 +504,11 @@ class FlatLayout:
         stats = table.insert_flat(insert_flat, seg_offsets)[r0:r1]
         inserted = np.diff(insert_offsets)
 
-        times = np.zeros(nb, dtype=np.float64)
         recv_items = np.diff(dst_offsets)
-        if sctx.backend == "gpu":
-            cost = KernelCostModel(opts.device)
-            model = opts.gpu_model
-            reg = active()
-            for r in range(nb):
-                n = int(inserted[r])
-                ins = stats[r]
-                ops = model.ops_count_kmer * n
-                if sctx.supermer_mode:
-                    ops += model.ops_extract_kmer * n
-                traffic = TrafficEstimate(
-                    streaming_bytes=8.0 * n * mult,
-                    random_bytes=ins.total_probes * model.bytes_per_probe * mult,
-                    atomic_ops=(n + ins.cas_conflicts) * mult,
-                    atomic_hot_fraction=0.0,
-                    thread_ops=ops * mult,
-                )
-                t = cost.kernel_time(traffic)
-                times[r] = t
-                if reg is not None:
-                    reg.counter("gpu_kernel_launches_total", "Kernel launches", kernel="count_kmers").inc()
-                    reg.counter(
-                        "gpu_kernel_threads_total", "Logical threads launched", kernel="count_kmers"
-                    ).inc(int(recv_items[r]))
-                    reg.counter(
-                        "gpu_kernel_model_seconds_total", "Modeled kernel seconds", kernel="count_kmers"
-                    ).inc(t)
-                    reg.counter(
-                        "gpu_kernel_atomic_ops_total", "Modeled atomic operations", kernel="count_kmers"
-                    ).inc(traffic.atomic_ops)
-        else:
-            rates = opts.cpu_rates
-            for r in range(nb):
-                times[r] = rates.phase_overhead + rates.count_time(
-                    int(inserted[r]) * mult, supermer_mode=sctx.supermer_mode
-                )
+        times = np.array(
+            [
+                comp.substrate.charge_count(int(inserted[i]), int(recv_items[i]), stats[i], sctx)
+                for i in range(nb)
+            ]
+        )
         return times, n_seen, stats
-
-
-def _verify_flat(
-    send_flat: np.ndarray, recv_flat: np.ndarray, counts_matrix: np.ndarray, label: str
-) -> None:
-    """Flat-buffer form of :func:`repro.core.stages.standard.verify_exchange`.
-
-    XOR is commutative/associative, so the reductions over the flat
-    arrays equal the staged per-rank reductions' combination.
-    """
-    sent_items = int(counts_matrix.sum())
-    recv_items = int(recv_flat.shape[0])
-    if sent_items != recv_items:
-        raise AssertionError(f"exchange {label!r} lost items: sent {sent_items}, received {recv_items}")
-    sent_xor = np.bitwise_xor.reduce(send_flat.view(np.uint64)) if send_flat.size else np.uint64(0)
-    recv_xor = np.bitwise_xor.reduce(recv_flat.view(np.uint64)) if recv_flat.size else np.uint64(0)
-    if sent_xor != recv_xor:
-        raise AssertionError(f"exchange {label!r} corrupted payload (checksum mismatch)")

@@ -56,8 +56,10 @@ class ParseStage(Protocol):
         """Logical GPU thread count of the parse kernel launch."""
         ...
 
-    def gpu_traffic(self, parsed: RankParse, shard: ReadSet, ctx: "StageContext") -> TrafficEstimate:
-        """Memory/atomic/instruction traffic of the parse kernel."""
+    def gpu_traffic(
+        self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: "StageContext"
+    ) -> TrafficEstimate:
+        """Memory/atomic/instruction traffic of the parse kernel over one rank's shard."""
         ...
 
 
@@ -115,7 +117,13 @@ class MergeStage(Protocol):
 
 @runtime_checkable
 class Substrate(Protocol):
-    """Execution substrate: wraps pure stage kernels with modeled timing."""
+    """Execution substrate: wraps pure stage kernels with modeled timing.
+
+    The per-rank layout calls ``parse_rank`` / ``count_rank``.  The standard
+    substrates also expose the *charge* half of each (``charge_parse`` /
+    ``charge_count``, model seconds from a rank's work figures), which the
+    flat layout loops over ranks after running a stage body once.
+    """
 
     name: str
 

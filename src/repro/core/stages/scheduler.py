@@ -364,8 +364,9 @@ class PerRankLayout:
     a :class:`DeviceHashTable`, and every phase is P independent calls
     through the composition's substrate (``parse_rank``/``count_rank``)
     mapped over the rank pool.  This is the layout custom stages see; the
-    flat twin (:class:`~repro.core.stages.fused.FlatLayout`) re-implements
-    the standard stages over rank-segmented arrays.
+    flat twin (:class:`~repro.core.stages.fused.FlatLayout`) runs the
+    standard stages' bodies once over rank-segmented arrays and calls the
+    same per-rank charge and table functions.
 
     Parallel rank-execution contract: each closure touches rank-private
     state only and ``pool.map`` returns results in rank order, so any
@@ -537,9 +538,9 @@ class RoundScheduler:
            memory (``engine.spill.fallback``): the spooled residency
            substitutes both, so they must be the standard classes.
         2. ``fused`` over any custom stage type keeps the per-rank layout
-           (``engine.fused.fallback``): the flat layout re-implements the
-           standard stages' data flow.  Plugins are fine on both rungs —
-           they act through the standard seams.
+           (``engine.fused.fallback``): the flat layout runs the standard
+           stages' bodies over all ranks at once.  Plugins are fine on
+           both rungs — they act through the standard seams.
         3. ``table_dir`` without the flat layout leaves the tables
            resident (``engine.table.fallback``): the mmap backing is a
            :class:`~repro.gpu.segmented.SegmentedHashTable` feature.

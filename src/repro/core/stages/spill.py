@@ -60,8 +60,9 @@ from time import perf_counter
 import numpy as np
 
 from ...gpu.hashtable import DeviceHashTable
-from ...gpu.segmented import SegmentedHashTable
+from ...gpu.segmented import SegmentedHashTable, rank_blocks
 from ...kmers.spectrum import KmerSpectrum
+from ...mpi.collectives import account_alltoallv, send_counts_matrix
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, segment_gather_index
@@ -111,40 +112,10 @@ def supports_spill(comp: StageComposition) -> bool:
     return type(comp.exchange) is AlltoallvExchange and type(comp.merge) is SpectrumMerge
 
 
-def _record_comm_telemetry(p: int) -> None:
-    """The collective-layer model counters one alltoallv emits."""
-    reg = active()
-    if reg is not None:
-        reg.counter("comm_alltoallv_calls_total", "alltoallv_segments invocations").inc()
-        reg.counter("comm_messages_total", "Rank-to-rank messages carried by collectives").inc(
-            max(p * (p - 1), 0)
-        )
-
-
 def _spill_counter(name: str, desc: str, amount: int) -> None:
     reg = active()
     if reg is not None:
         reg.counter(name, desc, wall=True).inc(amount)
-
-
-def _rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
-    """Consecutive rank ranges whose summed weights stay near ``target``.
-
-    Every block holds at least one rank (a single oversized rank still
-    gets its own block), so the blocks partition ``range(p)`` exactly.
-    """
-    p = int(weights.shape[0])
-    blocks: list[tuple[int, int]] = []
-    s = 0
-    while s < p:
-        e = s + 1
-        acc = int(weights[s])
-        while e < p and acc + int(weights[e]) <= target:
-            acc += int(weights[e])
-            e += 1
-        blocks.append((s, e))
-        s = e
-    return blocks
 
 
 class _SegmentFile:
@@ -439,8 +410,8 @@ class SpillExchange:
 
     Accounting twin of :class:`AlltoallvExchange`: the byte/item traffic
     record, the collective-layer telemetry counters, the end-to-end
-    checksum verification, and the modeled phase time are all computed
-    exactly as the in-memory exchange computes them.  Only the data
+    checksum verification, and the modeled phase time all come from the
+    functions the in-memory exchange calls.  Only the data
     placement differs — the round is gathered one destination block at a
     time (:data:`SPOOL_BLOCK_BYTES`) into the label's segment file, and
     ``recv_data`` comes back as read-only views of one memory map of that
@@ -454,27 +425,16 @@ class SpillExchange:
     def exchange(self, send_data, send_lengths, send_counts, label, ctx) -> ExchangeOutcome:
         p = len(send_data)
         wire = ctx.wire_bytes
-        counts_matrix = np.zeros((p, p), dtype=np.int64)
-        for src in range(p):
-            counts = np.ascontiguousarray(send_counts[src], dtype=np.int64)
-            if counts.shape != (p,):
-                raise ValueError(f"rank {src} send_counts must have shape ({p},)")
-            if int(counts.sum()) != send_data[src].shape[0]:
-                raise ValueError(
-                    f"rank {src}: counts sum {int(counts.sum())} != data length {send_data[src].shape[0]}"
-                )
-            counts_matrix[src] = counts
+        counts_matrix = send_counts_matrix(send_data, send_counts)
 
-        # Model accounting first, identical to alltoallv_segments: one
-        # logical alltoallv for the payload (recorded into the traffic
-        # stats), and in supermer mode a second one for the length bytes
-        # (counters only; its bytes ride in the payload's `wire` size).
-        _record_comm_telemetry(p)
-        if ctx.stats is not None:
-            bytes_matrix = (counts_matrix * float(wire)).astype(np.int64)
-            ctx.stats.record("alltoallv", bytes_matrix, label=label, items_matrix=counts_matrix)
+        # Model accounting first, through the collective layer's own
+        # function: one logical alltoallv for the payload (recorded into
+        # the traffic stats), and in supermer mode a second one for the
+        # length bytes (counters only; its bytes ride in the payload's
+        # `wire` size).
+        account_alltoallv(counts_matrix, stats=ctx.stats, label=label, bytes_per_item=wire)
         if send_lengths is not None:
-            _record_comm_telemetry(p)
+            account_alltoallv(counts_matrix, stats=None, label=label, bytes_per_item=wire)
 
         self._spool_round(send_data, send_lengths, counts_matrix, label)
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
@@ -516,7 +476,7 @@ class SpillExchange:
         offsets = np.zeros((p, p + 1), dtype=np.int64)  # [src, dst]: start of the segment for dst
         np.cumsum(counts_matrix, axis=1, out=offsets[:, 1:])
         item_bytes = send_data[0].dtype.itemsize + (send_lengths is not None)
-        for d0, d1 in _rank_blocks(counts_matrix.sum(axis=0) * item_bytes, SPOOL_BLOCK_BYTES):
+        for d0, d1 in rank_blocks(counts_matrix.sum(axis=0) * item_bytes, SPOOL_BLOCK_BYTES):
             block = counts_matrix[:, d0:d1]  # [src, dst - d0]
             total = int(block.sum())
             if total == 0:
@@ -781,7 +741,7 @@ class Spooled(Resident):
         arena = self.layout.arena
         recv_per_rank = np.sum(self.round_recv, axis=0)
         item_bytes = 9 if supermer_mode else 8  # 8 B payload + 1 B length
-        blocks = _rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES)
+        blocks = rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES)
         for r0, r1 in blocks:
             for rnd, label in enumerate(labels):
                 suffix = f"-round{rnd}" if n_rounds > 1 else ""

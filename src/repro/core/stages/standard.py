@@ -86,15 +86,16 @@ class KmerParse:
     def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
         return max(int(shard.codes.shape[0]) - config.k + 1, 0)
 
-    def gpu_traffic(self, parsed: RankParse, shard: ReadSet, ctx: StageContext) -> TrafficEstimate:
+    def gpu_traffic(
+        self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
+    ) -> TrafficEstimate:
         model = ctx.opts.gpu_model
         mult = ctx.mult
-        n = parsed.n_kmers_parsed
-        ops = model.ops_parse_kmer * n
-        atomics = n  # one outgoing-buffer append per k-mer (Fig. 2)
-        written = 8.0 * n
+        ops = model.ops_parse_kmer * n_kmers
+        atomics = n_kmers  # one outgoing-buffer append per k-mer (Fig. 2)
+        written = 8.0 * n_kmers
         return TrafficEstimate(
-            streaming_bytes=(2.0 * shard.codes.nbytes + written) * mult,
+            streaming_bytes=(2.0 * code_bytes + written) * mult,
             atomic_ops=atomics * mult,
             atomic_hot_fraction=outgoing_buffer_hot_fraction(
                 ctx.n_ranks, ctx.opts.device.atomic_serialization
@@ -131,14 +132,16 @@ class SupermerParse:
     def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
         return max(int(shard.codes.shape[0]) - config.k + 1, 0)
 
-    def gpu_traffic(self, parsed: RankParse, shard: ReadSet, ctx: StageContext) -> TrafficEstimate:
+    def gpu_traffic(
+        self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
+    ) -> TrafficEstimate:
         model = ctx.opts.gpu_model
         mult = ctx.mult
-        ops = model.ops_parse_supermer * parsed.n_kmers_parsed
-        atomics = parsed.n_supermers  # one append per supermer (Fig. 5)
-        written = 9.0 * parsed.n_supermers
+        ops = model.ops_parse_supermer * n_kmers
+        atomics = n_supermers  # one append per supermer (Fig. 5)
+        written = 9.0 * n_supermers
         return TrafficEstimate(
-            streaming_bytes=(2.0 * shard.codes.nbytes + written) * mult,
+            streaming_bytes=(2.0 * code_bytes + written) * mult,
             atomic_ops=atomics * mult,
             atomic_hot_fraction=outgoing_buffer_hot_fraction(
                 ctx.n_ranks, ctx.opts.device.atomic_serialization
@@ -398,96 +401,102 @@ class SpectrumMerge:
 # ---------------------------------------------------------------------------
 
 
+# A rank's phase is the stage *body* plus the substrate's *charge* for the
+# work the body reports.  The per-rank layout calls ``parse_rank`` /
+# ``count_rank`` (both, below); the flat layout runs each body once over all
+# ranks and loops the same ``charge_parse`` / ``charge_count`` over the
+# per-rank figures — so a rank's model seconds and kernel telemetry come
+# from one function on either layout.
+
+
+def _parse_rank(
+    self, shard: ReadSet, parse: ParseStage, partition: PartitionStage, ctx: StageContext
+) -> RankParse:
+    items = parse.extract(shard, ctx.config)
+    owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
+    pr = assemble_rank_parse(items, owners, ctx.n_ranks)
+    pr.time_s = self.charge_parse(
+        parse,
+        pr.n_kmers_parsed,
+        pr.n_supermers,
+        int(shard.codes.nbytes),
+        parse.grid_threads(shard, ctx.config),
+        ctx,
+    )
+    return pr
+
+
+def _count_rank(
+    self,
+    rank: int,
+    recv: np.ndarray,
+    lengths: np.ndarray | None,
+    table: DeviceHashTable,
+    count: CountStage,
+    ctx: StageContext,
+) -> CountOutcome:
+    kmers, n_seen = count.materialize(rank, recv, lengths, ctx)
+    ins = count.insert(table, kmers)
+    dt = self.charge_count(int(kmers.shape[0]), int(recv.shape[0]), ins, ctx)
+    return CountOutcome(time_s=dt, n_instances=n_seen, insert_stats=ins)
+
+
 class GpuSubstrate:
     """Charges each phase through the virtual GPU's kernel cost model."""
 
     name = "gpu"
+    parse_rank = _parse_rank
+    count_rank = _count_rank
 
-    def parse_rank(
-        self, shard: ReadSet, parse: ParseStage, partition: PartitionStage, ctx: StageContext
-    ) -> RankParse:
-        gpu = VirtualGPU(ctx.opts.device)
-
-        def body(_tid: np.ndarray) -> RankParse:
-            items = parse.extract(shard, ctx.config)
-            owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
-            return assemble_rank_parse(items, owners, ctx.n_ranks)
-
-        pr = gpu.launch(
-            parse.kernel_name,
-            parse.grid_threads(shard, ctx.config),
-            body,
-            lambda result: parse.gpu_traffic(result, shard, ctx),
-        )
-        pr.time_s = gpu.elapsed
-        return pr
-
-    def count_rank(
+    def charge_parse(
         self,
-        rank: int,
-        recv: np.ndarray,
-        lengths: np.ndarray | None,
-        table: DeviceHashTable,
-        count: CountStage,
+        parse: ParseStage,
+        n_kmers: int,
+        n_supermers: int,
+        code_bytes: int,
+        grid_threads: int,
         ctx: StageContext,
-    ) -> CountOutcome:
-        gpu = VirtualGPU(ctx.opts.device)
+    ) -> float:
+        """One parse-kernel launch over a shard of ``code_bytes`` encoded bases."""
+        traffic = parse.gpu_traffic(n_kmers, n_supermers, code_bytes, ctx)
+        return VirtualGPU(ctx.opts.device).charge(parse.kernel_name, grid_threads, traffic)
+
+    def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
+        """One count-kernel launch: a thread per received item, ``inserted`` keys probed."""
         model = ctx.opts.gpu_model
         mult = ctx.mult
-
-        def body(_tid: np.ndarray) -> tuple[np.ndarray, int, InsertStats]:
-            kmers, n_seen = count.materialize(rank, recv, lengths, ctx)
-            ins = count.insert(table, kmers)
-            return kmers, n_seen, ins
-
-        def traffic(result: tuple[np.ndarray, int, InsertStats]) -> TrafficEstimate:
-            kmers, _, ins = result
-            n = kmers.shape[0]
-            ops = model.ops_count_kmer * n
-            if ctx.supermer_mode:
-                ops += model.ops_extract_kmer * n
-            return TrafficEstimate(
-                streaming_bytes=8.0 * n * mult,
-                random_bytes=ins.total_probes * model.bytes_per_probe * mult,
-                atomic_ops=(n + ins.cas_conflicts) * mult,
-                atomic_hot_fraction=0.0,
-                thread_ops=ops * mult,
-            )
-
-        _, n_seen, ins = gpu.launch("count_kmers", int(recv.shape[0]), body, traffic)
-        return CountOutcome(time_s=gpu.elapsed, n_instances=n_seen, insert_stats=ins)
+        ops = model.ops_count_kmer * inserted
+        if ctx.supermer_mode:
+            ops += model.ops_extract_kmer * inserted
+        traffic = TrafficEstimate(
+            streaming_bytes=8.0 * inserted * mult,
+            random_bytes=ins.total_probes * model.bytes_per_probe * mult,
+            atomic_ops=(inserted + ins.cas_conflicts) * mult,
+            atomic_hot_fraction=0.0,
+            thread_ops=ops * mult,
+        )
+        return VirtualGPU(ctx.opts.device).charge("count_kmers", recv_items, traffic)
 
 
 class CpuSubstrate:
     """Charges each phase through the Power9-calibrated CPU rates."""
 
     name = "cpu"
+    parse_rank = _parse_rank
+    count_rank = _count_rank
 
-    def parse_rank(
-        self, shard: ReadSet, parse: ParseStage, partition: PartitionStage, ctx: StageContext
-    ) -> RankParse:
-        items = parse.extract(shard, ctx.config)
-        owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
-        pr = assemble_rank_parse(items, owners, ctx.n_ranks)
-        rates = ctx.opts.cpu_rates
-        pr.time_s = rates.phase_overhead + rates.parse_time(
-            pr.n_kmers_parsed * ctx.mult, supermer_mode=ctx.supermer_mode
-        )
-        return pr
-
-    def count_rank(
+    def charge_parse(
         self,
-        rank: int,
-        recv: np.ndarray,
-        lengths: np.ndarray | None,
-        table: DeviceHashTable,
-        count: CountStage,
+        parse: ParseStage,
+        n_kmers: int,
+        n_supermers: int,
+        code_bytes: int,
+        grid_threads: int,
         ctx: StageContext,
-    ) -> CountOutcome:
-        kmers, n_seen = count.materialize(rank, recv, lengths, ctx)
-        ins = count.insert(table, kmers)
+    ) -> float:
         rates = ctx.opts.cpu_rates
-        dt = rates.phase_overhead + rates.count_time(
-            kmers.shape[0] * ctx.mult, supermer_mode=ctx.supermer_mode
-        )
-        return CountOutcome(time_s=dt, n_instances=n_seen, insert_stats=ins)
+        return rates.phase_overhead + rates.parse_time(n_kmers * ctx.mult, supermer_mode=ctx.supermer_mode)
+
+    def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
+        rates = ctx.opts.cpu_rates
+        return rates.phase_overhead + rates.count_time(inserted * ctx.mult, supermer_mode=ctx.supermer_mode)

@@ -76,6 +76,224 @@ class InsertStats:
 #: quadratic, etc).  In this work, we use linear probing").
 PROBING_SCHEMES = ("linear", "quadratic", "double")
 
+# -- the table formulas ------------------------------------------------------
+#
+# Every function below works on a ``(keys, counts)`` slab holding one or
+# many power-of-two *regions*.  ``mask`` (region capacity - 1) and ``base``
+# (the region's first slot) say where each key lives: uint64 scalars when
+# all keys share one region (a DeviceHashTable, one rank of a segmented
+# table), uint64 arrays parallel to the keys when they span several (the
+# segmented table's blocked insert).  Both storage classes call these and
+# carry no probe, lookup, dedup, growth or telemetry body of their own, so
+# per-rank and segmented tables agree slot for slot by construction.
+
+
+def check_table_params(max_load_factor: float, probing: str) -> None:
+    if not 0.1 <= max_load_factor < 1.0:
+        raise ValueError("max_load_factor must be in [0.1, 1.0)")
+    if probing not in PROBING_SCHEMES:
+        raise ValueError(f"probing must be one of {PROBING_SCHEMES}, got {probing!r}")
+
+
+def fit_capacity(capacity: int, need: int, max_load_factor: float) -> tuple[int, int]:
+    """Double ``capacity`` until ``need`` keys fit under the load factor.
+
+    Returns ``(capacity, doublings)``.  Growing straight to the final size
+    equals growing one doubling at a time: every intermediate rehash would
+    re-insert the same sorted item set into an empty region.
+    """
+    doublings = 0
+    while need > capacity * max_load_factor:
+        capacity *= 2
+        doublings += 1
+    return capacity, doublings
+
+
+def initial_capacity(capacity_hint: int, max_load_factor: float) -> int:
+    """Region size for ``capacity_hint`` keys: a power of two, at least 64."""
+    if capacity_hint < 1:
+        raise ValueError("capacity_hint must be positive")
+    return fit_capacity(64, capacity_hint, max_load_factor)[0]
+
+
+def check_batch(vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray | None:
+    """Validate a non-empty uint64 key batch; returns its int64 weights (or ``None``)."""
+    if bool((vals == EMPTY_KEY).any()):
+        raise ValueError("key equal to the EMPTY sentinel cannot be stored (need k <= 31)")
+    if weights is None:
+        return None
+    wts = np.ascontiguousarray(weights, dtype=np.int64)
+    if wts.shape != vals.shape:
+        raise ValueError("weights must parallel values")
+    if int(wts.min()) < 1:
+        raise ValueError("weights must be >= 1")
+    return wts
+
+
+def dedup_batch(
+    vals: np.ndarray, wts: np.ndarray | None, assume_unique: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """One region's checked batch as ``(sorted distinct keys, summed weights)``.
+
+    ``assume_unique`` skips the sort for keys that are already strictly
+    increasing; the ordering is verified in O(n) and violations raise.
+    """
+    if assume_unique:
+        if vals.shape[0] > 1 and not bool((vals[1:] > vals[:-1]).all()):
+            raise ValueError("assume_unique requires strictly increasing keys")
+        return vals, np.ones(vals.shape[0], dtype=np.int64) if wts is None else wts
+    if wts is None:
+        uniq, w = np.unique(vals, return_counts=True)
+        return uniq, w.astype(np.int64)
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=wts).astype(np.int64)
+
+
+def _at(region, idx: np.ndarray):
+    """``region[idx]`` of a per-key array; a region-wide scalar as it is."""
+    return region[idx] if np.ndim(region) else region
+
+
+def _home_and_stride(keys: np.ndarray, seed: int, probing: str, mask):
+    """Each key's first slot and probe stride within its region.
+
+    Only double hashing has a stride: odd, hence coprime with the
+    power-of-two capacity, so the sequence covers the whole region.
+    """
+    home = hash_kmers_batch(keys, seed=seed) & mask
+    if probing != "double":
+        return home, None
+    return home, (hash_kmers_batch(keys, seed=seed + 0x9E3779B9) | np.uint64(1)) & mask
+
+
+def _probe_slots(probing: str, pending: np.ndarray, home, step, stride, mask, base) -> np.ndarray:
+    """Slab slot of each pending key's probe number ``step`` (0-based, uint64)."""
+    offset = step[pending]
+    if probing == "quadratic":
+        offset = (offset * (offset + np.uint64(1))) // np.uint64(2)
+    elif probing == "double":
+        offset = offset * stride[pending]
+    local = (home[pending] + offset) & _at(mask, pending)
+    # int64 because NumPy gathers through a uint64 index ~3x slower.
+    return (_at(base, pending) + local).astype(np.int64)
+
+
+def probe_insert(
+    keys: np.ndarray, counts: np.ndarray, uniq: np.ndarray, w: np.ndarray, seed: int, probing: str, mask, base
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insert pre-deduplicated keys with weights: the one probe loop.
+
+    Rounds of vectorized probes over the pending keys; concurrent
+    atomicCAS claims on one slot resolve like the hardware would (first
+    claimant in ``uniq`` order wins, losers re-probe).  Regions are
+    slot-disjoint, so a contested slot only sees candidates of one region:
+    with ``uniq`` sorted by (region, key) the winner is the one that
+    region's own insert would pick, whatever other regions share the call.
+
+    Returns per-key ``(probes, claimed, lost)``: slots inspected, whether
+    the key claimed a new slot, and its lost claim attempts.
+    """
+    n = uniq.shape[0]
+    home, stride = _home_and_stride(uniq, seed, probing, mask)
+    step = np.zeros(n, dtype=np.uint64)
+    claimed = np.zeros(n, dtype=bool)
+    lost = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n, dtype=np.int64)
+    guard = int(np.max(mask)) + 2  # largest region's capacity + 1
+    rounds = 0
+    while pending.size:
+        rounds += 1
+        if rounds > guard:
+            raise RuntimeError("hash table probe loop failed to terminate (table full?)")
+        s = _probe_slots(probing, pending, home, step, stride, mask, base)
+        occupant = keys[s]
+        vals = uniq[pending]
+
+        # Hit: occupant already equals our key -> atomic count increment.
+        hit = occupant == vals
+        counts[s[hit]] += w[pending[hit]]
+
+        # Claim: empty slot -> atomicCAS; first claimant per slot wins.
+        empty = occupant == EMPTY_KEY
+        if empty.any():
+            empty_idx = np.flatnonzero(empty)
+            _, first = np.unique(s[empty_idx], return_index=True)
+            winners = empty_idx[first]
+            won, slots = pending[winners], s[winners]
+            keys[slots] = vals[winners]
+            counts[slots] += w[won]
+            claimed[won] = True
+            if winners.shape[0] != empty_idx.shape[0]:
+                lost[pending[empty_idx]] += 1
+                lost[won] -= 1
+
+        # Anything whose slot now holds a different key keeps probing.
+        pending = pending[keys[s] != vals]
+        step[pending] += np.uint64(1)
+    return step.astype(np.int64) + 1, claimed, lost
+
+
+def probe_lookup(
+    keys: np.ndarray, counts: np.ndarray, vals: np.ndarray, seed: int, probing: str, mask, base
+) -> np.ndarray:
+    """Counts stored for ``vals`` (0 where absent): the one lookup loop."""
+    out = np.zeros(vals.shape[0], dtype=np.int64)
+    if vals.size == 0:
+        return out
+    home, stride = _home_and_stride(vals, seed, probing, mask)
+    step = np.zeros(vals.shape[0], dtype=np.uint64)
+    pending = np.arange(vals.shape[0], dtype=np.int64)
+    for _ in range(int(np.max(mask)) + 2):
+        if not pending.size:
+            break
+        s = _probe_slots(probing, pending, home, step, stride, mask, base)
+        occupant = keys[s]
+        hit = occupant == vals[pending]
+        out[pending[hit]] = counts[s[hit]]
+        # Missing keys terminate at the first empty slot.
+        pending = pending[~hit & (occupant != EMPTY_KEY)]
+        step[pending] += np.uint64(1)
+    return out
+
+
+def sorted_items(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied ``(key, count)`` pairs of one region, sorted by key."""
+    mask = keys != EMPTY_KEY
+    keys = keys[mask]
+    order = np.argsort(keys)
+    return keys[order], counts[mask][order]
+
+
+def record_insert_telemetry(
+    stats: list[InsertStats], load_factor: float, probes: np.ndarray, w: np.ndarray
+) -> None:
+    """The ``hashtable_*`` model families of one insert per entry of ``stats``.
+
+    ``load_factor`` is the highest among the regions inserted into;
+    ``probes`` / ``w`` are their keys' probe counts and multiplicities.
+    All commutative operations — identical totals whatever order rank
+    worker threads interleave their inserts in, and whether P regions
+    report one at a time or together: the bucket adds are integers and
+    every partial float sum of the integer products stays below 2**53.
+    """
+    reg = active()
+    if reg is None:
+        return
+    reg.counter("hashtable_inserts_total", "insert_batch calls").inc(len(stats))
+    for name, desc, field in (
+        ("hashtable_instances_total", "k-mer instances inserted", "n_instances"),
+        ("hashtable_distinct_total", "New distinct keys claimed", "n_distinct"),
+        ("hashtable_cas_conflicts_total", "Lost atomicCAS claims", "cas_conflicts"),
+        ("hashtable_resizes_total", "Table growth events", "resizes"),
+    ):
+        reg.counter(name, desc).inc(sum(getattr(ins, field) for ins in stats))
+    reg.gauge("hashtable_load_factor_max", "Peak table load factor").set_max(load_factor)
+    reg.histogram(
+        "hashtable_probe_length",
+        "Probe-sequence length per inserted instance",
+        buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128),
+    ).observe_many(probes, w)
+
 
 class DeviceHashTable:
     """Counting hash table with open addressing and emulated atomics.
@@ -97,36 +315,12 @@ class DeviceHashTable:
         max_load_factor: float = 0.7,
         probing: str = "linear",
     ) -> None:
-        if capacity_hint < 1:
-            raise ValueError("capacity_hint must be positive")
-        if not 0.1 <= max_load_factor < 1.0:
-            raise ValueError("max_load_factor must be in [0.1, 1.0)")
-        if probing not in PROBING_SCHEMES:
-            raise ValueError(f"probing must be one of {PROBING_SCHEMES}, got {probing!r}")
+        check_table_params(max_load_factor, probing)
         self.seed = seed
         self.max_load_factor = max_load_factor
         self.probing = probing
-        capacity = 1
-        while capacity * max_load_factor < capacity_hint or capacity < 64:
-            capacity *= 2
-        self._alloc(capacity)
+        self._alloc(initial_capacity(capacity_hint, max_load_factor))
         self._n_entries = 0
-
-    def _probe_slots(self, base: np.ndarray, stride: np.ndarray, probe_no: np.ndarray) -> np.ndarray:
-        """Slot of each key's probe number ``probe_no`` (0-based, vectorized)."""
-        i = probe_no.astype(np.uint64)
-        if self.probing == "linear":
-            return (base + i) & self._mask
-        if self.probing == "quadratic":
-            return (base + (i * (i + np.uint64(1))) // np.uint64(2)) & self._mask
-        return (base + i * stride) & self._mask
-
-    def _strides(self, uniq: np.ndarray) -> np.ndarray:
-        """Per-key probe stride (only used by double hashing; odd => coprime
-        with the power-of-two capacity)."""
-        if self.probing != "double":
-            return np.ones(uniq.shape[0], dtype=np.uint64)
-        return (hash_kmers_batch(uniq, seed=self.seed + 0x9E3779B9) | np.uint64(1)) & self._mask
 
     def _alloc(self, capacity: int) -> None:
         self.capacity = capacity
@@ -150,6 +344,11 @@ class DeviceHashTable:
         """Device memory footprint (keys + counts arrays)."""
         return int(self.keys.nbytes + self.counts.nbytes)
 
+    @property
+    def _region(self) -> tuple:
+        """``(seed, probing, mask, base)`` of the probe functions: one region at slot 0."""
+        return self.seed, self.probing, self._mask, np.uint64(0)
+
     # -- operations ----------------------------------------------------------
 
     def insert_batch(
@@ -169,156 +368,34 @@ class DeviceHashTable:
         vals = np.ascontiguousarray(values, dtype=np.uint64)
         if vals.size == 0:
             return InsertStats.zero()
-        if bool((vals == EMPTY_KEY).any()):
-            raise ValueError("key equal to the EMPTY sentinel cannot be stored (need k <= 31)")
-        if assume_unique:
-            if vals.shape[0] > 1 and not bool((vals[1:] > vals[:-1]).all()):
-                raise ValueError("assume_unique requires strictly increasing keys")
-            uniq = vals
-            if weights is None:
-                w = np.ones(vals.shape[0], dtype=np.int64)
-            else:
-                w = np.ascontiguousarray(weights, dtype=np.int64)
-                if w.shape != vals.shape:
-                    raise ValueError("weights must parallel values")
-                if int(w.min()) < 1:
-                    raise ValueError("weights must be >= 1")
-        elif weights is None:
-            uniq, w = np.unique(vals, return_counts=True)
-            w = w.astype(np.int64)
-        else:
-            wts = np.ascontiguousarray(weights, dtype=np.int64)
-            if wts.shape != vals.shape:
-                raise ValueError("weights must parallel values")
-            if wts.size and int(wts.min()) < 1:
-                raise ValueError("weights must be >= 1")
-            uniq, inverse = np.unique(vals, return_inverse=True)
-            w = np.bincount(inverse, weights=wts).astype(np.int64)
-        n_instances = int(w.sum())
+        uniq, w = dedup_batch(vals, check_batch(vals, weights), assume_unique)
+        capacity, resizes = fit_capacity(self.capacity, self._n_entries + uniq.shape[0], self.max_load_factor)
+        if resizes:
+            keys, counts = self.items()
+            self._alloc(capacity)
+            if keys.size:  # rehash: every key re-claims a slot
+                probe_insert(self.keys, self.counts, keys, counts, *self._region)
 
-        resizes = 0
-        while self._n_entries + uniq.shape[0] > self.capacity * self.max_load_factor:
-            self._resize()
-            resizes += 1
-
-        stats, probes = self._insert_unique(uniq, w)
-        reg = active()
-        if reg is not None:
-            # All commutative operations — identical totals whatever order the
-            # rank worker threads interleave their inserts in.
-            reg.counter("hashtable_inserts_total", "insert_batch calls").inc()
-            reg.counter("hashtable_instances_total", "k-mer instances inserted").inc(n_instances)
-            reg.counter("hashtable_distinct_total", "New distinct keys claimed").inc(stats.n_distinct)
-            reg.counter("hashtable_cas_conflicts_total", "Lost atomicCAS claims").inc(stats.cas_conflicts)
-            reg.counter("hashtable_resizes_total", "Table growth events").inc(resizes)
-            reg.gauge("hashtable_load_factor_max", "Peak table load factor").set_max(self.load_factor)
-            reg.histogram(
-                "hashtable_probe_length",
-                "Probe-sequence length per inserted instance",
-                buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128),
-            ).observe_many(probes, w)
-        return InsertStats(
-            n_instances=n_instances,
-            n_distinct=stats.n_distinct,
-            total_probes=stats.total_probes,
-            max_probe=stats.max_probe,
-            cas_conflicts=stats.cas_conflicts,
-            rounds=stats.rounds,
+        probes, claimed, lost = probe_insert(self.keys, self.counts, uniq, w, *self._region)
+        max_probe = int(probes.max())
+        stats = InsertStats(
+            n_instances=int(w.sum()),
+            n_distinct=int(claimed.sum()),
+            total_probes=int((probes * w).sum()),
+            max_probe=max_probe,
+            cas_conflicts=int(lost.sum()),
+            rounds=max_probe,  # the longest-probing key was pending in every round
             resizes=resizes,
         )
-
-    def _insert_unique(self, uniq: np.ndarray, w: np.ndarray) -> tuple[InsertStats, np.ndarray]:
-        """Insert pre-deduplicated keys with weights; core probe loop.
-
-        Returns the stats plus the per-unique-key probe counts (parallel to
-        ``uniq``), which feed the telemetry probe-length histogram.
-        """
-        base = (hash_kmers_batch(uniq, seed=self.seed) & self._mask).astype(np.uint64)
-        stride = self._strides(uniq)
-        probe_no = np.zeros(uniq.shape[0], dtype=np.int64)
-        pending = np.arange(uniq.shape[0], dtype=np.int64)
-        probes = np.ones(uniq.shape[0], dtype=np.int64)  # first slot inspection
-        new_keys = 0
-        conflicts = 0
-        rounds = 0
-        while pending.size:
-            rounds += 1
-            if rounds > self.capacity + 1:
-                raise RuntimeError("hash table probe loop failed to terminate (table full?)")
-            s = self._probe_slots(base[pending], stride[pending], probe_no[pending])
-            occupant = self.keys[s]
-            vals = uniq[pending]
-
-            # Hit: occupant already equals our key -> atomic count increment.
-            hit = occupant == vals
-            self.counts[s[hit]] += w[pending[hit]]
-
-            # Claim: empty slot -> atomicCAS; first claimant per slot wins.
-            empty = occupant == EMPTY_KEY
-            if empty.any():
-                empty_idx = np.flatnonzero(empty)
-                claim_slots = s[empty_idx]
-                _, first = np.unique(claim_slots, return_index=True)
-                winners = empty_idx[first]
-                self.keys[s[winners]] = vals[winners]
-                self.counts[s[winners]] += w[pending[winners]]
-                new_keys += winners.shape[0]
-                conflicts += int(empty_idx.shape[0] - winners.shape[0])
-
-            # Anything whose slot now holds a different key keeps probing.
-            still = self.keys[s] != vals
-            nxt = pending[still]
-            probe_no[nxt] += 1
-            probes[nxt] += 1
-            pending = nxt
-
-        self._n_entries += new_keys
-        stats = InsertStats(
-            n_instances=0,  # caller fills
-            n_distinct=new_keys,
-            total_probes=int((probes * w).sum()),
-            max_probe=int(probes.max(initial=0)),
-            cas_conflicts=conflicts,
-            rounds=rounds,
-            resizes=0,
-        )
-        return stats, probes
+        self._n_entries += stats.n_distinct
+        record_insert_telemetry([stats], self.load_factor, probes, w)
+        return stats
 
     def lookup_batch(self, values: np.ndarray) -> np.ndarray:
         """Counts for a batch of keys (0 where absent)."""
         vals = np.ascontiguousarray(values, dtype=np.uint64)
-        out = np.zeros(vals.shape[0], dtype=np.int64)
-        if vals.size == 0:
-            return out
-        base = (hash_kmers_batch(vals, seed=self.seed) & self._mask).astype(np.uint64)
-        stride = self._strides(vals)
-        probe_no = np.zeros(vals.shape[0], dtype=np.int64)
-        pending = np.arange(vals.shape[0], dtype=np.int64)
-        for _ in range(self.capacity + 1):
-            if not pending.size:
-                break
-            s = self._probe_slots(base[pending], stride[pending], probe_no[pending])
-            occupant = self.keys[s]
-            hit = occupant == vals[pending]
-            out[pending[hit]] = self.counts[s[hit]]
-            # Missing keys terminate at the first empty slot.
-            cont = ~hit & (occupant != EMPTY_KEY)
-            nxt = pending[cont]
-            probe_no[nxt] += 1
-            pending = nxt
-        return out
+        return probe_lookup(self.keys, self.counts, vals, *self._region)
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """All (key, count) pairs, sorted by key."""
-        mask = self.keys != EMPTY_KEY
-        keys = self.keys[mask]
-        counts = self.counts[mask]
-        order = np.argsort(keys)
-        return keys[order], counts[order]
-
-    def _resize(self) -> None:
-        keys, counts = self.items()
-        self._alloc(self.capacity * 2)
-        self._n_entries = 0
-        if keys.size:
-            self._insert_unique(keys, counts)  # rehash; returned stats discarded
+        return sorted_items(self.keys, self.counts)

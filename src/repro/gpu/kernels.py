@@ -78,8 +78,17 @@ class VirtualGPU:
         if n_threads < 0:
             raise ValueError("n_threads must be non-negative")
         result = body(np.arange(n_threads, dtype=np.int64))
-        if callable(traffic):
-            traffic = traffic(result)
+        self.charge(name, n_threads, traffic(result) if callable(traffic) else traffic)
+        return result
+
+    def charge(self, name: str, n_threads: int, traffic: TrafficEstimate) -> float:
+        """Charge one launch whose body already ran; returns its modeled seconds.
+
+        The accounting half of :meth:`launch` — log record, accrued time
+        and the ``gpu_kernel_*`` telemetry, emitted here only — for callers
+        that hold the launch's work figures without having run it as a
+        per-thread body (the substrates' per-rank charges).
+        """
         n_blocks = -(-n_threads // self.block_size) if n_threads else 0
         stats = KernelStats(
             name=name,
@@ -101,7 +110,7 @@ class VirtualGPU:
             reg.counter(
                 "gpu_kernel_atomic_ops_total", "Modeled atomic operations", kernel=name
             ).inc(traffic.atomic_ops)
-        return result
+        return stats.time_s
 
     def stage(self, h2d_bytes: int, d2h_bytes: int) -> float:
         """Charge a host<->device staging copy; returns its modeled time."""

@@ -10,12 +10,13 @@ power-of-two *regions*::
     slot(key, rank) = region_base[rank] + (hash(key) & rank_mask[rank])
 
 and runs the vectorized probe rounds over every rank's pending keys at
-once.  Because regions are disjoint, rounds of the fused loop perform
-exactly the same slot reads/writes as the per-rank loops would, so probe
-counts, CAS conflicts, claimed slots, and the final layout are
-bit-identical to running :meth:`DeviceHashTable.insert_batch` rank by
-rank — the claim winner for a contested slot is decided among keys of a
-single rank either way (see ``_insert_unique_flat``).
+once.  This class is storage only — P regions, optional mmap slabs, the
+blocked insert: the probe loop, lookup, dedup, growth rule and telemetry
+are the module-level functions of :mod:`repro.gpu.hashtable` that
+:class:`DeviceHashTable` calls too, handed each key's region mask and
+first slot.  Regions are disjoint, so probe counts, CAS conflicts, claimed
+slots and the final layout equal :meth:`DeviceHashTable.insert_batch`
+rank by rank (see :func:`~repro.gpu.hashtable.probe_insert`).
 
 ``from_tables`` adopts existing per-rank tables by copying their
 key/count layout verbatim, so switching an in-flight
@@ -42,17 +43,49 @@ from pathlib import Path
 
 import numpy as np
 
-from ..hashing.murmur3 import hash_kmers_batch
-from ..telemetry import active
-from .hashtable import EMPTY_KEY, PROBING_SCHEMES, DeviceHashTable, InsertStats
+from .hashtable import (
+    EMPTY_KEY,
+    DeviceHashTable,
+    InsertStats,
+    check_batch,
+    check_table_params,
+    dedup_batch,
+    fit_capacity,
+    initial_capacity,
+    probe_insert,
+    probe_lookup,
+    record_insert_telemetry,
+    sorted_items,
+)
 
-__all__ = ["SegmentedHashTable", "SegmentedRankView"]
+__all__ = ["SegmentedHashTable", "SegmentedRankView", "rank_blocks"]
 
 #: The fused probe loop gathers/scatters randomly within each rank's
 #: region.  Spanning all P regions at once blows the cache, so inserts run
 #: over blocks of whole ranks whose regions total roughly this many bytes;
 #: regions are disjoint, so any grouping of whole ranks is bit-identical.
 INSERT_BLOCK_BYTES = 1 << 21
+
+
+def rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
+    """Consecutive rank ranges whose summed ``weights`` stay near ``target``.
+
+    Greedy: a block takes ranks while its sum stays within ``target``.
+    Every block holds at least one rank (a single oversized rank still
+    gets its own block), so the blocks partition ``range(p)`` exactly.
+    """
+    p = int(weights.shape[0])
+    blocks: list[tuple[int, int]] = []
+    s = 0
+    while s < p:
+        e = s + 1
+        acc = int(weights[s])
+        while e < p and acc + int(weights[e]) <= target:
+            acc += int(weights[e])
+            e += 1
+        blocks.append((s, e))
+        s = e
+    return blocks
 
 
 class SegmentedHashTable:
@@ -67,23 +100,12 @@ class SegmentedHashTable:
         probing: str = "linear",
         table_dir: str | Path | None = None,
     ) -> None:
-        if not 0.1 <= max_load_factor < 1.0:
-            raise ValueError("max_load_factor must be in [0.1, 1.0)")
-        if probing not in PROBING_SCHEMES:
-            raise ValueError(f"probing must be one of {PROBING_SCHEMES}, got {probing!r}")
+        check_table_params(max_load_factor, probing)
         self.seed = seed
         self.max_load_factor = max_load_factor
         self.probing = probing
         self._init_backing(table_dir)
-        caps = []
-        for hint in capacity_hints:
-            if hint < 1:
-                raise ValueError("capacity_hint must be positive")
-            # Same growth rule as DeviceHashTable.__init__.
-            capacity = 1
-            while capacity * max_load_factor < hint or capacity < 64:
-                capacity *= 2
-            caps.append(capacity)
+        caps = [initial_capacity(hint, max_load_factor) for hint in capacity_hints]
         self._layout(np.asarray(caps, dtype=np.int64))
         self.n_entries_per_rank = np.zeros(self.n_ranks, dtype=np.int64)
 
@@ -189,12 +211,7 @@ class SegmentedHashTable:
     def items_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Rank's (key, count) pairs sorted by key (as ``DeviceHashTable.items``)."""
         lo, hi = int(self.region_base[rank]), int(self.region_base[rank + 1])
-        keys = self.keys[lo:hi]
-        mask = keys != EMPTY_KEY
-        keys = keys[mask]
-        counts = self.counts[lo:hi][mask]
-        order = np.argsort(keys)
-        return keys[order], counts[order]
+        return sorted_items(self.keys[lo:hi], self.counts[lo:hi])
 
     def items_flat(self) -> tuple[np.ndarray, np.ndarray]:
         """All ranks' (key, count) pairs in one storage pass, slot order.
@@ -206,36 +223,28 @@ class SegmentedHashTable:
         mask = self.keys != EMPTY_KEY
         return self.keys[mask], self.counts[mask]
 
-    # -- probing -----------------------------------------------------
-
-    def _local_slots(self, base: np.ndarray, stride: np.ndarray, masks: np.ndarray, probe_no: np.ndarray) -> np.ndarray:
-        i = probe_no.astype(np.uint64)
-        if self.probing == "linear":
-            return (base + i) & masks
-        if self.probing == "quadratic":
-            return (base + (i * (i + np.uint64(1))) // np.uint64(2)) & masks
-        return (base + i * stride) & masks
-
-    def _strides(self, uniq: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        if self.probing != "double":
-            return np.ones(uniq.shape[0], dtype=np.uint64)
-        return (hash_kmers_batch(uniq, seed=self.seed + 0x9E3779B9) | np.uint64(1)) & masks
-
     # -- operations --------------------------------------------------
+
+    def _region(self, rank) -> tuple:
+        """``(seed, probing, mask, base)`` of the probe functions for one rank, or one rank per key."""
+        return self.seed, self.probing, self._masks[rank], self._base_u64[rank]
 
     def insert_flat(
         self,
         values: np.ndarray,
         seg_offsets: np.ndarray,
         weights: np.ndarray | None = None,
+        *,
+        assume_unique: bool = False,
     ) -> list[InsertStats]:
         """Insert one rank-segmented flat batch; per-rank probe statistics.
 
         ``values[seg_offsets[r]:seg_offsets[r+1]]`` are rank ``r``'s keys.
         Equivalent (bit-for-bit, including telemetry totals) to calling
         ``DeviceHashTable.insert_batch`` on each rank's segment in rank
-        order; ranks with empty segments contribute ``InsertStats.zero()``
-        and no telemetry, exactly as the staged path skips their insert.
+        order (``assume_unique`` then speaks of each segment); ranks with
+        empty segments contribute ``InsertStats.zero()`` and no telemetry,
+        exactly as the staged path skips their insert.
         """
         p = self.n_ranks
         offs = np.asarray(seg_offsets, dtype=np.int64)
@@ -244,187 +253,73 @@ class SegmentedHashTable:
         vals = np.ascontiguousarray(values, dtype=np.uint64)
         if int(offs[-1]) != vals.shape[0]:
             raise ValueError("seg_offsets do not span the value array")
+        stats = [InsertStats.zero()] * p
         if vals.size == 0:
-            return [InsertStats.zero() for _ in range(p)]
-        if bool((vals == EMPTY_KEY).any()):
-            raise ValueError("key equal to the EMPTY sentinel cannot be stored (need k <= 31)")
-
-        seg_lens = np.diff(offs)
-        wts = None
-        if weights is not None:
-            wts = np.ascontiguousarray(weights, dtype=np.int64)
-            if wts.shape != vals.shape:
-                raise ValueError("weights must parallel values")
-            if wts.size and int(wts.min()) < 1:
-                raise ValueError("weights must be >= 1")
+            return stats
+        wts = check_batch(vals, weights)
 
         # Per-rank dedup: each rank's segment is already contiguous, so run
-        # exactly the np.unique aggregation the per-rank tables run.
-        uniq_parts: list[np.ndarray] = []
-        w_parts: list[np.ndarray] = []
+        # exactly the aggregation the per-rank tables run.
+        filled = np.flatnonzero(np.diff(offs))
+        parts = [
+            dedup_batch(
+                vals[offs[r] : offs[r + 1]],
+                None if wts is None else wts[offs[r] : offs[r + 1]],
+                assume_unique,
+            )
+            for r in filled
+        ]
+        uniq_parts, w_parts = zip(*parts)
+        uniq = np.concatenate(uniq_parts) if len(parts) > 1 else uniq_parts[0]
+        w = np.concatenate(w_parts) if len(parts) > 1 else w_parts[0]
         distinct_in_batch = np.zeros(p, dtype=np.int64)
-        for r in range(p):
-            lo, hi = int(offs[r]), int(offs[r + 1])
-            if hi == lo:
-                continue
-            if wts is None:
-                uniq_r, w_r = np.unique(vals[lo:hi], return_counts=True)
-                w_r = w_r.astype(np.int64)
-            else:
-                uniq_r, inverse = np.unique(vals[lo:hi], return_inverse=True)
-                w_r = np.bincount(inverse, weights=wts[lo:hi]).astype(np.int64)
-            uniq_parts.append(uniq_r)
-            w_parts.append(w_r)
-            distinct_in_batch[r] = uniq_r.shape[0]
-        uniq = np.concatenate(uniq_parts) if len(uniq_parts) > 1 else uniq_parts[0]
-        w = np.concatenate(w_parts) if len(w_parts) > 1 else w_parts[0]
+        distinct_in_batch[filled] = [u.shape[0] for u in uniq_parts]
         useg = np.repeat(np.arange(p, dtype=np.int64), distinct_in_batch)
 
-        inst_per_rank = np.bincount(useg, weights=w, minlength=p).astype(np.int64)
-
-        # Capacity pre-check per rank (DeviceHashTable.insert_batch's resize
-        # loop); grown regions are re-laid-out once into their final size,
-        # which matches repeated doubling because every intermediate rehash
-        # re-inserts the same sorted item set.
+        # Capacity pre-check per rank; grown regions are re-laid-out once
+        # into their final size (see fit_capacity).
         resizes = np.zeros(p, dtype=np.int64)
         new_caps = self.capacities.copy()
         need = self.n_entries_per_rank + distinct_in_batch
         for r in np.flatnonzero(need > new_caps * self.max_load_factor):
-            while need[r] > new_caps[r] * self.max_load_factor:
-                new_caps[r] *= 2
-                resizes[r] += 1
+            new_caps[r], resizes[r] = fit_capacity(int(new_caps[r]), int(need[r]), self.max_load_factor)
         if resizes.any():
             self._regrow(new_caps)
 
         # Insert cache-sized blocks of whole ranks (see INSERT_BLOCK_BYTES).
         # ``uniq`` is (rank, key)-sorted, so each block is one slice.
         probes = np.empty(uniq.shape[0], dtype=np.int64)
-        new_per_rank = np.zeros(p, dtype=np.int64)
-        conflicts_per_rank = np.zeros(p, dtype=np.int64)
-        rounds_per_rank = np.zeros(p, dtype=np.int64)
+        new = np.zeros(p, dtype=np.int64)
+        conflicts = np.zeros(p, dtype=np.int64)
         region_bytes = self.capacities * 16  # uint64 keys + int64 counts
-        r0 = 0
-        while r0 < p:
-            r1 = r0 + 1
-            total_bytes = int(region_bytes[r0])
-            while r1 < p and total_bytes + int(region_bytes[r1]) <= INSERT_BLOCK_BYTES:
-                total_bytes += int(region_bytes[r1])
-                r1 += 1
+        for r0, r1 in rank_blocks(region_bytes, INSERT_BLOCK_BYTES):
             lo, hi = np.searchsorted(useg, [r0, r1], side="left")
             if hi > lo:
-                bp, bn, bc, br = self._insert_unique_flat(uniq[lo:hi], useg[lo:hi], w[lo:hi])
-                probes[lo:hi] = bp
-                new_per_rank += bn
-                conflicts_per_rank += bc
-                np.maximum(rounds_per_rank, br, out=rounds_per_rank)
-            r0 = r1
-        total_probes = np.bincount(useg, weights=probes * w, minlength=p).astype(np.int64)
+                seg = useg[lo:hi]
+                probes[lo:hi], claimed, lost = probe_insert(
+                    self.keys, self.counts, uniq[lo:hi], w[lo:hi], *self._region(seg)
+                )
+                new += np.bincount(seg[claimed], minlength=p)
+                conflicts += np.bincount(seg, weights=lost, minlength=p).astype(np.int64)
 
-        stats = [
-            InsertStats(
-                n_instances=int(inst_per_rank[r]),
-                n_distinct=int(new_per_rank[r]),
+        instances = np.bincount(useg, weights=w, minlength=p).astype(np.int64)
+        total_probes = np.bincount(useg, weights=probes * w, minlength=p).astype(np.int64)
+        max_probe = np.zeros(p, dtype=np.int64)
+        np.maximum.at(max_probe, useg, probes)
+        self.n_entries_per_rank += new
+        for r in filled:
+            stats[r] = InsertStats(
+                n_instances=int(instances[r]),
+                n_distinct=int(new[r]),
                 total_probes=int(total_probes[r]),
-                max_probe=int(rounds_per_rank[r]),
-                cas_conflicts=int(conflicts_per_rank[r]),
-                rounds=int(rounds_per_rank[r]),
+                max_probe=int(max_probe[r]),
+                cas_conflicts=int(conflicts[r]),
+                rounds=int(max_probe[r]),  # the longest-probing key was pending in every round
                 resizes=int(resizes[r]),
             )
-            if seg_lens[r]
-            else InsertStats.zero()
-            for r in range(p)
-        ]
-
-        reg = active()
-        if reg is not None:
-            nonempty = int((seg_lens > 0).sum())
-            reg.counter("hashtable_inserts_total", "insert_batch calls").inc(nonempty)
-            reg.counter("hashtable_instances_total", "k-mer instances inserted").inc(
-                int(inst_per_rank.sum())
-            )
-            reg.counter("hashtable_distinct_total", "New distinct keys claimed").inc(
-                int(new_per_rank.sum())
-            )
-            reg.counter("hashtable_cas_conflicts_total", "Lost atomicCAS claims").inc(
-                int(conflicts_per_rank.sum())
-            )
-            reg.counter("hashtable_resizes_total", "Table growth events").inc(int(resizes.sum()))
-            load_gauge = reg.gauge("hashtable_load_factor_max", "Peak table load factor")
-            for r in np.flatnonzero(seg_lens > 0):
-                load_gauge.set_max(self.n_entries_per_rank[r] / self.capacities[r])
-            # One observe_many over the concatenation is exact: the bucket
-            # adds are integers and every partial float sum of the integer
-            # products stays below 2**53.
-            reg.histogram(
-                "hashtable_probe_length",
-                "Probe-sequence length per inserted instance",
-                buckets=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128),
-            ).observe_many(probes, w)
+        load = float((self.n_entries_per_rank[filled] / self.capacities[filled]).max())
+        record_insert_telemetry([stats[r] for r in filled], load, probes, w)
         return stats
-
-    def _insert_unique_flat(
-        self, uniq: np.ndarray, useg: np.ndarray, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fused probe loop over every rank's pre-deduplicated keys.
-
-        ``uniq`` is sorted by (rank, key).  Claim winners are decided by
-        ``np.unique(claim_slots, return_index=True)`` just like the
-        per-rank loop: regions are slot-disjoint, so a contested slot only
-        sees candidates from one rank, and within a rank the pending order
-        is ascending-key — the same order ``np.unique`` hands each rank's
-        insert — so the winner is the per-rank winner.
-        """
-        p = self.n_ranks
-        key_masks = self._masks[useg]
-        key_rbase = self._base_u64[useg]
-        base = (hash_kmers_batch(uniq, seed=self.seed) & key_masks).astype(np.uint64)
-        stride = self._strides(uniq, key_masks)
-        probe_no = np.zeros(uniq.shape[0], dtype=np.int64)
-        pending = np.arange(uniq.shape[0], dtype=np.int64)
-        probes = np.ones(uniq.shape[0], dtype=np.int64)
-        new_per_rank = np.zeros(p, dtype=np.int64)
-        conflicts_per_rank = np.zeros(p, dtype=np.int64)
-        guard = int(self.capacities.max()) + 1
-        rounds = 0
-        while pending.size:
-            rounds += 1
-            if rounds > guard:
-                raise RuntimeError("hash table probe loop failed to terminate (table full?)")
-            local = self._local_slots(
-                base[pending], stride[pending], key_masks[pending], probe_no[pending]
-            )
-            s = (key_rbase[pending] + local).astype(np.int64)
-            occupant = self.keys[s]
-            vals = uniq[pending]
-
-            hit = occupant == vals
-            self.counts[s[hit]] += w[pending[hit]]
-
-            empty = occupant == EMPTY_KEY
-            if empty.any():
-                empty_idx = np.flatnonzero(empty)
-                claim_slots = s[empty_idx]
-                _, first = np.unique(claim_slots, return_index=True)
-                winners = empty_idx[first]
-                ws = s[winners]
-                self.keys[ws] = vals[winners]
-                self.counts[ws] += w[pending[winners]]
-                win_seg = useg[pending[winners]]
-                claim_seg = useg[pending[empty_idx]]
-                win_counts = np.bincount(win_seg, minlength=p)
-                new_per_rank += win_counts
-                conflicts_per_rank += np.bincount(claim_seg, minlength=p) - win_counts
-
-            still = self.keys[s] != vals
-            nxt = pending[still]
-            probe_no[nxt] += 1
-            probes[nxt] += 1
-            pending = nxt
-
-        self.n_entries_per_rank += new_per_rank
-        rounds_per_rank = np.zeros(p, dtype=np.int64)
-        np.maximum.at(rounds_per_rank, useg, probes)
-        return probes, new_per_rank, conflicts_per_rank, rounds_per_rank
 
     def _regrow(self, new_caps: np.ndarray) -> None:
         """Re-layout with grown regions; unchanged regions copy verbatim."""
@@ -432,16 +327,7 @@ class SegmentedHashTable:
         old_keys = self.keys
         old_counts = self.counts
         old_caps = self.capacities
-        grown = np.flatnonzero(new_caps != old_caps)
-        rehash = []
-        for r in grown:
-            lo, hi = int(old_base[r]), int(old_base[r + 1])
-            region_keys = old_keys[lo:hi]
-            mask = region_keys != EMPTY_KEY
-            keys = region_keys[mask]
-            counts = old_counts[lo:hi][mask]
-            order = np.argsort(keys)
-            rehash.append((int(r), keys[order], counts[order]))
+        rehash = [(int(r), *self.items_of(r)) for r in np.flatnonzero(new_caps != old_caps)]
         self._layout(new_caps)
         keep = np.flatnonzero(new_caps == old_caps)
         for r in keep:
@@ -450,37 +336,13 @@ class SegmentedHashTable:
             self.keys[nlo:nhi] = old_keys[olo:ohi]
             self.counts[nlo:nhi] = old_counts[olo:ohi]
         for r, keys, counts in rehash:
-            self.n_entries_per_rank[r] = 0
-            if keys.size:
-                seg = np.full(keys.shape[0], r, dtype=np.int64)
-                self._insert_unique_flat(keys, seg, counts)  # rehash; stats discarded
+            if keys.size:  # rehash: every key re-claims a slot
+                probe_insert(self.keys, self.counts, keys, counts, *self._region(r))
 
     def lookup_of(self, rank: int, values: np.ndarray) -> np.ndarray:
         """Counts stored for ``rank``'s keys (0 where absent)."""
         vals = np.ascontiguousarray(values, dtype=np.uint64)
-        out = np.zeros(vals.shape[0], dtype=np.int64)
-        if vals.size == 0:
-            return out
-        mask = self._masks[rank]
-        rbase = self._base_u64[rank]
-        base = (hash_kmers_batch(vals, seed=self.seed) & mask).astype(np.uint64)
-        masks = np.full(vals.shape[0], mask, dtype=np.uint64)
-        stride = self._strides(vals, masks)
-        probe_no = np.zeros(vals.shape[0], dtype=np.int64)
-        pending = np.arange(vals.shape[0], dtype=np.int64)
-        for _ in range(int(self.capacities[rank]) + 1):
-            if not pending.size:
-                break
-            local = self._local_slots(base[pending], stride[pending], masks[pending], probe_no[pending])
-            s = (rbase + local).astype(np.int64)
-            occupant = self.keys[s]
-            hit = occupant == vals[pending]
-            out[pending[hit]] = self.counts[s[hit]]
-            cont = ~hit & (occupant != EMPTY_KEY)
-            nxt = pending[cont]
-            probe_no[nxt] += 1
-            pending = nxt
-        return out
+        return probe_lookup(self.keys, self.counts, vals, *self._region(rank))
 
 
 class SegmentedRankView:
@@ -537,4 +399,4 @@ class SegmentedRankView:
         parent = self._parent
         offs = np.zeros(parent.n_ranks + 1, dtype=np.int64)
         offs[self.rank + 1 :] = np.asarray(values).shape[0]
-        return parent.insert_flat(values, offs, weights=weights)[self.rank]
+        return parent.insert_flat(values, offs, weights, assume_unique=assume_unique)[self.rank]

@@ -28,6 +28,8 @@ __all__ = [
     "alltoallv",
     "alltoallv_segments",
     "alltoallv_flat",
+    "account_alltoallv",
+    "send_counts_matrix",
     "alltoall",
     "allreduce",
     "allgather",
@@ -89,6 +91,55 @@ def alltoallv(
     return [[send[src][dst] for src in range(p)] for dst in range(p)]
 
 
+def send_counts_matrix(send_data: Sequence[np.ndarray], send_counts: Sequence[np.ndarray]) -> np.ndarray:
+    """The validated ``[src, dst]`` item matrix of per-source ``send_counts`` rows."""
+    p = len(send_data)
+    if len(send_counts) != p:
+        raise ValueError("send_data and send_counts must have one entry per rank")
+    counts_matrix = np.zeros((p, p), dtype=np.int64)
+    for src in range(p):
+        counts = np.ascontiguousarray(send_counts[src], dtype=np.int64)
+        if counts.shape != (p,):
+            raise ValueError(f"rank {src} send_counts must have shape ({p},)")
+        if int(counts.sum()) != send_data[src].shape[0]:
+            raise ValueError(f"rank {src}: counts sum {int(counts.sum())} != data length {send_data[src].shape[0]}")
+        counts_matrix[src] = counts
+    return counts_matrix
+
+
+def account_alltoallv(
+    counts_matrix: np.ndarray, *, stats: TrafficStats | None, label: str, bytes_per_item: float
+) -> None:
+    """The model accounting of one alltoallv, wherever its payload lands.
+
+    Emits the collective-layer telemetry counters and, when ``stats`` is
+    given, appends the byte/item traffic record — the in-memory gathers
+    below and the spooled exchange (``repro.core.stages.spill``) all
+    account through here, so their observables cannot differ.
+    """
+    p = counts_matrix.shape[0]
+    reg = active()
+    if reg is not None:
+        reg.counter("comm_alltoallv_calls_total", "alltoallv_segments invocations").inc()
+        # One wire message per off-diagonal (src, dst) pair, as MPI would send.
+        reg.counter("comm_messages_total", "Rank-to-rank messages carried by collectives").inc(
+            max(p * (p - 1), 0)
+        )
+    if stats is not None:
+        bytes_matrix = (counts_matrix * float(bytes_per_item)).astype(np.int64)
+        stats.record("alltoallv", bytes_matrix, label=label, items_matrix=counts_matrix)
+
+
+def _segment_starts(counts_matrix: np.ndarray) -> np.ndarray:
+    """``[src, dst]`` start of each segment in the src-major concatenation of all send buffers."""
+    p = counts_matrix.shape[0]
+    src_base = np.zeros(p, dtype=np.int64)
+    np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
+    seg_offsets = np.zeros((p, p), dtype=np.int64)  # start of (src, dst) segment within src's buffer
+    np.cumsum(counts_matrix[:, :-1], axis=1, out=seg_offsets[:, 1:])
+    return src_base[:, None] + seg_offsets
+
+
 def alltoallv_flat(
     global_data: np.ndarray,
     counts_matrix: np.ndarray,
@@ -122,23 +173,12 @@ def alltoallv_flat(
             f"counts sum {int(counts_matrix.sum())} != data length {global_data.shape[0]}"
         )
 
-    reg = active()
-    if reg is not None:
-        reg.counter("comm_alltoallv_calls_total", "alltoallv_segments invocations").inc()
-        # One wire message per off-diagonal (src, dst) pair, as MPI would send.
-        reg.counter("comm_messages_total", "Rank-to-rank messages carried by collectives").inc(
-            max(p * (p - 1), 0)
-        )
+    per_item = bytes_per_item if bytes_per_item is not None else global_data.itemsize
+    account_alltoallv(counts_matrix, stats=stats, label=label, bytes_per_item=per_item)
     if p == 0:
         return global_data, np.zeros(1, dtype=np.int64)
 
-    src_base = np.zeros(p, dtype=np.int64)
-    np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
-    seg_offsets = np.zeros((p, p), dtype=np.int64)  # start of (src, dst) segment
-    np.cumsum(counts_matrix[:, :-1], axis=1, out=seg_offsets[:, 1:])
-    seg_starts_matrix = src_base[:, None] + seg_offsets
-
-    seg_starts_global = seg_starts_matrix.T.ravel()  # (dst, src) order
+    seg_starts_global = _segment_starts(counts_matrix).T.ravel()  # (dst, src) order
     seg_lens = counts_matrix.T.ravel()
     out_offsets = np.zeros(seg_lens.shape[0], dtype=np.int64)
     np.cumsum(seg_lens[:-1], out=out_offsets[1:])
@@ -154,11 +194,6 @@ def alltoallv_flat(
         shuffled = global_data[idx]
     dst_offsets = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
-
-    if stats is not None:
-        per_item = float(bytes_per_item) if bytes_per_item is not None else float(global_data.itemsize)
-        bytes_matrix = (counts_matrix * per_item).astype(np.int64)
-        stats.record("alltoallv", bytes_matrix, label=label, items_matrix=counts_matrix)
     return shuffled, dst_offsets
 
 
@@ -191,34 +226,17 @@ def alltoallv_segments(
     identical to the single fancy-index path byte for byte.
     """
     p = len(send_data)
-    if len(send_counts) != p:
-        raise ValueError("send_data and send_counts must have one entry per rank")
-    counts_matrix = np.zeros((p, p), dtype=np.int64)
-    for src in range(p):
-        counts = np.ascontiguousarray(send_counts[src], dtype=np.int64)
-        if counts.shape != (p,):
-            raise ValueError(f"rank {src} send_counts must have shape ({p},)")
-        if int(counts.sum()) != send_data[src].shape[0]:
-            raise ValueError(f"rank {src}: counts sum {int(counts.sum())} != data length {send_data[src].shape[0]}")
-        counts_matrix[src] = counts
+    counts_matrix = send_counts_matrix(send_data, send_counts)
 
     # The per-destination gather only pays off when workers share this
     # address space: under an out-of-process pool every destination buffer
     # would be copied back through shared memory for zero overlap benefit,
     # so the process substrate takes the flat sequential gather below.
     if pool is not None and pool.is_parallel and getattr(pool, "in_process", True) and p > 1:
-        reg = active()
-        if reg is not None:
-            reg.counter("comm_alltoallv_calls_total", "alltoallv_segments invocations").inc()
-            reg.counter("comm_messages_total", "Rank-to-rank messages carried by collectives").inc(
-                max(p * (p - 1), 0)
-            )
+        per_item = bytes_per_item if bytes_per_item is not None else send_data[0].itemsize
+        account_alltoallv(counts_matrix, stats=stats, label=label, bytes_per_item=per_item)
         global_data = np.concatenate(send_data)
-        src_base = np.zeros(p, dtype=np.int64)
-        np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
-        seg_offsets = np.zeros((p, p), dtype=np.int64)  # start of (src, dst) segment
-        np.cumsum(counts_matrix[:, :-1], axis=1, out=seg_offsets[:, 1:])
-        seg_starts_matrix = src_base[:, None] + seg_offsets
+        seg_starts_matrix = _segment_starts(counts_matrix)
 
         # Per-destination packing: each worker gathers one destination's
         # segments into that destination's private receive buffer.
@@ -231,12 +249,7 @@ def alltoallv_segments(
             idx = np.arange(n, dtype=np.int64) - np.repeat(offs, lens) + np.repeat(starts, lens)
             return global_data[idx]
 
-        recv_data = pool.map(_pack_dst, range(p))
-        if stats is not None:
-            per_item = float(bytes_per_item) if bytes_per_item is not None else float(send_data[0].itemsize)
-            bytes_matrix = (counts_matrix * per_item).astype(np.int64)
-            stats.record("alltoallv", bytes_matrix, label=label, items_matrix=counts_matrix)
-        return recv_data, counts_matrix
+        return pool.map(_pack_dst, range(p)), counts_matrix
 
     # Sequential path: concatenate all send buffers, then gather the P*P
     # segments in (dst, src) order with one fancy-index via alltoallv_flat —

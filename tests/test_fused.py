@@ -169,21 +169,53 @@ def _offsets(segments: list[np.ndarray]) -> np.ndarray:
 
 @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
 def test_insert_flat_matches_per_rank_tables(probing):
+    """The segmented table ≡ P per-rank tables: stats, telemetry, slabs, lookups.
+
+    Three inserts into the same tables: a plain one, a weighted one, and
+    one that regrows two regions mid-stream while the other ranks'
+    segments are zero-width (the shape of a ``rank_range`` block call).
+    Rank 1 never receives a key.
+    """
     rng = np.random.default_rng(7)
-    segments = [_random_keys(rng, n) for n in (300, 0, 57, 1000)]
-    hints = [64, 64, 8, 128]
+    hints = [64, 64, 8, 128, 1]
     seg = SegmentedHashTable(hints, seed=3, probing=probing)
-    stats = seg.insert_flat(np.concatenate(segments), _offsets(segments))
-    tables, ref_stats = _per_rank_reference(segments, hints, seed=3, probing=probing)
-    for r, (table, ref) in enumerate(zip(tables, ref_stats)):
-        assert stats[r] == ref, f"rank {r} stats diverged"
-        keys, counts = seg.items_of(r)
-        rkeys, rcounts = table.items()
-        assert np.array_equal(keys, rkeys) and np.array_equal(counts, rcounts)
-        # Layouts (not just sorted items) must agree slot for slot.
+    tables = [DeviceHashTable(h, seed=3, probing=probing) for h in hints]
+    resizes = []
+    for sizes, weighted in (
+        ((300, 0, 57, 1000, 40), False),
+        ((120, 0, 30, 0, 25), True),
+        ((0, 0, 900, 0, 700), False),
+    ):
+        segments = [_random_keys(rng, n, space=4096) for n in sizes]
+        weights = [rng.integers(1, 9, size=n) for n in sizes] if weighted else [None] * len(sizes)
+        with session(MetricRegistry()) as flat_reg:
+            stats = seg.insert_flat(
+                np.concatenate(segments),
+                _offsets(segments),
+                weights=np.concatenate(weights) if weighted else None,
+            )
+        with session(MetricRegistry()) as ref_reg:
+            ref_stats = [
+                t.insert_batch(s, w) if s.size else InsertStats.zero()
+                for t, s, w in zip(tables, segments, weights)
+            ]
+        assert stats == ref_stats  # dataclass equality: every InsertStats field
+        # Every hashtable_* family, the hashtable_probe_length histogram included.
+        assert flat_reg.snapshot() == ref_reg.snapshot()
+        assert "hashtable_probe_length" in flat_reg.snapshot()
+        resizes.append(sum(s.resizes for s in stats))
+    assert resizes[-1] > 0, "the last insert must regrow"
+    for r, table in enumerate(tables):
+        # Layouts (not just sorted items) must agree byte for byte.
         lo, hi = int(seg.region_base[r]), int(seg.region_base[r + 1])
-        assert np.array_equal(seg.keys[lo:hi], table.keys)
-        assert np.array_equal(seg.counts[lo:hi], table.counts)
+        assert seg.keys[lo:hi].tobytes() == table.keys.tobytes()
+        assert seg.counts[lo:hi].tobytes() == table.counts.tobytes()
+        present, counts = table.items()
+        absent = present + np.uint64(1 << 40)
+        probe = np.concatenate([present, absent])
+        found = seg.lookup_of(r, probe)
+        assert np.array_equal(found, table.lookup_batch(probe))
+        assert np.array_equal(found, np.concatenate([counts, np.zeros_like(counts)]))
 
 
 def test_insert_flat_resize_path_matches_repeated_doubling():
@@ -306,14 +338,15 @@ def test_insert_batch_assume_unique_matches_default_path():
 
 
 def test_insert_batch_assume_unique_validates_ordering():
-    t = DeviceHashTable(64)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        t.insert_batch(np.array([3, 2], dtype=np.uint64), assume_unique=True)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        t.insert_batch(np.array([2, 2], dtype=np.uint64), assume_unique=True)
-    # Sorted-unique input is accepted without weights.
-    t.insert_batch(np.array([2, 3], dtype=np.uint64), assume_unique=True)
-    assert t.n_entries == 2
+    # A rank view of a segmented table enforces what the per-rank table does.
+    for t in (DeviceHashTable(64), SegmentedHashTable([64, 64]).view(1)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            t.insert_batch(np.array([3, 2], dtype=np.uint64), assume_unique=True)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            t.insert_batch(np.array([2, 2], dtype=np.uint64), assume_unique=True)
+        # Sorted-unique input is accepted without weights.
+        t.insert_batch(np.array([2, 3], dtype=np.uint64), assume_unique=True)
+        assert t.n_entries == 2
 
 
 # -- doubling window pack -----------------------------------------------------

@@ -160,11 +160,9 @@ class TestProbingSchemes:
         keys = np.unique(rng.integers(0, 2**62, size=6000).astype(np.uint64))
         stats = {}
         for probing in ("linear", "quadratic", "double"):
-            table = DeviceHashTable(64, probing=probing, max_load_factor=0.95)
-            table._alloc(8192)
-            table._n_entries = 0
-            ins, _probes = table._insert_unique(keys, np.ones(keys.shape[0], dtype=np.int64))
-            stats[probing] = ins
+            table = DeviceHashTable(keys.shape[0], probing=probing, max_load_factor=0.95)
+            assert table.capacity == 8192  # ~0.73 load, no resize on the way
+            stats[probing] = table.insert_batch(keys, assume_unique=True)
         assert stats["linear"].total_probes > stats["quadratic"].total_probes
         assert stats["linear"].total_probes > stats["double"].total_probes
 

@@ -75,3 +75,28 @@ class TestCheckerDetects:
         proc = run_checker(root)
         assert proc.returncode == 1
         assert "missing from tools/check_layers.py LAYERS map" in proc.stdout
+
+    def test_flags_second_copy_of_a_single_definition(self, tmp_path):
+        root = self._tree(tmp_path, "")
+        (root / "gpu").mkdir()
+        (root / "gpu" / "__init__.py").write_text("")
+        emitter = 'reg.counter("hashtable_inserts_total", "insert_batch calls").inc()\n'
+        loop = "while pending.size:\n    pass\n"
+        histogram = 'reg.histogram("hashtable_probe_length")\n'
+        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram)
+        assert run_checker(root).returncode == 0
+        (root / "gpu" / "segmented.py").write_text(loop)
+        (root / "core" / "fused.py").write_text(emitter)
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "segmented.py:1: 'while pending.size' is defined once, in gpu/hashtable.py" in proc.stdout
+        assert "fused.py:1: '\"hashtable_inserts_total\"' is defined once" in proc.stdout
+
+    def test_flags_owner_that_lost_its_definition(self, tmp_path):
+        root = self._tree(tmp_path, "")
+        (root / "gpu").mkdir()
+        (root / "gpu" / "__init__.py").write_text("")
+        (root / "gpu" / "kernels.py").write_text("")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "kernels.py: owner of '\"gpu_kernel_launches_total\"' no longer contains it" in proc.stdout

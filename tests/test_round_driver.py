@@ -12,10 +12,14 @@ tests pin what that buys, cell by cell against the ``staged`` cell:
 * a stream may change strategy between batches, in either direction, by
   assigning ``scheduler.opts`` and nothing else;
 * the fixes the single site gives for free: batch exchange spans carry
-  ``link_seconds``, and a one-shot mmap table is reclaimed on a raise.
+  ``link_seconds``, and a one-shot mmap table is reclaimed on a raise;
+* a rank's model seconds come from the composition's *substrate*, not
+  from its backend name, on every cell.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,8 +27,10 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
+from repro.core.stages import registry
 from repro.core.stages.buffers import RankParse
 from repro.core.stages.scheduler import _round_slice
+from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -170,6 +176,51 @@ def test_batch_exchange_spans_carry_link_seconds(strategy, tmp_path):
     links = exchange.meta["link_seconds"]
     assert links and all(seconds >= 0.0 for seconds in links.values())
     assert exchange.meta["model_seconds"] == counter.timing.exchange
+
+
+@pytest.mark.parametrize("mode", ["kmer", "supermer"])
+@pytest.mark.parametrize("substrate", [GpuSubstrate(), CpuSubstrate()], ids=["gpu", "cpu"])
+def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path, monkeypatch):
+    """The standard stages registered under a key that is not the substrate's name.
+
+    Regression: the flat layout picked GPU-vs-CPU charging from the string
+    ``backend == "gpu"``, so this composition got CPU-rate seconds and no
+    kernel telemetry under ``fused=True`` and GPU charges when staged.
+    """
+    key = f"x{substrate.name}:{mode}"
+
+    def factory(config, opts):
+        comp = registry.resolve(f"{substrate.name}:{mode}", config, opts)
+        return dataclasses.replace(comp, key=key, backend=key.split(":")[0], substrate=substrate)
+
+    monkeypatch.setitem(registry._BACKENDS, key, factory)
+
+    def cell(strategy):
+        reg = MetricRegistry()
+        result = run_pipeline(
+            golden_reads(),
+            summit_gpu(1),
+            PipelineConfig(**(CONFIG | {"mode": mode})),
+            backend=key,
+            options=_options(strategy, tmp_path, telemetry=reg),
+        )
+        kernels = {
+            name: family["samples"]
+            for name, family in reg.snapshot(include_wall=False).items()
+            if name.startswith("gpu_kernel_")
+        }
+        return (
+            result.timing,
+            result.per_rank_parse.tolist(),
+            result.per_rank_count.tolist(),
+            result.insert_stats,
+            kernels,
+        )
+
+    staged = cell("staged")
+    assert bool(staged[-1]) == (substrate.name == "gpu")  # the GPU substrate launches kernels
+    for strategy in STRATEGIES[1:]:
+        assert cell(strategy) == staged, strategy
 
 
 def _round_slice_reference(pr, rnd: int, n_rounds: int):

@@ -19,6 +19,12 @@ may reference higher layers (e.g. ``mpi.collectives`` typing against
 stage registry's lazy backend discovery keeps ``core`` free of any
 static ``ext`` import — that is by design, not an oversight.
 
+A second, textual check keeps the bit-identity contract's formulas
+defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
+families both layouts must report identically, the stages' kernel-traffic
+constructor and the table's insert probe loop may each appear in their
+owning file only, so a layout cannot regrow a private copy.
+
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
 """
@@ -45,6 +51,19 @@ LAYERS: dict[str, int] = {
 }
 
 PACKAGE = "repro"
+
+#: ``(text, scope directory, owning file, at most once?)``, paths relative
+#: to the package root: within the scope the text may appear in the owner
+#: only — and the owner, when it exists, must still hold it.
+SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
+    ('"hashtable_inserts_total"', "", "gpu/hashtable.py", True),
+    ('"hashtable_probe_length"', "", "gpu/hashtable.py", True),
+    ('"gpu_kernel_launches_total"', "", "gpu/kernels.py", True),
+    ('"gpu_kernel_model_seconds_total"', "", "gpu/kernels.py", True),
+    ('"comm_alltoallv_calls_total"', "", "mpi/collectives.py", True),
+    ("TrafficEstimate(", "core/stages", "core/stages/standard.py", False),
+    ("while pending.size", "gpu", "gpu/hashtable.py", True),
+]
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -139,6 +158,22 @@ def check_file(path: Path, root: Path) -> list[str]:
     return violations
 
 
+def check_single_definitions(root: Path) -> list[str]:
+    violations: list[str] = []
+    for text, scope, owner, once in SINGLE_DEFINITIONS:
+        owner_path = root / owner
+        for path in sorted((root / scope).rglob("*.py")):
+            lines = [n for n, line in enumerate(path.read_text().splitlines(), 1) if text in line]
+            if path == owner_path:
+                if not lines:
+                    violations.append(f"{path}: owner of {text!r} no longer contains it")
+                lines = lines[1:] if once else []
+            violations.extend(
+                f"{path}:{n}: {text!r} is defined once, in {owner} — call that instead" for n in lines
+            )
+    return violations
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default="src/repro", help="package root to scan")
@@ -150,12 +185,16 @@ def main(argv: list[str] | None = None) -> int:
     violations: list[str] = []
     for path in sorted(root.rglob("*.py")):
         violations.extend(check_file(path, root))
+    violations.extend(check_single_definitions(root))
     for line in violations:
         print(line)
     if violations:
         print(f"\n{len(violations)} layering violation(s)", file=sys.stderr)
         return 1
-    print(f"layering OK: {sum(1 for _ in root.rglob('*.py'))} files, no back-edges")
+    print(
+        f"layering OK: {sum(1 for _ in root.rglob('*.py'))} files, no back-edges, "
+        f"{len(SINGLE_DEFINITIONS)} single definitions"
+    )
     return 0
 
 
