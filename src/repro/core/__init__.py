@@ -36,12 +36,7 @@ from .stages import (
 )
 from .sweep import SweepPoint, SweepResult, sweep
 from .spmd import count_spmd, kmer_count_program, supermer_count_program
-from .tracing import (
-    trace_events,
-    wall_trace_events,
-    write_chrome_trace,
-    write_wall_trace,
-)
+from .tracing import trace_events, wall_trace_events
 
 __all__ = [
     "PipelineConfig",
@@ -68,9 +63,7 @@ __all__ = [
     "kmer_count_program",
     "supermer_count_program",
     "trace_events",
-    "write_chrome_trace",
     "wall_trace_events",
-    "write_wall_trace",
     "RankPool",
     "SequentialPool",
     "ThreadPool",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from ...telemetry.spans import SpanRecorder
 from ..config import PipelineConfig
 from ..memory import ScratchArena
 from ..parallel import ParallelSetting, RankPool
+
+if TYPE_CHECKING:  # typing only: protocols.py imports this module
+    from .protocols import Substrate
 
 __all__ = ["EngineOptions", "StageContext"]
 
@@ -131,7 +135,7 @@ class StageContext:
     config: PipelineConfig
     cluster: ClusterSpec
     opts: EngineOptions
-    backend: str  # substrate name ("gpu" or "cpu")
+    substrate: Substrate  # the composition's; charges every phase's model seconds
     pool: RankPool
     comm_model: CommCostModel
     stats: TrafficStats
@@ -154,13 +158,6 @@ class StageContext:
     def wire_bytes(self) -> int:
         """Wire size per exchanged item for the active transport mode."""
         return self.config.supermer_wire_bytes if self.supermer_mode else self.config.kmer_wire_bytes
-
-    @property
-    def exchange_overhead_s(self) -> float:
-        """Fixed per-exchange overhead of the active substrate."""
-        if self.backend == "gpu":
-            return self.opts.gpu_model.exchange_overhead_s
-        return self.opts.cpu_rates.phase_overhead
 
     @property
     def gpudirect(self) -> bool:

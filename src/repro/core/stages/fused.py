@@ -29,10 +29,10 @@ construction rather than by keeping copies in step: per-rank model times
 and kernel telemetry are the composition's own substrate charges
 (``comp.substrate.charge_parse`` / ``charge_count``) looped over the
 per-rank figures, k-mer extraction is ``comp.count.extract_kmers``, the
-checksum is ``verify_exchange``, and the segmented table probes through
-the per-rank table's functions (see its module docstring).  The golden
-suite replays the full engine matrix with ``fused=True`` against the
-same golden file.
+checksum and exchange seconds are ``exchange_outcome``, and the segmented
+table probes through the per-rank table's functions (see its module
+docstring).  The golden suite replays the full engine matrix with
+``fused=True`` against the same golden file.
 
 Compositions whose stages are not the standard classes (custom
 registered stages) fall back to the per-rank layout; plugin *hooks*
@@ -72,8 +72,7 @@ from .standard import (
     SpectrumMerge,
     SupermerParse,
     TableCount,
-    exchange_time_model,
-    verify_exchange,
+    exchange_outcome,
 )
 
 __all__ = ["FlatLayout", "supports_fusion"]
@@ -414,21 +413,8 @@ class FlatLayout:
             shuffled_lengths, _ = alltoallv_flat(
                 send_lengths, round_counts, stats=None, arena=self.arena  # bytes counted in `wire`
             )
-        do_verify = sctx.verify if sctx.verify is not None else sctx.opts.verify_exchange
-        if do_verify:
-            # XOR is commutative/associative: the whole-cluster buffers check
-            # as one send and one receive buffer.
-            verify_exchange([send_flat], [shuffled], round_counts, label)
-        seconds, t_a2av, t_stage, links = exchange_time_model(round_counts, sctx)
-        return ExchangeOutcome(
-            recv_data=shuffled,
-            recv_lengths=shuffled_lengths,
-            counts_matrix=round_counts,
-            seconds=seconds,
-            alltoallv_seconds=t_a2av,
-            staging_seconds=t_stage,
-            link_seconds=links,
-            recv_offsets=dst_offsets,
+        return exchange_outcome(
+            send_flat, shuffled, shuffled_lengths, round_counts, label, sctx, recv_offsets=dst_offsets
         )
 
     # -- count phase -------------------------------------------------

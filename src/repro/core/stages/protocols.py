@@ -122,7 +122,9 @@ class Substrate(Protocol):
     The per-rank layout calls ``parse_rank`` / ``count_rank``.  The standard
     substrates also expose the *charge* half of each (``charge_parse`` /
     ``charge_count``, model seconds from a rank's work figures), which the
-    flat layout loops over ranks after running a stage body once.
+    flat layout loops over ranks after running a stage body once.  Every
+    layout charges the exchange through ``charge_exchange`` and sizes
+    rounds through ``device_rounds``.
     """
 
     name: str
@@ -144,6 +146,14 @@ class Substrate(Protocol):
         count: CountStage,
         ctx: "StageContext",
     ) -> CountOutcome: ...
+
+    def charge_exchange(self, bytes_matrix: np.ndarray, ctx: "StageContext") -> tuple[float, float]:
+        """``(fixed overhead, host-staging seconds)`` of one round moving ``bytes_matrix`` [src, dst]."""
+        ...
+
+    def device_rounds(self, worst_items: float, wire: int, opts: "EngineOptions") -> int:
+        """Rounds needed so the worst rank's received items fit the substrate's device memory."""
+        ...
 
 
 class PipelinePlugin:

@@ -38,6 +38,7 @@ version-1 files still load, with zeroed stats and empty traffic).
 
 from __future__ import annotations
 
+import os
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,7 @@ from ..tracing import recording_region
 from .buffers import CountOutcome, ExchangeOutcome, ParseSummary, RankParse, round_split
 from .context import EngineOptions, StageContext
 from .fused import FlatLayout, supports_fusion
+from .protocols import Substrate
 from .registry import StageComposition
 from .spill import Resident, Spooled, supports_spill
 
@@ -120,7 +122,11 @@ class PipelineState:
         )
 
     def save(self, path: str | Path, *, k: int) -> Path:
-        """Persist the state (tables + accounting) to an ``.npz``."""
+        """Persist the state (tables + accounting) as an ``.npz`` at exactly ``path``.
+
+        Written to a sibling temp file and renamed over ``path``, so a save
+        that dies midway leaves the previous checkpoint intact.
+        """
         path = Path(path)
         payload: dict[str, np.ndarray] = {
             "version": np.array([_CHECKPOINT_VERSION]),
@@ -144,7 +150,14 @@ class PipelineState:
             keys, counts = table.items()
             payload[f"keys_{r}"] = keys
             payload[f"counts_{r}"] = counts
-        np.savez_compressed(path, **payload)
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        try:
+            # A file object, not a name: numpy appends ".npz" to bare names.
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(fh, **payload)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     def load(self, path: str | Path, *, k: int, table_seed: int) -> None:
@@ -683,7 +696,7 @@ class RoundScheduler:
             config=config,
             cluster=self.cluster,
             opts=opts,
-            backend=comp.backend,
+            substrate=comp.substrate,
             pool=layout.pool(state),
             comm_model=self.comm_model,
             stats=stats,
@@ -715,7 +728,7 @@ class RoundScheduler:
         n_rounds = 1
         if one_shot:
             recv_items = summary.counts_matrix.sum(axis=0).astype(np.float64)
-            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.backend))
+            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.substrate))
         hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]
 
         # One cleanup scope for everything a drive opens: the residency's
@@ -835,7 +848,9 @@ def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np
     return pr.data[idx], lengths, counts
 
 
-def _rounds_for_recv_items(recv_items: np.ndarray, wire: int, opts: EngineOptions, backend: str) -> int:
+def _rounds_for_recv_items(
+    recv_items: np.ndarray, wire: int, opts: EngineOptions, substrate: Substrate
+) -> int:
     """Rounds needed so every rank's round working set fits its memory budgets.
 
     Models Section III-A: "Depending on the total size of the input,
@@ -844,18 +859,13 @@ def _rounds_for_recv_items(recv_items: np.ndarray, wire: int, opts: EngineOption
     ``recv_items`` is the per-rank received-item total (the parse
     summary's counts-matrix column sums, exact in float64 below 2**53),
     evaluated at full (multiplied) scale.  Two independent budgets apply:
-    the modeled device-HBM budget (``auto_rounds``, GPU substrate only)
+    the substrate's modeled device-memory budget (``device_rounds``)
     and the *host* budget (``opts.host_memory_budget``, any substrate),
     which bounds one round's per-rank host working set: the received
     partition, its extraction copy, and the table growth it can cause.
     """
     worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
-    rounds = 1
-    if opts.auto_rounds and backend == "gpu":
-        # Wire buffer + staged copy + table entries (16 B/slot at ~0.7 load).
-        bytes_per_item = wire * 2 + 16 / 0.7
-        budget = opts.device.hbm_bytes * opts.memory_budget_fraction
-        rounds = max(rounds, int(np.ceil(worst * bytes_per_item / budget)))
+    rounds = substrate.device_rounds(worst, wire, opts)
     if opts.host_memory_budget is not None:
         # Host-side working set per item: the partition buffer and its
         # extraction copy, the unpacked 8-byte key stream, and the table

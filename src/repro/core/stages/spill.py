@@ -39,8 +39,8 @@ expected and found bytes, never a silently smaller count.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the resident
-path's (``tests/test_spill.py`` enforces it, and
-``benchmarks/bench_guard.py`` gates it in CI).  Only ``wall=True``
+path's (``tests/test_spill.py`` enforces it, and ``TestModelCellsGolden``
+replays the full-scale figure cells through it).  Only ``wall=True``
 telemetry families (``spill_*``) differ.  Compositions with custom
 exchange/merge stages fall back to the resident path with an
 ``engine.spill.fallback`` event, never an error.
@@ -67,7 +67,7 @@ from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, segment_gather_index
 from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, exchange_time_model, verify_exchange
+from .standard import AlltoallvExchange, SpectrumMerge, exchange_outcome
 
 __all__ = [
     "Resident",
@@ -444,20 +444,7 @@ class SpillExchange:
         if send_lengths is not None:
             recv_lengths = self.spool.map_partitions(label, p, np.uint8, lens=True)
 
-        do_verify = ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange
-        if do_verify:
-            verify_exchange(send_data, recv_data, counts_matrix, label)
-
-        seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
-        return ExchangeOutcome(
-            recv_data=recv_data,
-            recv_lengths=recv_lengths,
-            counts_matrix=counts_matrix,
-            seconds=seconds,
-            alltoallv_seconds=t_a2av,
-            staging_seconds=t_stage,
-            link_seconds=links,
-        )
+        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, ctx)
 
     def _spool_round(self, send_data, send_lengths, counts_matrix: np.ndarray, label: str) -> None:
         """Append the disk form of ``recv_data`` to the label's file, block by block.

@@ -39,7 +39,7 @@ from ...kmers.supermers import build_supermers, extract_kmers_from_packed
 from ...mpi.collectives import alltoallv_segments
 from ..config import PipelineConfig
 from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
-from .context import StageContext
+from .context import EngineOptions, StageContext
 from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "outgoing_buffer_hot_fraction",
     "verify_exchange",
     "exchange_time_model",
+    "exchange_outcome",
 ]
 
 
@@ -252,39 +253,63 @@ def exchange_time_model(
 ) -> tuple[float, float, float, tuple[tuple[str, float], ...]]:
     """Model one exchange round's ``(seconds, alltoallv_s, staging_s, links)``.
 
-    Shared verbatim between the staged :class:`AlltoallvExchange`, the
-    fused engine, and the spill engine so all three compute the identical
-    floats: fixed overhead + network time (hierarchical alltoallv plus the
-    small counts alltoall) + host staging copies (skipped under GPUDirect,
-    whether from the run config or the machine's network knob).  ``links``
-    is the per-link ``(name, seconds)`` breakdown from the routed
-    alltoallv, with host staging appended as its own ``host-staging`` link
-    row when it applies.
+    Network time (hierarchical alltoallv plus the small counts alltoall)
+    plus the substrate's ``charge_exchange``: its fixed per-round overhead
+    and its host staging copies.  ``links`` is the per-link ``(name,
+    seconds)`` breakdown from the routed alltoallv, with host staging
+    appended as its own ``host-staging`` link row when it applies.
     """
     bytes_matrix = counts_matrix.astype(np.float64) * ctx.wire_bytes * ctx.mult
     timing = ctx.comm_model.alltoallv(bytes_matrix)
     t_a2av = timing.total
     t_net = t_a2av + ctx.comm_model.alltoall_counts()
-    t_stage = 0.0
-    if ctx.backend == "gpu" and not ctx.gpudirect:
-        out_bytes = bytes_matrix.sum(axis=1)
-        in_bytes = bytes_matrix.sum(axis=0)
-        if ctx.n_ranks:
-            # BSP: the slowest rank's host<->device copies gate the phase.
-            busiest = int((out_bytes + in_bytes).argmax())
-            t_stage = staging_time(ctx.opts.device, float(out_bytes[busiest]), float(in_bytes[busiest]))
+    overhead, t_stage = ctx.substrate.charge_exchange(bytes_matrix, ctx)
     links = tuple((lt.link, lt.seconds) for lt in timing.links)
     if t_stage > 0.0:
         links = links + (("host-staging", t_stage),)
-    return ctx.exchange_overhead_s + t_net + t_stage, t_a2av, t_stage, links
+    return overhead + t_net + t_stage, t_a2av, t_stage, links
+
+
+def exchange_outcome(
+    send_data: list[np.ndarray] | np.ndarray,
+    recv_data: list[np.ndarray] | np.ndarray,
+    recv_lengths: list[np.ndarray] | np.ndarray | None,
+    counts_matrix: np.ndarray,
+    label: str,
+    ctx: StageContext,
+    recv_offsets: np.ndarray | None = None,
+) -> ExchangeOutcome:
+    """The tail every exchange shares: checksum, time model, the outcome.
+
+    Per-rank buffer lists, or with ``recv_offsets`` the flat layout's
+    rank-segmented arrays.
+    """
+    if ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange:
+        if recv_offsets is None:
+            verify_exchange(send_data, recv_data, counts_matrix, label)
+        else:
+            # XOR is commutative/associative: the whole-cluster buffers check
+            # as one send and one receive buffer.
+            verify_exchange([send_data], [recv_data], counts_matrix, label)
+    seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
+    return ExchangeOutcome(
+        recv_data=recv_data,
+        recv_lengths=recv_lengths,
+        counts_matrix=counts_matrix,
+        seconds=seconds,
+        alltoallv_seconds=t_a2av,
+        staging_seconds=t_stage,
+        link_seconds=links,
+        recv_offsets=recv_offsets,
+    )
 
 
 class AlltoallvExchange:
     """Counts alltoall + payload alltoallv, with exact accounting.
 
     Moves the data (real reshuffle through the collective layer), checks
-    end-to-end checksums, and models the phase time through
-    :func:`exchange_time_model`.
+    end-to-end checksums, and models the phase time
+    (:func:`exchange_outcome`).
     """
 
     def exchange(
@@ -304,20 +329,7 @@ class AlltoallvExchange:
             recv_lengths, _ = alltoallv_segments(
                 send_lengths, send_counts, stats=None, pool=ctx.pool  # bytes counted in `wire`
             )
-        do_verify = ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange
-        if do_verify:
-            verify_exchange(send_data, recv_data, counts_matrix, label)
-
-        seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
-        return ExchangeOutcome(
-            recv_data=recv_data,
-            recv_lengths=recv_lengths,
-            counts_matrix=counts_matrix,
-            seconds=seconds,
-            alltoallv_seconds=t_a2av,
-            staging_seconds=t_stage,
-            link_seconds=links,
-        )
+        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +489,30 @@ class GpuSubstrate:
         )
         return VirtualGPU(ctx.opts.device).charge("count_kmers", recv_items, traffic)
 
+    def charge_exchange(self, bytes_matrix: np.ndarray, ctx: StageContext) -> tuple[float, float]:
+        """One exchange round's ``(fixed overhead, host-staging seconds)``.
+
+        Staging is the host<->device copies around the collective, skipped
+        under GPUDirect (the run config's flag or the machine's network knob).
+        """
+        t_stage = 0.0
+        if ctx.n_ranks and not ctx.gpudirect:
+            out_bytes = bytes_matrix.sum(axis=1)
+            in_bytes = bytes_matrix.sum(axis=0)
+            # BSP: the slowest rank's host<->device copies gate the phase.
+            busiest = int((out_bytes + in_bytes).argmax())
+            t_stage = staging_time(ctx.opts.device, float(out_bytes[busiest]), float(in_bytes[busiest]))
+        return ctx.opts.gpu_model.exchange_overhead_s, t_stage
+
+    def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
+        """Rounds so the worst rank's round fits device memory (``auto_rounds``)."""
+        if not opts.auto_rounds:
+            return 1
+        # Wire buffer + staged copy + table entries (16 B/slot at ~0.7 load).
+        bytes_per_item = wire * 2 + 16 / 0.7
+        budget = opts.device.hbm_bytes * opts.memory_budget_fraction
+        return max(1, int(np.ceil(worst_items * bytes_per_item / budget)))
+
 
 class CpuSubstrate:
     """Charges each phase through the Power9-calibrated CPU rates."""
@@ -500,3 +536,9 @@ class CpuSubstrate:
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
         rates = ctx.opts.cpu_rates
         return rates.phase_overhead + rates.count_time(inserted * ctx.mult, supermer_mode=ctx.supermer_mode)
+
+    def charge_exchange(self, bytes_matrix: np.ndarray, ctx: StageContext) -> tuple[float, float]:
+        return ctx.opts.cpu_rates.phase_overhead, 0.0  # host buffers: nothing to stage
+
+    def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
+        return 1  # no device memory to fit

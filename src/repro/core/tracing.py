@@ -35,6 +35,8 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from ..telemetry import metric_trace_events
+from ..telemetry.export import chrome_event
 from ..telemetry.spans import SpanRecorder, span_payload, span_tree_events
 from .results import CountResult
 
@@ -43,16 +45,12 @@ if TYPE_CHECKING:  # typing only — no runtime import cycle
 
 __all__ = [
     "trace_events",
-    "write_chrome_trace",
     "wall_trace_events",
-    "write_wall_trace",
     "recording_region",
     "TRACE_SCHEMA",
     "run_trace_payload",
     "write_run_trace",
 ]
-
-_US = 1e6  # trace timestamps are microseconds
 
 #: Schema tag of the run-trace JSON file (validated by tools/check_trace.py).
 TRACE_SCHEMA = "repro-trace/1"
@@ -77,16 +75,7 @@ def trace_events(result: CountResult, *, max_ranks: int | None = 64) -> list[dic
 
     def span(name: str, rank: int, start_s: float, dur_s: float, **args: Any) -> None:
         events.append(
-            {
-                "name": name,
-                "ph": "X",
-                "pid": 0,
-                "tid": rank,
-                "ts": start_s * _US,
-                "dur": max(dur_s, 0.0) * _US,
-                "cat": "pipeline",
-                "args": args,
-            }
+            chrome_event(name, "X", 0, args, tid=rank, start_s=start_s, dur_s=max(dur_s, 0.0), cat="pipeline")
         )
 
     t = result.timing
@@ -108,15 +97,8 @@ def trace_events(result: CountResult, *, max_ranks: int | None = 64) -> list[dic
 
     # Rank-row metadata so viewers label threads.
     for r in ranks:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": r,
-                "args": {"name": f"rank {r} (node {result.cluster.node_of(r)})"},
-            }
-        )
+        label = f"rank {r} (node {result.cluster.node_of(r)})"
+        events.append(chrome_event("thread_name", "M", 0, {"name": label}, tid=r))
     return events
 
 
@@ -145,75 +127,13 @@ def wall_trace_events(recorder: SpanRecorder) -> list[dict[str, Any]]:
     if not spans:
         return []
     t0 = min(s.start_s for s in spans)
-    events: list[dict[str, Any]] = []
-    for s in spans:
-        events.append(
-            {
-                "name": s.name,
-                "ph": "X",
-                "pid": 1,
-                "tid": s.rank,
-                "ts": (s.start_s - t0) * _US,
-                "dur": s.dur_s * _US,
-                "cat": "wall",
-                "args": {},
-            }
-        )
+    events = [
+        chrome_event(s.name, "X", 1, {}, tid=s.rank, start_s=s.start_s - t0, dur_s=s.dur_s, cat="wall")
+        for s in spans
+    ]
     for rank in sorted({s.rank for s in spans}):
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": 1, "tid": rank, "args": {"name": f"rank {rank} (wall)"}}
-        )
+        events.append(chrome_event("thread_name", "M", 1, {"name": f"rank {rank} (wall)"}, tid=rank))
     return events
-
-
-def write_wall_trace(recorder: SpanRecorder, path: str | Path) -> Path:
-    """Write the recorded wall-clock spans as a Chrome trace JSON file."""
-    path = Path(path)
-    payload = {
-        "traceEvents": wall_trace_events(recorder),
-        "displayTimeUnit": "ms",
-        "metadata": {
-            "busy_seconds": recorder.busy_seconds(),
-            "elapsed_seconds": recorder.elapsed_seconds(),
-            "overlap_factor": recorder.overlap_factor(),
-        },
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def write_chrome_trace(
-    result: CountResult,
-    path: str | Path,
-    *,
-    max_ranks: int | None = 64,
-    registry: "Any | None" = None,
-) -> Path:
-    """Write the run's timeline as a Chrome trace JSON file.
-
-    Passing a :class:`repro.telemetry.MetricRegistry` merges its counter
-    tracks (``ph: "C"`` events) into the timeline, so metric magnitudes —
-    exchange bytes, probe counts, phase seconds — render alongside the
-    phase spans in Perfetto.
-    """
-    path = Path(path)
-    events = trace_events(result, max_ranks=max_ranks)
-    if registry is not None:
-        from ..telemetry import metric_trace_events
-
-        events.extend(metric_trace_events(registry, result=result))
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {
-            "config": result.config.describe(),
-            "cluster": result.cluster.name,
-            "backend": result.backend,
-            "total_model_seconds": result.timing.total,
-        },
-    }
-    path.write_text(json.dumps(payload))
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +179,6 @@ def run_trace_payload(
         events.extend(wall_trace_events(recorder))
         events.extend(span_tree_events(recorder))
     if registry is not None:
-        from ..telemetry import metric_trace_events
-
         events.extend(metric_trace_events(registry, result=result))
 
     run_meta: dict[str, Any] = {}

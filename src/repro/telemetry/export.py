@@ -10,7 +10,8 @@ Three consumers, three formats:
   plus ``_sum``/``_count`` series;
 * :func:`metric_trace_events` — ``ph: "C"`` counter tracks that merge into
   the Chrome-trace timelines of :mod:`repro.core.tracing`, so metric values
-  appear alongside the phase spans in Perfetto.
+  appear alongside the phase spans in Perfetto.  :func:`chrome_event` is the
+  one constructor of a Chrome trace event; every timeline builds through it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "write_json",
     "prometheus_text",
     "write_prometheus",
+    "chrome_event",
     "metric_trace_events",
 ]
 
@@ -128,6 +130,34 @@ def write_prometheus(registry: MetricRegistry, path: str | Path, *, include_wall
 # ---------------------------------------------------------------------------
 
 
+def chrome_event(
+    name: str,
+    ph: str,
+    pid: int,
+    args: dict[str, Any],
+    *,
+    tid: int | None = None,
+    start_s: float | None = None,
+    dur_s: float | None = None,
+    cat: str | None = None,
+) -> dict[str, Any]:
+    """One Chrome trace event: a span (``X``), counter sample (``C``) or metadata row (``M``).
+
+    Seconds in, microseconds out; fields a phase does not take are omitted.
+    """
+    event: dict[str, Any] = {"name": name, "ph": ph, "pid": pid}
+    if tid is not None:
+        event["tid"] = tid
+    if start_s is not None:
+        event["ts"] = start_s * _US
+    if dur_s is not None:
+        event["dur"] = dur_s * _US
+    if cat is not None:
+        event["cat"] = cat
+    event["args"] = args
+    return event
+
+
 def metric_trace_events(
     registry: MetricRegistry,
     *,
@@ -154,14 +184,5 @@ def metric_trace_events(
             value = sample["sum"] if fam.kind == "histogram" else sample["value"]
             series = ",".join(f"{k}={v}" for k, v in labels.items()) or "value"
             ts = phase_start.get(labels.get("phase", ""), 0.0)
-            events.append(
-                {
-                    "name": fam.name,
-                    "ph": "C",
-                    "pid": pid,
-                    "ts": ts * _US,
-                    "cat": "telemetry",
-                    "args": {series: value},
-                }
-            )
+            events.append(chrome_event(fam.name, "C", pid, {series: value}, start_s=ts, cat="telemetry"))
     return events

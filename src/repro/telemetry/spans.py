@@ -27,8 +27,8 @@ them is ``wall=True`` telemetry.  Causality to the model side is kept as
 :class:`~repro.mpi.stats.TrafficStats` records their collective appended,
 linking each wall span to the exact traffic matrices it produced.
 
-This module imports nothing from the rest of ``repro`` (telemetry is
-layer 0); the engine-side glue lives in :mod:`repro.core.tracing`.
+This module imports nothing outside ``repro.telemetry`` (layer 0); the
+engine-side glue lives in :mod:`repro.core.tracing`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator
+
+from .export import chrome_event
 
 __all__ = [
     "Span",
@@ -50,8 +52,6 @@ __all__ = [
 #: The hierarchy levels, outermost first.  ``work`` is the per-rank leaf
 #: level; everything above it is a region opened by the driving thread.
 SPAN_CATEGORIES = ("run", "batch", "round", "stage", "work")
-
-_US = 1e6  # Chrome trace timestamps are microseconds
 
 
 @dataclass(frozen=True)
@@ -265,21 +265,18 @@ def span_tree_events(recorder: "SpanRecorder", *, pid: int = 2) -> list[dict[str
     if not regions:
         return []
     t0 = min(s.start_s for s in spans)
-    events: list[dict[str, Any]] = []
-    for s in regions:
-        events.append(
-            {
-                "name": s.name,
-                "ph": "X",
-                "pid": pid,
-                "tid": 0,
-                "ts": (s.start_s - t0) * _US,
-                "dur": s.dur_s * _US,
-                "cat": s.cat,
-                "args": {"id": s.sid, "parent": s.parent, **s.meta},
-            }
+    events = [
+        chrome_event(
+            s.name,
+            "X",
+            pid,
+            {"id": s.sid, "parent": s.parent, **s.meta},
+            tid=0,
+            start_s=s.start_s - t0,
+            dur_s=s.dur_s,
+            cat=s.cat,
         )
-    events.append(
-        {"name": "thread_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": "scheduler (spans)"}}
-    )
+        for s in regions
+    ]
+    events.append(chrome_event("thread_name", "M", pid, {"name": "scheduler (spans)"}, tid=0))
     return events

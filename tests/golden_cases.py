@@ -8,9 +8,11 @@ summarization used both by ``tools/capture_golden.py`` (which recorded
 by ``tests/test_stages_golden.py`` (which replays the matrix on the
 current code and compares field by field).
 
-Everything here depends only on layers untouched by the refactor
-(``repro.dna``, ``repro.mpi.topology``, result dataclasses), so the
-summaries are comparable across the refactor boundary.
+The case matrix and summaries depend only on layers untouched by the
+refactor (``repro.dna``, ``repro.mpi.topology``, result dataclasses), so
+they are comparable across the refactor boundary.  ``MODEL_CASES`` pins the
+model clock of the paper's figures the same way
+(``tests/golden/model_cells.json``).
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from typing import Any
 
 import numpy as np
 
+from repro.bench.runner import dataset_with_multiplier
+from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions, run_pipeline
+from repro.core.results import CountResult
 from repro.dna.reads import ReadSet
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
 from repro.mpi.topology import summit_cpu, summit_gpu
 
 GOLDEN_PATH = "tests/golden/engine_golden.json"
+MODEL_GOLDEN_PATH = "tests/golden/model_cells.json"
 
 
 def golden_reads() -> ReadSet:
@@ -136,6 +143,61 @@ SPMD_CASES: dict[str, dict[str, Any]] = {
 }
 
 
+def _model_cell(
+    dataset: str, backend: str, mode: str, m: int = 7, nodes: int = 16, baseline: str | None = None
+) -> tuple[str, dict[str, Any]]:
+    name = f"{dataset}/{backend}-{mode}-m{m}" + ("" if nodes == 16 else f"/{nodes}-nodes")
+    case = {
+        "dataset": dataset,
+        "cluster": (backend, nodes),
+        "backend": backend,
+        "config": {"k": 17, "mode": mode, "minimizer_len": m},
+        "baseline": baseline,
+    }
+    return name, case
+
+
+#: The model-clock pin.  The paper's figures are *modeled* Summit seconds, so
+#: these cells run Table I datasets at full scale (``work_multiplier``) and
+#: the golden holds their exact floats: the three ``vvulnificus30x`` Fig. 6
+#: cells at 16 nodes, plus m=9 supermers and a 4-node k-mer run, which
+#: together carry Fig. 8's alltoallv seconds/speedups (``baseline`` names the
+#: k-mer run a speedup is relative to) and Fig. 9's insertion rates.
+_FIG6_VARIANTS = (("cpu", "kmer"), ("gpu", "kmer"), ("gpu", "supermer"))
+_FIG8_BASELINE = "vvulnificus30x/gpu-kmer-m7"
+MODEL_CASES: dict[str, dict[str, Any]] = dict(
+    [
+        _model_cell("vvulnificus30x", "cpu", "kmer"),
+        _model_cell("vvulnificus30x", "gpu", "kmer"),
+        _model_cell("vvulnificus30x", "gpu", "supermer", baseline=_FIG8_BASELINE),
+        _model_cell("vvulnificus30x", "gpu", "supermer", m=9, baseline=_FIG8_BASELINE),
+        _model_cell("vvulnificus30x", "gpu", "kmer", nodes=4),
+    ]
+)
+
+#: The Fig. 6 cells of MODEL_CASES, additionally replayed on every strategy.
+MODEL_STRATEGY_CASES = tuple(MODEL_CASES)[: len(_FIG6_VARIANTS)]
+
+#: The other nine Fig. 6 cells (16 nodes), pinned on the staged strategy only.
+MODEL_STAGED_ONLY_CASES: dict[str, dict[str, Any]] = dict(
+    _model_cell(dataset, backend, mode)
+    for dataset in ("ecoli30x", "paeruginosa30x", "abaumannii30x")
+    for backend, mode in _FIG6_VARIANTS
+)
+
+
+def run_model_case(case: dict[str, Any], **options: Any) -> CountResult:
+    """Run one model cell at full scale; ``options`` pick strategy and substrate."""
+    reads, mult = dataset_with_multiplier(case["dataset"])
+    return run_pipeline(
+        reads,
+        build_cluster(*case["cluster"]),
+        PipelineConfig(**case["config"]),
+        backend=case["backend"],
+        options=EngineOptions(work_multiplier=mult, **options),
+    )
+
+
 def build_cluster(kind: str, nodes: int):
     return summit_gpu(nodes) if kind == "gpu" else summit_cpu(nodes)
 
@@ -195,6 +257,23 @@ def summarize_result(result) -> dict[str, Any]:
         "traffic_bytes": int(result.traffic.total_bytes()),
         "traffic_collectives": int(result.traffic.n_collectives),
     }
+
+
+def summarize_model_cell(result, baseline=None) -> dict[str, Any]:
+    """:func:`summarize_result` plus the figure observables derived from it.
+
+    ``total_s`` is Fig. 6's bar, ``compute_s`` / ``insertion_rate`` are
+    Fig. 9's, ``alltoallv_speedup`` (vs the k-mer ``baseline`` run) is
+    Fig. 8's; the seconds they derive from are in the summary itself.
+    """
+    figures = {
+        "total_s": result.timing.total,
+        "compute_s": result.timing.compute,
+        "insertion_rate": result.insertion_rate(),
+    }
+    if baseline is not None:
+        figures["alltoallv_speedup"] = result.exchange_speedup_over(baseline)
+    return summarize_result(result) | {"figures": figures}
 
 
 def summarize_counter(counter) -> dict[str, Any]:

@@ -122,6 +122,37 @@ class TestCheckpointResume:
         other.load(path)
         assert other.total_kmers == 0
 
+    def test_suffixless_path_round_trips(self, batches, tmp_path):
+        """Regression: numpy appended ``.npz`` to the name, so the returned
+        path did not exist and ``repro count --checkpoint ckpt`` never resumed."""
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(batches[0])
+        path = counter.save(tmp_path / "ckpt")
+        assert path == tmp_path / "ckpt" and [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        other = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        other.load(path)
+        assert other.spectrum().equals(counter.spectrum())
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, batches, tmp_path, monkeypatch):
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(batches[0])
+        path = counter.save(tmp_path / "c.npz")
+        before = counter.spectrum()
+        counter.add_reads(batches[1])
+
+        def short_write(file, **arrays):
+            (file if hasattr(file, "write") else open(file, "wb")).write(b"PK\x03\x04 truncated")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", short_write)
+        with pytest.raises(OSError, match="No space left"):
+            counter.save(path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]  # no temp file left behind
+        other = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        other.load(path)
+        assert other.n_batches == 1 and other.spectrum().equals(before)
+
 
 class TestCheckpointAccounting:
     """Regression: checkpoint v1 dropped insert_stats and the traffic log,

@@ -25,6 +25,14 @@ class TestRepoIsLayered:
         assert proc.returncode == 0, f"layering violations:\n{proc.stdout}{proc.stderr}"
         assert "layering OK" in proc.stdout
 
+    def test_stages_never_compare_backend_names(self):
+        """Model seconds come from the composition's substrate object; a
+        string test would hand a custom-keyed composition the other
+        substrate's seconds."""
+        stages = REPO / "src" / "repro" / "core" / "stages"
+        offenders = [p.name for p in sorted(stages.glob("*.py")) if '== "gpu"' in p.read_text()]
+        assert offenders == []
+
 
 class TestCheckerDetects:
     @staticmethod

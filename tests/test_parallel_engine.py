@@ -29,7 +29,7 @@ from repro.core.parallel import (
     shutdown_pools,
     substrate_kinds,
 )
-from repro.core.tracing import wall_trace_events, write_wall_trace
+from repro.core.tracing import run_trace_payload, wall_trace_events
 from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.mpi.collectives import alltoallv_segments
@@ -324,9 +324,7 @@ class TestWallClockRecorder:
         )
         assert "count-round0" in rec.phases() and "count-round1" in rec.phases()
 
-    def test_wall_trace_export(self, reads, tmp_path):
-        import json
-
+    def test_wall_trace_export(self, reads):
         rec = SpanRecorder()
         run_pipeline(
             reads,
@@ -338,10 +336,9 @@ class TestWallClockRecorder:
         events = wall_trace_events(rec)
         assert any(e["ph"] == "X" for e in events)
         assert min(e["ts"] for e in events if e["ph"] == "X") == 0.0
-        out = write_wall_trace(rec, tmp_path / "wall.json")
-        payload = json.loads(out.read_text())
-        assert payload["metadata"]["busy_seconds"] > 0
-        assert len(payload["traceEvents"]) == len(events)
+        payload = run_trace_payload(rec)
+        assert payload["metadata"]["wall"]["busy_seconds"] > 0
+        assert [e for e in payload["traceEvents"] if e["pid"] == 1] == events
 
     def test_empty_recorder(self):
         rec = SpanRecorder()

@@ -31,6 +31,7 @@ from repro.core.stages import registry
 from repro.core.stages.buffers import RankParse
 from repro.core.stages.scheduler import _round_slice
 from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
+from repro.machines import v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -183,9 +184,11 @@ def test_batch_exchange_spans_carry_link_seconds(strategy, tmp_path):
 def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path, monkeypatch):
     """The standard stages registered under a key that is not the substrate's name.
 
-    Regression: the flat layout picked GPU-vs-CPU charging from the string
-    ``backend == "gpu"``, so this composition got CPU-rate seconds and no
-    kernel telemetry under ``fused=True`` and GPU charges when staged.
+    Regression: model seconds were picked from the string ``backend ==
+    "gpu"``, so a GPU composition under this key got CPU-rate parse/count
+    seconds and no kernel telemetry under ``fused=True`` (PR 15), and on
+    every strategy the CPU exchange overhead, no host-staging term and no
+    ``auto_rounds`` split.  Every cell must equal the standard-key run.
     """
     key = f"x{substrate.name}:{mode}"
 
@@ -194,15 +197,18 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
         return dataclasses.replace(comp, key=key, backend=key.split(":")[0], substrate=substrate)
 
     monkeypatch.setitem(registry._BACKENDS, key, factory)
+    tiny = v100().with_overrides(hbm_bytes=1024**2)  # auto_rounds must split on the GPU substrate
 
-    def cell(strategy):
+    def cell(strategy, backend):
         reg = MetricRegistry()
         result = run_pipeline(
             golden_reads(),
             summit_gpu(1),
             PipelineConfig(**(CONFIG | {"mode": mode})),
-            backend=key,
-            options=_options(strategy, tmp_path, telemetry=reg),
+            backend=backend,
+            options=_options(
+                strategy, tmp_path, telemetry=reg, device=tiny, auto_rounds=True, work_multiplier=50.0
+            ),
         )
         kernels = {
             name: family["samples"]
@@ -211,16 +217,23 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
         }
         return (
             result.timing,
+            result.staging_seconds,
+            result.link_seconds,
+            result.n_rounds_used,
             result.per_rank_parse.tolist(),
             result.per_rank_count.tolist(),
             result.insert_stats,
             kernels,
         )
 
-    staged = cell("staged")
-    assert bool(staged[-1]) == (substrate.name == "gpu")  # the GPU substrate launches kernels
-    for strategy in STRATEGIES[1:]:
-        assert cell(strategy) == staged, strategy
+    standard = cell("staged", substrate.name)
+    _, staging_seconds, _, n_rounds, *_, kernels = standard
+    on_gpu = substrate.name == "gpu"
+    assert bool(kernels) == on_gpu  # the GPU substrate launches kernels,
+    assert (staging_seconds > 0.0) == on_gpu  # stages through the host,
+    assert (n_rounds > 1) == on_gpu  # and splits rounds by device memory
+    for strategy in STRATEGIES:
+        assert cell(strategy, key) == standard, strategy
 
 
 def _round_slice_reference(pr, rnd: int, n_rounds: int):

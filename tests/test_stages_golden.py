@@ -8,7 +8,9 @@ exactly: spectrum hashes, model phase timings, per-rank arrays, traffic
 accounting, insert statistics, and the telemetry model-metric snapshot.
 
 Also proves checkpoint/resume through the round scheduler is equivalent to
-an uninterrupted streamed run (the scheduler now owns checkpointing).
+an uninterrupted streamed run (the scheduler now owns checkpointing), and
+pins the model clock of the paper's figures at full scale
+(``tests/golden/model_cells.json``, :class:`TestModelCellsGolden`).
 """
 
 from __future__ import annotations
@@ -30,14 +32,20 @@ from .golden_cases import (
     COUNTER_CASES,
     ENGINE_CASES,
     GOLDEN_PATH,
+    MODEL_CASES,
+    MODEL_GOLDEN_PATH,
+    MODEL_STAGED_ONLY_CASES,
+    MODEL_STRATEGY_CASES,
     SPMD_CASES,
     TELEMETRY_CASES,
     batch_reads,
     build_cluster,
     golden_reads,
+    run_model_case,
     snapshot_digest,
     spectrum_digest,
     summarize_counter,
+    summarize_model_cell,
     summarize_result,
 )
 
@@ -331,6 +339,57 @@ class TestFusedSpillGolden:
             expected.pop(transient)
             summary.pop(transient)
         _assert_same(expected, summary, f"fused-spill-counter-resume[{name}]")
+
+
+class TestModelCellsGolden:
+    """The model clock of the paper's figures, pinned to exact floats.
+
+    ``tests/golden/model_cells.json`` holds full-scale Table I cells — the
+    twelve Fig. 6 bars, Fig. 8's alltoallv seconds and speedups, Fig. 9's
+    compute seconds and insertion rates.  Modeled seconds are deterministic
+    functions of the data and the Summit calibration, so any difference,
+    float-level included, means the presets no longer encode the paper's
+    machine — or a strategy left the bit-identity contract at full scale.
+    The substrate is whatever ``REPRO_PARALLEL`` selects (the CI engines and
+    substrates jobs replay this class on the thread and process pools).
+    """
+
+    ALL_CASES = MODEL_CASES | MODEL_STAGED_ONLY_CASES
+
+    @pytest.fixture(scope="class")
+    def model_golden(self) -> dict:
+        path = Path(__file__).resolve().parent.parent / MODEL_GOLDEN_PATH
+        return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def staged(self):
+        """Staged results by case name, run once (Fig. 8 cells need their baseline)."""
+        results: dict = {None: None}  # a cell without a baseline
+
+        def get(name: str | None):
+            if name not in results:
+                results[name] = run_model_case(self.ALL_CASES[name])
+            return results[name]
+
+        return get
+
+    def test_record_covers_exactly_the_case_matrix(self, model_golden):
+        assert sorted(model_golden) == sorted(self.ALL_CASES)
+
+    @pytest.mark.parametrize("name", sorted(ALL_CASES))
+    def test_staged_cell_bit_identical(self, model_golden, staged, name):
+        summary = summarize_model_cell(staged(name), staged(self.ALL_CASES[name]["baseline"]))
+        _assert_same(model_golden[name], summary, f"model[{name}]")
+
+    @pytest.mark.parametrize("strategy", ("fused", "spill", "fused-spill"))
+    @pytest.mark.parametrize("name", MODEL_STRATEGY_CASES)
+    def test_strategy_cell_bit_identical(self, model_golden, staged, name, strategy, tmp_path):
+        options: dict = {"fused": True} if "fused" in strategy else {}
+        if "spill" in strategy:
+            options["spill_dir"] = tmp_path
+        result = run_model_case(MODEL_CASES[name], **options)
+        summary = summarize_model_cell(result, staged(MODEL_CASES[name]["baseline"]))
+        _assert_same(model_golden[name], summary, f"{strategy}-model[{name}]")
 
 
 class TestSpmdGolden:

@@ -28,7 +28,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.sweep import sweep
-from repro.core.tracing import wall_trace_events, write_chrome_trace
+from repro.core.tracing import run_trace_payload, wall_trace_events
 from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.mpi.topology import ClusterSpec
@@ -282,9 +282,9 @@ class TestJsonAndTraceExport:
             (result.timing.parse + result.timing.exchange) * 1e6
         )
 
-    def test_write_chrome_trace_merges_counter_tracks(self, reads, tmp_path):
+    def test_write_chrome_trace_merges_counter_tracks(self, reads):
         result, reg = _run(reads)
-        payload = json.loads(write_chrome_trace(result, tmp_path / "t.json", registry=reg).read_text())
+        payload = run_trace_payload(None, result=result, registry=reg)
         phs = {e["ph"] for e in payload["traceEvents"]}
         assert "X" in phs and "C" in phs
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
-from repro.core.tracing import trace_events, write_chrome_trace
+from repro.core.tracing import trace_events, write_run_trace
 from repro.machines import v100
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
@@ -53,11 +53,12 @@ class TestTraceEvents:
         assert events[0]["dur"] == pytest.approx(result.timing.exchange * 1e6)
 
     def test_write_chrome_trace(self, result, tmp_path):
-        path = write_chrome_trace(result, tmp_path / "run.json")
+        """The model timeline alone is a valid run trace (no recorder)."""
+        path = write_run_trace(tmp_path / "run.json", None, result=result)
         payload = json.loads(path.read_text())
-        assert "traceEvents" in payload
-        assert payload["metadata"]["backend"] == "gpu"
-        assert payload["metadata"]["total_model_seconds"] == pytest.approx(result.timing.total)
+        assert payload["traceEvents"] == trace_events(result)
+        assert payload["metadata"]["run"]["backend"] == "gpu"
+        assert payload["metadata"]["phases"]["total_s"] == pytest.approx(result.timing.total)
 
 
 def events_list(result):

@@ -4,8 +4,12 @@ Run from the repo root with ``PYTHONPATH=src:. python tools/capture_golden.py``.
 The committed ``tests/golden/engine_golden.json`` was captured against the
 *pre-refactor* engine (commit with the monolithic ``run_pipeline``), so the
 suite in ``tests/test_stages_golden.py`` proves the staged execution core is
-bit-identical to the original.  Re-run this tool only when a change is
-*intended* to alter model outputs, and say so in the commit message.
+bit-identical to the original.  ``tests/golden/model_cells.json`` is the
+model-clock pin of the paper's figures (``MODEL_CASES``: full-scale Table I
+cells behind Figs. 6, 8, 9); its floats were first checked equal to the
+``BENCH_fused.json`` / ``BENCH_figures.json`` records it replaced.  Re-run
+this tool only when a change is *intended* to alter model outputs, and say so
+in the commit message.
 """
 
 from __future__ import annotations
@@ -24,16 +28,28 @@ from tests.golden_cases import (
     COUNTER_CASES,
     ENGINE_CASES,
     GOLDEN_PATH,
+    MODEL_CASES,
+    MODEL_GOLDEN_PATH,
+    MODEL_STAGED_ONLY_CASES,
     SPMD_CASES,
     TELEMETRY_CASES,
     batch_reads,
     build_cluster,
     golden_reads,
+    run_model_case,
     snapshot_digest,
     spectrum_digest,
     summarize_counter,
+    summarize_model_cell,
     summarize_result,
 )
+
+
+def _write(path: str, record: dict) -> None:
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
 
 
 def main() -> None:
@@ -73,10 +89,15 @@ def main() -> None:
         golden["spmd"][name] = spectrum_digest(spectrum)
         print(f"spmd {name}: {spectrum.n_distinct} distinct")
 
-    out = Path(GOLDEN_PATH)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    _write(GOLDEN_PATH, golden)
+
+    cases = MODEL_CASES | MODEL_STAGED_ONLY_CASES
+    results = {name: run_model_case(case) for name, case in cases.items()}
+    cells = {}
+    for name, case in cases.items():
+        cells[name] = summarize_model_cell(results[name], results.get(case["baseline"]))
+        print(f"model {name}: total_s={results[name].timing.total!r}")
+    _write(MODEL_GOLDEN_PATH, cells)
 
 
 if __name__ == "__main__":
