@@ -383,12 +383,27 @@ def _cmd_count(args: argparse.Namespace) -> int:
         counter.load(args.checkpoint)
         print(f"resumed from {args.checkpoint}: {counter.n_batches} batches, {counter.total_kmers:,} k-mers")
 
-    server = None
-    if args.metrics_port is not None:
-        from .telemetry import MetricsServer
+    if args.metrics_port is None:
+        return _count_and_write(args, counter, options, registry)
+    from .telemetry import MetricsServer
 
-        server = MetricsServer(registry, port=args.metrics_port).start()
+    try:
+        server = MetricsServer(registry, port=args.metrics_port)
+    except OSError as exc:
+        reason = (exc.strerror or str(exc)).lower()
+        raise ValueError(f"--metrics-port {args.metrics_port}: {reason}") from exc
+    with server:  # the thread and the port are released however the count ends
         print(f"serving live metrics at {server.url}/metrics", flush=True)
+        code = _count_and_write(args, counter, options, registry)
+        if args.metrics_hold > 0:
+            from time import sleep
+
+            sleep(args.metrics_hold)  # window for a post-run scrape (CI smoke)
+    return code
+
+
+def _count_and_write(args: argparse.Namespace, counter, options, registry: MetricRegistry | None) -> int:
+    """Count every ``--input`` into ``counter`` and write the requested outputs."""
 
     def _count_inputs() -> None:
         from time import monotonic, time
@@ -468,12 +483,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.out_tsv:
         write_tsv(args.out_tsv, spectrum)
         print(f"wrote {spectrum.n_distinct:,} k-mers to {args.out_tsv}")
-    if server is not None:
-        from time import sleep
-
-        if args.metrics_hold > 0:
-            sleep(args.metrics_hold)  # window for a post-run scrape (CI smoke)
-        server.stop()
     return 0
 
 

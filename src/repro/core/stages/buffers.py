@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...gpu.hashtable import InsertStats
+from ...mpi.collectives import segment_gather_index
 
 __all__ = [
     "ParsedItems",
@@ -33,22 +34,7 @@ __all__ = [
     "ExchangeOutcome",
     "CountOutcome",
     "round_split",
-    "segment_gather_index",
 ]
-
-
-def segment_gather_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Index that concatenates the segments ``[starts[i], starts[i] + lens[i])`` in order.
-
-    ``buffer[segment_gather_index(starts, lens)]`` equals
-    ``np.concatenate([buffer[s : s + n] for s, n in zip(starts, lens)])``
-    without the Python-level loop: one ``arange`` plus each segment's
-    (source start − output start) shift, repeated over its items.
-    """
-    out_starts = np.cumsum(lens) - lens
-    idx = np.repeat(starts - out_starts, lens)
-    idx += np.arange(idx.shape[0], dtype=np.int64)
-    return idx
 
 
 def round_split(seg_lens: np.ndarray, rnd: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ simulator itself:
   rank-segmented flat array (which is *already* the wire form the
   exchange needs);
 * **exchange** — :func:`repro.mpi.collectives.alltoallv_flat` on the
-  flat array (one fancy-index gather instead of P slices + concat);
+  flat array (one block-sized index gather per block of consecutive
+  destinations, straight out of the send array into the receive array —
+  no P slices + concat, no index of the whole round);
 * **count** — one k-mer extraction over the whole received array and a
   :class:`repro.gpu.segmented.SegmentedHashTable` whose probe rounds
   span every rank's pending keys at once;

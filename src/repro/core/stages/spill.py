@@ -29,8 +29,9 @@ the missing pieces:
   layout's format (see :class:`Spooled` for what stays resident).
 
 Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
-gathered one destination block at a time and costs one ``open`` and one
-write per block — Python-level work per round is P slices per block, not
+gathered one destination block at a time — the blocked segment gather of
+:mod:`repro.mpi.collectives` that fills the resident receive buffers too —
+and costs one ``open`` and one write per block — Python-level work per round is P slices per block, not
 P² segment copies and P files — and is read back with positional reads at
 indexed offsets through the descriptor opened at the first append, a whole
 rank block at a time where the layout counts in blocks.  A file shorter
@@ -62,10 +63,10 @@ import numpy as np
 from ...gpu.hashtable import DeviceHashTable
 from ...gpu.segmented import SegmentedHashTable, rank_blocks
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.collectives import account_alltoallv, send_counts_matrix
+from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome, segment_gather_index
+from .buffers import ExchangeOutcome
 from .registry import StageComposition
 from .standard import AlltoallvExchange, SpectrumMerge, exchange_outcome
 
@@ -80,17 +81,6 @@ __all__ = [
 
 #: Keys loaded from each sorted run per refill during the external merge.
 MERGE_BLOCK_KEYS = 1 << 16
-
-#: Target bytes of one destination block of the spooling gather
-#: (:meth:`SpillExchange._spool_round`).  A block costs its staging buffer,
-#: its permuted copy and an int64 gather index of as many items — ~4x this
-#: constant — all live beside the still-resident send buffers, so it is
-#: kept small: measured on the 672-rank two-round workload, 2 MiB and
-#: 16 MiB blocks spool equally fast (the per-block Python work is P slices
-#: either way), but 16 MiB raised peak RSS 218 -> 230 MB and pushed
-#: ``tools/check_spill.py``'s staged probe over its default ``RLIMIT_AS``
-#: cap, while 2 MiB left both where the per-partition spool had them.
-SPOOL_BLOCK_BYTES = 1 << 21
 
 #: Target bytes of spooled partition data streamed back per rank block in
 #: the flat layout's spooled count phase.  One block's receive buffer (plus
@@ -413,7 +403,8 @@ class SpillExchange:
     checksum verification, and the modeled phase time all come from the
     functions the in-memory exchange calls.  Only the data
     placement differs — the round is gathered one destination block at a
-    time (:data:`SPOOL_BLOCK_BYTES`) into the label's segment file, and
+    time (:func:`repro.mpi.collectives.segment_blocks`) into the label's
+    segment file, and
     ``recv_data`` comes back as read-only views of one memory map of that
     file, which exist only for the checksum pass (their reads are not
     accounted; the streamed count re-reads each partition).
@@ -451,40 +442,22 @@ class SpillExchange:
 
         The disk form is every destination's partition in rank order, each
         holding its sources' segments in source-rank order — byte-identical
-        to the in-memory gather.  Send buffers are destination-ordered, so
-        a block of consecutive destinations is one contiguous slice per
-        source: the P slices are staged back to back (src-major) and
-        permuted to (dst, src)-major with one gather, the index
-        ``alltoallv_flat`` builds for the whole round restricted to the
-        block.  The transient is the two block buffers plus that index.
+        to the in-memory gather, because it is that gather
+        (:func:`repro.mpi.collectives.segment_blocks`) with each block
+        landing in a borrowed buffer and one write instead of a slice of a
+        whole-round receive array.  The transient is one block's output
+        and staging buffers plus its index.
         """
         spool = self.spool
-        p = counts_matrix.shape[0]
-        offsets = np.zeros((p, p + 1), dtype=np.int64)  # [src, dst]: start of the segment for dst
-        np.cumsum(counts_matrix, axis=1, out=offsets[:, 1:])
-        item_bytes = send_data[0].dtype.itemsize + (send_lengths is not None)
-        for d0, d1 in rank_blocks(counts_matrix.sum(axis=0) * item_bytes, SPOOL_BLOCK_BYTES):
-            block = counts_matrix[:, d0:d1]  # [src, dst - d0]
-            total = int(block.sum())
-            if total == 0:
-                continue
-            idx = None
-            if d1 - d0 > 1:  # one destination's sources are already in order
-                staged_starts = (np.cumsum(block) - block.reshape(-1)).reshape(block.shape)
-                idx = segment_gather_index(staged_starts.T.reshape(-1), block.T.reshape(-1))
-            recv_counts = block.sum(axis=0)
-            bounds = list(zip(offsets[:, d0].tolist(), offsets[:, d1].tolist()))
-            for send, lens in ((send_data, False), (send_lengths, True)):
-                if send is None:
-                    continue
-                slices = [buf[lo:hi] for buf, (lo, hi) in zip(send, bounds)]
-                staged = np.concatenate(slices, out=spool.take(total, send[0].dtype))
-                if idx is not None:
-                    ordered = np.take(staged, idx, out=spool.take(total, staged.dtype))
-                    spool.release(staged)
-                    staged = ordered
-                spool.append_partitions(label, d0, recv_counts, staged, lens=lens)
-                spool.release(staged)
+        sends = [send_data] if send_lengths is None else [send_data, send_lengths]
+        item_bytes = sum(send[0].dtype.itemsize for send in sends)
+        for blk in segment_blocks(counts_matrix, item_bytes):
+            outs = [spool.take(blk.o1 - blk.o0, send[0].dtype) for send in sends]
+            blk.gather(sends, outs, spool.arena)
+            recv_counts = blk.counts.sum(axis=0)
+            for out, lens in zip(outs, (False, True)):
+                spool.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
+            spool.release(*outs)
 
 
 def external_merge(

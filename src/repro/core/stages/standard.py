@@ -198,10 +198,27 @@ class MinimizerHashPartition:
         return partitioner.owners(route_keys)
 
 
-def assemble_rank_parse(items: ParsedItems, owners: np.ndarray, n_ranks: int) -> RankParse:
-    """Destination-order one rank's parsed items -> exchange-ready buffer."""
+def assemble_rank_parse(
+    items: ParsedItems, owners: np.ndarray, n_ranks: int, partition: PartitionStage
+) -> RankParse:
+    """Destination-order one rank's parsed items -> exchange-ready buffer.
+
+    ``owners`` must lie in ``[0, n_ranks)``; ``partition``, the stage that
+    assigned them, is named in the error when they do not.
+    """
+    counts = np.bincount(owners, minlength=n_ranks).astype(np.int64)  # raises on a negative owner
+    if counts.shape[0] != n_ranks:
+        raise ValueError(
+            f"partition stage {type(partition).__name__} assigned rank {counts.shape[0] - 1}, "
+            f"outside the {n_ranks} ranks of the run"
+        )
+    # A bucket scatter, not a comparison sort: numpy's stable sort on 8/16-bit
+    # integers is a radix sort, and owners < n_ranks fits 16 bits on every
+    # cluster of up to 65,536 ranks (the same narrowing FlatLayout.parse
+    # applies to its composite key).  Wider worlds keep the wide dtype.
+    if n_ranks <= np.iinfo(np.uint16).max + 1:
+        owners = owners.astype(np.uint16)
     order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners, minlength=n_ranks).astype(np.int64)
     return RankParse(
         data=items.data[order],
         lengths=items.lengths[order] if items.lengths is not None else None,
@@ -426,7 +443,7 @@ def _parse_rank(
 ) -> RankParse:
     items = parse.extract(shard, ctx.config)
     owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
-    pr = assemble_rank_parse(items, owners, ctx.n_ranks)
+    pr = assemble_rank_parse(items, owners, ctx.n_ranks, partition)
     pr.time_s = self.charge_parse(
         parse,
         pr.n_kmers_parsed,

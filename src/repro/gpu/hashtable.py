@@ -178,21 +178,37 @@ def _probe_slots(probing: str, pending: np.ndarray, home, step, stride, mask, ba
     return (_at(base, pending) + local).astype(np.int64)
 
 
+def _sorted_by_region_key(uniq: np.ndarray, base) -> bool:
+    """Whether ``uniq`` is strictly increasing within each region, regions in slab order."""
+    rising = uniq[1:] > uniq[:-1]
+    if np.ndim(base):
+        rising = (base[1:] > base[:-1]) | ((base[1:] == base[:-1]) & rising)
+    return bool(rising.all())
+
+
 def probe_insert(
     keys: np.ndarray, counts: np.ndarray, uniq: np.ndarray, w: np.ndarray, seed: int, probing: str, mask, base
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Insert pre-deduplicated keys with weights: the one probe loop.
 
     Rounds of vectorized probes over the pending keys; concurrent
-    atomicCAS claims on one slot resolve like the hardware would (first
-    claimant in ``uniq`` order wins, losers re-probe).  Regions are
+    atomicCAS claims on one empty slot resolve to one winner, losers
+    re-probe.  The winner is the smallest key among the slot's claimants:
+    an empty slot holds the all-ones sentinel, so one ``np.minimum.at``
+    over the claimed slots leaves exactly that key in each.
+
+    Precondition: ``uniq`` is sorted by (region, key), strictly increasing
+    within a region — what ``dedup_batch``, ``sorted_items`` and the
+    segmented table's per-rank concatenation produce.  Regions are
     slot-disjoint, so a contested slot only sees candidates of one region:
-    with ``uniq`` sorted by (region, key) the winner is the one that
-    region's own insert would pick, whatever other regions share the call.
+    the smallest key is that region's first claimant in ``uniq`` order,
+    the winner the region's own insert picks whatever other regions share
+    the call.
 
     Returns per-key ``(probes, claimed, lost)``: slots inspected, whether
     the key claimed a new slot, and its lost claim attempts.
     """
+    assert _sorted_by_region_key(uniq, base), "probe_insert needs uniq sorted by (region, key)"
     n = uniq.shape[0]
     home, stride = _home_and_stride(uniq, seed, probing, mask)
     step = np.zeros(n, dtype=np.uint64)
@@ -213,17 +229,17 @@ def probe_insert(
         hit = occupant == vals
         counts[s[hit]] += w[pending[hit]]
 
-        # Claim: empty slot -> atomicCAS; first claimant per slot wins.
+        # Claim: empty slot -> atomicCAS; the smallest claimant per slot wins.
         empty = occupant == EMPTY_KEY
         if empty.any():
             empty_idx = np.flatnonzero(empty)
-            _, first = np.unique(s[empty_idx], return_index=True)
-            winners = empty_idx[first]
-            won, slots = pending[winners], s[winners]
-            keys[slots] = vals[winners]
-            counts[slots] += w[won]
+            slots, claimants = s[empty_idx], vals[empty_idx]
+            np.minimum.at(keys, slots, claimants)
+            winners = keys[slots] == claimants
+            won = pending[empty_idx[winners]]
+            counts[slots[winners]] += w[won]
             claimed[won] = True
-            if winners.shape[0] != empty_idx.shape[0]:
+            if won.shape[0] != empty_idx.shape[0]:
                 lost[pending[empty_idx]] += 1
                 lost[won] -= 1
 

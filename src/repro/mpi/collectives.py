@@ -13,10 +13,11 @@ test suite checks the two agree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ..gpu.segmented import rank_blocks
 from ..telemetry import active
 from .stats import TrafficStats
 
@@ -30,6 +31,9 @@ __all__ = [
     "alltoallv_flat",
     "account_alltoallv",
     "send_counts_matrix",
+    "segment_blocks",
+    "segment_gather_index",
+    "SegmentBlock",
     "alltoall",
     "allreduce",
     "allgather",
@@ -130,14 +134,111 @@ def account_alltoallv(
         stats.record("alltoallv", bytes_matrix, label=label, items_matrix=counts_matrix)
 
 
-def _segment_starts(counts_matrix: np.ndarray) -> np.ndarray:
-    """``[src, dst]`` start of each segment in the src-major concatenation of all send buffers."""
+#: Target bytes of one destination block of the exchange gather
+#: (:func:`segment_blocks`): the block's items plus the int64 gather index
+#: of as many entries, the two transients a block adds beside the round's
+#: send and receive buffers.  Cache-sized on purpose.  Resident, a sweep of
+#: 8 k to 1 M items per block moved the gather by at most 20% as long as
+#: the index stayed under ~2 MiB; past that the allocator maps and faults
+#: in each block's index afresh and the gather doubles.  Spooled (the
+#: 672-rank two-round workload), 2 MiB and 16 MiB of items per block spool
+#: equally fast (the per-block Python work is P slices either way), but
+#: 16 MiB raised peak RSS 218 -> 230 MB and pushed ``tools/check_spill.py``'s
+#: staged probe over its default ``RLIMIT_AS`` cap.
+SEGMENT_BLOCK_BYTES = 1 << 21
+
+
+def segment_gather_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Index that concatenates the segments ``[starts[i], starts[i] + lens[i])`` in order.
+
+    ``buffer[segment_gather_index(starts, lens)]`` equals
+    ``np.concatenate([buffer[s : s + n] for s, n in zip(starts, lens)])``
+    without the Python-level loop: one ``arange`` plus each segment's
+    (source start − output start) shift, repeated over its items.
+    """
+    out_starts = np.cumsum(lens) - lens
+    idx = np.repeat(starts - out_starts, lens)
+    idx += np.arange(idx.shape[0], dtype=np.int64)
+    return idx
+
+
+class SegmentBlock(NamedTuple):
+    """One block of consecutive destinations of an exchange round."""
+
+    d0: int  # destination ranks [d0, d1)
+    d1: int
+    o0: int  # the block's items [o0, o1) in the (dst, src)-major receive order
+    o1: int
+    counts: np.ndarray  # [src, dst - d0] items
+    starts: np.ndarray  # [src, dst - d0] start of each segment within its source's send buffer
+
+    def index(self, src_base: np.ndarray) -> np.ndarray:
+        """The block's (dst, src)-major gather index into one src-major array.
+
+        ``src_base[src]`` is where source ``src``'s send buffer starts in
+        that array: the whole round's flat send buffer, or a staging
+        buffer holding only the block's slices (:meth:`gather`).  Every
+        entry addresses an item of a segment — the callers validate the
+        counts against the buffer lengths before any block is built — so
+        they gather with ``mode="clip"``: NumPy's default ``"raise"``
+        buffers the whole output.
+        """
+        starts = src_base[:, None] + self.starts
+        return segment_gather_index(starts.T.reshape(-1), self.counts.T.reshape(-1))
+
+    def gather(
+        self,
+        sends: Sequence[Sequence[np.ndarray]],
+        outs: Sequence[np.ndarray],
+        arena: "ScratchArena | None" = None,
+    ) -> None:
+        """Fill ``outs[i]`` with the block's items of ``sends[i]`` (per-source buffer lists).
+
+        Send buffers are destination-ordered, so the block is one
+        contiguous slice per source: the P slices are staged back to back
+        (src-major, in a buffer borrowed from ``arena`` when there is one)
+        and permuted to (dst, src)-major with one index shared by every
+        entry of ``sends`` (the payload and, in supermer mode, its length
+        bytes).  A one-destination block is already in order and is staged
+        straight into its output.
+        """
+        lo = self.starts[:, 0]
+        n = self.counts.sum(axis=1)
+        bounds = list(zip(lo.tolist(), (lo + n).tolist()))
+        idx = self.index(np.cumsum(n) - n - lo) if self.d1 - self.d0 > 1 else None
+        for send, out in zip(sends, outs):
+            slices = [buf[a:b] for buf, (a, b) in zip(send, bounds)]
+            if idx is None:
+                np.concatenate(slices, out=out)
+                continue
+            staged = np.concatenate(
+                slices, out=None if arena is None else arena.take(out.shape[0], out.dtype)
+            )
+            np.take(staged, idx, out=out, mode="clip")
+            if arena is not None:
+                arena.release(staged)
+
+
+def segment_blocks(counts_matrix: np.ndarray, item_bytes: int) -> Iterator[SegmentBlock]:
+    """The non-empty destination blocks of one exchange round, in rank order.
+
+    Consecutive destinations are grouped until their received items
+    (``item_bytes`` each) and the index over them reach
+    :data:`SEGMENT_BLOCK_BYTES` (one oversized destination is its own
+    block).  The resident gathers below and the spooled exchange
+    (``repro.core.stages.spill``) iterate this one generator, so the
+    receive side is laid out identically wherever it lands.
+    """
     p = counts_matrix.shape[0]
-    src_base = np.zeros(p, dtype=np.int64)
-    np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
-    seg_offsets = np.zeros((p, p), dtype=np.int64)  # start of (src, dst) segment within src's buffer
-    np.cumsum(counts_matrix[:, :-1], axis=1, out=seg_offsets[:, 1:])
-    return src_base[:, None] + seg_offsets
+    offsets = np.zeros((p, p + 1), dtype=np.int64)
+    np.cumsum(counts_matrix, axis=1, out=offsets[:, 1:])
+    recv = counts_matrix.sum(axis=0)
+    o0 = 0
+    for d0, d1 in rank_blocks(recv * (item_bytes + 8), SEGMENT_BLOCK_BYTES):
+        o1 = o0 + int(recv[d0:d1].sum())
+        if o1 > o0:
+            yield SegmentBlock(d0, d1, o0, o1, counts_matrix[:, d0:d1], offsets[:, d0:d1])
+        o0 = o1
 
 
 def alltoallv_flat(
@@ -156,10 +257,11 @@ def alltoallv_flat(
     ``counts_matrix[src, dst]`` items, laid out src-major.  Returns
     ``(shuffled, dst_offsets)`` where ``shuffled`` is the same items in
     (dst, src)-major order and ``recv[dst] = shuffled[dst_offsets[dst]:
-    dst_offsets[dst + 1]]``.  This is the wire-level core of
-    :func:`alltoallv_segments`, exposed directly so the fused engine can
-    exchange whole-cluster arrays without slicing them into per-rank
-    buffers first.
+    dst_offsets[dst + 1]]``.  The fused engine exchanges whole-cluster
+    arrays through this without slicing them into per-rank buffers first:
+    each destination block (:func:`segment_blocks`) is gathered out of
+    ``global_data`` with a block-sized index, straight into its slice of
+    ``shuffled`` — no index of the whole round exists.
 
     ``arena`` optionally supplies the output buffer from a recycled
     scratch pool; the caller owns releasing it.
@@ -178,20 +280,12 @@ def alltoallv_flat(
     if p == 0:
         return global_data, np.zeros(1, dtype=np.int64)
 
-    seg_starts_global = _segment_starts(counts_matrix).T.ravel()  # (dst, src) order
-    seg_lens = counts_matrix.T.ravel()
-    out_offsets = np.zeros(seg_lens.shape[0], dtype=np.int64)
-    np.cumsum(seg_lens[:-1], out=out_offsets[1:])
-    total_items = int(seg_lens.sum())
-    idx = (
-        np.arange(total_items, dtype=np.int64)
-        - np.repeat(out_offsets, seg_lens)
-        + np.repeat(seg_starts_global, seg_lens)
-    )
-    if arena is not None:
-        shuffled = np.take(global_data, idx, out=arena.take(total_items, global_data.dtype))
-    else:
-        shuffled = global_data[idx]
+    take = arena.take if arena is not None else np.empty
+    shuffled = take(global_data.shape[0], global_data.dtype)
+    src_base = np.zeros(p, dtype=np.int64)
+    np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
+    for blk in segment_blocks(counts_matrix, global_data.itemsize):
+        np.take(global_data, blk.index(src_base), out=shuffled[blk.o0 : blk.o1], mode="clip")
     dst_offsets = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
     return shuffled, dst_offsets
@@ -214,60 +308,43 @@ def alltoallv_segments(
     items go to rank 0, the next ``send_counts[src][1]`` to rank 1, etc.
     Returns ``(recv_data, counts_matrix)`` where ``recv_data[dst]`` is the
     concatenation of every source's segment for ``dst`` (ordered by source
-    rank) and ``counts_matrix[src, dst]`` is the item matrix.
+    rank) and ``counts_matrix[src, dst]`` is the item matrix.  The receive
+    buffers are views of one (dst, src)-major array (``arena``'s when one
+    is given; the caller owns releasing it), filled one destination block
+    at a time (:meth:`SegmentBlock.gather`).
 
     ``bytes_per_item`` overrides the wire size per item for byte accounting
     (e.g. ``8 + 1`` for a supermer word plus its length byte); by default
     the array's own itemsize is used.
 
-    ``pool`` optionally parallelizes the destination-side segment packing
-    (one gather per destination rank) across worker threads; each
-    destination's receive buffer is private, so the packed result is
-    identical to the single fancy-index path byte for byte.
+    ``pool`` optionally spreads the destination blocks over worker
+    threads; blocks fill disjoint slices of the receive array, so the
+    result is the sequential one byte for byte.
     """
     p = len(send_data)
     counts_matrix = send_counts_matrix(send_data, send_counts)
+    dtype = send_data[0].dtype if p else np.dtype(np.int64)
+    per_item = bytes_per_item if bytes_per_item is not None else float(dtype.itemsize)
+    account_alltoallv(counts_matrix, stats=stats, label=label, bytes_per_item=per_item)
 
-    # The per-destination gather only pays off when workers share this
-    # address space: under an out-of-process pool every destination buffer
-    # would be copied back through shared memory for zero overlap benefit,
-    # so the process substrate takes the flat sequential gather below.
-    if pool is not None and pool.is_parallel and getattr(pool, "in_process", True) and p > 1:
-        per_item = bytes_per_item if bytes_per_item is not None else send_data[0].itemsize
-        account_alltoallv(counts_matrix, stats=stats, label=label, bytes_per_item=per_item)
-        global_data = np.concatenate(send_data)
-        seg_starts_matrix = _segment_starts(counts_matrix)
+    take = arena.take if arena is not None else np.empty
+    shuffled = take(int(counts_matrix.sum()), dtype)
 
-        # Per-destination packing: each worker gathers one destination's
-        # segments into that destination's private receive buffer.
-        def _pack_dst(d: int) -> np.ndarray:
-            lens = counts_matrix[:, d]
-            starts = seg_starts_matrix[:, d]
-            offs = np.zeros(p, dtype=np.int64)
-            np.cumsum(lens[:-1], out=offs[1:])
-            n = int(lens.sum())
-            idx = np.arange(n, dtype=np.int64) - np.repeat(offs, lens) + np.repeat(starts, lens)
-            return global_data[idx]
+    def _fill(blk: SegmentBlock) -> None:
+        blk.gather([send_data], [shuffled[blk.o0 : blk.o1]], arena)
 
-        return pool.map(_pack_dst, range(p)), counts_matrix
-
-    # Sequential path: concatenate all send buffers, then gather the P*P
-    # segments in (dst, src) order with one fancy-index via alltoallv_flat —
-    # O(total + P^2) NumPy work, no per-segment Python loop.
-    if p == 0:
-        alltoallv_flat(np.empty(0, dtype=np.int64), counts_matrix, stats=None)
-        return [], counts_matrix
-    global_data = np.concatenate(send_data) if p > 1 else send_data[0]
-    shuffled, dst_offsets = alltoallv_flat(
-        global_data,
-        counts_matrix,
-        stats=stats,
-        label=label,
-        bytes_per_item=bytes_per_item if bytes_per_item is not None else float(send_data[0].itemsize),
-        arena=arena,
-    )
-    recv_data = [shuffled[dst_offsets[d] : dst_offsets[d + 1]] for d in range(p)]
-    return recv_data, counts_matrix
+    blocks = segment_blocks(counts_matrix, dtype.itemsize)
+    # Blocks only pay off on a pool whose workers share this address space:
+    # an out-of-process worker's block would be copied back through shared
+    # memory for zero overlap benefit, so that substrate gathers inline.
+    if pool is not None and pool.is_parallel and pool.in_process:
+        pool.map(_fill, blocks)
+    else:
+        for blk in blocks:
+            _fill(blk)
+    dst_offsets = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
+    return [shuffled[dst_offsets[d] : dst_offsets[d + 1]] for d in range(p)], counts_matrix
 
 
 def alltoall(

@@ -91,12 +91,12 @@ class MetricsServer:
         return self
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._httpd.shutdown()
-        self._thread.join(timeout=5.0)
+        """Stop serving and release the port — bound since construction, started or not."""
+        if self._thread is not None:
+            self._httpd.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
         self._httpd.server_close()
-        self._thread = None
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mpi.collectives as collectives
+from repro.core.parallel import get_pool
 from repro.mpi.collectives import (
     allgather,
     allreduce,
     alltoall,
     alltoallv,
+    alltoallv_flat,
     alltoallv_segments,
     bcast,
     gather,
     scatter,
+    segment_blocks,
 )
 from repro.mpi.stats import TrafficStats
 
@@ -73,8 +79,6 @@ class TestAlltoallvSegments:
             assert np.array_equal(recv[d], expected[d])
         assert matrix.sum() == sum(c.sum() for c in send_counts)
         # The pooled (parallel segment-packing) path must agree exactly.
-        from repro.core.parallel import get_pool
-
         pooled, pooled_matrix = alltoallv_segments(send_data, send_counts, pool=get_pool(3))
         assert np.array_equal(pooled_matrix, matrix)
         for d in range(p):
@@ -107,6 +111,65 @@ class TestAlltoallvSegments:
     def test_count_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             alltoallv_segments([np.zeros(3), np.zeros(0)], [np.array([3]), np.array([0])])
+
+
+@st.composite
+def _rounds(draw):
+    """``(counts_matrix, seed)``: zero rows/columns, P = 1, all-empty, one oversized destination."""
+    p = draw(st.integers(min_value=1, max_value=9))
+    counts = np.array(
+        draw(st.lists(st.lists(st.integers(0, 12), min_size=p, max_size=p), min_size=p, max_size=p)),
+        dtype=np.int64,
+    )
+    for axis in draw(st.lists(st.sampled_from(["row", "col", "all", "big"]), max_size=3)):
+        i = draw(st.integers(0, p - 1))
+        if axis == "row":
+            counts[i, :] = 0
+        elif axis == "col":
+            counts[:, i] = 0
+        elif axis == "all":
+            counts[:] = 0
+        else:
+            counts[:, i] *= 40
+    return counts, draw(st.integers(0, 2**32))
+
+
+class TestBlockedSegmentGather:
+    """The one blocked gather equals the per-segment concatenation, whatever the block size."""
+
+    @given(
+        _rounds(),
+        st.sampled_from([np.uint64, np.uint8]),
+        st.sampled_from([1, 2, 7, 64, 1 << 30]),  # items per block: one ... more than the round
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_per_segment_concatenate(self, round_, dtype, block_items):
+        counts, seed = round_
+        rng = np.random.default_rng(seed)
+        p = counts.shape[0]
+        send_data = [rng.integers(0, 250, size=int(n)).astype(dtype) for n in counts.sum(axis=1)]
+        expected = TestAlltoallvSegments.naive(send_data, list(counts))  # one slice per (src, dst)
+        block_bytes = block_items * (np.dtype(dtype).itemsize + 8)
+        with mock.patch.object(collectives, "SEGMENT_BLOCK_BYTES", block_bytes):
+            blocks = list(segment_blocks(counts, np.dtype(dtype).itemsize))
+            # Blocks tile the non-empty destinations in order, one oversized destination alone.
+            assert [b.o0 for b in blocks] == [0, *(b.o1 for b in blocks)][: len(blocks)]
+            assert sum(b.o1 - b.o0 for b in blocks) == counts.sum()
+            for b in blocks:
+                assert b.d1 - b.d0 == 1 or b.o1 - b.o0 <= block_items
+
+            shuffled, dst_offsets = alltoallv_flat(np.concatenate(send_data), counts)
+            results = [
+                alltoallv_segments(send_data, list(counts), pool=get_pool(setting))[0]
+                for setting in (1, "thread:3", "process:2")
+            ]
+        assert shuffled.dtype == dtype
+        assert shuffled.tobytes() == np.concatenate(expected).tobytes()
+        assert np.array_equal(dst_offsets, np.concatenate(([0], np.cumsum(counts.sum(axis=0)))))
+        for recv in results:
+            assert len(recv) == p
+            for d in range(p):
+                assert recv[d].dtype == dtype and recv[d].tobytes() == expected[d].tobytes()
 
 
 class TestSimpleCollectives:

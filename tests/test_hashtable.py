@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.hashtable import EMPTY_KEY, DeviceHashTable, InsertStats
+from repro.gpu.hashtable import (
+    EMPTY_KEY,
+    DeviceHashTable,
+    InsertStats,
+    fit_capacity,
+    initial_capacity,
+    probe_insert,
+)
+from repro.gpu.segmented import SegmentedHashTable
+from repro.hashing.murmur3 import hash_kmers_batch
 
 key_batches = st.lists(st.integers(min_value=0, max_value=2**62), min_size=0, max_size=300)
 
@@ -181,3 +190,189 @@ class TestValidation:
     def test_table_bytes(self):
         t = DeviceHashTable(64)
         assert t.table_bytes == t.capacity * 16  # 8B key + 8B count
+
+
+# ---------------------------------------------------------------------------
+# Claim arbitration against a scalar reference
+# ---------------------------------------------------------------------------
+
+_EMPTY = int(EMPTY_KEY)
+
+
+class ScalarTable:
+    """One region, one Python loop: the insert the vectorized probe loop must equal.
+
+    Rounds of concurrent threads, as the module docstring describes them:
+    every pending key reads its slot as the round began; a key that finds
+    itself adds its weight; the *first claimant in key order* takes an
+    empty slot and every other claimant of that slot loses once and
+    re-probes, as does a key that found someone else.
+    """
+
+    def __init__(self, capacity_hint, *, seed=0, max_load_factor=0.7, probing="linear"):
+        self.seed, self.max_load_factor, self.probing = seed, max_load_factor, probing
+        self.capacity = initial_capacity(capacity_hint, max_load_factor)
+        self.keys, self.counts = [_EMPTY] * self.capacity, [0] * self.capacity
+        self.n_entries = 0
+
+    def _probe(self, uniq, w):
+        mask = self.capacity - 1
+        home = (hash_kmers_batch(np.array(uniq, dtype=np.uint64), seed=self.seed) & np.uint64(mask)).tolist()
+        stride = (
+            (hash_kmers_batch(np.array(uniq, dtype=np.uint64), seed=self.seed + 0x9E3779B9) | np.uint64(1))
+            & np.uint64(mask)
+        ).tolist()
+        n = len(uniq)
+        step, claimed, lost = [0] * n, [False] * n, [0] * n
+        pending = list(range(n))
+        while pending:
+            slot = {}
+            for i in pending:
+                t = step[i]
+                offset = {"linear": t, "quadratic": t * (t + 1) // 2, "double": t * stride[i]}[self.probing]
+                slot[i] = (home[i] + offset) & mask
+            seen = {i: self.keys[slot[i]] for i in pending}  # the round's snapshot
+            still = []
+            for i in pending:  # key order
+                if seen[i] == uniq[i]:
+                    self.counts[slot[i]] += w[i]
+                elif seen[i] == _EMPTY and self.keys[slot[i]] == _EMPTY:
+                    self.keys[slot[i]] = uniq[i]
+                    self.counts[slot[i]] += w[i]
+                    claimed[i] = True
+                else:
+                    lost[i] += seen[i] == _EMPTY
+                    step[i] += 1
+                    still.append(i)
+            pending = still
+        return [t + 1 for t in step], claimed, lost
+
+    def insert_batch(self, values) -> InsertStats:
+        uniq, w = np.unique(np.asarray(values, dtype=np.uint64), return_counts=True)
+        uniq, w = uniq.tolist(), w.tolist()
+        capacity, resizes = fit_capacity(self.capacity, self.n_entries + len(uniq), self.max_load_factor)
+        if resizes:
+            items = sorted((k, c) for k, c in zip(self.keys, self.counts) if k != _EMPTY)
+            self.capacity = capacity
+            self.keys, self.counts = [_EMPTY] * capacity, [0] * capacity
+            self._probe([k for k, _ in items], [c for _, c in items])
+        probes, claimed, lost = self._probe(uniq, w)
+        self.n_entries += sum(claimed)
+        return InsertStats(
+            n_instances=sum(w),
+            n_distinct=sum(claimed),
+            total_probes=sum(p * m for p, m in zip(probes, w)),
+            max_probe=max(probes),
+            cas_conflicts=sum(lost),
+            rounds=max(probes),
+            resizes=resizes,
+        )
+
+    def slab(self) -> tuple[bytes, bytes]:
+        return np.array(self.keys, dtype=np.uint64).tobytes(), np.array(self.counts, dtype=np.int64).tobytes()
+
+
+def _same_home_trio(seed: int, probing: str) -> np.ndarray:
+    """Three sorted keys hashing to one slot of a 64-slot region, their later probes collision-free."""
+    cands = np.arange(1, 20000, dtype=np.uint64)
+    home = hash_kmers_batch(cands, seed=seed) & np.uint64(63)
+    stride = (hash_kmers_batch(cands, seed=seed + 0x9E3779B9) | np.uint64(1)) & np.uint64(63)
+    for h in range(64):
+        same = cands[home == h]
+        if probing == "double":  # distinct strides: the two losers part ways after the first round
+            same = same[np.unique(stride[home == h], return_index=True)[1]]
+            same.sort()
+        if same.shape[0] >= 3:
+            return same[:3]
+    raise AssertionError("no three candidates share a home slot")
+
+
+class TestClaimArbitration:
+    """One empty slot, several claimants: the smallest key wins, the others lose once and re-probe."""
+
+    @pytest.mark.parametrize(
+        "probing, probes, lost",
+        [
+            ("linear", [1, 2, 3], [0, 1, 2]),  # the two losers collide again one slot on
+            ("quadratic", [1, 2, 3], [0, 1, 2]),  # ... and again at the next triangular offset
+            ("double", [1, 2, 2], [0, 1, 1]),  # each loser follows its own stride
+        ],
+    )
+    def test_three_keys_contend_for_one_slot(self, probing, probes, lost):
+        seed = 5
+        trio = _same_home_trio(seed, probing)
+        home = int(hash_kmers_batch(trio[:1], seed=seed)[0] & np.uint64(63))
+        keys = np.full(64, EMPTY_KEY, dtype=np.uint64)
+        counts = np.zeros(64, dtype=np.int64)
+        w = np.array([2, 3, 5], dtype=np.int64)
+        got_probes, claimed, got_lost = probe_insert(
+            keys, counts, trio, w, seed, probing, np.uint64(63), np.uint64(0)
+        )
+        assert keys[home] == trio[0] and counts[home] == 2  # winner: the smallest key
+        assert got_probes.tolist() == probes
+        assert got_lost.tolist() == lost
+        assert claimed.all()
+        assert sorted(keys[keys != EMPTY_KEY].tolist()) == trio.tolist()
+        assert counts.sum() == 10
+
+        ref = ScalarTable(16, seed=seed, probing=probing)  # 64 slots
+        assert ref.capacity == 64
+        ref.insert_batch(np.repeat(trio, w))
+        assert (keys.tobytes(), counts.tobytes()) == ref.slab()
+
+    def test_unsorted_keys_rejected(self):
+        keys = np.full(64, EMPTY_KEY, dtype=np.uint64)
+        with pytest.raises(AssertionError, match="sorted"):
+            probe_insert(
+                keys,
+                np.zeros(64, dtype=np.int64),
+                np.array([9, 3], dtype=np.uint64),
+                np.ones(2, dtype=np.int64),
+                0,
+                "linear",
+                np.uint64(63),
+                np.uint64(0),
+            )
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
+    @given(
+        batches=st.lists(st.lists(st.integers(0, 400), max_size=120), min_size=1, max_size=3),
+        seed=st.integers(0, 7),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_device_table_equals_scalar_reference(self, probing, batches, seed):
+        """Crowded key space, a 64-slot start: contention, re-probes and both rehash paths."""
+        table = DeviceHashTable(16, seed=seed, probing=probing)
+        ref = ScalarTable(16, seed=seed, probing=probing)
+        for batch in batches:
+            arr = np.array(batch, dtype=np.uint64)
+            if arr.size:
+                assert table.insert_batch(arr) == ref.insert_batch(arr)
+            assert (table.keys.tobytes(), table.counts.tobytes()) == ref.slab()
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["ram", "mmap"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_segmented_table_equals_scalar_reference(self, tmp_path_factory, mapped, data):
+        p = data.draw(st.integers(1, 4))
+        probing = data.draw(st.sampled_from(["linear", "quadratic", "double"]))
+        table = SegmentedHashTable(
+            [16] * p, seed=3, probing=probing, table_dir=tmp_path_factory.mktemp("slab") if mapped else None
+        )
+        refs = [ScalarTable(16, seed=3, probing=probing) for _ in range(p)]
+        try:
+            assert isinstance(table.keys, np.memmap) == mapped
+            for _ in range(data.draw(st.integers(1, 3))):
+                segments = [
+                    np.array(data.draw(st.lists(st.integers(0, 300), max_size=100)), dtype=np.uint64)
+                    for _ in range(p)
+                ]
+                offsets = np.concatenate(([0], np.cumsum([seg.shape[0] for seg in segments])))
+                stats = table.insert_flat(np.concatenate(segments), offsets)
+                for r in range(p):
+                    expected = refs[r].insert_batch(segments[r]) if segments[r].size else InsertStats.zero()
+                    assert stats[r] == expected
+                    lo, hi = table.region_base[r], table.region_base[r + 1]
+                    assert (table.keys[lo:hi].tobytes(), table.counts[lo:hi].tobytes()) == refs[r].slab()
+        finally:
+            table.close()

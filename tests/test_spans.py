@@ -454,6 +454,18 @@ class TestMetricsServer:
             srv.stop()
         srv.stop()  # idempotent
 
+    def test_stop_releases_the_port_of_a_never_started_server(self):
+        """The socket is bound at construction; ``stop`` / ``with`` must close it either way."""
+        reg = MetricRegistry()
+        srv = MetricsServer(reg)
+        port = srv.port
+        with pytest.raises(OSError):
+            MetricsServer(reg, port=port)  # still bound
+        srv.stop()
+        again = MetricsServer(reg, port=port)  # parent: OSError, address already in use
+        assert again.port == port
+        again.stop()
+
     def test_live_updates_visible(self):
         reg = MetricRegistry()
         gauge = reg.gauge("progress_inputs_done", "done", wall=True)
@@ -542,6 +554,41 @@ class TestCliRoundTrip:
         assert rc == 0
         out = capsys.readouterr().out
         assert "serving live metrics at http://127.0.0.1:" in out
+
+    def test_count_metrics_port_taken_is_a_clean_error(self, tmp_path, capsys):
+        import socket
+
+        from repro.cli import main
+
+        fastq = self._write_fastq(tmp_path)
+        capsys.readouterr()
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            rc = main(["count", "--input", str(fastq), "-k", "15", "--nodes", "2", "--metrics-port", str(port)])
+        assert rc == 2
+        assert f"error: --metrics-port {port}: address already in use" in capsys.readouterr().err
+
+    def test_count_failure_stops_the_metrics_server(self, tmp_path, capsys):
+        """A missing second ``--input`` must not leave the thread and the port to the caller."""
+        import socket
+        import threading
+
+        from repro.cli import main
+
+        fastq = self._write_fastq(tmp_path)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        rc = main(
+            ["count", "--input", str(fastq), str(tmp_path / "missing.fastq"), "-k", "15", "--nodes", "2",
+             "--metrics-port", str(port), "--metrics-hold", "0"]
+        )
+        assert rc == 2
+        assert "missing.fastq" in capsys.readouterr().err
+        assert not [t for t in threading.enumerate() if t.name == "repro-metrics"]
+        MetricsServer(MetricRegistry(), port=port).stop()  # the port is free again
 
     def test_report_carries_wall_section_when_traced(self, tmp_path):
         from repro.cli import main

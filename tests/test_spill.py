@@ -866,10 +866,10 @@ class TestSpoolRoundTrip:
     @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
     @pytest.mark.parametrize("block_items", [1, 5, 40, 1 << 18])
     def test_bulk_append_matches_alltoallv(self, tmp_path, monkeypatch, p, with_lengths, block_items):
-        import repro.core.stages.spill as spill_mod
+        import repro.mpi.collectives as collectives_mod
 
         # A few items per block: boundaries fall inside, at and across ranks.
-        monkeypatch.setattr(spill_mod, "SPOOL_BLOCK_BYTES", block_items * (9 if with_lengths else 8))
+        monkeypatch.setattr(collectives_mod, "SEGMENT_BLOCK_BYTES", block_items * (9 if with_lengths else 8))
         rng = np.random.default_rng(1000 * p + block_items)
         spool = SpillSpool(tmp_path)
         try:

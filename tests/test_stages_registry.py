@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from repro.core.stages import (
     registered_stages,
     substrate_names,
 )
-from repro.core.stages.registry import normalize_backend, resolve_stage
+from repro.core.stages.buffers import ParsedItems
+from repro.core.stages.registry import _BACKENDS, normalize_backend, register_backend, resolve, resolve_stage
+from repro.core.stages.standard import KmerHashPartition, assemble_rank_parse
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
@@ -60,6 +64,50 @@ class TestBackendRegistry:
         b = run_pipeline(genome_reads, summit_gpu(1), cfg, backend="gpu")
         assert a.spectrum.equals(b.spectrum)
         assert a.timing.total == b.timing.total
+
+
+class OffByOnePartition(KmerHashPartition):
+    """A buggy custom partitioner: the last rank's keys go to rank P, one past the world."""
+
+    def owners(self, route_keys, n_ranks, config):
+        owners = super().owners(route_keys, n_ranks, config)
+        return np.where(owners == n_ranks - 1, n_ranks, owners)
+
+
+class TestDestinationOrdering:
+    def test_out_of_range_owner_is_an_error_at_parse(self, genome_reads):
+        """Not ``rank 0 send_counts must have shape (P,)`` one phase later."""
+
+        def factory(config, opts):
+            return dataclasses.replace(resolve("gpu:kmer", config, opts), partition=OffByOnePartition())
+
+        register_backend("offbyone:kmer", factory)
+        try:
+            with pytest.raises(ValueError, match=r"OffByOnePartition assigned rank 6.*the 6 ranks"):
+                run_pipeline(genome_reads, summit_gpu(1), PipelineConfig(k=15), backend="offbyone")
+        finally:
+            del _BACKENDS["offbyone:kmer"]
+
+    def test_negative_owner_is_an_error(self):
+        items = ParsedItems(np.arange(3, dtype=np.uint64), None, np.arange(3, dtype=np.uint64), 3, 0, 0)
+        with pytest.raises(ValueError):
+            assemble_rank_parse(items, np.array([0, -1, 2]), 4, KmerHashPartition())
+
+    @pytest.mark.parametrize("p", [1, 96, 672, 65_535, 65_537])
+    @pytest.mark.parametrize("supermer", [False, True])
+    def test_narrowed_sort_equals_int64_sort(self, p, supermer):
+        rng = np.random.default_rng(p)
+        n = 5000
+        owners = rng.integers(0, p, size=n).astype(np.int32)
+        owners[:2] = (0, p - 1)  # both ends of the rank range
+        data = rng.integers(0, 2**62, size=n).astype(np.uint64)
+        lengths = rng.integers(1, 200, size=n).astype(np.uint8) if supermer else None
+        pr = assemble_rank_parse(ParsedItems(data, lengths, data, n, 0, 0), owners, p, KmerHashPartition())
+        order = np.argsort(owners.astype(np.int64), kind="stable")
+        assert pr.data.tobytes() == data[order].tobytes()
+        assert (pr.lengths is None) if lengths is None else (pr.lengths.tobytes() == lengths[order].tobytes())
+        assert pr.counts.dtype == np.int64
+        assert np.array_equal(pr.counts, np.bincount(owners, minlength=p))
 
 
 class TestStageRegistry:

@@ -282,7 +282,7 @@ class TestJsonAndTraceExport:
             (result.timing.parse + result.timing.exchange) * 1e6
         )
 
-    def test_write_chrome_trace_merges_counter_tracks(self, reads):
+    def test_run_trace_payload_merges_counter_tracks(self, reads):
         result, reg = _run(reads)
         payload = run_trace_payload(None, result=result, registry=reg)
         phs = {e["ph"] for e in payload["traceEvents"]}

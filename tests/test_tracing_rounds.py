@@ -52,7 +52,7 @@ class TestTraceEvents:
         events = [e for e in events_list(result) if e["name"] == "exchange"]
         assert events[0]["dur"] == pytest.approx(result.timing.exchange * 1e6)
 
-    def test_write_chrome_trace(self, result, tmp_path):
+    def test_write_run_trace_of_model_timeline(self, result, tmp_path):
         """The model timeline alone is a valid run trace (no recorder)."""
         path = write_run_trace(tmp_path / "run.json", None, result=result)
         payload = json.loads(path.read_text())

@@ -1,0 +1,120 @@
+"""Work budgets: how often, and on how much, the hot loops call the expensive primitives.
+
+Counts, not clocks (ROADMAP item 4): a budget here fails when a code
+path regrows a sort or a whole-round temporary, on any host and at any
+load, where a wall-clock floor would only drift.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import repro.mpi.collectives as collectives
+from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions, run_pipeline
+from repro.gpu.hashtable import DeviceHashTable
+from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
+from repro.mpi.topology import summit_gpu
+
+
+def _calls_by_caller(monkeypatch, name: str) -> list[tuple[str, str, np.dtype]]:
+    """Record ``(caller file, caller function, first argument's dtype)`` of every ``np.<name>`` call."""
+    real = getattr(np, name)
+    calls: list[tuple[str, str, np.dtype]] = []
+
+    def counting(first, *args, **kwargs):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_filename, frame.f_code.co_name, np.asarray(first).dtype))
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, counting)
+    return calls
+
+
+class TestStagedRunBudgets:
+    """One small staged k-mer run on 6 ranks, one thread."""
+
+    @pytest.fixture
+    def staged_run(self, genome_reads, monkeypatch):
+        unique_calls = _calls_by_caller(monkeypatch, "unique")
+        argsort_calls = _calls_by_caller(monkeypatch, "argsort")
+        inserts = []
+        real_insert = DeviceHashTable.insert_batch
+
+        def counting_insert(self, values, *args, **kwargs):
+            inserts.append(np.asarray(values).shape[0])
+            return real_insert(self, values, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceHashTable, "insert_batch", counting_insert)
+        cluster = summit_gpu(1)
+        result = run_pipeline(
+            genome_reads, cluster, PipelineConfig(k=17), options=EngineOptions(parallel=1, fused=False)
+        )
+        assert result.spectrum.n_distinct > 0
+        return cluster.n_ranks, inserts, unique_calls, argsort_calls
+
+    def test_one_unique_per_insert_batch_none_in_the_probe_loop(self, staged_run):
+        n_ranks, inserts, unique_calls, _ = staged_run
+        in_table = Counter(fn for path, fn, _ in unique_calls if path.endswith("gpu/hashtable.py"))
+        assert len(inserts) == n_ranks and all(inserts)
+        assert in_table == {"dedup_batch": len(inserts)}  # the dedup; probe_insert arbitrates without a sort
+
+    def test_destination_ordering_sorts_16_bit_owners(self, staged_run):
+        n_ranks, _, _, argsort_calls = staged_run
+        owner_sorts = [dtype for _, fn, dtype in argsort_calls if fn == "assemble_rank_parse"]
+        assert owner_sorts == [np.dtype(np.uint16)] * n_ranks  # a radix pass, never an int64 merge sort
+
+
+class TestExchangeIndexBudget:
+    """The resident exchange indexes one destination block at a time, whatever the round holds."""
+
+    BLOCK_BYTES = 1 << 18  # 16,384 uint64 items and their index per block
+
+    @staticmethod
+    def _round(n_items: int, p: int = 256):
+        rng = np.random.default_rng(n_items)
+        counts = rng.multinomial(n_items // p, np.ones(p) / p, size=p).astype(np.int64)
+        send = [rng.integers(0, 2**62, size=int(n)).astype(np.uint64) for n in counts.sum(axis=1)]
+        return send, counts
+
+    @pytest.mark.parametrize("n_items", [40_000, 640_000])
+    def test_largest_index_is_block_sized(self, monkeypatch, n_items):
+        monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", self.BLOCK_BYTES)
+        real = collectives.segment_gather_index
+        index_items: list[int] = []
+
+        def counting(starts, lens):
+            idx = real(starts, lens)
+            index_items.append(idx.shape[0])
+            return idx
+
+        monkeypatch.setattr(collectives, "segment_gather_index", counting)
+        send, counts = self._round(n_items)
+        flat = np.concatenate(send)
+        exchanges = {
+            "segments": lambda: alltoallv_segments(send, list(counts))[0][0].base,
+            "flat": lambda: alltoallv_flat(flat, counts)[0],
+        }
+        block_items = self.BLOCK_BYTES // 16
+        assert counts.sum(axis=0).max() < block_items  # no destination is a block of its own
+        for name, exchange in exchanges.items():
+            index_items.clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                received = exchange()
+                transient = tracemalloc.get_traced_memory()[1] - before - received.nbytes
+            finally:
+                tracemalloc.stop()
+            assert received.shape[0] == flat.shape[0]
+            assert len(index_items) >= n_items // (2 * block_items), name
+            assert max(index_items) <= block_items, name
+            # Staging buffer, index and its construction temporaries, plus a
+            # few P x P offset matrices: the same bound for both round sizes,
+            # under the 8 bytes per item of one whole-round index at the larger.
+            assert transient <= 6 * self.BLOCK_BYTES + 32 * counts.size < 8 * 640_000, (name, transient)
