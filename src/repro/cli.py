@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--checkpoint",
-        help="counter state file: loaded if present (resume), saved after every input file",
+        help="counter state file: loaded if present (resume; a damaged or older-format file is an "
+        "error), saved after every input file",
     )
     p_count.add_argument("-k", type=int, default=17, help="k-mer length (2-31)")
     p_count.add_argument(

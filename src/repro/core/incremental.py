@@ -12,21 +12,24 @@ execution core:
   lives across batches, exactly like DEDUKT's);
 * timing/volume accounting accumulates in a
   :class:`~repro.core.stages.PipelineState`;
-* ``save``/``load`` checkpoint the partitioned table state to an ``.npz``
-  (checkpoint format version 2, which carries the cumulative insert
-  statistics and the collective-traffic log alongside the tables) so
-  counting resumes after interruption.  The pipelines' determinism makes a
-  resumed run's *every* observable — spectrum, timing, insert statistics,
-  traffic records — bit-identical to an uninterrupted run's, which the
-  tests assert.  (Version-1 checkpoints predate the stats payload; they
-  still load, resuming with zeroed insert stats and an empty traffic log,
-  so only the spectrum/timing identity holds across a v1 resume.)
+* ``save``/``load`` checkpoint that state so counting resumes after
+  interruption.  The checkpoint is the partitioned table itself — every
+  rank's capacity and slots as they lie, beside the cumulative timing,
+  insert statistics and collective-traffic log (one format, described on
+  :class:`~repro.core.stages.PipelineState`) — so a counter loaded from it
+  continues on the same slots, and *every* observable of the resumed run
+  — spectrum, timing, insert statistics, table capacities, traffic
+  records — is bit-identical to an uninterrupted run's wherever the cut
+  fell, which the tests assert.  A file that cannot be read back whole, or
+  that an older format wrote, is rejected with one ``ValueError`` naming
+  it, and a rejected ``load`` leaves the counter as it was.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -153,7 +156,10 @@ class DistributedCounter:
 
     def save(self, path: str | Path) -> Path:
         """Persist the counter state (tables + accounting) to an ``.npz``."""
-        return self._state.save(path, k=self.config.k)
+        t0 = perf_counter()
+        path = self._state.save(path, k=self.config.k)
+        self._note_checkpoint("save", path, perf_counter() - t0)
+        return path
 
     def load(self, path: str | Path) -> None:
         """Restore state saved by :meth:`save` into this counter.
@@ -161,4 +167,24 @@ class DistributedCounter:
         The counter must have been constructed with the same cluster size
         and k; anything else is a configuration error and is rejected.
         """
+        t0 = perf_counter()
         self._state.load(path, k=self.config.k, table_seed=self.config.table_seed)
+        self._note_checkpoint("load", Path(path), perf_counter() - t0)
+
+    def _note_checkpoint(self, op: str, path: Path, seconds: float) -> None:
+        n_bytes = path.stat().st_size
+        event(
+            "counter.checkpoint",
+            subsystem="engine",
+            op=op,
+            bytes=n_bytes,
+            seconds=round(seconds, 6),
+            batches=self.n_batches,
+        )
+        reg = self.options.telemetry
+        if reg is not None:
+            reg.counter("checkpoint_seconds_total", "Host seconds saving/loading checkpoints", wall=True, op=op).inc(
+                seconds
+            )
+            if op == "save":
+                reg.counter("checkpoint_bytes_written_total", "Checkpoint bytes written", wall=True).inc(n_bytes)

@@ -29,16 +29,17 @@ format: a *layout* (:class:`PerRankLayout` here |
 the one place their outcomes are summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
-the persistent per-rank tables and accounting across batches and
-serializes to the ``.npz`` checkpoint format (version 2: version 1's
-table/timing layout plus insert statistics and the traffic record log,
-so resumed runs reproduce an uninterrupted run's accounting exactly;
-version-1 files still load, with zeroed stats and empty traffic).
+the persistent per-rank tables and accounting across batches, and its
+checkpoint *is* those tables — every rank's slots as they lie, plus the
+accounting — so a resumed run continues on the same slots and equals an
+uninterrupted one on every observable (format and guarantees on
+:class:`PipelineState`).
 """
 
 from __future__ import annotations
 
 import os
+import zipfile
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +48,7 @@ from time import perf_counter
 import numpy as np
 
 from ...dna.reads import ReadSet
-from ...gpu.hashtable import DeviceHashTable, InsertStats
+from ...gpu.hashtable import EMPTY_KEY, DeviceHashTable, InsertStats, dump_slots, restore_slots
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
@@ -68,9 +69,9 @@ from .spill import Resident, Spooled, supports_spill
 
 __all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "PerRankLayout", "Strategy"]
 
-#: Version 2 adds ``insert_stats`` and the traffic record log to version
-#: 1's tables/timing/volume layout; :meth:`PipelineState.load` accepts both.
-_CHECKPOINT_VERSION = 2
+#: The one checkpoint format (see :class:`PipelineState`); files of any
+#: other version are rejected by :meth:`PipelineState.load`.
+_CHECKPOINT_VERSION = 3
 
 #: Field order of the serialized :class:`InsertStats` vector.
 _INSERT_STAT_FIELDS = (
@@ -83,19 +84,60 @@ _INSERT_STAT_FIELDS = (
     "resizes",
 )
 
+#: The members of a checkpoint besides ``version``: a fixed set, whatever
+#: the rank count and however many collectives the traffic log holds.
+_CHECKPOINT_MEMBERS = (
+    "k n_ranks n_batches exchanged_items received timing insert_stats "
+    "capacities occupancy keys counts "
+    "traffic_meta traffic_bytes traffic_has_items traffic_items"
+).split()
+
+
+def _unusable(path, why: str) -> ValueError:
+    return ValueError(f"{path}: not a usable checkpoint: {why}")
+
+
+def _read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Every member of the checkpoint at ``path``, read whole and CRC-checked.
+
+    Whatever keeps the file from being read back — truncated, empty,
+    corrupted, a member missing, another format version — is one
+    ``ValueError`` that names the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                version = int(data["version"][0])
+                if version == _CHECKPOINT_VERSION:
+                    return {name: data[name] for name in _CHECKPOINT_MEMBERS}
+        except (zipfile.BadZipFile, EOFError, KeyError, IndexError, OSError, ValueError) as exc:
+            raise _unusable(path, f"{type(exc).__name__}: {exc}") from exc
+    raise _unusable(
+        path,
+        f"it is format version {version}, which stores sorted items, not the tables' slot layout "
+        f"a bit-identical resume continues from (version {_CHECKPOINT_VERSION}); recount the inputs",
+    )
+
 
 @dataclass
 class PipelineState:
     """Persistent cross-batch state: table partitions + accounting.
 
     This is what checkpoint/resume serializes; a scheduler folds each batch
-    into it.  The ``.npz`` layout is checkpoint format version 2: version
-    1's table/timing/volume layout (unchanged from the pre-stage-graph
-    incremental counter) plus the cumulative :class:`InsertStats` and the
-    :class:`TrafficStats` record log, so every accounting observable of a
-    resumed run matches an uninterrupted run's.  Version-1 files (which
-    never carried either) still load, with zeroed insert stats and empty
-    traffic.
+    into it.  The checkpoint (format version 3, an uncompressed ``.npz``
+    whose zip CRC-32s detect corruption) holds the tables *as they are*:
+    ``capacities`` (one per rank), and for the ranks' regions laid end to
+    end the ``occupancy`` bitmap and the occupied ``keys``/``counts`` in
+    slot order (:func:`~repro.gpu.hashtable.dump_slots`).  Beside them:
+    ``k``, ``n_ranks``, ``n_batches``, ``exchanged_items``, ``received``,
+    ``timing``, the cumulative ``insert_stats``, and the traffic log as
+    four stacked arrays (``traffic_meta`` op/label pairs, ``traffic_bytes``
+    and ``traffic_items`` of shape ``(n, P, P)``, ``traffic_has_items``).
+    Saving sorts nothing and loading probes nothing, so a loaded state has
+    the saved one's capacities and slots element for element, and a run
+    resumed from it equals the uninterrupted run on every observable —
+    spectrum, timing, insert statistics, capacities, traffic records —
+    wherever it was cut and whichever layout saved or resumes it.
     """
 
     tables: list[DeviceHashTable]
@@ -128,10 +170,14 @@ class PipelineState:
         that dies midway leaves the previous checkpoint intact.
         """
         path = Path(path)
+        p = len(self.tables)
+        records = self.traffic.records
+        bitmaps, keys, counts = zip(*(dump_slots(t.keys, t.counts) for t in self.tables))
+        no_items = np.zeros((p, p), dtype=np.int64)
         payload: dict[str, np.ndarray] = {
             "version": np.array([_CHECKPOINT_VERSION]),
             "k": np.array([k]),
-            "n_ranks": np.array([len(self.tables)]),
+            "n_ranks": np.array([p]),
             "n_batches": np.array([self.n_batches]),
             "exchanged_items": np.array([self.exchanged_items]),
             "received": self.received_kmers,
@@ -139,83 +185,107 @@ class PipelineState:
             "insert_stats": np.array(
                 [getattr(self.insert_stats, f) for f in _INSERT_STAT_FIELDS], dtype=np.int64
             ),
-            "traffic_n": np.array([len(self.traffic.records)]),
+            "capacities": np.array([t.capacity for t in self.tables], dtype=np.int64),
+            "occupancy": np.concatenate(bitmaps),
+            "keys": np.concatenate(keys),
+            "counts": np.concatenate(counts),
+            "traffic_meta": np.array([(rec.op, rec.label) for rec in records], dtype=str).reshape(-1, 2),
+            "traffic_bytes": np.array([rec.bytes_matrix for rec in records], dtype=np.int64).reshape(-1, p, p),
+            "traffic_has_items": np.array([rec.items_matrix is not None for rec in records], dtype=bool),
+            "traffic_items": np.array(
+                [no_items if rec.items_matrix is None else rec.items_matrix for rec in records],
+                dtype=np.int64,
+            ).reshape(-1, p, p),
         }
-        for i, rec in enumerate(self.traffic.records):
-            payload[f"traffic_meta_{i}"] = np.array([rec.op, rec.label])
-            payload[f"traffic_bytes_{i}"] = rec.bytes_matrix
-            if rec.items_matrix is not None:
-                payload[f"traffic_items_{i}"] = rec.items_matrix
-        for r, table in enumerate(self.tables):
-            keys, counts = table.items()
-            payload[f"keys_{r}"] = keys
-            payload[f"counts_{r}"] = counts
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
             # A file object, not a name: numpy appends ".npz" to bare names.
             with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
+                np.savez(fh, **payload)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
         return path
 
     def load(self, path: str | Path, *, k: int, table_seed: int) -> None:
-        """Restore state saved by :meth:`save` into this object.
+        """Restore state saved by :meth:`save` into this object, or leave it untouched.
 
+        The file is read and validated whole before anything is assigned.
         The state must match the checkpoint's cluster size and k; anything
         else is a configuration error and is rejected.
         """
-        n_ranks = len(self.tables)
-        with np.load(path) as data:
-            version = int(data["version"][0])
-            if version not in (1, _CHECKPOINT_VERSION):
-                raise ValueError(f"{path}: unsupported checkpoint version")
-            if int(data["k"][0]) != k:
-                raise ValueError(f"{path}: checkpoint k={int(data['k'][0])} != config k={k}")
-            if int(data["n_ranks"][0]) != n_ranks:
-                raise ValueError(
-                    f"{path}: checkpoint has {int(data['n_ranks'][0])} ranks, cluster has {n_ranks}"
+        p = len(self.tables)
+        members = _read_checkpoint(path)
+
+        def member(name: str, shape: tuple[int, ...], dtype=np.int64) -> np.ndarray:
+            a = members[name]
+            if a.shape != shape or (a.dtype.kind != "U" if dtype is str else a.dtype != dtype):
+                want = np.dtype(dtype).name
+                raise _unusable(path, f"member {name!r} is {a.dtype.name}{a.shape}, not {want}{shape}")
+            return a
+
+        scalars = {
+            name: int(member(name, (1,))[0]) for name in ("k", "n_ranks", "n_batches", "exchanged_items")
+        }
+        if scalars["k"] != k:
+            raise ValueError(f"{path}: checkpoint k={scalars['k']} != config k={k}")
+        if scalars["n_ranks"] != p:
+            raise ValueError(f"{path}: checkpoint has {scalars['n_ranks']} ranks, cluster has {p}")
+        capacities = member("capacities", (p,))
+        if not bool(((capacities >= 64) & (capacities & (capacities - 1) == 0)).all()):
+            raise _unusable(path, "a rank's capacity is not a power of two >= 64")
+        bounds = np.concatenate([[0], np.cumsum(capacities)])
+        occupancy = member("occupancy", (int(bounds[-1]) // 8,), np.uint8)
+        filled = np.concatenate(
+            [[0], np.cumsum(np.add.reduceat(np.unpackbits(occupancy), bounds[:-1], dtype=np.int64))]
+        )
+        keys = member("keys", (int(filled[-1]),), np.uint64)
+        counts = member("counts", keys.shape)
+        if bool((keys == EMPTY_KEY).any()) or bool((counts < 1).any()):
+            raise _unusable(path, "an occupied slot holds the EMPTY sentinel or a count below 1")
+        received = member("received", (p,))
+        timing = member("timing", (3,), np.float64)
+        insert_stats = member("insert_stats", (len(_INSERT_STAT_FIELDS),))
+        n = members["traffic_meta"].shape[0]
+        meta = member("traffic_meta", (n, 2), str)
+        has_items = member("traffic_has_items", (n,), np.bool_)
+        traffic_bytes = member("traffic_bytes", (n, p, p))
+        traffic_items = member("traffic_items", (n, p, p))
+
+        tables = [
+            DeviceHashTable.from_slots(
+                *restore_slots(
+                    int(capacities[r]),
+                    occupancy[bounds[r] // 8 : bounds[r + 1] // 8],
+                    keys[filled[r] : filled[r + 1]],
+                    counts[filled[r] : filled[r + 1]],
+                ),
+                seed=table_seed,
+            )
+            for r in range(p)
+        ]
+        self.tables = tables
+        self.fused_table = None
+        self.received_kmers = received
+        self.n_batches = scalars["n_batches"]
+        self.exchanged_items = scalars["exchanged_items"]
+        self.timing = PhaseTiming(parse=float(timing[0]), exchange=float(timing[1]), count=float(timing[2]))
+        # Any accounting accumulated in this object before the load belongs
+        # to a different run: it is replaced, never merged.
+        self.insert_stats = InsertStats(
+            **{field: int(value) for field, value in zip(_INSERT_STAT_FIELDS, insert_stats)}
+        )
+        self.traffic = TrafficStats(
+            [
+                CollectiveRecord(
+                    op=str(op),
+                    label=str(label),
+                    bytes_matrix=traffic_bytes[i],
+                    items_matrix=traffic_items[i] if has_items[i] else None,
                 )
-            self.tables = [DeviceHashTable(64, seed=table_seed) for _ in range(n_ranks)]
-            self.fused_table = None
-            for r in range(n_ranks):
-                keys = data[f"keys_{r}"]
-                counts = data[f"counts_{r}"]
-                if keys.size:
-                    # Checkpoints store each partition's items sorted by key
-                    # (DeviceHashTable.items), so the dedup sort is redundant.
-                    self.tables[r].insert_batch(keys, weights=counts, assume_unique=True)
-            self.received_kmers = data["received"].astype(np.int64).copy()
-            self.n_batches = int(data["n_batches"][0])
-            self.exchanged_items = int(data["exchanged_items"][0])
-            t = data["timing"]
-            self.timing = PhaseTiming(parse=float(t[0]), exchange=float(t[1]), count=float(t[2]))
-            # Accounting is always reset — any stats accumulated in this
-            # object before the load belong to a different run, and a
-            # version-1 file simply has nothing to restore.
-            self.insert_stats = InsertStats.zero()
-            self.traffic = TrafficStats()
-            if version >= 2:
-                self.insert_stats = InsertStats(
-                    **{
-                        field: int(value)
-                        for field, value in zip(_INSERT_STAT_FIELDS, data["insert_stats"])
-                    }
-                )
-                for i in range(int(data["traffic_n"][0])):
-                    op, label = (str(s) for s in data[f"traffic_meta_{i}"])
-                    items_key = f"traffic_items_{i}"
-                    self.traffic.records.append(
-                        CollectiveRecord(
-                            op=op,
-                            label=label,
-                            bytes_matrix=data[f"traffic_bytes_{i}"].astype(np.int64),
-                            items_matrix=(
-                                data[items_key].astype(np.int64) if items_key in data else None
-                            ),
-                        )
-                    )
+                for i, (op, label) in enumerate(meta)
+            ]
+        )
 
 
 class RoundAccounting:

@@ -280,6 +280,29 @@ def sorted_items(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return keys[order], counts[mask][order]
 
 
+def dump_slots(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One region as it is: ``(occupancy bitmap, occupied keys, their counts)`` in slot order.
+
+    No sort and no probe — the inverse of :func:`restore_slots`.  Region
+    capacities are multiples of 8, so the bitmaps of consecutive regions
+    concatenate to the bitmap of their slab.
+    """
+    occupied = keys != EMPTY_KEY
+    return np.packbits(occupied), keys[occupied], counts[occupied]
+
+
+def restore_slots(
+    capacity: int, bitmap: np.ndarray, occ_keys: np.ndarray, occ_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(keys, counts)`` region :func:`dump_slots` was taken from: one scatter."""
+    occupied = np.unpackbits(bitmap, count=capacity).view(bool)
+    keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)
+    counts = np.zeros(capacity, dtype=np.int64)
+    keys[occupied] = occ_keys
+    counts[occupied] = occ_counts
+    return keys, counts
+
+
 def record_insert_telemetry(
     stats: list[InsertStats], load_factor: float, probes: np.ndarray, w: np.ndarray
 ) -> None:
@@ -338,11 +361,38 @@ class DeviceHashTable:
         self._alloc(initial_capacity(capacity_hint, max_load_factor))
         self._n_entries = 0
 
+    @classmethod
+    def from_slots(
+        cls,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        *,
+        seed: int = 0,
+        max_load_factor: float = 0.7,
+        probing: str = "linear",
+    ) -> "DeviceHashTable":
+        """A table that *is* the given slot arrays: adopted, not copied or rehashed.
+
+        ``keys``/``counts`` are one whole region as a table held it (see
+        :func:`restore_slots`); ``seed`` and ``probing`` must be that
+        table's, or its keys are not where lookups probe.
+        """
+        n = keys.shape[0]
+        if keys.shape != counts.shape or n < 64 or n & (n - 1):
+            raise ValueError("slot arrays must be parallel and a power of two >= 64 long")
+        self = cls(seed=seed, max_load_factor=max_load_factor, probing=probing)
+        self._adopt(keys, counts)
+        self._n_entries = int(np.count_nonzero(keys != EMPTY_KEY))
+        return self
+
     def _alloc(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._mask = np.uint64(capacity - 1)
-        self.keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)
-        self.counts = np.zeros(capacity, dtype=np.int64)
+        self._adopt(np.full(capacity, EMPTY_KEY, dtype=np.uint64), np.zeros(capacity, dtype=np.int64))
+
+    def _adopt(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        self.capacity = keys.shape[0]
+        self._mask = np.uint64(self.capacity - 1)
+        self.keys = keys
+        self.counts = counts
 
     # -- properties --------------------------------------------------------
 
@@ -378,7 +428,7 @@ class DeviceHashTable:
 
         ``assume_unique=True`` skips the ``np.unique`` aggregation for
         callers that already hold strictly-increasing keys with
-        pre-aggregated weights (spectrum merges, checkpoint reload); the
+        pre-aggregated weights (another table's ``items()``, a spectrum); the
         ordering is verified in O(n) and violations raise.
         """
         vals = np.ascontiguousarray(values, dtype=np.uint64)

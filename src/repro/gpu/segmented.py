@@ -187,9 +187,9 @@ class SegmentedHashTable:
         self._layout(np.asarray([t.capacity for t in tables], dtype=np.int64))
         self.n_entries_per_rank = np.asarray([t.n_entries for t in tables], dtype=np.int64)
         for r, t in enumerate(tables):
-            lo, hi = int(self.region_base[r]), int(self.region_base[r + 1])
-            self.keys[lo:hi] = t.keys
-            self.counts[lo:hi] = t.counts
+            keys, counts = self.slots_of(r)
+            keys[:] = t.keys
+            counts[:] = t.counts
         return self
 
     # -- properties --------------------------------------------------
@@ -208,10 +208,14 @@ class SegmentedHashTable:
     def views(self) -> list["SegmentedRankView"]:
         return [SegmentedRankView(self, r) for r in range(self.n_ranks)]
 
+    def slots_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rank's region of the ``keys``/``counts`` slabs (views, as ``DeviceHashTable.keys``/``.counts``)."""
+        lo, hi = int(self.region_base[rank]), int(self.region_base[rank + 1])
+        return self.keys[lo:hi], self.counts[lo:hi]
+
     def items_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """Rank's (key, count) pairs sorted by key (as ``DeviceHashTable.items``)."""
-        lo, hi = int(self.region_base[rank]), int(self.region_base[rank + 1])
-        return sorted_items(self.keys[lo:hi], self.counts[lo:hi])
+        return sorted_items(*self.slots_of(rank))
 
     def items_flat(self) -> tuple[np.ndarray, np.ndarray]:
         """All ranks' (key, count) pairs in one storage pass, slot order.
@@ -349,9 +353,9 @@ class SegmentedRankView:
     """One rank's window onto a :class:`SegmentedHashTable`.
 
     Duck-types the parts of :class:`DeviceHashTable` the engine touches
-    after counting (merge, checkpointing, end-of-run telemetry), so a
-    :class:`~repro.core.stages.scheduler.PipelineState` can carry these
-    in ``state.tables`` transparently.
+    after counting (merge, the checkpoint's slot dump, end-of-run
+    telemetry), so a :class:`~repro.core.stages.scheduler.PipelineState`
+    can carry these in ``state.tables`` transparently.
     """
 
     def __init__(self, parent: SegmentedHashTable, rank: int) -> None:
@@ -385,6 +389,14 @@ class SegmentedRankView:
     @property
     def table_bytes(self) -> int:
         return self.capacity * (np.dtype(np.uint64).itemsize + np.dtype(np.int64).itemsize)
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._parent.slots_of(self.rank)[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._parent.slots_of(self.rank)[1]
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         return self._parent.items_of(self.rank)

@@ -155,6 +155,17 @@ class TestMultiFileAndCheckpoint:
         b = read_kmerdb(db_b)
         assert np.array_equal(a.counts * 2, b.counts)
 
+    def test_truncated_checkpoint_is_one_error_line(self, fastq, tmp_path, capsys):
+        """Regression: ``zipfile.BadZipFile`` escaped ``main`` as a traceback."""
+        ckpt = tmp_path / "state.npz"
+        argv = ["count", "--input", str(fastq), "-k", "15", "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: not a usable checkpoint") and err.count("\n") == 1
+
 
 class TestDistance:
     def test_distance_between_datasets(self, fastq, tmp_path, capsys):

@@ -11,9 +11,11 @@ from repro.gpu.hashtable import (
     EMPTY_KEY,
     DeviceHashTable,
     InsertStats,
+    dump_slots,
     fit_capacity,
     initial_capacity,
     probe_insert,
+    restore_slots,
 )
 from repro.gpu.segmented import SegmentedHashTable
 from repro.hashing.murmur3 import hash_kmers_batch
@@ -376,3 +378,74 @@ class TestClaimArbitration:
                     assert (table.keys[lo:hi].tobytes(), table.counts[lo:hi].tobytes()) == refs[r].slab()
         finally:
             table.close()
+
+
+class TestSlotDump:
+    """``dump_slots`` / ``restore_slots`` / ``from_slots``: a table rebuilt
+    from its dump is the same table — same arrays now, same statistics for
+    whatever is inserted next — with no probe in between."""
+
+    histories = st.lists(st.lists(st.integers(0, 300), max_size=120), min_size=1, max_size=4)
+
+    @staticmethod
+    def _rebuilt(table, probing: str) -> DeviceHashTable:
+        bitmap, keys, counts = dump_slots(table.keys, table.counts)
+        assert bitmap.dtype == np.uint8 and bitmap.shape[0] * 8 == table.capacity
+        assert keys.shape[0] == counts.shape[0] == table.n_entries
+        twin = DeviceHashTable.from_slots(
+            *restore_slots(table.capacity, bitmap, keys, counts), seed=table.seed, probing=probing
+        )
+        assert (twin.capacity, twin.n_entries) == (table.capacity, table.n_entries)
+        assert np.array_equal(twin.keys, table.keys) and np.array_equal(twin.counts, table.counts)
+        return twin
+
+    @given(
+        probing=st.sampled_from(["linear", "quadratic", "double"]),
+        history=histories,
+        following=st.lists(st.integers(0, 300), min_size=1, max_size=200),
+        seed=st.integers(0, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilt_device_table_continues_identically(self, probing, history, following, seed):
+        table = DeviceHashTable(16, seed=seed, probing=probing)
+        for batch in history:  # duplicates, and growth across calls from a 64-slot start
+            table.insert_batch(np.array(batch, dtype=np.uint64))
+        twin = self._rebuilt(table, probing)
+        nxt = np.array(following, dtype=np.uint64)
+        assert twin.insert_batch(nxt) == table.insert_batch(nxt)
+        assert np.array_equal(twin.keys, table.keys) and np.array_equal(twin.counts, table.counts)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rebuilt_rank_view_continues_identically(self, data):
+        p = data.draw(st.integers(1, 4))
+        probing = data.draw(st.sampled_from(["linear", "quadratic", "double"]))
+        table = SegmentedHashTable([16] * p, seed=5, probing=probing)
+        for _ in range(data.draw(st.integers(1, 3))):
+            segments = [
+                np.array(data.draw(st.lists(st.integers(0, 300), max_size=100)), dtype=np.uint64)
+                for _ in range(p)
+            ]
+            offsets = np.concatenate(([0], np.cumsum([seg.shape[0] for seg in segments])))
+            table.insert_flat(np.concatenate(segments), offsets)
+        rank = data.draw(st.integers(0, p - 1))
+        view = table.view(rank)
+        twin = self._rebuilt(view, probing)
+        nxt = np.array(data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=200)), dtype=np.uint64)
+        assert twin.insert_batch(nxt) == view.insert_batch(nxt)
+        assert np.array_equal(twin.keys, view.keys) and np.array_equal(twin.counts, view.counts)
+
+    def test_region_bitmaps_concatenate_to_the_slab_bitmap(self):
+        table = SegmentedHashTable([16, 200, 16], seed=1)
+        table.insert_flat(np.arange(300, dtype=np.uint64), np.array([0, 40, 290, 300]))
+        parts = [dump_slots(*table.slots_of(r)) for r in range(3)]
+        whole = dump_slots(table.keys, table.counts)
+        for i in range(3):
+            assert np.array_equal(np.concatenate([part[i] for part in parts]), whole[i])
+
+    @pytest.mark.parametrize("n", [0, 32, 96])
+    def test_from_slots_rejects_a_region_that_is_not_one(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            DeviceHashTable.from_slots(np.full(n, EMPTY_KEY), np.zeros(n, dtype=np.int64))
+        with pytest.raises(ValueError, match="parallel"):
+            DeviceHashTable.from_slots(np.full(64, EMPTY_KEY), np.zeros(128, dtype=np.int64))

@@ -24,6 +24,39 @@ def batches(genome_reads):
     ]
 
 
+def _assert_same_slots(a: DistributedCounter, b: DistributedCounter) -> None:
+    """Every rank's table of ``a`` is ``b``'s, slot for slot."""
+    assert len(a.tables) == len(b.tables)
+    for ta, tb in zip(a.tables, b.tables):
+        assert (ta.capacity, ta.n_entries) == (tb.capacity, tb.n_entries)
+        assert np.array_equal(ta.keys, tb.keys) and np.array_equal(ta.counts, tb.counts)
+
+
+def _assert_same_observables(a: DistributedCounter, b: DistributedCounter) -> None:
+    """Everything a counter reports, tables included: nothing is excused."""
+    _assert_same_slots(a, b)
+    assert a.insert_stats == b.insert_stats
+    assert a.timing == b.timing
+    assert (a.n_batches, a.exchanged_items) == (b.n_batches, b.exchanged_items)
+    assert np.array_equal(a.received_kmers, b.received_kmers)
+    assert len(a.traffic.records) == len(b.traffic.records)
+    for ra, rb in zip(a.traffic.records, b.traffic.records):
+        assert (ra.op, ra.label) == (rb.op, rb.label)
+        assert np.array_equal(ra.bytes_matrix, rb.bytes_matrix)
+        assert (ra.items_matrix is None) == (rb.items_matrix is None)
+        if ra.items_matrix is not None:
+            assert np.array_equal(ra.items_matrix, rb.items_matrix)
+
+
+def _rewrite(src, dst, **changes):
+    """Copy the checkpoint ``src`` to ``dst`` with members replaced (``None`` drops one)."""
+    with np.load(src) as data:
+        payload = {key: data[key] for key in data.files}
+    payload.update(changes)
+    np.savez(dst, **{key: value for key, value in payload.items() if value is not None})
+    return dst
+
+
 class TestIncrementalCounting:
     def test_batches_equal_single_shot(self, genome_reads, batches):
         counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
@@ -121,6 +154,16 @@ class TestCheckpointResume:
         other = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
         other.load(path)
         assert other.total_kmers == 0
+        _assert_same_observables(other, counter)
+
+    def test_more_ranks_than_reads_round_trips(self, genome_reads, tmp_path):
+        cluster = summit_gpu(2)
+        counter = DistributedCounter(cluster, PipelineConfig(k=17))
+        counter.add_reads(genome_reads.select(range(cluster.n_ranks // 2)))  # half the shards are empty
+        assert counter.total_kmers > 0
+        other = DistributedCounter(cluster, PipelineConfig(k=17))
+        other.load(counter.save(tmp_path / "sparse.npz"))
+        _assert_same_observables(other, counter)
 
     def test_suffixless_path_round_trips(self, batches, tmp_path):
         """Regression: numpy appended ``.npz`` to the name, so the returned
@@ -144,7 +187,7 @@ class TestCheckpointResume:
             (file if hasattr(file, "write") else open(file, "wb")).write(b"PK\x03\x04 truncated")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", short_write)
+        monkeypatch.setattr(np, "savez", short_write)
         with pytest.raises(OSError, match="No space left"):
             counter.save(path)
         monkeypatch.undo()
@@ -155,8 +198,8 @@ class TestCheckpointResume:
 
 
 class TestCheckpointAccounting:
-    """Regression: checkpoint v1 dropped insert_stats and the traffic log,
-    so a resumed run under-reported both.  Version 2 persists them."""
+    """A checkpoint carries the whole accounting and the tables slot for
+    slot, so a resumed run equals the uninterrupted one on every observable."""
 
     @pytest.mark.parametrize("fused", [False, None], ids=["staged", "default"])
     def test_resume_reproduces_full_accounting(self, batches, tmp_path, fused):
@@ -179,16 +222,7 @@ class TestCheckpointAccounting:
             resumed.add_reads(batch)
 
         assert resumed.spectrum().equals(full.spectrum())
-        assert resumed.insert_stats == full.insert_stats
-        assert resumed.timing == full.timing
-        assert np.array_equal(resumed.received_kmers, full.received_kmers)
-        assert len(resumed.traffic.records) == len(full.traffic.records)
-        for a, b in zip(resumed.traffic.records, full.traffic.records):
-            assert a.op == b.op and a.label == b.label
-            assert np.array_equal(a.bytes_matrix, b.bytes_matrix)
-            assert (a.items_matrix is None) == (b.items_matrix is None)
-            if a.items_matrix is not None:
-                assert np.array_equal(a.items_matrix, b.items_matrix)
+        _assert_same_observables(resumed, full)
 
     def test_fused_resume_reproduces_full_accounting(self, batches, tmp_path):
         from repro.core.engine import EngineOptions
@@ -207,33 +241,85 @@ class TestCheckpointAccounting:
         for batch in batches[1:]:
             resumed.add_reads(batch)
         assert resumed.spectrum().equals(full.spectrum())
-        assert resumed.insert_stats == full.insert_stats
-        assert len(resumed.traffic.records) == len(full.traffic.records)
+        _assert_same_observables(resumed, full)
 
-    def test_version_1_checkpoint_still_loads(self, batches, tmp_path):
-        counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+    @pytest.mark.parametrize("fused", [False, True], ids=["staged", "fused"])
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_resume_after_the_second_batch_is_bit_identical(self, mode, fused, tmp_path):
+        """ecoli30x x 0.05 in three batches, cut after two: the cut where a
+        table with an arrival history differs from one bulk-loaded from its
+        sorted items (capacity and slot order), which every probe count of
+        the third batch then shows."""
+        from repro.bench import dataset_with_multiplier
+        from repro.core.engine import EngineOptions
+
+        reads, _ = dataset_with_multiplier("ecoli30x", 0.05)
+        parts = [reads.select(list(idx)) for idx in np.array_split(np.arange(reads.n_reads), 3)]
+        cfg = PipelineConfig(k=17, mode=mode)
+        cluster = summit_gpu(1)
+        opts = EngineOptions(fused=fused)
+
+        full = DistributedCounter(cluster, cfg, options=opts)
+        for part in parts:
+            full.add_reads(part)
+        first = DistributedCounter(cluster, cfg, options=opts)
+        for part in parts[:2]:
+            first.add_reads(part)
+        resumed = DistributedCounter(cluster, cfg, options=opts)
+        resumed.load(first.save(tmp_path / "cut2.npz"))
+        _assert_same_slots(resumed, first)
+        resumed.add_reads(parts[2])
+        _assert_same_observables(resumed, full)
+
+    def test_mmap_backed_flat_state_round_trips_through_ram(self, batches, tmp_path):
+        """Views of file-backed slabs save through the same path: into an
+        in-RAM per-rank counter, and back into a fresh ``table_dir`` one."""
+        from repro.core.engine import EngineOptions
+
+        cfg = PipelineConfig(k=17)
+        cluster = summit_gpu(2)
+        mapped = lambda sub: EngineOptions(fused=True, table_dir=tmp_path / sub)  # noqa: E731
+        on_disk = DistributedCounter(cluster, cfg, options=mapped("a"))
+        for batch in batches[:2]:
+            on_disk.add_reads(batch)
+        assert isinstance(on_disk.tables[0].keys, np.memmap)
+
+        in_ram = DistributedCounter(cluster, cfg)
+        in_ram.load(on_disk.save(tmp_path / "mapped.npz"))
+        _assert_same_observables(in_ram, on_disk)
+        back = DistributedCounter(cluster, cfg, options=mapped("b"))
+        back.load(in_ram.save(tmp_path / "ram.npz"))
+        _assert_same_observables(back, on_disk)
+        assert (tmp_path / "mapped.npz").read_bytes() == (tmp_path / "ram.npz").read_bytes()
+
+        for counter in (on_disk, in_ram, back):
+            counter.add_reads(batches[2])
+        _assert_same_observables(in_ram, on_disk)
+        _assert_same_observables(back, on_disk)
+
+    def test_versions_1_and_2_are_rejected_by_name(self, batches, tmp_path):
+        """Both older formats stored each rank's sorted items, not its slots."""
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
         counter.add_reads(batches[0])
-        path = counter.save(tmp_path / "v2.npz")
-
-        # Rewrite the file as a version-1 checkpoint: the layout that
-        # predates the insert-stats/traffic payload.
-        with np.load(path) as data:
-            payload = {
-                key: data[key]
-                for key in data.files
-                if key != "insert_stats" and not key.startswith("traffic_")
-            }
-        payload["version"] = np.array([1])
-        v1_path = tmp_path / "v1.npz"
-        np.savez_compressed(v1_path, **payload)
-
-        resumed = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
-        resumed.load(v1_path)
-        assert resumed.spectrum().equals(counter.spectrum())
-        assert resumed.timing == counter.timing
-        # v1 never carried stats: they come back zeroed/empty, not garbage.
-        assert resumed.insert_stats.n_instances == 0
-        assert len(resumed.traffic.records) == 0
+        before = counter.spectrum()
+        payload = {
+            "k": np.array([17]),
+            "n_ranks": np.array([len(counter.tables)]),
+            "n_batches": np.array([1]),
+            "exchanged_items": np.array([counter.exchanged_items]),
+            "received": counter.received_kmers,
+            "timing": np.array([0.1, 0.2, 0.3]),
+        }
+        for r, table in enumerate(counter.tables):
+            payload[f"keys_{r}"], payload[f"counts_{r}"] = table.items()
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.npz"
+            np.savez_compressed(old, version=np.array([version]), **payload)
+            with pytest.raises(
+                ValueError, match=rf"v{version}\.npz: not a usable checkpoint: .*version {version}\b"
+            ):
+                counter.load(old)
+        assert counter.n_batches == 1 and counter.spectrum().equals(before)
 
     def test_load_resets_stale_accounting(self, batches, tmp_path):
         """Regression: load() kept the in-object insert_stats/traffic of the
@@ -260,6 +346,96 @@ class TestCheckpointAccounting:
         np.savez_compressed(bad, **payload)
         with pytest.raises(ValueError, match="version"):
             counter.load(bad)
+
+
+class TestUnusableCheckpoint:
+    """A file that cannot be read back whole is one ``ValueError`` naming it,
+    and the counter that tried to load it is left exactly as it was."""
+
+    @pytest.fixture
+    def saved(self, batches, tmp_path):
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(batches[0])
+        return counter, counter.save(tmp_path / "good.npz")
+
+    @staticmethod
+    def _damaged(kind: str, good):
+        raw = good.read_bytes()
+        bad = good.with_name(f"{kind}.npz")
+        if kind == "half":
+            bad.write_bytes(raw[: len(raw) // 2])
+        elif kind == "minus10":
+            bad.write_bytes(raw[:-10])
+        elif kind == "empty":
+            bad.write_bytes(b"")
+        elif kind == "bitflip":
+            mid = len(raw) // 2
+            bad.write_bytes(raw[:mid] + bytes([raw[mid] ^ 0x40]) + raw[mid + 1 :])
+        elif kind == "no-occupancy":
+            _rewrite(good, bad, occupancy=None)
+        else:
+            with np.load(good) as data:
+                short = {"short-counts": "counts", "short-received": "received"}[kind]
+                _rewrite(good, bad, **{short: data[short][:-1]})
+        return bad
+
+    @pytest.mark.parametrize(
+        "kind", ["half", "minus10", "empty", "bitflip", "no-occupancy", "short-counts", "short-received"]
+    )
+    def test_one_error_that_names_the_file(self, saved, kind):
+        counter, good = saved
+        bad = self._damaged(kind, good)
+        fresh = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        with pytest.raises(ValueError, match=rf"{kind}\.npz: not a usable checkpoint: \S"):
+            fresh.load(bad)
+
+    @pytest.mark.parametrize(
+        "member, value, why",
+        [
+            ("capacities", np.full(6, 96), "power of two"),
+            ("capacities", np.full(5, 64), r"'capacities' is int64\(5,\)"),
+            ("occupancy", np.zeros(7, dtype=np.uint8), "'occupancy'"),
+            ("keys", np.zeros(3, dtype=np.uint64), "'keys'"),
+            ("timing", np.zeros(3, dtype=np.int64), "'timing' is int64"),
+            ("insert_stats", np.zeros(6, dtype=np.int64), "'insert_stats'"),
+            ("traffic_bytes", np.zeros((1, 6, 5), dtype=np.int64), "'traffic_bytes'"),
+            ("traffic_has_items", np.zeros(2, dtype=bool), "'traffic_has_items'"),
+        ],
+    )
+    def test_structural_mismatch_is_named(self, saved, member, value, why):
+        counter, good = saved
+        bad = _rewrite(good, good.with_name("bad.npz"), **{member: value})
+        with pytest.raises(ValueError, match=rf"bad\.npz: not a usable checkpoint: .*{why}"):
+            counter.load(bad)
+
+    def test_sentinel_key_or_zero_count_is_rejected(self, saved):
+        counter, good = saved
+        with np.load(good) as data:
+            keys, counts = data["keys"].copy(), data["counts"].copy()
+        keys[0], counts[-1] = np.uint64(2**64 - 1), 0
+        for change in ({"keys": keys}, {"counts": counts}):
+            bad = _rewrite(good, good.with_name("bad.npz"), **change)
+            with pytest.raises(ValueError, match="bad.npz: not a usable checkpoint: an occupied slot"):
+                counter.load(bad)
+
+    def test_missing_file_is_still_file_not_found(self, tmp_path):
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        with pytest.raises(FileNotFoundError, match="absent.npz"):
+            counter.load(tmp_path / "absent.npz")
+
+    def test_failed_load_leaves_the_counter_untouched(self, batches, saved):
+        """Regression: ``load`` had replaced the tables before it reached the
+        member that was missing."""
+        _, good = saved
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(batches[1])
+        reference = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        reference.add_reads(batches[1])
+        for dropped in ("traffic_items", "insert_stats", "counts"):
+            with pytest.raises(ValueError, match="not a usable checkpoint"):
+                counter.load(_rewrite(good, good.with_name("partial.npz"), **{dropped: None}))
+            assert counter.spectrum().equals(reference.spectrum())
+            _assert_same_observables(counter, reference)
 
 
 class TestBatchPluginOrdering:

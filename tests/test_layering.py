@@ -91,12 +91,15 @@ class TestCheckerDetects:
         emitter = 'reg.counter("hashtable_inserts_total", "insert_batch calls").inc()\n'
         loop = "while pending.size:\n    pass\n"
         histogram = 'reg.histogram("hashtable_probe_length")\n'
-        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram)
+        dump = "bitmap = np.packbits(keys != EMPTY_KEY)\n"
+        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram + dump)
         assert run_checker(root).returncode == 0
         (root / "gpu" / "segmented.py").write_text(loop)
         (root / "core" / "fused.py").write_text(emitter)
+        (root / "core" / "scheduler.py").write_text(dump)
         proc = run_checker(root)
         assert proc.returncode == 1
+        assert "scheduler.py:1: 'np.packbits(' is defined once, in gpu/hashtable.py" in proc.stdout
         assert "segmented.py:1: 'while pending.size' is defined once, in gpu/hashtable.py" in proc.stdout
         assert "fused.py:1: '\"hashtable_inserts_total\"' is defined once" in proc.stdout
 

@@ -106,32 +106,25 @@ class TestCounterGolden:
             counter.add_reads(batch)
         _assert_same(golden["counter"][name], summarize_counter(counter), f"counter[{name}]")
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["cut1", "cut2"])
     @pytest.mark.parametrize("name", sorted(COUNTER_CASES))
-    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, tmp_path):
-        """Save after batch 1 of 3, resume in a fresh counter: same golden."""
+    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, cut, tmp_path):
+        """Save after batch 1 or 2 of 3, resume in a fresh counter: the whole golden."""
         case = COUNTER_CASES[name]
         batches = batch_reads()
         first = DistributedCounter(summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"])
-        first.add_reads(batches[0])
+        for batch in batches[:cut]:
+            first.add_reads(batch)
         ckpt = first.save(tmp_path / "mid.npz")
 
         resumed = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"]
         )
         resumed.load(ckpt)
-        assert resumed.n_batches == 1
-        for batch in batches[1:]:
+        assert resumed.n_batches == cut
+        for batch in batches[cut:]:
             resumed.add_reads(batch)
-        summary = summarize_counter(resumed)
-        expected = dict(golden["counter"][name])
-        # The checkpoint restores counting state (tables, received counts,
-        # volumes), not execution-side accounting: traffic describes the
-        # collectives this process ran, and insert/probe statistics depend
-        # on table growth history, which a bulk reload legitimately changes.
-        for transient in ("traffic_bytes", "insert_total_probes", "timing"):
-            expected.pop(transient)
-            summary.pop(transient)
-        _assert_same(expected, summary, f"counter-resume[{name}]")
+        _assert_same(golden["counter"][name], summarize_counter(resumed), f"counter-resume[{name}]")
 
 
 class TestFusedGolden:
@@ -181,34 +174,28 @@ class TestFusedGolden:
             counter.add_reads(batch)
         _assert_same(golden["counter"][name], summarize_counter(counter), f"fused-counter[{name}]")
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["cut1", "cut2"])
     @pytest.mark.parametrize("name", sorted(COUNTER_CASES))
-    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, tmp_path):
-        """Fused save after batch 1 of 3, fused resume: same golden tail."""
+    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, cut, tmp_path):
+        """Fused save after batch 1 or 2 of 3, fused resume: the whole golden."""
         case = COUNTER_CASES[name]
         batches = batch_reads()
         opts = EngineOptions(fused=True)
         first = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts
         )
-        first.add_reads(batches[0])
+        for batch in batches[:cut]:
+            first.add_reads(batch)
         ckpt = first.save(tmp_path / "mid-fused.npz")
 
         resumed = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts
         )
         resumed.load(ckpt)
-        assert resumed.n_batches == 1
-        for batch in batches[1:]:
+        assert resumed.n_batches == cut
+        for batch in batches[cut:]:
             resumed.add_reads(batch)
-        summary = summarize_counter(resumed)
-        expected = dict(golden["counter"][name])
-        # Same transient exclusions as the staged resume test: traffic and
-        # probe statistics describe this process's execution history, which
-        # a bulk reload legitimately changes.
-        for transient in ("traffic_bytes", "insert_total_probes", "timing"):
-            expected.pop(transient)
-            summary.pop(transient)
-        _assert_same(expected, summary, f"fused-counter-resume[{name}]")
+        _assert_same(golden["counter"][name], summarize_counter(resumed), f"fused-counter-resume[{name}]")
 
     @pytest.mark.parametrize("name", sorted(COUNTER_CASES))
     def test_staged_to_fused_adoption_mid_stream(self, golden, name):
@@ -311,34 +298,28 @@ class TestFusedSpillGolden:
             golden["counter"][name], summarize_counter(counter), f"fused-spill-counter[{name}]"
         )
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["cut1", "cut2"])
     @pytest.mark.parametrize("name", sorted(COUNTER_CASES))
-    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, tmp_path):
-        """Fused×spill save after batch 1 of 3, resume: same golden tail."""
+    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, cut, tmp_path):
+        """Fused×spill save after batch 1 or 2 of 3, resume: the whole golden."""
         case = COUNTER_CASES[name]
         batches = batch_reads()
         opts = lambda sub: EngineOptions(fused=True, spill_dir=tmp_path / sub)  # noqa: E731
         first = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts("a")
         )
-        first.add_reads(batches[0])
+        for batch in batches[:cut]:
+            first.add_reads(batch)
         ckpt = first.save(tmp_path / "mid-fused-spill.npz")
 
         resumed = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts("b")
         )
         resumed.load(ckpt)
-        assert resumed.n_batches == 1
-        for batch in batches[1:]:
+        assert resumed.n_batches == cut
+        for batch in batches[cut:]:
             resumed.add_reads(batch)
-        summary = summarize_counter(resumed)
-        expected = dict(golden["counter"][name])
-        # Same transient exclusions as the staged resume test: traffic and
-        # probe statistics describe this process's execution history, which
-        # a bulk reload legitimately changes.
-        for transient in ("traffic_bytes", "insert_total_probes", "timing"):
-            expected.pop(transient)
-            summary.pop(transient)
-        _assert_same(expected, summary, f"fused-spill-counter-resume[{name}]")
+        _assert_same(golden["counter"][name], summarize_counter(resumed), f"fused-spill-counter-resume[{name}]")
 
 
 class TestModelCellsGolden:
@@ -521,31 +502,25 @@ class TestProcessGolden:
             golden["counter"][name], summarize_counter(counter), f"process-counter[{name}]"
         )
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["cut1", "cut2"])
     @pytest.mark.parametrize("name", sorted(COUNTER_CASES))
-    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, tmp_path):
-        """Process-substrate save after batch 1 of 3, resume: same golden."""
+    def test_checkpoint_resume_mid_stream_equivalent(self, golden, name, cut, tmp_path):
+        """Process-substrate save after batch 1 or 2 of 3, resume: the whole golden."""
         case = COUNTER_CASES[name]
         batches = batch_reads()
         opts = EngineOptions(parallel="process:2")
         first = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts
         )
-        first.add_reads(batches[0])
+        for batch in batches[:cut]:
+            first.add_reads(batch)
         ckpt = first.save(tmp_path / "mid-process.npz")
 
         resumed = DistributedCounter(
             summit_gpu(1), PipelineConfig(**case["config"]), backend=case["backend"], options=opts
         )
         resumed.load(ckpt)
-        assert resumed.n_batches == 1
-        for batch in batches[1:]:
+        assert resumed.n_batches == cut
+        for batch in batches[cut:]:
             resumed.add_reads(batch)
-        summary = summarize_counter(resumed)
-        expected = dict(golden["counter"][name])
-        # Same transient exclusions as the staged resume test: traffic and
-        # probe statistics describe this process's execution history, which
-        # a bulk reload legitimately changes.
-        for transient in ("traffic_bytes", "insert_total_probes", "timing"):
-            expected.pop(transient)
-            summary.pop(transient)
-        _assert_same(expected, summary, f"process-counter-resume[{name}]")
+        _assert_same(golden["counter"][name], summarize_counter(resumed), f"process-counter-resume[{name}]")

@@ -326,6 +326,26 @@ class TestEventLog:
         finally:
             configure_logging("info").setLevel(logging.CRITICAL)
 
+    def test_checkpoints_are_an_event_and_two_wall_counters(self, reads, capsys, tmp_path):
+        """A save or load that takes seconds must not be invisible."""
+        reg = MetricRegistry()
+        cfg = PipelineConfig(k=17)
+        counter = DistributedCounter(_cluster(4), cfg, options=EngineOptions(telemetry=reg))
+        counter.add_reads(reads)
+        configure_logging("info")
+        try:
+            path = counter.save(tmp_path / "ck.npz")
+            DistributedCounter(_cluster(4), cfg).load(path)
+            err = capsys.readouterr().err
+        finally:
+            configure_logging("info").setLevel(logging.CRITICAL)
+        size = path.stat().st_size
+        assert f"counter.checkpoint op=save bytes={size} seconds=" in err and "batches=1" in err
+        assert f"counter.checkpoint op=load bytes={size} seconds=" in err
+        assert reg.counter("checkpoint_bytes_written_total", wall=True).value == size
+        assert reg.counter("checkpoint_seconds_total", wall=True, op="save").value > 0
+        assert "checkpoint_bytes_written_total" not in reg.snapshot(include_wall=False)  # not a model metric
+
 
 # ---------------------------------------------------------------------------
 # Engine integration: reports match exact accounting

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+import zipfile
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.gpu.hashtable as hashtable
+import repro.gpu.segmented as segmented
 import repro.mpi.collectives as collectives
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
+from repro.core.incremental import DistributedCounter
 from repro.gpu.hashtable import DeviceHashTable
 from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
 from repro.mpi.topology import summit_gpu
@@ -118,3 +122,43 @@ class TestExchangeIndexBudget:
             # few P x P offset matrices: the same bound for both round sizes,
             # under the 8 bytes per item of one whole-round index at the larger.
             assert transient <= 6 * self.BLOCK_BYTES + 32 * counts.size < 8 * 640_000, (name, transient)
+
+
+class TestCheckpointBudgets:
+    """The checkpoint is the table: saving sorts nothing, loading probes nothing."""
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["per-rank", "flat"])
+    def test_save_sorts_nothing_and_load_probes_nothing(self, genome_reads, tmp_path, monkeypatch, fused):
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17), options=EngineOptions(fused=fused))
+        counter.add_reads(genome_reads)
+        calls: list[str] = []
+
+        def forbidden(name: str):
+            def called(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called on the checkpoint path")
+
+            return called
+
+        for name in ("argsort", "unique", "sort"):
+            monkeypatch.setattr(np, name, forbidden(f"np.{name}"))
+        for module in (hashtable, segmented):
+            for name in ("sorted_items", "probe_insert"):
+                monkeypatch.setattr(module, name, forbidden(name))
+        path = counter.save(tmp_path / "ck.npz")
+        resumed = DistributedCounter(summit_gpu(1), PipelineConfig(k=17), options=EngineOptions(fused=fused))
+        resumed.load(path)
+        monkeypatch.undo()
+        assert calls == []
+        assert resumed.spectrum().equals(counter.spectrum())
+
+    def test_member_count_is_independent_of_ranks_and_batches(self, genome_reads, tmp_path):
+        members = set()
+        for nodes, n_batches in ((1, 1), (2, 1), (4, 3)):
+            counter = DistributedCounter(summit_gpu(nodes), PipelineConfig(k=17))
+            for _ in range(n_batches):
+                counter.add_reads(genome_reads)
+            with zipfile.ZipFile(counter.save(tmp_path / f"ck-{nodes}-{n_batches}.npz")) as zf:
+                assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+                members.add(tuple(sorted(zf.namelist())))
+        assert len(members) == 1 and len(members.pop()) == 16
