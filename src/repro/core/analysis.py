@@ -289,7 +289,9 @@ def phase_stragglers(spans: list[dict]) -> list[PhaseStats]:
         out.append(
             PhaseStats(
                 path=path,
-                phase=model_phase_of(group[0]["name"]),
+                # The stage region's name, not a leaf's: a spooled count
+                # region also holds its read-back and run-write leaves.
+                phase=model_phase_of(path.rpartition("/")[2]),
                 n=len(group),
                 max_s=mx,
                 mean_s=mean,

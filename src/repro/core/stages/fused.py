@@ -55,7 +55,6 @@ import numpy as np
 
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet
-from ...gpu.hashtable import InsertStats
 from ...gpu.segmented import SegmentedHashTable, rank_blocks
 from ...kmers.extract import window_values
 from ...kmers.supermers import build_supermers_with_positions
@@ -144,7 +143,7 @@ class FlatLayout:
         self.sched = scheduler
         self.arena = arena
 
-    def pool(self, state) -> None:
+    def pool(self) -> None:
         """Supersteps run on the driving thread (parse blocks fetch their own pool)."""
         return None
 
@@ -175,7 +174,7 @@ class FlatLayout:
     def release(self, send: _FlatSend) -> None:
         self.arena.release(send.data, send.lengths)
 
-    def tables(self, state, hints: list[int], cleanup) -> SegmentedHashTable:
+    def tables(self, state, hints: list[int], recv_items, cleanup) -> SegmentedHashTable:
         opts = self.sched.opts
         if state is None:
             table = SegmentedHashTable(
@@ -192,7 +191,7 @@ class FlatLayout:
 
     def count(self, table, outcome: ExchangeOutcome, suffix: str, sctx, acct) -> None:
         t0 = perf_counter()
-        times, n_seen, stats = self._count(
+        times, n_seen, stats = self.sched.comp.count.count_block(
             table, outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets, sctx
         )
         if sctx.recorder is not None:
@@ -418,85 +417,3 @@ class FlatLayout:
         return exchange_outcome(
             send_flat, shuffled, shuffled_lengths, round_counts, label, sctx, recv_offsets=dst_offsets
         )
-
-    # -- count phase -------------------------------------------------
-
-    def _count(
-        self,
-        table: SegmentedHashTable,
-        shuffled: np.ndarray,
-        shuffled_lengths: np.ndarray | None,
-        dst_offsets: np.ndarray,
-        sctx,
-        *,
-        rank_range: tuple[int, int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
-        """One fused count round over every rank's received segment.
-
-        Returns ``(times, n_seen, stats)`` per rank.  Extraction runs once
-        over the whole received array (elementwise per supermer, so rank
-        slices equal the per-rank extractions); plugin receive-filters run
-        per rank in rank order, preserving their stateful semantics.
-
-        ``rank_range=(r0, r1)`` restricts the call to a consecutive rank
-        block: ``shuffled`` then holds only those ranks' segments and
-        ``dst_offsets`` has ``r1 - r0 + 1`` entries; the returned arrays
-        cover the block only.  The segmented table's per-rank regions are
-        slot-disjoint, so each rank's probe sequence (hence every
-        InsertStats field, model time, and telemetry emission) is
-        independent of which other ranks share the insert call — this is
-        what lets the blocked fused×spill path stream rank blocks while
-        staying bit-identical to the whole-cluster call.
-        """
-        comp = self.sched.comp
-        config = self.sched.config
-        p = self.sched.cluster.n_ranks
-        r0, r1 = (0, p) if rank_range is None else rank_range
-        nb = r1 - r0
-
-        all_kmers = comp.count.extract_kmers(shuffled, shuffled_lengths, config)
-        if sctx.supermer_mode:
-            kmer_cum = np.zeros(shuffled.shape[0] + 1, dtype=np.int64)
-            np.cumsum(shuffled_lengths.astype(np.int64), out=kmer_cum[1:])
-            kmer_offsets = kmer_cum[dst_offsets]
-        else:
-            kmer_offsets = dst_offsets
-
-        n_seen = np.diff(kmer_offsets).astype(np.int64)
-        if comp.count.plugins:
-            segments = []
-            for i in range(nb):
-                kmers_r = all_kmers[kmer_offsets[i] : kmer_offsets[i + 1]]
-                for plugin in comp.count.plugins:
-                    kmers_r = plugin.filter_received(r0 + i, kmers_r)
-                segments.append(kmers_r)
-            insert_offsets = np.zeros(nb + 1, dtype=np.int64)
-            np.cumsum([seg.shape[0] for seg in segments], out=insert_offsets[1:])
-            insert_flat = (
-                np.concatenate(segments) if nb > 1 else segments[0]
-            )
-        else:
-            insert_flat = all_kmers
-            insert_offsets = kmer_offsets
-
-        if rank_range is None:
-            seg_offsets = insert_offsets
-        else:
-            # Widen to the table's p+1 segment offsets: ranks outside the
-            # block get empty segments, which insert nothing and emit no
-            # telemetry — the call is the whole-cluster insert restricted
-            # to the block.
-            seg_offsets = np.zeros(p + 1, dtype=np.int64)
-            seg_offsets[r0 + 1 : r1 + 1] = insert_offsets[1:]
-            seg_offsets[r1 + 1 :] = insert_offsets[-1]
-        stats = table.insert_flat(insert_flat, seg_offsets)[r0:r1]
-        inserted = np.diff(insert_offsets)
-
-        recv_items = np.diff(dst_offsets)
-        times = np.array(
-            [
-                comp.substrate.charge_count(int(inserted[i]), int(recv_items[i]), stats[i], sctx)
-                for i in range(nb)
-            ]
-        )
-        return times, n_seen, stats

@@ -21,7 +21,7 @@ import numpy as np
 
 from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate
-from ...gpu.hashtable import DeviceHashTable
+from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.topology import ClusterSpec
 from ..config import PipelineConfig
@@ -119,12 +119,13 @@ class MergeStage(Protocol):
 class Substrate(Protocol):
     """Execution substrate: wraps pure stage kernels with modeled timing.
 
-    The per-rank layout calls ``parse_rank`` / ``count_rank``.  The standard
-    substrates also expose the *charge* half of each (``charge_parse`` /
-    ``charge_count``, model seconds from a rank's work figures), which the
-    flat layout loops over ranks after running a stage body once.  Every
-    layout charges the exchange through ``charge_exchange`` and sizes
-    rounds through ``device_rounds``.
+    The per-rank layout calls ``parse_rank``, and ``count_rank`` for a
+    custom count stage.  ``charge_count`` (model seconds from a rank's
+    count figures) is what the one count body of the standard count stage
+    loops over a block's ranks on every layout; the standard substrates
+    also expose ``charge_parse``, which the flat layout loops over ranks
+    after running the parse body once.  Every layout charges the exchange
+    through ``charge_exchange`` and sizes rounds through ``device_rounds``.
     """
 
     name: str
@@ -146,6 +147,10 @@ class Substrate(Protocol):
         count: CountStage,
         ctx: "StageContext",
     ) -> CountOutcome: ...
+
+    def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: "StageContext") -> float:
+        """Model seconds of one rank's count: ``inserted`` keys probed out of ``recv_items`` received."""
+        ...
 
     def charge_exchange(self, bytes_matrix: np.ndarray, ctx: "StageContext") -> tuple[float, float]:
         """``(fixed overhead, host-staging seconds)`` of one round moving ``bytes_matrix`` [src, dst]."""

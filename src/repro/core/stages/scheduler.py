@@ -49,6 +49,7 @@ import numpy as np
 
 from ...dna.reads import ReadSet
 from ...gpu.hashtable import EMPTY_KEY, DeviceHashTable, InsertStats, dump_slots, restore_slots
+from ...gpu.segmented import SegmentedHashTable, SegmentedRankView, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
@@ -60,12 +61,13 @@ from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from ..tracing import recording_region
-from .buffers import CountOutcome, ExchangeOutcome, ParseSummary, RankParse, round_split
+from .buffers import ExchangeOutcome, ParseSummary, RankParse, round_split
 from .context import EngineOptions, StageContext
 from .fused import FlatLayout, supports_fusion
 from .protocols import Substrate
 from .registry import StageComposition
 from .spill import Resident, Spooled, supports_spill
+from .standard import TableCount
 
 __all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "PerRankLayout", "Strategy"]
 
@@ -140,7 +142,9 @@ class PipelineState:
     wherever it was cut and whichever layout saved or resumes it.
     """
 
-    tables: list[DeviceHashTable]
+    # One table-like per rank: plain tables when fresh or loaded, a layout's
+    # views of its segmented table(s) once a batch has been counted.
+    tables: list[DeviceHashTable | SegmentedRankView]
     timing: PhaseTiming
     traffic: TrafficStats
     received_kmers: np.ndarray
@@ -359,9 +363,6 @@ class RoundAccounting:
         for ins in stats:
             self.insert = self.insert.combined(ins)
 
-    def add_rank_count(self, r: int, co: CountOutcome) -> None:
-        self.add_count(r, (co.time_s,), (co.n_instances,), (co.insert_stats,))
-
     def timing(self, t_parse: float) -> PhaseTiming:
         """Bulk-synchronous phase times: each phase costs its slowest rank."""
         t_count = float(self.per_rank_count.max()) if self.per_rank_count.size else 0.0
@@ -441,22 +442,28 @@ class RoundAccounting:
 
 
 class PerRankLayout:
-    """The per-rank data layout: one send buffer and one table per rank.
+    """The per-rank data layout: one send buffer per rank, tables in rank blocks.
 
-    Each rank's parse output is its own :class:`RankParse`, each rank owns
-    a :class:`DeviceHashTable`, and every phase is P independent calls
-    through the composition's substrate (``parse_rank``/``count_rank``)
-    mapped over the rank pool.  This is the layout custom stages see; the
-    flat twin (:class:`~repro.core.stages.fused.FlatLayout`) runs the
-    standard stages' bodies once over rank-segmented arrays and calls the
-    same per-rank charge and table functions.
+    Each rank's parse output is its own :class:`RankParse` and the parse
+    phase is P independent ``parse_rank`` calls mapped over the rank pool.
+    The table partitions live in block-local segmented tables — one
+    :class:`~repro.gpu.segmented.SegmentedHashTable` per run of consecutive
+    ranks whose regions total about a cache's worth
+    (:func:`~repro.gpu.segmented.table_blocks`) — and the tables the driver
+    and the state hold are their per-rank views.  The count phase maps over
+    the blocks: a block's received buffers are counted by one call of the
+    one count body (:meth:`TableCount.count_block`), so a round costs a
+    probe loop per block, not per rank, and growth re-lays one block.  This
+    is the layout custom stages see (a custom count stage is run rank by
+    rank on the views); the flat twin
+    (:class:`~repro.core.stages.fused.FlatLayout`) keeps every rank in one
+    table and one receive array.
 
-    Parallel rank-execution contract: each closure touches rank-private
-    state only and ``pool.map`` returns results in rank order, so any
-    substrate is bit-identical to the sequential loop.  Closures return
-    the table alongside the outcome: an out-of-process worker mutates a
-    copy-on-write clone, so the grown table must travel back (a no-op
-    reassignment in-process).
+    Parallel rank-execution contract: each closure touches block-private
+    state only and ``pool.map`` returns results in order, so any substrate
+    is bit-identical to the sequential loop.  An out-of-process worker
+    mutates a copy-on-write clone of its block's table, so the closures
+    return the table's slabs for the driving process to adopt.
     """
 
     flat = False
@@ -467,8 +474,8 @@ class PerRankLayout:
         self.arena = arena
         self.in_process_only = in_process_only
 
-    def pool(self, state: PipelineState | None) -> RankPool:
-        """The substrate the per-rank closures run on.
+    def pool(self) -> RankPool:
+        """The substrate the per-rank and per-block closures run on.
 
         Stateful count/merge plugins (e.g. the bloom prefilter, whose
         filter state mutates inside the count closures and is read again
@@ -476,11 +483,6 @@ class PerRankLayout:
         a process substrate becomes an equally wide thread pool (announced
         by ``resolve_strategy``).  Results are bit-identical either way.
         """
-        if state is not None and state.fused_table is not None:
-            # A state the flat layout adopted keeps every partition in one
-            # shared segmented table (``state.tables`` are views of it), so
-            # the rank closures must run serially in the driving process.
-            return get_pool(1)
         pool = get_pool(self.sched.opts.parallel)
         if self.in_process_only and not pool.in_process:
             pool = get_pool(f"thread:{pool.workers}")
@@ -524,35 +526,95 @@ class PerRankLayout:
     def release(self, parsed) -> None:
         """Send buffers are plain arrays, freed when the driver drops them."""
 
-    def tables(self, state: PipelineState | None, hints: list[int], cleanup) -> list[DeviceHashTable]:
-        if state is not None:
-            return state.tables
-        seed = self.sched.config.table_seed
-        return [DeviceHashTable(capacity_hint=hint, seed=seed) for hint in hints]
+    def block_table(self, hints: list[int]) -> SegmentedHashTable:
+        """A fresh table for one block of consecutive ranks, a region per capacity hint."""
+        return SegmentedHashTable(hints, seed=self.sched.config.table_seed)
+
+    def tables(
+        self, state: PipelineState | None, hints: list[int], recv_items: np.ndarray, cleanup
+    ) -> list[SegmentedRankView]:
+        """Every rank's view of its block's table; ``recv_items`` sizes the blocks.
+
+        A state still holding plain per-rank tables (fresh, or loaded from
+        a checkpoint) has them adopted into block tables slot for slot, as
+        the flat layout adopts them into one; a state either layout already
+        adopted is counted through the parents it has.
+        """
+        if state is None:
+            return [v for r0, r1 in table_blocks(recv_items) for v in self.block_table(hints[r0:r1]).views()]
+        plain = state.tables
+        if plain and isinstance(plain[0], DeviceHashTable):
+            expected = recv_items + np.array([t.n_entries for t in plain])
+            state.tables = [
+                view
+                for r0, r1 in table_blocks(expected)
+                for view in SegmentedHashTable.from_tables(plain[r0:r1]).views()
+            ]
+        return state.tables
+
+    def count_block(self, table: SegmentedHashTable, r0: int, recv, lengths, offsets, sctx: StageContext):
+        """Count ranks ``r0, r0 + 1, ...`` — all of ``table``'s — from their back-to-back receive segments.
+
+        Returns ``(times, n_seen, stats)`` per rank.  The standard count
+        stage runs the one count body over the block; a custom one is an
+        unknown class (the ``supports_fusion`` rule applied to one stage)
+        and runs ``count_rank`` rank by rank on the table's views.
+        """
+        comp = self.sched.comp
+        if type(comp.count) is TableCount:
+            return comp.count.count_block(table, recv, lengths, offsets, sctx, rank0=r0, table_rank0=r0)
+        outcomes = [
+            comp.substrate.count_rank(
+                r0 + i,
+                recv[offsets[i] : offsets[i + 1]],
+                lengths[offsets[i] : offsets[i + 1]] if lengths is not None else None,
+                table.view(i),
+                comp.count,
+                sctx,
+            )
+            for i in range(table.n_ranks)
+        ]
+        return (
+            np.array([co.time_s for co in outcomes]),
+            np.array([co.n_instances for co in outcomes], dtype=np.int64),
+            [co.insert_stats for co in outcomes],
+        )
 
     def count(self, tables, outcome: ExchangeOutcome, suffix: str, sctx: StageContext, acct) -> None:
-        comp = self.sched.comp
         recorder = sctx.recorder
         recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
+        ship_back = not sctx.pool.in_process
 
-        def _count_one(r: int):
-            lengths_r = recv_lengths[r] if recv_lengths is not None else None
+        def _count_block(block):
+            r0, r1, table = block
             t0 = perf_counter()
-            out = comp.substrate.count_rank(r, recv_data[r], lengths_r, tables[r], comp.count, sctx)
+            offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+            np.cumsum([buf.shape[0] for buf in recv_data[r0:r1]], out=offsets[1:])
+            recv = _block_buffer(recv_data[r0:r1])
+            lengths = _block_buffer(recv_lengths[r0:r1]) if recv_lengths is not None else None
+            counted = self.count_block(table, r0, recv, lengths, offsets, sctx)
             if recorder is not None:
-                recorder.record("count" + suffix, r, t0, perf_counter())
-            return out, tables[r]
+                recorder.record("count" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+            return counted, table.slabs() if ship_back else None
 
-        counted = sctx.pool.map(_count_one, range(len(tables)), recorder=recorder)
-        for r, (co, table) in enumerate(counted):
-            tables[r] = table
-            acct.add_rank_count(r, co)
+        blocks = view_blocks(tables)
+        for (r0, _, table), (counted, slabs) in zip(
+            blocks, sctx.pool.map(_count_block, blocks, recorder=recorder)
+        ):
+            if slabs is not None:
+                table.adopt(*slabs)
+            acct.add_count(r0, *counted)
 
-    def merge(self, tables: list[DeviceHashTable]) -> KmerSpectrum:
+    def merge(self, tables: list[SegmentedRankView]) -> KmerSpectrum:
         return self.sched.comp.merge.merge_tables(tables, self.sched.config.k)
 
-    def fill(self, tables: list[DeviceHashTable]) -> tuple[list[int], list[float]]:
+    def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
         return [t.n_entries for t in tables], [t.load_factor for t in tables]
+
+
+def _block_buffer(parts: list[np.ndarray]) -> np.ndarray:
+    """A block's per-rank receive buffers back to back (one rank's as it is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 #: Strategy name by (flat layout?, spooled residency?) — the run span's
@@ -767,7 +829,7 @@ class RoundScheduler:
             cluster=self.cluster,
             opts=opts,
             substrate=comp.substrate,
-            pool=layout.pool(state),
+            pool=layout.pool(),
             comm_model=self.comm_model,
             stats=stats,
             recorder=recorder,
@@ -795,10 +857,13 @@ class RoundScheduler:
             send, summary = layout.parse(shards, sctx)
         del shards
         t_parse = float(summary.times.max()) if p else 0.0
+        recv_items = summary.counts_matrix.sum(axis=0)
         n_rounds = 1
         if one_shot:
-            recv_items = summary.counts_matrix.sum(axis=0).astype(np.float64)
-            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.substrate))
+            n_rounds = max(
+                config.n_rounds,
+                _rounds_for_recv_items(recv_items.astype(np.float64), wire, opts, comp.substrate),
+            )
         hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]
 
         # One cleanup scope for everything a drive opens: the residency's
@@ -806,7 +871,7 @@ class RoundScheduler:
         # reclaimed on any exit, success or raise.
         with ExitStack() as cleanup:
             residency = strategy.residency(layout, cleanup)
-            tables = None if residency.spooled else layout.tables(state, hints, cleanup)
+            tables = None if residency.spooled else layout.tables(state, hints, recv_items, cleanup)
 
             # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
             for rnd in range(n_rounds):

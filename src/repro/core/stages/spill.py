@@ -20,7 +20,8 @@ the missing pieces:
 
 * :class:`SpillSpool` — the spool directory: one append-only segment file
   per label (plus a ``.lens`` twin in supermer mode) with an in-memory
-  ``rank → (item offset, count)`` index, and one sorted run file per rank.
+  ``rank → (item offset, count)`` index, and one file of sorted runs per
+  rank block, indexed by the runs' lengths.
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
@@ -60,8 +61,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import DeviceHashTable
-from ...gpu.segmented import SegmentedHashTable, rank_blocks
+from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
 from ...telemetry import active, event
@@ -180,7 +180,10 @@ class SpillSpool:
     parallel ``<label>.lens`` file of length bytes.  Where a destination
     rank's partition sits inside them is an in-memory index (see
     :class:`_SegmentFile`) — the directory holds a handful of large
-    sequential files, not P small ones per round.  A label nothing was
+    sequential files, not P small ones per round.  Sorted runs for the
+    external merge are one ``run.r<first rank>.bin`` file per rank block
+    (:meth:`write_runs`); :meth:`write_run` / :meth:`map_run` are its
+    one-rank case.  A label nothing was
     written to has no file.  When an ``arena`` is given, coalescing and
     read-back buffers are borrowed from it instead of allocated fresh per
     call.
@@ -194,6 +197,7 @@ class SpillSpool:
         self.bytes_read = 0
         self._tally = threading.Lock()  # rank streams on a thread pool account concurrently
         self._segments: dict[tuple[str, bool], _SegmentFile] = {}
+        self._run_files: dict[int, np.ndarray] = {}  # first rank of a run file -> its runs' entry counts
 
     def take(self, n: int, dtype) -> np.ndarray:
         """An uninitialised ``n``-item buffer, from the arena when there is one."""
@@ -336,36 +340,73 @@ class SpillSpool:
                 os.close(seg.fd)
                 seg.path.unlink(missing_ok=True)
 
-    def write_run(self, rank: int, keys: np.ndarray, counts: np.ndarray) -> Path:
-        """Persist one rank's sorted (key, count) run for the external merge.
+    def write_runs(self, rank0: int, runs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Persist the sorted ``(keys, counts)`` runs of ranks ``rank0, rank0 + 1, ...`` as one file.
 
-        One raw file per run — the uint64 keys followed by the int64
-        counts — written with two buffered calls (the ``.npy``-per-array
-        format cost four files and header churn per rank).
+        One raw file per rank block — each run's uint64 keys followed by
+        its int64 counts, the runs back to back — and one index entry
+        (:meth:`index_runs`).  Returns the runs' entry counts.
         """
-        path = self.dir / f"run.r{rank}.bin"
-        with open(path, "wb") as fh:
-            np.ascontiguousarray(keys, dtype=np.uint64).tofile(fh)
-            np.ascontiguousarray(counts, dtype=np.int64).tofile(fh)
-        self._account_written(int(keys.nbytes + counts.nbytes))
-        _spill_counter("spill_merge_runs_total", "Sorted runs produced for the external merge", 1)
-        return path
+        entries = np.array([keys.shape[0] for keys, _ in runs], dtype=np.int64)
+        with open(self.dir / f"run.r{rank0}.bin", "wb") as fh:
+            for keys, counts in runs:
+                np.ascontiguousarray(keys, dtype=np.uint64).tofile(fh)
+                np.ascontiguousarray(counts, dtype=np.int64).tofile(fh)
+        self.index_runs(rank0, entries)
+        self._account_written(16 * int(entries.sum()))
+        _spill_counter("spill_merge_runs_total", "Sorted runs produced for the external merge", len(runs))
+        return entries
+
+    def index_runs(self, rank0: int, entries: np.ndarray) -> None:
+        """Record that ``run.r<rank0>.bin`` holds runs of ``entries[i]`` pairs for ranks ``rank0 + i``.
+
+        :meth:`write_runs` does; the driving process repeats it for files
+        an out-of-process worker wrote.
+        """
+        with self._tally:
+            self._run_files[rank0] = entries
+
+    def write_run(self, rank: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        """:meth:`write_runs` of the one rank ``rank``."""
+        self.write_runs(rank, [(keys, counts)])
+
+    def map_runs(self, rank0: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Read-only ``(keys, counts)`` views, one per rank, of one map of ``run.r<rank0>.bin``.
+
+        The file must be exactly as long as its index entry says: anything
+        else is an ``OSError`` naming file, ranks and the expected and
+        found bytes, never runs read at the wrong offsets.
+        """
+        entries = self._run_files[rank0]
+        path = self.dir / f"run.r{rank0}.bin"
+        need = 16 * int(entries.sum())  # 8 B key + 8 B count per entry
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if size != need:
+            last = rank0 + entries.shape[0] - 1
+            ranks = f"rank {rank0}" if last == rank0 else f"ranks {rank0}..{last}"
+            raise OSError(
+                f"spool run file {path} ({ranks}) is truncated or overlong: expected {need} bytes, found {size}"
+            )
+        words = np.memmap(path, dtype=np.uint64, mode="r", shape=(need // 8,)) if need else np.empty(0, np.uint64)
+        self._account_read(need)
+        bounds = np.concatenate([[0], np.cumsum(2 * entries)]).tolist()
+        return [
+            (words[lo : lo + n], words[lo + n : hi].view(np.int64))
+            for lo, hi, n in zip(bounds, bounds[1:], entries.tolist())
+        ]
+
+    def map_all_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every indexed run in rank order, each run file mapped once."""
+        return [run for rank0 in sorted(self._run_files) for run in self.map_runs(rank0)]
 
     def map_run(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(keys, counts)`` views of one map of rank ``rank``'s run file."""
-        path = self.dir / f"run.r{rank}.bin"
-        size = path.stat().st_size if path.exists() else 0
-        if size == 0:
+        """:meth:`map_runs` of the one-rank file ``run.r<rank>.bin`` (an empty run if never written)."""
+        if rank not in self._run_files:
             return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        if size % 16:  # 8 B key + 8 B count per entry
-            raise OSError(
-                f"spool run file {path} (rank {rank}) is truncated: "
-                f"{size} bytes is not a whole number of 16-byte (key, count) entries"
-            )
-        n = size // 16
-        words = np.memmap(path, dtype=np.uint64, mode="r", shape=(2 * n,))
-        self._account_read(size)
-        return words[:n], words[n:].view(np.int64)
+        return self.map_runs(rank)[0]
 
     def pending_files(self) -> tuple[int, int]:
         """(file count, total bytes) still sitting in the spool directory."""
@@ -578,18 +619,22 @@ class Spooled(Resident):
     any exit).  Once the driver has dropped the send buffers, :meth:`count`
     streams the partitions back in the layout's format:
 
-    * per-rank layout — one rank at a time on the pool
-      (:meth:`_stream_ranks`).  A one-shot run counts each rank into a
-      fresh table, dumps it as a sorted ``(key, count)`` run file and frees
-      it before the worker's next rank, and merges the runs externally
+    * per-rank layout — one *rank block* at a time on the pool
+      (:meth:`_stream_ranks`; the blocks of the layout's block-local
+      tables).  A one-shot run counts each block into a fresh table, dumps
+      it as one file of sorted per-rank ``(key, count)`` runs and frees it
+      before the worker's next block, and merges the runs externally
       (a heap orders the run cursors, cf. the ``heapq`` idiom in
-      :mod:`repro.ext.balanced`) — peak residency is one rank's partition
-      + table per worker, not P of them.  A batch counts into the
-      persistent tables, which are the cross-batch state itself.
-    * flat layout — one consecutive *rank block* at a time
+      :mod:`repro.ext.balanced`) — peak residency is one block's
+      partitions + table per worker, not P of them.  A batch counts into
+      the persistent tables, which are the cross-batch state itself.
+    * flat layout — one consecutive rank block at a time
       (:meth:`_stream_blocks`, :data:`FUSED_SPILL_BLOCK_BYTES` per block)
       into the segmented table, which ``EngineOptions(table_dir=)`` makes
       file-backed; the merge is the layout's in-memory one.
+
+    Both read a block's rounds back and count them through
+    :meth:`_stream_rounds` and the one count body.
     """
 
     spooled = True
@@ -614,131 +659,131 @@ class Spooled(Resident):
 
     def count(self, state, hints: list[int], cleanup, sctx, acct):
         """Stream every spooled round back and count it; returns the tables."""
+        recv_items = np.sum(self.round_recv, axis=0)
         if self.layout.flat:
-            table = self.layout.tables(state, hints, cleanup)
-            self._stream_blocks(table, sctx, acct)
+            table = self.layout.tables(state, hints, recv_items, cleanup)
+            self._stream_blocks(table, recv_items, sctx, acct)
             return table
-        return self._stream_ranks(None if state is None else state.tables, hints, sctx, acct)
-
-    def _stream_ranks(self, tables, hints: list[int], sctx, acct):
-        """Per-rank streamed count, one rank partition at a time.
-
-        Each rank's stream is private in memory (its own table) and on
-        disk (its own extent of each round's segment file, read at an
-        offset through the shared descriptor, and its own run file), so the
-        pool may run rank streams concurrently on any substrate.  ``tables is None`` is the
-        one-shot run: fresh table per rank, dumped as a sorted run.  As on
-        every per-rank path, a persistent table travels back with the
-        outcomes for out-of-process substrates.
-        """
-        sched = self.layout.sched
-        comp, config = sched.comp, sched.config
-        spool, labels, recorder = self.spool, self.labels, sctx.recorder
-        suffixes = [f"-round{rnd}" if len(labels) > 1 else "" for rnd in range(len(labels))]
-
-        def _stream_one(r: int):
-            table = tables[r] if tables is not None else DeviceHashTable(
-                capacity_hint=hints[r], seed=config.table_seed
-            )
-            outcomes = []
-            for label, suffix in zip(labels, suffixes):
-                recv = spool.read_partition(label, r, np.uint64)
-                lengths_r = (
-                    spool.read_partition(label, r, np.uint8, lens=True)
-                    if sctx.supermer_mode
-                    else None
-                )
-                t0 = perf_counter()
-                outcomes.append(comp.substrate.count_rank(r, recv, lengths_r, table, comp.count, sctx))
-                if recorder is not None:
-                    recorder.record("count" + suffix, r, t0, perf_counter())
-                spool.release(recv, lengths_r)
-            if tables is not None:
-                return outcomes, table
-            t0 = perf_counter()
-            values, counts = table.items()
-            for plugin in comp.merge.plugins:
-                values, counts = plugin.adjust_merge_items(values, counts)
-            if values.size > 1 and not np.all(values[1:] > values[:-1]):
-                order = np.argsort(values, kind="stable")
-                values, counts = values[order], counts[order]
-            spool.write_run(r, values, counts)
-            if recorder is not None:
-                recorder.record("spill:run-write", r, t0, perf_counter())
-            return outcomes, (table.n_entries, table.load_factor)
-
-        streamed = sctx.pool.map(_stream_one, range(len(hints)), recorder=recorder)
-        for label in labels:  # the last rank is counted: free the rounds' files
-            spool.drop_partitions(label)
-        for r, (outcomes, kept) in enumerate(streamed):
-            for co in outcomes:  # round order per rank: identical float accumulation
-                acct.add_rank_count(r, co)
-            if tables is not None:
-                tables[r] = kept
-        if tables is None:
-            entries, loads = zip(*(kept for _, kept in streamed))
-            self.run_fill = list(entries), list(loads)
+        tables = None if state is None else self.layout.tables(state, hints, recv_items, cleanup)
+        self._stream_ranks(tables, hints, recv_items, sctx, acct)
         return tables
 
-    def _stream_blocks(self, table: SegmentedHashTable, sctx, acct) -> None:
-        """Stream spooled partitions into ``table`` one rank block at a time.
+    def _stream_rounds(self, r0: int, r1: int, count, leaf: str, sctx) -> list:
+        """Read ranks ``[r0, r1)`` of every round back, in round order, and count each.
 
-        For every consecutive rank block (sized by partition bytes against
-        :data:`FUSED_SPILL_BLOCK_BYTES`) and every round label, the block's
-        partitions — contiguous in the round's segment file — are read back
-        with one positional read into an arena buffer and counted via the
-        flat count kernel restricted to the block (``rank_range``).  Bit-identity with the resident flat count holds
-        because (a) the segmented table's regions are slot-disjoint, so any
-        grouping of whole ranks per insert call leaves every per-rank probe
-        sequence unchanged, (b) rounds run innermost, so each rank sees its
-        rounds in order (identical float accumulation), and (c) InsertStats
-        combination is a commutative monoid, so (block, round) iteration
-        reduces to the same totals as (round, all-ranks).
+        A block's partitions are contiguous in a round's segment file, so
+        each round is one positional read into an arena buffer, handed to
+        ``count(recv, lengths, recv_offsets)`` — a closure over the one
+        count body and the block's table.  Returns its ``(times, n_seen,
+        stats)`` per round.  Rounds run innermost, so each rank sees its
+        rounds in order (identical float accumulation in the accounting).
         """
-        spool, labels, recorder = self.spool, self.labels, sctx.recorder
-        supermer_mode = sctx.supermer_mode
-        n_rounds = len(labels)
-        arena = self.layout.arena
-        recv_per_rank = np.sum(self.round_recv, axis=0)
-        item_bytes = 9 if supermer_mode else 8  # 8 B payload + 1 B length
-        blocks = rank_blocks(recv_per_rank * item_bytes, FUSED_SPILL_BLOCK_BYTES)
-        for r0, r1 in blocks:
-            for rnd, label in enumerate(labels):
-                suffix = f"-round{rnd}" if n_rounds > 1 else ""
-                dst_offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-                np.cumsum(self.round_recv[rnd][r0:r1], out=dst_offsets[1:])
-                total = int(dst_offsets[-1])
-                t0 = perf_counter()
-                shuffled = spool.read_range(label, r0, r1, np.uint64, out=arena.take(total, np.uint64))
-                shuffled_lengths = None
-                if supermer_mode:
-                    shuffled_lengths = spool.read_range(
-                        label, r0, r1, np.uint8, lens=True, out=arena.take(total, np.uint8)
-                    )
-                if recorder is not None:
-                    recorder.record("spill:read" + suffix, r0, t0, perf_counter())
-                t0 = perf_counter()
-                times, n_seen, ins_list = self.layout._count(
-                    table,
-                    shuffled,
-                    shuffled_lengths,
-                    dst_offsets,
-                    sctx,
-                    rank_range=(r0, r1),
-                )
-                if recorder is not None:
-                    recorder.record("fused:count" + suffix, r0, t0, perf_counter())
-                arena.release(shuffled, shuffled_lengths)
-                acct.add_count(r0, times, n_seen, ins_list)
-        for label in labels:  # the last block is counted: free the rounds' files
+        spool, recorder = self.spool, sctx.recorder
+        counted = []
+        for rnd, label in enumerate(self.labels):
+            suffix = f"-round{rnd}" if len(self.labels) > 1 else ""
+            offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+            np.cumsum(self.round_recv[rnd][r0:r1], out=offsets[1:])
+            t0 = perf_counter()
+            recv = spool.read_range(label, r0, r1, np.uint64)
+            lengths = spool.read_range(label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
+            if recorder is not None:
+                recorder.record("spill:read" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+            t0 = perf_counter()
+            counted.append(count(recv, lengths, offsets))
+            if recorder is not None:
+                recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+            spool.release(recv, lengths)
+        return counted
+
+    def _stream_ranks(self, tables, hints: list[int], recv_items: np.ndarray, sctx, acct) -> None:
+        """Per-rank layout's streamed count, one rank block at a time on the pool.
+
+        Each block's stream is private in memory (its own table) and on
+        disk (its own extent of each round's segment file, read at an
+        offset through the shared descriptor, and its own run file), so the
+        pool may run block streams concurrently on any substrate.
+        ``tables is None`` is the one-shot run: a fresh table per block,
+        dumped as one file of sorted per-rank runs and freed before the
+        worker's next block.  As on every per-rank path, a persistent
+        table's slabs travel back from out-of-process substrates.
+        """
+        layout, spool, recorder = self.layout, self.spool, sctx.recorder
+        merge_plugins = layout.sched.comp.merge.plugins
+        ship_back = not sctx.pool.in_process
+        if tables is None:
+            blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
+        else:
+            blocks = view_blocks(tables)
+
+        def _stream_one(block):
+            r0, r1, table = block
+            if tables is None:
+                table = layout.block_table(hints[r0:r1])
+            counted = self._stream_rounds(
+                r0, r1, lambda *received: layout.count_block(table, r0, *received, sctx), "count", sctx
+            )
+            if tables is not None:
+                return counted, table.slabs() if ship_back else None
+            t0 = perf_counter()
+            runs = []
+            for i in range(r1 - r0):
+                values, counts = table.items_of(i)
+                for plugin in merge_plugins:
+                    values, counts = plugin.adjust_merge_items(values, counts)
+                if values.size > 1 and not np.all(values[1:] > values[:-1]):
+                    order = np.argsort(values, kind="stable")
+                    values, counts = values[order], counts[order]
+                runs.append((values, counts))
+            entries = spool.write_runs(r0, runs)
+            if recorder is not None:
+                recorder.record("spill:run-write", r0, t0, perf_counter(), ranks=[r0, r1])
+            return counted, (entries, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities)
+
+        streamed = sctx.pool.map(_stream_one, blocks, recorder=recorder)
+        for label in self.labels:  # the last block is counted: free the rounds' files
             spool.drop_partitions(label)
+        fill: tuple[list[int], list[float]] = ([], [])
+        for (r0, _, table), (counted, kept) in zip(blocks, streamed):
+            for round_counted in counted:  # round order per rank: identical float accumulation
+                acct.add_count(r0, *round_counted)
+            if tables is None:
+                spool.index_runs(r0, kept[0])
+                fill[0].extend(kept[1].tolist())
+                fill[1].extend(kept[2].tolist())
+            elif kept is not None:
+                table.adopt(*kept)
+        if tables is None:
+            self.run_fill = fill
+
+    def _stream_blocks(self, table: SegmentedHashTable, recv_items: np.ndarray, sctx, acct) -> None:
+        """Flat layout's streamed count into ``table``, one rank block at a time.
+
+        Blocks are sized by partition bytes against
+        :data:`FUSED_SPILL_BLOCK_BYTES`; each is counted by the one count
+        body restricted to the block's regions.  Bit-identity with the
+        resident flat count holds because (a) the segmented table's regions
+        are slot-disjoint, so any grouping of whole ranks per insert call
+        leaves every per-rank probe sequence unchanged, (b) each rank sees
+        its rounds in order, and (c) InsertStats combination is a
+        commutative monoid, so (block, round) iteration reduces to the same
+        totals as (round, all-ranks).
+        """
+        count_block = self.layout.sched.comp.count.count_block
+        item_bytes = 9 if sctx.supermer_mode else 8  # 8 B payload + 1 B length
+        for r0, r1 in rank_blocks(recv_items * item_bytes, FUSED_SPILL_BLOCK_BYTES):
+            for counted in self._stream_rounds(
+                r0, r1, lambda *received: count_block(table, *received, sctx, rank0=r0), "fused:count", sctx
+            ):
+                acct.add_count(r0, *counted)
+        for label in self.labels:  # the last block is counted: free the rounds' files
+            self.spool.drop_partitions(label)
 
     def merge(self, tables) -> tuple[str, KmerSpectrum]:
         if self.run_fill is None:
             return super().merge(tables)
         sched = self.layout.sched
-        runs = [self.spool.map_run(r) for r in range(sched.cluster.n_ranks)]
-        return "spill:merge", external_merge(runs, sched.config.k)
+        return "spill:merge", external_merge(self.spool.map_all_runs(), sched.config.k)
 
     def fill(self, tables) -> tuple[list[int], list[float]]:
         return self.run_fill if self.run_fill is not None else super().fill(tables)

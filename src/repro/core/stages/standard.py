@@ -32,6 +32,7 @@ from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate, staging_time
 from ...gpu.hashtable import DeviceHashTable, InsertStats
 from ...gpu.kernels import VirtualGPU
+from ...gpu.segmented import SegmentedHashTable
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
@@ -385,6 +386,73 @@ class TableCount:
     def insert(self, table: DeviceHashTable, kmers: np.ndarray) -> InsertStats:
         return table.insert_batch(kmers) if kmers.size else InsertStats.zero()
 
+    def count_block(
+        self,
+        table: SegmentedHashTable,
+        recv: np.ndarray,
+        lengths: np.ndarray | None,
+        recv_offsets: np.ndarray,
+        ctx: StageContext,
+        *,
+        rank0: int = 0,
+        table_rank0: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
+        """One count round of a block of consecutive ranks: the one count body.
+
+        ``recv`` (and ``lengths`` in supermer mode) holds the received
+        segments of ranks ``rank0, rank0 + 1, ...`` back to back, bounded
+        by ``recv_offsets``; ``table``'s regions are the partitions of
+        ranks ``table_rank0, table_rank0 + 1, ...`` and contain the
+        block's.  Returns ``(times, n_seen, stats)`` per rank of the block.
+
+        Extraction runs once over the whole block (elementwise per
+        supermer, so rank slices equal the per-rank extractions); plugin
+        receive-filters run per rank in rank order, preserving their
+        stateful semantics; one :meth:`SegmentedHashTable.insert_flat`
+        inserts every rank's keys; each rank is charged through the
+        substrate's own ``charge_count``.  Regions are slot-disjoint, so a
+        rank's probe sequence — hence every InsertStats field, model time
+        and telemetry emission — does not depend on which ranks share the
+        call: every layout and residency counts through this body, over
+        whatever blocks suit it, with the results of ``materialize`` +
+        ``insert`` rank by rank.
+        """
+        nb = recv_offsets.shape[0] - 1
+        kmers = self.extract_kmers(recv, lengths, ctx.config)
+        if ctx.supermer_mode:
+            kmer_cum = np.zeros(recv.shape[0] + 1, dtype=np.int64)
+            np.cumsum(lengths, dtype=np.int64, out=kmer_cum[1:])
+            offsets = kmer_cum[recv_offsets]
+        else:
+            offsets = recv_offsets
+        n_seen = offsets[1:] - offsets[:-1]
+        if self.plugins:
+            segments = []
+            for i in range(nb):
+                kmers_r = kmers[offsets[i] : offsets[i + 1]]
+                for plugin in self.plugins:
+                    kmers_r = plugin.filter_received(rank0 + i, kmers_r)
+                segments.append(kmers_r)
+            offsets = np.zeros(nb + 1, dtype=np.int64)
+            np.cumsum([seg.shape[0] for seg in segments], out=offsets[1:])
+            kmers = np.concatenate(segments) if nb > 1 else segments[0]
+
+        # The table's other ranks get empty segments, which insert nothing
+        # and emit no telemetry.
+        i0 = rank0 - table_rank0
+        seg_offsets = offsets
+        if table.n_ranks != nb:
+            seg_offsets = np.zeros(table.n_ranks + 1, dtype=np.int64)
+            seg_offsets[i0 + 1 : i0 + nb + 1] = offsets[1:]
+            seg_offsets[i0 + nb + 1 :] = offsets[-1]
+        stats = table.insert_flat(kmers, seg_offsets)[i0 : i0 + nb]
+        inserted = (offsets[1:] - offsets[:-1]).tolist()
+        recv_items = (recv_offsets[1:] - recv_offsets[:-1]).tolist()
+        times = np.array(
+            [ctx.substrate.charge_count(inserted[i], recv_items[i], stats[i], ctx) for i in range(nb)]
+        )
+        return times, n_seen, stats
+
 
 # ---------------------------------------------------------------------------
 # merge stage
@@ -431,11 +499,12 @@ class SpectrumMerge:
 
 
 # A rank's phase is the stage *body* plus the substrate's *charge* for the
-# work the body reports.  The per-rank layout calls ``parse_rank`` /
-# ``count_rank`` (both, below); the flat layout runs each body once over all
-# ranks and loops the same ``charge_parse`` / ``charge_count`` over the
-# per-rank figures — so a rank's model seconds and kernel telemetry come
-# from one function on either layout.
+# work the body reports.  The per-rank layout parses through ``parse_rank``
+# (body and charge, below); the flat layout runs the parse body once over all
+# ranks and loops the same ``charge_parse`` over the per-rank figures.  Both
+# count through ``TableCount.count_block``, which loops ``charge_count`` —
+# so a rank's model seconds and kernel telemetry come from one function on
+# either layout.  ``count_rank`` is what a custom count stage is run by.
 
 
 def _parse_rank(

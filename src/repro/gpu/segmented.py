@@ -1,9 +1,10 @@
-"""Segmented counting hash table: every rank's table in one allocation.
+"""Segmented counting hash table: many ranks' tables in one allocation.
 
-The staged engine gives each simulated rank its own
-:class:`~repro.gpu.hashtable.DeviceHashTable`, so a superstep's count
-phase performs P independent probe loops over small arrays.  The fused
-engine (:mod:`repro.core.stages.fused`) instead keeps all P tables in a
+One :class:`~repro.gpu.hashtable.DeviceHashTable` per simulated rank
+makes a superstep's count phase P independent probe loops over small
+arrays.  The engine instead keeps the tables of consecutive ranks — all P
+under the flat layout (:mod:`repro.core.stages.fused`), a cache-sized
+*rank block* (:func:`table_blocks`) under the per-rank layout — in a
 single pair of flat ``keys``/``counts`` arrays partitioned into
 power-of-two *regions*::
 
@@ -58,7 +59,7 @@ from .hashtable import (
     sorted_items,
 )
 
-__all__ = ["SegmentedHashTable", "SegmentedRankView", "rank_blocks"]
+__all__ = ["SegmentedHashTable", "SegmentedRankView", "rank_blocks", "table_blocks", "view_blocks"]
 
 #: The fused probe loop gathers/scatters randomly within each rank's
 #: region.  Spanning all P regions at once blows the cache, so inserts run
@@ -86,6 +87,20 @@ def rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
         blocks.append((s, e))
         s = e
     return blocks
+
+
+def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
+    """The rank blocks whose tables would total about :data:`INSERT_BLOCK_BYTES`.
+
+    ``expected_keys[r]`` estimates the keys rank ``r``'s region will hold
+    (an upper bound is fine: received instances), at 16 B a slot and the
+    default 0.7 load.  The per-rank layout keeps each block's partitions in
+    one table and counts a block per call; any partition into whole
+    consecutive ranks gives the same slots and statistics, so the estimate
+    only steers speed.
+    """
+    slots = np.maximum(64, np.asarray(expected_keys, dtype=np.float64) / 0.7)
+    return rank_blocks((slots * 16).astype(np.int64), INSERT_BLOCK_BYTES)
 
 
 class SegmentedHashTable:
@@ -121,12 +136,15 @@ class SegmentedHashTable:
             self._table_dir = Path(tempfile.mkdtemp(prefix="table-", dir=base))
             self._finalizer = weakref.finalize(self, shutil.rmtree, self._table_dir, True)
 
-    def _layout(self, capacities: np.ndarray) -> None:
+    def _set_regions(self, capacities: np.ndarray) -> None:
         self.capacities = capacities
         self.region_base = np.zeros(capacities.shape[0] + 1, dtype=np.int64)
         np.cumsum(capacities, out=self.region_base[1:])
         self._base_u64 = self.region_base[:-1].astype(np.uint64)
         self._masks = (capacities - 1).astype(np.uint64)
+
+    def _layout(self, capacities: np.ndarray) -> None:
+        self._set_regions(capacities)
         total = int(self.region_base[-1])
         if self._table_dir is None or total == 0:
             self.keys = np.full(total, EMPTY_KEY, dtype=np.uint64)
@@ -191,6 +209,19 @@ class SegmentedHashTable:
             keys[:] = t.keys
             counts[:] = t.counts
         return self
+
+    def slabs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(capacities, entries per rank, keys, counts)``: the table's whole state.
+
+        What a rank-block closure on an out-of-process pool ships back, for
+        the driving process's table to :meth:`adopt`.
+        """
+        return self.capacities, self.n_entries_per_rank, self.keys, self.counts
+
+    def adopt(self, capacities: np.ndarray, entries: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Become the table :meth:`slabs` was taken from (the arrays are kept, not copied)."""
+        self._set_regions(capacities)
+        self.n_entries_per_rank, self.keys, self.counts = entries, keys, counts
 
     # -- properties --------------------------------------------------
 
@@ -264,7 +295,7 @@ class SegmentedHashTable:
 
         # Per-rank dedup: each rank's segment is already contiguous, so run
         # exactly the aggregation the per-rank tables run.
-        filled = np.flatnonzero(np.diff(offs))
+        filled = np.flatnonzero(offs[1:] != offs[:-1])
         parts = [
             dedup_batch(
                 vals[offs[r] : offs[r + 1]],
@@ -274,74 +305,94 @@ class SegmentedHashTable:
             for r in filled
         ]
         uniq_parts, w_parts = zip(*parts)
-        uniq = np.concatenate(uniq_parts) if len(parts) > 1 else uniq_parts[0]
-        w = np.concatenate(w_parts) if len(parts) > 1 else w_parts[0]
         distinct_in_batch = np.zeros(p, dtype=np.int64)
         distinct_in_batch[filled] = [u.shape[0] for u in uniq_parts]
-        useg = np.repeat(np.arange(p, dtype=np.int64), distinct_in_batch)
 
         # Capacity pre-check per rank; grown regions are re-laid-out once
         # into their final size (see fit_capacity).
         resizes = np.zeros(p, dtype=np.int64)
-        new_caps = self.capacities.copy()
         need = self.n_entries_per_rank + distinct_in_batch
-        for r in np.flatnonzero(need > new_caps * self.max_load_factor):
-            new_caps[r], resizes[r] = fit_capacity(int(new_caps[r]), int(need[r]), self.max_load_factor)
-        if resizes.any():
+        grow = np.flatnonzero(need > self.capacities * self.max_load_factor)
+        if grow.size:
+            new_caps = self.capacities.copy()
+            for r in grow:
+                new_caps[r], resizes[r] = fit_capacity(int(new_caps[r]), int(need[r]), self.max_load_factor)
             self._regrow(new_caps)
 
-        # Insert cache-sized blocks of whole ranks (see INSERT_BLOCK_BYTES).
-        # ``uniq`` is (rank, key)-sorted, so each block is one slice.
-        probes = np.empty(uniq.shape[0], dtype=np.int64)
-        new = np.zeros(p, dtype=np.int64)
-        conflicts = np.zeros(p, dtype=np.int64)
-        region_bytes = self.capacities * 16  # uint64 keys + int64 counts
-        for r0, r1 in rank_blocks(region_bytes, INSERT_BLOCK_BYTES):
-            lo, hi = np.searchsorted(useg, [r0, r1], side="left")
-            if hi > lo:
-                seg = useg[lo:hi]
-                probes[lo:hi], claimed, lost = probe_insert(
-                    self.keys, self.counts, uniq[lo:hi], w[lo:hi], *self._region(seg)
-                )
-                new += np.bincount(seg[claimed], minlength=p)
-                conflicts += np.bincount(seg, weights=lost, minlength=p).astype(np.int64)
+        probed = list(self._probe_blocks(filled, uniq_parts, w_parts))
+        probes, claimed, lost = probed[0] if len(probed) == 1 else map(np.concatenate, zip(*probed))
+        w = np.concatenate(w_parts) if len(parts) > 1 else w_parts[0]
 
-        instances = np.bincount(useg, weights=w, minlength=p).astype(np.int64)
-        total_probes = np.bincount(useg, weights=probes * w, minlength=p).astype(np.int64)
-        max_probe = np.zeros(p, dtype=np.int64)
-        np.maximum.at(max_probe, useg, probes)
-        self.n_entries_per_rank += new
-        for r in filled:
+        # Per-rank statistics: the keys are rank-sorted and every filled rank
+        # holds at least one, so each is a segment reduction (integer sums,
+        # exact) at the ranks' first keys.
+        first = np.cumsum(distinct_in_batch[filled]) - distinct_in_batch[filled]
+        instances = np.add.reduceat(w, first)
+        new = np.add.reduceat(claimed, first, dtype=np.int64)
+        total_probes = np.add.reduceat(probes * w, first)
+        max_probe = np.maximum.reduceat(probes, first)
+        conflicts = np.add.reduceat(lost, first)
+        self.n_entries_per_rank[filled] += new
+        for i, r in enumerate(filled):
             stats[r] = InsertStats(
-                n_instances=int(instances[r]),
-                n_distinct=int(new[r]),
-                total_probes=int(total_probes[r]),
-                max_probe=int(max_probe[r]),
-                cas_conflicts=int(conflicts[r]),
-                rounds=int(max_probe[r]),  # the longest-probing key was pending in every round
+                n_instances=int(instances[i]),
+                n_distinct=int(new[i]),
+                total_probes=int(total_probes[i]),
+                max_probe=int(max_probe[i]),
+                cas_conflicts=int(conflicts[i]),
+                rounds=int(max_probe[i]),  # the longest-probing key was pending in every round
                 resizes=int(resizes[r]),
             )
         load = float((self.n_entries_per_rank[filled] / self.capacities[filled]).max())
         record_insert_telemetry([stats[r] for r in filled], load, probes, w)
         return stats
 
+    def _probe_blocks(self, ranks: np.ndarray, key_parts, w_parts):
+        """:func:`probe_insert` the ranks' keys, a cache-sized block of whole ranks per call.
+
+        ``key_parts[i]`` / ``w_parts[i]`` are rank ``ranks[i]``'s sorted
+        distinct keys and their weights (ranks ascending, no part empty).
+        Blocks follow :data:`INSERT_BLOCK_BYTES`; a block's parts are put
+        back to back for its one call, and a block holding one rank's keys
+        probes with that region's scalar mask and base, as
+        :class:`DeviceHashTable` does.  Yields each block's per-key
+        ``(probes, claimed, lost)``, in rank order.
+        """
+        region_bytes = self.capacities * 16  # uint64 keys + int64 counts
+        blocks = rank_blocks(region_bytes, INSERT_BLOCK_BYTES)
+        cuts = np.searchsorted(ranks, [r1 for _, r1 in blocks]).tolist()
+        for i, j in zip([0, *cuts], cuts):
+            if j - i == 1:
+                keys, w, region = key_parts[i], w_parts[i], self._region(int(ranks[i]))
+            elif j > i:
+                keys, w = np.concatenate(key_parts[i:j]), np.concatenate(w_parts[i:j])
+                region = self._region(np.repeat(ranks[i:j], [part.shape[0] for part in key_parts[i:j]]))
+            else:
+                continue
+            yield probe_insert(self.keys, self.counts, keys, w, *region)
+
     def _regrow(self, new_caps: np.ndarray) -> None:
-        """Re-layout with grown regions; unchanged regions copy verbatim."""
+        """Re-layout with grown regions; unchanged regions copy verbatim.
+
+        The grown regions' items, each sorted by key, re-claim their slots
+        through the one blocked probe loop.
+        """
         old_base = self.region_base
         old_keys = self.keys
         old_counts = self.counts
         old_caps = self.capacities
-        rehash = [(int(r), *self.items_of(r)) for r in np.flatnonzero(new_caps != old_caps)]
+        grown = np.flatnonzero(new_caps != old_caps)
+        grown = grown[self.n_entries_per_rank[grown] > 0]
+        rehash = [self.items_of(r) for r in grown]
         self._layout(new_caps)
-        keep = np.flatnonzero(new_caps == old_caps)
-        for r in keep:
+        for r in np.flatnonzero(new_caps == old_caps):
             olo, ohi = int(old_base[r]), int(old_base[r + 1])
             nlo, nhi = int(self.region_base[r]), int(self.region_base[r + 1])
             self.keys[nlo:nhi] = old_keys[olo:ohi]
             self.counts[nlo:nhi] = old_counts[olo:ohi]
-        for r, keys, counts in rehash:
-            if keys.size:  # rehash: every key re-claims a slot
-                probe_insert(self.keys, self.counts, keys, counts, *self._region(r))
+        if rehash:  # every key re-claims a slot; a rehash's probe statistics are not reported
+            for _ in self._probe_blocks(grown, *zip(*rehash)):
+                pass
 
     def lookup_of(self, rank: int, values: np.ndarray) -> np.ndarray:
         """Counts stored for ``rank``'s keys (0 where absent)."""
@@ -359,28 +410,28 @@ class SegmentedRankView:
     """
 
     def __init__(self, parent: SegmentedHashTable, rank: int) -> None:
-        self._parent = parent
-        self.rank = rank
+        self.parent = parent
+        self.rank = rank  # the region's index within ``parent``
 
     @property
     def seed(self) -> int:
-        return self._parent.seed
+        return self.parent.seed
 
     @property
     def max_load_factor(self) -> float:
-        return self._parent.max_load_factor
+        return self.parent.max_load_factor
 
     @property
     def probing(self) -> str:
-        return self._parent.probing
+        return self.parent.probing
 
     @property
     def capacity(self) -> int:
-        return int(self._parent.capacities[self.rank])
+        return int(self.parent.capacities[self.rank])
 
     @property
     def n_entries(self) -> int:
-        return int(self._parent.n_entries_per_rank[self.rank])
+        return int(self.parent.n_entries_per_rank[self.rank])
 
     @property
     def load_factor(self) -> float:
@@ -392,23 +443,34 @@ class SegmentedRankView:
 
     @property
     def keys(self) -> np.ndarray:
-        return self._parent.slots_of(self.rank)[0]
+        return self.parent.slots_of(self.rank)[0]
 
     @property
     def counts(self) -> np.ndarray:
-        return self._parent.slots_of(self.rank)[1]
+        return self.parent.slots_of(self.rank)[1]
 
     def items(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._parent.items_of(self.rank)
+        return self.parent.items_of(self.rank)
 
     def lookup_batch(self, values: np.ndarray) -> np.ndarray:
-        return self._parent.lookup_of(self.rank, values)
+        return self.parent.lookup_of(self.rank, values)
 
     def insert_batch(
         self, values: np.ndarray, weights: np.ndarray | None = None, *, assume_unique: bool = False
     ) -> InsertStats:
-        """Insert through the parent (a staged batch after a fused one)."""
-        parent = self._parent
+        """Insert through the parent, as a custom count stage's ``insert`` does."""
+        parent = self.parent
         offs = np.zeros(parent.n_ranks + 1, dtype=np.int64)
         offs[self.rank + 1 :] = np.asarray(values).shape[0]
         return parent.insert_flat(values, offs, weights, assume_unique=assume_unique)[self.rank]
+
+
+def view_blocks(views: list[SegmentedRankView]) -> list[tuple[int, int, SegmentedHashTable]]:
+    """``(r0, r1, table)`` per run of consecutive views of one table.
+
+    ``views`` lists whole tables' views in region order — what a layout
+    that keeps ranks ``[r0, r1)`` in ``table`` holds — so the blocks tile
+    ``range(len(views))``.
+    """
+    starts = [r for r, v in enumerate(views) if r == 0 or v.parent is not views[r - 1].parent]
+    return [(r0, r1, views[r0].parent) for r0, r1 in zip(starts, [*starts[1:], len(views)])]

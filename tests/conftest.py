@@ -47,3 +47,11 @@ def genome_reads() -> ReadSet:
 @pytest.fixture(scope="session")
 def np_rng() -> np.random.Generator:
     return np.random.default_rng(123)
+
+
+def assert_block_leaves_tile(spans, n_ranks: int) -> None:
+    """Work leaves recorded once per rank block: ``rank`` is the block's first rank and the
+    ``ranks`` ranges of the leaves tile ``range(n_ranks)`` exactly."""
+    ranges = sorted(tuple(s.meta["ranks"]) for s in spans)
+    assert sorted(s.rank for s in spans) == [r0 for r0, _ in ranges]
+    assert [r for r0, r1 in ranges for r in range(r0, r1)] == list(range(n_ranks))

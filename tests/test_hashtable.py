@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu import segmented
 from repro.gpu.hashtable import (
     EMPTY_KEY,
     DeviceHashTable,
@@ -378,6 +379,75 @@ class TestClaimArbitration:
                     assert (table.keys[lo:hi].tobytes(), table.counts[lo:hi].tobytes()) == refs[r].slab()
         finally:
             table.close()
+
+
+class TestRankBlockTables:
+    """Block-local segmented tables ≡ one ``DeviceHashTable`` per rank.
+
+    The per-rank layout keeps consecutive ranks in one segmented table and
+    inserts a block per call.  Regions are slot-disjoint, so *any*
+    partition of the ranks into consecutive blocks — and any split of a
+    block's keys over ``INSERT_BLOCK_BYTES`` sub-blocks, in the insert as
+    in the regrow rehash — must leave every rank with the statistics,
+    capacity and slots of its own private table.
+    """
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_block_partition_equals_per_rank_tables(self, probing, data):
+        p = data.draw(st.integers(1, 9), label="ranks")
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(p - 1, 1)), max_size=p - 1), label="cuts")) if p > 1 else []
+        blocks = list(zip([0, *cuts], [*cuts, p]))
+        # 2 KiB makes two 64-slot regions a probe sub-block of their own; 2 MiB keeps a block whole.
+        block_bytes = data.draw(st.sampled_from([1 << 11, 1 << 21]), label="INSERT_BLOCK_BYTES")
+        seed = data.draw(st.integers(0, 5), label="seed")
+        per_rank = [DeviceHashTable(16, seed=seed, probing=probing) for _ in range(p)]
+        tables = [SegmentedHashTable([16] * (r1 - r0), seed=seed, probing=probing) for r0, r1 in blocks]
+        big = data.draw(st.integers(0, p - 1), label="oversized rank")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segmented, "INSERT_BLOCK_BYTES", block_bytes)
+            for rnd in range(3):
+                quiet = data.draw(st.integers(0, len(blocks) - 1), label=f"round {rnd}: empty block")
+                segments = []
+                for r in range(p):
+                    # Few keys over many ranks (P > keys), one rank far past its 64 slots, one block idle.
+                    top = 400 if r == big else data.draw(st.sampled_from([0, 3, 120]))
+                    keys = data.draw(st.lists(st.integers(0, 600), max_size=top))
+                    if blocks[quiet][0] <= r < blocks[quiet][1] and len(blocks) > 1:
+                        keys = []
+                    segments.append(np.array(keys, dtype=np.uint64))
+                for (r0, r1), table in zip(blocks, tables):
+                    offsets = np.concatenate(([0], np.cumsum([seg.shape[0] for seg in segments[r0:r1]])))
+                    stats = table.insert_flat(np.concatenate(segments[r0:r1]), offsets)
+                    for r in range(r0, r1):
+                        want = per_rank[r].insert_batch(segments[r]) if segments[r].size else InsertStats.zero()
+                        assert stats[r - r0] == want
+                        view = table.view(r - r0)
+                        assert (view.capacity, view.n_entries) == (per_rank[r].capacity, per_rank[r].n_entries)
+                        assert np.array_equal(view.keys, per_rank[r].keys)
+                        assert np.array_equal(view.counts, per_rank[r].counts)
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
+    def test_blocked_regrow_rehash_equals_per_rank_rehash(self, probing, monkeypatch):
+        """Several full regions grow in one call: one blocked rehash, the slots of five private ones."""
+        rng = np.random.default_rng(11)
+        p = 5
+        first = [rng.integers(0, 5000, size=40).astype(np.uint64) for _ in range(p)]  # fills the 64-slot regions
+        second = [rng.integers(0, 5000, size=n).astype(np.uint64) for n in (300, 0, 90, 2, 700)]
+        table = SegmentedHashTable([16] * p, seed=2, probing=probing)
+        per_rank = [DeviceHashTable(16, seed=2, probing=probing) for _ in range(p)]
+        calls = []
+        real = segmented.probe_insert
+        monkeypatch.setattr(segmented, "probe_insert", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for segments in (first, second):
+            calls.clear()
+            offsets = np.concatenate(([0], np.cumsum([seg.shape[0] for seg in segments])))
+            stats = table.insert_flat(np.concatenate(segments), offsets)
+            assert stats == [t.insert_batch(seg) if seg.size else InsertStats.zero() for t, seg in zip(per_rank, segments)]
+        assert sum(ins.resizes > 0 for ins in stats) == 3 and len(calls) == 2  # one rehash + one insert
+        for r, ref in enumerate(per_rank):
+            assert np.array_equal(table.view(r).keys, ref.keys) and np.array_equal(table.view(r).counts, ref.counts)
 
 
 class TestSlotDump:

@@ -271,6 +271,56 @@ class TestCheckpointAccounting:
         resumed.add_reads(parts[2])
         _assert_same_observables(resumed, full)
 
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_per_rank_state_is_block_views_and_resumes_at_every_cut(self, batches, tmp_path, monkeypatch, cut):
+        """After its first batch a per-rank counter holds views of block-local
+        segmented tables (several ranks per table here); a checkpoint of them
+        loads as plain per-rank tables, which the next batch adopts into
+        blocks of *its* choosing — and nothing observable can tell."""
+        from repro.gpu import segmented
+        from repro.gpu.hashtable import DeviceHashTable
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 19)
+        cfg = PipelineConfig(k=17)
+        cluster = summit_gpu(2)
+        full = DistributedCounter(cluster, cfg)
+        assert all(isinstance(t, DeviceHashTable) for t in full.tables)
+        for batch in batches:
+            full.add_reads(batch)
+        blocks = segmented.view_blocks(full.tables)  # raises unless every table is a view
+        assert 1 < len(blocks) < cluster.n_ranks
+        assert [r1 - r0 for r0, r1, _ in blocks] == [table.n_ranks for _, _, table in blocks]
+
+        first = DistributedCounter(cluster, cfg)
+        for batch in batches[:cut]:
+            first.add_reads(batch)
+        resumed = DistributedCounter(cluster, cfg)
+        resumed.load(first.save(tmp_path / f"cut{cut}.npz"))
+        assert all(isinstance(t, DeviceHashTable) for t in resumed.tables)
+        _assert_same_slots(resumed, first)
+        for batch in batches[cut:]:
+            resumed.add_reads(batch)
+        _assert_same_observables(resumed, full)
+
+    def test_staged_fused_staged_flip_equals_the_unflipped_run(self, batches, monkeypatch):
+        """Block views → one flat table → views of that one table, a batch each."""
+        from repro.core.engine import EngineOptions
+        from repro.gpu import segmented
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
+        cfg = PipelineConfig(k=17, mode="supermer")
+        cluster = summit_gpu(2)
+        plain = DistributedCounter(cluster, cfg)
+        flipped = DistributedCounter(cluster, cfg)
+        parents = []
+        for batch, fused in zip(batches, (False, True, False)):
+            plain.add_reads(batch)
+            flipped._scheduler.opts = EngineOptions(fused=fused)
+            flipped.add_reads(batch)
+            parents.append(len(segmented.view_blocks(flipped.tables)))
+        assert parents[0] > 1 and parents[1:] == [1, 1]  # the flat layout's adoption is kept, not re-blocked
+        _assert_same_observables(flipped, plain)
+
     def test_mmap_backed_flat_state_round_trips_through_ram(self, batches, tmp_path):
         """Views of file-backed slabs save through the same path: into an
         in-RAM per-rank counter, and back into a fresh ``table_dir`` one."""

@@ -20,6 +20,8 @@ tests pin what that buys, cell by cell against the ``staged`` cell:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +32,10 @@ from repro.core.incremental import DistributedCounter
 from repro.core.stages import registry
 from repro.core.stages.buffers import RankParse
 from repro.core.stages.scheduler import _round_slice
-from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
+from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
+from repro.gpu import segmented
+from repro.gpu.hashtable import InsertStats
+from repro.gpu.segmented import SegmentedRankView
 from repro.machines import v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
@@ -234,6 +239,77 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
     assert (n_rounds > 1) == on_gpu  # and splits rounds by device memory
     for strategy in STRATEGIES:
         assert cell(strategy, key) == standard, strategy
+
+
+class _RankByRankCount(TableCount):
+    """A custom count stage: a class the layouts do not know, with ``TableCount``'s behaviour."""
+
+
+@pytest.mark.parametrize("parallel", [1, 2, "process:2"], ids=["seq", "thread", "process"])
+@pytest.mark.parametrize("strategy", ["staged", "spill", "fused"])
+def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, tmp_path, monkeypatch):
+    """Only a composition whose count stage is not ``TableCount`` reaches ``count_rank`` — once
+    per rank and round, on the block tables' views — and it equals the blocked count body."""
+    monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)  # several ranks per block, several blocks
+
+    def factory(config, opts):
+        comp = registry.resolve("gpu:supermer", config, opts)
+        return dataclasses.replace(comp, key="rankwise:supermer", count=_RankByRankCount(comp.count.plugins))
+
+    monkeypatch.setitem(registry._BACKENDS, "rankwise:supermer", factory)
+    seen: list[tuple[int, type]] = []
+    count_rank = GpuSubstrate.count_rank
+
+    def recording(self, rank, recv, lengths, table, count, ctx):
+        seen.append((rank, type(table)))
+        return count_rank(self, rank, recv, lengths, table, count, ctx)
+
+    monkeypatch.setattr(GpuSubstrate, "count_rank", recording)
+
+    def cell(backend):
+        seen.clear()
+        reg, rec = MetricRegistry(), SpanRecorder()
+        result = run_pipeline(
+            golden_reads(),
+            summit_gpu(2),
+            PipelineConfig(n_rounds=2, **CONFIG),
+            backend=backend,
+            options=_options(strategy, tmp_path, telemetry=reg, trace=rec, parallel=parallel),
+        )
+        blocks = {tuple(s.meta["ranks"]) for s in rec.spans() if s.name.startswith("count")}
+        return summarize_result(result), reg.snapshot(include_wall=False), blocks, list(seen)
+
+    observables, snapshot, blocks, calls = cell("rankwise")
+    if parallel != "process:2":  # a forked worker's calls are not seen from here
+        assert sorted(calls) == sorted((r, SegmentedRankView) for r in range(12) for _ in range(2))
+    assert 1 < len(blocks) < 12  # the custom stage sees ranks; the pool and the tables see blocks
+    standard = cell("gpu")
+    assert standard[3] == []  # the standard count stage never calls count_rank
+    assert (observables, snapshot) == standard[:2]
+    if strategy != "fused":  # custom stages keep the per-rank layout; the standard run here is the flat one
+        assert blocks == standard[2]
+
+
+@pytest.mark.parametrize("parallel", [1, "process:2"], ids=["seq", "process-to-thread"])
+@pytest.mark.parametrize("strategy", ["staged", "spill"])
+def test_bloom_composition_equals_the_per_rank_tables(strategy, parallel, tmp_path, monkeypatch):
+    """A stateful ``filter_received`` plugin, block by block: every observable is what the
+    one-table-per-rank count produced before PR 24 (the literals were recorded there)."""
+    monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
+    rec = SpanRecorder()
+    result = run_pipeline(
+        golden_reads(),
+        summit_gpu(2),
+        PipelineConfig(n_rounds=2, **CONFIG),
+        backend="gpu",
+        options=_options(strategy, tmp_path, stages=("bloom",), parallel=parallel, trace=rec),
+    )
+    assert len({tuple(s.meta["ranks"]) for s in rec.spans() if s.name.startswith("count")}) > 1
+    assert result.insert_stats == InsertStats(
+        n_instances=68121, n_distinct=9658, total_probes=87959, max_probe=39, cas_conflicts=1981, rounds=39, resizes=21
+    )
+    digest = hashlib.sha256(json.dumps(summarize_result(result), sort_keys=True).encode()).hexdigest()
+    assert digest.startswith("7da8e9a1ec1f528f")
 
 
 def _round_slice_reference(pr, rnd: int, n_rounds: int):

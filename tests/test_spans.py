@@ -34,9 +34,12 @@ from repro.core.tracing import (
     wall_trace_events,
 )
 from repro.dna.datasets import load_dataset
+from repro.gpu import segmented
 from repro.mpi.topology import ClusterSpec
 from repro.telemetry import MetricRegistry, MetricsServer
 from repro.telemetry.spans import SpanRecorder, span_payload, span_tree_events
+
+from .conftest import assert_block_leaves_tile
 
 pytestmark = pytest.mark.engines
 
@@ -237,14 +240,19 @@ class TestWallRowsAllStrategies:
         assert any(n.startswith("fused:exchange") for n in names)
         assert any(n.startswith("fused:count") for n in names)
 
-    def test_spill_wall_rows(self, reads, tmp_path):
+    def test_spill_wall_rows(self, reads, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 20)  # three of the four ranks share a block
         _, options = _run(reads, config=self.CONFIG, spill_dir=tmp_path / "s", trace=True)
         events = [e for e in wall_trace_events(options.trace) if e["ph"] == "X"]
         names = {e["name"] for e in events}
         assert {"spill:merge", "spill:run-write", "parse"} <= names
         assert any(n.startswith("spill:spool") for n in names)
-        # run-write rows are per-rank work, one per rank
-        assert sorted(e["tid"] for e in events if e["name"] == "spill:run-write") == [0, 1, 2, 3]
+        # run-write, read and count rows are rank-block work: one per block (and round)
+        writes = options.trace.spans("spill:run-write")
+        assert 1 < len(writes) < 4
+        assert sorted(e["tid"] for e in events if e["name"] == "spill:run-write") == sorted(s.rank for s in writes)
+        for name in ("spill:run-write", "spill:read-round0", "count-round0", "count-round1"):
+            assert_block_leaves_tile(options.trace.spans(name), 4)
 
     def test_fused_spill_wall_rows(self, reads, tmp_path):
         _, options = _run(
@@ -256,6 +264,13 @@ class TestWallRowsAllStrategies:
         assert any(n.startswith("spill:read") for n in names)
         assert any(n.startswith("fused:count") for n in names)
         assert "spill:run-write" not in names  # no external-merge run files
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["spill", "fused-spill"])
+    def test_spooled_count_stage_is_the_count_phase(self, reads, tmp_path, fused):
+        """Its first leaf is the block's ``spill:read``: the stage's phase comes from the region."""
+        _, options = _run(reads, config=self.CONFIG, fused=fused, spill_dir=tmp_path / "s", trace=True)
+        (count,) = [st for st in phase_stragglers(span_payload(options.trace)) if st.path == "count"]
+        assert count.phase == "count"
 
     def test_staged_wall_rows_unchanged(self, reads):
         _, options = _run(reads, config=self.CONFIG, trace=True)

@@ -610,22 +610,32 @@ class TestTruncatedSpoolFiles:
             r"is truncated: expected \d+ bytes, found \d+",
         )
 
-    def test_truncated_run_file(self, caplog, genome_reads, tmp_path, monkeypatch):
-        map_run = SpillSpool.map_run
+    def _assert_resized_run_file(self, caplog, reads, tmp_path, monkeypatch, delta):
+        map_runs = SpillSpool.map_runs
 
-        def truncate_then_map(self, rank):
-            path = self.dir / f"run.r{rank}.bin"
-            os.truncate(path, path.stat().st_size - 8)
-            return map_run(self, rank)
+        def resize_then_map(self, rank0):
+            path = self.dir / f"run.r{rank0}.bin"
+            os.truncate(path, path.stat().st_size + delta)
+            return map_runs(self, rank0)
 
-        monkeypatch.setattr(SpillSpool, "map_run", truncate_then_map)
+        monkeypatch.setattr(SpillSpool, "map_runs", resize_then_map)
         self._assert_truncation(
             caplog,
-            genome_reads,
+            reads,
             tmp_path,
             EngineOptions(spill_dir=tmp_path),
-            r"run\.r0\.bin \(rank 0\) is truncated: \d+ bytes is not a whole number of 16-byte",
+            r"run\.r0\.bin \(ranks? [\d.]+\) is truncated or overlong: expected \d+ bytes, found \d+",
         )
+
+    def test_truncated_run_file(self, caplog, genome_reads, tmp_path, monkeypatch):
+        self._assert_resized_run_file(caplog, genome_reads, tmp_path, monkeypatch, -8)
+
+    @pytest.mark.parametrize("delta", [-16, 16])
+    def test_run_file_resized_by_whole_entries(self, caplog, genome_reads, tmp_path, monkeypatch, delta):
+        """Cut (or padded) at an entry boundary the file still holds whole
+        16-byte entries, but the keys and counts halves no longer sit where
+        the runs' lengths put them: the index's expected length catches it."""
+        self._assert_resized_run_file(caplog, genome_reads, tmp_path, monkeypatch, delta)
 
 
 class TestHostBudgetFloor:

@@ -7,6 +7,8 @@ load, where a wall-clock floor would only drift.
 
 from __future__ import annotations
 
+import builtins
+import os
 import sys
 import tracemalloc
 import zipfile
@@ -21,7 +23,8 @@ import repro.mpi.collectives as collectives
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.gpu.hashtable import DeviceHashTable
+from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
+from repro.gpu.segmented import SegmentedHashTable
 from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
 from repro.mpi.topology import summit_gpu
 
@@ -47,14 +50,14 @@ class TestStagedRunBudgets:
     def staged_run(self, genome_reads, monkeypatch):
         unique_calls = _calls_by_caller(monkeypatch, "unique")
         argsort_calls = _calls_by_caller(monkeypatch, "argsort")
-        inserts = []
-        real_insert = DeviceHashTable.insert_batch
+        inserts = []  # keys per rank, over every block call
+        real_insert = SegmentedHashTable.insert_flat
 
-        def counting_insert(self, values, *args, **kwargs):
-            inserts.append(np.asarray(values).shape[0])
-            return real_insert(self, values, *args, **kwargs)
+        def counting_insert(self, values, seg_offsets, *args, **kwargs):
+            inserts.extend(np.diff(seg_offsets).tolist())
+            return real_insert(self, values, seg_offsets, *args, **kwargs)
 
-        monkeypatch.setattr(DeviceHashTable, "insert_batch", counting_insert)
+        monkeypatch.setattr(SegmentedHashTable, "insert_flat", counting_insert)
         cluster = summit_gpu(1)
         result = run_pipeline(
             genome_reads, cluster, PipelineConfig(k=17), options=EngineOptions(parallel=1, fused=False)
@@ -65,7 +68,7 @@ class TestStagedRunBudgets:
     def test_one_unique_per_insert_batch_none_in_the_probe_loop(self, staged_run):
         n_ranks, inserts, unique_calls, _ = staged_run
         in_table = Counter(fn for path, fn, _ in unique_calls if path.endswith("gpu/hashtable.py"))
-        assert len(inserts) == n_ranks and all(inserts)
+        assert len(inserts) == n_ranks and all(inserts)  # one round: every rank inserted once, by its block's call
         assert in_table == {"dedup_batch": len(inserts)}  # the dedup; probe_insert arbitrates without a sort
 
     def test_destination_ordering_sorts_16_bit_owners(self, staged_run):
@@ -162,3 +165,86 @@ class TestCheckpointBudgets:
                 assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
                 members.add(tuple(sorted(zf.namelist())))
         assert len(members) == 1 and len(members.pop()) == 16
+
+
+class TestRankBlockBudgets:
+    """The per-rank layout pays per rank *block*: probe loops, run files and maps (PR 24, was per rank).
+
+    A P = 24 k-mer run whose ranks fall into three blocks.  Blocks follow
+    the bytes the tables are expected to hold, so their number moves with
+    the input, not with the rank count.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, reads, nodes: int, tmp_path=None, n_rounds: int = 1):
+        """``(P, blocks, count leaves, probe_insert calls, regrows, count_rank calls, files)`` of one run."""
+        probes, regrows, per_rank_calls = [], [], []
+        opened: list[tuple[str, str]] = []
+        real_probe, real_regrow = segmented.probe_insert, SegmentedHashTable._regrow
+
+        def counting_probe(*args, **kwargs):
+            probes.append(1)
+            return real_probe(*args, **kwargs)
+
+        def counting_regrow(self, new_caps):
+            regrows.append(1)
+            return real_regrow(self, new_caps)
+
+        def counting_open(real, default_mode):
+            def wrapper(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    mode = args[0] if args else kwargs.get("mode", kwargs.get("flags", default_mode))
+                    opened.append((os.path.basename(os.fspath(file)), mode))
+                return real(file, *args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(segmented, "probe_insert", counting_probe)
+            patch.setattr(SegmentedHashTable, "_regrow", counting_regrow)
+            for substrate in (GpuSubstrate, CpuSubstrate):
+                patch.setattr(substrate, "count_rank", lambda *a, **k: per_rank_calls.append(1))
+            patch.setattr(builtins, "open", counting_open(builtins.open, "r"))
+            patch.setattr(os, "open", counting_open(os.open, None))
+            options = EngineOptions(parallel=1, trace=True, spill_dir=tmp_path)
+            cluster = summit_gpu(nodes)
+            result = run_pipeline(reads, cluster, PipelineConfig(k=15, n_rounds=n_rounds), options=options)
+        assert result.n_rounds_used == n_rounds
+        leaves = [s for s in options.trace.spans() if s.name.split("-round")[0] == "count"]
+        blocks = {tuple(s.meta["ranks"]) for s in leaves}
+        assert len(leaves) == len(blocks) * n_rounds
+        round_files = [name for name, mode in opened if name.endswith(".data")]
+        run_writes = [name for name, mode in opened if name.startswith("run.r") and mode == "wb"]
+        run_maps = [name for name, mode in opened if name.startswith("run.r") and mode != "wb"]
+        files = (len(round_files), len(run_writes), len(run_maps))
+        return cluster.n_ranks, len(blocks), len(leaves), len(probes), len(regrows), len(per_rank_calls), files
+
+    def test_probe_loops_per_block_not_per_rank(self, genome_reads, monkeypatch):
+        p, blocks, leaves, probes, regrows, per_rank_calls, _ = self._run(monkeypatch, genome_reads, 4, n_rounds=2)
+        assert (p, blocks) == (24, 3)
+        assert regrows <= leaves  # a block call re-lays its table at most once
+        assert probes <= leaves + regrows  # was P + regrowing ranks per round
+        assert per_rank_calls == 0  # count_rank is for custom count stages only
+
+    def test_spilled_run_files_per_block(self, genome_reads, tmp_path, monkeypatch):
+        p, blocks, leaves, probes, regrows, _, files = self._run(
+            monkeypatch, genome_reads, 4, tmp_path=tmp_path, n_rounds=2
+        )
+        assert (p, blocks) == (24, 3)
+        assert files == (2, blocks, blocks)  # rounds + blocks files written, blocks run files mapped; was 2P run opens
+        assert probes <= leaves + regrows
+
+    def test_growth_with_ranks_and_with_reads(self, genome_reads, tmp_path, monkeypatch):
+        base = self._run(monkeypatch, genome_reads, 4, tmp_path=tmp_path)
+        wider = self._run(monkeypatch, genome_reads, 8, tmp_path=tmp_path)  # P doubled, same input
+        both = list(range(genome_reads.n_reads)) * 2
+        larger = self._run(monkeypatch, genome_reads.select(both), 4, tmp_path=tmp_path)  # reads doubled, same P
+        (p, blocks, _, probes, regrows, _, files) = base
+        assert (wider[0], larger[0]) == (2 * p, p)
+        # Doubling P at fixed input: the same bytes, so the same blocks (within one) and so
+        # the same probe loops and files, where the per-rank bodies doubled all three.
+        assert abs(wider[1] - blocks) <= 1
+        assert wider[3] <= probes + 2 and wider[6][0] == files[0] and wider[6][1] <= files[1] + 1
+        # Doubling the reads at fixed P: round files unchanged; blocks follow the bytes, never past P.
+        assert larger[6][0] == files[0] and blocks <= larger[1] <= min(p, 2 * blocks + 1)
+        assert larger[6][1:] == (larger[1], larger[1])

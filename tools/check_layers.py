@@ -22,10 +22,10 @@ static ``ext`` import — that is by design, not an oversight.
 A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
 families both layouts must report identically, the stages' kernel-traffic
-constructor, the exchange-outcome assembly, the table's insert probe
-loop, its slot dump and the segment gather index may each appear in
-their owning file only, so neither a layout, the scheduler nor the spool
-can regrow a private copy.
+constructor, the exchange-outcome assembly, the count body's per-rank
+charge, the table's insert probe loop, its slot dump and the segment
+gather index may each appear in their owning file only, so neither a
+layout, the scheduler nor the spool can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -65,6 +65,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ('"comm_alltoallv_calls_total"', "", "mpi/collectives.py", True),
     ("TrafficEstimate(", "core/stages", "core/stages/standard.py", False),
     ("ExchangeOutcome(", "core/stages", "core/stages/standard.py", True),
+    (".charge_count(", "core/stages", "core/stages/standard.py", False),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
