@@ -36,7 +36,7 @@ def test_ablation_probing(benchmark, cache, results_dir):
                 # ``capacity`` at this load-factor cap, and no load resizes it.
                 table = DeviceHashTable(capacity // 2, probing=probing, max_load_factor=0.97)
                 assert table.capacity == capacity
-                stats = table.insert_batch(subset, assume_unique=True)
+                stats = table.insert_batch(subset)
                 row.append(f"{stats.total_probes / n:.2f} (max {stats.max_probe})")
             rows.append(row)
         return rows

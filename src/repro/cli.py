@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--table-dir",
         metavar="DIR",
         default=None,
-        help="back the fused hash table with np.memmap slabs in this directory so the "
-        "table can exceed RAM (bit-identical; pairs with --fused/--spill)",
+        help="back the hash tables with np.memmap slabs in this directory so they "
+        "can exceed RAM (bit-identical)",
     )
     p_count.add_argument(
         "--profile",

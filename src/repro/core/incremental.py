@@ -168,7 +168,9 @@ class DistributedCounter:
         and k; anything else is a configuration error and is rejected.
         """
         t0 = perf_counter()
-        self._state.load(path, k=self.config.k, table_seed=self.config.table_seed)
+        self._state.load(
+            path, k=self.config.k, table_seed=self.config.table_seed, table_dir=self.options.table_dir
+        )
         self._note_checkpoint("load", Path(path), perf_counter() - t0)
 
     def _note_checkpoint(self, op: str, path: Path, seconds: float) -> None:

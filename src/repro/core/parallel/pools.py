@@ -14,9 +14,9 @@ Determinism contract
 --------------------
 :meth:`RankPool.map` applies a pure function to each item and returns the
 results **in input order**, regardless of completion order or worker
-count.  The engine only ever submits per-rank closures that (a) touch
-rank-private state — the rank's shard, its ``VirtualGPU``, its
-``DeviceHashTable`` partition — and (b) contain no randomness beyond
+count.  The engine only ever submits per-rank or per-block closures that
+(a) touch private state — the rank's shard, its ``VirtualGPU``, its rank
+block's hash table — and (b) contain no randomness beyond
 seeded, input-derived values.  Under those conditions scheduling cannot
 influence any result, so sequential and parallel runs produce the same
 ``CountResult`` payload bit for bit; only wall-clock time changes.  The
@@ -27,7 +27,7 @@ A substrate whose workers run in other processes (``in_process`` False)
 additionally requires closures to *return* everything the caller needs:
 in-place mutation of captured objects happens in a copy-on-write fork
 child and is invisible to the parent.  The scheduler honours this by
-returning mutated tables from its count closures.
+returning its tables' state from its count closures.
 
 The switch
 ----------

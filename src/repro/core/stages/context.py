@@ -93,13 +93,10 @@ class EngineOptions:
     # A budget below one received item's working-set floor is rejected at
     # round computation with the computed floor in the error message.
     host_memory_budget: int | None = None
-    # File-backed hash tables (repro.gpu.segmented): a directory for
-    # np.memmap key/count slabs, so a rank's table can exceed anonymous
-    # RAM.  Applies to the strategies that build a SegmentedHashTable
-    # (fused and fused×spill); the staged per-rank tables stay resident
-    # and the scheduler announces an engine.table.fallback event instead.
-    # Bit-identical — np.memmap is an ndarray; only the backing store
-    # changes.  None = tables in RAM.
+    # File-backed hash tables (repro.gpu.segmented): a directory for the
+    # np.memmap key/count slabs of every table, whatever the strategy, so
+    # the tables can exceed anonymous RAM.  Bit-identical — np.memmap is an
+    # ndarray; only the backing store changes.  None = tables in RAM.
     table_dir: str | Path | None = None
 
     def __post_init__(self) -> None:

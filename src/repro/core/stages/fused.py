@@ -18,9 +18,10 @@ simulator itself:
   flat array (one block-sized index gather per block of consecutive
   destinations, straight out of the send array into the receive array —
   no P slices + concat, no index of the whole round);
-* **count** — one k-mer extraction over the whole received array and a
-  :class:`repro.gpu.segmented.SegmentedHashTable` whose probe rounds
-  span every rank's pending keys at once;
+* **count** — the block-local segmented tables every layout counts
+  into (:class:`~repro.core.stages.spill.Resident`), a block per call of
+  the one count body over views of the flat receive arrays, so probe
+  rounds span every pending key of a block of ranks at once;
 * large temporaries are recycled through a
   :class:`repro.core.memory.ScratchArena`.
 
@@ -31,10 +32,10 @@ construction rather than by keeping copies in step: per-rank model times
 and kernel telemetry are the composition's own substrate charges
 (``comp.substrate.charge_parse`` / ``charge_count``) looped over the
 per-rank figures, k-mer extraction is ``comp.count.extract_kmers``, the
-checksum and exchange seconds are ``exchange_outcome``, and the segmented
-table probes through the per-rank table's functions (see its module
-docstring).  The golden suite replays the full engine matrix with
-``fused=True`` against the same golden file.
+checksum and exchange seconds are ``exchange_outcome``, and the tables
+and the count body are the ones the per-rank layout counts with.  The golden suite
+replays the full engine matrix with ``fused=True`` against the same
+golden file.
 
 Compositions whose stages are not the standard classes (custom
 registered stages) fall back to the per-rank layout; plugin *hooks*
@@ -55,7 +56,7 @@ import numpy as np
 
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet
-from ...gpu.segmented import SegmentedHashTable, rank_blocks
+from ...gpu.segmented import rank_blocks
 from ...kmers.extract import window_values
 from ...kmers.supermers import build_supermers_with_positions
 from ...mpi.collectives import alltoallv_flat
@@ -126,14 +127,14 @@ class _FlatSend:
 
 
 class FlatLayout:
-    """The flat data layout: rank-segmented arrays + one segmented table.
+    """The flat data layout: rank-segmented arrays.
 
     The whole cluster's send buffer is one flat array (plus a counts
-    matrix), its receive buffer another, and all P table partitions live
-    in one :class:`~repro.gpu.segmented.SegmentedHashTable` — so each
-    superstep is one whole-cluster block on the driving thread, recorded
-    as a rank-0 wall span named ``fused:*`` (distinct from the per-rank
-    layout's per-rank rows, which these blocks are *not*).
+    matrix) and its receive buffer another, so parse and exchange are one
+    whole-cluster block each on the driving thread, recorded as rank-0
+    wall spans named ``fused:*``.  The count runs the residency's table
+    blocks on the driving thread too (no pool), each over its views of
+    the receive arrays (:meth:`block_recv`), as ``fused:count`` leaves.
     """
 
     flat = True
@@ -144,7 +145,7 @@ class FlatLayout:
         self.arena = arena
 
     def pool(self) -> None:
-        """Supersteps run on the driving thread (parse blocks fetch their own pool)."""
+        """Supersteps and count blocks run on the driving thread (parse blocks fetch their own pool)."""
         return None
 
     # -- the driver's layout calls ------------------------------------
@@ -174,47 +175,16 @@ class FlatLayout:
     def release(self, send: _FlatSend) -> None:
         self.arena.release(send.data, send.lengths)
 
-    def tables(self, state, hints: list[int], recv_items, cleanup) -> SegmentedHashTable:
-        opts = self.sched.opts
-        if state is None:
-            table = SegmentedHashTable(
-                hints, seed=self.sched.config.table_seed, table_dir=opts.table_dir
-            )
-            cleanup.callback(table.close)  # reclaims the mmap slab files when table_dir is set
-            return table
-        if state.fused_table is None:
-            # Adopt the per-rank tables layout-verbatim, so a state that
-            # already counted per-rank batches continues bit-identically.
-            state.fused_table = SegmentedHashTable.from_tables(state.tables, table_dir=opts.table_dir)
-            state.tables = state.fused_table.views()
-        return state.fused_table
+    def block_recv(self, outcome: ExchangeOutcome, r0: int, r1: int):
+        """Ranks ``[r0, r1)``'s segments of the receive arrays (views): ``(recv, lengths, offsets)``."""
+        offs = outcome.recv_offsets
+        lo, hi = int(offs[r0]), int(offs[r1])
+        lengths = outcome.recv_lengths[lo:hi] if outcome.recv_lengths is not None else None
+        return outcome.recv_data[lo:hi], lengths, offs[r0 : r1 + 1] - lo
 
-    def count(self, table, outcome: ExchangeOutcome, suffix: str, sctx, acct) -> None:
-        t0 = perf_counter()
-        times, n_seen, stats = self.sched.comp.count.count_block(
-            table, outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets, sctx
-        )
-        if sctx.recorder is not None:
-            sctx.recorder.record("fused:count" + suffix, 0, t0, perf_counter())
+    def release_recv(self, outcome: ExchangeOutcome) -> None:
+        """Hand the round's receive arrays back to the arena once every block is counted."""
         self.arena.release(outcome.recv_data, outcome.recv_lengths)
-        acct.add_count(0, times, n_seen, stats)
-
-    def merge(self, table: SegmentedHashTable):
-        # Plugins adjust each rank partition separately, so keep the
-        # per-rank item lists when any are active.  Without plugins the
-        # merge is one global np.unique over the concatenation, which is
-        # order-insensitive (integer count sums are exact in float64), so
-        # a single whole-table extraction replaces p masked key sorts.
-        merge = self.sched.comp.merge
-        if merge.plugins:
-            pairs = [table.items_of(r) for r in range(self.sched.cluster.n_ranks)]
-        else:
-            pairs = [table.items_flat()]
-        return merge.merge_items(pairs, self.sched.config.k)
-
-    def fill(self, table: SegmentedHashTable) -> tuple[list[int], list[float]]:
-        entries = [int(n) for n in table.n_entries_per_rank]
-        return entries, [n / int(c) for n, c in zip(entries, table.capacities)]
 
     # -- parse phase -------------------------------------------------
 

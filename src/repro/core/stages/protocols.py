@@ -21,7 +21,7 @@ import numpy as np
 
 from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate
-from ...gpu.hashtable import DeviceHashTable, InsertStats
+from ...gpu.hashtable import InsertStats, SegmentedRankView
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.topology import ClusterSpec
 from ..config import PipelineConfig
@@ -101,7 +101,7 @@ class CountStage(Protocol):
         """
         ...
 
-    def insert(self, table: DeviceHashTable, kmers: np.ndarray):
+    def insert(self, table: SegmentedRankView, kmers: np.ndarray):
         """Insert into the rank's table partition -> InsertStats."""
         ...
 
@@ -110,7 +110,7 @@ class CountStage(Protocol):
 class MergeStage(Protocol):
     """Fold per-rank table partitions into the global spectrum."""
 
-    def merge_tables(self, tables: list[DeviceHashTable], k: int) -> KmerSpectrum: ...
+    def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum: ...
 
     def merge_items(self, pairs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum: ...
 
@@ -143,7 +143,7 @@ class Substrate(Protocol):
         rank: int,
         recv: np.ndarray,
         lengths: np.ndarray | None,
-        table: DeviceHashTable,
+        table: SegmentedRankView,
         count: CountStage,
         ctx: "StageContext",
     ) -> CountOutcome: ...

@@ -25,8 +25,11 @@ are the 2×2 of two small objects the driver calls, each hiding a data
 format: a *layout* (:class:`PerRankLayout` here |
 :class:`~repro.core.stages.fused.FlatLayout`) and a *residency*
 (:class:`~repro.core.stages.spill.Resident` |
-:class:`~repro.core.stages.spill.Spooled`).  :class:`RoundAccounting` is
-the one place their outcomes are summed.
+:class:`~repro.core.stages.spill.Spooled`).  The layouts differ only in
+the parse/exchange data format and in whether count blocks run on the
+pool; the tables are the residency's, block-local segmented tables under
+every cell.  :class:`RoundAccounting` is the one place their outcomes are
+summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
 the persistent per-rank tables and accounting across batches, and its
@@ -48,9 +51,8 @@ from time import perf_counter
 import numpy as np
 
 from ...dna.reads import ReadSet
-from ...gpu.hashtable import EMPTY_KEY, DeviceHashTable, InsertStats, dump_slots, restore_slots
-from ...gpu.segmented import SegmentedHashTable, SegmentedRankView, table_blocks, view_blocks
-from ...kmers.spectrum import KmerSpectrum
+from ...gpu.hashtable import EMPTY_KEY, InsertStats, SegmentedRankView, dump_slots
+from ...gpu.segmented import SegmentedHashTable, table_blocks
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
@@ -66,8 +68,7 @@ from .context import EngineOptions, StageContext
 from .fused import FlatLayout, supports_fusion
 from .protocols import Substrate
 from .registry import StageComposition
-from .spill import Resident, Spooled, supports_spill
-from .standard import TableCount
+from .spill import Resident, Spooled, block_table, supports_spill
 
 __all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "PerRankLayout", "Strategy"]
 
@@ -126,7 +127,10 @@ class PipelineState:
     """Persistent cross-batch state: table partitions + accounting.
 
     This is what checkpoint/resume serializes; a scheduler folds each batch
-    into it.  The checkpoint (format version 3, an uncompressed ``.npz``
+    into it.  ``tables`` holds one view per rank of block-local tables,
+    born by the first batch that counts keys into the state (or by
+    :meth:`load`); every later batch counts through those blocks, whichever
+    layout runs it.  The checkpoint (format version 3, an uncompressed ``.npz``
     whose zip CRC-32s detect corruption) holds the tables *as they are*:
     ``capacities`` (one per rank), and for the ranks' regions laid end to
     end the ``occupancy`` bitmap and the occupied ``keys``/``counts`` in
@@ -142,23 +146,19 @@ class PipelineState:
     wherever it was cut and whichever layout saved or resumes it.
     """
 
-    # One table-like per rank: plain tables when fresh or loaded, a layout's
-    # views of its segmented table(s) once a batch has been counted.
-    tables: list[DeviceHashTable | SegmentedRankView]
+    tables: list[SegmentedRankView]
     timing: PhaseTiming
     traffic: TrafficStats
     received_kmers: np.ndarray
     exchanged_items: int
     n_batches: int
     insert_stats: InsertStats
-    # Set by the fused engine on first use: the SegmentedHashTable whose
-    # per-rank views then populate ``tables``.  Reset on checkpoint load.
-    fused_table: object | None = None
 
     @classmethod
     def fresh(cls, n_ranks: int, table_seed: int) -> "PipelineState":
+        """A state with no keys: empty 128-slot regions, born again by the first batch in its own blocks."""
         return cls(
-            tables=[DeviceHashTable(64, seed=table_seed) for _ in range(n_ranks)],
+            tables=block_table([64] * n_ranks, table_seed).views(),
             timing=PhaseTiming(0.0, 0.0, 0.0),
             traffic=TrafficStats(),
             received_kmers=np.zeros(n_ranks, dtype=np.int64),
@@ -170,8 +170,10 @@ class PipelineState:
     def save(self, path: str | Path, *, k: int) -> Path:
         """Persist the state (tables + accounting) as an ``.npz`` at exactly ``path``.
 
-        Written to a sibling temp file and renamed over ``path``, so a save
-        that dies midway leaves the previous checkpoint intact.
+        Written to a sibling temp file, synced to disk and renamed over
+        ``path``, then the rename is synced with the directory: a save that
+        dies midway, or a crash after it returns, leaves one complete
+        checkpoint at ``path``.
         """
         path = Path(path)
         p = len(self.tables)
@@ -206,17 +208,27 @@ class PipelineState:
             # A file object, not a name: numpy appends ".npz" to bare names.
             with open(tmp, "wb") as fh:
                 np.savez(fh, **payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         return path
 
-    def load(self, path: str | Path, *, k: int, table_seed: int) -> None:
+    def load(self, path: str | Path, *, k: int, table_seed: int, table_dir: Path | None = None) -> None:
         """Restore state saved by :meth:`save` into this object, or leave it untouched.
 
         The file is read and validated whole before anything is assigned.
         The state must match the checkpoint's cluster size and k; anything
-        else is a configuration error and is rejected.
+        else is a configuration error and is rejected.  The slots are
+        restored straight into block tables (``table_blocks`` of the ranks'
+        entries, backed by ``table_dir`` when given), one
+        :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots` per block.
         """
         p = len(self.tables)
         members = _read_checkpoint(path)
@@ -256,20 +268,18 @@ class PipelineState:
         traffic_bytes = member("traffic_bytes", (n, p, p))
         traffic_items = member("traffic_items", (n, p, p))
 
-        tables = [
-            DeviceHashTable.from_slots(
-                *restore_slots(
-                    int(capacities[r]),
-                    occupancy[bounds[r] // 8 : bounds[r + 1] // 8],
-                    keys[filled[r] : filled[r + 1]],
-                    counts[filled[r] : filled[r + 1]],
-                ),
+        tables = []
+        for r0, r1 in table_blocks(np.diff(filled)):
+            table = SegmentedHashTable.from_slots(
+                capacities[r0:r1],
+                occupancy[bounds[r0] // 8 : bounds[r1] // 8],
+                keys[filled[r0] : filled[r1]],
+                counts[filled[r0] : filled[r1]],
                 seed=table_seed,
+                table_dir=table_dir,
             )
-            for r in range(p)
-        ]
+            tables.extend(table.views())
         self.tables = tables
-        self.fused_table = None
         self.received_kmers = received
         self.n_batches = scalars["n_batches"]
         self.exchanged_items = scalars["exchanged_items"]
@@ -442,28 +452,18 @@ class RoundAccounting:
 
 
 class PerRankLayout:
-    """The per-rank data layout: one send buffer per rank, tables in rank blocks.
+    """The per-rank data layout: one send and one receive buffer per rank.
 
     Each rank's parse output is its own :class:`RankParse` and the parse
-    phase is P independent ``parse_rank`` calls mapped over the rank pool.
-    The table partitions live in block-local segmented tables — one
-    :class:`~repro.gpu.segmented.SegmentedHashTable` per run of consecutive
-    ranks whose regions total about a cache's worth
-    (:func:`~repro.gpu.segmented.table_blocks`) — and the tables the driver
-    and the state hold are their per-rank views.  The count phase maps over
-    the blocks: a block's received buffers are counted by one call of the
-    one count body (:meth:`TableCount.count_block`), so a round costs a
-    probe loop per block, not per rank, and growth re-lays one block.  This
-    is the layout custom stages see (a custom count stage is run rank by
-    rank on the views); the flat twin
-    (:class:`~repro.core.stages.fused.FlatLayout`) keeps every rank in one
-    table and one receive array.
-
-    Parallel rank-execution contract: each closure touches block-private
-    state only and ``pool.map`` returns results in order, so any substrate
-    is bit-identical to the sequential loop.  An out-of-process worker
-    mutates a copy-on-write clone of its block's table, so the closures
-    return the table's slabs for the driving process to adopt.
+    phase is P independent ``parse_rank`` calls mapped over the rank pool;
+    the exchange stage moves per-rank lists.  The tables are the
+    residency's (block-local segmented tables, one per rank block); what
+    this layout adds to the count is the form of a block's receive buffers
+    (:meth:`block_recv`, the ranks' buffers back to back) and a pool the
+    blocks run on.  This is the layout custom stages see (a custom count
+    stage is run rank by rank on the table views); the flat twin
+    (:class:`~repro.core.stages.fused.FlatLayout`) keeps rank-segmented
+    flat arrays instead.
     """
 
     flat = False
@@ -526,90 +526,19 @@ class PerRankLayout:
     def release(self, parsed) -> None:
         """Send buffers are plain arrays, freed when the driver drops them."""
 
-    def block_table(self, hints: list[int]) -> SegmentedHashTable:
-        """A fresh table for one block of consecutive ranks, a region per capacity hint."""
-        return SegmentedHashTable(hints, seed=self.sched.config.table_seed)
-
-    def tables(
-        self, state: PipelineState | None, hints: list[int], recv_items: np.ndarray, cleanup
-    ) -> list[SegmentedRankView]:
-        """Every rank's view of its block's table; ``recv_items`` sizes the blocks.
-
-        A state still holding plain per-rank tables (fresh, or loaded from
-        a checkpoint) has them adopted into block tables slot for slot, as
-        the flat layout adopts them into one; a state either layout already
-        adopted is counted through the parents it has.
-        """
-        if state is None:
-            return [v for r0, r1 in table_blocks(recv_items) for v in self.block_table(hints[r0:r1]).views()]
-        plain = state.tables
-        if plain and isinstance(plain[0], DeviceHashTable):
-            expected = recv_items + np.array([t.n_entries for t in plain])
-            state.tables = [
-                view
-                for r0, r1 in table_blocks(expected)
-                for view in SegmentedHashTable.from_tables(plain[r0:r1]).views()
-            ]
-        return state.tables
-
-    def count_block(self, table: SegmentedHashTable, r0: int, recv, lengths, offsets, sctx: StageContext):
-        """Count ranks ``r0, r0 + 1, ...`` — all of ``table``'s — from their back-to-back receive segments.
-
-        Returns ``(times, n_seen, stats)`` per rank.  The standard count
-        stage runs the one count body over the block; a custom one is an
-        unknown class (the ``supports_fusion`` rule applied to one stage)
-        and runs ``count_rank`` rank by rank on the table's views.
-        """
-        comp = self.sched.comp
-        if type(comp.count) is TableCount:
-            return comp.count.count_block(table, recv, lengths, offsets, sctx, rank0=r0, table_rank0=r0)
-        outcomes = [
-            comp.substrate.count_rank(
-                r0 + i,
-                recv[offsets[i] : offsets[i + 1]],
-                lengths[offsets[i] : offsets[i + 1]] if lengths is not None else None,
-                table.view(i),
-                comp.count,
-                sctx,
-            )
-            for i in range(table.n_ranks)
-        ]
+    def block_recv(self, outcome: ExchangeOutcome, r0: int, r1: int):
+        """Ranks ``[r0, r1)``'s received buffers back to back: ``(recv, lengths, offsets)``."""
+        offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
+        np.cumsum([buf.shape[0] for buf in outcome.recv_data[r0:r1]], out=offsets[1:])
+        recv_lengths = outcome.recv_lengths
         return (
-            np.array([co.time_s for co in outcomes]),
-            np.array([co.n_instances for co in outcomes], dtype=np.int64),
-            [co.insert_stats for co in outcomes],
+            _block_buffer(outcome.recv_data[r0:r1]),
+            _block_buffer(recv_lengths[r0:r1]) if recv_lengths is not None else None,
+            offsets,
         )
 
-    def count(self, tables, outcome: ExchangeOutcome, suffix: str, sctx: StageContext, acct) -> None:
-        recorder = sctx.recorder
-        recv_data, recv_lengths = outcome.recv_data, outcome.recv_lengths
-        ship_back = not sctx.pool.in_process
-
-        def _count_block(block):
-            r0, r1, table = block
-            t0 = perf_counter()
-            offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-            np.cumsum([buf.shape[0] for buf in recv_data[r0:r1]], out=offsets[1:])
-            recv = _block_buffer(recv_data[r0:r1])
-            lengths = _block_buffer(recv_lengths[r0:r1]) if recv_lengths is not None else None
-            counted = self.count_block(table, r0, recv, lengths, offsets, sctx)
-            if recorder is not None:
-                recorder.record("count" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
-            return counted, table.slabs() if ship_back else None
-
-        blocks = view_blocks(tables)
-        for (r0, _, table), (counted, slabs) in zip(
-            blocks, sctx.pool.map(_count_block, blocks, recorder=recorder)
-        ):
-            if slabs is not None:
-                table.adopt(*slabs)
-            acct.add_count(r0, *counted)
-
-    def merge(self, tables: list[SegmentedRankView]) -> KmerSpectrum:
-        return self.sched.comp.merge.merge_tables(tables, self.sched.config.k)
-
-    def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
-        return [t.n_entries for t in tables], [t.load_factor for t in tables]
+    def release_recv(self, outcome: ExchangeOutcome) -> None:
+        """Receive buffers are plain arrays, freed when the driver drops them."""
 
 
 def _block_buffer(parts: list[np.ndarray]) -> np.ndarray:
@@ -686,12 +615,11 @@ class RoundScheduler:
            (``engine.fused.fallback``): the flat layout runs the standard
            stages' bodies over all ranks at once.  Plugins are fine on
            both rungs — they act through the standard seams.
-        3. ``table_dir`` without the flat layout leaves the tables
-           resident (``engine.table.fallback``): the mmap backing is a
-           :class:`~repro.gpu.segmented.SegmentedHashTable` feature.
-        4. A process pool under the per-rank layout with stateful plugins
+        3. A process pool under the per-rank layout with stateful plugins
            becomes a thread pool (``engine.process.fallback``, see
            :meth:`PerRankLayout.pool`).
+
+        ``table_dir`` is no rung: it backs the tables of every cell.
         """
         opts, comp = self.opts, self.comp
         if self._strategy is not None and self._strategy.opts is opts:
@@ -709,11 +637,6 @@ class RoundScheduler:
             via = "spilling via the staged loop" if spooled else "using staged path"
             fallback("fused", f"composition has custom stages; {via}")
             flat = False
-        if opts.table_dir is not None and not flat:
-            fallback(
-                "table",
-                "table_dir applies to the fused segmented table; per-rank tables stay resident",
-            )
         arena = opts.arena if opts.arena is not None else ScratchArena()
         if flat:
             layout = FlatLayout(self, arena)
@@ -867,11 +790,11 @@ class RoundScheduler:
         hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]
 
         # One cleanup scope for everything a drive opens: the residency's
-        # spool directory and a one-shot flat table's mmap slabs are
-        # reclaimed on any exit, success or raise.
+        # spool directory and a one-shot drive's table slabs are reclaimed
+        # on any exit, success or raise.
         with ExitStack() as cleanup:
             residency = strategy.residency(layout, cleanup)
-            tables = None if residency.spooled else layout.tables(state, hints, recv_items, cleanup)
+            tables = None if residency.spooled else residency.tables(state, hints, recv_items)
 
             # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
             for rnd in range(n_rounds):
@@ -903,19 +826,19 @@ class RoundScheduler:
                     acct.add_exchange(rnd, outcome)
                     if not residency.spooled:
                         with recording_region(recorder, "count", cat="stage", **meta):
-                            layout.count(tables, outcome, suffix, sctx, acct)
+                            residency.count_round(tables, outcome, suffix, sctx, acct)
                     # Round-owned slices and receive views die with their round,
                     # not when the next round's are already built beside them.
                     del round_send, outcome
 
             # Every round is exchanged: drop the send buffers *before* a
             # spooled count starts, so its peak residency is one rank
-            # (block)'s partition + table, not the whole parse output.
+            # block's partitions + table, not the whole parse output.
             layout.release(send)
             del send
             if residency.spooled:
                 with recording_region(recorder, "count", cat="stage"):
-                    tables = residency.count(state, hints, cleanup, sctx, acct)
+                    tables = residency.count(state, hints, sctx, acct)
 
             if one_shot:
                 # ---- merge the partitioned global table into one spectrum ----

@@ -1,4 +1,4 @@
-"""The residency axis of the round driver: receive buffers in RAM or on disk.
+"""The residency axis of the round driver: receive buffers in RAM or on disk, and their tables.
 
 Held entirely in RAM, a run keeps the parsed send buffers, every rank's
 received buffer, and all P hash-table partitions live simultaneously,
@@ -26,8 +26,11 @@ the missing pieces:
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
   chooses between: the layout's own in-memory exchange, or every round
-  spooled first and the count phase streamed back from disk in the
-  layout's format (see :class:`Spooled` for what stays resident).
+  spooled first and the count phase streamed back from disk a table block
+  at a time (see :class:`Spooled` for what stays resident).  Both
+  count into the one kind of table, born here (:func:`block_table`): a
+  block-local :class:`~repro.gpu.segmented.SegmentedHashTable` per rank
+  block, whatever the layout, backed by ``table_dir`` when it is set.
 
 Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
 gathered one destination block at a time — the blocked segment gather of
@@ -35,9 +38,9 @@ gathered one destination block at a time — the blocked segment gather of
 and costs one ``open`` and one write per block — Python-level work per round is P slices per block, not
 P² segment copies and P files — and is read back with positional reads at
 indexed offsets through the descriptor opened at the first append, a whole
-rank block at a time where the layout counts in blocks.  A file shorter
-than its index says is an ``OSError`` naming file, label, ranks and the
-expected and found bytes, never a silently smaller count.
+rank block at a time.  A file shorter than its index says is an
+``OSError`` naming file, label, ranks and the expected and found bytes,
+never a silently smaller count.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the resident
@@ -61,20 +64,22 @@ from time import perf_counter
 
 import numpy as np
 
-from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks, view_blocks
+from ...gpu.hashtable import SegmentedRankView
+from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome
 from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, exchange_outcome
+from .standard import AlltoallvExchange, SpectrumMerge, TableCount, exchange_outcome
 
 __all__ = [
     "Resident",
     "SpillExchange",
     "SpillSpool",
     "Spooled",
+    "block_table",
     "external_merge",
     "supports_spill",
 ]
@@ -82,11 +87,17 @@ __all__ = [
 #: Keys loaded from each sorted run per refill during the external merge.
 MERGE_BLOCK_KEYS = 1 << 16
 
-#: Target bytes of spooled partition data streamed back per rank block in
-#: the flat layout's spooled count phase.  One block's receive buffer (plus
-#: its extraction copy) is the path's peak transient; 16 MiB keeps it cache-
-#: friendly while amortizing the per-read syscall cost.
-FUSED_SPILL_BLOCK_BYTES = 1 << 24
+
+def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHashTable:
+    """A new table for one block of consecutive ranks, a region per capacity hint.
+
+    The one place the engine's tables are born — a one-shot drive's and an
+    empty state's, in the blocks of :func:`~repro.gpu.segmented.table_blocks`,
+    and a fresh state's — and ``table_dir`` backs every one of them with
+    ``np.memmap`` slabs (a checkpoint's tables are restored by
+    :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots`).
+    """
+    return SegmentedHashTable(hints, seed=seed, table_dir=table_dir)
 
 
 def supports_spill(comp: StageComposition) -> bool:
@@ -588,27 +599,144 @@ class Resident:
     """Residency in RAM: the layout's own exchange, counted round by round.
 
     The receive buffers of one round are live arrays, so the driver counts
-    them inside the round and the next round overwrites them; tables,
-    merge and fill statistics are whatever the layout keeps.  ``cleanup``
-    is the driver's exit scope — nothing to register for RAM.
+    them inside the round and the next round overwrites them.  Both layouts
+    count into the same tables: block-local segmented tables (:meth:`tables`)
+    counted a block per call of :meth:`count_block`, on the layout's pool
+    or, for the flat layout, on the driving thread.  ``cleanup`` is the
+    driver's exit scope: it closes a one-shot drive's tables (their mmap
+    slabs when ``table_dir`` is set) on any exit.
     """
 
     spooled = False
 
     def __init__(self, layout, cleanup) -> None:
         self.layout = layout
+        self.sched = layout.sched
+        self.cleanup = cleanup
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
 
     def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
         return self.layout.exchange(round_send, label, sctx)
 
-    def merge(self, tables) -> tuple[str, KmerSpectrum]:
-        """``(work-leaf name, spectrum)`` of the one-shot merge."""
-        return self.layout.prefix + "merge", self.layout.merge(tables)
+    def born(self, hints) -> SegmentedHashTable:
+        """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
+        return block_table(hints, self.sched.config.table_seed, self.sched.opts.table_dir)
 
-    def fill(self, tables) -> tuple[list[int], list[float]]:
+    def tables(self, state, hints: list[int], recv_items: np.ndarray) -> list[SegmentedRankView]:
+        """Every rank's view of its block's table, in the blocks ``table_blocks(recv_items)`` gives.
+
+        A one-shot drive's (``state is None``) are born here at ``hints``
+        and closed on the drive's exit.  A state holding keys is counted
+        through the blocks it has, whichever layout chose them, so a layout
+        flip copies nothing; one holding none (fresh, or loaded from an
+        empty checkpoint) is born again in this drive's blocks at the
+        capacities it has.
+        """
+        if state is not None:
+            if any(t.n_entries for t in state.tables):
+                return state.tables
+            # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
+            hints = [int(t.capacity * t.max_load_factor) for t in state.tables]
+        tables = []
+        for r0, r1 in table_blocks(recv_items):
+            table = self.born(hints[r0:r1])
+            if state is None:
+                self.cleanup.callback(table.close)
+            tables.extend(table.views())
+        if state is not None:
+            state.tables = tables
+        return tables
+
+    def count_block(self, table: SegmentedHashTable, r0: int, recv, lengths, offsets, sctx):
+        """Count ranks ``r0, r0 + 1, ...`` — all of ``table``'s — from back-to-back receive segments.
+
+        Returns ``(times, n_seen, stats)`` per rank.  The standard count
+        stage runs the one count body over the block; a custom one is an
+        unknown class (the ``supports_fusion`` rule applied to one stage)
+        and runs ``count_rank`` rank by rank on the table's views.
+        """
+        comp = self.sched.comp
+        if type(comp.count) is TableCount:
+            return comp.count.count_block(table, recv, lengths, offsets, sctx, rank0=r0)
+        outcomes = [
+            comp.substrate.count_rank(
+                r0 + i,
+                recv[offsets[i] : offsets[i + 1]],
+                lengths[offsets[i] : offsets[i + 1]] if lengths is not None else None,
+                table.view(i),
+                comp.count,
+                sctx,
+            )
+            for i in range(table.n_ranks)
+        ]
+        return (
+            np.array([co.time_s for co in outcomes]),
+            np.array([co.n_instances for co in outcomes], dtype=np.int64),
+            [co.insert_stats for co in outcomes],
+        )
+
+    def map_blocks(self, fn, blocks: list, sctx) -> list:
+        """``fn(block)`` for every ``(r0, r1, table)`` block, results in block order.
+
+        The flat layout has no pool: its blocks run on the driving thread.
+        On the per-rank layout's pool each closure touches its own block
+        only, so any substrate equals the sequential loop; an out-of-process
+        worker counts into a copy-on-write clone of the block's table, whose
+        state then travels back for the table here to adopt.
+        """
+        pool = sctx.pool
+        if pool is None:
+            return [fn(block) for block in blocks]
+        if pool.in_process:
+            return pool.map(fn, blocks, recorder=sctx.recorder)
+
+        def shipped(block):
+            out = fn(block)
+            return out, None if block[2] is None else block[2].slabs()
+
+        results = pool.map(shipped, blocks, recorder=sctx.recorder)
+        for (_, _, table), (_, slabs) in zip(blocks, results):
+            if table is not None:
+                table.adopt(*slabs)
+        return [out for out, _ in results]
+
+    def count_round(
+        self, tables: list[SegmentedRankView], outcome: ExchangeOutcome, suffix: str, sctx, acct
+    ) -> None:
+        """Count one round's receive buffers into ``tables``, a block per :meth:`count_block` call."""
+        layout, recorder = self.layout, sctx.recorder
+        leaf = layout.prefix + "count" + suffix
+
+        def _count(block):
+            r0, r1, table = block
+            t0 = perf_counter()
+            counted = self.count_block(table, r0, *layout.block_recv(outcome, r0, r1), sctx)
+            if recorder is not None:
+                recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
+            return counted
+
+        blocks = view_blocks(tables)
+        for (r0, _, _), counted in zip(blocks, self.map_blocks(_count, blocks, sctx)):
+            acct.add_count(r0, *counted)
+        layout.release_recv(outcome)
+
+    def merge(self, tables: list[SegmentedRankView]) -> tuple[str, KmerSpectrum]:
+        """``(work-leaf name, spectrum)`` of the one-shot merge.
+
+        The standard merge without plugins takes each block table's items
+        in one storage pass — no per-rank key sorts, its ``np.unique``
+        re-sorts anyway; any other merge sees every rank's table.
+        """
+        merge, k = self.sched.comp.merge, self.sched.config.k
+        if type(merge) is SpectrumMerge and not merge.plugins:
+            spectrum = merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
+        else:
+            spectrum = merge.merge_tables(tables, k)
+        return self.layout.prefix + "merge", spectrum
+
+    def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
         """Per-rank ``(entries, load factor)`` of the final partitions."""
-        return self.layout.fill(tables)
+        return [t.n_entries for t in tables], [t.load_factor for t in tables]
 
 
 class Spooled(Resident):
@@ -617,24 +745,16 @@ class Spooled(Resident):
     Every round's send buffers go through :class:`SpillExchange` into one
     spool directory per drive (removed by the driver's cleanup scope on
     any exit).  Once the driver has dropped the send buffers, :meth:`count`
-    streams the partitions back in the layout's format:
-
-    * per-rank layout — one *rank block* at a time on the pool
-      (:meth:`_stream_ranks`; the blocks of the layout's block-local
-      tables).  A one-shot run counts each block into a fresh table, dumps
-      it as one file of sorted per-rank ``(key, count)`` runs and frees it
-      before the worker's next block, and merges the runs externally
-      (a heap orders the run cursors, cf. the ``heapq`` idiom in
-      :mod:`repro.ext.balanced`) — peak residency is one block's
-      partitions + table per worker, not P of them.  A batch counts into
-      the persistent tables, which are the cross-batch state itself.
-    * flat layout — one consecutive rank block at a time
-      (:meth:`_stream_blocks`, :data:`FUSED_SPILL_BLOCK_BYTES` per block)
-      into the segmented table, which ``EngineOptions(table_dir=)`` makes
-      file-backed; the merge is the layout's in-memory one.
-
-    Both read a block's rounds back and count them through
-    :meth:`_stream_rounds` and the one count body.
+    streams the partitions back one table block at a time: a block's
+    extent of each round is one positional read (:meth:`_stream_rounds`),
+    counted by the one count body.  A one-shot run counts each block into a table born for it,
+    dumps the table as one file of sorted per-rank ``(key, count)`` runs
+    and frees it before the next block, and merges the runs externally (a
+    heap orders the run cursors, cf. the ``heapq`` idiom in
+    :mod:`repro.ext.balanced`) — peak residency is one block's partitions
+    and table per worker, not P of them, whatever the layout.  A batch
+    counts into the persistent tables, which are the cross-batch state
+    itself.
     """
 
     spooled = True
@@ -642,7 +762,7 @@ class Spooled(Resident):
     def __init__(self, layout, cleanup) -> None:
         super().__init__(layout, cleanup)
         self.exchange_leaf = "spill:spool"  # one whole-cluster block on the driving thread
-        self.spool = SpillSpool(Path(layout.sched.opts.spill_dir), arena=layout.arena)
+        self.spool = SpillSpool(Path(self.sched.opts.spill_dir), arena=layout.arena)
         # A failed exit is announced (engine.spill.cleanup) before removal.
         cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
         self.labels: list[str] = []
@@ -657,14 +777,10 @@ class Spooled(Resident):
         self.round_recv.append(outcome.counts_matrix.sum(axis=0))
         return outcome
 
-    def count(self, state, hints: list[int], cleanup, sctx, acct):
-        """Stream every spooled round back and count it; returns the tables."""
+    def count(self, state, hints: list[int], sctx, acct):
+        """Stream every spooled round back and count it; returns a batch's tables (``None`` one-shot)."""
         recv_items = np.sum(self.round_recv, axis=0)
-        if self.layout.flat:
-            table = self.layout.tables(state, hints, recv_items, cleanup)
-            self._stream_blocks(table, recv_items, sctx, acct)
-            return table
-        tables = None if state is None else self.layout.tables(state, hints, recv_items, cleanup)
+        tables = None if state is None else self.tables(state, hints, recv_items)
         self._stream_ranks(tables, hints, recv_items, sctx, acct)
         return tables
 
@@ -697,20 +813,18 @@ class Spooled(Resident):
         return counted
 
     def _stream_ranks(self, tables, hints: list[int], recv_items: np.ndarray, sctx, acct) -> None:
-        """Per-rank layout's streamed count, one rank block at a time on the pool.
+        """The streamed count, one table block at a time (:meth:`map_blocks`).
 
         Each block's stream is private in memory (its own table) and on
         disk (its own extent of each round's segment file, read at an
         offset through the shared descriptor, and its own run file), so the
         pool may run block streams concurrently on any substrate.
-        ``tables is None`` is the one-shot run: a fresh table per block,
-        dumped as one file of sorted per-rank runs and freed before the
-        worker's next block.  As on every per-rank path, a persistent
-        table's slabs travel back from out-of-process substrates.
+        ``tables is None`` is the one-shot run: a table born per block,
+        dumped as one file of sorted per-rank runs and closed before the
+        worker's next block.
         """
-        layout, spool, recorder = self.layout, self.spool, sctx.recorder
-        merge_plugins = layout.sched.comp.merge.plugins
-        ship_back = not sctx.pool.in_process
+        spool = self.spool
+        leaf = self.layout.prefix + "count"
         if tables is None:
             blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
         else:
@@ -718,72 +832,51 @@ class Spooled(Resident):
 
         def _stream_one(block):
             r0, r1, table = block
-            if tables is None:
-                table = layout.block_table(hints[r0:r1])
-            counted = self._stream_rounds(
-                r0, r1, lambda *received: layout.count_block(table, r0, *received, sctx), "count", sctx
-            )
-            if tables is not None:
-                return counted, table.slabs() if ship_back else None
-            t0 = perf_counter()
-            runs = []
-            for i in range(r1 - r0):
-                values, counts = table.items_of(i)
-                for plugin in merge_plugins:
-                    values, counts = plugin.adjust_merge_items(values, counts)
-                if values.size > 1 and not np.all(values[1:] > values[:-1]):
-                    order = np.argsort(values, kind="stable")
-                    values, counts = values[order], counts[order]
-                runs.append((values, counts))
-            entries = spool.write_runs(r0, runs)
-            if recorder is not None:
-                recorder.record("spill:run-write", r0, t0, perf_counter(), ranks=[r0, r1])
-            return counted, (entries, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities)
+            one_shot = table is None
+            if one_shot:
+                table = self.born(hints[r0:r1])
+            try:
+                counted = self._stream_rounds(
+                    r0, r1, lambda *received: self.count_block(table, r0, *received, sctx), leaf, sctx
+                )
+                return counted, self._dump_runs(r0, table, sctx) if one_shot else None
+            finally:
+                if one_shot:
+                    table.close()
 
-        streamed = sctx.pool.map(_stream_one, blocks, recorder=recorder)
+        streamed = self.map_blocks(_stream_one, blocks, sctx)
         for label in self.labels:  # the last block is counted: free the rounds' files
             spool.drop_partitions(label)
         fill: tuple[list[int], list[float]] = ([], [])
-        for (r0, _, table), (counted, kept) in zip(blocks, streamed):
+        for (r0, _, _), (counted, kept) in zip(blocks, streamed):
             for round_counted in counted:  # round order per rank: identical float accumulation
                 acct.add_count(r0, *round_counted)
-            if tables is None:
+            if kept is not None:
                 spool.index_runs(r0, kept[0])
                 fill[0].extend(kept[1].tolist())
                 fill[1].extend(kept[2].tolist())
-            elif kept is not None:
-                table.adopt(*kept)
         if tables is None:
             self.run_fill = fill
 
-    def _stream_blocks(self, table: SegmentedHashTable, recv_items: np.ndarray, sctx, acct) -> None:
-        """Flat layout's streamed count into ``table``, one rank block at a time.
-
-        Blocks are sized by partition bytes against
-        :data:`FUSED_SPILL_BLOCK_BYTES`; each is counted by the one count
-        body restricted to the block's regions.  Bit-identity with the
-        resident flat count holds because (a) the segmented table's regions
-        are slot-disjoint, so any grouping of whole ranks per insert call
-        leaves every per-rank probe sequence unchanged, (b) each rank sees
-        its rounds in order, and (c) InsertStats combination is a
-        commutative monoid, so (block, round) iteration reduces to the same
-        totals as (round, all-ranks).
-        """
-        count_block = self.layout.sched.comp.count.count_block
-        item_bytes = 9 if sctx.supermer_mode else 8  # 8 B payload + 1 B length
-        for r0, r1 in rank_blocks(recv_items * item_bytes, FUSED_SPILL_BLOCK_BYTES):
-            for counted in self._stream_rounds(
-                r0, r1, lambda *received: count_block(table, *received, sctx, rank0=r0), "fused:count", sctx
-            ):
-                acct.add_count(r0, *counted)
-        for label in self.labels:  # the last block is counted: free the rounds' files
-            self.spool.drop_partitions(label)
+    def _dump_runs(self, r0: int, table: SegmentedHashTable, sctx):
+        """Dump ``table`` (ranks ``r0, r0 + 1, ...``) as one run file; returns ``(entries, fill, loads)``."""
+        t0 = perf_counter()
+        runs = []
+        for i in range(table.n_ranks):
+            values, counts = table.items_of(i)
+            for plugin in self.sched.comp.merge.plugins:
+                values, counts = plugin.adjust_merge_items(values, counts)
+            if values.size > 1 and not np.all(values[1:] > values[:-1]):
+                order = np.argsort(values, kind="stable")
+                values, counts = values[order], counts[order]
+            runs.append((values, counts))
+        entries = self.spool.write_runs(r0, runs)
+        if sctx.recorder is not None:
+            sctx.recorder.record("spill:run-write", r0, t0, perf_counter(), ranks=[r0, r0 + table.n_ranks])
+        return entries, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities
 
     def merge(self, tables) -> tuple[str, KmerSpectrum]:
-        if self.run_fill is None:
-            return super().merge(tables)
-        sched = self.layout.sched
-        return "spill:merge", external_merge(self.spool.map_all_runs(), sched.config.k)
+        return "spill:merge", external_merge(self.spool.map_all_runs(), self.sched.config.k)
 
     def fill(self, tables) -> tuple[list[int], list[float]]:
-        return self.run_fill if self.run_fill is not None else super().fill(tables)
+        return self.run_fill

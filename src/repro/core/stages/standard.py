@@ -30,7 +30,7 @@ import numpy as np
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate, staging_time
-from ...gpu.hashtable import DeviceHashTable, InsertStats
+from ...gpu.hashtable import InsertStats, SegmentedRankView
 from ...gpu.kernels import VirtualGPU
 from ...gpu.segmented import SegmentedHashTable
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
@@ -383,7 +383,7 @@ class TableCount:
             kmers = plugin.filter_received(rank, kmers)
         return kmers, n_seen
 
-    def insert(self, table: DeviceHashTable, kmers: np.ndarray) -> InsertStats:
+    def insert(self, table: SegmentedRankView, kmers: np.ndarray) -> InsertStats:
         return table.insert_batch(kmers) if kmers.size else InsertStats.zero()
 
     def count_block(
@@ -395,15 +395,13 @@ class TableCount:
         ctx: StageContext,
         *,
         rank0: int = 0,
-        table_rank0: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
         """One count round of a block of consecutive ranks: the one count body.
 
         ``recv`` (and ``lengths`` in supermer mode) holds the received
         segments of ranks ``rank0, rank0 + 1, ...`` back to back, bounded
-        by ``recv_offsets``; ``table``'s regions are the partitions of
-        ranks ``table_rank0, table_rank0 + 1, ...`` and contain the
-        block's.  Returns ``(times, n_seen, stats)`` per rank of the block.
+        by ``recv_offsets``; ``table``'s regions are those ranks'
+        partitions.  Returns ``(times, n_seen, stats)`` per rank.
 
         Extraction runs once over the whole block (elementwise per
         supermer, so rank slices equal the per-rank extractions); plugin
@@ -437,15 +435,7 @@ class TableCount:
             np.cumsum([seg.shape[0] for seg in segments], out=offsets[1:])
             kmers = np.concatenate(segments) if nb > 1 else segments[0]
 
-        # The table's other ranks get empty segments, which insert nothing
-        # and emit no telemetry.
-        i0 = rank0 - table_rank0
-        seg_offsets = offsets
-        if table.n_ranks != nb:
-            seg_offsets = np.zeros(table.n_ranks + 1, dtype=np.int64)
-            seg_offsets[i0 + 1 : i0 + nb + 1] = offsets[1:]
-            seg_offsets[i0 + nb + 1 :] = offsets[-1]
-        stats = table.insert_flat(kmers, seg_offsets)[i0 : i0 + nb]
+        stats = table.insert_flat(kmers, offsets)
         inserted = (offsets[1:] - offsets[:-1]).tolist()
         recv_items = (recv_offsets[1:] - recv_offsets[:-1]).tolist()
         times = np.array(
@@ -489,7 +479,7 @@ class SpectrumMerge:
         merged = np.bincount(inverse, weights=counts).astype(np.int64)
         return KmerSpectrum(k=k, values=uniq, counts=merged)
 
-    def merge_tables(self, tables: list[DeviceHashTable], k: int) -> KmerSpectrum:
+    def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
         return self.merge_items([t.items() for t in tables], k)
 
 
@@ -529,7 +519,7 @@ def _count_rank(
     rank: int,
     recv: np.ndarray,
     lengths: np.ndarray | None,
-    table: DeviceHashTable,
+    table: SegmentedRankView,
     count: CountStage,
     ctx: StageContext,
 ) -> CountOutcome:

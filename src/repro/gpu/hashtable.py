@@ -16,6 +16,11 @@ Probe statistics (total/max probe distance, CAS conflicts) feed the kernel
 cost model; correctness (exact counts) is asserted against the single-node
 oracle in the tests.
 
+There is one table class, :class:`~repro.gpu.segmented.SegmentedHashTable`
+(power-of-two regions in one slab, one per rank of a block); a rank's
+table is a :class:`SegmentedRankView` of it, and :class:`DeviceHashTable`
+is the view of a one-region table.
+
 Keys must be < 2**64 - 1 (the empty-slot sentinel); packed k-mers satisfy
 this whenever k <= 31.
 """
@@ -29,7 +34,7 @@ import numpy as np
 from ..hashing.murmur3 import hash_kmers_batch
 from ..telemetry import active
 
-__all__ = ["EMPTY_KEY", "InsertStats", "DeviceHashTable"]
+__all__ = ["EMPTY_KEY", "InsertStats", "SegmentedRankView", "DeviceHashTable"]
 
 #: Slot-empty sentinel (all ones).  k <= 31 packed k-mers can never equal it.
 EMPTY_KEY: np.uint64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -81,11 +86,10 @@ PROBING_SCHEMES = ("linear", "quadratic", "double")
 # Every function below works on a ``(keys, counts)`` slab holding one or
 # many power-of-two *regions*.  ``mask`` (region capacity - 1) and ``base``
 # (the region's first slot) say where each key lives: uint64 scalars when
-# all keys share one region (a DeviceHashTable, one rank of a segmented
-# table), uint64 arrays parallel to the keys when they span several (the
-# segmented table's blocked insert).  Both storage classes call these and
-# carry no probe, lookup, dedup, growth or telemetry body of their own, so
-# per-rank and segmented tables agree slot for slot by construction.
+# all keys share one region (one rank's lookup, a one-rank probe block),
+# uint64 arrays parallel to the keys when they span several (the segmented
+# table's blocked insert).  The table class carries no probe, lookup,
+# dedup, growth or telemetry formula of its own.
 
 
 def check_table_params(max_load_factor: float, probing: str) -> None:
@@ -130,18 +134,8 @@ def check_batch(vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray | No
     return wts
 
 
-def dedup_batch(
-    vals: np.ndarray, wts: np.ndarray | None, assume_unique: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """One region's checked batch as ``(sorted distinct keys, summed weights)``.
-
-    ``assume_unique`` skips the sort for keys that are already strictly
-    increasing; the ordering is verified in O(n) and violations raise.
-    """
-    if assume_unique:
-        if vals.shape[0] > 1 and not bool((vals[1:] > vals[:-1]).all()):
-            raise ValueError("assume_unique requires strictly increasing keys")
-        return vals, np.ones(vals.shape[0], dtype=np.int64) if wts is None else wts
+def dedup_batch(vals: np.ndarray, wts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One region's checked batch as ``(sorted distinct keys, summed weights)``."""
     if wts is None:
         uniq, w = np.unique(vals, return_counts=True)
         return uniq, w.astype(np.int64)
@@ -285,22 +279,25 @@ def dump_slots(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nda
 
     No sort and no probe — the inverse of :func:`restore_slots`.  Region
     capacities are multiples of 8, so the bitmaps of consecutive regions
-    concatenate to the bitmap of their slab.
+    concatenate to the bitmap of their slab, and a run of regions' bitmap
+    is a slice of it.
     """
     occupied = keys != EMPTY_KEY
     return np.packbits(occupied), keys[occupied], counts[occupied]
 
 
 def restore_slots(
-    capacity: int, bitmap: np.ndarray, occ_keys: np.ndarray, occ_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(keys, counts)`` region :func:`dump_slots` was taken from: one scatter."""
-    occupied = np.unpackbits(bitmap, count=capacity).view(bool)
-    keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)
-    counts = np.zeros(capacity, dtype=np.int64)
+    keys: np.ndarray, counts: np.ndarray, bitmap: np.ndarray, occ_keys: np.ndarray, occ_counts: np.ndarray
+) -> np.ndarray:
+    """Refill the empty slab :func:`dump_slots` was taken from, in place: one scatter.
+
+    ``keys``/``counts`` are the slab, sized as the dumped one; returns its
+    occupancy mask.
+    """
+    occupied = np.unpackbits(bitmap, count=keys.shape[0]).view(bool)
     keys[occupied] = occ_keys
     counts[occupied] = occ_counts
-    return keys, counts
+    return occupied
 
 
 def record_insert_telemetry(
@@ -334,10 +331,82 @@ def record_insert_telemetry(
     ).observe_many(probes, w)
 
 
-class DeviceHashTable:
+class SegmentedRankView:
+    """One rank's table: a window onto its region of a :class:`~repro.gpu.segmented.SegmentedHashTable`.
+
+    Everything the engine, its stages and the checkpoint touch of a table
+    (insert, lookup, items, the slot arrays, capacity and fill), so a
+    :class:`~repro.core.stages.scheduler.PipelineState` holds one of these
+    per rank whatever the layout; the parent table owns the storage and
+    the insert.
+    """
+
+    def __init__(self, parent, rank: int) -> None:
+        self.parent = parent
+        self.rank = rank  # the region's index within ``parent``
+
+    @property
+    def seed(self) -> int:
+        return self.parent.seed
+
+    @property
+    def max_load_factor(self) -> float:
+        return self.parent.max_load_factor
+
+    @property
+    def probing(self) -> str:
+        return self.parent.probing
+
+    @property
+    def capacity(self) -> int:
+        return int(self.parent.capacities[self.rank])
+
+    @property
+    def n_entries(self) -> int:
+        """Number of distinct keys stored."""
+        return int(self.parent.n_entries_per_rank[self.rank])
+
+    @property
+    def load_factor(self) -> float:
+        return self.n_entries / self.capacity
+
+    @property
+    def table_bytes(self) -> int:
+        """Device memory footprint (keys + counts arrays)."""
+        return self.capacity * (np.dtype(np.uint64).itemsize + np.dtype(np.int64).itemsize)
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.parent.slots_of(self.rank)[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.parent.slots_of(self.rank)[1]
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        """All (key, count) pairs, sorted by key."""
+        return self.parent.items_of(self.rank)
+
+    def lookup_batch(self, values: np.ndarray) -> np.ndarray:
+        """Counts for a batch of keys (0 where absent)."""
+        return self.parent.lookup_of(self.rank, values)
+
+    def insert_batch(self, values: np.ndarray, weights: np.ndarray | None = None) -> InsertStats:
+        """Insert/increment a batch of keys; returns probe statistics."""
+        parent = self.parent
+        offs = np.zeros(parent.n_ranks + 1, dtype=np.int64)
+        offs[self.rank + 1 :] = np.asarray(values).shape[0]
+        return parent.insert_flat(values, offs, weights)[self.rank]
+
+
+class DeviceHashTable(SegmentedRankView):
     """Counting hash table with open addressing and emulated atomics.
 
-    ``probing`` selects the collision-resolution sequence:
+    The P = 1 case of the one table class: the view of a one-region
+    :class:`~repro.gpu.segmented.SegmentedHashTable`, so a private table
+    inserts, grows and reports statistics through the very code a rank of
+    a block table does.  ``probing`` selects the collision-resolution
+    sequence:
 
     * ``"linear"`` (the paper's choice): slot, slot+1, slot+2, ...
     * ``"quadratic"`` (triangular offsets ``i(i+1)/2``, which visit every
@@ -354,114 +423,7 @@ class DeviceHashTable:
         max_load_factor: float = 0.7,
         probing: str = "linear",
     ) -> None:
-        check_table_params(max_load_factor, probing)
-        self.seed = seed
-        self.max_load_factor = max_load_factor
-        self.probing = probing
-        self._alloc(initial_capacity(capacity_hint, max_load_factor))
-        self._n_entries = 0
+        from .segmented import SegmentedHashTable  # the table class builds on this module's formulas
 
-    @classmethod
-    def from_slots(
-        cls,
-        keys: np.ndarray,
-        counts: np.ndarray,
-        *,
-        seed: int = 0,
-        max_load_factor: float = 0.7,
-        probing: str = "linear",
-    ) -> "DeviceHashTable":
-        """A table that *is* the given slot arrays: adopted, not copied or rehashed.
-
-        ``keys``/``counts`` are one whole region as a table held it (see
-        :func:`restore_slots`); ``seed`` and ``probing`` must be that
-        table's, or its keys are not where lookups probe.
-        """
-        n = keys.shape[0]
-        if keys.shape != counts.shape or n < 64 or n & (n - 1):
-            raise ValueError("slot arrays must be parallel and a power of two >= 64 long")
-        self = cls(seed=seed, max_load_factor=max_load_factor, probing=probing)
-        self._adopt(keys, counts)
-        self._n_entries = int(np.count_nonzero(keys != EMPTY_KEY))
-        return self
-
-    def _alloc(self, capacity: int) -> None:
-        self._adopt(np.full(capacity, EMPTY_KEY, dtype=np.uint64), np.zeros(capacity, dtype=np.int64))
-
-    def _adopt(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        self.capacity = keys.shape[0]
-        self._mask = np.uint64(self.capacity - 1)
-        self.keys = keys
-        self.counts = counts
-
-    # -- properties --------------------------------------------------------
-
-    @property
-    def n_entries(self) -> int:
-        """Number of distinct keys stored."""
-        return self._n_entries
-
-    @property
-    def load_factor(self) -> float:
-        return self._n_entries / self.capacity
-
-    @property
-    def table_bytes(self) -> int:
-        """Device memory footprint (keys + counts arrays)."""
-        return int(self.keys.nbytes + self.counts.nbytes)
-
-    @property
-    def _region(self) -> tuple:
-        """``(seed, probing, mask, base)`` of the probe functions: one region at slot 0."""
-        return self.seed, self.probing, self._mask, np.uint64(0)
-
-    # -- operations ----------------------------------------------------------
-
-    def insert_batch(
-        self,
-        values: np.ndarray,
-        weights: np.ndarray | None = None,
-        *,
-        assume_unique: bool = False,
-    ) -> InsertStats:
-        """Insert/increment a batch of keys; returns probe statistics.
-
-        ``assume_unique=True`` skips the ``np.unique`` aggregation for
-        callers that already hold strictly-increasing keys with
-        pre-aggregated weights (another table's ``items()``, a spectrum); the
-        ordering is verified in O(n) and violations raise.
-        """
-        vals = np.ascontiguousarray(values, dtype=np.uint64)
-        if vals.size == 0:
-            return InsertStats.zero()
-        uniq, w = dedup_batch(vals, check_batch(vals, weights), assume_unique)
-        capacity, resizes = fit_capacity(self.capacity, self._n_entries + uniq.shape[0], self.max_load_factor)
-        if resizes:
-            keys, counts = self.items()
-            self._alloc(capacity)
-            if keys.size:  # rehash: every key re-claims a slot
-                probe_insert(self.keys, self.counts, keys, counts, *self._region)
-
-        probes, claimed, lost = probe_insert(self.keys, self.counts, uniq, w, *self._region)
-        max_probe = int(probes.max())
-        stats = InsertStats(
-            n_instances=int(w.sum()),
-            n_distinct=int(claimed.sum()),
-            total_probes=int((probes * w).sum()),
-            max_probe=max_probe,
-            cas_conflicts=int(lost.sum()),
-            rounds=max_probe,  # the longest-probing key was pending in every round
-            resizes=resizes,
-        )
-        self._n_entries += stats.n_distinct
-        record_insert_telemetry([stats], self.load_factor, probes, w)
-        return stats
-
-    def lookup_batch(self, values: np.ndarray) -> np.ndarray:
-        """Counts for a batch of keys (0 where absent)."""
-        vals = np.ascontiguousarray(values, dtype=np.uint64)
-        return probe_lookup(self.keys, self.counts, vals, *self._region)
-
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (key, count) pairs, sorted by key."""
-        return sorted_items(self.keys, self.counts)
+        table = SegmentedHashTable([capacity_hint], seed=seed, max_load_factor=max_load_factor, probing=probing)
+        super().__init__(table, 0)

@@ -1,28 +1,24 @@
-"""Segmented counting hash table: many ranks' tables in one allocation.
+"""Segmented counting hash table: the one table class, many ranks' tables in one allocation.
 
-One :class:`~repro.gpu.hashtable.DeviceHashTable` per simulated rank
-makes a superstep's count phase P independent probe loops over small
-arrays.  The engine instead keeps the tables of consecutive ranks — all P
-under the flat layout (:mod:`repro.core.stages.fused`), a cache-sized
-*rank block* (:func:`table_blocks`) under the per-rank layout — in a
-single pair of flat ``keys``/``counts`` arrays partitioned into
-power-of-two *regions*::
+The engine keeps the tables of consecutive ranks — a cache-sized *rank
+block* (:func:`table_blocks`) under either layout — in a single pair of
+flat ``keys``/``counts`` arrays partitioned into power-of-two *regions*::
 
     slot(key, rank) = region_base[rank] + (hash(key) & rank_mask[rank])
 
 and runs the vectorized probe rounds over every rank's pending keys at
-once.  This class is storage only — P regions, optional mmap slabs, the
+once.  This class is storage only — regions, optional mmap slabs, the
 blocked insert: the probe loop, lookup, dedup, growth rule and telemetry
-are the module-level functions of :mod:`repro.gpu.hashtable` that
-:class:`DeviceHashTable` calls too, handed each key's region mask and
-first slot.  Regions are disjoint, so probe counts, CAS conflicts, claimed
-slots and the final layout equal :meth:`DeviceHashTable.insert_batch`
-rank by rank (see :func:`~repro.gpu.hashtable.probe_insert`).
+are the module-level functions of :mod:`repro.gpu.hashtable`, handed each
+key's region mask and first slot.  Regions are disjoint, so probe counts,
+CAS conflicts, claimed slots and the final layout of a rank do not depend
+on which ranks share its table (see
+:func:`~repro.gpu.hashtable.probe_insert`); a one-region table is the
+private :class:`~repro.gpu.hashtable.DeviceHashTable`.
 
-``from_tables`` adopts existing per-rank tables by copying their
-key/count layout verbatim, so switching an in-flight
-:class:`~repro.core.stages.scheduler.PipelineState` between staged and
-fused execution cannot perturb future probe statistics.
+Tables are born empty (a region per capacity hint) or restored from a
+checkpoint's slot dump (:meth:`SegmentedHashTable.from_slots`); they are
+never copied into another table.
 
 **File-backed mode** (``table_dir=``): the keys/counts slabs become
 ``np.memmap`` files in a private directory, so a table can exceed the
@@ -32,7 +28,9 @@ insert, regrow, and merge runs the identical NumPy operations on the
 identical values — observables are bit-identical to the in-RAM table;
 only the backing store changes.  Regrows write a new slab *generation*
 before the old mappings are dropped (the region copy still reads them),
-then unlink the superseded files.
+then unlink the superseded files.  The mappings are shared, so a forked
+pool worker's inserts land in the driving process's files; a worker's
+regrow is handed back as the generation it wrote (:meth:`slabs`).
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ import numpy as np
 
 from .hashtable import (
     EMPTY_KEY,
-    DeviceHashTable,
     InsertStats,
+    SegmentedRankView,
     check_batch,
     check_table_params,
     dedup_batch,
@@ -56,6 +54,7 @@ from .hashtable import (
     probe_insert,
     probe_lookup,
     record_insert_telemetry,
+    restore_slots,
     sorted_items,
 )
 
@@ -94,17 +93,17 @@ def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
 
     ``expected_keys[r]`` estimates the keys rank ``r``'s region will hold
     (an upper bound is fine: received instances), at 16 B a slot and the
-    default 0.7 load.  The per-rank layout keeps each block's partitions in
-    one table and counts a block per call; any partition into whole
-    consecutive ranks gives the same slots and statistics, so the estimate
-    only steers speed.
+    default 0.7 load.  Both layouts keep each block's partitions in one
+    table and count a block per call; any partition into whole consecutive
+    ranks gives the same slots and statistics, so the estimate only steers
+    speed.
     """
     slots = np.maximum(64, np.asarray(expected_keys, dtype=np.float64) / 0.7)
     return rank_blocks((slots * 16).astype(np.int64), INSERT_BLOCK_BYTES)
 
 
 class SegmentedHashTable:
-    """All ranks' counting tables in one keys/counts allocation."""
+    """A block of ranks' counting tables in one keys/counts allocation."""
 
     def __init__(
         self,
@@ -156,16 +155,18 @@ class SegmentedHashTable:
         # are unlinked immediately — on POSIX the live mappings keep their
         # data reachable until the arrays are dropped.
         stale = self._slab_paths
-        gen = self._generation
-        self._generation += 1
-        kpath = self._table_dir / f"keys.g{gen}.bin"
-        cpath = self._table_dir / f"counts.g{gen}.bin"
-        self.keys = np.memmap(kpath, dtype=np.uint64, mode="w+", shape=(total,))
+        self._map(self._generation + 1, "w+")
         self.keys[:] = EMPTY_KEY
-        self.counts = np.memmap(cpath, dtype=np.int64, mode="w+", shape=(total,))
-        self._slab_paths = (kpath, cpath)
         for path in stale:
             path.unlink(missing_ok=True)
+
+    def _map(self, generation: int, mode: str) -> None:
+        """Map slab generation ``generation`` as ``keys``/``counts`` (mode ``"w+"`` creates its files)."""
+        total = int(self.region_base[-1])
+        self._generation = generation
+        self._slab_paths = tuple(self._table_dir / f"{name}.g{generation}.bin" for name in ("keys", "counts"))
+        self.keys = np.memmap(self._slab_paths[0], dtype=np.uint64, mode=mode, shape=(total,))
+        self.counts = np.memmap(self._slab_paths[1], dtype=np.int64, mode=mode, shape=(total,))
 
     @property
     def backing_dir(self) -> Path | None:
@@ -183,45 +184,58 @@ class SegmentedHashTable:
             self._finalizer()
 
     @classmethod
-    def from_tables(
-        cls, tables: list[DeviceHashTable], *, table_dir: str | Path | None = None
+    def from_slots(
+        cls,
+        capacities: np.ndarray,
+        bitmap: np.ndarray,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        *,
+        seed: int = 0,
+        max_load_factor: float = 0.7,
+        probing: str = "linear",
+        table_dir: str | Path | None = None,
     ) -> "SegmentedHashTable":
-        """Adopt per-rank tables, preserving each one's slot layout exactly."""
-        if not tables:
-            raise ValueError("need at least one table")
-        first = tables[0]
-        for t in tables:
-            if (t.seed, t.max_load_factor, t.probing) != (
-                first.seed,
-                first.max_load_factor,
-                first.probing,
-            ):
-                raise ValueError("per-rank tables disagree on seed/load-factor/probing")
-        self = cls.__new__(cls)
-        self.seed = first.seed
-        self.max_load_factor = first.max_load_factor
-        self.probing = first.probing
-        self._init_backing(table_dir)
-        self._layout(np.asarray([t.capacity for t in tables], dtype=np.int64))
-        self.n_entries_per_rank = np.asarray([t.n_entries for t in tables], dtype=np.int64)
-        for r, t in enumerate(tables):
-            keys, counts = self.slots_of(r)
-            keys[:] = t.keys
-            counts[:] = t.counts
-        return self
+        """The table whose regions, ``capacities`` slots each, :func:`~repro.gpu.hashtable.dump_slots` gave.
 
-    def slabs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(capacities, entries per rank, keys, counts)``: the table's whole state.
+        ``bitmap`` is their occupancy and ``keys``/``counts`` their occupied
+        slots in slot order; one :func:`~repro.gpu.hashtable.restore_slots`
+        puts them where they lay — nothing is probed, so ``seed`` and
+        ``probing`` must be the dumped table's, or its keys are not where
+        lookups probe.
+        """
+        caps = np.asarray(capacities, dtype=np.int64)
+        if not bool(((caps >= 64) & (caps & (caps - 1) == 0)).all()):
+            raise ValueError("every region must be a power of two >= 64 slots")
+        if keys.shape != counts.shape:
+            raise ValueError("occupied keys and counts must be parallel")
+        # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
+        hints = (caps * max_load_factor).astype(np.int64)
+        table = cls(hints, seed=seed, max_load_factor=max_load_factor, probing=probing, table_dir=table_dir)
+        occupied = restore_slots(table.keys, table.counts, bitmap, keys, counts)
+        table.n_entries_per_rank = np.add.reduceat(occupied, table.region_base[:-1], dtype=np.int64)
+        return table
+
+    def slabs(self) -> tuple:
+        """``(capacities, entries per rank, slab generation, *arrays)``: the table's whole state.
 
         What a rank-block closure on an out-of-process pool ships back, for
-        the driving process's table to :meth:`adopt`.
+        the driving process's table to :meth:`adopt`.  An in-RAM table's
+        arrays travel; a file-backed table's slabs are mappings both
+        processes share, so only the generation now current travels (a
+        regrow in the worker wrote a new one and unlinked the old).
         """
-        return self.capacities, self.n_entries_per_rank, self.keys, self.counts
+        arrays = () if self._slab_paths else (self.keys, self.counts)
+        return (self.capacities, self.n_entries_per_rank, self._generation, *arrays)
 
-    def adopt(self, capacities: np.ndarray, entries: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Become the table :meth:`slabs` was taken from (the arrays are kept, not copied)."""
+    def adopt(self, capacities: np.ndarray, entries: np.ndarray, generation: int, *arrays: np.ndarray) -> None:
+        """Become the table :meth:`slabs` was taken from: arrays kept or generation mapped, nothing copied."""
         self._set_regions(capacities)
-        self.n_entries_per_rank, self.keys, self.counts = entries, keys, counts
+        self.n_entries_per_rank = entries
+        if arrays:
+            self.keys, self.counts = arrays
+        elif generation != self._generation:
+            self._map(generation, "r+")
 
     # -- properties --------------------------------------------------
 
@@ -233,19 +247,19 @@ class SegmentedHashTable:
     def table_bytes(self) -> int:
         return int(self.keys.nbytes + self.counts.nbytes)
 
-    def view(self, rank: int) -> "SegmentedRankView":
+    def view(self, rank: int) -> SegmentedRankView:
         return SegmentedRankView(self, rank)
 
-    def views(self) -> list["SegmentedRankView"]:
+    def views(self) -> list[SegmentedRankView]:
         return [SegmentedRankView(self, r) for r in range(self.n_ranks)]
 
     def slots_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rank's region of the ``keys``/``counts`` slabs (views, as ``DeviceHashTable.keys``/``.counts``)."""
+        """Rank's region of the ``keys``/``counts`` slabs (views)."""
         lo, hi = int(self.region_base[rank]), int(self.region_base[rank + 1])
         return self.keys[lo:hi], self.counts[lo:hi]
 
     def items_of(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rank's (key, count) pairs sorted by key (as ``DeviceHashTable.items``)."""
+        """Rank's (key, count) pairs sorted by key."""
         return sorted_items(*self.slots_of(rank))
 
     def items_flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,21 +279,16 @@ class SegmentedHashTable:
         return self.seed, self.probing, self._masks[rank], self._base_u64[rank]
 
     def insert_flat(
-        self,
-        values: np.ndarray,
-        seg_offsets: np.ndarray,
-        weights: np.ndarray | None = None,
-        *,
-        assume_unique: bool = False,
+        self, values: np.ndarray, seg_offsets: np.ndarray, weights: np.ndarray | None = None
     ) -> list[InsertStats]:
         """Insert one rank-segmented flat batch; per-rank probe statistics.
 
         ``values[seg_offsets[r]:seg_offsets[r+1]]`` are rank ``r``'s keys.
-        Equivalent (bit-for-bit, including telemetry totals) to calling
-        ``DeviceHashTable.insert_batch`` on each rank's segment in rank
-        order (``assume_unique`` then speaks of each segment); ranks with
-        empty segments contribute ``InsertStats.zero()`` and no telemetry,
-        exactly as the staged path skips their insert.
+        Equivalent (bit-for-bit, including telemetry totals) to inserting
+        each rank's segment into a private one-region table in rank order;
+        ranks with empty segments contribute ``InsertStats.zero()`` and no
+        telemetry, as if their insert were skipped.  This is the one insert:
+        the statistics, growth and rehash of every table are assembled here.
         """
         p = self.n_ranks
         offs = np.asarray(seg_offsets, dtype=np.int64)
@@ -297,11 +306,7 @@ class SegmentedHashTable:
         # exactly the aggregation the per-rank tables run.
         filled = np.flatnonzero(offs[1:] != offs[:-1])
         parts = [
-            dedup_batch(
-                vals[offs[r] : offs[r + 1]],
-                None if wts is None else wts[offs[r] : offs[r + 1]],
-                assume_unique,
-            )
+            dedup_batch(vals[offs[r] : offs[r + 1]], None if wts is None else wts[offs[r] : offs[r + 1]])
             for r in filled
         ]
         uniq_parts, w_parts = zip(*parts)
@@ -354,9 +359,8 @@ class SegmentedHashTable:
         distinct keys and their weights (ranks ascending, no part empty).
         Blocks follow :data:`INSERT_BLOCK_BYTES`; a block's parts are put
         back to back for its one call, and a block holding one rank's keys
-        probes with that region's scalar mask and base, as
-        :class:`DeviceHashTable` does.  Yields each block's per-key
-        ``(probes, claimed, lost)``, in rank order.
+        probes with that region's scalar mask and base.  Yields each block's
+        per-key ``(probes, claimed, lost)``, in rank order.
         """
         region_bytes = self.capacities * 16  # uint64 keys + int64 counts
         blocks = rank_blocks(region_bytes, INSERT_BLOCK_BYTES)
@@ -398,71 +402,6 @@ class SegmentedHashTable:
         """Counts stored for ``rank``'s keys (0 where absent)."""
         vals = np.ascontiguousarray(values, dtype=np.uint64)
         return probe_lookup(self.keys, self.counts, vals, *self._region(rank))
-
-
-class SegmentedRankView:
-    """One rank's window onto a :class:`SegmentedHashTable`.
-
-    Duck-types the parts of :class:`DeviceHashTable` the engine touches
-    after counting (merge, the checkpoint's slot dump, end-of-run
-    telemetry), so a :class:`~repro.core.stages.scheduler.PipelineState`
-    can carry these in ``state.tables`` transparently.
-    """
-
-    def __init__(self, parent: SegmentedHashTable, rank: int) -> None:
-        self.parent = parent
-        self.rank = rank  # the region's index within ``parent``
-
-    @property
-    def seed(self) -> int:
-        return self.parent.seed
-
-    @property
-    def max_load_factor(self) -> float:
-        return self.parent.max_load_factor
-
-    @property
-    def probing(self) -> str:
-        return self.parent.probing
-
-    @property
-    def capacity(self) -> int:
-        return int(self.parent.capacities[self.rank])
-
-    @property
-    def n_entries(self) -> int:
-        return int(self.parent.n_entries_per_rank[self.rank])
-
-    @property
-    def load_factor(self) -> float:
-        return self.n_entries / self.capacity
-
-    @property
-    def table_bytes(self) -> int:
-        return self.capacity * (np.dtype(np.uint64).itemsize + np.dtype(np.int64).itemsize)
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.parent.slots_of(self.rank)[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.parent.slots_of(self.rank)[1]
-
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.parent.items_of(self.rank)
-
-    def lookup_batch(self, values: np.ndarray) -> np.ndarray:
-        return self.parent.lookup_of(self.rank, values)
-
-    def insert_batch(
-        self, values: np.ndarray, weights: np.ndarray | None = None, *, assume_unique: bool = False
-    ) -> InsertStats:
-        """Insert through the parent, as a custom count stage's ``insert`` does."""
-        parent = self.parent
-        offs = np.zeros(parent.n_ranks + 1, dtype=np.int64)
-        offs[self.rank + 1 :] = np.asarray(values).shape[0]
-        return parent.insert_flat(values, offs, weights, assume_unique=assume_unique)[self.rank]
 
 
 def view_blocks(views: list[SegmentedRankView]) -> list[tuple[int, int, SegmentedHashTable]]:

@@ -167,6 +167,29 @@ class TestMultiFileAndCheckpoint:
         assert err.startswith(f"error: {ckpt}: not a usable checkpoint") and err.count("\n") == 1
 
 
+class TestTableDir:
+    """``--table-dir`` backs the tables of every layout, not only ``--fused``'s."""
+
+    def test_staged_count_is_backed_and_leaves_the_directory_empty(self, fastq, tmp_path):
+        tables, ckpt = tmp_path / "tables", tmp_path / "state.npz"
+        plain, backed = tmp_path / "plain.rkdb", tmp_path / "backed.rkdb"
+        assert main(["count", "--input", str(fastq), "-k", "15", "--nodes", "2", "--out-db", str(plain)]) == 0
+        argv = ["count", "--input", str(fastq), "-k", "15", "--nodes", "2", "--table-dir", str(tables)]
+        for _ in range(2):  # the second run resumes: a loaded state is born with its backing too
+            assert main([*argv, "--checkpoint", str(ckpt), "--out-db", str(backed)]) == 0
+            assert tables.is_dir() and list(tables.iterdir()) == []
+        assert read_kmerdb(backed).n_total == 2 * read_kmerdb(plain).n_total
+
+    def test_help_names_no_layout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        table_dir = out[out.index("\n  --table-dir DIR") :]  # its entry under options, not the usage line
+        table_dir = table_dir[: table_dir.index("\n  -", 1)]
+        assert "np.memmap" in table_dir and "fused" not in table_dir
+
+
 class TestDistance:
     def test_distance_between_datasets(self, fastq, tmp_path, capsys):
         db_a = tmp_path / "a.rkdb"

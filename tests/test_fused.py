@@ -1,8 +1,7 @@
 """Unit tests for the fused execution path's building blocks.
 
-Covers the scratch-buffer arena, the segmented hash table against its
-per-rank reference, the ``assume_unique`` insert fast path, the doubling
-window pack, fused-mode resolution (flag/fallback), and the CLI
+Covers the scratch-buffer arena, the segmented hash table against the
+scalar per-rank reference, the doubling window pack, fused-mode resolution (flag/fallback), and the CLI
 surface (``--fused``, ``--profile``).  The end-to-end bit-identity of
 fused runs is proven by the golden suite (``test_stages_golden.py``) and
 the randomized differential suite (``test_fused_property.py``).
@@ -21,6 +20,8 @@ from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.extract import extract_kmers_scalar, window_values
 from repro.telemetry import MetricRegistry, session
+
+from .test_hashtable import ScalarTable
 
 
 def _random_keys(rng: np.random.Generator, n: int, space: int = 512) -> np.ndarray:
@@ -169,16 +170,18 @@ def _offsets(segments: list[np.ndarray]) -> np.ndarray:
 
 @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
 def test_insert_flat_matches_per_rank_tables(probing):
-    """The segmented table ≡ P per-rank tables: stats, telemetry, slabs, lookups.
+    """The segmented table ≡ P per-rank tables: stats, slabs and lookups
+    against the independent scalar reference, telemetry against P
+    one-region tables inserted one at a time.
 
     Three inserts into the same tables: a plain one, a weighted one, and
     one that regrows two regions mid-stream while the other ranks'
-    segments are zero-width (the shape of a ``rank_range`` block call).
-    Rank 1 never receives a key.
+    segments are zero-width.  Rank 1 never receives a key.
     """
     rng = np.random.default_rng(7)
     hints = [64, 64, 8, 128, 1]
     seg = SegmentedHashTable(hints, seed=3, probing=probing)
+    refs = [ScalarTable(h, seed=3, probing=probing) for h in hints]
     tables = [DeviceHashTable(h, seed=3, probing=probing) for h in hints]
     resizes = []
     for sizes, weighted in (
@@ -195,26 +198,25 @@ def test_insert_flat_matches_per_rank_tables(probing):
                 weights=np.concatenate(weights) if weighted else None,
             )
         with session(MetricRegistry()) as ref_reg:
-            ref_stats = [
-                t.insert_batch(s, w) if s.size else InsertStats.zero()
-                for t, s, w in zip(tables, segments, weights)
-            ]
+            for t, s, w in zip(tables, segments, weights):
+                if s.size:
+                    t.insert_batch(s, w)
+        ref_stats = [
+            ref.insert_batch(s, w) if s.size else InsertStats.zero() for ref, s, w in zip(refs, segments, weights)
+        ]
         assert stats == ref_stats  # dataclass equality: every InsertStats field
         # Every hashtable_* family, the hashtable_probe_length histogram included.
         assert flat_reg.snapshot() == ref_reg.snapshot()
         assert "hashtable_probe_length" in flat_reg.snapshot()
         resizes.append(sum(s.resizes for s in stats))
     assert resizes[-1] > 0, "the last insert must regrow"
-    for r, table in enumerate(tables):
+    for r, ref in enumerate(refs):
         # Layouts (not just sorted items) must agree byte for byte.
         lo, hi = int(seg.region_base[r]), int(seg.region_base[r + 1])
-        assert seg.keys[lo:hi].tobytes() == table.keys.tobytes()
-        assert seg.counts[lo:hi].tobytes() == table.counts.tobytes()
-        present, counts = table.items()
+        assert (seg.keys[lo:hi].tobytes(), seg.counts[lo:hi].tobytes()) == ref.slab()
+        present, counts = ref.items()
         absent = present + np.uint64(1 << 40)
-        probe = np.concatenate([present, absent])
-        found = seg.lookup_of(r, probe)
-        assert np.array_equal(found, table.lookup_batch(probe))
+        found = seg.lookup_of(r, np.concatenate([present, absent]))
         assert np.array_equal(found, np.concatenate([counts, np.zeros_like(counts)]))
 
 
@@ -268,29 +270,23 @@ def test_insert_flat_weights_and_validation():
         seg.insert_flat(vals, offs, weights=np.array([1, 0, 1], dtype=np.int64))
 
 
-def test_from_tables_preserves_layout_and_future_stats():
+def test_from_slots_preserves_layout_and_future_stats():
+    """A table restored from its slot dump continues as the one it was dumped from."""
+    from repro.gpu.hashtable import dump_slots
+
     rng = np.random.default_rng(17)
     segments = [_random_keys(rng, 200), _random_keys(rng, 350)]
-    tables, _ = _per_rank_reference(segments, [64, 64], seed=9)
-    seg = SegmentedHashTable.from_tables(tables)
-    for r, table in enumerate(tables):
-        lo, hi = int(seg.region_base[r]), int(seg.region_base[r + 1])
-        assert np.array_equal(seg.keys[lo:hi], table.keys)
-        assert np.array_equal(seg.counts[lo:hi], table.counts)
+    seg = SegmentedHashTable([64, 64], seed=9)
+    seg.insert_flat(np.concatenate(segments), _offsets(segments))
+    twin = SegmentedHashTable.from_slots(seg.capacities, *dump_slots(seg.keys, seg.counts), seed=9)
+    assert np.array_equal(twin.keys, seg.keys) and np.array_equal(twin.counts, seg.counts)
+    assert np.array_equal(twin.n_entries_per_rank, seg.n_entries_per_rank)
     # Future inserts produce the same probe statistics either way.
     more = [_random_keys(rng, 150), _random_keys(rng, 150)]
-    stats = seg.insert_flat(np.concatenate(more), _offsets(more))
-    for r, table in enumerate(tables):
-        assert stats[r] == table.insert_batch(more[r])
-
-
-def test_from_tables_rejects_mismatched_parameters():
-    a = DeviceHashTable(64, seed=1)
-    b = DeviceHashTable(64, seed=2)
-    with pytest.raises(ValueError, match="disagree"):
-        SegmentedHashTable.from_tables([a, b])
-    with pytest.raises(ValueError, match="at least one"):
-        SegmentedHashTable.from_tables([])
+    assert twin.insert_flat(np.concatenate(more), _offsets(more)) == seg.insert_flat(
+        np.concatenate(more), _offsets(more)
+    )
+    assert np.array_equal(twin.keys, seg.keys) and np.array_equal(twin.counts, seg.counts)
 
 
 def test_rank_view_duck_types_device_table():
@@ -320,33 +316,6 @@ def test_rank_view_insert_batch_routes_to_parent_region():
     for r, view in enumerate(seg.views()):
         assert view.insert_batch(extra[r]) == ref[r].insert_batch(extra[r])
         assert np.array_equal(view.items()[1], ref[r].items()[1])
-
-
-# -- assume_unique fast path --------------------------------------------------
-
-
-def test_insert_batch_assume_unique_matches_default_path():
-    rng = np.random.default_rng(29)
-    raw = _random_keys(rng, 500)
-    uniq, counts = np.unique(raw, return_counts=True)
-    a = DeviceHashTable(64, seed=6)
-    b = DeviceHashTable(64, seed=6)
-    stats_a = a.insert_batch(raw)
-    stats_b = b.insert_batch(uniq, weights=counts.astype(np.int64), assume_unique=True)
-    assert stats_a == stats_b
-    assert np.array_equal(a.keys, b.keys) and np.array_equal(a.counts, b.counts)
-
-
-def test_insert_batch_assume_unique_validates_ordering():
-    # A rank view of a segmented table enforces what the per-rank table does.
-    for t in (DeviceHashTable(64), SegmentedHashTable([64, 64]).view(1)):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            t.insert_batch(np.array([3, 2], dtype=np.uint64), assume_unique=True)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            t.insert_batch(np.array([2, 2], dtype=np.uint64), assume_unique=True)
-        # Sorted-unique input is accepted without weights.
-        t.insert_batch(np.array([2, 3], dtype=np.uint64), assume_unique=True)
-        assert t.n_entries == 2
 
 
 # -- doubling window pack -----------------------------------------------------
@@ -453,7 +422,7 @@ def test_custom_composition_falls_back_to_staged(caplog):
 
 
 def test_fused_then_staged_batches_share_one_table_state():
-    """Flipping fused off mid-stream continues on the adopted views."""
+    """Flipping fused off mid-stream continues on the blocks the first batch left."""
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions
     from repro.core.incremental import DistributedCounter

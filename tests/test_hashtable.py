@@ -16,7 +16,6 @@ from repro.gpu.hashtable import (
     fit_capacity,
     initial_capacity,
     probe_insert,
-    restore_slots,
 )
 from repro.gpu.segmented import SegmentedHashTable
 from repro.hashing.murmur3 import hash_kmers_batch
@@ -174,7 +173,7 @@ class TestProbingSchemes:
         for probing in ("linear", "quadratic", "double"):
             table = DeviceHashTable(keys.shape[0], probing=probing, max_load_factor=0.95)
             assert table.capacity == 8192  # ~0.73 load, no resize on the way
-            stats[probing] = table.insert_batch(keys, assume_unique=True)
+            stats[probing] = table.insert_batch(keys)
         assert stats["linear"].total_probes > stats["quadratic"].total_probes
         assert stats["linear"].total_probes > stats["double"].total_probes
 
@@ -250,8 +249,9 @@ class ScalarTable:
             pending = still
         return [t + 1 for t in step], claimed, lost
 
-    def insert_batch(self, values) -> InsertStats:
-        uniq, w = np.unique(np.asarray(values, dtype=np.uint64), return_counts=True)
+    def insert_batch(self, values, weights=None) -> InsertStats:
+        uniq, inverse = np.unique(np.asarray(values, dtype=np.uint64), return_inverse=True)
+        w = np.bincount(inverse, weights=weights).astype(np.int64)
         uniq, w = uniq.tolist(), w.tolist()
         capacity, resizes = fit_capacity(self.capacity, self.n_entries + len(uniq), self.max_load_factor)
         if resizes:
@@ -273,6 +273,10 @@ class ScalarTable:
 
     def slab(self) -> tuple[bytes, bytes]:
         return np.array(self.keys, dtype=np.uint64).tobytes(), np.array(self.counts, dtype=np.int64).tobytes()
+
+    def items(self) -> tuple[np.ndarray, np.ndarray]:
+        items = sorted((k, c) for k, c in zip(self.keys, self.counts) if k != _EMPTY)
+        return np.array([k for k, _ in items], dtype=np.uint64), np.array([c for _, c in items], dtype=np.int64)
 
 
 def _same_home_trio(seed: int, probing: str) -> np.ndarray:
@@ -382,14 +386,14 @@ class TestClaimArbitration:
 
 
 class TestRankBlockTables:
-    """Block-local segmented tables ≡ one ``DeviceHashTable`` per rank.
+    """Block-local segmented tables ≡ one scalar reference table per rank.
 
-    The per-rank layout keeps consecutive ranks in one segmented table and
-    inserts a block per call.  Regions are slot-disjoint, so *any*
-    partition of the ranks into consecutive blocks — and any split of a
-    block's keys over ``INSERT_BLOCK_BYTES`` sub-blocks, in the insert as
-    in the regrow rehash — must leave every rank with the statistics,
-    capacity and slots of its own private table.
+    Both layouts keep consecutive ranks in one segmented table and insert
+    a block per call.  Regions are slot-disjoint, so *any* partition of the
+    ranks into consecutive blocks — and any split of a block's keys over
+    ``INSERT_BLOCK_BYTES`` sub-blocks, in the insert as in the regrow
+    rehash — must leave every rank with the statistics, capacity and slots
+    of its own private table, here the independent :class:`ScalarTable`.
     """
 
     @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
@@ -402,7 +406,7 @@ class TestRankBlockTables:
         # 2 KiB makes two 64-slot regions a probe sub-block of their own; 2 MiB keeps a block whole.
         block_bytes = data.draw(st.sampled_from([1 << 11, 1 << 21]), label="INSERT_BLOCK_BYTES")
         seed = data.draw(st.integers(0, 5), label="seed")
-        per_rank = [DeviceHashTable(16, seed=seed, probing=probing) for _ in range(p)]
+        per_rank = [ScalarTable(16, seed=seed, probing=probing) for _ in range(p)]
         tables = [SegmentedHashTable([16] * (r1 - r0), seed=seed, probing=probing) for r0, r1 in blocks]
         big = data.draw(st.integers(0, p - 1), label="oversized rank")
         with pytest.MonkeyPatch.context() as patch:
@@ -425,8 +429,7 @@ class TestRankBlockTables:
                         assert stats[r - r0] == want
                         view = table.view(r - r0)
                         assert (view.capacity, view.n_entries) == (per_rank[r].capacity, per_rank[r].n_entries)
-                        assert np.array_equal(view.keys, per_rank[r].keys)
-                        assert np.array_equal(view.counts, per_rank[r].counts)
+                        assert (view.keys.tobytes(), view.counts.tobytes()) == per_rank[r].slab()
 
     @pytest.mark.parametrize("probing", ["linear", "quadratic", "double"])
     def test_blocked_regrow_rehash_equals_per_rank_rehash(self, probing, monkeypatch):
@@ -436,7 +439,7 @@ class TestRankBlockTables:
         first = [rng.integers(0, 5000, size=40).astype(np.uint64) for _ in range(p)]  # fills the 64-slot regions
         second = [rng.integers(0, 5000, size=n).astype(np.uint64) for n in (300, 0, 90, 2, 700)]
         table = SegmentedHashTable([16] * p, seed=2, probing=probing)
-        per_rank = [DeviceHashTable(16, seed=2, probing=probing) for _ in range(p)]
+        per_rank = [ScalarTable(16, seed=2, probing=probing) for _ in range(p)]
         calls = []
         real = segmented.probe_insert
         monkeypatch.setattr(segmented, "probe_insert", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -447,24 +450,25 @@ class TestRankBlockTables:
             assert stats == [t.insert_batch(seg) if seg.size else InsertStats.zero() for t, seg in zip(per_rank, segments)]
         assert sum(ins.resizes > 0 for ins in stats) == 3 and len(calls) == 2  # one rehash + one insert
         for r, ref in enumerate(per_rank):
-            assert np.array_equal(table.view(r).keys, ref.keys) and np.array_equal(table.view(r).counts, ref.counts)
+            assert (table.view(r).keys.tobytes(), table.view(r).counts.tobytes()) == ref.slab()
 
 
 class TestSlotDump:
-    """``dump_slots`` / ``restore_slots`` / ``from_slots``: a table rebuilt
-    from its dump is the same table — same arrays now, same statistics for
-    whatever is inserted next — with no probe in between."""
+    """``dump_slots`` / ``restore_slots`` / ``SegmentedHashTable.from_slots``:
+    a table restored from its dump is the same table — same arrays now,
+    same statistics for whatever is inserted next — with no probe in
+    between; any run of regions restores from slices of the slab's dump."""
 
     histories = st.lists(st.lists(st.integers(0, 300), max_size=120), min_size=1, max_size=4)
 
     @staticmethod
-    def _rebuilt(table, probing: str) -> DeviceHashTable:
+    def _rebuilt(table, probing: str):
         bitmap, keys, counts = dump_slots(table.keys, table.counts)
         assert bitmap.dtype == np.uint8 and bitmap.shape[0] * 8 == table.capacity
         assert keys.shape[0] == counts.shape[0] == table.n_entries
-        twin = DeviceHashTable.from_slots(
-            *restore_slots(table.capacity, bitmap, keys, counts), seed=table.seed, probing=probing
-        )
+        twin = SegmentedHashTable.from_slots(
+            [table.capacity], bitmap, keys, counts, seed=table.seed, probing=probing
+        ).view(0)
         assert (twin.capacity, twin.n_entries) == (table.capacity, table.n_entries)
         assert np.array_equal(twin.keys, table.keys) and np.array_equal(twin.counts, table.counts)
         return twin
@@ -513,9 +517,41 @@ class TestSlotDump:
         for i in range(3):
             assert np.array_equal(np.concatenate([part[i] for part in parts]), whole[i])
 
+    @pytest.mark.parametrize("mapped", [False, True], ids=["ram", "mmap"])
+    def test_any_run_of_regions_restores_from_slices_of_the_slab_dump(self, tmp_path, mapped):
+        """What a checkpoint load does: one dump of P regions, restored as blocks of its choosing."""
+        rng = np.random.default_rng(3)
+        hints = [16, 200, 16, 900, 40]
+        table = SegmentedHashTable(hints, seed=4)
+        sizes = [30, 250, 0, 1500, 61]
+        table.insert_flat(rng.integers(0, 5000, size=sum(sizes)).astype(np.uint64), np.cumsum([0, *sizes]))
+        bitmap, keys, counts = dump_slots(table.keys, table.counts)
+        filled = np.concatenate([[0], np.cumsum(table.n_entries_per_rank)])
+        base = table.region_base
+        for r0, r1 in ((0, 5), (0, 1), (1, 4), (3, 5), (4, 5)):
+            block = SegmentedHashTable.from_slots(
+                table.capacities[r0:r1],
+                bitmap[base[r0] // 8 : base[r1] // 8],
+                keys[filled[r0] : filled[r1]],
+                counts[filled[r0] : filled[r1]],
+                seed=4,
+                table_dir=tmp_path if mapped else None,
+            )
+            assert isinstance(block.keys, np.memmap) == mapped
+            assert np.array_equal(block.capacities, table.capacities[r0:r1])
+            assert np.array_equal(block.n_entries_per_rank, table.n_entries_per_rank[r0:r1])
+            assert np.array_equal(block.keys, table.keys[base[r0] : base[r1]])
+            assert np.array_equal(block.counts, table.counts[base[r0] : base[r1]])
+            block.close()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("n", [0, 32, 96])
     def test_from_slots_rejects_a_region_that_is_not_one(self, n):
         with pytest.raises(ValueError, match="power of two"):
-            DeviceHashTable.from_slots(np.full(n, EMPTY_KEY), np.zeros(n, dtype=np.int64))
+            SegmentedHashTable.from_slots(
+                [n], np.zeros(n // 8, dtype=np.uint8), np.empty(0, np.uint64), np.empty(0, np.int64)
+            )
         with pytest.raises(ValueError, match="parallel"):
-            DeviceHashTable.from_slots(np.full(64, EMPTY_KEY), np.zeros(128, dtype=np.int64))
+            SegmentedHashTable.from_slots(
+                [64], np.zeros(8, dtype=np.uint8), np.empty(0, np.uint64), np.zeros(1, np.int64)
+            )

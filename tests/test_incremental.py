@@ -176,6 +176,29 @@ class TestCheckpointResume:
         other.load(path)
         assert other.spectrum().equals(counter.spectrum())
 
+    def test_save_syncs_the_file_then_the_rename(self, batches, tmp_path, monkeypatch):
+        """Durable: the temp file reaches the disk before the rename, the rename before save returns."""
+        import os
+        import stat
+
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(batches[0])
+        calls: list[str] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("dir-fsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file-fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        counter.save(tmp_path / "c.npz")
+        assert calls == ["file-fsync", "replace", "dir-fsync"]
+
     def test_failed_save_keeps_the_previous_checkpoint(self, batches, tmp_path, monkeypatch):
         counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
         counter.add_reads(batches[0])
@@ -273,10 +296,11 @@ class TestCheckpointAccounting:
 
     @pytest.mark.parametrize("cut", [1, 2])
     def test_per_rank_state_is_block_views_and_resumes_at_every_cut(self, batches, tmp_path, monkeypatch, cut):
-        """After its first batch a per-rank counter holds views of block-local
-        segmented tables (several ranks per table here); a checkpoint of them
-        loads as plain per-rank tables, which the next batch adopts into
-        blocks of *its* choosing — and nothing observable can tell."""
+        """After its first batch a per-rank counter holds views of the
+        block-local segmented tables that batch gave birth to (several ranks
+        per table here); a checkpoint of them loads straight into block
+        views of the same slots, in blocks of the loader's choosing — and
+        nothing observable can tell."""
         from repro.gpu import segmented
         from repro.gpu.hashtable import DeviceHashTable
 
@@ -284,10 +308,10 @@ class TestCheckpointAccounting:
         cfg = PipelineConfig(k=17)
         cluster = summit_gpu(2)
         full = DistributedCounter(cluster, cfg)
-        assert all(isinstance(t, DeviceHashTable) for t in full.tables)
+        assert not any(isinstance(t, DeviceHashTable) or t.n_entries for t in full.tables)
         for batch in batches:
             full.add_reads(batch)
-        blocks = segmented.view_blocks(full.tables)  # raises unless every table is a view
+        blocks = segmented.view_blocks(full.tables)
         assert 1 < len(blocks) < cluster.n_ranks
         assert [r1 - r0 for r0, r1, _ in blocks] == [table.n_ranks for _, _, table in blocks]
 
@@ -296,14 +320,63 @@ class TestCheckpointAccounting:
             first.add_reads(batch)
         resumed = DistributedCounter(cluster, cfg)
         resumed.load(first.save(tmp_path / f"cut{cut}.npz"))
-        assert all(isinstance(t, DeviceHashTable) for t in resumed.tables)
+        loaded = segmented.view_blocks(resumed.tables)
+        assert not any(isinstance(t, DeviceHashTable) for t in resumed.tables)
+        assert [r1 - r0 for r0, r1, _ in loaded] == [table.n_ranks for _, _, table in loaded]
         _assert_same_slots(resumed, first)
         for batch in batches[cut:]:
             resumed.add_reads(batch)
+        assert all(a[2] is b[2] for a, b in zip(loaded, segmented.view_blocks(resumed.tables)))
         _assert_same_observables(resumed, full)
 
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_resume_on_the_other_layout_at_every_cut(self, batches, tmp_path, monkeypatch, cut):
+        """Saved by one layout, resumed by the other: the uninterrupted run, whichever way round."""
+        from repro.core.engine import EngineOptions
+        from repro.gpu import segmented
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 19)
+        cfg = PipelineConfig(k=17, mode="supermer")
+        cluster = summit_gpu(2)
+        for saver, resumer in ((False, True), (True, False)):
+            full = DistributedCounter(cluster, cfg, options=EngineOptions(fused=saver))
+            first = DistributedCounter(cluster, cfg, options=EngineOptions(fused=saver))
+            for i, batch in enumerate(batches):
+                full.add_reads(batch)
+                if i < cut:
+                    first.add_reads(batch)
+            resumed = DistributedCounter(cluster, cfg, options=EngineOptions(fused=resumer))
+            resumed.load(first.save(tmp_path / f"cut{cut}-{saver}.npz"))
+            for batch in batches[cut:]:
+                resumed.add_reads(batch)
+            _assert_same_observables(resumed, full)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["staged", "fused"])
+    def test_a_state_without_keys_is_born_again_in_the_drives_blocks(self, batches, monkeypatch, fused):
+        """A fresh state is one table of empty 128-slot regions; each batch until one holds keys
+        re-births it at those capacities, in its own blocks, which every later batch keeps."""
+        from repro.core.engine import EngineOptions
+        from repro.gpu import segmented
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 19)
+        cluster = summit_gpu(2)
+        counter = DistributedCounter(cluster, PipelineConfig(k=17), options=EngineOptions(fused=fused))
+        fresh = counter.tables
+        assert len(segmented.view_blocks(fresh)) == 1 and {t.capacity for t in fresh} == {128}
+        counter.add_reads(ReadSet.empty())
+        assert counter.tables[0] is not fresh[0] and {t.capacity for t in counter.tables} == {128}
+        counter.add_reads(batches[0])
+        born = segmented.view_blocks(counter.tables)
+        assert 1 < len(born) < cluster.n_ranks
+        counter.add_reads(batches[1])
+        assert all(a[2] is b[2] for a, b in zip(born, segmented.view_blocks(counter.tables)))
+        reference = DistributedCounter(cluster, PipelineConfig(k=17))
+        for batch in batches[:2]:
+            reference.add_reads(batch)
+        assert counter.insert_stats == reference.insert_stats  # resizes counted from 128 slots, as ever
+
     def test_staged_fused_staged_flip_equals_the_unflipped_run(self, batches, monkeypatch):
-        """Block views → one flat table → views of that one table, a batch each."""
+        """Both layouts count through the blocks batch 1 gave birth to: a flip copies nothing."""
         from repro.core.engine import EngineOptions
         from repro.gpu import segmented
 
@@ -312,18 +385,29 @@ class TestCheckpointAccounting:
         cluster = summit_gpu(2)
         plain = DistributedCounter(cluster, cfg)
         flipped = DistributedCounter(cluster, cfg)
+        births = []
+        real_init = segmented.SegmentedHashTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            births.append(1)
+            real_init(self, *args, **kwargs)
+
         parents = []
         for batch, fused in zip(batches, (False, True, False)):
             plain.add_reads(batch)
             flipped._scheduler.opts = EngineOptions(fused=fused)
             flipped.add_reads(batch)
-            parents.append(len(segmented.view_blocks(flipped.tables)))
-        assert parents[0] > 1 and parents[1:] == [1, 1]  # the flat layout's adoption is kept, not re-blocked
+            parents.append([table for _, _, table in segmented.view_blocks(flipped.tables)])
+            monkeypatch.setattr(segmented.SegmentedHashTable, "__init__", counting_init)
+        assert len(parents[0]) > 1
+        assert all(a is b for later in parents[1:] for a, b in zip(parents[0], later, strict=True))
+        assert births == []  # no table is born after batch 1
         _assert_same_observables(flipped, plain)
 
     def test_mmap_backed_flat_state_round_trips_through_ram(self, batches, tmp_path):
         """Views of file-backed slabs save through the same path: into an
-        in-RAM per-rank counter, and back into a fresh ``table_dir`` one."""
+        in-RAM per-rank counter, and back into a fresh ``table_dir`` one,
+        whose loaded tables are file-backed from the start."""
         from repro.core.engine import EngineOptions
 
         cfg = PipelineConfig(k=17)
@@ -339,6 +423,7 @@ class TestCheckpointAccounting:
         _assert_same_observables(in_ram, on_disk)
         back = DistributedCounter(cluster, cfg, options=mapped("b"))
         back.load(in_ram.save(tmp_path / "ram.npz"))
+        assert isinstance(back.tables[0].keys, np.memmap)  # a resumed state is born with its backing
         _assert_same_observables(back, on_disk)
         assert (tmp_path / "mapped.npz").read_bytes() == (tmp_path / "ram.npz").read_bytes()
 

@@ -259,11 +259,10 @@ class TestWallRowsAllStrategies:
             reads, config=self.CONFIG, fused=True, spill_dir=tmp_path / "s", trace=True
         )
         names = {e["name"] for e in wall_trace_events(options.trace) if e["ph"] == "X"}
-        assert {"fused:parse", "fused:merge"} <= names
+        assert {"fused:parse", "spill:run-write", "spill:merge"} <= names  # one-shot tables dumped as runs
         assert any(n.startswith("spill:spool") for n in names)
-        assert any(n.startswith("spill:read") for n in names)
-        assert any(n.startswith("fused:count") for n in names)
-        assert "spill:run-write" not in names  # no external-merge run files
+        for name in ("spill:run-write", "spill:read-round0", "fused:count-round0", "fused:count-round1"):
+            assert_block_leaves_tile(options.trace.spans(name), 4)
 
     @pytest.mark.parametrize("fused", [False, True], ids=["spill", "fused-spill"])
     def test_spooled_count_stage_is_the_count_phase(self, reads, tmp_path, fused):

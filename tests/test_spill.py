@@ -237,8 +237,8 @@ class TestSpillFallbacks:
         run_span = next(s for s in rec.all_spans() if s.name == "run")
         assert run_span.meta["strategy"] == "fused-spill"
         names = {s.name.split("-round")[0] for s in rec.all_spans()}
-        assert {"spill:spool", "spill:read", "fused:count", "fused:merge"} <= names
-        assert "spill:run-write" not in names  # no external run files on this path
+        # The residency, not the layout, decides: one-shot block tables are dumped as runs.
+        assert {"spill:spool", "spill:read", "fused:count", "spill:run-write", "spill:merge"} <= names
         assert list(tmp_path.iterdir()) == []  # spool cleaned up
 
     def test_fused_spill_custom_stages_fall_back_to_staged_spill(self, caplog, genome_reads, tmp_path):
@@ -261,21 +261,6 @@ class TestSpillFallbacks:
         assert any("engine.fused.fallback" in rec.message for rec in caplog.records)
         mem = run_pipeline(genome_reads, cluster, config, backend="gpu", options=EngineOptions())
         assert spilled.spectrum.equals(mem.spectrum)
-
-    def test_table_dir_on_staged_path_warns_and_stays_resident(self, caplog, genome_reads, tmp_path):
-        config = PipelineConfig(k=15, mode="kmer")
-        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
-            staged = run_pipeline(
-                genome_reads,
-                summit_gpu(1),
-                config,
-                backend="gpu",
-                options=EngineOptions(table_dir=tmp_path),
-            )
-        assert any("engine.table.fallback" in rec.message for rec in caplog.records)
-        mem = run_pipeline(genome_reads, summit_gpu(1), config, backend="gpu", options=EngineOptions())
-        assert summarize_result(staged) == summarize_result(mem)
-        assert list(tmp_path.iterdir()) == []  # no slabs were created
 
 
 class TestFusedSpillIdentity:
@@ -445,21 +430,81 @@ class TestMmapTable:
         assert not slab_dir.exists()
         assert tmp_path.exists()  # the user-provided root stays
 
-    def test_from_tables_adopts_into_mmap_backing(self, tmp_path):
-        from repro.gpu.hashtable import DeviceHashTable
+    def test_from_slots_restores_into_mmap_backing(self, tmp_path):
+        from repro.gpu.hashtable import DeviceHashTable, dump_slots
         from repro.gpu.segmented import SegmentedHashTable
 
         rng = np.random.default_rng(41)
         tables = [DeviceHashTable(64, seed=7) for _ in range(2)]
-        segs = [rng.integers(0, 999, size=200, dtype=np.uint64) for _ in range(2)]
-        for t, s in zip(tables, segs):
-            t.insert_batch(s)
-        mapped = SegmentedHashTable.from_tables(tables, table_dir=tmp_path)
-        assert mapped.backing_dir is not None
+        for t in tables:
+            t.insert_batch(rng.integers(0, 999, size=200, dtype=np.uint64))
+        dumps = [dump_slots(t.keys, t.counts) for t in tables]
+        mapped = SegmentedHashTable.from_slots(
+            [t.capacity for t in tables], *map(np.concatenate, zip(*dumps)), seed=7, table_dir=tmp_path
+        )
+        assert mapped.backing_dir is not None and isinstance(mapped.keys, np.memmap)
         for r, t in enumerate(tables):
             mk, mc = mapped.items_of(r)
             rk, rc = t.items()
             assert np.array_equal(mk, rk) and np.array_equal(mc, rc)
+        mapped.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_dir_backs_the_staged_layout(self, genome_reads, tmp_path, monkeypatch):
+        """``table_dir`` backs the per-rank layout's block tables too, resident and
+        spilled, on every substrate: bit-identical, file-backed, nothing left behind.
+
+        Under ``process:2`` a forked worker counts into its block's slab files,
+        which both processes map; a regrow in the worker writes a new slab
+        generation and unlinks the driving process's, whose table then maps
+        that generation instead of adopting RAM copies of it.
+        """
+        import gc
+
+        from repro.core.stages.spill import Resident
+        from repro.gpu import segmented
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)  # several blocks, so pools fork
+        config = PipelineConfig(k=15, mode="kmer", n_rounds=2)
+        cluster = summit_gpu(2)
+        mem = summarize_result(run_pipeline(genome_reads, cluster, config, backend="gpu", options=EngineOptions()))
+        n = genome_reads.n_reads
+        halves = [genome_reads.select(range(n // 2)), genome_reads.select(range(n // 2, n))]
+        in_ram = DistributedCounter(cluster, config)
+        for half in halves:
+            in_ram.add_reads(half)
+        mapped_after_round: list[bool] = []
+        count_round = Resident.count_round
+
+        def checked(self, tables, *args):
+            count_round(self, tables, *args)
+            mapped_after_round.extend(getattr(t.parent.keys, "filename", None) is not None for t in tables)
+
+        monkeypatch.setattr(Resident, "count_round", checked)
+        for parallel in (1, "thread:2", "process:2"):
+            for spill in (False, True):
+                table_dir = tmp_path / f"tables-{parallel}-{spill}".replace(":", "")
+                options = EngineOptions(
+                    parallel=parallel, table_dir=table_dir, spill_dir=tmp_path / "spool" if spill else None
+                )
+                result = run_pipeline(genome_reads, cluster, config, backend="gpu", options=options)
+                assert summarize_result(result) == mem, (parallel, spill)
+                assert list(table_dir.iterdir()) == [], (parallel, spill)
+
+                counter = DistributedCounter(cluster, config, options=options)
+                for half in halves:  # a 128-slot state: every block regrows, in a worker under process:2
+                    counter.add_reads(half)
+                    blocks = segmented.view_blocks(counter.tables)
+                    assert len(blocks) > 1
+                    for _, _, table in blocks:  # mapped from one live slab generation, not RAM copies of it
+                        counts_file, keys_file = sorted(table.backing_dir.iterdir())
+                        mapped = getattr(table.keys, "filename", None), getattr(table.counts, "filename", None)
+                        assert mapped == (keys_file, counts_file)
+                assert summarize_counter(counter) == summarize_counter(in_ram), (parallel, spill)
+                del counter, blocks, table
+                gc.collect()
+                assert list(table_dir.iterdir()) == [], (parallel, spill)
+        assert mapped_after_round and all(mapped_after_round)
 
     @pytest.mark.parametrize("spill", [False, True])
     def test_engine_identity_with_table_dir(self, genome_reads, tmp_path, spill):
@@ -523,13 +568,13 @@ class TestSpillCleanupOnFailure:
         )
 
     def test_fused_spill_raise_removes_spool(self, caplog, genome_reads, tmp_path, monkeypatch):
-        import repro.core.stages.fused as fused_mod
+        import repro.core.stages.spill as spill_mod
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        # The flat layout builds the segmented table after every round has spooled.
-        monkeypatch.setattr(fused_mod, "SegmentedHashTable", boom)
+        # The streamed count gives birth to each block's table after every round has spooled.
+        monkeypatch.setattr(spill_mod, "block_table", boom)
         config = PipelineConfig(k=15, mode="kmer")
         self._assert_cleanup(
             caplog,
@@ -546,16 +591,21 @@ class TestSpillCleanupOnFailure:
 
     @pytest.mark.parametrize("spill", [False, True], ids=["fused", "fused-spill"])
     def test_fused_table_dir_raise_removes_slabs(self, genome_reads, tmp_path, monkeypatch, spill):
-        """A raise after the mmap table exists must still reclaim its slab
-        files: the driver's cleanup scope closes the table on any exit, not
-        on the success path only (where the slabs outlived the traceback)."""
+        """A raise after the last mmap table exists must still reclaim its slab
+        files: the driver's cleanup scope (or, for a spilled one-shot block,
+        the block's own stream) closes the table on any exit, not on the
+        success path only (where the slabs outlived the traceback)."""
         from repro.core.stages.standard import SpectrumMerge
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        # The merge runs once every round is counted: the table is at its fullest.
-        monkeypatch.setattr(SpectrumMerge, "merge_items", boom)
+        # Resident: the merge runs once every round is counted, the tables at their
+        # fullest.  Spilled: the last block's run dump, its table still open.
+        if spill:
+            monkeypatch.setattr(SpillSpool, "write_runs", boom)
+        else:
+            monkeypatch.setattr(SpectrumMerge, "merge_items", boom)
         table_dir = tmp_path / "table"
         options = EngineOptions(
             fused=True, table_dir=table_dir, spill_dir=tmp_path / "spool" if spill else None
@@ -1019,7 +1069,8 @@ class TestSpoolFileCount:
         )
         assert result.n_rounds_used == 2 and result.spectrum.equals(count_kmers_exact(genome_reads, 17))
         assert pending == [2, 4]  # payload + length bytes per round
-        assert len(rounds) <= 2 * 4 and not runs  # the flat layout merges in memory
+        assert len(rounds) <= 2 * 4
+        assert runs and len(runs) <= 2 * cluster.n_ranks  # per run file: written once, mapped once
 
 
 # ---------------------------------------------------------------------------

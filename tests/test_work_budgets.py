@@ -248,3 +248,95 @@ class TestRankBlockBudgets:
         # Doubling the reads at fixed P: round files unchanged; blocks follow the bytes, never past P.
         assert larger[6][0] == files[0] and blocks <= larger[1] <= min(p, 2 * blocks + 1)
         assert larger[6][1:] == (larger[1], larger[1])
+
+
+class TestOneTableBudgets:
+    """Every table is born once, in rank blocks, and never copied into another.
+
+    A flip to the flat layout or a first batch after a load must not copy
+    the state into a new table, and a regrow must not re-lay regions of
+    blocks that did not grow (one flat table re-laid its whole slab).
+    """
+
+    @staticmethod
+    def _births(patch) -> list[int]:
+        """Every table birth, however made (``_init_backing`` runs once per table)."""
+        births: list[int] = []
+        real = SegmentedHashTable._init_backing
+        patch.setattr(SegmentedHashTable, "_init_backing", lambda self, *a: births.append(1) or real(self, *a))
+        return births
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["per-rank", "flat"])
+    @pytest.mark.parametrize("spill", [False, True], ids=["resident", "spilled"])
+    def test_one_birth_per_block(self, genome_reads, tmp_path, monkeypatch, fused, spill):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
+        births = self._births(monkeypatch)
+        options = EngineOptions(trace=True, fused=fused, spill_dir=tmp_path if spill else None)
+        run_pipeline(genome_reads, summit_gpu(4), PipelineConfig(k=15, n_rounds=2), options=options)
+        leaves = [s for s in options.trace.spans() if s.name.split("-round")[0].endswith("count")]
+        blocks = {tuple(s.meta["ranks"]) for s in leaves}
+        assert len(blocks) > 1 and len(births) == len(blocks)
+
+    def test_no_table_is_born_after_the_first_batch_or_the_load(self, genome_reads, tmp_path, monkeypatch):
+        """A layout flip and a resume count through the tables there are: no slot is copied."""
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
+        n = genome_reads.n_reads
+        batches = [genome_reads.select(range(i * n // 3, (i + 1) * n // 3)) for i in range(3)]
+        cluster, config = summit_gpu(4), PipelineConfig(k=15)
+        flipped = DistributedCounter(cluster, config)
+        flipped.add_reads(batches[0])
+        births = self._births(monkeypatch)
+        for batch, fused in zip(batches[1:], (True, False)):
+            flipped._scheduler.opts = EngineOptions(fused=fused)
+            flipped.add_reads(batch)
+        assert births == []
+
+        resumed = DistributedCounter(cluster, config, options=EngineOptions(fused=True))
+        births.clear()  # the fresh state's one table of empty regions
+        resumed.load(flipped.save(tmp_path / "ck.npz"))
+        assert len(births) == len(segmented.view_blocks(resumed.tables)) > 1  # born by the load, in blocks
+        resumed.add_reads(batches[0])
+        assert len(births) == len(segmented.view_blocks(resumed.tables))
+
+    @staticmethod
+    def _regrows(monkeypatch, reads, nodes: int) -> tuple[list[int], list[int]]:
+        """``(bytes each regrow after batch 1 laid, bytes of the batch-1 rank blocks holding its grown regions)``.
+
+        A P-rank k-mer counter on the flat layout, fed twelve batches; the
+        blocks are the ones :func:`~repro.gpu.segmented.table_blocks` gives
+        for the first batch's received k-mers.
+        """
+        n = reads.n_reads
+        counter = DistributedCounter(summit_gpu(nodes), PipelineConfig(k=17), options=EngineOptions(fused=True))
+        counter.add_reads(reads.select(range(n // 12)))
+        blocks = segmented.table_blocks(counter.received_kmers)
+        first_rank = {id(table): r0 for r0, _, table in segmented.view_blocks(counter.tables)}
+        laid, bound = [], []
+        real = SegmentedHashTable._regrow
+
+        def measured(self, new_caps):
+            grown = first_rank[id(self)] + np.flatnonzero(new_caps != self.capacities)
+            caps = np.zeros(counter.received_kmers.shape[0], dtype=np.int64)
+            r0 = first_rank[id(self)]
+            caps[r0 : r0 + self.n_ranks] = new_caps
+            laid.append(16 * int(new_caps.sum()))
+            bound.append(sum(16 * int(caps[b0:b1].sum()) for b0, b1 in blocks if ((grown >= b0) & (grown < b1)).any()))
+            return real(self, new_caps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SegmentedHashTable, "_regrow", measured)
+            for i in range(1, 12):
+                counter.add_reads(reads.select(range(i * n // 12, (i + 1) * n // 12)))
+        return laid, bound
+
+    def test_regrow_lays_only_the_blocks_that_grew(self, genome_reads, monkeypatch):
+        """P = 24: a regrow re-lays the blocks holding a grown region, not the whole slab."""
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)
+        laid, bound = self._regrows(monkeypatch, genome_reads, 4)
+        assert laid and all(a <= b for a, b in zip(laid, bound))
+
+    def test_bytes_laid_per_regrow_do_not_grow_with_ranks(self, genome_reads, monkeypatch):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)
+        base, _ = self._regrows(monkeypatch, genome_reads, 4)
+        wider, _ = self._regrows(monkeypatch, genome_reads, 8)  # P doubled, same input
+        assert base and wider and max(wider) <= max(base) + segmented.INSERT_BLOCK_BYTES

@@ -23,9 +23,10 @@ A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
 families both layouts must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the count body's per-rank
-charge, the table's insert probe loop, its slot dump and the segment
-gather index may each appear in their owning file only, so neither a
-layout, the scheduler nor the spool can regrow a private copy.
+charge, the table's insert probe loop, its slot dump, the segment
+gather index and the engine's one table birth may each appear in their
+owning file only, so neither a layout, the scheduler nor the spool can
+regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -69,6 +70,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
+    ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),
 ]
 
 
