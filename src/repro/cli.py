@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--fused",
         action="store_true",
-        help="run whole-cluster fused supersteps (bit-identical results; see docs/PERFORMANCE.md)",
+        help="gather the exchange straight out of the one send array (bit-identical results; see docs/PERFORMANCE.md)",
     )
     p_count.add_argument(
         "--spill",

@@ -1,13 +1,10 @@
-"""Scratch-buffer arena: recycled large temporaries for the fused engine.
+"""Scratch-buffer arena: recycled temporaries of the round driver.
 
-The fused execution path (:mod:`repro.core.stages.fused`) operates on a
-handful of cluster-wide flat arrays per superstep — the concatenated
-shard codes, the destination-ordered send buffer, and the exchanged
-(shuffled) receive buffer.  Allocating those from the heap every
-superstep/round/sweep-cell dominates small-workload wall time with page
-faults and allocator churn, so the :class:`ScratchArena` keeps released
-blocks on per-dtype free lists and hands them back to later ``take``
-calls.
+A parse block concatenates its shards' codes, and the spool stages and
+reads back one destination block at a time (:mod:`repro.core.stages`).
+Allocating those afresh every block/round/sweep-cell costs page faults
+and allocator churn, so the :class:`ScratchArena` keeps released blocks
+on per-dtype free lists and hands them back to later ``take`` calls.
 
 Design constraints:
 
@@ -22,8 +19,7 @@ Design constraints:
   ``CountResult`` is a fresh allocation.
 - Telemetry counters are registered as *wall* metrics (like the pool
   counters): buffer recycling changes host behaviour only, and model
-  metric snapshots must stay bit-identical between fused and staged
-  runs.
+  metric snapshots must stay bit-identical between strategies.
 """
 
 from __future__ import annotations

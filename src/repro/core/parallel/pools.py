@@ -61,7 +61,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
@@ -277,17 +277,22 @@ class ThreadPool(RankPool):
         # chunksize is ignored by ThreadPoolExecutor), so a 672-rank world
         # costs ~4*workers futures instead of 672.  Chunks preserve input
         # order and results are flattened back in order, which is exactly
-        # the determinism guarantee RankPool.map promises; the list() also
-        # surfaces the first worker exception in the caller's thread, like
-        # the sequential loop would.
+        # the determinism guarantee RankPool.map promises.  The first
+        # worker exception (in input order) surfaces in the caller's
+        # thread, like the sequential loop's — but only once every chunk
+        # has finished, so no closure is still writing into a spool or a
+        # table the caller's cleanup is about to remove.
         seq = list(items)
         self._record_map(len(seq))
         if len(seq) <= 1:
             return [fn(item) for item in seq]
         chunk = max(1, -(-len(seq) // (4 * self.workers)))
-        chunks = [seq[i : i + chunk] for i in range(0, len(seq), chunk)]
-        out_chunks = self._executor.map(lambda part: [fn(item) for item in part], chunks)
-        return [result for part in out_chunks for result in part]
+        futures = [
+            self._executor.submit(lambda part: [fn(item) for item in part], seq[i : i + chunk])
+            for i in range(0, len(seq), chunk)
+        ]
+        wait(futures)
+        return [result for future in futures for result in future.result()]
 
     def shutdown(self) -> None:
         self._executor.shutdown(wait=True)

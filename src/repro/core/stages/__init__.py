@@ -6,15 +6,14 @@ between them (:mod:`.buffers`), structural protocols per stage kind
 (:mod:`.protocols`), the paper's implementations (:mod:`.standard`), a
 backend/extension registry (:mod:`.registry`), and the single round
 driver that owns the memory-bounded execution loop (:mod:`.scheduler`)
-over a data layout (per-rank | flat, :mod:`.fused`) and a receive-buffer
-residency (RAM | spool, :mod:`.spill`).
+over one data layout (its exchange fused or through the exchange stage)
+and a receive-buffer residency (RAM | spool, :mod:`.spill`).
 See ``docs/ARCHITECTURE.md`` for the full picture and the recipe for
 registering custom stages.
 """
 
 from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
 from .context import EngineOptions, StageContext
-from .fused import supports_fusion
 from .protocols import (
     CountStage,
     ExchangeStage,
@@ -36,7 +35,7 @@ from .registry import (
     resolve_stage,
     substrate_names,
 )
-from .scheduler import PipelineState, RoundScheduler
+from .scheduler import PipelineState, RoundScheduler, supports_fusion
 from .spill import SpillExchange, SpillSpool, external_merge, supports_spill
 from .spmd import staged_rank_program
 

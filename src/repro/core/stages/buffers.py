@@ -4,8 +4,10 @@ Every arrow in the stage graph has an explicit record type:
 
 * parse → partition: :class:`ParsedItems` (items plus the routing keys the
   partitioner hashes);
-* partition → exchange: :class:`RankParse` (destination-ordered buffers,
-  the generalization of the old engine's private ``_RankParse``);
+* partition → exchange: :class:`RankParse` (one rank's destination-ordered
+  buffer, what a custom stage's ``parse_rank`` returns) and
+  :class:`SendArray` (every rank's, in one array: the round driver's send
+  format);
 * exchange → count: :class:`ExchangeOutcome` (received buffers plus the
   modeled exchange-time breakdown);
 * parse → round driver: :class:`ParseSummary` (the per-rank statistics
@@ -30,26 +32,41 @@ from ...mpi.collectives import segment_gather_index
 __all__ = [
     "ParsedItems",
     "RankParse",
+    "SendArray",
     "ParseSummary",
     "ExchangeOutcome",
     "CountOutcome",
+    "joined",
     "round_split",
 ]
 
 
-def round_split(seg_lens: np.ndarray, rnd: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Round ``rnd``'s even share of back-to-back segments: ``(lens, gather index)``.
+def joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` back to back: the one part itself, else their concatenation."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Segment ``i`` (``seg_lens[i]`` items, laid out consecutively) gives
-    round ``rnd`` its items ``[len·rnd // n, len·(rnd+1) // n)`` (Section
-    III-A's multi-round split), so the rounds' shares tile every segment
-    in order.  The index gathers the shares in segment order.
+
+def round_split(send: "SendArray", rnd: int, n_rounds: int) -> "SendArray":
+    """Round ``rnd``'s even share of every (src, dst) segment of ``send``, still src-major.
+
+    Segment ``i`` (``len`` items) gives round ``rnd`` its items ``[len·rnd //
+    n, len·(rnd+1) // n)`` (Section III-A: when the data exceeds memory
+    limits "the computation and communication may proceed in multiple
+    rounds"), so the rounds' arrays tile every segment in order; one
+    gather cuts a round.
     """
+    if n_rounds == 1:
+        return send
+    seg_lens = send.counts.reshape(-1)
     seg_starts = np.cumsum(seg_lens) - seg_lens
     lo = seg_starts + (seg_lens * rnd) // n_rounds
-    hi = seg_starts + (seg_lens * (rnd + 1)) // n_rounds
-    rlens = hi - lo
-    return rlens, segment_gather_index(lo, rlens)
+    rlens = seg_starts + (seg_lens * (rnd + 1)) // n_rounds - lo
+    idx = segment_gather_index(lo, rlens)
+    return SendArray(
+        data=np.take(send.data, idx),
+        lengths=np.take(send.lengths, idx) if send.lengths is not None else None,
+        counts=rlens.reshape(send.counts.shape),
+    )
 
 
 @dataclass
@@ -73,28 +90,45 @@ class ParsedItems:
 
 @dataclass
 class RankParse:
-    """Per-rank output of the parse phase: destination-ordered buffers."""
+    """One rank's parsed items in destination order (``parse_rank``'s output)."""
 
     data: np.ndarray  # packed k-mers, or packed supermer words
     lengths: np.ndarray | None  # supermer mode: per-item k-mer counts (uint8)
     counts: np.ndarray  # items per destination, shape (P,)
-    time_s: float
     n_kmers_parsed: int
     n_supermers: int
     supermer_bases: int
 
 
 @dataclass
-class ParseSummary:
-    """What the round driver keeps of a parse phase, whatever the layout.
+class SendArray:
+    """Every source rank's destination-ordered items in one array.
 
-    Small per-rank statistics only — the send buffers they describe are
-    layout-private and are dropped as soon as the last round is exchanged.
+    ``data`` is src-major and dst-segmented: segment ``(src, dst)`` holds
+    ``counts[src, dst]`` items, so a source's send buffer — the exchange
+    stage's per-source form — is a view of it.  The parse phase writes one
+    (each parse block its slice), a round is a gather of it
+    (:func:`round_split`), and a fused exchange gathers straight out of it.
+    """
+
+    data: np.ndarray  # uint64: packed k-mers, or packed supermer words
+    lengths: np.ndarray | None  # uint8 k-mers per supermer (supermer mode), parallel to data
+    counts: np.ndarray  # (sources, P) int64: [src, dst] items
+
+
+@dataclass
+class ParseSummary:
+    """What the round driver keeps of a parse phase: per-rank statistics.
+
+    Small per-rank figures only — the :class:`SendArray` they describe is
+    dropped as soon as the last round is exchanged.  A parse block returns
+    one for its own ranks (``times``, ``n_kmers`` and ``counts_matrix``
+    rows are its shards'), and the driver stacks them.
     """
 
     times: np.ndarray  # float64 per rank: modeled parse seconds
     n_kmers: np.ndarray  # int64 per rank: k-mer instances parsed
-    counts_matrix: np.ndarray  # (p, p) int64: [src, dst] items before round splitting
+    counts_matrix: np.ndarray  # (ranks, p) int64: [src, dst] items before round splitting
     n_supermers: int
     supermer_bases: int
 
@@ -103,7 +137,7 @@ class ParseSummary:
 class ExchangeOutcome:
     """All ranks' received buffers plus the exchange-phase time breakdown.
 
-    The per-rank layout receives one array per rank; the flat layout
+    An exchange stage receives one array per rank; a fused exchange
     receives a single rank-segmented array (``recv_data``/``recv_lengths``
     are then plain arrays) with ``recv_offsets`` marking the p+1 segment
     boundaries.
@@ -119,7 +153,7 @@ class ExchangeOutcome:
     # link first, with staging appended as a "host-staging" row when it
     # applies (every exchange fills it from ``exchange_time_model``).
     link_seconds: tuple[tuple[str, float], ...] = ()
-    recv_offsets: np.ndarray | None = None  # flat layout only
+    recv_offsets: np.ndarray | None = None  # fused exchanges only
 
 
 @dataclass

@@ -72,12 +72,13 @@ class EngineOptions:
     # Extension stage plugins by registry name (e.g. ("bloom", "balanced"));
     # resolved through repro.core.stages.registry when the composition is built.
     stages: tuple[str, ...] = ()
-    # Fused whole-cluster execution (the flat layout, repro.core.stages.fused).
-    # Results are bit-identical to the per-rank layout; compositions with
-    # custom stage types fall back to it.
+    # Fused exchange (repro.core.stages.scheduler.Layout): every exchange
+    # gathers straight out of the one send array instead of through the
+    # exchange stage's per-source buffers.  Results are bit-identical; a
+    # custom exchange stage falls back to its per-source buffers.
     fused: bool = False
-    # Scratch-buffer pool shared across runs/sweep cells in fused mode; None
-    # lets the scheduler create a private one.
+    # Scratch-buffer pool for parse blocks and spool buffers, shared across
+    # runs/sweep cells; None lets the scheduler create a private one.
     arena: ScratchArena | None = None
     # Out-of-core execution (repro.core.stages.spill): a spool directory for
     # disk-spilled exchange partitions.  When set, the one-shot run writes

@@ -119,13 +119,12 @@ class MergeStage(Protocol):
 class Substrate(Protocol):
     """Execution substrate: wraps pure stage kernels with modeled timing.
 
-    The per-rank layout calls ``parse_rank``, and ``count_rank`` for a
-    custom count stage.  ``charge_count`` (model seconds from a rank's
-    count figures) is what the one count body of the standard count stage
-    loops over a block's ranks on every layout; the standard substrates
-    also expose ``charge_parse``, which the flat layout loops over ranks
-    after running the parse body once.  Every layout charges the exchange
-    through ``charge_exchange`` and sizes rounds through ``device_rounds``.
+    ``charge_parse`` and ``charge_count`` turn a rank's parse and count
+    figures into model seconds; the one parse body and the one count body
+    loop them over a block's ranks.  ``parse_rank`` and ``count_rank`` run
+    a custom parse/partition or count stage one rank at a time (the
+    charges stay with the bodies).  The exchange is charged through
+    ``charge_exchange`` and rounds are sized through ``device_rounds``.
     """
 
     name: str
@@ -137,6 +136,18 @@ class Substrate(Protocol):
         partition: PartitionStage,
         ctx: "StageContext",
     ) -> RankParse: ...
+
+    def charge_parse(
+        self,
+        parse: ParseStage,
+        n_kmers: int,
+        n_supermers: int,
+        code_bytes: int,
+        grid_threads: int,
+        ctx: "StageContext",
+    ) -> float:
+        """Model seconds of one rank's parse of a shard of ``code_bytes`` encoded bases."""
+        ...
 
     def count_rank(
         self,

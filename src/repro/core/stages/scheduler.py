@@ -20,16 +20,16 @@ modeled per-round working set exceeds device memory (``auto_rounds``), or
 the config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange + count phases repeat.
 
-The four strategies (``staged``, ``fused``, ``spill``, ``fused-spill``)
-are the 2×2 of two small objects the driver calls, each hiding a data
-format: a *layout* (:class:`PerRankLayout` here |
-:class:`~repro.core.stages.fused.FlatLayout`) and a *residency*
-(:class:`~repro.core.stages.spill.Resident` |
-:class:`~repro.core.stages.spill.Spooled`).  The layouts differ only in
-the parse/exchange data format and in whether count blocks run on the
-pool; the tables are the residency's, block-local segmented tables under
-every cell.  :class:`RoundAccounting` is the one place their outcomes are
-summed.
+There is one data layout (:class:`Layout`): blocks of whole shards parse
+into one send array, a round is one gather of it, and blocks of ranks
+count into block-local segmented tables, all on the rank pool.  The four
+strategies (``staged``, ``fused``, ``spill``, ``fused-spill``) are the
+2×2 of two switches on it: whether the exchange takes per-source views
+of the send array through the exchange stage or — ``fused`` — gathers
+straight out of it into one receive array, and the *residency* of the
+receive side (:class:`~repro.core.stages.spill.Resident` |
+:class:`~repro.core.stages.spill.Spooled`).  :class:`RoundAccounting` is
+the one place their outcomes are summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
 the persistent per-rank tables and accounting across batches, and its
@@ -52,7 +52,7 @@ import numpy as np
 
 from ...dna.reads import ReadSet
 from ...gpu.hashtable import EMPTY_KEY, InsertStats, SegmentedRankView, dump_slots
-from ...gpu.segmented import SegmentedHashTable, table_blocks
+from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
@@ -63,14 +63,14 @@ from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from ..tracing import recording_region
-from .buffers import ExchangeOutcome, ParseSummary, RankParse, round_split
+from .buffers import ExchangeOutcome, ParseSummary, SendArray, round_split
 from .context import EngineOptions, StageContext
-from .fused import FlatLayout, supports_fusion
 from .protocols import Substrate
 from .registry import StageComposition
 from .spill import Resident, Spooled, block_table, supports_spill
+from .standard import AlltoallvExchange, parse_block
 
-__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "PerRankLayout", "Strategy"]
+__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "Layout", "Strategy", "supports_fusion"]
 
 #: The one checkpoint format (see :class:`PipelineState`); files of any
 #: other version are rejected by :meth:`PipelineState.load`.
@@ -130,7 +130,7 @@ class PipelineState:
     into it.  ``tables`` holds one view per rank of block-local tables,
     born by the first batch that counts keys into the state (or by
     :meth:`load`); every later batch counts through those blocks, whichever
-    layout runs it.  The checkpoint (format version 3, an uncompressed ``.npz``
+    strategy runs it.  The checkpoint (format version 3, an uncompressed ``.npz``
     whose zip CRC-32s detect corruption) holds the tables *as they are*:
     ``capacities`` (one per rank), and for the ranks' regions laid end to
     end the ``occupancy`` bitmap and the occupied ``keys``/``counts`` in
@@ -143,7 +143,7 @@ class PipelineState:
     the saved one's capacities and slots element for element, and a run
     resumed from it equals the uninterrupted run on every observable —
     spectrum, timing, insert statistics, capacities, traffic records —
-    wherever it was cut and whichever layout saved or resumes it.
+    wherever it was cut and whichever strategy saved or resumes it.
     """
 
     tables: list[SegmentedRankView]
@@ -305,7 +305,7 @@ class PipelineState:
 class RoundAccounting:
     """The one accumulator of a drive's model accounting.
 
-    Every layout × residency cell reports its exchange outcomes and count
+    Every fused × residency cell reports its exchange outcomes and count
     outcomes here, and nothing else sums modeled seconds, link seconds,
     counts matrices, per-rank count seconds, received k-mers or
     :class:`InsertStats` — so the two surfaces and four strategies cannot
@@ -451,31 +451,51 @@ class RoundAccounting:
             )
 
 
-class PerRankLayout:
-    """The per-rank data layout: one send and one receive buffer per rank.
+#: Parse blocks are whole shards (consecutive ranks) whose codes total
+#: about this many bases.  Extraction kernels (window packing, minimizer
+#: scans, supermer builds) are multi-pass: they materialize several
+#: full-array intermediates per element, and the block then sorts and
+#: gathers its items, so a cache-sized block keeps every pass's working set
+#: in L2.  Block boundaries on shard boundaries keep the outputs
+#: bit-identical (no window or supermer spans a shard).  32 Ki bases: of
+#: 2^14..2^17 swept on the benchmark host, it parsed the six fig6 grid
+#: cells fastest (see docs/PERFORMANCE.md, "One layout").
+PARSE_BLOCK_BASES = 1 << 15
 
-    Each rank's parse output is its own :class:`RankParse` and the parse
-    phase is P independent ``parse_rank`` calls mapped over the rank pool;
-    the exchange stage moves per-rank lists.  The tables are the
-    residency's (block-local segmented tables, one per rank block); what
-    this layout adds to the count is the form of a block's receive buffers
-    (:meth:`block_recv`, the ranks' buffers back to back) and a pool the
-    blocks run on.  This is the layout custom stages see (a custom count
-    stage is run rank by rank on the table views); the flat twin
-    (:class:`~repro.core.stages.fused.FlatLayout`) keeps rank-segmented
-    flat arrays instead.
+
+def supports_fusion(comp: StageComposition) -> bool:
+    """Whether a fused exchange can replace the composition's exchange stage.
+
+    A fused exchange gathers straight out of the one send array; a custom
+    exchange stage is an unknown class that must see its per-source
+    buffers.  Every other stage, and every plugin, is indifferent.
+    """
+    return type(comp.exchange) is AlltoallvExchange
+
+
+class Layout:
+    """The one data layout: blocks of whole shards parse into one send array.
+
+    Each block runs the one parse body
+    (:func:`~repro.core.stages.standard.parse_block`) on the rank pool and
+    fills its slice of one :class:`~repro.core.stages.buffers.SendArray`.
+    The exchange takes per-source views of it — or, ``fused``, the array
+    itself, gathered straight into one receive array (:meth:`exchange_form`;
+    the resident and the spooled exchange both take either), and the work
+    leaves are named ``fused:*``.  The tables are the residency's.
     """
 
-    flat = False
-    prefix = ""  # work-leaf names are the bare phase names
-
-    def __init__(self, sched: "RoundScheduler", arena: ScratchArena, in_process_only: bool) -> None:
+    def __init__(
+        self, sched: "RoundScheduler", arena: ScratchArena, *, fused: bool, in_process_only: bool
+    ) -> None:
         self.sched = sched
-        self.arena = arena
+        self.arena = arena  # parse blocks' code buffers and the spool's buffers
+        self.fused = fused
         self.in_process_only = in_process_only
+        self.prefix = "fused:" if fused else ""  # work-leaf names
 
     def pool(self) -> RankPool:
-        """The substrate the per-rank and per-block closures run on.
+        """The substrate the parse, count and stream blocks run on.
 
         Stateful count/merge plugins (e.g. the bloom prefilter, whose
         filter state mutates inside the count closures and is read again
@@ -488,65 +508,77 @@ class PerRankLayout:
             pool = get_pool(f"thread:{pool.workers}")
         return pool
 
-    def parse(self, shards: list[ReadSet], sctx: StageContext) -> tuple[list[RankParse], ParseSummary]:
-        comp = self.sched.comp
-        recorder = sctx.recorder
+    def parse(self, shards: list[ReadSet], sctx: StageContext) -> tuple[SendArray, ParseSummary]:
+        """Every rank's send buffer in one :class:`SendArray`, and the per-rank parse figures.
 
-        def _parse_one(r: int) -> RankParse:
+        One pool task and one ``parse`` work leaf (``ranks=[r0, r1]``) per
+        block; a block's closure reads only its shards and returns fresh
+        arrays, so any substrate equals the sequential loop.  Block outputs
+        are copied into their slices of the send array a wave of blocks at
+        a time (a few per worker; all at once on an out-of-process pool,
+        whose results arrive as copies anyway), so the parse holds one
+        wave's outputs beside the array and the next wave reuses their
+        memory.  The array is sized from the items per base parsed so far,
+        with a quarter to spare (an untouched tail is never resident), and
+        regrown — at least doubled — if a block does not fit.
+        """
+        comp, pool, recorder = self.sched.comp, sctx.pool, sctx.recorder
+        leaf = self.prefix + "parse"
+        sizes = np.array([shard.codes.shape[0] for shard in shards], dtype=np.int64)
+
+        def _parse(block: tuple[int, int]):
+            r0, r1 = block
             t0 = perf_counter()
-            out = comp.substrate.parse_rank(shards[r], comp.parse, comp.partition, sctx)
+            out = parse_block(shards[r0:r1], comp.parse, comp.partition, comp.substrate, sctx, self.arena)
             if recorder is not None:
-                recorder.record("parse", r, t0, perf_counter())
+                recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
             return out
 
-        parsed = sctx.pool.map(_parse_one, range(len(shards)), recorder=recorder)
-        return parsed, ParseSummary(
-            times=np.array([pr.time_s for pr in parsed]),
-            n_kmers=np.array([pr.n_kmers_parsed for pr in parsed], dtype=np.int64),
-            counts_matrix=np.array([pr.counts for pr in parsed], dtype=np.int64),
-            n_supermers=sum(pr.n_supermers for pr in parsed),
-            supermer_bases=sum(pr.supermer_bases for pr in parsed),
+        blocks = rank_blocks(sizes, PARSE_BLOCK_BASES)
+        wave = 4 * pool.workers if pool.in_process else len(blocks)
+        bases_through = np.cumsum(sizes)
+        arrays: list[np.ndarray] = []  # the send data, then (supermer mode) its lengths
+        n, parts = 0, []
+        for w0 in range(0, len(blocks), wave):
+            outs = pool.map(_parse, blocks[w0 : w0 + wave], recorder=recorder)
+            for (_, r1), (*pieces, part) in zip(blocks[w0 : w0 + wave], outs):
+                pieces = [piece for piece in pieces if piece is not None]
+                end = n + pieces[0].shape[0]
+                if not arrays or end > arrays[0].shape[0]:
+                    rate = end / max(int(bases_through[r1 - 1]), 1)
+                    cap = max(2 * n, int(rate * int(bases_through[-1]) * 1.25) + 1024)
+                    held, arrays = arrays, [np.empty(cap, dtype=piece.dtype) for piece in pieces]
+                    for array, prev in zip(arrays, held):
+                        array[:n] = prev[:n]
+                for array, piece in zip(arrays, pieces):
+                    array[n:end] = piece
+                n = end
+                parts.append(part)
+            del outs
+        summary = ParseSummary(
+            times=np.concatenate([part.times for part in parts]),
+            n_kmers=np.concatenate([part.n_kmers for part in parts]),
+            counts_matrix=np.concatenate([part.counts_matrix for part in parts]),
+            n_supermers=sum(part.n_supermers for part in parts),
+            supermer_bases=sum(part.supermer_bases for part in parts),
         )
-
-    def round_send(self, parsed: list[RankParse], rnd: int, n_rounds: int):
-        """Round ``rnd``'s per-source ``(data, lengths, counts)`` lists: the exchange-stage form."""
-        data, lengths, counts = zip(*(_round_slice(pr, rnd, n_rounds) for pr in parsed))
-        supermer_mode = self.sched.config.mode == "supermer"
-        return list(data), list(lengths) if supermer_mode else None, list(counts)
-
-    def send_lists(self, round_send):
-        return round_send
-
-    def exchange(self, round_send, label: str, sctx: StageContext) -> ExchangeOutcome:
-        return self.sched.comp.exchange.exchange(*round_send, label, sctx)
-
-    def release_round(self, round_send) -> None:
-        """Round slices are views or garbage-collected copies: nothing to hand back."""
-
-    def release(self, parsed) -> None:
-        """Send buffers are plain arrays, freed when the driver drops them."""
-
-    def block_recv(self, outcome: ExchangeOutcome, r0: int, r1: int):
-        """Ranks ``[r0, r1)``'s received buffers back to back: ``(recv, lengths, offsets)``."""
-        offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-        np.cumsum([buf.shape[0] for buf in outcome.recv_data[r0:r1]], out=offsets[1:])
-        recv_lengths = outcome.recv_lengths
-        return (
-            _block_buffer(outcome.recv_data[r0:r1]),
-            _block_buffer(recv_lengths[r0:r1]) if recv_lengths is not None else None,
-            offsets,
+        send = SendArray(
+            data=arrays[0][:n],
+            lengths=arrays[1][:n] if len(arrays) > 1 else None,
+            counts=summary.counts_matrix,
         )
+        return send, summary
 
-    def release_recv(self, outcome: ExchangeOutcome) -> None:
-        """Receive buffers are plain arrays, freed when the driver drops them."""
+    def exchange_form(self, send: SendArray):
+        """The exchange's ``(data, lengths, counts)``: per-source views, or — fused — the send array itself."""
+        if self.fused:
+            return send.data, send.lengths, send.counts
+        cuts = np.cumsum(send.counts.sum(axis=1))[:-1]  # each source's end, but the last
+        lengths = np.split(send.lengths, cuts) if send.lengths is not None else None
+        return np.split(send.data, cuts), lengths, list(send.counts)
 
 
-def _block_buffer(parts: list[np.ndarray]) -> np.ndarray:
-    """A block's per-rank receive buffers back to back (one rank's as it is)."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-#: Strategy name by (flat layout?, spooled residency?) — the run span's
+#: Strategy name by (fused exchange?, spooled residency?) — the run span's
 #: ``strategy`` meta and the only names the 2×2 has.
 _STRATEGY_NAMES = {
     (False, False): "staged",
@@ -558,10 +590,10 @@ _STRATEGY_NAMES = {
 
 @dataclass(frozen=True)
 class Strategy:
-    """One cell of the layout × residency 2×2, as resolved from the options."""
+    """One cell of the fused × residency 2×2, as resolved from the options."""
 
     name: str  # "staged" | "fused" | "spill" | "fused-spill"
-    layout: "PerRankLayout | FlatLayout"  # persists across batches (it owns the arena)
+    layout: Layout  # persists across batches (it owns the arena)
     residency: type[Resident]  # instantiated per drive (it owns the drive's spool)
     opts: EngineOptions  # the options this was resolved from
 
@@ -601,7 +633,7 @@ class RoundScheduler:
             plugin.prepare(reads, self.config, self.cluster, self.opts)
 
     def resolve_strategy(self) -> Strategy:
-        """The layout × residency cell ``self.opts`` selects for this composition.
+        """The fused × residency cell ``self.opts`` selects for this composition.
 
         Resolved once per options object — assigning ``scheduler.opts``
         re-resolves on the next drive, nothing else needs resetting — so
@@ -611,13 +643,12 @@ class RoundScheduler:
         1. ``spill_dir`` over a custom exchange/merge stage counts in
            memory (``engine.spill.fallback``): the spooled residency
            substitutes both, so they must be the standard classes.
-        2. ``fused`` over any custom stage type keeps the per-rank layout
-           (``engine.fused.fallback``): the flat layout runs the standard
-           stages' bodies over all ranks at once.  Plugins are fine on
+        2. ``fused`` over a custom exchange stage exchanges through it
+           (``engine.fused.fallback``): a fused exchange replaces the
+           standard one (:func:`supports_fusion`).  Plugins are fine on
            both rungs — they act through the standard seams.
-        3. A process pool under the per-rank layout with stateful plugins
-           becomes a thread pool (``engine.process.fallback``, see
-           :meth:`PerRankLayout.pool`).
+        3. A process pool with stateful plugins becomes a thread pool
+           (``engine.process.fallback``, see :meth:`Layout.pool`).
 
         ``table_dir`` is no rung: it backs the tables of every cell.
         """
@@ -632,24 +663,17 @@ class RoundScheduler:
         if spooled and not supports_spill(comp):
             fallback("spill", "composition has custom exchange/merge stages; counting in memory")
             spooled = False
-        flat = bool(opts.fused)
-        if flat and not supports_fusion(comp):
-            via = "spilling via the staged loop" if spooled else "using staged path"
-            fallback("fused", f"composition has custom stages; {via}")
-            flat = False
+        fused = bool(opts.fused)
+        if fused and not supports_fusion(comp):
+            fallback("fused", "composition has a custom exchange stage; exchanging through it")
+            fused = False
+        stateful = bool(getattr(comp.count, "plugins", ()) or getattr(comp.merge, "plugins", ()))
+        if stateful and not get_pool(opts.parallel).in_process:
+            fallback("process", "composition has stateful plugins; using the thread substrate")
         arena = opts.arena if opts.arena is not None else ScratchArena()
-        if flat:
-            layout = FlatLayout(self, arena)
-        else:
-            stateful = bool(
-                getattr(comp.count, "plugins", ()) or getattr(comp.merge, "plugins", ())
-            )
-            layout = PerRankLayout(self, arena, in_process_only=stateful)
-            if stateful and not get_pool(opts.parallel).in_process:
-                fallback("process", "composition has stateful plugins; using the thread substrate")
         self._strategy = Strategy(
-            name=_STRATEGY_NAMES[flat, spooled],
-            layout=layout,
+            name=_STRATEGY_NAMES[fused, spooled],
+            layout=Layout(self, arena, fused=fused, in_process_only=stateful),
             residency=Spooled if spooled else Resident,
             opts=opts,
         )
@@ -730,16 +754,17 @@ class RoundScheduler:
     ) -> CountResult | PhaseTiming:
         """The one superstep skeleton every strategy and surface runs.
 
-        prepare plugins → shard → parse → round count → per round {slice,
+        prepare plugins → shard → parse → round count → per round {gather,
         exchange, span note, accounting, count} → and, for the one-shot
         surface (``state is None``), merge + conservation check + final
         gauges + the :class:`CountResult`.  What differs between
         strategies is behind two objects (:meth:`resolve_strategy`): the
-        *layout* hides the buffer/table format, the *residency* hides where
-        receive buffers live.  A resident exchange is counted inside its
-        round; a spooled one defers the count until every round is on disk
-        and the send buffers are dropped (Gerbil's two phases), which is
-        the only shape difference the skeleton knows about.
+        *layout* (one class) hands the exchange its send form, fused or
+        not, and the *residency* hides where receive buffers live.  A
+        resident exchange is counted inside its round; a spooled one defers
+        the count until every round is on disk and the send buffers are
+        dropped (Gerbil's two phases), which is the only shape difference
+        the skeleton knows about.
         """
         comp, config, opts = self.comp, self.config, self.opts
         p = self.cluster.n_ranks
@@ -806,7 +831,7 @@ class RoundScheduler:
                     label, meta = f"{config.mode}-batch{state.n_batches}", {}
                     round_region = nullcontext()
                 with round_region:
-                    round_send = layout.round_send(send, rnd, n_rounds)
+                    round_send = round_split(send, rnd, n_rounds)
                     n_traffic_before = len(stats.records)
                     with recording_region(recorder, "exchange", cat="stage", **meta) as ereg:
                         t0 = perf_counter()
@@ -822,19 +847,17 @@ class RoundScheduler:
                                 model_seconds=outcome.seconds,
                                 link_seconds=dict(outcome.link_seconds),
                             )
-                    layout.release_round(round_send)
                     acct.add_exchange(rnd, outcome)
                     if not residency.spooled:
                         with recording_region(recorder, "count", cat="stage", **meta):
                             residency.count_round(tables, outcome, suffix, sctx, acct)
-                    # Round-owned slices and receive views die with their round,
+                    # Round gathers and receive buffers die with their round,
                     # not when the next round's are already built beside them.
                     del round_send, outcome
 
             # Every round is exchanged: drop the send buffers *before* a
             # spooled count starts, so its peak residency is one rank
             # block's partitions + table, not the whole parse output.
-            layout.release(send)
             del send
             if residency.spooled:
                 with recording_region(recorder, "count", cat="stage"):
@@ -890,20 +913,14 @@ class RoundScheduler:
         return result
 
 
-def _round_slice(pr: RankParse, rnd: int, n_rounds: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Slice a rank's destination-ordered buffer for round ``rnd``.
+def _host_bytes_per_item(wire: int) -> float:
+    """Host working set per received item that ``host_memory_budget`` bounds.
 
-    Each destination segment is split evenly across rounds (Section III-A:
-    when the data exceeds memory limits "the computation and communication
-    may proceed in multiple rounds").  Preserves destination order within
-    the round; the split is :func:`~repro.core.stages.buffers.round_split`,
-    the same one the flat layout gathers with.
+    The partition buffer and its extraction copy, the unpacked 8-byte key
+    stream, and the table slots (16 B each at ~0.7 target load) the round
+    may add.
     """
-    if n_rounds == 1:
-        return pr.data, pr.lengths, pr.counts
-    counts, idx = round_split(np.asarray(pr.counts, dtype=np.int64), rnd, n_rounds)
-    lengths = pr.lengths[idx] if pr.lengths is not None else None
-    return pr.data[idx], lengths, counts
+    return wire * 2 + 8.0 + 16 / 0.7
 
 
 def _rounds_for_recv_items(
@@ -925,13 +942,9 @@ def _rounds_for_recv_items(
     worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
     rounds = substrate.device_rounds(worst, wire, opts)
     if opts.host_memory_budget is not None:
-        # Host-side working set per item: the partition buffer and its
-        # extraction copy, the unpacked 8-byte key stream, and the table
-        # slots (16 B each at ~0.7 target load) the round may add.
-        host_bytes_per_item = wire * 2 + 8.0 + 16 / 0.7
         if worst > 0:
             _check_host_budget_floor(wire, opts)
-        rounds = max(rounds, int(np.ceil(worst * host_bytes_per_item / opts.host_memory_budget)))
+        rounds = max(rounds, int(np.ceil(worst * _host_bytes_per_item(wire) / opts.host_memory_budget)))
     return rounds
 
 
@@ -947,7 +960,7 @@ def _check_host_budget_floor(wire: int, opts: EngineOptions) -> None:
     if opts.host_memory_budget is None:
         return
     mult = opts.work_multiplier
-    host_bytes_per_item = wire * 2 + 8.0 + 16 / 0.7
+    host_bytes_per_item = _host_bytes_per_item(wire)
     floor = int(np.ceil(host_bytes_per_item * mult))
     if opts.host_memory_budget < floor:
         raise ValueError(

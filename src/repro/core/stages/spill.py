@@ -70,9 +70,9 @@ from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome
+from .buffers import ExchangeOutcome, joined
 from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, TableCount, exchange_outcome
+from .standard import AlltoallvExchange, SpectrumMerge, TableCount, exchange_outcome, merge_counts
 
 __all__ = [
     "Resident",
@@ -459,16 +459,19 @@ class SpillExchange:
     segment file, and
     ``recv_data`` comes back as read-only views of one memory map of that
     file, which exist only for the checksum pass (their reads are not
-    accounted; the streamed count re-reads each partition).
+    accounted; the streamed count re-reads each partition).  Like the
+    in-memory exchange it takes per-source buffers, or a fused run's one
+    send array with its ``(P, P)`` counts matrix.
     """
 
     def __init__(self, spool: SpillSpool) -> None:
         self.spool = spool
 
     def exchange(self, send_data, send_lengths, send_counts, label, ctx) -> ExchangeOutcome:
-        p = len(send_data)
+        flat = isinstance(send_data, np.ndarray)
+        counts_matrix = send_counts if flat else send_counts_matrix(send_data, send_counts)
+        p = counts_matrix.shape[0]
         wire = ctx.wire_bytes
-        counts_matrix = send_counts_matrix(send_data, send_counts)
 
         # Model accounting first, through the collective layer's own
         # function: one logical alltoallv for the payload (recorded into
@@ -482,7 +485,7 @@ class SpillExchange:
         self._spool_round(send_data, send_lengths, counts_matrix, label)
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
 
-        recv_data = self.spool.map_partitions(label, p, send_data[0].dtype)
+        recv_data = self.spool.map_partitions(label, p, (send_data if flat else send_data[0]).dtype)
         recv_lengths = None
         if send_lengths is not None:
             recv_lengths = self.spool.map_partitions(label, p, np.uint8, lens=True)
@@ -497,15 +500,27 @@ class SpillExchange:
         to the in-memory gather, because it is that gather
         (:func:`repro.mpi.collectives.segment_blocks`) with each block
         landing in a borrowed buffer and one write instead of a slice of a
-        whole-round receive array.  The transient is one block's output
-        and staging buffers plus its index.
+        whole-round receive array.  Per-source buffers are staged a block
+        at a time (:meth:`~repro.mpi.collectives.SegmentBlock.gather`); a
+        fused run's one send array is gathered from directly, with the
+        block's index (:meth:`~repro.mpi.collectives.SegmentBlock.index`).
+        The transient is one block's output and staging buffers plus its
+        index.
         """
         spool = self.spool
         sends = [send_data] if send_lengths is None else [send_data, send_lengths]
-        item_bytes = sum(send[0].dtype.itemsize for send in sends)
-        for blk in segment_blocks(counts_matrix, item_bytes):
-            outs = [spool.take(blk.o1 - blk.o0, send[0].dtype) for send in sends]
-            blk.gather(sends, outs, spool.arena)
+        flat = isinstance(send_data, np.ndarray)
+        dtypes = [(send if flat else send[0]).dtype for send in sends]
+        sent = counts_matrix.sum(axis=1)
+        src_base = np.cumsum(sent) - sent  # where each source starts in a fused run's send array
+        for blk in segment_blocks(counts_matrix, sum(dt.itemsize for dt in dtypes)):
+            outs = [spool.take(blk.o1 - blk.o0, dt) for dt in dtypes]
+            if flat:
+                idx = blk.index(src_base)
+                for send, out in zip(sends, outs):
+                    np.take(send, idx, out=out, mode="clip")
+            else:
+                blk.gather(sends, outs, spool.arena)
             recv_counts = blk.counts.sum(axis=0)
             for out, lens in zip(outs, (False, True)):
                 spool.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
@@ -525,9 +540,9 @@ def external_merge(
     across two owners), so equal keys aggregate.  A heap of the run
     cursors' last-loaded keys yields the *safe emission bound*: every
     instance of a key ``<= bound`` is already loaded, because each run's
-    unloaded keys exceed its last-loaded key.  Chunks are aggregated with
-    the same ``np.unique`` + weighted ``bincount`` the in-memory
-    :class:`SpectrumMerge` uses, so the concatenated chunk outputs equal
+    unloaded keys exceed its last-loaded key.  Chunks are aggregated by
+    :func:`~repro.core.stages.standard.merge_counts`, as the in-memory
+    :class:`SpectrumMerge` is, so the concatenated chunk outputs equal
     the whole-array merge exactly.
     """
     # per run: [keys, counts, lo, head_keys, head_counts, hp, generation]
@@ -577,8 +592,7 @@ def external_merge(
         chunk_k = np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.uint64)
         chunk_c = np.concatenate(parts_c) if parts_c else np.empty(0, dtype=np.int64)
         if chunk_k.size:
-            uniq, inverse = np.unique(chunk_k, return_inverse=True)
-            merged = np.bincount(inverse, weights=chunk_c).astype(np.int64)
+            uniq, merged = merge_counts(chunk_k, chunk_c)
             out_keys.append(uniq)
             out_counts.append(merged)
 
@@ -595,16 +609,30 @@ def external_merge(
     return KmerSpectrum(k=k, values=np.concatenate(out_keys), counts=np.concatenate(out_counts))
 
 
+def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
+    """Ranks ``[r0, r1)``'s received items back to back: ``(recv, lengths, offsets)``.
+
+    Slices of a fused exchange's one receive array; an exchange stage's
+    per-destination buffers are joined (one rank's as it is).
+    """
+    recv, lengths, offs = outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets
+    if offs is None:
+        offs = np.zeros(r1 - r0 + 1, dtype=np.int64)
+        np.cumsum([buf.shape[0] for buf in recv[r0:r1]], out=offs[1:])
+        return joined(recv[r0:r1]), joined(lengths[r0:r1]) if lengths is not None else None, offs
+    lo, hi = int(offs[r0]), int(offs[r1])
+    return recv[lo:hi], lengths[lo:hi] if lengths is not None else None, offs[r0 : r1 + 1] - lo
+
+
 class Resident:
-    """Residency in RAM: the layout's own exchange, counted round by round.
+    """Residency in RAM: the exchange in memory, counted round by round.
 
     The receive buffers of one round are live arrays, so the driver counts
-    them inside the round and the next round overwrites them.  Both layouts
-    count into the same tables: block-local segmented tables (:meth:`tables`)
-    counted a block per call of :meth:`count_block`, on the layout's pool
-    or, for the flat layout, on the driving thread.  ``cleanup`` is the
-    driver's exit scope: it closes a one-shot drive's tables (their mmap
-    slabs when ``table_dir`` is set) on any exit.
+    them inside the round and the next round overwrites them: block-local
+    segmented tables (:meth:`tables`) counted a block per call of
+    :meth:`count_block` on the layout's pool.  ``cleanup`` is the driver's
+    exit scope: it closes a one-shot drive's tables (their mmap slabs when
+    ``table_dir`` is set) on any exit.
     """
 
     spooled = False
@@ -616,7 +644,7 @@ class Resident:
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
 
     def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
-        return self.layout.exchange(round_send, label, sctx)
+        return self.sched.comp.exchange.exchange(*self.layout.exchange_form(round_send), label, sctx)
 
     def born(self, hints) -> SegmentedHashTable:
         """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
@@ -627,10 +655,10 @@ class Resident:
 
         A one-shot drive's (``state is None``) are born here at ``hints``
         and closed on the drive's exit.  A state holding keys is counted
-        through the blocks it has, whichever layout chose them, so a layout
-        flip copies nothing; one holding none (fresh, or loaded from an
-        empty checkpoint) is born again in this drive's blocks at the
-        capacities it has.
+        through the blocks it has, whichever strategy chose them, so a
+        strategy flip copies nothing; one holding none (fresh, or loaded
+        from an empty checkpoint) is born again in this drive's blocks at
+        the capacities it has.
         """
         if state is not None:
             if any(t.n_entries for t in state.tables):
@@ -652,8 +680,8 @@ class Resident:
 
         Returns ``(times, n_seen, stats)`` per rank.  The standard count
         stage runs the one count body over the block; a custom one is an
-        unknown class (the ``supports_fusion`` rule applied to one stage)
-        and runs ``count_rank`` rank by rank on the table's views.
+        unknown class and runs ``count_rank`` rank by rank on the table's
+        views.
         """
         comp = self.sched.comp
         if type(comp.count) is TableCount:
@@ -678,15 +706,12 @@ class Resident:
     def map_blocks(self, fn, blocks: list, sctx) -> list:
         """``fn(block)`` for every ``(r0, r1, table)`` block, results in block order.
 
-        The flat layout has no pool: its blocks run on the driving thread.
-        On the per-rank layout's pool each closure touches its own block
-        only, so any substrate equals the sequential loop; an out-of-process
-        worker counts into a copy-on-write clone of the block's table, whose
-        state then travels back for the table here to adopt.
+        On the layout's pool each closure touches its own block only, so
+        any substrate equals the sequential loop; an out-of-process worker
+        counts into a copy-on-write clone of the block's table, whose state
+        then travels back for the table here to adopt.
         """
         pool = sctx.pool
-        if pool is None:
-            return [fn(block) for block in blocks]
         if pool.in_process:
             return pool.map(fn, blocks, recorder=sctx.recorder)
 
@@ -704,13 +729,13 @@ class Resident:
         self, tables: list[SegmentedRankView], outcome: ExchangeOutcome, suffix: str, sctx, acct
     ) -> None:
         """Count one round's receive buffers into ``tables``, a block per :meth:`count_block` call."""
-        layout, recorder = self.layout, sctx.recorder
-        leaf = layout.prefix + "count" + suffix
+        recorder = sctx.recorder
+        leaf = self.layout.prefix + "count" + suffix
 
         def _count(block):
             r0, r1, table = block
             t0 = perf_counter()
-            counted = self.count_block(table, r0, *layout.block_recv(outcome, r0, r1), sctx)
+            counted = self.count_block(table, r0, *block_recv(outcome, r0, r1), sctx)
             if recorder is not None:
                 recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
             return counted
@@ -718,7 +743,6 @@ class Resident:
         blocks = view_blocks(tables)
         for (r0, _, _), counted in zip(blocks, self.map_blocks(_count, blocks, sctx)):
             acct.add_count(r0, *counted)
-        layout.release_recv(outcome)
 
     def merge(self, tables: list[SegmentedRankView]) -> tuple[str, KmerSpectrum]:
         """``(work-leaf name, spectrum)`` of the one-shot merge.
@@ -752,9 +776,8 @@ class Spooled(Resident):
     and frees it before the next block, and merges the runs externally (a
     heap orders the run cursors, cf. the ``heapq`` idiom in
     :mod:`repro.ext.balanced`) — peak residency is one block's partitions
-    and table per worker, not P of them, whatever the layout.  A batch
-    counts into the persistent tables, which are the cross-batch state
-    itself.
+    and table per worker, not P of them.  A batch counts into the
+    persistent tables, which are the cross-batch state itself.
     """
 
     spooled = True
@@ -772,7 +795,7 @@ class Spooled(Resident):
     def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
         # The outcome's receive views exist only for the checksum pass;
         # the streamed count re-reads each partition (with accounting).
-        outcome = SpillExchange(self.spool).exchange(*self.layout.send_lists(round_send), label, sctx)
+        outcome = SpillExchange(self.spool).exchange(*self.layout.exchange_form(round_send), label, sctx)
         self.labels.append(label)
         self.round_recv.append(outcome.counts_matrix.sum(axis=0))
         return outcome

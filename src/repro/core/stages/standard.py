@@ -36,12 +36,13 @@ from ...gpu.segmented import SegmentedHashTable
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
-from ...kmers.supermers import build_supermers, extract_kmers_from_packed
-from ...mpi.collectives import alltoallv_segments
+from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
+from ...mpi.collectives import alltoallv_flat, alltoallv_segments
 from ..config import PipelineConfig
-from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
+from ..memory import ScratchArena
+from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, ParseSummary, RankParse, joined
 from .context import EngineOptions, StageContext
-from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin
+from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
 
 __all__ = [
     "KmerParse",
@@ -54,6 +55,9 @@ __all__ = [
     "GpuSubstrate",
     "CpuSubstrate",
     "assemble_rank_parse",
+    "parse_block",
+    "stable_order",
+    "merge_counts",
     "outgoing_buffer_hot_fraction",
     "verify_exchange",
     "exchange_time_model",
@@ -72,8 +76,16 @@ class KmerParse:
     kernel_name = "parse_kmers"
 
     def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
-        windows = window_values(shard.codes, config.k)
-        kmers = windows.compact()
+        return self._items(window_values(shard.codes, config.k).compact(), config)
+
+    def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
+        """:meth:`extract` plus each item's position in ``reads.codes`` (its window's first base)."""
+        windows = window_values(reads.codes, config.k)
+        positions = np.flatnonzero(windows.valid)
+        return self._items(windows.values[positions], config), positions
+
+    @staticmethod
+    def _items(kmers: np.ndarray, config: PipelineConfig) -> ParsedItems:
         if config.canonical:
             kmers = canonical_batch(kmers, config.k)
         return ParsedItems(
@@ -112,8 +124,12 @@ class SupermerParse:
     kernel_name = "build_supermers"
 
     def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
-        batch = build_supermers(
-            shard,
+        return self.extract_at(shard, config)[0]
+
+    def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
+        """:meth:`extract` plus each supermer's position in ``reads.codes`` (its first base)."""
+        batch, positions = build_supermers_with_positions(
+            reads,
             config.k,
             config.minimizer_len,
             window=config.effective_window,
@@ -122,7 +138,7 @@ class SupermerParse:
             # canonical k-mer keeps a single owning rank.
             canonical_minimizers=config.canonical,
         )
-        return ParsedItems(
+        items = ParsedItems(
             data=batch.packed,
             lengths=batch.n_kmers.astype(np.uint8),
             route_keys=batch.minimizers,
@@ -130,6 +146,7 @@ class SupermerParse:
             n_supermers=len(batch),
             supermer_bases=batch.total_bases,
         )
+        return items, positions
 
     def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
         return max(int(shard.codes.shape[0]) - config.k + 1, 0)
@@ -199,6 +216,22 @@ class MinimizerHashPartition:
         return partitioner.owners(route_keys)
 
 
+def stable_order(keys: np.ndarray, key_range: int) -> np.ndarray:
+    """Stable argsort of integer keys in ``[0, key_range)``, on the narrowest dtype that holds them.
+
+    The destination ordering of every parse: a rank's owners
+    (:func:`assemble_rank_parse`) and a parse block's composite (shard,
+    owner) keys (:func:`parse_block`).  NumPy's stable sort of 16-bit
+    integers is a radix sort, and a narrower key is less memory to sort
+    at any width, so the key is narrowed first: ``uint16``, then
+    ``uint32``, then ``int64``.
+    """
+    for dtype in (np.uint16, np.uint32):
+        if key_range <= np.iinfo(dtype).max + 1:
+            return np.argsort(keys.astype(dtype, copy=False), kind="stable")
+    return np.argsort(keys.astype(np.int64, copy=False), kind="stable")
+
+
 def assemble_rank_parse(
     items: ParsedItems, owners: np.ndarray, n_ranks: int, partition: PartitionStage
 ) -> RankParse:
@@ -213,22 +246,104 @@ def assemble_rank_parse(
             f"partition stage {type(partition).__name__} assigned rank {counts.shape[0] - 1}, "
             f"outside the {n_ranks} ranks of the run"
         )
-    # A bucket scatter, not a comparison sort: numpy's stable sort on 8/16-bit
-    # integers is a radix sort, and owners < n_ranks fits 16 bits on every
-    # cluster of up to 65,536 ranks (the same narrowing FlatLayout.parse
-    # applies to its composite key).  Wider worlds keep the wide dtype.
-    if n_ranks <= np.iinfo(np.uint16).max + 1:
-        owners = owners.astype(np.uint16)
-    order = np.argsort(owners, kind="stable")
+    order = stable_order(owners, n_ranks)
     return RankParse(
         data=items.data[order],
         lengths=items.lengths[order] if items.lengths is not None else None,
         counts=counts,
-        time_s=0.0,
         n_kmers_parsed=items.n_kmers,
         n_supermers=items.n_supermers,
         supermer_bases=items.supermer_bases,
     )
+
+
+def _block_reads(shards: list[ReadSet], code_base: np.ndarray, arena: ScratchArena) -> ReadSet:
+    """The shards as one read set: their codes back to back in an arena buffer."""
+    codes = arena.take(int(code_base[-1]), np.uint8)
+    for shard, lo, hi in zip(shards, code_base[:-1].tolist(), code_base[1:].tolist()):
+        codes[lo:hi] = shard.codes
+    offsets = np.concatenate([shard.offsets + lo for shard, lo in zip(shards, code_base[:-1].tolist())])
+    return ReadSet(codes=codes, offsets=offsets, lengths=np.concatenate([shard.lengths for shard in shards]))
+
+
+def parse_block(
+    shards: list[ReadSet],
+    parse: ParseStage,
+    partition: PartitionStage,
+    substrate: Substrate,
+    ctx: StageContext,
+    arena: ScratchArena,
+) -> tuple[np.ndarray, np.ndarray | None, ParseSummary]:
+    """The one parse body: a block of whole shards (ranks ``r0, r0 + 1, ...``) into their send buffers.
+
+    Returns the block's slice of the run's send array (items src-major,
+    dst-segmented; their k-mer counts in supermer mode) and its
+    :class:`ParseSummary`.  The standard stages run once over the shards'
+    codes back to back (sentinel-terminated shards: no window or supermer
+    spans two, and an item's position tells its shard), with one
+    ``owners`` call and one stable sort of the composite (shard, owner)
+    key — the shards' stable owner sorts, concatenated.  A custom parse or
+    partition stage parses shard by shard through ``parse_rank``.  Either
+    way each shard is charged here, by the substrate's ``charge_parse``:
+    the one place parse seconds and parse-kernel telemetry come from.
+    """
+    config, p, nb = ctx.config, ctx.n_ranks, len(shards)
+    if type(parse) in (KmerParse, SupermerParse) and type(partition) in (
+        KmerHashPartition,
+        MinimizerHashPartition,
+    ):
+        if nb == 1:
+            items = parse.extract(shards[0], config)
+            cuts = np.array([0, items.data.shape[0]])
+        else:
+            code_base = np.zeros(nb + 1, dtype=np.int64)
+            np.cumsum([shard.codes.shape[0] for shard in shards], out=code_base[1:])
+            reads = _block_reads(shards, code_base, arena)
+            items, positions = parse.extract_at(reads, config)
+            arena.release(reads.codes)
+            cuts = np.searchsorted(positions, code_base)  # shard s's items: [cuts[s], cuts[s + 1])
+        n_items = np.diff(cuts)
+        owners = partition.owners(items.route_keys, p, config)
+        key = owners if nb == 1 else np.repeat(np.arange(0, nb * p, p), n_items) + owners
+        counts = np.bincount(key, minlength=nb * p).reshape(nb, p)
+        order = stable_order(key, nb * p)
+        data = items.data[order]
+        lengths = None
+        n_kmers, n_supermers, supermer_bases = n_items, np.zeros(nb, dtype=np.int64), 0
+        if items.lengths is not None:
+            lengths = items.lengths[order]
+            kmer_cum = np.zeros(data.shape[0] + 1, dtype=np.int64)
+            np.cumsum(items.lengths, dtype=np.int64, out=kmer_cum[1:])
+            n_kmers, n_supermers, supermer_bases = np.diff(kmer_cum[cuts]), n_items, items.supermer_bases
+    else:
+        parsed = [substrate.parse_rank(shard, parse, partition, ctx) for shard in shards]
+        data = joined([pr.data for pr in parsed])
+        lengths = None if parsed[0].lengths is None else joined([pr.lengths for pr in parsed])
+        counts = np.array([pr.counts for pr in parsed], dtype=np.int64)
+        n_kmers = np.array([pr.n_kmers_parsed for pr in parsed], dtype=np.int64)
+        n_supermers = np.array([pr.n_supermers for pr in parsed], dtype=np.int64)
+        supermer_bases = sum(pr.supermer_bases for pr in parsed)
+    times = np.array(
+        [
+            substrate.charge_parse(
+                parse,
+                int(n_kmers[i]),
+                int(n_supermers[i]),
+                int(shard.codes.nbytes),
+                parse.grid_threads(shard, config),
+                ctx,
+            )
+            for i, shard in enumerate(shards)
+        ]
+    )
+    summary = ParseSummary(
+        times=times,
+        n_kmers=n_kmers,
+        counts_matrix=counts,
+        n_supermers=int(n_supermers.sum()),
+        supermer_bases=int(supermer_bases),
+    )
+    return data, lengths, summary
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +352,8 @@ def assemble_rank_parse(
 
 
 def verify_exchange(
-    send_data: list[np.ndarray],
-    recv_data: list[np.ndarray],
+    send_data: list[np.ndarray] | np.ndarray,
+    recv_data: list[np.ndarray] | np.ndarray,
     counts_matrix: np.ndarray,
     label: str,
 ) -> None:
@@ -248,8 +363,11 @@ def verify_exchange(
     flipped key silently corrupts the histogram).  The simulator does the
     equivalent: the global XOR and item count of everything sent must equal
     those of everything received.  Catches routing/slicing bugs in the
-    collective layer at negligible cost.
+    collective layer at negligible cost.  Either side may be one array (a
+    fused exchange's): XOR is commutative, so it checks as one buffer.
     """
+    send_data = [send_data] if isinstance(send_data, np.ndarray) else send_data
+    recv_data = [recv_data] if isinstance(recv_data, np.ndarray) else recv_data
     sent_items = int(counts_matrix.sum())
     recv_items = sum(int(buf.shape[0]) for buf in recv_data)
     if sent_items != recv_items:
@@ -299,16 +417,11 @@ def exchange_outcome(
 ) -> ExchangeOutcome:
     """The tail every exchange shares: checksum, time model, the outcome.
 
-    Per-rank buffer lists, or with ``recv_offsets`` the flat layout's
-    rank-segmented arrays.
+    Per-rank buffer lists, or a fused exchange's one send array and, with
+    ``recv_offsets``, its one rank-segmented receive array.
     """
     if ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange:
-        if recv_offsets is None:
-            verify_exchange(send_data, recv_data, counts_matrix, label)
-        else:
-            # XOR is commutative/associative: the whole-cluster buffers check
-            # as one send and one receive buffer.
-            verify_exchange([send_data], [recv_data], counts_matrix, label)
+        verify_exchange(send_data, recv_data, counts_matrix, label)
     seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
     return ExchangeOutcome(
         recv_data=recv_data,
@@ -327,18 +440,29 @@ class AlltoallvExchange:
 
     Moves the data (real reshuffle through the collective layer), checks
     end-to-end checksums, and models the phase time
-    (:func:`exchange_outcome`).
+    (:func:`exchange_outcome`).  The send side is per-source buffers with
+    their per-destination counts — or, in a fused run, the one src-major
+    send array with its ``(P, P)`` counts matrix, gathered straight into
+    one receive array (:func:`~repro.mpi.collectives.alltoallv_flat`).
     """
 
     def exchange(
         self,
-        send_data: list[np.ndarray],
-        send_lengths: list[np.ndarray] | None,
-        send_counts: list[np.ndarray],
+        send_data: list[np.ndarray] | np.ndarray,
+        send_lengths: list[np.ndarray] | np.ndarray | None,
+        send_counts: list[np.ndarray] | np.ndarray,
         label: str,
         ctx: StageContext,
     ) -> ExchangeOutcome:
         wire = ctx.wire_bytes
+        if isinstance(send_data, np.ndarray):
+            recv, recv_offsets = alltoallv_flat(
+                send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=wire
+            )
+            recv_lens = None if send_lengths is None else alltoallv_flat(send_lengths, send_counts)[0]
+            return exchange_outcome(
+                send_data, recv, recv_lens, send_counts, label, ctx, recv_offsets=recv_offsets
+            )
         recv_data, counts_matrix = alltoallv_segments(
             send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=wire, pool=ctx.pool
         )
@@ -449,6 +573,22 @@ class TableCount:
 # ---------------------------------------------------------------------------
 
 
+def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` and each one's summed ``counts``, exact in int64 at any count.
+
+    The one aggregation of the merges (:class:`SpectrumMerge` and the
+    external merge's chunks): a sort, then — only when a key repeats — one
+    ``reduceat`` over the runs of equal keys.
+    """
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order].astype(np.int64, copy=False)
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    if starts.shape[0] + 1 >= keys.shape[0]:  # no key repeats (or nothing at all)
+        return keys, counts
+    starts = np.concatenate(([0], starts))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
 class SpectrumMerge:
     """Merge per-rank partitions of the global table into one spectrum.
 
@@ -471,13 +611,10 @@ class SpectrumMerge:
             adjusted.append((values, counts))
         if not adjusted:
             return KmerSpectrum(k=k, values=np.empty(0, dtype=np.uint64), counts=np.empty(0, dtype=np.int64))
-        keys = np.concatenate([v for v, _ in adjusted])
-        counts = np.concatenate([c for _, c in adjusted])
-        if keys.size == 0:
-            return KmerSpectrum(k=k, values=keys, counts=counts)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.bincount(inverse, weights=counts).astype(np.int64)
-        return KmerSpectrum(k=k, values=uniq, counts=merged)
+        values, counts = merge_counts(
+            np.concatenate([v for v, _ in adjusted]), np.concatenate([c for _, c in adjusted])
+        )
+        return KmerSpectrum(k=k, values=values, counts=counts)
 
     def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
         return self.merge_items([t.items() for t in tables], k)
@@ -489,12 +626,12 @@ class SpectrumMerge:
 
 
 # A rank's phase is the stage *body* plus the substrate's *charge* for the
-# work the body reports.  The per-rank layout parses through ``parse_rank``
-# (body and charge, below); the flat layout runs the parse body once over all
-# ranks and loops the same ``charge_parse`` over the per-rank figures.  Both
-# count through ``TableCount.count_block``, which loops ``charge_count`` —
-# so a rank's model seconds and kernel telemetry come from one function on
-# either layout.  ``count_rank`` is what a custom count stage is run by.
+# work the body reports.  Every parse runs through ``parse_block``, which
+# loops ``charge_parse`` over its shards, and every count through
+# ``TableCount.count_block``, which loops ``charge_count`` — so a rank's
+# model seconds and kernel telemetry come from one function per phase.
+# ``parse_rank`` and ``count_rank`` are what custom parse/partition and
+# count stages are run by, one rank at a time.
 
 
 def _parse_rank(
@@ -502,16 +639,7 @@ def _parse_rank(
 ) -> RankParse:
     items = parse.extract(shard, ctx.config)
     owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
-    pr = assemble_rank_parse(items, owners, ctx.n_ranks, partition)
-    pr.time_s = self.charge_parse(
-        parse,
-        pr.n_kmers_parsed,
-        pr.n_supermers,
-        int(shard.codes.nbytes),
-        parse.grid_threads(shard, ctx.config),
-        ctx,
-    )
-    return pr
+    return assemble_rank_parse(items, owners, ctx.n_ranks, partition)
 
 
 def _count_rank(

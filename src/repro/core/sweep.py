@@ -132,9 +132,9 @@ def sweep(
     ``stages`` requests extension stages from the stage registry (e.g.
     ``("bloom",)``) on every grid point.
 
-    ``fused`` selects the whole-cluster fused execution path on every grid
-    point; results are bit-identical to the staged path.  One scratch arena is shared across all grid points
-    so large temporaries are recycled between cells.
+    ``fused`` selects the fused exchange on every grid point; results are
+    bit-identical to the staged path.  One scratch arena is shared across
+    all grid points so parse-block buffers are recycled between cells.
     """
     explicit_machine = resolve_machine(machine) if machine is not None else None
     oracle = None
@@ -144,7 +144,7 @@ def sweep(
         oracle = count_kmers_exact(reads, k)
 
     out = SweepResult()
-    arena = ScratchArena()  # recycled across grid cells on the fused path
+    arena = ScratchArena()  # recycled across grid cells
     seen: set[SweepPoint] = set()
     for nodes, backend, mode, m, window, ordering in product(
         node_counts, backends, modes, minimizer_lengths, windows, orderings

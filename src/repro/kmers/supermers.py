@@ -273,8 +273,8 @@ def build_supermers_with_positions(
     """:func:`build_supermers` plus each supermer's start position.
 
     The second return value gives, per supermer, the index into
-    ``reads.codes`` of its first base; the fused engine uses it to map
-    supermers built over a whole cluster's concatenated shards back to
+    ``reads.codes`` of its first base; the engine's parse blocks use it to
+    map supermers built over several shards' concatenated codes back to
     their originating shard.
     """
     if window is None:

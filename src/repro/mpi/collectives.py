@@ -257,8 +257,8 @@ def alltoallv_flat(
     ``counts_matrix[src, dst]`` items, laid out src-major.  Returns
     ``(shuffled, dst_offsets)`` where ``shuffled`` is the same items in
     (dst, src)-major order and ``recv[dst] = shuffled[dst_offsets[dst]:
-    dst_offsets[dst + 1]]``.  The fused engine exchanges whole-cluster
-    arrays through this without slicing them into per-rank buffers first:
+    dst_offsets[dst + 1]]``.  A fused exchange moves the engine's one send
+    array through this without slicing it into per-rank buffers first:
     each destination block (:func:`segment_blocks`) is gathered out of
     ``global_data`` with a block-sized index, straight into its slice of
     ``shuffled`` — no index of the whole round exists.

@@ -1,4 +1,4 @@
-"""Unit tests for the fused execution path's building blocks.
+"""Unit tests for the engine's block building blocks and the ``fused`` switch.
 
 Covers the scratch-buffer arena, the segmented hash table against the
 scalar per-rank reference, the doubling window pack, fused-mode resolution (flag/fallback), and the CLI
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.memory import ScratchArena
-from repro.core.stages.fused import supports_fusion
+from repro.core.stages import supports_fusion
 from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.extract import extract_kmers_scalar, window_values
@@ -382,39 +382,52 @@ def test_resolve_fused_unset_env_defaults_off(monkeypatch):
 
 
 def test_supports_fusion_standard_compositions():
+    """A fused exchange replaces the standard exchange stage; no other stage matters."""
+    import dataclasses
+
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions
     from repro.core.stages.registry import resolve
+    from repro.core.stages.standard import KmerParse, SpectrumMerge, TableCount
 
     for key in ("gpu:kmer", "gpu:supermer", "cpu:kmer", "cpu:supermer"):
         comp = resolve(key, PipelineConfig(k=17, mode=key.split(":")[1]), EngineOptions())
         assert supports_fusion(comp), key
+    comp = resolve("gpu:kmer", PipelineConfig(k=17), EngineOptions())
+    for stage, cls in (("parse", KmerParse), ("count", TableCount), ("merge", SpectrumMerge)):
+        custom = dataclasses.replace(comp, **{stage: type(f"Custom{cls.__name__}", (cls,), {})()})
+        assert supports_fusion(custom), stage
 
 
 def test_custom_composition_falls_back_to_staged(caplog):
+    """A custom exchange stage sees its per-source buffers: ``fused`` falls back, announced."""
     import dataclasses
 
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions, run_pipeline
     from repro.core.stages.registry import resolve
     from repro.core.stages.scheduler import RoundScheduler
-    from repro.core.stages.standard import SpectrumMerge
+    from repro.core.stages.standard import AlltoallvExchange
     from repro.dna.simulate import simulate_dataset
     from repro.mpi.topology import summit_gpu
 
-    class CustomMerge(SpectrumMerge):
-        pass
+    class CustomExchange(AlltoallvExchange):
+        def exchange(self, send_data, send_lengths, send_counts, label, ctx):
+            assert isinstance(send_data, list)  # never the fused send array
+            return super().exchange(send_data, send_lengths, send_counts, label, ctx)
 
     config = PipelineConfig(k=15, mode="kmer")
     opts = EngineOptions(fused=True)
     comp = resolve("gpu:kmer", config, opts)
-    custom = dataclasses.replace(comp, merge=CustomMerge())
+    custom = dataclasses.replace(comp, exchange=CustomExchange())
     assert not supports_fusion(custom)
 
     reads = simulate_dataset(genome_length=3000, coverage=3, seed=5)
     cluster = summit_gpu(1)
     with caplog.at_level(logging.INFO, logger="repro.telemetry"):
-        fallback = RoundScheduler(cluster, config, custom, opts).run(reads)
+        scheduler = RoundScheduler(cluster, config, custom, opts)
+        fallback = scheduler.run(reads)
+    assert scheduler.resolve_strategy().name == "staged"
     assert any("engine.fused.fallback" in rec.message for rec in caplog.records)
     staged = run_pipeline(reads, cluster, config, backend="gpu", options=EngineOptions())
     assert np.array_equal(fallback.spectrum.values, staged.spectrum.values)

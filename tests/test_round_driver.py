@@ -1,4 +1,4 @@
-"""The round driver's 2×2: layout × residency, on both surfaces.
+"""The round driver's 2×2: fused exchange × residency, on both surfaces.
 
 ``RoundScheduler._drive`` is the one loop behind ``staged``, ``fused``,
 ``spill`` and ``fused-spill``, behind ``run()`` and ``run_batch()``.  These
@@ -30,8 +30,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages import registry
-from repro.core.stages.buffers import RankParse
-from repro.core.stages.scheduler import _round_slice
+from repro.core.stages.buffers import SendArray, round_split
 from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
@@ -242,7 +241,7 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
 
 
 class _RankByRankCount(TableCount):
-    """A custom count stage: a class the layouts do not know, with ``TableCount``'s behaviour."""
+    """A custom count stage: a class the count blocks do not know, with ``TableCount``'s behaviour."""
 
 
 @pytest.mark.parametrize("parallel", [1, 2, "process:2"], ids=["seq", "thread", "process"])
@@ -276,7 +275,8 @@ def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, t
             backend=backend,
             options=_options(strategy, tmp_path, telemetry=reg, trace=rec, parallel=parallel),
         )
-        blocks = {tuple(s.meta["ranks"]) for s in rec.spans() if s.name.startswith("count")}
+        leaves = [s for s in rec.spans() if s.name.removeprefix("fused:").startswith("count")]
+        blocks = {tuple(s.meta["ranks"]) for s in leaves}
         return summarize_result(result), reg.snapshot(include_wall=False), blocks, list(seen)
 
     observables, snapshot, blocks, calls = cell("rankwise")
@@ -286,8 +286,7 @@ def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, t
     standard = cell("gpu")
     assert standard[3] == []  # the standard count stage never calls count_rank
     assert (observables, snapshot) == standard[:2]
-    if strategy != "fused":  # custom stages keep the per-rank layout; the standard run here is the flat one
-        assert blocks == standard[2]
+    assert blocks == standard[2]  # a custom count stage changes no strategy: fused stays fused
 
 
 @pytest.mark.parametrize("parallel", [1, "process:2"], ids=["seq", "process-to-thread"])
@@ -312,60 +311,63 @@ def test_bloom_composition_equals_the_per_rank_tables(strategy, parallel, tmp_pa
     assert digest.startswith("7da8e9a1ec1f528f")
 
 
-def _round_slice_reference(pr, rnd: int, n_rounds: int):
-    """The per-destination scalar loop ``_round_slice`` replaced, kept as the oracle."""
-    if n_rounds == 1:
-        return pr.data, pr.lengths, pr.counts
-    p = pr.counts.shape[0]
-    offsets = np.concatenate(([0], np.cumsum(pr.counts)))
+def _round_slice_reference(data, lengths, counts, rnd: int, n_rounds: int):
+    """The per-destination scalar loop over one source's buffer, kept as the oracle."""
+    p = counts.shape[0]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     pieces, lpieces = [], []
-    counts = np.zeros(p, dtype=np.int64)
+    rcounts = np.zeros(p, dtype=np.int64)
     for dst in range(p):
         seg_start, seg_end = offsets[dst], offsets[dst + 1]
         seg_len = seg_end - seg_start
         lo = seg_start + (seg_len * rnd) // n_rounds
         hi = seg_start + (seg_len * (rnd + 1)) // n_rounds
-        counts[dst] = hi - lo
-        pieces.append(pr.data[lo:hi])
-        if pr.lengths is not None:
-            lpieces.append(pr.lengths[lo:hi])
-    data = np.concatenate(pieces) if pieces else pr.data[:0]
-    lengths = (np.concatenate(lpieces) if lpieces else None) if pr.lengths is not None else None
-    return data, lengths, counts
+        rcounts[dst] = hi - lo
+        pieces.append(data[lo:hi])
+        if lengths is not None:
+            lpieces.append(lengths[lo:hi])
+    return np.concatenate(pieces), np.concatenate(lpieces) if lengths is not None else None, rcounts
 
 
 @pytest.mark.parametrize("n_rounds", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
 @pytest.mark.parametrize("p", [1, 6, 42])
 def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
-    """Vectorised round split ≡ the old loop; rounds tile every segment in order."""
+    """The one round gather of the send array ≡ the per-source scalar loops; rounds tile every segment."""
     rng = np.random.default_rng(100 * p + n_rounds)
-    counts = rng.integers(0, 12, size=p).astype(np.int64)  # lengths not divisible by n_rounds
-    counts[rng.random(p) < 0.3] = 0  # destinations that get nothing
+    counts = rng.integers(0, 12, size=(p, p)).astype(np.int64)  # lengths not divisible by n_rounds
+    counts[rng.random((p, p)) < 0.3] = 0  # segments that hold nothing
+    counts[rng.integers(p)] = 0  # a source with nothing to send
     n = int(counts.sum())
-    pr = RankParse(
+    send = SendArray(
         data=rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
         lengths=rng.integers(1, 200, size=n).astype(np.uint8) if with_lengths else None,
         counts=counts,
-        time_s=0.0,
-        n_kmers_parsed=n,
-        n_supermers=0,
-        supermer_bases=0,
     )
-    rounds = [_round_slice(pr, rnd, n_rounds) for rnd in range(n_rounds)]
-    for rnd, (data, lengths, rcounts) in enumerate(rounds):
-        ref_data, ref_lengths, ref_counts = _round_slice_reference(pr, rnd, n_rounds)
-        assert data.dtype == ref_data.dtype and np.array_equal(data, ref_data)
-        assert rcounts.dtype == np.int64 and np.array_equal(rcounts, ref_counts)
-        assert (lengths is None) == (ref_lengths is None)
-        if lengths is not None:
-            assert lengths.dtype == np.uint8 and np.array_equal(lengths, ref_lengths)
-    assert np.array_equal(sum(rc for _, _, rc in rounds), pr.counts)
-    # Per destination, the rounds' pieces concatenate back to the original segment.
-    seg_offsets = np.concatenate(([0], np.cumsum(pr.counts)))
-    round_offsets = [np.concatenate(([0], np.cumsum(rc))) for _, _, rc in rounds]
-    for dst in range(p):
-        for field in (0, 1) if with_lengths else (0,):
-            pieces = [r[field][off[dst] : off[dst + 1]] for r, off in zip(rounds, round_offsets)]
-            original = (pr.data, pr.lengths)[field][seg_offsets[dst] : seg_offsets[dst + 1]]
+    src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+    rounds = [round_split(send, rnd, n_rounds) for rnd in range(n_rounds)]
+    for rnd, got in enumerate(rounds):
+        assert got.counts.dtype == np.int64 and got.counts.shape == (p, p)
+        assert got.data.dtype == np.uint64 and (got.lengths is None) == (not with_lengths)
+        got_base = np.concatenate(([0], np.cumsum(got.counts.sum(axis=1))))
+        for src in range(p):
+            lo, hi = src_base[src], src_base[src + 1]
+            src_lengths = send.lengths[lo:hi] if with_lengths else None
+            ref_data, ref_lengths, ref_counts = _round_slice_reference(
+                send.data[lo:hi], src_lengths, counts[src], rnd, n_rounds
+            )
+            glo, ghi = got_base[src], got_base[src + 1]
+            assert np.array_equal(got.counts[src], ref_counts)
+            assert np.array_equal(got.data[glo:ghi], ref_data)
+            if with_lengths:
+                assert got.lengths.dtype == np.uint8 and np.array_equal(got.lengths[glo:ghi], ref_lengths)
+    assert np.array_equal(sum(r.counts for r in rounds), counts)
+    # Per segment, the rounds' pieces concatenate back to the original segment.
+    seg_offsets = np.concatenate(([0], np.cumsum(counts.reshape(-1))))
+    round_offsets = [np.concatenate(([0], np.cumsum(r.counts.reshape(-1)))) for r in rounds]
+    for seg in range(p * p):
+        fields = ("data", "lengths") if with_lengths else ("data",)
+        for field in fields:
+            pieces = [getattr(r, field)[off[seg] : off[seg + 1]] for r, off in zip(rounds, round_offsets)]
+            original = getattr(send, field)[seg_offsets[seg] : seg_offsets[seg + 1]]
             assert np.array_equal(np.concatenate(pieces), original)

@@ -361,7 +361,8 @@ class TestAnalysis:
         stats = phase_stragglers(span_payload(options.trace))
         by_path = {st.path: st for st in stats}
         parse = by_path["parse"]
-        assert parse.n == 4 and parse.phase == "parse"
+        assert parse.n == len(options.trace.spans("parse")) and parse.phase == "parse"  # one per parse block
+        assert_block_leaves_tile(options.trace.spans("parse"), 4)
         assert parse.max_s >= parse.mean_s > 0
         assert parse.imbalance >= 1.0
         assert 0 <= parse.bottleneck_rank < 4

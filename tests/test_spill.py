@@ -237,12 +237,12 @@ class TestSpillFallbacks:
         run_span = next(s for s in rec.all_spans() if s.name == "run")
         assert run_span.meta["strategy"] == "fused-spill"
         names = {s.name.split("-round")[0] for s in rec.all_spans()}
-        # The residency, not the layout, decides: one-shot block tables are dumped as runs.
+        # The residency, not the fused switch, decides: one-shot block tables are dumped as runs.
         assert {"spill:spool", "spill:read", "fused:count", "spill:run-write", "spill:merge"} <= names
         assert list(tmp_path.iterdir()) == []  # spool cleaned up
 
-    def test_fused_spill_custom_stages_fall_back_to_staged_spill(self, caplog, genome_reads, tmp_path):
-        """Custom count stage: spilling still works, via the staged loop."""
+    def test_fused_spill_custom_count_stage_stays_fused_spill(self, caplog, genome_reads, tmp_path):
+        """Custom count stage: no fallback — a fused exchange replaces only the exchange stage."""
         import dataclasses
 
         from repro.core.stages.registry import resolve
@@ -257,8 +257,10 @@ class TestSpillFallbacks:
         custom = dataclasses.replace(resolve("gpu:kmer", config, opts), count=CustomCount())
         cluster = summit_gpu(1)
         with caplog.at_level(logging.INFO, logger="repro.telemetry"):
-            spilled = RoundScheduler(cluster, config, custom, opts).run(genome_reads)
-        assert any("engine.fused.fallback" in rec.message for rec in caplog.records)
+            scheduler = RoundScheduler(cluster, config, custom, opts)
+            spilled = scheduler.run(genome_reads)
+        assert not any(".fallback" in rec.message for rec in caplog.records)
+        assert scheduler.resolve_strategy().name == "fused-spill"
         mem = run_pipeline(genome_reads, cluster, config, backend="gpu", options=EngineOptions())
         assert spilled.spectrum.equals(mem.spectrum)
 
@@ -451,7 +453,7 @@ class TestMmapTable:
         assert list(tmp_path.iterdir()) == []
 
     def test_table_dir_backs_the_staged_layout(self, genome_reads, tmp_path, monkeypatch):
-        """``table_dir`` backs the per-rank layout's block tables too, resident and
+        """``table_dir`` backs the staged strategy's block tables too, resident and
         spilled, on every substrate: bit-identical, file-backed, nothing left behind.
 
         Under ``process:2`` a forked worker counts into its block's slab files,
@@ -837,6 +839,17 @@ class TestExternalMerge:
         merged = external_merge(runs, 15, block=2)
         assert merged.values.tolist() == [0, 7, 8]
         assert merged.counts.tolist() == [1, 60, 30]
+
+    @pytest.mark.parametrize("block", [1, MERGE_BLOCK_KEYS])
+    def test_counts_past_2_53_aggregate_exactly(self, block):
+        """Both merges sum in int64: a float64 sum rounds 2**53 + 1 down to 2**53."""
+        runs = [
+            (np.array([3, 7], dtype=np.uint64), np.array([2**53, 5], dtype=np.int64)),
+            (np.array([3], dtype=np.uint64), np.array([1], dtype=np.int64)),
+        ]
+        for merged in (external_merge(runs, 15, block=block), self._reference(runs, 15)):
+            assert merged.values.tolist() == [3, 7]
+            assert merged.counts.tolist() == [2**53 + 1, 5]
 
     @pytest.mark.parametrize("trial", range(4))
     def test_property_overlapping_runs_with_empties(self, trial):

@@ -128,11 +128,11 @@ class TestCounterGolden:
 
 
 class TestFusedGolden:
-    """The fused whole-cluster path must match the same golden records.
+    """The fused exchange must match the same golden records.
 
-    Same case matrix, same expected fields, but executed through
-    ``repro.core.stages.fused`` (``EngineOptions(fused=True)``) — proving
-    the fused supersteps are bit-identical to the staged path all the way
+    Same case matrix, same expected fields, but executed with
+    ``EngineOptions(fused=True)`` — proving the exchange gathered straight
+    out of the send array is bit-identical to the staged path all the way
     back to the pre-refactor engine.
     """
 

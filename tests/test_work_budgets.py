@@ -17,6 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.stages.standard as standard
 import repro.gpu.hashtable as hashtable
 import repro.gpu.segmented as segmented
 import repro.mpi.collectives as collectives
@@ -59,22 +60,64 @@ class TestStagedRunBudgets:
 
         monkeypatch.setattr(SegmentedHashTable, "insert_flat", counting_insert)
         cluster = summit_gpu(1)
-        result = run_pipeline(
-            genome_reads, cluster, PipelineConfig(k=17), options=EngineOptions(parallel=1, fused=False)
-        )
+        options = EngineOptions(parallel=1, fused=False, trace=True)
+        result = run_pipeline(genome_reads, cluster, PipelineConfig(k=17), options=options)
         assert result.spectrum.n_distinct > 0
-        return cluster.n_ranks, inserts, unique_calls, argsort_calls
+        return cluster.n_ranks, inserts, unique_calls, argsort_calls, len(options.trace.spans("parse"))
 
     def test_one_unique_per_insert_batch_none_in_the_probe_loop(self, staged_run):
-        n_ranks, inserts, unique_calls, _ = staged_run
+        n_ranks, inserts, unique_calls, _, _ = staged_run
         in_table = Counter(fn for path, fn, _ in unique_calls if path.endswith("gpu/hashtable.py"))
         assert len(inserts) == n_ranks and all(inserts)  # one round: every rank inserted once, by its block's call
         assert in_table == {"dedup_batch": len(inserts)}  # the dedup; probe_insert arbitrates without a sort
 
     def test_destination_ordering_sorts_16_bit_owners(self, staged_run):
-        n_ranks, _, _, argsort_calls = staged_run
-        owner_sorts = [dtype for _, fn, dtype in argsort_calls if fn == "assemble_rank_parse"]
-        assert owner_sorts == [np.dtype(np.uint16)] * n_ranks  # a radix pass, never an int64 merge sort
+        _, _, _, argsort_calls, parse_blocks = staged_run
+        owner_sorts = [dtype for _, fn, dtype in argsort_calls if fn == "stable_order"]
+        # One (shard, owner) sort per parse block (was one per rank), a radix pass.
+        assert owner_sorts == [np.dtype(np.uint16)] * parse_blocks
+
+
+class TestParseBudgets:
+    """The parse pays per block of whole shards; only the model charge is per rank (it was per rank).
+
+    A P = 24 k-mer run whose shards fall into a few parse blocks.  Blocks
+    follow the bases, so their number moves with the input, not with P.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, reads, nodes: int) -> tuple[int, int, int, int]:
+        """``(P, parse leaves, parse-body calls, charge_parse calls)`` of one one-shot staged run."""
+        bodies, charges = [], []
+        real_body, real_charge = standard.window_values, GpuSubstrate.charge_parse
+
+        def counting_body(*args, **kwargs):
+            bodies.append(1)
+            return real_body(*args, **kwargs)
+
+        def counting_charge(self, *args, **kwargs):
+            charges.append(1)
+            return real_charge(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(standard, "window_values", counting_body)
+            patch.setattr(GpuSubstrate, "charge_parse", counting_charge)
+            options = EngineOptions(parallel=1, trace=True)
+            cluster = summit_gpu(nodes)
+            run_pipeline(reads, cluster, PipelineConfig(k=15), options=options)
+        return cluster.n_ranks, len(options.trace.spans("parse")), len(bodies), len(charges)
+
+    def test_one_body_per_block_one_charge_per_rank(self, genome_reads, monkeypatch):
+        p, blocks, bodies, charges = self._run(monkeypatch, genome_reads, 4)
+        assert p == 24 and 1 <= blocks < p
+        assert bodies == blocks  # was P
+        assert charges == p  # the model is per rank, by design
+
+    def test_bodies_do_not_grow_with_ranks(self, genome_reads, monkeypatch):
+        p, _, bodies, _ = self._run(monkeypatch, genome_reads, 4)
+        wider, _, wider_bodies, wider_charges = self._run(monkeypatch, genome_reads, 8)  # P doubled, same input
+        assert wider == 2 * p and wider_charges == wider
+        assert abs(wider_bodies - bodies) <= 1  # the same bases, so the same blocks within one
 
 
 class TestExchangeIndexBudget:
@@ -168,7 +211,7 @@ class TestCheckpointBudgets:
 
 
 class TestRankBlockBudgets:
-    """The per-rank layout pays per rank *block*: probe loops, run files and maps (PR 24, was per rank).
+    """The count pays per rank *block*: probe loops, run files and maps (it was per rank).
 
     A P = 24 k-mer run whose ranks fall into three blocks.  Blocks follow
     the bytes the tables are expected to hold, so their number moves with
@@ -253,7 +296,7 @@ class TestRankBlockBudgets:
 class TestOneTableBudgets:
     """Every table is born once, in rank blocks, and never copied into another.
 
-    A flip to the flat layout or a first batch after a load must not copy
+    A flip to the fused strategy or a first batch after a load must not copy
     the state into a new table, and a regrow must not re-lay regions of
     blocks that did not grow (one flat table re-laid its whole slab).
     """
@@ -278,7 +321,7 @@ class TestOneTableBudgets:
         assert len(blocks) > 1 and len(births) == len(blocks)
 
     def test_no_table_is_born_after_the_first_batch_or_the_load(self, genome_reads, tmp_path, monkeypatch):
-        """A layout flip and a resume count through the tables there are: no slot is copied."""
+        """A strategy flip and a resume count through the tables there are: no slot is copied."""
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
         n = genome_reads.n_reads
         batches = [genome_reads.select(range(i * n // 3, (i + 1) * n // 3)) for i in range(3)]
@@ -302,7 +345,7 @@ class TestOneTableBudgets:
     def _regrows(monkeypatch, reads, nodes: int) -> tuple[list[int], list[int]]:
         """``(bytes each regrow after batch 1 laid, bytes of the batch-1 rank blocks holding its grown regions)``.
 
-        A P-rank k-mer counter on the flat layout, fed twelve batches; the
+        A P-rank k-mer counter on the fused strategy, fed twelve batches; the
         blocks are the ones :func:`~repro.gpu.segmented.table_blocks` gives
         for the first batch's received k-mers.
         """

@@ -21,12 +21,13 @@ static ``ext`` import — that is by design, not an oversight.
 
 A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
-families both layouts must report identically, the stages' kernel-traffic
-constructor, the exchange-outcome assembly, the count body's per-rank
-charge, the table's insert probe loop, its slot dump, the segment
-gather index and the engine's one table birth may each appear in their
-owning file only, so neither a layout, the scheduler nor the spool can
-regrow a private copy.
+families every strategy must report identically, the stages' kernel-traffic
+constructor, the exchange-outcome assembly, the parse and count bodies'
+per-rank charges, the merges' equal-key aggregation, the host working
+set per received item, the table's insert probe loop, its slot dump,
+the segment gather index and the engine's one table birth may each
+appear in their owning file only, so neither the scheduler nor the
+spool can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -67,6 +68,9 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("TrafficEstimate(", "core/stages", "core/stages/standard.py", False),
     ("ExchangeOutcome(", "core/stages", "core/stages/standard.py", True),
     (".charge_count(", "core/stages", "core/stages/standard.py", False),
+    (".charge_parse(", "core/stages", "core/stages/standard.py", True),
+    ("np.flatnonzero(keys[1:] != keys[:-1])", "", "core/stages/standard.py", True),
+    ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
