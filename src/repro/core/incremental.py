@@ -44,6 +44,7 @@ from .results import LoadStats, PhaseTiming
 from .stages.context import EngineOptions
 from .stages.registry import build_composition
 from .stages.scheduler import PipelineState, RoundScheduler
+from .stages.standard import merge_partitions
 
 __all__ = ["DistributedCounter"]
 
@@ -147,7 +148,7 @@ class DistributedCounter:
 
     def spectrum(self) -> KmerSpectrum:
         """The current merged global histogram."""
-        return self._composition.merge.merge_tables(self.tables, self.config.k)
+        return merge_partitions(self._composition.merge, self.tables, self.config.k)
 
     def load_stats(self) -> LoadStats:
         return LoadStats.from_loads(self.received_kmers)

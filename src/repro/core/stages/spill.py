@@ -64,7 +64,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import SegmentedRankView
+from ...gpu.hashtable import SegmentedRankView, sort_pairs
 from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
@@ -72,7 +72,14 @@ from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, joined
 from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, TableCount, exchange_outcome, merge_counts
+from .standard import (
+    AlltoallvExchange,
+    SpectrumMerge,
+    TableCount,
+    exchange_outcome,
+    merge_counts,
+    merge_partitions,
+)
 
 __all__ = [
     "Resident",
@@ -105,7 +112,7 @@ def supports_spill(comp: StageComposition) -> bool:
 
     The spill path substitutes the exchange (partition files for receive
     buffers) and the merge (external k-way merge for the in-memory
-    ``np.unique``), so both must be the standard classes whose semantics
+    sort), so both must be the standard classes whose semantics
     it reproduces.  Parse, partition, count, and substrate are driven
     through their ordinary seams and may be anything; plugins act through
     the standard hooks, which the spill path honours.
@@ -745,17 +752,8 @@ class Resident:
             acct.add_count(r0, *counted)
 
     def merge(self, tables: list[SegmentedRankView]) -> tuple[str, KmerSpectrum]:
-        """``(work-leaf name, spectrum)`` of the one-shot merge.
-
-        The standard merge without plugins takes each block table's items
-        in one storage pass — no per-rank key sorts, its ``np.unique``
-        re-sorts anyway; any other merge sees every rank's table.
-        """
-        merge, k = self.sched.comp.merge, self.sched.config.k
-        if type(merge) is SpectrumMerge and not merge.plugins:
-            spectrum = merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
-        else:
-            spectrum = merge.merge_tables(tables, k)
+        """``(work-leaf name, spectrum)`` of the one-shot merge: the rule a streamed state merges by too."""
+        spectrum = merge_partitions(self.sched.comp.merge, tables, self.sched.config.k)
         return self.layout.prefix + "merge", spectrum
 
     def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
@@ -890,8 +888,7 @@ class Spooled(Resident):
             for plugin in self.sched.comp.merge.plugins:
                 values, counts = plugin.adjust_merge_items(values, counts)
             if values.size > 1 and not np.all(values[1:] > values[:-1]):
-                order = np.argsort(values, kind="stable")
-                values, counts = values[order], counts[order]
+                values, counts = sort_pairs(values, counts)
             runs.append((values, counts))
         entries = self.spool.write_runs(r0, runs)
         if sctx.recorder is not None:

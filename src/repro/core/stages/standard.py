@@ -30,9 +30,9 @@ import numpy as np
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate, staging_time
-from ...gpu.hashtable import InsertStats, SegmentedRankView
+from ...gpu.hashtable import InsertStats, SegmentedRankView, sort_pairs
 from ...gpu.kernels import VirtualGPU
-from ...gpu.segmented import SegmentedHashTable
+from ...gpu.segmented import SegmentedHashTable, view_blocks
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
@@ -42,7 +42,7 @@ from ..config import PipelineConfig
 from ..memory import ScratchArena
 from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, ParseSummary, RankParse, joined
 from .context import EngineOptions, StageContext
-from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
+from .protocols import CountStage, MergeStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
 
 __all__ = [
     "KmerParse",
@@ -58,6 +58,7 @@ __all__ = [
     "parse_block",
     "stable_order",
     "merge_counts",
+    "merge_partitions",
     "outgoing_buffer_hot_fraction",
     "verify_exchange",
     "exchange_time_model",
@@ -577,11 +578,11 @@ def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     """Sorted distinct ``keys`` and each one's summed ``counts``, exact in int64 at any count.
 
     The one aggregation of the merges (:class:`SpectrumMerge` and the
-    external merge's chunks): a sort, then — only when a key repeats — one
+    external merge's chunks): one pair sort (:func:`~repro.gpu.hashtable.sort_pairs`,
+    a packed-word sort at k = 17), then — only when a key repeats — one
     ``reduceat`` over the runs of equal keys.
     """
-    order = np.argsort(keys)
-    keys, counts = keys[order], counts[order].astype(np.int64, copy=False)
+    keys, counts = sort_pairs(keys, counts)
     starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     if starts.shape[0] + 1 >= keys.shape[0]:  # no key repeats (or nothing at all)
         return keys, counts
@@ -618,6 +619,20 @@ class SpectrumMerge:
 
     def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
         return self.merge_items([t.items() for t in tables], k)
+
+
+def merge_partitions(merge: MergeStage, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
+    """The spectrum of the ranks' tables: the one merge rule of a one-shot drive and a streamed state.
+
+    The standard merge without plugins takes each block table's occupied
+    slots in one storage pass (``items_flat``) and sorts the pairs once, in
+    :func:`merge_counts` — one sort over the result keys, where the
+    per-rank ``items()`` would sort each rank first.  A plugin composition
+    or a custom merge stage sees every rank's sorted items.
+    """
+    if type(merge) is SpectrumMerge and not merge.plugins:
+        return merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
+    return merge.merge_tables(tables, k)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .hashtable import (
     dedup_batch,
     fit_capacity,
     initial_capacity,
+    occupied_slots,
     probe_insert,
     probe_lookup,
     record_insert_telemetry,
@@ -266,11 +267,10 @@ class SegmentedHashTable:
         """All ranks' (key, count) pairs in one storage pass, slot order.
 
         The union of the per-rank ``items_of`` sets without their per-rank
-        key sorts — for consumers that aggregate globally (the spectrum
-        merge re-sorts through ``np.unique`` anyway).
+        key sorts — for consumers that sort globally (the spectrum merge
+        sorts the concatenation once, in ``merge_counts``).
         """
-        mask = self.keys != EMPTY_KEY
-        return self.keys[mask], self.counts[mask]
+        return occupied_slots(self.keys, self.counts)
 
     # -- operations --------------------------------------------------
 

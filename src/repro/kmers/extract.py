@@ -117,15 +117,28 @@ def valid_windows(is_base: np.ndarray, width: int) -> np.ndarray:
     return sliding_reduce(is_base, width, lambda left, right, *_: left & right)
 
 
-def pack_windows(safe: np.ndarray, width: int) -> np.ndarray:
-    """2-bit pack of every length-``width`` window of ``safe``, in its dtype.
+_UINTS = tuple(np.dtype(dt) for dt in (np.uint8, np.uint16, np.uint32, np.uint64))
 
-    ``safe`` holds codes 0..3 in an unsigned dtype of at least ``2 * width``
-    bits.  The first base lands in the most significant occupied field —
+
+def pack_windows(safe: np.ndarray, width: int) -> np.ndarray:
+    """2-bit pack of every length-``width`` window of ``safe`` (codes 0..3, any unsigned dtype).
+
+    Each doubling level runs in the narrowest unsigned dtype holding its
+    bases' bits, never narrower than ``safe``'s (uint8 codes: 1-4 bases in
+    uint8, 8 in uint16, 16 in uint32, 32 in uint64), so the early levels
+    move an eighth of the bytes of a uint64 pack; the result is in the
+    last level's dtype — ``safe``'s when that holds ``2 * width`` bits.
+    The first base lands in the most significant occupied field —
     bit-for-bit the value a per-base shift-or loop gives.
     """
-    dt = safe.dtype.type
-    return sliding_reduce(safe, width, lambda left, right, _, n_right: (left << dt(2 * n_right)) | right)
+
+    def combine(left, right, n_left, n_right):
+        # ``left``'s dtype when it holds the combined bases, else the narrowest that does.
+        bits = 2 * (n_left + n_right)
+        dt = next(dt for dt in (left.dtype, *_UINTS) if bits <= 8 * dt.itemsize)
+        return (left.astype(dt, copy=False) << dt.type(2 * n_right)) | right
+
+    return sliding_reduce(safe, width, combine)
 
 
 def window_values(codes: np.ndarray, width: int) -> KmerWindows:
@@ -142,7 +155,7 @@ def window_values(codes: np.ndarray, width: int) -> KmerWindows:
         return KmerWindows(k=width, values=np.empty(0, dtype=np.uint64), valid=np.empty(0, dtype=bool))
     # Values first: the validity pass then reuses the pack's freed levels
     # instead of leaving its own small ones as holes under them.
-    values = pack_windows(safe.astype(np.uint64), width)
+    values = pack_windows(safe, width).astype(np.uint64, copy=False)
     return KmerWindows(k=width, values=values, valid=valid_windows(is_base, width))
 
 

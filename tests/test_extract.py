@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.dna.encoding import canonical_value, string_to_kmer
 from repro.dna.reads import ReadSet
-from repro.kmers.extract import extract_kmers, extract_kmers_scalar, window_values
+from repro.kmers.extract import extract_kmers, extract_kmers_scalar, pack_windows, window_values
 
 dna_with_n = st.text(alphabet="ACGTN", min_size=0, max_size=120)
 read_lists = st.lists(dna_with_n, min_size=0, max_size=8)
@@ -62,6 +62,29 @@ class TestWindowValues:
 
         w = window_values(string_to_codes("ANA"), 1)
         assert w.compact().tolist() == [0, 0]
+
+
+class TestPackWindows:
+    """The narrow-level pack equals a per-base shift-or loop, in the narrowest dtype holding it."""
+
+    @staticmethod
+    def _shift_or(codes: np.ndarray, width: int) -> np.ndarray:
+        n = codes.shape[0] - width + 1
+        out = np.zeros(n, dtype=np.uint64)
+        for j in range(width):
+            out = (out << np.uint64(2)) | codes[j : j + n].astype(np.uint64)
+        return out
+
+    @pytest.mark.parametrize("in_dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_every_width_matches_the_shift_or_loop(self, in_dtype, width):
+        codes = np.random.default_rng(width).integers(0, 4, size=150).astype(in_dtype)
+        codes[:40] = 3  # all-ones fields: a level one dtype too narrow would lose the top bits
+        uints = (np.uint8, np.uint16, np.uint32, np.uint64)
+        narrowest = next(dt for dt in uints if 2 * width <= np.iinfo(dt).bits)
+        packed = pack_windows(codes, width)
+        assert packed.dtype == np.promote_types(in_dtype, narrowest)  # the input's dtype when that holds it
+        assert np.array_equal(packed.astype(np.uint64), self._shift_or(codes, width))
 
 
 class TestExtract:

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.stages.standard import merge_counts
 from repro.gpu import segmented
 from repro.gpu.hashtable import (
     EMPTY_KEY,
     DeviceHashTable,
     InsertStats,
+    dedup_batch,
     dump_slots,
     fit_capacity,
     initial_capacity,
     probe_insert,
+    sort_pairs,
 )
 from repro.gpu.segmented import SegmentedHashTable
 from repro.hashing.murmur3 import hash_kmers_batch
@@ -555,3 +558,73 @@ class TestSlotDump:
             SegmentedHashTable.from_slots(
                 [64], np.zeros(8, dtype=np.uint8), np.empty(0, np.uint64), np.zeros(1, np.int64)
             )
+
+
+class TestPairSort:
+    """``sort_pairs`` packs key and count into one word up to 64 bits and argsorts past them."""
+
+    @staticmethod
+    def _argsorts(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize(
+        "key_bits, count_bits, argsorts", [(40, 24, 0), (41, 24, 1), (10, 54, 0), (11, 54, 1), (1, 63, 0)]
+    )
+    def test_packed_up_to_64_bits_argsort_past_them(self, monkeypatch, key_bits, count_bits, argsorts):
+        rng = np.random.default_rng(key_bits * 100 + count_bits)
+        keys = np.unique(rng.integers(0, 2**key_bits, size=500, dtype=np.uint64))
+        keys[-1] = 2**key_bits - 1  # the widest key and count set the word
+        counts = rng.integers(1, 2**count_bits, size=keys.shape[0], dtype=np.int64)
+        counts[0] = 2**count_bits - 1
+        shuffle = rng.permutation(keys.shape[0])
+        keys, counts = keys[shuffle], counts[shuffle]
+        order = np.argsort(keys, kind="stable")
+        calls = self._argsorts(monkeypatch)
+        got_keys, got_counts = sort_pairs(keys, counts)
+        assert len(calls) == argsorts
+        assert got_keys.dtype == np.uint64 and got_counts.dtype == np.int64
+        assert np.array_equal(got_keys, keys[order]) and np.array_equal(got_counts, counts[order])
+
+    @pytest.mark.parametrize("key_top, argsorts", [(2**10 - 1, 0), (2**10, 1)])
+    def test_duplicate_keys_sum_exactly_past_2_53(self, monkeypatch, key_top, argsorts):
+        """Canonical supermer mode splits a k-mer over two owners; its partial counts add in int64.
+
+        Counts of 2**53 + 1 take 54 bits: with a 10-bit key that is one
+        64-bit word, with an 11-bit key it is the argsort fallback.
+        """
+        keys = np.array([key_top, 3, key_top, 3, 7], dtype=np.uint64)
+        counts = np.array([2**53 + 1, 1, 2**53 + 1, 2, 5], dtype=np.int64)
+        calls = self._argsorts(monkeypatch)
+        uniq, summed = merge_counts(keys, counts)
+        assert len(calls) == argsorts
+        assert uniq.tolist() == [3, 7, key_top] and summed.tolist() == [3, 5, 2**54 + 2]
+
+    def test_empty(self):
+        keys, counts = sort_pairs(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+        assert (keys.dtype, counts.dtype, keys.size, counts.size) == (np.uint64, np.int64, 0, 0)
+
+
+class TestDedupBatch:
+    """The unweighted dedup (one sort and a run count) equals ``np.unique(return_counts=True)``."""
+
+    @pytest.mark.parametrize("shape", ["one", "all-equal", "sorted", "reverse-sorted", "random"])
+    def test_equals_np_unique(self, shape):
+        rng = np.random.default_rng(3)
+        top = 2**62 - 1
+        ascending = np.sort(np.append(rng.integers(0, 2**62, size=300), [top, top, 0])).astype(np.uint64)
+        keys = {
+            "one": np.array([top], dtype=np.uint64),
+            "all-equal": np.full(64, top, dtype=np.uint64),
+            "sorted": ascending,
+            "reverse-sorted": ascending[::-1].copy(),
+            "random": rng.choice(ascending[:40], size=400),
+        }[shape]
+        before = keys.copy()
+        uniq, weights = dedup_batch(keys, None)
+        ref_uniq, ref_weights = np.unique(keys, return_counts=True)
+        assert uniq.dtype == np.uint64 and weights.dtype == np.int64
+        assert np.array_equal(uniq, ref_uniq) and np.array_equal(weights, ref_weights)
+        assert np.array_equal(keys, before)  # the batch is a view of the caller's array: sorted in a copy

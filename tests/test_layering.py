@@ -92,16 +92,19 @@ class TestCheckerDetects:
         loop = "while pending.size:\n    pass\n"
         histogram = 'reg.histogram("hashtable_probe_length")\n'
         dump = "bitmap = np.packbits(keys != EMPTY_KEY)\n"
-        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram + dump)
+        pair_sort = "np.bitwise_or(packed, counts.view(np.uint64), out=packed)\norder = np.argsort(keys)\n"
+        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram + dump + pair_sort)
         assert run_checker(root).returncode == 0
         (root / "gpu" / "segmented.py").write_text(loop)
         (root / "core" / "fused.py").write_text(emitter)
         (root / "core" / "scheduler.py").write_text(dump)
+        (root / "core" / "merge.py").write_text("order = np.argsort(keys)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
         assert "scheduler.py:1: 'np.packbits(' is defined once, in gpu/hashtable.py" in proc.stdout
         assert "segmented.py:1: 'while pending.size' is defined once, in gpu/hashtable.py" in proc.stdout
         assert "fused.py:1: '\"hashtable_inserts_total\"' is defined once" in proc.stdout
+        assert "merge.py:1: 'np.argsort(keys)' is defined once, in gpu/hashtable.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

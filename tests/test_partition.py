@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.hashing.murmur3 import fmix64, hash_kmer
 from repro.hashing.partition import KmerPartitioner, MinimizerPartitioner, owner_of, owners_of
 
 
@@ -37,6 +38,24 @@ class TestOwnersOf:
         vals = rng.integers(0, 2**62, size=200_000).astype(np.uint64)
         counts = np.bincount(owners_of(vals, 64), minlength=64)
         assert counts.max() / counts.mean() < 1.1
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 96, 672, 2**31 - 1])
+    def test_reduction_is_exact_for_hashes_near_the_top_of_uint64(self, p):
+        """``h - (h // P) * P`` equals ``h % P`` where the hash is within 2**20 of 2**64 - 1."""
+        mask = 2**64 - 1
+        c1, c2 = 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53
+
+        def unmix(h: int) -> int:  # fmix64's inverse: x ^= x >> 33 is an involution
+            h ^= h >> 33
+            h = h * pow(c2, -1, 2**64) & mask
+            h ^= h >> 33
+            h = h * pow(c1, -1, 2**64) & mask
+            return h ^ (h >> 33)
+
+        hashes = [mask - d for d in (0, 1, 2, 95, 96, 671, 672, 2**31 - 2, 2**31 - 1, 2**20)]
+        values = [unmix(h) ^ fmix64(5) for h in hashes]  # hash_kmer(v, seed=5) == h
+        assert [hash_kmer(v, seed=5) for v in values] == hashes
+        assert owners_of(np.array(values, dtype=np.uint64), p, seed=5).tolist() == [h % p for h in hashes]
 
     def test_invalid_nprocs(self):
         with pytest.raises(ValueError):

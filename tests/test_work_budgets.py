@@ -26,6 +26,7 @@ from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
 from repro.gpu.segmented import SegmentedHashTable
+from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
 from repro.mpi.topology import summit_gpu
 
@@ -49,6 +50,7 @@ class TestStagedRunBudgets:
 
     @pytest.fixture
     def staged_run(self, genome_reads, monkeypatch):
+        sort_calls = _calls_by_caller(monkeypatch, "sort")
         unique_calls = _calls_by_caller(monkeypatch, "unique")
         argsort_calls = _calls_by_caller(monkeypatch, "argsort")
         inserts = []  # keys per rank, over every block call
@@ -63,19 +65,70 @@ class TestStagedRunBudgets:
         options = EngineOptions(parallel=1, fused=False, trace=True)
         result = run_pipeline(genome_reads, cluster, PipelineConfig(k=17), options=options)
         assert result.spectrum.n_distinct > 0
-        return cluster.n_ranks, inserts, unique_calls, argsort_calls, len(options.trace.spans("parse"))
+        calls = {"sort": sort_calls, "unique": unique_calls, "argsort": argsort_calls}
+        return cluster.n_ranks, inserts, calls, len(options.trace.spans("parse"))
 
-    def test_one_unique_per_insert_batch_none_in_the_probe_loop(self, staged_run):
-        n_ranks, inserts, unique_calls, _, _ = staged_run
-        in_table = Counter(fn for path, fn, _ in unique_calls if path.endswith("gpu/hashtable.py"))
+    def test_one_sort_per_insert_batch_none_in_the_probe_loop(self, staged_run):
+        n_ranks, inserts, calls, _ = staged_run
+        in_table = {
+            name: Counter(fn for path, fn, _ in made if path.endswith("gpu/hashtable.py"))
+            for name, made in calls.items()
+        }
         assert len(inserts) == n_ranks and all(inserts)  # one round: every rank inserted once, by its block's call
-        assert in_table == {"dedup_batch": len(inserts)}  # the dedup; probe_insert arbitrates without a sort
+        # The dedup is one plain sort (was np.unique); probe_insert arbitrates
+        # without a sort, and the merge's pair sort packs words (no argsort at k = 17).
+        assert in_table == {"sort": {"dedup_batch": len(inserts)}, "unique": {}, "argsort": {}}
 
     def test_destination_ordering_sorts_16_bit_owners(self, staged_run):
-        _, _, _, argsort_calls, parse_blocks = staged_run
+        _, _, calls, parse_blocks = staged_run
+        argsort_calls = calls["argsort"]
         owner_sorts = [dtype for _, fn, dtype in argsort_calls if fn == "stable_order"]
         # One (shard, owner) sort per parse block (was one per rank), a radix pass.
         assert owner_sorts == [np.dtype(np.uint16)] * parse_blocks
+
+
+class TestMergeBudgets:
+    """The merge sorts the result keys once, as packed words (it argsorted every rank, then all of them)."""
+
+    @staticmethod
+    def _sorts(patch) -> list[str]:
+        """Names of the sort primitives and pair sorts called while ``patch`` is active, in call order."""
+        made: list[str] = []
+
+        def counted(name: str, real):
+            return lambda *args, **kwargs: made.append(name) or real(*args, **kwargs)
+
+        for name in ("argsort", "sort", "unique"):
+            patch.setattr(np, name, counted(name, getattr(np, name)))
+        for module in (hashtable, standard):  # where sorted_items and merge_counts look the pair sort up
+            if hasattr(module, "sort_pairs"):
+                patch.setattr(module, "sort_pairs", counted("sort_pairs", module.sort_pairs))
+        return made
+
+    def test_merge_counts_makes_no_argsort_at_k17(self, genome_reads, monkeypatch):
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
+        counter.add_reads(genome_reads)
+        blocks = segmented.view_blocks(counter.tables)
+        keys, counts = map(np.concatenate, zip(*(table.items_flat() for _, _, table in blocks)))
+        with monkeypatch.context() as patch:
+            made = self._sorts(patch)
+            merged = standard.merge_counts(keys, counts)
+        assert "argsort" not in made  # 34-bit keys and their counts pack into one word
+        expected = count_kmers_exact(genome_reads, 17)
+        assert np.array_equal(merged[0], expected.values) and np.array_equal(merged[1], expected.counts)
+
+    def test_streamed_spectrum_sorts_the_result_keys_once(self, genome_reads, monkeypatch):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)
+        n = genome_reads.n_reads
+        counter = DistributedCounter(summit_gpu(4), PipelineConfig(k=17))
+        for i in range(2):
+            counter.add_reads(genome_reads.select(range(i * n // 2, (i + 1) * n // 2)))
+        assert len(segmented.view_blocks(counter.tables)) > 1
+        with monkeypatch.context() as patch:
+            made = self._sorts(patch)
+            spectrum = counter.spectrum()
+        assert made == ["sort_pairs"]  # was P + 1 argsorts: each rank's items, then their concatenation
+        assert spectrum.equals(count_kmers_exact(genome_reads, 17))
 
 
 class TestParseBudgets:

@@ -25,9 +25,10 @@ families every strategy must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the parse and count bodies'
 per-rank charges, the merges' equal-key aggregation, the host working
 set per received item, the table's insert probe loop, its slot dump,
-the segment gather index and the engine's one table birth may each
-appear in their owning file only, so neither the scheduler nor the
-spool can regrow a private copy.
+the segment gather index, the engine's one table birth, the pair sort
+(its packed word and its argsort fallback) and the owner reduction
+``hash mod P`` may each appear in their owning file only, so neither
+the scheduler nor the spool can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -75,6 +76,9 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
     ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),
+    ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
+    ("np.argsort(keys)", "", "gpu/hashtable.py", True),
+    ("h -= h // p * p", "", "hashing/partition.py", True),
 ]
 
 
