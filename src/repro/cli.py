@@ -248,10 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_reads(path: str) -> ReadSet:
+def _load_reads(path: str, qfilter=None) -> ReadSet:
+    """The reads of one FASTA/FASTQ file, through ``qfilter`` when given.
+
+    A base outside ``ACGTNacgtn`` is one error naming the file, the record
+    and the byte.  Behind a quality filter, records are numbered among the
+    ones it kept.
+    """
     fmt = sniff_format(path)
     records = read_fastq(path) if fmt == "fastq" else read_fasta(path)
-    return ReadSet.from_records(records)
+    if qfilter is None:
+        return ReadSet.from_records(records, source=path)
+    return ReadSet.from_records(qfilter.apply(records), source=f"{path} (after the quality filter)")
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
@@ -291,14 +299,12 @@ def _load_one(path: str, args: argparse.Namespace) -> ReadSet:
     if args.min_read_length or args.min_read_quality or args.trim_quality is not None:
         from .dna.quality import QualityFilter
 
-        fmt = sniff_format(path)
-        stream = read_fastq(path) if fmt == "fastq" else read_fasta(path)
         qfilter = QualityFilter(
             min_length=args.min_read_length,
             min_mean_quality=args.min_read_quality,
             trim_end_quality=args.trim_quality,
         )
-        reads = ReadSet.from_records(qfilter.apply(stream))
+        reads = _load_reads(path, qfilter)
         print(f"{path}: quality filter kept {reads.n_reads} reads / {reads.total_bases:,} bases")
         return reads
     return _load_reads(path)

@@ -12,7 +12,7 @@ See ``docs/ARCHITECTURE.md`` for the full picture and the recipe for
 registering custom stages.
 """
 
-from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
+from .buffers import ExchangeOutcome, ParsedItems
 from .context import EngineOptions, StageContext
 from .protocols import (
     CountStage,
@@ -40,10 +40,8 @@ from .spill import SpillExchange, SpillSpool, external_merge, supports_spill
 from .spmd import staged_rank_program
 
 __all__ = [
-    "CountOutcome",
     "ExchangeOutcome",
     "ParsedItems",
-    "RankParse",
     "EngineOptions",
     "StageContext",
     "ParseStage",

@@ -4,16 +4,16 @@ Every arrow in the stage graph has an explicit record type:
 
 * parse → partition: :class:`ParsedItems` (items plus the routing keys the
   partitioner hashes);
-* partition → exchange: :class:`RankParse` (one rank's destination-ordered
-  buffer, what a custom stage's ``parse_rank`` returns) and
-  :class:`SendArray` (every rank's, in one array: the round driver's send
+* partition → exchange: :class:`SendArray` (every rank's
+  destination-ordered buffer, in one array: the round driver's send
   format);
 * exchange → count: :class:`ExchangeOutcome` (received buffers plus the
   modeled exchange-time breakdown);
 * parse → round driver: :class:`ParseSummary` (the per-rank statistics
-  the driver keeps once the send buffers themselves are dropped);
-* count → merge: :class:`CountOutcome` per rank (modeled time, instance
-  count, hash-table insert statistics).
+  the driver keeps once the send buffers themselves are dropped).
+
+The count hands the round driver plain per-rank arrays (modeled seconds,
+instances seen) and :class:`~repro.gpu.hashtable.InsertStats`.
 
 Keeping these records plain dataclasses (NumPy payloads, no behaviour) is
 what lets compositions swap a stage implementation without touching its
@@ -26,16 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...gpu.hashtable import InsertStats
 from ...mpi.collectives import segment_gather_index
 
 __all__ = [
     "ParsedItems",
-    "RankParse",
     "SendArray",
     "ParseSummary",
     "ExchangeOutcome",
-    "CountOutcome",
     "joined",
     "round_split",
 ]
@@ -71,7 +68,7 @@ def round_split(send: "SendArray", rnd: int, n_rounds: int) -> "SendArray":
 
 @dataclass
 class ParsedItems:
-    """One rank's parse output, before destination ordering.
+    """A parse stage's output (one shard's, or a parse block's), before destination ordering.
 
     ``data`` holds the wire items (packed k-mers in k-mer mode, packed
     supermer words in supermer mode); ``route_keys`` holds the values the
@@ -84,18 +81,6 @@ class ParsedItems:
     lengths: np.ndarray | None
     route_keys: np.ndarray
     n_kmers: int
-    n_supermers: int
-    supermer_bases: int
-
-
-@dataclass
-class RankParse:
-    """One rank's parsed items in destination order (``parse_rank``'s output)."""
-
-    data: np.ndarray  # packed k-mers, or packed supermer words
-    lengths: np.ndarray | None  # supermer mode: per-item k-mer counts (uint8)
-    counts: np.ndarray  # items per destination, shape (P,)
-    n_kmers_parsed: int
     n_supermers: int
     supermer_bases: int
 
@@ -154,12 +139,3 @@ class ExchangeOutcome:
     # applies (every exchange fills it from ``exchange_time_model``).
     link_seconds: tuple[tuple[str, float], ...] = ()
     recv_offsets: np.ndarray | None = None  # fused exchanges only
-
-
-@dataclass
-class CountOutcome:
-    """One rank's count-phase outcome for one round."""
-
-    time_s: float
-    n_instances: int  # k-mer instances processed (pre-filter, if any)
-    insert_stats: InsertStats

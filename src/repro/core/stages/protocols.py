@@ -21,11 +21,12 @@ import numpy as np
 
 from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate
-from ...gpu.hashtable import InsertStats, SegmentedRankView
+from ...gpu.hashtable import InsertStats
+from ...gpu.segmented import SegmentedHashTable
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.topology import ClusterSpec
 from ..config import PipelineConfig
-from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, RankParse
+from .buffers import ExchangeOutcome, ParsedItems
 
 if TYPE_CHECKING:
     from .context import EngineOptions, StageContext
@@ -43,13 +44,21 @@ __all__ = [
 
 @runtime_checkable
 class ParseStage(Protocol):
-    """Extract wire items (k-mers or supermers) from one rank's shard."""
+    """Extract wire items (k-mers or supermers) from a rank's shard, or a block of shards at once."""
 
     #: GPU kernel name charged for this phase (Fig. 2 / Fig. 5).
     kernel_name: str
 
     def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
         """Pure extraction; no timing, no partitioning."""
+        ...
+
+    def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
+        """:meth:`extract` plus each item's position in ``reads.codes`` (ascending).
+
+        The parse body hands it several shards' codes back to back and
+        tells each item's shard by its position.
+        """
         ...
 
     def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
@@ -88,31 +97,37 @@ class ExchangeStage(Protocol):
 
 @runtime_checkable
 class CountStage(Protocol):
-    """Turn one rank's received buffer into hash-table insertions."""
+    """Count a block of consecutive ranks' received buffers into their table."""
 
-    def materialize(
-        self, rank: int, recv: np.ndarray, lengths: np.ndarray | None, ctx: "StageContext"
-    ) -> tuple[np.ndarray, int]:
-        """Received wire buffer -> (k-mers bound for the table, instances seen).
+    def count_block(
+        self,
+        table: SegmentedHashTable,
+        recv: np.ndarray,
+        lengths: np.ndarray | None,
+        recv_offsets: np.ndarray,
+        ctx: "StageContext",
+        *,
+        rank0: int,
+    ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
+        """One round of ranks ``rank0, rank0 + 1, ...`` -> per rank: seconds, instances seen, InsertStats.
 
-        The two differ only when a plugin filters the stream (e.g. the
-        Bloom pre-filter drops first occurrences); instances seen is what
-        load accounting reports.
+        ``recv`` (and ``lengths`` in supermer mode) holds their received
+        segments back to back, bounded by ``recv_offsets``; ``table``'s
+        regions are those ranks' partitions.  Instances seen is what load
+        accounting reports; it exceeds the keys inserted only when a plugin
+        filters the stream (e.g. the Bloom pre-filter drops first
+        occurrences).
         """
-        ...
-
-    def insert(self, table: SegmentedRankView, kmers: np.ndarray):
-        """Insert into the rank's table partition -> InsertStats."""
         ...
 
 
 @runtime_checkable
 class MergeStage(Protocol):
-    """Fold per-rank table partitions into the global spectrum."""
+    """Fold the table partitions' ``(values, counts)`` pairs into the global spectrum."""
 
-    def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum: ...
-
-    def merge_items(self, pairs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum: ...
+    def merge_items(self, pairs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum:
+        """Pairs in any order (a block table's occupied slots, a rank's items) -> the sorted spectrum."""
+        ...
 
 
 @runtime_checkable
@@ -121,21 +136,11 @@ class Substrate(Protocol):
 
     ``charge_parse`` and ``charge_count`` turn a rank's parse and count
     figures into model seconds; the one parse body and the one count body
-    loop them over a block's ranks.  ``parse_rank`` and ``count_rank`` run
-    a custom parse/partition or count stage one rank at a time (the
-    charges stay with the bodies).  The exchange is charged through
+    loop them over a block's ranks.  The exchange is charged through
     ``charge_exchange`` and rounds are sized through ``device_rounds``.
     """
 
     name: str
-
-    def parse_rank(
-        self,
-        shard: ReadSet,
-        parse: ParseStage,
-        partition: PartitionStage,
-        ctx: "StageContext",
-    ) -> RankParse: ...
 
     def charge_parse(
         self,
@@ -148,16 +153,6 @@ class Substrate(Protocol):
     ) -> float:
         """Model seconds of one rank's parse of a shard of ``code_bytes`` encoded bases."""
         ...
-
-    def count_rank(
-        self,
-        rank: int,
-        recv: np.ndarray,
-        lengths: np.ndarray | None,
-        table: SegmentedRankView,
-        count: CountStage,
-        ctx: "StageContext",
-    ) -> CountOutcome: ...
 
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: "StageContext") -> float:
         """Model seconds of one rank's count: ``inserted`` keys probed out of ``recv_items`` received."""

@@ -72,14 +72,7 @@ from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, joined
 from .registry import StageComposition
-from .standard import (
-    AlltoallvExchange,
-    SpectrumMerge,
-    TableCount,
-    exchange_outcome,
-    merge_counts,
-    merge_partitions,
-)
+from .standard import AlltoallvExchange, SpectrumMerge, exchange_outcome, merge_counts, merge_partitions
 
 __all__ = [
     "Resident",
@@ -636,8 +629,8 @@ class Resident:
 
     The receive buffers of one round are live arrays, so the driver counts
     them inside the round and the next round overwrites them: block-local
-    segmented tables (:meth:`tables`) counted a block per call of
-    :meth:`count_block` on the layout's pool.  ``cleanup`` is the driver's
+    segmented tables (:meth:`tables`) counted a block per call of the count
+    stage's ``count_block`` on the layout's pool.  ``cleanup`` is the driver's
     exit scope: it closes a one-shot drive's tables (their mmap slabs when
     ``table_dir`` is set) on any exit.
     """
@@ -682,34 +675,6 @@ class Resident:
             state.tables = tables
         return tables
 
-    def count_block(self, table: SegmentedHashTable, r0: int, recv, lengths, offsets, sctx):
-        """Count ranks ``r0, r0 + 1, ...`` — all of ``table``'s — from back-to-back receive segments.
-
-        Returns ``(times, n_seen, stats)`` per rank.  The standard count
-        stage runs the one count body over the block; a custom one is an
-        unknown class and runs ``count_rank`` rank by rank on the table's
-        views.
-        """
-        comp = self.sched.comp
-        if type(comp.count) is TableCount:
-            return comp.count.count_block(table, recv, lengths, offsets, sctx, rank0=r0)
-        outcomes = [
-            comp.substrate.count_rank(
-                r0 + i,
-                recv[offsets[i] : offsets[i + 1]],
-                lengths[offsets[i] : offsets[i + 1]] if lengths is not None else None,
-                table.view(i),
-                comp.count,
-                sctx,
-            )
-            for i in range(table.n_ranks)
-        ]
-        return (
-            np.array([co.time_s for co in outcomes]),
-            np.array([co.n_instances for co in outcomes], dtype=np.int64),
-            [co.insert_stats for co in outcomes],
-        )
-
     def map_blocks(self, fn, blocks: list, sctx) -> list:
         """``fn(block)`` for every ``(r0, r1, table)`` block, results in block order.
 
@@ -735,14 +700,14 @@ class Resident:
     def count_round(
         self, tables: list[SegmentedRankView], outcome: ExchangeOutcome, suffix: str, sctx, acct
     ) -> None:
-        """Count one round's receive buffers into ``tables``, a block per :meth:`count_block` call."""
-        recorder = sctx.recorder
+        """Count one round's receive buffers into ``tables``, a block per count-stage ``count_block`` call."""
+        count, recorder = self.sched.comp.count, sctx.recorder
         leaf = self.layout.prefix + "count" + suffix
 
         def _count(block):
             r0, r1, table = block
             t0 = perf_counter()
-            counted = self.count_block(table, r0, *block_recv(outcome, r0, r1), sctx)
+            counted = count.count_block(table, *block_recv(outcome, r0, r1), sctx, rank0=r0)
             if recorder is not None:
                 recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
             return counted
@@ -844,7 +809,7 @@ class Spooled(Resident):
         dumped as one file of sorted per-rank runs and closed before the
         worker's next block.
         """
-        spool = self.spool
+        spool, count = self.spool, self.sched.comp.count
         leaf = self.layout.prefix + "count"
         if tables is None:
             blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
@@ -858,7 +823,7 @@ class Spooled(Resident):
                 table = self.born(hints[r0:r1])
             try:
                 counted = self._stream_rounds(
-                    r0, r1, lambda *received: self.count_block(table, r0, *received, sctx), leaf, sctx
+                    r0, r1, lambda *received: count.count_block(table, *received, sctx, rank0=r0), leaf, sctx
                 )
                 return counted, self._dump_runs(r0, table, sctx) if one_shot else None
             finally:

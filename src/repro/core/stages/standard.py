@@ -40,9 +40,9 @@ from ...kmers.supermers import build_supermers_with_positions, extract_kmers_fro
 from ...mpi.collectives import alltoallv_flat, alltoallv_segments
 from ..config import PipelineConfig
 from ..memory import ScratchArena
-from .buffers import CountOutcome, ExchangeOutcome, ParsedItems, ParseSummary, RankParse, joined
+from .buffers import ExchangeOutcome, ParsedItems, ParseSummary
 from .context import EngineOptions, StageContext
-from .protocols import CountStage, MergeStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
+from .protocols import MergeStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
 
 __all__ = [
     "KmerParse",
@@ -54,7 +54,6 @@ __all__ = [
     "SpectrumMerge",
     "GpuSubstrate",
     "CpuSubstrate",
-    "assemble_rank_parse",
     "parse_block",
     "stable_order",
     "merge_counts",
@@ -220,11 +219,10 @@ class MinimizerHashPartition:
 def stable_order(keys: np.ndarray, key_range: int) -> np.ndarray:
     """Stable argsort of integer keys in ``[0, key_range)``, on the narrowest dtype that holds them.
 
-    The destination ordering of every parse: a rank's owners
-    (:func:`assemble_rank_parse`) and a parse block's composite (shard,
-    owner) keys (:func:`parse_block`).  NumPy's stable sort of 16-bit
-    integers is a radix sort, and a narrower key is less memory to sort
-    at any width, so the key is narrowed first: ``uint16``, then
+    The destination ordering of every parse: a parse block's composite
+    (shard, owner) keys (:func:`parse_block`).  NumPy's stable sort of
+    16-bit integers is a radix sort, and a narrower key is less memory to
+    sort at any width, so the key is narrowed first: ``uint16``, then
     ``uint32``, then ``int64``.
     """
     for dtype in (np.uint16, np.uint32):
@@ -233,29 +231,30 @@ def stable_order(keys: np.ndarray, key_range: int) -> np.ndarray:
     return np.argsort(keys.astype(np.int64, copy=False), kind="stable")
 
 
-def assemble_rank_parse(
-    items: ParsedItems, owners: np.ndarray, n_ranks: int, partition: PartitionStage
-) -> RankParse:
-    """Destination-order one rank's parsed items -> exchange-ready buffer.
+def _destination_counts(
+    key: np.ndarray, n_items: np.ndarray, owners: np.ndarray, p: int, partition: PartitionStage
+) -> np.ndarray:
+    """The ``(shards, p)`` items per (shard, owner) of a parse block's composite ``key``.
 
-    ``owners`` must lie in ``[0, n_ranks)``; ``partition``, the stage that
-    assigned them, is named in the error when they do not.
+    An owner outside ``[0, p)`` makes its key negative (``bincount``
+    raises), lengthens the count past ``shards * p``, or files its item
+    under a neighbouring shard, whose row sum then differs from that
+    shard's item count — so no pass over the items checks the owners, and
+    the offending rank is found only on the error path.  ``partition``,
+    the stage that assigned them, is named in the error.
     """
-    counts = np.bincount(owners, minlength=n_ranks).astype(np.int64)  # raises on a negative owner
-    if counts.shape[0] != n_ranks:
+    nb = n_items.shape[0]
+    try:
+        counts = np.bincount(key, minlength=nb * p)
+    except ValueError:  # a negative key
+        counts = None
+    if counts is None or counts.shape[0] != nb * p or (counts.reshape(nb, p).sum(axis=1) != n_items).any():
+        rank = int(owners[np.flatnonzero((owners < 0) | (owners >= p))[0]])
         raise ValueError(
-            f"partition stage {type(partition).__name__} assigned rank {counts.shape[0] - 1}, "
-            f"outside the {n_ranks} ranks of the run"
+            f"partition stage {type(partition).__name__} assigned rank {rank}, "
+            f"outside the {p} ranks of the run"
         )
-    order = stable_order(owners, n_ranks)
-    return RankParse(
-        data=items.data[order],
-        lengths=items.lengths[order] if items.lengths is not None else None,
-        counts=counts,
-        n_kmers_parsed=items.n_kmers,
-        n_supermers=items.n_supermers,
-        supermer_bases=items.supermer_bases,
-    )
+    return counts.reshape(nb, p)
 
 
 def _block_reads(shards: list[ReadSet], code_base: np.ndarray, arena: ScratchArena) -> ReadSet:
@@ -279,51 +278,37 @@ def parse_block(
 
     Returns the block's slice of the run's send array (items src-major,
     dst-segmented; their k-mer counts in supermer mode) and its
-    :class:`ParseSummary`.  The standard stages run once over the shards'
-    codes back to back (sentinel-terminated shards: no window or supermer
-    spans two, and an item's position tells its shard), with one
-    ``owners`` call and one stable sort of the composite (shard, owner)
-    key — the shards' stable owner sorts, concatenated.  A custom parse or
-    partition stage parses shard by shard through ``parse_rank``.  Either
-    way each shard is charged here, by the substrate's ``charge_parse``:
-    the one place parse seconds and parse-kernel telemetry come from.
+    :class:`ParseSummary`.  The parse stage runs once over the shards'
+    codes back to back (``extract_at``; sentinel-terminated shards: no
+    window or supermer spans two, and an item's position tells its shard),
+    then one ``owners`` call and one stable sort of the composite (shard,
+    owner) key — the shards' stable owner sorts, concatenated.  Each shard
+    is charged here, by the substrate's ``charge_parse``: the one place
+    parse seconds and parse-kernel telemetry come from.
     """
     config, p, nb = ctx.config, ctx.n_ranks, len(shards)
-    if type(parse) in (KmerParse, SupermerParse) and type(partition) in (
-        KmerHashPartition,
-        MinimizerHashPartition,
-    ):
-        if nb == 1:
-            items = parse.extract(shards[0], config)
-            cuts = np.array([0, items.data.shape[0]])
-        else:
-            code_base = np.zeros(nb + 1, dtype=np.int64)
-            np.cumsum([shard.codes.shape[0] for shard in shards], out=code_base[1:])
-            reads = _block_reads(shards, code_base, arena)
-            items, positions = parse.extract_at(reads, config)
-            arena.release(reads.codes)
-            cuts = np.searchsorted(positions, code_base)  # shard s's items: [cuts[s], cuts[s + 1])
-        n_items = np.diff(cuts)
-        owners = partition.owners(items.route_keys, p, config)
-        key = owners if nb == 1 else np.repeat(np.arange(0, nb * p, p), n_items) + owners
-        counts = np.bincount(key, minlength=nb * p).reshape(nb, p)
-        order = stable_order(key, nb * p)
-        data = items.data[order]
-        lengths = None
-        n_kmers, n_supermers, supermer_bases = n_items, np.zeros(nb, dtype=np.int64), 0
-        if items.lengths is not None:
-            lengths = items.lengths[order]
-            kmer_cum = np.zeros(data.shape[0] + 1, dtype=np.int64)
-            np.cumsum(items.lengths, dtype=np.int64, out=kmer_cum[1:])
-            n_kmers, n_supermers, supermer_bases = np.diff(kmer_cum[cuts]), n_items, items.supermer_bases
+    if nb == 1:
+        items = parse.extract(shards[0], config)
+        cuts = np.array([0, items.data.shape[0]])
     else:
-        parsed = [substrate.parse_rank(shard, parse, partition, ctx) for shard in shards]
-        data = joined([pr.data for pr in parsed])
-        lengths = None if parsed[0].lengths is None else joined([pr.lengths for pr in parsed])
-        counts = np.array([pr.counts for pr in parsed], dtype=np.int64)
-        n_kmers = np.array([pr.n_kmers_parsed for pr in parsed], dtype=np.int64)
-        n_supermers = np.array([pr.n_supermers for pr in parsed], dtype=np.int64)
-        supermer_bases = sum(pr.supermer_bases for pr in parsed)
+        code_base = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum([shard.codes.shape[0] for shard in shards], out=code_base[1:])
+        reads = _block_reads(shards, code_base, arena)
+        items, positions = parse.extract_at(reads, config)
+        arena.release(reads.codes)
+        cuts = np.searchsorted(positions, code_base)  # shard s's items: [cuts[s], cuts[s + 1])
+    n_items = np.diff(cuts)
+    owners = partition.owners(items.route_keys, p, config)
+    key = owners if nb == 1 else np.repeat(np.arange(0, nb * p, p), n_items) + owners
+    counts = _destination_counts(key, n_items, owners, p, partition)
+    order = stable_order(key, nb * p)
+    data = items.data[order]
+    lengths, n_kmers, n_supermers = None, n_items, np.zeros(nb, dtype=np.int64)
+    if items.lengths is not None:
+        lengths = items.lengths[order]
+        kmer_cum = np.zeros(data.shape[0] + 1, dtype=np.int64)
+        np.cumsum(items.lengths, dtype=np.int64, out=kmer_cum[1:])
+        n_kmers, n_supermers = np.diff(kmer_cum[cuts]), n_items
     times = np.array(
         [
             substrate.charge_parse(
@@ -342,7 +327,7 @@ def parse_block(
         n_kmers=n_kmers,
         counts_matrix=counts,
         n_supermers=int(n_supermers.sum()),
-        supermer_bases=int(supermer_bases),
+        supermer_bases=int(items.supermer_bases),
     )
     return data, lengths, summary
 
@@ -499,18 +484,6 @@ class TableCount:
         )
         return canonical_batch(kmers, config.k) if config.canonical and kmers.size else kmers
 
-    def materialize(
-        self, rank: int, recv: np.ndarray, lengths: np.ndarray | None, ctx: StageContext
-    ) -> tuple[np.ndarray, int]:
-        kmers = self.extract_kmers(recv, lengths, ctx.config)
-        n_seen = int(kmers.shape[0])
-        for plugin in self.plugins:
-            kmers = plugin.filter_received(rank, kmers)
-        return kmers, n_seen
-
-    def insert(self, table: SegmentedRankView, kmers: np.ndarray) -> InsertStats:
-        return table.insert_batch(kmers) if kmers.size else InsertStats.zero()
-
     def count_block(
         self,
         table: SegmentedHashTable,
@@ -519,7 +492,7 @@ class TableCount:
         recv_offsets: np.ndarray,
         ctx: StageContext,
         *,
-        rank0: int = 0,
+        rank0: int,
     ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
         """One count round of a block of consecutive ranks: the one count body.
 
@@ -533,12 +506,11 @@ class TableCount:
         receive-filters run per rank in rank order, preserving their
         stateful semantics; one :meth:`SegmentedHashTable.insert_flat`
         inserts every rank's keys; each rank is charged through the
-        substrate's own ``charge_count``.  Regions are slot-disjoint, so a
-        rank's probe sequence — hence every InsertStats field, model time
-        and telemetry emission — does not depend on which ranks share the
-        call: every layout and residency counts through this body, over
-        whatever blocks suit it, with the results of ``materialize`` +
-        ``insert`` rank by rank.
+        substrate's own ``charge_count`` (its one call site).  Regions are
+        slot-disjoint, so a rank's probe sequence — hence every InsertStats
+        field, model time and telemetry emission — does not depend on which
+        ranks share the call: every layout and residency counts through
+        this body, over whatever blocks suit it.
         """
         nb = recv_offsets.shape[0] - 1
         kmers = self.extract_kmers(recv, lengths, ctx.config)
@@ -597,8 +569,8 @@ class SpectrumMerge:
     but canonical supermer mode can split a canonical k-mer across two
     owners (its two strands hash to different minimizers), so duplicates
     are aggregated rather than assumed absent.  Plugins may adjust each
-    partition's ``(values, counts)`` first (the Bloom filter restores the
-    occurrence that armed it).
+    pair of ``(values, counts)`` arrays first (the Bloom filter restores the
+    occurrence that armed it, one per entry); the pairs need not be sorted.
     """
 
     def __init__(self, plugins: tuple[PipelinePlugin, ...] = ()) -> None:
@@ -617,22 +589,18 @@ class SpectrumMerge:
         )
         return KmerSpectrum(k=k, values=values, counts=counts)
 
-    def merge_tables(self, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
-        return self.merge_items([t.items() for t in tables], k)
-
 
 def merge_partitions(merge: MergeStage, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
     """The spectrum of the ranks' tables: the one merge rule of a one-shot drive and a streamed state.
 
-    The standard merge without plugins takes each block table's occupied
-    slots in one storage pass (``items_flat``) and sorts the pairs once, in
-    :func:`merge_counts` — one sort over the result keys, where the
-    per-rank ``items()`` would sort each rank first.  A plugin composition
-    or a custom merge stage sees every rank's sorted items.
+    Each block table's occupied slots are taken in one storage pass
+    (``items_flat``, unsorted) and handed to the merge stage;
+    :class:`SpectrumMerge` applies each plugin's ``adjust_merge_items`` to
+    a block's pairs and sorts all of them once, in :func:`merge_counts` —
+    one sort over the result keys on every composition, where per-rank
+    ``items()`` would sort each rank first.
     """
-    if type(merge) is SpectrumMerge and not merge.plugins:
-        return merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
-    return merge.merge_tables(tables, k)
+    return merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
 
 
 # ---------------------------------------------------------------------------
@@ -645,39 +613,12 @@ def merge_partitions(merge: MergeStage, tables: list[SegmentedRankView], k: int)
 # loops ``charge_parse`` over its shards, and every count through
 # ``TableCount.count_block``, which loops ``charge_count`` — so a rank's
 # model seconds and kernel telemetry come from one function per phase.
-# ``parse_rank`` and ``count_rank`` are what custom parse/partition and
-# count stages are run by, one rank at a time.
-
-
-def _parse_rank(
-    self, shard: ReadSet, parse: ParseStage, partition: PartitionStage, ctx: StageContext
-) -> RankParse:
-    items = parse.extract(shard, ctx.config)
-    owners = partition.owners(items.route_keys, ctx.n_ranks, ctx.config)
-    return assemble_rank_parse(items, owners, ctx.n_ranks, partition)
-
-
-def _count_rank(
-    self,
-    rank: int,
-    recv: np.ndarray,
-    lengths: np.ndarray | None,
-    table: SegmentedRankView,
-    count: CountStage,
-    ctx: StageContext,
-) -> CountOutcome:
-    kmers, n_seen = count.materialize(rank, recv, lengths, ctx)
-    ins = count.insert(table, kmers)
-    dt = self.charge_count(int(kmers.shape[0]), int(recv.shape[0]), ins, ctx)
-    return CountOutcome(time_s=dt, n_instances=n_seen, insert_stats=ins)
 
 
 class GpuSubstrate:
     """Charges each phase through the virtual GPU's kernel cost model."""
 
     name = "gpu"
-    parse_rank = _parse_rank
-    count_rank = _count_rank
 
     def charge_parse(
         self,
@@ -737,8 +678,6 @@ class CpuSubstrate:
     """Charges each phase through the Power9-calibrated CPU rates."""
 
     name = "cpu"
-    parse_rank = _parse_rank
-    count_rank = _count_rank
 
     def charge_parse(
         self,

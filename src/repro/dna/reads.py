@@ -62,8 +62,15 @@ class ReadSet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_strings(cls, reads: Sequence[str]) -> "ReadSet":
-        """Build from ACGT(N) strings, inserting sentinels between reads."""
+    def from_strings(
+        cls, reads: Sequence[str], *, names: Sequence[str] | None = None, source: str | None = None
+    ) -> "ReadSet":
+        """Build from ACGT(N) strings, inserting sentinels between reads.
+
+        A byte outside ``ACGTNacgtn`` is a ``ValueError`` naming the record
+        — its 1-based index, and its name when ``names`` is given — after
+        ``source`` (the file the reads came from) when given.
+        """
         lengths = np.fromiter((len(r) for r in reads), dtype=np.int64, count=len(reads))
         total = int(lengths.sum()) + len(reads)  # one sentinel per read
         codes = np.full(total, SENTINEL, dtype=np.uint8)
@@ -72,14 +79,23 @@ class ReadSet:
         for i, read in enumerate(reads):
             offsets[i] = pos
             n = lengths[i]
-            codes[pos : pos + n] = ascii_to_codes(read.encode("ascii"))
+            try:
+                codes[pos : pos + n] = ascii_to_codes(read.encode("ascii"))
+            except ValueError as exc:  # a non-ASCII character (UnicodeEncodeError) included
+                where = f"{source}: " if source is not None else ""
+                name = f" ({names[i]!r})" if names is not None else ""
+                raise ValueError(f"{where}record {i + 1}{name}: {exc}") from None
             pos += n + 1  # skip the sentinel slot
         return cls(codes=codes, offsets=offsets, lengths=lengths)
 
     @classmethod
-    def from_records(cls, records: Iterable[SequenceRecord]) -> "ReadSet":
-        """Build from :class:`SequenceRecord` objects (e.g. a FASTQ stream)."""
-        return cls.from_strings([rec.sequence for rec in records])
+    def from_records(cls, records: Iterable[SequenceRecord], *, source: str | None = None) -> "ReadSet":
+        """Build from :class:`SequenceRecord` objects (e.g. a FASTQ stream); a bad base names its record."""
+        names, sequences = [], []
+        for rec in records:
+            names.append(rec.name)
+            sequences.append(rec.sequence)
+        return cls.from_strings(sequences, names=names, source=source)
 
     @classmethod
     def empty(cls) -> "ReadSet":

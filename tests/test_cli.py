@@ -99,6 +99,16 @@ class TestCount:
     def test_bad_k_is_error(self, fastq, capsys):
         assert main(["count", "--input", str(fastq), "-k", "40"]) == 2
 
+    @pytest.mark.parametrize("quality_filter", [[], ["--min-read-length", "1"]], ids=["plain", "filtered"])
+    def test_iupac_base_is_one_error_naming_file_record_and_byte(self, tmp_path, capsys, quality_filter):
+        bad = tmp_path / "iupac.fastq"
+        bad.write_text("@r1\nACGTACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIII\n@r2\nACGTACGTRCGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIII\n")
+        assert main(["count", "--input", str(bad), "-k", "15", *quality_filter]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in captured.err
+        assert str(bad) in errors[0] and "record 2 ('r2')" in errors[0] and "'R'" in errors[0]
+
 
 class TestSpectrum:
     def test_profile_and_histogram(self, fastq, tmp_path, capsys):

@@ -106,6 +106,23 @@ class TestCheckerDetects:
         assert "fused.py:1: '\"hashtable_inserts_total\"' is defined once" in proc.stdout
         assert "merge.py:1: 'np.argsort(keys)' is defined once, in gpu/hashtable.py" in proc.stdout
 
+    def test_flags_second_charge_count_call_in_its_owner(self, tmp_path):
+        """The count body is the one ``.charge_count(`` call site, as the parse body is ``.charge_parse(``'s."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        owned = (  # every text the checker pins to this owner, once
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\nt = substrate.charge_parse(shard)\n"
+            "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
+            "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
+        )
+        standard = root / "core" / "stages" / "standard.py"
+        standard.write_text(owned)
+        assert run_checker(root).returncode == 0
+        standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "standard.py:6: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")
         (root / "gpu").mkdir()

@@ -1,14 +1,15 @@
 """The parse in blocks of whole shards, and the one switch ``fused`` still makes.
 
 Every strategy parses blocks of whole shards into one send array
-(``repro.core.stages.scheduler.Layout``).  Degenerate inputs go through
-that parse on every strategy, mode and strand setting, with the block
+(``repro.core.stages.scheduler.Layout``), through the one parse body
+whatever the parse stage's class.  Degenerate inputs go through that
+parse on every strategy, mode and strand setting, with the block
 constant at its extremes: the spectrum must be the oracle's, and every
 observable — per-rank parse seconds and parsed k-mers included — must
-equal the run of a custom parse stage, which parses shard by shard
-through the substrate's ``parse_rank``.  Then the one difference
-``fused=True`` makes, under both residencies: the exchange gathers
-straight out of the send array, never through per-source buffers.
+be the same for a custom parse stage as for the standard one, and the
+same at every block size.  Then the one difference ``fused=True``
+makes, under both residencies: the exchange gathers straight out of
+the send array, never through per-source buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.parallel import get_pool
 from repro.core.stages import registry, scheduler
-from repro.core.stages.standard import KmerParse, SupermerParse
 from repro.dna.reads import ReadSet
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi import collectives
@@ -66,31 +66,39 @@ def _degenerate_reads() -> ReadSet:
     )
 
 
-class _ShardByShard:
-    """A custom parse stage: a class the parse blocks do not know, with the standard behaviour."""
+class _CustomParse:
+    """A custom parse stage: a class the engine does not know, delegating to a standard one."""
 
-    calls: list[int] = []
+    def __init__(self, standard, calls: list[str]) -> None:
+        self.standard, self.calls = standard, calls
+        self.kernel_name = standard.kernel_name
 
     def extract(self, shard, config):
-        self.calls.append(1)
-        return super().extract(shard, config)
+        self.calls.append("extract")
+        return self.standard.extract(shard, config)
+
+    def extract_at(self, reads, config):
+        self.calls.append("extract_at")
+        return self.standard.extract_at(reads, config)
+
+    def grid_threads(self, shard, config):
+        return self.standard.grid_threads(shard, config)
+
+    def gpu_traffic(self, *args):
+        return self.standard.gpu_traffic(*args)
 
 
 @pytest.fixture
-def shard_by_shard(monkeypatch):
-    """Backend ``shardwise`` — the gpu backend with a custom parse stage — and its ``extract`` calls."""
-    custom = {
-        base: type(f"ShardByShard{base.__name__}", (_ShardByShard, base), {})
-        for base in (KmerParse, SupermerParse)
-    }
-    _ShardByShard.calls = calls = []
+def custom_parse(monkeypatch):
+    """Backend ``custom`` — the gpu backend with a custom parse stage — and its extraction calls."""
+    calls: list[str] = []
     for mode in ("kmer", "supermer"):
 
         def factory(config, opts, mode=mode):
             comp = registry.resolve(f"gpu:{mode}", config, opts)
-            return dataclasses.replace(comp, key=f"shardwise:{mode}", parse=custom[type(comp.parse)]())
+            return dataclasses.replace(comp, key=f"custom:{mode}", parse=_CustomParse(comp.parse, calls))
 
-        monkeypatch.setitem(registry._BACKENDS, f"shardwise:{mode}", factory)
+        monkeypatch.setitem(registry._BACKENDS, f"custom:{mode}", factory)
     return calls
 
 
@@ -113,7 +121,7 @@ def _parsed(monkeypatch) -> list[np.ndarray]:
 @pytest.mark.parametrize("mode", ["kmer", "supermer"])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_degenerate_inputs_through_the_block_parse(
-    strategy, mode, canonical, k, tmp_path, monkeypatch, shard_by_shard
+    strategy, mode, canonical, k, tmp_path, monkeypatch, custom_parse
 ):
     reads = _degenerate_reads()
     config = PipelineConfig(k=k, mode=mode, canonical=canonical, window=None)
@@ -121,22 +129,31 @@ def test_degenerate_inputs_through_the_block_parse(
     cluster = summit_gpu(2)  # 12 ranks: more than the reads, and byte shards shorter than k
     parsed = _parsed(monkeypatch)
     for shard_mode in ("bytes", "reads"):
-        shard_by_shard.clear()
-        options = _options(strategy, tmp_path, shard_mode=shard_mode)
-        reference = run_pipeline(reads, cluster, config, backend="shardwise", options=options)
-        if get_pool().in_process:  # a forked worker's calls are not seen from here
-            assert len(shard_by_shard) == cluster.n_ranks  # the custom stage ran shard by shard
-        assert reference.spectrum.equals(oracle)
-        reference_kmers = parsed[-1]
-        assert int(reference_kmers.sum()) == oracle.n_total
-        # Every shard its own block (each larger than one), some blocks of several, one block.
+        reference = None
+        # Single-shard blocks (every shard of more than one base is its own), some of several, one block.
         for block_bases in (1, 64, 1 << 40):
             monkeypatch.setattr(scheduler, "PARSE_BLOCK_BASES", block_bases)
-            result = run_pipeline(reads, cluster, config, backend="gpu", options=options)
-            assert summarize_result(result) == summarize_result(reference), (shard_mode, block_bases)
-            assert np.array_equal(result.per_rank_parse, reference.per_rank_parse)
+            custom_parse.clear()
+            options = _options(strategy, tmp_path, shard_mode=shard_mode, trace=True)
+            custom = run_pipeline(reads, cluster, config, backend="custom", options=options)
+            custom_kmers = parsed[-1]
+            blocks = [s.meta["ranks"] for s in options.trace.spans() if s.name.endswith("parse")]
+            if block_bases == 1 << 40:
+                assert blocks == [[0, cluster.n_ranks]]
+            if get_pool().in_process:  # a forked worker's calls are not seen from here
+                # The custom stage runs once per parse block, through the one parse body.
+                assert sorted(custom_parse) == sorted("extract" if r1 - r0 == 1 else "extract_at" for r0, r1 in blocks)
+            options = _options(strategy, tmp_path, shard_mode=shard_mode)
+            standard = run_pipeline(reads, cluster, config, backend="gpu", options=options)
+            assert summarize_result(custom) == summarize_result(standard), (shard_mode, block_bases)
+            assert np.array_equal(custom.per_rank_parse, standard.per_rank_parse)
+            assert np.array_equal(custom_kmers, parsed[-1])
+            if reference is None:  # the same at every block size, and the oracle's
+                reference, reference_kmers = standard, custom_kmers
+                assert standard.spectrum.equals(oracle) and int(reference_kmers.sum()) == oracle.n_total
+            assert summarize_result(standard) == summarize_result(reference), (shard_mode, block_bases)
+            assert np.array_equal(standard.per_rank_parse, reference.per_rank_parse)
             assert np.array_equal(parsed[-1], reference_kmers)
-        monkeypatch.setattr(scheduler, "PARSE_BLOCK_BASES", 1 << 17)
 
 
 def test_k_past_the_packing_boundary_is_one_config_error():

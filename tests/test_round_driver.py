@@ -34,7 +34,7 @@ from repro.core.stages.buffers import SendArray, round_split
 from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
-from repro.gpu.segmented import SegmentedRankView
+from repro.gpu.segmented import SegmentedHashTable
 from repro.machines import v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
@@ -240,33 +240,31 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
         assert cell(strategy, key) == standard, strategy
 
 
-class _RankByRankCount(TableCount):
-    """A custom count stage: a class the count blocks do not know, with ``TableCount``'s behaviour."""
+class _CustomCount(TableCount):
+    """A custom count stage: a ``TableCount`` subclass recording each ``count_block`` call's ranks."""
+
+    calls: list[tuple[int, int, type]] = []
+
+    def count_block(self, table, recv, lengths, recv_offsets, ctx, *, rank0):
+        self.calls.append((rank0, rank0 + table.n_ranks, type(table)))
+        return super().count_block(table, recv, lengths, recv_offsets, ctx, rank0=rank0)
 
 
 @pytest.mark.parametrize("parallel", [1, 2, "process:2"], ids=["seq", "thread", "process"])
 @pytest.mark.parametrize("strategy", ["staged", "spill", "fused"])
 def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, tmp_path, monkeypatch):
-    """Only a composition whose count stage is not ``TableCount`` reaches ``count_rank`` — once
-    per rank and round, on the block tables' views — and it equals the blocked count body."""
+    """A custom count stage is counted through its own ``count_block``, once per rank block and
+    round on the block's table, and equals the standard stage."""
     monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)  # several ranks per block, several blocks
 
     def factory(config, opts):
         comp = registry.resolve("gpu:supermer", config, opts)
-        return dataclasses.replace(comp, key="rankwise:supermer", count=_RankByRankCount(comp.count.plugins))
+        return dataclasses.replace(comp, key="custom:supermer", count=_CustomCount(comp.count.plugins))
 
-    monkeypatch.setitem(registry._BACKENDS, "rankwise:supermer", factory)
-    seen: list[tuple[int, type]] = []
-    count_rank = GpuSubstrate.count_rank
-
-    def recording(self, rank, recv, lengths, table, count, ctx):
-        seen.append((rank, type(table)))
-        return count_rank(self, rank, recv, lengths, table, count, ctx)
-
-    monkeypatch.setattr(GpuSubstrate, "count_rank", recording)
+    monkeypatch.setitem(registry._BACKENDS, "custom:supermer", factory)
+    _CustomCount.calls = calls = []
 
     def cell(backend):
-        seen.clear()
         reg, rec = MetricRegistry(), SpanRecorder()
         result = run_pipeline(
             golden_reads(),
@@ -277,16 +275,14 @@ def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, t
         )
         leaves = [s for s in rec.spans() if s.name.removeprefix("fused:").startswith("count")]
         blocks = {tuple(s.meta["ranks"]) for s in leaves}
-        return summarize_result(result), reg.snapshot(include_wall=False), blocks, list(seen)
+        return summarize_result(result), reg.snapshot(include_wall=False), blocks
 
-    observables, snapshot, blocks, calls = cell("rankwise")
+    observables, snapshot, blocks = cell("custom")
+    assert 1 < len(blocks) < 12  # several ranks per call, several calls
     if parallel != "process:2":  # a forked worker's calls are not seen from here
-        assert sorted(calls) == sorted((r, SegmentedRankView) for r in range(12) for _ in range(2))
-    assert 1 < len(blocks) < 12  # the custom stage sees ranks; the pool and the tables see blocks
-    standard = cell("gpu")
-    assert standard[3] == []  # the standard count stage never calls count_rank
-    assert (observables, snapshot) == standard[:2]
-    assert blocks == standard[2]  # a custom count stage changes no strategy: fused stays fused
+        assert sorted(calls) == sorted((r0, r1, SegmentedHashTable) for r0, r1 in blocks for _ in range(2))
+    # A custom count stage changes no observable and no strategy: fused stays fused.
+    assert (observables, snapshot, blocks) == cell("gpu")
 
 
 @pytest.mark.parametrize("parallel", [1, "process:2"], ids=["seq", "process-to-thread"])

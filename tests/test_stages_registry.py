@@ -19,10 +19,15 @@ from repro.core.stages import (
     registered_stages,
     substrate_names,
 )
-from repro.core.stages.buffers import ParsedItems
+from repro.core.memory import ScratchArena
+from repro.core.parallel import get_pool
+from repro.core.stages.context import StageContext
 from repro.core.stages.registry import _BACKENDS, normalize_backend, register_backend, resolve, resolve_stage
-from repro.core.stages.standard import KmerHashPartition, assemble_rank_parse
+from repro.core.stages.standard import GpuSubstrate, KmerHashPartition, KmerParse, parse_block, stable_order
+from repro.dna.reads import ReadSet
 from repro.kmers.spectrum import count_kmers_exact
+from repro.mpi.costmodel import CommCostModel
+from repro.mpi.stats import TrafficStats
 from repro.mpi.topology import summit_gpu
 
 
@@ -74,6 +79,29 @@ class OffByOnePartition(KmerHashPartition):
         return np.where(owners == n_ranks - 1, n_ranks, owners)
 
 
+class _FixedOwners:
+    """A custom partition stage: the owners it is given, one per parsed item."""
+
+    def __init__(self, owners: np.ndarray) -> None:
+        self._owners = owners
+
+    def owners(self, route_keys, n_ranks, config):
+        assert route_keys.shape == self._owners.shape
+        return self._owners
+
+
+def _parse_block(owners: np.ndarray | None):
+    """``parse_block`` of one block of three one-read shards, 6 k-mers each, on 6 ranks, at ``owners``."""
+    config, cluster = PipelineConfig(k=15), summit_gpu(1)
+    rng = np.random.default_rng(3)
+    shards = [ReadSet.from_strings(["".join("ACGT"[i] for i in rng.integers(0, 4, 20))]) for _ in range(3)]
+    ctx = StageContext(
+        config, cluster, EngineOptions(), GpuSubstrate(), get_pool(1), CommCostModel(cluster), TrafficStats()
+    )
+    partition = KmerHashPartition() if owners is None else _FixedOwners(owners)
+    return parse_block(shards, KmerParse(), partition, ctx.substrate, ctx, ScratchArena())
+
+
 class TestDestinationOrdering:
     def test_out_of_range_owner_is_an_error_at_parse(self, genome_reads):
         """Not ``rank 0 send_counts must have shape (P,)`` one phase later."""
@@ -89,25 +117,45 @@ class TestDestinationOrdering:
             del _BACKENDS["offbyone:kmer"]
 
     def test_negative_owner_is_an_error(self):
-        items = ParsedItems(np.arange(3, dtype=np.uint64), None, np.arange(3, dtype=np.uint64), 3, 0, 0)
-        with pytest.raises(ValueError):
-            assemble_rank_parse(items, np.array([0, -1, 2]), 4, KmerHashPartition())
+        """A negative owner in a later shard of a block would file its item under the shard before."""
+        valid = _parse_block(None)
+        assert valid[2].counts_matrix.shape == (3, 6) and valid[2].n_kmers.tolist() == [6, 6, 6]
+        owners = np.zeros(18, dtype=np.int32)
+        owners[13] = -1  # shard 2's second item: composite key 2 * 6 - 1, shard 1's last rank
+        with pytest.raises(ValueError, match=r"_FixedOwners assigned rank -1, outside the 6 ranks"):
+            _parse_block(owners)
+
+    @pytest.mark.parametrize(
+        "item, owner",
+        [(8, 6), (2, -1), (17, 6), (9, 12), (10, -7)],
+        ids=["P-mid-shard", "negative-first-shard", "P-last-shard", "2P", "far-negative"],
+    )
+    def test_out_of_range_owner_in_any_shard_is_one_error(self, item, owner):
+        """Wherever the bad owner sits in the block, the one ``ValueError``.
+
+        An owner of P in a middle shard is the next shard's rank 0 to a
+        composite key (as a negative one in a later shard is the shard
+        before's rank P - 1): the counts keep their length, only a shard's
+        row sum shows the item that moved.
+        """
+        owners = np.zeros(18, dtype=np.int32)
+        owners[item] = owner
+        with pytest.raises(ValueError, match=rf"_FixedOwners assigned rank {owner}, outside the 6 ranks of the run"):
+            _parse_block(owners)
 
     @pytest.mark.parametrize("p", [1, 96, 672, 65_535, 65_537])
-    @pytest.mark.parametrize("supermer", [False, True])
-    def test_narrowed_sort_equals_int64_sort(self, p, supermer):
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_narrowed_sort_equals_int64_sort(self, p, composite):
+        """``stable_order`` is the int64 stable sort: of one shard's owners, or of a
+        three-shard block's composite (shard, owner) keys, whose range crosses the narrow widths."""
         rng = np.random.default_rng(p)
         n = 5000
         owners = rng.integers(0, p, size=n).astype(np.int32)
         owners[:2] = (0, p - 1)  # both ends of the rank range
-        data = rng.integers(0, 2**62, size=n).astype(np.uint64)
-        lengths = rng.integers(1, 200, size=n).astype(np.uint8) if supermer else None
-        pr = assemble_rank_parse(ParsedItems(data, lengths, data, n, 0, 0), owners, p, KmerHashPartition())
-        order = np.argsort(owners.astype(np.int64), kind="stable")
-        assert pr.data.tobytes() == data[order].tobytes()
-        assert (pr.lengths is None) if lengths is None else (pr.lengths.tobytes() == lengths[order].tobytes())
-        assert pr.counts.dtype == np.int64
-        assert np.array_equal(pr.counts, np.bincount(owners, minlength=p))
+        n_shards = 3 if composite else 1
+        key = np.sort(rng.integers(0, n_shards, size=n)) * p + owners  # shard-major, as parse_block builds it
+        order = stable_order(key, n_shards * p)
+        assert np.array_equal(order, np.argsort(key.astype(np.int64), kind="stable"))
 
 
 class TestStageRegistry:

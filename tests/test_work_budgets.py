@@ -8,6 +8,7 @@ load, where a wall-clock floor would only drift.
 from __future__ import annotations
 
 import builtins
+import hashlib
 import os
 import sys
 import tracemalloc
@@ -24,7 +25,7 @@ import repro.mpi.collectives as collectives
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.standard import CpuSubstrate, GpuSubstrate
+from repro.core.stages.standard import GpuSubstrate
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
@@ -129,6 +130,36 @@ class TestMergeBudgets:
             spectrum = counter.spectrum()
         assert made == ["sort_pairs"]  # was P + 1 argsorts: each rank's items, then their concatenation
         assert spectrum.equals(count_kmers_exact(genome_reads, 17))
+
+    #: The bloom spectra's ``sha256(values + counts)`` prefixes, as the per-rank ``items()`` merge made them.
+    BLOOM_SPECTRA = {"kmer": "439a450f94761214", "supermer": "616e571a7c0d6a2c"}
+
+    @staticmethod
+    def _digest(spectrum) -> str:
+        return hashlib.sha256(spectrum.values.tobytes() + spectrum.counts.tobytes()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["one-shot", "streamed"])
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_bloom_composition_sorts_the_result_keys_once(self, genome_reads, monkeypatch, mode, streamed):
+        """A plugin composition merges by the plugin-free rule: each block's unsorted items,
+        adjusted by the bloom plugin (+1 an entry, so order is irrelevant), then one pair sort."""
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
+        config = PipelineConfig(k=17, mode=mode, canonical=mode == "supermer")  # a k-mer may have two owners
+        options = EngineOptions(stages=("bloom",), parallel=1)
+        with monkeypatch.context() as patch:
+            if streamed:
+                n = genome_reads.n_reads
+                counter = DistributedCounter(summit_gpu(4), config, options=options)
+                for i in range(2):
+                    counter.add_reads(genome_reads.select(range(i * n // 2, (i + 1) * n // 2)))
+                assert 1 < len(segmented.view_blocks(counter.tables)) < len(counter.tables)
+                made = self._sorts(patch)
+                spectrum = counter.spectrum()
+            else:
+                made = self._sorts(patch)  # the resident one-shot run's pair sorts are all the merge's
+                spectrum = run_pipeline(genome_reads, summit_gpu(4), config, options=options).spectrum
+        assert made.count("sort_pairs") == 1  # was P + 1: each rank's items(), then their concatenation
+        assert self._digest(spectrum) == self.BLOOM_SPECTRA[mode]
 
 
 class TestParseBudgets:
@@ -273,8 +304,8 @@ class TestRankBlockBudgets:
 
     @staticmethod
     def _run(monkeypatch, reads, nodes: int, tmp_path=None, n_rounds: int = 1):
-        """``(P, blocks, count leaves, probe_insert calls, regrows, count_rank calls, files)`` of one run."""
-        probes, regrows, per_rank_calls = [], [], []
+        """``(P, blocks, count leaves, probe_insert calls, regrows, files)`` of one run."""
+        probes, regrows = [], []
         opened: list[tuple[str, str]] = []
         real_probe, real_regrow = segmented.probe_insert, SegmentedHashTable._regrow
 
@@ -298,8 +329,6 @@ class TestRankBlockBudgets:
         with monkeypatch.context() as patch:
             patch.setattr(segmented, "probe_insert", counting_probe)
             patch.setattr(SegmentedHashTable, "_regrow", counting_regrow)
-            for substrate in (GpuSubstrate, CpuSubstrate):
-                patch.setattr(substrate, "count_rank", lambda *a, **k: per_rank_calls.append(1))
             patch.setattr(builtins, "open", counting_open(builtins.open, "r"))
             patch.setattr(os, "open", counting_open(os.open, None))
             options = EngineOptions(parallel=1, trace=True, spill_dir=tmp_path)
@@ -313,17 +342,16 @@ class TestRankBlockBudgets:
         run_writes = [name for name, mode in opened if name.startswith("run.r") and mode == "wb"]
         run_maps = [name for name, mode in opened if name.startswith("run.r") and mode != "wb"]
         files = (len(round_files), len(run_writes), len(run_maps))
-        return cluster.n_ranks, len(blocks), len(leaves), len(probes), len(regrows), len(per_rank_calls), files
+        return cluster.n_ranks, len(blocks), len(leaves), len(probes), len(regrows), files
 
     def test_probe_loops_per_block_not_per_rank(self, genome_reads, monkeypatch):
-        p, blocks, leaves, probes, regrows, per_rank_calls, _ = self._run(monkeypatch, genome_reads, 4, n_rounds=2)
+        p, blocks, leaves, probes, regrows, _ = self._run(monkeypatch, genome_reads, 4, n_rounds=2)
         assert (p, blocks) == (24, 3)
         assert regrows <= leaves  # a block call re-lays its table at most once
         assert probes <= leaves + regrows  # was P + regrowing ranks per round
-        assert per_rank_calls == 0  # count_rank is for custom count stages only
 
     def test_spilled_run_files_per_block(self, genome_reads, tmp_path, monkeypatch):
-        p, blocks, leaves, probes, regrows, _, files = self._run(
+        p, blocks, leaves, probes, regrows, files = self._run(
             monkeypatch, genome_reads, 4, tmp_path=tmp_path, n_rounds=2
         )
         assert (p, blocks) == (24, 3)
@@ -335,15 +363,15 @@ class TestRankBlockBudgets:
         wider = self._run(monkeypatch, genome_reads, 8, tmp_path=tmp_path)  # P doubled, same input
         both = list(range(genome_reads.n_reads)) * 2
         larger = self._run(monkeypatch, genome_reads.select(both), 4, tmp_path=tmp_path)  # reads doubled, same P
-        (p, blocks, _, probes, regrows, _, files) = base
+        (p, blocks, _, probes, regrows, files) = base
         assert (wider[0], larger[0]) == (2 * p, p)
         # Doubling P at fixed input: the same bytes, so the same blocks (within one) and so
         # the same probe loops and files, where the per-rank bodies doubled all three.
         assert abs(wider[1] - blocks) <= 1
-        assert wider[3] <= probes + 2 and wider[6][0] == files[0] and wider[6][1] <= files[1] + 1
+        assert wider[3] <= probes + 2 and wider[5][0] == files[0] and wider[5][1] <= files[1] + 1
         # Doubling the reads at fixed P: round files unchanged; blocks follow the bytes, never past P.
-        assert larger[6][0] == files[0] and blocks <= larger[1] <= min(p, 2 * blocks + 1)
-        assert larger[6][1:] == (larger[1], larger[1])
+        assert larger[5][0] == files[0] and blocks <= larger[1] <= min(p, 2 * blocks + 1)
+        assert larger[5][1:] == (larger[1], larger[1])
 
 
 class TestOneTableBudgets:

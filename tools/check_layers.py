@@ -68,7 +68,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ('"comm_alltoallv_calls_total"', "", "mpi/collectives.py", True),
     ("TrafficEstimate(", "core/stages", "core/stages/standard.py", False),
     ("ExchangeOutcome(", "core/stages", "core/stages/standard.py", True),
-    (".charge_count(", "core/stages", "core/stages/standard.py", False),
+    (".charge_count(", "core/stages", "core/stages/standard.py", True),
     (".charge_parse(", "core/stages", "core/stages/standard.py", True),
     ("np.flatnonzero(keys[1:] != keys[:-1])", "", "core/stages/standard.py", True),
     ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
