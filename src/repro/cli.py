@@ -476,7 +476,7 @@ def _count_and_write(args: argparse.Namespace, counter, options, registry: Metri
         write_prometheus(registry, args.metrics_out)
         print(f"wrote {len(registry)} metric families to {args.metrics_out}")
     if args.trace:
-        from .core.tracing import write_run_trace
+        from .telemetry import write_run_trace
 
         trace_path = write_run_trace(
             args.trace, options.trace, counter=counter, registry=registry, profile_text=profile_text
@@ -595,11 +595,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
     from .core.analysis import analyze_spans
-    from .core.tracing import TRACE_SCHEMA
+    from .telemetry import TRACE_SCHEMA
+    from .telemetry.export import read_json
 
-    payload = json.loads(Path(args.trace).read_text())
-    meta = payload.get("metadata") or {}
-    schema = meta.get("schema")
+    payload = read_json(args.trace)
+    meta = payload.get("metadata")
+    schema = meta.get("schema") if isinstance(meta, dict) else None
     if schema != TRACE_SCHEMA:
         raise ValueError(f"{args.trace}: not a {TRACE_SCHEMA} file (schema={schema!r})")
     spans = payload.get("spans") or []

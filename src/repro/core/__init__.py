@@ -36,7 +36,6 @@ from .stages import (
 )
 from .sweep import SweepPoint, SweepResult, sweep
 from .spmd import count_spmd, kmer_count_program, supermer_count_program
-from .tracing import trace_events, wall_trace_events
 
 __all__ = [
     "PipelineConfig",
@@ -62,8 +61,6 @@ __all__ = [
     "count_spmd",
     "kmer_count_program",
     "supermer_count_program",
-    "trace_events",
-    "wall_trace_events",
     "RankPool",
     "SequentialPool",
     "ThreadPool",

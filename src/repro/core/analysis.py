@@ -341,10 +341,12 @@ def wall_model_divergence(
 ) -> list[dict[str, object]]:
     """Wall-vs-model table: one row per model phase, with the ratio.
 
-    ``model_phases`` is the run's modeled phase timing (the trace file's
-    ``metadata.phases``, or ``result.timing.as_dict()``).  Wall seconds
-    are the critical-path contributions (per-stage max over ranks), the
-    like-for-like counterpart of the model's bulk-synchronous phase times.
+    ``model_phases`` is the run's modeled phase timing: the trace file's
+    ``metadata.phases`` (``parse_s``/``exchange_s``/``count_s`` keys), or
+    bare ``parse``/``exchange``/``count`` keys built from ``result.timing``.
+    Wall seconds are the critical-path contributions (per-stage max over
+    ranks), the like-for-like counterpart of the model's bulk-synchronous
+    phase times.
     A large ratio means the machine model charges far more (or less) for
     the phase than this host's actual execution — expected for network
     phases simulated on one node, interesting for compute phases.

@@ -57,12 +57,11 @@ from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
 from ...telemetry import MetricRegistry, event, session
-from ...telemetry.spans import SpanRecorder
+from ...telemetry.spans import SpanRecorder, recording_region, wall_summary
 from ..config import PipelineConfig
 from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
-from ..tracing import recording_region
 from .buffers import ExchangeOutcome, ParseSummary, SendArray, round_split
 from .context import EngineOptions, StageContext
 from .protocols import Substrate
@@ -437,17 +436,18 @@ class RoundAccounting:
         reg.counter("exchange_bytes_total", "Wire bytes at measured scale", engine=backend).inc(
             result.exchanged_bytes
         )
-        if recorder is not None and len(recorder):
-            for name in recorder.phases():
+        wall = wall_summary(recorder)
+        if wall:
+            for name, phase in wall["phases"].items():
                 reg.counter(
                     "wall_phase_seconds_total", "Host wall-clock rank-seconds per phase", wall=True, phase=name
-                ).inc(recorder.busy_seconds(name))
-            reg.gauge("wall_busy_seconds", "Total host rank-seconds", wall=True).set(recorder.busy_seconds())
+                ).inc(phase["busy_seconds"])
+            reg.gauge("wall_busy_seconds", "Total host rank-seconds", wall=True).set(wall["busy_seconds"])
             reg.gauge("wall_elapsed_seconds", "Host wall window of the run", wall=True).set(
-                recorder.elapsed_seconds()
+                wall["elapsed_seconds"]
             )
             reg.gauge("wall_overlap_factor", "Achieved rank concurrency", wall=True).set(
-                recorder.overlap_factor()
+                wall["overlap_factor"]
             )
 
 

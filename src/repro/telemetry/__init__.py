@@ -8,12 +8,15 @@ Everything observable about a run flows through here:
   active registry that deep layers (collectives, hash table, kernels,
   pools) feed (:mod:`repro.telemetry.runtime`);
 * :class:`RunReport` — the structured per-run report behind
-  ``repro count --report`` and ``repro report``
+  ``repro count --report`` and ``repro report``, and
+  :func:`write_run_trace` — the ``repro-trace/1`` file behind
+  ``repro count --trace`` and ``repro analyze``
   (:mod:`repro.telemetry.report`);
 * exporters — JSON snapshot, Prometheus text format, Chrome-trace counter
   tracks (:mod:`repro.telemetry.export`);
 * :class:`SpanRecorder` — the hierarchical wall-clock span log behind
-  ``EngineOptions(trace=)`` / ``repro analyze``
+  ``EngineOptions(trace=)`` / ``repro analyze``, and
+  :func:`trace_events` — every span track as Chrome trace events
   (:mod:`repro.telemetry.spans`);
 * :class:`MetricsServer` — the live ``/metrics`` HTTP endpoint behind
   ``repro count --metrics-port`` (:mod:`repro.telemetry.server`);
@@ -30,10 +33,10 @@ from .export import json_snapshot, metric_trace_events, prometheus_text, write_j
 from .log import configure as configure_logging
 from .log import configure_from_env, event, get_logger
 from .registry import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricRegistry
-from .report import RunReport
+from .report import TRACE_SCHEMA, RunReport, run_trace_payload, write_run_trace
 from .runtime import active, session
 from .server import MetricsServer
-from .spans import SPAN_CATEGORIES, Span, SpanRecorder, span_payload, span_tree_events
+from .spans import SPAN_CATEGORIES, Span, SpanRecorder, recording_region, span_payload, trace_events, wall_summary
 from .textfmt import format_series, format_table
 
 __all__ = [
@@ -43,11 +46,16 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "RunReport",
+    "TRACE_SCHEMA",
+    "run_trace_payload",
+    "write_run_trace",
     "Span",
     "SpanRecorder",
     "SPAN_CATEGORIES",
     "span_payload",
-    "span_tree_events",
+    "recording_region",
+    "wall_summary",
+    "trace_events",
     "MetricsServer",
     "active",
     "session",

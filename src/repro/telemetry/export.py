@@ -3,14 +3,15 @@
 Three consumers, three formats:
 
 * :func:`json_snapshot` / :func:`write_json` — the registry's deterministic
-  nested-dict form, for run archives and differential tests;
+  nested-dict form, for run archives and differential tests
+  (:func:`read_json` reads any of the layer's JSON files back);
 * :func:`prometheus_text` / :func:`write_prometheus` — the Prometheus text
   exposition format (v0.0.4): ``# HELP``/``# TYPE`` headers, escaped label
   values, *cumulative* histogram buckets with the implicit ``+Inf`` bucket
   plus ``_sum``/``_count`` series;
 * :func:`metric_trace_events` — ``ph: "C"`` counter tracks that merge into
-  the Chrome-trace timelines of :mod:`repro.core.tracing`, so metric values
-  appear alongside the phase spans in Perfetto.  :func:`chrome_event` is the
+  the span tracks of :func:`repro.telemetry.spans.trace_events`, so metric
+  values appear alongside the phase spans in Perfetto.  :func:`chrome_event` is the
   one constructor of a Chrome trace event; every timeline builds through it.
 """
 
@@ -29,6 +30,7 @@ if TYPE_CHECKING:  # typing only: no runtime telemetry -> core dependency
 __all__ = [
     "json_snapshot",
     "write_json",
+    "read_json",
     "prometheus_text",
     "write_prometheus",
     "chrome_event",
@@ -52,6 +54,22 @@ def write_json(registry: MetricRegistry, path: str | Path, *, include_wall: bool
     path = Path(path)
     path.write_text(json.dumps(json_snapshot(registry, include_wall=include_wall), indent=2, sort_keys=True))
     return path
+
+
+def read_json(path: str | Path) -> dict[str, Any]:
+    """The JSON object stored at ``path``.
+
+    A file that is not JSON, or holds JSON that is not an object, is one
+    ``ValueError`` naming the file (the CLI prints it as one ``error:`` line).
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, found a {type(payload).__name__}")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +188,7 @@ def metric_trace_events(
     start time on the model timeline (taken from ``result``); everything
     else sits at t=0.  Histograms export their ``sum`` (the total is what
     a counter track can show).  Merge these into the event list produced by
-    :func:`repro.core.tracing.trace_events` to see metric magnitudes next
+    :func:`repro.telemetry.spans.trace_events` to see metric magnitudes next
     to the spans that generated them.
     """
     phase_start: dict[str, float] = {}

@@ -1,4 +1,4 @@
-"""Structured run reports: one JSON document per counting run.
+"""Structured run reports and run-trace files: one JSON document each per run.
 
 A :class:`RunReport` is the single pane of glass over a run's derived
 observables — the quantities the paper reports in Fig. 3 (phase breakdown),
@@ -13,6 +13,15 @@ benchmark values bit for bit — the tests assert it.
 
 Reports serialize to JSON (``save``/``load``) and render as the paper-style
 breakdown tables via :meth:`RunReport.render` (the ``repro report`` CLI).
+
+:func:`run_trace_payload` / :func:`write_run_trace` assemble the trace file
+(schema ``repro-trace/1``) consumed by ``chrome://tracing`` / Perfetto *and*
+by ``repro analyze`` (:mod:`repro.core.analysis`).  Its ``metadata`` holds
+the report's own ``run``, ``phases`` and ``wall`` sections, built by the
+same functions.
+
+Results and counters are read by duck typing: this module imports nothing
+outside ``repro.telemetry`` at runtime.
 """
 
 from __future__ import annotations
@@ -22,57 +31,87 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from .export import metric_trace_events, read_json
 from .registry import MetricRegistry
+from .spans import SpanRecorder, span_payload, trace_events, wall_summary
 
 if TYPE_CHECKING:  # typing only — keeps telemetry import-light (no cycles)
     from ..core.incremental import DistributedCounter
     from ..core.results import CountResult
-    from .spans import SpanRecorder
 
-__all__ = ["RunReport", "REPORT_VERSION"]
+__all__ = ["RunReport", "REPORT_VERSION", "TRACE_SCHEMA", "run_trace_payload", "write_run_trace"]
 
 REPORT_VERSION = 1
+#: Schema tag of the run-trace JSON file (validated by tools/check_trace.py).
+TRACE_SCHEMA = "repro-trace/1"
 
 
-def _traffic_section(traffic: Any) -> list[dict[str, Any]]:
-    return [
-        {
-            "op": rec.op,
-            "label": rec.label,
-            "bytes": rec.total_bytes,
-            "off_diagonal_bytes": rec.off_diagonal_bytes,
-            "items": rec.total_items,
-            "ranks": rec.n_ranks,
-        }
-        for rec in traffic.records
-    ]
+def _run_sections(source: "CountResult | DistributedCounter") -> dict[str, dict[str, Any]]:
+    """The sections a one-shot result and a counter share, built once.
 
-
-def _insert_section(ins: Any) -> dict[str, Any]:
-    return {
-        "instances": ins.n_instances,
-        "distinct": ins.n_distinct,
-        "total_probes": ins.total_probes,
-        "mean_probes": ins.mean_probes,
-        "max_probe": ins.max_probe,
-        "cas_conflicts": ins.cas_conflicts,
-        "resizes": ins.resizes,
+    ``run`` (identity; ``distinct_kmers`` is left to the caller, since a
+    counter must merge its spectrum for it), the numeric ``phases``,
+    ``exchange`` traffic, ``load`` and ``gpu``.  Nothing here merges a
+    spectrum, so a trace file carries these same sections.
+    """
+    config, cluster, t = source.config, source.cluster, source.timing
+    run: dict[str, Any] = {
+        "backend": source.backend,
+        "config": config.describe(),
+        "k": config.k,
+        "mode": config.mode,
+        "cluster": cluster.name,
+        "ranks": cluster.n_ranks,
+        "total_kmers": source.total_kmers,
     }
-
-
-def _wall_section(recorder: "SpanRecorder") -> dict[str, Any]:
+    # Identity only one kind of source has: a result's scale, a counter's batches.
+    if hasattr(source, "work_multiplier"):
+        run["work_multiplier"] = source.work_multiplier
+    if hasattr(source, "n_batches"):
+        run["batches"] = source.n_batches
+    traffic, loads, ins = source.traffic, source.load_stats(), source.insert_stats
     return {
+        "run": run,
         "phases": {
-            name: {
-                "busy_seconds": recorder.busy_seconds(name),
-                "elapsed_seconds": recorder.elapsed_seconds(name),
-                "overlap_factor": recorder.overlap_factor(name),
-            }
-            for name in recorder.phases()
+            "parse_s": t.parse,
+            "exchange_s": t.exchange,
+            "count_s": t.count,
+            "total_s": t.total,
+            "exchange_fraction": t.exchange_fraction(),
         },
-        "busy_seconds": recorder.busy_seconds(),
-        "elapsed_seconds": recorder.elapsed_seconds(),
-        "overlap_factor": recorder.overlap_factor(),
+        "exchange": {
+            "items": source.exchanged_items,
+            "collectives": traffic.n_collectives,
+            "traffic_bytes": traffic.total_bytes(),
+            "traffic_items": traffic.total_items(),
+            "per_collective": [
+                {
+                    "op": rec.op,
+                    "label": rec.label,
+                    "bytes": rec.total_bytes,
+                    "off_diagonal_bytes": rec.off_diagonal_bytes,
+                    "items": rec.total_items,
+                    "ranks": rec.n_ranks,
+                }
+                for rec in traffic.records
+            ],
+        },
+        "load": {
+            "min": loads.min_load,
+            "max": loads.max_load,
+            "mean": loads.mean_load,
+            "imbalance": loads.imbalance,
+            "received_per_rank": [int(v) for v in source.received_kmers],
+        },
+        "gpu": {
+            "instances": ins.n_instances,
+            "distinct": ins.n_distinct,
+            "total_probes": ins.total_probes,
+            "mean_probes": ins.mean_probes,
+            "max_probe": ins.max_probe,
+            "cas_conflicts": ins.cas_conflicts,
+            "resizes": ins.resizes,
+        },
     }
 
 
@@ -97,63 +136,29 @@ class RunReport:
         result: "CountResult",
         *,
         registry: MetricRegistry | None = None,
-        recorder: "SpanRecorder | None" = None,
+        recorder: SpanRecorder | None = None,
     ) -> "RunReport":
         """Aggregate a finished :class:`CountResult` into a report."""
-        loads = result.load_stats()
-        t = result.timing
-        report = cls(
-            run={
-                "backend": result.backend,
-                "config": result.config.describe(),
-                "k": result.config.k,
-                "mode": result.config.mode,
-                "cluster": result.cluster.name,
-                "ranks": result.cluster.n_ranks,
-                "work_multiplier": result.work_multiplier,
-                "total_kmers": result.total_kmers,
-                "distinct_kmers": result.spectrum.n_distinct,
-            },
+        return cls._build(
+            result,
+            registry,
+            recorder,
+            run={"distinct_kmers": result.spectrum.n_distinct},
             phases={
-                "parse_s": t.parse,
-                "exchange_s": t.exchange,
-                "count_s": t.count,
-                "total_s": t.total,
-                "exchange_fraction": t.exchange_fraction(),
                 "alltoallv_s": result.alltoallv_seconds,
                 "staging_s": result.staging_seconds,
                 "rounds": result.n_rounds_used,
                 # Per-link exchange breakdown from the routed alltoallv,
                 # innermost link first (the hierarchical network model).
-                "links": [
-                    {"link": name, "seconds": seconds} for name, seconds in result.link_seconds
-                ],
+                "links": [{"link": name, "seconds": seconds} for name, seconds in result.link_seconds],
                 "bottleneck_link": result.bottleneck_link,
             },
             exchange={
-                "items": result.exchanged_items,
                 "bytes": result.exchanged_bytes,
                 "modeled_bytes": result.modeled_exchanged_bytes,
-                "collectives": result.traffic.n_collectives,
-                "traffic_bytes": result.traffic.total_bytes(),
-                "traffic_items": result.traffic.total_items(),
-                "per_collective": _traffic_section(result.traffic),
                 "mean_supermer_length": result.mean_supermer_length,
             },
-            load={
-                "min": loads.min_load,
-                "max": loads.max_load,
-                "mean": loads.mean_load,
-                "imbalance": loads.imbalance,
-                "received_per_rank": [int(v) for v in result.received_kmers],
-            },
-            gpu=_insert_section(result.insert_stats),
         )
-        if recorder is not None and len(recorder):
-            report.wall = _wall_section(recorder)
-        if registry is not None:
-            report.metrics = registry.snapshot()
-        return report
 
     @classmethod
     def from_counter(
@@ -161,53 +166,31 @@ class RunReport:
         counter: "DistributedCounter",
         *,
         registry: MetricRegistry | None = None,
-        recorder: "SpanRecorder | None" = None,
+        recorder: SpanRecorder | None = None,
     ) -> "RunReport":
         """Aggregate a :class:`DistributedCounter`'s cumulative state."""
-        loads = counter.load_stats()
-        spectrum = counter.spectrum()
-        t = counter.timing
-        report = cls(
-            run={
-                "backend": counter.backend,
-                "config": counter.config.describe(),
-                "k": counter.config.k,
-                "mode": counter.config.mode,
-                "cluster": counter.cluster.name,
-                "ranks": counter.cluster.n_ranks,
-                "batches": counter.n_batches,
-                "total_kmers": counter.total_kmers,
-                "distinct_kmers": spectrum.n_distinct,
-            },
-            phases={
-                "parse_s": t.parse,
-                "exchange_s": t.exchange,
-                "count_s": t.count,
-                "total_s": t.total,
-                "exchange_fraction": t.exchange_fraction(),
-            },
-            exchange={
-                "items": counter.exchanged_items,
-                "collectives": counter.traffic.n_collectives,
-                "traffic_bytes": counter.traffic.total_bytes(),
-                "traffic_items": counter.traffic.total_items(),
-                "bytes": counter.traffic.total_bytes(),
-                "per_collective": _traffic_section(counter.traffic),
-            },
-            load={
-                "min": loads.min_load,
-                "max": loads.max_load,
-                "mean": loads.mean_load,
-                "imbalance": loads.imbalance,
-                "received_per_rank": [int(v) for v in counter.received_kmers],
-            },
-            gpu=_insert_section(counter.insert_stats),
+        return cls._build(
+            counter,
+            registry,
+            recorder,
+            run={"distinct_kmers": counter.spectrum().n_distinct},
+            exchange={"bytes": counter.traffic.total_bytes()},
         )
-        if recorder is not None and len(recorder):
-            report.wall = _wall_section(recorder)
-        if registry is not None:
-            report.metrics = registry.snapshot()
-        return report
+
+    @classmethod
+    def _build(
+        cls,
+        source: Any,
+        registry: MetricRegistry | None,
+        recorder: SpanRecorder | None,
+        **own: dict[str, Any],
+    ) -> "RunReport":
+        """The shared sections of ``source``, plus the fields only it has (``own``)."""
+        sections = _run_sections(source)
+        for name, fields in own.items():
+            sections[name].update(fields)
+        metrics = registry.snapshot() if registry is not None else {}
+        return cls(**sections, wall=wall_summary(recorder), metrics=metrics)
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -246,7 +229,12 @@ class RunReport:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """A saved report; an unreadable or foreign file is one ``ValueError`` naming it."""
+        payload = read_json(path)
+        try:
+            return cls.from_dict(payload)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a run report: {exc}") from None
 
     # -- rendering -----------------------------------------------------------
 
@@ -352,3 +340,59 @@ class RunReport:
             )
             blocks.append(format_table(["phase", "busy_s", "elapsed_s", "overlap"], rows, title="Wall clock"))
         return "\n\n".join(blocks)
+
+
+def run_trace_payload(
+    recorder: SpanRecorder | None,
+    *,
+    result: "CountResult | None" = None,
+    counter: "DistributedCounter | None" = None,
+    registry: MetricRegistry | None = None,
+    profile_text: str | None = None,
+    max_ranks: int | None = 64,
+) -> dict[str, Any]:
+    """Assemble every timeline of one run into the ``repro-trace/1`` payload.
+
+    Tracks, by Chrome-trace ``pid`` (:func:`~repro.telemetry.spans.trace_events`):
+
+    * ``pid 0`` — the *model* timeline (per-rank parse/exchange/count in
+      modeled seconds; requires ``result``);
+    * ``pid 1`` — the *wall* timeline (per-rank work spans as the host
+      executed them: the recorder's work leaves);
+    * ``pid 2`` — the scheduler's nested region tree (run → batch → round
+      → stage), on the same clock as pid 1;
+    * counter tracks from ``registry`` (``ph: "C"``), when given.
+
+    Beyond ``traceEvents`` the payload carries the raw ``"spans"`` array
+    (the analysis input; see :func:`repro.core.analysis.analyze_spans`)
+    and a ``"metadata"`` section: the report's ``run`` and ``phases``
+    sections (no spectrum is merged), its ``wall`` summary, and — when
+    ``repro count --profile --trace`` ran — the embedded cProfile
+    rendering that ``repro analyze --profile`` prints.
+    """
+    if result is None and counter is None and recorder is None:
+        raise ValueError("run_trace_payload needs a recorder, a result, or a counter")
+    events = trace_events(result, recorder, max_ranks=max_ranks)
+    if registry is not None:
+        events += metric_trace_events(registry, result=result)
+    source = result if result is not None else counter
+    sections = _run_sections(source) if source is not None else {}
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "spans": span_payload(recorder) if recorder is not None else [],
+        "metadata": {
+            "schema": TRACE_SCHEMA,
+            "run": sections.get("run", {}),
+            "phases": sections.get("phases", {}),
+            "wall": wall_summary(recorder),
+            "profile": profile_text,
+        },
+    }
+
+
+def write_run_trace(path: str | Path, recorder: SpanRecorder | None, **kwargs: Any) -> Path:
+    """Write :func:`run_trace_payload` (same keyword arguments) as JSON: the ``--trace`` output."""
+    path = Path(path)
+    path.write_text(json.dumps(run_trace_payload(recorder, **kwargs)))
+    return path

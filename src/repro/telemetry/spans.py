@@ -27,26 +27,35 @@ them is ``wall=True`` telemetry.  Causality to the model side is kept as
 :class:`~repro.mpi.stats.TrafficStats` records their collective appended,
 linking each wall span to the exact traffic matrices it produced.
 
-This module imports nothing outside ``repro.telemetry`` (layer 0); the
-engine-side glue lives in :mod:`repro.core.tracing`.
+Rendering lives here too: :func:`trace_events` draws the model timeline of
+a result and the recorder's two host tracks through one renderer, on one
+host clock; :func:`wall_summary` is the one busy / elapsed / overlap
+summary.  Nothing outside ``repro.telemetry`` is imported (layer 0): a
+result is read by duck typing, and :func:`recording_region` is the
+engine-side glue.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .export import chrome_event
+
+if TYPE_CHECKING:  # typing only: no runtime telemetry -> core dependency
+    from ..core.results import CountResult
 
 __all__ = [
     "Span",
     "SpanRecorder",
     "SPAN_CATEGORIES",
     "span_payload",
-    "span_tree_events",
+    "recording_region",
+    "wall_summary",
+    "trace_events",
 ]
 
 #: The hierarchy levels, outermost first.  ``work`` is the per-rank leaf
@@ -213,29 +222,39 @@ class SpanRecorder:
         with self._lock:
             return sorted(self._spans, key=lambda s: s.sid)
 
-    def children(self) -> dict[int | None, list[Span]]:
-        """Tree adjacency: parent sid (None = roots) → child spans by id."""
-        tree: dict[int | None, list[Span]] = {}
-        for s in self.all_spans():
-            tree.setdefault(s.parent, []).append(s)
-        return tree
+
+def recording_region(recorder: SpanRecorder | None, name: str, *, cat: str = "stage", **meta: Any):
+    """A region context on the recorder the run carries, if any.
+
+    ``None`` (tracing off) yields ``None``; a :class:`SpanRecorder` opens a
+    real nested region and yields its handle (``.note(**kv)`` attaches late
+    metadata).  Engine code wraps phases with this unconditionally — the
+    overhead when tracing is off is one ``is None`` check and a
+    ``nullcontext``.
+    """
+    if recorder is None:
+        return nullcontext(None)
+    return recorder.region(name, cat=cat, **meta)
 
 
-def span_payload(spans_or_recorder: "SpanRecorder | list[Span]") -> list[dict[str, Any]]:
+def _run_clock(recorder: SpanRecorder) -> tuple[list[Span], float]:
+    """Every span by id, and the run's zero: the start of its first span.
+
+    The one host clock: the ``"spans"`` payload and both host trace tracks
+    rebase to this zero, so a leaf never renders before its region opens.
+    """
+    spans = recorder.all_spans()
+    return spans, min((s.start_s for s in spans), default=0.0)
+
+
+def span_payload(recorder: SpanRecorder) -> list[dict[str, Any]]:
     """JSON-ready span dicts, timestamps rebased so the run starts at 0.
 
     This is the ``"spans"`` array of the trace-file schema
     (``repro-trace/1``; see docs/TELEMETRY.md) and the input
     :func:`repro.core.analysis.analyze_spans` consumes.
     """
-    spans = (
-        spans_or_recorder.all_spans()
-        if isinstance(spans_or_recorder, SpanRecorder)
-        else sorted(spans_or_recorder, key=lambda s: s.sid)
-    )
-    if not spans:
-        return []
-    t0 = min(s.start_s for s in spans)
+    spans, t0 = _run_clock(recorder)
     return [
         {
             "id": s.sid,
@@ -251,32 +270,112 @@ def span_payload(spans_or_recorder: "SpanRecorder | list[Span]") -> list[dict[st
     ]
 
 
-def span_tree_events(recorder: "SpanRecorder", *, pid: int = 2) -> list[dict[str, Any]]:
-    """Chrome trace events for the region hierarchy (one nested track).
+def wall_summary(recorder: SpanRecorder | None) -> dict[str, Any]:
+    """Busy, elapsed and overlap seconds of the work leaves, per phase and in total.
 
-    Regions are strictly nested (single driving thread), so they all render
-    on one ``tid`` where Perfetto stacks them by time containment; work
-    leaves stay on the per-rank wall rows (see
-    :func:`repro.core.tracing.wall_trace_events`), which this track's
-    ``args.id``/``args.parent`` link back to.
+    The one wall summary: the report's ``wall`` section, the trace's
+    ``metadata.wall`` and the engine's ``wall_*`` metric families all read
+    it.  Empty without a recorder or without a leaf.
     """
-    spans = recorder.all_spans()
-    regions = [s for s in spans if s.cat != "work"]
-    if not regions:
-        return []
-    t0 = min(s.start_s for s in spans)
-    events = [
-        chrome_event(
-            s.name,
-            "X",
-            pid,
-            {"id": s.sid, "parent": s.parent, **s.meta},
-            tid=0,
-            start_s=s.start_s - t0,
-            dur_s=s.dur_s,
-            cat=s.cat,
-        )
-        for s in regions
+    if recorder is None or not len(recorder):
+        return {}
+
+    def row(name: str | None) -> dict[str, float]:
+        return {
+            "busy_seconds": recorder.busy_seconds(name),
+            "elapsed_seconds": recorder.elapsed_seconds(name),
+            "overlap_factor": recorder.overlap_factor(name),
+        }
+
+    return {"phases": {name: row(name) for name in recorder.phases()}, **row(None)}
+
+
+# ---------------------------------------------------------------------------
+# Chrome trace events: every span track through one renderer
+# ---------------------------------------------------------------------------
+
+#: A span row: ``(pid, tid, name, cat, start_s, dur_s, args)``.
+_Row = tuple[int, int, str, str, float, float, dict[str, Any]]
+#: A row label: ``(pid, tid, thread name)``.
+_Label = tuple[int, int, str]
+
+
+def _model_rows(result: "CountResult", max_ranks: int | None) -> tuple[list[_Row], list[_Label]]:
+    """pid 0: each rank's parse, exchange and count in model seconds.
+
+    The exchange is one global span (a bulk-synchronous collective); parse
+    and count use each rank's own modeled duration, aligned to the phase
+    start as on the real machine.  ``max_ranks`` caps the rows (traces with
+    thousands of rows are unreadable); the slowest parse and count ranks are
+    always kept, so the critical path is never dropped.
+    """
+    p = result.cluster.n_ranks
+    ranks = list(range(p))
+    if max_ranks is not None and p > max_ranks:
+        slowest = {int(result.per_rank_parse.argmax()), int(result.per_rank_count.argmax())}
+        ranks = sorted(set(range(max_ranks - 2)) | slowest)
+    t = result.timing
+    traffic = {"bytes": int(result.exchanged_bytes), "items": int(result.exchanged_items)}
+    received = [{"received": int(n)} for n in result.received_kmers]
+    phases = (  # (name, start, per-rank duration, per-rank args)
+        ("parse", 0.0, result.per_rank_parse, [{}] * p),
+        ("exchange", t.parse, [t.exchange] * p, [traffic] * p),
+        ("count", t.parse + t.exchange, result.per_rank_count, received),
+    )
+    rows = [
+        (0, r, name, "pipeline", start_s, max(float(durs[r]), 0.0), dict(args[r]))
+        for name, start_s, durs, args in phases
+        for r in ranks
     ]
-    events.append(chrome_event("thread_name", "M", pid, {"name": "scheduler (spans)"}, tid=0))
+    return rows, [(0, r, f"rank {r} (node {result.cluster.node_of(r)})") for r in ranks]
+
+
+def _host_rows(recorder: SpanRecorder) -> tuple[list[_Row], list[_Label]]:
+    """pid 1: work leaves, one row per rank; pid 2: the region tree on one row.
+
+    Both tracks are on the run's clock (:func:`_run_clock`), and each event's
+    args carry its span's ``id`` and ``parent`` (then its meta), so a leaf
+    links to its enclosing region.  Regions are strictly nested (one driving
+    thread), so Perfetto stacks them on one row by time containment.
+    """
+    spans, t0 = _run_clock(recorder)
+    rows: list[_Row] = []
+    for s in spans:
+        pid, tid, cat = (1, s.rank, "wall") if s.cat == "work" else (2, 0, s.cat)
+        args = {"id": s.sid, "parent": s.parent, **s.meta}
+        rows.append((pid, tid, s.name, cat, s.start_s - t0, s.dur_s, args))
+    leaf_ranks = sorted({tid for pid, tid, *_ in rows if pid == 1})
+    labels: list[_Label] = [(1, r, f"rank {r} (wall)") for r in leaf_ranks]
+    if any(pid == 2 for pid, *_ in rows):
+        labels.append((2, 0, "scheduler (spans)"))
+    return rows, labels
+
+
+def trace_events(
+    result: "CountResult | None" = None,
+    recorder: SpanRecorder | None = None,
+    *,
+    max_ranks: int | None = 64,
+) -> list[dict[str, Any]]:
+    """The span tracks of a run as Chrome trace events: ``X`` spans, ``M`` row labels.
+
+    ``result`` gives the model timeline (pid 0, ``tid`` = rank, capped at
+    ``max_ranks`` rows); ``recorder`` the host tracks — work leaves on pid 1
+    (``tid`` = rank) and the region tree on pid 2 (``tid`` 0).  Every ``X``
+    event of the package is built here.  Counter tracks (``C``) come from
+    :func:`repro.telemetry.export.metric_trace_events`.
+    """
+    rows: list[_Row] = []
+    labels: list[_Label] = []
+    if result is not None:
+        rows, labels = _model_rows(result, max_ranks)
+    if recorder is not None:
+        host_rows, host_labels = _host_rows(recorder)
+        rows += host_rows
+        labels += host_labels
+    events = [
+        chrome_event(name, "X", pid, args, tid=tid, start_s=start_s, dur_s=dur_s, cat=cat)
+        for pid, tid, name, cat, start_s, dur_s, args in rows
+    ]
+    events += [chrome_event("thread_name", "M", pid, {"name": label}, tid=tid) for pid, tid, label in labels]
     return events

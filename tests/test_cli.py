@@ -219,3 +219,27 @@ class TestDistance:
         main(["count", "--input", str(fastq), "-k", "15", "--out-db", str(db_a)])
         main(["count", "--input", str(fastq), "-k", "17", "--out-db", str(db_b)])
         assert main(["distance", "--db-a", str(db_a), "--db-b", str(db_b)]) == 2
+
+
+class TestBadArtefactFiles:
+    """A bad report or trace file is one ``error:`` line naming the file, with exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("report", '{"version": 1, "run": {"backend"', id="report-truncated"),
+            pytest.param("report", "[1, 2]", id="report-non-object"),
+            pytest.param("report", '{"metadata": {"schema": "repro-trace/1"}, "spans": []}', id="report-wrong-schema"),
+            pytest.param("report", '{"version": 2, "run": {}}', id="report-wrong-version"),
+            pytest.param("analyze", '{"traceEvents": [{"ph": "X"', id="analyze-truncated"),
+            pytest.param("analyze", "[1, 2]", id="analyze-non-object"),
+            pytest.param("analyze", '{"metadata": ["repro-trace/1"], "spans": []}', id="analyze-wrong-schema"),
+        ],
+    )
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        flag = "--report" if command == "report" else "--trace"
+        assert main([command, flag, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")

@@ -131,3 +131,24 @@ class TestCheckerDetects:
         proc = run_checker(root)
         assert proc.returncode == 1
         assert "kernels.py: owner of '\"gpu_kernel_launches_total\"' no longer contains it" in proc.stdout
+
+    def test_flags_second_span_renderer_and_wall_summary(self, tmp_path):
+        """Chrome ``X`` events and the busy/elapsed/overlap summary are built once, in telemetry/spans.py."""
+        root = self._tree(tmp_path, "")
+        (root / "telemetry").mkdir()
+        (root / "telemetry" / "__init__.py").write_text("")
+        owned = (  # the one renderer line and the one wall-summary line
+            'events = [chrome_event(name, "X", pid, args, tid=tid) for pid, tid, name, args in rows]\n'
+            'row = {"overlap_factor": recorder.overlap_factor(name)}\n'
+        )
+        spans = root / "telemetry" / "spans.py"
+        spans.write_text(owned)
+        assert run_checker(root).returncode == 0
+        (root / "telemetry" / "report.py").write_text('ev = chrome_event(s.name, "X", 1, {}, tid=s.rank)\n')
+        (root / "core" / "scheduler.py").write_text("gauge.set(recorder.overlap_factor())\n")
+        spans.write_text(owned + 'region = chrome_event(s.name, "X", 2, {}, tid=0)\n')
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "report.py:1: '\"X\"' is defined once, in telemetry/spans.py" in proc.stdout
+        assert "spans.py:3: '\"X\"' is defined once, in telemetry/spans.py" in proc.stdout
+        assert "scheduler.py:1: '.overlap_factor(' is defined once, in telemetry/spans.py" in proc.stdout

@@ -30,12 +30,11 @@ from repro.core.parallel import (
     substrate_kinds,
 )
 from repro.core.stages import scheduler
-from repro.core.tracing import run_trace_payload, wall_trace_events
-from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.gpu import segmented
 from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import ClusterSpec
+from repro.telemetry import SpanRecorder, run_trace_payload, trace_events
 
 from .conftest import assert_block_leaves_tile
 
@@ -364,12 +363,15 @@ class TestWallClockRecorder:
             backend="cpu",
             options=EngineOptions(parallel=2, trace=rec),
         )
-        events = wall_trace_events(rec)
-        assert any(e["ph"] == "X" for e in events)
+        events = trace_events(recorder=rec)
+        wall_rows = [e for e in events if e["pid"] == 1]
+        assert any(e["ph"] == "X" for e in wall_rows)
+        # One zero for both host tracks: the run region opens first, its leaves after it.
         assert min(e["ts"] for e in events if e["ph"] == "X") == 0.0
+        assert min(e["ts"] for e in wall_rows if e["ph"] == "X") > 0.0
         payload = run_trace_payload(rec)
         assert payload["metadata"]["wall"]["busy_seconds"] > 0
-        assert [e for e in payload["traceEvents"] if e["pid"] == 1] == events
+        assert [e for e in payload["traceEvents"] if e["pid"] == 1] == wall_rows
 
     def test_empty_recorder(self):
         rec = SpanRecorder()
@@ -377,4 +379,4 @@ class TestWallClockRecorder:
         # Neutral concurrency on an empty recorder: ratio consumers must
         # never divide by zero or see a bogus 0x overlap.
         assert rec.overlap_factor() == 1.0
-        assert wall_trace_events(rec) == []
+        assert trace_events(recorder=rec) == []

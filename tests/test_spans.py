@@ -17,29 +17,40 @@ Four contracts from the observability layer:
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import urllib.request
 from collections import Counter as Multiset
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import incremental
 from repro.core.analysis import analyze_spans, critical_path, model_phase_of, phase_stragglers
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.tracing import (
-    TRACE_SCHEMA,
-    recording_region,
-    run_trace_payload,
-    wall_trace_events,
-)
 from repro.dna.datasets import load_dataset
 from repro.gpu import segmented
 from repro.mpi.topology import ClusterSpec
-from repro.telemetry import MetricRegistry, MetricsServer
-from repro.telemetry.spans import SpanRecorder, span_payload, span_tree_events
+from repro.telemetry import (
+    TRACE_SCHEMA,
+    MetricRegistry,
+    MetricsServer,
+    SpanRecorder,
+    recording_region,
+    run_trace_payload,
+    span_payload,
+    trace_events,
+    write_run_trace,
+)
 
 from .conftest import assert_block_leaves_tile
+
+CHECK_TRACE = Path(__file__).resolve().parent.parent / "tools" / "check_trace.py"
+#: tools/check_trace.py's tolerance: rebasing one float against another.
+EPS = 1e-9
 
 pytestmark = pytest.mark.engines
 
@@ -56,6 +67,15 @@ def _cluster(p: int) -> ClusterSpec:
 def _payload_tree(rec: SpanRecorder) -> dict:
     spans = span_payload(rec)
     return {s["id"]: s for s in spans}
+
+
+def _wall_rows(rec: SpanRecorder) -> list[dict]:
+    """The pid-1 track: work leaves, one row per rank."""
+    return [e for e in trace_events(recorder=rec) if e["pid"] == 1]
+
+
+def _check_trace(path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(CHECK_TRACE), str(path)], capture_output=True, text=True)
 
 
 class TestSpanRecorder:
@@ -131,10 +151,13 @@ class TestSpanRecorder:
         rec = SpanRecorder()
         with rec.region("run", cat="run"):
             rec.record("parse", 0, 0.0, 1.0)
-        events = span_tree_events(rec)
+        events = [e for e in trace_events(recorder=rec) if e["pid"] == 2]
         names = [e["name"] for e in events if e["ph"] == "X"]
         assert names == ["run"]  # leaves render on the wall rows, not here
         assert any(e["ph"] == "M" for e in events)
+        (leaf,) = [e for e in _wall_rows(rec) if e["ph"] == "X"]
+        (run,) = [s for s in rec.all_spans() if s.cat == "run"]
+        assert leaf["args"] == {"id": run.sid + 1, "parent": run.sid}  # linked like a region
 
 
 class TestEngineOptionsTrace:
@@ -235,7 +258,7 @@ class TestWallRowsAllStrategies:
 
     def test_fused_wall_rows(self, reads):
         _, options = _run(reads, config=self.CONFIG, fused=True, trace=True)
-        names = {e["name"] for e in wall_trace_events(options.trace) if e["ph"] == "X"}
+        names = {e["name"] for e in _wall_rows(options.trace) if e["ph"] == "X"}
         assert {"fused:parse", "fused:merge"} <= names
         assert any(n.startswith("fused:exchange") for n in names)
         assert any(n.startswith("fused:count") for n in names)
@@ -243,7 +266,7 @@ class TestWallRowsAllStrategies:
     def test_spill_wall_rows(self, reads, tmp_path, monkeypatch):
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 20)  # three of the four ranks share a block
         _, options = _run(reads, config=self.CONFIG, spill_dir=tmp_path / "s", trace=True)
-        events = [e for e in wall_trace_events(options.trace) if e["ph"] == "X"]
+        events = [e for e in _wall_rows(options.trace) if e["ph"] == "X"]
         names = {e["name"] for e in events}
         assert {"spill:merge", "spill:run-write", "parse"} <= names
         assert any(n.startswith("spill:spool") for n in names)
@@ -258,7 +281,7 @@ class TestWallRowsAllStrategies:
         _, options = _run(
             reads, config=self.CONFIG, fused=True, spill_dir=tmp_path / "s", trace=True
         )
-        names = {e["name"] for e in wall_trace_events(options.trace) if e["ph"] == "X"}
+        names = {e["name"] for e in _wall_rows(options.trace) if e["ph"] == "X"}
         assert {"fused:parse", "spill:run-write", "spill:merge"} <= names  # one-shot tables dumped as runs
         assert any(n.startswith("spill:spool") for n in names)
         for name in ("spill:run-write", "spill:read-round0", "fused:count-round0", "fused:count-round1"):
@@ -273,7 +296,7 @@ class TestWallRowsAllStrategies:
 
     def test_staged_wall_rows_unchanged(self, reads):
         _, options = _run(reads, config=self.CONFIG, trace=True)
-        names = {e["name"] for e in wall_trace_events(options.trace) if e["ph"] == "X"}
+        names = {e["name"] for e in _wall_rows(options.trace) if e["ph"] == "X"}
         assert "parse" in names and "merge" in names
         assert any(n.startswith("exchange") for n in names)
         assert any(n.startswith("count") for n in names)
@@ -433,6 +456,49 @@ class TestTracePayload:
             assert records and all(r.label == region["meta"]["label"] for r in records)
             assert region["meta"]["items"] == sum(r.total_items for r in records)
 
+    @pytest.mark.parametrize("extra", [{}, {"fused": True}], ids=["staged", "fused"])
+    def test_host_tracks_share_the_span_clock(self, reads, extra):
+        """Each work leaf's pid-1 event is its ``span_payload`` interval, inside its region's pid-2 event."""
+        _, options = _run(reads, config=self.CONFIG, parallel=2, trace=True, **extra)
+        spans = _payload_tree(options.trace)
+        events = [e for e in trace_events(recorder=options.trace) if e["ph"] == "X"]
+        regions = {e["args"]["id"]: e for e in events if e["pid"] == 2}
+        leaves = [e for e in events if e["pid"] == 1]
+        assert len(leaves) == sum(s["cat"] == "work" for s in spans.values())
+        tol = EPS * 1e6
+        for ev in leaves:
+            span = spans[ev["args"]["id"]]
+            assert ev["tid"] == span["rank"]
+            assert abs(ev["ts"] - span["start_s"] * 1e6) <= tol
+            assert abs(ev["ts"] + ev["dur"] - span["end_s"] * 1e6) <= tol
+            region = regions[span["parent"]]
+            assert region["ts"] - tol <= ev["ts"]
+            assert ev["ts"] + ev["dur"] <= region["ts"] + region["dur"] + tol
+
+    def test_check_trace_rejects_a_track_off_the_span_clock(self, reads, tmp_path):
+        _, options = _run(reads, config=self.CONFIG, trace=True)
+        path = write_run_trace(tmp_path / "trace.json", options.trace)
+        assert _check_trace(path).returncode == 0
+        payload = json.loads(path.read_text())
+        for ev in payload["traceEvents"]:
+            if ev["ph"] == "X" and ev["pid"] == 1:
+                ev["ts"] -= 1.0  # one microsecond early
+        path.write_text(json.dumps(payload))
+        proc = _check_trace(path)
+        assert proc.returncode == 1 and "on another clock" in proc.stderr
+
+    def test_counter_trace_merges_no_spectrum(self, reads, tmp_path, monkeypatch):
+        counter = DistributedCounter(_cluster(4), self.CONFIG, options=EngineOptions(trace=True))
+        counter.add_reads(reads)
+        calls = []
+        merge = incremental.merge_partitions
+        monkeypatch.setattr(incremental, "merge_partitions", lambda *a, **kw: calls.append(1) or merge(*a, **kw))
+        path = write_run_trace(tmp_path / "trace.json", counter.options.trace, counter=counter)
+        assert calls == []
+        assert json.loads(path.read_text())["metadata"]["run"]["batches"] == 1
+        counter.spectrum()
+        assert calls == [1]  # the probe does see a merge
+
     def test_recording_region_glue(self):
         assert recording_region(None, "x").__enter__() is None
         rec = SpanRecorder()
@@ -519,6 +585,8 @@ class TestCliRoundTrip:
         payload = json.loads(trace.read_text())
         assert payload["metadata"]["schema"] == TRACE_SCHEMA
         assert payload["spans"]
+        checked = _check_trace(trace)
+        assert checked.returncode == 0, checked.stderr
         out_json = tmp_path / "analysis.json"
         capsys.readouterr()
         rc = main(["analyze", "--trace", str(trace), "--json", str(out_json)])

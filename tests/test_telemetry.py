@@ -17,6 +17,7 @@ end-to-end instrumentation guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
@@ -28,21 +29,22 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.sweep import sweep
-from repro.core.tracing import run_trace_payload, wall_trace_events
-from repro.telemetry.spans import SpanRecorder
 from repro.dna.datasets import load_dataset
 from repro.mpi.topology import ClusterSpec
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     MetricRegistry,
     RunReport,
+    SpanRecorder,
     active,
     configure_logging,
     event,
     json_snapshot,
     metric_trace_events,
     prometheus_text,
+    run_trace_payload,
     session,
+    trace_events,
     write_json,
     write_prometheus,
 )
@@ -505,6 +507,33 @@ class TestRunReport:
         assert "Load balance (Table III)" in text
         assert "Hash table (Fig. 7 inputs)" in text
 
+    #: sha256 of the ``run``/``phases``/``exchange``/``load``/``gpu`` sections
+    #: (``json.dumps(sort_keys=True)``) of the two fixed runs below, taken when
+    #: ``from_result`` and ``from_counter`` still built every section apart.
+    SECTION_DIGESTS = {
+        "one-shot": "ae884279581762a64722b2c79bb6da21b3fd8264705bfd01ed6605323c29f612",
+        "counter": "c41b24001311eabd16f672eb95e4af85d9b17582e62a8af56830e670f5a37e7a",
+    }
+
+    @pytest.mark.parametrize("kind", ["one-shot", "counter"])
+    def test_shared_sections_are_pinned_and_feed_the_trace(self, reads, kind):
+        if kind == "one-shot":
+            source = run_pipeline(reads, _cluster(4), PipelineConfig(k=17, mode="supermer"))
+            report = RunReport.from_result(source)
+            meta = run_trace_payload(None, result=source)["metadata"]
+        else:
+            source = DistributedCounter(_cluster(4), PipelineConfig(k=17))
+            for batch in reads.shard(2):
+                source.add_reads(batch)
+            report = RunReport.from_counter(source)
+            meta = run_trace_payload(None, counter=source)["metadata"]
+        sections = {name: getattr(report, name) for name in ("run", "phases", "exchange", "load", "gpu")}
+        digest = hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
+        assert digest == self.SECTION_DIGESTS[kind]
+        # The trace carries the report's own sections, not a second copy of run identity.
+        assert meta["run"] == {k: v for k, v in report.run.items() if k != "distinct_kmers"}
+        assert meta["phases"] and all(report.phases[k] == v for k, v in meta["phases"].items())
+
     def test_from_counter(self, reads):
         reg = MetricRegistry()
         counter = DistributedCounter(
@@ -599,7 +628,7 @@ class TestEmptyRecorder:
         assert SpanRecorder().overlap_factor() == 1.0
 
     def test_wall_trace_events_empty(self):
-        assert wall_trace_events(SpanRecorder()) == []
+        assert trace_events(recorder=SpanRecorder()) == []
 
     def test_zero_length_spans_stay_neutral(self):
         rec = SpanRecorder()

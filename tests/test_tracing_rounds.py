@@ -8,10 +8,10 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
-from repro.core.tracing import trace_events, write_run_trace
-from repro.machines import v100
 from repro.kmers.spectrum import count_kmers_exact
+from repro.machines import v100
 from repro.mpi.topology import summit_gpu
+from repro.telemetry import trace_events, write_run_trace
 
 
 @pytest.fixture(scope="module")

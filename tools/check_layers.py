@@ -26,9 +26,11 @@ constructor, the exchange-outcome assembly, the parse and count bodies'
 per-rank charges, the merges' equal-key aggregation, the host working
 set per received item, the table's insert probe loop, its slot dump,
 the segment gather index, the engine's one table birth, the pair sort
-(its packed word and its argsort fallback) and the owner reduction
-``hash mod P`` may each appear in their owning file only, so neither
-the scheduler nor the spool can regrow a private copy.
+(its packed word and its argsort fallback), the owner reduction
+``hash mod P``, the one renderer of Chrome span (``X``) events and the
+one wall summary (busy / elapsed / overlap) may each appear in their
+owning file only, so neither the scheduler nor the spool nor a report
+can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -79,6 +81,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
     ("np.argsort(keys)", "", "gpu/hashtable.py", True),
     ("h -= h // p * p", "", "hashing/partition.py", True),
+    ('"X"', "", "telemetry/spans.py", True),
+    (".overlap_factor(", "", "telemetry/spans.py", True),
 ]
 
 

@@ -9,7 +9,10 @@ Default mode — structural schema check of a ``repro-trace/1`` JSON file
 * every Chrome trace event is well-formed for its ``ph`` type;
 * every span has the payload fields, a known category, a resolvable
   parent, and an interval nested inside its parent's interval;
-* exactly one root region (the run/batch tree is connected).
+* exactly one root region (the run/batch tree is connected);
+* every span has one ``X`` event on the host tracks, matched through its
+  ``args.id``, that covers exactly the span's interval and nests inside
+  its parent span's event — the host tracks share the spans' clock.
 
 ``--live`` mode spawns ``repro count --metrics-port 0 --metrics-hold N``
 with the given extra arguments, parses the advertised URL from its
@@ -39,6 +42,7 @@ SPAN_CATEGORIES = ("run", "batch", "round", "stage", "work")
 #: Clock-rebasing subtracts one float from another, which can shift a
 #: child endpoint past its parent's by at most one ulp-scale error.
 EPS = 1e-9
+_US = 1e6  # trace-event timestamps are microseconds
 
 
 def _check_event(ev: object, i: int, errors: list[str]) -> None:
@@ -108,6 +112,40 @@ def _check_spans(spans: list, errors: list[str]) -> None:
         errors.append(f"expected exactly 1 root span, found {roots}")
 
 
+def _check_span_events(events: list, spans: list, errors: list[str]) -> None:
+    by_id = {s.get("id"): s for s in spans if isinstance(s, dict)}
+    placed: dict[object, tuple[int, float, float]] = {}  # span id -> (event index, start_s, end_s)
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict) or ev.get("ph") != "X":
+            continue
+        args = ev.get("args")
+        sid = args.get("id") if isinstance(args, dict) else None
+        ts, dur = ev.get("ts"), ev.get("dur")
+        if sid is None or not (isinstance(ts, (int, float)) and isinstance(dur, (int, float))):
+            continue
+        span = by_id.get(sid)
+        if span is None:
+            errors.append(f"traceEvents[{i}]: args.id {sid!r} names no span")
+            continue
+        start, end = ts / _US, (ts + dur) / _US
+        if abs(start - span.get("start_s", 0)) > EPS or abs(end - span.get("end_s", 0)) > EPS:
+            errors.append(
+                f"traceEvents[{i}] ({ev.get('name')!r}): [{start}, {end}] s is off span {sid}'s "
+                f"[{span.get('start_s')}, {span.get('end_s')}] — the track is on another clock"
+            )
+        placed[sid] = (i, start, end)
+    unplaced = [sid for sid in by_id if sid not in placed]
+    if unplaced:
+        errors.append(f"{len(unplaced)} span(s) have no X event carrying their id, e.g. {unplaced[:3]}")
+    for sid, (i, start, end) in placed.items():
+        parent = placed.get(by_id[sid].get("parent"))
+        if parent is not None and (start < parent[1] - EPS or end > parent[2] + EPS):
+            errors.append(
+                f"traceEvents[{i}]: span {sid}'s event [{start}, {end}] s escapes its parent's "
+                f"event traceEvents[{parent[0]}] [{parent[1]}, {parent[2]}]"
+            )
+
+
 def check_trace(path: Path, *, allow_empty_spans: bool = False) -> list[str]:
     errors: list[str] = []
     try:
@@ -143,6 +181,8 @@ def check_trace(path: Path, *, allow_empty_spans: bool = False) -> list[str]:
         errors.append("spans: empty — was the run traced? (repro count --trace)")
     else:
         _check_spans(spans, errors)
+        if isinstance(events, list):
+            _check_span_events(events, spans, errors)
     return [f"{path}: {e}" for e in errors]
 
 
