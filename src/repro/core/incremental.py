@@ -148,7 +148,7 @@ class DistributedCounter:
 
     def spectrum(self) -> KmerSpectrum:
         """The current merged global histogram."""
-        return merge_partitions(self._composition.merge, self.tables, self.config.k)
+        return merge_partitions(self.tables, self.config.k, self._composition.plugins)
 
     def load_stats(self) -> LoadStats:
         return LoadStats.from_loads(self.received_kmers)

@@ -1,28 +1,20 @@
 """Composable stage graph: the execution core of every pipeline rendering.
 
-The package splits the distributed counting pipeline into five swappable
-stages — parse, partition, exchange, count, merge — with typed buffers
-between them (:mod:`.buffers`), structural protocols per stage kind
+The package splits the distributed counting pipeline into three swappable
+stages — parse, partition, count — with typed buffers between them
+(:mod:`.buffers`), structural protocols per stage kind
 (:mod:`.protocols`), the paper's implementations (:mod:`.standard`), a
 backend/extension registry (:mod:`.registry`), and the single round
 driver that owns the memory-bounded execution loop (:mod:`.scheduler`)
-over one data layout (its exchange fused or through the exchange stage)
-and a receive-buffer residency (RAM | spool, :mod:`.spill`).
-See ``docs/ARCHITECTURE.md`` for the full picture and the recipe for
-registering custom stages.
+over one data layout (its exchange fused or not) and a receive-buffer
+residency (RAM | spool, :mod:`.spill`), which owns the exchange and the
+merge.  See ``docs/ARCHITECTURE.md`` for the full picture and the
+recipe for registering custom stages.
 """
 
 from .buffers import ExchangeOutcome, ParsedItems
 from .context import EngineOptions, StageContext
-from .protocols import (
-    CountStage,
-    ExchangeStage,
-    MergeStage,
-    ParseStage,
-    PartitionStage,
-    PipelinePlugin,
-    Substrate,
-)
+from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
 from .registry import (
     StageComposition,
     build_composition,
@@ -35,8 +27,8 @@ from .registry import (
     resolve_stage,
     substrate_names,
 )
-from .scheduler import PipelineState, RoundScheduler, supports_fusion
-from .spill import SpillExchange, SpillSpool, external_merge, supports_spill
+from .scheduler import PipelineState, RoundScheduler
+from .spill import SpillExchange, SpillSpool, external_merge
 from .spmd import staged_rank_program
 
 __all__ = [
@@ -46,9 +38,7 @@ __all__ = [
     "StageContext",
     "ParseStage",
     "PartitionStage",
-    "ExchangeStage",
     "CountStage",
-    "MergeStage",
     "Substrate",
     "PipelinePlugin",
     "StageComposition",
@@ -64,9 +54,7 @@ __all__ = [
     "PipelineState",
     "RoundScheduler",
     "staged_rank_program",
-    "supports_fusion",
     "SpillExchange",
     "SpillSpool",
     "external_merge",
-    "supports_spill",
 ]

@@ -122,7 +122,7 @@ class ParseSummary:
 class ExchangeOutcome:
     """All ranks' received buffers plus the exchange-phase time breakdown.
 
-    An exchange stage receives one array per rank; a fused exchange
+    A staged exchange receives one array per rank; a fused exchange
     receives a single rank-segmented array (``recv_data``/``recv_lengths``
     are then plain arrays) with ``recv_offsets`` marking the p+1 segment
     boundaries.

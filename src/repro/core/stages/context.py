@@ -73,9 +73,8 @@ class EngineOptions:
     # resolved through repro.core.stages.registry when the composition is built.
     stages: tuple[str, ...] = ()
     # Fused exchange (repro.core.stages.scheduler.Layout): every exchange
-    # gathers straight out of the one send array instead of through the
-    # exchange stage's per-source buffers.  Results are bit-identical; a
-    # custom exchange stage falls back to its per-source buffers.
+    # gathers straight out of the one send array instead of taking
+    # per-source views of it.  Results are bit-identical.
     fused: bool = False
     # Scratch-buffer pool for parse blocks and spool buffers, shared across
     # runs/sweep cells; None lets the scheduler create a private one.

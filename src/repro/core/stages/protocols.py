@@ -1,11 +1,14 @@
 """Stage protocols and the extension-plugin base class.
 
 The pipeline is a fixed-shape graph — parse → partition → exchange →
-count → merge — whose nodes are swappable.  Each node kind has a protocol
-here; :mod:`repro.core.stages.standard` provides the paper's
-implementations, and :mod:`repro.ext.stages` provides extensions (Bloom
-singleton pre-filter, frequency-balanced minimizer partitioning) that the
-registry plugs into the same seams.
+count → merge.  Parse, partition and count are swappable stages, each
+with a protocol here; the exchange and the merge belong to the
+residency (:mod:`repro.core.stages.spill`), as the paper's one ALLTOALLV
+per round and its fold of disjoint partitions.
+:mod:`repro.core.stages.standard` provides the paper's stages, and
+:mod:`repro.ext.stages` provides extensions (Bloom singleton pre-filter,
+frequency-balanced minimizer partitioning) that the registry plugs into
+the plugin seams.
 
 Protocols are :class:`typing.Protocol` classes (structural): any object
 with the right methods participates, no inheritance required.  Plugins,
@@ -23,10 +26,9 @@ from ...dna.reads import ReadSet
 from ...gpu.costmodel import TrafficEstimate
 from ...gpu.hashtable import InsertStats
 from ...gpu.segmented import SegmentedHashTable
-from ...kmers.spectrum import KmerSpectrum
 from ...mpi.topology import ClusterSpec
 from ..config import PipelineConfig
-from .buffers import ExchangeOutcome, ParsedItems
+from .buffers import ParsedItems
 
 if TYPE_CHECKING:
     from .context import EngineOptions, StageContext
@@ -34,9 +36,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ParseStage",
     "PartitionStage",
-    "ExchangeStage",
     "CountStage",
-    "MergeStage",
     "Substrate",
     "PipelinePlugin",
 ]
@@ -82,20 +82,6 @@ class PartitionStage(Protocol):
 
 
 @runtime_checkable
-class ExchangeStage(Protocol):
-    """Move all ranks' destination-ordered buffers, with cost accounting."""
-
-    def exchange(
-        self,
-        send_data: list[np.ndarray],
-        send_lengths: list[np.ndarray] | None,
-        send_counts: list[np.ndarray],
-        label: str,
-        ctx: "StageContext",
-    ) -> ExchangeOutcome: ...
-
-
-@runtime_checkable
 class CountStage(Protocol):
     """Count a block of consecutive ranks' received buffers into their table."""
 
@@ -118,15 +104,6 @@ class CountStage(Protocol):
         filters the stream (e.g. the Bloom pre-filter drops first
         occurrences).
         """
-        ...
-
-
-@runtime_checkable
-class MergeStage(Protocol):
-    """Fold the table partitions' ``(values, counts)`` pairs into the global spectrum."""
-
-    def merge_items(self, pairs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum:
-        """Pairs in any order (a block table's occupied slots, a rank's items) -> the sorted spectrum."""
         ...
 
 
@@ -174,7 +151,10 @@ class PipelinePlugin:
     k-mer stream at the destination before insertion, and/or (c) adjust
     per-table ``(values, counts)`` pairs at merge time.  A plugin that
     removes k-mers from the final spectrum must set ``alters_spectrum`` so
-    the scheduler skips its parse-vs-counted conservation check.
+    the scheduler skips its parse-vs-counted conservation check.  A plugin
+    that overrides ``filter_received`` is *stateful*: its filter's side
+    effects must stay in the driving process, so a process pool runs its
+    compositions on threads.
     """
 
     name: str = "plugin"

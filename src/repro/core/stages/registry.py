@@ -22,23 +22,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..config import PipelineConfig
-from .protocols import (
-    CountStage,
-    ExchangeStage,
-    MergeStage,
-    ParseStage,
-    PartitionStage,
-    PipelinePlugin,
-    Substrate,
-)
+from .protocols import CountStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
 from .standard import (
-    AlltoallvExchange,
     CpuSubstrate,
     GpuSubstrate,
     KmerHashPartition,
     KmerParse,
     MinimizerHashPartition,
-    SpectrumMerge,
     SupermerParse,
     TableCount,
 )
@@ -63,16 +53,14 @@ __all__ = [
 
 @dataclass
 class StageComposition:
-    """A fully-resolved pipeline: one concrete stage per graph node."""
+    """A fully-resolved pipeline: three stages, a substrate and the plugins (the residency exchanges and merges)."""
 
     key: str  # registry key this resolved from ("gpu:supermer", ...)
     backend: str  # substrate name ("gpu" or "cpu")
     mode: str  # transport mode ("kmer" or "supermer")
     parse: ParseStage
     partition: PartitionStage
-    exchange: ExchangeStage
     count: CountStage
-    merge: MergeStage
     substrate: Substrate
     plugins: tuple[PipelinePlugin, ...] = ()
     # False when a plugin drops k-mers from the spectrum (e.g. the Bloom
@@ -224,7 +212,6 @@ def build_composition(
     comp.partition = partition
     comp.plugins = plugins
     comp.count = TableCount(plugins)
-    comp.merge = SpectrumMerge(plugins)
     comp.conserves_kmers = all(not p.alters_spectrum for p in plugins)
     return comp
 
@@ -246,9 +233,7 @@ def _standard(substrate: Substrate, mode: str, key: str) -> _CompositionFactory:
             mode=mode,
             parse=parse,
             partition=partition,
-            exchange=AlltoallvExchange(),
             count=TableCount(),
-            merge=SpectrumMerge(),
             substrate=substrate,
         )
 

@@ -25,11 +25,12 @@ into one send array, a round is one gather of it, and blocks of ranks
 count into block-local segmented tables, all on the rank pool.  The four
 strategies (``staged``, ``fused``, ``spill``, ``fused-spill``) are the
 2×2 of two switches on it: whether the exchange takes per-source views
-of the send array through the exchange stage or — ``fused`` — gathers
-straight out of it into one receive array, and the *residency* of the
-receive side (:class:`~repro.core.stages.spill.Resident` |
-:class:`~repro.core.stages.spill.Spooled`).  :class:`RoundAccounting` is
-the one place their outcomes are summed.
+of the send array or — ``fused`` — gathers straight out of it into one
+receive array, and the *residency* of the receive side
+(:class:`~repro.core.stages.spill.Resident` |
+:class:`~repro.core.stages.spill.Spooled`), which owns the exchange and
+the merge.  :class:`RoundAccounting` is the one place their outcomes are
+summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
 the persistent per-rank tables and accounting across batches, and its
@@ -64,12 +65,12 @@ from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from .buffers import ExchangeOutcome, ParseSummary, SendArray, round_split
 from .context import EngineOptions, StageContext
-from .protocols import Substrate
+from .protocols import PipelinePlugin, Substrate
 from .registry import StageComposition
-from .spill import Resident, Spooled, block_table, supports_spill
-from .standard import AlltoallvExchange, parse_block
+from .spill import Resident, Spooled, block_table
+from .standard import parse_block
 
-__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "Layout", "Strategy", "supports_fusion"]
+__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "Layout", "Strategy"]
 
 #: The one checkpoint format (see :class:`PipelineState`); files of any
 #: other version are rejected by :meth:`PipelineState.load`.
@@ -463,16 +464,6 @@ class RoundAccounting:
 PARSE_BLOCK_BASES = 1 << 15
 
 
-def supports_fusion(comp: StageComposition) -> bool:
-    """Whether a fused exchange can replace the composition's exchange stage.
-
-    A fused exchange gathers straight out of the one send array; a custom
-    exchange stage is an unknown class that must see its per-source
-    buffers.  Every other stage, and every plugin, is indifferent.
-    """
-    return type(comp.exchange) is AlltoallvExchange
-
-
 class Layout:
     """The one data layout: blocks of whole shards parse into one send array.
 
@@ -482,7 +473,8 @@ class Layout:
     The exchange takes per-source views of it — or, ``fused``, the array
     itself, gathered straight into one receive array (:meth:`exchange_form`;
     the resident and the spooled exchange both take either), and the work
-    leaves are named ``fused:*``.  The tables are the residency's.
+    leaves are named ``fused:*``.  The exchange and the tables are the
+    residency's.
     """
 
     def __init__(
@@ -497,11 +489,12 @@ class Layout:
     def pool(self) -> RankPool:
         """The substrate the parse, count and stream blocks run on.
 
-        Stateful count/merge plugins (e.g. the bloom prefilter, whose
-        filter state mutates inside the count closures and is read again
-        at merge time) need their side effects in the driving process, so
-        a process substrate becomes an equally wide thread pool (announced
-        by ``resolve_strategy``).  Results are bit-identical either way.
+        Stateful plugins (those overriding ``filter_received``, e.g. the
+        bloom prefilter, whose filter state mutates inside the count
+        closures and is read again at merge time) need their side effects
+        in the driving process, so a process substrate becomes an equally
+        wide thread pool (announced by ``resolve_strategy``).  Results are
+        bit-identical either way.
         """
         pool = get_pool(self.sched.opts.parallel)
         if self.in_process_only and not pool.in_process:
@@ -635,41 +628,29 @@ class RoundScheduler:
     def resolve_strategy(self) -> Strategy:
         """The fused × residency cell ``self.opts`` selects for this composition.
 
-        Resolved once per options object — assigning ``scheduler.opts``
-        re-resolves on the next drive, nothing else needs resetting — so
-        each fallback below is announced once.  Every rung is an event,
-        never an error, because results are identical on every path:
-
-        1. ``spill_dir`` over a custom exchange/merge stage counts in
-           memory (``engine.spill.fallback``): the spooled residency
-           substitutes both, so they must be the standard classes.
-        2. ``fused`` over a custom exchange stage exchanges through it
-           (``engine.fused.fallback``): a fused exchange replaces the
-           standard one (:func:`supports_fusion`).  Plugins are fine on
-           both rungs — they act through the standard seams.
-        3. A process pool with stateful plugins becomes a thread pool
-           (``engine.process.fallback``, see :meth:`Layout.pool`).
-
-        ``table_dir`` is no rung: it backs the tables of every cell.
+        ``fused`` and ``spill_dir`` select the cell as asked, whatever the
+        composition.  Resolved once per options object — assigning
+        ``scheduler.opts`` re-resolves on the next drive, nothing else
+        needs resetting — so the one fallback is announced once: a process
+        pool over a stateful plugin (one that overrides
+        ``filter_received``) becomes a thread pool
+        (``engine.process.fallback``, see :meth:`Layout.pool`), an event,
+        never an error, because results are identical on both.
         """
         opts, comp = self.opts, self.comp
         if self._strategy is not None and self._strategy.opts is opts:
             return self._strategy
-
-        def fallback(knob: str, reason: str) -> None:
-            event(f"engine.{knob}.fallback", subsystem="engine", backend=comp.backend, reason=reason)
-
-        spooled = opts.spill_dir is not None
-        if spooled and not supports_spill(comp):
-            fallback("spill", "composition has custom exchange/merge stages; counting in memory")
-            spooled = False
-        fused = bool(opts.fused)
-        if fused and not supports_fusion(comp):
-            fallback("fused", "composition has a custom exchange stage; exchanging through it")
-            fused = False
-        stateful = bool(getattr(comp.count, "plugins", ()) or getattr(comp.merge, "plugins", ()))
+        spooled, fused = opts.spill_dir is not None, bool(opts.fused)
+        stateful = any(
+            type(plugin).filter_received is not PipelinePlugin.filter_received for plugin in comp.plugins
+        )
         if stateful and not get_pool(opts.parallel).in_process:
-            fallback("process", "composition has stateful plugins; using the thread substrate")
+            event(
+                "engine.process.fallback",
+                subsystem="engine",
+                backend=comp.backend,
+                reason="composition has stateful plugins; using the thread substrate",
+            )
         arena = opts.arena if opts.arena is not None else ScratchArena()
         self._strategy = Strategy(
             name=_STRATEGY_NAMES[fused, spooled],
@@ -760,7 +741,8 @@ class RoundScheduler:
         gauges + the :class:`CountResult`.  What differs between
         strategies is behind two objects (:meth:`resolve_strategy`): the
         *layout* (one class) hands the exchange its send form, fused or
-        not, and the *residency* hides where receive buffers live.  A
+        not, and the *residency* exchanges, merges and hides where receive
+        buffers live.  A
         resident exchange is counted inside its round; a spooled one defers
         the count until every round is on disk and the send buffers are
         dropped (Gerbil's two phases), which is the only shape difference

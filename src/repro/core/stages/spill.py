@@ -1,4 +1,4 @@
-"""The residency axis of the round driver: receive buffers in RAM or on disk, and their tables.
+"""The residency axis of the round driver: the exchange, receive buffers in RAM or on disk, their tables and the merge.
 
 Held entirely in RAM, a run keeps the parsed send buffers, every rank's
 received buffer, and all P hash-table partitions live simultaneously,
@@ -8,15 +8,14 @@ minimizer-keyed temporary partition files, phase two counts one partition
 at a time.  We already partition by minimizer shard, so this module adds
 the missing pieces:
 
-* :class:`SpillExchange` — a sibling of
-  :class:`~repro.core.stages.standard.AlltoallvExchange` that appends each
-  round's receive side — every destination's partition in rank order — to
-  one segment file per exchange label in a spool directory, instead of
-  materializing in-memory receive buffers.  Byte/item traffic accounting
-  and the modeled exchange time are computed through the identical code
-  paths, so every model observable matches the in-memory exchange bit for
-  bit; the returned receive "buffers" are read-only views of one memory
-  map of that file.
+* :class:`SpillExchange` — the on-disk twin of :meth:`Resident.exchange`
+  that appends each round's receive side — every destination's partition
+  in rank order — to one segment file per exchange label in a spool
+  directory, instead of materializing in-memory receive buffers.
+  Byte/item traffic accounting and the modeled exchange time are computed
+  through the identical code paths, so every model observable matches the
+  in-memory exchange bit for bit; the returned receive "buffers" are
+  read-only views of one memory map of that file.
 
 * :class:`SpillSpool` — the spool directory: one append-only segment file
   per label (plus a ``.lens`` twin in supermer mode) with an in-memory
@@ -25,9 +24,10 @@ the missing pieces:
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
-  chooses between: the layout's own in-memory exchange, or every round
-  spooled first and the count phase streamed back from disk a table block
-  at a time (see :class:`Spooled` for what stays resident).  Both
+  chooses between: the in-memory exchange (the paper's one ALLTOALLV per
+  round) and the in-memory merge, or every round spooled first, the count
+  phase streamed back from disk a table block at a time and the runs
+  merged externally (see :class:`Spooled` for what stays resident).  Both
   count into the one kind of table, born here (:func:`block_table`): a
   block-local :class:`~repro.gpu.segmented.SegmentedHashTable` per rank
   block, whatever the layout, backed by ``table_dir`` when it is set.
@@ -46,9 +46,7 @@ Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the resident
 path's (``tests/test_spill.py`` enforces it, and ``TestModelCellsGolden``
 replays the full-scale figure cells through it).  Only ``wall=True``
-telemetry families (``spill_*``) differ.  Compositions with custom
-exchange/merge stages fall back to the resident path with an
-``engine.spill.fallback`` event, never an error.
+telemetry families (``spill_*``) differ.
 """
 
 from __future__ import annotations
@@ -67,12 +65,17 @@ import numpy as np
 from ...gpu.hashtable import SegmentedRankView, sort_pairs
 from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.collectives import account_alltoallv, segment_blocks, send_counts_matrix
+from ...mpi.collectives import (
+    account_alltoallv,
+    alltoallv_flat,
+    alltoallv_segments,
+    segment_blocks,
+    send_counts_matrix,
+)
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, joined
-from .registry import StageComposition
-from .standard import AlltoallvExchange, SpectrumMerge, exchange_outcome, merge_counts, merge_partitions
+from .standard import exchange_outcome, merge_counts, merge_partitions
 
 __all__ = [
     "Resident",
@@ -81,7 +84,6 @@ __all__ = [
     "Spooled",
     "block_table",
     "external_merge",
-    "supports_spill",
 ]
 
 #: Keys loaded from each sorted run per refill during the external merge.
@@ -98,19 +100,6 @@ def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHas
     :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots`).
     """
     return SegmentedHashTable(hints, seed=seed, table_dir=table_dir)
-
-
-def supports_spill(comp: StageComposition) -> bool:
-    """Whether the composition can run out of core.
-
-    The spill path substitutes the exchange (partition files for receive
-    buffers) and the merge (external k-way merge for the in-memory
-    sort), so both must be the standard classes whose semantics
-    it reproduces.  Parse, partition, count, and substrate are driven
-    through their ordinary seams and may be anything; plugins act through
-    the standard hooks, which the spill path honours.
-    """
-    return type(comp.exchange) is AlltoallvExchange and type(comp.merge) is SpectrumMerge
 
 
 def _spill_counter(name: str, desc: str, amount: int) -> None:
@@ -450,7 +439,7 @@ class SpillSpool:
 class SpillExchange:
     """Counts alltoall + payload "alltoallv" onto disk partitions.
 
-    Accounting twin of :class:`AlltoallvExchange`: the byte/item traffic
+    Accounting twin of :meth:`Resident.exchange`: the byte/item traffic
     record, the collective-layer telemetry counters, the end-to-end
     checksum verification, and the modeled phase time all come from the
     functions the in-memory exchange calls.  Only the data
@@ -542,8 +531,8 @@ def external_merge(
     instance of a key ``<= bound`` is already loaded, because each run's
     unloaded keys exceed its last-loaded key.  Chunks are aggregated by
     :func:`~repro.core.stages.standard.merge_counts`, as the in-memory
-    :class:`SpectrumMerge` is, so the concatenated chunk outputs equal
-    the whole-array merge exactly.
+    :func:`~repro.core.stages.standard.merge_items` is, so the
+    concatenated chunk outputs equal the whole-array merge exactly.
     """
     # per run: [keys, counts, lo, head_keys, head_counts, hp, generation]
     cursors = []
@@ -612,7 +601,7 @@ def external_merge(
 def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
     """Ranks ``[r0, r1)``'s received items back to back: ``(recv, lengths, offsets)``.
 
-    Slices of a fused exchange's one receive array; an exchange stage's
+    Slices of a fused exchange's one receive array; a staged exchange's
     per-destination buffers are joined (one rank's as it is).
     """
     recv, lengths, offs = outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets
@@ -625,7 +614,7 @@ def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
 
 
 class Resident:
-    """Residency in RAM: the exchange in memory, counted round by round.
+    """Residency in RAM: the exchange in memory, counted round by round, merged in memory.
 
     The receive buffers of one round are live arrays, so the driver counts
     them inside the round and the next round overwrites them: block-local
@@ -644,7 +633,35 @@ class Resident:
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
 
     def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
-        return self.sched.comp.exchange.exchange(*self.layout.exchange_form(round_send), label, sctx)
+        """Counts alltoall + payload alltoallv of one round, with exact accounting.
+
+        Moves the data (real reshuffle through the collective layer),
+        checks end-to-end checksums, and models the phase time
+        (:func:`~repro.core.stages.standard.exchange_outcome`).  The send
+        side is :meth:`Layout.exchange_form`'s per-source views with their
+        per-destination counts — or, fused, the one src-major send array
+        with its ``(P, P)`` counts matrix, gathered straight into one
+        receive array (:func:`~repro.mpi.collectives.alltoallv_flat`).
+        """
+        send_data, send_lengths, send_counts = self.layout.exchange_form(round_send)
+        wire = sctx.wire_bytes
+        if isinstance(send_data, np.ndarray):
+            recv, recv_offsets = alltoallv_flat(
+                send_data, send_counts, stats=sctx.stats, label=label, bytes_per_item=wire
+            )
+            recv_lens = None if send_lengths is None else alltoallv_flat(send_lengths, send_counts)[0]
+            return exchange_outcome(
+                send_data, recv, recv_lens, send_counts, label, sctx, recv_offsets=recv_offsets
+            )
+        recv_data, counts_matrix = alltoallv_segments(
+            send_data, send_counts, stats=sctx.stats, label=label, bytes_per_item=wire, pool=sctx.pool
+        )
+        recv_lengths = None
+        if send_lengths is not None:
+            recv_lengths, _ = alltoallv_segments(
+                send_lengths, send_counts, stats=None, pool=sctx.pool  # bytes counted in `wire`
+            )
+        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, sctx)
 
     def born(self, hints) -> SegmentedHashTable:
         """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
@@ -718,7 +735,7 @@ class Resident:
 
     def merge(self, tables: list[SegmentedRankView]) -> tuple[str, KmerSpectrum]:
         """``(work-leaf name, spectrum)`` of the one-shot merge: the rule a streamed state merges by too."""
-        spectrum = merge_partitions(self.sched.comp.merge, tables, self.sched.config.k)
+        spectrum = merge_partitions(tables, self.sched.config.k, self.sched.comp.plugins)
         return self.layout.prefix + "merge", spectrum
 
     def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
@@ -850,7 +867,7 @@ class Spooled(Resident):
         runs = []
         for i in range(table.n_ranks):
             values, counts = table.items_of(i)
-            for plugin in self.sched.comp.merge.plugins:
+            for plugin in self.sched.comp.plugins:
                 values, counts = plugin.adjust_merge_items(values, counts)
             if values.size > 1 and not np.all(values[1:] > values[:-1]):
                 values, counts = sort_pairs(values, counts)

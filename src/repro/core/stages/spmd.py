@@ -1,12 +1,14 @@
 """The SPMD rendering of a stage composition: one rank program, real comms.
 
 The BSP scheduler (:mod:`repro.core.stages.scheduler`) simulates all ranks
-in one process; this module renders the *same stages* as an MPI-style
-per-rank program for :class:`repro.mpi.ThreadedWorld`.  The algorithmic
-bodies — extraction, partitioning, destination-side counting, merging —
-are the exact stage objects the scheduler uses, so there is a single copy
-of each phase in the codebase and the two renderings stay bit-identical
-by construction (the golden suite checks anyway).
+in one process; this module renders the *same stage objects* as an
+MPI-style per-rank program for :class:`repro.mpi.ThreadedWorld`: the
+parse and partition stages' ``extract`` and ``owners``, the count stage's
+``extract_kmers``, the plugins' filter, and the one merge
+(:func:`~repro.core.stages.standard.merge_items`).  It shares those
+objects, not the phase bodies: a rank routes its items with boolean
+masks and counts them through ``insert_batch``, so the two renderings
+agree because the golden suite pins both, not by construction.
 
 SPMD programs are correctness-only: no cost model, no telemetry.  Model
 timing lives in the scheduler.
@@ -21,25 +23,17 @@ from ...gpu.hashtable import DeviceHashTable
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.comm import Comm
 from ..config import PipelineConfig
-from .protocols import MergeStage, ParseStage, PartitionStage
 from .registry import StageComposition
 from .standard import (
     KmerHashPartition,
     KmerParse,
     MinimizerHashPartition,
-    SpectrumMerge,
     SupermerParse,
     TableCount,
+    merge_items,
 )
 
-__all__ = ["staged_rank_program", "spmd_stages"]
-
-
-def spmd_stages(config: PipelineConfig) -> tuple[ParseStage, PartitionStage, TableCount, MergeStage]:
-    """The default stage set for an SPMD rank at this config's mode."""
-    if config.mode == "kmer":
-        return KmerParse(), KmerHashPartition(), TableCount(), SpectrumMerge()
-    return SupermerParse(), MinimizerHashPartition(), TableCount(), SpectrumMerge()
+__all__ = ["staged_rank_program"]
 
 
 def staged_rank_program(
@@ -50,17 +44,19 @@ def staged_rank_program(
 ) -> KmerSpectrum | None:
     """One rank of the staged pipeline: parse -> route -> alltoallv -> count.
 
-    Reads like Algorithm 1 / Algorithm 2 but every phase body is a shared
-    stage object.  Pass a :class:`StageComposition` (e.g. from
+    Reads like Algorithm 1 / Algorithm 2, calling the shared stage objects
+    and the one merge.  Pass a :class:`StageComposition` (e.g. from
     :func:`repro.core.stages.registry.build_composition`) to run extension
     stages; the default is the paper's pipeline for ``config.mode``.
     Returns the merged global spectrum on rank 0, ``None`` elsewhere.
     """
     if composition is not None:
         parse, partition = composition.parse, composition.partition
-        count, merge = composition.count, composition.merge
+        count, plugins = composition.count, composition.plugins
+    elif config.mode == "kmer":
+        parse, partition, count, plugins = KmerParse(), KmerHashPartition(), TableCount(), ()
     else:
-        parse, partition, count, merge = spmd_stages(config)
+        parse, partition, count, plugins = SupermerParse(), MinimizerHashPartition(), TableCount(), ()
 
     # PARSE: every rank extracts wire items from its own shard.
     items = parse.extract(shard, config)
@@ -81,9 +77,8 @@ def staged_rank_program(
     for i, buf in enumerate(received):
         lens = recv_lengths[i] if recv_lengths is not None else None
         kmers = count.extract_kmers(buf, lens, config)
-        if isinstance(count, TableCount):
-            for plugin in count.plugins:
-                kmers = plugin.filter_received(comm.rank, kmers)
+        for plugin in plugins:
+            kmers = plugin.filter_received(comm.rank, kmers)
         if kmers.size:
             table.insert_batch(kmers)
 
@@ -92,4 +87,4 @@ def staged_rank_program(
     gathered = comm.gather((values, counts), root=0)
     if comm.rank != 0:
         return None
-    return merge.merge_items(list(gathered), config.k)
+    return merge_items(list(gathered), config.k, plugins)

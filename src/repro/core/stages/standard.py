@@ -1,26 +1,24 @@
-"""The paper's stage implementations, shared by every execution engine.
-
-These are the algorithmic bodies that used to live inline in
-``repro.core.engine`` (BSP) and ``repro.core.spmd`` (threaded SPMD),
-factored so each exists exactly once:
+"""The paper's stages and the phase bodies every strategy runs.
 
 * :class:`KmerParse` / :class:`SupermerParse` — Algorithm 1's PARSEKMER
-  and Algorithm 2's windowed supermer construction;
+  and Algorithm 2's windowed supermer construction, run over a block of
+  whole shards by the one parse body, :func:`parse_block`;
 * :class:`KmerHashPartition` / :class:`MinimizerHashPartition` — the
   hash partitioners (the latter accepts an explicit minimizer→rank
   assignment, the seam the balanced-partitioning extension plugs into);
-* :class:`AlltoallvExchange` — the counts-alltoall + payload-alltoallv
-  exchange with exact byte accounting, checksum verification, and the
-  Summit-calibrated time model;
+* :func:`exchange_outcome` — the tail of every exchange (checksum
+  verification, the Summit-calibrated time model, the outcome); the
+  exchanges themselves belong to the residencies
+  (:mod:`repro.core.stages.spill`);
 * :class:`TableCount` — destination-side k-mer extraction and
   open-addressing insertion, with the plugin filter seam;
-* :class:`SpectrumMerge` — partition merging (duplicate-aware for
+* :func:`merge_items` — partition merging (duplicate-aware for
   canonical supermer mode), with the plugin count-adjustment seam;
 * :class:`GpuSubstrate` / :class:`CpuSubstrate` — the timing wrappers
   that charge each phase through the virtual GPU or the Power9 rates.
 
-The numerical behaviour is bit-identical to the pre-refactor engine; the
-golden differential suite (``tests/test_stages_golden.py``) enforces it.
+The golden differential suite (``tests/test_stages_golden.py``) pins the
+numerical behaviour.
 """
 
 from __future__ import annotations
@@ -37,26 +35,24 @@ from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
-from ...mpi.collectives import alltoallv_flat, alltoallv_segments
 from ..config import PipelineConfig
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, ParsedItems, ParseSummary
 from .context import EngineOptions, StageContext
-from .protocols import MergeStage, ParseStage, PartitionStage, PipelinePlugin, Substrate
+from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
 __all__ = [
     "KmerParse",
     "SupermerParse",
     "KmerHashPartition",
     "MinimizerHashPartition",
-    "AlltoallvExchange",
     "TableCount",
-    "SpectrumMerge",
     "GpuSubstrate",
     "CpuSubstrate",
     "parse_block",
     "stable_order",
     "merge_counts",
+    "merge_items",
     "merge_partitions",
     "outgoing_buffer_hot_fraction",
     "verify_exchange",
@@ -333,7 +329,7 @@ def parse_block(
 
 
 # ---------------------------------------------------------------------------
-# exchange stage
+# exchange accounting
 # ---------------------------------------------------------------------------
 
 
@@ -421,45 +417,6 @@ def exchange_outcome(
     )
 
 
-class AlltoallvExchange:
-    """Counts alltoall + payload alltoallv, with exact accounting.
-
-    Moves the data (real reshuffle through the collective layer), checks
-    end-to-end checksums, and models the phase time
-    (:func:`exchange_outcome`).  The send side is per-source buffers with
-    their per-destination counts — or, in a fused run, the one src-major
-    send array with its ``(P, P)`` counts matrix, gathered straight into
-    one receive array (:func:`~repro.mpi.collectives.alltoallv_flat`).
-    """
-
-    def exchange(
-        self,
-        send_data: list[np.ndarray] | np.ndarray,
-        send_lengths: list[np.ndarray] | np.ndarray | None,
-        send_counts: list[np.ndarray] | np.ndarray,
-        label: str,
-        ctx: StageContext,
-    ) -> ExchangeOutcome:
-        wire = ctx.wire_bytes
-        if isinstance(send_data, np.ndarray):
-            recv, recv_offsets = alltoallv_flat(
-                send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=wire
-            )
-            recv_lens = None if send_lengths is None else alltoallv_flat(send_lengths, send_counts)[0]
-            return exchange_outcome(
-                send_data, recv, recv_lens, send_counts, label, ctx, recv_offsets=recv_offsets
-            )
-        recv_data, counts_matrix = alltoallv_segments(
-            send_data, send_counts, stats=ctx.stats, label=label, bytes_per_item=wire, pool=ctx.pool
-        )
-        recv_lengths: list[np.ndarray] | None = None
-        if send_lengths is not None:
-            recv_lengths, _ = alltoallv_segments(
-                send_lengths, send_counts, stats=None, pool=ctx.pool  # bytes counted in `wire`
-            )
-        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, ctx)
-
-
 # ---------------------------------------------------------------------------
 # count stage
 # ---------------------------------------------------------------------------
@@ -542,14 +499,14 @@ class TableCount:
 
 
 # ---------------------------------------------------------------------------
-# merge stage
+# merge
 # ---------------------------------------------------------------------------
 
 
 def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``keys`` and each one's summed ``counts``, exact in int64 at any count.
 
-    The one aggregation of the merges (:class:`SpectrumMerge` and the
+    The one aggregation of the merges (:func:`merge_items` and the
     external merge's chunks): one pair sort (:func:`~repro.gpu.hashtable.sort_pairs`,
     a packed-word sort at k = 17), then — only when a key repeats — one
     ``reduceat`` over the runs of equal keys.
@@ -562,45 +519,44 @@ def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return keys[starts], np.add.reduceat(counts, starts)
 
 
-class SpectrumMerge:
-    """Merge per-rank partitions of the global table into one spectrum.
+def merge_items(
+    pairs: list[tuple[np.ndarray, np.ndarray]], k: int, plugins: tuple[PipelinePlugin, ...] = ()
+) -> KmerSpectrum:
+    """Fold table partitions' ``(values, counts)`` pairs, in any order, into the sorted spectrum.
 
     Partitioning guarantees disjoint key sets across ranks in both modes,
     but canonical supermer mode can split a canonical k-mer across two
     owners (its two strands hash to different minimizers), so duplicates
-    are aggregated rather than assumed absent.  Plugins may adjust each
-    pair of ``(values, counts)`` arrays first (the Bloom filter restores the
-    occurrence that armed it, one per entry); the pairs need not be sorted.
+    are aggregated rather than assumed absent.  Each plugin may adjust
+    each pair first (the Bloom filter restores the occurrence that armed
+    it, one per entry); the pairs need not be sorted.
     """
-
-    def __init__(self, plugins: tuple[PipelinePlugin, ...] = ()) -> None:
-        self.plugins = plugins
-
-    def merge_items(self, pairs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum:
-        adjusted = []
-        for values, counts in pairs:
-            for plugin in self.plugins:
-                values, counts = plugin.adjust_merge_items(values, counts)
-            adjusted.append((values, counts))
-        if not adjusted:
-            return KmerSpectrum(k=k, values=np.empty(0, dtype=np.uint64), counts=np.empty(0, dtype=np.int64))
-        values, counts = merge_counts(
-            np.concatenate([v for v, _ in adjusted]), np.concatenate([c for _, c in adjusted])
-        )
-        return KmerSpectrum(k=k, values=values, counts=counts)
+    adjusted = []
+    for values, counts in pairs:
+        for plugin in plugins:
+            values, counts = plugin.adjust_merge_items(values, counts)
+        adjusted.append((values, counts))
+    if not adjusted:
+        return KmerSpectrum(k=k, values=np.empty(0, dtype=np.uint64), counts=np.empty(0, dtype=np.int64))
+    values, counts = merge_counts(
+        np.concatenate([v for v, _ in adjusted]), np.concatenate([c for _, c in adjusted])
+    )
+    return KmerSpectrum(k=k, values=values, counts=counts)
 
 
-def merge_partitions(merge: MergeStage, tables: list[SegmentedRankView], k: int) -> KmerSpectrum:
+def merge_partitions(
+    tables: list[SegmentedRankView], k: int, plugins: tuple[PipelinePlugin, ...] = ()
+) -> KmerSpectrum:
     """The spectrum of the ranks' tables: the one merge rule of a one-shot drive and a streamed state.
 
     Each block table's occupied slots are taken in one storage pass
-    (``items_flat``, unsorted) and handed to the merge stage;
-    :class:`SpectrumMerge` applies each plugin's ``adjust_merge_items`` to
-    a block's pairs and sorts all of them once, in :func:`merge_counts` —
-    one sort over the result keys on every composition, where per-rank
-    ``items()`` would sort each rank first.
+    (``items_flat``, unsorted) and handed to :func:`merge_items`, which
+    applies each plugin's ``adjust_merge_items`` to a block's pairs and
+    sorts all of them once, in :func:`merge_counts` — one sort over the
+    result keys on every composition, where per-rank ``items()`` would
+    sort each rank first.
     """
-    return merge.merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k)
+    return merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k, plugins)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ kernel rates land where the paper measured them (Fig. 3b implies roughly
 about 100x the per-node CPU baseline), and they are exposed so ablation
 benchmarks can sweep them.
 
-This module used to live at :mod:`repro.gpu.device`; it moved below the
-``mpi``/``gpu`` substrates so the unified machine model
-(:mod:`repro.machines`) can own device descriptions without a back-edge.
-``repro.gpu.device`` re-exports everything for compatibility.
+It sits below the ``mpi``/``gpu`` substrates so the unified machine model
+(:mod:`repro.machines`) can own device descriptions without a back-edge;
+import it from here or from :mod:`repro.machines`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.stages.standard as standard_mod
+import repro.core.stages.spill as spill_mod
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.mpi import collectives
@@ -35,7 +35,7 @@ class TestChecksumVerification:
                 out.append(buf)
             return out, matrix
 
-        monkeypatch.setattr(standard_mod, "alltoallv_segments", corrupting_fixed)
+        monkeypatch.setattr(spill_mod, "alltoallv_segments", corrupting_fixed)
         with pytest.raises(AssertionError, match="checksum"):
             run_pipeline(genome_reads, summit_gpu(2), PipelineConfig(k=17))
 
@@ -54,7 +54,7 @@ class TestChecksumVerification:
                 out.append(buf)
             return out, matrix
 
-        monkeypatch.setattr(standard_mod, "alltoallv_segments", dropping)
+        monkeypatch.setattr(spill_mod, "alltoallv_segments", dropping)
         with pytest.raises(AssertionError, match="lost items"):
             run_pipeline(genome_reads, summit_gpu(2), PipelineConfig(k=17))
 
@@ -75,7 +75,7 @@ class TestChecksumVerification:
                 out.append(buf)
             return out, matrix
 
-        monkeypatch.setattr(standard_mod, "alltoallv_segments", corrupting)
+        monkeypatch.setattr(spill_mod, "alltoallv_segments", corrupting)
         result = run_pipeline(
             genome_reads,
             summit_gpu(2),

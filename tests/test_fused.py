@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.memory import ScratchArena
-from repro.core.stages import supports_fusion
 from repro.gpu.hashtable import DeviceHashTable, InsertStats
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.extract import extract_kmers_scalar, window_values
@@ -381,57 +380,33 @@ def test_resolve_fused_unset_env_defaults_off(monkeypatch):
     assert _resolved() == "staged"
 
 
-def test_supports_fusion_standard_compositions():
-    """A fused exchange replaces the standard exchange stage; no other stage matters."""
-    import dataclasses
-
-    from repro.core.config import PipelineConfig
-    from repro.core.engine import EngineOptions
-    from repro.core.stages.registry import resolve
-    from repro.core.stages.standard import KmerParse, SpectrumMerge, TableCount
-
-    for key in ("gpu:kmer", "gpu:supermer", "cpu:kmer", "cpu:supermer"):
-        comp = resolve(key, PipelineConfig(k=17, mode=key.split(":")[1]), EngineOptions())
-        assert supports_fusion(comp), key
-    comp = resolve("gpu:kmer", PipelineConfig(k=17), EngineOptions())
-    for stage, cls in (("parse", KmerParse), ("count", TableCount), ("merge", SpectrumMerge)):
-        custom = dataclasses.replace(comp, **{stage: type(f"Custom{cls.__name__}", (cls,), {})()})
-        assert supports_fusion(custom), stage
-
-
-def test_custom_composition_falls_back_to_staged(caplog):
-    """A custom exchange stage sees its per-source buffers: ``fused`` falls back, announced."""
+def test_custom_stages_resolve_to_the_cell_asked_for(caplog):
+    """The exchange and the merge are the residency's: custom stages run on every cell, unannounced."""
     import dataclasses
 
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions, run_pipeline
     from repro.core.stages.registry import resolve
     from repro.core.stages.scheduler import RoundScheduler
-    from repro.core.stages.standard import AlltoallvExchange
+    from repro.core.stages.standard import KmerParse, TableCount
     from repro.dna.simulate import simulate_dataset
     from repro.mpi.topology import summit_gpu
 
-    class CustomExchange(AlltoallvExchange):
-        def exchange(self, send_data, send_lengths, send_counts, label, ctx):
-            assert isinstance(send_data, list)  # never the fused send array
-            return super().exchange(send_data, send_lengths, send_counts, label, ctx)
-
     config = PipelineConfig(k=15, mode="kmer")
-    opts = EngineOptions(fused=True)
-    comp = resolve("gpu:kmer", config, opts)
-    custom = dataclasses.replace(comp, exchange=CustomExchange())
-    assert not supports_fusion(custom)
-
     reads = simulate_dataset(genome_length=3000, coverage=3, seed=5)
     cluster = summit_gpu(1)
-    with caplog.at_level(logging.INFO, logger="repro.telemetry"):
-        scheduler = RoundScheduler(cluster, config, custom, opts)
-        fallback = scheduler.run(reads)
-    assert scheduler.resolve_strategy().name == "staged"
-    assert any("engine.fused.fallback" in rec.message for rec in caplog.records)
     staged = run_pipeline(reads, cluster, config, backend="gpu", options=EngineOptions())
-    assert np.array_equal(fallback.spectrum.values, staged.spectrum.values)
-    assert np.array_equal(fallback.spectrum.counts, staged.spectrum.counts)
+    comp = resolve("gpu:kmer", config, EngineOptions())
+    custom = dataclasses.replace(
+        comp, parse=type("CustomParse", (KmerParse,), {})(), count=type("CustomCount", (TableCount,), {})()
+    )
+    with caplog.at_level(logging.INFO, logger="repro.telemetry"):
+        scheduler = RoundScheduler(cluster, config, custom, EngineOptions(fused=True))
+        fused = scheduler.run(reads)
+    assert scheduler.resolve_strategy().name == "fused"
+    assert not any(".fallback" in rec.message for rec in caplog.records)
+    assert np.array_equal(fused.spectrum.values, staged.spectrum.values)
+    assert np.array_equal(fused.spectrum.counts, staged.spectrum.counts)
 
 
 def test_fused_then_staged_batches_share_one_table_state():

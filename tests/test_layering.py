@@ -152,3 +152,20 @@ class TestCheckerDetects:
         assert "report.py:1: '\"X\"' is defined once, in telemetry/spans.py" in proc.stdout
         assert "spans.py:3: '\"X\"' is defined once, in telemetry/spans.py" in proc.stdout
         assert "scheduler.py:1: '.overlap_factor(' is defined once, in telemetry/spans.py" in proc.stdout
+
+    def test_flags_second_fallback_event(self, tmp_path):
+        """Strategy resolution announces the one fallback; a new silent fallback elsewhere fails the lint."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        scheduler = root / "core" / "stages" / "scheduler.py"
+        owned = (  # every text the checker pins to this owner, once
+            'event("engine.process.fallback", subsystem="engine")\nper_item = wire * 2 + 8.0\n'
+        )
+        scheduler.write_text(owned)
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "spill.py").write_text('event("engine.spill.fallback", reason=why)\n')
+        scheduler.write_text(owned + 'event(f"engine.{knob}.fallback", reason=why)\n')
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "spill.py:1: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
+        assert "scheduler.py:3: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout

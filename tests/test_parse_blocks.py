@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import repro.core.stages.standard as standard
+import repro.core.stages.spill as spill_mod
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.parallel import get_pool
@@ -166,7 +166,7 @@ def test_k_past_the_packing_boundary_is_one_config_error():
 def test_fused_exchange_gathers_straight_out_of_the_send_array(mode, spill, tmp_path, monkeypatch):
     """``fused=True`` changes one thing, under either residency: no per-source buffers are gathered.
 
-    Staged, the exchange stage gets per-source views of the send array
+    Staged, the exchange gets per-source views of the send array
     and stages each destination block's slices (``SegmentBlock.gather``):
     in memory through ``alltoallv_segments``, on disk in the spool.
     Fused, every block is gathered out of the one send array by its index
@@ -183,8 +183,8 @@ def test_fused_exchange_gathers_straight_out_of_the_send_array(mode, spill, tmp_
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(standard, "alltoallv_segments")
-    counted(standard, "alltoallv_flat")
+    counted(spill_mod, "alltoallv_segments")
+    counted(spill_mod, "alltoallv_flat")
     counted(collectives.SegmentBlock, "gather")
     observed = []
     for strategy in ("spill", "fused-spill") if spill else ("staged", "fused"):

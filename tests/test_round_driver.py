@@ -259,7 +259,7 @@ def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, t
 
     def factory(config, opts):
         comp = registry.resolve("gpu:supermer", config, opts)
-        return dataclasses.replace(comp, key="custom:supermer", count=_CustomCount(comp.count.plugins))
+        return dataclasses.replace(comp, key="custom:supermer", count=_CustomCount(comp.plugins))
 
     monkeypatch.setitem(registry._BACKENDS, "custom:supermer", factory)
     _CustomCount.calls = calls = []

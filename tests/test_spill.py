@@ -27,9 +27,8 @@ from repro.core.stages.spill import (
     SpillSpool,
     Spooled,
     external_merge,
-    supports_spill,
 )
-from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator, simulate_dataset
+from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import summit_cpu, summit_gpu
@@ -189,32 +188,6 @@ class TestHostMemoryBudget:
 
 
 class TestSpillFallbacks:
-    def test_custom_exchange_falls_back_in_memory(self, caplog, tmp_path):
-        import dataclasses
-
-        from repro.core.stages.registry import resolve
-        from repro.core.stages.scheduler import RoundScheduler
-        from repro.core.stages.standard import AlltoallvExchange
-
-        class CustomExchange(AlltoallvExchange):
-            pass
-
-        config = PipelineConfig(k=15, mode="kmer")
-        opts = EngineOptions(spill_dir=tmp_path)
-        comp = resolve("gpu:kmer", config, opts)
-        custom = dataclasses.replace(comp, exchange=CustomExchange())
-        assert supports_spill(comp)
-        assert not supports_spill(custom)
-
-        reads = simulate_dataset(genome_length=3000, coverage=3, seed=5)
-        cluster = summit_gpu(1)
-        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
-            fallback = RoundScheduler(cluster, config, custom, opts).run(reads)
-        assert any("engine.spill.fallback" in rec.message for rec in caplog.records)
-        mem = run_pipeline(reads, cluster, config, backend="gpu", options=EngineOptions())
-        assert fallback.spectrum.equals(mem.spectrum)
-        assert list(tmp_path.iterdir()) == []  # nothing was spooled
-
     def test_spill_plus_fused_runs_blocked_composition(self, caplog, genome_reads, tmp_path):
         """``fused=True`` + ``spill_dir`` is a real strategy, not a fallback."""
         from repro.telemetry.spans import SpanRecorder
@@ -597,7 +570,7 @@ class TestSpillCleanupOnFailure:
         files: the driver's cleanup scope (or, for a spilled one-shot block,
         the block's own stream) closes the table on any exit, not on the
         success path only (where the slabs outlived the traceback)."""
-        from repro.core.stages.standard import SpectrumMerge
+        from repro.core.stages import standard
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
@@ -607,7 +580,7 @@ class TestSpillCleanupOnFailure:
         if spill:
             monkeypatch.setattr(SpillSpool, "write_runs", boom)
         else:
-            monkeypatch.setattr(SpectrumMerge, "merge_items", boom)
+            monkeypatch.setattr(standard, "merge_items", boom)
         table_dir = tmp_path / "table"
         options = EngineOptions(
             fused=True, table_dir=table_dir, spill_dir=tmp_path / "spool" if spill else None
@@ -782,9 +755,9 @@ class TestSpillBatches:
 
 class TestExternalMerge:
     def _reference(self, runs, k):
-        from repro.core.stages.standard import SpectrumMerge
+        from repro.core.stages.standard import merge_items
 
-        return SpectrumMerge().merge_items([(k_, c_) for k_, c_ in runs], k)
+        return merge_items([(k_, c_) for k_, c_ in runs], k)
 
     def test_empty(self):
         spec = external_merge([], 15)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.costmodel import CommCostModel
 from repro.mpi.stats import TrafficStats
 from repro.mpi.topology import summit_gpu
+from repro.telemetry import MetricRegistry
 
 
 class TestBackendRegistry:
@@ -285,6 +287,39 @@ class TestBalancedStage:
         plugin = run_pipeline(genome_reads, cluster, cfg, options=EngineOptions(stages=("balanced",)))
         assert plugin.spectrum.equals(manual.spectrum)
         assert np.array_equal(plugin.received_kmers, manual.received_kmers)
+
+
+class TestProcessFallback:
+    """The one fallback rung: a process pool runs a stateful plugin's composition on threads."""
+
+    @staticmethod
+    def _run(reads, stages, parallel, caplog):
+        reg = MetricRegistry()
+        cfg = PipelineConfig(k=15, mode="supermer", minimizer_len=5, window=9)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
+            result = run_pipeline(
+                reads, summit_gpu(2), cfg, options=EngineOptions(stages=stages, parallel=parallel, telemetry=reg)
+            )
+        events = [rec.message for rec in caplog.records if "engine.process.fallback" in rec.message]
+        pools = {s["labels"]["pool"] for s in reg.snapshot()["pool_map_calls_total"]["samples"]}
+        return result, events, pools
+
+    def test_stateless_plugin_keeps_the_process_pool(self, genome_reads, caplog):
+        """``balanced`` overrides no ``filter_received``: it maps on forked workers, unannounced."""
+        sequential, _, _ = self._run(genome_reads, ("balanced",), 1, caplog)
+        forked, events, pools = self._run(genome_reads, ("balanced",), "process:2", caplog)
+        assert "ProcessPool" in pools
+        assert events == []
+        assert forked.spectrum.equals(sequential.spectrum)
+
+    def test_stateful_plugin_falls_back_to_threads_once(self, genome_reads, caplog):
+        """``bloom`` filters received k-mers in place: one event, thread pools only, the same spectrum."""
+        sequential, _, _ = self._run(genome_reads, ("bloom",), 1, caplog)
+        threaded, events, pools = self._run(genome_reads, ("bloom",), "process:2", caplog)
+        assert len(events) == 1 and "stateful plugins" in events[0]
+        assert pools == {"ThreadPool"}
+        assert threaded.spectrum.equals(sequential.spectrum)
 
 
 @pytest.fixture

@@ -27,10 +27,11 @@ per-rank charges, the merges' equal-key aggregation, the host working
 set per received item, the table's insert probe loop, its slot dump,
 the segment gather index, the engine's one table birth, the pair sort
 (its packed word and its argsort fallback), the owner reduction
-``hash mod P``, the one renderer of Chrome span (``X``) events and the
-one wall summary (busy / elapsed / overlap) may each appear in their
-owning file only, so neither the scheduler nor the spool nor a report
-can regrow a private copy.
+``hash mod P``, the one renderer of Chrome span (``X``) events, the
+one wall summary (busy / elapsed / overlap) and the one silent fallback
+(an ``engine.*.fallback`` event, in strategy resolution) may each appear
+in their owning file only, so neither the scheduler nor the spool nor a
+report can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -83,6 +84,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("h -= h // p * p", "", "hashing/partition.py", True),
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
+    ('.fallback"', "", "core/stages/scheduler.py", True),
 ]
 
 
