@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--fused",
         action="store_true",
-        help="gather the exchange straight out of the one send array (bit-identical results; see docs/PERFORMANCE.md)",
+        help="report the run as the fused strategy (names only: every exchange gathers out of the one send array)",
     )
     p_count.add_argument(
         "--spill",

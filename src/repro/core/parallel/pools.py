@@ -1,6 +1,6 @@
 """Deterministic execution substrates for per-rank phase execution.
 
-The BSP engine's phases (parse, count, segment packing) perform each
+The BSP engine's phases (parse and count blocks) perform each
 simulated rank's work as real NumPy computation that is completely
 independent across ranks — the same property the paper exploits on the
 real machine, where every rank owns its shard, its outgoing buffers, and
@@ -204,10 +204,6 @@ class RankPool:
         """
         raise NotImplementedError
 
-    @property
-    def is_parallel(self) -> bool:
-        return self.workers > 1
-
     def _record_map(self, n_tasks: int) -> None:
         """Feed pool-utilization telemetry (wall metrics: the execution
         substrate is exactly what may differ between engines)."""
@@ -233,9 +229,6 @@ class Substrate(Protocol):
     def map(
         self, fn: Callable[[Any], Any], items: Iterable[Any], *, recorder: Any = None
     ) -> list[Any]: ...
-
-    @property
-    def is_parallel(self) -> bool: ...
 
 
 class SequentialPool(RankPool):

@@ -33,14 +33,8 @@ __all__ = [
     "SendArray",
     "ParseSummary",
     "ExchangeOutcome",
-    "joined",
     "round_split",
 ]
-
-
-def joined(parts: list[np.ndarray]) -> np.ndarray:
-    """``parts`` back to back: the one part itself, else their concatenation."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def round_split(send: "SendArray", rnd: int, n_rounds: int) -> "SendArray":
@@ -90,10 +84,13 @@ class SendArray:
     """Every source rank's destination-ordered items in one array.
 
     ``data`` is src-major and dst-segmented: segment ``(src, dst)`` holds
-    ``counts[src, dst]`` items, so a source's send buffer — the exchange
-    stage's per-source form — is a view of it.  The parse phase writes one
-    (each parse block its slice), a round is a gather of it
-    (:func:`round_split`), and a fused exchange gathers straight out of it.
+    ``counts[src, dst]`` items — the contiguous, destination-ordered send
+    buffers of every rank back to back, as one ``MPI_Alltoallv`` per round
+    takes them.  The parse phase writes one (each parse block its slice), a
+    round is a gather of it (:func:`round_split`), and every exchange,
+    resident or spooled, gathers its receive side straight out of it, one
+    destination block at a time
+    (:func:`~repro.mpi.collectives.alltoallv_flat`).
     """
 
     data: np.ndarray  # uint64: packed k-mers, or packed supermer words
@@ -120,16 +117,18 @@ class ParseSummary:
 
 @dataclass
 class ExchangeOutcome:
-    """All ranks' received buffers plus the exchange-phase time breakdown.
+    """All ranks' received items plus the exchange-phase time breakdown.
 
-    A staged exchange receives one array per rank; a fused exchange
-    receives a single rank-segmented array (``recv_data``/``recv_lengths``
-    are then plain arrays) with ``recv_offsets`` marking the p+1 segment
-    boundaries.
+    Every exchange receives one rank-segmented array: destination ``d``'s
+    items are ``recv_data[recv_offsets[d] : recv_offsets[d + 1]]``, each in
+    source-rank order, and ``recv_lengths`` (supermer mode) is parallel to
+    it.  Resident, it is the gathered array; spooled, a read-only map of
+    the round's segment file.
     """
 
-    recv_data: list[np.ndarray] | np.ndarray
-    recv_lengths: list[np.ndarray] | np.ndarray | None
+    recv_data: np.ndarray
+    recv_lengths: np.ndarray | None
+    recv_offsets: np.ndarray  # (P + 1,) int64 destination boundaries in recv_data
     counts_matrix: np.ndarray  # items, [src, dst]
     seconds: float  # overhead + network + staging (the phase's bulk time)
     alltoallv_seconds: float  # MPI_Alltoallv routine time only (Fig. 8's metric)
@@ -138,4 +137,3 @@ class ExchangeOutcome:
     # link first, with staging appended as a "host-staging" row when it
     # applies (every exchange fills it from ``exchange_time_model``).
     link_seconds: tuple[tuple[str, float], ...] = ()
-    recv_offsets: np.ndarray | None = None  # fused exchanges only

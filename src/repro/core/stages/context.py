@@ -72,9 +72,9 @@ class EngineOptions:
     # Extension stage plugins by registry name (e.g. ("bloom", "balanced"));
     # resolved through repro.core.stages.registry when the composition is built.
     stages: tuple[str, ...] = ()
-    # Fused exchange (repro.core.stages.scheduler.Layout): every exchange
-    # gathers straight out of the one send array instead of taking
-    # per-source views of it.  Results are bit-identical.
+    # Names only (repro.core.stages.scheduler.Layout): the strategy is
+    # reported as "fused"/"fused-spill" and the work leaves as "fused:*".
+    # Every exchange gathers straight out of the one send array either way.
     fused: bool = False
     # Scratch-buffer pool for parse blocks and spool buffers, shared across
     # runs/sweep cells; None lets the scheduler create a private one.

@@ -21,15 +21,15 @@ the config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange + count phases repeat.
 
 There is one data layout (:class:`Layout`): blocks of whole shards parse
-into one send array, a round is one gather of it, and blocks of ranks
-count into block-local segmented tables, all on the rank pool.  The four
-strategies (``staged``, ``fused``, ``spill``, ``fused-spill``) are the
-2×2 of two switches on it: whether the exchange takes per-source views
-of the send array or — ``fused`` — gathers straight out of it into one
-receive array, and the *residency* of the receive side
+into one send array, a round is one gather of it, every exchange gathers
+straight out of it into one receive array, and blocks of ranks count
+into block-local segmented tables, all on the rank pool.  The one axis
+that changes behaviour is the *residency* of the receive side
 (:class:`~repro.core.stages.spill.Resident` |
 :class:`~repro.core.stages.spill.Spooled`), which owns the exchange and
-the merge.  :class:`RoundAccounting` is the one place their outcomes are
+the merge; ``fused`` changes names only (the strategy, ``staged`` |
+``fused`` | ``spill`` | ``fused-spill``, and the ``fused:`` work-leaf
+prefix).  :class:`RoundAccounting` is the one place their outcomes are
 summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
@@ -469,12 +469,10 @@ class Layout:
 
     Each block runs the one parse body
     (:func:`~repro.core.stages.standard.parse_block`) on the rank pool and
-    fills its slice of one :class:`~repro.core.stages.buffers.SendArray`.
-    The exchange takes per-source views of it — or, ``fused``, the array
-    itself, gathered straight into one receive array (:meth:`exchange_form`;
-    the resident and the spooled exchange both take either), and the work
-    leaves are named ``fused:*``.  The exchange and the tables are the
-    residency's.
+    fills its slice of one :class:`~repro.core.stages.buffers.SendArray`,
+    which the residency's exchange gathers straight into one receive array.
+    ``fused`` names the work leaves ``fused:*`` and changes nothing else.
+    The exchange and the tables are the residency's.
     """
 
     def __init__(
@@ -482,7 +480,6 @@ class Layout:
     ) -> None:
         self.sched = sched
         self.arena = arena  # parse blocks' code buffers and the spool's buffers
-        self.fused = fused
         self.in_process_only = in_process_only
         self.prefix = "fused:" if fused else ""  # work-leaf names
 
@@ -562,17 +559,10 @@ class Layout:
         )
         return send, summary
 
-    def exchange_form(self, send: SendArray):
-        """The exchange's ``(data, lengths, counts)``: per-source views, or — fused — the send array itself."""
-        if self.fused:
-            return send.data, send.lengths, send.counts
-        cuts = np.cumsum(send.counts.sum(axis=1))[:-1]  # each source's end, but the last
-        lengths = np.split(send.lengths, cuts) if send.lengths is not None else None
-        return np.split(send.data, cuts), lengths, list(send.counts)
 
-
-#: Strategy name by (fused exchange?, spooled residency?) — the run span's
-#: ``strategy`` meta and the only names the 2×2 has.
+#: Strategy name by (``fused``?, spooled residency?) — the run span's
+#: ``strategy`` meta and the only names the 2×2 has; ``fused`` changes
+#: nothing but names.
 _STRATEGY_NAMES = {
     (False, False): "staged",
     (True, False): "fused",
@@ -740,9 +730,9 @@ class RoundScheduler:
         surface (``state is None``), merge + conservation check + final
         gauges + the :class:`CountResult`.  What differs between
         strategies is behind two objects (:meth:`resolve_strategy`): the
-        *layout* (one class) hands the exchange its send form, fused or
-        not, and the *residency* exchanges, merges and hides where receive
-        buffers live.  A
+        *layout* (one class) parses the send array and names the work
+        leaves, and the *residency* exchanges, merges and hides where
+        receive buffers live.  A
         resident exchange is counted inside its round; a spooled one defers
         the count until every round is on disk and the send buffers are
         dropped (Gerbil's two phases), which is the only shape difference

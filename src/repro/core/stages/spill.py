@@ -14,8 +14,8 @@ the missing pieces:
   directory, instead of materializing in-memory receive buffers.
   Byte/item traffic accounting and the modeled exchange time are computed
   through the identical code paths, so every model observable matches the
-  in-memory exchange bit for bit; the returned receive "buffers" are
-  read-only views of one memory map of that file.
+  in-memory exchange bit for bit; the returned receive array is one
+  read-only memory map of that file.
 
 * :class:`SpillSpool` — the spool directory: one append-only segment file
   per label (plus a ``.lens`` twin in supermer mode) with an in-memory
@@ -33,10 +33,11 @@ the missing pieces:
   block, whatever the layout, backed by ``table_dir`` when it is set.
 
 Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
-gathered one destination block at a time — the blocked segment gather of
-:mod:`repro.mpi.collectives` that fills the resident receive buffers too —
-and costs one ``open`` and one write per block — Python-level work per round is P slices per block, not
-P² segment copies and P files — and is read back with positional reads at
+gathered out of the send array one destination block at a time — the
+blocked gather of :func:`~repro.mpi.collectives.alltoallv_flat` that fills
+the resident receive array too — and costs one ``open`` and one write per
+block — Python-level work per round is one gather index per block, not P²
+segment copies and P files — and is read back with positional reads at
 indexed offsets through the descriptor opened at the first append, a whole
 rank block at a time.  A file shorter than its index says is an
 ``OSError`` naming file, label, ranks and the expected and found bytes,
@@ -65,16 +66,10 @@ import numpy as np
 from ...gpu.hashtable import SegmentedRankView, sort_pairs
 from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.collectives import (
-    account_alltoallv,
-    alltoallv_flat,
-    alltoallv_segments,
-    segment_blocks,
-    send_counts_matrix,
-)
+from ...mpi.collectives import account_alltoallv, alltoallv_flat, segment_blocks
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome, joined
+from .buffers import ExchangeOutcome, SendArray
 from .standard import exchange_outcome, merge_counts, merge_partitions
 
 __all__ = [
@@ -264,18 +259,16 @@ class SpillSpool:
         self._account_read(int(data.nbytes))
         return data
 
-    def map_partitions(self, label: str, p: int, dtype, *, lens: bool = False) -> list[np.ndarray]:
-        """Every rank's partition in ``range(p)`` as read-only views of one map of the file.
+    def map_segment(self, label: str, dtype, *, lens: bool = False) -> np.ndarray:
+        """Read-only map of a label's whole segment file: every partition in rank order (empty if none).
 
         For checksum verification only: the reads are not accounted — the
         streamed count re-reads (and accounts) each partition later.
         """
         seg = self._segments.get((label, lens))
         if seg is None:
-            return [np.empty(0, dtype=dtype)] * p
-        whole = seg.mapped(dtype, 0, seg.n_items, 0, p)
-        starts, counts = np.pad(seg.starts, (0, p))[:p], np.pad(seg.counts, (0, p))[:p]
-        return [whole[s : s + n] for s, n in zip(starts.tolist(), counts.tolist())]
+            return np.empty(0, dtype=dtype)
+        return seg.mapped(dtype, 0, seg.n_items, 0, seg.counts.shape[0])
 
     def read_range(
         self,
@@ -442,25 +435,20 @@ class SpillExchange:
     Accounting twin of :meth:`Resident.exchange`: the byte/item traffic
     record, the collective-layer telemetry counters, the end-to-end
     checksum verification, and the modeled phase time all come from the
-    functions the in-memory exchange calls.  Only the data
-    placement differs — the round is gathered one destination block at a
-    time (:func:`repro.mpi.collectives.segment_blocks`) into the label's
-    segment file, and
-    ``recv_data`` comes back as read-only views of one memory map of that
-    file, which exist only for the checksum pass (their reads are not
-    accounted; the streamed count re-reads each partition).  Like the
-    in-memory exchange it takes per-source buffers, or a fused run's one
-    send array with its ``(P, P)`` counts matrix.
+    functions the in-memory exchange calls.  Only the data placement
+    differs — the round's send array is gathered one destination block at
+    a time (:func:`repro.mpi.collectives.segment_blocks`) into the label's
+    segment file, and ``recv_data`` comes back as one read-only memory map
+    of that file, which exists only for the checksum pass (its reads are
+    not accounted; the streamed count re-reads each partition).
     """
 
     def __init__(self, spool: SpillSpool) -> None:
         self.spool = spool
 
-    def exchange(self, send_data, send_lengths, send_counts, label, ctx) -> ExchangeOutcome:
-        flat = isinstance(send_data, np.ndarray)
-        counts_matrix = send_counts if flat else send_counts_matrix(send_data, send_counts)
+    def exchange(self, send: SendArray, label: str, ctx) -> ExchangeOutcome:
+        counts_matrix, wire = send.counts, ctx.wire_bytes
         p = counts_matrix.shape[0]
-        wire = ctx.wire_bytes
 
         # Model accounting first, through the collective layer's own
         # function: one logical alltoallv for the payload (recorded into
@@ -468,48 +456,40 @@ class SpillExchange:
         # length bytes (counters only; its bytes ride in the payload's
         # `wire` size).
         account_alltoallv(counts_matrix, stats=ctx.stats, label=label, bytes_per_item=wire)
-        if send_lengths is not None:
+        if send.lengths is not None:
             account_alltoallv(counts_matrix, stats=None, label=label, bytes_per_item=wire)
 
-        self._spool_round(send_data, send_lengths, counts_matrix, label)
+        self._spool_round(send.data, send.lengths, counts_matrix, label)
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
 
-        recv_data = self.spool.map_partitions(label, p, (send_data if flat else send_data[0]).dtype)
-        recv_lengths = None
-        if send_lengths is not None:
-            recv_lengths = self.spool.map_partitions(label, p, np.uint8, lens=True)
+        recv_offsets = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(counts_matrix.sum(axis=0), out=recv_offsets[1:])
+        recv_data = self.spool.map_segment(label, send.data.dtype)
+        recv_lengths = None if send.lengths is None else self.spool.map_segment(label, np.uint8, lens=True)
+        return exchange_outcome(send, recv_data, recv_lengths, recv_offsets, label, ctx)
 
-        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, ctx)
-
-    def _spool_round(self, send_data, send_lengths, counts_matrix: np.ndarray, label: str) -> None:
-        """Append the disk form of ``recv_data`` to the label's file, block by block.
+    def _spool_round(
+        self, send_data: np.ndarray, send_lengths: np.ndarray | None, counts_matrix: np.ndarray, label: str
+    ) -> None:
+        """Append the disk form of the round's receive array to the label's file, block by block.
 
         The disk form is every destination's partition in rank order, each
         holding its sources' segments in source-rank order — byte-identical
         to the in-memory gather, because it is that gather
-        (:func:`repro.mpi.collectives.segment_blocks`) with each block
+        (:func:`repro.mpi.collectives.segment_blocks` and
+        :meth:`~repro.mpi.collectives.SegmentBlock.take`, one index per
+        block shared by the payload and its length bytes) with each block
         landing in a borrowed buffer and one write instead of a slice of a
-        whole-round receive array.  Per-source buffers are staged a block
-        at a time (:meth:`~repro.mpi.collectives.SegmentBlock.gather`); a
-        fused run's one send array is gathered from directly, with the
-        block's index (:meth:`~repro.mpi.collectives.SegmentBlock.index`).
-        The transient is one block's output and staging buffers plus its
-        index.
+        whole-round receive array.  The transient is one block's outputs
+        and its index.
         """
         spool = self.spool
         sends = [send_data] if send_lengths is None else [send_data, send_lengths]
-        flat = isinstance(send_data, np.ndarray)
-        dtypes = [(send if flat else send[0]).dtype for send in sends]
         sent = counts_matrix.sum(axis=1)
-        src_base = np.cumsum(sent) - sent  # where each source starts in a fused run's send array
-        for blk in segment_blocks(counts_matrix, sum(dt.itemsize for dt in dtypes)):
-            outs = [spool.take(blk.o1 - blk.o0, dt) for dt in dtypes]
-            if flat:
-                idx = blk.index(src_base)
-                for send, out in zip(sends, outs):
-                    np.take(send, idx, out=out, mode="clip")
-            else:
-                blk.gather(sends, outs, spool.arena)
+        src_base = np.cumsum(sent) - sent  # where each source starts in the send array
+        for blk in segment_blocks(counts_matrix, sum(send.itemsize for send in sends)):
+            outs = [spool.take(blk.o1 - blk.o0, send.dtype) for send in sends]
+            blk.take(sends, src_base, outs)
             recv_counts = blk.counts.sum(axis=0)
             for out, lens in zip(outs, (False, True)):
                 spool.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
@@ -599,16 +579,8 @@ def external_merge(
 
 
 def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
-    """Ranks ``[r0, r1)``'s received items back to back: ``(recv, lengths, offsets)``.
-
-    Slices of a fused exchange's one receive array; a staged exchange's
-    per-destination buffers are joined (one rank's as it is).
-    """
+    """Ranks ``[r0, r1)``'s received items back to back, ``(recv, lengths, offsets)``: slices of the receive array."""
     recv, lengths, offs = outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets
-    if offs is None:
-        offs = np.zeros(r1 - r0 + 1, dtype=np.int64)
-        np.cumsum([buf.shape[0] for buf in recv[r0:r1]], out=offs[1:])
-        return joined(recv[r0:r1]), joined(lengths[r0:r1]) if lengths is not None else None, offs
     lo, hi = int(offs[r0]), int(offs[r1])
     return recv[lo:hi], lengths[lo:hi] if lengths is not None else None, offs[r0 : r1 + 1] - lo
 
@@ -632,36 +604,24 @@ class Resident:
         self.cleanup = cleanup
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
 
-    def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
+    def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
         """Counts alltoall + payload alltoallv of one round, with exact accounting.
 
         Moves the data (real reshuffle through the collective layer),
         checks end-to-end checksums, and models the phase time
-        (:func:`~repro.core.stages.standard.exchange_outcome`).  The send
-        side is :meth:`Layout.exchange_form`'s per-source views with their
-        per-destination counts — or, fused, the one src-major send array
-        with its ``(P, P)`` counts matrix, gathered straight into one
-        receive array (:func:`~repro.mpi.collectives.alltoallv_flat`).
+        (:func:`~repro.core.stages.standard.exchange_outcome`).  The round's
+        src-major send array is gathered straight into one receive array
+        with its ``P + 1`` destination offsets
+        (:func:`~repro.mpi.collectives.alltoallv_flat`), the length bytes
+        (supermer mode) likewise.
         """
-        send_data, send_lengths, send_counts = self.layout.exchange_form(round_send)
-        wire = sctx.wire_bytes
-        if isinstance(send_data, np.ndarray):
-            recv, recv_offsets = alltoallv_flat(
-                send_data, send_counts, stats=sctx.stats, label=label, bytes_per_item=wire
-            )
-            recv_lens = None if send_lengths is None else alltoallv_flat(send_lengths, send_counts)[0]
-            return exchange_outcome(
-                send_data, recv, recv_lens, send_counts, label, sctx, recv_offsets=recv_offsets
-            )
-        recv_data, counts_matrix = alltoallv_segments(
-            send_data, send_counts, stats=sctx.stats, label=label, bytes_per_item=wire, pool=sctx.pool
+        recv, recv_offsets = alltoallv_flat(
+            send.data, send.counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes
         )
-        recv_lengths = None
-        if send_lengths is not None:
-            recv_lengths, _ = alltoallv_segments(
-                send_lengths, send_counts, stats=None, pool=sctx.pool  # bytes counted in `wire`
-            )
-        return exchange_outcome(send_data, recv_data, recv_lengths, counts_matrix, label, sctx)
+        recv_lens = None  # the length bytes' traffic rides in the payload's `wire` size
+        if send.lengths is not None:
+            recv_lens = alltoallv_flat(send.lengths, send.counts)[0]
+        return exchange_outcome(send, recv, recv_lens, recv_offsets, label, sctx)
 
     def born(self, hints) -> SegmentedHashTable:
         """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
@@ -772,10 +732,10 @@ class Spooled(Resident):
         self.round_recv: list[np.ndarray] = []  # items received per rank, per round
         self.run_fill: tuple[list[int], list[float]] | None = None  # set once runs are written
 
-    def exchange(self, round_send, label: str, sctx) -> ExchangeOutcome:
-        # The outcome's receive views exist only for the checksum pass;
+    def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
+        # The outcome's receive map exists only for the checksum pass;
         # the streamed count re-reads each partition (with accounting).
-        outcome = SpillExchange(self.spool).exchange(*self.layout.exchange_form(round_send), label, sctx)
+        outcome = SpillExchange(self.spool).exchange(send, label, sctx)
         self.labels.append(label)
         self.round_recv.append(outcome.counts_matrix.sum(axis=0))
         return outcome

@@ -37,7 +37,7 @@ from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ..config import PipelineConfig
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome, ParsedItems, ParseSummary
+from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendArray
 from .context import EngineOptions, StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
@@ -334,36 +334,29 @@ def parse_block(
 
 
 def verify_exchange(
-    send_data: list[np.ndarray] | np.ndarray,
-    recv_data: list[np.ndarray] | np.ndarray,
-    counts_matrix: np.ndarray,
-    label: str,
+    send: SendArray, recv_data: np.ndarray, recv_lengths: np.ndarray | None, label: str
 ) -> None:
     """End-to-end integrity check over one exchange round.
 
     Production distributed counters checksum their wire traffic (a single
     flipped key silently corrupts the histogram).  The simulator does the
-    equivalent: the global XOR and item count of everything sent must equal
-    those of everything received.  Catches routing/slicing bugs in the
-    collective layer at negligible cost.  Either side may be one array (a
-    fused exchange's): XOR is commutative, so it checks as one buffer.
+    equivalent: the item count and global XOR of everything sent must
+    equal those of everything received — the payload and, in supermer
+    mode, its length bytes, since a wrong length byte unpacks the wrong
+    k-mers as surely as a flipped key does.  Each side is one array, so
+    the check is one reduction per array whatever the rank count.
     """
-    send_data = [send_data] if isinstance(send_data, np.ndarray) else send_data
-    recv_data = [recv_data] if isinstance(recv_data, np.ndarray) else recv_data
-    sent_items = int(counts_matrix.sum())
-    recv_items = sum(int(buf.shape[0]) for buf in recv_data)
-    if sent_items != recv_items:
-        raise AssertionError(f"exchange {label!r} lost items: sent {sent_items}, received {recv_items}")
-    sent_xor = np.uint64(0)
-    for buf in send_data:
-        if buf.size:
-            sent_xor ^= np.bitwise_xor.reduce(buf.view(np.uint64))
-    recv_xor = np.uint64(0)
-    for buf in recv_data:
-        if buf.size:
-            recv_xor ^= np.bitwise_xor.reduce(buf.view(np.uint64))
-    if sent_xor != recv_xor:
-        raise AssertionError(f"exchange {label!r} corrupted payload (checksum mismatch)")
+    checked = [("payload", send.data, recv_data)]
+    if send.lengths is not None:
+        checked.append(("length bytes", send.lengths, recv_lengths))
+    for what, sent, received in checked:
+        if sent.shape[0] != received.shape[0]:
+            raise AssertionError(
+                f"exchange {label!r} lost items: sent {sent.shape[0]}, received {received.shape[0]} ({what})"
+            )
+        sent_xor, recv_xor = (np.bitwise_xor.reduce(buf) for buf in (sent, received))
+        if sent_xor != recv_xor:
+            raise AssertionError(f"exchange {label!r} corrupted {what} (checksum mismatch)")
 
 
 def exchange_time_model(
@@ -389,31 +382,31 @@ def exchange_time_model(
 
 
 def exchange_outcome(
-    send_data: list[np.ndarray] | np.ndarray,
-    recv_data: list[np.ndarray] | np.ndarray,
-    recv_lengths: list[np.ndarray] | np.ndarray | None,
-    counts_matrix: np.ndarray,
+    send: SendArray,
+    recv_data: np.ndarray,
+    recv_lengths: np.ndarray | None,
+    recv_offsets: np.ndarray,
     label: str,
     ctx: StageContext,
-    recv_offsets: np.ndarray | None = None,
 ) -> ExchangeOutcome:
     """The tail every exchange shares: checksum, time model, the outcome.
 
-    Per-rank buffer lists, or a fused exchange's one send array and, with
-    ``recv_offsets``, its one rank-segmented receive array.
+    ``send`` is the round's send array; ``recv_data`` (and, in supermer
+    mode, ``recv_lengths``) its one rank-segmented receive array, bounded
+    per destination by ``recv_offsets``.
     """
     if ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange:
-        verify_exchange(send_data, recv_data, counts_matrix, label)
-    seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
+        verify_exchange(send, recv_data, recv_lengths, label)
+    seconds, t_a2av, t_stage, links = exchange_time_model(send.counts, ctx)
     return ExchangeOutcome(
         recv_data=recv_data,
         recv_lengths=recv_lengths,
-        counts_matrix=counts_matrix,
+        recv_offsets=recv_offsets,
+        counts_matrix=send.counts,
         seconds=seconds,
         alltoallv_seconds=t_a2av,
         staging_seconds=t_stage,
         link_seconds=links,
-        recv_offsets=recv_offsets,
     )
 
 

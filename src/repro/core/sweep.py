@@ -132,9 +132,10 @@ def sweep(
     ``stages`` requests extension stages from the stage registry (e.g.
     ``("bloom",)``) on every grid point.
 
-    ``fused`` selects the fused exchange on every grid point; results are
-    bit-identical to the staged path.  One scratch arena is shared across
-    all grid points so parse-block buffers are recycled between cells.
+    ``fused`` names every grid point's strategy ``fused`` (its exchange is
+    the staged one; results are bit-identical).  One scratch arena is
+    shared across all grid points so parse-block buffers are recycled
+    between cells.
     """
     explicit_machine = resolve_machine(machine) if machine is not None else None
     oracle = None

@@ -23,7 +23,6 @@ from .stats import TrafficStats
 
 if TYPE_CHECKING:  # import for typing only; no runtime mpi -> core dependency
     from ..core.memory import ScratchArena
-    from ..core.parallel import RankPool
 
 __all__ = [
     "alltoallv",
@@ -176,8 +175,7 @@ class SegmentBlock(NamedTuple):
         """The block's (dst, src)-major gather index into one src-major array.
 
         ``src_base[src]`` is where source ``src``'s send buffer starts in
-        that array: the whole round's flat send buffer, or a staging
-        buffer holding only the block's slices (:meth:`gather`).  Every
+        that array, the whole round's src-major send array.  Every
         entry addresses an item of a segment — the callers validate the
         counts against the buffer lengths before any block is built — so
         they gather with ``mode="clip"``: NumPy's default ``"raise"``
@@ -186,37 +184,26 @@ class SegmentBlock(NamedTuple):
         starts = src_base[:, None] + self.starts
         return segment_gather_index(starts.T.reshape(-1), self.counts.T.reshape(-1))
 
-    def gather(
-        self,
-        sends: Sequence[Sequence[np.ndarray]],
-        outs: Sequence[np.ndarray],
-        arena: "ScratchArena | None" = None,
-    ) -> None:
-        """Fill ``outs[i]`` with the block's items of ``sends[i]`` (per-source buffer lists).
+    def take(self, sends: Sequence[np.ndarray], src_base: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+        """Fill ``outs[i]`` with the block's items of the src-major array ``sends[i]``, (dst, src)-major.
 
-        Send buffers are destination-ordered, so the block is one
-        contiguous slice per source: the P slices are staged back to back
-        (src-major, in a buffer borrowed from ``arena`` when there is one)
-        and permuted to (dst, src)-major with one index shared by every
-        entry of ``sends`` (the payload and, in supermer mode, its length
-        bytes).  A one-destination block is already in order and is staged
-        straight into its output.
+        A one-destination block is already in order — one contiguous slice
+        per source — and is copied slice by slice: building its index would
+        cost three more passes over the block's items than the copy itself,
+        and such a block is usually a large one (its next destination did
+        not fit beside it).  A wider block is gathered with one
+        :meth:`index` shared by every entry of ``sends`` (the payload and,
+        in supermer mode, its length bytes).
         """
-        lo = self.starts[:, 0]
-        n = self.counts.sum(axis=1)
-        bounds = list(zip(lo.tolist(), (lo + n).tolist()))
-        idx = self.index(np.cumsum(n) - n - lo) if self.d1 - self.d0 > 1 else None
+        if self.d1 - self.d0 == 1:
+            lo = src_base + self.starts[:, 0]
+            bounds = list(zip(lo.tolist(), (lo + self.counts[:, 0]).tolist()))
+            for send, out in zip(sends, outs):
+                np.concatenate([send[a:b] for a, b in bounds], out=out)
+            return
+        idx = self.index(src_base)
         for send, out in zip(sends, outs):
-            slices = [buf[a:b] for buf, (a, b) in zip(send, bounds)]
-            if idx is None:
-                np.concatenate(slices, out=out)
-                continue
-            staged = np.concatenate(
-                slices, out=None if arena is None else arena.take(out.shape[0], out.dtype)
-            )
-            np.take(staged, idx, out=out, mode="clip")
-            if arena is not None:
-                arena.release(staged)
+            np.take(send, idx, out=out, mode="clip")
 
 
 def segment_blocks(counts_matrix: np.ndarray, item_bytes: int) -> Iterator[SegmentBlock]:
@@ -225,7 +212,7 @@ def segment_blocks(counts_matrix: np.ndarray, item_bytes: int) -> Iterator[Segme
     Consecutive destinations are grouped until their received items
     (``item_bytes`` each) and the index over them reach
     :data:`SEGMENT_BLOCK_BYTES` (one oversized destination is its own
-    block).  The resident gathers below and the spooled exchange
+    block).  The resident gather below and the spooled exchange
     (``repro.core.stages.spill``) iterate this one generator, so the
     receive side is laid out identically wherever it lands.
     """
@@ -257,11 +244,13 @@ def alltoallv_flat(
     ``counts_matrix[src, dst]`` items, laid out src-major.  Returns
     ``(shuffled, dst_offsets)`` where ``shuffled`` is the same items in
     (dst, src)-major order and ``recv[dst] = shuffled[dst_offsets[dst]:
-    dst_offsets[dst + 1]]``.  A fused exchange moves the engine's one send
-    array through this without slicing it into per-rank buffers first:
+    dst_offsets[dst + 1]]``.  The engine's resident exchange moves its one
+    send array through this (the spooled exchange gathers the same blocks
+    into its segment file) without slicing it into per-rank buffers first:
     each destination block (:func:`segment_blocks`) is gathered out of
-    ``global_data`` with a block-sized index, straight into its slice of
-    ``shuffled`` — no index of the whole round exists.
+    ``global_data`` straight into its slice of ``shuffled``
+    (:meth:`SegmentBlock.take`: its source slices, or a block-sized
+    index) — no index of the whole round exists.
 
     ``arena`` optionally supplies the output buffer from a recycled
     scratch pool; the caller owns releasing it.
@@ -285,7 +274,7 @@ def alltoallv_flat(
     src_base = np.zeros(p, dtype=np.int64)
     np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
     for blk in segment_blocks(counts_matrix, global_data.itemsize):
-        np.take(global_data, blk.index(src_base), out=shuffled[blk.o0 : blk.o1], mode="clip")
+        blk.take([global_data], src_base, [shuffled[blk.o0 : blk.o1]])
     dst_offsets = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
     return shuffled, dst_offsets
@@ -298,8 +287,6 @@ def alltoallv_segments(
     stats: TrafficStats | None = None,
     label: str = "",
     bytes_per_item: float | None = None,
-    pool: "RankPool | None" = None,
-    arena: "ScratchArena | None" = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """All-to-all of destination-ordered segment arrays (the MPI wire form).
 
@@ -308,42 +295,22 @@ def alltoallv_segments(
     items go to rank 0, the next ``send_counts[src][1]`` to rank 1, etc.
     Returns ``(recv_data, counts_matrix)`` where ``recv_data[dst]`` is the
     concatenation of every source's segment for ``dst`` (ordered by source
-    rank) and ``counts_matrix[src, dst]`` is the item matrix.  The receive
-    buffers are views of one (dst, src)-major array (``arena``'s when one
-    is given; the caller owns releasing it), filled one destination block
-    at a time (:meth:`SegmentBlock.gather`).
+    rank) and ``counts_matrix[src, dst]`` is the item matrix.
 
-    ``bytes_per_item`` overrides the wire size per item for byte accounting
-    (e.g. ``8 + 1`` for a supermer word plus its length byte); by default
-    the array's own itemsize is used.
-
-    ``pool`` optionally spreads the destination blocks over worker
-    threads; blocks fill disjoint slices of the receive array, so the
-    result is the sequential one byte for byte.
+    A thin wrapper over :func:`alltoallv_flat`: the validated send buffers
+    are concatenated src-major and gathered, and the receive buffers are
+    views of its one (dst, src)-major array.  ``bytes_per_item`` overrides
+    the wire size per item for byte accounting (e.g. ``8 + 1`` for a
+    supermer word plus its length byte); by default the array's own
+    itemsize is used.
     """
     p = len(send_data)
     counts_matrix = send_counts_matrix(send_data, send_counts)
     dtype = send_data[0].dtype if p else np.dtype(np.int64)
-    per_item = bytes_per_item if bytes_per_item is not None else float(dtype.itemsize)
-    account_alltoallv(counts_matrix, stats=stats, label=label, bytes_per_item=per_item)
-
-    take = arena.take if arena is not None else np.empty
-    shuffled = take(int(counts_matrix.sum()), dtype)
-
-    def _fill(blk: SegmentBlock) -> None:
-        blk.gather([send_data], [shuffled[blk.o0 : blk.o1]], arena)
-
-    blocks = segment_blocks(counts_matrix, dtype.itemsize)
-    # Blocks only pay off on a pool whose workers share this address space:
-    # an out-of-process worker's block would be copied back through shared
-    # memory for zero overlap benefit, so that substrate gathers inline.
-    if pool is not None and pool.is_parallel and pool.in_process:
-        pool.map(_fill, blocks)
-    else:
-        for blk in blocks:
-            _fill(blk)
-    dst_offsets = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
+    flat = np.concatenate(send_data, dtype=dtype) if p else np.empty(0, dtype)
+    shuffled, dst_offsets = alltoallv_flat(
+        flat, counts_matrix, stats=stats, label=label, bytes_per_item=bytes_per_item
+    )
     return [shuffled[dst_offsets[d] : dst_offsets[d + 1]] for d in range(p)], counts_matrix
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.mpi.collectives as collectives
-from repro.core.parallel import get_pool
 from repro.mpi.collectives import (
     allgather,
     allreduce,
@@ -78,11 +77,6 @@ class TestAlltoallvSegments:
         for d in range(p):
             assert np.array_equal(recv[d], expected[d])
         assert matrix.sum() == sum(c.sum() for c in send_counts)
-        # The pooled (parallel segment-packing) path must agree exactly.
-        pooled, pooled_matrix = alltoallv_segments(send_data, send_counts, pool=get_pool(3))
-        assert np.array_equal(pooled_matrix, matrix)
-        for d in range(p):
-            assert np.array_equal(pooled[d], expected[d])
 
     def test_source_order_within_destination(self):
         send_data = [np.array([10, 11], dtype=np.int64), np.array([20], dtype=np.int64)]
@@ -159,17 +153,13 @@ class TestBlockedSegmentGather:
                 assert b.d1 - b.d0 == 1 or b.o1 - b.o0 <= block_items
 
             shuffled, dst_offsets = alltoallv_flat(np.concatenate(send_data), counts)
-            results = [
-                alltoallv_segments(send_data, list(counts), pool=get_pool(setting))[0]
-                for setting in (1, "thread:3", "process:2")
-            ]
+            recv = alltoallv_segments(send_data, list(counts))[0]
         assert shuffled.dtype == dtype
         assert shuffled.tobytes() == np.concatenate(expected).tobytes()
         assert np.array_equal(dst_offsets, np.concatenate(([0], np.cumsum(counts.sum(axis=0)))))
-        for recv in results:
-            assert len(recv) == p
-            for d in range(p):
-                assert recv[d].dtype == dtype and recv[d].tobytes() == expected[d].tobytes()
+        assert len(recv) == p
+        for d in range(p):
+            assert recv[d].dtype == dtype and recv[d].tobytes() == expected[d].tobytes()
 
 
 class TestSimpleCollectives:

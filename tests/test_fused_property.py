@@ -1,8 +1,8 @@
 """Randomized differential suite: fused vs staged execution.
 
-Property: for ANY pipeline configuration the fused exchange
-(``EngineOptions(fused=True)``) produces bit-identical results to the
-staged exchange — spectrum, per-rank model times, traffic
+Property: for ANY pipeline configuration the fused strategy
+(``EngineOptions(fused=True)``, which now changes names only) produces
+bit-identical results to the staged one — spectrum, per-rank model times, traffic
 matrices, insert statistics, staging/alltoallv model seconds, and the
 model-metric telemetry snapshot.  The golden suite pins a fixed case
 matrix; this suite draws configurations at random so every run explores a

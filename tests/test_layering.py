@@ -114,6 +114,7 @@ class TestCheckerDetects:
             "est = TrafficEstimate()\nout = ExchangeOutcome()\nt = substrate.charge_parse(shard)\n"
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
             "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
+            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
         )
         standard = root / "core" / "stages" / "standard.py"
         standard.write_text(owned)
@@ -121,7 +122,32 @@ class TestCheckerDetects:
         standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:6: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+
+    def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
+        """The resident exchange's gather calls live in the spool module, the checksum reduction in standard.py."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        standard = root / "core" / "stages" / "standard.py"
+        spill = root / "core" / "stages" / "spill.py"
+        owned = (  # every text the checker pins to standard.py, once
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\nt = substrate.charge_parse(shard)\n"
+            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+        )
+        gathers = (  # two calls: the payload's and the length bytes'
+            "table = SegmentedHashTable(hints)\nrecv, offs = alltoallv_flat(send.data, send.counts)\n"
+            "lens = alltoallv_flat(send.lengths, send.counts)[0]\n"
+        )
+        standard.write_text(owned)
+        spill.write_text(gathers)
+        assert run_checker(root).returncode == 0
+        standard.write_text(owned + "recv = alltoallv_flat(send.data, send.counts)[0]\n")
+        (root / "core" / "stages" / "scheduler.py").write_text("x = np.bitwise_xor.reduce(recv[lo:hi])\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "standard.py:7: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

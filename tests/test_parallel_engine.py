@@ -32,7 +32,6 @@ from repro.core.parallel import (
 from repro.core.stages import scheduler
 from repro.dna.datasets import load_dataset
 from repro.gpu import segmented
-from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import ClusterSpec
 from repro.telemetry import SpanRecorder, run_trace_payload, trace_events
 
@@ -128,22 +127,6 @@ class TestIncrementalCounterParallel:
         assert np.array_equal(seq.received_kmers, par.received_kmers)
         assert seq.exchanged_items == par.exchanged_items
         assert seq.insert_stats == par.insert_stats
-
-
-class TestSegmentPackingPool:
-    def test_pooled_packing_matches_serial(self):
-        rng = np.random.default_rng(7)
-        p = 9
-        send_data, send_counts = [], []
-        for _src in range(p):
-            counts = rng.integers(0, 40, size=p)
-            send_counts.append(counts)
-            send_data.append(rng.integers(0, 2**60, size=int(counts.sum())).astype(np.uint64))
-        serial, cm1 = alltoallv_segments(send_data, send_counts)
-        pooled, cm2 = alltoallv_segments(send_data, send_counts, pool=get_pool(4))
-        assert np.array_equal(cm1, cm2)
-        for d in range(p):
-            assert np.array_equal(serial[d], pooled[d])
 
 
 class TestPoolMachinery:

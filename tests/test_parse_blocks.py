@@ -1,4 +1,4 @@
-"""The parse in blocks of whole shards, and the one switch ``fused`` still makes.
+"""The parse in blocks of whole shards, and the names ``fused`` still changes.
 
 Every strategy parses blocks of whole shards into one send array
 (``repro.core.stages.scheduler.Layout``), through the one parse body
@@ -7,9 +7,9 @@ parse on every strategy, mode and strand setting, with the block
 constant at its extremes: the spectrum must be the oracle's, and every
 observable — per-rank parse seconds and parsed k-mers included — must
 be the same for a custom parse stage as for the standard one, and the
-same at every block size.  Then the one difference ``fused=True``
-makes, under both residencies: the exchange gathers straight out of
-the send array, never through per-source buffers.
+same at every block size.  Then what ``fused=True`` no longer changes,
+under both residencies: with or without it, the exchange gathers
+straight out of the send array, never through per-source buffers.
 """
 
 from __future__ import annotations
@@ -164,13 +164,13 @@ def test_k_past_the_packing_boundary_is_one_config_error():
 @pytest.mark.parametrize("spill", [False, True], ids=["resident", "spooled"])
 @pytest.mark.parametrize("mode", ["kmer", "supermer"])
 def test_fused_exchange_gathers_straight_out_of_the_send_array(mode, spill, tmp_path, monkeypatch):
-    """``fused=True`` changes one thing, under either residency: no per-source buffers are gathered.
+    """``fused=True`` changes names only, under either residency: every exchange gathers out of the send array.
 
-    Staged, the exchange gets per-source views of the send array
-    and stages each destination block's slices (``SegmentBlock.gather``):
-    in memory through ``alltoallv_segments``, on disk in the spool.
-    Fused, every block is gathered out of the one send array by its index
-    (``alltoallv_flat`` in memory).  Every observable is the same.
+    Both strategies of a residency make the same exchange calls — in
+    memory one ``alltoallv_flat`` per round (two in supermer mode, the
+    length bytes' too), on disk none, the spool gathering each destination
+    block by its index — and no per-source buffer is ever staged
+    (``SegmentBlock`` has no ``gather``).  Every observable is the same.
     """
     calls: Counter[str] = Counter()
 
@@ -183,9 +183,8 @@ def test_fused_exchange_gathers_straight_out_of_the_send_array(mode, spill, tmp_
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(spill_mod, "alltoallv_segments")
     counted(spill_mod, "alltoallv_flat")
-    counted(collectives.SegmentBlock, "gather")
+    counted(collectives.SegmentBlock, "index")
     observed = []
     for strategy in ("spill", "fused-spill") if spill else ("staged", "fused"):
         calls.clear()
@@ -198,10 +197,8 @@ def test_fused_exchange_gathers_straight_out_of_the_send_array(mode, spill, tmp_
         )
         observed.append((summarize_result(result), dict(calls)))
     (staged, staged_calls), (fused, fused_calls) = observed
-    assert fused == staged
-    assert staged_calls["gather"] > 0 and fused_calls.get("gather", 0) == 0
-    assert staged_calls.get("alltoallv_flat", 0) == 0
-    assert fused_calls.get("alltoallv_segments", 0) == 0
-    if not spill:  # two rounds, payload and length bytes in supermer mode
-        rounds = 2 * (2 if mode == "supermer" else 1)
-        assert (staged_calls["alltoallv_segments"], fused_calls["alltoallv_flat"]) == (rounds, rounds)
+    assert fused == staged and fused_calls == staged_calls
+    assert not hasattr(collectives.SegmentBlock, "gather")
+    gathers = 2 if mode == "supermer" and not spill else 1  # per round: in memory, one per array
+    assert staged_calls.get("alltoallv_flat", 0) == (0 if spill else 2 * gathers)
+    assert staged_calls["index"] >= 2 * gathers  # two rounds, a block or more each

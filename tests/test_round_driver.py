@@ -1,4 +1,4 @@
-"""The round driver's 2×2: fused exchange × residency, on both surfaces.
+"""The round driver's 2×2: the ``fused`` name × residency, on both surfaces.
 
 ``RoundScheduler._drive`` is the one loop behind ``staged``, ``fused``,
 ``spill`` and ``fused-spill``, behind ``run()`` and ``run_batch()``.  These

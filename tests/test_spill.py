@@ -30,10 +30,10 @@ from repro.core.stages.spill import (
 )
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
 from repro.kmers.spectrum import count_kmers_exact
-from repro.mpi.collectives import alltoallv_segments
 from repro.mpi.topology import summit_cpu, summit_gpu
 from repro.telemetry import MetricRegistry
 
+from . import test_collectives
 from .golden_cases import snapshot_digest, summarize_counter, summarize_result
 
 
@@ -215,7 +215,7 @@ class TestSpillFallbacks:
         assert list(tmp_path.iterdir()) == []  # spool cleaned up
 
     def test_fused_spill_custom_count_stage_stays_fused_spill(self, caplog, genome_reads, tmp_path):
-        """Custom count stage: no fallback — a fused exchange replaces only the exchange stage."""
+        """Custom count stage: no fallback — the exchange is the residency's, whatever the count stage."""
         import dataclasses
 
         from repro.core.stages.registry import resolve
@@ -891,8 +891,13 @@ def _random_send(rng: np.random.Generator, p: int, with_lengths: bool, empty_rou
     return send_data, send_lengths, counts.astype(np.int64)
 
 
+def _naive_recv(send, counts):
+    """Every destination's received items: the per-segment concatenation, independent of the gather kernel."""
+    return test_collectives.TestAlltoallvSegments.naive(send, list(counts))
+
+
 class TestSpoolRoundTrip:
-    """What comes back from the segment file is ``alltoallv_segments``' ``recv_data``."""
+    """What comes back from the segment file is every destination's per-segment concatenation."""
 
     def _assert_reads_back(self, spool, label, expected, dtype, lens, rng):
         p = len(expected)
@@ -922,12 +927,12 @@ class TestSpoolRoundTrip:
             for rnd, empty_round in enumerate((False, True, False)):
                 send_data, send_lengths, counts = _random_send(rng, p, with_lengths, empty_round)
                 label = f"round{rnd}"
-                SpillExchange(spool)._spool_round(send_data, send_lengths, counts, label)
+                flat_lengths = None if send_lengths is None else np.concatenate(send_lengths)
+                SpillExchange(spool)._spool_round(np.concatenate(send_data), flat_lengths, counts, label)
                 assert spool.pending_files()[0] <= (rnd + 1) * (2 if with_lengths else 1)
-                recv, _ = alltoallv_segments(send_data, list(counts))
-                self._assert_reads_back(spool, label, recv, np.uint64, False, rng)
+                self._assert_reads_back(spool, label, _naive_recv(send_data, counts), np.uint64, False, rng)
                 if with_lengths:
-                    recv_lens, _ = alltoallv_segments(send_lengths, list(counts))
+                    recv_lens = _naive_recv(send_lengths, counts)
                     self._assert_reads_back(spool, label, recv_lens, np.uint8, True, rng)
             expected_bytes = sum(p.stat().st_size for p in spool.dir.iterdir())
             assert spool.bytes_written == expected_bytes
@@ -947,10 +952,8 @@ class TestSpoolRoundTrip:
                     segs = [send[src][offsets[src, dst] : offsets[src, dst + 1]] for src in range(p)]
                     spool.write_partition("lbl", int(dst), segs, lens=lens)
             assert spool.pending_files()[0] <= 2
-            recv, _ = alltoallv_segments(send_data, list(counts))
-            self._assert_reads_back(spool, "lbl", recv, np.uint64, False, rng)
-            recv_lens, _ = alltoallv_segments(send_lengths, list(counts))
-            self._assert_reads_back(spool, "lbl", recv_lens, np.uint8, True, rng)
+            self._assert_reads_back(spool, "lbl", _naive_recv(send_data, counts), np.uint64, False, rng)
+            self._assert_reads_back(spool, "lbl", _naive_recv(send_lengths, counts), np.uint8, True, rng)
         finally:
             spool.close()
 
@@ -963,9 +966,9 @@ class TestSpoolRoundTrip:
         p, n_threads = 64, 8
         rng = np.random.default_rng(7)
         send_data, _, counts = _random_send(rng, p, False, False)
-        recv, _ = alltoallv_segments(send_data, list(counts))
+        recv = _naive_recv(send_data, counts)
         spool = SpillSpool(tmp_path)
-        SpillExchange(spool)._spool_round(send_data, None, counts, "lbl")
+        SpillExchange(spool)._spool_round(np.concatenate(send_data), None, counts, "lbl")
         wrong: list[int] = []
 
         def reader(seed: int) -> None:

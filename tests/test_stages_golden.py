@@ -128,7 +128,7 @@ class TestCounterGolden:
 
 
 class TestFusedGolden:
-    """The fused exchange must match the same golden records.
+    """The fused strategy must match the same golden records.
 
     Same case matrix, same expected fields, but executed with
     ``EngineOptions(fused=True)`` — proving the exchange gathered straight

@@ -28,7 +28,7 @@ from repro.core.incremental import DistributedCounter
 from repro.core.stages.standard import GpuSubstrate
 from repro.gpu.segmented import SegmentedHashTable
 from repro.kmers.spectrum import count_kmers_exact
-from repro.mpi.collectives import alltoallv_flat, alltoallv_segments
+from repro.mpi.collectives import alltoallv_flat
 from repro.mpi.topology import summit_gpu
 
 
@@ -230,28 +230,104 @@ class TestExchangeIndexBudget:
         monkeypatch.setattr(collectives, "segment_gather_index", counting)
         send, counts = self._round(n_items)
         flat = np.concatenate(send)
-        exchanges = {
-            "segments": lambda: alltoallv_segments(send, list(counts))[0][0].base,
-            "flat": lambda: alltoallv_flat(flat, counts)[0],
-        }
         block_items = self.BLOCK_BYTES // 16
         assert counts.sum(axis=0).max() < block_items  # no destination is a block of its own
-        for name, exchange in exchanges.items():
-            index_items.clear()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                received = exchange()
-                transient = tracemalloc.get_traced_memory()[1] - before - received.nbytes
-            finally:
-                tracemalloc.stop()
-            assert received.shape[0] == flat.shape[0]
-            assert len(index_items) >= n_items // (2 * block_items), name
-            assert max(index_items) <= block_items, name
-            # Staging buffer, index and its construction temporaries, plus a
-            # few P x P offset matrices: the same bound for both round sizes,
-            # under the 8 bytes per item of one whole-round index at the larger.
-            assert transient <= 6 * self.BLOCK_BYTES + 32 * counts.size < 8 * 640_000, (name, transient)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            received = alltoallv_flat(flat, counts)[0]
+            transient = tracemalloc.get_traced_memory()[1] - before - received.nbytes
+        finally:
+            tracemalloc.stop()
+        assert received.shape[0] == flat.shape[0]
+        assert len(index_items) >= n_items // (2 * block_items)
+        assert max(index_items) <= block_items
+        # Index and its construction temporaries, plus a few P x P offset
+        # matrices: the same bound for both round sizes, under the 8 bytes
+        # per item of one whole-round index at the larger.
+        assert transient <= 6 * self.BLOCK_BYTES + 32 * counts.size < 8 * 640_000, transient
+
+
+class TestExchangeGrowthLaw:
+    """The exchange pays per destination block, never per rank (ROADMAP 8(b)'s first growth law).
+
+    Every exchange, resident or spooled, gathers its receive array straight
+    out of the round's send array: no per-source buffer is staged
+    (``SegmentBlock.gather`` is gone), the checksum gets one array a side,
+    and the gather indexes and checksum reductions of a round follow the
+    blocks — the bytes — so quadrupling P at fixed input adds none.  The
+    per-source form made P views, P staged slices per block and 2P XOR
+    reductions a round.
+    """
+
+    class _CountingReduce:
+        """``np.bitwise_xor`` with its ``reduce`` calls counted."""
+
+        def __init__(self, real, calls: list[int]) -> None:
+            self.real, self.calls = real, calls
+
+        def __call__(self, *args, **kwargs):
+            return self.real(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            self.calls.append(1)
+            return self.real.reduce(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+    @staticmethod
+    def _counting(name: str, counts: Counter[str]):
+        """``SegmentBlock.<name>`` with its calls counted."""
+        real = getattr(collectives.SegmentBlock, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    @classmethod
+    def _run(cls, monkeypatch, reads, nodes: int, mode: str, spill_dir) -> dict[str, float]:
+        """Per round: gathers of staged slices, gather indexes and checksum reductions; and the checksum's list args."""
+        counts: Counter[str] = Counter()
+        reductions: list[int] = []
+        listed: list[str] = []
+
+        real_verify = standard.verify_exchange
+
+        def verify(*args):
+            listed.extend(type(arg).__name__ for arg in args if isinstance(arg, (list, tuple)))
+            return real_verify(*args)
+
+        with monkeypatch.context() as patch:
+            for name in ("gather", "index"):  # gather: the per-source staging, where it still exists
+                if hasattr(collectives.SegmentBlock, name):
+                    patch.setattr(collectives.SegmentBlock, name, cls._counting(name, counts))
+            patch.setattr(standard, "verify_exchange", verify)
+            patch.setattr(np, "bitwise_xor", cls._CountingReduce(np.bitwise_xor, reductions))
+            config = PipelineConfig(k=17, mode=mode, n_rounds=2)
+            options = EngineOptions(parallel=1, verify_exchange=True, spill_dir=spill_dir)
+            result = run_pipeline(reads, summit_gpu(nodes), config, options=options)
+        rounds = result.n_rounds_used
+        assert rounds == 2 and result.spectrum.n_distinct > 0
+        return {
+            "gather": counts["gather"],
+            "index": counts["index"] / rounds,
+            "reductions": len(reductions) / rounds,
+            "listed": len(listed),
+        }
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["staged", "spill"])
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_exchange_calls_do_not_grow_with_ranks(self, genome_reads, tmp_path, monkeypatch, mode, spill):
+        base = self._run(monkeypatch, genome_reads, 4, mode, tmp_path / "p24" if spill else None)
+        wider = self._run(monkeypatch, genome_reads, 16, mode, tmp_path / "p96" if spill else None)  # P x 4
+        arrays = 2 if mode == "supermer" else 1  # the payload, and its length bytes
+        for made in (base, wider):
+            assert made["gather"] == 0 and made["listed"] == 0
+            assert made["reductions"] == 2 * arrays  # one a side per array: sent and received
+        assert 1 <= base["index"] and wider["index"] <= base["index"]
 
 
 class TestCheckpointBudgets:

@@ -25,7 +25,9 @@ families every strategy must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the parse and count bodies'
 per-rank charges, the merges' equal-key aggregation, the host working
 set per received item, the table's insert probe loop, its slot dump,
-the segment gather index, the engine's one table birth, the pair sort
+the segment gather index, the exchange's calls of the one block gather
+(``alltoallv_flat``, the resident exchange's only body), the exchange
+checksum's XOR reduction, the engine's one table birth, the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
 one wall summary (busy / elapsed / overlap) and the one silent fallback
@@ -77,6 +79,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
+    ("alltoallv_flat(", "core/stages", "core/stages/spill.py", False),
+    ("np.bitwise_xor.reduce(", "", "core/stages/standard.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
     ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
