@@ -1,8 +1,8 @@
 """Scratch-buffer arena: recycled temporaries of the round driver.
 
-A parse block concatenates its shards' codes, and the spool stages and
-reads back one destination block at a time (:mod:`repro.core.stages`).
-Allocating those afresh every block/round/sweep-cell costs page faults
+The spool stages and reads back one destination block at a time
+(:mod:`repro.core.stages.spill`).  Allocating those buffers afresh every
+block/round/sweep-cell costs page faults
 and allocator churn, so the :class:`ScratchArena` keeps released blocks
 on per-dtype free lists and hands them back to later ``take`` calls.
 

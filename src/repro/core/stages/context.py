@@ -51,7 +51,6 @@ class EngineOptions:
     machine: MachineSpec | str | None = None
     work_multiplier: float = 1.0
     minimizer_assignment: np.ndarray | None = None  # balanced-partition hook
-    shard_mode: str = "bytes"  # "bytes" (paper's parallel I/O) or "reads"
     auto_rounds: bool = False  # split exchange+count by device memory (Sec. III-A)
     memory_budget_fraction: float = 0.5  # usable share of device HBM per round
     verify_exchange: bool = True  # end-to-end checksums over the alltoallv
@@ -76,8 +75,8 @@ class EngineOptions:
     # reported as "fused"/"fused-spill" and the work leaves as "fused:*".
     # Every exchange gathers straight out of the one send array either way.
     fused: bool = False
-    # Scratch-buffer pool for parse blocks and spool buffers, shared across
-    # runs/sweep cells; None lets the scheduler create a private one.
+    # Scratch-buffer pool for the spool's buffers, shared across runs/sweep
+    # cells; None lets the scheduler create a private one.
     arena: ScratchArena | None = None
     # Out-of-core execution (repro.core.stages.spill): a spool directory for
     # disk-spilled exchange partitions.  When set, the one-shot run writes
@@ -110,8 +109,6 @@ class EngineOptions:
             object.__setattr__(self, "cpu_rates", machine.cpu_rates)
         if self.work_multiplier <= 0:
             raise ValueError("work_multiplier must be positive")
-        if self.shard_mode not in ("bytes", "reads"):
-            raise ValueError("shard_mode must be 'bytes' or 'reads'")
         if not 0 < self.memory_budget_fraction <= 1:
             raise ValueError("memory_budget_fraction must be in (0, 1]")
         if self.host_memory_budget is not None and self.host_memory_budget <= 0:

@@ -44,25 +44,20 @@ __all__ = [
 
 @runtime_checkable
 class ParseStage(Protocol):
-    """Extract wire items (k-mers or supermers) from a rank's shard, or a block of shards at once."""
+    """Extract wire items (k-mers or supermers) from a rank's shard or a view of a block of shards."""
 
     #: GPU kernel name charged for this phase (Fig. 2 / Fig. 5).
     kernel_name: str
 
-    def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
-        """Pure extraction; no timing, no partitioning."""
-        ...
-
     def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
-        """:meth:`extract` plus each item's position in ``reads.codes`` (ascending).
+        """The items of ``reads`` and each one's position in ``reads.codes`` (ascending); no timing, no partitioning.
 
-        The parse body hands it several shards' codes back to back and
-        tells each item's shard by its position.
+        The parse body hands it one view of a block of shards' codes — one
+        read per piece (a read ∩ a shard), whose last windows reach into the
+        next piece's bases — and tells each item's shard by its position.
+        An item that groups windows (a supermer) starts afresh at every
+        read start, as it would after a sentinel.
         """
-        ...
-
-    def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
-        """Logical GPU thread count of the parse kernel launch."""
         ...
 
     def gpu_traffic(
@@ -125,10 +120,10 @@ class Substrate(Protocol):
         n_kmers: int,
         n_supermers: int,
         code_bytes: int,
-        grid_threads: int,
+        threads: int,
         ctx: "StageContext",
     ) -> float:
-        """Model seconds of one rank's parse of a shard of ``code_bytes`` encoded bases."""
+        """Model seconds of one rank's parse of a shard of ``code_bytes`` encoded bases, ``threads`` wide."""
         ...
 
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: "StageContext") -> float:

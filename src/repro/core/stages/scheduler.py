@@ -20,11 +20,13 @@ modeled per-round working set exceeds device memory (``auto_rounds``), or
 the config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange + count phases repeat.
 
-There is one data layout (:class:`Layout`): blocks of whole shards parse
-into one send array, a round is one gather of it, every exchange gathers
-straight out of it into one receive array, and blocks of ranks count
-into block-local segmented tables, all on the rank pool.  The one axis
-that changes behaviour is the *residency* of the receive side
+There is one data layout (:class:`Layout`): shards are base ranges of
+the input (:class:`~repro.dna.reads.ShardRanges`), blocks of whole shards
+parse, each from one view of its codes, into one send array, a round is
+one gather of it, every exchange gathers straight out of it into one
+receive array, and blocks of ranks count into block-local segmented
+tables, all on the rank pool.  The one axis that changes behaviour is
+the *residency* of the receive side
 (:class:`~repro.core.stages.spill.Resident` |
 :class:`~repro.core.stages.spill.Spooled`), which owns the exchange and
 the merge; ``fused`` changes names only (the strategy, ``staged`` |
@@ -51,7 +53,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ...dna.reads import ReadSet
+from ...dna.reads import ReadSet, ShardRanges
 from ...gpu.hashtable import EMPTY_KEY, InsertStats, SegmentedRankView, dump_slots
 from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks
 from ...mpi.costmodel import CommCostModel
@@ -479,7 +481,7 @@ class Layout:
         self, sched: "RoundScheduler", arena: ScratchArena, *, fused: bool, in_process_only: bool
     ) -> None:
         self.sched = sched
-        self.arena = arena  # parse blocks' code buffers and the spool's buffers
+        self.arena = arena  # the spool's buffers
         self.in_process_only = in_process_only
         self.prefix = "fused:" if fused else ""  # work-leaf names
 
@@ -498,14 +500,14 @@ class Layout:
             pool = get_pool(f"thread:{pool.workers}")
         return pool
 
-    def parse(self, shards: list[ReadSet], sctx: StageContext) -> tuple[SendArray, ParseSummary]:
+    def parse(self, ranges: ShardRanges, sctx: StageContext) -> tuple[SendArray, ParseSummary]:
         """Every rank's send buffer in one :class:`SendArray`, and the per-rank parse figures.
 
         One pool task and one ``parse`` work leaf (``ranks=[r0, r1]``) per
-        block; a block's closure reads only its shards and returns fresh
-        arrays, so any substrate equals the sequential loop.  Block outputs
-        are copied into their slices of the send array a wave of blocks at
-        a time (a few per worker; all at once on an out-of-process pool,
+        block; a block's closure reads only its view of the input and
+        returns fresh arrays, so any substrate equals the sequential loop.
+        Block outputs are copied into their slices of the send array a wave
+        of blocks at a time (a few per worker; all at once on an out-of-process pool,
         whose results arrive as copies anyway), so the parse holds one
         wave's outputs beside the array and the next wave reuses their
         memory.  The array is sized from the items per base parsed so far,
@@ -514,12 +516,12 @@ class Layout:
         """
         comp, pool, recorder = self.sched.comp, sctx.pool, sctx.recorder
         leaf = self.prefix + "parse"
-        sizes = np.array([shard.codes.shape[0] for shard in shards], dtype=np.int64)
+        sizes = ranges.code_bytes
 
         def _parse(block: tuple[int, int]):
             r0, r1 = block
             t0 = perf_counter()
-            out = parse_block(shards[r0:r1], comp.parse, comp.partition, comp.substrate, sctx, self.arena)
+            out = parse_block(ranges, r0, r1, comp.parse, comp.partition, comp.substrate, sctx)
             if recorder is not None:
                 recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
             return out
@@ -601,11 +603,9 @@ class RoundScheduler:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _shard(self, reads: ReadSet) -> list[ReadSet]:
-        p = self.cluster.n_ranks
-        if self.opts.shard_mode == "bytes":
-            return reads.shard_bytes(p, overlap=self.config.k - 1)
-        return reads.shard(p)
+    def _shard(self, reads: ReadSet) -> ShardRanges:
+        """The input's byte-balanced shards (the paper's parallel I/O; Section IV-D), as ranges."""
+        return ShardRanges.of(reads, self.cluster.n_ranks, self.config.k - 1)
 
     def _prepare_plugins(self, reads: ReadSet) -> None:
         """One-time plugin pre-pass (first batch for streamed inputs)."""
@@ -770,12 +770,12 @@ class RoundScheduler:
         # streamed path as on the one-shot path.
         self._prepare_plugins(reads)
         # ---- input partitioning (the paper's parallel I/O; Section IV-D) ----
-        shards = self._shard(reads)
+        ranges = self._shard(reads)
 
         # ---- phase 1: parse (& build supermers) ----
         with recording_region(recorder, "parse", cat="stage"):
-            send, summary = layout.parse(shards, sctx)
-        del shards
+            send, summary = layout.parse(ranges, sctx)
+        del ranges
         t_parse = float(summary.times.max()) if p else 0.0
         recv_items = summary.counts_matrix.sum(axis=0)
         n_rounds = 1

@@ -3,7 +3,7 @@
 The BSP scheduler (:mod:`repro.core.stages.scheduler`) simulates all ranks
 in one process; this module renders the *same stage objects* as an
 MPI-style per-rank program for :class:`repro.mpi.ThreadedWorld`: the
-parse and partition stages' ``extract`` and ``owners``, the count stage's
+parse and partition stages' ``extract_at`` and ``owners``, the count stage's
 ``extract_kmers``, the plugins' filter, and the one merge
 (:func:`~repro.core.stages.standard.merge_items`).  It shares those
 objects, not the phase bodies: a rank routes its items with boolean
@@ -59,7 +59,7 @@ def staged_rank_program(
         parse, partition, count, plugins = SupermerParse(), MinimizerHashPartition(), TableCount(), ()
 
     # PARSE: every rank extracts wire items from its own shard.
-    items = parse.extract(shard, config)
+    items = parse.extract_at(shard, config)[0]
     owners = partition.owners(items.route_keys, comm.size, config)
 
     # EXCHANGE: destination-bucketed many-to-many (two parallel alltoallvs

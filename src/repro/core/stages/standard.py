@@ -1,8 +1,8 @@
 """The paper's stages and the phase bodies every strategy runs.
 
 * :class:`KmerParse` / :class:`SupermerParse` — Algorithm 1's PARSEKMER
-  and Algorithm 2's windowed supermer construction, run over a block of
-  whole shards by the one parse body, :func:`parse_block`;
+  and Algorithm 2's windowed supermer construction, run over one view of
+  a block of shards' codes by the one parse body, :func:`parse_block`;
 * :class:`KmerHashPartition` / :class:`MinimizerHashPartition` — the
   hash partitioners (the latter accepts an explicit minimizer→rank
   assignment, the seam the balanced-partitioning extension plugs into);
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...dna.encoding import canonical_batch
-from ...dna.reads import ReadSet
+from ...dna.reads import ReadSet, ShardRanges
 from ...gpu.costmodel import TrafficEstimate, staging_time
 from ...gpu.hashtable import InsertStats, SegmentedRankView, sort_pairs
 from ...gpu.kernels import VirtualGPU
@@ -36,7 +36,6 @@ from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ..config import PipelineConfig
-from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendArray
 from .context import EngineOptions, StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
@@ -71,20 +70,14 @@ class KmerParse:
 
     kernel_name = "parse_kmers"
 
-    def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
-        return self._items(window_values(shard.codes, config.k).compact(), config)
-
     def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
-        """:meth:`extract` plus each item's position in ``reads.codes`` (its window's first base)."""
+        """Every valid window's k-mer, and its position in ``reads.codes`` (its first base)."""
         windows = window_values(reads.codes, config.k)
         positions = np.flatnonzero(windows.valid)
-        return self._items(windows.values[positions], config), positions
-
-    @staticmethod
-    def _items(kmers: np.ndarray, config: PipelineConfig) -> ParsedItems:
+        kmers = windows.values[positions]
         if config.canonical:
             kmers = canonical_batch(kmers, config.k)
-        return ParsedItems(
+        items = ParsedItems(
             data=kmers,
             lengths=None,
             route_keys=kmers,
@@ -92,9 +85,7 @@ class KmerParse:
             n_supermers=0,
             supermer_bases=0,
         )
-
-    def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
-        return max(int(shard.codes.shape[0]) - config.k + 1, 0)
+        return items, positions
 
     def gpu_traffic(
         self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
@@ -119,11 +110,8 @@ class SupermerParse:
 
     kernel_name = "build_supermers"
 
-    def extract(self, shard: ReadSet, config: PipelineConfig) -> ParsedItems:
-        return self.extract_at(shard, config)[0]
-
     def extract_at(self, reads: ReadSet, config: PipelineConfig) -> tuple[ParsedItems, np.ndarray]:
-        """:meth:`extract` plus each supermer's position in ``reads.codes`` (its first base)."""
+        """Every supermer, and its position in ``reads.codes`` (its first base)."""
         batch, positions = build_supermers_with_positions(
             reads,
             config.k,
@@ -143,9 +131,6 @@ class SupermerParse:
             supermer_bases=batch.total_bases,
         )
         return items, positions
-
-    def grid_threads(self, shard: ReadSet, config: PipelineConfig) -> int:
-        return max(int(shard.codes.shape[0]) - config.k + 1, 0)
 
     def gpu_traffic(
         self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
@@ -253,46 +238,34 @@ def _destination_counts(
     return counts.reshape(nb, p)
 
 
-def _block_reads(shards: list[ReadSet], code_base: np.ndarray, arena: ScratchArena) -> ReadSet:
-    """The shards as one read set: their codes back to back in an arena buffer."""
-    codes = arena.take(int(code_base[-1]), np.uint8)
-    for shard, lo, hi in zip(shards, code_base[:-1].tolist(), code_base[1:].tolist()):
-        codes[lo:hi] = shard.codes
-    offsets = np.concatenate([shard.offsets + lo for shard, lo in zip(shards, code_base[:-1].tolist())])
-    return ReadSet(codes=codes, offsets=offsets, lengths=np.concatenate([shard.lengths for shard in shards]))
-
-
 def parse_block(
-    shards: list[ReadSet],
+    ranges: ShardRanges,
+    r0: int,
+    r1: int,
     parse: ParseStage,
     partition: PartitionStage,
     substrate: Substrate,
     ctx: StageContext,
-    arena: ScratchArena,
 ) -> tuple[np.ndarray, np.ndarray | None, ParseSummary]:
-    """The one parse body: a block of whole shards (ranks ``r0, r0 + 1, ...``) into their send buffers.
+    """The one parse body: shards ``r0 .. r1 - 1`` of the input into their send buffers.
 
     Returns the block's slice of the run's send array (items src-major,
     dst-segmented; their k-mer counts in supermer mode) and its
-    :class:`ParseSummary`.  The parse stage runs once over the shards'
-    codes back to back (``extract_at``; sentinel-terminated shards: no
-    window or supermer spans two, and an item's position tells its shard),
-    then one ``owners`` call and one stable sort of the composite (shard,
-    owner) key — the shards' stable owner sorts, concatenated.  Each shard
-    is charged here, by the substrate's ``charge_parse``: the one place
-    parse seconds and parse-kernel telemetry come from.
+    :class:`ParseSummary`.  The parse stage runs once over the block's one
+    view of the input's codes (``extract_at`` over
+    :meth:`~repro.dna.reads.ShardRanges.view`: one read per piece, so no
+    window or supermer spans two shards, and an item's position tells its
+    shard), then one ``owners`` call and one stable sort of the composite
+    (shard, owner) key — the shards' stable owner sorts, concatenated.
+    Each shard is charged here, by the substrate's ``charge_parse``, for
+    its standalone codes (``ShardRanges.code_bytes``) and one kernel
+    thread per window start in them: the one place parse seconds and
+    parse-kernel telemetry come from.
     """
-    config, p, nb = ctx.config, ctx.n_ranks, len(shards)
-    if nb == 1:
-        items = parse.extract(shards[0], config)
-        cuts = np.array([0, items.data.shape[0]])
-    else:
-        code_base = np.zeros(nb + 1, dtype=np.int64)
-        np.cumsum([shard.codes.shape[0] for shard in shards], out=code_base[1:])
-        reads = _block_reads(shards, code_base, arena)
-        items, positions = parse.extract_at(reads, config)
-        arena.release(reads.codes)
-        cuts = np.searchsorted(positions, code_base)  # shard s's items: [cuts[s], cuts[s + 1])
+    config, p, nb = ctx.config, ctx.n_ranks, r1 - r0
+    reads, heads = ranges.view(r0, r1)
+    items, positions = parse.extract_at(reads, config)
+    cuts = np.searchsorted(positions, heads)  # shard r0 + i's items: [cuts[i], cuts[i + 1])
     n_items = np.diff(cuts)
     owners = partition.owners(items.route_keys, p, config)
     key = owners if nb == 1 else np.repeat(np.arange(0, nb * p, p), n_items) + owners
@@ -305,17 +278,14 @@ def parse_block(
         kmer_cum = np.zeros(data.shape[0] + 1, dtype=np.int64)
         np.cumsum(items.lengths, dtype=np.int64, out=kmer_cum[1:])
         n_kmers, n_supermers = np.diff(kmer_cum[cuts]), n_items
+    code_bytes = ranges.code_bytes[r0:r1]
+    threads = np.maximum(code_bytes - config.k + 1, 0)
     times = np.array(
         [
             substrate.charge_parse(
-                parse,
-                int(n_kmers[i]),
-                int(n_supermers[i]),
-                int(shard.codes.nbytes),
-                parse.grid_threads(shard, config),
-                ctx,
+                parse, int(n_kmers[i]), int(n_supermers[i]), int(code_bytes[i]), int(threads[i]), ctx
             )
-            for i, shard in enumerate(shards)
+            for i in range(nb)
         ]
     )
     summary = ParseSummary(
@@ -575,12 +545,12 @@ class GpuSubstrate:
         n_kmers: int,
         n_supermers: int,
         code_bytes: int,
-        grid_threads: int,
+        threads: int,
         ctx: StageContext,
     ) -> float:
-        """One parse-kernel launch over a shard of ``code_bytes`` encoded bases."""
+        """One parse-kernel launch of ``threads`` threads over a shard of ``code_bytes`` encoded bases."""
         traffic = parse.gpu_traffic(n_kmers, n_supermers, code_bytes, ctx)
-        return VirtualGPU(ctx.opts.device).charge(parse.kernel_name, grid_threads, traffic)
+        return VirtualGPU(ctx.opts.device).charge(parse.kernel_name, threads, traffic)
 
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
         """One count-kernel launch: a thread per received item, ``inserted`` keys probed."""
@@ -634,7 +604,7 @@ class CpuSubstrate:
         n_kmers: int,
         n_supermers: int,
         code_bytes: int,
-        grid_threads: int,
+        threads: int,
         ctx: StageContext,
     ) -> float:
         rates = ctx.opts.cpu_rates

@@ -12,7 +12,7 @@ import gzip
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = ["SequenceRecord", "read_fastq", "write_fastq", "read_fasta", "write_fasta", "sniff_format"]
 
@@ -42,31 +42,46 @@ def _open_text(path: str | Path, mode: str) -> io.TextIOBase:
     return open(path, mode)  # noqa: SIM115 - caller closes via context manager
 
 
+def next_fastq_record(lines: Iterator[str], where: Callable[[int], str]) -> SequenceRecord | None:
+    """The next record of a FASTQ file's ``lines``, or None at its end: the one framing rule.
+
+    A record is four lines (``@name``, bases, ``+``, as many qualities as
+    bases), each without its line end and carriage return (CRLF files).
+    Blank lines may only end the file.  An error starts with ``where(i)``,
+    the place of the record's ``i``-th line (0: its header).
+    """
+    header = next(lines, None)
+    if header is None:
+        return None
+    header = header.rstrip("\r\n")
+    if not header.strip() and not any(line.strip() for line in lines):
+        return None
+    if not header.startswith("@"):
+        raise ValueError(f"{where(0)}: expected '@' header, got {header[:30]!r}")
+    seq, sep, qual = (next(lines, "").rstrip("\r\n") for _ in range(3))
+    if not sep.startswith("+"):
+        raise ValueError(f"{where(2)}: expected '+' separator, got {sep[:30]!r}")
+    if len(qual) != len(seq):
+        raise ValueError(f"{where(3)}: quality/sequence length mismatch")
+    return SequenceRecord(name=header[1:], sequence=seq, quality=qual)
+
+
 def read_fastq(path: str | Path) -> Iterator[SequenceRecord]:
     """Stream records from a FASTQ file (optionally .gz).
 
-    Validates the 4-line record structure and the ``+`` separator; raises
-    ``ValueError`` with the offending line number on malformed input.
+    Framed by :func:`next_fastq_record`, as ``read_fastq_range`` frames
+    them; raises ``ValueError`` with the offending line number on
+    malformed input.
     """
     with _open_text(path, "r") as fh:
-        lineno = 0
-        while True:
-            header = fh.readline()
-            if not header:
-                return
-            lineno += 1
-            header = header.rstrip("\n")
-            if not header.startswith("@"):
-                raise ValueError(f"{path}:{lineno}: expected '@' header, got {header[:30]!r}")
-            seq = fh.readline().rstrip("\n")
-            sep = fh.readline().rstrip("\n")
-            qual = fh.readline().rstrip("\n")
-            lineno += 3
-            if not sep.startswith("+"):
-                raise ValueError(f"{path}:{lineno - 1}: expected '+' separator, got {sep[:30]!r}")
-            if len(qual) != len(seq):
-                raise ValueError(f"{path}:{lineno}: quality/sequence length mismatch")
-            yield SequenceRecord(name=header[1:], sequence=seq, quality=qual)
+        lineno = 1
+
+        def where(i: int) -> str:
+            return f"{path}:{lineno + i}"
+
+        while (record := next_fastq_record(fh, where)) is not None:
+            yield record
+            lineno += 4
 
 
 def write_fastq(path: str | Path, records: Iterable[SequenceRecord]) -> int:

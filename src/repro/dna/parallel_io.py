@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .fastq import SequenceRecord
+from .fastq import SequenceRecord, next_fastq_record
 from .reads import ReadSet
 
 __all__ = ["find_record_start", "read_fastq_range", "partition_fastq", "load_fastq_sharded"]
@@ -37,12 +37,16 @@ def _is_plus(line: bytes) -> bool:
     return line.startswith(b"+")
 
 
-def _frame_consistent(lines: list[bytes], start: int) -> bool:
+def _frame_consistent(lines: list[bytes], start: int, at_eof: bool) -> bool:
     """Whether interpreting ``lines[start]`` as a header yields a valid
-    4-line record frame for as many complete records as are visible."""
+    4-line record frame for as many complete records as are visible.
+
+    Blank lines can only end the file, so the frame stops at one; at the
+    end of the file a header needs a whole record after it.
+    """
     i = start
     checked = False
-    while i + 3 < len(lines):
+    while i + 3 < len(lines) and lines[i].strip():
         header, seq, sep, qual = lines[i : i + 4]
         if not header.startswith(b"@") or not _is_plus(sep):
             return False
@@ -53,18 +57,19 @@ def _frame_consistent(lines: list[bytes], start: int) -> bool:
     if checked:
         return True
     # Fewer than 4 full lines visible: fall back to the local shape.
-    return bool(lines[start : start + 1] and lines[start].startswith(b"@"))
+    return not at_eof and bool(lines[start : start + 1] and lines[start].startswith(b"@"))
 
 
-def find_record_start(chunk: bytes, *, at_line_start: bool = False) -> int | None:
+def find_record_start(chunk: bytes, *, at_line_start: bool = False, at_eof: bool = False) -> int | None:
     """Offset of the first record header at or after position 0 of ``chunk``.
 
     ``chunk`` should extend a few records past the nominal split point so
     the frame test has material to work with.  ``at_line_start`` says
     position 0 is known to be a line boundary (file start, or the previous
     byte is a newline) — essential so a header sitting exactly on a split
-    point is owned by the range that starts there, not lost.  Returns
-    ``None`` when no boundary exists in the chunk (trailing file bytes).
+    point is owned by the range that starts there, not lost.  ``at_eof``
+    says the chunk runs to the end of the file.  Returns ``None`` when no
+    boundary exists in the chunk (trailing file bytes).
     """
     if at_line_start:
         pos = 0
@@ -89,83 +94,58 @@ def find_record_start(chunk: bytes, *, at_line_start: bool = False) -> int | Non
         starts.append(cursor)
         cursor = end + 1
     for i, line in enumerate(lines):
-        if line.startswith(b"@") and _frame_consistent(lines, i):
+        if line.startswith(b"@") and _frame_consistent(lines, i, at_eof):
             return starts[i]
     return None
+
+
+def _record_start(fh, start: int) -> int | None:
+    """Byte offset of the first record header at or after ``start`` (> 0) in ``fh``, if any."""
+    chunk_size = 1 << 16
+    fh.seek(start - 1)
+    line_aligned = fh.read(1) == b"\n"
+    buf = b""
+    while True:
+        more = fh.read(chunk_size)
+        buf += more
+        eof = len(more) < chunk_size  # a short read of a file is its end
+        # Complete lines only until the end of the file: a cut-off quality
+        # line must not fail the frame test of the header above it.
+        complete = buf if eof else buf[: buf.rfind(b"\n") + 1]
+        offset = find_record_start(complete, at_line_start=line_aligned, at_eof=eof)
+        if offset is not None or eof:
+            return None if offset is None else start + offset
 
 
 def read_fastq_range(path: str | Path, start: int, end: int) -> list[SequenceRecord]:
     """Records whose header byte offset lies in ``[start, end)``.
 
     Reads past ``end`` as needed to complete the final owned record.  The
-    union over a partition of ``[0, filesize)`` is exactly the whole file.
+    union over a partition of ``[0, filesize)`` is exactly the whole file:
+    the records :func:`~repro.dna.fastq.read_fastq` returns, framed by the
+    same rule (:func:`~repro.dna.fastq.next_fastq_record`), or the same
+    kind of error — the range at the file start checks its first line, and
+    a range checks the line after its last record, blank or not.
     """
     path = Path(path)
-    size = path.stat().st_size
     if start < 0 or end < start:
         raise ValueError("need 0 <= start <= end")
-    if start >= size:
+    if start >= path.stat().st_size:
         return []
-    chunk_size = 1 << 16
     with open(path, "rb") as fh:
-        if start == 0:
-            line_aligned = True
-        else:
-            fh.seek(start - 1)
-            line_aligned = fh.read(1) == b"\n"
-        # Over-read past the range end so boundary recovery and the tail
-        # record of the range are both covered; grow on demand below.
-        buf = fh.read(max(end - start, 0) + chunk_size)
-        offset = None
-        while True:
-            offset = find_record_start(buf, at_line_start=line_aligned)
-            if offset is not None:
-                break
-            more = fh.read(chunk_size)
-            if not more:
-                break
-            buf += more
-        if offset is None:
+        at = 0 if start == 0 else _record_start(fh, start)
+        if at is None or at >= end:
             return []
-
+        fh.seek(at)
+        lines = (line.decode("ascii") for line in fh)
         records: list[SequenceRecord] = []
-        cursor = offset
-        eof = False
-        while start + cursor < end:
-            # Gather the next 4 lines, extending the buffer on demand.
-            lines: list[bytes] = []
-            scan = cursor
-            while len(lines) < 4:
-                nl = buf.find(b"\n", scan)
-                if nl < 0:
-                    if not eof:
-                        more = fh.read(chunk_size)
-                        if more:
-                            buf += more
-                            continue
-                        eof = True
-                    # Final line without a trailing newline.
-                    if scan < len(buf):
-                        lines.append(buf[scan:])
-                        scan = len(buf)
-                    break
-                lines.append(buf[scan:nl])
-                scan = nl + 1
-            if len(lines) < 4:
-                if lines and any(line.strip() for line in lines):
-                    raise ValueError(f"{path}: truncated record at byte {start + cursor}")
-                break
-            header, seq, sep, qual = lines
-            if not header.startswith(b"@") or not sep.startswith(b"+"):
-                raise ValueError(f"{path}: malformed record at byte {start + cursor}")
-            records.append(
-                SequenceRecord(
-                    name=header[1:].decode("ascii"),
-                    sequence=seq.decode("ascii"),
-                    quality=qual.decode("ascii"),
-                )
-            )
-            cursor = scan
+
+        def where(i: int) -> str:
+            return f"{path}: byte {at}"
+
+        while (record := next_fastq_record(lines, where)) is not None and at < end:
+            records.append(record)
+            at = fh.tell()
         return records
 
 

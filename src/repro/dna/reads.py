@@ -19,7 +19,7 @@ import numpy as np
 from .alphabet import SENTINEL, ascii_to_codes, codes_to_ascii
 from .fastq import SequenceRecord
 
-__all__ = ["ReadSet"]
+__all__ = ["ReadSet", "ShardRanges"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,10 @@ class ReadSet:
         ``uint8`` array of 2-bit storage codes with a ``SENTINEL`` after
         every read (including the last, so every read is sentinel-bounded
         on the right and kernels never need a length check at the tail).
+        A shard view (:meth:`shard_bytes`, :meth:`ShardRanges.view`) is
+        the one exception: it may end mid-read, inside its last piece's
+        ``k - 1`` overlap, with no trailing sentinel — the bases past its
+        end are the next shard's, and no window of its own needs them.
     offsets:
         ``int64`` array of length ``n_reads``; start index of each read in
         ``codes``.
@@ -180,34 +184,11 @@ class ReadSet:
         bases past its boundary: shard ``s`` owns the window *start
         positions* in its base range, and the extension provides the bases
         those windows need.  Every k-mer window of every read lands in
-        exactly one shard — no loss, no duplication — at any scale.
+        exactly one shard — no loss, no duplication — at any scale.  Each
+        shard is a view of ``codes`` (:meth:`ShardRanges.view`), not a copy.
         """
-        if n_shards < 1:
-            raise ValueError("n_shards must be positive")
-        if overlap < 0:
-            raise ValueError("overlap must be non-negative")
-        total = self.total_bases
-        # Global base coordinate of each read's first base (sentinel-free).
-        read_base0 = np.concatenate(([0], np.cumsum(self.lengths)))
-        shards: list[ReadSet] = []
-        for s in range(n_shards):
-            lo = (total * s) // n_shards
-            hi = (total * (s + 1)) // n_shards
-            frags: list[np.ndarray] = []
-            if hi > lo:
-                first = int(np.searchsorted(read_base0, lo, side="right")) - 1
-                for i in range(max(first, 0), self.n_reads):
-                    rb = int(read_base0[i])
-                    if rb >= hi:
-                        break
-                    rl = int(self.lengths[i])
-                    flo = max(lo - rb, 0)
-                    fhi = min(hi - rb, rl)
-                    if fhi <= flo:
-                        continue
-                    frags.append(self.read_codes(i)[flo : min(fhi + overlap, rl)])
-            shards.append(_reads_from_code_fragments(frags))
-        return shards
+        ranges = ShardRanges.of(self, n_shards, overlap)
+        return [ranges.view(s, s + 1)[0] for s in range(n_shards)]
 
     def select(self, indices: Iterable[int]) -> "ReadSet":
         """New ``ReadSet`` containing the given read indices (re-packed)."""
@@ -244,15 +225,67 @@ class ReadSet:
         return cls(codes=codes, offsets=offsets, lengths=all_lengths)
 
 
-def _reads_from_code_fragments(frags: list[np.ndarray]) -> ReadSet:
-    """Assemble a ReadSet directly from storage-code fragments."""
-    lengths = np.fromiter((f.shape[0] for f in frags), dtype=np.int64, count=len(frags))
-    total = int(lengths.sum()) + len(frags)
-    codes = np.full(total, SENTINEL, dtype=np.uint8)
-    offsets = np.empty(len(frags), dtype=np.int64)
-    pos = 0
-    for i, frag in enumerate(frags):
-        offsets[i] = pos
-        codes[pos : pos + frag.shape[0]] = frag
-        pos += frag.shape[0] + 1
-    return ReadSet(codes=codes, offsets=offsets, lengths=lengths)
+@dataclass(frozen=True)
+class ShardRanges:
+    """A read set's byte-balanced shards as ranges of its codes (the paper's parallel I/O).
+
+    Shard ``s`` of ``P`` owns the window start positions in the base range
+    ``[total * s // P, total * (s + 1) // P)`` of the reads' bases
+    (sentinels excluded; Section IV-D).  A *piece* is one read ∩ one
+    shard's range, of positive length, reaching ``overlap`` (= k − 1) bases
+    past that range's end, clipped to its read, for the bases its last
+    windows need.  Pieces are in code order, so shard ``s``'s are
+    ``first[s]:first[s + 1]`` and a run of consecutive shards is one slice
+    of ``reads.codes`` (:meth:`view`): nothing is copied.
+    """
+
+    reads: ReadSet
+    starts: np.ndarray  # per piece: index in reads.codes of its first base
+    stops: np.ndarray  # per piece: one past its last base, overlap included
+    first: np.ndarray  # per shard, then one past the last: index of its first piece
+    code_bytes: np.ndarray  # per shard: its size as a read set of its own (the parse is charged for it)
+
+    @classmethod
+    def of(cls, reads: ReadSet, n_shards: int, overlap: int) -> "ShardRanges":
+        """The ``n_shards`` ranges of ``reads`` with ``overlap`` bases of extension."""
+        if n_shards < 1:
+            raise ValueError("n_shards must be positive")
+        if overlap < 0:
+            raise ValueError("overlap must be non-negative")
+        read_base0 = np.zeros(reads.n_reads + 1, dtype=np.int64)  # each read's first base, then the total
+        np.cumsum(reads.lengths, out=read_base0[1:])
+        total = int(read_base0[-1])
+        cuts = np.arange(n_shards + 1, dtype=np.int64) * total // n_shards
+        # The pieces are the non-empty gaps between the merged read starts and shard cuts.
+        edges = np.insert(read_base0, np.searchsorted(read_base0, cuts), cuts)
+        keep = np.flatnonzero(edges[1:] > edges[:-1])
+        lo, size = edges[keep], edges[keep + 1] - edges[keep]
+        read = np.searchsorted(read_base0, lo, side="right") - 1
+        shard = np.searchsorted(cuts, lo, side="right") - 1
+        into = lo - read_base0[read]
+        starts = reads.offsets[read] + into
+        stops = starts + np.minimum(size + overlap, reads.lengths[read] - into)
+        first = np.searchsorted(shard, np.arange(n_shards + 1))
+        piece_bytes = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(stops - starts + 1, out=piece_bytes[1:])
+        return cls(reads, starts, stops, first, np.diff(piece_bytes[first]))
+
+    def view(self, s0: int, s1: int) -> tuple[ReadSet, np.ndarray]:
+        """Shards ``s0 .. s1 - 1`` as one view of ``reads.codes``, and where each begins in it.
+
+        The view runs from the first piece's first base to the last piece's
+        stop, one read per piece (its ``offsets`` are the piece starts); a
+        piece's read runs to its stop or to the next piece's start,
+        whichever comes first (two pieces of one read meet at a cut).  The
+        second array has ``s1 - s0 + 1`` entries: the items whose positions
+        in the view lie in ``[heads[i], heads[i + 1])`` are shard
+        ``s0 + i``'s (an empty shard's range is empty).
+        """
+        a, b = int(self.first[s0]), int(self.first[s1])
+        if a == b:
+            no_reads = np.empty(0, dtype=np.int64)
+            return ReadSet(self.reads.codes[:0], no_reads, no_reads), np.zeros(s1 - s0 + 1, dtype=np.int64)
+        starts, stops = self.starts[a:b] - self.starts[a], self.stops[a:b] - self.starts[a]
+        ends = np.minimum(stops, np.append(starts[1:], stops[-1]))
+        view = ReadSet(self.reads.codes[self.starts[a] : self.stops[b - 1]], starts, ends - starts)
+        return view, np.append(starts, stops[-1])[self.first[s0 : s1 + 1] - a]

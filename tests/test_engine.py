@@ -73,13 +73,6 @@ class TestExactness:
         result = run_pipeline(genome_reads, summit_gpu(2), cfg)
         result.validate_against(count_kmers_exact(genome_reads, 17, canonical=True))
 
-    def test_shard_modes_agree(self, genome_reads, oracle17):
-        for mode in ("bytes", "reads"):
-            result = run_pipeline(
-                genome_reads, summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(shard_mode=mode)
-            )
-            result.validate_against(oracle17)
-
     def test_empty_input(self):
         result = run_pipeline(ReadSet.empty(), summit_gpu(1), PipelineConfig(k=17))
         assert result.total_kmers == 0
@@ -185,8 +178,6 @@ class TestEngineOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             EngineOptions(work_multiplier=0)
-        with pytest.raises(ValueError):
-            EngineOptions(shard_mode="magic")
 
     def test_bad_backend(self, genome_reads):
         with pytest.raises(ValueError, match="backend"):

@@ -25,12 +25,11 @@ from repro.mpi.topology import summit_gpu
     n_rounds=st.integers(min_value=1, max_value=4),
     canonical=st.booleans(),
     gpudirect=st.booleans(),
-    shard_mode=st.sampled_from(["bytes", "reads"]),
     backend=st.sampled_from(["gpu", "cpu"]),
     k=st.integers(min_value=4, max_value=23),
 )
 @settings(max_examples=50, deadline=None)
-def test_feature_combinations_stay_exact(seed, mode, n_rounds, canonical, gpudirect, shard_mode, backend, k):
+def test_feature_combinations_stay_exact(seed, mode, n_rounds, canonical, gpudirect, backend, k):
     rng = np.random.default_rng(seed)
     reads = ReadSet.from_strings(
         ["".join("ACGTN"[c] for c in rng.integers(0, 5, size=int(rng.integers(0, 120)))) for _ in range(8)]
@@ -44,7 +43,7 @@ def test_feature_combinations_stay_exact(seed, mode, n_rounds, canonical, gpudir
         gpudirect=gpudirect,
         n_rounds=n_rounds,
     )
-    options = EngineOptions(shard_mode=shard_mode, work_multiplier=float(rng.integers(1, 10_000)))
+    options = EngineOptions(work_multiplier=float(rng.integers(1, 10_000)))
     result = run_pipeline(reads, summit_gpu(2), config, backend=backend, options=options)
     result.validate_against(count_kmers_exact(reads, k, canonical=canonical))
     # Bulk-sync invariants hold under every combination.

@@ -111,7 +111,8 @@ class TestCheckerDetects:
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         owned = (  # every text the checker pins to this owner, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\nt = substrate.charge_parse(shard)\n"
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
+            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
             "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
@@ -131,7 +132,8 @@ class TestCheckerDetects:
         standard = root / "core" / "stages" / "standard.py"
         spill = root / "core" / "stages" / "spill.py"
         owned = (  # every text the checker pins to standard.py, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\nt = substrate.charge_parse(shard)\n"
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
+            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
         )
@@ -148,6 +150,25 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "standard.py:7: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
+
+    def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
+        """The input's shard cut is ``ShardRanges``' (dna/reads.py), the parse kernel's thread count the parse body's."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        (root / "dna" / "reads.py").write_text("cuts = np.arange(n_shards + 1) * total // n_shards\n")
+        (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
+            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
+            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+        )
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "scheduler.py").write_text("lo = s * total // n_shards\n")
+        (root / "core" / "stages" / "spmd.py").write_text("threads = max(code_bytes - config.k + 1, 0)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "scheduler.py:1: '* total // n_shards' is defined once, in dna/reads.py" in proc.stdout
+        assert "spmd.py:1: 'code_bytes - config.k + 1' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

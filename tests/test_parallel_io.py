@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dna.fastq import SequenceRecord, write_fastq
+from repro.dna.fastq import SequenceRecord, read_fastq, write_fastq
 from repro.dna.parallel_io import find_record_start, load_fastq_sharded, partition_fastq, read_fastq_range
 
 
@@ -108,6 +108,45 @@ class TestRangePartition:
         parts = partition_fastq(path, 8)
         sizes = [sum(len(r.sequence) for r in part) for part in parts]
         assert max(sizes) < 2.0 * (sum(sizes) / len(sizes))
+
+
+_FRAMING_CASES = {
+    "crlf": b"@r1\r\nACGT\r\n+\r\nIIII\r\n@r2\r\nGGCA\r\n+\r\n!!@+\r\n",
+    "no-final-newline": b"@r1\nACGT\n+\nIIII\n@r2\nGG\n+\n!!",
+    "trailing-blank-lines": b"@r1\nACGT\n+\nIIII\n@r2\nGG\n+\n!!\n\n\n\n\n\n",
+    "crlf-trailing-blank-line": b"@r1\r\nACGT\r\n+\r\nIIII\r\n\r\n",
+    "lowercase": b"@r1\nacgtn\n+\nIIIII\n@r2\nAcGt\n+\n@@@@\n",
+    "fasta": b">r1\nACGTACGT\n>r2\nGGCC\n",
+    "blank-line-between-records": b"@r1\nACGT\n+\nIIII\n\n@r2\nGG\n+\n!!\n",
+}
+
+
+def _records_or_error(read, *args):
+    """``("records", [...])`` or ``("error", message)`` of ``read(*args)``."""
+    try:
+        return "records", list(read(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _split_at(path, split, size):
+    return read_fastq_range(path, 0, split) + read_fastq_range(path, split, size)
+
+
+@pytest.mark.parametrize("case", sorted(_FRAMING_CASES))
+def test_range_reader_frames_records_like_read_fastq(case, tmp_path):
+    """At every split point, the two ranges return ``read_fastq``'s records, or both readers raise naming the file."""
+    path = tmp_path / f"{case}.fastq"
+    path.write_bytes(_FRAMING_CASES[case])
+    size = path.stat().st_size
+    expected = _records_or_error(read_fastq, path)
+    for split in range(size + 1):
+        got = _records_or_error(_split_at, path, split, size)
+        assert got[0] == expected[0], (split, got, expected)
+        if got[0] == "records":
+            assert got[1] == expected[1], split
+        else:
+            assert str(path) in got[1] and str(path) in expected[1], (got, expected)
 
 
 class TestShardedLoad:

@@ -73,16 +73,9 @@ class _CustomParse:
         self.standard, self.calls = standard, calls
         self.kernel_name = standard.kernel_name
 
-    def extract(self, shard, config):
-        self.calls.append("extract")
-        return self.standard.extract(shard, config)
-
     def extract_at(self, reads, config):
         self.calls.append("extract_at")
         return self.standard.extract_at(reads, config)
-
-    def grid_threads(self, shard, config):
-        return self.standard.grid_threads(shard, config)
 
     def gpu_traffic(self, *args):
         return self.standard.gpu_traffic(*args)
@@ -107,8 +100,8 @@ def _parsed(monkeypatch) -> list[np.ndarray]:
     seen: list[np.ndarray] = []
     real = scheduler.Layout.parse
 
-    def recording(self, shards, sctx):
-        send, summary = real(self, shards, sctx)
+    def recording(self, ranges, sctx):
+        send, summary = real(self, ranges, sctx)
         seen.append(summary.n_kmers.copy())
         return send, summary
 
@@ -128,32 +121,30 @@ def test_degenerate_inputs_through_the_block_parse(
     oracle = count_kmers_exact(reads, k, canonical=canonical)
     cluster = summit_gpu(2)  # 12 ranks: more than the reads, and byte shards shorter than k
     parsed = _parsed(monkeypatch)
-    for shard_mode in ("bytes", "reads"):
-        reference = None
-        # Single-shard blocks (every shard of more than one base is its own), some of several, one block.
-        for block_bases in (1, 64, 1 << 40):
-            monkeypatch.setattr(scheduler, "PARSE_BLOCK_BASES", block_bases)
-            custom_parse.clear()
-            options = _options(strategy, tmp_path, shard_mode=shard_mode, trace=True)
-            custom = run_pipeline(reads, cluster, config, backend="custom", options=options)
-            custom_kmers = parsed[-1]
-            blocks = [s.meta["ranks"] for s in options.trace.spans() if s.name.endswith("parse")]
-            if block_bases == 1 << 40:
-                assert blocks == [[0, cluster.n_ranks]]
-            if get_pool().in_process:  # a forked worker's calls are not seen from here
-                # The custom stage runs once per parse block, through the one parse body.
-                assert sorted(custom_parse) == sorted("extract" if r1 - r0 == 1 else "extract_at" for r0, r1 in blocks)
-            options = _options(strategy, tmp_path, shard_mode=shard_mode)
-            standard = run_pipeline(reads, cluster, config, backend="gpu", options=options)
-            assert summarize_result(custom) == summarize_result(standard), (shard_mode, block_bases)
-            assert np.array_equal(custom.per_rank_parse, standard.per_rank_parse)
-            assert np.array_equal(custom_kmers, parsed[-1])
-            if reference is None:  # the same at every block size, and the oracle's
-                reference, reference_kmers = standard, custom_kmers
-                assert standard.spectrum.equals(oracle) and int(reference_kmers.sum()) == oracle.n_total
-            assert summarize_result(standard) == summarize_result(reference), (shard_mode, block_bases)
-            assert np.array_equal(standard.per_rank_parse, reference.per_rank_parse)
-            assert np.array_equal(parsed[-1], reference_kmers)
+    reference = None
+    # Single-shard blocks (every shard of more than one base is its own), some of several, one block.
+    for block_bases in (1, 64, 1 << 40):
+        monkeypatch.setattr(scheduler, "PARSE_BLOCK_BASES", block_bases)
+        custom_parse.clear()
+        options = _options(strategy, tmp_path, trace=True)
+        custom = run_pipeline(reads, cluster, config, backend="custom", options=options)
+        custom_kmers = parsed[-1]
+        blocks = [s.meta["ranks"] for s in options.trace.spans() if s.name.endswith("parse")]
+        if block_bases == 1 << 40:
+            assert blocks == [[0, cluster.n_ranks]]
+        if get_pool().in_process:  # a forked worker's calls are not seen from here
+            # The custom stage runs once per parse block, through the one parse body.
+            assert custom_parse == ["extract_at"] * len(blocks)
+        standard = run_pipeline(reads, cluster, config, backend="gpu", options=_options(strategy, tmp_path))
+        assert summarize_result(custom) == summarize_result(standard), block_bases
+        assert np.array_equal(custom.per_rank_parse, standard.per_rank_parse)
+        assert np.array_equal(custom_kmers, parsed[-1])
+        if reference is None:  # the same at every block size, and the oracle's
+            reference, reference_kmers = standard, custom_kmers
+            assert standard.spectrum.equals(oracle) and int(reference_kmers.sum()) == oracle.n_total
+        assert summarize_result(standard) == summarize_result(reference), block_bases
+        assert np.array_equal(standard.per_rank_parse, reference.per_rank_parse)
+        assert np.array_equal(parsed[-1], reference_kmers)
 
 
 def test_k_past_the_packing_boundary_is_one_config_error():

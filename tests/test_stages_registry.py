@@ -20,12 +20,11 @@ from repro.core.stages import (
     registered_stages,
     substrate_names,
 )
-from repro.core.memory import ScratchArena
 from repro.core.parallel import get_pool
 from repro.core.stages.context import StageContext
 from repro.core.stages.registry import _BACKENDS, normalize_backend, register_backend, resolve, resolve_stage
 from repro.core.stages.standard import GpuSubstrate, KmerHashPartition, KmerParse, parse_block, stable_order
-from repro.dna.reads import ReadSet
+from repro.dna.reads import ReadSet, ShardRanges
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.costmodel import CommCostModel
 from repro.mpi.stats import TrafficStats
@@ -96,12 +95,12 @@ def _parse_block(owners: np.ndarray | None):
     """``parse_block`` of one block of three one-read shards, 6 k-mers each, on 6 ranks, at ``owners``."""
     config, cluster = PipelineConfig(k=15), summit_gpu(1)
     rng = np.random.default_rng(3)
-    shards = [ReadSet.from_strings(["".join("ACGT"[i] for i in rng.integers(0, 4, 20))]) for _ in range(3)]
+    reads = ReadSet.from_strings(["".join("ACGT"[i] for i in rng.integers(0, 4, 20)) for _ in range(3)])
     ctx = StageContext(
         config, cluster, EngineOptions(), GpuSubstrate(), get_pool(1), CommCostModel(cluster), TrafficStats()
     )
     partition = KmerHashPartition() if owners is None else _FixedOwners(owners)
-    return parse_block(shards, KmerParse(), partition, ctx.substrate, ctx, ScratchArena())
+    return parse_block(ShardRanges.of(reads, 3, config.k - 1), 0, 3, KmerParse(), partition, ctx.substrate, ctx)
 
 
 class TestDestinationOrdering:
@@ -256,7 +255,7 @@ class TestBloomStage:
         )
         for batch in batches:
             counter.add_reads(batch)
-        from repro.dna.reads import ReadSet
+        from repro.dna.reads import ReadSet, ShardRanges
 
         oracle = count_kmers_exact(ReadSet.concat(batches), k).frequent(2)
         assert counter.spectrum().equals(oracle)

@@ -540,3 +540,50 @@ class TestOneTableBudgets:
         base, _ = self._regrows(monkeypatch, genome_reads, 4)
         wider, _ = self._regrows(monkeypatch, genome_reads, 8)  # P doubled, same input
         assert base and wider and max(wider) <= max(base) + segmented.INSERT_BLOCK_BYTES
+
+
+class TestParseInputGrowthLaw:
+    """The parse reads the input in place: one view per block, never a copy per shard (ROADMAP 8(b)).
+
+    A shard is a base range of the input and a parse block one view of its
+    codes (``repro.dna.reads.ShardRanges``), so the read sets a one-shot
+    drive builds follow the blocks — the bases — and quadrupling P at fixed
+    input adds none.  The fragment rule built P shard copies, and one more
+    per block of several shards to concatenate them into.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, reads, nodes: int, mode: str, spill_dir) -> tuple[int, list]:
+        """The read sets built in one one-shot drive, and the ones each parse block was handed."""
+        built: list[int] = []
+        handed: list = []
+        real_post_init = standard.ReadSet.__post_init__
+
+        def counting_post_init(self):
+            built.append(1)
+            real_post_init(self)
+
+        with monkeypatch.context() as patch:
+            for stage in (standard.KmerParse, standard.SupermerParse):
+                real = stage.extract_at
+
+                def recording(self, block, config, real=real):
+                    handed.append(block)
+                    return real(self, block, config)
+
+                patch.setattr(stage, "extract_at", recording)
+            patch.setattr(standard.ReadSet, "__post_init__", counting_post_init)
+            config = PipelineConfig(k=17, mode=mode)
+            options = EngineOptions(parallel=1, spill_dir=spill_dir)
+            result = run_pipeline(reads, summit_gpu(nodes), config, options=options)
+        assert result.spectrum.n_distinct > 0
+        return len(built), handed
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["staged", "spill"])
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_read_sets_do_not_grow_with_ranks(self, genome_reads, tmp_path, monkeypatch, mode, spill):
+        base, base_blocks = self._run(monkeypatch, genome_reads, 4, mode, tmp_path / "p24" if spill else None)
+        wider, wider_blocks = self._run(monkeypatch, genome_reads, 16, mode, tmp_path / "p96" if spill else None)
+        assert wider <= base <= len(base_blocks)  # P x 4: not one read set more, and none but the blocks'
+        for block in base_blocks + wider_blocks:
+            assert np.shares_memory(block.codes, genome_reads.codes)

@@ -25,7 +25,9 @@ families every strategy must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the parse and count bodies'
 per-rank charges, the merges' equal-key aggregation, the host working
 set per received item, the table's insert probe loop, its slot dump,
-the segment gather index, the exchange's calls of the one block gather
+the segment gather index, the shard ranges' cut ``total * s // P``
+(``ShardRanges``, the one input partition) and the parse kernel's
+thread count, the exchange's calls of the one block gather
 (``alltoallv_flat``, the resident exchange's only body), the exchange
 checksum's XOR reduction, the engine's one table birth, the pair sort
 (its packed word and its argsort fallback), the owner reduction
@@ -89,6 +91,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
     ('.fallback"', "", "core/stages/scheduler.py", True),
+    ("* total // n_shards", "", "dna/reads.py", True),
+    ("code_bytes - config.k + 1", "", "core/stages/standard.py", True),
 ]
 
 
