@@ -31,11 +31,10 @@ from .stages import (
     register_stage,
     registered_backends,
     registered_stages,
-    staged_rank_program,
     substrate_names,
 )
 from .sweep import SweepPoint, SweepResult, sweep
-from .spmd import count_spmd, kmer_count_program, supermer_count_program
+from .spmd import count_spmd, staged_rank_program
 
 __all__ = [
     "PipelineConfig",
@@ -59,8 +58,7 @@ __all__ = [
     "items_per_supermer",
     "imbalance_from_result",
     "count_spmd",
-    "kmer_count_program",
-    "supermer_count_program",
+    "staged_rank_program",
     "RankPool",
     "SequentialPool",
     "ThreadPool",
@@ -79,6 +77,5 @@ __all__ = [
     "register_stage",
     "registered_backends",
     "registered_stages",
-    "staged_rank_program",
     "substrate_names",
 ]

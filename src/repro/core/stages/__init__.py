@@ -29,7 +29,6 @@ from .registry import (
 )
 from .scheduler import PipelineState, RoundScheduler
 from .spill import SpillExchange, SpillSpool, external_merge
-from .spmd import staged_rank_program
 
 __all__ = [
     "ExchangeOutcome",
@@ -53,7 +52,6 @@ __all__ = [
     "build_composition",
     "PipelineState",
     "RoundScheduler",
-    "staged_rank_program",
     "SpillExchange",
     "SpillSpool",
     "external_merge",

@@ -10,8 +10,8 @@ surface and every strategy runs:
   :class:`PipelineState` and calls :meth:`RoundScheduler.run_batch` per
   read batch (streaming, checkpointable) — the same drive with one round
   and persistent tables;
-* the SPMD rank programs (:mod:`repro.core.stages.spmd`) reuse the same
-  stage objects inside per-rank threads.
+* the SPMD rank program (:func:`repro.core.spmd.staged_rank_program`)
+  runs the same phase bodies on one rank's shard inside per-rank threads.
 
 Execution is bulk-synchronous: every rank's phase runs to completion (as
 real NumPy work), per-rank model times are derived from the work actually
@@ -69,7 +69,7 @@ from .buffers import ExchangeOutcome, ParseSummary, SendArray, round_split
 from .context import EngineOptions, StageContext
 from .protocols import PipelinePlugin, Substrate
 from .registry import StageComposition
-from .spill import Resident, Spooled, block_table
+from .spill import Resident, Spooled, block_table, table_hint
 from .standard import parse_block
 
 __all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "Layout", "Strategy"]
@@ -784,7 +784,7 @@ class RoundScheduler:
                 config.n_rounds,
                 _rounds_for_recv_items(recv_items.astype(np.float64), wire, opts, comp.substrate),
             )
-        hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]
+        hints = [table_hint(int(nk), p) for nk in summary.n_kmers]
 
         # One cleanup scope for everything a drive opens: the residency's
         # spool directory and a one-shot drive's table slabs are reclaimed

@@ -79,6 +79,7 @@ __all__ = [
     "Spooled",
     "block_table",
     "external_merge",
+    "table_hint",
 ]
 
 #: Keys loaded from each sorted run per refill during the external merge.
@@ -95,6 +96,15 @@ def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHas
     :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots`).
     """
     return SegmentedHashTable(hints, seed=seed, table_dir=table_dir)
+
+
+def table_hint(n_kmers: int, p: int) -> int:
+    """A rank's table capacity hint: its shard's parsed k-mers over the ``p`` ranks, plus slack.
+
+    The round driver and the SPMD rank program both size a rank's new
+    region by it, so the two renderings start at one capacity.
+    """
+    return max(64, n_kmers // max(p, 1) + 16)
 
 
 def _spill_counter(name: str, desc: str, amount: int) -> None:

@@ -1,8 +1,7 @@
 """k-mer machinery: extraction, minimizers, supermers, spectra, and
-downstream consumers (databases, genomic profiling, de Bruijn graphs)."""
+downstream consumers (databases, genomic profiling, set comparison)."""
 
 from .comparison import MinHashSketch, SpectrumComparison, compare_spectra, containment, jaccard, mash_distance
-from .debruijn import DebruijnStats, build_debruijn, graph_stats, unitigs
 from .extract import KmerWindows, extract_kmers, extract_kmers_scalar, window_values
 from .genomics import SpectrumProfile, coverage_peak, histogram_valley, profile_spectrum
 from .kmerdb import read_kmerdb, read_kmerdb_header, read_tsv, write_kmerdb, write_tsv
@@ -45,10 +44,6 @@ __all__ = [
     "profile_spectrum",
     "coverage_peak",
     "histogram_valley",
-    "build_debruijn",
-    "unitigs",
-    "graph_stats",
-    "DebruijnStats",
     "jaccard",
     "containment",
     "mash_distance",

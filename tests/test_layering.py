@@ -139,7 +139,7 @@ class TestCheckerDetects:
         )
         gathers = (  # two calls: the payload's and the length bytes'
             "table = SegmentedHashTable(hints)\nrecv, offs = alltoallv_flat(send.data, send.counts)\n"
-            "lens = alltoallv_flat(send.lengths, send.counts)[0]\n"
+            "lens = alltoallv_flat(send.lengths, send.counts)[0]\nhint = max(64, n // max(p, 1) + 16)\n"
         )
         standard.write_text(owned)
         spill.write_text(gathers)
@@ -169,6 +169,27 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "scheduler.py:1: '* total // n_shards' is defined once, in dna/reads.py" in proc.stdout
         assert "spmd.py:1: 'code_bytes - config.k + 1' is defined once, in core/stages/standard.py" in proc.stdout
+
+    def test_flags_second_table_hint(self, tmp_path):
+        """A new table's capacity hint is ``table_hint``'s (core/stages/spill.py); the driver and the rank program call it."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        spill = root / "core" / "stages" / "spill.py"
+        owned = (  # every text the checker pins to this owner, once
+            "table = SegmentedHashTable(hints)\nrecv = alltoallv_flat(send.data, send.counts)\n"
+            "def table_hint(n_kmers, p):\n    return max(64, n_kmers // max(p, 1) + 16)\n"
+        )
+        spill.write_text(owned)
+        (root / "core" / "spmd.py").write_text("hint = table_hint(int(summary.n_kmers[0]), comm.size)\n")
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "scheduler.py").write_text(
+            "hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]\n"
+        )
+        (root / "core" / "spmd.py").write_text("table = block_table([n // max(p, 1) + 16], seed)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "scheduler.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

@@ -3,10 +3,35 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Run in a fresh interpreter: a finder at the head of ``sys.meta_path``
+#: refuses the packages ``pyproject.toml`` does not declare, then the
+#: package and its command-line entry are imported.
+_UNDECLARED_IMPORT_PROBE = """
+import importlib.abc
+import sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in {"networkx"}:
+            raise ModuleNotFoundError(f"No module named {name!r} (undeclared)", name=name)
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import repro
+import repro.cli
+print("ok")
+"""
 
 SUBPACKAGES = ["repro.dna", "repro.hashing", "repro.kmers", "repro.mpi", "repro.gpu", "repro.core", "repro.ext", "repro.bench"]
 
@@ -49,3 +74,18 @@ class TestPublicSurface:
 
         parser = build_parser()
         assert parser.prog == "repro"
+
+
+class TestDeclaredDependencies:
+    def test_imports_without_undeclared_packages(self):
+        """``import repro`` and ``import repro.cli`` need only what ``pyproject.toml`` declares."""
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNDECLARED_IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"

@@ -459,24 +459,38 @@ class TestCrossEngineMetrics:
             assert "pool_map_calls_total" in reg
 
     def test_bsp_and_spmd_agree_on_shared_metrics(self, reads):
-        """The two execution engines feed the same comm/table counters."""
+        """The two renderings feed the same comm and hash-table families, in both modes."""
         from repro.core.spmd import count_spmd
 
-        config = PipelineConfig(k=17, mode="kmer")
         p = 4
-        _, bsp = _run(reads, p=p, mode="kmer")
-        spmd_reg = MetricRegistry()
-        with session(spmd_reg):
-            spectrum = count_spmd(reads, p, config)
-        assert spectrum.n_distinct > 0
-        # Same total alltoallv volume, byte for byte and item for item.
-        for fam in ("comm_bytes_total", "comm_items_total"):
-            bsp_v = bsp.counter(fam, op="alltoallv").value
-            spmd_v = spmd_reg.counter(fam, op="alltoallv").value
-            assert bsp_v == spmd_v, fam
-        # Same k-mer instances and distinct keys through the hash tables.
-        assert bsp.total("hashtable_instances_total") == spmd_reg.total("hashtable_instances_total")
-        assert bsp.total("hashtable_distinct_total") == spmd_reg.total("hashtable_distinct_total")
+        for mode in ("kmer", "supermer"):
+            _, bsp = _run(reads, p=p, mode=mode)
+            spmd_reg = MetricRegistry()
+            with session(spmd_reg):
+                spectrum = count_spmd(reads, p, PipelineConfig(k=17, mode=mode))
+            assert spectrum.n_distinct > 0
+            # Same total alltoallv volume, byte for byte and item for item —
+            # except that supermer mode's lengths ride a second alltoallv
+            # (Algorithm 2's pair of ALLTOALLV calls), whose items count again.
+            bsp_bytes, spmd_bytes = (
+                reg.counter("comm_bytes_total", op="alltoallv").value for reg in (bsp, spmd_reg)
+            )
+            bsp_items, spmd_items = (
+                reg.counter("comm_items_total", op="alltoallv").value for reg in (bsp, spmd_reg)
+            )
+            assert bsp_bytes == spmd_bytes, mode
+            assert bsp_items * (2 if mode == "supermer" else 1) == spmd_items, mode
+            # The same inserts into the same tables: every hashtable_* model family agrees.
+            bsp_snap, spmd_snap = bsp.snapshot(include_wall=False), spmd_reg.snapshot(include_wall=False)
+            for fam in (
+                "hashtable_inserts_total",
+                "hashtable_instances_total",
+                "hashtable_distinct_total",
+                "hashtable_cas_conflicts_total",
+                "hashtable_resizes_total",
+                "hashtable_probe_length",
+            ):
+                assert bsp_snap[fam] == spmd_snap[fam], (mode, fam)
 
 
 # ---------------------------------------------------------------------------

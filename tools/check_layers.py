@@ -29,7 +29,9 @@ the segment gather index, the shard ranges' cut ``total * s // P``
 (``ShardRanges``, the one input partition) and the parse kernel's
 thread count, the exchange's calls of the one block gather
 (``alltoallv_flat``, the resident exchange's only body), the exchange
-checksum's XOR reduction, the engine's one table birth, the pair sort
+checksum's XOR reduction, the engine's one table birth and its capacity
+hint (``table_hint``, which the round driver and the SPMD rank program
+both call), the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
 one wall summary (busy / elapsed / overlap) and the one silent fallback
@@ -88,6 +90,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
     ("np.argsort(keys)", "", "gpu/hashtable.py", True),
     ("h -= h // p * p", "", "hashing/partition.py", True),
+    ("// max(p, 1) + 16", "", "core/stages/spill.py", True),
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
     ('.fallback"', "", "core/stages/scheduler.py", True),
