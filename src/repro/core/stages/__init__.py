@@ -28,7 +28,7 @@ from .registry import (
     substrate_names,
 )
 from .scheduler import PipelineState, RoundScheduler
-from .spill import SpillExchange, SpillSpool, external_merge
+from .spill import SpillSpool, external_merge
 
 __all__ = [
     "ExchangeOutcome",
@@ -52,7 +52,6 @@ __all__ = [
     "build_composition",
     "PipelineState",
     "RoundScheduler",
-    "SpillExchange",
     "SpillSpool",
     "external_merge",
 ]

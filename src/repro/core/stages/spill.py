@@ -8,29 +8,28 @@ minimizer-keyed temporary partition files, phase two counts one partition
 at a time.  We already partition by minimizer shard, so this module adds
 the missing pieces:
 
-* :class:`SpillExchange` — the on-disk twin of :meth:`Resident.exchange`
-  that appends each round's receive side — every destination's partition
-  in rank order — to one segment file per exchange label in a spool
-  directory, instead of materializing in-memory receive buffers.
-  Byte/item traffic accounting and the modeled exchange time are computed
-  through the identical code paths, so every model observable matches the
-  in-memory exchange bit for bit; the returned receive array is one
-  read-only memory map of that file.
-
 * :class:`SpillSpool` — the spool directory: one append-only segment file
   per label (plus a ``.lens`` twin in supermer mode) with an in-memory
-  ``rank → (item offset, count)`` index, and one file of sorted runs per
-  rank block, indexed by the runs' lengths.
+  ``rank → (item offset, count)`` index, filled a round at a time by
+  :meth:`SpillSpool.append_round`, and one run file per table block — the
+  block's occupied slots, unsorted — indexed by its ranks, entry count and
+  CRC-32.
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
   chooses between: the in-memory exchange (the paper's one ALLTOALLV per
-  round) and the in-memory merge, or every round spooled first, the count
-  phase streamed back from disk a table block at a time and the runs
-  merged externally (see :class:`Spooled` for what stays resident).  Both
-  count into the one kind of table, born here (:func:`block_table`): a
-  block-local :class:`~repro.gpu.segmented.SegmentedHashTable` per rank
-  block, whatever the layout, backed by ``table_dir`` when it is set.
+  round) counted round by round, or every round spooled first
+  (:meth:`Spooled.exchange`, the on-disk twin of :meth:`Resident.exchange`:
+  the same traffic accounting, checksum and modeled time, only the data
+  lands in the label's segment file) and the count phase streamed back from
+  disk a table block at a time (see :class:`Spooled` for what stays
+  resident).  Both count into the one kind of table, born here
+  (:func:`block_table`): a block-local
+  :class:`~repro.gpu.segmented.SegmentedHashTable` per rank block, whatever
+  the layout, backed by ``table_dir`` when it is set.  Both merge by the one
+  rule, :func:`~repro.core.stages.standard.merge_items` over per-block
+  ``(keys, counts)`` pairs: a resident drive's from its tables, a spooled
+  one's from its mapped run files.
 
 Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
 gathered out of the send array one destination block at a time — the
@@ -41,7 +40,8 @@ segment copies and P files — and is read back with positional reads at
 indexed offsets through the descriptor opened at the first append, a whole
 rank block at a time.  A file shorter than its index says is an
 ``OSError`` naming file, label, ranks and the expected and found bytes,
-never a silently smaller count.
+never a silently smaller count; a run file whose bytes no longer match
+their CRC-32 is one too.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the resident
@@ -52,39 +52,34 @@ telemetry families (``spill_*``) differ.
 
 from __future__ import annotations
 
-import heapq
 import mmap
 import os
 import shutil
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from ...gpu.hashtable import SegmentedRankView, sort_pairs
+from ...gpu.hashtable import SegmentedRankView
 from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import account_alltoallv, alltoallv_flat, segment_blocks
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, SendArray
-from .standard import exchange_outcome, merge_counts, merge_partitions
+from .standard import exchange_outcome, merge_items, merge_partitions
 
 __all__ = [
     "Resident",
-    "SpillExchange",
     "SpillSpool",
     "Spooled",
     "block_table",
     "external_merge",
     "table_hint",
 ]
-
-#: Keys loaded from each sorted run per refill during the external merge.
-MERGE_BLOCK_KEYS = 1 << 16
-
 
 def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHashTable:
     """A new table for one block of consecutive ranks, a region per capacity hint.
@@ -185,11 +180,10 @@ class SpillSpool:
     parallel ``<label>.lens`` file of length bytes.  Where a destination
     rank's partition sits inside them is an in-memory index (see
     :class:`_SegmentFile`) — the directory holds a handful of large
-    sequential files, not P small ones per round.  Sorted runs for the
-    external merge are one ``run.r<first rank>.bin`` file per rank block
-    (:meth:`write_runs`); :meth:`write_run` / :meth:`map_run` are its
-    one-rank case.  A label nothing was
-    written to has no file.  When an ``arena`` is given, coalescing and
+    sequential files, not P small ones per round.  A one-shot drive dumps
+    each table block as one ``run.r<first rank>.bin`` file for the merge
+    (:meth:`write_run` / :meth:`map_run`).  A label nothing was written to
+    has no file.  When an ``arena`` is given, coalescing and
     read-back buffers are borrowed from it instead of allocated fresh per
     call.
     """
@@ -202,7 +196,7 @@ class SpillSpool:
         self.bytes_read = 0
         self._tally = threading.Lock()  # rank streams on a thread pool account concurrently
         self._segments: dict[tuple[str, bool], _SegmentFile] = {}
-        self._run_files: dict[int, np.ndarray] = {}  # first rank of a run file -> its runs' entry counts
+        self._run_files: dict[int, tuple[int, int, int]] = {}  # first rank -> (ranks, entries, CRC-32)
 
     def take(self, n: int, dtype) -> np.ndarray:
         """An uninitialised ``n``-item buffer, from the arena when there is one."""
@@ -319,18 +313,6 @@ class SpillSpool:
         self._account_read(pos)
         return data
 
-    def read_partition(
-        self,
-        label: str,
-        rank: int,
-        dtype,
-        *,
-        lens: bool = False,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """:meth:`read_range` of the one rank ``rank``."""
-        return self.read_range(label, rank, rank + 1, dtype, lens=lens, out=out)
-
     def drop_partitions(self, label: str) -> None:
         """Delete a label's files — once its last rank is counted.
 
@@ -343,73 +325,88 @@ class SpillSpool:
                 os.close(seg.fd)
                 seg.path.unlink(missing_ok=True)
 
-    def write_runs(self, rank0: int, runs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Persist the sorted ``(keys, counts)`` runs of ranks ``rank0, rank0 + 1, ...`` as one file.
+    def append_round(
+        self, label: str, send_data: np.ndarray, send_lengths: np.ndarray | None, counts_matrix: np.ndarray
+    ) -> None:
+        """Append the disk form of one round's receive side to the label's file, block by block.
 
-        One raw file per rank block — each run's uint64 keys followed by
-        its int64 counts, the runs back to back — and one index entry
-        (:meth:`index_runs`).  Returns the runs' entry counts.
+        The disk form is every destination's partition in rank order, each
+        holding its sources' segments in source-rank order — byte-identical
+        to the in-memory gather, because it is that gather
+        (:func:`repro.mpi.collectives.segment_blocks` and
+        :meth:`~repro.mpi.collectives.SegmentBlock.take`, one index per
+        block shared by the payload and its length bytes) with each block
+        landing in a borrowed buffer and one write instead of a slice of a
+        whole-round receive array.  The transient is one block's outputs
+        and its index.
         """
-        entries = np.array([keys.shape[0] for keys, _ in runs], dtype=np.int64)
+        sends = [send_data] if send_lengths is None else [send_data, send_lengths]
+        sent = counts_matrix.sum(axis=1)
+        src_base = np.cumsum(sent) - sent  # where each source starts in the send array
+        for blk in segment_blocks(counts_matrix, sum(send.itemsize for send in sends)):
+            outs = [self.take(blk.o1 - blk.o0, send.dtype) for send in sends]
+            blk.take(sends, src_base, outs)
+            recv_counts = blk.counts.sum(axis=0)
+            for out, lens in zip(outs, (False, True)):
+                self.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
+            self.release(*outs)
+
+    def write_run(self, rank0: int, keys: np.ndarray, counts: np.ndarray, *, n_ranks: int = 1) -> tuple[int, int]:
+        """Persist the ``(keys, counts)`` pairs of ranks ``rank0 .. rank0 + n_ranks - 1`` as ``run.r<rank0>.bin``.
+
+        One raw file — the uint64 keys, then their int64 counts, in any
+        order (a table block's occupied slots) — and one index entry: its
+        ranks, entry count and CRC-32 (:meth:`index_runs`).  Returns
+        ``(entries, crc)``.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         with open(self.dir / f"run.r{rank0}.bin", "wb") as fh:
-            for keys, counts in runs:
-                np.ascontiguousarray(keys, dtype=np.uint64).tofile(fh)
-                np.ascontiguousarray(counts, dtype=np.int64).tofile(fh)
-        self.index_runs(rank0, entries)
-        self._account_written(16 * int(entries.sum()))
-        _spill_counter("spill_merge_runs_total", "Sorted runs produced for the external merge", len(runs))
-        return entries
+            keys.tofile(fh)
+            counts.tofile(fh)
+        entries, crc = int(keys.shape[0]), zlib.crc32(counts, zlib.crc32(keys))
+        self.index_runs(rank0, n_ranks, entries, crc)
+        self._account_written(16 * entries)
+        _spill_counter("spill_merge_runs_total", "Run files written for the spooled merge", 1)
+        return entries, crc
 
-    def index_runs(self, rank0: int, entries: np.ndarray) -> None:
-        """Record that ``run.r<rank0>.bin`` holds runs of ``entries[i]`` pairs for ranks ``rank0 + i``.
+    def index_runs(self, rank0: int, n_ranks: int, entries: int, crc: int) -> None:
+        """Record that ``run.r<rank0>.bin`` holds ``entries`` pairs of ``n_ranks`` ranks, with CRC-32 ``crc``.
 
-        :meth:`write_runs` does; the driving process repeats it for files
+        :meth:`write_run` does; the driving process repeats it for files
         an out-of-process worker wrote.
         """
         with self._tally:
-            self._run_files[rank0] = entries
+            self._run_files[rank0] = (n_ranks, entries, crc)
 
-    def write_run(self, rank: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        """:meth:`write_runs` of the one rank ``rank``."""
-        self.write_runs(rank, [(keys, counts)])
+    def map_run(self, rank0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(keys, counts)`` views of one map of ``run.r<rank0>.bin``.
 
-    def map_runs(self, rank0: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Read-only ``(keys, counts)`` views, one per rank, of one map of ``run.r<rank0>.bin``.
-
-        The file must be exactly as long as its index entry says: anything
-        else is an ``OSError`` naming file, ranks and the expected and
-        found bytes, never runs read at the wrong offsets.
+        The file must be exactly as long as its index entry says and hold
+        the bytes its CRC-32 was taken of: anything else is an ``OSError``
+        naming file, ranks and the expected and found bytes or CRC, never
+        pairs read at the wrong offsets or with a flipped bit.
         """
-        entries = self._run_files[rank0]
+        n_ranks, entries, crc = self._run_files[rank0]
         path = self.dir / f"run.r{rank0}.bin"
-        need = 16 * int(entries.sum())  # 8 B key + 8 B count per entry
+        ranks = f"rank {rank0}" if n_ranks == 1 else f"ranks {rank0}..{rank0 + n_ranks - 1}"
+        need = 16 * entries  # 8 B key + 8 B count per entry
         try:
             size = path.stat().st_size
         except FileNotFoundError:
             size = 0
         if size != need:
-            last = rank0 + entries.shape[0] - 1
-            ranks = f"rank {rank0}" if last == rank0 else f"ranks {rank0}..{last}"
             raise OSError(
                 f"spool run file {path} ({ranks}) is truncated or overlong: expected {need} bytes, found {size}"
             )
-        words = np.memmap(path, dtype=np.uint64, mode="r", shape=(need // 8,)) if need else np.empty(0, np.uint64)
+        words = np.memmap(path, dtype=np.uint64, mode="r", shape=(2 * entries,)) if need else np.empty(0, np.uint64)
+        found = zlib.crc32(words)
+        if found != crc:
+            raise OSError(
+                f"spool run file {path} ({ranks}) is corrupt: stored CRC-32 {crc:#010x}, found {found:#010x}"
+            )
         self._account_read(need)
-        bounds = np.concatenate([[0], np.cumsum(2 * entries)]).tolist()
-        return [
-            (words[lo : lo + n], words[lo + n : hi].view(np.int64))
-            for lo, hi, n in zip(bounds, bounds[1:], entries.tolist())
-        ]
-
-    def map_all_runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Every indexed run in rank order, each run file mapped once."""
-        return [run for rank0 in sorted(self._run_files) for run in self.map_runs(rank0)]
-
-    def map_run(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`map_runs` of the one-rank file ``run.r<rank>.bin`` (an empty run if never written)."""
-        if rank not in self._run_files:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        return self.map_runs(rank)[0]
+        return words[:entries], words[entries:].view(np.int64)
 
     def pending_files(self) -> tuple[int, int]:
         """(file count, total bytes) still sitting in the spool directory."""
@@ -439,153 +436,12 @@ class SpillSpool:
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-class SpillExchange:
-    """Counts alltoall + payload "alltoallv" onto disk partitions.
+def external_merge(runs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum:
+    """:func:`~repro.core.stages.standard.merge_items` of ``runs``, without plugins.
 
-    Accounting twin of :meth:`Resident.exchange`: the byte/item traffic
-    record, the collective-layer telemetry counters, the end-to-end
-    checksum verification, and the modeled phase time all come from the
-    functions the in-memory exchange calls.  Only the data placement
-    differs — the round's send array is gathered one destination block at
-    a time (:func:`repro.mpi.collectives.segment_blocks`) into the label's
-    segment file, and ``recv_data`` comes back as one read-only memory map
-    of that file, which exists only for the checksum pass (its reads are
-    not accounted; the streamed count re-reads each partition).
+    The spooled merge under the name ``benchmarks/perf/probes.py`` times.
     """
-
-    def __init__(self, spool: SpillSpool) -> None:
-        self.spool = spool
-
-    def exchange(self, send: SendArray, label: str, ctx) -> ExchangeOutcome:
-        counts_matrix, wire = send.counts, ctx.wire_bytes
-        p = counts_matrix.shape[0]
-
-        # Model accounting first, through the collective layer's own
-        # function: one logical alltoallv for the payload (recorded into
-        # the traffic stats), and in supermer mode a second one for the
-        # length bytes (counters only; its bytes ride in the payload's
-        # `wire` size).
-        account_alltoallv(counts_matrix, stats=ctx.stats, label=label, bytes_per_item=wire)
-        if send.lengths is not None:
-            account_alltoallv(counts_matrix, stats=None, label=label, bytes_per_item=wire)
-
-        self._spool_round(send.data, send.lengths, counts_matrix, label)
-        _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", p)
-
-        recv_offsets = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(counts_matrix.sum(axis=0), out=recv_offsets[1:])
-        recv_data = self.spool.map_segment(label, send.data.dtype)
-        recv_lengths = None if send.lengths is None else self.spool.map_segment(label, np.uint8, lens=True)
-        return exchange_outcome(send, recv_data, recv_lengths, recv_offsets, label, ctx)
-
-    def _spool_round(
-        self, send_data: np.ndarray, send_lengths: np.ndarray | None, counts_matrix: np.ndarray, label: str
-    ) -> None:
-        """Append the disk form of the round's receive array to the label's file, block by block.
-
-        The disk form is every destination's partition in rank order, each
-        holding its sources' segments in source-rank order — byte-identical
-        to the in-memory gather, because it is that gather
-        (:func:`repro.mpi.collectives.segment_blocks` and
-        :meth:`~repro.mpi.collectives.SegmentBlock.take`, one index per
-        block shared by the payload and its length bytes) with each block
-        landing in a borrowed buffer and one write instead of a slice of a
-        whole-round receive array.  The transient is one block's outputs
-        and its index.
-        """
-        spool = self.spool
-        sends = [send_data] if send_lengths is None else [send_data, send_lengths]
-        sent = counts_matrix.sum(axis=1)
-        src_base = np.cumsum(sent) - sent  # where each source starts in the send array
-        for blk in segment_blocks(counts_matrix, sum(send.itemsize for send in sends)):
-            outs = [spool.take(blk.o1 - blk.o0, send.dtype) for send in sends]
-            blk.take(sends, src_base, outs)
-            recv_counts = blk.counts.sum(axis=0)
-            for out, lens in zip(outs, (False, True)):
-                spool.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
-            spool.release(*outs)
-
-
-def external_merge(
-    runs: list[tuple[np.ndarray, np.ndarray]],
-    k: int,
-    *,
-    block: int = MERGE_BLOCK_KEYS,
-) -> KmerSpectrum:
-    """External k-way merge of sorted ``(keys, counts)`` runs.
-
-    Each run's keys are strictly increasing (a dumped table partition);
-    runs may share keys (canonical supermer mode splits a canonical k-mer
-    across two owners), so equal keys aggregate.  A heap of the run
-    cursors' last-loaded keys yields the *safe emission bound*: every
-    instance of a key ``<= bound`` is already loaded, because each run's
-    unloaded keys exceed its last-loaded key.  Chunks are aggregated by
-    :func:`~repro.core.stages.standard.merge_counts`, as the in-memory
-    :func:`~repro.core.stages.standard.merge_items` is, so the
-    concatenated chunk outputs equal the whole-array merge exactly.
-    """
-    # per run: [keys, counts, lo, head_keys, head_counts, hp, generation]
-    cursors = []
-    heap: list[tuple[int, int, int]] = []  # (last loaded key, generation, run index)
-
-    def refill(i: int) -> None:
-        cur = cursors[i]
-        keys, counts, lo = cur[0], cur[1], cur[2]
-        hi = min(lo + block, keys.shape[0])
-        cur[3] = np.asarray(keys[lo:hi])
-        cur[4] = np.asarray(counts[lo:hi])
-        cur[2], cur[5] = hi, 0
-        cur[6] += 1
-        if hi < keys.shape[0]:  # more on disk: this head's last key bounds emission
-            heapq.heappush(heap, (int(cur[3][-1]), cur[6], i))
-
-    for keys, counts in runs:
-        if keys.shape[0]:
-            cursors.append([keys, counts, 0, None, None, 0, 0])
-            refill(len(cursors) - 1)
-
-    live = {i for i in range(len(cursors))}
-    out_keys: list[np.ndarray] = []
-    out_counts: list[np.ndarray] = []
-    while live:
-        # Drop stale heap entries: the cursor was dropped, fully loaded, or
-        # refilled since the entry was pushed (its bound is already consumed).
-        while heap and (
-            heap[0][2] not in live
-            or heap[0][1] != cursors[heap[0][2]][6]
-            or cursors[heap[0][2]][2] >= cursors[heap[0][2]][0].shape[0]
-        ):
-            heapq.heappop(heap)
-        bound = heap[0][0] if heap else None
-
-        parts_k: list[np.ndarray] = []
-        parts_c: list[np.ndarray] = []
-        for i in sorted(live):
-            cur = cursors[i]
-            hk, hc, hp = cur[3], cur[4], cur[5]
-            end = hk.shape[0] if bound is None else int(np.searchsorted(hk, bound, side="right"))
-            if end > hp:
-                parts_k.append(hk[hp:end])
-                parts_c.append(hc[hp:end])
-                cur[5] = end
-        chunk_k = np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.uint64)
-        chunk_c = np.concatenate(parts_c) if parts_c else np.empty(0, dtype=np.int64)
-        if chunk_k.size:
-            uniq, merged = merge_counts(chunk_k, chunk_c)
-            out_keys.append(uniq)
-            out_counts.append(merged)
-
-        for i in list(live):
-            cur = cursors[i]
-            if cur[5] >= cur[3].shape[0]:  # head fully consumed
-                if cur[2] < cur[0].shape[0]:
-                    refill(i)
-                else:
-                    live.discard(i)
-
-    if not out_keys:
-        return KmerSpectrum(k=k, values=np.empty(0, dtype=np.uint64), counts=np.empty(0, dtype=np.int64))
-    return KmerSpectrum(k=k, values=np.concatenate(out_keys), counts=np.concatenate(out_counts))
+    return merge_items(runs, k)
 
 
 def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
@@ -716,18 +572,20 @@ class Resident:
 class Spooled(Resident):
     """Residency on disk: rounds are spooled, then streamed back and counted.
 
-    Every round's send buffers go through :class:`SpillExchange` into one
-    spool directory per drive (removed by the driver's cleanup scope on
-    any exit).  Once the driver has dropped the send buffers, :meth:`count`
-    streams the partitions back one table block at a time: a block's
-    extent of each round is one positional read (:meth:`_stream_rounds`),
-    counted by the one count body.  A one-shot run counts each block into a table born for it,
-    dumps the table as one file of sorted per-rank ``(key, count)`` runs
-    and frees it before the next block, and merges the runs externally (a
-    heap orders the run cursors, cf. the ``heapq`` idiom in
-    :mod:`repro.ext.balanced`) — peak residency is one block's partitions
-    and table per worker, not P of them.  A batch counts into the
-    persistent tables, which are the cross-batch state itself.
+    Every round's receive side is appended to one spool directory per
+    drive (:meth:`exchange`; the directory is removed by the driver's
+    cleanup scope on any exit).  Once the driver has dropped the send
+    buffers, :meth:`count` streams the partitions back one table block at a
+    time: a block's extent of each round is one positional read
+    (:meth:`_stream_rounds`), counted by the one count body.  A one-shot run
+    counts each block into a table born for it, dumps the table's occupied
+    slots as one run file and frees it before the next block — peak
+    residency in the count is one block's partitions and table per worker,
+    not P of them — and merges the mapped run files by the rule a resident
+    drive merges its tables by (:func:`~repro.core.stages.standard.merge_items`),
+    holding the spectrum it returns as a resident merge does.  A batch
+    counts into the persistent tables, which are the cross-batch state
+    itself.
     """
 
     spooled = True
@@ -740,14 +598,39 @@ class Spooled(Resident):
         cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
         self.labels: list[str] = []
         self.round_recv: list[np.ndarray] = []  # items received per rank, per round
-        self.run_fill: tuple[list[int], list[float]] | None = None  # set once runs are written
+        self.run_ranks: list[int] = []  # first rank of each run file, in rank order
+        self.run_fill: tuple[list[int], list[float]] | None = None  # set once the run files are written
 
     def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
-        # The outcome's receive map exists only for the checksum pass;
-        # the streamed count re-reads each partition (with accounting).
-        outcome = SpillExchange(self.spool).exchange(send, label, sctx)
+        """Counts alltoall + payload "alltoallv" of one round onto disk: the twin of :meth:`Resident.exchange`.
+
+        The byte/item traffic record, the collective-layer telemetry
+        counters, the end-to-end checksum and the modeled phase time come
+        from the functions the in-memory exchange calls.  Only the data
+        placement differs: the round's receive side is appended to the
+        label's segment file (:meth:`SpillSpool.append_round`), and the
+        outcome's receive array is one read-only map of that file, which
+        exists only for the checksum pass (its reads are not accounted; the
+        streamed count re-reads each partition).
+        """
+        counts_matrix, wire, spool = send.counts, sctx.wire_bytes, self.spool
+        # One logical alltoallv for the payload (recorded into the traffic
+        # stats), and in supermer mode a second one for the length bytes
+        # (counters only; its bytes ride in the payload's `wire` size).
+        account_alltoallv(counts_matrix, stats=sctx.stats, label=label, bytes_per_item=wire)
+        if send.lengths is not None:
+            account_alltoallv(counts_matrix, stats=None, label=label, bytes_per_item=wire)
+        spool.append_round(label, send.data, send.lengths, counts_matrix)
+        _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", counts_matrix.shape[0])
+
+        recv_items = counts_matrix.sum(axis=0)
+        recv_offsets = np.zeros(recv_items.shape[0] + 1, dtype=np.int64)
+        np.cumsum(recv_items, out=recv_offsets[1:])
+        recv_data = spool.map_segment(label, send.data.dtype)
+        recv_lengths = None if send.lengths is None else spool.map_segment(label, np.uint8, lens=True)
+        outcome = exchange_outcome(send, recv_data, recv_lengths, recv_offsets, label, sctx)
         self.labels.append(label)
-        self.round_recv.append(outcome.counts_matrix.sum(axis=0))
+        self.round_recv.append(recv_items)
         return outcome
 
     def count(self, state, hints: list[int], sctx, acct):
@@ -793,8 +676,7 @@ class Spooled(Resident):
         offset through the shared descriptor, and its own run file), so the
         pool may run block streams concurrently on any substrate.
         ``tables is None`` is the one-shot run: a table born per block,
-        dumped as one file of sorted per-rank runs and closed before the
-        worker's next block.
+        dumped as one run file and closed before the worker's next block.
         """
         spool, count = self.spool, self.sched.comp.count
         leaf = self.layout.prefix + "count"
@@ -812,7 +694,7 @@ class Spooled(Resident):
                 counted = self._stream_rounds(
                     r0, r1, lambda *received: count.count_block(table, *received, sctx, rank0=r0), leaf, sctx
                 )
-                return counted, self._dump_runs(r0, table, sctx) if one_shot else None
+                return counted, self._dump_run(r0, table, sctx) if one_shot else None
             finally:
                 if one_shot:
                     table.close()
@@ -821,34 +703,35 @@ class Spooled(Resident):
         for label in self.labels:  # the last block is counted: free the rounds' files
             spool.drop_partitions(label)
         fill: tuple[list[int], list[float]] = ([], [])
-        for (r0, _, _), (counted, kept) in zip(blocks, streamed):
+        for (r0, r1, _), (counted, kept) in zip(blocks, streamed):
             for round_counted in counted:  # round order per rank: identical float accumulation
                 acct.add_count(r0, *round_counted)
             if kept is not None:
-                spool.index_runs(r0, kept[0])
-                fill[0].extend(kept[1].tolist())
-                fill[1].extend(kept[2].tolist())
+                entries, crc, n_entries, loads = kept
+                spool.index_runs(r0, r1 - r0, entries, crc)
+                self.run_ranks.append(r0)
+                fill[0].extend(n_entries.tolist())
+                fill[1].extend(loads.tolist())
         if tables is None:
             self.run_fill = fill
 
-    def _dump_runs(self, r0: int, table: SegmentedHashTable, sctx):
-        """Dump ``table`` (ranks ``r0, r0 + 1, ...``) as one run file; returns ``(entries, fill, loads)``."""
+    def _dump_run(self, r0: int, table: SegmentedHashTable, sctx):
+        """Dump ``table`` (ranks ``r0, r0 + 1, ...``) as one run file of its occupied slots.
+
+        One storage pass (``items_flat``, unsorted) and one file: the merge
+        adjusts and sorts every block's pairs at once, as it does a resident
+        drive's tables.  Returns ``(entries, crc, per-rank entries, per-rank loads)``.
+        """
         t0 = perf_counter()
-        runs = []
-        for i in range(table.n_ranks):
-            values, counts = table.items_of(i)
-            for plugin in self.sched.comp.plugins:
-                values, counts = plugin.adjust_merge_items(values, counts)
-            if values.size > 1 and not np.all(values[1:] > values[:-1]):
-                values, counts = sort_pairs(values, counts)
-            runs.append((values, counts))
-        entries = self.spool.write_runs(r0, runs)
+        entries, crc = self.spool.write_run(r0, *table.items_flat(), n_ranks=table.n_ranks)
         if sctx.recorder is not None:
             sctx.recorder.record("spill:run-write", r0, t0, perf_counter(), ranks=[r0, r0 + table.n_ranks])
-        return entries, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities
+        return entries, crc, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities
 
     def merge(self, tables) -> tuple[str, KmerSpectrum]:
-        return "spill:merge", external_merge(self.spool.map_all_runs(), self.sched.config.k)
+        """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the run files."""
+        runs = [self.spool.map_run(r0) for r0 in self.run_ranks]
+        return "spill:merge", merge_items(runs, self.sched.config.k, self.sched.comp.plugins)
 
     def fill(self, tables) -> tuple[list[int], list[float]]:
         return self.run_fill

@@ -469,8 +469,8 @@ class TableCount:
 def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``keys`` and each one's summed ``counts``, exact in int64 at any count.
 
-    The one aggregation of the merges (:func:`merge_items` and the
-    external merge's chunks): one pair sort (:func:`~repro.gpu.hashtable.sort_pairs`,
+    The one aggregation of the merge (:func:`merge_items`, whichever
+    residency feeds it): one pair sort (:func:`~repro.gpu.hashtable.sort_pairs`,
     a packed-word sort at k = 17), then — only when a key repeats — one
     ``reduceat`` over the runs of equal keys.
     """

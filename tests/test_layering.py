@@ -116,6 +116,7 @@ class TestCheckerDetects:
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
             "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
         )
         standard = root / "core" / "stages" / "standard.py"
         standard.write_text(owned)
@@ -123,7 +124,7 @@ class TestCheckerDetects:
         standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "standard.py:8: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
         """The resident exchange's gather calls live in the spool module, the checksum reduction in standard.py."""
@@ -136,6 +137,7 @@ class TestCheckerDetects:
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
         )
         gathers = (  # two calls: the payload's and the length bytes'
             "table = SegmentedHashTable(hints)\nrecv, offs = alltoallv_flat(send.data, send.counts)\n"
@@ -148,7 +150,7 @@ class TestCheckerDetects:
         (root / "core" / "stages" / "scheduler.py").write_text("x = np.bitwise_xor.reduce(recv[lo:hi])\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:7: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "standard.py:8: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
@@ -161,6 +163,7 @@ class TestCheckerDetects:
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
             "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
         )
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "scheduler.py").write_text("lo = s * total // n_shards\n")
@@ -190,6 +193,28 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "scheduler.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
         assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
+
+    def test_flags_second_merge_fold_and_pair_sort(self, tmp_path):
+        """Within ``core`` pairs are folded and sorted in standard.py only: no residency merges on its own."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
+            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
+            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
+            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+            "def merge_counts(keys, counts):\n    keys, counts = sort_pairs(keys, counts)\n"
+            "spectrum = merge_counts(values, counts)\n"
+        )
+        (root / "gpu").mkdir()
+        (root / "gpu" / "segmented.py").write_text("values, counts = sort_pairs(*occupied_slots(keys, counts))\n")
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "spill.py").write_text("values, counts = sort_pairs(values, counts)\n")
+        (root / "core" / "incremental.py").write_text("uniq, merged = merge_counts(chunk_k, chunk_c)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "spill.py:1: 'sort_pairs(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "incremental.py:1: 'merge_counts(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

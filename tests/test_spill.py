@@ -1,4 +1,4 @@
-"""Tests for the out-of-core execution tier (spill-to-disk + external merge).
+"""Tests for the out-of-core execution tier (spill-to-disk + the run-file merge).
 
 The spill path's contract is bit-identity with the in-memory staged
 scheduler on every deterministic observable — spectrum, timing floats,
@@ -21,13 +21,8 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.spill import (
-    MERGE_BLOCK_KEYS,
-    SpillExchange,
-    SpillSpool,
-    Spooled,
-    external_merge,
-)
+from repro.core.stages.spill import SpillSpool, Spooled
+from repro.core.stages.standard import merge_items
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_cpu, summit_gpu
@@ -526,9 +521,9 @@ class TestSpillCleanupOnFailure:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        # external_merge runs after the run files are written: the spool is
-        # at its fullest when the failure lands.
-        monkeypatch.setattr(spill_mod, "external_merge", boom)
+        # The merge runs after the run files are written: the spool is at its
+        # fullest when the failure lands.
+        monkeypatch.setattr(spill_mod, "merge_items", boom)
         config = PipelineConfig(k=15, mode="kmer")
         self._assert_cleanup(
             caplog,
@@ -578,7 +573,7 @@ class TestSpillCleanupOnFailure:
         # Resident: the merge runs once every round is counted, the tables at their
         # fullest.  Spilled: the last block's run dump, its table still open.
         if spill:
-            monkeypatch.setattr(SpillSpool, "write_runs", boom)
+            monkeypatch.setattr(SpillSpool, "write_run", boom)
         else:
             monkeypatch.setattr(standard, "merge_items", boom)
         table_dir = tmp_path / "table"
@@ -636,14 +631,14 @@ class TestTruncatedSpoolFiles:
         )
 
     def _assert_resized_run_file(self, caplog, reads, tmp_path, monkeypatch, delta):
-        map_runs = SpillSpool.map_runs
+        map_run = SpillSpool.map_run
 
         def resize_then_map(self, rank0):
             path = self.dir / f"run.r{rank0}.bin"
             os.truncate(path, path.stat().st_size + delta)
-            return map_runs(self, rank0)
+            return map_run(self, rank0)
 
-        monkeypatch.setattr(SpillSpool, "map_runs", resize_then_map)
+        monkeypatch.setattr(SpillSpool, "map_run", resize_then_map)
         self._assert_truncation(
             caplog,
             reads,
@@ -659,8 +654,38 @@ class TestTruncatedSpoolFiles:
     def test_run_file_resized_by_whole_entries(self, caplog, genome_reads, tmp_path, monkeypatch, delta):
         """Cut (or padded) at an entry boundary the file still holds whole
         16-byte entries, but the keys and counts halves no longer sit where
-        the runs' lengths put them: the index's expected length catches it."""
+        the entry count puts them: the index's expected length catches it."""
         self._assert_resized_run_file(caplog, genome_reads, tmp_path, monkeypatch, delta)
+
+    @pytest.mark.parametrize(
+        "option_kw",
+        [{}, {"fused": True}, {"stages": ("bloom",)}],
+        ids=["spill", "fused-spill", "bloom"],
+    )
+    def test_flipped_key_byte_in_run_file(self, caplog, genome_reads, tmp_path, monkeypatch, option_kw):
+        """A run file of the right length whose bytes changed is caught by its CRC-32.
+
+        A flipped key bit keeps every count, so the conservation check (off
+        under the bloom stage anyway) cannot see it: without the CRC the
+        merge returns a wrong spectrum silently."""
+        merge = Spooled.merge
+
+        def flip_then_merge(self, tables):
+            # Every run file is written and none is mapped yet: flip the first key's low bit.
+            with open(self.spool.dir / "run.r0.bin", "r+b") as fh:
+                first = fh.read(1)
+                fh.seek(0)
+                fh.write(bytes([first[0] ^ 0x01]))
+            return merge(self, tables)
+
+        monkeypatch.setattr(Spooled, "merge", flip_then_merge)
+        self._assert_truncation(
+            caplog,
+            genome_reads,
+            tmp_path,
+            EngineOptions(spill_dir=tmp_path, **option_kw),
+            r"run\.r0\.bin \(ranks? [\d.]+\) is corrupt: stored CRC-32 0x[0-9a-f]{8}, found 0x[0-9a-f]{8}",
+        )
 
 
 class TestHostBudgetFloor:
@@ -754,96 +779,77 @@ class TestSpillBatches:
 
 
 class TestExternalMerge:
-    def _reference(self, runs, k):
-        from repro.core.stages.standard import merge_items
+    """The spooled merge is :func:`merge_items` over the run files' pairs (``external_merge`` is its other name)."""
 
-        return merge_items([(k_, c_) for k_, c_ in runs], k)
+    @staticmethod
+    def _recut(runs, chunk):
+        """Cut every run into runs of at most ``chunk`` pairs: the merge must not depend on the cut."""
+        return [
+            (keys[i : i + chunk], counts[i : i + chunk])
+            for keys, counts in runs
+            for i in range(0, keys.size, chunk)
+        ]
 
     def test_empty(self):
-        spec = external_merge([], 15)
+        spec = merge_items([], 15)
         assert spec.n_distinct == 0 and spec.n_total == 0
 
     def test_empty_runs(self):
         runs = [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))] * 3
-        assert external_merge(runs, 15).n_distinct == 0
+        assert merge_items(runs, 15).n_distinct == 0
 
-    @pytest.mark.parametrize("block", [1, 2, 7, MERGE_BLOCK_KEYS])
-    def test_matches_unique_reference(self, block):
-        rng = np.random.default_rng(11)
-        runs = []
-        for _ in range(5):
-            keys = np.unique(rng.integers(0, 500, size=rng.integers(0, 120), dtype=np.uint64))
-            counts = rng.integers(1, 50, size=keys.size, dtype=np.int64)
-            runs.append((keys, counts))
-        merged = external_merge(runs, 15, block=block)
-        ref = self._reference(runs, 15)
-        assert np.array_equal(merged.values, ref.values)
-        assert np.array_equal(merged.counts, ref.counts)
-
-    @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_duplicate_keys_across_runs_aggregate(self, block):
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_duplicate_keys_across_runs_aggregate(self, chunk):
         # Canonical supermer mode can split one canonical k-mer across two
-        # owners — equal keys across runs must sum.
+        # owners — equal keys across runs must sum, in whatever order a
+        # table block's slots hold them.
         runs = [
-            (np.array([1, 5, 9], dtype=np.uint64), np.array([2, 3, 4], dtype=np.int64)),
-            (np.array([5, 9, 12], dtype=np.uint64), np.array([10, 1, 1], dtype=np.int64)),
+            (np.array([9, 1, 5], dtype=np.uint64), np.array([4, 2, 3], dtype=np.int64)),
+            (np.array([5, 12, 9], dtype=np.uint64), np.array([10, 1, 1], dtype=np.int64)),
             (np.array([9], dtype=np.uint64), np.array([100], dtype=np.int64)),
         ]
-        merged = external_merge(runs, 15, block=block)
+        merged = merge_items(self._recut(runs, chunk), 15)
         assert merged.values.tolist() == [1, 5, 9, 12]
         assert merged.counts.tolist() == [2, 13, 105, 1]
 
     def test_single_run_passthrough(self):
         keys = np.arange(10, dtype=np.uint64)
         counts = np.arange(1, 11, dtype=np.int64)
-        merged = external_merge([(keys, counts)], 15, block=4)
+        merged = merge_items([(keys[::-1], counts[::-1])], 15)
         assert np.array_equal(merged.values, keys)
         assert np.array_equal(merged.counts, counts)
 
-    def test_duplicate_key_straddles_block_boundary(self):
-        # One key repeated across runs so its occurrences land on both
-        # sides of an emission block boundary — the safe-emission bound
-        # must hold the key back until every run has drained it.
-        runs = [
-            (np.array([0, 7], dtype=np.uint64), np.array([1, 10], dtype=np.int64)),
-            (np.array([7], dtype=np.uint64), np.array([20], dtype=np.int64)),
-            (np.array([7, 8], dtype=np.uint64), np.array([30], dtype=np.int64)[[0, 0]]),
-        ]
-        merged = external_merge(runs, 15, block=2)
-        assert merged.values.tolist() == [0, 7, 8]
-        assert merged.counts.tolist() == [1, 60, 30]
-
-    @pytest.mark.parametrize("block", [1, MERGE_BLOCK_KEYS])
-    def test_counts_past_2_53_aggregate_exactly(self, block):
-        """Both merges sum in int64: a float64 sum rounds 2**53 + 1 down to 2**53."""
+    @pytest.mark.parametrize("chunk", [1, 65536])
+    def test_counts_past_2_53_aggregate_exactly(self, chunk):
+        """The merge sums in int64: a float64 sum rounds 2**53 + 1 down to 2**53."""
         runs = [
             (np.array([3, 7], dtype=np.uint64), np.array([2**53, 5], dtype=np.int64)),
             (np.array([3], dtype=np.uint64), np.array([1], dtype=np.int64)),
         ]
-        for merged in (external_merge(runs, 15, block=block), self._reference(runs, 15)):
-            assert merged.values.tolist() == [3, 7]
-            assert merged.counts.tolist() == [2**53 + 1, 5]
+        merged = merge_items(self._recut(runs, chunk), 15)
+        assert merged.values.tolist() == [3, 7]
+        assert merged.counts.tolist() == [2**53 + 1, 5]
 
     @pytest.mark.parametrize("trial", range(4))
     def test_property_overlapping_runs_with_empties(self, trial):
-        # Randomized: runs share keys (forcing cross-run aggregation) and
-        # some runs are empty; every block size must match the in-memory
-        # reference merge.
+        # Randomized: unsorted runs share keys (forcing cross-run
+        # aggregation) and some runs are empty; the merge must equal a
+        # plain dict fold of every pair.
         rng = np.random.default_rng(0xE4 + trial)
-        runs = []
+        runs, expected = [], {}
         for _ in range(rng.integers(1, 7)):
             if rng.random() < 0.25:
                 runs.append((np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)))
                 continue
             # A small key space guarantees heavy overlap between runs.
-            keys = np.unique(rng.integers(0, 64, size=rng.integers(1, 80), dtype=np.uint64))
+            keys = rng.permutation(np.unique(rng.integers(0, 64, size=rng.integers(1, 80), dtype=np.uint64)))
             counts = rng.integers(1, 1000, size=keys.size, dtype=np.int64)
             runs.append((keys, counts))
-        ref = self._reference(runs, 15)
-        for block in (1, 2, 3, 16, MERGE_BLOCK_KEYS):
-            merged = external_merge(runs, 15, block=block)
-            assert np.array_equal(merged.values, ref.values), f"block={block}"
-            assert np.array_equal(merged.counts, ref.counts), f"block={block}"
+            for key, count in zip(keys.tolist(), counts.tolist()):
+                expected[key] = expected.get(key, 0) + count
+        merged = merge_items(runs, 15)
+        assert merged.values.tolist() == sorted(expected)
+        assert merged.counts.tolist() == [expected[key] for key in sorted(expected)]
 
 
 class TestSpillSpool:
@@ -861,6 +867,25 @@ class TestSpillSpool:
             segs = [np.array([1, 2], dtype=np.uint64), np.array([], dtype=np.uint64), np.array([3], dtype=np.uint64)]
             spool.write_partition("lbl", 1, segs)
             assert spool.map_partition("lbl", 1, np.uint64).tolist() == [1, 2, 3]
+        finally:
+            spool.close()
+
+    def test_run_file_roundtrip_and_crc(self, tmp_path):
+        """A block's pairs come back as written; a changed byte is one error naming its ranks and both CRCs."""
+        keys, counts = np.array([9, 2, 7], dtype=np.uint64), np.array([1, 5, 2**40], dtype=np.int64)
+        spool = SpillSpool(tmp_path)
+        try:
+            entries, crc = spool.write_run(3, keys, counts, n_ranks=2)
+            got_keys, got_counts = spool.map_run(3)
+            assert entries == 3 and got_keys.tolist() == keys.tolist() and got_counts.tolist() == counts.tolist()
+            assert spool.bytes_written == spool.bytes_read == 48
+            empty = spool.write_run(5, keys[:0], counts[:0])
+            assert empty[0] == 0 and [a.size for a in spool.map_run(5)] == [0, 0]
+            with open(spool.dir / "run.r3.bin", "r+b") as fh:
+                fh.seek(40)  # the low byte of the last count
+                fh.write(b"\x01")
+            with pytest.raises(OSError, match=rf"run\.r3\.bin \(ranks 3\.\.4\) is corrupt: stored CRC-32 {crc:#010x}"):
+                spool.map_run(3)
         finally:
             spool.close()
 
@@ -902,7 +927,7 @@ class TestSpoolRoundTrip:
     def _assert_reads_back(self, spool, label, expected, dtype, lens, rng):
         p = len(expected)
         for r in range(p):
-            assert spool.read_partition(label, r, dtype, lens=lens).tobytes() == expected[r].tobytes()
+            assert spool.read_range(label, r, r + 1, dtype, lens=lens).tobytes() == expected[r].tobytes()
             mapped = spool.map_partition(label, r, dtype, lens=lens)
             assert mapped.dtype == dtype and mapped.tobytes() == expected[r].tobytes()
         for _ in range(8):
@@ -928,7 +953,7 @@ class TestSpoolRoundTrip:
                 send_data, send_lengths, counts = _random_send(rng, p, with_lengths, empty_round)
                 label = f"round{rnd}"
                 flat_lengths = None if send_lengths is None else np.concatenate(send_lengths)
-                SpillExchange(spool)._spool_round(np.concatenate(send_data), flat_lengths, counts, label)
+                spool.append_round(label, np.concatenate(send_data), flat_lengths, counts)
                 assert spool.pending_files()[0] <= (rnd + 1) * (2 if with_lengths else 1)
                 self._assert_reads_back(spool, label, _naive_recv(send_data, counts), np.uint64, False, rng)
                 if with_lengths:
@@ -968,12 +993,12 @@ class TestSpoolRoundTrip:
         send_data, _, counts = _random_send(rng, p, False, False)
         recv = _naive_recv(send_data, counts)
         spool = SpillSpool(tmp_path)
-        SpillExchange(spool)._spool_round(np.concatenate(send_data), None, counts, "lbl")
+        spool.append_round("lbl", np.concatenate(send_data), None, counts)
         wrong: list[int] = []
 
         def reader(seed: int) -> None:
             for r in np.random.default_rng(seed).permutation(p):
-                if spool.read_partition("lbl", int(r), np.uint64).tobytes() != recv[r].tobytes():
+                if spool.read_range("lbl", int(r), int(r) + 1, np.uint64).tobytes() != recv[r].tobytes():
                     wrong.append(int(r))
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(n_threads)]

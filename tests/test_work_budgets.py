@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.stages.spill as spill
 import repro.core.stages.standard as standard
 import repro.gpu.hashtable as hashtable
 import repro.gpu.segmented as segmented
@@ -101,7 +102,7 @@ class TestMergeBudgets:
 
         for name in ("argsort", "sort", "unique"):
             patch.setattr(np, name, counted(name, getattr(np, name)))
-        for module in (hashtable, standard):  # where sorted_items and merge_counts look the pair sort up
+        for module in (hashtable, standard, spill):  # where sorted_items, merge_counts (and a run dump) look it up
             if hasattr(module, "sort_pairs"):
                 patch.setattr(module, "sort_pairs", counted("sort_pairs", module.sort_pairs))
         return made
@@ -138,16 +139,18 @@ class TestMergeBudgets:
     def _digest(spectrum) -> str:
         return hashlib.sha256(spectrum.values.tobytes() + spectrum.counts.tobytes()).hexdigest()[:16]
 
-    @pytest.mark.parametrize("streamed", [False, True], ids=["one-shot", "streamed"])
+    @pytest.mark.parametrize("drive", ["one-shot", "streamed", "spilled"])
     @pytest.mark.parametrize("mode", ["kmer", "supermer"])
-    def test_bloom_composition_sorts_the_result_keys_once(self, genome_reads, monkeypatch, mode, streamed):
+    def test_bloom_composition_sorts_the_result_keys_once(self, genome_reads, tmp_path, monkeypatch, mode, drive):
         """A plugin composition merges by the plugin-free rule: each block's unsorted items,
-        adjusted by the bloom plugin (+1 an entry, so order is irrelevant), then one pair sort."""
+        adjusted by the bloom plugin (+1 an entry, so order is irrelevant), then one pair sort —
+        out of the tables, or out of a spilled drive's run files."""
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)
         config = PipelineConfig(k=17, mode=mode, canonical=mode == "supermer")  # a k-mer may have two owners
-        options = EngineOptions(stages=("bloom",), parallel=1)
+        spilled = drive == "spilled"
+        options = EngineOptions(stages=("bloom",), parallel=1, trace=spilled, spill_dir=tmp_path if spilled else None)
         with monkeypatch.context() as patch:
-            if streamed:
+            if drive == "streamed":
                 n = genome_reads.n_reads
                 counter = DistributedCounter(summit_gpu(4), config, options=options)
                 for i in range(2):
@@ -156,9 +159,13 @@ class TestMergeBudgets:
                 made = self._sorts(patch)
                 spectrum = counter.spectrum()
             else:
-                made = self._sorts(patch)  # the resident one-shot run's pair sorts are all the merge's
+                made = self._sorts(patch)  # a one-shot run's pair sorts are all the merge's
                 spectrum = run_pipeline(genome_reads, summit_gpu(4), config, options=options).spectrum
-        assert made.count("sort_pairs") == 1  # was P + 1: each rank's items(), then their concatenation
+        if spilled:  # a run file per table block
+            assert len(options.trace.spans("spill:run-write")) >= 2
+        # Was P + 1 (each rank's items(), then their concatenation); a spilled
+        # drive's was one per rank's run, plus one per chunk the k-way merge emitted.
+        assert made.count("sort_pairs") == 1
         assert self._digest(spectrum) == self.BLOOM_SPECTRA[mode]
 
 
@@ -587,3 +594,47 @@ class TestParseInputGrowthLaw:
         assert wider <= base <= len(base_blocks)  # P x 4: not one read set more, and none but the blocks'
         for block in base_blocks + wider_blocks:
             assert np.shares_memory(block.codes, genome_reads.codes)
+
+
+class TestRunDumpGrowthLaw:
+    """A spilled one-shot drive dumps one run file per table block, never a run per rank (ROADMAP 8(b)).
+
+    Each block's table is dumped as its occupied slots in one storage pass
+    and one file, and the merge sorts every block's pairs at once, so
+    quadrupling P at fixed input adds no file and no per-rank sort.  The
+    per-rank dump made P ``items_of`` sorts and P runs.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, reads, nodes: int, spill_dir) -> tuple[int, int, int, int]:
+        """``(P, table blocks, run files written, items_of calls made from the spill module)`` of one drive."""
+        written: list[int] = []
+        from_spill: list[int] = []
+        real_write, real_items_of = spill.SpillSpool.write_run, SegmentedHashTable.items_of
+
+        def counting_write(self, *args, **kwargs):
+            written.append(1)
+            return real_write(self, *args, **kwargs)
+
+        def counting_items_of(self, rank):
+            if sys._getframe(1).f_code.co_filename == spill.__file__:
+                from_spill.append(1)
+            return real_items_of(self, rank)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spill.SpillSpool, "write_run", counting_write)
+            patch.setattr(SegmentedHashTable, "items_of", counting_items_of)
+            options = EngineOptions(parallel=1, trace=True, spill_dir=spill_dir)
+            cluster = summit_gpu(nodes)
+            result = run_pipeline(reads, cluster, PipelineConfig(k=15), options=options)
+        assert result.spectrum.equals(count_kmers_exact(reads, 15))
+        blocks = {tuple(s.meta["ranks"]) for s in options.trace.spans() if s.name == "count"}
+        return cluster.n_ranks, len(blocks), len(written), len(from_spill)
+
+    def test_run_files_do_not_grow_with_ranks(self, genome_reads, tmp_path, monkeypatch):
+        base = self._run(monkeypatch, genome_reads, 4, tmp_path / "p24")
+        wider = self._run(monkeypatch, genome_reads, 16, tmp_path / "p96")  # P x 4, same input
+        # One file per table block, and the blocks follow the bytes the tables
+        # hold, not the ranks: 3 files at both P, where the per-rank dump wrote
+        # P runs (24, then 96) after P items_of sorts.
+        assert base == (24, 3, 3, 0) and wider == (96, 3, 3, 0)

@@ -23,7 +23,10 @@ A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
 families every strategy must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the parse and count bodies'
-per-rank charges, the merges' equal-key aggregation, the host working
+per-rank charges, the merge's equal-key aggregation and, within
+``core``, its calls of the fold and of the pair sort (``merge_counts(``
+and ``sort_pairs(``, which ``merge_items`` reaches for every residency,
+so no residency regrows a sorted-run merge of its own), the host working
 set per received item, the table's insert probe loop, its slot dump,
 the segment gather index, the shard ranges' cut ``total * s // P``
 (``ShardRanges``, the one input partition) and the parse kernel's
@@ -96,6 +99,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ('.fallback"', "", "core/stages/scheduler.py", True),
     ("* total // n_shards", "", "dna/reads.py", True),
     ("code_bytes - config.k + 1", "", "core/stages/standard.py", True),
+    ("merge_counts(", "core", "core/stages/standard.py", False),
+    ("sort_pairs(", "core", "core/stages/standard.py", True),
 ]
 
 
