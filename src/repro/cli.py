@@ -340,7 +340,7 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
                 name,
                 m.effective_ranks_per_node,
                 m.device.name if m.device is not None else "-",
-                f"{m.injection_bw / 1e9:.0f} GB/s",
+                f"{m.network.injection_bw / 1e9:.0f} GB/s",
                 m.description,
             ]
         )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...machines import CpuRates, DeviceSpec, GpuPipelineModel, MachineSpec, resolve_machine
+from ...machines import MachineSpec, resolve_machine
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import TrafficStats
 from ...mpi.topology import ClusterSpec
@@ -40,14 +40,12 @@ class EngineOptions:
     ``machine`` selects the machine model for the run — a
     :class:`~repro.machines.MachineSpec`, a registered preset name, or a
     calibration-file path (``None`` resolves to the paper's ``summit-gpu``
-    preset).  ``device``, ``gpu_model``, and ``cpu_rates`` default to the
-    machine's and act as per-field overrides when given explicitly, which
-    is what the ablation benchmarks sweep.
+    preset).  It is the run's only source of device and cost rates: the
+    stages read ``machine.resolved_device``, ``machine.gpu_model`` and
+    ``machine.cpu_rates``.  To model another device, pass
+    ``machine=get_machine("summit-gpu").with_overrides(device=...)``.
     """
 
-    device: DeviceSpec | None = None
-    gpu_model: GpuPipelineModel | None = None
-    cpu_rates: CpuRates | None = None
     machine: MachineSpec | str | None = None
     work_multiplier: float = 1.0
     minimizer_assignment: np.ndarray | None = None  # balanced-partition hook
@@ -81,9 +79,10 @@ class EngineOptions:
     # Out-of-core execution (repro.core.stages.spill): a spool directory for
     # disk-spilled exchange partitions.  When set, the one-shot run writes
     # each round's destination partitions to disk, counts them one memory-
-    # mapped partition at a time, and produces the spectrum by external
-    # merge of sorted per-partition runs — results bit-identical to the
-    # in-memory path.  None = everything stays in RAM.
+    # mapped partition at a time, writes one unsorted run file per table
+    # block, and produces the spectrum by folding those runs through
+    # merge_items — results bit-identical to the in-memory path.
+    # None = everything stays in RAM.
     spill_dir: str | Path | None = None
     # Hard host-memory target in bytes: auto-rounds split the exchange so
     # one round's per-rank working set (partition buffer + extraction +
@@ -99,14 +98,7 @@ class EngineOptions:
     table_dir: str | Path | None = None
 
     def __post_init__(self) -> None:
-        machine = resolve_machine(self.machine)
-        object.__setattr__(self, "machine", machine)
-        if self.device is None:
-            object.__setattr__(self, "device", machine.resolved_device)
-        if self.gpu_model is None:
-            object.__setattr__(self, "gpu_model", machine.gpu_model)
-        if self.cpu_rates is None:
-            object.__setattr__(self, "cpu_rates", machine.cpu_rates)
+        object.__setattr__(self, "machine", resolve_machine(self.machine))
         if self.work_multiplier <= 0:
             raise ValueError("work_multiplier must be positive")
         if not 0 < self.memory_budget_fraction <= 1:
@@ -161,7 +153,7 @@ class StageContext:
         machines whose network declares GPUDirect-capable NICs
         (``NetworkSpec.gpudirect``) get it without per-run flags.
         """
-        return self.config.gpudirect or self.cluster.resolved_network.gpudirect
+        return self.config.gpudirect or self.cluster.network.gpudirect
 
     @property
     def mult(self) -> float:

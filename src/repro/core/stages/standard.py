@@ -90,7 +90,7 @@ class KmerParse:
     def gpu_traffic(
         self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
     ) -> TrafficEstimate:
-        model = ctx.opts.gpu_model
+        model = ctx.opts.machine.gpu_model
         mult = ctx.mult
         ops = model.ops_parse_kmer * n_kmers
         atomics = n_kmers  # one outgoing-buffer append per k-mer (Fig. 2)
@@ -99,7 +99,7 @@ class KmerParse:
             streaming_bytes=(2.0 * code_bytes + written) * mult,
             atomic_ops=atomics * mult,
             atomic_hot_fraction=outgoing_buffer_hot_fraction(
-                ctx.n_ranks, ctx.opts.device.atomic_serialization
+                ctx.n_ranks, ctx.opts.machine.resolved_device.atomic_serialization
             ),
             thread_ops=ops * mult,
         )
@@ -135,7 +135,7 @@ class SupermerParse:
     def gpu_traffic(
         self, n_kmers: int, n_supermers: int, code_bytes: int, ctx: StageContext
     ) -> TrafficEstimate:
-        model = ctx.opts.gpu_model
+        model = ctx.opts.machine.gpu_model
         mult = ctx.mult
         ops = model.ops_parse_supermer * n_kmers
         atomics = n_supermers  # one append per supermer (Fig. 5)
@@ -144,7 +144,7 @@ class SupermerParse:
             streaming_bytes=(2.0 * code_bytes + written) * mult,
             atomic_ops=atomics * mult,
             atomic_hot_fraction=outgoing_buffer_hot_fraction(
-                ctx.n_ranks, ctx.opts.device.atomic_serialization
+                ctx.n_ranks, ctx.opts.machine.resolved_device.atomic_serialization
             ),
             thread_ops=ops * mult,
         )
@@ -550,11 +550,11 @@ class GpuSubstrate:
     ) -> float:
         """One parse-kernel launch of ``threads`` threads over a shard of ``code_bytes`` encoded bases."""
         traffic = parse.gpu_traffic(n_kmers, n_supermers, code_bytes, ctx)
-        return VirtualGPU(ctx.opts.device).charge(parse.kernel_name, threads, traffic)
+        return VirtualGPU(ctx.opts.machine.resolved_device).charge(parse.kernel_name, threads, traffic)
 
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
         """One count-kernel launch: a thread per received item, ``inserted`` keys probed."""
-        model = ctx.opts.gpu_model
+        model = ctx.opts.machine.gpu_model
         mult = ctx.mult
         ops = model.ops_count_kmer * inserted
         if ctx.supermer_mode:
@@ -566,7 +566,7 @@ class GpuSubstrate:
             atomic_hot_fraction=0.0,
             thread_ops=ops * mult,
         )
-        return VirtualGPU(ctx.opts.device).charge("count_kmers", recv_items, traffic)
+        return VirtualGPU(ctx.opts.machine.resolved_device).charge("count_kmers", recv_items, traffic)
 
     def charge_exchange(self, bytes_matrix: np.ndarray, ctx: StageContext) -> tuple[float, float]:
         """One exchange round's ``(fixed overhead, host-staging seconds)``.
@@ -580,8 +580,10 @@ class GpuSubstrate:
             in_bytes = bytes_matrix.sum(axis=0)
             # BSP: the slowest rank's host<->device copies gate the phase.
             busiest = int((out_bytes + in_bytes).argmax())
-            t_stage = staging_time(ctx.opts.device, float(out_bytes[busiest]), float(in_bytes[busiest]))
-        return ctx.opts.gpu_model.exchange_overhead_s, t_stage
+            t_stage = staging_time(
+                ctx.opts.machine.resolved_device, float(out_bytes[busiest]), float(in_bytes[busiest])
+            )
+        return ctx.opts.machine.gpu_model.exchange_overhead_s, t_stage
 
     def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
         """Rounds so the worst rank's round fits device memory (``auto_rounds``)."""
@@ -589,7 +591,7 @@ class GpuSubstrate:
             return 1
         # Wire buffer + staged copy + table entries (16 B/slot at ~0.7 load).
         bytes_per_item = wire * 2 + 16 / 0.7
-        budget = opts.device.hbm_bytes * opts.memory_budget_fraction
+        budget = opts.machine.resolved_device.hbm_bytes * opts.memory_budget_fraction
         return max(1, int(np.ceil(worst_items * bytes_per_item / budget)))
 
 
@@ -607,15 +609,15 @@ class CpuSubstrate:
         threads: int,
         ctx: StageContext,
     ) -> float:
-        rates = ctx.opts.cpu_rates
+        rates = ctx.opts.machine.cpu_rates
         return rates.phase_overhead + rates.parse_time(n_kmers * ctx.mult, supermer_mode=ctx.supermer_mode)
 
     def charge_count(self, inserted: int, recv_items: int, ins: InsertStats, ctx: StageContext) -> float:
-        rates = ctx.opts.cpu_rates
+        rates = ctx.opts.machine.cpu_rates
         return rates.phase_overhead + rates.count_time(inserted * ctx.mult, supermer_mode=ctx.supermer_mode)
 
     def charge_exchange(self, bytes_matrix: np.ndarray, ctx: StageContext) -> tuple[float, float]:
-        return ctx.opts.cpu_rates.phase_overhead, 0.0  # host buffers: nothing to stage
+        return ctx.opts.machine.cpu_rates.phase_overhead, 0.0  # host buffers: nothing to stage
 
     def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
         return 1  # no device memory to fit

@@ -11,7 +11,7 @@ Entry points:
 
 * :func:`get_machine` / :func:`machine_names` — the named-preset registry
   (``summit-gpu``, ``summit-cpu``, ``a100-gpu``, ``fat-nic-gpu``,
-  ``generic-cpu``);
+  ``tapered-fabric-gpu``, ``generic-cpu``);
 * :func:`load` — TOML/JSON calibration files for machines of your own;
 * :func:`resolve_machine` — one-stop resolution of a spec, preset name,
   or calibration-file path (what ``repro count --machine`` uses);

@@ -54,20 +54,8 @@ from .spec import MachineSpec
 __all__ = ["load", "spec_from_dict"]
 
 _NODE_KEYS = ("sockets_per_node", "cores_per_node", "gpus_per_node", "ranks_per_node")
-#: Flat [network] keys, mirrored between MachineSpec and NetworkSpec.
-_NETWORK_FLAT_KEYS = ("injection_bw", "intra_node_bw", "latency", "alltoallv_efficiency")
-#: Hierarchical [network] keys — NetworkSpec-only (see repro.machines.network).
-_NETWORK_HIER_KEYS = (
-    "intra_socket_bw",
-    "switch_levels",
-    "switch_radix",
-    "switch_uplink_bw",
-    "eager_threshold",
-    "rendezvous_latency",
-    "incast_penalty",
-    "gpudirect",
-)
-_NETWORK_KEYS = _NETWORK_FLAT_KEYS + ("placement",) + _NETWORK_HIER_KEYS
+#: [network] keys: every NetworkSpec field, plus the machine's rank placement.
+_NETWORK_KEYS = tuple(f.name for f in fields(NetworkSpec)) + ("placement",)
 _NETWORK_INT_KEYS = ("switch_levels", "switch_radix", "eager_threshold")
 _TOP_KEYS = (
     "name",
@@ -107,8 +95,7 @@ def _numeric_overrides(source: str, section: str, data: dict, proto: object) -> 
     _check_keys(source, section, data, tuple(sorted(known - {"name"})))
     for key, value in data.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            if not (section == "network" and key == "placement" and isinstance(value, str)):
-                raise _err(source, f"{section}.{key} must be a number, got {value!r}")
+            raise _err(source, f"{section}.{key} must be a number, got {value!r}")
     return data
 
 
@@ -199,21 +186,8 @@ def spec_from_dict(data: dict, *, source: str = "<dict>") -> MachineSpec:
         elif key in _NETWORK_INT_KEYS and not isinstance(value, int):
             raise _err(source, f"network.{key} must be an integer, got {value!r}")
         net_overrides[key] = value
-        if key in _NETWORK_FLAT_KEYS:
-            kwargs[key] = value
-
-    # A machine gets a full NetworkSpec when the file uses hierarchical
-    # keys or the base preset already carries one; flat-only files on
-    # flat bases keep network = None (the degenerate single-level form).
-    hier = {k: v for k, v in net_overrides.items() if k in _NETWORK_HIER_KEYS}
-    base_network: NetworkSpec | None = kwargs.get("network")  # type: ignore[assignment]
-    if hier or base_network is not None:
-        if base_network is not None:
-            start = base_network
-        elif base is not None:
-            start = base.resolved_network
-        else:
-            start = NetworkSpec()
+    if net_overrides:
+        start = base.network if base is not None else NetworkSpec()
         try:
             kwargs["network"] = start.with_overrides(**net_overrides)
         except ValueError as exc:

@@ -87,10 +87,12 @@ def a100_gpu_machine() -> MachineSpec:
         cores_per_node=64,
         gpus_per_node=4,
         ranks_per_node=4,
-        injection_bw=100e9,
-        intra_node_bw=80e9,
-        latency=1.5e-6,
-        alltoallv_efficiency=0.05,
+        network=NetworkSpec(
+            injection_bw=100e9,
+            intra_node_bw=80e9,
+            latency=1.5e-6,
+            alltoallv_efficiency=0.05,
+        ),
         node_cost=5.0,
         device=a100(),
         cpu_rates=epyc_rates(),
@@ -106,11 +108,14 @@ def fat_nic_gpu_machine() -> MachineSpec:
     moves the balance point.  Identical rank layout to ``summit-gpu``, so
     every exact observable matches Summit bit-for-bit.
     """
-    return summit_gpu_machine().with_overrides(
-        name="fat-nic-gpu",
-        description="Summit node compute with 4x injection bandwidth (fat-NIC what-if), 6 ranks/node",
-        injection_bw=4 * 23e9,
-        node_cost=6.5,
+    return (
+        summit_gpu_machine()
+        .with_network(injection_bw=4 * 23e9)
+        .with_overrides(
+            name="fat-nic-gpu",
+            description="Summit node compute with 4x injection bandwidth (fat-NIC what-if), 6 ranks/node",
+            node_cost=6.5,
+        )
     )
 
 
@@ -151,10 +156,12 @@ def generic_cpu_machine() -> MachineSpec:
         sockets_per_node=2,
         cores_per_node=64,
         gpus_per_node=0,
-        injection_bw=12.5e9,
-        intra_node_bw=30e9,
-        latency=1.5e-6,
-        alltoallv_efficiency=0.06,
+        network=NetworkSpec(
+            injection_bw=12.5e9,
+            intra_node_bw=30e9,
+            latency=1.5e-6,
+            alltoallv_efficiency=0.06,
+        ),
         node_cost=1.0,
         device=None,
         cpu_rates=epyc_rates(),

@@ -6,8 +6,9 @@ machine, in one frozen object:
 * **node shape** — sockets, cores, GPUs per node, and the MPI rank layout
   (``ranks_per_node``; defaults to one rank per GPU, or one per core on a
   CPU-only machine);
-* **network** — per-node injection bandwidth, intra-node bandwidth, message
-  latency, the alltoallv efficiency derating, and rank placement;
+* **network** — the :class:`~repro.machines.network.NetworkSpec` (the one
+  declaration of the interconnect: injection/intra-node bandwidth, latency,
+  alltoallv efficiency and the link hierarchy) plus rank placement;
 * **device** — the :class:`~repro.machines.device.DeviceSpec` of each GPU
   (``None`` on CPU-only machines);
 * **kernel calibration** — :class:`~repro.machines.rates.CpuRates` and
@@ -38,11 +39,6 @@ __all__ = ["MachineSpec"]
 #: Rank placements the communication model understands.
 PLACEMENTS = ("block", "round-robin")
 
-#: MachineSpec network fields mirrored from :class:`NetworkSpec`.  When a
-#: machine carries a full network spec these are views of it (one source
-#: of truth); overriding one through ``with_overrides`` updates both.
-_NETWORK_MIRROR_FIELDS = ("injection_bw", "intra_node_bw", "latency", "alltoallv_efficiency")
-
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -58,15 +54,11 @@ class MachineSpec:
     # core (CPU-only machines) — the paper's two Summit layouts.
     ranks_per_node: int | None = None
     # -- network -------------------------------------------------------------
-    injection_bw: float = 23e9  # bytes/s per node into the fabric
-    intra_node_bw: float = 50e9  # bytes/s rank-to-rank within a node
-    latency: float = 2e-6  # seconds per message
-    alltoallv_efficiency: float = 0.04  # achieved fraction of peak for many-rank alltoallv
+    # The interconnect: alpha-beta core plus link hierarchy (switch levels,
+    # socket split, protocol regimes, GPUDirect).  The default is Summit's
+    # flat core.
+    network: NetworkSpec = field(default_factory=NetworkSpec)
     placement: str = "block"  # rank->node mapping: "block" (jsrun) or "round-robin"
-    # Full link-hierarchy description (switch levels, socket split, protocol
-    # regimes, GPUDirect).  None derives a flat single-level NetworkSpec from
-    # the fields above; when given, those fields become views of it.
-    network: NetworkSpec | None = None
     # -- deployment cost -------------------------------------------------------
     # Relative cost of one node-hour on this machine (any consistent unit:
     # dollars, SUs, watts).  The `repro plan` capacity planner ranks
@@ -80,11 +72,6 @@ class MachineSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError("machine spec needs a non-empty 'name'")
-        if self.network is not None:
-            # One source of truth: the mirrored flat fields read from the
-            # network spec, so every legacy consumer sees the same numbers.
-            for fname in _NETWORK_MIRROR_FIELDS:
-                object.__setattr__(self, fname, getattr(self.network, fname))
         for fname in ("sockets_per_node", "cores_per_node"):
             if int(getattr(self, fname)) < 1:
                 raise ValueError(f"machine {self.name!r}: {fname} must be >= 1")
@@ -92,13 +79,8 @@ class MachineSpec:
             raise ValueError(f"machine {self.name!r}: gpus_per_node must be >= 0")
         if self.ranks_per_node is not None and self.ranks_per_node < 1:
             raise ValueError(f"machine {self.name!r}: ranks_per_node must be >= 1 (or omitted)")
-        for fname in ("injection_bw", "intra_node_bw"):
-            if getattr(self, fname) <= 0:
-                raise ValueError(f"machine {self.name!r}: {fname} must be positive")
-        if self.latency < 0:
-            raise ValueError(f"machine {self.name!r}: latency must be non-negative")
-        if not 0 < self.alltoallv_efficiency <= 1:
-            raise ValueError(f"machine {self.name!r}: alltoallv_efficiency must be in (0, 1]")
+        if not isinstance(self.network, NetworkSpec):
+            raise ValueError(f"machine {self.name!r}: network must be a NetworkSpec, got {self.network!r}")
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"machine {self.name!r}: placement must be one of {PLACEMENTS}, got {self.placement!r}"
@@ -130,39 +112,24 @@ class MachineSpec:
         """
         return self.device if self.device is not None else generic_gpu()
 
-    @property
-    def resolved_network(self) -> NetworkSpec:
-        """The machine's network hierarchy, or the flat spec its fields imply."""
-        if self.network is not None:
-            return self.network
-        return NetworkSpec(
-            injection_bw=self.injection_bw,
-            intra_node_bw=self.intra_node_bw,
-            latency=self.latency,
-            alltoallv_efficiency=self.alltoallv_efficiency,
-        )
-
     def with_overrides(self, **kwargs: object) -> "MachineSpec":
         """Copy with selected fields replaced (what-if studies, tests).
 
-        Overriding a mirrored network field (``injection_bw`` & co.) on a
-        machine that carries a :class:`NetworkSpec` rewrites the network
-        too, so the two never disagree.
+        Network knobs live on the :class:`NetworkSpec`; change them with
+        :meth:`with_network`.
         """
         unknown = set(kwargs) - {f.name for f in fields(self)}
         if unknown:
-            raise ValueError(f"machine {self.name!r}: unknown field(s) {', '.join(sorted(unknown))}")
-        network = kwargs.get("network", self.network)
-        if network is not None and "network" not in kwargs:
-            mirrored = {k: kwargs[k] for k in _NETWORK_MIRROR_FIELDS if k in kwargs}
-            if mirrored:
-                kwargs["network"] = network.with_overrides(**mirrored)
+            raise ValueError(
+                f"machine {self.name!r}: unknown field(s) {', '.join(sorted(unknown))}; "
+                "network knobs go through with_network(...)"
+            )
         return replace(self, **kwargs)  # type: ignore[arg-type]
 
     def with_network(self, **kwargs: object) -> "MachineSpec":
         """Copy with :class:`NetworkSpec` fields replaced (machine knobs).
 
-        The ergonomic spelling of ``with_overrides(network=...)`` for
-        single knobs: ``machine.with_network(gpudirect=True)``.
+        The one way to change a network knob:
+        ``machine.with_network(injection_bw=92e9, gpudirect=True)``.
         """
-        return self.with_overrides(network=self.resolved_network.with_overrides(**kwargs))
+        return self.with_overrides(network=self.network.with_overrides(**kwargs))

@@ -142,7 +142,7 @@ class CommCostModel:
         p = c.n_ranks
         if mat.shape != (p, p):
             raise ValueError(f"bytes_matrix must be ({p}, {p}) for {c.name}, got {mat.shape}")
-        net = c.resolved_network
+        net = c.network
         nodes = c.node_map()
         n = c.n_nodes
         # Node-aggregated matrix: traffic[node_i, node_j].
@@ -152,7 +152,7 @@ class CommCostModel:
         # ---- injection link: max over nodes of the NIC time ----
         inter_out = node_mat.sum(axis=1) - np.diag(node_mat)
         inter_in = node_mat.sum(axis=0) - np.diag(node_mat)
-        eff_bw = c.injection_bw * c.alltoallv_efficiency
+        eff_bw = net.injection_bw * net.alltoallv_efficiency
         per_node_inter = np.maximum(inter_out, inter_in) / eff_bw
         bottleneck = int(per_node_inter.argmax()) if n else 0
         inter_time = float(per_node_inter.max()) if n else 0.0
@@ -165,13 +165,13 @@ class CommCostModel:
         intra -= for_rank_local
         links: list[LinkTime] = []
         if net.intra_socket_bw is None:
-            intra_time = float(intra.max() / c.intra_node_bw) if n else 0.0
+            intra_time = float(intra.max() / net.intra_node_bw) if n else 0.0
             intra_busy = int(intra.argmax()) if n else 0
             links.append(LinkTime("intra-node", intra_time, float(intra.sum()), intra_busy, True))
         else:
             same_bytes, cross_bytes = self._socket_split(mat, nodes, n)
             socket_time = float(same_bytes.max() / net.intra_socket_bw) if n else 0.0
-            cross_time = float(cross_bytes.max() / c.intra_node_bw) if n else 0.0
+            cross_time = float(cross_bytes.max() / net.intra_node_bw) if n else 0.0
             intra_time = max(socket_time, cross_time)
             links.append(
                 LinkTime(
@@ -210,7 +210,7 @@ class CommCostModel:
             np.add.at(group_mat, (groups[:, None], groups[None, :]), node_mat)
             g_out = group_mat.sum(axis=1) - np.diag(group_mat)
             g_in = group_mat.sum(axis=0) - np.diag(group_mat)
-            cap = net.uplink_bw(level) * c.alltoallv_efficiency
+            cap = net.uplink_bw(level) * net.alltoallv_efficiency
             per_group = np.maximum(g_out, g_in) / cap
             seconds = float(per_group.max()) if ngroups else 0.0
             contending = net.level_contends(level)
@@ -227,14 +227,14 @@ class CommCostModel:
                 contention_time = seconds
 
         # ---- protocol regimes: eager alpha vs rendezvous handshakes ----
-        base_latency = c.latency * max(p - 1, 0)
+        base_latency = net.latency * max(p - 1, 0)
         rdv_count = 0
         rdv_extra = 0.0
         bruck_rdv = 0
         log_rounds = int(np.ceil(np.log2(p))) if p > 1 else 0
-        bruck_latency = c.latency * log_rounds
+        bruck_latency = net.latency * log_rounds
         if net.eager_threshold is not None:
-            rdv_extra = net.effective_rendezvous_latency - c.latency
+            rdv_extra = net.effective_rendezvous_latency - net.latency
             off = mat.copy()
             np.fill_diagonal(off, 0.0)
             # BSP: each rank serializes its own handshakes, so the
@@ -301,7 +301,7 @@ class CommCostModel:
             local = ranks % c.ranks_per_node
         else:
             local = ranks // c.n_nodes
-        spn = max(getattr(c, "sockets_per_node", 2), 1)
+        spn = c.sockets_per_node
         sockets = (local * spn) // c.ranks_per_node
         same_node = (nodes[:, None] == nodes[None, :]) & ~np.eye(p, dtype=bool)
         same_socket = same_node & (sockets[:, None] == sockets[None, :])
@@ -321,12 +321,13 @@ class CommCostModel:
         messages are always eager, so protocol regimes never apply here.
         """
         c = self.cluster
+        net = c.network
         p = c.n_ranks
         per_node_bytes = 8.0 * c.ranks_per_node * max(p - c.ranks_per_node, 0)
-        t_bw = per_node_bytes / (c.injection_bw * c.alltoallv_efficiency)
-        pairwise = c.latency * max(p - 1, 0) + t_bw
+        t_bw = per_node_bytes / (net.injection_bw * net.alltoallv_efficiency)
+        pairwise = net.latency * max(p - 1, 0) + t_bw
         log_rounds = int(np.ceil(np.log2(p))) if p > 1 else 0
-        bruck = c.latency * log_rounds + t_bw * max(log_rounds / 2.0, 1.0)
+        bruck = net.latency * log_rounds + t_bw * max(log_rounds / 2.0, 1.0)
         return min(pairwise, bruck)
 
     def allreduce(self, bytes_per_rank: int) -> float:
@@ -334,7 +335,7 @@ class CommCostModel:
         c = self.cluster
         p = c.n_ranks
         rounds = int(np.ceil(np.log2(p))) if p > 1 else 0
-        return rounds * (c.latency + bytes_per_rank / c.injection_bw)
+        return rounds * (c.network.latency + bytes_per_rank / c.network.injection_bw)
 
     def exchange_time(self, bytes_matrix: np.ndarray, *, include_counts_exchange: bool = True) -> float:
         """Full exchange-phase time: counts alltoall + payload alltoallv.

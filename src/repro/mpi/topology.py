@@ -7,18 +7,18 @@ bandwidth.  Two rank layouts are used: 6 ranks/node (one per GPU) for the
 GPU runs and 42 ranks/node (one per core) for the CPU baseline.
 
 :class:`ClusterSpec` captures exactly what the communication cost model
-needs — rank->node mapping, per-node injection bandwidth, intra-node
-bandwidth, and message latency.  Since the unified machine-model layer
-landed, the numbers come from a declarative
+needs — the rank->node mapping and the machine's
+:class:`~repro.machines.NetworkSpec` (injection and intra-node bandwidth,
+message latency, the link hierarchy).  The numbers come from a declarative
 :class:`~repro.machines.MachineSpec`: :func:`cluster_for` instantiates any
 registered machine (or calibration file) at a node count, and the named
-Summit constructors below are now thin wrappers over the ``summit-gpu`` /
+Summit constructors below are thin wrappers over the ``summit-gpu`` /
 ``summit-cpu`` presets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,92 +26,42 @@ from ..machines import MachineSpec, NetworkSpec, get_machine, resolve_machine
 
 __all__ = ["ClusterSpec", "cluster_for", "summit_gpu", "summit_cpu"]
 
-# Summit's network constants, re-exported from the ``summit-gpu`` machine
-# preset — the registry is the single source of truth; these names remain
-# for callers that want the raw numbers (Section V-A: "providing per node
-# injection bandwidth of 23 GB/s").
-_SUMMIT = get_machine("summit-gpu")
-
-#: Per-node injection bandwidth on Summit, bytes/s.
-SUMMIT_INJECTION_BW: float = _SUMMIT.injection_bw
-
-#: Intra-node rank-to-rank bandwidth (NVLink / shared memory), bytes/s.
-SUMMIT_INTRA_NODE_BW: float = _SUMMIT.intra_node_bw
-
-#: Effective point-to-point message latency, seconds.
-SUMMIT_LATENCY: float = _SUMMIT.latency
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
     """A homogeneous cluster for the bulk-synchronous communication model.
 
-    ``alltoallv_efficiency`` is the calibration knob mapping peak injection
-    bandwidth to the effective bandwidth a many-rank MPI_Alltoallv actually
-    achieves (protocol overhead, rail sharing, pipelining stalls); measured
-    alltoallv on large systems typically lands at a few percent of peak for
-    this many ranks.  The default 0.04 is calibrated so the modeled H.
-    sapiens 54X exchange on 64 nodes lands near the paper's ~25-30 s
-    (Fig. 3b), making exchange ~80% of the GPU pipeline as published.
+    ``network`` carries every interconnect number the cost model reads;
+    the default :class:`~repro.machines.NetworkSpec` is Summit's flat
+    alpha-beta core (23 GB/s injection, ``alltoallv_efficiency`` 0.04 —
+    calibrated so the modeled H. sapiens 54X exchange on 64 nodes lands
+    near the paper's ~25-30 s, Fig. 3b).
     """
 
     name: str
     n_nodes: int
     ranks_per_node: int
-    injection_bw: float = SUMMIT_INJECTION_BW
-    intra_node_bw: float = SUMMIT_INTRA_NODE_BW
-    latency: float = SUMMIT_LATENCY
-    alltoallv_efficiency: float = 0.04
     placement: str = "block"  # rank->node mapping: "block" (jsrun) or "round-robin"
     # Socket count per node: how the intra-node rank block splits across
     # sockets when the network models an NVLink/X-bus distinction.
     sockets_per_node: int = 2
-    # Full link hierarchy (switch levels, socket split, protocol regimes,
-    # incast, GPUDirect).  None = the flat single-level topology implied by
-    # the fields above; ``resolved_network`` builds it on demand.
-    network: NetworkSpec | None = None
+    # The interconnect: alpha-beta core plus link hierarchy (switch levels,
+    # socket split, protocol regimes, incast, GPUDirect).
+    network: NetworkSpec = field(default_factory=NetworkSpec)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1 or self.ranks_per_node < 1:
             raise ValueError("n_nodes and ranks_per_node must be positive")
-        if self.injection_bw <= 0 or self.intra_node_bw <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
-        if not 0 < self.alltoallv_efficiency <= 1:
-            raise ValueError("alltoallv_efficiency must be in (0, 1]")
         if self.placement not in ("block", "round-robin"):
             raise ValueError("placement must be 'block' or 'round-robin'")
         if self.sockets_per_node < 1:
             raise ValueError("sockets_per_node must be >= 1")
-        if self.network is not None:
-            for fname in ("injection_bw", "intra_node_bw", "latency", "alltoallv_efficiency"):
-                if getattr(self.network, fname) != getattr(self, fname):
-                    raise ValueError(
-                        f"cluster {self.name!r}: network.{fname} disagrees with the flat field; "
-                        "build clusters through cluster_for() or keep the two in sync"
-                    )
+        if not isinstance(self.network, NetworkSpec):
+            raise ValueError(f"network must be a NetworkSpec, got {self.network!r}")
 
     @property
     def n_ranks(self) -> int:
         return self.n_nodes * self.ranks_per_node
-
-    @property
-    def resolved_network(self) -> NetworkSpec:
-        """The link hierarchy, or the flat spec the legacy fields imply.
-
-        ``getattr`` tolerates pre-refactor pickles (checkpointed states)
-        that lack the ``network`` attribute.
-        """
-        network = getattr(self, "network", None)
-        if network is not None:
-            return network
-        return NetworkSpec(
-            injection_bw=self.injection_bw,
-            intra_node_bw=self.intra_node_bw,
-            latency=self.latency,
-            alltoallv_efficiency=self.alltoallv_efficiency,
-        )
 
     def node_of(self, rank: int) -> int:
         """Node index hosting ``rank``.
@@ -153,10 +103,6 @@ def cluster_for(machine: MachineSpec | str, n_nodes: int) -> ClusterSpec:
         name=f"{m.name}-{n_nodes}n",
         n_nodes=n_nodes,
         ranks_per_node=m.effective_ranks_per_node,
-        injection_bw=m.injection_bw,
-        intra_node_bw=m.intra_node_bw,
-        latency=m.latency,
-        alltoallv_efficiency=m.alltoallv_efficiency,
         placement=m.placement,
         sockets_per_node=m.sockets_per_node,
         network=m.network,

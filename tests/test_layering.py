@@ -246,6 +246,24 @@ class TestCheckerDetects:
         assert "spans.py:3: '\"X\"' is defined once, in telemetry/spans.py" in proc.stdout
         assert "scheduler.py:1: '.overlap_factor(' is defined once, in telemetry/spans.py" in proc.stdout
 
+    def test_flags_second_network_declaration(self, tmp_path):
+        """The interconnect is declared once, on ``NetworkSpec``; a cluster or machine spec must not mirror it."""
+        root = self._tree(tmp_path, "")
+        for comp in ("machines", "mpi"):
+            (root / comp).mkdir()
+            (root / comp / "__init__.py").write_text("")
+        (root / "machines" / "network.py").write_text(
+            "class NetworkSpec:\n    injection_bw: float = 23e9  # bytes/s per node\n"
+        )
+        (root / "mpi" / "topology.py").write_text("class ClusterSpec:\n    network: NetworkSpec\n")
+        assert run_checker(root).returncode == 0
+        (root / "mpi" / "topology.py").write_text(
+            "class ClusterSpec:\n    injection_bw: float = SUMMIT_INJECTION_BW\n    network: NetworkSpec\n"
+        )
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "topology.py:2: 'injection_bw: float' is defined once, in machines/network.py" in proc.stdout
+
     def test_flags_second_fallback_event(self, tmp_path):
         """Strategy resolution announces the one fallback; a new silent fallback elsewhere fails the lint."""
         root = self._tree(tmp_path, "")

@@ -26,6 +26,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.machines import (
     MachineSpec,
+    NetworkSpec,
     get_machine,
     load,
     machine_names,
@@ -70,11 +71,7 @@ class TestMachineSpecValidation:
             (dict(cores_per_node=0), "cores_per_node"),
             (dict(gpus_per_node=-1), "gpus_per_node"),
             (dict(ranks_per_node=0), "ranks_per_node"),
-            (dict(injection_bw=0.0), "injection_bw"),
-            (dict(intra_node_bw=-1.0), "intra_node_bw"),
-            (dict(latency=-1e-6), "latency"),
-            (dict(alltoallv_efficiency=0.0), "alltoallv_efficiency"),
-            (dict(alltoallv_efficiency=1.5), "alltoallv_efficiency"),
+            (dict(network=None), "network"),  # the interconnect is never absent
             (dict(placement="striped"), "placement"),
             (dict(device=None), "device"),  # gpus_per_node=2 without a device
         ],
@@ -88,11 +85,13 @@ class TestMachineSpecValidation:
             assert "test-machine" in message
         assert exc.value.__cause__ is None
 
+    # The interconnect's numbers are validated by the one NetworkSpec every
+    # machine carries (tests/test_network_model.py holds the full table).
     @given(bw=st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=25, deadline=None)
     def test_nonpositive_injection_bw_always_rejected(self, bw):
         with pytest.raises(ValueError, match="injection_bw"):
-            spec(injection_bw=bw)
+            NetworkSpec(injection_bw=bw)
 
     @given(
         eff=st.one_of(
@@ -103,15 +102,32 @@ class TestMachineSpecValidation:
     @settings(max_examples=25, deadline=None)
     def test_out_of_range_efficiency_always_rejected(self, eff):
         with pytest.raises(ValueError, match="alltoallv_efficiency"):
-            spec(alltoallv_efficiency=eff)
+            NetworkSpec(alltoallv_efficiency=eff)
 
     def test_with_overrides_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown field"):
             spec().with_overrides(injection_speed=1e9)
 
     def test_with_overrides_revalidates(self):
+        with pytest.raises(ValueError, match="node_cost"):
+            spec().with_overrides(node_cost=-1.0)
         with pytest.raises(ValueError, match="latency"):
-            spec().with_overrides(latency=-1.0)
+            spec().with_network(latency=-1.0)
+
+    def test_network_knob_has_one_spelling(self):
+        # A network knob is a NetworkSpec field, changed via with_network;
+        # the machine-level spelling is one unknown-field error, never a
+        # silently dropped value.
+        summit = get_machine("summit-gpu")
+        with pytest.raises(ValueError) as exc:
+            summit.with_overrides(injection_bw=7e9)
+        message = str(exc.value)
+        assert "unknown field(s) injection_bw" in message
+        assert "with_network" in message
+        assert exc.value.__cause__ is None
+        with pytest.raises(ValueError, match="unknown field"):
+            summit.with_overrides(network=summit.network, injection_bw=7e9)
+        assert summit.with_network(injection_bw=7e9).network.injection_bw == 7e9
 
 
 VALID_TOML = """
@@ -145,7 +161,7 @@ class TestCalibrationFiles:
         m = load(path)
         assert m.name == "my-cluster"
         assert m.gpus_per_node == 4
-        assert m.injection_bw == 50e9
+        assert m.network.injection_bw == 50e9
         assert m.device.hbm_bw == 1300e9
         assert m.device.n_sms == a100().n_sms  # inherited from the device base
         assert m.cpu_rates.parse_rate == 8e4
@@ -161,7 +177,7 @@ class TestCalibrationFiles:
         path.write_text(json.dumps(data))
         m = load(path)
         base = get_machine("summit-gpu")
-        assert m.injection_bw == 46e9
+        assert m.network.injection_bw == 46e9
         assert m.gpus_per_node == base.gpus_per_node  # inherited
         assert m.device == base.device
 
@@ -246,8 +262,9 @@ class TestRegistryAndResolve:
     def test_summit_gpu_preset_is_the_paper_machine(self):
         m = get_machine("summit-gpu")
         assert (m.gpus_per_node, m.effective_ranks_per_node) == (6, 6)
-        assert (m.injection_bw, m.intra_node_bw) == (23e9, 50e9)
-        assert (m.latency, m.alltoallv_efficiency) == (2e-6, 0.04)
+        net = m.network
+        assert (net.injection_bw, net.intra_node_bw) == (23e9, 50e9)
+        assert (net.latency, net.alltoallv_efficiency) == (2e-6, 0.04)
         assert m.device == v100()
 
     def test_summit_cpu_preset_layout(self):

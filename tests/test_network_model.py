@@ -105,22 +105,26 @@ class TestDegeneracy:
 
     def test_summit_fat_tree_is_bit_identical_to_flat(self):
         # summit-gpu carries its real 3-level full-bisection EDR tree; a
-        # bare ClusterSpec with network=None is the flat model.  Totals
-        # must agree float-for-float on skewed matrices.
+        # NetworkSpec with the same four alpha-beta numbers and nothing
+        # else is the flat model.  Totals must agree float-for-float on
+        # skewed matrices.
         hier = CommCostModel(summit_gpu(4))
-        assert hier.cluster.resolved_network.switch_levels == 3
+        net = hier.cluster.network
+        assert net.switch_levels == 3
         flat = CommCostModel(
             ClusterSpec(
                 name="flat",
                 n_nodes=4,
                 ranks_per_node=hier.cluster.ranks_per_node,
-                injection_bw=hier.cluster.injection_bw,
-                intra_node_bw=hier.cluster.intra_node_bw,
-                latency=hier.cluster.latency,
-                alltoallv_efficiency=hier.cluster.alltoallv_efficiency,
+                network=NetworkSpec(
+                    injection_bw=net.injection_bw,
+                    intra_node_bw=net.intra_node_bw,
+                    latency=net.latency,
+                    alltoallv_efficiency=net.alltoallv_efficiency,
+                ),
             )
         )
-        assert flat.cluster.resolved_network.is_flat
+        assert flat.cluster.network.is_flat
         rng = np.random.default_rng(7)
         p = hier.cluster.n_ranks
         for _ in range(5):
@@ -197,7 +201,7 @@ class TestSchedules:
         t = cm.alltoallv(mat, schedule="pairwise")
         assert t.rendezvous_messages == 3
         eager = model_with(None).alltoallv(mat, schedule="pairwise")
-        extra = net.effective_rendezvous_latency - cm.cluster.latency
+        extra = net.effective_rendezvous_latency - net.latency
         assert t.latency_time == eager.latency_time + 3 * extra
 
     def test_schedule_protocol_interaction(self):
@@ -214,8 +218,9 @@ class TestSchedules:
         assert pw.rendezvous_messages == 0
         log_rounds = int(np.ceil(np.log2(p)))
         assert br.rendezvous_messages == log_rounds
-        extra = cm.cluster.resolved_network.effective_rendezvous_latency - cm.cluster.latency
-        assert br.latency_time == cm.cluster.latency * log_rounds + extra * log_rounds
+        net = cm.cluster.network
+        extra = net.effective_rendezvous_latency - net.latency
+        assert br.latency_time == net.latency * log_rounds + extra * log_rounds
 
 
 class TestCongestion:
@@ -289,7 +294,7 @@ class TestCalibrationHierarchicalKeys:
                 },
             }
         )
-        net = spec.resolved_network
+        net = spec.network
         assert net.switch_levels == 2
         assert net.switch_uplink_bw == (40e9, 160e9)
         assert net.eager_threshold == 8192
@@ -298,8 +303,8 @@ class TestCalibrationHierarchicalKeys:
         assert net.intra_socket_bw == 150e9
         assert net.gpudirect
         assert net.level_contends(1)
-        # Flat mirrors stay in sync with the base preset.
-        assert spec.injection_bw == get_machine("summit-gpu").injection_bw
+        # Keys the file leaves out keep the base preset's values.
+        assert net.injection_bw == get_machine("summit-gpu").network.injection_bw
 
     def test_bad_hierarchical_values_one_error(self):
         with pytest.raises(ValueError, match="machine calibration"):

@@ -35,7 +35,7 @@ from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
 from repro.gpu.segmented import SegmentedHashTable
-from repro.machines import v100
+from repro.machines import get_machine, v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -201,7 +201,8 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
         return dataclasses.replace(comp, key=key, backend=key.split(":")[0], substrate=substrate)
 
     monkeypatch.setitem(registry._BACKENDS, key, factory)
-    tiny = v100().with_overrides(hbm_bytes=1024**2)  # auto_rounds must split on the GPU substrate
+    # auto_rounds must split on the GPU substrate
+    tiny = get_machine("summit-gpu").with_overrides(device=v100().with_overrides(hbm_bytes=1024**2))
 
     def cell(strategy, backend):
         reg = MetricRegistry()
@@ -211,7 +212,7 @@ def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path,
             PipelineConfig(**(CONFIG | {"mode": mode})),
             backend=backend,
             options=_options(
-                strategy, tmp_path, telemetry=reg, device=tiny, auto_rounds=True, work_multiplier=50.0
+                strategy, tmp_path, telemetry=reg, machine=tiny, auto_rounds=True, work_multiplier=50.0
             ),
         )
         kernels = {

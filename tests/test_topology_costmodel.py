@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.machines import NetworkSpec
 from repro.mpi.costmodel import CommCostModel
 from repro.mpi.topology import ClusterSpec, summit_cpu, summit_gpu
 
@@ -37,13 +38,15 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(name="x", n_nodes=0, ranks_per_node=1)
         with pytest.raises(ValueError):
-            ClusterSpec(name="x", n_nodes=1, ranks_per_node=1, injection_bw=-1)
+            ClusterSpec(name="x", n_nodes=1, ranks_per_node=1, network=NetworkSpec(injection_bw=-1))
         with pytest.raises(ValueError):
-            ClusterSpec(name="x", n_nodes=1, ranks_per_node=1, alltoallv_efficiency=0)
+            ClusterSpec(name="x", n_nodes=1, ranks_per_node=1, network=NetworkSpec(alltoallv_efficiency=0))
+        with pytest.raises(ValueError, match="NetworkSpec"):
+            ClusterSpec(name="x", n_nodes=1, ranks_per_node=1, network=None)
 
     def test_summit_constants(self):
         # Section V-A published numbers.
-        assert summit_gpu(1).injection_bw == 23e9
+        assert summit_gpu(1).network.injection_bw == 23e9
 
     def test_round_robin_placement(self):
         import dataclasses
@@ -96,9 +99,9 @@ class TestCommCostModel:
         cm = self.make()
         p = cm.cluster.n_ranks
         zero = cm.alltoallv(np.zeros((p, p))).total
-        assert zero == pytest.approx(cm.cluster.latency * np.ceil(np.log2(p)))
+        assert zero == pytest.approx(cm.cluster.network.latency * np.ceil(np.log2(p)))
         pairwise = cm.alltoallv(np.zeros((p, p)), schedule="pairwise").total
-        assert pairwise == pytest.approx(cm.cluster.latency * (p - 1))
+        assert pairwise == pytest.approx(cm.cluster.network.latency * (p - 1))
 
     def test_schedule_selection_by_size(self):
         """Auto picks Bruck for tiny payloads, pairwise for large ones."""
@@ -163,7 +166,9 @@ class TestCommCostModel:
 
     def test_efficiency_derates_bandwidth(self):
         fast = CommCostModel(summit_gpu(4))
-        slow_cluster = ClusterSpec(name="slow", n_nodes=4, ranks_per_node=6, alltoallv_efficiency=0.01)
+        slow_cluster = ClusterSpec(
+            name="slow", n_nodes=4, ranks_per_node=6, network=NetworkSpec(alltoallv_efficiency=0.01)
+        )
         slow = CommCostModel(slow_cluster)
         mat = self.uniform_matrix(fast.cluster, 1e6)
         assert slow.alltoallv(mat).inter_node_time > fast.alltoallv(mat).inter_node_time
@@ -178,8 +183,8 @@ class TestCommCostModel:
         t = cm.alltoall_counts()
         # At least the Bruck round latency, at most the pairwise form.
         p = cm.cluster.n_ranks
-        assert t >= cm.cluster.latency * np.ceil(np.log2(p))
-        assert t <= cm.cluster.latency * (p - 1) + 1.0
+        assert t >= cm.cluster.network.latency * np.ceil(np.log2(p))
+        assert t <= cm.cluster.network.latency * (p - 1) + 1.0
 
     def test_allreduce_log_rounds(self):
         cm = self.make()

@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.kmers.spectrum import count_kmers_exact
-from repro.machines import v100
+from repro.machines import get_machine, v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import trace_events, write_run_trace
 
@@ -65,10 +65,14 @@ def events_list(result):
     return trace_events(result)
 
 
+def tiny_machine(hbm_bytes: int):
+    """``summit-gpu`` with a device of ``hbm_bytes`` HBM, so auto rounds split."""
+    return get_machine("summit-gpu").with_overrides(device=v100().with_overrides(hbm_bytes=hbm_bytes))
+
+
 class TestAutoRounds:
     def test_tiny_device_forces_rounds(self, genome_reads):
-        tiny = v100().with_overrides(hbm_bytes=1 * 1024**2)
-        opts = EngineOptions(device=tiny, auto_rounds=True, work_multiplier=50.0)
+        opts = EngineOptions(machine=tiny_machine(1 * 1024**2), auto_rounds=True, work_multiplier=50.0)
         result = run_pipeline(genome_reads, summit_gpu(1), PipelineConfig(k=17), options=opts)
         assert result.n_rounds_used > 1
         result.validate_against(count_kmers_exact(genome_reads, 17))
@@ -86,8 +90,7 @@ class TestAutoRounds:
     def test_cpu_backend_ignores_auto_rounds(self, genome_reads):
         from repro.mpi.topology import summit_cpu
 
-        tiny = v100().with_overrides(hbm_bytes=1 * 1024**2)
-        opts = EngineOptions(device=tiny, auto_rounds=True, work_multiplier=50.0)
+        opts = EngineOptions(machine=tiny_machine(1 * 1024**2), auto_rounds=True, work_multiplier=50.0)
         result = run_pipeline(genome_reads, summit_cpu(1), PipelineConfig(k=17), backend="cpu", options=opts)
         assert result.n_rounds_used == 1
 
@@ -96,18 +99,20 @@ class TestAutoRounds:
             EngineOptions(memory_budget_fraction=0)
 
     def test_more_rounds_with_tighter_budget(self, genome_reads):
-        tiny = v100().with_overrides(hbm_bytes=4 * 1024**2)
+        tiny = tiny_machine(4 * 1024**2)
         loose = run_pipeline(
             genome_reads,
             summit_gpu(1),
             PipelineConfig(k=17),
-            options=EngineOptions(device=tiny, auto_rounds=True, work_multiplier=100.0, memory_budget_fraction=1.0),
+            options=EngineOptions(machine=tiny, auto_rounds=True, work_multiplier=100.0, memory_budget_fraction=1.0),
         )
         tight = run_pipeline(
             genome_reads,
             summit_gpu(1),
             PipelineConfig(k=17),
-            options=EngineOptions(device=tiny, auto_rounds=True, work_multiplier=100.0, memory_budget_fraction=0.25),
+            options=EngineOptions(
+                machine=tiny, auto_rounds=True, work_multiplier=100.0, memory_budget_fraction=0.25
+            ),
         )
         assert tight.n_rounds_used >= loose.n_rounds_used
         assert tight.n_rounds_used > 1

@@ -37,10 +37,12 @@ hint (``table_hint``, which the round driver and the SPMD rank program
 both call), the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
-one wall summary (busy / elapsed / overlap) and the one silent fallback
-(an ``engine.*.fallback`` event, in strategy resolution) may each appear
-in their owning file only, so neither the scheduler nor the spool nor a
-report can regrow a private copy.
+one wall summary (busy / elapsed / overlap), the one silent fallback
+(an ``engine.*.fallback`` event, in strategy resolution) and the one
+declaration of the interconnect (``injection_bw: float``, a
+``NetworkSpec`` field, so no machine or cluster spec mirrors it again)
+may each appear in their owning file only, so neither the scheduler nor
+the spool nor a report can regrow a private copy.
 
 Usage: ``python tools/check_layers.py [--root src/repro]``.
 Exits 0 when clean, 1 with one ``file:line`` diagnostic per violation.
@@ -101,6 +103,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("code_bytes - config.k + 1", "", "core/stages/standard.py", True),
     ("merge_counts(", "core", "core/stages/standard.py", False),
     ("sort_pairs(", "core", "core/stages/standard.py", True),
+    ("injection_bw: float", "", "machines/network.py", True),
 ]
 
 
