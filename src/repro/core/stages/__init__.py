@@ -6,9 +6,9 @@ stages — parse, partition, count — with typed buffers between them
 (:mod:`.protocols`), the paper's implementations (:mod:`.standard`), a
 backend/extension registry (:mod:`.registry`), and the single round
 driver that owns the memory-bounded execution loop (:mod:`.scheduler`)
-over one data layout and a receive-buffer
-residency (RAM | spool, :mod:`.spill`), which owns the exchange and the
-merge.  See ``docs/ARCHITECTURE.md`` for the full picture and the
+over one data layout, one drive shape and a
+residency (RAM | spool, :mod:`.spill`), which owns the exchange, the
+count loop and the merge.  See ``docs/ARCHITECTURE.md`` for the full picture and the
 recipe for registering custom stages.
 """
 

@@ -7,8 +7,9 @@ Every arrow in the stage graph has an explicit record type:
 * partition → exchange: :class:`SendArray` (every rank's
   destination-ordered buffer, in one array: the round driver's send
   format);
-* exchange → count: :class:`ExchangeOutcome` (received buffers plus the
-  modeled exchange-time breakdown);
+* exchange → round driver: :class:`ExchangeOutcome` (the round's counts
+  matrix and modeled exchange-time breakdown; the received items stay
+  with the residency until the count);
 * parse → round driver: :class:`ParseSummary` (the per-rank statistics
   the driver keeps once the send buffers themselves are dropped).
 
@@ -117,18 +118,13 @@ class ParseSummary:
 
 @dataclass
 class ExchangeOutcome:
-    """All ranks' received items plus the exchange-phase time breakdown.
+    """One exchange round's counts matrix and its exchange-time breakdown.
 
-    Every exchange receives one rank-segmented array: destination ``d``'s
-    items are ``recv_data[recv_offsets[d] : recv_offsets[d + 1]]``, each in
-    source-rank order, and ``recv_lengths`` (supermer mode) is parallel to
-    it.  Resident, it is the gathered array; spooled, a read-only map of
-    the round's segment file.
+    The received items themselves stay with the residency that placed
+    them — the gathered receive array in RAM, or the round's segment file —
+    until the count reads them back a table block at a time.
     """
 
-    recv_data: np.ndarray
-    recv_lengths: np.ndarray | None
-    recv_offsets: np.ndarray  # (P + 1,) int64 destination boundaries in recv_data
     counts_matrix: np.ndarray  # items, [src, dst]
     seconds: float  # overhead + network + staging (the phase's bulk time)
     alltoallv_seconds: float  # MPI_Alltoallv routine time only (Fig. 8's metric)

@@ -84,10 +84,14 @@ class EngineOptions:
     # merge_items — results bit-identical to the in-memory path.
     # None = everything stays in RAM.
     spill_dir: str | Path | None = None
-    # Hard host-memory target in bytes: auto-rounds split the exchange so
-    # one round's per-rank working set (partition buffer + extraction +
-    # table growth) fits under it.  Honored by every execution path so
-    # n_rounds_used stays identical between spilled and in-memory runs.
+    # Host-memory target in bytes: auto-rounds split the exchange so one
+    # round's per-rank working set (partition buffer + extraction + table
+    # growth) would fit under it.  The rounds bound each round's gather
+    # and, with spill_dir, the receive extent a count reads back; the RAM
+    # store holds every round's receive array until the count, so
+    # spill_dir is what bounds the receive side.  Honored by every
+    # execution path so n_rounds_used stays identical between spilled
+    # and in-memory runs.
     # A budget below one received item's working-set floor is rejected at
     # round computation with the computed floor in the error message.
     host_memory_budget: int | None = None

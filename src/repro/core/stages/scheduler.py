@@ -8,8 +8,8 @@ surface and every strategy runs:
   :meth:`RoundScheduler.run` (one-shot run, full :class:`CountResult`);
 * :class:`repro.core.incremental.DistributedCounter` holds a
   :class:`PipelineState` and calls :meth:`RoundScheduler.run_batch` per
-  read batch (streaming, checkpointable) — the same drive with one round
-  and persistent tables;
+  read batch (streaming, checkpointable) — the same drive with one round,
+  persistent tables and a conservation check per batch;
 * the SPMD rank program (:func:`repro.core.spmd.staged_rank_program`)
   runs the same phase bodies on one rank's shard inside per-rank threads.
 
@@ -18,21 +18,23 @@ real NumPy work), per-rank model times are derived from the work actually
 performed, and the phase's bulk time is the max over ranks.  When the
 modeled per-round working set exceeds device memory (``auto_rounds``), or
 the config asks for ``n_rounds > 1``, each destination segment is split
-evenly across rounds (Section III-A) and the exchange + count phases repeat.
+evenly across rounds (Section III-A) and the exchange repeats.
 
-There is one data layout (:class:`Layout`): shards are base ranges of
-the input (:class:`~repro.dna.reads.ShardRanges`), blocks of whole shards
-parse, each from one view of its codes, into one send array, a round is
-one gather of it, every exchange gathers straight out of it into one
-receive array, and blocks of ranks count into block-local segmented
-tables, all on the rank pool.  The one axis that changes behaviour is
-the *residency* of the receive side
-(:class:`~repro.core.stages.spill.Resident` |
-:class:`~repro.core.stages.spill.Spooled`), which owns the exchange and
-the merge; ``fused`` changes names only (the strategy, ``staged`` |
-``fused`` | ``spill`` | ``fused-spill``, and the ``fused:`` work-leaf
-prefix).  :class:`RoundAccounting` is the one place their outcomes are
-summed.
+Every drive has one shape, Gerbil's two phases (PAPERS.md): exchange
+every round, drop the send array, then count one table block at a time —
+every round of the block's ranks, in round order — and merge the blocks'
+dumps.  There is one data layout (:class:`Layout`): shards are base
+ranges of the input (:class:`~repro.dna.reads.ShardRanges`), blocks of
+whole shards parse, each from one view of its codes, into one send array,
+a round is one gather of it, and every exchange gathers straight out of
+it, all on the rank pool.  The one axis that changes behaviour is the
+*residency* (:class:`~repro.core.stages.spill.Resident` |
+:class:`~repro.core.stages.spill.Spooled`), which owns the exchange, the
+count loop and the merge and chooses only where a round's receive
+segments and a block's dump live: in RAM, or in the spool's files;
+``fused`` changes names only (the strategy, ``staged`` | ``fused`` |
+``spill`` | ``fused-spill``, and the ``fused:`` work-leaf prefix).
+:class:`RoundAccounting` is the one place their outcomes are summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
 the persistent per-rank tables and accounting across batches, and its
@@ -55,7 +57,7 @@ import numpy as np
 
 from ...dna.reads import ReadSet, ShardRanges
 from ...gpu.hashtable import EMPTY_KEY, InsertStats, SegmentedRankView, dump_slots
-from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks
+from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks, view_blocks
 from ...mpi.costmodel import CommCostModel
 from ...mpi.stats import CollectiveRecord, TrafficStats
 from ...mpi.topology import ClusterSpec
@@ -318,8 +320,8 @@ class RoundAccounting:
     Accumulation order is part of the bit-identity contract: each rank's
     count seconds are added in round order (float addition does not
     commute with regrouping), while the integer totals and
-    :meth:`InsertStats.combined` are associative, so rank-major streams
-    and round-major loops reduce to the same values.
+    :meth:`InsertStats.combined` are associative, so the count loop may
+    visit blocks in any order.
     """
 
     def __init__(self, p: int, backend: str, reg: MetricRegistry | None) -> None:
@@ -704,7 +706,9 @@ class RoundScheduler:
         The same drive as :meth:`run` with one round (streamed batches are
         already small), no checksum verification pass (matching the
         original incremental counter exactly), and ``state``'s persistent
-        tables and accounting instead of fresh ones.  When ``opts.trace``
+        tables and accounting instead of fresh ones.  A composition that
+        conserves k-mers must grow the tables' counts by exactly the
+        batch's parsed k-mers, or the batch raises.  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
         stage/work structure as the one-shot run.
         """
@@ -726,17 +730,15 @@ class RoundScheduler:
         """The one superstep skeleton every strategy and surface runs.
 
         prepare plugins → shard → parse → round count → per round {gather,
-        exchange, span note, accounting, count} → and, for the one-shot
-        surface (``state is None``), merge + conservation check + final
-        gauges + the :class:`CountResult`.  What differs between
-        strategies is behind two objects (:meth:`resolve_strategy`): the
-        *layout* (one class) parses the send array and names the work
-        leaves, and the *residency* exchanges, merges and hides where
-        receive buffers live.  A
-        resident exchange is counted inside its round; a spooled one defers
-        the count until every round is on disk and the send buffers are
-        dropped (Gerbil's two phases), which is the only shape difference
-        the skeleton knows about.
+        exchange, span note, accounting} → drop the send array → count, one
+        table block at a time → conservation check, and for the one-shot
+        surface (``state is None``) the merge, final gauges and the
+        :class:`CountResult`.  Every strategy and surface takes this one
+        shape (Gerbil's two phases).  What differs between strategies is
+        behind two objects (:meth:`resolve_strategy`): the *layout* (one
+        class) parses the send array and names the work leaves, and the
+        *residency* chooses where a round's receive segments and a block's
+        dump live — RAM arrays, or the spool's segment and run files.
         """
         comp, config, opts = self.comp, self.config, self.opts
         p = self.cluster.n_ranks
@@ -777,23 +779,18 @@ class RoundScheduler:
             send, summary = layout.parse(ranges, sctx)
         del ranges
         t_parse = float(summary.times.max()) if p else 0.0
-        recv_items = summary.counts_matrix.sum(axis=0)
         n_rounds = 1
         if one_shot:
-            n_rounds = max(
-                config.n_rounds,
-                _rounds_for_recv_items(recv_items.astype(np.float64), wire, opts, comp.substrate),
-            )
+            recv_items = summary.counts_matrix.sum(axis=0).astype(np.float64)
+            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.substrate))
         hints = [table_hint(int(nk), p) for nk in summary.n_kmers]
 
         # One cleanup scope for everything a drive opens: the residency's
-        # spool directory and a one-shot drive's table slabs are reclaimed
-        # on any exit, success or raise.
+        # spool directory is reclaimed on any exit, success or raise.
         with ExitStack() as cleanup:
             residency = strategy.residency(layout, cleanup)
-            tables = None if residency.spooled else residency.tables(state, hints, recv_items)
 
-            # ---- phases 2+3: exchange and count, possibly in multiple rounds ----
+            # ---- phase 2: exchange, possibly in multiple rounds ----
             for rnd in range(n_rounds):
                 suffix = f"-round{rnd}" if n_rounds > 1 else ""
                 if one_shot:
@@ -820,34 +817,35 @@ class RoundScheduler:
                                 link_seconds=dict(outcome.link_seconds),
                             )
                     acct.add_exchange(rnd, outcome)
-                    if not residency.spooled:
-                        with recording_region(recorder, "count", cat="stage", **meta):
-                            residency.count_round(tables, outcome, suffix, sctx, acct)
-                    # Round gathers and receive buffers die with their round,
-                    # not when the next round's are already built beside them.
+                    # A round's gather dies with its round, not when the next
+                    # round's is already built beside it.
                     del round_send, outcome
 
-            # Every round is exchanged: drop the send buffers *before* a
-            # spooled count starts, so its peak residency is one rank
-            # block's partitions + table, not the whole parse output.
+            # Every round is exchanged: drop the send array *before* the count
+            # starts, so its peak residency is the receive side and one table
+            # block per worker, not the whole parse output (Gerbil's two phases).
             del send
-            if residency.spooled:
-                with recording_region(recorder, "count", cat="stage"):
-                    tables = residency.count(state, hints, sctx, acct)
+
+            # ---- phase 3: count, one table block at a time ----
+            n_parsed = int(summary.n_kmers.sum())
+            # Streamed conservation sums every table slab: only when it is checked.
+            check_held = not one_shot and comp.conserves_kmers
+            held = _n_counted(state.tables) if check_held else None
+            with recording_region(recorder, "count", cat="stage"):
+                fill = residency.count(state, hints, sctx, acct)
 
             if one_shot:
-                # ---- merge the partitioned global table into one spectrum ----
+                # ---- merge the blocks' dumps into one spectrum ----
                 with recording_region(recorder, "merge", cat="stage"):
                     t0 = perf_counter()
-                    leaf, spectrum = residency.merge(tables)
+                    leaf, spectrum = residency.merge()
                     if recorder is not None:
                         recorder.record(leaf, 0, t0, perf_counter())
-                n_parsed = int(summary.n_kmers.sum())
-                if comp.conserves_kmers and spectrum.n_total != n_parsed:
-                    raise AssertionError(
-                        f"pipeline lost k-mers: parsed {n_parsed}, counted {spectrum.n_total}"
-                    )
-                fill = residency.fill(tables)
+                counted = spectrum.n_total
+            elif check_held:
+                counted = _n_counted(state.tables) - held
+            if comp.conserves_kmers and counted != n_parsed:
+                raise AssertionError(f"pipeline lost k-mers: parsed {n_parsed}, counted {counted}")
 
         timing = acct.timing(t_parse)
         exchanged_items = int(acct.counts_matrix.sum())
@@ -885,12 +883,20 @@ class RoundScheduler:
         return result
 
 
+def _n_counted(tables: list[SegmentedRankView]) -> int:
+    """The k-mer instances ``tables`` hold: one sum over their slabs (an empty slot counts 0)."""
+    return sum(int(table.counts.sum()) for _, _, table in view_blocks(tables))
+
+
 def _host_bytes_per_item(wire: int) -> float:
-    """Host working set per received item that ``host_memory_budget`` bounds.
+    """Host working set per received item that ``host_memory_budget`` is sized by.
 
     The partition buffer and its extraction copy, the unpacked 8-byte key
-    stream, and the table slots (16 B each at ~0.7 target load) the round
-    may add.
+    stream, and the table slots (16 B each at ~0.7 target load) the item
+    may add.  The rounds this sizes bound each round's gather and, on a
+    spilled drive, the receive extent one count reads back; the RAM store
+    keeps every round's receive array until the count and the tables grow
+    per block after the last round, so only ``spill_dir`` bounds those.
     """
     return wire * 2 + 8.0 + 16 / 0.7
 
@@ -908,8 +914,10 @@ def _rounds_for_recv_items(
     evaluated at full (multiplied) scale.  Two independent budgets apply:
     the substrate's modeled device-memory budget (``device_rounds``)
     and the *host* budget (``opts.host_memory_budget``, any substrate),
-    which bounds one round's per-rank host working set: the received
-    partition, its extraction copy, and the table growth it can cause.
+    sized by one round's per-rank host working set (``_host_bytes_per_item``).
+    What the rounds bound is each round's gather and, with ``spill_dir``,
+    the receive extent a count reads back from the segment file; a RAM
+    drive holds every round's receive array until the count.
     """
     worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
     rounds = substrate.device_rounds(worst, wire, opts)

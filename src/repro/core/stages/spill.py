@@ -1,12 +1,8 @@
-"""The residency axis of the round driver: the exchange, receive buffers in RAM or on disk, their tables and the merge.
+"""The residency axis of the round driver: the exchange, where receive buffers and table dumps live, and the merge.
 
-Held entirely in RAM, a run keeps the parsed send buffers, every rank's
-received buffer, and all P hash-table partitions live simultaneously,
-which caps the dataset registry at tiny scales.  Gerbil-style two-phase
-counting (PAPERS.md) splits that: phase one hashes reads into
-minimizer-keyed temporary partition files, phase two counts one partition
-at a time.  We already partition by minimizer shard, so this module adds
-the missing pieces:
+Every drive takes Gerbil's two phases (PAPERS.md): phase one exchanges
+every round, phase two counts one table block at a time.  The receive
+side and the block dumps are what a residency places:
 
 * :class:`SpillSpool` — the spool directory: one append-only segment file
   per label (plus a ``.lens`` twin in supermer mode) with an in-memory
@@ -17,19 +13,20 @@ the missing pieces:
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
-  chooses between: the in-memory exchange (the paper's one ALLTOALLV per
-  round) counted round by round, or every round spooled first
-  (:meth:`Spooled.exchange`, the on-disk twin of :meth:`Resident.exchange`:
-  the same traffic accounting, checksum and modeled time, only the data
-  lands in the label's segment file) and the count phase streamed back from
-  disk a table block at a time (see :class:`Spooled` for what stays
-  resident).  Both count into the one kind of table, born here
-  (:func:`block_table`): a block-local
-  :class:`~repro.gpu.segmented.SegmentedHashTable` per rank block, whatever
-  the layout, backed by ``table_dir`` when it is set.  Both merge by the one
-  rule, :func:`~repro.core.stages.standard.merge_items` over per-block
-  ``(keys, counts)`` pairs: a resident drive's from its tables, a spooled
-  one's from its mapped run files.
+  chooses between.  Both exchange the same way (the paper's one
+  ALLTOALLV per round, with the same traffic accounting, checksum and
+  modeled time) and count by one loop (:meth:`Resident.count`): a block's
+  ranks, every round in round order, into a table born for the block
+  (:func:`block_table`, a block-local
+  :class:`~repro.gpu.segmented.SegmentedHashTable` backed by
+  ``table_dir`` when it is set) that is dumped and freed before the next
+  block, or into a streamed state's tables.  They differ only in where
+  things live: :class:`Resident` keeps a round's
+  :func:`~repro.mpi.collectives.alltoallv_flat` receive array and a
+  block's ``(keys, counts)`` dump in RAM; :class:`Spooled` appends the
+  round to its segment file, reads a block's extent back, and writes the
+  dump as a run file.  Both merge by the one rule,
+  :func:`~repro.core.stages.standard.merge_items` over the blocks' dumps.
 
 Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
 gathered out of the send array one destination block at a time — the
@@ -44,8 +41,8 @@ never a silently smaller count; a run file whose bytes no longer match
 their CRC-32 is one too.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
-traffic records, counts matrices, and InsertStats all equal the resident
-path's (``tests/test_spill.py`` enforces it, and ``TestModelCellsGolden``
+traffic records, counts matrices, and InsertStats all equal the in-RAM
+drive's (``tests/test_spill.py`` enforces it, and ``TestModelCellsGolden``
 replays the full-scale figure cells through it).  Only ``wall=True``
 telemetry families (``spill_*``) differ.
 """
@@ -70,7 +67,7 @@ from ...mpi.collectives import account_alltoallv, alltoallv_flat, segment_blocks
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, SendArray
-from .standard import exchange_outcome, merge_items, merge_partitions
+from .standard import exchange_outcome, merge_items
 
 __all__ = [
     "Resident",
@@ -444,31 +441,30 @@ def external_merge(runs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpe
     return merge_items(runs, k)
 
 
-def block_recv(outcome: ExchangeOutcome, r0: int, r1: int):
-    """Ranks ``[r0, r1)``'s received items back to back, ``(recv, lengths, offsets)``: slices of the receive array."""
-    recv, lengths, offs = outcome.recv_data, outcome.recv_lengths, outcome.recv_offsets
-    lo, hi = int(offs[r0]), int(offs[r1])
-    return recv[lo:hi], lengths[lo:hi] if lengths is not None else None, offs[r0 : r1 + 1] - lo
-
-
 class Resident:
-    """Residency in RAM: the exchange in memory, counted round by round, merged in memory.
+    """Residency in RAM: a round's receive array is kept until the count, a block's dump is kept as arrays.
 
-    The receive buffers of one round are live arrays, so the driver counts
-    them inside the round and the next round overwrites them: block-local
-    segmented tables (:meth:`tables`) counted a block per call of the count
-    stage's ``count_block`` on the layout's pool.  ``cleanup`` is the driver's
-    exit scope: it closes a one-shot drive's tables (their mmap slabs when
-    ``table_dir`` is set) on any exit.
+    Every residency runs one drive shape (Gerbil's two phases, PAPERS.md):
+    the driver exchanges every round (:meth:`exchange`), drops the send
+    array, then :meth:`count` counts one table block at a time — every
+    round of the block's ranks, in round order, into a table born for the
+    block (or the streamed state's), dumped and freed before the worker's
+    next block — and :meth:`merge` folds the dumps by
+    :func:`~repro.core.stages.standard.merge_items`.  A residency chooses
+    only where a round's receive segments live (:meth:`_read`) and where a
+    block's dump goes (:meth:`_dump`): here the
+    :func:`~repro.mpi.collectives.alltoallv_flat` receive array and RAM
+    ``(keys, counts)`` arrays.  ``cleanup`` is the driver's exit scope.
     """
-
-    spooled = False
 
     def __init__(self, layout, cleanup) -> None:
         self.layout = layout
         self.sched = layout.sched
-        self.cleanup = cleanup
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
+        self.merge_leaf = layout.prefix + "merge"
+        self.rounds: list = []  # per round: where its receive segments live
+        self.round_offsets: list[np.ndarray] = []  # per round: the P + 1 destination offsets
+        self.dumps: list = []  # per table block, in rank order: what the merge reads
 
     def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
         """Counts alltoall + payload alltoallv of one round, with exact accounting.
@@ -479,7 +475,7 @@ class Resident:
         src-major send array is gathered straight into one receive array
         with its ``P + 1`` destination offsets
         (:func:`~repro.mpi.collectives.alltoallv_flat`), the length bytes
-        (supermer mode) likewise.
+        (supermer mode) likewise; both are kept for :meth:`count`.
         """
         recv, recv_offsets = alltoallv_flat(
             send.data, send.counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes
@@ -487,44 +483,62 @@ class Resident:
         recv_lens = None  # the length bytes' traffic rides in the payload's `wire` size
         if send.lengths is not None:
             recv_lens = alltoallv_flat(send.lengths, send.counts)[0]
-        return exchange_outcome(send, recv, recv_lens, recv_offsets, label, sctx)
+        self.rounds.append((recv, recv_lens))
+        self.round_offsets.append(recv_offsets)
+        return exchange_outcome(send, recv, recv_lens, label, sctx)
+
+    def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
+        """Round ``rnd``'s received items of ranks ``[r0, r1)``, ``(recv, lengths)``: slices of its receive array."""
+        recv, lengths = self.rounds[rnd]
+        offsets = self.round_offsets[rnd]
+        lo, hi = int(offsets[r0]), int(offsets[r1])
+        return recv[lo:hi], None if lengths is None else lengths[lo:hi]
+
+    def _release(self, *arrays) -> None:
+        """Hand back what :meth:`_read` returned once it is counted (slices: nothing to do)."""
+
+    def _drop_rounds(self) -> None:
+        """Free the rounds' receive side once the last block is counted."""
+        self.rounds.clear()
+
+    def _dump(self, r0: int, table: SegmentedHashTable, sctx):
+        """A counted one-shot block table's occupied slots, taken in one storage pass (``items_flat``)."""
+        return table.items_flat()
+
+    def _keep(self, r0: int, r1: int, dump) -> None:
+        """Hold one block's dump for the merge, in the driving process."""
+        self.dumps.append(dump)
+
+    def _runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every block's ``(keys, counts)``, in rank order: what :meth:`merge` folds."""
+        return self.dumps
 
     def born(self, hints) -> SegmentedHashTable:
         """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
         return block_table(hints, self.sched.config.table_seed, self.sched.opts.table_dir)
 
-    def tables(self, state, hints: list[int], recv_items: np.ndarray) -> list[SegmentedRankView]:
-        """Every rank's view of its block's table, in the blocks ``table_blocks(recv_items)`` gives.
+    def tables(self, state, recv_items: np.ndarray) -> list[SegmentedRankView]:
+        """The streamed ``state``'s per-rank views, born again in ``table_blocks(recv_items)`` if it holds no key.
 
-        A one-shot drive's (``state is None``) are born here at ``hints``
-        and closed on the drive's exit.  A state holding keys is counted
-        through the blocks it has, whichever strategy chose them, so a
-        strategy flip copies nothing; one holding none (fresh, or loaded
-        from an empty checkpoint) is born again in this drive's blocks at
-        the capacities it has.
+        A state holding keys is counted through the blocks it has,
+        whichever strategy chose them, so a strategy flip copies nothing;
+        one holding none (fresh, or loaded from an empty checkpoint) is
+        born again in this drive's blocks at the capacities it has.
         """
-        if state is not None:
-            if any(t.n_entries for t in state.tables):
-                return state.tables
-            # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
-            hints = [int(t.capacity * t.max_load_factor) for t in state.tables]
-        tables = []
-        for r0, r1 in table_blocks(recv_items):
-            table = self.born(hints[r0:r1])
-            if state is None:
-                self.cleanup.callback(table.close)
-            tables.extend(table.views())
-        if state is not None:
-            state.tables = tables
-        return tables
+        if any(t.n_entries for t in state.tables):
+            return state.tables
+        # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
+        hints = [int(t.capacity * t.max_load_factor) for t in state.tables]
+        state.tables = [view for r0, r1 in table_blocks(recv_items) for view in self.born(hints[r0:r1]).views()]
+        return state.tables
 
     def map_blocks(self, fn, blocks: list, sctx) -> list:
         """``fn(block)`` for every ``(r0, r1, table)`` block, results in block order.
 
         On the layout's pool each closure touches its own block only, so
         any substrate equals the sequential loop; an out-of-process worker
-        counts into a copy-on-write clone of the block's table, whose state
-        then travels back for the table here to adopt.
+        counts into a copy-on-write clone of a state's block table, whose
+        state then travels back for the table here to adopt.
         """
         pool = sctx.pool
         if pool.in_process:
@@ -540,66 +554,90 @@ class Resident:
                 table.adopt(*slabs)
         return [out for out, _ in results]
 
-    def count_round(
-        self, tables: list[SegmentedRankView], outcome: ExchangeOutcome, suffix: str, sctx, acct
-    ) -> None:
-        """Count one round's receive buffers into ``tables``, a block per count-stage ``count_block`` call."""
+    def count(self, state, hints: list[int], sctx, acct) -> tuple[list[int], list[float]]:
+        """Count every round, one table block at a time; returns the dumped tables' per-rank ``(entries, loads)``.
+
+        Each block's count is private (its own table, its own extent of
+        each round), so the pool may run blocks concurrently on any
+        substrate.  A one-shot drive (``state is None``) counts each block
+        into a table born for it at ``hints``, dumps it (:meth:`_dump`) and
+        closes it before the worker's next block — peak residency in the
+        count is the receive side plus one block's table per worker, not P
+        tables.  A batch counts into the state's tables, which are the
+        cross-batch state itself, and dumps nothing.
+        """
         count, recorder = self.sched.comp.count, sctx.recorder
-        leaf = self.layout.prefix + "count" + suffix
+        leaf = self.layout.prefix + "count"
+        n_rounds = len(self.rounds)
+        recv_items = sum(np.diff(offsets) for offsets in self.round_offsets)
+        if state is None:
+            blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
+        else:
+            blocks = view_blocks(self.tables(state, recv_items))
 
-        def _count(block):
+        def _count_block(block):
             r0, r1, table = block
-            t0 = perf_counter()
-            counted = count.count_block(table, *block_recv(outcome, r0, r1), sctx, rank0=r0)
-            if recorder is not None:
-                recorder.record(leaf, r0, t0, perf_counter(), ranks=[r0, r1])
-            return counted
+            one_shot = table is None
+            if one_shot:
+                table = self.born(hints[r0:r1])
+            try:
+                counted = []
+                # Rounds run innermost, so each rank sees its rounds in order
+                # (identical float accumulation in the accounting).
+                for rnd, offsets in enumerate(self.round_offsets):
+                    suffix = f"-round{rnd}" if n_rounds > 1 else ""
+                    received = self._read(rnd, r0, r1, suffix, sctx)
+                    block_offsets = offsets[r0 : r1 + 1] - offsets[r0]
+                    t0 = perf_counter()
+                    counted.append(count.count_block(table, *received, block_offsets, sctx, rank0=r0))
+                    if recorder is not None:
+                        recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+                    self._release(*received)
+                if not one_shot:
+                    return counted, None
+                loads = table.n_entries_per_rank / table.capacities
+                return counted, (self._dump(r0, table, sctx), table.n_entries_per_rank.tolist(), loads.tolist())
+            finally:
+                if one_shot:
+                    table.close()
 
-        blocks = view_blocks(tables)
-        for (r0, _, _), counted in zip(blocks, self.map_blocks(_count, blocks, sctx)):
-            acct.add_count(r0, *counted)
+        counted_blocks = self.map_blocks(_count_block, blocks, sctx)
+        self._drop_rounds()  # the last block is counted
+        entries: list[int] = []
+        loads: list[float] = []
+        for (r0, r1, _), (counted, dumped) in zip(blocks, counted_blocks):
+            for round_counted in counted:  # round order per rank: identical float accumulation
+                acct.add_count(r0, *round_counted)
+            if dumped is not None:
+                dump, block_entries, block_loads = dumped
+                self._keep(r0, r1, dump)
+                entries.extend(block_entries)
+                loads.extend(block_loads)
+        return entries, loads
 
-    def merge(self, tables: list[SegmentedRankView]) -> tuple[str, KmerSpectrum]:
-        """``(work-leaf name, spectrum)`` of the one-shot merge: the rule a streamed state merges by too."""
-        spectrum = merge_partitions(tables, self.sched.config.k, self.sched.comp.plugins)
-        return self.layout.prefix + "merge", spectrum
-
-    def fill(self, tables: list[SegmentedRankView]) -> tuple[list[int], list[float]]:
-        """Per-rank ``(entries, load factor)`` of the final partitions."""
-        return [t.n_entries for t in tables], [t.load_factor for t in tables]
+    def merge(self) -> tuple[str, KmerSpectrum]:
+        """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the block dumps."""
+        return self.merge_leaf, merge_items(self._runs(), self.sched.config.k, self.sched.comp.plugins)
 
 
 class Spooled(Resident):
-    """Residency on disk: rounds are spooled, then streamed back and counted.
+    """Residency on disk: a round's receive side lives in its segment file, a block's dump in a run file.
 
     Every round's receive side is appended to one spool directory per
     drive (:meth:`exchange`; the directory is removed by the driver's
-    cleanup scope on any exit).  Once the driver has dropped the send
-    buffers, :meth:`count` streams the partitions back one table block at a
-    time: a block's extent of each round is one positional read
-    (:meth:`_stream_rounds`), counted by the one count body.  A one-shot run
-    counts each block into a table born for it, dumps the table's occupied
-    slots as one run file and frees it before the next block — peak
-    residency in the count is one block's partitions and table per worker,
-    not P of them — and merges the mapped run files by the rule a resident
-    drive merges its tables by (:func:`~repro.core.stages.standard.merge_items`),
-    holding the spectrum it returns as a resident merge does.  A batch
-    counts into the persistent tables, which are the cross-batch state
-    itself.
+    cleanup scope on any exit).  The count reads a block's extent of each
+    round back with one positional read (:meth:`_read`), and a one-shot
+    block's dump is one CRC-checked run file (:meth:`_dump`), mapped back
+    for the merge.
     """
-
-    spooled = True
 
     def __init__(self, layout, cleanup) -> None:
         super().__init__(layout, cleanup)
         self.exchange_leaf = "spill:spool"  # one whole-cluster block on the driving thread
+        self.merge_leaf = "spill:merge"
         self.spool = SpillSpool(Path(self.sched.opts.spill_dir), arena=layout.arena)
         # A failed exit is announced (engine.spill.cleanup) before removal.
         cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
-        self.labels: list[str] = []
-        self.round_recv: list[np.ndarray] = []  # items received per rank, per round
-        self.run_ranks: list[int] = []  # first rank of each run file, in rank order
-        self.run_fill: tuple[list[int], list[float]] | None = None  # set once the run files are written
 
     def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
         """Counts alltoall + payload "alltoallv" of one round onto disk: the twin of :meth:`Resident.exchange`.
@@ -609,9 +647,8 @@ class Spooled(Resident):
         from the functions the in-memory exchange calls.  Only the data
         placement differs: the round's receive side is appended to the
         label's segment file (:meth:`SpillSpool.append_round`), and the
-        outcome's receive array is one read-only map of that file, which
-        exists only for the checksum pass (its reads are not accounted; the
-        streamed count re-reads each partition).
+        checksum pass reads one read-only map of that file (its reads are
+        not accounted; the count re-reads each block's extent).
         """
         counts_matrix, wire, spool = send.counts, sctx.wire_bytes, self.spool
         # One logical alltoallv for the payload (recorded into the traffic
@@ -628,110 +665,42 @@ class Spooled(Resident):
         np.cumsum(recv_items, out=recv_offsets[1:])
         recv_data = spool.map_segment(label, send.data.dtype)
         recv_lengths = None if send.lengths is None else spool.map_segment(label, np.uint8, lens=True)
-        outcome = exchange_outcome(send, recv_data, recv_lengths, recv_offsets, label, sctx)
-        self.labels.append(label)
-        self.round_recv.append(recv_items)
-        return outcome
+        self.rounds.append(label)
+        self.round_offsets.append(recv_offsets)
+        return exchange_outcome(send, recv_data, recv_lengths, label, sctx)
 
-    def count(self, state, hints: list[int], sctx, acct):
-        """Stream every spooled round back and count it; returns a batch's tables (``None`` one-shot)."""
-        recv_items = np.sum(self.round_recv, axis=0)
-        tables = None if state is None else self.tables(state, hints, recv_items)
-        self._stream_ranks(tables, hints, recv_items, sctx, acct)
-        return tables
+    def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
+        """Ranks ``[r0, r1)`` of round ``rnd``, read back from its segment file in one positional read each."""
+        label, t0 = self.rounds[rnd], perf_counter()
+        recv = self.spool.read_range(label, r0, r1, np.uint64)
+        lengths = self.spool.read_range(label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
+        if sctx.recorder is not None:
+            sctx.recorder.record("spill:read" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+        return recv, lengths
 
-    def _stream_rounds(self, r0: int, r1: int, count, leaf: str, sctx) -> list:
-        """Read ranks ``[r0, r1)`` of every round back, in round order, and count each.
+    def _release(self, *arrays) -> None:
+        self.spool.release(*arrays)
 
-        A block's partitions are contiguous in a round's segment file, so
-        each round is one positional read into an arena buffer, handed to
-        ``count(recv, lengths, recv_offsets)`` — a closure over the one
-        count body and the block's table.  Returns its ``(times, n_seen,
-        stats)`` per round.  Rounds run innermost, so each rank sees its
-        rounds in order (identical float accumulation in the accounting).
-        """
-        spool, recorder = self.spool, sctx.recorder
-        counted = []
-        for rnd, label in enumerate(self.labels):
-            suffix = f"-round{rnd}" if len(self.labels) > 1 else ""
-            offsets = np.zeros(r1 - r0 + 1, dtype=np.int64)
-            np.cumsum(self.round_recv[rnd][r0:r1], out=offsets[1:])
-            t0 = perf_counter()
-            recv = spool.read_range(label, r0, r1, np.uint64)
-            lengths = spool.read_range(label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
-            if recorder is not None:
-                recorder.record("spill:read" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
-            t0 = perf_counter()
-            counted.append(count(recv, lengths, offsets))
-            if recorder is not None:
-                recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
-            spool.release(recv, lengths)
-        return counted
+    def _drop_rounds(self) -> None:
+        for label in self.rounds:
+            self.spool.drop_partitions(label)
+        self.rounds.clear()
 
-    def _stream_ranks(self, tables, hints: list[int], recv_items: np.ndarray, sctx, acct) -> None:
-        """The streamed count, one table block at a time (:meth:`map_blocks`).
-
-        Each block's stream is private in memory (its own table) and on
-        disk (its own extent of each round's segment file, read at an
-        offset through the shared descriptor, and its own run file), so the
-        pool may run block streams concurrently on any substrate.
-        ``tables is None`` is the one-shot run: a table born per block,
-        dumped as one run file and closed before the worker's next block.
-        """
-        spool, count = self.spool, self.sched.comp.count
-        leaf = self.layout.prefix + "count"
-        if tables is None:
-            blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
-        else:
-            blocks = view_blocks(tables)
-
-        def _stream_one(block):
-            r0, r1, table = block
-            one_shot = table is None
-            if one_shot:
-                table = self.born(hints[r0:r1])
-            try:
-                counted = self._stream_rounds(
-                    r0, r1, lambda *received: count.count_block(table, *received, sctx, rank0=r0), leaf, sctx
-                )
-                return counted, self._dump_run(r0, table, sctx) if one_shot else None
-            finally:
-                if one_shot:
-                    table.close()
-
-        streamed = self.map_blocks(_stream_one, blocks, sctx)
-        for label in self.labels:  # the last block is counted: free the rounds' files
-            spool.drop_partitions(label)
-        fill: tuple[list[int], list[float]] = ([], [])
-        for (r0, r1, _), (counted, kept) in zip(blocks, streamed):
-            for round_counted in counted:  # round order per rank: identical float accumulation
-                acct.add_count(r0, *round_counted)
-            if kept is not None:
-                entries, crc, n_entries, loads = kept
-                spool.index_runs(r0, r1 - r0, entries, crc)
-                self.run_ranks.append(r0)
-                fill[0].extend(n_entries.tolist())
-                fill[1].extend(loads.tolist())
-        if tables is None:
-            self.run_fill = fill
-
-    def _dump_run(self, r0: int, table: SegmentedHashTable, sctx):
-        """Dump ``table`` (ranks ``r0, r0 + 1, ...``) as one run file of its occupied slots.
+    def _dump(self, r0: int, table: SegmentedHashTable, sctx):
+        """Write ``table`` (ranks ``r0, r0 + 1, ...``) as one run file of its occupied slots; returns ``(entries, crc)``.
 
         One storage pass (``items_flat``, unsorted) and one file: the merge
-        adjusts and sorts every block's pairs at once, as it does a resident
-        drive's tables.  Returns ``(entries, crc, per-rank entries, per-rank loads)``.
+        adjusts and sorts every block's pairs at once.
         """
         t0 = perf_counter()
-        entries, crc = self.spool.write_run(r0, *table.items_flat(), n_ranks=table.n_ranks)
+        written = self.spool.write_run(r0, *table.items_flat(), n_ranks=table.n_ranks)
         if sctx.recorder is not None:
             sctx.recorder.record("spill:run-write", r0, t0, perf_counter(), ranks=[r0, r0 + table.n_ranks])
-        return entries, crc, table.n_entries_per_rank, table.n_entries_per_rank / table.capacities
+        return written
 
-    def merge(self, tables) -> tuple[str, KmerSpectrum]:
-        """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the run files."""
-        runs = [self.spool.map_run(r0) for r0 in self.run_ranks]
-        return "spill:merge", merge_items(runs, self.sched.config.k, self.sched.comp.plugins)
+    def _keep(self, r0: int, r1: int, dump) -> None:
+        self.spool.index_runs(r0, r1 - r0, *dump)  # again: an out-of-process worker indexed its own copy
+        self.dumps.append(r0)
 
-    def fill(self, tables) -> tuple[list[int], list[float]]:
-        return self.run_fill
+    def _runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [self.spool.map_run(r0) for r0 in self.dumps]

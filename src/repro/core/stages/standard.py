@@ -355,23 +355,18 @@ def exchange_outcome(
     send: SendArray,
     recv_data: np.ndarray,
     recv_lengths: np.ndarray | None,
-    recv_offsets: np.ndarray,
     label: str,
     ctx: StageContext,
 ) -> ExchangeOutcome:
     """The tail every exchange shares: checksum, time model, the outcome.
 
     ``send`` is the round's send array; ``recv_data`` (and, in supermer
-    mode, ``recv_lengths``) its one rank-segmented receive array, bounded
-    per destination by ``recv_offsets``.
+    mode, ``recv_lengths``) its one rank-segmented receive array.
     """
     if ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange:
         verify_exchange(send, recv_data, recv_lengths, label)
     seconds, t_a2av, t_stage, links = exchange_time_model(send.counts, ctx)
     return ExchangeOutcome(
-        recv_data=recv_data,
-        recv_lengths=recv_lengths,
-        recv_offsets=recv_offsets,
         counts_matrix=send.counts,
         seconds=seconds,
         alltoallv_seconds=t_a2av,

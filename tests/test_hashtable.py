@@ -99,6 +99,13 @@ class TestResize:
         table.insert_batch(np.arange(5000, dtype=np.uint64))
         assert table.lookup_batch(np.array([7], dtype=np.uint64))[0] == 51
 
+    @pytest.mark.parametrize("capacity", [64, 1024])
+    def test_fit_capacity_boundary_at_half_load(self, capacity):
+        """At ``max_load_factor=0.5`` a full load is an integer: exactly that many keys fit, one more doubles."""
+        full = capacity // 2
+        assert fit_capacity(capacity, full, 0.5) == (capacity, 0)
+        assert fit_capacity(capacity, full + 1, 0.5) == (2 * capacity, 1)
+
     def test_capacity_is_power_of_two(self):
         for hint in (1, 63, 64, 65, 1000):
             t = DeviceHashTable(hint)

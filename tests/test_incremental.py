@@ -99,6 +99,37 @@ class TestIncrementalCounting:
         assert counter.total_kmers == 0
 
 
+class TestBatchConservation:
+    """Every streamed batch is checked: the state's table counts grow by exactly the batch's parsed k-mers."""
+
+    @staticmethod
+    def _batches() -> tuple[ReadSet, ReadSet]:
+        """One 18-base read (two k-mers over 12 ranks, so most ranks stay empty), then 40 reads of 100 bases."""
+        rng = np.random.default_rng(6)
+        tiny = ReadSet.from_strings(["".join(rng.choice(list("ACGT"), 18))])
+        reads = ReadSet.from_strings(["".join(rng.choice(list("ACGT"), 100)) for _ in range(40)])
+        return tiny, reads
+
+    def test_a_state_holding_keys_born_again_raises(self, monkeypatch):
+        """The fault: a state in which some rank is still empty is born again (``any`` -> ``all``),
+        dropping the keys the other ranks held."""
+        from repro.core.stages import spill
+
+        monkeypatch.setattr(spill, "any", all, raising=False)
+        tiny, reads = self._batches()
+        counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        counter.add_reads(tiny)
+        with pytest.raises(AssertionError, match="pipeline lost k-mers: parsed 3360, counted 3358"):
+            counter.add_reads(reads)
+
+    def test_the_same_batches_count_exactly(self):
+        tiny, reads = self._batches()
+        counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        counter.add_reads(tiny)
+        counter.add_reads(reads)
+        assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat([tiny, reads]), 17))
+
+
 class TestCheckpointResume:
     def test_resume_is_bit_identical(self, genome_reads, batches, tmp_path):
         cfg = PipelineConfig(k=17)

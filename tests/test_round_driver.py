@@ -5,10 +5,8 @@
 tests pin what that buys, cell by cell against the ``staged`` cell:
 
 * identical model-metric telemetry, identical ``CountResult`` /
-  ``PipelineState`` observables, and the same region tree (the spooled
-  residency differs in exactly one documented way: its count is one
-  region after the last round, because partitions stream back rank-major
-  once every round is on disk);
+  ``PipelineState`` observables, and the same region tree (every cell
+  exchanges every round, then counts in one region after the last);
 * a stream may change strategy between batches, in either direction, by
   assigning ``scheduler.opts`` and nothing else;
 * the fixes the single site gives for free: batch exchange spans carry
@@ -76,25 +74,6 @@ def _region_tree(recorder: SpanRecorder) -> list:
     return roots
 
 
-def _hoist_counts(tree: list) -> list:
-    """The spooled residency's shape of a resident region tree.
-
-    Per-round ``count`` regions become one ``count`` after the last round.
-    Batch roots have no rounds, so they come back unchanged.
-    """
-    out = []
-    for name, cat, meta, children in tree:
-        if any(child[1] == "round" for child in children):
-            rounds = [
-                [*child[:3], [c for c in child[3] if c[0] != "count"]] if child[1] == "round" else child
-                for child in children
-            ]
-            at = next(i for i, child in enumerate(rounds) if child[0] == "merge")
-            children = [*rounds[:at], ["count", "stage", {}, []], *rounds[at:]]
-        out.append([name, cat, meta, children])
-    return out
-
-
 def _one_shot(strategy: str, n_rounds: int, tmp_path):
     reg, rec = MetricRegistry(), SpanRecorder()
     result = run_pipeline(
@@ -139,7 +118,7 @@ def test_cell_matches_staged(strategy, surface, tmp_path):
     ref_observables, ref_snapshot, ref_tree = cell("staged")
     assert observables == ref_observables
     assert snapshot == ref_snapshot
-    assert tree == (_hoist_counts(ref_tree) if "spill" in strategy else ref_tree)
+    assert tree == ref_tree
     for sub in tmp_path.iterdir():
         assert list(sub.iterdir()) == []  # every spool removed
 

@@ -262,6 +262,7 @@ class TestWallRowsAllStrategies:
         assert {"fused:parse", "fused:merge"} <= names
         assert any(n.startswith("fused:exchange") for n in names)
         assert any(n.startswith("fused:count") for n in names)
+        assert not any(n.startswith("spill:") for n in names)  # a RAM drive does no file work
 
     def test_spill_wall_rows(self, reads, tmp_path, monkeypatch):
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 20)  # three of the four ranks share a block
@@ -300,6 +301,7 @@ class TestWallRowsAllStrategies:
         assert "parse" in names and "merge" in names
         assert any(n.startswith("exchange") for n in names)
         assert any(n.startswith("count") for n in names)
+        assert not any(n.startswith("spill:") for n in names)  # a RAM drive does no file work
 
 
 def _work_signature(rec: SpanRecorder) -> Multiset:
@@ -349,20 +351,28 @@ class TestParallelNesting:
             assert s["end_s"] <= parent["end_s"] + 1e-9
 
     def test_rank_leaves_under_correct_round(self, reads):
-        """Each count leaf's round suffix must match its enclosing round."""
+        """Each exchange leaf's round suffix matches its enclosing round; every
+        count leaf, whatever its round suffix, sits in the one count stage
+        after the last round."""
         _, options = _run(reads, config=self.CONFIG, parallel=4, trace=True)
         by_id = _payload_tree(options.trace)
-        checked = 0
+        checked = {"exchange": 0, "count": 0}
         for s in by_id.values():
             if s["cat"] != "work" or "-round" not in s["name"]:
                 continue
-            rnd = int(s["name"].rsplit("-round", 1)[1])
+            name, rnd = s["name"].rsplit("-round", 1)
+            ancestors = []
             cur = by_id.get(s["parent"])
-            while cur is not None and cur["cat"] != "round":
+            while cur is not None:
+                ancestors.append(cur["name"])
                 cur = by_id.get(cur["parent"])
-            assert cur is not None and cur["name"] == f"round{rnd}"
-            checked += 1
-        assert checked > 0
+            phase = model_phase_of(name)
+            if phase == "count":
+                assert ancestors == ["count", "run"]
+            else:
+                assert ancestors[1] == f"round{rnd}"
+            checked[phase] += 1
+        assert checked["exchange"] == 2 and checked["count"] > 0
 
 
 class TestAnalysis:
@@ -391,8 +401,10 @@ class TestAnalysis:
         assert 0 <= parse.bottleneck_rank < 4
         # barrier wait is exactly sum(max - t_r), so < n * max
         assert 0 <= parse.barrier_wait_s < parse.n * parse.max_s
-        assert {"round0/exchange", "round0/count", "round1/exchange", "round1/count"} <= set(
-            by_path
+        # Every round is exchanged, then one count stage counts every round's blocks.
+        assert {"round0/exchange", "round1/exchange", "count"} <= set(by_path)
+        assert by_path["count"].n == len(options.trace.spans("count-round0")) + len(
+            options.trace.spans("count-round1")
         )
 
     def test_critical_path_names_model_dominant_phase(self, reads):

@@ -23,6 +23,7 @@ from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.spill import SpillSpool, Spooled
 from repro.core.stages.standard import merge_items
+from repro.dna.reads import ReadSet
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_cpu, summit_gpu
@@ -431,8 +432,8 @@ class TestMmapTable:
         """
         import gc
 
-        from repro.core.stages.spill import Resident
         from repro.gpu import segmented
+        from repro.gpu.segmented import SegmentedHashTable
 
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)  # several blocks, so pools fork
         config = PipelineConfig(k=15, mode="kmer", n_rounds=2)
@@ -443,14 +444,15 @@ class TestMmapTable:
         in_ram = DistributedCounter(cluster, config)
         for half in halves:
             in_ram.add_reads(half)
-        mapped_after_round: list[bool] = []
-        count_round = Resident.count_round
+        in_ram_summary = summarize_counter(in_ram)
+        dumped_mapped: list[bool] = []  # per block table dumped in this process: was it file-backed?
+        items_flat = SegmentedHashTable.items_flat
 
-        def checked(self, tables, *args):
-            count_round(self, tables, *args)
-            mapped_after_round.extend(getattr(t.parent.keys, "filename", None) is not None for t in tables)
+        def checked(self):
+            dumped_mapped.append(getattr(self.keys, "filename", None) is not None)
+            return items_flat(self)
 
-        monkeypatch.setattr(Resident, "count_round", checked)
+        monkeypatch.setattr(SegmentedHashTable, "items_flat", checked)
         for parallel in (1, "thread:2", "process:2"):
             for spill in (False, True):
                 table_dir = tmp_path / f"tables-{parallel}-{spill}".replace(":", "")
@@ -470,11 +472,11 @@ class TestMmapTable:
                         counts_file, keys_file = sorted(table.backing_dir.iterdir())
                         mapped = getattr(table.keys, "filename", None), getattr(table.counts, "filename", None)
                         assert mapped == (keys_file, counts_file)
-                assert summarize_counter(counter) == summarize_counter(in_ram), (parallel, spill)
+                assert summarize_counter(counter) == in_ram_summary, (parallel, spill)
                 del counter, blocks, table
                 gc.collect()
                 assert list(table_dir.iterdir()) == [], (parallel, spill)
-        assert mapped_after_round and all(mapped_after_round)
+        assert dumped_mapped and all(dumped_mapped)
 
     @pytest.mark.parametrize("spill", [False, True])
     def test_engine_identity_with_table_dir(self, genome_reads, tmp_path, spill):
@@ -562,20 +564,15 @@ class TestSpillCleanupOnFailure:
     @pytest.mark.parametrize("spill", [False, True], ids=["fused", "fused-spill"])
     def test_fused_table_dir_raise_removes_slabs(self, genome_reads, tmp_path, monkeypatch, spill):
         """A raise after the last mmap table exists must still reclaim its slab
-        files: the driver's cleanup scope (or, for a spilled one-shot block,
-        the block's own stream) closes the table on any exit, not on the
-        success path only (where the slabs outlived the traceback)."""
-        from repro.core.stages import standard
+        files: a one-shot block's own count closes its table on any exit, not
+        on the success path only (where the slabs outlived the traceback)."""
+        from repro.gpu.segmented import SegmentedHashTable
 
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        # Resident: the merge runs once every round is counted, the tables at their
-        # fullest.  Spilled: the last block's run dump, its table still open.
-        if spill:
-            monkeypatch.setattr(SpillSpool, "write_run", boom)
-        else:
-            monkeypatch.setattr(standard, "merge_items", boom)
+        # Both residencies: the block's dump, its table counted and still open.
+        monkeypatch.setattr(SegmentedHashTable, "items_flat", boom)
         table_dir = tmp_path / "table"
         options = EngineOptions(
             fused=True, table_dir=table_dir, spill_dir=tmp_path / "spool" if spill else None
@@ -616,7 +613,7 @@ class TestTruncatedSpoolFiles:
         def truncate_then_count(self, *args, **kwargs):
             # Every round is on disk and the send buffers are gone: cut the
             # last round's file in half before the first read-back.
-            path = self.spool.dir / f"{self.labels[-1]}.data"
+            path = self.spool.dir / f"{self.rounds[-1]}.data"
             os.truncate(path, path.stat().st_size // 2 // 8 * 8)
             return count(self, *args, **kwargs)
 
@@ -670,13 +667,13 @@ class TestTruncatedSpoolFiles:
         merge returns a wrong spectrum silently."""
         merge = Spooled.merge
 
-        def flip_then_merge(self, tables):
+        def flip_then_merge(self):
             # Every run file is written and none is mapped yet: flip the first key's low bit.
             with open(self.spool.dir / "run.r0.bin", "r+b") as fh:
                 first = fh.read(1)
                 fh.seek(0)
                 fh.write(bytes([first[0] ^ 0x01]))
-            return merge(self, tables)
+            return merge(self)
 
         monkeypatch.setattr(Spooled, "merge", flip_then_merge)
         self._assert_truncation(
@@ -732,6 +729,27 @@ class TestHostBudgetFloor:
         )
         with pytest.raises(ValueError, match="working-set floor"):
             counter.add_reads(genome_reads)
+
+    @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
+    def test_budget_at_the_floor_passes_one_byte_below_raises(self, surface):
+        """The floor is inclusive: a budget of exactly one received item's working set counts."""
+        reads = ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"])  # 18 bases: two 17-mers, at most two rounds
+        config = PipelineConfig(k=17, mode="kmer")
+
+        def count(budget: int):
+            options = EngineOptions(host_memory_budget=budget)
+            if surface == "one-shot":
+                return run_pipeline(reads, summit_gpu(2), config, backend="gpu", options=options).spectrum
+            counter = DistributedCounter(summit_gpu(2), config, options=options)
+            counter.add_reads(reads)
+            return counter.spectrum()
+
+        with pytest.raises(ValueError, match="working-set floor") as excinfo:
+            count(16)
+        floor = int(str(excinfo.value).split("floor of one received item: ")[1].split(" bytes")[0])
+        assert count(floor).equals(count_kmers_exact(reads, 17))
+        with pytest.raises(ValueError, match=f"host_memory_budget={floor - 1} is below"):
+            count(floor - 1)
 
     def test_floor_scales_with_work_multiplier(self, genome_reads):
         # 2 kB/rank is plenty at scale 1 but under the ~3 kB floor one

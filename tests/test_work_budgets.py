@@ -12,12 +12,14 @@ import hashlib
 import os
 import sys
 import tracemalloc
+import weakref
 import zipfile
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.core.stages.scheduler as scheduler
 import repro.core.stages.spill as spill
 import repro.core.stages.standard as standard
 import repro.gpu.hashtable as hashtable
@@ -638,3 +640,75 @@ class TestRunDumpGrowthLaw:
         # hold, not the ranks: 3 files at both P, where the per-rank dump wrote
         # P runs (24, then 96) after P items_of sorts.
         assert base == (24, 3, 3, 0) and wider == (96, 3, 3, 0)
+
+
+class TestDriveShapeBudgets:
+    """Every drive exchanges every round, drops the send array, then counts one table block at a time.
+
+    So a one-shot drive never holds more block tables than the pool has
+    workers (each block's table is born, counted, dumped and closed before
+    its worker's next block), and the parse's send array is dead before the
+    first block is counted.  Counting inside each round held every block's
+    table from the first round to the merge, beside the send array.
+    """
+
+    STRATEGIES = {
+        "staged": {},
+        "fused": {"fused": True},
+        "spill": {"spill": True},
+        "fused-spill": {"fused": True, "spill": True},
+    }
+
+    @staticmethod
+    def _run(reads, tmp_path, strategy: str, mode: str, **kw):
+        opts = dict(TestDriveShapeBudgets.STRATEGIES[strategy])
+        if opts.pop("spill", False):
+            opts["spill_dir"] = tmp_path
+        config = PipelineConfig(k=17, mode=mode, n_rounds=2)
+        result = run_pipeline(reads, summit_gpu(4), config, options=EngineOptions(**opts, **kw))
+        assert result.spectrum.equals(count_kmers_exact(reads, 17))
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_open_tables_never_exceed_the_workers(self, genome_reads, tmp_path, monkeypatch, strategy, mode):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # many more blocks than workers
+        born, open_tables, most = [], set(), [0]
+        real_block_table, real_close = spill.block_table, SegmentedHashTable.close
+
+        def opening(*args, **kwargs):
+            table = real_block_table(*args, **kwargs)
+            born.append(1)
+            open_tables.add(id(table))
+            most[0] = max(most[0], len(open_tables))
+            return table
+
+        def closing(self):
+            open_tables.discard(id(self))
+            return real_close(self)
+
+        monkeypatch.setattr(spill, "block_table", opening)
+        monkeypatch.setattr(SegmentedHashTable, "close", closing)
+        self._run(genome_reads, tmp_path, strategy, mode, parallel="thread:2")
+        assert len(born) > 2 and 1 <= most[0] <= 2  # was every block's table at once: len(born)
+        assert not open_tables
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_send_array_is_dead_before_the_first_count(self, genome_reads, tmp_path, monkeypatch, strategy, mode):
+        sent, alive_at_count = [], []
+        real_parse, real_count = scheduler.Layout.parse, standard.TableCount.count_block
+
+        def parsing(self, *args, **kwargs):
+            send, summary = real_parse(self, *args, **kwargs)
+            sent.extend((weakref.ref(send), weakref.ref(send.data)))
+            return send, summary
+
+        def counting(self, *args, **kwargs):
+            if not alive_at_count:
+                alive_at_count.extend(ref() is not None for ref in sent)
+            return real_count(self, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler.Layout, "parse", parsing)
+        monkeypatch.setattr(standard.TableCount, "count_block", counting)
+        self._run(genome_reads, tmp_path, strategy, mode, parallel=1)
+        assert alive_at_count == [False, False]  # the SendArray and its data: both freed

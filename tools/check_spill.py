@@ -8,11 +8,17 @@ the parent first computes the *uncapped in-memory* reference digest
 model-metric telemetry snapshot); each passing child must reproduce it
 bit for bit.
 
-1. **Staged spill** (``RLIMIT_AS``, k-mer mode): the staged loop with
-   ``spill_dir`` must fit and match under a cap that exhausts the
-   in-memory staged path.  K-mer mode on purpose: 8 wire bytes per
-   instance make the exchange + count working set (not parse
-   intermediates) the hot spot, which is what spilling relieves.
+1. **Staged spill** (``RLIMIT_AS``, k-mer mode, 24 ranks): the staged
+   loop with ``spill_dir`` must fit and match under a cap that exhausts
+   the in-memory staged path.  K-mer mode on purpose: 8 wire bytes per
+   instance make the exchange working set (not parse intermediates) the
+   hot spot, which is what spilling relieves.  Every drive exchanges
+   every round before it counts, so the in-memory twin's excess is the
+   receive arrays of the rounds before the last — half the received
+   k-mers at the probe's two rounds — and the probe is sized so that
+   excess outgrows a parse block's transient: 24 ranks keep each shard
+   (hence each parse block) small, and a 2.5 Mb genome keeps the twin's
+   excess (~70 MB) well clear of the margins.
 2. **Blocked fused×spill** (``RLIMIT_AS``, supermer mode): ``fused=True``
    + ``spill_dir`` must fit and match under a cap that exhausts the
    in-memory fused path.  Supermer mode on purpose: the fused parse
@@ -33,6 +39,12 @@ Expected-OOM twins that squeeze through anyway are reported as warnings,
 not failures: the identity + spool assertions on the passing side are
 the contract.  Cap defaults were calibrated empirically against the
 default workloads (pass/OOM thresholds bracketed to >= ~20 MB margins).
+The staged probe's brackets (2-core x86-64 Linux host, CPython 3.11,
+``--child`` runs bisected to 4 MB): the spilled run passes above
+(455, 458] MB and the in-memory twin above (518, 521] MB, so the 488 MB
+default clears each by 30 MB.  (The engine that counted inside each
+round held every block table beside the send array: its twin passed
+only above (571, 575] MB on this probe.)
 
 Usage: ``python tools/check_spill.py [--cap-mb N] [--fused-cap-mb N]
 [--data-cap-mb N] [--genome N] [--coverage X]``.  Exits 0 when every
@@ -71,7 +83,7 @@ def _config(mode: str):
     return PipelineConfig(k=21, mode="supermer", canonical=True, minimizer_len=9, window=12)
 
 
-def _run(reads, config, *, spill_dir=None, host_memory_budget=None, fused=False, table_dir=None):
+def _run(reads, config, nodes, *, spill_dir=None, host_memory_budget=None, fused=False, table_dir=None):
     from repro.core.engine import EngineOptions, run_pipeline
     from repro.mpi.topology import summit_gpu
     from repro.telemetry import MetricRegistry
@@ -79,7 +91,7 @@ def _run(reads, config, *, spill_dir=None, host_memory_budget=None, fused=False,
     reg = MetricRegistry()
     result = run_pipeline(
         reads,
-        summit_gpu(2),
+        summit_gpu(nodes),
         config,
         backend="gpu",
         options=EngineOptions(
@@ -170,24 +182,27 @@ CHILD_MODES = {
     ),
 }
 
-# Workload per probe group: (config mode, genome attr, coverage attr).
+# Workload per probe group: (config mode, genome attr or fixed genome
+# length, coverage attr, Summit nodes).
 GROUP_WORKLOADS = {
-    "staged": ("kmer", "genome", "coverage"),
-    "fused": ("supermer", "genome", "coverage"),
-    "table": ("supermer", "table_genome", "table_coverage"),
+    "staged": ("kmer", 2_500_000, "coverage", 4),
+    "fused": ("supermer", "genome", "coverage", 2),
+    "table": ("supermer", "table_genome", "table_coverage", 2),
 }
 
 
 def _group_case(group: str, args):
-    mode, genome_attr, coverage_attr = GROUP_WORKLOADS[group]
-    return _config(mode), getattr(args, genome_attr), getattr(args, coverage_attr)
+    mode, genome, coverage_attr, nodes = GROUP_WORKLOADS[group]
+    if isinstance(genome, str):
+        genome = getattr(args, genome)
+    return _config(mode), genome, getattr(args, coverage_attr), nodes
 
 
 def _child(args) -> int:
     spec = CHILD_MODES[args.child]
     cap_mb = getattr(args, spec["cap_arg"])
     cap = _apply_as_cap(cap_mb) if spec["cap"] == "as" else _apply_data_cap(cap_mb)
-    config, genome, coverage = _group_case(spec["group"], args)
+    config, genome, coverage, nodes = _group_case(spec["group"], args)
     reads = _build_reads(genome, coverage)
     budget = args.budget_mb * 1024 * 1024
     try:
@@ -198,7 +213,7 @@ def _child(args) -> int:
                 kwargs["spill_dir"] = scratch / "spool"
             if spec["mmap"]:
                 kwargs["table_dir"] = scratch / "table"
-            result, reg = _run(reads, config, **kwargs)
+            result, reg = _run(reads, config, nodes, **kwargs)
             spilled_bytes = reg.total("spill_bytes_written_total") if spec["spill"] else 0.0
     except MemoryError:
         print(json.dumps({"status": "oom", "cap": cap}))
@@ -262,12 +277,12 @@ def _spawn(mode: str, args) -> dict:
 
 def _reference(group: str, args) -> str:
     """Uncapped in-memory digest for one probe group's workload."""
-    config, genome, coverage = _group_case(group, args)
+    config, genome, coverage, nodes = _group_case(group, args)
     reads = _build_reads(genome, coverage)
     # Same host_memory_budget as the children: the budget sets the round
     # count, which is a deterministic observable — only the execution
     # strategy may vary.
-    result, reg = _run(reads, config, host_memory_budget=args.budget_mb * 1024 * 1024)
+    result, reg = _run(reads, config, nodes, host_memory_budget=args.budget_mb * 1024 * 1024)
     return _digest(result, reg)
 
 
@@ -298,7 +313,7 @@ def _check_oom(name: str, payload: dict) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--cap-mb", type=int, default=400, help="RLIMIT_AS headroom for the staged-spill probe"
+        "--cap-mb", type=int, default=488, help="RLIMIT_AS headroom for the staged-spill probe"
     )
     parser.add_argument(
         "--fused-cap-mb",
@@ -313,7 +328,7 @@ def main() -> int:
         help="RLIMIT_DATA headroom for the mmap-table probe (anonymous memory only)",
     )
     parser.add_argument("--budget-mb", type=int, default=24, help="host_memory_budget for every run")
-    parser.add_argument("--genome", type=int, default=1_500_000)
+    parser.add_argument("--genome", type=int, default=1_500_000, help="genome for the fused probe")
     parser.add_argument("--coverage", type=float, default=8.0)
     parser.add_argument(
         "--table-genome",
@@ -328,7 +343,11 @@ def main() -> int:
     if args.child:
         return _child(args)
 
-    print(f"staged probe: genome={args.genome} coverage={args.coverage} kmer (uncapped reference)")
+    _, staged_genome, _, staged_nodes = GROUP_WORKLOADS["staged"]
+    print(
+        f"staged probe: genome={staged_genome} coverage={args.coverage} nodes={staged_nodes} "
+        "kmer (uncapped reference)"
+    )
     ref = _reference("staged", args)
     print(f"  staged spill under RLIMIT_AS baseline+{args.cap_mb} MB ...")
     if not _check_pass("spilled", _spawn("spill", args), ref):
