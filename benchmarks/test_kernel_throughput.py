@@ -67,13 +67,6 @@ def test_bench_hashtable_vs_sort_counting(benchmark, kmers):
     assert int(counts.sum()) == kmers.shape[0]
 
 
-def test_bench_radix_sort_count(benchmark, kmers):
-    from repro.ext.sortcount import radix_sort_count
-
-    vals, counts = benchmark(radix_sort_count, kmers, significant_bits=34)
-    assert int(counts.sum()) == kmers.shape[0]
-
-
 def test_bench_alltoallv_segments(benchmark):
     from repro.mpi.collectives import alltoallv_segments
 

@@ -28,7 +28,7 @@ import numpy as np
 from ...dna.encoding import canonical_batch
 from ...dna.reads import ReadSet, ShardRanges
 from ...gpu.costmodel import TrafficEstimate, staging_time
-from ...gpu.hashtable import InsertStats, SegmentedRankView, sort_pairs
+from ...gpu.hashtable import InsertStats, SegmentedRankView, merge_counts
 from ...gpu.kernels import VirtualGPU
 from ...gpu.segmented import SegmentedHashTable, view_blocks
 from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
@@ -50,7 +50,6 @@ __all__ = [
     "CpuSubstrate",
     "parse_block",
     "stable_order",
-    "merge_counts",
     "merge_items",
     "merge_partitions",
     "outgoing_buffer_hot_fraction",
@@ -461,22 +460,6 @@ class TableCount:
 # ---------------------------------------------------------------------------
 
 
-def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ``keys`` and each one's summed ``counts``, exact in int64 at any count.
-
-    The one aggregation of the merge (:func:`merge_items`, whichever
-    residency feeds it): one pair sort (:func:`~repro.gpu.hashtable.sort_pairs`,
-    a packed-word sort at k = 17), then — only when a key repeats — one
-    ``reduceat`` over the runs of equal keys.
-    """
-    keys, counts = sort_pairs(keys, counts)
-    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    if starts.shape[0] + 1 >= keys.shape[0]:  # no key repeats (or nothing at all)
-        return keys, counts
-    starts = np.concatenate(([0], starts))
-    return keys[starts], np.add.reduceat(counts, starts)
-
-
 def merge_items(
     pairs: list[tuple[np.ndarray, np.ndarray]], k: int, plugins: tuple[PipelinePlugin, ...] = ()
 ) -> KmerSpectrum:
@@ -510,9 +493,9 @@ def merge_partitions(
     Each block table's occupied slots are taken in one storage pass
     (``items_flat``, unsorted) and handed to :func:`merge_items`, which
     applies each plugin's ``adjust_merge_items`` to a block's pairs and
-    sorts all of them once, in :func:`merge_counts` — one sort over the
-    result keys on every composition, where per-rank ``items()`` would
-    sort each rank first.
+    sorts all of them once, in :func:`~repro.gpu.hashtable.merge_counts` —
+    one sort over the result keys on every composition, where per-rank
+    ``items()`` would sort each rank first.
     """
     return merge_items([table.items_flat() for _, _, table in view_blocks(tables)], k, plugins)
 

@@ -7,8 +7,9 @@
 * :mod:`repro.ext.approximate` — Count-Min sketch approximate counting,
   the space-frugal alternative the related work surveys (Squeakr, Bloom
   counters);
-* :mod:`repro.ext.sortcount` — KMC-style sort-based counting (comparison
-  and from-scratch radix), the related-work alternative to hash tables;
+* :mod:`repro.ext.sortcount` — KMC-style sort-based counting (one sort and
+  a run count, or a batch accumulator folding sorted runs), the
+  related-work alternative to hash tables;
 * :mod:`repro.ext.stages` — the Bloom pre-filter and balanced partitioner
   packaged as registry-pluggable pipeline stages (``--stages
   bloom,balanced``); imported lazily by ``repro.core.stages.registry``, so
@@ -18,7 +19,7 @@
 from .approximate import CountMinSketch
 from .balanced import balanced_minimizer_assignment, lpt_assignment, minimizer_bin_weights
 from .bloom import BloomFilter, PrefilterResult, count_with_prefilter
-from .sortcount import SortingCounter, radix_sort_count, sort_count
+from .sortcount import SortingCounter, sort_count
 
 __all__ = [
     "CountMinSketch",
@@ -30,5 +31,4 @@ __all__ = [
     "count_with_prefilter",
     "SortingCounter",
     "sort_count",
-    "radix_sort_count",
 ]

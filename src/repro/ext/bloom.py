@@ -10,10 +10,10 @@ inside a counting pass.
 Implementation: a standard Bloom filter over packed k-mer words with
 ``n_hashes`` MurmurHash3-derived probes, fully vectorized (bit array as
 uint64 words).  :func:`count_with_prefilter` is the classic two-action pass:
-for each k-mer, if the filter already contains it, insert into the table;
-otherwise only set it in the filter.  The resulting table holds exact counts
-minus exactly one occurrence for every k-mer (the occurrence that armed the
-filter), so callers asking for "k-mers with count >= 2" add one back —
+for each k-mer, if the filter already contains it, count it; otherwise only
+set it in the filter.  The counted repeats hold exact counts minus exactly
+one occurrence for every k-mer (the occurrence that armed the filter), so
+callers asking for "k-mers with count >= 2" add one back —
 :func:`count_with_prefilter` does this reconstruction and reports exact
 counts for every non-singleton k-mer, assuming no false positives flipped a
 singleton in (the false-positive rate is reported so callers can size for
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpu.hashtable import DeviceHashTable
+from ..gpu.hashtable import dedup_batch
 from ..hashing.murmur3 import hash_kmers_batch
 
 __all__ = ["BloomFilter", "PrefilterResult", "count_with_prefilter"]
@@ -97,16 +97,21 @@ class BloomFilter:
 
 @dataclass(frozen=True)
 class PrefilterResult:
-    """Outcome of a Bloom-prefiltered counting pass."""
+    """Outcome of a Bloom-prefiltered counting pass: the k-mers with count >= 2, sorted."""
 
-    table: DeviceHashTable
+    values: np.ndarray
+    counts: np.ndarray  # exact, the arming occurrence restored
     n_instances: int
     n_suppressed_singletons: int  # k-mers that never re-occurred
     false_positive_rate: float
 
+    @property
+    def n_entries(self) -> int:
+        return int(self.values.shape[0])
+
     def items(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, exact counts) of all k-mers with count >= 2."""
-        return self.table.items()
+        return self.values, self.counts
 
 
 def count_with_prefilter(
@@ -119,27 +124,22 @@ def count_with_prefilter(
     """Count k-mers with count >= 2 exactly, suppressing singletons.
 
     Classic HipMer-style pass over the instance stream: the first occurrence
-    of a k-mer arms the Bloom filter; subsequent occurrences are counted in
-    the hash table.  Afterwards, every table entry's count is incremented by
-    one to restore the armed occurrence, making counts exact for all
-    non-singletons (modulo Bloom false positives, whose expected rate is
-    reported).
+    of a k-mer arms the Bloom filter; subsequent occurrences are counted
+    (one run count, :func:`~repro.gpu.hashtable.dedup_batch`).  Afterwards,
+    every entry's count is incremented by one to restore the armed
+    occurrence — the bloom stage's ``adjust_merge_items`` rule — making
+    counts exact for all non-singletons (modulo Bloom false positives,
+    whose expected rate is reported).
     """
     kmers = np.ascontiguousarray(kmers, dtype=np.uint64)
     bloom = BloomFilter(max(int(kmers.shape[0]), 1), bits_per_key=bits_per_key, n_hashes=n_hashes, seed=seed)
-    table = DeviceHashTable(max(64, kmers.shape[0] // 4), seed=seed + 1)
-    seen_before = bloom.add_if_absent(kmers)
-    repeats = kmers[seen_before]
-    if repeats.size:
-        table.insert_batch(repeats)
-        # Restore the occurrence that armed the filter for every survivor.
-        mask = table.keys != np.uint64(0xFFFFFFFFFFFFFFFF)
-        table.counts[mask] += 1
-    n_singletons = int(kmers.shape[0]) - int(repeats.shape[0]) - table.n_entries
-    # n_singletons counts first-occurrences that never repeated: total first
-    # occurrences are (n - repeats); of those, table.n_entries re-occurred.
+    repeats = kmers[bloom.add_if_absent(kmers)]
+    values, counts = dedup_batch(repeats, None)
+    # First occurrences number n - repeats; of those, one per entry re-occurred.
+    n_singletons = int(kmers.shape[0]) - int(repeats.shape[0]) - int(values.shape[0])
     return PrefilterResult(
-        table=table,
+        values=values,
+        counts=counts + 1,
         n_instances=int(kmers.shape[0]),
         n_suppressed_singletons=max(n_singletons, 0),
         false_positive_rate=bloom.false_positive_rate(),

@@ -1,19 +1,20 @@
 """Sort-based k-mer counting (the KMC-style alternative to hash tables).
 
 The paper's related work contrasts its hash-table counter with KMC3 [14],
-which counts by *sorting*: radix-sort the packed k-mers, then run-length
+which counts by *sorting*: sort the packed k-mers, then run-length
 encode.  Sorting has no collisions, no load factor, perfect memory
 predictability, and sequential memory traffic — at the cost of O(n log n)
-(or radix passes) instead of O(n) expected.
+instead of O(n) expected.
 
-This module implements both flavours over packed uint64 k-mers:
+Both entry points count packed uint64 k-mers with the hash table's own
+folds:
 
-* :func:`sort_count` — comparison sort + run-length encoding;
-* :func:`radix_sort_count` — an explicit LSD radix sort (8-bit digits)
-  with the same output, implemented from scratch (``np.argsort`` never
-  touches it) so the radix machinery itself is testable;
+* :func:`sort_count` — one sort and a run-length pass (the table's run
+  count, :func:`~repro.gpu.hashtable.dedup_batch`);
 * :class:`SortingCounter` — a batch accumulator with the same ``items()``
-  contract as :class:`repro.gpu.DeviceHashTable`, merging sorted runs.
+  contract as :class:`repro.gpu.DeviceHashTable`, folding each batch into
+  its sorted state with the pair fold,
+  :func:`~repro.gpu.hashtable.merge_counts`.
 
 The micro-benchmark ``benchmarks/test_kernel_throughput.py`` compares the
 throughputs of the two counting strategies on real k-mer batches.
@@ -23,79 +24,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sort_count", "radix_sort_count", "SortingCounter"]
+from ..gpu.hashtable import dedup_batch, merge_counts
+
+__all__ = ["sort_count", "SortingCounter"]
 
 
 def sort_count(kmers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count by sorting: returns (unique sorted values, counts)."""
-    arr = np.ascontiguousarray(kmers, dtype=np.uint64)
-    if arr.size == 0:
-        return arr.copy(), np.zeros(0, dtype=np.int64)
-    ordered = np.sort(arr)
-    boundaries = np.empty(ordered.shape[0], dtype=bool)
-    boundaries[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    counts = np.diff(np.append(starts, ordered.shape[0])).astype(np.int64)
-    return ordered[starts], counts
-
-
-def radix_sort_count(kmers: np.ndarray, *, significant_bits: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Count via from-scratch LSD radix sort (8-bit digits).
-
-    ``significant_bits`` bounds the passes: packed k-mers occupy only the
-    low ``2k`` bits, so callers can skip the all-zero high digits (for the
-    paper's k=17: 34 bits -> 5 passes instead of 8).
-    """
-    if not 1 <= significant_bits <= 64:
-        raise ValueError("significant_bits must be in [1, 64]")
-    arr = np.ascontiguousarray(kmers, dtype=np.uint64)
-    if arr.size == 0:
-        return arr.copy(), np.zeros(0, dtype=np.int64)
-    passes = (significant_bits + 7) // 8
-    for p in range(passes):
-        shift = np.uint64(8 * p)
-        digits = ((arr >> shift) & np.uint64(0xFF)).astype(np.int64)
-        # Counting sort on this digit (stable, as LSD radix requires).
-        counts = np.bincount(digits, minlength=256)
-        offsets = np.zeros(256, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        out = np.empty_like(arr)
-        # Scatter each element to its digit bucket, preserving order within
-        # buckets: positions = bucket offset + running index within bucket.
-        within = _running_index_per_digit(digits, counts)
-        out[offsets[digits] + within] = arr
-        arr = out
-    boundaries = np.empty(arr.shape[0], dtype=bool)
-    boundaries[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    counts_out = np.diff(np.append(starts, arr.shape[0])).astype(np.int64)
-    return arr[starts], counts_out
-
-
-def _running_index_per_digit(digits: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each element, its 0-based occurrence index among equal digits.
-
-    Vectorized: stable-sort the digit keys once, then within each bucket
-    the sorted order is original order, so the running index is position
-    minus the bucket start, scattered back to the original positions.
-    """
-    order = np.argsort(digits, kind="stable")
-    bucket_starts = np.zeros(256, dtype=np.int64)
-    np.cumsum(counts[:-1], out=bucket_starts[1:])
-    within_sorted = np.arange(digits.shape[0], dtype=np.int64) - bucket_starts[digits[order]]
-    within = np.empty_like(within_sorted)
-    within[order] = within_sorted
-    return within
+    return dedup_batch(np.ascontiguousarray(kmers, dtype=np.uint64), None)
 
 
 class SortingCounter:
     """Batch accumulator counting by sorted-run merging (KMC-style).
 
     Holds its state as sorted (values, counts) arrays; each
-    :meth:`insert_batch` sort-counts the new batch and merges — sequential
-    memory traffic throughout, no hash table.
+    :meth:`insert_batch` folds the state and the new batch with one
+    :func:`~repro.gpu.hashtable.merge_counts` — sequential memory traffic
+    throughout, no hash table, and exact int64 sums at any count.
     """
 
     def __init__(self) -> None:
@@ -103,24 +48,13 @@ class SortingCounter:
         self.counts = np.empty(0, dtype=np.int64)
 
     def insert_batch(self, kmers: np.ndarray) -> None:
-        new_vals, new_counts = sort_count(kmers)
-        if new_vals.size == 0:
+        kmers = np.ascontiguousarray(kmers, dtype=np.uint64)
+        if kmers.size == 0:
             return
-        if self.values.size == 0:
-            self.values, self.counts = new_vals, new_counts
-            return
-        merged_vals = np.concatenate([self.values, new_vals])
-        merged_counts = np.concatenate([self.counts, new_counts])
-        order = np.argsort(merged_vals, kind="stable")
-        merged_vals = merged_vals[order]
-        merged_counts = merged_counts[order]
-        boundaries = np.empty(merged_vals.shape[0], dtype=bool)
-        boundaries[0] = True
-        np.not_equal(merged_vals[1:], merged_vals[:-1], out=boundaries[1:])
-        group = np.cumsum(boundaries) - 1
-        summed = np.bincount(group, weights=merged_counts).astype(np.int64)
-        self.values = merged_vals[boundaries]
-        self.counts = summed
+        self.values, self.counts = merge_counts(
+            np.concatenate([self.values, kmers]),
+            np.concatenate([self.counts, np.ones(kmers.shape[0], dtype=np.int64)]),
+        )
 
     @property
     def n_entries(self) -> int:

@@ -99,11 +99,6 @@ class BloomPrefilterPlugin(PipelinePlugin):
         # because each armed its own filter once.)
         return values, counts + 1
 
-    def suppressed_singletons(self) -> int | None:
-        """Not tracked per-rank here; use repro.ext.bloom.count_with_prefilter
-        for standalone accounting."""
-        return None
-
 
 class BalancedPartitionPlugin(PipelinePlugin):
     """Frequency-balanced minimizer partitioning (Section VII future work).

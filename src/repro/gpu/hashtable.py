@@ -9,7 +9,8 @@ resolved exactly like the hardware would (one winner per slot per round,
 losers re-probe).
 
 Duplicate keys inside a batch are pre-aggregated (one sort and a run
-count, :func:`dedup_batch`) before probing; that changes no observable
+count, :func:`dedup_batch`; weighted keys through the pair fold,
+:func:`merge_counts`) before probing; that changes no observable
 state and the probe statistics are re-weighted by multiplicity so the
 cost model still sees per-instance work.
 
@@ -136,15 +137,15 @@ def check_batch(vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray | No
 
 
 def dedup_batch(vals: np.ndarray, wts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One region's checked batch as ``(sorted distinct keys, summed weights)``.
+    """One region's checked batch as ``(sorted distinct keys, summed weights)``: the one run count.
 
     Unweighted: one sort, a head mask over the runs of equal keys, and the
     run lengths as the weights (what ``np.unique(return_counts=True)``
-    gives, without its extra passes).
+    gives, without its extra passes).  Weighted: the pair fold,
+    :func:`merge_counts`.
     """
     if wts is not None:
-        uniq, inverse = np.unique(vals, return_inverse=True)
-        return uniq, np.bincount(inverse, weights=wts).astype(np.int64)
+        return merge_counts(vals, wts)
     keys = np.sort(vals)
     head = np.empty(keys.shape[0], dtype=bool)
     head[:1] = True
@@ -179,6 +180,23 @@ def sort_pairs(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nda
     keys = packed >> shift
     np.bitwise_and(packed, np.uint64((1 << count_bits) - 1), out=packed)
     return keys, packed.view(np.int64)
+
+
+def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` and each one's summed ``counts``: the one pair fold.
+
+    Exact in int64 at any count: one pair sort (:func:`sort_pairs`, a
+    packed-word sort at k = 17), then — only when a key repeats — one
+    ``reduceat`` over the runs of equal keys.  The engine's merge
+    (``standard.merge_items``), a weighted insert's dedup and the
+    sort-based counter all fold through it.
+    """
+    keys, counts = sort_pairs(keys, counts)
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    if starts.shape[0] + 1 >= keys.shape[0]:  # no key repeats (or nothing at all)
+        return keys, counts
+    starts = np.concatenate(([0], starts))
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def _at(region, idx: np.ndarray):

@@ -1,11 +1,12 @@
 """Cross-subsystem consistency: every counting path in the library agrees.
 
-The library now has five independent ways to produce a k-mer histogram:
-the oracle (`np.unique`), the BSP engine (both modes), the threaded SPMD
-programs, the incremental counter, and the sort-based backend.  They share
-some building blocks but differ in control flow, partitioning, transport,
-and data structures — so pairwise agreement on the same input is a strong
-whole-library invariant.
+The library has five ways to produce a k-mer histogram: the oracle
+(`np.unique`), the BSP engine (both modes), the threaded SPMD programs,
+the incremental counter, and the sort-based backend.  The last four share
+the table module's pair fold (`merge_counts`) but differ in control flow,
+partitioning, transport, and data structures (the sort-based backend has
+no hash table) — so pairwise agreement on the same input is a strong
+whole-library invariant, and the oracle shares no code with any of them.
 """
 
 from __future__ import annotations

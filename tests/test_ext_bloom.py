@@ -84,7 +84,7 @@ class TestPrefilterCounting:
         kmers = extract_kmers(genome_reads, 17)
         result = count_with_prefilter(kmers)
         distinct_all = np.unique(kmers).shape[0]
-        assert result.table.n_entries < 0.8 * distinct_all
+        assert result.n_entries < 0.8 * distinct_all
 
     def test_empty(self):
         result = count_with_prefilter(np.empty(0, dtype=np.uint64))

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ext.sortcount import SortingCounter, radix_sort_count, sort_count
+from repro.ext.sortcount import SortingCounter, sort_count
 
 key_batches = st.lists(st.integers(min_value=0, max_value=2**62), min_size=0, max_size=400)
 
@@ -26,36 +25,9 @@ class TestSortCount:
         vals, counts = sort_count(np.empty(0, dtype=np.uint64))
         assert vals.shape == (0,) and counts.shape == (0,)
 
-
-class TestRadixSortCount:
-    @given(keys=key_batches)
-    @settings(max_examples=60)
-    def test_matches_unique_oracle(self, keys):
-        arr = np.array(keys, dtype=np.uint64)
-        vals, counts = radix_sort_count(arr)
-        exp_vals, exp_counts = np.unique(arr, return_counts=True)
-        assert np.array_equal(vals, exp_vals)
-        assert np.array_equal(counts, exp_counts)
-
-    @given(keys=st.lists(st.integers(min_value=0, max_value=4**17 - 1), min_size=1, max_size=300))
-    @settings(max_examples=40)
-    def test_reduced_passes_for_small_keys(self, keys):
-        """k=17 packed k-mers fit 34 bits: 5 radix passes suffice."""
-        arr = np.array(keys, dtype=np.uint64)
-        vals, counts = radix_sort_count(arr, significant_bits=34)
-        exp_vals, exp_counts = np.unique(arr, return_counts=True)
-        assert np.array_equal(vals, exp_vals)
-        assert np.array_equal(counts, exp_counts)
-
-    def test_significant_bits_validation(self):
-        with pytest.raises(ValueError):
-            radix_sort_count(np.zeros(1, dtype=np.uint64), significant_bits=0)
-        with pytest.raises(ValueError):
-            radix_sort_count(np.zeros(1, dtype=np.uint64), significant_bits=65)
-
     def test_full_width_values(self):
         arr = np.array([2**63 + 5, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
-        vals, counts = radix_sort_count(arr)
+        vals, counts = sort_count(arr)
         assert vals.tolist() == [1, 2**63 + 5, 2**64 - 1]
         assert counts.tolist() == [1, 2, 1]
 
@@ -93,6 +65,13 @@ class TestSortingCounter:
         counter.insert_batch(np.array([5, 5, 9], dtype=np.uint64))
         assert counter.lookup_batch(np.array([5, 9, 100], dtype=np.uint64)).tolist() == [2, 1, 0]
         assert counter.n_entries == 2
+
+    def test_counts_sum_exactly_past_2_53(self):
+        """The fold of state and batch is int64: a float64 ``bincount`` held 2**53 after one more 5."""
+        counter = SortingCounter()
+        counter.values, counter.counts = np.array([5], dtype=np.uint64), np.array([2**53], dtype=np.int64)
+        counter.insert_batch(np.array([5], dtype=np.uint64))
+        assert counter.items()[1].tolist() == [2**53 + 1]
 
     def test_lookup_empty(self):
         counter = SortingCounter()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stages.standard import merge_counts
 from repro.gpu import segmented
 from repro.gpu.hashtable import (
     EMPTY_KEY,
@@ -17,6 +16,7 @@ from repro.gpu.hashtable import (
     dump_slots,
     fit_capacity,
     initial_capacity,
+    merge_counts,
     probe_insert,
     sort_pairs,
 )
@@ -54,6 +54,12 @@ class TestCorrectness:
         table = DeviceHashTable(16)
         table.insert_batch(np.array([5, 5, 9], dtype=np.uint64), weights=np.array([3, 2, 10]))
         assert table.lookup_batch(np.array([5, 9], dtype=np.uint64)).tolist() == [5, 10]
+
+    def test_weights_sum_exactly_past_2_53(self):
+        """A weighted dedup folds in int64: a float64 ``bincount`` rounded 2**53 + 1 down to 2**53."""
+        table = DeviceHashTable(64)
+        table.insert_batch(np.array([5, 5], dtype=np.uint64), weights=np.array([2**53, 1]))
+        assert table.lookup_batch(np.array([5], dtype=np.uint64)).tolist() == [2**53 + 1]
 
     def test_weights_validation(self):
         table = DeviceHashTable(16)

@@ -35,6 +35,18 @@ class TestRepoIsLayered:
 
 
 class TestCheckerDetects:
+    #: The table module's folds: the pair sort's call, the pair fold's runs and the run count's head mask.
+    _FOLDS = (
+        "keys, counts = sort_pairs(keys, counts)\nstarts = np.flatnonzero(keys[1:] != keys[:-1])\n"
+        "np.not_equal(keys[1:], keys[:-1], out=head[1:])\n"
+    )
+    #: Every text the checker pins to gpu/hashtable.py, once.
+    _HASHTABLE = (
+        'reg.counter("hashtable_inserts_total")\nwhile pending.size:\n    pass\n'
+        'reg.histogram("hashtable_probe_length")\nbitmap = np.packbits(keys != EMPTY_KEY)\n'
+        "np.bitwise_or(packed, counts.view(np.uint64), out=packed)\norder = np.argsort(keys)\n" + _FOLDS
+    )
+
     @staticmethod
     def _tree(tmp_path: Path, body: str) -> Path:
         """A minimal fake package with a dna module containing ``body``."""
@@ -93,7 +105,7 @@ class TestCheckerDetects:
         histogram = 'reg.histogram("hashtable_probe_length")\n'
         dump = "bitmap = np.packbits(keys != EMPTY_KEY)\n"
         pair_sort = "np.bitwise_or(packed, counts.view(np.uint64), out=packed)\norder = np.argsort(keys)\n"
-        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram + dump + pair_sort)
+        (root / "gpu" / "hashtable.py").write_text(emitter + loop + histogram + dump + pair_sort + self._FOLDS)
         assert run_checker(root).returncode == 0
         (root / "gpu" / "segmented.py").write_text(loop)
         (root / "core" / "fused.py").write_text(emitter)
@@ -113,10 +125,9 @@ class TestCheckerDetects:
         owned = (  # every text the checker pins to this owner, once
             "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
             "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
+            "values, counts = merge_counts(keys, counts)\n"
         )
         standard = root / "core" / "stages" / "standard.py"
         standard.write_text(owned)
@@ -124,7 +135,7 @@ class TestCheckerDetects:
         standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:8: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
         """The resident exchange's gather calls live in the spool module, the checksum reduction in standard.py."""
@@ -135,9 +146,9 @@ class TestCheckerDetects:
         owned = (  # every text the checker pins to standard.py, once
             "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
+            "values, counts = merge_counts(keys, counts)\n"
         )
         gathers = (  # two calls: the payload's and the length bytes'
             "table = SegmentedHashTable(hints)\nrecv, offs = alltoallv_flat(send.data, send.counts)\n"
@@ -150,7 +161,7 @@ class TestCheckerDetects:
         (root / "core" / "stages" / "scheduler.py").write_text("x = np.bitwise_xor.reduce(recv[lo:hi])\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:8: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "standard.py:7: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
@@ -161,9 +172,9 @@ class TestCheckerDetects:
         (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
             "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(*sort_pairs(keys, counts))\n"
+            "values, counts = merge_counts(keys, counts)\n"
         )
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "scheduler.py").write_text("lo = s * total // n_shards\n")
@@ -195,26 +206,50 @@ class TestCheckerDetects:
         assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
 
     def test_flags_second_merge_fold_and_pair_sort(self, tmp_path):
-        """Within ``core`` pairs are folded and sorted in standard.py only: no residency merges on its own."""
+        """Pairs are sorted in gpu/hashtable.py only, and within ``core`` folded by standard.py's merge only."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
             "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
             "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "starts = np.flatnonzero(keys[1:] != keys[:-1])\ndt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "def merge_counts(keys, counts):\n    keys, counts = sort_pairs(keys, counts)\n"
             "spectrum = merge_counts(values, counts)\n"
         )
         (root / "gpu").mkdir()
-        (root / "gpu" / "segmented.py").write_text("values, counts = sort_pairs(*occupied_slots(keys, counts))\n")
+        (root / "gpu" / "hashtable.py").write_text(self._HASHTABLE)
+        (root / "ext").mkdir()
+        (root / "ext" / "sortcount.py").write_text("values, counts = merge_counts(values, counts)\n")
         assert run_checker(root).returncode == 0
+        (root / "gpu" / "segmented.py").write_text("values, counts = sort_pairs(*occupied_slots(keys, counts))\n")
         (root / "core" / "stages" / "spill.py").write_text("values, counts = sort_pairs(values, counts)\n")
         (root / "core" / "incremental.py").write_text("uniq, merged = merge_counts(chunk_k, chunk_c)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "spill.py:1: 'sort_pairs(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "segmented.py:1: 'sort_pairs(' is defined once, in gpu/hashtable.py" in proc.stdout
+        assert "spill.py:1: 'sort_pairs(' is defined once, in gpu/hashtable.py" in proc.stdout
         assert "incremental.py:1: 'merge_counts(' is defined once, in core/stages/standard.py" in proc.stdout
+
+    def test_flags_second_run_count(self, tmp_path):
+        """A sum over equal keys is the table module's: a run-length pass regrown in a counter fails the lint."""
+        root = self._tree(tmp_path, "")
+        (root / "gpu").mkdir()
+        (root / "gpu" / "hashtable.py").write_text(self._HASHTABLE)
+        (root / "ext").mkdir()
+        sortcount = root / "ext" / "sortcount.py"
+        sortcount.write_text("values, counts = dedup_batch(kmers, None)\n")
+        assert run_checker(root).returncode == 0
+        sortcount.write_text(
+            "keys = np.sort(kmers)\nnp.not_equal(keys[1:], keys[:-1], out=head[1:])\n"
+            "starts = np.flatnonzero(keys[1:] != keys[:-1])\n"
+        )
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert (
+            "sortcount.py:2: 'np.not_equal(keys[1:], keys[:-1], out=head[1:])' is defined once, in gpu/hashtable.py"
+            in proc.stdout
+        )
+        assert "sortcount.py:3: 'np.flatnonzero(keys[1:] != keys[:-1])' is defined once, in gpu/hashtable.py" in proc.stdout
 
     def test_flags_owner_that_lost_its_definition(self, tmp_path):
         root = self._tree(tmp_path, "")

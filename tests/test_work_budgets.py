@@ -29,7 +29,10 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.standard import GpuSubstrate
+from repro.ext.bloom import count_with_prefilter
+from repro.ext.sortcount import SortingCounter
 from repro.gpu.segmented import SegmentedHashTable
+from repro.kmers.extract import extract_kmers
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.collectives import alltoallv_flat
 from repro.mpi.topology import summit_gpu
@@ -104,9 +107,8 @@ class TestMergeBudgets:
 
         for name in ("argsort", "sort", "unique"):
             patch.setattr(np, name, counted(name, getattr(np, name)))
-        for module in (hashtable, standard, spill):  # where sorted_items, merge_counts (and a run dump) look it up
-            if hasattr(module, "sort_pairs"):
-                patch.setattr(module, "sort_pairs", counted("sort_pairs", module.sort_pairs))
+        # sorted_items and merge_counts both look it up in the table module
+        patch.setattr(hashtable, "sort_pairs", counted("sort_pairs", hashtable.sort_pairs))
         return made
 
     def test_merge_counts_makes_no_argsort_at_k17(self, genome_reads, monkeypatch):
@@ -712,3 +714,59 @@ class TestDriveShapeBudgets:
         monkeypatch.setattr(standard.TableCount, "count_block", counting)
         self._run(genome_reads, tmp_path, strategy, mode, parallel=1)
         assert alive_at_count == [False, False]  # the SendArray and its data: both freed
+
+
+class TestPairFoldBudgets:
+    """A sum over equal keys is one pair fold (``merge_counts``): one pair sort, no ``unique``, no float ``bincount``.
+
+    A weighted insert's dedup took an ``np.unique`` and a float64 ``bincount``,
+    the sort-based counter a stable argsort and a ``bincount``, and the
+    Bloom prefilter counted its repeats in a private hash table.
+    """
+
+    @staticmethod
+    def _folds(patch) -> dict[str, int]:
+        """Calls of the pair sort, ``np.unique`` and ``np.bincount`` while ``patch`` is active."""
+        made = Counter()
+
+        def counted(name: str, real):
+            return lambda *args, **kwargs: made.update([name]) or real(*args, **kwargs)
+
+        for name in ("unique", "bincount"):
+            patch.setattr(np, name, counted(name, getattr(np, name)))
+        patch.setattr(hashtable, "sort_pairs", counted("sort_pairs", hashtable.sort_pairs))
+        return made
+
+    def test_weighted_insert_folds_once(self, genome_reads, monkeypatch):
+        kmers = extract_kmers(genome_reads, 17)
+        weights = np.arange(kmers.shape[0], dtype=np.int64) % 5 + 1
+        table = hashtable.DeviceHashTable(kmers.shape[0])  # sized so the insert does not grow it
+        with monkeypatch.context() as patch:
+            made = self._folds(patch)
+            table.insert_batch(kmers, weights=weights)
+        assert made == {"sort_pairs": 1}
+        uniq, inverse = np.unique(kmers, return_inverse=True)
+        summed = np.zeros(uniq.shape[0], dtype=np.int64)
+        np.add.at(summed, inverse, weights)
+        values, counts = table.items()
+        assert np.array_equal(values, uniq) and np.array_equal(counts, summed)
+
+    def test_sorting_counter_folds_once_per_batch(self, genome_reads, monkeypatch):
+        kmers = extract_kmers(genome_reads, 17)
+        counter = SortingCounter()
+        counter.insert_batch(kmers[: kmers.shape[0] // 2])
+        with monkeypatch.context() as patch:
+            made = self._folds(patch)
+            counter.insert_batch(kmers[kmers.shape[0] // 2 :])
+        assert made == {"sort_pairs": 1}
+        expected = count_kmers_exact(genome_reads, 17)
+        assert np.array_equal(counter.values, expected.values) and np.array_equal(counter.counts, expected.counts)
+
+    def test_prefilter_builds_no_table(self, genome_reads, monkeypatch):
+        births = TestOneTableBudgets._births(monkeypatch)
+        result = count_with_prefilter(extract_kmers(genome_reads, 17), bits_per_key=30, n_hashes=6)
+        assert births == []
+        expected = count_kmers_exact(genome_reads, 17)
+        repeated = expected.counts >= 2
+        assert np.array_equal(result.values, expected.values[repeated])
+        assert np.array_equal(result.counts, expected.counts[repeated])

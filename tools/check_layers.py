@@ -23,9 +23,11 @@ A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
 families every strategy must report identically, the stages' kernel-traffic
 constructor, the exchange-outcome assembly, the parse and count bodies'
-per-rank charges, the merge's equal-key aggregation and, within
-``core``, its calls of the fold and of the pair sort (``merge_counts(``
-and ``sort_pairs(``, which ``merge_items`` reaches for every residency,
+per-rank charges, the one pair fold's equal-key runs and the one run
+count's head mask (``merge_counts`` and ``dedup_batch``, so no counter
+regrows a sum over equal keys), the calls of the pair sort
+(``sort_pairs(``, table module only) and, within ``core``, of the fold
+(``merge_counts(``, which ``merge_items`` reaches for every residency,
 so no residency regrows a sorted-run merge of its own), the host working
 set per received item, the table's insert probe loop, its slot dump,
 the segment gather index, the shard ranges' cut ``total * s // P``
@@ -84,7 +86,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("ExchangeOutcome(", "core/stages", "core/stages/standard.py", True),
     (".charge_count(", "core/stages", "core/stages/standard.py", True),
     (".charge_parse(", "core/stages", "core/stages/standard.py", True),
-    ("np.flatnonzero(keys[1:] != keys[:-1])", "", "core/stages/standard.py", True),
+    ("np.flatnonzero(keys[1:] != keys[:-1])", "", "gpu/hashtable.py", True),
+    ("np.not_equal(keys[1:], keys[:-1], out=head[1:])", "", "gpu/hashtable.py", True),
     ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
@@ -102,7 +105,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("* total // n_shards", "", "dna/reads.py", True),
     ("code_bytes - config.k + 1", "", "core/stages/standard.py", True),
     ("merge_counts(", "core", "core/stages/standard.py", False),
-    ("sort_pairs(", "core", "core/stages/standard.py", True),
+    ("sort_pairs(", "", "gpu/hashtable.py", False),
     ("injection_bw: float", "", "machines/network.py", True),
 ]
 
