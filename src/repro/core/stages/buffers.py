@@ -6,59 +6,51 @@ Every arrow in the stage graph has an explicit record type:
   partitioner hashes);
 * partition → exchange: :class:`SendArray` (every rank's
   destination-ordered buffer, in one array: the round driver's send
-  format);
+  format), and each round of it as a view, :class:`SendRound`;
 * exchange → round driver: :class:`ExchangeOutcome` (the round's counts
-  matrix and modeled exchange-time breakdown; the received items stay
-  with the residency until the count);
+  matrix and modeled exchange-time breakdown; the received items are
+  the residency's to place until the count);
 * parse → round driver: :class:`ParseSummary` (the per-rank statistics
-  the driver keeps once the send buffers themselves are dropped).
+  the driver keeps beside, and after, the send array).
 
 The count hands the round driver plain per-rank arrays (modeled seconds,
 instances seen) and :class:`~repro.gpu.hashtable.InsertStats`.
 
-Keeping these records plain dataclasses (NumPy payloads, no behaviour) is
-what lets compositions swap a stage implementation without touching its
-neighbours: the buffer contract *is* the interface.
+Keeping these records plain dataclasses (NumPy payloads; a round only
+cuts views of its send array) is what lets compositions swap a stage
+implementation without touching its neighbours: the buffer contract *is*
+the interface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from ...mpi.collectives import segment_gather_index
+from ...mpi.collectives import SegmentBlock, segment_blocks, segment_starts
 
 __all__ = [
     "ParsedItems",
     "SendArray",
     "ParseSummary",
     "ExchangeOutcome",
-    "round_split",
+    "SendRound",
+    "round_cut",
+    "send_rounds",
 ]
 
 
-def round_split(send: "SendArray", rnd: int, n_rounds: int) -> "SendArray":
-    """Round ``rnd``'s even share of every (src, dst) segment of ``send``, still src-major.
+def round_cut(seg_lens: np.ndarray, rnd, n_rounds: int) -> np.ndarray:
+    """Items of each segment that precede round ``rnd``: the one cut of segments into rounds.
 
-    Segment ``i`` (``len`` items) gives round ``rnd`` its items ``[len·rnd //
-    n, len·(rnd+1) // n)`` (Section III-A: when the data exceeds memory
-    limits "the computation and communication may proceed in multiple
-    rounds"), so the rounds' arrays tile every segment in order; one
-    gather cuts a round.
+    Segment ``i`` (``len`` items) gives round ``rnd`` its items ``[cut(rnd),
+    cut(rnd + 1))`` (Section III-A: when the data exceeds memory limits
+    "the computation and communication may proceed in multiple rounds"),
+    so the rounds tile every segment in order.
     """
-    if n_rounds == 1:
-        return send
-    seg_lens = send.counts.reshape(-1)
-    seg_starts = np.cumsum(seg_lens) - seg_lens
-    lo = seg_starts + (seg_lens * rnd) // n_rounds
-    rlens = seg_starts + (seg_lens * (rnd + 1)) // n_rounds - lo
-    idx = segment_gather_index(lo, rlens)
-    return SendArray(
-        data=np.take(send.data, idx),
-        lengths=np.take(send.lengths, idx) if send.lengths is not None else None,
-        counts=rlens.reshape(send.counts.shape),
-    )
+    return (seg_lens * rnd) // n_rounds
 
 
 @dataclass
@@ -87,16 +79,65 @@ class SendArray:
     ``data`` is src-major and dst-segmented: segment ``(src, dst)`` holds
     ``counts[src, dst]`` items — the contiguous, destination-ordered send
     buffers of every rank back to back, as one ``MPI_Alltoallv`` per round
-    takes them.  The parse phase writes one (each parse block its slice), a
-    round is a gather of it (:func:`round_split`), and every exchange,
-    resident or spooled, gathers its receive side straight out of it, one
-    destination block at a time
-    (:func:`~repro.mpi.collectives.alltoallv_flat`).
+    takes them.  The parse phase writes one (each parse block its slice),
+    and a round is a view of it (:class:`SendRound`): no exchange copies
+    it into a receive array — a resident count gathers each table block's
+    receive segments straight out of it, a spooled exchange gathers each
+    destination block into the spool.
     """
 
     data: np.ndarray  # uint64: packed k-mers, or packed supermer words
     lengths: np.ndarray | None  # uint8 k-mers per supermer (supermer mode), parallel to data
     counts: np.ndarray  # (sources, P) int64: [src, dst] items
+
+    @property
+    def arrays(self) -> list[np.ndarray]:
+        """The payload, then (supermer mode) its length bytes: what every gather reads."""
+        return [self.data] if self.lengths is None else [self.data, self.lengths]
+
+
+@dataclass
+class SendRound:
+    """Round ``rnd`` of ``n_rounds`` of a :class:`SendArray`, as a view: nothing is copied.
+
+    The round holds every segment's even share (:func:`round_cut`); its
+    ``[src, dst]`` counts and each of its segments' start in the send
+    array are cut for any block of destinations on demand (:meth:`cut`),
+    so the one block gather (:meth:`~repro.mpi.collectives.SegmentBlock.take`)
+    reads every round straight out of the one send array.
+    """
+
+    send: SendArray
+    rnd: int
+    n_rounds: int
+    seg_starts: np.ndarray  # (sources, P) int64: where each whole segment starts in the send array
+
+    def cut(self, d0: int = 0, d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, starts)``, each ``[src, dst - d0]``, of the round's segments bound for ``[d0, d1)``.
+
+        A lone round is every segment whole: views, no arithmetic.
+        """
+        seg_lens, seg_starts = self.send.counts[:, d0:d1], self.seg_starts[:, d0:d1]
+        if self.n_rounds == 1:
+            return seg_lens, seg_starts
+        lo = seg_starts + round_cut(seg_lens, self.rnd, self.n_rounds)
+        return seg_starts + round_cut(seg_lens, self.rnd + 1, self.n_rounds) - lo, lo
+
+    def block(self, d0: int, d1: int) -> SegmentBlock:
+        """Destinations ``[d0, d1)`` of the round's receive side as one gather block."""
+        counts, starts = self.cut(d0, d1)
+        return SegmentBlock(d0, d1, 0, int(counts.sum()), counts, starts)
+
+    def blocks(self) -> Iterator[SegmentBlock]:
+        """The round's cache-sized destination blocks (:func:`~repro.mpi.collectives.segment_blocks`)."""
+        counts, starts = self.cut()
+        return segment_blocks(counts, sum(array.itemsize for array in self.send.arrays), starts)
+
+
+def send_rounds(send: SendArray, n_rounds: int) -> list[SendRound]:
+    """The ``n_rounds`` rounds of ``send``, each a view of it; together they tile every segment."""
+    seg_starts = segment_starts(send.counts)
+    return [SendRound(send, rnd, n_rounds, seg_starts) for rnd in range(n_rounds)]
 
 
 @dataclass
@@ -104,9 +145,10 @@ class ParseSummary:
     """What the round driver keeps of a parse phase: per-rank statistics.
 
     Small per-rank figures only — the :class:`SendArray` they describe is
-    dropped as soon as the last round is exchanged.  A parse block returns
-    one for its own ranks (``times``, ``n_kmers`` and ``counts_matrix``
-    rows are its shards'), and the driver stacks them.
+    dropped once it has nothing left to give: before the count on a
+    spooled drive, after its last table block on a resident one.  A parse
+    block returns one for its own ranks (``times``, ``n_kmers`` and
+    ``counts_matrix`` rows are its shards'), and the driver stacks them.
     """
 
     times: np.ndarray  # float64 per rank: modeled parse seconds
@@ -120,9 +162,10 @@ class ParseSummary:
 class ExchangeOutcome:
     """One exchange round's counts matrix and its exchange-time breakdown.
 
-    The received items themselves stay with the residency that placed
-    them — the gathered receive array in RAM, or the round's segment file —
-    until the count reads them back a table block at a time.
+    Nothing received rides along: a resident count gathers each table
+    block's receive segments out of the send array, a spooled one reads
+    them back from the round's segment file.  The end-to-end checksum is
+    folded over those reads, not here.
     """
 
     counts_matrix: np.ndarray  # items, [src, dst]

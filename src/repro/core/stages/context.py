@@ -86,10 +86,11 @@ class EngineOptions:
     spill_dir: str | Path | None = None
     # Host-memory target in bytes: auto-rounds split the exchange so one
     # round's per-rank working set (partition buffer + extraction + table
-    # growth) would fit under it.  The rounds bound each round's gather
-    # and, with spill_dir, the receive extent a count reads back; the RAM
-    # store holds every round's receive array until the count, so
-    # spill_dir is what bounds the receive side.  Honored by every
+    # growth) would fit under it.  The rounds bound the receive extent a
+    # count block takes of a round at a time (gathered out of the send
+    # array, or read back from the spool); the RAM store keeps the send
+    # array until its count ends, so spill_dir is what drops it before
+    # the count.  Honored by every
     # execution path so n_rounds_used stays identical between spilled
     # and in-memory runs.
     # A budget below one received item's working-set floor is rejected at
@@ -131,10 +132,6 @@ class StageContext:
     stats: TrafficStats
     recorder: SpanRecorder | None = None
     registry: MetricRegistry | None = None
-    # None defers to opts.verify_exchange; the batch scheduler path sets
-    # False (streamed batches never checksummed, matching the original
-    # incremental counter).
-    verify: bool | None = None
 
     @property
     def n_ranks(self) -> int:

@@ -21,19 +21,23 @@ the config asks for ``n_rounds > 1``, each destination segment is split
 evenly across rounds (Section III-A) and the exchange repeats.
 
 Every drive has one shape, Gerbil's two phases (PAPERS.md): exchange
-every round, drop the send array, then count one table block at a time —
-every round of the block's ranks, in round order — and merge the blocks'
-dumps.  There is one data layout (:class:`Layout`): shards are base
-ranges of the input (:class:`~repro.dna.reads.ShardRanges`), blocks of
-whole shards parse, each from one view of its codes, into one send array,
-a round is one gather of it, and every exchange gathers straight out of
-it, all on the rank pool.  The one axis that changes behaviour is the
-*residency* (:class:`~repro.core.stages.spill.Resident` |
+every round, then count one table block at a time — every round of the
+block's ranks, in round order — and merge the blocks' dumps.  There is
+one data layout (:class:`Layout`): shards are base ranges of the input
+(:class:`~repro.dna.reads.ShardRanges`), blocks of whole shards parse,
+each from one view of its codes, into one send array, a round is a view
+of it (:class:`~repro.core.stages.buffers.SendRound`), and every receive
+side is gathered straight out of it, all on the rank pool.  The one axis
+that changes behaviour is the *residency*
+(:class:`~repro.core.stages.spill.Resident` |
 :class:`~repro.core.stages.spill.Spooled`), which owns the exchange, the
-count loop and the merge and chooses only where a round's receive
-segments and a block's dump live: in RAM, or in the spool's files;
-``fused`` changes names only (the strategy, ``staged`` | ``fused`` |
-``spill`` | ``fused-spill``, and the ``fused:`` work-leaf prefix).
+count loop, the exchange checksum and the merge and chooses only where a
+round's receive segments and a block's dump live: in the send array and
+RAM (the count gathers each block's extent out of the send array, which
+lives until the last block is counted), or in the spool's files (the
+send array is dropped before the count); ``fused`` changes names only
+(the strategy, ``staged`` | ``fused`` | ``spill`` | ``fused-spill``, and
+the ``fused:`` work-leaf prefix).
 :class:`RoundAccounting` is the one place their outcomes are summed.
 
 Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
@@ -67,7 +71,7 @@ from ..config import PipelineConfig
 from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
-from .buffers import ExchangeOutcome, ParseSummary, SendArray, round_split
+from .buffers import ExchangeOutcome, ParseSummary, SendArray, send_rounds
 from .context import EngineOptions, StageContext
 from .protocols import PipelinePlugin, Substrate
 from .registry import StageComposition
@@ -474,7 +478,7 @@ class Layout:
     Each block runs the one parse body
     (:func:`~repro.core.stages.standard.parse_block`) on the rank pool and
     fills its slice of one :class:`~repro.core.stages.buffers.SendArray`,
-    which the residency's exchange gathers straight into one receive array.
+    whose rounds the residency gathers straight out of it.
     ``fused`` names the work leaves ``fused:*`` and changes nothing else.
     The exchange and the tables are the residency's.
     """
@@ -704,11 +708,10 @@ class RoundScheduler:
         """Fold one batch of reads into ``state``; returns the batch timing.
 
         The same drive as :meth:`run` with one round (streamed batches are
-        already small), no checksum verification pass (matching the
-        original incremental counter exactly), and ``state``'s persistent
-        tables and accounting instead of fresh ones.  A composition that
-        conserves k-mers must grow the tables' counts by exactly the
-        batch's parsed k-mers, or the batch raises.  When ``opts.trace``
+        already small), the same exchange checksum (``verify_exchange``),
+        and ``state``'s persistent tables and accounting instead of fresh
+        ones.  A composition that conserves k-mers must grow the tables'
+        counts by exactly the batch's parsed k-mers, or the batch raises.  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
         stage/work structure as the one-shot run.
         """
@@ -729,16 +732,18 @@ class RoundScheduler:
     ) -> CountResult | PhaseTiming:
         """The one superstep skeleton every strategy and surface runs.
 
-        prepare plugins → shard → parse → round count → per round {gather,
-        exchange, span note, accounting} → drop the send array → count, one
-        table block at a time → conservation check, and for the one-shot
-        surface (``state is None``) the merge, final gauges and the
+        prepare plugins → shard → parse → round count → per round {view,
+        exchange, span note, accounting} → drop the driver's send array →
+        count, one table block at a time, and the exchange checksum →
+        conservation check, and for the one-shot surface (``state is
+        None``) the merge, final gauges and the
         :class:`CountResult`.  Every strategy and surface takes this one
         shape (Gerbil's two phases).  What differs between strategies is
         behind two objects (:meth:`resolve_strategy`): the *layout* (one
         class) parses the send array and names the work leaves, and the
         *residency* chooses where a round's receive segments and a block's
-        dump live — RAM arrays, or the spool's segment and run files.
+        dump live — the send array and RAM arrays, or the spool's segment
+        and run files.
         """
         comp, config, opts = self.comp, self.config, self.opts
         p = self.cluster.n_ranks
@@ -756,7 +761,6 @@ class RoundScheduler:
             stats=stats,
             recorder=recorder,
             registry=reg,
-            verify=None if one_shot else False,  # streamed batches are never checksummed
         )
         acct = RoundAccounting(p, comp.backend, reg)
         wire = sctx.wire_bytes
@@ -789,6 +793,7 @@ class RoundScheduler:
         # spool directory is reclaimed on any exit, success or raise.
         with ExitStack() as cleanup:
             residency = strategy.residency(layout, cleanup)
+            rounds = send_rounds(send, n_rounds)  # views of the send array: nothing is copied
 
             # ---- phase 2: exchange, possibly in multiple rounds ----
             for rnd in range(n_rounds):
@@ -800,11 +805,10 @@ class RoundScheduler:
                     label, meta = f"{config.mode}-batch{state.n_batches}", {}
                     round_region = nullcontext()
                 with round_region:
-                    round_send = round_split(send, rnd, n_rounds)
                     n_traffic_before = len(stats.records)
                     with recording_region(recorder, "exchange", cat="stage", **meta) as ereg:
                         t0 = perf_counter()
-                        outcome = residency.exchange(round_send, label, sctx)
+                        outcome = residency.exchange(rounds[rnd], label, sctx)
                         if recorder is not None:
                             recorder.record(residency.exchange_leaf + suffix, 0, t0, perf_counter())
                         if ereg is not None:
@@ -817,14 +821,14 @@ class RoundScheduler:
                                 link_seconds=dict(outcome.link_seconds),
                             )
                     acct.add_exchange(rnd, outcome)
-                    # A round's gather dies with its round, not when the next
-                    # round's is already built beside it.
-                    del round_send, outcome
 
-            # Every round is exchanged: drop the send array *before* the count
-            # starts, so its peak residency is the receive side and one table
-            # block per worker, not the whole parse output (Gerbil's two phases).
-            del send
+            # Every round is exchanged: drop the driver's send array *before*
+            # the count starts (Gerbil's two phases).  A spooled drive holds no
+            # other reference, so its count's peak is one block's reads and
+            # table per worker, not the whole parse output; a resident drive's
+            # rounds are its receive side and keep the array until its count
+            # has gathered the last block out of it.
+            del send, rounds
 
             # ---- phase 3: count, one table block at a time ----
             n_parsed = int(summary.n_kmers.sum())
@@ -893,10 +897,12 @@ def _host_bytes_per_item(wire: int) -> float:
 
     The partition buffer and its extraction copy, the unpacked 8-byte key
     stream, and the table slots (16 B each at ~0.7 target load) the item
-    may add.  The rounds this sizes bound each round's gather and, on a
-    spilled drive, the receive extent one count reads back; the RAM store
-    keeps every round's receive array until the count and the tables grow
-    per block after the last round, so only ``spill_dir`` bounds those.
+    may add.  The rounds this sizes bound the receive extent one count
+    block takes of a round at a time — gathered out of the send array
+    (resident) or read back from the spool (spooled) — not the send array
+    itself: that is the parse output whatever the rounds, and a resident
+    drive keeps it through the count (only ``spill_dir`` drops it first),
+    while the tables grow per block after the last round.
     """
     return wire * 2 + 8.0 + 16 / 0.7
 
@@ -915,9 +921,10 @@ def _rounds_for_recv_items(
     the substrate's modeled device-memory budget (``device_rounds``)
     and the *host* budget (``opts.host_memory_budget``, any substrate),
     sized by one round's per-rank host working set (``_host_bytes_per_item``).
-    What the rounds bound is each round's gather and, with ``spill_dir``,
-    the receive extent a count reads back from the segment file; a RAM
-    drive holds every round's receive array until the count.
+    What the rounds bound is the receive extent a count block takes of a
+    round at a time (gathered out of the send array, or read back from the
+    segment file); a resident drive holds the send array, every round,
+    until its count ends.
     """
     worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
     rounds = substrate.device_rounds(worst, wire, opts)

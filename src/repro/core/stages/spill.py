@@ -13,32 +13,34 @@ side and the block dumps are what a residency places:
 
 * :class:`Resident` | :class:`Spooled` — the two residencies the round
   driver (:meth:`repro.core.stages.scheduler.RoundScheduler._drive`)
-  chooses between.  Both exchange the same way (the paper's one
-  ALLTOALLV per round, with the same traffic accounting, checksum and
-  modeled time) and count by one loop (:meth:`Resident.count`): a block's
-  ranks, every round in round order, into a table born for the block
+  chooses between.  Both account the exchange the same way (the paper's
+  one ALLTOALLV per round, with the same traffic accounting and modeled
+  time), count by one loop (:meth:`Resident.count`): a block's ranks,
+  every round in round order, into a table born for the block
   (:func:`block_table`, a block-local
   :class:`~repro.gpu.segmented.SegmentedHashTable` backed by
   ``table_dir`` when it is set) that is dumped and freed before the next
-  block, or into a streamed state's tables.  They differ only in where
-  things live: :class:`Resident` keeps a round's
-  :func:`~repro.mpi.collectives.alltoallv_flat` receive array and a
-  block's ``(keys, counts)`` dump in RAM; :class:`Spooled` appends the
-  round to its segment file, reads a block's extent back, and writes the
-  dump as a run file.  Both merge by the one rule,
+  block, or into a streamed state's tables — and check the one exchange
+  checksum over what that loop reads.  They differ only in where things
+  live: :class:`Resident` copies nothing at the exchange — each count
+  block gathers its extent of a round straight out of the send array —
+  and keeps a block's ``(keys, counts)`` dump in RAM; :class:`Spooled`
+  gathers the round into its segment file, reads a block's extent back,
+  and writes the dump as a run file.  Both merge by the one rule,
   :func:`~repro.core.stages.standard.merge_items` over the blocks' dumps.
 
-Few large sequential files, as Gerbil's bins are (PAPERS.md): a round is
-gathered out of the send array one destination block at a time — the
-blocked gather of :func:`~repro.mpi.collectives.alltoallv_flat` that fills
-the resident receive array too — and costs one ``open`` and one write per
-block — Python-level work per round is one gather index per block, not P²
-segment copies and P files — and is read back with positional reads at
-indexed offsets through the descriptor opened at the first append, a whole
-rank block at a time.  A file shorter than its index says is an
-``OSError`` naming file, label, ranks and the expected and found bytes,
-never a silently smaller count; a run file whose bytes no longer match
-their CRC-32 is one too.
+One gather serves both (:func:`_gather`, a
+:class:`~repro.mpi.collectives.SegmentBlock` of the round's view of the
+send array): a count block's extent, or a cache-sized destination block
+of a spooled round.  Few large sequential files, as Gerbil's bins are
+(PAPERS.md): a spooled round costs one ``open`` and one write per
+destination block — Python-level work per round is one gather index per
+block, not P² segment copies and P files — and is read back with
+positional reads at indexed offsets through the descriptor opened at the
+first append, a whole rank block at a time.  A file shorter than its
+index says is an ``OSError`` naming file, label, ranks and the expected
+and found bytes, never a silently smaller count; a run file whose bytes
+no longer match their CRC-32 is one too.
 
 Bit-identity contract: spectrum, timing floats, per-rank model times,
 traffic records, counts matrices, and InsertStats all equal the in-RAM
@@ -63,11 +65,18 @@ import numpy as np
 from ...gpu.hashtable import SegmentedRankView
 from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.collectives import account_alltoallv, alltoallv_flat, segment_blocks
+from ...mpi.collectives import SegmentBlock, account_alltoallv
 from ...telemetry import active, event
 from ..memory import ScratchArena
-from .buffers import ExchangeOutcome, SendArray
-from .standard import exchange_outcome, merge_items
+from .buffers import ExchangeOutcome, SendRound
+from .standard import (
+    exchange_digest,
+    exchange_outcome,
+    fold_digests,
+    merge_items,
+    sent_digest,
+    verify_exchange,
+)
 
 __all__ = [
     "Resident",
@@ -260,17 +269,6 @@ class SpillSpool:
         self._account_read(int(data.nbytes))
         return data
 
-    def map_segment(self, label: str, dtype, *, lens: bool = False) -> np.ndarray:
-        """Read-only map of a label's whole segment file: every partition in rank order (empty if none).
-
-        For checksum verification only: the reads are not accounted — the
-        streamed count re-reads (and accounts) each partition later.
-        """
-        seg = self._segments.get((label, lens))
-        if seg is None:
-            return np.empty(0, dtype=dtype)
-        return seg.mapped(dtype, 0, seg.n_items, 0, seg.counts.shape[0])
-
     def read_range(
         self,
         label: str,
@@ -322,27 +320,20 @@ class SpillSpool:
                 os.close(seg.fd)
                 seg.path.unlink(missing_ok=True)
 
-    def append_round(
-        self, label: str, send_data: np.ndarray, send_lengths: np.ndarray | None, counts_matrix: np.ndarray
-    ) -> None:
+    def append_round(self, label: str, round_: SendRound) -> None:
         """Append the disk form of one round's receive side to the label's file, block by block.
 
         The disk form is every destination's partition in rank order, each
         holding its sources' segments in source-rank order — byte-identical
-        to the in-memory gather, because it is that gather
-        (:func:`repro.mpi.collectives.segment_blocks` and
-        :meth:`~repro.mpi.collectives.SegmentBlock.take`, one index per
-        block shared by the payload and its length bytes) with each block
-        landing in a borrowed buffer and one write instead of a slice of a
-        whole-round receive array.  The transient is one block's outputs
-        and its index.
+        to what a resident count gathers, because it is that gather
+        (:func:`_gather`, one index per block shared by the payload and its
+        length bytes) over the round's cache-sized destination blocks
+        (:meth:`~repro.core.stages.buffers.SendRound.blocks`), straight
+        out of the send array, with each block landing in a borrowed buffer
+        and one write.  The transient is one block's outputs and its index.
         """
-        sends = [send_data] if send_lengths is None else [send_data, send_lengths]
-        sent = counts_matrix.sum(axis=1)
-        src_base = np.cumsum(sent) - sent  # where each source starts in the send array
-        for blk in segment_blocks(counts_matrix, sum(send.itemsize for send in sends)):
-            outs = [self.take(blk.o1 - blk.o0, send.dtype) for send in sends]
-            blk.take(sends, src_base, outs)
+        for blk in round_.blocks():
+            outs = _gather(round_, blk, self.take)
             recv_counts = blk.counts.sum(axis=0)
             for out, lens in zip(outs, (False, True)):
                 self.append_partitions(label, blk.d0, recv_counts, out, lens=lens)
@@ -441,20 +432,36 @@ def external_merge(runs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpe
     return merge_items(runs, k)
 
 
+def _gather(round_: SendRound, blk: SegmentBlock, take=np.empty) -> list[np.ndarray]:
+    """Destinations ``[blk.d0, blk.d1)`` of a round's receive side, gathered straight out of its send array.
+
+    The one block gather of both residencies — a resident count block's
+    extent (:meth:`Resident._read`) and a spooled exchange's destination
+    block (:meth:`SpillSpool.append_round`) — into ``take(items, dtype)``
+    buffers: the payload, then (supermer mode) its length bytes.
+    """
+    arrays = round_.send.arrays
+    outs = [take(blk.o1 - blk.o0, array.dtype) for array in arrays]
+    blk.take(arrays, outs)
+    return outs
+
+
 class Resident:
-    """Residency in RAM: a round's receive array is kept until the count, a block's dump is kept as arrays.
+    """Residency in RAM: the send array is the receive side until the count, a block's dump is kept as arrays.
 
     Every residency runs one drive shape (Gerbil's two phases, PAPERS.md):
-    the driver exchanges every round (:meth:`exchange`), drops the send
-    array, then :meth:`count` counts one table block at a time — every
-    round of the block's ranks, in round order, into a table born for the
-    block (or the streamed state's), dumped and freed before the worker's
-    next block — and :meth:`merge` folds the dumps by
-    :func:`~repro.core.stages.standard.merge_items`.  A residency chooses
-    only where a round's receive segments live (:meth:`_read`) and where a
-    block's dump goes (:meth:`_dump`): here the
-    :func:`~repro.mpi.collectives.alltoallv_flat` receive array and RAM
-    ``(keys, counts)`` arrays.  ``cleanup`` is the driver's exit scope.
+    the driver exchanges every round (:meth:`exchange`), then
+    :meth:`count` counts one table block at a time — every round of the
+    block's ranks, in round order, into a table born for the block (or
+    the streamed state's), dumped and freed before the worker's next
+    block — checks every round's checksum, and :meth:`merge` folds the
+    dumps by :func:`~repro.core.stages.standard.merge_items`.  A residency
+    chooses only where a round's receive segments live (:meth:`_read`)
+    and where a block's dump goes (:meth:`_dump`): here nowhere but the
+    send array — the exchange only accounts, and each count block gathers
+    its extent of a round straight out of the send array
+    (:func:`_gather`), which lives until the last block is counted — and
+    RAM ``(keys, counts)`` arrays.  ``cleanup`` is the driver's exit scope.
     """
 
     def __init__(self, layout, cleanup) -> None:
@@ -464,41 +471,55 @@ class Resident:
         self.merge_leaf = layout.prefix + "merge"
         self.rounds: list = []  # per round: where its receive segments live
         self.round_offsets: list[np.ndarray] = []  # per round: the P + 1 destination offsets
+        self.labels: list[str] = []  # per round: its exchange label
+        self.sent: list = []  # per round: the send side's checksum (verify_exchange on)
         self.dumps: list = []  # per table block, in rank order: what the merge reads
 
-    def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
-        """Counts alltoall + payload alltoallv of one round, with exact accounting.
+    def _account(self, round_: SendRound, label: str, sctx) -> np.ndarray:
+        """Account one round's alltoallv and note what the count needs of it; returns its counts matrix.
 
-        Moves the data (real reshuffle through the collective layer),
-        checks end-to-end checksums, and models the phase time
-        (:func:`~repro.core.stages.standard.exchange_outcome`).  The round's
-        src-major send array is gathered straight into one receive array
-        with its ``P + 1`` destination offsets
-        (:func:`~repro.mpi.collectives.alltoallv_flat`), the length bytes
-        (supermer mode) likewise; both are kept for :meth:`count`.
+        One logical alltoallv for the payload (recorded into the traffic
+        stats) and, in supermer mode, a second for the length bytes
+        (counters only; their bytes ride in the payload's wire size), the
+        round's ``P + 1`` destination offsets, and — with
+        ``verify_exchange`` — the send side of its checksum, taken while
+        the send array is certainly alive.
         """
-        recv, recv_offsets = alltoallv_flat(
-            send.data, send.counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes
-        )
-        recv_lens = None  # the length bytes' traffic rides in the payload's `wire` size
-        if send.lengths is not None:
-            recv_lens = alltoallv_flat(send.lengths, send.counts)[0]
-        self.rounds.append((recv, recv_lens))
-        self.round_offsets.append(recv_offsets)
-        return exchange_outcome(send, recv, recv_lens, label, sctx)
+        counts = round_.cut()[0]
+        account_alltoallv(counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes)
+        if round_.send.lengths is not None:
+            account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.wire_bytes)
+        offsets = np.zeros(counts.shape[1] + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=0), out=offsets[1:])
+        self.round_offsets.append(offsets)
+        self.labels.append(label)
+        self.sent.append(sent_digest(round_) if sctx.opts.verify_exchange else None)
+        return counts
+
+    def exchange(self, round_: SendRound, label: str, sctx) -> ExchangeOutcome:
+        """Counts alltoall + payload alltoallv of one round: the accounting and the time model, no copy.
+
+        The round stays a view of the send array (kept for :meth:`count`,
+        whose blocks gather their extents out of it); nothing is moved
+        here.  The traffic record, the collective-layer counters and the
+        modeled phase time (:func:`~repro.core.stages.standard.exchange_outcome`)
+        are the spooled exchange's.
+        """
+        counts = self._account(round_, label, sctx)
+        self.rounds.append(round_)
+        return exchange_outcome(counts, sctx)
 
     def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
-        """Round ``rnd``'s received items of ranks ``[r0, r1)``, ``(recv, lengths)``: slices of its receive array."""
-        recv, lengths = self.rounds[rnd]
-        offsets = self.round_offsets[rnd]
-        lo, hi = int(offsets[r0]), int(offsets[r1])
-        return recv[lo:hi], None if lengths is None else lengths[lo:hi]
+        """Round ``rnd``'s received items of ranks ``[r0, r1)``, ``(recv, lengths)``: gathered out of the send array."""
+        round_ = self.rounds[rnd]
+        recv, *lengths = _gather(round_, round_.block(r0, r1))
+        return recv, lengths[0] if lengths else None
 
     def _release(self, *arrays) -> None:
-        """Hand back what :meth:`_read` returned once it is counted (slices: nothing to do)."""
+        """Hand back what :meth:`_read` returned once it is counted (fresh arrays: nothing to do)."""
 
     def _drop_rounds(self) -> None:
-        """Free the rounds' receive side once the last block is counted."""
+        """Free the rounds' receive side once the last block is counted: here, the send array."""
         self.rounds.clear()
 
     def _dump(self, r0: int, table: SegmentedHashTable, sctx):
@@ -562,11 +583,22 @@ class Resident:
         substrate.  A one-shot drive (``state is None``) counts each block
         into a table born for it at ``hints``, dumps it (:meth:`_dump`) and
         closes it before the worker's next block — peak residency in the
-        count is the receive side plus one block's table per worker, not P
-        tables.  A batch counts into the state's tables, which are the
-        cross-batch state itself, and dumps nothing.
+        count is the receive side (resident: the send array) plus one
+        block's extent and table per worker, not P tables.  A batch counts
+        into the state's tables, which are the cross-batch state itself,
+        and dumps nothing.
+
+        With ``verify_exchange`` every block takes the checksum of what it
+        read (:func:`~repro.core.stages.standard.exchange_digest`) and
+        returns it beside its counts, so every substrate folds the same
+        digests; each round's fold is compared once with its send side
+        (:func:`~repro.core.stages.standard.verify_exchange`), after the
+        last block and before the rounds are dropped and merged.  A block
+        whose read is short is not counted — the count body indexes the
+        extent by the counts matrix — and the check names its round.
         """
         count, recorder = self.sched.comp.count, sctx.recorder
+        verify = sctx.opts.verify_exchange
         leaf = self.layout.prefix + "count"
         n_rounds = len(self.rounds)
         recv_items = sum(np.diff(offsets) for offsets in self.round_offsets)
@@ -581,31 +613,38 @@ class Resident:
             if one_shot:
                 table = self.born(hints[r0:r1])
             try:
-                counted = []
+                counted, digests = [], []
                 # Rounds run innermost, so each rank sees its rounds in order
                 # (identical float accumulation in the accounting).
                 for rnd, offsets in enumerate(self.round_offsets):
                     suffix = f"-round{rnd}" if n_rounds > 1 else ""
                     received = self._read(rnd, r0, r1, suffix, sctx)
                     block_offsets = offsets[r0 : r1 + 1] - offsets[r0]
-                    t0 = perf_counter()
-                    counted.append(count.count_block(table, *received, block_offsets, sctx, rank0=r0))
-                    if recorder is not None:
-                        recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+                    if verify:
+                        digests.append(exchange_digest(received))
+                    if not verify or all(n == block_offsets[-1] for n, _ in digests[-1]):
+                        t0 = perf_counter()
+                        counted.append(count.count_block(table, *received, block_offsets, sctx, rank0=r0))
+                        if recorder is not None:
+                            recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
                     self._release(*received)
                 if not one_shot:
-                    return counted, None
+                    return counted, digests, None
                 loads = table.n_entries_per_rank / table.capacities
-                return counted, (self._dump(r0, table, sctx), table.n_entries_per_rank.tolist(), loads.tolist())
+                dumped = (self._dump(r0, table, sctx), table.n_entries_per_rank.tolist(), loads.tolist())
+                return counted, digests, dumped
             finally:
                 if one_shot:
                     table.close()
 
         counted_blocks = self.map_blocks(_count_block, blocks, sctx)
+        if verify:
+            for rnd, (label, sent) in enumerate(zip(self.labels, self.sent)):
+                verify_exchange(label, sent, fold_digests(digests[rnd] for _, digests, _ in counted_blocks))
         self._drop_rounds()  # the last block is counted
         entries: list[int] = []
         loads: list[float] = []
-        for (r0, r1, _), (counted, dumped) in zip(blocks, counted_blocks):
+        for (r0, r1, _), (counted, _, dumped) in zip(blocks, counted_blocks):
             for round_counted in counted:  # round order per rank: identical float accumulation
                 acct.add_count(r0, *round_counted)
             if dumped is not None:
@@ -623,12 +662,15 @@ class Resident:
 class Spooled(Resident):
     """Residency on disk: a round's receive side lives in its segment file, a block's dump in a run file.
 
-    Every round's receive side is appended to one spool directory per
+    Every round's receive side is gathered out of the send array, a
+    destination block at a time, and appended to one spool directory per
     drive (:meth:`exchange`; the directory is removed by the driver's
-    cleanup scope on any exit).  The count reads a block's extent of each
-    round back with one positional read (:meth:`_read`), and a one-shot
-    block's dump is one CRC-checked run file (:meth:`_dump`), mapped back
-    for the merge.
+    cleanup scope on any exit), so the driver drops the send array before
+    the count.  The count reads a block's extent of each round back with
+    one positional read (:meth:`_read`) — the checksum covers those reads,
+    so a segment file changed on disk is caught — and a one-shot block's
+    dump is one CRC-checked run file (:meth:`_dump`), mapped back for the
+    merge.
     """
 
     def __init__(self, layout, cleanup) -> None:
@@ -639,35 +681,19 @@ class Spooled(Resident):
         # A failed exit is announced (engine.spill.cleanup) before removal.
         cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
 
-    def exchange(self, send: SendArray, label: str, sctx) -> ExchangeOutcome:
+    def exchange(self, round_: SendRound, label: str, sctx) -> ExchangeOutcome:
         """Counts alltoall + payload "alltoallv" of one round onto disk: the twin of :meth:`Resident.exchange`.
 
-        The byte/item traffic record, the collective-layer telemetry
-        counters, the end-to-end checksum and the modeled phase time come
-        from the functions the in-memory exchange calls.  Only the data
-        placement differs: the round's receive side is appended to the
-        label's segment file (:meth:`SpillSpool.append_round`), and the
-        checksum pass reads one read-only map of that file (its reads are
-        not accounted; the count re-reads each block's extent).
+        The accounting, the send side of the checksum and the modeled phase
+        time are the resident exchange's; only the data placement differs:
+        the round's receive side is gathered out of the send array into the
+        label's segment file (:meth:`SpillSpool.append_round`).
         """
-        counts_matrix, wire, spool = send.counts, sctx.wire_bytes, self.spool
-        # One logical alltoallv for the payload (recorded into the traffic
-        # stats), and in supermer mode a second one for the length bytes
-        # (counters only; its bytes ride in the payload's `wire` size).
-        account_alltoallv(counts_matrix, stats=sctx.stats, label=label, bytes_per_item=wire)
-        if send.lengths is not None:
-            account_alltoallv(counts_matrix, stats=None, label=label, bytes_per_item=wire)
-        spool.append_round(label, send.data, send.lengths, counts_matrix)
-        _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", counts_matrix.shape[0])
-
-        recv_items = counts_matrix.sum(axis=0)
-        recv_offsets = np.zeros(recv_items.shape[0] + 1, dtype=np.int64)
-        np.cumsum(recv_items, out=recv_offsets[1:])
-        recv_data = spool.map_segment(label, send.data.dtype)
-        recv_lengths = None if send.lengths is None else spool.map_segment(label, np.uint8, lens=True)
+        counts = self._account(round_, label, sctx)
+        self.spool.append_round(label, round_)
+        _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", counts.shape[0])
         self.rounds.append(label)
-        self.round_offsets.append(recv_offsets)
-        return exchange_outcome(send, recv_data, recv_lengths, label, sctx)
+        return exchange_outcome(counts, sctx)
 
     def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
         """Ranks ``[r0, r1)`` of round ``rnd``, read back from its segment file in one positional read each."""

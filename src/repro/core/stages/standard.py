@@ -6,10 +6,11 @@
 * :class:`KmerHashPartition` / :class:`MinimizerHashPartition` — the
   hash partitioners (the latter accepts an explicit minimizer→rank
   assignment, the seam the balanced-partitioning extension plugs into);
-* :func:`exchange_outcome` — the tail of every exchange (checksum
-  verification, the Summit-calibrated time model, the outcome); the
-  exchanges themselves belong to the residencies
-  (:mod:`repro.core.stages.spill`);
+* :func:`exchange_outcome` — the tail of every exchange (the
+  Summit-calibrated time model, the outcome), and the exchange checksum
+  (:func:`sent_digest` over the send side, :func:`exchange_digest` per
+  count block, :func:`verify_exchange`); the exchanges and the count loop
+  themselves belong to the residencies (:mod:`repro.core.stages.spill`);
 * :class:`TableCount` — destination-side k-mer extraction and
   open-addressing insertion, with the plugin filter seam;
 * :func:`merge_items` — partition merging (duplicate-aware for
@@ -22,6 +23,9 @@ numerical behaviour.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ..config import PipelineConfig
-from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendArray
+from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendRound
 from .context import EngineOptions, StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
@@ -53,6 +57,9 @@ __all__ = [
     "merge_items",
     "merge_partitions",
     "outgoing_buffer_hot_fraction",
+    "exchange_digest",
+    "sent_digest",
+    "fold_digests",
     "verify_exchange",
     "exchange_time_model",
     "exchange_outcome",
@@ -302,29 +309,71 @@ def parse_block(
 # ---------------------------------------------------------------------------
 
 
-def verify_exchange(
-    send: SendArray, recv_data: np.ndarray, recv_lengths: np.ndarray | None, label: str
-) -> None:
+def exchange_digest(arrays) -> tuple[tuple[int, int], ...]:
+    """``(items, XOR)`` of each array — what one count block read of a round, one reduction per array.
+
+    ``arrays`` is the payload and, in supermer mode, its length bytes;
+    ``None`` entries (no length bytes) are skipped.
+    """
+    return tuple((int(a.shape[0]), _xor(a)) for a in arrays if a is not None)
+
+
+def sent_digest(round_: SendRound) -> tuple[tuple[int, int], ...]:
+    """``(items, XOR)`` of each array of everything ``round_`` sends: the exchange checksum's send side.
+
+    A lone round is the whole send array: one reduction per array.  Else
+    the round's segments are ranges of the send array: one ``reduceat``
+    over their bounds gives every segment's XOR (the gaps between them,
+    other rounds' items, land on the odd entries and are skipped), and one
+    fold the round's — no copy, one pass whatever P.
+    """
+    if round_.n_rounds == 1:
+        return exchange_digest(round_.send.arrays)
+    counts, starts = round_.cut()
+    lens = counts.reshape(-1)
+    held = np.flatnonzero(lens)
+    if not held.size:
+        return ((0, 0),) * len(round_.send.arrays)
+    lo = starts.reshape(-1)[held]
+    end = int(lo[-1] + lens[held[-1]])
+    bounds = np.stack((lo, lo + lens[held]), axis=1).reshape(-1)[:-1]  # the last segment runs to `end`
+    items = int(lens.sum())
+    return tuple(
+        (items, _xor(np.bitwise_xor.reduceat(array[:end], bounds)[::2])) for array in round_.send.arrays
+    )
+
+
+def _xor(values: np.ndarray) -> int:
+    """The XOR of ``values`` (0 when empty): the exchange checksum's one reduction."""
+    return int(np.bitwise_xor.reduce(values))
+
+
+def fold_digests(digests) -> tuple[tuple[int, int], ...]:
+    """One round's received ``(items, XOR)`` per array, from every count block's :func:`exchange_digest`."""
+    return tuple(
+        (sum(n for n, _ in per_array), functools.reduce(operator.xor, (x for _, x in per_array), 0))
+        for per_array in zip(*digests)
+    )
+
+
+def verify_exchange(label: str, sent, received) -> None:
     """End-to-end integrity check over one exchange round.
 
     Production distributed counters checksum their wire traffic (a single
     flipped key silently corrupts the histogram).  The simulator does the
-    equivalent: the item count and global XOR of everything sent must
-    equal those of everything received — the payload and, in supermer
-    mode, its length bytes, since a wrong length byte unpacks the wrong
-    k-mers as surely as a flipped key does.  Each side is one array, so
-    the check is one reduction per array whatever the rank count.
+    equivalent: the item count and global XOR of everything sent
+    (:func:`sent_digest`) must equal those of everything the count read
+    (its blocks' :func:`exchange_digest`, folded by :func:`fold_digests`)
+    — the payload and, in supermer mode, its length bytes, since a wrong
+    length byte unpacks the wrong k-mers as surely as a flipped key does.
+    Whatever the residency, the received side is what the count was
+    handed, so a fault anywhere between the send array and the count —
+    the gather, or a spool file changed on disk — is caught.
     """
-    checked = [("payload", send.data, recv_data)]
-    if send.lengths is not None:
-        checked.append(("length bytes", send.lengths, recv_lengths))
-    for what, sent, received in checked:
-        if sent.shape[0] != received.shape[0]:
-            raise AssertionError(
-                f"exchange {label!r} lost items: sent {sent.shape[0]}, received {received.shape[0]} ({what})"
-            )
-        sent_xor, recv_xor = (np.bitwise_xor.reduce(buf) for buf in (sent, received))
-        if sent_xor != recv_xor:
+    for what, (n_sent, sent_xor), (n_received, received_xor) in zip(("payload", "length bytes"), sent, received):
+        if n_sent != n_received:
+            raise AssertionError(f"exchange {label!r} lost items: sent {n_sent}, received {n_received} ({what})")
+        if sent_xor != received_xor:
             raise AssertionError(f"exchange {label!r} corrupted {what} (checksum mismatch)")
 
 
@@ -350,23 +399,11 @@ def exchange_time_model(
     return overhead + t_net + t_stage, t_a2av, t_stage, links
 
 
-def exchange_outcome(
-    send: SendArray,
-    recv_data: np.ndarray,
-    recv_lengths: np.ndarray | None,
-    label: str,
-    ctx: StageContext,
-) -> ExchangeOutcome:
-    """The tail every exchange shares: checksum, time model, the outcome.
-
-    ``send`` is the round's send array; ``recv_data`` (and, in supermer
-    mode, ``recv_lengths``) its one rank-segmented receive array.
-    """
-    if ctx.verify if ctx.verify is not None else ctx.opts.verify_exchange:
-        verify_exchange(send, recv_data, recv_lengths, label)
-    seconds, t_a2av, t_stage, links = exchange_time_model(send.counts, ctx)
+def exchange_outcome(counts_matrix: np.ndarray, ctx: StageContext) -> ExchangeOutcome:
+    """The tail every exchange shares: the round's time model, as its outcome."""
+    seconds, t_a2av, t_stage, links = exchange_time_model(counts_matrix, ctx)
     return ExchangeOutcome(
-        counts_matrix=send.counts,
+        counts_matrix=counts_matrix,
         seconds=seconds,
         alltoallv_seconds=t_a2av,
         staging_seconds=t_stage,

@@ -32,6 +32,7 @@ __all__ = [
     "send_counts_matrix",
     "segment_blocks",
     "segment_gather_index",
+    "segment_starts",
     "SegmentBlock",
     "alltoall",
     "allreduce",
@@ -117,7 +118,7 @@ def account_alltoallv(
 
     Emits the collective-layer telemetry counters and, when ``stats`` is
     given, appends the byte/item traffic record — the in-memory gathers
-    below and the spooled exchange (``repro.core.stages.spill``) all
+    below and both residencies' exchanges (``repro.core.stages.spill``)
     account through here, so their observables cannot differ.
     """
     p = counts_matrix.shape[0]
@@ -135,8 +136,8 @@ def account_alltoallv(
 
 #: Target bytes of one destination block of the exchange gather
 #: (:func:`segment_blocks`): the block's items plus the int64 gather index
-#: of as many entries, the two transients a block adds beside the round's
-#: send and receive buffers.  Cache-sized on purpose.  Resident, a sweep of
+#: of as many entries, the two transients a block adds beside the send
+#: array.  Cache-sized on purpose.  Resident, a sweep of
 #: 8 k to 1 M items per block moved the gather by at most 20% as long as
 #: the index stayed under ~2 MiB; past that the allocator maps and faults
 #: in each block's index afresh and the gather doubles.  Spooled (the
@@ -169,22 +170,19 @@ class SegmentBlock(NamedTuple):
     o0: int  # the block's items [o0, o1) in the (dst, src)-major receive order
     o1: int
     counts: np.ndarray  # [src, dst - d0] items
-    starts: np.ndarray  # [src, dst - d0] start of each segment within its source's send buffer
+    starts: np.ndarray  # [src, dst - d0] start of each segment in the src-major send array
 
-    def index(self, src_base: np.ndarray) -> np.ndarray:
-        """The block's (dst, src)-major gather index into one src-major array.
+    def index(self) -> np.ndarray:
+        """The block's (dst, src)-major gather index into the src-major send array.
 
-        ``src_base[src]`` is where source ``src``'s send buffer starts in
-        that array, the whole round's src-major send array.  Every
-        entry addresses an item of a segment — the callers validate the
-        counts against the buffer lengths before any block is built — so
-        they gather with ``mode="clip"``: NumPy's default ``"raise"``
+        Every entry addresses an item of a segment — the callers validate
+        the counts against the buffer lengths before any block is built —
+        so they gather with ``mode="clip"``: NumPy's default ``"raise"``
         buffers the whole output.
         """
-        starts = src_base[:, None] + self.starts
-        return segment_gather_index(starts.T.reshape(-1), self.counts.T.reshape(-1))
+        return segment_gather_index(self.starts.T.reshape(-1), self.counts.T.reshape(-1))
 
-    def take(self, sends: Sequence[np.ndarray], src_base: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+    def take(self, sends: Sequence[np.ndarray], outs: Sequence[np.ndarray]) -> None:
         """Fill ``outs[i]`` with the block's items of the src-major array ``sends[i]``, (dst, src)-major.
 
         A one-destination block is already in order — one contiguous slice
@@ -196,35 +194,46 @@ class SegmentBlock(NamedTuple):
         in supermer mode, its length bytes).
         """
         if self.d1 - self.d0 == 1:
-            lo = src_base + self.starts[:, 0]
+            lo = self.starts[:, 0]
             bounds = list(zip(lo.tolist(), (lo + self.counts[:, 0]).tolist()))
             for send, out in zip(sends, outs):
                 np.concatenate([send[a:b] for a, b in bounds], out=out)
             return
-        idx = self.index(src_base)
+        idx = self.index()
         for send, out in zip(sends, outs):
             np.take(send, idx, out=out, mode="clip")
 
 
-def segment_blocks(counts_matrix: np.ndarray, item_bytes: int) -> Iterator[SegmentBlock]:
+def segment_starts(counts_matrix: np.ndarray) -> np.ndarray:
+    """``[src, dst]`` start of each segment in the src-major array ``counts_matrix`` lays out back to back."""
+    seg_lens = counts_matrix.reshape(-1)
+    return (np.cumsum(seg_lens) - seg_lens).reshape(counts_matrix.shape)
+
+
+def segment_blocks(
+    counts_matrix: np.ndarray, item_bytes: int, starts: np.ndarray | None = None
+) -> Iterator[SegmentBlock]:
     """The non-empty destination blocks of one exchange round, in rank order.
 
     Consecutive destinations are grouped until their received items
     (``item_bytes`` each) and the index over them reach
     :data:`SEGMENT_BLOCK_BYTES` (one oversized destination is its own
-    block).  The resident gather below and the spooled exchange
-    (``repro.core.stages.spill``) iterate this one generator, so the
-    receive side is laid out identically wherever it lands.
+    block).  ``starts[src, dst]`` is where each segment begins in the send
+    array; by default the segments lie back to back
+    (:func:`segment_starts`), and a round of a larger send array passes
+    its own, so one gather serves every round.  The gather below and the
+    spooled exchange (``repro.core.stages.spill``) iterate this one
+    generator, so the receive side is laid out identically wherever it
+    lands.
     """
-    p = counts_matrix.shape[0]
-    offsets = np.zeros((p, p + 1), dtype=np.int64)
-    np.cumsum(counts_matrix, axis=1, out=offsets[:, 1:])
+    if starts is None:
+        starts = segment_starts(counts_matrix)
     recv = counts_matrix.sum(axis=0)
     o0 = 0
     for d0, d1 in rank_blocks(recv * (item_bytes + 8), SEGMENT_BLOCK_BYTES):
         o1 = o0 + int(recv[d0:d1].sum())
         if o1 > o0:
-            yield SegmentBlock(d0, d1, o0, o1, counts_matrix[:, d0:d1], offsets[:, d0:d1])
+            yield SegmentBlock(d0, d1, o0, o1, counts_matrix[:, d0:d1], starts[:, d0:d1])
         o0 = o1
 
 
@@ -244,13 +253,14 @@ def alltoallv_flat(
     ``counts_matrix[src, dst]`` items, laid out src-major.  Returns
     ``(shuffled, dst_offsets)`` where ``shuffled`` is the same items in
     (dst, src)-major order and ``recv[dst] = shuffled[dst_offsets[dst]:
-    dst_offsets[dst + 1]]``.  The engine's resident exchange moves its one
-    send array through this (the spooled exchange gathers the same blocks
-    into its segment file) without slicing it into per-rank buffers first:
-    each destination block (:func:`segment_blocks`) is gathered out of
-    ``global_data`` straight into its slice of ``shuffled``
-    (:meth:`SegmentBlock.take`: its source slices, or a block-sized
-    index) — no index of the whole round exists.
+    dst_offsets[dst + 1]]``.  Each destination block
+    (:func:`segment_blocks`) is gathered out of ``global_data`` straight
+    into its slice of ``shuffled`` (:meth:`SegmentBlock.take`: its source
+    slices, or a block-sized index) — no index of the whole round exists.
+    No engine path calls it: the engine's exchange never builds a whole
+    receive array, its count gathers each table block's segments out of
+    the send array with the same :meth:`SegmentBlock.take`
+    (``repro.core.stages.spill``).
 
     ``arena`` optionally supplies the output buffer from a recycled
     scratch pool; the caller owns releasing it.
@@ -271,10 +281,8 @@ def alltoallv_flat(
 
     take = arena.take if arena is not None else np.empty
     shuffled = take(global_data.shape[0], global_data.dtype)
-    src_base = np.zeros(p, dtype=np.int64)
-    np.cumsum(counts_matrix.sum(axis=1)[:-1], out=src_base[1:])
     for blk in segment_blocks(counts_matrix, global_data.itemsize):
-        blk.take([global_data], src_base, [shuffled[blk.o0 : blk.o1]])
+        blk.take([global_data], [shuffled[blk.o0 : blk.o1]])
     dst_offsets = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(counts_matrix.sum(axis=0), out=dst_offsets[1:])
     return shuffled, dst_offsets

@@ -1,11 +1,17 @@
 """Failure-injection tests for the exchange integrity checks.
 
-Every exchange gathers its receive side out of the round's send array: in
-memory through ``alltoallv_flat``, on disk block by block into the spool
-(``SpillSpool.append_partitions``).  Each fault is injected at that point
-of both residencies, in k-mer and supermer mode, and must surface as the
-exchange's own error naming the round's label — or, with verification off,
-as a wrong spectrum.
+No exchange copies the send array into a receive array: a resident count
+gathers each table block's extent of a round straight out of it
+(``spill._gather``), a spooled exchange gathers each destination block
+into the spool and the count reads a block's extent back
+(``SpillSpool.read_range``).  The checksum covers what the count is
+handed — each block's ``(items, XOR)``, folded per round and compared
+with the send side after the count — so each fault is injected at that
+hand-over, in both residencies and both modes, and must surface as the
+exchange's own error naming the round's label — or, with verification
+off, as a wrong spectrum.  A spool file changed on disk between the
+exchange and the count is such a fault too, on the one-shot and on the
+streamed surface alike.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import pytest
 import repro.core.stages.spill as spill_mod
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
+from repro.core.incremental import DistributedCounter
+from repro.dna.datasets import load_dataset
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
@@ -38,37 +46,60 @@ def _run(reads, residency: str, mode: str, tmp_path, **options):
 
 @contextmanager
 def _in_flight(residency: str, fault, *, lengths: bool = False):
-    """Apply ``fault`` to the first non-empty received payload (``lengths``: length bytes) of the run.
+    """Apply ``fault`` to what rank 0's count block reads of the payload (``lengths``: length bytes).
 
-    Resident, to ``alltoallv_flat``'s receive array; spooled, to the first
-    block the spool appends.  ``fault`` gets a private copy.
+    Resident, to that block's gather out of the send array; spooled, to its
+    read back from the segment file.  ``fault`` gets a private copy.  The
+    block is chosen by its ranks, not by call order, so exactly one block
+    is hit on every substrate — a forked worker's call count never reaches
+    the parent, and two flipped blocks would cancel in the XOR.
     """
     dtype = np.uint8 if lengths else np.uint64
-    done = []
     with pytest.MonkeyPatch.context() as patch:
         if residency == "resident":
-            original = spill_mod.alltoallv_flat
+            original = spill_mod._gather
 
-            def faulty_gather(data, counts, **kwargs):
-                recv, offsets = original(data, counts, **kwargs)
-                if not done and recv.size and recv.dtype == dtype:
-                    recv = fault(recv.copy())
-                    done.append(1)
-                return recv, offsets
+            def faulty_gather(round_, blk, take=np.empty):
+                outs = original(round_, blk, take)
+                if blk.d0 == 0 and round_.rnd == 0:
+                    outs = [fault(out.copy()) if out.dtype == dtype else out for out in outs]
+                return outs
 
-            patch.setattr(spill_mod, "alltoallv_flat", faulty_gather)
+            patch.setattr(spill_mod, "_gather", faulty_gather)
         else:
-            original = spill_mod.SpillSpool.append_partitions
+            original = spill_mod.SpillSpool.read_range
 
-            def faulty_append(self, label, rank0, counts, data, *, lens=False):
-                if not done and data.size and lens == lengths:
-                    data = fault(data.copy())
-                    done.append(1)
-                return original(self, label, rank0, counts, data, lens=lens)
+            def faulty_read(self, label, r0, r1, dtype_, *, lens=False, out=None):
+                data = original(self, label, r0, r1, dtype_, lens=lens, out=out)
+                return fault(data.copy()) if r0 == 0 and lens == lengths else data
 
-            patch.setattr(spill_mod.SpillSpool, "append_partitions", faulty_append)
+            patch.setattr(spill_mod.SpillSpool, "read_range", faulty_read)
         yield
-    assert done, "the fault was never injected"
+
+
+@contextmanager
+def _flipped_on_disk(suffix: str):
+    """After every spooled exchange returns, flip one bit of its ``<label><suffix>`` file's first usable byte.
+
+    The payload's byte 0 flips its lowest bit; a length byte is flipped
+    only where the result is still a valid length (an odd length of three
+    or more becomes one less), so the count runs and only the checksum can
+    tell.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        original = spill_mod.Spooled.exchange
+
+        def exchange_then_flip(self, round_, label, sctx):
+            outcome = original(self, round_, label, sctx)
+            path = self.spool.dir / f"{label}{suffix}"
+            raw = bytearray(path.read_bytes())
+            i = 0 if suffix == ".data" else next(i for i, b in enumerate(raw) if b >= 3 and b % 2)
+            raw[i] ^= 1
+            path.write_bytes(bytes(raw))
+            return outcome
+
+        patch.setattr(spill_mod.Spooled, "exchange", exchange_then_flip)
+        yield
 
 
 def _flip_key(buf: np.ndarray) -> np.ndarray:
@@ -137,3 +168,33 @@ class TestChecksumVerification:
         cfg = PipelineConfig(k=17, mode="supermer", minimizer_len=7, window=15)
         result = run_pipeline(genome_reads, summit_gpu(2), cfg, options=EngineOptions(verify_exchange=True))
         assert result.total_kmers > 0
+
+
+class TestSpoolFileCorruption:
+    """A spool file changed between the exchange and the count is caught by the count's checksum."""
+
+    @pytest.fixture(scope="class")
+    def ecoli_reads(self):
+        return load_dataset("ecoli30x", scale=0.05)
+
+    def test_segment_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
+        options = EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+        with _flipped_on_disk(".data"):
+            with pytest.raises(AssertionError, match="'kmer-exchange' corrupted payload.*checksum"):
+                run_pipeline(ecoli_reads, summit_gpu(2), PipelineConfig(k=17), options=options)
+        assert list(tmp_path.iterdir()) == []  # the failed drive's spool is reclaimed
+
+    def test_length_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
+        options = EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+        with _flipped_on_disk(".lens"):
+            with pytest.raises(AssertionError, match="'supermer-exchange' corrupted length bytes.*checksum"):
+                run_pipeline(ecoli_reads, summit_gpu(2), _config("supermer"), options=options)
+
+    def test_streamed_batch_segment_file_flip(self, ecoli_reads, tmp_path):
+        """Batches honour ``verify_exchange`` like one-shot runs: the streamed surface checks the same reads."""
+        counter = DistributedCounter(
+            summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+        )
+        with _flipped_on_disk(".data"):
+            with pytest.raises(AssertionError, match="'kmer-batch0' corrupted payload.*checksum"):
+                counter.add_reads(ecoli_reads)

@@ -138,7 +138,7 @@ class TestCheckerDetects:
         assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
-        """The resident exchange's gather calls live in the spool module, the checksum reduction in standard.py."""
+        """The one block gather's call lives in the spool module, the checksum reduction in standard.py, the round cut in buffers.py."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         standard = root / "core" / "stages" / "standard.py"
@@ -150,19 +150,24 @@ class TestCheckerDetects:
             "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
             "values, counts = merge_counts(keys, counts)\n"
         )
-        gathers = (  # two calls: the payload's and the length bytes'
-            "table = SegmentedHashTable(hints)\nrecv, offs = alltoallv_flat(send.data, send.counts)\n"
-            "lens = alltoallv_flat(send.lengths, send.counts)[0]\nhint = max(64, n // max(p, 1) + 16)\n"
+        gathers = (  # the one gather call, for the payload and the length bytes alike
+            "table = SegmentedHashTable(hints)\nouts = [take(n, array.dtype) for array in arrays]\n"
+            "blk.take(arrays, outs)\nhint = max(64, n // max(p, 1) + 16)\n"
         )
+        cut = root / "core" / "stages" / "buffers.py"
         standard.write_text(owned)
         spill.write_text(gathers)
+        cut.write_text("def round_cut(seg_lens, rnd, n_rounds):\n    return (seg_lens * rnd) // n_rounds\n")
         assert run_checker(root).returncode == 0
-        standard.write_text(owned + "recv = alltoallv_flat(send.data, send.counts)[0]\n")
-        (root / "core" / "stages" / "scheduler.py").write_text("x = np.bitwise_xor.reduce(recv[lo:hi])\n")
+        standard.write_text(owned + "blk.take([send.data], [recv])\n")
+        (root / "core" / "stages" / "scheduler.py").write_text(
+            "x = np.bitwise_xor.reduce(recv[lo:hi])\nlo = starts + (seg_lens * rnd) // n_rounds\n"
+        )
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:7: 'alltoallv_flat(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "standard.py:7: 'blk.take(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "scheduler.py:2: '(seg_lens * rnd) // n_rounds' is defined once, in core/stages/buffers.py" in proc.stdout
 
     def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
         """The input's shard cut is ``ShardRanges``' (dna/reads.py), the parse kernel's thread count the parse body's."""
@@ -190,7 +195,7 @@ class TestCheckerDetects:
         (root / "core" / "stages").mkdir()
         spill = root / "core" / "stages" / "spill.py"
         owned = (  # every text the checker pins to this owner, once
-            "table = SegmentedHashTable(hints)\nrecv = alltoallv_flat(send.data, send.counts)\n"
+            "table = SegmentedHashTable(hints)\nblk.take(arrays, outs)\n"
             "def table_hint(n_kmers, p):\n    return max(64, n_kmers // max(p, 1) + 16)\n"
         )
         spill.write_text(owned)

@@ -28,7 +28,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages import registry
-from repro.core.stages.buffers import SendArray, round_split
+from repro.core.stages.buffers import SendArray, send_rounds
 from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
@@ -309,7 +309,12 @@ def _round_slice_reference(data, lengths, counts, rnd: int, n_rounds: int):
 @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
 @pytest.mark.parametrize("p", [1, 6, 42])
 def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
-    """The one round gather of the send array ≡ the per-source scalar loops; rounds tile every segment."""
+    """A round's view of the send array ≡ the per-source scalar loops; rounds tile every segment.
+
+    Each round is cut, not copied: its ``[src, dst]`` counts and segment
+    starts address the one send array, and its one block gather is the
+    (dst, src)-major concatenation of those segments.
+    """
     rng = np.random.default_rng(100 * p + n_rounds)
     counts = rng.integers(0, 12, size=(p, p)).astype(np.int64)  # lengths not divisible by n_rounds
     counts[rng.random((p, p)) < 0.3] = 0  # segments that hold nothing
@@ -321,29 +326,37 @@ def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
         counts=counts,
     )
     src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    rounds = [round_split(send, rnd, n_rounds) for rnd in range(n_rounds)]
-    for rnd, got in enumerate(rounds):
-        assert got.counts.dtype == np.int64 and got.counts.shape == (p, p)
-        assert got.data.dtype == np.uint64 and (got.lengths is None) == (not with_lengths)
-        got_base = np.concatenate(([0], np.cumsum(got.counts.sum(axis=1))))
+    rounds = send_rounds(send, n_rounds)
+    round_counts = []
+    for rnd, view in enumerate(rounds):
+        assert view.send is send  # a view: nothing is copied
+        got_counts, got_starts = view.cut()
+        assert got_counts.dtype == np.int64 and got_counts.shape == (p, p)
+        round_counts.append(got_counts)
         for src in range(p):
             lo, hi = src_base[src], src_base[src + 1]
             src_lengths = send.lengths[lo:hi] if with_lengths else None
             ref_data, ref_lengths, ref_counts = _round_slice_reference(
                 send.data[lo:hi], src_lengths, counts[src], rnd, n_rounds
             )
-            glo, ghi = got_base[src], got_base[src + 1]
-            assert np.array_equal(got.counts[src], ref_counts)
-            assert np.array_equal(got.data[glo:ghi], ref_data)
-            if with_lengths:
-                assert got.lengths.dtype == np.uint8 and np.array_equal(got.lengths[glo:ghi], ref_lengths)
-    assert np.array_equal(sum(r.counts for r in rounds), counts)
+            assert np.array_equal(got_counts[src], ref_counts)
+            for array, ref in zip(send.arrays, (ref_data, ref_lengths)):
+                pieces = [array[a : a + c] for a, c in zip(got_starts[src].tolist(), got_counts[src].tolist())]
+                assert np.array_equal(np.concatenate(pieces), ref)
+        # The round's one gather (every destination) ≡ its segments, (dst, src)-major.
+        blk = view.block(0, p)
+        for array in send.arrays:
+            out = np.empty(blk.o1, dtype=array.dtype)
+            blk.take([array], [out])
+            segs = [array[got_starts[s, d] : got_starts[s, d] + got_counts[s, d]] for d in range(p) for s in range(p)]
+            assert np.array_equal(out, np.concatenate(segs))
+    assert np.array_equal(sum(round_counts), counts)
     # Per segment, the rounds' pieces concatenate back to the original segment.
     seg_offsets = np.concatenate(([0], np.cumsum(counts.reshape(-1))))
-    round_offsets = [np.concatenate(([0], np.cumsum(r.counts.reshape(-1)))) for r in rounds]
+    cuts = [view.cut() for view in rounds]
     for seg in range(p * p):
-        fields = ("data", "lengths") if with_lengths else ("data",)
-        for field in fields:
-            pieces = [getattr(r, field)[off[seg] : off[seg + 1]] for r, off in zip(rounds, round_offsets)]
-            original = getattr(send, field)[seg_offsets[seg] : seg_offsets[seg + 1]]
+        src, dst = divmod(seg, p)
+        for array in send.arrays:
+            pieces = [array[st[src, dst] : st[src, dst] + ct[src, dst]] for ct, st in cuts]
+            original = array[seg_offsets[seg] : seg_offsets[seg + 1]]
             assert np.array_equal(np.concatenate(pieces), original)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.core.stages.buffers import SendArray, send_rounds
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.spill import SpillSpool, Spooled
@@ -131,8 +132,9 @@ class TestSpillIdentity:
         assert list(spill_dir.iterdir()) == []  # per-run spools are removed
 
     def test_verify_exchange_runs_on_spilled_partitions(self, genome_reads, tmp_path):
-        # verify_exchange checksums the memmapped partition files; a run
-        # with verification on must still succeed and stay identical.
+        # verify_exchange checksums what the count reads back from the
+        # spool; a run with verification on must still succeed and stay
+        # identical.
         config = PipelineConfig(k=17, mode="kmer", n_rounds=2)
         mem, spilled, _, _, _ = _run_pair(
             genome_reads, summit_gpu(2), config, "gpu", tmp_path, verify_exchange=True
@@ -971,7 +973,8 @@ class TestSpoolRoundTrip:
                 send_data, send_lengths, counts = _random_send(rng, p, with_lengths, empty_round)
                 label = f"round{rnd}"
                 flat_lengths = None if send_lengths is None else np.concatenate(send_lengths)
-                spool.append_round(label, np.concatenate(send_data), flat_lengths, counts)
+                send = SendArray(np.concatenate(send_data), flat_lengths, counts)
+                spool.append_round(label, send_rounds(send, 1)[0])
                 assert spool.pending_files()[0] <= (rnd + 1) * (2 if with_lengths else 1)
                 self._assert_reads_back(spool, label, _naive_recv(send_data, counts), np.uint64, False, rng)
                 if with_lengths:
@@ -1011,7 +1014,7 @@ class TestSpoolRoundTrip:
         send_data, _, counts = _random_send(rng, p, False, False)
         recv = _naive_recv(send_data, counts)
         spool = SpillSpool(tmp_path)
-        spool.append_round("lbl", np.concatenate(send_data), None, counts)
+        spool.append_round("lbl", send_rounds(SendArray(np.concatenate(send_data), None, counts), 1)[0])
         wrong: list[int] = []
 
         def reader(seed: int) -> None:

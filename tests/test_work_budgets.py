@@ -260,37 +260,42 @@ class TestExchangeIndexBudget:
 
 
 class TestExchangeGrowthLaw:
-    """The exchange pays per destination block, never per rank (ROADMAP 8(b)'s first growth law).
+    """The exchange pays per block, never per rank (ROADMAP 8(b)'s first growth law).
 
-    Every exchange, resident or spooled, gathers its receive array straight
-    out of the round's send array: no per-source buffer is staged
-    (``SegmentBlock.gather`` is gone), the checksum gets one array a side,
-    and the gather indexes and checksum reductions of a round follow the
-    blocks — the bytes — so quadrupling P at fixed input adds none.  The
-    per-source form made P views, P staged slices per block and 2P XOR
-    reductions a round.
+    No exchange stages a per-source buffer (``SegmentBlock.gather`` is
+    gone) or copies a round into a receive array: the gather indexes of a
+    round follow its blocks — the bytes — and so does its checksum: per
+    array, one ``reduceat`` over the round's segments of the send array and
+    one fold of them on the send side, and one reduction per count block on
+    the received side, whose digests the count folds.  Quadrupling P at
+    fixed input adds none.  The per-source form made P views, P staged
+    slices per block and 2P XOR reductions a round.
     """
 
-    class _CountingReduce:
-        """``np.bitwise_xor`` with its ``reduce`` calls counted."""
+    class _CountingXor:
+        """``np.bitwise_xor`` with its ``reduce`` and ``reduceat`` calls counted."""
 
-        def __init__(self, real, calls: list[int]) -> None:
+        def __init__(self, real, calls: Counter[str]) -> None:
             self.real, self.calls = real, calls
 
         def __call__(self, *args, **kwargs):
             return self.real(*args, **kwargs)
 
         def reduce(self, *args, **kwargs):
-            self.calls.append(1)
+            self.calls["reduce"] += 1
             return self.real.reduce(*args, **kwargs)
+
+        def reduceat(self, *args, **kwargs):
+            self.calls["reduceat"] += 1
+            return self.real.reduceat(*args, **kwargs)
 
         def __getattr__(self, name):
             return getattr(self.real, name)
 
     @staticmethod
-    def _counting(name: str, counts: Counter[str]):
-        """``SegmentBlock.<name>`` with its calls counted."""
-        real = getattr(collectives.SegmentBlock, name)
+    def _counting(owner, name: str, counts: Counter[str]):
+        """``owner.<name>`` with its calls counted."""
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -299,34 +304,26 @@ class TestExchangeGrowthLaw:
         return wrapper
 
     @classmethod
-    def _run(cls, monkeypatch, reads, nodes: int, mode: str, spill_dir) -> dict[str, float]:
-        """Per round: gathers of staged slices, gather indexes and checksum reductions; and the checksum's list args."""
+    def _run(cls, monkeypatch, reads, nodes: int, mode: str, spill_dir, **options) -> dict[str, float]:
+        """Per round: staged-slice gathers, gather indexes, count blocks and XOR reductions."""
         counts: Counter[str] = Counter()
-        reductions: list[int] = []
-        listed: list[str] = []
-
-        real_verify = standard.verify_exchange
-
-        def verify(*args):
-            listed.extend(type(arg).__name__ for arg in args if isinstance(arg, (list, tuple)))
-            return real_verify(*args)
-
         with monkeypatch.context() as patch:
             for name in ("gather", "index"):  # gather: the per-source staging, where it still exists
                 if hasattr(collectives.SegmentBlock, name):
-                    patch.setattr(collectives.SegmentBlock, name, cls._counting(name, counts))
-            patch.setattr(standard, "verify_exchange", verify)
-            patch.setattr(np, "bitwise_xor", cls._CountingReduce(np.bitwise_xor, reductions))
+                    patch.setattr(collectives.SegmentBlock, name, cls._counting(collectives.SegmentBlock, name, counts))
+            patch.setattr(spill, "exchange_digest", cls._counting(spill, "exchange_digest", counts))
+            patch.setattr(np, "bitwise_xor", cls._CountingXor(np.bitwise_xor, counts))
             config = PipelineConfig(k=17, mode=mode, n_rounds=2)
-            options = EngineOptions(parallel=1, verify_exchange=True, spill_dir=spill_dir)
+            options = EngineOptions(parallel=1, verify_exchange=True, spill_dir=spill_dir, **options)
             result = run_pipeline(reads, summit_gpu(nodes), config, options=options)
         rounds = result.n_rounds_used
         assert rounds == 2 and result.spectrum.n_distinct > 0
         return {
             "gather": counts["gather"],
             "index": counts["index"] / rounds,
-            "reductions": len(reductions) / rounds,
-            "listed": len(listed),
+            "blocks": counts["exchange_digest"] / rounds,
+            "reductions": counts["reduce"] / rounds,
+            "reduceats": counts["reduceat"] / rounds,
         }
 
     @pytest.mark.parametrize("spill", [False, True], ids=["staged", "spill"])
@@ -336,8 +333,10 @@ class TestExchangeGrowthLaw:
         wider = self._run(monkeypatch, genome_reads, 16, mode, tmp_path / "p96" if spill else None)  # P x 4
         arrays = 2 if mode == "supermer" else 1  # the payload, and its length bytes
         for made in (base, wider):
-            assert made["gather"] == 0 and made["listed"] == 0
-            assert made["reductions"] == 2 * arrays  # one a side per array: sent and received
+            assert made["gather"] == 0
+            assert made["reduceats"] == arrays  # the send side: one pass over the round's segments
+            assert made["reductions"] == arrays * (1 + made["blocks"])  # its fold, and one per count block
+        assert 1 <= base["blocks"] and wider["blocks"] <= base["blocks"]
         assert 1 <= base["index"] and wider["index"] <= base["index"]
 
 
@@ -645,13 +644,14 @@ class TestRunDumpGrowthLaw:
 
 
 class TestDriveShapeBudgets:
-    """Every drive exchanges every round, drops the send array, then counts one table block at a time.
+    """Every drive exchanges every round, then counts one table block at a time.
 
     So a one-shot drive never holds more block tables than the pool has
     workers (each block's table is born, counted, dumped and closed before
-    its worker's next block), and the parse's send array is dead before the
-    first block is counted.  Counting inside each round held every block's
-    table from the first round to the merge, beside the send array.
+    its worker's next block), a spooled drive's send array is dead before
+    the first block is counted, and its segment files before the merge.
+    Counting inside each round held every block's table from the first
+    round to the merge, beside the send array.
     """
 
     STRATEGIES = {
@@ -695,8 +695,14 @@ class TestDriveShapeBudgets:
         assert not open_tables
 
     @pytest.mark.parametrize("mode", ["kmer", "supermer"])
-    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    @pytest.mark.parametrize("strategy", ["spill", "fused-spill"])
     def test_send_array_is_dead_before_the_first_count(self, genome_reads, tmp_path, monkeypatch, strategy, mode):
+        """A spooled drive's count reads the spool only: the parse output is gone before its first block.
+
+        (A resident drive's count gathers out of the send array, so there
+        it lives until the last block: ``TestZeroCopyExchangeBudgets``
+        bounds what that drive allocates instead.)
+        """
         sent, alive_at_count = [], []
         real_parse, real_count = scheduler.Layout.parse, standard.TableCount.count_block
 
@@ -714,6 +720,123 @@ class TestDriveShapeBudgets:
         monkeypatch.setattr(standard.TableCount, "count_block", counting)
         self._run(genome_reads, tmp_path, strategy, mode, parallel=1)
         assert alive_at_count == [False, False]  # the SendArray and its data: both freed
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_segment_files_are_gone_before_the_merge(self, genome_reads, tmp_path, monkeypatch, mode):
+        """Once a spooled drive's count ends, the spool holds its blocks' run files and no segment file.
+
+        The rounds are dropped after the last block is counted, before the
+        merge maps the runs back, so the merge's peak is not the spool's
+        whole exchange beside it.
+        """
+        at_merge = []
+        real_merge = spill.Spooled.merge
+
+        def merging(self):
+            at_merge.extend(sorted(path.name for path in self.spool.dir.iterdir()))
+            return real_merge(self)
+
+        monkeypatch.setattr(spill.Spooled, "merge", merging)
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # several blocks, so several runs
+        self._run(genome_reads, tmp_path, "spill", mode, parallel=1)
+        assert len(at_merge) > 1 and all(name.startswith("run.r") for name in at_merge), at_merge
+
+
+class TestZeroCopyExchangeBudgets:
+    """No exchange copies the send array: a resident count gathers each block's extent straight out of it.
+
+    The engine makes no ``alltoallv_flat`` call, and no gather reads more
+    of the send array at once than one table block's extent of a round —
+    the whole-round receive array, and the whole-round ``np.take`` of the
+    round split before it, are gone.  So from the end of the parse to the
+    start of the merge a resident drive allocates no more than blocks'
+    worth beside the send array: before, the receive array alone was as
+    large as the send array.
+    """
+
+    @staticmethod
+    def _engine_modules():
+        return [module for name, module in sys.modules.items() if name.startswith("repro.core")]
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    def test_no_whole_round_gather(self, genome_reads, tmp_path, monkeypatch, mode, spooled):
+        flat_calls, takes, gathered, sent = [], [], [], []
+        real_flat, real_take, real_parse = collectives.alltoallv_flat, np.take, scheduler.Layout.parse
+        real_gather = collectives.SegmentBlock.take
+
+        def gathering(self, sends, outs):
+            gathered.append(self.o1 - self.o0)
+            return real_gather(self, sends, outs)
+
+        def parsing(self, *args, **kwargs):
+            send, summary = real_parse(self, *args, **kwargs)
+            sent.extend(send.arrays)
+            return send, summary
+
+        def taking(a, indices, *args, **kwargs):
+            if any(a is array for array in sent):
+                takes.append(np.asarray(indices).size)
+            return real_take(a, indices, *args, **kwargs)
+
+        # Blocks well below a round, as they are at scale: count blocks and spool blocks both.
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(collectives, "alltoallv_flat", lambda *a, **kw: flat_calls.append(1) or real_flat(*a, **kw))
+        monkeypatch.setattr(np, "take", taking)
+        monkeypatch.setattr(collectives.SegmentBlock, "take", gathering)
+        monkeypatch.setattr(scheduler.Layout, "parse", parsing)
+        config = PipelineConfig(k=17, mode=mode, n_rounds=2)
+        options = EngineOptions(parallel=1, spill_dir=tmp_path if spooled else None)
+        result = run_pipeline(genome_reads, summit_gpu(4), config, options=options)
+        assert result.spectrum.equals(count_kmers_exact(genome_reads, 17))
+        assert not flat_calls and not any(hasattr(module, "alltoallv_flat") for module in self._engine_modules())
+        half_round = sent[0].shape[0] // 4
+        assert gathered and max(gathered) < half_round  # block-sized gathers, never a whole round
+        assert all(n < half_round for n in takes)  # nor a whole-round np.take of the send array
+
+    @pytest.mark.parametrize("strategy", ["staged", "fused"])
+    def test_no_allocation_after_the_parse_is_half_the_send_array(self, genome_reads, monkeypatch, strategy):
+        """One-round resident k-mer drive: its exchange and count add blocks beside the send array, not a receive array.
+
+        Measured from the end of the parse to the start of the merge, above
+        the send array and the block dumps the merge will read (those grow
+        by one block's distinct keys per block, by design).
+        """
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # block tables, not the send array, are small
+        parsed, at_merge = [], []
+        real_parse, real_merge = scheduler.Layout.parse, spill.Resident.merge
+
+        def parsing(self, *args, **kwargs):
+            send, summary = real_parse(self, *args, **kwargs)
+            parsed.append((send.data.nbytes, tracemalloc.get_traced_memory()[0]))
+            tracemalloc.reset_peak()
+            return send, summary
+
+        def merging(self):
+            at_merge.append((tracemalloc.get_traced_memory()[1], sum(a.nbytes for dump in self.dumps for a in dump)))
+            return real_merge(self)
+
+        monkeypatch.setattr(scheduler.Layout, "parse", parsing)
+        monkeypatch.setattr(spill.Resident, "merge", merging)
+        options = EngineOptions(parallel=1, fused=strategy == "fused")
+        tracemalloc.start()
+        try:
+            result = run_pipeline(genome_reads, summit_gpu(4), PipelineConfig(k=17), options=options)
+        finally:
+            tracemalloc.stop()
+        assert result.n_rounds_used == 1 and result.spectrum.equals(count_kmers_exact(genome_reads, 17))
+        ((send_bytes, after_parse),), ((peak, dumps),) = parsed, at_merge
+        assert peak - after_parse - dumps < send_bytes // 2, (peak - after_parse - dumps, send_bytes)
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    def test_checksum_is_one_reduction_per_count_block(self, genome_reads, tmp_path, monkeypatch, spooled):
+        """Per round and per array: the send side's one fold, then one reduction per count block, many blocks or few."""
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # many more count blocks than rounds
+        spill_dir = tmp_path if spooled else None
+        made = TestExchangeGrowthLaw._run(monkeypatch, genome_reads, 4, "supermer", spill_dir)
+        assert made["blocks"] > 2
+        assert made["reduceats"] == 2 and made["reductions"] == 2 * (1 + made["blocks"])
 
 
 class TestPairFoldBudgets:

@@ -32,8 +32,9 @@ so no residency regrows a sorted-run merge of its own), the host working
 set per received item, the table's insert probe loop, its slot dump,
 the segment gather index, the shard ranges' cut ``total * s // P``
 (``ShardRanges``, the one input partition) and the parse kernel's
-thread count, the exchange's calls of the one block gather
-(``alltoallv_flat``, the resident exchange's only body), the exchange
+thread count, the call of the one block gather (``blk.take(`` in
+``spill._gather``, which a resident count block and a spooled exchange
+share), the cut of segments into rounds (``round_cut``), the exchange
 checksum's XOR reduction, the engine's one table birth and its capacity
 hint (``table_hint``, which the round driver and the SPMD rank program
 both call), the pair sort
@@ -91,7 +92,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
-    ("alltoallv_flat(", "core/stages", "core/stages/spill.py", False),
+    ("blk.take(", "core/stages", "core/stages/spill.py", True),
+    ("(seg_lens * rnd) // n_rounds", "", "core/stages/buffers.py", True),
     ("np.bitwise_xor.reduce(", "", "core/stages/standard.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
     ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),

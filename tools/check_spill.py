@@ -11,22 +11,25 @@ bit for bit.
 1. **Staged spill** (``RLIMIT_AS``, k-mer mode, 24 ranks): the staged
    loop with ``spill_dir`` must fit and match under a cap that exhausts
    the in-memory staged path.  K-mer mode on purpose: 8 wire bytes per
-   instance make the exchange working set (not parse intermediates) the
-   hot spot, which is what spilling relieves.  Every drive exchanges
-   every round before it counts, so the in-memory twin's excess is the
-   receive arrays of the rounds before the last — half the received
-   k-mers at the probe's two rounds — and the probe is sized so that
-   excess outgrows a parse block's transient: 24 ranks keep each shard
-   (hence each parse block) small, and a 2.5 Mb genome keeps the twin's
-   excess (~70 MB) well clear of the margins.
+   instance make the send array (not parse intermediates) the hot spot.
+   No exchange copies the send array any more, so the two paths differ
+   only in the count: a resident count gathers its blocks out of the send
+   array, which lives until the last block, beside the block dumps it
+   keeps for the merge; a spooled drive drops the send array before the
+   count and dumps to run files.  The twin's excess is therefore the
+   send array *and* the dumps at the count's end, which must outgrow the
+   parse's own transient and the merge (a few times the dumps): a
+   low-coverage (4x), large (6 Mb) genome puts the send array at about
+   twice the dumps and the twin's excess (~40 MB) clear of the margins.
 2. **Blocked fused×spill** (``RLIMIT_AS``, supermer mode): ``fused=True``
    + ``spill_dir`` must fit and match under a cap that exhausts the
    in-memory fused path.  Supermer mode on purpose: the fused parse
    holds compact packed supermers, so the memory hot spot is the
-   exchanged receive buffer and the unpacked k-mer stream — exactly
-   what the rank-blocked streaming bounds.  (In k-mer mode the fused
-   parse itself holds the whole flat k-mer array, which no exchange
-   spill can relieve, so no cap separates the two paths.)
+   received supermers each count block gathers and their unpacked
+   k-mer stream — exactly what the rank-blocked streaming bounds.  (In
+   k-mer mode the fused parse itself holds the whole flat k-mer array,
+   which no exchange spill can relieve, so no cap separates the two
+   paths.)
 3. **Mmap-backed table** (``RLIMIT_DATA``, supermer mode, low-coverage
    large genome so the *table* dominates): ``table_dir`` must fit and
    match under a cap that exhausts the resident-table twin.  RLIMIT_AS
@@ -41,10 +44,12 @@ the contract.  Cap defaults were calibrated empirically against the
 default workloads (pass/OOM thresholds bracketed to >= ~20 MB margins).
 The staged probe's brackets (2-core x86-64 Linux host, CPython 3.11,
 ``--child`` runs bisected to 4 MB): the spilled run passes above
-(455, 458] MB and the in-memory twin above (518, 521] MB, so the 488 MB
-default clears each by 30 MB.  (The engine that counted inside each
-round held every block table beside the send array: its twin passed
-only above (571, 575] MB on this probe.)
+(444, 448] MB and the in-memory twin above (488, 492] MB, so the 468 MB
+default clears each by 20 MB.  (On the earlier 2.5 Mb, 8x probe, whose
+twin kept a whole-round receive array from the exchange to the count,
+the brackets were (455, 458] and (518, 521] MB; since the receive array
+went, both paths pass there above (394, 396] MB — their peak is the
+parse's — so that probe no longer tells them apart.)
 
 Usage: ``python tools/check_spill.py [--cap-mb N] [--fused-cap-mb N]
 [--data-cap-mb N] [--genome N] [--coverage X]``.  Exits 0 when every
@@ -183,19 +188,21 @@ CHILD_MODES = {
 }
 
 # Workload per probe group: (config mode, genome attr or fixed genome
-# length, coverage attr, Summit nodes).
+# length, coverage attr or fixed coverage, Summit nodes).
 GROUP_WORKLOADS = {
-    "staged": ("kmer", 2_500_000, "coverage", 4),
+    "staged": ("kmer", 6_000_000, 4.0, 4),
     "fused": ("supermer", "genome", "coverage", 2),
     "table": ("supermer", "table_genome", "table_coverage", 2),
 }
 
 
 def _group_case(group: str, args):
-    mode, genome, coverage_attr, nodes = GROUP_WORKLOADS[group]
+    mode, genome, coverage, nodes = GROUP_WORKLOADS[group]
     if isinstance(genome, str):
         genome = getattr(args, genome)
-    return _config(mode), genome, getattr(args, coverage_attr), nodes
+    if isinstance(coverage, str):
+        coverage = getattr(args, coverage)
+    return _config(mode), genome, coverage, nodes
 
 
 def _child(args) -> int:
@@ -313,7 +320,7 @@ def _check_oom(name: str, payload: dict) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--cap-mb", type=int, default=488, help="RLIMIT_AS headroom for the staged-spill probe"
+        "--cap-mb", type=int, default=468, help="RLIMIT_AS headroom for the staged-spill probe"
     )
     parser.add_argument(
         "--fused-cap-mb",
@@ -343,9 +350,9 @@ def main() -> int:
     if args.child:
         return _child(args)
 
-    _, staged_genome, _, staged_nodes = GROUP_WORKLOADS["staged"]
+    _, staged_genome, staged_coverage, staged_nodes = GROUP_WORKLOADS["staged"]
     print(
-        f"staged probe: genome={staged_genome} coverage={args.coverage} nodes={staged_nodes} "
+        f"staged probe: genome={staged_genome} coverage={staged_coverage} nodes={staged_nodes} "
         "kmer (uncapped reference)"
     )
     ref = _reference("staged", args)
