@@ -45,7 +45,7 @@ from .bench.reporting import format_table
 from .bench.runner import dataset_with_multiplier
 from .core.config import PipelineConfig, paper_config
 from .core.driver import run_paper_comparison
-from .core.stages.registry import substrate_names
+from .core.stages.registry import normalize_backend, substrate_names
 from .dna.datasets import DATASET_NAMES, TABLE1, load_dataset
 from .dna.fastq import read_fasta, read_fastq, sniff_format, write_fastq
 from .dna.reads import ReadSet
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--backend",
         default="gpu",
-        help="execution backend from the stage registry: a substrate name "
+        help="execution backend: a substrate name "
         f"({', '.join(substrate_names())}) or '<substrate>:<mode>'",
     )
     p_count.add_argument("--mode", choices=["kmer", "supermer"], default="supermer")
@@ -253,10 +253,12 @@ def _load_reads(path: str, qfilter=None) -> ReadSet:
 
     A base outside ``ACGTNacgtn`` is one error naming the file, the record
     and the byte.  Behind a quality filter, records are numbered among the
-    ones it kept.
+    ones it kept.  An empty file holds zero reads, in either format.
     """
-    fmt = sniff_format(path)
-    records = read_fastq(path) if fmt == "fastq" else read_fasta(path)
+    if Path(path).stat().st_size == 0:
+        records = []
+    else:
+        records = read_fastq(path) if sniff_format(path) == "fastq" else read_fasta(path)
     if qfilter is None:
         return ReadSet.from_records(records, source=path)
     return ReadSet.from_records(qfilter.apply(records), source=f"{path} (after the quality filter)")
@@ -365,7 +367,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         gpudirect=args.gpudirect,
         n_rounds=args.rounds,
     )
-    substrate = args.backend.split(":", 1)[0]
+    substrate = normalize_backend(args.backend, config.mode).partition(":")[0]
     default_preset = "summit-cpu" if substrate == "cpu" else "summit-gpu"
     machine = resolve_machine(args.machine, default=default_preset)
     cluster = cluster_for(machine, args.nodes)

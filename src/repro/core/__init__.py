@@ -27,9 +27,7 @@ from .stages import (
     RoundScheduler,
     StageComposition,
     build_composition,
-    register_backend,
     register_stage,
-    registered_backends,
     registered_stages,
     substrate_names,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "RoundScheduler",
     "StageComposition",
     "build_composition",
-    "register_backend",
     "register_stage",
-    "registered_backends",
     "registered_stages",
     "substrate_names",
 ]

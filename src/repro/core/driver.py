@@ -15,6 +15,7 @@ from ..mpi.topology import ClusterSpec, cluster_for, summit_cpu, summit_gpu
 from .config import PipelineConfig, paper_config
 from .engine import EngineOptions, run_pipeline
 from .results import CountResult
+from .stages.registry import normalize_backend
 
 __all__ = ["count_distributed", "run_paper_comparison", "gpu_cluster", "cpu_cluster"]
 
@@ -49,10 +50,10 @@ def count_distributed(
         The input read set (e.g. from :func:`repro.dna.load_dataset` or a
         FASTQ file via :class:`repro.dna.ReadSet`).
     n_nodes / backend:
-        Node count and execution backend.  ``backend`` is any registry key
-        (``"gpu"``, ``"cpu"``, or ``"gpu:supermer"``-style).  Without an
-        explicit ``machine``, the substrate picks the paper's Summit layout
-        (6 ranks/node for ``"gpu"``, 42 for ``"cpu"``).
+        Node count and execution backend.  ``backend`` is one of the four
+        backends (``"gpu"``, ``"cpu"``, or ``"gpu:supermer"``-style).
+        Without an explicit ``machine``, the substrate picks the paper's
+        Summit layout (6 ranks/node for ``"gpu"``, 42 for ``"cpu"``).
     machine:
         Machine model for the run: a :class:`~repro.machines.MachineSpec`,
         a registered preset name (``"a100-gpu"``), or a calibration-file
@@ -68,14 +69,14 @@ def count_distributed(
         Extension stage names from the registry (e.g. ``("bloom",
         "balanced")``), applied on top of the backend's composition.
     """
+    config = config or paper_config()
     if machine is not None:
         machine = resolve_machine(machine)
         if cluster is None:
             cluster = cluster_for(machine, n_nodes)
     elif cluster is None:
-        substrate = backend.split(":", 1)[0]
+        substrate = normalize_backend(backend, config.mode).partition(":")[0]
         cluster = cpu_cluster(n_nodes) if substrate == "cpu" else gpu_cluster(n_nodes)
-    config = config or paper_config()
     if options is None:
         options = EngineOptions(machine=machine, work_multiplier=work_multiplier, stages=stages)
     else:

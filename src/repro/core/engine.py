@@ -17,9 +17,9 @@ variants:
   implementation and can be used in other distributed-memory k-mer
   counters" (Section I).
 
-``backend`` is any key the stage registry knows (``repro.core.stages.
-registry``): ``"gpu"``/``"cpu"`` pick the substrate with the mode coming
-from the config, and ``"gpu:supermer"``-style keys spell the mode out.
+``backend`` is one of the four backends (``repro.core.stages.registry``):
+``"gpu"``/``"cpu"`` pick the substrate with the mode coming from the
+config, and ``"gpu:supermer"``-style strings spell the mode out.
 Extension stages (e.g. ``("bloom", "balanced")``) ride in through
 ``EngineOptions.stages``.
 

@@ -1,13 +1,10 @@
-"""Pluggable execution-substrate layer (see :mod:`.pools`).
+"""Execution substrates for per-rank work (see :mod:`.pools`).
 
-This package replaces the old single-module ``core.parallel`` with a
-substrate registry: :mod:`.pools` holds the protocol, the resolution
-vocabulary, and the in-process substrates (``seq``, ``thread``);
-:mod:`.process` adds forked workers with shared-memory result transport;
-:mod:`.shm` is the descriptor-based array transport they use.  The three
-standard substrates are registered here, so importing the package (as
-every consumer already does) makes ``thread:N`` / ``process:N`` settings
-resolvable.  Public names are unchanged from the pre-package module.
+:mod:`.pools` holds the resolution vocabulary, the pool interface and the
+in-process substrates (``seq``, ``thread``); :mod:`.process` adds forked
+workers with shared-memory result transport; :mod:`.shm` is the
+descriptor-based array transport they use.  The three kinds are a fixed
+table: :func:`get_pool` builds ``thread:N`` / ``process:N`` pools.
 """
 
 from .pools import (
@@ -16,16 +13,12 @@ from .pools import (
     ParallelSpec,
     RankPool,
     SequentialPool,
-    Substrate,
     ThreadPool,
-    _SEQUENTIAL,
     get_pool,
     parallel_map,
-    register_substrate,
     resolve_spec,
     resolve_workers,
     shutdown_pools,
-    substrate_kinds,
 )
 from .process import ProcessPool
 
@@ -36,17 +29,10 @@ __all__ = [
     "ProcessPool",
     "RankPool",
     "SequentialPool",
-    "Substrate",
     "ThreadPool",
-    "register_substrate",
     "resolve_spec",
     "resolve_workers",
-    "substrate_kinds",
     "get_pool",
     "parallel_map",
     "shutdown_pools",
 ]
-
-register_substrate("seq", lambda workers: _SEQUENTIAL)
-register_substrate("thread", ThreadPool)
-register_substrate("process", ProcessPool)

@@ -21,7 +21,7 @@ seeded, input-derived values.  Under those conditions scheduling cannot
 influence any result, so sequential and parallel runs produce the same
 ``CountResult`` payload bit for bit; only wall-clock time changes.  The
 cross-engine differential tests enforce this for every pipeline variant
-and every registered substrate.
+and every substrate kind.
 
 A substrate whose workers run in other processes (``in_process`` False)
 additionally requires closures to *return* everything the caller needs:
@@ -51,9 +51,8 @@ Accepted vocabulary (case-insensitive):
 * ``"process"``/``"process:N"`` — process substrate, N forked workers
   (default: core count); see :mod:`.process`.
 
-Substrates are looked up in a registry keyed ``seq|thread|process``;
-:func:`register_substrate` accepts additional backends, which then become
-valid ``kind[:N]`` settings.
+The three kinds (``seq``, ``thread``, ``process``) are a fixed table:
+:func:`get_pool` builds the kind's pool class.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ...telemetry import active
 
@@ -73,12 +72,9 @@ __all__ = [
     "ParallelSpec",
     "RankPool",
     "SequentialPool",
-    "Substrate",
     "ThreadPool",
-    "register_substrate",
     "resolve_spec",
     "resolve_workers",
-    "substrate_kinds",
     "get_pool",
     "parallel_map",
     "shutdown_pools",
@@ -92,8 +88,9 @@ _OFF = frozenset({"", "0", "off", "false", "no", "seq", "sequential"})
 _AUTO = frozenset({"auto", "on", "true", "yes"})
 
 #: Spellings that select a substrate kind explicitly (``kind`` or
-#: ``kind:N``); normalized to the registry key.
+#: ``kind:N``); normalized to the kind.
 _KIND_ALIASES = {
+    "seq": "seq",
     "thread": "thread",
     "threads": "thread",
     "process": "process",
@@ -153,7 +150,7 @@ def resolve_spec(setting: ParallelSetting = None) -> ParallelSpec:
     if text in _AUTO:
         return _spec("thread", os.cpu_count() or 1)
     kind_word, _, arg = text.partition(":")
-    kind = _KIND_ALIASES.get(kind_word, kind_word if kind_word in _SUBSTRATES else None)
+    kind = _KIND_ALIASES.get(kind_word)
     if kind is not None:
         if not arg:
             return _spec(kind, os.cpu_count() or 1)
@@ -177,9 +174,6 @@ class RankPool:
     """Interface shared by every execution substrate."""
 
     workers: int = 1
-
-    #: Substrate registry key of this pool (``seq``/``thread``/``process``).
-    kind: str = "seq"
 
     #: Whether workers share the driving process's address space.  When
     #: False (process substrate), side effects inside mapped closures are
@@ -215,27 +209,10 @@ class RankPool:
             reg.gauge("pool_workers_max", "Largest pool used", wall=True, pool=kind).set_max(self.workers)
 
 
-class Substrate(Protocol):
-    """What a registered execution substrate instance must provide.
-
-    Structurally satisfied by :class:`RankPool` subclasses; the registry
-    maps a kind key to a ``factory(workers) -> Substrate`` callable.
-    """
-
-    workers: int
-    kind: str
-    in_process: bool
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Iterable[Any], *, recorder: Any = None
-    ) -> list[Any]: ...
-
-
 class SequentialPool(RankPool):
     """The deterministic fallback: a plain in-order loop, no threads."""
 
     workers = 1
-    kind = "seq"
 
     def map(
         self, fn: Callable[[Any], Any], items: Iterable[Any], *, recorder: Any = None
@@ -254,8 +231,6 @@ class ThreadPool(RankPool):
     :func:`shutdown_pools` — installed as an ``atexit`` hook — retires the
     cached executors at interpreter exit.
     """
-
-    kind = "thread"
 
     def __init__(self, workers: int) -> None:
         if workers < 2:
@@ -291,33 +266,9 @@ class ThreadPool(RankPool):
         self._executor.shutdown(wait=True)
 
 
-#: kind -> factory(workers) -> pool.  ``seq`` and ``thread`` register here;
-#: ``process`` registers in the package ``__init__`` (its module imports
-#: from this one).
-_SUBSTRATES: dict[str, Callable[[int], RankPool]] = {}
-
 _pool_cache: dict[tuple[str, int], RankPool] = {}
 _pool_lock = threading.Lock()
 _SEQUENTIAL = SequentialPool()
-
-
-def register_substrate(kind: str, factory: Callable[[int], RankPool]) -> None:
-    """Register (or replace) an execution substrate under a kind key.
-
-    ``kind`` becomes valid in the ``parallel=`` / ``REPRO_PARALLEL``
-    vocabulary as ``kind`` or ``kind:N``; ``factory(workers)`` must build a
-    pool honouring the :class:`RankPool` determinism contract.
-    """
-    if not kind or not kind.replace("-", "_").isidentifier():
-        raise ValueError(f"invalid substrate kind {kind!r}")
-    with _pool_lock:
-        _SUBSTRATES[kind] = factory
-
-
-def substrate_kinds() -> tuple[str, ...]:
-    """The registered substrate keys, sorted."""
-    with _pool_lock:
-        return tuple(sorted(_SUBSTRATES))
 
 
 def get_pool(setting: ParallelSetting = None) -> RankPool:
@@ -332,14 +283,23 @@ def get_pool(setting: ParallelSetting = None) -> RankPool:
     with _pool_lock:
         pool = _pool_cache.get((spec.kind, spec.workers))
         if pool is None:
-            factory = _SUBSTRATES.get(spec.kind)
-            if factory is None:
-                raise ValueError(
-                    f"no execution substrate registered for {spec.kind!r} "
-                    f"(registered: {', '.join(sorted(_SUBSTRATES))})"
-                )
-            pool = _pool_cache[(spec.kind, spec.workers)] = factory(spec.workers)
+            pool = _pool_cache[(spec.kind, spec.workers)] = _new_pool(spec)
         return pool
+
+
+def _new_pool(spec: ParallelSpec) -> RankPool:
+    """The pool of one (kind, workers >= 2) spec."""
+    if spec.kind == "seq":
+        return _SEQUENTIAL
+    if spec.kind == "thread":
+        return ThreadPool(spec.workers)
+    if spec.kind == "process":
+        from .process import ProcessPool  # imports this module
+
+        return ProcessPool(spec.workers)
+    raise ValueError(
+        f"unknown execution substrate {spec.kind!r} (known: {', '.join(sorted(set(_KIND_ALIASES.values())))})"
+    )
 
 
 def shutdown_pools() -> None:

@@ -61,7 +61,6 @@ __all__ = ["ProcessPool"]
 class ProcessPool(RankPool):
     """Fork-per-map worker pool (the ``process`` substrate)."""
 
-    kind = "process"
     in_process = False
 
     def __init__(self, workers: int) -> None:

@@ -3,8 +3,8 @@
 The package splits the distributed counting pipeline into three swappable
 stages — parse, partition, count — with typed buffers between them
 (:mod:`.buffers`), structural protocols per stage kind
-(:mod:`.protocols`), the paper's implementations (:mod:`.standard`), a
-backend/extension registry (:mod:`.registry`), and the single round
+(:mod:`.protocols`), the paper's implementations (:mod:`.standard`), the fixed
+backend table and the extension registry (:mod:`.registry`), and the single round
 driver that owns the memory-bounded execution loop (:mod:`.scheduler`)
 over one data layout, one drive shape and a
 residency (RAM | spool, :mod:`.spill`), which owns the exchange, the
@@ -19,11 +19,8 @@ from .registry import (
     StageComposition,
     build_composition,
     normalize_backend,
-    register_backend,
     register_stage,
-    registered_backends,
     registered_stages,
-    resolve,
     resolve_stage,
     substrate_names,
 )
@@ -41,11 +38,8 @@ __all__ = [
     "Substrate",
     "PipelinePlugin",
     "StageComposition",
-    "register_backend",
     "register_stage",
-    "registered_backends",
     "registered_stages",
-    "resolve",
     "resolve_stage",
     "substrate_names",
     "normalize_backend",

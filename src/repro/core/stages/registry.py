@@ -1,18 +1,21 @@
-"""Backend + extension-stage registry: names -> stage compositions.
+"""Backends and extension stages: names -> stage compositions.
 
-The execution core never hardcodes ``backend in ("gpu", "cpu")``; this
-module is the single source of truth for which backends exist and how each
-maps onto concrete stages.  A *backend key* is ``"<substrate>"`` or
-``"<substrate>:<mode>"`` (``"gpu"``, ``"cpu:supermer"``, ...); the mode
-part, when present, must agree with the run's :class:`PipelineConfig`.
+The paper has two substrates (the diBELLA-derived CPU baseline and the
+GPU counter) and two transport modes (k-mers, Algorithm 1; supermers,
+Algorithm 2), so its four backends are one fixed table: the substrate
+by name, the parse and partition stages by ``config.mode``.  A
+*backend* string is ``"<substrate>"`` or ``"<substrate>:<mode>"``
+(``"gpu"``, ``"cpu:supermer"``, ...); the mode part, when present, must
+agree with the run's :class:`PipelineConfig`.  :func:`normalize_backend`
+is its one parser and validator.
 
 Extension stages (:class:`~repro.core.stages.protocols.PipelinePlugin`
 subclasses) register under short names (``"bloom"``, ``"balanced"``) via
 :func:`register_stage` and are requested per-run through
 ``EngineOptions.stages`` or the CLI's ``--stages``.  Built-in extensions
-live in :mod:`repro.ext.stages`, discovered lazily through an entry-point
-table so ``repro.core`` keeps no static import of ``repro.ext`` (the
-layering lint enforces the boundary).
+live in :mod:`repro.ext.stages`, imported by name on first use so
+``repro.core`` keeps no static import of ``repro.ext`` (the layering lint
+enforces the boundary).
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "StageComposition",
-    "register_backend",
-    "resolve",
-    "registered_backends",
     "substrate_names",
     "normalize_backend",
     "register_stage",
@@ -55,9 +55,6 @@ __all__ = [
 class StageComposition:
     """A fully-resolved pipeline: three stages, a substrate and the plugins (the residency exchanges and merges)."""
 
-    key: str  # registry key this resolved from ("gpu:supermer", ...)
-    backend: str  # substrate name ("gpu" or "cpu")
-    mode: str  # transport mode ("kmer" or "supermer")
     parse: ParseStage
     partition: PartitionStage
     count: CountStage
@@ -67,61 +64,41 @@ class StageComposition:
     # pre-filter), disabling the scheduler's parsed-vs-counted check.
     conserves_kmers: bool = True
 
-
-# -- backend registry ---------------------------------------------------------
-
-_CompositionFactory = Callable[[PipelineConfig, "EngineOptions"], StageComposition]
-_BACKENDS: dict[str, _CompositionFactory] = {}
-
-
-def register_backend(key: str, factory: _CompositionFactory) -> None:
-    """Register a backend composition under ``"<substrate>:<mode>"``."""
-    if ":" not in key:
-        raise ValueError(f"backend key must be '<substrate>:<mode>', got {key!r}")
-    _BACKENDS[key] = factory
+    @property
+    def backend(self) -> str:
+        """The substrate's name ("gpu" or "cpu")."""
+        return self.substrate.name
 
 
-def registered_backends() -> tuple[str, ...]:
-    """All registered backend keys, sorted."""
-    return tuple(sorted(_BACKENDS))
+# -- the paper's four backends ------------------------------------------------
+
+_SUBSTRATE_OF: dict[str, Substrate] = {"gpu": GpuSubstrate(), "cpu": CpuSubstrate()}
+_MODES = ("kmer", "supermer")
 
 
 def substrate_names() -> tuple[str, ...]:
-    """Distinct substrate prefixes ("cpu", "gpu"), sorted — CLI choices."""
-    return tuple(sorted({key.split(":", 1)[0] for key in _BACKENDS}))
+    """The substrate names ("cpu", "gpu"), sorted — CLI choices."""
+    return tuple(sorted(_SUBSTRATE_OF))
 
 
 def normalize_backend(backend: str, mode: str) -> str:
-    """Validate a user-supplied backend against the registry.
+    """Validate a user-supplied backend string; the canonical ``"<substrate>:<mode>"``.
 
     Accepts ``"gpu"`` (mode comes from the config) or ``"gpu:supermer"``
-    (mode spelled out; must match the config).  Returns the canonical
-    ``"<substrate>:<mode>"`` key.  This is the single source of truth for
-    backend validation — every entry point (engine, incremental counter,
-    driver, CLI) funnels through it.
+    (mode spelled out; must match the config).  This is the single parser
+    and validator of backends — every entry point (engine, incremental
+    counter, driver, CLI) funnels through it.
     """
-    if ":" in backend:
-        substrate, _, key_mode = backend.partition(":")
-        if key_mode != mode:
-            raise ValueError(
-                f"backend {backend!r} conflicts with config mode {mode!r}; "
-                f"drop the ':{key_mode}' suffix or change the config"
-            )
-    else:
-        substrate = backend
-    key = f"{substrate}:{mode}"
-    if key not in _BACKENDS:
+    substrate, colon, key_mode = backend.partition(":")
+    if colon and key_mode != mode:
         raise ValueError(
-            f"unknown backend {backend!r} for mode {mode!r}; "
-            f"registered backends: {', '.join(registered_backends())}"
+            f"backend {backend!r} conflicts with config mode {mode!r}; "
+            f"drop the ':{key_mode}' suffix or change the config"
         )
-    return key
-
-
-def resolve(backend: str, config: PipelineConfig, opts: "EngineOptions") -> StageComposition:
-    """Resolve a backend key to its base composition (no plugins applied)."""
-    key = normalize_backend(backend, config.mode)
-    return _BACKENDS[key](config, opts)
+    if substrate not in _SUBSTRATE_OF or mode not in _MODES:
+        known = ", ".join(f"{name}:{m}" for name in substrate_names() for m in _MODES)
+        raise ValueError(f"unknown backend {backend!r} for mode {mode!r}; registered backends: {known}")
+    return f"{substrate}:{mode}"
 
 
 # -- extension-stage registry -------------------------------------------------
@@ -136,11 +113,6 @@ class _StageEntry:
 
 _STAGES: dict[str, _StageEntry] = {}
 
-# Entry-point table: modules probed (once, lazily) for self-registering
-# extension stages.  Third-party packages extend the pipeline the same way:
-# import-time register_stage() calls in a module added to this table or
-# imported before the run.
-_LAZY_STAGE_MODULES: tuple[str, ...] = ("repro.ext.stages",)
 _lazy_loaded = False
 
 
@@ -156,15 +128,12 @@ def register_stage(
 
 
 def _load_lazy_stages() -> None:
+    # The built-in extensions register themselves on import; by name, so
+    # ``repro.core`` keeps no import of ``repro.ext``.
     global _lazy_loaded
-    if _lazy_loaded:
-        return
-    _lazy_loaded = True
-    for module in _LAZY_STAGE_MODULES:
-        try:
-            importlib.import_module(module)
-        except ImportError:  # pragma: no cover - optional extension package
-            pass
+    if not _lazy_loaded:
+        _lazy_loaded = True
+        importlib.import_module("repro.ext.stages")
 
 
 def registered_stages() -> dict[str, str]:
@@ -198,50 +167,25 @@ def build_composition(
     cluster: "ClusterSpec",
 ) -> StageComposition:
     """Resolve backend + requested extension stages into one composition."""
-    comp = resolve(backend, config, opts)
-    if not opts.stages:
-        return comp
+    substrate = _SUBSTRATE_OF[normalize_backend(backend, config.mode).partition(":")[0]]
+    if config.mode == "kmer":
+        parse: ParseStage = KmerParse()
+        partition: PartitionStage = KmerHashPartition()
+    else:
+        parse = SupermerParse()
+        partition = MinimizerHashPartition(assignment=opts.minimizer_assignment)
     plugins = tuple(resolve_stage(name, config.mode) for name in opts.stages)
-    partition = comp.partition
     overriders = [p for p in plugins if p.partition_stage() is not None]
     if len(overriders) > 1:
         names = ", ".join(p.name for p in overriders)
         raise ValueError(f"stages {names} both override the partition stage; pick one")
     if overriders:
         partition = overriders[0].partition_stage()
-    comp.partition = partition
-    comp.plugins = plugins
-    comp.count = TableCount(plugins)
-    comp.conserves_kmers = all(not p.alters_spectrum for p in plugins)
-    return comp
-
-
-# -- the paper's four backends ------------------------------------------------
-
-
-def _standard(substrate: Substrate, mode: str, key: str) -> _CompositionFactory:
-    def factory(config: PipelineConfig, opts: "EngineOptions") -> StageComposition:
-        if mode == "kmer":
-            parse: ParseStage = KmerParse()
-            partition: PartitionStage = KmerHashPartition()
-        else:
-            parse = SupermerParse()
-            partition = MinimizerHashPartition(assignment=opts.minimizer_assignment)
-        return StageComposition(
-            key=key,
-            backend=substrate.name,
-            mode=mode,
-            parse=parse,
-            partition=partition,
-            count=TableCount(),
-            substrate=substrate,
-        )
-
-    return factory
-
-
-for _mode in ("kmer", "supermer"):
-    for _sub in (GpuSubstrate(), CpuSubstrate()):
-        _key = f"{_sub.name}:{_mode}"
-        register_backend(_key, _standard(_sub, _mode, _key))
-del _mode, _sub, _key
+    return StageComposition(
+        parse=parse,
+        partition=partition,
+        count=TableCount(plugins),
+        substrate=substrate,
+        plugins=plugins,
+        conserves_kmers=all(not p.alters_spectrum for p in plugins),
+    )

@@ -33,24 +33,21 @@ from .reads import ReadSet
 __all__ = ["find_record_start", "read_fastq_range", "partition_fastq", "load_fastq_sharded"]
 
 
-def _is_plus(line: bytes) -> bool:
-    return line.startswith(b"+")
-
-
 def _frame_consistent(lines: list[bytes], start: int, at_eof: bool) -> bool:
     """Whether interpreting ``lines[start]`` as a header yields a valid
     4-line record frame for as many complete records as are visible.
 
-    Blank lines can only end the file, so the frame stops at one; at the
-    end of the file a header needs a whole record after it.
+    Each frame is tested by :func:`~repro.dna.fastq.next_fastq_record`,
+    the one framing rule.  Blank lines can only end the file, so the frame
+    stops at one; at the end of the file a header needs a whole record
+    after it.
     """
     i = start
     checked = False
     while i + 3 < len(lines) and lines[i].strip():
-        header, seq, sep, qual = lines[i : i + 4]
-        if not header.startswith(b"@") or not _is_plus(sep):
-            return False
-        if len(qual) != len(seq):
+        try:  # the error's place (``where``) is unused: any error means "not a frame"
+            next_fastq_record((line.decode("latin-1") for line in lines[i : i + 4]), str)
+        except ValueError:
             return False
         checked = True
         i += 4

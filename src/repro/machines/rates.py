@@ -1,10 +1,8 @@
 """Kernel calibration rates: CPU per-core throughputs and GPU per-item ops.
 
-Canonical home of :class:`CpuRates` (previously ``repro.core.cpu_model``)
-and :class:`GpuPipelineModel` (previously ``repro.core.gpu_model``); both
-old modules re-export from here so existing imports keep working.  Moving
-them below the substrates lets one :class:`repro.machines.MachineSpec`
-carry the complete calibration of a machine — topology, device, and kernel
+The one home of :class:`CpuRates` and :class:`GpuPipelineModel`.  Living
+below the substrates lets one :class:`repro.machines.MachineSpec` carry
+the complete calibration of a machine — topology, device, and kernel
 rates — in one declarative object.
 
 CPU side: the paper's baseline is the CPU-only k-mer analysis of diBELLA

@@ -55,3 +55,17 @@ def assert_block_leaves_tile(spans, n_ranks: int) -> None:
     ranges = sorted(tuple(s.meta["ranks"]) for s in spans)
     assert sorted(s.rank for s in spans) == [r0 for r0, _ in ranges]
     assert [r for r0, r1 in ranges for r in range(r0, r1)] == list(range(n_ranks))
+
+
+def custom_backend(monkeypatch, edit) -> None:
+    """Make ``run_pipeline(..., backend="custom")`` run the ``gpu`` composition as ``edit(comp)`` returns it."""
+    from repro.core import engine
+
+    build = engine.build_composition
+
+    def build_custom(backend, config, opts, cluster):
+        if backend != "custom":
+            return build(backend, config, opts, cluster)
+        return edit(build("gpu", config, opts, cluster))
+
+    monkeypatch.setattr(engine, "build_composition", build_custom)

@@ -99,6 +99,14 @@ class TestCount:
     def test_bad_k_is_error(self, fastq, capsys):
         assert main(["count", "--input", str(fastq), "-k", "40"]) == 2
 
+    def test_empty_input_file_is_zero_reads(self, fastq, tmp_path, capsys):
+        empty = tmp_path / "empty.fastq"
+        empty.write_bytes(b"")
+        alone, with_empty = tmp_path / "alone.tsv", tmp_path / "with_empty.tsv"
+        assert main(["count", "--input", str(fastq), "-k", "15", "--out-tsv", str(alone)]) == 0
+        assert main(["count", "--input", str(empty), str(fastq), "-k", "15", "--out-tsv", str(with_empty)]) == 0
+        assert with_empty.read_bytes() == alone.read_bytes()
+
     @pytest.mark.parametrize("quality_filter", [[], ["--min-read-length", "1"]], ids=["plain", "filtered"])
     def test_iupac_base_is_one_error_naming_file_record_and_byte(self, tmp_path, capsys, quality_filter):
         bad = tmp_path / "iupac.fastq"

@@ -343,13 +343,13 @@ def _resolved(**opt_kw) -> str:
     """Strategy name the scheduler resolves for a standard gpu:kmer composition."""
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions
-    from repro.core.stages.registry import resolve
+    from repro.core.stages.registry import build_composition
     from repro.core.stages.scheduler import RoundScheduler
     from repro.mpi.topology import summit_gpu
 
     config = PipelineConfig(k=15, mode="kmer")
     opts = EngineOptions(**opt_kw)
-    comp = resolve("gpu:kmer", config, opts)
+    comp = build_composition("gpu:kmer", config, opts, summit_gpu(1))
     return RoundScheduler(summit_gpu(1), config, comp, opts).resolve_strategy().name
 
 
@@ -386,7 +386,7 @@ def test_custom_stages_resolve_to_the_cell_asked_for(caplog):
 
     from repro.core.config import PipelineConfig
     from repro.core.engine import EngineOptions, run_pipeline
-    from repro.core.stages.registry import resolve
+    from repro.core.stages.registry import build_composition
     from repro.core.stages.scheduler import RoundScheduler
     from repro.core.stages.standard import KmerParse, TableCount
     from repro.dna.simulate import simulate_dataset
@@ -396,7 +396,7 @@ def test_custom_stages_resolve_to_the_cell_asked_for(caplog):
     reads = simulate_dataset(genome_length=3000, coverage=3, seed=5)
     cluster = summit_gpu(1)
     staged = run_pipeline(reads, cluster, config, backend="gpu", options=EngineOptions())
-    comp = resolve("gpu:kmer", config, EngineOptions())
+    comp = build_composition("gpu:kmer", config, EngineOptions(), cluster)
     custom = dataclasses.replace(
         comp, parse=type("CustomParse", (KmerParse,), {})(), count=type("CustomCount", (TableCount,), {})()
     )

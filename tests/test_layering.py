@@ -304,6 +304,16 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "topology.py:2: 'injection_bw: float' is defined once, in machines/network.py" in proc.stdout
 
+    def test_flags_second_fastq_framing_rule(self, tmp_path):
+        """``next_fastq_record`` frames a FASTQ record; the byte-range reader's boundary scan must not copy it."""
+        root = self._tree(tmp_path, "")
+        (root / "dna" / "fastq.py").write_text("if len(qual) != len(seq):\n    raise ValueError(where(3))\n")
+        assert run_checker(root).returncode == 0
+        (root / "dna" / "parallel_io.py").write_text("if len(qual) != len(seq):\n    return False\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "parallel_io.py:1: 'len(qual) != len(seq)' is defined once, in dna/fastq.py" in proc.stdout
+
     def test_flags_second_fallback_event(self, tmp_path):
         """Strategy resolution announces the one fallback; a new silent fallback elsewhere fails the lint."""
         root = self._tree(tmp_path, "")

@@ -27,7 +27,6 @@ from repro.core.parallel import (
     resolve_spec,
     resolve_workers,
     shutdown_pools,
-    substrate_kinds,
 )
 from repro.core.stages import scheduler
 from repro.dna.datasets import load_dataset
@@ -212,8 +211,9 @@ class TestPoolMachinery:
         assert auto.kind in ("process", "seq") and auto.workers >= 1
 
     def test_substrate_registry_lists_builtins(self):
-        kinds = substrate_kinds()
-        assert {"seq", "thread", "process"} <= set(kinds)
+        """The three kinds are a fixed table of pool classes."""
+        for kind, cls in (("seq", SequentialPool), ("thread", ThreadPool), ("process", ProcessPool)):
+            assert type(get_pool(ParallelSpec(kind, 2))) is cls
 
     def test_env_error_names_env_var(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "sideways")
@@ -228,7 +228,7 @@ class TestPoolMachinery:
         assert "not the REPRO_PARALLEL environment variable" in str(exc.value)
 
     def test_unknown_substrate_kind(self):
-        with pytest.raises(ValueError, match="no execution substrate registered"):
+        with pytest.raises(ValueError, match="unknown execution substrate 'fiber'"):
             get_pool(ParallelSpec("fiber", 4))
 
 

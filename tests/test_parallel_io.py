@@ -115,6 +115,7 @@ _FRAMING_CASES = {
     "no-final-newline": b"@r1\nACGT\n+\nIIII\n@r2\nGG\n+\n!!",
     "trailing-blank-lines": b"@r1\nACGT\n+\nIIII\n@r2\nGG\n+\n!!\n\n\n\n\n\n",
     "crlf-trailing-blank-line": b"@r1\r\nACGT\r\n+\r\nIIII\r\n\r\n",
+    "crlf-no-final-newline": b"@r1\r\nACGT\r\n+\r\nIIII\r\n@r2\r\nGG\r\n+\r\n!!",
     "lowercase": b"@r1\nacgtn\n+\nIIIII\n@r2\nAcGt\n+\n@@@@\n",
     "fasta": b">r1\nACGTACGT\n>r2\nGGCC\n",
     "blank-line-between-records": b"@r1\nACGT\n+\nIIII\n\n@r2\nGG\n+\n!!\n",

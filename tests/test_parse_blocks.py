@@ -24,12 +24,13 @@ import repro.core.stages.spill as spill_mod
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.parallel import get_pool
-from repro.core.stages import registry, scheduler
+from repro.core.stages import scheduler
 from repro.dna.reads import ReadSet
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi import collectives
 from repro.mpi.topology import summit_gpu
 
+from .conftest import custom_backend
 from .golden_cases import golden_reads, summarize_result
 
 pytestmark = pytest.mark.engines
@@ -85,13 +86,7 @@ class _CustomParse:
 def custom_parse(monkeypatch):
     """Backend ``custom`` — the gpu backend with a custom parse stage — and its extraction calls."""
     calls: list[str] = []
-    for mode in ("kmer", "supermer"):
-
-        def factory(config, opts, mode=mode):
-            comp = registry.resolve(f"gpu:{mode}", config, opts)
-            return dataclasses.replace(comp, key=f"custom:{mode}", parse=_CustomParse(comp.parse, calls))
-
-        monkeypatch.setitem(registry._BACKENDS, f"custom:{mode}", factory)
+    custom_backend(monkeypatch, lambda comp: dataclasses.replace(comp, parse=_CustomParse(comp.parse, calls)))
     return calls
 
 

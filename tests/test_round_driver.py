@@ -10,9 +10,7 @@ tests pin what that buys, cell by cell against the ``staged`` cell:
 * a stream may change strategy between batches, in either direction, by
   assigning ``scheduler.opts`` and nothing else;
 * the fixes the single site gives for free: batch exchange spans carry
-  ``link_seconds``, and a one-shot mmap table is reclaimed on a raise;
-* a rank's model seconds come from the composition's *substrate*, not
-  from its backend name, on every cell.
+  ``link_seconds``, and a one-shot mmap table is reclaimed on a raise.
 """
 
 from __future__ import annotations
@@ -27,17 +25,16 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages import registry
 from repro.core.stages.buffers import SendArray, send_rounds
-from repro.core.stages.standard import CpuSubstrate, GpuSubstrate, TableCount
+from repro.core.stages.standard import TableCount
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
 from repro.gpu.segmented import SegmentedHashTable
-from repro.machines import get_machine, v100
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
 
+from .conftest import custom_backend
 from .golden_cases import batch_reads, golden_reads, summarize_counter, summarize_result
 
 pytestmark = pytest.mark.engines
@@ -162,64 +159,6 @@ def test_batch_exchange_spans_carry_link_seconds(strategy, tmp_path):
     assert exchange.meta["model_seconds"] == counter.timing.exchange
 
 
-@pytest.mark.parametrize("mode", ["kmer", "supermer"])
-@pytest.mark.parametrize("substrate", [GpuSubstrate(), CpuSubstrate()], ids=["gpu", "cpu"])
-def test_substrate_charges_under_a_custom_backend_key(substrate, mode, tmp_path, monkeypatch):
-    """The standard stages registered under a key that is not the substrate's name.
-
-    Regression: model seconds were picked from the string ``backend ==
-    "gpu"``, so a GPU composition under this key got CPU-rate parse/count
-    seconds and no kernel telemetry under ``fused=True`` (PR 15), and on
-    every strategy the CPU exchange overhead, no host-staging term and no
-    ``auto_rounds`` split.  Every cell must equal the standard-key run.
-    """
-    key = f"x{substrate.name}:{mode}"
-
-    def factory(config, opts):
-        comp = registry.resolve(f"{substrate.name}:{mode}", config, opts)
-        return dataclasses.replace(comp, key=key, backend=key.split(":")[0], substrate=substrate)
-
-    monkeypatch.setitem(registry._BACKENDS, key, factory)
-    # auto_rounds must split on the GPU substrate
-    tiny = get_machine("summit-gpu").with_overrides(device=v100().with_overrides(hbm_bytes=1024**2))
-
-    def cell(strategy, backend):
-        reg = MetricRegistry()
-        result = run_pipeline(
-            golden_reads(),
-            summit_gpu(1),
-            PipelineConfig(**(CONFIG | {"mode": mode})),
-            backend=backend,
-            options=_options(
-                strategy, tmp_path, telemetry=reg, machine=tiny, auto_rounds=True, work_multiplier=50.0
-            ),
-        )
-        kernels = {
-            name: family["samples"]
-            for name, family in reg.snapshot(include_wall=False).items()
-            if name.startswith("gpu_kernel_")
-        }
-        return (
-            result.timing,
-            result.staging_seconds,
-            result.link_seconds,
-            result.n_rounds_used,
-            result.per_rank_parse.tolist(),
-            result.per_rank_count.tolist(),
-            result.insert_stats,
-            kernels,
-        )
-
-    standard = cell("staged", substrate.name)
-    _, staging_seconds, _, n_rounds, *_, kernels = standard
-    on_gpu = substrate.name == "gpu"
-    assert bool(kernels) == on_gpu  # the GPU substrate launches kernels,
-    assert (staging_seconds > 0.0) == on_gpu  # stages through the host,
-    assert (n_rounds > 1) == on_gpu  # and splits rounds by device memory
-    for strategy in STRATEGIES:
-        assert cell(strategy, key) == standard, strategy
-
-
 class _CustomCount(TableCount):
     """A custom count stage: a ``TableCount`` subclass recording each ``count_block`` call's ranks."""
 
@@ -237,11 +176,7 @@ def test_custom_count_stage_runs_rank_by_rank_on_the_views(strategy, parallel, t
     round on the block's table, and equals the standard stage."""
     monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 18)  # several ranks per block, several blocks
 
-    def factory(config, opts):
-        comp = registry.resolve("gpu:supermer", config, opts)
-        return dataclasses.replace(comp, key="custom:supermer", count=_CustomCount(comp.plugins))
-
-    monkeypatch.setitem(registry._BACKENDS, "custom:supermer", factory)
+    custom_backend(monkeypatch, lambda comp: dataclasses.replace(comp, count=_CustomCount(comp.plugins)))
     _CustomCount.calls = calls = []
 
     def cell(backend):

@@ -17,7 +17,8 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.parallel import get_pool
-from repro.core.stages import registry, scheduler
+from repro.core.stages import scheduler
+from repro.core.stages.registry import build_composition
 from repro.core.stages.context import StageContext
 from repro.dna.reads import ReadSet, ShardRanges
 from repro.mpi.costmodel import CommCostModel
@@ -76,7 +77,7 @@ def _cases() -> dict[str, tuple[ReadSet, int]]:
 def _reference_parse(reads: ReadSet, nodes: int, config: PipelineConfig):
     """Per rank: the send buffer (items, supermer lengths) and parse seconds of its fragment copy."""
     cluster = summit_gpu(nodes)
-    comp = registry.resolve("gpu", config, EngineOptions())
+    comp = build_composition("gpu", config, EngineOptions(), cluster)
     ctx = StageContext(
         config, cluster, EngineOptions(), comp.substrate, get_pool(1), CommCostModel(cluster), TrafficStats()
     )

@@ -216,7 +216,7 @@ class TestSpillFallbacks:
         """Custom count stage: no fallback — the exchange is the residency's, whatever the count stage."""
         import dataclasses
 
-        from repro.core.stages.registry import resolve
+        from repro.core.stages.registry import build_composition
         from repro.core.stages.scheduler import RoundScheduler
         from repro.core.stages.standard import TableCount
 
@@ -225,8 +225,8 @@ class TestSpillFallbacks:
 
         config = PipelineConfig(k=15, mode="kmer")
         opts = EngineOptions(spill_dir=tmp_path, fused=True)
-        custom = dataclasses.replace(resolve("gpu:kmer", config, opts), count=CustomCount())
         cluster = summit_gpu(1)
+        custom = dataclasses.replace(build_composition("gpu:kmer", config, opts, cluster), count=CustomCount())
         with caplog.at_level(logging.INFO, logger="repro.telemetry"):
             scheduler = RoundScheduler(cluster, config, custom, opts)
             spilled = scheduler.run(genome_reads)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -16,14 +15,24 @@ from repro.core.stages import (
     PipelinePlugin,
     build_composition,
     register_stage,
-    registered_backends,
     registered_stages,
     substrate_names,
 )
 from repro.core.parallel import get_pool
+from repro.core.stages import registry as registry_mod
 from repro.core.stages.context import StageContext
-from repro.core.stages.registry import _BACKENDS, normalize_backend, register_backend, resolve, resolve_stage
-from repro.core.stages.standard import GpuSubstrate, KmerHashPartition, KmerParse, parse_block, stable_order
+from repro.core.stages.registry import normalize_backend, resolve_stage
+from repro.core.stages.standard import (
+    CpuSubstrate,
+    GpuSubstrate,
+    KmerHashPartition,
+    KmerParse,
+    MinimizerHashPartition,
+    SupermerParse,
+    TableCount,
+    parse_block,
+    stable_order,
+)
 from repro.dna.reads import ReadSet, ShardRanges
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.costmodel import CommCostModel
@@ -34,9 +43,22 @@ from repro.telemetry import MetricRegistry
 
 class TestBackendRegistry:
     def test_four_standard_backends_registered(self):
-        keys = registered_backends()
         for key in ("cpu:kmer", "cpu:supermer", "gpu:kmer", "gpu:supermer"):
-            assert key in keys
+            assert normalize_backend(key, key.partition(":")[2]) == key
+
+    @pytest.mark.parametrize(
+        "mode, parse, partition",
+        [("kmer", KmerParse, KmerHashPartition), ("supermer", SupermerParse, MinimizerHashPartition)],
+    )
+    @pytest.mark.parametrize("substrate", [GpuSubstrate, CpuSubstrate], ids=["gpu", "cpu"])
+    def test_each_cell_builds_its_stages(self, substrate, mode, parse, partition):
+        """The four (substrate, mode) cells: the mode picks parse and partition, the name the substrate."""
+        cfg = PipelineConfig(k=15, mode=mode, minimizer_len=7, window=15)
+        comp = build_composition(substrate.name, cfg, EngineOptions(), summit_gpu(1))
+        assert (type(comp.parse), type(comp.partition), type(comp.count)) == (parse, partition, TableCount)
+        assert type(comp.substrate) is substrate
+        assert comp.backend == comp.substrate.name == substrate.name
+        assert comp.plugins == () and comp.conserves_kmers
 
     def test_substrate_names(self):
         assert substrate_names() == ("cpu", "gpu")
@@ -107,15 +129,20 @@ class TestDestinationOrdering:
     def test_out_of_range_owner_is_an_error_at_parse(self, genome_reads):
         """Not ``rank 0 send_counts must have shape (P,)`` one phase later."""
 
-        def factory(config, opts):
-            return dataclasses.replace(resolve("gpu:kmer", config, opts), partition=OffByOnePartition())
+        class OffByOne(PipelinePlugin):
+            name = "offbyone-test"
 
-        register_backend("offbyone:kmer", factory)
+            def partition_stage(self):
+                return OffByOnePartition()
+
+        register_stage("offbyone-test", OffByOne)
         try:
             with pytest.raises(ValueError, match=r"OffByOnePartition assigned rank 6.*the 6 ranks"):
-                run_pipeline(genome_reads, summit_gpu(1), PipelineConfig(k=15), backend="offbyone")
+                run_pipeline(
+                    genome_reads, summit_gpu(1), PipelineConfig(k=15), options=EngineOptions(stages=("offbyone-test",))
+                )
         finally:
-            del _BACKENDS["offbyone:kmer"]
+            registry_mod._STAGES.pop("offbyone-test", None)
 
     def test_negative_owner_is_an_error(self):
         """A negative owner in a later shard of a block would file its item under the shard before."""
@@ -196,8 +223,6 @@ class TestStageRegistry:
             )
             assert with_plugin.spectrum.equals(base.spectrum)
         finally:
-            from repro.core.stages import registry as registry_mod
-
             registry_mod._STAGES.pop("noop-test", None)
 
     def test_conflicting_partition_overrides_rejected(self):
@@ -217,8 +242,6 @@ class TestStageRegistry:
                     "gpu", cfg, EngineOptions(stages=("balanced", "other-balanced")), summit_gpu(1)
                 )
         finally:
-            from repro.core.stages import registry as registry_mod
-
             registry_mod._STAGES.pop("other-balanced", None)
 
 

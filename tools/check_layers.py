@@ -16,8 +16,9 @@ Enforced statically over the AST, including imports deferred into
 function bodies.  ``if TYPE_CHECKING:`` blocks are exempt: annotations
 may reference higher layers (e.g. ``mpi.collectives`` typing against
 ``core.parallel.RankPool``) without creating a runtime edge.  Note the
-stage registry's lazy backend discovery keeps ``core`` free of any
-static ``ext`` import — that is by design, not an oversight.
+stage registry imports ``repro.ext.stages`` by name (``importlib``), so
+``core`` keeps free of any static ``ext`` import — that is by design,
+not an oversight.
 
 A second, textual check keeps the bit-identity contract's formulas
 defined once (``SINGLE_DEFINITIONS``): the emitters of the telemetry
@@ -44,6 +45,8 @@ one wall summary (busy / elapsed / overlap), the one silent fallback
 (an ``engine.*.fallback`` event, in strategy resolution) and the one
 declaration of the interconnect (``injection_bw: float``, a
 ``NetworkSpec`` field, so no machine or cluster spec mirrors it again)
+and the FASTQ framing rule's length test (``next_fastq_record``, which
+the byte-range reader's boundary scan calls too)
 may each appear in their owning file only, so neither the scheduler nor
 the spool nor a report can regrow a private copy.
 
@@ -109,6 +112,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("merge_counts(", "core", "core/stages/standard.py", False),
     ("sort_pairs(", "", "gpu/hashtable.py", False),
     ("injection_bw: float", "", "machines/network.py", True),
+    ("len(qual) != len(seq)", "", "dna/fastq.py", True),
 ]
 
 
