@@ -69,5 +69,5 @@ def run_pipeline(
     engines; only families registered as wall metrics may differ.
     """
     opts = options or EngineOptions()
-    composition = build_composition(backend, config, opts, cluster)
+    composition = build_composition(backend, config, opts)
     return RoundScheduler(cluster, config, composition, opts).run(reads)

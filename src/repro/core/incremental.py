@@ -63,7 +63,7 @@ class DistributedCounter:
         self.cluster = cluster
         self.config = config or PipelineConfig()
         self.options = options or EngineOptions()
-        self._composition = build_composition(backend, self.config, self.options, cluster)
+        self._composition = build_composition(backend, self.config, self.options)
         self.backend = self._composition.backend
         self._scheduler = RoundScheduler(cluster, self.config, self._composition, self.options)
         self._state = PipelineState.fresh(cluster.n_ranks, self.config.table_seed)

@@ -56,7 +56,7 @@ def staged_rank_program(
     """
     opts = EngineOptions()
     cluster = ClusterSpec("spmd", n_nodes=1, ranks_per_node=comm.size)
-    comp = composition if composition is not None else build_composition("gpu", config, opts, cluster)
+    comp = composition if composition is not None else build_composition("gpu", config, opts)
     ctx = StageContext(
         config=config,
         cluster=cluster,

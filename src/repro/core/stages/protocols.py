@@ -175,5 +175,5 @@ class PipelinePlugin:
     def adjust_merge_items(
         self, values: np.ndarray, counts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Adjust one table partition's (values, counts) at merge time."""
+        """Adjust one table partition's (values, counts) at merge time, keeping its length."""
         return values, counts

@@ -37,7 +37,6 @@ from .standard import (
 )
 
 if TYPE_CHECKING:
-    from ...mpi.topology import ClusterSpec
     from .context import EngineOptions
 
 __all__ = [
@@ -160,12 +159,7 @@ def resolve_stage(name: str, mode: str) -> PipelinePlugin:
 # -- composition builder ------------------------------------------------------
 
 
-def build_composition(
-    backend: str,
-    config: PipelineConfig,
-    opts: "EngineOptions",
-    cluster: "ClusterSpec",
-) -> StageComposition:
+def build_composition(backend: str, config: PipelineConfig, opts: "EngineOptions") -> StageComposition:
     """Resolve backend + requested extension stages into one composition."""
     substrate = _SUBSTRATE_OF[normalize_backend(backend, config.mode).partition(":")[0]]
     if config.mode == "kmer":

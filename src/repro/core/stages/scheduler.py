@@ -186,7 +186,8 @@ class PipelineState:
         path = Path(path)
         p = len(self.tables)
         records = self.traffic.records
-        bitmaps, keys, counts = zip(*(dump_slots(t.keys, t.counts) for t in self.tables))
+        # One dump per block table: its regions end to end, the per-rank dumps' bytes concatenated.
+        bitmaps, keys, counts = zip(*(dump_slots(t.keys, t.counts) for _, _, t in view_blocks(self.tables)))
         no_items = np.zeros((p, p), dtype=np.int64)
         payload: dict[str, np.ndarray] = {
             "version": np.array([_CHECKPOINT_VERSION]),

@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import shutil
-import tempfile
 import threading
 import zlib
 from pathlib import Path
@@ -63,7 +61,7 @@ from time import perf_counter
 import numpy as np
 
 from ...gpu.hashtable import SegmentedRankView
-from ...gpu.segmented import SegmentedHashTable, table_blocks, view_blocks
+from ...gpu.segmented import OWNER_FILE, SegmentedHashTable, owned_dir, release_dir, table_blocks, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import SegmentBlock, account_alltoallv
 from ...telemetry import active, event
@@ -195,8 +193,7 @@ class SpillSpool:
     """
 
     def __init__(self, base_dir: Path, *, arena: ScratchArena | None = None) -> None:
-        base_dir.mkdir(parents=True, exist_ok=True)
-        self.dir = Path(tempfile.mkdtemp(prefix="spool-", dir=base_dir))
+        self.dir, self._owner = owned_dir(base_dir, "spool-")
         self.arena = arena
         self.bytes_written = 0
         self.bytes_read = 0
@@ -398,7 +395,7 @@ class SpillSpool:
 
     def pending_files(self) -> tuple[int, int]:
         """(file count, total bytes) still sitting in the spool directory."""
-        files = [p for p in self.dir.iterdir() if p.is_file()] if self.dir.exists() else []
+        files = [p for p in self.dir.iterdir() if p.is_file() and p.name != OWNER_FILE] if self.dir.exists() else []
         return len(files), sum(p.stat().st_size for p in files)
 
     def close(self, *, failed: bool = False) -> None:
@@ -421,7 +418,20 @@ class SpillSpool:
         for seg in self._segments.values():
             os.close(seg.fd)
         self._segments.clear()
-        shutil.rmtree(self.dir, ignore_errors=True)
+        if self._owner is not None:
+            release_dir(self.dir, self._owner)
+            self._owner = None
+
+
+class _RunFile:
+    """One run file as a deferred merge pair: its entry count from the spool's index, its pairs mapped on call."""
+
+    def __init__(self, spool: SpillSpool, rank0: int) -> None:
+        self.spool, self.rank0 = spool, rank0
+        self.entries = spool._run_files[rank0][1]
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.spool.map_run(self.rank0)
 
 
 def external_merge(runs: list[tuple[np.ndarray, np.ndarray]], k: int) -> KmerSpectrum:
@@ -655,8 +665,13 @@ class Resident:
         return entries, loads
 
     def merge(self) -> tuple[str, KmerSpectrum]:
-        """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the block dumps."""
-        return self.merge_leaf, merge_items(self._runs(), self.sched.config.k, self.sched.comp.plugins)
+        """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the block dumps.
+
+        The dumps are handed over, not kept: the merge frees each block's
+        pairs once it has copied them.
+        """
+        runs, self.dumps = self._runs(), []
+        return self.merge_leaf, merge_items(runs, self.sched.config.k, self.sched.comp.plugins)
 
 
 class Spooled(Resident):
@@ -728,5 +743,6 @@ class Spooled(Resident):
         self.spool.index_runs(r0, r1 - r0, *dump)  # again: an out-of-process worker indexed its own copy
         self.dumps.append(r0)
 
-    def _runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [self.spool.map_run(r0) for r0 in self.dumps]
+    def _runs(self) -> list:
+        """Every block's run file as a deferred pair: :func:`merge_items` maps one at a time."""
+        return [_RunFile(self.spool, r0) for r0 in self.dumps]

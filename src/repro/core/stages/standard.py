@@ -497,29 +497,44 @@ class TableCount:
 # ---------------------------------------------------------------------------
 
 
-def merge_items(
-    pairs: list[tuple[np.ndarray, np.ndarray]], k: int, plugins: tuple[PipelinePlugin, ...] = ()
-) -> KmerSpectrum:
+def merge_items(pairs: list, k: int, plugins: tuple[PipelinePlugin, ...] = ()) -> KmerSpectrum:
     """Fold table partitions' ``(values, counts)`` pairs, in any order, into the sorted spectrum.
 
     Partitioning guarantees disjoint key sets across ranks in both modes,
     but canonical supermer mode can split a canonical k-mer across two
     owners (its two strands hash to different minimizers), so duplicates
     are aggregated rather than assumed absent.  Each plugin may adjust
-    each pair first (the Bloom filter restores the occurrence that armed
-    it, one per entry); the pairs need not be sorted.
+    each pair first, keeping its length (the Bloom filter restores the
+    occurrence that armed it, one per entry); the pairs need not be sorted.
+
+    The merge takes ownership of the ``pairs`` list: it allocates one key
+    and one count array from the entry counts, copies each pair into them
+    and clears the pair's slot at once, then sorts and folds inside those
+    two arrays (:func:`~repro.gpu.hashtable.merge_counts`, ``consume``) —
+    so its working set is the pairs not yet copied plus two arrays, not
+    the pairs beside their concatenation and the sort's copies.  An item
+    may also be a deferred pair: a callable with an ``entries`` count that
+    returns the pair when the merge reaches it (a spooled run file, mapped
+    one at a time).
     """
-    adjusted = []
-    for values, counts in pairs:
+    total = sum(pair.entries if callable(pair) else pair[0].shape[0] for pair in pairs)
+    keys = np.empty(total, dtype=np.uint64)
+    counts = np.empty(total, dtype=np.int64)
+    at = 0
+    for i, pair in enumerate(pairs):
+        pairs[i] = None
+        values, weights = pair() if callable(pair) else pair
+        del pair
         for plugin in plugins:
-            values, counts = plugin.adjust_merge_items(values, counts)
-        adjusted.append((values, counts))
-    if not adjusted:
-        return KmerSpectrum(k=k, values=np.empty(0, dtype=np.uint64), counts=np.empty(0, dtype=np.int64))
-    values, counts = merge_counts(
-        np.concatenate([v for v, _ in adjusted]), np.concatenate([c for _, c in adjusted])
-    )
-    return KmerSpectrum(k=k, values=values, counts=counts)
+            values, weights = plugin.adjust_merge_items(values, weights)
+        keys[at : at + values.shape[0]] = values
+        counts[at : at + values.shape[0]] = weights
+        at += values.shape[0]
+        del values, weights
+    if at != total:
+        raise ValueError("adjust_merge_items must keep each pair's length")
+    keys, counts = merge_counts(keys, counts, consume=True)
+    return KmerSpectrum(k=k, values=keys, counts=counts)
 
 
 def merge_partitions(

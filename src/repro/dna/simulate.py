@@ -204,13 +204,28 @@ class ReadSimulator:
         return read_set
 
 
+#: Uniforms :func:`_apply_substitutions` draws at a time (8 MiB of float64).
+SUBSTITUTION_CHUNK = 1 << 20
+
+
 def _apply_substitutions(reads: ReadSet, rate: float, rng: np.random.Generator) -> ReadSet:
-    """Flip each base to one of the other three with probability ``rate``."""
+    """Flip each base to one of the other three with probability ``rate``.
+
+    One uniform per code, drawn :data:`SUBSTITUTION_CHUNK` at a time — a
+    chunked ``Generator.random`` gives the stream one draw would — keeping
+    only the flip positions, so the working set is one chunk and the
+    flips, not a float64 per base.
+    """
     codes = reads.codes.copy()
-    base_mask = codes < 4  # never mutate sentinels
-    flips = (rng.random(codes.shape[0]) < rate) & base_mask
+    flips = [np.empty(0, dtype=np.int64)]
+    for start in range(0, codes.shape[0], SUBSTITUTION_CHUNK):
+        chunk = codes[start : start + SUBSTITUTION_CHUNK]
+        hit = rng.random(chunk.shape[0]) < rate
+        hit &= chunk < 4  # never mutate sentinels
+        flips.append(np.flatnonzero(hit) + start)
+    flips = np.concatenate(flips)
     # Add 1..3 mod 4 guarantees the substituted base differs from the original.
-    deltas = rng.integers(1, 4, size=int(flips.sum()), dtype=np.uint8)
+    deltas = rng.integers(1, 4, size=flips.shape[0], dtype=np.uint8)
     codes[flips] = (codes[flips] + deltas) % 4
     return ReadSet(codes=codes, offsets=reads.offsets, lengths=reads.lengths)
 

@@ -54,6 +54,7 @@ class SortingCounter:
         self.values, self.counts = merge_counts(
             np.concatenate([self.values, kmers]),
             np.concatenate([self.counts, np.ones(kmers.shape[0], dtype=np.int64)]),
+            consume=True,
         )
 
     @property

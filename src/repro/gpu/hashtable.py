@@ -154,7 +154,9 @@ def dedup_batch(vals: np.ndarray, wts: np.ndarray | None) -> tuple[np.ndarray, n
     return keys[starts], np.diff(starts, append=keys.shape[0])
 
 
-def sort_pairs(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sort_pairs(
+    keys: np.ndarray, counts: np.ndarray, *, consume: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, counts)`` ordered by key, as new arrays: the one pair sort.
 
     When a key and its count fit one 64-bit word together — always at the
@@ -164,6 +166,12 @@ def sort_pairs(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nda
     keys then come out ordered by count, which no sum can see.  Otherwise
     (or for a negative count, 64 bits as a word) an argsort and two
     gathers.
+
+    ``consume=True`` hands both arrays over (uint64 keys, int64 counts,
+    neither read again by the caller): the words are packed into ``keys``
+    and the sorted keys unpacked into ``counts``, so the packed sort
+    allocates nothing as large as its input, and the results are views of
+    the two arrays with their roles swapped.
     """
     counts = counts.astype(np.int64, copy=False)
     if keys.shape[0] == 0:
@@ -174,27 +182,30 @@ def sort_pairs(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nda
         order = np.argsort(keys)
         return keys[order], counts[order]
     shift = np.uint64(count_bits)
-    packed = np.left_shift(keys, shift)
+    packed = np.left_shift(keys, shift, out=keys if consume else None)
     np.bitwise_or(packed, counts.view(np.uint64), out=packed)
     packed.sort()
-    keys = packed >> shift
+    keys = np.right_shift(packed, shift, out=counts.view(np.uint64) if consume else None)
     np.bitwise_and(packed, np.uint64((1 << count_bits) - 1), out=packed)
     return keys, packed.view(np.int64)
 
 
-def merge_counts(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def merge_counts(
+    keys: np.ndarray, counts: np.ndarray, *, consume: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``keys`` and each one's summed ``counts``: the one pair fold.
 
     Exact in int64 at any count: one pair sort (:func:`sort_pairs`, a
-    packed-word sort at k = 17), then — only when a key repeats — one
+    packed-word sort at k = 17; ``consume`` as there), one boolean pass
+    that asks whether a key repeats, and — only when one does — one
     ``reduceat`` over the runs of equal keys.  The engine's merge
     (``standard.merge_items``), a weighted insert's dedup and the
     sort-based counter all fold through it.
     """
-    keys, counts = sort_pairs(keys, counts)
-    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    if starts.shape[0] + 1 >= keys.shape[0]:  # no key repeats (or nothing at all)
+    keys, counts = sort_pairs(keys, counts, consume=consume)
+    if not (keys[1:] == keys[:-1]).any():  # no key repeats (or nothing at all)
         return keys, counts
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     starts = np.concatenate(([0], starts))
     return keys[starts], np.add.reduceat(counts, starts)
 
@@ -335,7 +346,7 @@ def occupied_slots(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
 
 def sorted_items(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The occupied ``(key, count)`` pairs of one region, sorted by key."""
-    return sort_pairs(*occupied_slots(keys, counts))
+    return sort_pairs(*occupied_slots(keys, counts), consume=True)
 
 
 def dump_slots(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

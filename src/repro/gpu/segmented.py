@@ -35,6 +35,8 @@ regrow is handed back as the generation it wrote (:meth:`slabs`).
 
 from __future__ import annotations
 
+import fcntl
+import os
 import shutil
 import tempfile
 import weakref
@@ -42,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..telemetry import event
 from .hashtable import (
     EMPTY_KEY,
     InsertStats,
@@ -59,7 +62,15 @@ from .hashtable import (
     sorted_items,
 )
 
-__all__ = ["SegmentedHashTable", "SegmentedRankView", "rank_blocks", "table_blocks", "view_blocks"]
+__all__ = [
+    "SegmentedHashTable",
+    "SegmentedRankView",
+    "owned_dir",
+    "rank_blocks",
+    "release_dir",
+    "table_blocks",
+    "view_blocks",
+]
 
 #: The fused probe loop gathers/scatters randomly within each rank's
 #: region.  Spanning all P regions at once blows the cache, so inserts run
@@ -103,6 +114,66 @@ def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
     return rank_blocks((slots * 16).astype(np.int64), INSERT_BLOCK_BYTES)
 
 
+#: The file in an :func:`owned_dir` directory whose ``flock`` says its owner is alive.
+OWNER_FILE = ".owner"
+
+#: The private directories :func:`owned_dir` makes: a table's slabs and a spool.
+_OWNED_PREFIXES = ("spool-", "table-")
+
+
+def owned_dir(base: Path, prefix: str) -> tuple[Path, int]:
+    """A new private directory ``base/<prefix>…`` and the descriptor holding its owner lock.
+
+    The directory is made under a hidden name, its :data:`OWNER_FILE`
+    locked (``flock``, exclusive: held until :func:`release_dir`, dropped
+    by the kernel when the process dies), then renamed to ``<prefix>…``,
+    so a ``spool-``/``table-`` directory is never seen half made.  The
+    directories a killed run left in ``base`` — named so, owner lock free
+    — are removed first (:func:`_reclaim`).
+    """
+    base.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix="." + prefix, dir=base))
+    fd = os.open(staging / OWNER_FILE, os.O_RDONLY | os.O_CREAT, 0o600)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    path = staging.with_name(staging.name[1:])
+    os.rename(staging, path)
+    _reclaim(base, keep=path)
+    return path, fd
+
+
+def release_dir(path: Path, fd: int) -> None:
+    """Remove an :func:`owned_dir` directory, then drop its owner lock."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.close(fd)
+
+
+def _reclaim(base: Path, *, keep: Path) -> None:
+    """Remove every directory of ``base`` an :func:`owned_dir` made whose owner lock is free.
+
+    A directory without an owner file is not ours (or its owner is
+    removing it) and stays.  What is removed is announced as one
+    ``engine.spill.reclaim`` event.
+    """
+    n_dirs = n_bytes = 0
+    for path in base.iterdir():
+        if path == keep or not path.name.startswith(_OWNED_PREFIXES):
+            continue
+        try:
+            fd = os.open(path / OWNER_FILE, os.O_RDONLY)
+        except OSError:
+            continue
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            n_bytes += sum(entry.stat().st_size for entry in os.scandir(path) if entry.is_file())
+        except OSError:  # its owner is alive, or it was removed meanwhile
+            os.close(fd)
+            continue
+        release_dir(path, fd)
+        n_dirs += 1
+    if n_dirs:
+        event("engine.spill.reclaim", subsystem="engine", dirs=n_dirs, bytes=n_bytes, dir=str(base))
+
+
 class SegmentedHashTable:
     """A block of ranks' counting tables in one keys/counts allocation."""
 
@@ -131,10 +202,8 @@ class SegmentedHashTable:
         self._slab_paths: tuple[Path, ...] = ()
         self._finalizer = None
         if table_dir is not None:
-            base = Path(table_dir)
-            base.mkdir(parents=True, exist_ok=True)
-            self._table_dir = Path(tempfile.mkdtemp(prefix="table-", dir=base))
-            self._finalizer = weakref.finalize(self, shutil.rmtree, self._table_dir, True)
+            self._table_dir, owner = owned_dir(Path(table_dir), "table-")
+            self._finalizer = weakref.finalize(self, release_dir, self._table_dir, owner)
 
     def _set_regions(self, capacities: np.ndarray) -> None:
         self.capacities = capacities

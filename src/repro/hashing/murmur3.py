@@ -28,6 +28,7 @@ __all__ = [
     "murmur3_x64_128",
     "hash_kmer",
     "hash_kmers_batch",
+    "hash_with_scratch",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -73,15 +74,21 @@ _FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
 
 
+def _fmix64_into(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`fmix64` of the uint64 array ``h`` in place, each shift into ``scratch``; returns ``h``."""
+    for multiplier in (_FMIX_C1, _FMIX_C2):
+        np.right_shift(h, _S33, out=scratch)
+        h ^= scratch
+        h *= multiplier
+    np.right_shift(h, _S33, out=scratch)
+    h ^= scratch
+    return h
+
+
 def fmix64_batch(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`fmix64` over a uint64 array."""
-    h = np.asarray(values, dtype=np.uint64).copy()
-    h ^= h >> _S33
-    h *= _FMIX_C1
-    h ^= h >> _S33
-    h *= _FMIX_C2
-    h ^= h >> _S33
-    return h
+    h = np.array(values, dtype=np.uint64)
+    return _fmix64_into(h, np.empty_like(h))
 
 
 def murmur3_x86_32(data: bytes, seed: int = 0) -> int:
@@ -175,7 +182,19 @@ def hash_kmer(value: int, seed: int = 0) -> int:
     return fmix64((value ^ fmix64(seed)) & _MASK64)
 
 
+def hash_with_scratch(values: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hash_kmers_batch` of ``values``, and the spent scratch array it mixed through.
+
+    Two uint64 arrays the size of the input, where a mix through
+    temporaries holds three; a caller with more uint64 work to do (the
+    owner reduction, :func:`~repro.hashing.partition.owners_of`) reuses
+    the scratch.
+    """
+    h = np.bitwise_xor(np.asarray(values, dtype=np.uint64), np.uint64(fmix64(seed)))
+    scratch = np.empty_like(h)
+    return _fmix64_into(h, scratch), scratch
+
+
 def hash_kmers_batch(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized :func:`hash_kmer` over a uint64 array."""
-    seeded = np.asarray(values, dtype=np.uint64) ^ np.uint64(fmix64(seed))
-    return fmix64_batch(seeded)
+    return hash_with_scratch(values, seed)[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .murmur3 import fmix64, hash_kmers_batch
+from .murmur3 import fmix64, hash_with_scratch
 
 __all__ = ["owner_of", "owners_of", "KmerPartitioner", "MinimizerPartitioner"]
 
@@ -40,12 +40,16 @@ def owners_of(values: np.ndarray, n_procs: int, seed: int = 0) -> np.ndarray:
 
     ``hash mod P`` as ``h - (h // P) * P``, in place: NumPy vectorises a
     uint64 floor division by a scalar but not the remainder (~0.5 against
-    ~3.5 ns per word).
+    ~3.5 ns per word).  The quotient goes into the hash's spent scratch
+    array, so the reduction holds two uint64 arrays, not three.
     """
     if n_procs < 1:
         raise ValueError("n_procs must be positive")
-    h, p = hash_kmers_batch(values, seed=seed), np.uint64(n_procs)
-    h -= h // p * p
+    (h, q), p = hash_with_scratch(values, seed), np.uint64(n_procs)
+    np.floor_divide(h, p, out=q)
+    q *= p
+    h -= q
+    del q
     return h.astype(np.int32)
 
 

@@ -63,9 +63,9 @@ def custom_backend(monkeypatch, edit) -> None:
 
     build = engine.build_composition
 
-    def build_custom(backend, config, opts, cluster):
+    def build_custom(backend, config, opts):
         if backend != "custom":
-            return build(backend, config, opts, cluster)
-        return edit(build("gpu", config, opts, cluster))
+            return build(backend, config, opts)
+        return edit(build("gpu", config, opts))
 
     monkeypatch.setattr(engine, "build_composition", build_custom)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import logging
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.gpu.segmented import OWNER_FILE
 from repro.kmers.kmerdb import read_kmerdb
 
 
@@ -206,6 +212,67 @@ class TestTableDir:
         table_dir = out[out.index("\n  --table-dir DIR") :]  # its entry under options, not the usage line
         table_dir = table_dir[: table_dir.index("\n  -", 1)]
         assert "np.memmap" in table_dir and "fused" not in table_dir
+
+
+class TestCrashDebris:
+    """A killed ``count`` leaves its ``spool-*``/``table-*`` directories; the next run reclaims those no one owns."""
+
+    #: Holds an exclusive ``flock`` on the file named by ``argv[1]`` until its stdin closes.
+    _HOLDER = (
+        "import fcntl, os, sys\n"
+        "fd = os.open(sys.argv[1], os.O_RDONLY)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+        "print('locked', flush=True)\n"
+        "sys.stdin.read()\n"
+    )
+
+    @staticmethod
+    def _debris(base: Path, name: str) -> Path:
+        """A directory as a SIGKILLed run leaves it: an owner file no process locks, beside 4 KiB of data."""
+        path = base / name
+        path.mkdir(parents=True)
+        (path / OWNER_FILE).touch()
+        (path / "keys.g1.bin").write_bytes(bytes(4096))
+        return path
+
+    @staticmethod
+    def _count(fastq, tsv, *extra) -> bytes:
+        argv = ["count", "--input", str(fastq), "-k", "15", "--nodes", "2", "--out-tsv", str(tsv), *extra]
+        assert main(argv) == 0
+        return tsv.read_bytes()
+
+    def test_stale_spool_and_table_directories_are_reclaimed(self, fastq, tmp_path, caplog):
+        clean = self._count(fastq, tmp_path / "clean.tsv")
+        spool, tables = tmp_path / "spool", tmp_path / "tables"
+        self._debris(spool, "spool-x")
+        self._debris(tables, "table-y")
+        with caplog.at_level(logging.INFO, logger="repro.telemetry"):
+            rerun = self._count(fastq, tmp_path / "rerun.tsv", "--spill", str(spool), "--table-dir", str(tables))
+        assert rerun == clean
+        assert list(spool.iterdir()) == [] and list(tables.iterdir()) == []
+        reclaims = sorted(rec.message for rec in caplog.records if "engine.spill.reclaim" in rec.message)
+        assert reclaims == [
+            f"engine.spill.reclaim dirs=1 bytes=4096 dir={base}" for base in sorted((str(spool), str(tables)))
+        ]
+
+    def test_a_directory_whose_owner_lives_is_kept(self, fastq, tmp_path):
+        spool = tmp_path / "spool"
+        live = self._debris(spool, "spool-live")
+        self._debris(spool, "spool-stale")
+        holder = subprocess.Popen(
+            [sys.executable, "-c", self._HOLDER, str(live / OWNER_FILE)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            self._count(fastq, tmp_path / "counts.tsv", "--spill", str(spool))
+        finally:
+            holder.stdin.close()
+            holder.wait(timeout=30)
+        assert [p.name for p in spool.iterdir()] == ["spool-live"]
+        assert sorted(p.name for p in live.iterdir()) == [OWNER_FILE, "keys.g1.bin"]
 
 
 class TestDistance:

@@ -349,7 +349,7 @@ def _resolved(**opt_kw) -> str:
 
     config = PipelineConfig(k=15, mode="kmer")
     opts = EngineOptions(**opt_kw)
-    comp = build_composition("gpu:kmer", config, opts, summit_gpu(1))
+    comp = build_composition("gpu:kmer", config, opts)
     return RoundScheduler(summit_gpu(1), config, comp, opts).resolve_strategy().name
 
 
@@ -396,7 +396,7 @@ def test_custom_stages_resolve_to_the_cell_asked_for(caplog):
     reads = simulate_dataset(genome_length=3000, coverage=3, seed=5)
     cluster = summit_gpu(1)
     staged = run_pipeline(reads, cluster, config, backend="gpu", options=EngineOptions())
-    comp = build_composition("gpu:kmer", config, EngineOptions(), cluster)
+    comp = build_composition("gpu:kmer", config, EngineOptions())
     custom = dataclasses.replace(
         comp, parse=type("CustomParse", (KmerParse,), {})(), count=type("CustomCount", (TableCount,), {})()
     )

@@ -314,6 +314,21 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "parallel_io.py:1: 'len(qual) != len(seq)' is defined once, in dna/fastq.py" in proc.stdout
 
+    def test_flags_second_owner_reduction(self, tmp_path):
+        """``hash mod P`` is ``owners_of``'s (hashing/partition.py), reduced in the hash's scratch array."""
+        root = self._tree(tmp_path, "")
+        (root / "hashing").mkdir()
+        (root / "hashing" / "__init__.py").write_text("")
+        partition = root / "hashing" / "partition.py"
+        partition.write_text("np.floor_divide(h, p, out=q)\nq *= p\nh -= q\n")
+        assert run_checker(root).returncode == 0
+        (root / "hashing" / "murmur3.py").write_text("np.floor_divide(h, p, out=q)\n")
+        partition.write_text("h -= h // p * p\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "murmur3.py:1: 'np.floor_divide(h, p, out=q)' is defined once, in hashing/partition.py" in proc.stdout
+        assert "partition.py: owner of 'np.floor_divide(h, p, out=q)' no longer contains it" in proc.stdout
+
     def test_flags_second_fallback_event(self, tmp_path):
         """Strategy resolution announces the one fallback; a new silent fallback elsewhere fails the lint."""
         root = self._tree(tmp_path, "")

@@ -77,7 +77,7 @@ def _cases() -> dict[str, tuple[ReadSet, int]]:
 def _reference_parse(reads: ReadSet, nodes: int, config: PipelineConfig):
     """Per rank: the send buffer (items, supermer lengths) and parse seconds of its fragment copy."""
     cluster = summit_gpu(nodes)
-    comp = build_composition("gpu", config, EngineOptions(), cluster)
+    comp = build_composition("gpu", config, EngineOptions())
     ctx = StageContext(
         config, cluster, EngineOptions(), comp.substrate, get_pool(1), CommCostModel(cluster), TrafficStats()
     )

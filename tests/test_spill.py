@@ -26,6 +26,7 @@ from repro.core.stages.spill import SpillSpool, Spooled
 from repro.core.stages.standard import merge_items
 from repro.dna.reads import ReadSet
 from repro.dna.simulate import GenomeSimulator, ReadLengthProfile, ReadSimulator
+from repro.gpu.segmented import OWNER_FILE
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_cpu, summit_gpu
 from repro.telemetry import MetricRegistry
@@ -226,7 +227,7 @@ class TestSpillFallbacks:
         config = PipelineConfig(k=15, mode="kmer")
         opts = EngineOptions(spill_dir=tmp_path, fused=True)
         cluster = summit_gpu(1)
-        custom = dataclasses.replace(build_composition("gpu:kmer", config, opts, cluster), count=CustomCount())
+        custom = dataclasses.replace(build_composition("gpu:kmer", config, opts), count=CustomCount())
         with caplog.at_level(logging.INFO, logger="repro.telemetry"):
             scheduler = RoundScheduler(cluster, config, custom, opts)
             spilled = scheduler.run(genome_reads)
@@ -387,7 +388,7 @@ class TestMmapTable:
             rk, rc = resident.items_of(r)
             assert np.array_equal(mk, rk) and np.array_equal(mc, rc)
         # Exactly one live slab generation per array on disk.
-        names = sorted(p.name for p in mapped.backing_dir.iterdir())
+        names = sorted(p.name for p in mapped.backing_dir.iterdir() if p.name != OWNER_FILE)
         assert len(names) == 2
         assert names[0].startswith("counts.g") and names[1].startswith("keys.g")
 
@@ -471,7 +472,9 @@ class TestMmapTable:
                     blocks = segmented.view_blocks(counter.tables)
                     assert len(blocks) > 1
                     for _, _, table in blocks:  # mapped from one live slab generation, not RAM copies of it
-                        counts_file, keys_file = sorted(table.backing_dir.iterdir())
+                        counts_file, keys_file = sorted(
+                            p for p in table.backing_dir.iterdir() if p.name != OWNER_FILE
+                        )
                         mapped = getattr(table.keys, "filename", None), getattr(table.counts, "filename", None)
                         assert mapped == (keys_file, counts_file)
                 assert summarize_counter(counter) == in_ram_summary, (parallel, spill)
@@ -831,6 +834,17 @@ class TestExternalMerge:
         merged = merge_items(self._recut(runs, chunk), 15)
         assert merged.values.tolist() == [1, 5, 9, 12]
         assert merged.counts.tolist() == [2, 13, 105, 1]
+
+    def test_a_plugin_that_changes_a_pairs_length_is_an_error(self):
+        """The merge sizes its arrays from the entry counts: an adjustment must keep each pair's length."""
+
+        class Dropping:
+            def adjust_merge_items(self, values, counts):
+                return values[1:], counts[1:]
+
+        runs = [(np.array([1, 2], dtype=np.uint64), np.array([1, 1], dtype=np.int64))]
+        with pytest.raises(ValueError, match="keep each pair's length"):
+            merge_items(runs, 15, (Dropping(),))
 
     def test_single_run_passthrough(self):
         keys = np.arange(10, dtype=np.uint64)

@@ -95,7 +95,7 @@ class TestCompositions:
     def test_owner_outside_the_run_raises(self, genome_reads, mode, p):
         """An owner past the last rank is the BSP's error, never a silently shorter spectrum."""
         cfg = PipelineConfig(k=17, mode=mode, minimizer_len=7, window=15)
-        comp = build_composition("gpu", cfg, EngineOptions(), _cluster(p))
+        comp = build_composition("gpu", cfg, EngineOptions())
         comp.partition = _StrayOwner(comp.partition)
         ranges = ShardRanges.of(genome_reads, p, cfg.k - 1)
         message = f"partition stage _StrayOwner assigned rank {p}, outside the {p} ranks of the run"
@@ -108,7 +108,7 @@ class TestCompositions:
         cfg = PipelineConfig(k=17, mode=mode, minimizer_len=7, window=15)
         opts = EngineOptions(stages=("bloom",), parallel=1)
         bsp = run_pipeline(genome_reads, _cluster(p), cfg, options=opts)
-        comp = build_composition("gpu", cfg, opts, _cluster(p))
+        comp = build_composition("gpu", cfg, opts)
         for plugin in comp.plugins:  # the one-time pre-pass the scheduler runs
             plugin.prepare(genome_reads, cfg, _cluster(p), opts)
         ranges = ShardRanges.of(genome_reads, p, cfg.k - 1)

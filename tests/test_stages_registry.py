@@ -54,7 +54,7 @@ class TestBackendRegistry:
     def test_each_cell_builds_its_stages(self, substrate, mode, parse, partition):
         """The four (substrate, mode) cells: the mode picks parse and partition, the name the substrate."""
         cfg = PipelineConfig(k=15, mode=mode, minimizer_len=7, window=15)
-        comp = build_composition(substrate.name, cfg, EngineOptions(), summit_gpu(1))
+        comp = build_composition(substrate.name, cfg, EngineOptions())
         assert (type(comp.parse), type(comp.partition), type(comp.count)) == (parse, partition, TableCount)
         assert type(comp.substrate) is substrate
         assert comp.backend == comp.substrate.name == substrate.name
@@ -215,7 +215,7 @@ class TestStageRegistry:
         register_stage("noop-test", DropNothing, description="test no-op")
         try:
             cfg = PipelineConfig(k=15)
-            comp = build_composition("gpu", cfg, EngineOptions(stages=("noop-test",)), summit_gpu(1))
+            comp = build_composition("gpu", cfg, EngineOptions(stages=("noop-test",)))
             assert [p.name for p in comp.plugins] == ["noop-test"]
             base = run_pipeline(genome_reads, summit_gpu(1), cfg)
             with_plugin = run_pipeline(
@@ -238,9 +238,7 @@ class TestStageRegistry:
         try:
             cfg = PipelineConfig(k=15, mode="supermer", minimizer_len=5, window=9)
             with pytest.raises(ValueError, match="both override the partition stage"):
-                build_composition(
-                    "gpu", cfg, EngineOptions(stages=("balanced", "other-balanced")), summit_gpu(1)
-                )
+                build_composition("gpu", cfg, EngineOptions(stages=("balanced", "other-balanced")))
         finally:
             registry_mod._STAGES.pop("other-balanced", None)
 

@@ -29,9 +29,12 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.standard import GpuSubstrate
+from repro.dna import simulate
+from repro.dna.reads import ReadSet
 from repro.ext.bloom import count_with_prefilter
 from repro.ext.sortcount import SortingCounter
 from repro.gpu.segmented import SegmentedHashTable
+from repro.hashing.partition import owner_of, owners_of
 from repro.kmers.extract import extract_kmers
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.collectives import alltoallv_flat
@@ -733,7 +736,7 @@ class TestDriveShapeBudgets:
         real_merge = spill.Spooled.merge
 
         def merging(self):
-            at_merge.extend(sorted(path.name for path in self.spool.dir.iterdir()))
+            at_merge.extend(sorted(p.name for p in self.spool.dir.iterdir() if p.name != segmented.OWNER_FILE))
             return real_merge(self)
 
         monkeypatch.setattr(spill.Spooled, "merge", merging)
@@ -893,3 +896,112 @@ class TestPairFoldBudgets:
         repeated = expected.counts >= 2
         assert np.array_equal(result.values, expected.values[repeated])
         assert np.array_equal(result.counts, expected.counts[repeated])
+
+
+class TestLeanTransientBudgets:
+    """No transient of the merge, the read simulator or the owner hash is a multiple of the whole input.
+
+    The merge held its block dumps beside their concatenation, then the
+    sort's packed words and unpacked keys (~56 B per entry); the read
+    simulator drew one float64 per base (~10 B per base); the owner hash
+    mixed through three uint64 temporaries; and a checkpoint save dumped
+    every rank's region by its own call.
+    """
+
+    @staticmethod
+    def _traced(fn, *args):
+        """``(fn(*args), traced peak above what was live when it was called)``."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            return fn(*args), tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_merge_holds_at_most_36_bytes_per_entry(self):
+        """Over pairs only the merge holds: 16 B of pairs, 16 B of output, a boolean pass."""
+        rng = np.random.default_rng(40)
+        n_blocks, per_block = 8, 1 << 15
+        n = n_blocks * per_block
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pairs = [  # disjoint keys per block, unsorted, as a block table's slots hold them
+                (rng.permutation(np.arange(b, n, n_blocks, dtype=np.uint64)), rng.integers(1, 1000, per_block))
+                for b in range(n_blocks)
+            ]
+            tracemalloc.reset_peak()
+            spectrum = standard.merge_items(pairs, 17)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert pairs == [None] * n_blocks  # handed over: each block freed once copied
+        assert spectrum.n_distinct == n and bool(np.all(spectrum.values[1:] > spectrum.values[:-1]))
+        assert peak <= 36 * n, peak / n
+
+    def test_spooled_merge_maps_one_run_file_at_a_time(self, genome_reads, tmp_path, monkeypatch):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # several blocks, so several runs
+        refs, live_at_map = [], []
+        real_map = spill.SpillSpool.map_run
+
+        def mapping(self, rank0):
+            live_at_map.append(sum(ref() is not None for ref in refs))
+            keys, counts = real_map(self, rank0)
+            refs.append(weakref.ref(keys))
+            return keys, counts
+
+        monkeypatch.setattr(spill.SpillSpool, "map_run", mapping)
+        options = EngineOptions(parallel=1, spill_dir=tmp_path)
+        result = run_pipeline(genome_reads, summit_gpu(4), PipelineConfig(k=17), options=options)
+        assert result.spectrum.equals(count_kmers_exact(genome_reads, 17))
+        assert len(live_at_map) > 1 and max(live_at_map) == 0, live_at_map
+
+    def test_substitutions_hold_3_bytes_per_base_and_one_chunk(self):
+        rng = np.random.default_rng(41)
+        n_reads, read_len = 1 << 12, 1023  # 4 Mi codes, a sentinel after every read
+        codes = rng.integers(0, 4, n_reads * (read_len + 1), dtype=np.uint8)
+        codes[read_len :: read_len + 1] = 4
+        offsets = np.arange(n_reads, dtype=np.int64) * (read_len + 1)
+        reads = ReadSet(codes=codes, offsets=offsets, lengths=np.full(n_reads, read_len, dtype=np.int64))
+        mutated, peak = self._traced(simulate._apply_substitutions, reads, 0.01, np.random.default_rng(3))
+        assert peak <= 3 * codes.shape[0] + (8 << 20), peak / codes.shape[0]
+        assert bool(np.all(mutated.codes[read_len :: read_len + 1] == 4))
+        assert 0 < int((mutated.codes != codes).sum()) < codes.shape[0] // 50
+
+    def test_substitution_chunks_draw_one_stream(self, monkeypatch):
+        """Chunked uniforms are the stream one draw gives: the flips do not depend on the chunk."""
+        reads = ReadSet(
+            codes=np.random.default_rng(42).integers(0, 4, 10_000, dtype=np.uint8),
+            offsets=np.zeros(1, dtype=np.int64),
+            lengths=np.full(1, 10_000, dtype=np.int64),
+        )
+        whole = simulate._apply_substitutions(reads, 0.05, np.random.default_rng(5)).codes
+        monkeypatch.setattr(simulate, "SUBSTITUTION_CHUNK", 777)
+        assert np.array_equal(simulate._apply_substitutions(reads, 0.05, np.random.default_rng(5)).codes, whole)
+
+    def test_owner_hash_holds_two_words_per_key(self):
+        keys = np.random.default_rng(43).integers(0, 1 << 34, 1 << 18, dtype=np.uint64)
+        owners, peak = self._traced(owners_of, keys, 96)
+        assert peak <= (2 * 8 + 4) * keys.shape[0], peak / keys.shape[0]
+        expected = np.array([owner_of(int(key), 96) for key in keys[:1000]], dtype=np.int32)
+        assert owners.dtype == np.int32 and np.array_equal(owners[:1000], expected)
+
+    def test_checkpoint_dumps_once_per_block_table(self, genome_reads, tmp_path, monkeypatch):
+        """One ``dump_slots`` per block table, and the members the per-rank dumps gave, byte for byte."""
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 20)  # several block tables of several ranks
+        counter = DistributedCounter(summit_gpu(4), PipelineConfig(k=17))
+        counter.add_reads(genome_reads)
+        blocks = segmented.view_blocks(counter.tables)
+        assert 1 < len(blocks) < len(counter.tables)
+        dumps = []
+        real_dump = scheduler.dump_slots
+        monkeypatch.setattr(scheduler, "dump_slots", lambda keys, counts: dumps.append(1) or real_dump(keys, counts))
+        by_block = counter.save(tmp_path / "blocks.npz")
+        assert len(dumps) == len(blocks)
+        # The per-rank form: one dump per rank's region.
+        monkeypatch.setattr(scheduler, "view_blocks", lambda views: [(r, r + 1, v) for r, v in enumerate(views)])
+        by_rank = counter.save(tmp_path / "ranks.npz")
+        assert len(dumps) == len(blocks) + len(counter.tables)
+        with zipfile.ZipFile(by_block) as blocked, zipfile.ZipFile(by_rank) as ranked:
+            assert blocked.namelist() == ranked.namelist()
+            assert all(blocked.read(name) == ranked.read(name) for name in blocked.namelist())

@@ -102,7 +102,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
     ("np.argsort(keys)", "", "gpu/hashtable.py", True),
-    ("h -= h // p * p", "", "hashing/partition.py", True),
+    ("np.floor_divide(h, p, out=q)", "", "hashing/partition.py", True),
     ("// max(p, 1) + 16", "", "core/stages/spill.py", True),
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
