@@ -41,9 +41,10 @@ from ..mpi.topology import ClusterSpec
 from ..telemetry import event, session
 from .config import PipelineConfig
 from .results import LoadStats, PhaseTiming
+from .stages.checkpoint import PipelineState
 from .stages.context import EngineOptions
 from .stages.registry import build_composition
-from .stages.scheduler import PipelineState, RoundScheduler
+from .stages.scheduler import RoundScheduler
 from .stages.standard import merge_partitions
 
 __all__ = ["DistributedCounter"]
@@ -158,19 +159,20 @@ class DistributedCounter:
     def save(self, path: str | Path) -> Path:
         """Persist the counter state (tables + accounting) to an ``.npz``."""
         t0 = perf_counter()
-        path = self._state.save(path, k=self.config.k)
+        path = self._state.save(path, k=self.config.k, canonical=self.config.canonical)
         self._note_checkpoint("save", path, perf_counter() - t0)
         return path
 
     def load(self, path: str | Path) -> None:
         """Restore state saved by :meth:`save` into this counter.
 
-        The counter must have been constructed with the same cluster size
-        and k; anything else is a configuration error and is rejected.
+        The counter must have been constructed with the same cluster size,
+        k and ``canonical``; anything else is a configuration error.
         """
         t0 = perf_counter()
+        c = self.config
         self._state.load(
-            path, k=self.config.k, table_seed=self.config.table_seed, table_dir=self.options.table_dir
+            path, k=c.k, canonical=c.canonical, table_seed=c.table_seed, table_dir=self.options.table_dir
         )
         self._note_checkpoint("load", Path(path), perf_counter() - t0)
 

@@ -15,7 +15,7 @@ Design constraints:
   ``view.base``.  Blocks are never zeroed — callers must fully overwrite
   them (``np.take(..., out=...)``, slice assignment) before reading.
 - Arena-backed views must never escape into results: everything stored
-  in a :class:`~repro.core.stages.scheduler.PipelineState` or a
+  in a :class:`~repro.core.stages.checkpoint.PipelineState` or a
   ``CountResult`` is a fresh allocation.
 - Telemetry counters are registered as *wall* metrics (like the pool
   counters): buffer recycling changes host behaviour only, and model

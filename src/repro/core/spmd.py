@@ -31,8 +31,9 @@ from ..mpi.topology import ClusterSpec
 from .config import PipelineConfig
 from .parallel import get_pool
 from .stages.context import EngineOptions, StageContext
+from .stages.plan import plan_drive
 from .stages.registry import StageComposition, build_composition
-from .stages.spill import block_table, table_hint
+from .stages.spill import block_table
 from .stages.standard import merge_items, parse_block
 
 __all__ = ["staged_rank_program", "count_spmd"]
@@ -80,7 +81,7 @@ def staged_rank_program(
     recv_lengths = None if lengths is None else np.concatenate(comm.alltoallv(np.split(lengths, cuts)))
 
     # COUNT: this rank's partition of the global table.
-    table = block_table([table_hint(int(summary.n_kmers[0]), comm.size)], config.table_seed)
+    table = block_table(plan_drive(summary, ctx).hints, config.table_seed)
     offsets = np.array([0, recv.shape[0]], dtype=np.int64)
     comp.count.count_block(table, recv, recv_lengths, offsets, ctx, rank0=comm.rank)
 

@@ -1,0 +1,89 @@
+"""The drive plan: what a drive decides once, after its parse and before its first exchange.
+
+Section III-A splits the exchange and the count into rounds "relative to
+software limits (approximating available memory)".  Every law that sizes
+a drive lives here — the device and host rounds laws and the host
+budget's floor, the count's table blocks and the tables' capacity hints —
+and :func:`plan_drive` applies them once per drive (per batch when
+streamed).  The round driver, the residencies' count and the SPMD rank
+program only read the :class:`DrivePlan`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from ...gpu import segmented
+from ...gpu.hashtable import MAX_LOAD_FACTOR, SLOT_BYTES
+
+if TYPE_CHECKING:
+    from .buffers import ParseSummary
+    from .context import StageContext
+
+__all__ = ["DrivePlan", "plan_drive", "table_blocks"]
+
+#: Table bytes one key costs: a slot at the default load (16 / 0.7; the
+#: host law in ``benchmarks/perf/workloads.py`` keeps a literal copy).
+TABLE_BYTES_PER_KEY = SLOT_BYTES / MAX_LOAD_FACTOR
+
+
+@dataclass(frozen=True)
+class DrivePlan:
+    """A drive's rounds, count blocks and table hints, as :func:`plan_drive` decided them."""
+
+    n_rounds: int  # exchange rounds; 1 on the streamed surface
+    blocks: list[tuple[int, int]]  # the count's table blocks: ranks [r0, r1), tiling range(P)
+    hints: list[int]  # per parsed rank: a new region's capacity hint
+
+
+def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
+    """The rank blocks whose tables would total about ``segmented.INSERT_BLOCK_BYTES``.
+
+    ``expected_keys[r]`` estimates rank ``r``'s keys (an upper bound is
+    fine), a slot each at the default load.  Any partition into whole
+    consecutive ranks gives the same slots, so it only steers speed.
+    """
+    slots = np.maximum(64, np.asarray(expected_keys, dtype=np.float64) / MAX_LOAD_FACTOR)
+    return segmented.rank_blocks((slots * SLOT_BYTES).astype(np.int64), segmented.INSERT_BLOCK_BYTES)
+
+
+def plan_drive(summary: ParseSummary, sctx: StageContext, *, streamed: bool = False) -> DrivePlan:
+    """The plan of the drive whose parse gave ``summary``.
+
+    Rounds are ⌈worst rank's received items (the counts matrix's column
+    sums, at full scale) × bytes per item / budget⌉: on the device, the
+    wire buffer, its staged copy and the table slots an item may add; on
+    the host, also its unpacked 8-byte key.  They bound the receive extent
+    a count block takes of a round, not the send array.  A streamed batch
+    takes one round, but the one-shot run's budget floor.
+    """
+    opts = sctx.opts
+    wire, mult = sctx.wire_bytes, opts.work_multiplier
+    recv_items = summary.counts_matrix.sum(axis=0)
+    worst = float(recv_items.max(initial=0)) * mult
+    budget = opts.host_memory_budget
+    host_bytes_per_item = wire * 2 + 8.0 + TABLE_BYTES_PER_KEY
+    if budget is not None and worst > 0:
+        # Rounds cannot shrink a round below one item per rank.
+        floor = int(np.ceil(host_bytes_per_item * mult))
+        if budget < floor:
+            raise ValueError(
+                f"host_memory_budget={budget} is below the working-set "
+                f"floor of one received item: {floor} bytes "
+                f"({host_bytes_per_item:.1f} B/item at work_multiplier {mult:g})"
+            )
+    n_rounds = 1
+    if not streamed:
+        if opts.auto_rounds and sctx.substrate.device_memory:
+            device_budget = opts.machine.resolved_device.hbm_bytes * opts.memory_budget_fraction
+            n_rounds = max(1, int(np.ceil(worst * (wire * 2 + TABLE_BYTES_PER_KEY) / device_budget)))
+        if budget is not None:
+            n_rounds = max(n_rounds, int(np.ceil(worst * host_bytes_per_item / budget)))
+        n_rounds = max(sctx.config.n_rounds, n_rounds)
+    p = sctx.n_ranks
+    # Python ints, not int64 scalars: a table sizes its regions in a Python loop.
+    hints = np.maximum(64, summary.n_kmers // max(p, 1) + 16).tolist()
+    return DrivePlan(n_rounds=n_rounds, blocks=table_blocks(recv_items), hints=hints)

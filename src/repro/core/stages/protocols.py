@@ -109,10 +109,12 @@ class Substrate(Protocol):
     ``charge_parse`` and ``charge_count`` turn a rank's parse and count
     figures into model seconds; the one parse body and the one count body
     loop them over a block's ranks.  The exchange is charged through
-    ``charge_exchange`` and rounds are sized through ``device_rounds``.
+    ``charge_exchange``.  ``device_memory`` says whether the drive plan's
+    device law sizes rounds under ``auto_rounds``.
     """
 
     name: str
+    device_memory: bool
 
     def charge_parse(
         self,
@@ -132,10 +134,6 @@ class Substrate(Protocol):
 
     def charge_exchange(self, bytes_matrix: np.ndarray, ctx: "StageContext") -> tuple[float, float]:
         """``(fixed overhead, host-staging seconds)`` of one round moving ``bytes_matrix`` [src, dst]."""
-        ...
-
-    def device_rounds(self, worst_items: float, wire: int, opts: "EngineOptions") -> int:
-        """Rounds needed so the worst rank's received items fit the substrate's device memory."""
         ...
 
 

@@ -7,63 +7,52 @@ surface and every strategy runs:
 * :func:`repro.core.engine.run_pipeline` builds a composition and calls
   :meth:`RoundScheduler.run` (one-shot run, full :class:`CountResult`);
 * :class:`repro.core.incremental.DistributedCounter` holds a
-  :class:`PipelineState` and calls :meth:`RoundScheduler.run_batch` per
-  read batch (streaming, checkpointable) — the same drive with one round,
-  persistent tables and a conservation check per batch;
+  :class:`~repro.core.stages.checkpoint.PipelineState` (checkpointable:
+  :mod:`repro.core.stages.checkpoint`) and calls
+  :meth:`RoundScheduler.run_batch` per read batch — the same drive with
+  one round, persistent tables and a conservation check per batch;
 * the SPMD rank program (:func:`repro.core.spmd.staged_rank_program`)
   runs the same phase bodies on one rank's shard inside per-rank threads.
 
 Execution is bulk-synchronous: every rank's phase runs to completion (as
 real NumPy work), per-rank model times are derived from the work actually
 performed, and the phase's bulk time is the max over ranks.  When the
-modeled per-round working set exceeds device memory (``auto_rounds``), or
-the config asks for ``n_rounds > 1``, each destination segment is split
-evenly across rounds (Section III-A) and the exchange repeats.
+modeled per-round working set exceeds a memory budget, or the config asks
+for ``n_rounds > 1``, each destination segment is split evenly across
+rounds (Section III-A) and the exchange repeats; the round count, the
+count's table blocks and the table hints are the drive plan's
+(:func:`~repro.core.stages.plan.plan_drive`), decided once after the parse.
 
 Every drive has one shape, Gerbil's two phases (PAPERS.md): exchange
 every round, then count one table block at a time — every round of the
 block's ranks, in round order — and merge the blocks' dumps.  There is
-one data layout (:class:`Layout`): shards are base ranges of the input
-(:class:`~repro.dna.reads.ShardRanges`), blocks of whole shards parse,
-each from one view of its codes, into one send array, a round is a view
-of it (:class:`~repro.core.stages.buffers.SendRound`), and every receive
-side is gathered straight out of it, all on the rank pool.  The one axis
-that changes behaviour is the *residency*
-(:class:`~repro.core.stages.spill.Resident` |
+one data layout (:class:`Layout`): blocks of whole shards parse into one
+send array, a round is a view of it
+(:class:`~repro.core.stages.buffers.SendRound`), and every receive side
+is gathered straight out of it.  The one axis that changes behaviour is
+the *residency* (:class:`~repro.core.stages.spill.Resident` |
 :class:`~repro.core.stages.spill.Spooled`), which owns the exchange, the
-count loop, the exchange checksum and the merge and chooses only where a
+count loop, the exchange checksum and the merge, and chooses where a
 round's receive segments and a block's dump live: in the send array and
-RAM (the count gathers each block's extent out of the send array, which
-lives until the last block is counted), or in the spool's files (the
-send array is dropped before the count); ``fused`` changes names only
-(the strategy, ``staged`` | ``fused`` | ``spill`` | ``fused-spill``, and
-the ``fused:`` work-leaf prefix).
+RAM, or in the spool's files; ``fused`` changes names only (the
+strategy, ``staged`` | ``fused`` | ``spill`` | ``fused-spill``, and the
+``fused:`` work-leaf prefix).
 :class:`RoundAccounting` is the one place their outcomes are summed.
-
-Checkpoint/resume is a scheduler concern: :class:`PipelineState` carries
-the persistent per-rank tables and accounting across batches, and its
-checkpoint *is* those tables — every rank's slots as they lie, plus the
-accounting — so a resumed run continues on the same slots and equals an
-uninterrupted one on every observable (format and guarantees on
-:class:`PipelineState`).
 """
 
 from __future__ import annotations
 
-import os
-import zipfile
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from ...dna.reads import ReadSet, ShardRanges
-from ...gpu.hashtable import EMPTY_KEY, InsertStats, SegmentedRankView, dump_slots
-from ...gpu.segmented import SegmentedHashTable, rank_blocks, table_blocks, view_blocks
+from ...gpu.hashtable import InsertStats, SegmentedRankView
+from ...gpu.segmented import rank_blocks, view_blocks
 from ...mpi.costmodel import CommCostModel
-from ...mpi.stats import CollectiveRecord, TrafficStats
+from ...mpi.stats import TrafficStats
 from ...mpi.topology import ClusterSpec
 from ...telemetry import MetricRegistry, event, session
 from ...telemetry.spans import SpanRecorder, recording_region, wall_summary
@@ -72,244 +61,15 @@ from ..memory import ScratchArena
 from ..parallel import RankPool, get_pool
 from ..results import CountResult, PhaseTiming
 from .buffers import ExchangeOutcome, ParseSummary, SendArray, send_rounds
+from .checkpoint import PipelineState
 from .context import EngineOptions, StageContext
-from .protocols import PipelinePlugin, Substrate
+from .plan import plan_drive
+from .protocols import PipelinePlugin
 from .registry import StageComposition
-from .spill import Resident, Spooled, block_table, table_hint
+from .spill import Resident, Spooled
 from .standard import parse_block
 
-__all__ = ["RoundScheduler", "PipelineState", "RoundAccounting", "Layout", "Strategy"]
-
-#: The one checkpoint format (see :class:`PipelineState`); files of any
-#: other version are rejected by :meth:`PipelineState.load`.
-_CHECKPOINT_VERSION = 3
-
-#: Field order of the serialized :class:`InsertStats` vector.
-_INSERT_STAT_FIELDS = (
-    "n_instances",
-    "n_distinct",
-    "total_probes",
-    "max_probe",
-    "cas_conflicts",
-    "rounds",
-    "resizes",
-)
-
-#: The members of a checkpoint besides ``version``: a fixed set, whatever
-#: the rank count and however many collectives the traffic log holds.
-_CHECKPOINT_MEMBERS = (
-    "k n_ranks n_batches exchanged_items received timing insert_stats "
-    "capacities occupancy keys counts "
-    "traffic_meta traffic_bytes traffic_has_items traffic_items"
-).split()
-
-
-def _unusable(path, why: str) -> ValueError:
-    return ValueError(f"{path}: not a usable checkpoint: {why}")
-
-
-def _read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    """Every member of the checkpoint at ``path``, read whole and CRC-checked.
-
-    Whatever keeps the file from being read back — truncated, empty,
-    corrupted, a member missing, another format version — is one
-    ``ValueError`` that names the file.
-    """
-    with open(path, "rb") as fh:
-        try:
-            with np.load(fh) as data:
-                version = int(data["version"][0])
-                if version == _CHECKPOINT_VERSION:
-                    return {name: data[name] for name in _CHECKPOINT_MEMBERS}
-        except (zipfile.BadZipFile, EOFError, KeyError, IndexError, OSError, ValueError) as exc:
-            raise _unusable(path, f"{type(exc).__name__}: {exc}") from exc
-    raise _unusable(
-        path,
-        f"it is format version {version}, which stores sorted items, not the tables' slot layout "
-        f"a bit-identical resume continues from (version {_CHECKPOINT_VERSION}); recount the inputs",
-    )
-
-
-@dataclass
-class PipelineState:
-    """Persistent cross-batch state: table partitions + accounting.
-
-    This is what checkpoint/resume serializes; a scheduler folds each batch
-    into it.  ``tables`` holds one view per rank of block-local tables,
-    born by the first batch that counts keys into the state (or by
-    :meth:`load`); every later batch counts through those blocks, whichever
-    strategy runs it.  The checkpoint (format version 3, an uncompressed ``.npz``
-    whose zip CRC-32s detect corruption) holds the tables *as they are*:
-    ``capacities`` (one per rank), and for the ranks' regions laid end to
-    end the ``occupancy`` bitmap and the occupied ``keys``/``counts`` in
-    slot order (:func:`~repro.gpu.hashtable.dump_slots`).  Beside them:
-    ``k``, ``n_ranks``, ``n_batches``, ``exchanged_items``, ``received``,
-    ``timing``, the cumulative ``insert_stats``, and the traffic log as
-    four stacked arrays (``traffic_meta`` op/label pairs, ``traffic_bytes``
-    and ``traffic_items`` of shape ``(n, P, P)``, ``traffic_has_items``).
-    Saving sorts nothing and loading probes nothing, so a loaded state has
-    the saved one's capacities and slots element for element, and a run
-    resumed from it equals the uninterrupted run on every observable —
-    spectrum, timing, insert statistics, capacities, traffic records —
-    wherever it was cut and whichever strategy saved or resumes it.
-    """
-
-    tables: list[SegmentedRankView]
-    timing: PhaseTiming
-    traffic: TrafficStats
-    received_kmers: np.ndarray
-    exchanged_items: int
-    n_batches: int
-    insert_stats: InsertStats
-
-    @classmethod
-    def fresh(cls, n_ranks: int, table_seed: int) -> "PipelineState":
-        """A state with no keys: empty 128-slot regions, born again by the first batch in its own blocks."""
-        return cls(
-            tables=block_table([64] * n_ranks, table_seed).views(),
-            timing=PhaseTiming(0.0, 0.0, 0.0),
-            traffic=TrafficStats(),
-            received_kmers=np.zeros(n_ranks, dtype=np.int64),
-            exchanged_items=0,
-            n_batches=0,
-            insert_stats=InsertStats.zero(),
-        )
-
-    def save(self, path: str | Path, *, k: int) -> Path:
-        """Persist the state (tables + accounting) as an ``.npz`` at exactly ``path``.
-
-        Written to a sibling temp file, synced to disk and renamed over
-        ``path``, then the rename is synced with the directory: a save that
-        dies midway, or a crash after it returns, leaves one complete
-        checkpoint at ``path``.
-        """
-        path = Path(path)
-        p = len(self.tables)
-        records = self.traffic.records
-        # One dump per block table: its regions end to end, the per-rank dumps' bytes concatenated.
-        bitmaps, keys, counts = zip(*(dump_slots(t.keys, t.counts) for _, _, t in view_blocks(self.tables)))
-        no_items = np.zeros((p, p), dtype=np.int64)
-        payload: dict[str, np.ndarray] = {
-            "version": np.array([_CHECKPOINT_VERSION]),
-            "k": np.array([k]),
-            "n_ranks": np.array([p]),
-            "n_batches": np.array([self.n_batches]),
-            "exchanged_items": np.array([self.exchanged_items]),
-            "received": self.received_kmers,
-            "timing": np.array([self.timing.parse, self.timing.exchange, self.timing.count]),
-            "insert_stats": np.array(
-                [getattr(self.insert_stats, f) for f in _INSERT_STAT_FIELDS], dtype=np.int64
-            ),
-            "capacities": np.array([t.capacity for t in self.tables], dtype=np.int64),
-            "occupancy": np.concatenate(bitmaps),
-            "keys": np.concatenate(keys),
-            "counts": np.concatenate(counts),
-            "traffic_meta": np.array([(rec.op, rec.label) for rec in records], dtype=str).reshape(-1, 2),
-            "traffic_bytes": np.array([rec.bytes_matrix for rec in records], dtype=np.int64).reshape(-1, p, p),
-            "traffic_has_items": np.array([rec.items_matrix is not None for rec in records], dtype=bool),
-            "traffic_items": np.array(
-                [no_items if rec.items_matrix is None else rec.items_matrix for rec in records],
-                dtype=np.int64,
-            ).reshape(-1, p, p),
-        }
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            # A file object, not a name: numpy appends ".npz" to bare names.
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-        return path
-
-    def load(self, path: str | Path, *, k: int, table_seed: int, table_dir: Path | None = None) -> None:
-        """Restore state saved by :meth:`save` into this object, or leave it untouched.
-
-        The file is read and validated whole before anything is assigned.
-        The state must match the checkpoint's cluster size and k; anything
-        else is a configuration error and is rejected.  The slots are
-        restored straight into block tables (``table_blocks`` of the ranks'
-        entries, backed by ``table_dir`` when given), one
-        :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots` per block.
-        """
-        p = len(self.tables)
-        members = _read_checkpoint(path)
-
-        def member(name: str, shape: tuple[int, ...], dtype=np.int64) -> np.ndarray:
-            a = members[name]
-            if a.shape != shape or (a.dtype.kind != "U" if dtype is str else a.dtype != dtype):
-                want = np.dtype(dtype).name
-                raise _unusable(path, f"member {name!r} is {a.dtype.name}{a.shape}, not {want}{shape}")
-            return a
-
-        scalars = {
-            name: int(member(name, (1,))[0]) for name in ("k", "n_ranks", "n_batches", "exchanged_items")
-        }
-        if scalars["k"] != k:
-            raise ValueError(f"{path}: checkpoint k={scalars['k']} != config k={k}")
-        if scalars["n_ranks"] != p:
-            raise ValueError(f"{path}: checkpoint has {scalars['n_ranks']} ranks, cluster has {p}")
-        capacities = member("capacities", (p,))
-        if not bool(((capacities >= 64) & (capacities & (capacities - 1) == 0)).all()):
-            raise _unusable(path, "a rank's capacity is not a power of two >= 64")
-        bounds = np.concatenate([[0], np.cumsum(capacities)])
-        occupancy = member("occupancy", (int(bounds[-1]) // 8,), np.uint8)
-        filled = np.concatenate(
-            [[0], np.cumsum(np.add.reduceat(np.unpackbits(occupancy), bounds[:-1], dtype=np.int64))]
-        )
-        keys = member("keys", (int(filled[-1]),), np.uint64)
-        counts = member("counts", keys.shape)
-        if bool((keys == EMPTY_KEY).any()) or bool((counts < 1).any()):
-            raise _unusable(path, "an occupied slot holds the EMPTY sentinel or a count below 1")
-        received = member("received", (p,))
-        timing = member("timing", (3,), np.float64)
-        insert_stats = member("insert_stats", (len(_INSERT_STAT_FIELDS),))
-        n = members["traffic_meta"].shape[0]
-        meta = member("traffic_meta", (n, 2), str)
-        has_items = member("traffic_has_items", (n,), np.bool_)
-        traffic_bytes = member("traffic_bytes", (n, p, p))
-        traffic_items = member("traffic_items", (n, p, p))
-
-        tables = []
-        for r0, r1 in table_blocks(np.diff(filled)):
-            table = SegmentedHashTable.from_slots(
-                capacities[r0:r1],
-                occupancy[bounds[r0] // 8 : bounds[r1] // 8],
-                keys[filled[r0] : filled[r1]],
-                counts[filled[r0] : filled[r1]],
-                seed=table_seed,
-                table_dir=table_dir,
-            )
-            tables.extend(table.views())
-        self.tables = tables
-        self.received_kmers = received
-        self.n_batches = scalars["n_batches"]
-        self.exchanged_items = scalars["exchanged_items"]
-        self.timing = PhaseTiming(parse=float(timing[0]), exchange=float(timing[1]), count=float(timing[2]))
-        # Any accounting accumulated in this object before the load belongs
-        # to a different run: it is replaced, never merged.
-        self.insert_stats = InsertStats(
-            **{field: int(value) for field, value in zip(_INSERT_STAT_FIELDS, insert_stats)}
-        )
-        self.traffic = TrafficStats(
-            [
-                CollectiveRecord(
-                    op=str(op),
-                    label=str(label),
-                    bytes_matrix=traffic_bytes[i],
-                    items_matrix=traffic_items[i] if has_items[i] else None,
-                )
-                for i, (op, label) in enumerate(meta)
-            ]
-        )
-
+__all__ = ["RoundScheduler", "RoundAccounting", "Layout", "Strategy"]
 
 class RoundAccounting:
     """The one accumulator of a drive's model accounting.
@@ -733,7 +493,7 @@ class RoundScheduler:
     ) -> CountResult | PhaseTiming:
         """The one superstep skeleton every strategy and surface runs.
 
-        prepare plugins → shard → parse → round count → per round {view,
+        prepare plugins → shard → parse → plan → per round {view,
         exchange, span note, accounting} → drop the driver's send array →
         count, one table block at a time, and the exchange checksum →
         conservation check, and for the one-shot surface (``state is
@@ -764,13 +524,6 @@ class RoundScheduler:
             registry=reg,
         )
         acct = RoundAccounting(p, comp.backend, reg)
-        wire = sctx.wire_bytes
-        if not one_shot and reads.offsets.size:
-            # Batches are single-round, so the budget cannot split work —
-            # but a budget below one received item is invalid everywhere
-            # and the streamed surface must report the same floor the
-            # one-shot run does.
-            _check_host_budget_floor(wire, opts)
 
         # Plugins prepare before sharding on both surfaces: a plugin whose
         # `prepare` influences partitioning must see the same state on the
@@ -784,11 +537,8 @@ class RoundScheduler:
             send, summary = layout.parse(ranges, sctx)
         del ranges
         t_parse = float(summary.times.max()) if p else 0.0
-        n_rounds = 1
-        if one_shot:
-            recv_items = summary.counts_matrix.sum(axis=0).astype(np.float64)
-            n_rounds = max(config.n_rounds, _rounds_for_recv_items(recv_items, wire, opts, comp.substrate))
-        hints = [table_hint(int(nk), p) for nk in summary.n_kmers]
+        plan = plan_drive(summary, sctx, streamed=not one_shot)
+        n_rounds = plan.n_rounds
 
         # One cleanup scope for everything a drive opens: the residency's
         # spool directory is reclaimed on any exit, success or raise.
@@ -837,7 +587,7 @@ class RoundScheduler:
             check_held = not one_shot and comp.conserves_kmers
             held = _n_counted(state.tables) if check_held else None
             with recording_region(recorder, "count", cat="stage"):
-                fill = residency.count(state, hints, sctx, acct)
+                fill = residency.count(state, plan, sctx, acct)
 
             if one_shot:
                 # ---- merge the blocks' dumps into one spectrum ----
@@ -871,7 +621,7 @@ class RoundScheduler:
             per_rank_count=acct.per_rank_count,
             received_kmers=acct.received_kmers,
             exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * wire),
+            exchanged_bytes=int(exchanged_items * sctx.wire_bytes),
             counts_matrix=acct.counts_matrix,
             work_multiplier=opts.work_multiplier,
             traffic=stats,
@@ -891,68 +641,3 @@ class RoundScheduler:
 def _n_counted(tables: list[SegmentedRankView]) -> int:
     """The k-mer instances ``tables`` hold: one sum over their slabs (an empty slot counts 0)."""
     return sum(int(table.counts.sum()) for _, _, table in view_blocks(tables))
-
-
-def _host_bytes_per_item(wire: int) -> float:
-    """Host working set per received item that ``host_memory_budget`` is sized by.
-
-    The partition buffer and its extraction copy, the unpacked 8-byte key
-    stream, and the table slots (16 B each at ~0.7 target load) the item
-    may add.  The rounds this sizes bound the receive extent one count
-    block takes of a round at a time — gathered out of the send array
-    (resident) or read back from the spool (spooled) — not the send array
-    itself: that is the parse output whatever the rounds, and a resident
-    drive keeps it through the count (only ``spill_dir`` drops it first),
-    while the tables grow per block after the last round.
-    """
-    return wire * 2 + 8.0 + 16 / 0.7
-
-
-def _rounds_for_recv_items(
-    recv_items: np.ndarray, wire: int, opts: EngineOptions, substrate: Substrate
-) -> int:
-    """Rounds needed so every rank's round working set fits its memory budgets.
-
-    Models Section III-A: "Depending on the total size of the input,
-    relative to software limits (approximating available memory), the
-    computation and communication may proceed in multiple rounds."
-    ``recv_items`` is the per-rank received-item total (the parse
-    summary's counts-matrix column sums, exact in float64 below 2**53),
-    evaluated at full (multiplied) scale.  Two independent budgets apply:
-    the substrate's modeled device-memory budget (``device_rounds``)
-    and the *host* budget (``opts.host_memory_budget``, any substrate),
-    sized by one round's per-rank host working set (``_host_bytes_per_item``).
-    What the rounds bound is the receive extent a count block takes of a
-    round at a time (gathered out of the send array, or read back from the
-    segment file); a resident drive holds the send array, every round,
-    until its count ends.
-    """
-    worst = float(recv_items.max(initial=0.0)) * opts.work_multiplier
-    rounds = substrate.device_rounds(worst, wire, opts)
-    if opts.host_memory_budget is not None:
-        if worst > 0:
-            _check_host_budget_floor(wire, opts)
-        rounds = max(rounds, int(np.ceil(worst * _host_bytes_per_item(wire) / opts.host_memory_budget)))
-    return rounds
-
-
-def _check_host_budget_floor(wire: int, opts: EngineOptions) -> None:
-    """Reject a host budget smaller than one received item's working set.
-
-    Rounds cannot shrink the per-round set below one item per rank, so a
-    sub-item budget would just degenerate into floods of zero-item
-    rounds.  The floor is config-derived (wire size and multiplier, no
-    data needed), so the streamed batch path validates it up front even
-    though batches are single-round by construction.
-    """
-    if opts.host_memory_budget is None:
-        return
-    mult = opts.work_multiplier
-    host_bytes_per_item = _host_bytes_per_item(wire)
-    floor = int(np.ceil(host_bytes_per_item * mult))
-    if opts.host_memory_budget < floor:
-        raise ValueError(
-            f"host_memory_budget={opts.host_memory_budget} is below the working-set "
-            f"floor of one received item: {floor} bytes "
-            f"({host_bytes_per_item:.1f} B/item at work_multiplier {mult:g})"
-        )

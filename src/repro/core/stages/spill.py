@@ -61,7 +61,7 @@ from time import perf_counter
 import numpy as np
 
 from ...gpu.hashtable import SegmentedRankView
-from ...gpu.segmented import OWNER_FILE, SegmentedHashTable, owned_dir, release_dir, table_blocks, view_blocks
+from ...gpu.segmented import OWNER_FILE, SegmentedHashTable, owned_dir, release_dir, view_blocks
 from ...kmers.spectrum import KmerSpectrum
 from ...mpi.collectives import SegmentBlock, account_alltoallv
 from ...telemetry import active, event
@@ -82,28 +82,20 @@ __all__ = [
     "Spooled",
     "block_table",
     "external_merge",
-    "table_hint",
 ]
+
 
 def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHashTable:
     """A new table for one block of consecutive ranks, a region per capacity hint.
 
     The one place the engine's tables are born — a one-shot drive's and an
-    empty state's, in the blocks of :func:`~repro.gpu.segmented.table_blocks`,
-    and a fresh state's — and ``table_dir`` backs every one of them with
-    ``np.memmap`` slabs (a checkpoint's tables are restored by
+    empty state's, in the drive plan's count blocks
+    (:class:`~repro.core.stages.plan.DrivePlan`), and a fresh state's —
+    and ``table_dir`` backs every one of them with ``np.memmap`` slabs (a
+    checkpoint's tables are restored by
     :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots`).
     """
     return SegmentedHashTable(hints, seed=seed, table_dir=table_dir)
-
-
-def table_hint(n_kmers: int, p: int) -> int:
-    """A rank's table capacity hint: its shard's parsed k-mers over the ``p`` ranks, plus slack.
-
-    The round driver and the SPMD rank program both size a rank's new
-    region by it, so the two renderings start at one capacity.
-    """
-    return max(64, n_kmers // max(p, 1) + 16)
 
 
 def _spill_counter(name: str, desc: str, amount: int) -> None:
@@ -548,8 +540,8 @@ class Resident:
         """A new table for a block of ranks, one region per hint, with the run's seed and backing."""
         return block_table(hints, self.sched.config.table_seed, self.sched.opts.table_dir)
 
-    def tables(self, state, recv_items: np.ndarray) -> list[SegmentedRankView]:
-        """The streamed ``state``'s per-rank views, born again in ``table_blocks(recv_items)`` if it holds no key.
+    def tables(self, state, plan) -> list[SegmentedRankView]:
+        """The streamed ``state``'s per-rank views, born again in the plan's count blocks if it holds no key.
 
         A state holding keys is counted through the blocks it has,
         whichever strategy chose them, so a strategy flip copies nothing;
@@ -560,7 +552,7 @@ class Resident:
             return state.tables
         # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
         hints = [int(t.capacity * t.max_load_factor) for t in state.tables]
-        state.tables = [view for r0, r1 in table_blocks(recv_items) for view in self.born(hints[r0:r1]).views()]
+        state.tables = [view for r0, r1 in plan.blocks for view in self.born(hints[r0:r1]).views()]
         return state.tables
 
     def map_blocks(self, fn, blocks: list, sctx) -> list:
@@ -585,14 +577,15 @@ class Resident:
                 table.adopt(*slabs)
         return [out for out, _ in results]
 
-    def count(self, state, hints: list[int], sctx, acct) -> tuple[list[int], list[float]]:
+    def count(self, state, plan, sctx, acct) -> tuple[list[int], list[float]]:
         """Count every round, one table block at a time; returns the dumped tables' per-rank ``(entries, loads)``.
 
         Each block's count is private (its own table, its own extent of
         each round), so the pool may run blocks concurrently on any
-        substrate.  A one-shot drive (``state is None``) counts each block
-        into a table born for it at ``hints``, dumps it (:meth:`_dump`) and
-        closes it before the worker's next block — peak residency in the
+        substrate.  The blocks are the drive plan's.  A one-shot drive
+        (``state is None``) counts each block into a table born for it at
+        the plan's hints, dumps it (:meth:`_dump`) and closes it before the
+        worker's next block — peak residency in the
         count is the receive side (resident: the send array) plus one
         block's extent and table per worker, not P tables.  A batch counts
         into the state's tables, which are the cross-batch state itself,
@@ -611,17 +604,16 @@ class Resident:
         verify = sctx.opts.verify_exchange
         leaf = self.layout.prefix + "count"
         n_rounds = len(self.rounds)
-        recv_items = sum(np.diff(offsets) for offsets in self.round_offsets)
         if state is None:
-            blocks = [(r0, r1, None) for r0, r1 in table_blocks(recv_items)]
+            blocks = [(r0, r1, None) for r0, r1 in plan.blocks]
         else:
-            blocks = view_blocks(self.tables(state, recv_items))
+            blocks = view_blocks(self.tables(state, plan))
 
         def _count_block(block):
             r0, r1, table = block
             one_shot = table is None
             if one_shot:
-                table = self.born(hints[r0:r1])
+                table = self.born(plan.hints[r0:r1])
             try:
                 counted, digests = [], []
                 # Rounds run innermost, so each rank sees its rounds in order

@@ -41,7 +41,7 @@ from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ..config import PipelineConfig
 from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendRound
-from .context import EngineOptions, StageContext
+from .context import StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
 __all__ = [
@@ -568,6 +568,7 @@ class GpuSubstrate:
     """Charges each phase through the virtual GPU's kernel cost model."""
 
     name = "gpu"
+    device_memory = True  # under auto_rounds, a round must fit the device's HBM (core/stages/plan.py)
 
     def charge_parse(
         self,
@@ -615,20 +616,12 @@ class GpuSubstrate:
             )
         return ctx.opts.machine.gpu_model.exchange_overhead_s, t_stage
 
-    def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
-        """Rounds so the worst rank's round fits device memory (``auto_rounds``)."""
-        if not opts.auto_rounds:
-            return 1
-        # Wire buffer + staged copy + table entries (16 B/slot at ~0.7 load).
-        bytes_per_item = wire * 2 + 16 / 0.7
-        budget = opts.machine.resolved_device.hbm_bytes * opts.memory_budget_fraction
-        return max(1, int(np.ceil(worst_items * bytes_per_item / budget)))
-
 
 class CpuSubstrate:
     """Charges each phase through the Power9-calibrated CPU rates."""
 
     name = "cpu"
+    device_memory = False  # host buffers: no device memory to fit
 
     def charge_parse(
         self,
@@ -648,6 +641,3 @@ class CpuSubstrate:
 
     def charge_exchange(self, bytes_matrix: np.ndarray, ctx: StageContext) -> tuple[float, float]:
         return ctx.opts.machine.cpu_rates.phase_overhead, 0.0  # host buffers: nothing to stage
-
-    def device_rounds(self, worst_items: float, wire: int, opts: EngineOptions) -> int:
-        return 1  # no device memory to fit

@@ -36,10 +36,16 @@ import numpy as np
 from ..hashing.murmur3 import hash_kmers_batch
 from ..telemetry import active
 
-__all__ = ["EMPTY_KEY", "InsertStats", "SegmentedRankView", "DeviceHashTable"]
+__all__ = ["EMPTY_KEY", "MAX_LOAD_FACTOR", "SLOT_BYTES", "InsertStats", "SegmentedRankView", "DeviceHashTable"]
 
 #: Slot-empty sentinel (all ones).  k <= 31 packed k-mers can never equal it.
 EMPTY_KEY: np.uint64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Bytes of one table slot: a uint64 key and an int64 count.
+SLOT_BYTES = 16
+
+#: The load a table grows at unless told otherwise (the drive plan's too).
+MAX_LOAD_FACTOR = 0.7
 
 
 @dataclass(frozen=True)
@@ -411,7 +417,7 @@ class SegmentedRankView:
 
     Everything the engine, its stages and the checkpoint touch of a table
     (insert, lookup, items, the slot arrays, capacity and fill), so a
-    :class:`~repro.core.stages.scheduler.PipelineState` holds one of these
+    :class:`~repro.core.stages.checkpoint.PipelineState` holds one of these
     per rank whatever the layout; the parent table owns the storage and
     the insert.
     """
@@ -448,7 +454,7 @@ class SegmentedRankView:
     @property
     def table_bytes(self) -> int:
         """Device memory footprint (keys + counts arrays)."""
-        return self.capacity * (np.dtype(np.uint64).itemsize + np.dtype(np.int64).itemsize)
+        return self.capacity * SLOT_BYTES
 
     @property
     def keys(self) -> np.ndarray:
@@ -495,7 +501,7 @@ class DeviceHashTable(SegmentedRankView):
         capacity_hint: int = 64,
         *,
         seed: int = 0,
-        max_load_factor: float = 0.7,
+        max_load_factor: float = MAX_LOAD_FACTOR,
         probing: str = "linear",
     ) -> None:
         from .segmented import SegmentedHashTable  # the table class builds on this module's formulas

@@ -1,8 +1,9 @@
 """Segmented counting hash table: the one table class, many ranks' tables in one allocation.
 
 The engine keeps the tables of consecutive ranks — a cache-sized *rank
-block* (:func:`table_blocks`) under either layout — in a single pair of
-flat ``keys``/``counts`` arrays partitioned into power-of-two *regions*::
+block* (:func:`repro.core.stages.plan.table_blocks`) under either layout —
+in a single pair of flat ``keys``/``counts`` arrays partitioned into
+power-of-two *regions*::
 
     slot(key, rank) = region_base[rank] + (hash(key) & rank_mask[rank])
 
@@ -47,6 +48,8 @@ import numpy as np
 from ..telemetry import event
 from .hashtable import (
     EMPTY_KEY,
+    MAX_LOAD_FACTOR,
+    SLOT_BYTES,
     InsertStats,
     SegmentedRankView,
     check_batch,
@@ -68,7 +71,6 @@ __all__ = [
     "owned_dir",
     "rank_blocks",
     "release_dir",
-    "table_blocks",
     "view_blocks",
 ]
 
@@ -98,20 +100,6 @@ def rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
         blocks.append((s, e))
         s = e
     return blocks
-
-
-def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
-    """The rank blocks whose tables would total about :data:`INSERT_BLOCK_BYTES`.
-
-    ``expected_keys[r]`` estimates the keys rank ``r``'s region will hold
-    (an upper bound is fine: received instances), at 16 B a slot and the
-    default 0.7 load.  Both layouts keep each block's partitions in one
-    table and count a block per call; any partition into whole consecutive
-    ranks gives the same slots and statistics, so the estimate only steers
-    speed.
-    """
-    slots = np.maximum(64, np.asarray(expected_keys, dtype=np.float64) / 0.7)
-    return rank_blocks((slots * 16).astype(np.int64), INSERT_BLOCK_BYTES)
 
 
 #: The file in an :func:`owned_dir` directory whose ``flock`` says its owner is alive.
@@ -182,7 +170,7 @@ class SegmentedHashTable:
         capacity_hints: list[int] | np.ndarray,
         *,
         seed: int = 0,
-        max_load_factor: float = 0.7,
+        max_load_factor: float = MAX_LOAD_FACTOR,
         probing: str = "linear",
         table_dir: str | Path | None = None,
     ) -> None:
@@ -262,7 +250,7 @@ class SegmentedHashTable:
         counts: np.ndarray,
         *,
         seed: int = 0,
-        max_load_factor: float = 0.7,
+        max_load_factor: float = MAX_LOAD_FACTOR,
         probing: str = "linear",
         table_dir: str | Path | None = None,
     ) -> "SegmentedHashTable":
@@ -431,8 +419,7 @@ class SegmentedHashTable:
         probes with that region's scalar mask and base.  Yields each block's
         per-key ``(probes, claimed, lost)``, in rank order.
         """
-        region_bytes = self.capacities * 16  # uint64 keys + int64 counts
-        blocks = rank_blocks(region_bytes, INSERT_BLOCK_BYTES)
+        blocks = rank_blocks(self.capacities * SLOT_BYTES, INSERT_BLOCK_BYTES)
         cuts = np.searchsorted(ranks, [r1 for _, r1 in blocks]).tolist()
         for i, j in zip([0, *cuts], cuts):
             if j - i == 1:

@@ -190,6 +190,19 @@ class TestMultiFileAndCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: not a usable checkpoint") and err.count("\n") == 1
 
+    def test_canonical_mismatch_on_resume_is_one_error_line(self, fastq, tmp_path, capsys):
+        """Regression: a checkpoint saved without ``--canonical`` resumed with it exited 0
+        with a spectrum of mixed forward and canonical keys."""
+        ckpt = tmp_path / "state.npz"
+        argv = ["count", "--input", str(fastq), "-k", "15", "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        saved = ckpt.read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--canonical", "--out-tsv", str(tmp_path / "mixed.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: checkpoint canonical=False != config canonical=True\n"
+        assert ckpt.read_bytes() == saved and not (tmp_path / "mixed.tsv").exists()
+
 
 class TestTableDir:
     """``--table-dir`` backs the tables of every layout, not only ``--fused``'s."""

@@ -1,0 +1,94 @@
+"""The drive plan: the rounds laws, pinned one byte either side of a round boundary, and the plan decided once."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions, run_pipeline
+from repro.core.incremental import DistributedCounter
+from repro.core.stages import scheduler
+from repro.core.stages.plan import table_blocks
+from repro.dna.reads import ReadSet
+from repro.kmers.spectrum import count_kmers_exact
+from repro.mpi.topology import summit_gpu
+
+from .test_tracing_rounds import tiny_machine
+
+CONFIG = PipelineConfig(k=17, mode="kmer")  # 8-byte wire items
+
+
+@pytest.fixture(scope="module")
+def worst(genome_reads) -> int:
+    """The items the fullest rank receives."""
+    result = run_pipeline(genome_reads, summit_gpu(1), CONFIG)
+    return int(result.counts_matrix.sum(axis=0).max())
+
+
+def _rounds(reads, options: EngineOptions) -> int:
+    result = run_pipeline(reads, summit_gpu(1), CONFIG, options=options)
+    result.validate_against(count_kmers_exact(reads, 17))
+    return result.n_rounds_used
+
+
+class TestRoundsLaws:
+    """rounds = ⌈worst × bytes per item / budget⌉, with the bytes per item written out here."""
+
+    def test_host_law(self, genome_reads, worst):
+        # Wire buffer and its copy, the unpacked 8-byte key, a 16-byte slot at 0.7 load.
+        per_item = 8 * 2 + 8.0 + 16 / 0.7
+        budget = math.ceil(worst * per_item / 3)  # the smallest budget that fits three rounds
+        assert _rounds(genome_reads, EngineOptions(host_memory_budget=budget)) == 3
+        assert _rounds(genome_reads, EngineOptions(host_memory_budget=budget - 1)) == 4
+
+    def test_device_law(self, genome_reads, worst):
+        # Wire buffer and its staged copy, a 16-byte slot at 0.7 load.
+        per_item = 8 * 2 + 16 / 0.7
+        hbm = math.ceil(worst * per_item / 3)  # the smallest device that fits three rounds
+
+        def rounds(hbm_bytes: int) -> int:
+            options = EngineOptions(machine=tiny_machine(hbm_bytes), auto_rounds=True, memory_budget_fraction=1.0)
+            return _rounds(genome_reads, options)
+
+        assert rounds(hbm) == 3
+        assert rounds(hbm - 1) == 4
+
+
+class TestOnePlanPerDrive:
+    def test_a_drive_plans_once(self, genome_reads, monkeypatch):
+        """Rounds, count blocks and hints are decided once, from the parse's counts matrix."""
+        plans = []
+        real = scheduler.plan_drive
+        monkeypatch.setattr(scheduler, "plan_drive", lambda *a, **kw: plans.append(real(*a, **kw)) or plans[-1])
+        result = run_pipeline(genome_reads, summit_gpu(2), PipelineConfig(k=17, n_rounds=3))
+        assert len(plans) == 1
+        (plan,) = plans
+        assert plan.n_rounds == result.n_rounds_used == 3
+        assert plan.blocks == table_blocks(result.counts_matrix.sum(axis=0))
+        p = result.cluster.n_ranks
+        parsed = result.counts_matrix.sum(axis=1)  # k-mer mode: an item per parsed k-mer
+        assert plan.hints == [max(64, int(n) // p + 16) for n in parsed]
+
+    def test_a_streamed_batch_takes_one_round_under_any_budget(self, genome_reads):
+        counter = DistributedCounter(summit_gpu(2), CONFIG, options=EngineOptions(host_memory_budget=1_000))
+        counter.add_reads(genome_reads)
+        assert [rec.label for rec in counter.traffic.records] == ["kmer-batch0"]
+        assert counter.spectrum().equals(count_kmers_exact(genome_reads, 17))
+
+    @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
+    def test_the_budget_floor_is_one_rule_on_both_surfaces(self, surface):
+        """A sub-floor budget is rejected where an item is received, on both surfaces, and only there."""
+        short = ReadSet.from_strings(["ACGTACGTAC"])  # no 17-mer: nothing is received
+        options = EngineOptions(host_memory_budget=16)
+        if surface == "one-shot":
+            assert run_pipeline(short, summit_gpu(2), CONFIG, options=options).spectrum.n_distinct == 0
+            with pytest.raises(ValueError, match="working-set floor"):
+                run_pipeline(ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"]), summit_gpu(2), CONFIG, options=options)
+            return
+        counter = DistributedCounter(summit_gpu(2), CONFIG, options=options)
+        counter.add_reads(short)
+        assert counter.total_kmers == 0
+        with pytest.raises(ValueError, match="working-set floor"):
+            counter.add_reads(ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"]))

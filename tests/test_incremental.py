@@ -171,6 +171,23 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="k="):
             wrong.load(path)
 
+    @pytest.mark.parametrize("saved", [False, True], ids=["forward-saved", "canonical-saved"])
+    def test_canonical_mismatch_rejected(self, batches, tmp_path, saved):
+        """Resuming forward counts as canonical ones (or the other way round) would mix both in one spectrum."""
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17, canonical=saved))
+        counter.add_reads(batches[0])
+        path = counter.save(tmp_path / "c.npz")
+        wrong = DistributedCounter(summit_gpu(1), PipelineConfig(k=17, canonical=not saved))
+        wrong.add_reads(batches[1])
+        before = wrong.spectrum()
+        with pytest.raises(ValueError) as excinfo:
+            wrong.load(path)
+        assert str(excinfo.value) == f"{path}: checkpoint canonical={saved} != config canonical={not saved}"
+        assert wrong.n_batches == 1 and wrong.spectrum().equals(before)
+        resumed = DistributedCounter(summit_gpu(1), PipelineConfig(k=17, canonical=saved))
+        resumed.load(path)
+        assert resumed.spectrum().equals(counter.spectrum())
+
     def test_rank_mismatch_rejected(self, batches, tmp_path):
         counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
         counter.add_reads(batches[0])
@@ -463,8 +480,8 @@ class TestCheckpointAccounting:
         _assert_same_observables(in_ram, on_disk)
         _assert_same_observables(back, on_disk)
 
-    def test_versions_1_and_2_are_rejected_by_name(self, batches, tmp_path):
-        """Both older formats stored each rank's sorted items, not its slots."""
+    def test_older_versions_are_rejected_by_name(self, batches, tmp_path):
+        """Versions 1 and 2 stored each rank's sorted items, not its slots; version 3 did not record ``canonical``."""
         counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17))
         counter.add_reads(batches[0])
         before = counter.spectrum()
@@ -478,11 +495,16 @@ class TestCheckpointAccounting:
         }
         for r, table in enumerate(counter.tables):
             payload[f"keys_{r}"], payload[f"counts_{r}"] = table.items()
-        for version in (1, 2):
+        current = counter.save(tmp_path / "current.npz")
+        for version in (1, 2, 3):
             old = tmp_path / f"v{version}.npz"
-            np.savez_compressed(old, version=np.array([version]), **payload)
+            if version < 3:
+                np.savez_compressed(old, version=np.array([version]), **payload)
+            else:  # the slot layout, without ``canonical``
+                _rewrite(current, old, version=np.array([version]), canonical=None)
             with pytest.raises(
-                ValueError, match=rf"v{version}\.npz: not a usable checkpoint: .*version {version}\b"
+                ValueError,
+                match=rf"v{version}\.npz: not a usable checkpoint: .*version {version}\b.*recount the inputs",
             ):
                 counter.load(old)
         assert counter.n_batches == 1 and counter.spectrum().equals(before)

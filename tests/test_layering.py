@@ -152,7 +152,7 @@ class TestCheckerDetects:
         )
         gathers = (  # the one gather call, for the payload and the length bytes alike
             "table = SegmentedHashTable(hints)\nouts = [take(n, array.dtype) for array in arrays]\n"
-            "blk.take(arrays, outs)\nhint = max(64, n // max(p, 1) + 16)\n"
+            "blk.take(arrays, outs)\n"
         )
         cut = root / "core" / "stages" / "buffers.py"
         standard.write_text(owned)
@@ -189,17 +189,19 @@ class TestCheckerDetects:
         assert "scheduler.py:1: '* total // n_shards' is defined once, in dna/reads.py" in proc.stdout
         assert "spmd.py:1: 'code_bytes - config.k + 1' is defined once, in core/stages/standard.py" in proc.stdout
 
+    #: Every text the checker pins to core/stages/plan.py, once: the host law, the table term, the hints.
+    _PLAN = (
+        "host_bytes_per_item = wire * 2 + 8.0 + TABLE_BYTES_PER_KEY\n"
+        "TABLE_BYTES_PER_KEY = SLOT_BYTES / MAX_LOAD_FACTOR  # 16 / 0.7\n"
+        "hints = np.maximum(64, summary.n_kmers // max(p, 1) + 16)\n"
+    )
+
     def test_flags_second_table_hint(self, tmp_path):
-        """A new table's capacity hint is ``table_hint``'s (core/stages/spill.py); the driver and the rank program call it."""
+        """A new table's capacity hint is the drive plan's (core/stages/plan.py); the driver and the rank program read it."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
-        spill = root / "core" / "stages" / "spill.py"
-        owned = (  # every text the checker pins to this owner, once
-            "table = SegmentedHashTable(hints)\nblk.take(arrays, outs)\n"
-            "def table_hint(n_kmers, p):\n    return max(64, n_kmers // max(p, 1) + 16)\n"
-        )
-        spill.write_text(owned)
-        (root / "core" / "spmd.py").write_text("hint = table_hint(int(summary.n_kmers[0]), comm.size)\n")
+        (root / "core" / "stages" / "plan.py").write_text(self._PLAN)
+        (root / "core" / "spmd.py").write_text("table = block_table(plan_drive(summary, ctx).hints, seed)\n")
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "scheduler.py").write_text(
             "hints = [max(64, int(nk) // max(p, 1) + 16) for nk in summary.n_kmers]\n"
@@ -207,8 +209,22 @@ class TestCheckerDetects:
         (root / "core" / "spmd.py").write_text("table = block_table([n // max(p, 1) + 16], seed)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "scheduler.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
-        assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "scheduler.py:1: '// max(p, 1) + 16' is defined once, in core/stages/plan.py" in proc.stdout
+        assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/plan.py" in proc.stdout
+
+    def test_flags_second_table_term(self, tmp_path):
+        """The table term (a slot at the default load) is the drive plan's; a law that writes it out again fails."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        plan = root / "core" / "stages" / "plan.py"
+        plan.write_text(self._PLAN)
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "standard.py").write_text("bytes_per_item = wire * 2 + 16 / 0.7\n")
+        plan.write_text(self._PLAN + "device_bytes_per_item = wire * 2 + 16 / 0.7\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "standard.py:1: '16 / 0.7' is defined once, in core/stages/plan.py" in proc.stdout
+        assert "plan.py:4: '16 / 0.7' is defined once, in core/stages/plan.py" in proc.stdout
 
     def test_flags_second_merge_fold_and_pair_sort(self, tmp_path):
         """Pairs are sorted in gpu/hashtable.py only, and within ``core`` folded by standard.py's merge only."""
@@ -334,14 +350,13 @@ class TestCheckerDetects:
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         scheduler = root / "core" / "stages" / "scheduler.py"
-        owned = (  # every text the checker pins to this owner, once
-            'event("engine.process.fallback", subsystem="engine")\nper_item = wire * 2 + 8.0\n'
-        )
+        owned = 'event("engine.process.fallback", subsystem="engine")\n'  # the one text pinned to this owner
         scheduler.write_text(owned)
+        (root / "core" / "stages" / "plan.py").write_text(self._PLAN)
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "spill.py").write_text('event("engine.spill.fallback", reason=why)\n')
         scheduler.write_text(owned + 'event(f"engine.{knob}.fallback", reason=why)\n')
         proc = run_checker(root)
         assert proc.returncode == 1
         assert "spill.py:1: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
-        assert "scheduler.py:3: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
+        assert "scheduler.py:2: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout

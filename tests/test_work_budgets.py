@@ -19,6 +19,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.stages.checkpoint as checkpoint
+import repro.core.stages.plan as plan
 import repro.core.stages.scheduler as scheduler
 import repro.core.stages.spill as spill
 import repro.core.stages.standard as standard
@@ -380,7 +382,7 @@ class TestCheckpointBudgets:
             with zipfile.ZipFile(counter.save(tmp_path / f"ck-{nodes}-{n_batches}.npz")) as zf:
                 assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
                 members.add(tuple(sorted(zf.namelist())))
-        assert len(members) == 1 and len(members.pop()) == 16
+        assert len(members) == 1 and len(members.pop()) == 17  # format version 4: `canonical` beside `k`
 
 
 class TestRankBlockBudgets:
@@ -516,13 +518,13 @@ class TestOneTableBudgets:
         """``(bytes each regrow after batch 1 laid, bytes of the batch-1 rank blocks holding its grown regions)``.
 
         A P-rank k-mer counter on the fused strategy, fed twelve batches; the
-        blocks are the ones :func:`~repro.gpu.segmented.table_blocks` gives
+        blocks are the ones :func:`~repro.core.stages.plan.table_blocks` gives
         for the first batch's received k-mers.
         """
         n = reads.n_reads
         counter = DistributedCounter(summit_gpu(nodes), PipelineConfig(k=17), options=EngineOptions(fused=True))
         counter.add_reads(reads.select(range(n // 12)))
-        blocks = segmented.table_blocks(counter.received_kmers)
+        blocks = plan.table_blocks(counter.received_kmers)
         first_rank = {id(table): r0 for r0, _, table in segmented.view_blocks(counter.tables)}
         laid, bound = [], []
         real = SegmentedHashTable._regrow
@@ -994,12 +996,12 @@ class TestLeanTransientBudgets:
         blocks = segmented.view_blocks(counter.tables)
         assert 1 < len(blocks) < len(counter.tables)
         dumps = []
-        real_dump = scheduler.dump_slots
-        monkeypatch.setattr(scheduler, "dump_slots", lambda keys, counts: dumps.append(1) or real_dump(keys, counts))
+        real_dump = checkpoint.dump_slots
+        monkeypatch.setattr(checkpoint, "dump_slots", lambda keys, counts: dumps.append(1) or real_dump(keys, counts))
         by_block = counter.save(tmp_path / "blocks.npz")
         assert len(dumps) == len(blocks)
         # The per-rank form: one dump per rank's region.
-        monkeypatch.setattr(scheduler, "view_blocks", lambda views: [(r, r + 1, v) for r, v in enumerate(views)])
+        monkeypatch.setattr(checkpoint, "view_blocks", lambda views: [(r, r + 1, v) for r, v in enumerate(views)])
         by_rank = counter.save(tmp_path / "ranks.npz")
         assert len(dumps) == len(blocks) + len(counter.tables)
         with zipfile.ZipFile(by_block) as blocked, zipfile.ZipFile(by_rank) as ranked:

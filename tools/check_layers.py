@@ -30,15 +30,17 @@ regrows a sum over equal keys), the calls of the pair sort
 (``sort_pairs(``, table module only) and, within ``core``, of the fold
 (``merge_counts(``, which ``merge_items`` reaches for every residency,
 so no residency regrows a sorted-run merge of its own), the host working
-set per received item, the table's insert probe loop, its slot dump,
+set per received item and the table term (a slot at the default load,
+``16 / 0.7``, which the drive plan names once and every law reads), the
+table's insert probe loop, its slot dump,
 the segment gather index, the shard ranges' cut ``total * s // P``
 (``ShardRanges``, the one input partition) and the parse kernel's
 thread count, the call of the one block gather (``blk.take(`` in
 ``spill._gather``, which a resident count block and a spooled exchange
 share), the cut of segments into rounds (``round_cut``), the exchange
 checksum's XOR reduction, the engine's one table birth and its capacity
-hint (``table_hint``, which the round driver and the SPMD rank program
-both call), the pair sort
+hint (the drive plan's, which the round driver and the SPMD rank program
+both read), the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
 one wall summary (busy / elapsed / overlap), the one silent fallback
@@ -92,7 +94,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     (".charge_parse(", "core/stages", "core/stages/standard.py", True),
     ("np.flatnonzero(keys[1:] != keys[:-1])", "", "gpu/hashtable.py", True),
     ("np.not_equal(keys[1:], keys[:-1], out=head[1:])", "", "gpu/hashtable.py", True),
-    ("wire * 2 + 8.0", "", "core/stages/scheduler.py", True),
+    ("wire * 2 + 8.0", "", "core/stages/plan.py", True),
+    ("16 / 0.7", "", "core/stages/plan.py", True),
     ("while pending.size", "gpu", "gpu/hashtable.py", True),
     ("np.repeat(starts - out_starts, lens)", "", "mpi/collectives.py", True),
     ("blk.take(", "core/stages", "core/stages/spill.py", True),
@@ -103,7 +106,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
     ("np.argsort(keys)", "", "gpu/hashtable.py", True),
     ("np.floor_divide(h, p, out=q)", "", "hashing/partition.py", True),
-    ("// max(p, 1) + 16", "", "core/stages/spill.py", True),
+    ("// max(p, 1) + 16", "", "core/stages/plan.py", True),
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
     ('.fallback"', "", "core/stages/scheduler.py", True),
