@@ -112,12 +112,14 @@ class SendRound:
     n_rounds: int
     seg_starts: np.ndarray  # (sources, P) int64: where each whole segment starts in the send array
 
-    def cut(self, d0: int = 0, d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, starts)``, each ``[src, dst - d0]``, of the round's segments bound for ``[d0, d1)``.
+    def cut(
+        self, d0: int = 0, d1: int | None = None, *, s0: int = 0, s1: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, starts)``, each ``[src - s0, dst - d0]``, of the round's segments from ``[s0, s1)`` bound for ``[d0, d1)``.
 
         A lone round is every segment whole: views, no arithmetic.
         """
-        seg_lens, seg_starts = self.send.counts[:, d0:d1], self.seg_starts[:, d0:d1]
+        seg_lens, seg_starts = self.send.counts[s0:s1, d0:d1], self.seg_starts[s0:s1, d0:d1]
         if self.n_rounds == 1:
             return seg_lens, seg_starts
         lo = seg_starts + round_cut(seg_lens, self.rnd, self.n_rounds)

@@ -39,6 +39,7 @@ from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
+from ...mpi import collectives
 from ..config import PipelineConfig
 from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendRound
 from .context import StageContext
@@ -322,25 +323,36 @@ def sent_digest(round_: SendRound) -> tuple[tuple[int, int], ...]:
     """``(items, XOR)`` of each array of everything ``round_`` sends: the exchange checksum's send side.
 
     A lone round is the whole send array: one reduction per array.  Else
-    the round's segments are ranges of the send array: one ``reduceat``
-    over their bounds gives every segment's XOR (the gaps between them,
-    other rounds' items, land on the odd entries and are skipped), and one
-    fold the round's — no copy, one pass whatever P.
+    the round's segments are ranges of the send array, folded in chunks of
+    whole source rows: a chunk's segments lie in one slice of the src-major
+    array, so one ``reduceat`` over their bounds in that slice gives every
+    segment's XOR (the gaps between them, other rounds' items, land on the
+    odd entries and are skipped), and the chunks' XORs fold into the
+    round's — no copy.  A chunk's working set, ten 8 B words a segment (its
+    cut's count and start; the held index, start, length and end; two
+    bounds and two outputs), stays within
+    :data:`~repro.mpi.collectives.SEGMENT_BLOCK_BYTES`, so it does not grow
+    with P² (a round is one chunk up to P = 161).
     """
+    arrays = round_.send.arrays
     if round_.n_rounds == 1:
-        return exchange_digest(round_.send.arrays)
-    counts, starts = round_.cut()
-    lens = counts.reshape(-1)
-    held = np.flatnonzero(lens)
-    if not held.size:
-        return ((0, 0),) * len(round_.send.arrays)
-    lo = starts.reshape(-1)[held]
-    end = int(lo[-1] + lens[held[-1]])
-    bounds = np.stack((lo, lo + lens[held]), axis=1).reshape(-1)[:-1]  # the last segment runs to `end`
-    items = int(lens.sum())
-    return tuple(
-        (items, _xor(np.bitwise_xor.reduceat(array[:end], bounds)[::2])) for array in round_.send.arrays
-    )
+        return exchange_digest(arrays)
+    n_src, p = round_.send.counts.shape
+    rows = max(1, collectives.SEGMENT_BLOCK_BYTES // (80 * p))
+    items, xors = 0, [0] * len(arrays)
+    for s0 in range(0, n_src, rows):
+        counts, starts = round_.cut(s0=s0, s1=s0 + rows)
+        lens = counts.reshape(-1)
+        held = np.flatnonzero(lens)
+        if not held.size:
+            continue
+        lo, lens = starts.reshape(-1)[held], lens[held]
+        base, end = int(lo[0]), int(lo[-1] + lens[-1])
+        lo -= base
+        bounds = np.stack((lo, lo + lens), axis=1).reshape(-1)[:-1]  # the last segment runs to `end`
+        items += int(lens.sum())
+        xors = [x ^ _xor(np.bitwise_xor.reduceat(a[base:end], bounds)[::2]) for x, a in zip(xors, arrays)]
+    return tuple((items, x) for x in xors)
 
 
 def _xor(values: np.ndarray) -> int:

@@ -76,10 +76,6 @@ class SweepResult:
             out.append(row)
         return out
 
-    @property
-    def total_wall_seconds(self) -> float:
-        return float(sum(self.wall_seconds))
-
     def best(self, metric: str = "total_s", minimize: bool = True) -> tuple[SweepPoint, CountResult]:
         """Grid point optimizing a summary metric."""
         if not self.results:

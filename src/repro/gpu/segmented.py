@@ -105,8 +105,9 @@ def rank_blocks(weights: np.ndarray, target: int) -> list[tuple[int, int]]:
 #: The file in an :func:`owned_dir` directory whose ``flock`` says its owner is alive.
 OWNER_FILE = ".owner"
 
-#: The private directories :func:`owned_dir` makes: a table's slabs and a spool.
-_OWNED_PREFIXES = ("spool-", "table-")
+#: The private directories :func:`owned_dir` makes: a table's slabs and a spool,
+#: and each one's hidden staging name before it is locked.
+_OWNED_PREFIXES = ("spool-", "table-", ".spool-", ".table-")
 
 
 def owned_dir(base: Path, prefix: str) -> tuple[Path, int]:
@@ -116,17 +117,27 @@ def owned_dir(base: Path, prefix: str) -> tuple[Path, int]:
     locked (``flock``, exclusive: held until :func:`release_dir`, dropped
     by the kernel when the process dies), then renamed to ``<prefix>…``,
     so a ``spool-``/``table-`` directory is never seen half made.  The
-    directories a killed run left in ``base`` — named so, owner lock free
-    — are removed first (:func:`_reclaim`).
+    directories a killed run left in ``base`` — named so or still hidden,
+    owner lock free — are removed first (:func:`_reclaim`).  A staging
+    directory is such debris until its owner file is locked, so another
+    run's reclaim may remove it in between; the lock, granted once the
+    reclaim is through (:func:`release_dir` removes before it unlocks),
+    then holds a file that is gone, the rename fails, and a fresh staging
+    directory is made.
     """
     base.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix="." + prefix, dir=base))
-    fd = os.open(staging / OWNER_FILE, os.O_RDONLY | os.O_CREAT, 0o600)
-    fcntl.flock(fd, fcntl.LOCK_EX)
-    path = staging.with_name(staging.name[1:])
-    os.rename(staging, path)
-    _reclaim(base, keep=path)
-    return path, fd
+    while True:
+        staging = Path(tempfile.mkdtemp(prefix="." + prefix, dir=base))
+        fd = os.open(staging / OWNER_FILE, os.O_RDONLY | os.O_CREAT, 0o600)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        path = staging.with_name(staging.name[1:])
+        try:
+            os.rename(staging, path)
+        except FileNotFoundError:  # reclaimed before the lock was taken
+            os.close(fd)
+            continue
+        _reclaim(base, keep=path)
+        return path, fd
 
 
 def release_dir(path: Path, fd: int) -> None:

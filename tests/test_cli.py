@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fcntl
 import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.gpu.segmented import OWNER_FILE
+from repro.gpu import segmented
+from repro.gpu.segmented import OWNER_FILE, owned_dir, release_dir
 from repro.kmers.kmerdb import read_kmerdb
 
 
@@ -286,6 +289,42 @@ class TestCrashDebris:
             holder.wait(timeout=30)
         assert [p.name for p in spool.iterdir()] == ["spool-live"]
         assert sorted(p.name for p in live.iterdir()) == [OWNER_FILE, "keys.g1.bin"]
+
+    def test_a_killed_staging_directory_is_reclaimed(self, tmp_path):
+        """A kill between the owner lock and the rename leaves a hidden ``.spool-…``; the next run removes it."""
+        killed = self._debris(tmp_path, ".spool-killed")
+        unowned = tmp_path / ".spool-unowned"  # killed before its owner file existed: not provably ours
+        unowned.mkdir()
+        path, fd = owned_dir(tmp_path, "spool-")
+        assert not killed.exists()
+        release_dir(path, fd)
+        assert [p.name for p in tmp_path.iterdir()] == [unowned.name]
+
+    def test_a_reclaim_that_wins_the_lock_race_restarts_the_staging(self, tmp_path, monkeypatch):
+        """Another run's reclaim between ``owned_dir``'s owner file and its lock costs a retry, never the directory."""
+        real_flock, staged = fcntl.flock, []
+
+        def flock(fd, operation):
+            if operation == fcntl.LOCK_EX and not staged:  # owned_dir's first lock, not yet taken
+                staged.extend(tmp_path.iterdir())
+                segmented._reclaim(tmp_path, keep=tmp_path / "other-run")
+                assert not any(p.exists() for p in staged)
+            return real_flock(fd, operation)
+
+        monkeypatch.setattr(segmented.fcntl, "flock", flock)
+        path, fd = owned_dir(tmp_path, "spool-")
+        monkeypatch.undo()
+        assert len(staged) == 1 and staged[0].name.startswith(".spool-")  # the first staging, reclaimed
+        assert staged[0].name[1:] != path.name  # the directory returned is a fresh one
+        assert [p.name for p in tmp_path.iterdir()] == [path.name] and path.name.startswith("spool-")
+        probe = os.open(path / OWNER_FILE, os.O_RDONLY)
+        try:
+            with pytest.raises(BlockingIOError):  # the lock is held: no later reclaim can take it
+                fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(probe)
+        release_dir(path, fd)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDistance:

@@ -47,6 +47,16 @@ class TestCheckerDetects:
         "np.bitwise_or(packed, counts.view(np.uint64), out=packed)\norder = np.argsort(keys)\n" + _FOLDS
     )
 
+    #: Every text the checker pins to core/stages/standard.py, once.
+    _STANDARD = (
+        "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
+        "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
+        "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
+        "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
+        "values, counts = merge_counts(keys, counts)\n"
+        "segment_xors = np.bitwise_xor.reduceat(chunk, bounds)[::2]\n"
+    )
+
     @staticmethod
     def _tree(tmp_path: Path, body: str) -> Path:
         """A minimal fake package with a dna module containing ``body``."""
@@ -122,20 +132,14 @@ class TestCheckerDetects:
         """The count body is the one ``.charge_count(`` call site, as the parse body is ``.charge_parse(``'s."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
-        owned = (  # every text the checker pins to this owner, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
-            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "times = [ctx.substrate.charge_count(n, r, s, ctx) for n, r, s in ranks]\n"
-            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(keys, counts)\n"
-        )
+        owned = self._STANDARD
         standard = root / "core" / "stages" / "standard.py"
         standard.write_text(owned)
         assert run_checker(root).returncode == 0
         standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "standard.py:8: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
         """The one block gather's call lives in the spool module, the checksum reduction in standard.py, the round cut in buffers.py."""
@@ -143,13 +147,7 @@ class TestCheckerDetects:
         (root / "core" / "stages").mkdir()
         standard = root / "core" / "stages" / "standard.py"
         spill = root / "core" / "stages" / "spill.py"
-        owned = (  # every text the checker pins to standard.py, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
-            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
-            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(keys, counts)\n"
-        )
+        owned = self._STANDARD
         gathers = (  # the one gather call, for the payload and the length bytes alike
             "table = SegmentedHashTable(hints)\nouts = [take(n, array.dtype) for array in arrays]\n"
             "blk.take(arrays, outs)\n"
@@ -165,22 +163,30 @@ class TestCheckerDetects:
         )
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:7: 'blk.take(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "standard.py:8: 'blk.take(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
         assert "scheduler.py:2: '(seg_lens * rnd) // n_rounds' is defined once, in core/stages/buffers.py" in proc.stdout
+
+    def test_flags_second_segment_xor(self, tmp_path):
+        """The send side's per-segment XORs are ``sent_digest``'s one ``reduceat`` (standard.py), not a second fold."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        standard = root / "core" / "stages" / "standard.py"
+        standard.write_text(self._STANDARD)
+        assert run_checker(root).returncode == 0
+        standard.write_text(self._STANDARD + "tail = np.bitwise_xor.reduceat(last_chunk, bounds)\n")
+        (root / "core" / "stages" / "spill.py").write_text("xors = np.bitwise_xor.reduceat(segment_file, offsets)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "standard.py:8: 'np.bitwise_xor.reduceat(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "spill.py:1: 'np.bitwise_xor.reduceat(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
         """The input's shard cut is ``ShardRanges``' (dna/reads.py), the parse kernel's thread count the parse body's."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         (root / "dna" / "reads.py").write_text("cuts = np.arange(n_shards + 1) * total // n_shards\n")
-        (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
-            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
-            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "values, counts = merge_counts(keys, counts)\n"
-        )
+        (root / "core" / "stages" / "standard.py").write_text(self._STANDARD)
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "scheduler.py").write_text("lo = s * total // n_shards\n")
         (root / "core" / "stages" / "spmd.py").write_text("threads = max(code_bytes - config.k + 1, 0)\n")
@@ -230,13 +236,7 @@ class TestCheckerDetects:
         """Pairs are sorted in gpu/hashtable.py only, and within ``core`` folded by standard.py's merge only."""
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
-        (root / "core" / "stages" / "standard.py").write_text(  # every text the checker pins to it, once
-            "est = TrafficEstimate()\nout = ExchangeOutcome()\n"
-            "t = substrate.charge_parse(shard, code_bytes - config.k + 1)\n"
-            "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
-            "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
-            "spectrum = merge_counts(values, counts)\n"
-        )
+        (root / "core" / "stages" / "standard.py").write_text(self._STANDARD)
         (root / "gpu").mkdir()
         (root / "gpu" / "hashtable.py").write_text(self._HASHTABLE)
         (root / "ext").mkdir()

@@ -25,11 +25,12 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.buffers import SendArray, send_rounds
-from repro.core.stages.standard import TableCount
+from repro.core.stages.buffers import SendArray, SendRound, send_rounds
+from repro.core.stages.standard import TableCount, sent_digest
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
 from repro.gpu.segmented import SegmentedHashTable
+from repro.mpi import collectives
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -295,3 +296,47 @@ def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
             pieces = [array[st[src, dst] : st[src, dst] + ct[src, dst]] for ct, st in cuts]
             original = array[seg_offsets[seg] : seg_offsets[seg + 1]]
             assert np.array_equal(np.concatenate(pieces), original)
+
+
+@pytest.mark.parametrize("n_rounds", [2, 3, 5])
+@pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
+def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
+    """A round's send-side digest ≡ its segments, concatenated by the scalar loop, then counted and XORed.
+
+    The block size is cut so that every round is folded in several chunks
+    of source rows and ends in a partial one; one chunk holds only empty
+    rows, and segments that hold nothing are spread everywhere.
+    """
+    p = 13
+    rng = np.random.default_rng(7 * n_rounds + with_lengths)
+    counts = rng.integers(0, 12, size=(p, p)).astype(np.int64)
+    counts[rng.random((p, p)) < 0.3] = 0  # segments that hold nothing
+    counts[3:6] = 0  # sources with nothing to send
+    n = int(counts.sum())
+    send = SendArray(
+        data=rng.integers(0, 1 << 63, size=n, dtype=np.uint64),
+        lengths=rng.integers(1, 200, size=n).astype(np.uint8) if with_lengths else None,
+        counts=counts,
+    )
+    src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+    monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 1 << 12)
+    real_cut, chunks = SendRound.cut, []
+
+    def recording_cut(self, d0=0, d1=None, *, s0=0, s1=None):
+        chunks.append((s0, s1))
+        return real_cut(self, d0, d1, s0=s0, s1=s1)
+
+    monkeypatch.setattr(SendRound, "cut", recording_cut)
+    for rnd, view in enumerate(send_rounds(send, n_rounds)):
+        data, lengths = [], []
+        for src in range(p):
+            lo, hi = src_base[src], src_base[src + 1]
+            src_lengths = send.lengths[lo:hi] if with_lengths else None
+            ref_data, ref_lengths, _ = _round_slice_reference(send.data[lo:hi], src_lengths, counts[src], rnd, n_rounds)
+            data.append(ref_data)
+            lengths.append(ref_lengths)
+        reference = [np.concatenate(data)] + ([np.concatenate(lengths)] if with_lengths else [])
+        chunks.clear()
+        assert sent_digest(view) == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
+        assert len(chunks) >= 3 and chunks[-1][1] > p  # several chunks, the last one partial
+

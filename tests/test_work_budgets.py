@@ -30,6 +30,7 @@ import repro.mpi.collectives as collectives
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
+from repro.core.stages.buffers import SendArray, send_rounds
 from repro.core.stages.standard import GpuSubstrate
 from repro.dna import simulate
 from repro.dna.reads import ReadSet
@@ -270,11 +271,12 @@ class TestExchangeGrowthLaw:
     No exchange stages a per-source buffer (``SegmentBlock.gather`` is
     gone) or copies a round into a receive array: the gather indexes of a
     round follow its blocks — the bytes — and so does its checksum: per
-    array, one ``reduceat`` over the round's segments of the send array and
-    one fold of them on the send side, and one reduction per count block on
-    the received side, whose digests the count folds.  Quadrupling P at
-    fixed input adds none.  The per-source form made P views, P staged
-    slices per block and 2P XOR reductions a round.
+    array, one ``reduceat`` per source chunk over its segments of the send
+    array and one fold of each on the send side (at these P, up to 96, a
+    round is one chunk), and one reduction per count block on the received
+    side, whose digests the count folds.  Quadrupling P at fixed input adds
+    none.  The per-source form made P views, P staged slices per block and
+    2P XOR reductions a round.
     """
 
     class _CountingXor:
@@ -343,6 +345,34 @@ class TestExchangeGrowthLaw:
             assert made["reductions"] == arrays * (1 + made["blocks"])  # its fold, and one per count block
         assert 1 <= base["blocks"] and wider["blocks"] <= base["blocks"]
         assert 1 <= base["index"] and wider["index"] <= base["index"]
+
+
+class TestSentDigestGrowthLaw:
+    """The send side of a multi-round checksum holds O(SEGMENT_BLOCK_BYTES + P), never O(P²).
+
+    It folds a round in chunks of whole source rows, each chunk's bounds
+    and outputs within about ``SEGMENT_BLOCK_BYTES``.  One ``reduceat``
+    over all P² segment bounds took 16 MB a round here at P = 512 (and
+    27.4 MB on the 672-rank spilled workload, while the send array was
+    still live).
+    """
+
+    P = 512
+
+    def test_traced_peak_is_block_sized(self):
+        p = self.P
+        counts = np.full((p, p), 2, dtype=np.int64)  # every segment gives each of the two rounds an item
+        send = SendArray(data=np.arange(int(counts.sum()), dtype=np.uint64), lengths=None, counts=counts)
+        for view in send_rounds(send, 2):
+            tracemalloc.start()
+            try:
+                digest = standard.sent_digest(view)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            half = send.data.reshape(-1, 2)[:, view.rnd]
+            assert digest == ((p * p, int(np.bitwise_xor.reduce(half))),)
+            assert peak <= 2 * collectives.SEGMENT_BLOCK_BYTES + 64 * p, peak
 
 
 class TestCheckpointBudgets:
