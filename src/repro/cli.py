@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--ordering", default="random-base", choices=["lexicographic", "kmc2", "random-base"])
     p_count.add_argument("--canonical", action="store_true", help="count canonical (strand-neutral) k-mers")
     p_count.add_argument("--gpudirect", action="store_true", help="skip CPU staging copies")
-    p_count.add_argument("--rounds", type=int, default=1, help="memory-bounded exchange rounds")
+    p_count.add_argument("--rounds", type=int, default=1, help="exchange rounds per input file (at least)")
     p_count.add_argument(
         "--fused",
         action="store_true",
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         type=int,
         default=None,
-        help="host-memory target per rank in bytes: splits the exchange into enough "
-        "rounds that one round's working set fits (combine with --spill to cap RSS)",
+        help="host-memory target per rank in bytes: splits each input file's exchange into "
+        "enough rounds that one round's working set fits (combine with --spill to cap RSS)",
     )
     p_count.add_argument(
         "--table-dir",

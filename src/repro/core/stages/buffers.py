@@ -25,11 +25,10 @@ the interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from ...mpi.collectives import SegmentBlock, segment_blocks, segment_starts
+from ...mpi.collectives import SegmentBlock, segment_starts
 
 __all__ = [
     "ParsedItems",
@@ -112,14 +111,14 @@ class SendRound:
     n_rounds: int
     seg_starts: np.ndarray  # (sources, P) int64: where each whole segment starts in the send array
 
-    def cut(
-        self, d0: int = 0, d1: int | None = None, *, s0: int = 0, s1: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, starts)``, each ``[src - s0, dst - d0]``, of the round's segments from ``[s0, s1)`` bound for ``[d0, d1)``.
+    def cut(self, d0: int = 0, d1: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, starts)``, each ``[src, dst - d0]``, of the round's segments bound for ``[d0, d1)``.
 
-        A lone round is every segment whole: views, no arithmetic.
+        The exchange cuts its round whole, once; a resident count block
+        cuts its own destinations.  A lone round is every segment whole:
+        views, no arithmetic.
         """
-        seg_lens, seg_starts = self.send.counts[s0:s1, d0:d1], self.seg_starts[s0:s1, d0:d1]
+        seg_lens, seg_starts = self.send.counts[:, d0:d1], self.seg_starts[:, d0:d1]
         if self.n_rounds == 1:
             return seg_lens, seg_starts
         lo = seg_starts + round_cut(seg_lens, self.rnd, self.n_rounds)
@@ -129,11 +128,6 @@ class SendRound:
         """Destinations ``[d0, d1)`` of the round's receive side as one gather block."""
         counts, starts = self.cut(d0, d1)
         return SegmentBlock(d0, d1, 0, int(counts.sum()), counts, starts)
-
-    def blocks(self) -> Iterator[SegmentBlock]:
-        """The round's cache-sized destination blocks (:func:`~repro.mpi.collectives.segment_blocks`)."""
-        counts, starts = self.cut()
-        return segment_blocks(counts, sum(array.itemsize for array in self.send.arrays), starts)
 
 
 def send_rounds(send: SendArray, n_rounds: int) -> list[SendRound]:

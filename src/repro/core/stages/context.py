@@ -51,7 +51,6 @@ class EngineOptions:
     minimizer_assignment: np.ndarray | None = None  # balanced-partition hook
     auto_rounds: bool = False  # split exchange+count by device memory (Sec. III-A)
     memory_budget_fraction: float = 0.5  # usable share of device HBM per round
-    verify_exchange: bool = True  # end-to-end checksums over the alltoallv
     # Execution substrate for per-rank phase work: None defers to the
     # REPRO_PARALLEL environment variable. Accepts "thread[:N]",
     # "process[:N]", a bare worker count, or "off"; see repro.core.parallel.

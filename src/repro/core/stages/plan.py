@@ -4,9 +4,9 @@ Section III-A splits the exchange and the count into rounds "relative to
 software limits (approximating available memory)".  Every law that sizes
 a drive lives here — the device and host rounds laws and the host
 budget's floor, the count's table blocks and the tables' capacity hints —
-and :func:`plan_drive` applies them once per drive (per batch when
-streamed).  The round driver, the residencies' count and the SPMD rank
-program only read the :class:`DrivePlan`.
+and :func:`plan_drive` applies them once per drive: a one-shot run, or
+one streamed batch.  The round driver, the residencies' count and the
+SPMD rank program only read the :class:`DrivePlan`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ TABLE_BYTES_PER_KEY = SLOT_BYTES / MAX_LOAD_FACTOR
 class DrivePlan:
     """A drive's rounds, count blocks and table hints, as :func:`plan_drive` decided them."""
 
-    n_rounds: int  # exchange rounds; 1 on the streamed surface
+    n_rounds: int  # exchange rounds
     blocks: list[tuple[int, int]]  # the count's table blocks: ranks [r0, r1), tiling range(P)
     hints: list[int]  # per parsed rank: a new region's capacity hint
 
@@ -50,7 +50,7 @@ def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
     return segmented.rank_blocks((slots * SLOT_BYTES).astype(np.int64), segmented.INSERT_BLOCK_BYTES)
 
 
-def plan_drive(summary: ParseSummary, sctx: StageContext, *, streamed: bool = False) -> DrivePlan:
+def plan_drive(summary: ParseSummary, sctx: StageContext) -> DrivePlan:
     """The plan of the drive whose parse gave ``summary``.
 
     Rounds are ⌈worst rank's received items (the counts matrix's column
@@ -58,7 +58,7 @@ def plan_drive(summary: ParseSummary, sctx: StageContext, *, streamed: bool = Fa
     wire buffer, its staged copy and the table slots an item may add; on
     the host, also its unpacked 8-byte key.  They bound the receive extent
     a count block takes of a round, not the send array.  A streamed batch
-    takes one round, but the one-shot run's budget floor.
+    is planned by the same laws, from its own counts matrix.
     """
     opts = sctx.opts
     wire, mult = sctx.wire_bytes, opts.work_multiplier
@@ -75,14 +75,12 @@ def plan_drive(summary: ParseSummary, sctx: StageContext, *, streamed: bool = Fa
                 f"floor of one received item: {floor} bytes "
                 f"({host_bytes_per_item:.1f} B/item at work_multiplier {mult:g})"
             )
-    n_rounds = 1
-    if not streamed:
-        if opts.auto_rounds and sctx.substrate.device_memory:
-            device_budget = opts.machine.resolved_device.hbm_bytes * opts.memory_budget_fraction
-            n_rounds = max(1, int(np.ceil(worst * (wire * 2 + TABLE_BYTES_PER_KEY) / device_budget)))
-        if budget is not None:
-            n_rounds = max(n_rounds, int(np.ceil(worst * host_bytes_per_item / budget)))
-        n_rounds = max(sctx.config.n_rounds, n_rounds)
+    n_rounds = sctx.config.n_rounds
+    if opts.auto_rounds and sctx.substrate.device_memory:
+        device_budget = opts.machine.resolved_device.hbm_bytes * opts.memory_budget_fraction
+        n_rounds = max(n_rounds, int(np.ceil(worst * (wire * 2 + TABLE_BYTES_PER_KEY) / device_budget)))
+    if budget is not None:
+        n_rounds = max(n_rounds, int(np.ceil(worst * host_bytes_per_item / budget)))
     p = sctx.n_ranks
     # Python ints, not int64 scalars: a table sizes its regions in a Python loop.
     hints = np.maximum(64, summary.n_kmers // max(p, 1) + 16).tolist()

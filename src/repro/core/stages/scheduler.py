@@ -9,8 +9,8 @@ surface and every strategy runs:
 * :class:`repro.core.incremental.DistributedCounter` holds a
   :class:`~repro.core.stages.checkpoint.PipelineState` (checkpointable:
   :mod:`repro.core.stages.checkpoint`) and calls
-  :meth:`RoundScheduler.run_batch` per read batch — the same drive with
-  one round, persistent tables and a conservation check per batch;
+  :meth:`RoundScheduler.run_batch` per read batch — the same drive, with
+  persistent tables and a conservation check per batch;
 * the SPMD rank program (:func:`repro.core.spmd.staged_rank_program`)
   runs the same phase bodies on one rank's shard inside per-rank threads.
 
@@ -468,9 +468,9 @@ class RoundScheduler:
     def run_batch(self, reads: ReadSet, state: PipelineState) -> PhaseTiming:
         """Fold one batch of reads into ``state``; returns the batch timing.
 
-        The same drive as :meth:`run` with one round (streamed batches are
-        already small), the same exchange checksum (``verify_exchange``),
-        and ``state``'s persistent tables and accounting instead of fresh
+        The same drive as :meth:`run` — rounds planned by the same laws
+        from the batch's own counts, the same exchange checksum — with
+        ``state``'s persistent tables and accounting instead of fresh
         ones.  A composition that conserves k-mers must grow the tables'
         counts by exactly the batch's parsed k-mers, or the batch raises.  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
@@ -537,8 +537,10 @@ class RoundScheduler:
             send, summary = layout.parse(ranges, sctx)
         del ranges
         t_parse = float(summary.times.max()) if p else 0.0
-        plan = plan_drive(summary, sctx, streamed=not one_shot)
+        plan = plan_drive(summary, sctx)
         n_rounds = plan.n_rounds
+        # A round's label is the drive's stem, plus "-round<r>" when it has more rounds than one.
+        stem = f"{config.mode}-exchange" if one_shot else f"{config.mode}-batch{state.n_batches}"
 
         # One cleanup scope for everything a drive opens: the residency's
         # spool directory is reclaimed on any exit, success or raise.
@@ -549,17 +551,12 @@ class RoundScheduler:
             # ---- phase 2: exchange, possibly in multiple rounds ----
             for rnd in range(n_rounds):
                 suffix = f"-round{rnd}" if n_rounds > 1 else ""
-                if one_shot:
-                    label, meta = f"{config.mode}-exchange{suffix}", {"round": rnd}
-                    round_region = recording_region(recorder, f"round{rnd}", cat="round", round=rnd)
-                else:
-                    label, meta = f"{config.mode}-batch{state.n_batches}", {}
-                    round_region = nullcontext()
-                with round_region:
+                label = stem + suffix
+                with recording_region(recorder, f"round{rnd}", cat="round", round=rnd):
                     n_traffic_before = len(stats.records)
-                    with recording_region(recorder, "exchange", cat="stage", **meta) as ereg:
+                    with recording_region(recorder, "exchange", cat="stage", round=rnd) as ereg:
                         t0 = perf_counter()
-                        outcome = residency.exchange(rounds[rnd], label, sctx)
+                        outcome = residency.exchange(rounds[rnd], label, suffix, sctx)
                         if recorder is not None:
                             recorder.record(residency.exchange_leaf + suffix, 0, t0, perf_counter())
                         if ereg is not None:

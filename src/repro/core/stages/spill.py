@@ -55,6 +55,7 @@ import mmap
 import os
 import threading
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -63,7 +64,7 @@ import numpy as np
 from ...gpu.hashtable import SegmentedRankView
 from ...gpu.segmented import OWNER_FILE, SegmentedHashTable, owned_dir, release_dir, view_blocks
 from ...kmers.spectrum import KmerSpectrum
-from ...mpi.collectives import SegmentBlock, account_alltoallv
+from ...mpi.collectives import SegmentBlock, account_alltoallv, segment_blocks
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, SendRound
@@ -309,7 +310,7 @@ class SpillSpool:
                 os.close(seg.fd)
                 seg.path.unlink(missing_ok=True)
 
-    def append_round(self, label: str, round_: SendRound) -> None:
+    def append_round(self, label: str, round_: SendRound, counts: np.ndarray, starts: np.ndarray) -> None:
         """Append the disk form of one round's receive side to the label's file, block by block.
 
         The disk form is every destination's partition in rank order, each
@@ -317,11 +318,13 @@ class SpillSpool:
         to what a resident count gathers, because it is that gather
         (:func:`_gather`, one index per block shared by the payload and its
         length bytes) over the round's cache-sized destination blocks
-        (:meth:`~repro.core.stages.buffers.SendRound.blocks`), straight
-        out of the send array, with each block landing in a borrowed buffer
-        and one write.  The transient is one block's outputs and its index.
+        (:func:`~repro.mpi.collectives.segment_blocks` of the exchange's cut
+        of the round, ``counts`` and ``starts``), straight out of the send
+        array, with each block landing in a borrowed buffer and one write.
+        The transient is one block's outputs and its index.
         """
-        for blk in round_.blocks():
+        item_bytes = sum(array.itemsize for array in round_.send.arrays)
+        for blk in segment_blocks(counts, item_bytes, starts):
             outs = _gather(round_, blk, self.take)
             recv_counts = blk.counts.sum(axis=0)
             for out, lens in zip(outs, (False, True)):
@@ -448,6 +451,17 @@ def _gather(round_: SendRound, blk: SegmentBlock, take=np.empty) -> list[np.ndar
     return outs
 
 
+@dataclass
+class ExchangedRound:
+    """One exchanged round, as the count reads it: a record per round, made by its exchange."""
+
+    label: str  # its exchange label (a spooled round's segment files are named by it)
+    suffix: str  # its work leaves' suffix: "-round<r>" when the drive has more than one round
+    offsets: np.ndarray  # the P + 1 destination offsets of its receive side
+    sent: tuple[tuple[int, int], ...]  # the send side of its checksum
+    view: SendRound | None  # resident: its view of the send array; spooled: None (read back by label)
+
+
 class Resident:
     """Residency in RAM: the send array is the receive side until the count, a block's dump is kept as arrays.
 
@@ -471,50 +485,38 @@ class Resident:
         self.sched = layout.sched
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
         self.merge_leaf = layout.prefix + "merge"
-        self.rounds: list = []  # per round: where its receive segments live
-        self.round_offsets: list[np.ndarray] = []  # per round: the P + 1 destination offsets
-        self.labels: list[str] = []  # per round: its exchange label
-        self.sent: list = []  # per round: the send side's checksum (verify_exchange on)
+        self.rounds: list[ExchangedRound] = []  # one record per exchanged round, in round order
         self.dumps: list = []  # per table block, in rank order: what the merge reads
 
-    def _account(self, round_: SendRound, label: str, sctx) -> np.ndarray:
-        """Account one round's alltoallv and note what the count needs of it; returns its counts matrix.
+    def exchange(self, round_: SendRound, label: str, suffix: str, sctx) -> ExchangeOutcome:
+        """Counts alltoall + payload alltoallv of one round: the accounting, the checksum's send side and the time model.
 
-        One logical alltoallv for the payload (recorded into the traffic
-        stats) and, in supermer mode, a second for the length bytes
-        (counters only; their bytes ride in the payload's wire size), the
-        round's ``P + 1`` destination offsets, and — with
-        ``verify_exchange`` — the send side of its checksum, taken while
-        the send array is certainly alive.
+        The round is cut once, here, and that cut feeds the accounting, the
+        send side of the checksum (:func:`~repro.core.stages.standard.sent_digest`,
+        taken while the send array is certainly alive) and :meth:`_place`;
+        it dies with this call.  One logical alltoallv for the payload
+        (recorded into the traffic stats) and, in supermer mode, a second
+        for the length bytes (counters only; their bytes ride in the
+        payload's wire size).  What the count needs of the round is its
+        :class:`ExchangedRound`.
         """
-        counts = round_.cut()[0]
+        counts, starts = round_.cut()
         account_alltoallv(counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes)
         if round_.send.lengths is not None:
             account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.wire_bytes)
         offsets = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=offsets[1:])
-        self.round_offsets.append(offsets)
-        self.labels.append(label)
-        self.sent.append(sent_digest(round_) if sctx.opts.verify_exchange else None)
-        return counts
-
-    def exchange(self, round_: SendRound, label: str, sctx) -> ExchangeOutcome:
-        """Counts alltoall + payload alltoallv of one round: the accounting and the time model, no copy.
-
-        The round stays a view of the send array (kept for :meth:`count`,
-        whose blocks gather their extents out of it); nothing is moved
-        here.  The traffic record, the collective-layer counters and the
-        modeled phase time (:func:`~repro.core.stages.standard.exchange_outcome`)
-        are the spooled exchange's.
-        """
-        counts = self._account(round_, label, sctx)
-        self.rounds.append(round_)
+        sent = sent_digest(round_, counts, starts)
+        self.rounds.append(ExchangedRound(label, suffix, offsets, sent, self._place(round_, label, counts, starts)))
         return exchange_outcome(counts, sctx)
 
-    def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
-        """Round ``rnd``'s received items of ranks ``[r0, r1)``, ``(recv, lengths)``: gathered out of the send array."""
-        round_ = self.rounds[rnd]
-        recv, *lengths = _gather(round_, round_.block(r0, r1))
+    def _place(self, round_: SendRound, label: str, counts: np.ndarray, starts: np.ndarray) -> SendRound | None:
+        """Where a round's receive side lives until the count: here, nothing is moved — its view of the send array."""
+        return round_
+
+    def _read(self, rec: ExchangedRound, r0: int, r1: int, sctx):
+        """A round's received items of ranks ``[r0, r1)``, ``(recv, lengths)``: gathered out of the send array."""
+        recv, *lengths = _gather(rec.view, rec.view.block(r0, r1))
         return recv, lengths[0] if lengths else None
 
     def _release(self, *arrays) -> None:
@@ -591,19 +593,17 @@ class Resident:
         into the state's tables, which are the cross-batch state itself,
         and dumps nothing.
 
-        With ``verify_exchange`` every block takes the checksum of what it
-        read (:func:`~repro.core.stages.standard.exchange_digest`) and
-        returns it beside its counts, so every substrate folds the same
-        digests; each round's fold is compared once with its send side
+        Every block takes the checksum of what it read
+        (:func:`~repro.core.stages.standard.exchange_digest`) and returns it
+        beside its counts, so every substrate folds the same digests; each
+        round's fold is compared once with its send side
         (:func:`~repro.core.stages.standard.verify_exchange`), after the
         last block and before the rounds are dropped and merged.  A block
         whose read is short is not counted — the count body indexes the
         extent by the counts matrix — and the check names its round.
         """
         count, recorder = self.sched.comp.count, sctx.recorder
-        verify = sctx.opts.verify_exchange
         leaf = self.layout.prefix + "count"
-        n_rounds = len(self.rounds)
         if state is None:
             blocks = [(r0, r1, None) for r0, r1 in plan.blocks]
         else:
@@ -618,17 +618,15 @@ class Resident:
                 counted, digests = [], []
                 # Rounds run innermost, so each rank sees its rounds in order
                 # (identical float accumulation in the accounting).
-                for rnd, offsets in enumerate(self.round_offsets):
-                    suffix = f"-round{rnd}" if n_rounds > 1 else ""
-                    received = self._read(rnd, r0, r1, suffix, sctx)
-                    block_offsets = offsets[r0 : r1 + 1] - offsets[r0]
-                    if verify:
-                        digests.append(exchange_digest(received))
-                    if not verify or all(n == block_offsets[-1] for n, _ in digests[-1]):
+                for rec in self.rounds:
+                    received = self._read(rec, r0, r1, sctx)
+                    block_offsets = rec.offsets[r0 : r1 + 1] - rec.offsets[r0]
+                    digests.append(exchange_digest(received))
+                    if all(n == block_offsets[-1] for n, _ in digests[-1]):
                         t0 = perf_counter()
                         counted.append(count.count_block(table, *received, block_offsets, sctx, rank0=r0))
                         if recorder is not None:
-                            recorder.record(leaf + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+                            recorder.record(leaf + rec.suffix, r0, t0, perf_counter(), ranks=[r0, r1])
                     self._release(*received)
                 if not one_shot:
                     return counted, digests, None
@@ -640,9 +638,8 @@ class Resident:
                     table.close()
 
         counted_blocks = self.map_blocks(_count_block, blocks, sctx)
-        if verify:
-            for rnd, (label, sent) in enumerate(zip(self.labels, self.sent)):
-                verify_exchange(label, sent, fold_digests(digests[rnd] for _, digests, _ in counted_blocks))
+        for rnd, rec in enumerate(self.rounds):
+            verify_exchange(rec.label, rec.sent, fold_digests(digests[rnd] for _, digests, _ in counted_blocks))
         self._drop_rounds()  # the last block is counted
         entries: list[int] = []
         loads: list[float] = []
@@ -688,35 +685,26 @@ class Spooled(Resident):
         # A failed exit is announced (engine.spill.cleanup) before removal.
         cleanup.push(lambda exc_type, *_: self.spool.close(failed=exc_type is not None))
 
-    def exchange(self, round_: SendRound, label: str, sctx) -> ExchangeOutcome:
-        """Counts alltoall + payload "alltoallv" of one round onto disk: the twin of :meth:`Resident.exchange`.
-
-        The accounting, the send side of the checksum and the modeled phase
-        time are the resident exchange's; only the data placement differs:
-        the round's receive side is gathered out of the send array into the
-        label's segment file (:meth:`SpillSpool.append_round`).
-        """
-        counts = self._account(round_, label, sctx)
-        self.spool.append_round(label, round_)
+    def _place(self, round_: SendRound, label: str, counts: np.ndarray, starts: np.ndarray) -> None:
+        """Gather the round's receive side out of the send array into the label's segment file (:meth:`SpillSpool.append_round`)."""
+        self.spool.append_round(label, round_, counts, starts)
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", counts.shape[0])
-        self.rounds.append(label)
-        return exchange_outcome(counts, sctx)
 
-    def _read(self, rnd: int, r0: int, r1: int, suffix: str, sctx):
-        """Ranks ``[r0, r1)`` of round ``rnd``, read back from its segment file in one positional read each."""
-        label, t0 = self.rounds[rnd], perf_counter()
-        recv = self.spool.read_range(label, r0, r1, np.uint64)
-        lengths = self.spool.read_range(label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
+    def _read(self, rec: ExchangedRound, r0: int, r1: int, sctx):
+        """Ranks ``[r0, r1)`` of a round, read back from its segment file in one positional read each."""
+        t0 = perf_counter()
+        recv = self.spool.read_range(rec.label, r0, r1, np.uint64)
+        lengths = self.spool.read_range(rec.label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
         if sctx.recorder is not None:
-            sctx.recorder.record("spill:read" + suffix, r0, t0, perf_counter(), ranks=[r0, r1])
+            sctx.recorder.record("spill:read" + rec.suffix, r0, t0, perf_counter(), ranks=[r0, r1])
         return recv, lengths
 
     def _release(self, *arrays) -> None:
         self.spool.release(*arrays)
 
     def _drop_rounds(self) -> None:
-        for label in self.rounds:
-            self.spool.drop_partitions(label)
+        for rec in self.rounds:
+            self.spool.drop_partitions(rec.label)
         self.rounds.clear()
 
     def _dump(self, r0: int, table: SegmentedHashTable, sctx):

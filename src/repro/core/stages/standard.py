@@ -319,34 +319,35 @@ def exchange_digest(arrays) -> tuple[tuple[int, int], ...]:
     return tuple((int(a.shape[0]), _xor(a)) for a in arrays if a is not None)
 
 
-def sent_digest(round_: SendRound) -> tuple[tuple[int, int], ...]:
+def sent_digest(round_: SendRound, counts: np.ndarray, starts: np.ndarray) -> tuple[tuple[int, int], ...]:
     """``(items, XOR)`` of each array of everything ``round_`` sends: the exchange checksum's send side.
 
-    A lone round is the whole send array: one reduction per array.  Else
-    the round's segments are ranges of the send array, folded in chunks of
-    whole source rows: a chunk's segments lie in one slice of the src-major
-    array, so one ``reduceat`` over their bounds in that slice gives every
-    segment's XOR (the gaps between them, other rounds' items, land on the
-    odd entries and are skipped), and the chunks' XORs fold into the
-    round's — no copy.  A chunk's working set, ten 8 B words a segment (its
-    cut's count and start; the held index, start, length and end; two
-    bounds and two outputs), stays within
-    :data:`~repro.mpi.collectives.SEGMENT_BLOCK_BYTES`, so it does not grow
-    with P² (a round is one chunk up to P = 161).
+    ``counts`` and ``starts`` are the exchange's one cut of the round
+    (:meth:`~repro.core.stages.buffers.SendRound.cut`).  A lone round is
+    the whole send array: one reduction per array.  Else the round's
+    segments are ranges of the send array, folded in chunks of whole
+    source rows of the cut (row slices: views): a chunk's segments lie in
+    one slice of the src-major array, so one ``reduceat`` over their bounds
+    in that slice gives every segment's XOR (the gaps between them, other
+    rounds' items, land on the odd entries and are skipped), and the
+    chunks' XORs fold into the round's — no copy.  A chunk is sized at ten
+    8 B words a segment (its rows of the cut; the held index, start,
+    length and end; two bounds and two outputs), within
+    :data:`~repro.mpi.collectives.SEGMENT_BLOCK_BYTES`, so the fold does
+    not grow with P² (a round is one chunk up to P = 161).
     """
     arrays = round_.send.arrays
     if round_.n_rounds == 1:
         return exchange_digest(arrays)
-    n_src, p = round_.send.counts.shape
+    n_src, p = counts.shape
     rows = max(1, collectives.SEGMENT_BLOCK_BYTES // (80 * p))
     items, xors = 0, [0] * len(arrays)
     for s0 in range(0, n_src, rows):
-        counts, starts = round_.cut(s0=s0, s1=s0 + rows)
-        lens = counts.reshape(-1)
+        lens = counts[s0 : s0 + rows].reshape(-1)
         held = np.flatnonzero(lens)
         if not held.size:
             continue
-        lo, lens = starts.reshape(-1)[held], lens[held]
+        lo, lens = starts[s0 : s0 + rows].reshape(-1)[held], lens[held]
         base, end = int(lo[0]), int(lo[-1] + lens[-1])
         lo -= base
         bounds = np.stack((lo, lo + lens), axis=1).reshape(-1)[:-1]  # the last segment runs to `end`

@@ -141,7 +141,12 @@ def owned_dir(base: Path, prefix: str) -> tuple[Path, int]:
 
 
 def release_dir(path: Path, fd: int) -> None:
-    """Remove an :func:`owned_dir` directory, then drop its owner lock."""
+    """Remove an :func:`owned_dir` directory, then drop its owner lock.
+
+    In this order: a racing :func:`owned_dir` whose staging directory a
+    reclaim took is granted its lock only once the directory is gone, so
+    its rename fails and it restarts, never keeping a half-removed one.
+    """
     shutil.rmtree(path, ignore_errors=True)
     os.close(fd)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fcntl
+import json
 import logging
 import os
 import subprocess
@@ -12,9 +13,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions, run_pipeline
+from repro.dna.fastq import read_fastq
+from repro.dna.reads import ReadSet
 from repro.gpu import segmented
 from repro.gpu.segmented import OWNER_FILE, owned_dir, release_dir
 from repro.kmers.kmerdb import read_kmerdb
+from repro.mpi.topology import summit_gpu
 
 
 @pytest.fixture
@@ -242,6 +248,22 @@ class TestCrashDebris:
         "sys.stdin.read()\n"
     )
 
+    #: Reclaims the directories of ``argv[1]``, pausing inside the removal until a line arrives on stdin.
+    _RECLAIMER = (
+        "import shutil, sys\n"
+        "from pathlib import Path\n"
+        "from repro.gpu import segmented\n"
+        "rmtree = shutil.rmtree\n"
+        "def paused(path, **kwargs):\n"
+        "    print('removing', flush=True)\n"
+        "    sys.stdin.readline()\n"
+        "    rmtree(path, **kwargs)\n"
+        "shutil.rmtree = paused\n"
+        "base = Path(sys.argv[1])\n"
+        "segmented._reclaim(base, keep=base / 'none')\n"
+        "print('done', flush=True)\n"
+    )
+
     @staticmethod
     def _debris(base: Path, name: str) -> Path:
         """A directory as a SIGKILLed run leaves it: an owner file no process locks, beside 4 KiB of data."""
@@ -325,6 +347,77 @@ class TestCrashDebris:
             os.close(probe)
         release_dir(path, fd)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_reclaim_holds_the_owner_lock_until_the_directory_is_gone(self, tmp_path):
+        """Another process's reclaim unlocks a staging directory only once it is removed.
+
+        ``owned_dir`` opens its staging owner file, then locks it.  A
+        reclaim in another process that takes the free lock in between
+        must keep it until the directory is gone (``release_dir`` removes,
+        then unlocks): the racing ``owned_dir`` is granted its lock on a
+        file that no longer exists, so its rename fails and it restarts.
+        Were the lock dropped first, it would be granted mid-removal, and
+        its rename could win against the removal and keep a directory whose
+        owner file the removal then deletes — a live run's directory that
+        no reclaim could ever tell from foreign debris.  The two processes
+        are sequenced by pipes: the reclaim pauses inside its removal.
+        """
+        staging = self._debris(tmp_path, ".spool-racing")
+        owner = os.open(staging / OWNER_FILE, os.O_RDONLY)  # owned_dir's descriptor, before its flock
+        src = Path(segmented.__file__).resolve().parents[2]
+        reclaimer = subprocess.Popen(
+            [sys.executable, "-c", self._RECLAIMER, str(tmp_path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            assert reclaimer.stdout.readline() == "removing\n"
+            with pytest.raises(BlockingIOError):  # mid-removal, the reclaim still holds the owner lock
+                fcntl.flock(owner, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            reclaimer.stdin.write("go\n")
+            reclaimer.stdin.flush()
+            assert reclaimer.stdout.readline() == "done\n"
+        finally:
+            reclaimer.stdin.close()
+            assert reclaimer.wait(timeout=30) == 0
+        try:
+            fcntl.flock(owner, fcntl.LOCK_EX | fcntl.LOCK_NB)  # granted now, on a file that is gone
+            assert not staging.exists()
+            with pytest.raises(FileNotFoundError):  # so owned_dir's rename fails, and it restarts
+                os.rename(staging, staging.with_name(staging.name[1:]))
+        finally:
+            os.close(owner)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCountRounds:
+    """``--rounds`` and ``--memory-limit`` split each input file's batch by the drive plan, as they split a one-shot run."""
+
+    @staticmethod
+    def _count(fastq, tmp_path, name: str, *extra) -> tuple[bytes, bytes, list[str]]:
+        """The TSV bytes, ``.rkdb`` bytes and reported exchange labels of one ``repro count``."""
+        tsv, db, report = (tmp_path / f"{name}.{ext}" for ext in ("tsv", "rkdb", "json"))
+        argv = ["count", "--input", str(fastq), "-k", "17", "--mode", "kmer", "--nodes", "2"]
+        argv += ["--out-tsv", str(tsv), "--out-db", str(db), "--report", str(report), *extra]
+        assert main(argv) == 0
+        collectives = json.loads(report.read_text())["exchange"]["per_collective"]
+        return tsv.read_bytes(), db.read_bytes(), [c["label"] for c in collectives]
+
+    def test_rounds_and_memory_limit_split_the_batch(self, fastq, tmp_path):
+        plain = self._count(fastq, tmp_path, "plain")
+        assert plain[2] == ["kmer-batch0"]
+        rounds = self._count(fastq, tmp_path, "rounds", "--rounds", "3")
+        assert rounds[2] == ["kmer-batch0-round0", "kmer-batch0-round1", "kmer-batch0-round2"]
+        limit = 50_000
+        reads = ReadSet.from_records(read_fastq(fastq))
+        options = EngineOptions(host_memory_budget=limit)
+        n = run_pipeline(reads, summit_gpu(2), PipelineConfig(k=17, mode="kmer"), options=options).n_rounds_used
+        assert n > 1
+        limited = self._count(fastq, tmp_path, "limited", "--memory-limit", str(limit))
+        assert limited[2] == [f"kmer-batch0-round{r}" for r in range(n)]
+        assert rounds[:2] == plain[:2] and limited[:2] == plain[:2]
 
 
 class TestDistance:

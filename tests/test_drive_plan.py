@@ -33,27 +33,56 @@ def _rounds(reads, options: EngineOptions) -> int:
     return result.n_rounds_used
 
 
+def _batch_rounds(reads, options: EngineOptions) -> int:
+    """The rounds one streamed batch of ``reads`` took, read off its exchange labels."""
+    counter = DistributedCounter(summit_gpu(1), CONFIG, options=options)
+    counter.add_reads(reads)
+    assert counter.spectrum().equals(count_kmers_exact(reads, 17))
+    labels = [rec.label for rec in counter.traffic.records]
+    n = len(labels)
+    assert labels == ([f"kmer-batch0-round{r}" for r in range(n)] if n > 1 else ["kmer-batch0"])
+    return n
+
+
+#: Host bytes per received item: the wire buffer and its copy, the unpacked 8-byte key, a 16-byte slot at 0.7 load.
+HOST_PER_ITEM = 8 * 2 + 8.0 + 16 / 0.7
+#: Device bytes per received item: the wire buffer and its staged copy, a 16-byte slot at 0.7 load.
+DEVICE_PER_ITEM = 8 * 2 + 16 / 0.7
+
+
+def _device(hbm_bytes: int) -> EngineOptions:
+    return EngineOptions(machine=tiny_machine(hbm_bytes), auto_rounds=True, memory_budget_fraction=1.0)
+
+
 class TestRoundsLaws:
-    """rounds = ⌈worst × bytes per item / budget⌉, with the bytes per item written out here."""
+    """rounds = ⌈worst × bytes per item / budget⌉, with the bytes per item written out here, on both surfaces."""
 
     def test_host_law(self, genome_reads, worst):
-        # Wire buffer and its copy, the unpacked 8-byte key, a 16-byte slot at 0.7 load.
-        per_item = 8 * 2 + 8.0 + 16 / 0.7
-        budget = math.ceil(worst * per_item / 3)  # the smallest budget that fits three rounds
+        budget = math.ceil(worst * HOST_PER_ITEM / 3)  # the smallest budget that fits three rounds
         assert _rounds(genome_reads, EngineOptions(host_memory_budget=budget)) == 3
         assert _rounds(genome_reads, EngineOptions(host_memory_budget=budget - 1)) == 4
 
     def test_device_law(self, genome_reads, worst):
-        # Wire buffer and its staged copy, a 16-byte slot at 0.7 load.
-        per_item = 8 * 2 + 16 / 0.7
-        hbm = math.ceil(worst * per_item / 3)  # the smallest device that fits three rounds
+        hbm = math.ceil(worst * DEVICE_PER_ITEM / 3)  # the smallest device that fits three rounds
+        assert _rounds(genome_reads, _device(hbm)) == 3
+        assert _rounds(genome_reads, _device(hbm - 1)) == 4
 
-        def rounds(hbm_bytes: int) -> int:
-            options = EngineOptions(machine=tiny_machine(hbm_bytes), auto_rounds=True, memory_budget_fraction=1.0)
-            return _rounds(genome_reads, options)
+    def test_host_law_on_a_streamed_batch(self, genome_reads, worst):
+        """A batch is planned from its own counts by the same law: the same reads take the same rounds."""
+        budget = math.ceil(worst * HOST_PER_ITEM / 3)
+        assert _batch_rounds(genome_reads, EngineOptions(host_memory_budget=budget)) == 3
+        assert _batch_rounds(genome_reads, EngineOptions(host_memory_budget=budget - 1)) == 4
 
-        assert rounds(hbm) == 3
-        assert rounds(hbm - 1) == 4
+    def test_device_law_on_a_streamed_batch(self, genome_reads, worst):
+        hbm = math.ceil(worst * DEVICE_PER_ITEM / 3)
+        assert _batch_rounds(genome_reads, _device(hbm)) == 3
+        assert _batch_rounds(genome_reads, _device(hbm - 1)) == 4
+
+    def test_configured_rounds_on_a_streamed_batch(self, genome_reads):
+        assert _batch_rounds(genome_reads, EngineOptions()) == 1
+        counter = DistributedCounter(summit_gpu(1), PipelineConfig(k=17, mode="kmer", n_rounds=3))
+        counter.add_reads(genome_reads)
+        assert [rec.label for rec in counter.traffic.records] == [f"kmer-batch0-round{r}" for r in range(3)]
 
 
 class TestOnePlanPerDrive:
@@ -71,11 +100,21 @@ class TestOnePlanPerDrive:
         parsed = result.counts_matrix.sum(axis=1)  # k-mer mode: an item per parsed k-mer
         assert plan.hints == [max(64, int(n) // p + 16) for n in parsed]
 
-    def test_a_streamed_batch_takes_one_round_under_any_budget(self, genome_reads):
-        counter = DistributedCounter(summit_gpu(2), CONFIG, options=EngineOptions(host_memory_budget=1_000))
+    def test_a_streamed_batch_takes_the_rounds_of_its_own_counts(self, genome_reads):
+        """Each batch is planned once, by the one-shot laws, from its own counts: a budget splits every batch."""
+        options = EngineOptions(host_memory_budget=20_000)
+        n = run_pipeline(genome_reads, summit_gpu(2), CONFIG, options=options).n_rounds_used
+        half = genome_reads.select(range(genome_reads.n_reads // 2))
+        n_half = run_pipeline(half, summit_gpu(2), CONFIG, options=options).n_rounds_used
+        assert n > n_half > 1
+        counter = DistributedCounter(summit_gpu(2), CONFIG, options=options)
         counter.add_reads(genome_reads)
-        assert [rec.label for rec in counter.traffic.records] == ["kmer-batch0"]
-        assert counter.spectrum().equals(count_kmers_exact(genome_reads, 17))
+        counter.add_reads(half)
+        assert [rec.label for rec in counter.traffic.records] == [
+            *(f"kmer-batch0-round{r}" for r in range(n)),
+            *(f"kmer-batch1-round{r}" for r in range(n_half)),
+        ]
+        assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat([genome_reads, half]), 17))
 
     @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
     def test_the_budget_floor_is_one_rule_on_both_surfaces(self, surface):

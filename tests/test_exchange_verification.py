@@ -8,8 +8,7 @@ into the spool and the count reads a block's extent back
 handed — each block's ``(items, XOR)``, folded per round and compared
 with the send side after the count — so each fault is injected at that
 hand-over, in both residencies and both modes, and must surface as the
-exchange's own error naming the round's label — or, with verification
-off, as a wrong spectrum.  A spool file changed on disk between the
+exchange's own error naming the round's label.  A spool file changed on disk between the
 exchange and the count is such a fault too, on the one-shot and on the
 streamed surface alike.
 """
@@ -26,7 +25,6 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.dna.datasets import load_dataset
-from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
 RESIDENCIES = ("resident", "spooled")
@@ -89,8 +87,8 @@ def _flipped_on_disk(suffix: str):
     with pytest.MonkeyPatch.context() as patch:
         original = spill_mod.Spooled.exchange
 
-        def exchange_then_flip(self, round_, label, sctx):
-            outcome = original(self, round_, label, sctx)
+        def exchange_then_flip(self, round_, label, *args):
+            outcome = original(self, round_, label, *args)
             path = self.spool.dir / f"{label}{suffix}"
             raw = bytearray(path.read_bytes())
             i = 0 if suffix == ".data" else next(i for i, b in enumerate(raw) if b >= 3 and b % 2)
@@ -119,9 +117,7 @@ def _decrement_length(buf: np.ndarray) -> np.ndarray:
 
 class TestChecksumVerification:
     def test_clean_run_passes(self, genome_reads):
-        result = run_pipeline(
-            genome_reads, summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(verify_exchange=True)
-        )
+        result = run_pipeline(genome_reads, summit_gpu(2), PipelineConfig(k=17))
         assert result.total_kmers > 0
 
     def test_corrupted_payload_detected(self, genome_reads, tmp_path):
@@ -140,17 +136,6 @@ class TestChecksumVerification:
                     with pytest.raises(AssertionError, match=f"'{mode}-exchange' lost items"):
                         _run(genome_reads, residency, mode, tmp_path)
 
-    def test_verification_can_be_disabled(self, genome_reads, tmp_path):
-        """With verify_exchange=False the corruption flows through to the
-        final histogram (and would fail oracle validation instead)."""
-        oracle = count_kmers_exact(genome_reads, 17)
-        for residency in RESIDENCIES:
-            for mode in MODES:
-                with _in_flight(residency, _flip_key):
-                    result = _run(genome_reads, residency, mode, tmp_path, verify_exchange=False)
-                with pytest.raises(AssertionError):
-                    result.validate_against(oracle)
-
     @pytest.mark.parametrize("residency", RESIDENCIES)
     def test_corrupted_length_byte_detected(self, genome_reads, tmp_path, residency):
         """A wrong supermer length unpacks the wrong k-mers: the checksum covers the length bytes too.
@@ -166,7 +151,7 @@ class TestChecksumVerification:
 
     def test_supermer_mode_also_verified(self, genome_reads):
         cfg = PipelineConfig(k=17, mode="supermer", minimizer_len=7, window=15)
-        result = run_pipeline(genome_reads, summit_gpu(2), cfg, options=EngineOptions(verify_exchange=True))
+        result = run_pipeline(genome_reads, summit_gpu(2), cfg)
         assert result.total_kmers > 0
 
 
@@ -178,22 +163,22 @@ class TestSpoolFileCorruption:
         return load_dataset("ecoli30x", scale=0.05)
 
     def test_segment_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
-        options = EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+        options = EngineOptions(spill_dir=tmp_path)
         with _flipped_on_disk(".data"):
             with pytest.raises(AssertionError, match="'kmer-exchange' corrupted payload.*checksum"):
                 run_pipeline(ecoli_reads, summit_gpu(2), PipelineConfig(k=17), options=options)
         assert list(tmp_path.iterdir()) == []  # the failed drive's spool is reclaimed
 
     def test_length_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
-        options = EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+        options = EngineOptions(spill_dir=tmp_path)
         with _flipped_on_disk(".lens"):
             with pytest.raises(AssertionError, match="'supermer-exchange' corrupted length bytes.*checksum"):
                 run_pipeline(ecoli_reads, summit_gpu(2), _config("supermer"), options=options)
 
     def test_streamed_batch_segment_file_flip(self, ecoli_reads, tmp_path):
-        """Batches honour ``verify_exchange`` like one-shot runs: the streamed surface checks the same reads."""
+        """Batches are checked like one-shot runs: the streamed surface checks the same reads."""
         counter = DistributedCounter(
-            summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(spill_dir=tmp_path, verify_exchange=True)
+            summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(spill_dir=tmp_path)
         )
         with _flipped_on_disk(".data"):
             with pytest.raises(AssertionError, match="'kmer-batch0' corrupted payload.*checksum"):

@@ -48,8 +48,6 @@ def _random_case(rng: random.Random) -> tuple[dict, dict, str, int, str]:
     options: dict = {}
     if rng.random() < 0.4:
         options["work_multiplier"] = rng.choice([4.0, 64.0])
-    if rng.random() < 0.3:
-        options["verify_exchange"] = False
     backend = rng.choice(["gpu", "gpu", "cpu"])  # gpu-weighted: it is the paper's subject
     nodes = rng.choice([1, 2])
     stages = ""

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.core.engine import EngineOptions
 from repro.core.incremental import DistributedCounter
 from repro.dna.reads import ReadSet
+from repro.kmers.kmerdb import write_kmerdb
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
@@ -669,3 +671,62 @@ class TestBatchPluginOrdering:
         )
         assert np.array_equal(streamed.received_kmers, oneshot.received_kmers)
         assert streamed.spectrum().equals(oneshot.spectrum)
+
+
+class TestRoundsWithinABatch:
+    """Metamorphic (ROADMAP item 3(b)): how many rounds a batch takes, and where they live, changes no k-mer."""
+
+    MODES = {"kmer": {"k": 17}, "supermer": {"k": 17, "mode": "supermer", "minimizer_len": 7, "window": 15}}
+
+    @staticmethod
+    def _db(counter: DistributedCounter, path) -> bytes:
+        write_kmerdb(path, counter.spectrum())
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    def test_rounds_and_residency_change_no_kmer(self, batches, tmp_path, mode):
+        dbs = set()
+        for n_rounds in (1, 2, 3):
+            for spooled in (False, True):
+                config = PipelineConfig(n_rounds=n_rounds, **self.MODES[mode])
+                options = EngineOptions(spill_dir=tmp_path / "spool" if spooled else None)
+                counter = DistributedCounter(summit_gpu(2), config, options=options)
+                for batch in batches[:2]:
+                    counter.add_reads(batch)
+                assert len(counter.traffic.records) == 2 * n_rounds
+                dbs.add(self._db(counter, tmp_path / f"r{n_rounds}-{spooled}.rkdb"))
+        assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat(batches[:2]), 17))
+        assert len(dbs) == 1
+
+    def test_a_checkpoint_saved_at_one_round_resumes_at_three(self, batches, tmp_path):
+        plain = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        for batch in batches:
+            plain.add_reads(batch)
+        first = DistributedCounter(summit_gpu(2), PipelineConfig(k=17))
+        first.add_reads(batches[0])
+        first.save(tmp_path / "ck.npz")
+        resumed = DistributedCounter(summit_gpu(2), PipelineConfig(k=17, n_rounds=3))
+        resumed.load(tmp_path / "ck.npz")
+        for batch in batches[1:]:
+            resumed.add_reads(batch)
+        assert [rec.label for rec in resumed.traffic.records] == [
+            "kmer-batch0",
+            *(f"kmer-batch{b}-round{r}" for b in (1, 2) for r in range(3)),
+        ]
+        assert resumed.total_kmers == plain.total_kmers
+        assert self._db(resumed, tmp_path / "resumed.rkdb") == self._db(plain, tmp_path / "plain.rkdb")
+
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    def test_more_rounds_than_a_segment_has_items(self, tmp_path, spooled):
+        """Eight k-mers on 12 ranks in 7 rounds: round 0 is empty everywhere, most ranks receive nothing."""
+        reads = ReadSet.from_strings(["ACGTTGCAAGGCTTACGATC", "TTGACCGTAGGCATCAGTCA"])
+        options = EngineOptions(spill_dir=tmp_path / "spool" if spooled else None)
+        one = DistributedCounter(summit_gpu(2), PipelineConfig(k=17), options=options)
+        seven = DistributedCounter(summit_gpu(2), PipelineConfig(k=17, n_rounds=7), options=options)
+        for counter in (one, seven):
+            counter.add_reads(reads)
+        items = [rec.total_items for rec in seven.traffic.records]
+        assert len(items) == 7 and items[0] == 0 and sum(items) == 8
+        assert (seven.received_kmers == 0).sum() >= 4
+        assert seven.spectrum().equals(count_kmers_exact(reads, 17))
+        assert self._db(seven, tmp_path / "seven.rkdb") == self._db(one, tmp_path / "one.rkdb")

@@ -57,6 +57,12 @@ class TestCheckerDetects:
         "segment_xors = np.bitwise_xor.reduceat(chunk, bounds)[::2]\n"
     )
 
+    #: Every text the checker pins to core/stages/scheduler.py, once.
+    _SCHEDULER = (
+        'event("engine.process.fallback", subsystem="engine")\n'
+        'suffix = f"-round{rnd}" if n_rounds > 1 else ""\n'
+    )
+
     @staticmethod
     def _tree(tmp_path: Path, body: str) -> Path:
         """A minimal fake package with a dna module containing ``body``."""
@@ -350,13 +356,29 @@ class TestCheckerDetects:
         root = self._tree(tmp_path, "")
         (root / "core" / "stages").mkdir()
         scheduler = root / "core" / "stages" / "scheduler.py"
-        owned = 'event("engine.process.fallback", subsystem="engine")\n'  # the one text pinned to this owner
-        scheduler.write_text(owned)
+        scheduler.write_text(self._SCHEDULER)
         (root / "core" / "stages" / "plan.py").write_text(self._PLAN)
         assert run_checker(root).returncode == 0
         (root / "core" / "stages" / "spill.py").write_text('event("engine.spill.fallback", reason=why)\n')
-        scheduler.write_text(owned + 'event(f"engine.{knob}.fallback", reason=why)\n')
+        scheduler.write_text(self._SCHEDULER + 'event(f"engine.{knob}.fallback", reason=why)\n')
         proc = run_checker(root)
         assert proc.returncode == 1
         assert "spill.py:1: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
-        assert "scheduler.py:2: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
+        assert "scheduler.py:3: '.fallback\"' is defined once, in core/stages/scheduler.py" in proc.stdout
+
+    def test_flags_second_round_suffix(self, tmp_path):
+        """The round driver names each round once; a residency that rebuilds the suffix fails the lint."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        scheduler = root / "core" / "stages" / "scheduler.py"
+        scheduler.write_text(self._SCHEDULER)
+        spill = root / "core" / "stages" / "spill.py"
+        owned = "table = SegmentedHashTable(hints)\nblk.take(arrays, outs)\n"  # spill.py's own pinned texts
+        spill.write_text(owned + "recorder.record(leaf + rec.suffix, r0, t0, t1)\n")
+        assert run_checker(root).returncode == 0
+        spill.write_text(owned + 'suffix = f"-round{rnd}" if n_rounds > 1 else ""\n')
+        scheduler.write_text(self._SCHEDULER + 'label = f"{config.mode}-batch{n}" + f"-round{rnd}"\n')
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        assert "spill.py:3: 'f\"-round{rnd}\"' is defined once, in core/stages/scheduler.py" in proc.stdout
+        assert "scheduler.py:3: 'f\"-round{rnd}\"' is defined once, in core/stages/scheduler.py" in proc.stdout

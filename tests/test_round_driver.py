@@ -25,7 +25,7 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.buffers import SendArray, SendRound, send_rounds
+from repro.core.stages.buffers import SendArray, send_rounds
 from repro.core.stages.standard import TableCount, sent_digest
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
@@ -320,13 +320,16 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
     )
     src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
     monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 1 << 12)
-    real_cut, chunks = SendRound.cut, []
+    chunks = []
 
-    def recording_cut(self, d0=0, d1=None, *, s0=0, s1=None):
-        chunks.append((s0, s1))
-        return real_cut(self, d0, d1, s0=s0, s1=s1)
+    class RowChunks(np.ndarray):
+        """The cut's counts, recording each slice of source rows the digest folds."""
 
-    monkeypatch.setattr(SendRound, "cut", recording_cut)
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                chunks.append((key.start, key.stop))
+            return super().__getitem__(key)
+
     for rnd, view in enumerate(send_rounds(send, n_rounds)):
         data, lengths = [], []
         for src in range(p):
@@ -336,7 +339,9 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
             data.append(ref_data)
             lengths.append(ref_lengths)
         reference = [np.concatenate(data)] + ([np.concatenate(lengths)] if with_lengths else [])
+        round_counts, round_starts = view.cut()
         chunks.clear()
-        assert sent_digest(view) == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
+        digest = sent_digest(view, round_counts.view(RowChunks), round_starts)
+        assert digest == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
         assert len(chunks) >= 3 and chunks[-1][1] > p  # several chunks, the last one partial
 

@@ -133,13 +133,10 @@ class TestSpillIdentity:
         assert list(spill_dir.iterdir()) == []  # per-run spools are removed
 
     def test_verify_exchange_runs_on_spilled_partitions(self, genome_reads, tmp_path):
-        # verify_exchange checksums what the count reads back from the
-        # spool; a run with verification on must still succeed and stay
-        # identical.
+        # The exchange checksum covers what the count reads back from the
+        # spool; a checked run must still succeed and stay identical.
         config = PipelineConfig(k=17, mode="kmer", n_rounds=2)
-        mem, spilled, _, _, _ = _run_pair(
-            genome_reads, summit_gpu(2), config, "gpu", tmp_path, verify_exchange=True
-        )
+        mem, spilled, _, _, _ = _run_pair(genome_reads, summit_gpu(2), config, "gpu", tmp_path)
         assert summarize_result(spilled) == summarize_result(mem)
 
 
@@ -618,7 +615,7 @@ class TestTruncatedSpoolFiles:
         def truncate_then_count(self, *args, **kwargs):
             # Every round is on disk and the send buffers are gone: cut the
             # last round's file in half before the first read-back.
-            path = self.spool.dir / f"{self.rounds[-1]}.data"
+            path = self.spool.dir / f"{self.rounds[-1].label}.data"
             os.truncate(path, path.stat().st_size // 2 // 8 * 8)
             return count(self, *args, **kwargs)
 
@@ -988,7 +985,8 @@ class TestSpoolRoundTrip:
                 label = f"round{rnd}"
                 flat_lengths = None if send_lengths is None else np.concatenate(send_lengths)
                 send = SendArray(np.concatenate(send_data), flat_lengths, counts)
-                spool.append_round(label, send_rounds(send, 1)[0])
+                (view,) = send_rounds(send, 1)
+                spool.append_round(label, view, *view.cut())
                 assert spool.pending_files()[0] <= (rnd + 1) * (2 if with_lengths else 1)
                 self._assert_reads_back(spool, label, _naive_recv(send_data, counts), np.uint64, False, rng)
                 if with_lengths:
@@ -1028,7 +1026,8 @@ class TestSpoolRoundTrip:
         send_data, _, counts = _random_send(rng, p, False, False)
         recv = _naive_recv(send_data, counts)
         spool = SpillSpool(tmp_path)
-        spool.append_round("lbl", send_rounds(SendArray(np.concatenate(send_data), None, counts), 1)[0])
+        (view,) = send_rounds(SendArray(np.concatenate(send_data), None, counts), 1)
+        spool.append_round("lbl", view, *view.cut())
         wrong: list[int] = []
 
         def reader(seed: int) -> None:

@@ -30,7 +30,7 @@ import repro.mpi.collectives as collectives
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
-from repro.core.stages.buffers import SendArray, send_rounds
+from repro.core.stages.buffers import SendArray, SendRound, send_rounds
 from repro.core.stages.standard import GpuSubstrate
 from repro.dna import simulate
 from repro.dna.reads import ReadSet
@@ -271,10 +271,11 @@ class TestExchangeGrowthLaw:
     No exchange stages a per-source buffer (``SegmentBlock.gather`` is
     gone) or copies a round into a receive array: the gather indexes of a
     round follow its blocks — the bytes — and so does its checksum: per
-    array, one ``reduceat`` per source chunk over its segments of the send
-    array and one fold of each on the send side (at these P, up to 96, a
-    round is one chunk), and one reduction per count block on the received
-    side, whose digests the count folds.  Quadrupling P at fixed input adds
+    array, one ``reduceat`` per source chunk (row slices of the exchange's
+    one cut of the round) over its segments of the send array and one fold
+    of each on the send side (at these P, up to 96, a round is one chunk),
+    and one reduction per count block on the received side, whose digests
+    the count folds.  Quadrupling P at fixed input adds
     none.  The per-source form made P views, P staged slices per block and
     2P XOR reductions a round.
     """
@@ -321,7 +322,7 @@ class TestExchangeGrowthLaw:
             patch.setattr(spill, "exchange_digest", cls._counting(spill, "exchange_digest", counts))
             patch.setattr(np, "bitwise_xor", cls._CountingXor(np.bitwise_xor, counts))
             config = PipelineConfig(k=17, mode=mode, n_rounds=2)
-            options = EngineOptions(parallel=1, verify_exchange=True, spill_dir=spill_dir, **options)
+            options = EngineOptions(parallel=1, spill_dir=spill_dir, **options)
             result = run_pipeline(reads, summit_gpu(nodes), config, options=options)
         rounds = result.n_rounds_used
         assert rounds == 2 and result.spectrum.n_distinct > 0
@@ -350,11 +351,12 @@ class TestExchangeGrowthLaw:
 class TestSentDigestGrowthLaw:
     """The send side of a multi-round checksum holds O(SEGMENT_BLOCK_BYTES + P), never O(P²).
 
-    It folds a round in chunks of whole source rows, each chunk's bounds
-    and outputs within about ``SEGMENT_BLOCK_BYTES``.  One ``reduceat``
-    over all P² segment bounds took 16 MB a round here at P = 512 (and
-    27.4 MB on the 672-rank spilled workload, while the send array was
-    still live).
+    It folds a round in chunks of whole source rows of the exchange's one
+    cut of the round (row slices, made before the digest, as the exchange
+    makes it), each chunk's bounds and outputs within about
+    ``SEGMENT_BLOCK_BYTES``.  One ``reduceat`` over all P² segment bounds
+    took 16 MB a round here at P = 512 (and 27.4 MB on the 672-rank
+    spilled workload, while the send array was still live).
     """
 
     P = 512
@@ -364,15 +366,52 @@ class TestSentDigestGrowthLaw:
         counts = np.full((p, p), 2, dtype=np.int64)  # every segment gives each of the two rounds an item
         send = SendArray(data=np.arange(int(counts.sum()), dtype=np.uint64), lengths=None, counts=counts)
         for view in send_rounds(send, 2):
+            counts, starts = view.cut()  # the exchange's one cut of the round, made before the digest
             tracemalloc.start()
             try:
-                digest = standard.sent_digest(view)
+                digest = standard.sent_digest(view, counts, starts)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             half = send.data.reshape(-1, 2)[:, view.rnd]
             assert digest == ((p * p, int(np.bitwise_xor.reduce(half))),)
             assert peak <= 2 * collectives.SEGMENT_BLOCK_BYTES + 64 * p, peak
+
+
+class TestOneCutPerRoundBudget:
+    """The exchange cuts each round whole once: the accounting, the send-side digest and the spool share that cut.
+
+    Before, a resident round was cut whole twice (its accounting, and the
+    digest's one source chunk at this P) and a spooled one three times
+    (its spool blocks too; at 672 ranks, 4 whole cuts and 36 source-chunk
+    cuts an op of two rounds).  A resident count block still cuts its own
+    destinations; no whole cut outlives its exchange.
+    """
+
+    @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
+    def test_one_whole_round_cut_per_exchanged_round(self, genome_reads, tmp_path, monkeypatch, spooled, mode, surface):
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # count blocks narrower than P
+        real_cut, whole, narrow = SendRound.cut, [], []
+
+        def cutting(self, *args, **kwargs):
+            counts, starts = real_cut(self, *args, **kwargs)
+            (whole if counts.shape == self.send.counts.shape else narrow).append(self.rnd)
+            return counts, starts
+
+        monkeypatch.setattr(SendRound, "cut", cutting)
+        config = PipelineConfig(k=17, mode=mode, n_rounds=3)
+        options = EngineOptions(parallel=1, spill_dir=tmp_path if spooled else None)
+        if surface == "one-shot":
+            spectrum = run_pipeline(genome_reads, summit_gpu(4), config, options=options).spectrum
+        else:
+            counter = DistributedCounter(summit_gpu(4), config, options=options)
+            counter.add_reads(genome_reads)
+            spectrum = counter.spectrum()
+        assert spectrum.equals(count_kmers_exact(genome_reads, 17))
+        assert whole == [0, 1, 2]
+        assert bool(narrow) != spooled  # a resident count block cuts its destinations; a spooled one reads back
 
 
 class TestCheckpointBudgets:

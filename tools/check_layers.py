@@ -45,7 +45,10 @@ both read), the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
 one wall summary (busy / elapsed / overlap), the one silent fallback
-(an ``engine.*.fallback`` event, in strategy resolution) and the one
+(an ``engine.*.fallback`` event, in strategy resolution), the one
+suffix of a round's name (``f"-round{rnd}"``, which the round driver adds
+to a drive's exchange label when it has more rounds than one and every
+residency reads off the round's record) and the one
 declaration of the interconnect (``injection_bw: float``, a
 ``NetworkSpec`` field, so no machine or cluster spec mirrors it again)
 and the FASTQ framing rule's length test (``next_fastq_record``, which
@@ -112,6 +115,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
     ('.fallback"', "", "core/stages/scheduler.py", True),
+    ('f"-round{rnd}"', "", "core/stages/scheduler.py", True),
     ("* total // n_shards", "", "dna/reads.py", True),
     ("code_bytes - config.k + 1", "", "core/stages/standard.py", True),
     ("merge_counts(", "core", "core/stages/standard.py", False),
