@@ -423,24 +423,25 @@ def _count_and_write(args: argparse.Namespace, counter, options, registry: Metri
             registry.gauge("progress_inputs_total", "Input files in this run", wall=True).set(
                 n_inputs
             )
-        for i, path in enumerate(args.input):
-            batch_timing = counter.add_reads(_load_one(path, args))
-            print(f"{path}: counted in {batch_timing.total:.3f} model seconds")
-            if registry is not None:
-                done = i + 1
-                elapsed = monotonic() - t_start
-                registry.gauge("progress_inputs_done", "Input files counted so far", wall=True).set(done)
-                registry.gauge("progress_fraction", "Fraction of input files counted", wall=True).set(
-                    done / n_inputs
-                )
-                registry.gauge(
-                    "progress_eta_seconds", "Projected wall seconds to finish remaining inputs", wall=True
-                ).set(elapsed / done * (n_inputs - done))
-                registry.gauge(
-                    "heartbeat_timestamp_seconds", "Unix time of the last progress update", wall=True
-                ).set(time())
-            if args.checkpoint:
-                counter.save(args.checkpoint)
+        with counter.job():  # one root region: each input's batch<n> region nests in it
+            for i, path in enumerate(args.input):
+                batch_timing = counter.add_reads(_load_one(path, args))
+                print(f"{path}: counted in {batch_timing.total:.3f} model seconds")
+                if registry is not None:
+                    done = i + 1
+                    elapsed = monotonic() - t_start
+                    registry.gauge("progress_inputs_done", "Input files counted so far", wall=True).set(done)
+                    registry.gauge("progress_fraction", "Fraction of input files counted", wall=True).set(
+                        done / n_inputs
+                    )
+                    registry.gauge(
+                        "progress_eta_seconds", "Projected wall seconds to finish remaining inputs", wall=True
+                    ).set(elapsed / done * (n_inputs - done))
+                    registry.gauge(
+                        "heartbeat_timestamp_seconds", "Unix time of the last progress update", wall=True
+                    ).set(time())
+                if args.checkpoint:
+                    counter.save(args.checkpoint)
 
     profile_text = None
     if args.profile is not None:

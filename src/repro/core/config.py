@@ -69,6 +69,11 @@ class PipelineConfig:
         """Wire size of one supermer: packed word + length byte (Section V-D)."""
         return 8 + 1
 
+    @property
+    def wire_bytes(self) -> int:
+        """Wire size of one exchanged item in this config's transport mode."""
+        return self.supermer_wire_bytes if self.mode == "supermer" else self.kmer_wire_bytes
+
     def with_mode(self, mode: Literal["kmer", "supermer"], minimizer_len: int | None = None) -> "PipelineConfig":
         """Copy with a different transport mode (and optionally m)."""
         kwargs: dict[str, object] = {"mode": mode}

@@ -111,6 +111,15 @@ class DistributedCounter:
             )
         return batch_timing
 
+    def job(self):
+        """The counting job's root ``run`` region on the options' recorder (a no-op when tracing is off).
+
+        Batches counted inside it record their ``batch<n>`` regions as its
+        children, so a job of many batches is one span tree and
+        ``repro analyze`` tells its batches apart.
+        """
+        return self._scheduler.run_region(self.options.trace)
+
     # -- persistent state (backed by the scheduler's PipelineState) ----------
 
     @property

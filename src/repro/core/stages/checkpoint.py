@@ -100,7 +100,12 @@ class PipelineState:
 
     @classmethod
     def fresh(cls, n_ranks: int, table_seed: int) -> "PipelineState":
-        """A state with no keys: empty 128-slot regions, born again by the first batch in its own blocks."""
+        """A state with no keys: empty 128-slot regions that only carry the rank count.
+
+        The first batch that counts into the state births its tables anew
+        (:meth:`~repro.core.stages.spill.Resident.tables`), in that drive's
+        count blocks and at the drive plan's birth hints, and drops these.
+        """
         return cls(
             tables=block_table([64] * n_ranks, table_seed).views(),
             timing=PhaseTiming(0.0, 0.0, 0.0),

@@ -141,11 +141,6 @@ class StageContext:
         return self.config.mode == "supermer"
 
     @property
-    def wire_bytes(self) -> int:
-        """Wire size per exchanged item for the active transport mode."""
-        return self.config.supermer_wire_bytes if self.supermer_mode else self.config.kmer_wire_bytes
-
-    @property
     def gpudirect(self) -> bool:
         """GPUDirect for this run: the config flag OR the machine knob.
 

@@ -63,7 +63,7 @@ from ..results import CountResult, PhaseTiming
 from .buffers import ExchangeOutcome, ParseSummary, SendArray, send_rounds
 from .checkpoint import PipelineState
 from .context import EngineOptions, StageContext
-from .plan import plan_drive
+from .plan import check_budget_floor, plan_drive
 from .protocols import PipelinePlugin
 from .registry import StageComposition
 from .spill import Resident, Spooled
@@ -392,11 +392,14 @@ class RoundScheduler:
         pool over a stateful plugin (one that overrides
         ``filter_received``) becomes a thread pool
         (``engine.process.fallback``, see :meth:`Layout.pool`), an event,
-        never an error, because results are identical on both.
+        never an error, because results are identical on both.  A
+        ``host_memory_budget`` below the working-set floor is refused here,
+        once per options object too, before a drive parses anything.
         """
         opts, comp = self.opts, self.comp
         if self._strategy is not None and self._strategy.opts is opts:
             return self._strategy
+        check_budget_floor(self.config, opts)
         spooled, fused = opts.spill_dir is not None, bool(opts.fused)
         stateful = any(
             type(plugin).filter_received is not PipelinePlugin.filter_received for plugin in comp.plugins
@@ -418,6 +421,23 @@ class RoundScheduler:
         return self._strategy
 
     # -- the two surfaces ----------------------------------------------------
+
+    def run_region(self, recorder: SpanRecorder | None):
+        """The root ``run`` region of a job on ``recorder``: a one-shot run, or a stream around its batches.
+
+        Its meta names the strategy, backend, mode and rank count; a
+        trace has exactly one root, so a stream's ``batch<n>`` regions
+        nest in it rather than stand beside each other.
+        """
+        return recording_region(
+            recorder,
+            "run",
+            cat="run",
+            strategy=self.resolve_strategy().name,
+            backend=self.comp.backend,
+            mode=self.config.mode,
+            ranks=self.cluster.n_ranks,
+        )
 
     def run(self, reads: ReadSet) -> CountResult:
         """Run the composition over ``reads`` and return its full result.
@@ -444,15 +464,7 @@ class RoundScheduler:
             reads=reads.n_reads,
         )
         ctx = session(reg) if reg is not None else nullcontext()
-        with ctx, recording_region(
-            recorder,
-            "run",
-            cat="run",
-            strategy=self.resolve_strategy().name,
-            backend=self.comp.backend,
-            mode=self.config.mode,
-            ranks=self.cluster.n_ranks,
-        ):
+        with ctx, self.run_region(recorder):
             result = self._drive(reads, None, recorder, reg)
         event(
             "engine.run.done",
@@ -474,7 +486,8 @@ class RoundScheduler:
         ones.  A composition that conserves k-mers must grow the tables'
         counts by exactly the batch's parsed k-mers, or the batch raises.  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
-        stage/work structure as the one-shot run.
+        stage/work structure as the one-shot run, inside the job's
+        :meth:`run_region` when the caller opened one.
         """
         recorder = self.opts.trace
         with recording_region(
@@ -618,7 +631,7 @@ class RoundScheduler:
             per_rank_count=acct.per_rank_count,
             received_kmers=acct.received_kmers,
             exchanged_items=exchanged_items,
-            exchanged_bytes=int(exchanged_items * sctx.wire_bytes),
+            exchanged_bytes=int(exchanged_items * sctx.config.wire_bytes),
             counts_matrix=acct.counts_matrix,
             work_multiplier=opts.work_multiplier,
             traffic=stats,

@@ -89,11 +89,11 @@ __all__ = [
 def block_table(hints, seed: int, table_dir: Path | None = None) -> SegmentedHashTable:
     """A new table for one block of consecutive ranks, a region per capacity hint.
 
-    The one place the engine's tables are born — a one-shot drive's and an
-    empty state's, in the drive plan's count blocks
-    (:class:`~repro.core.stages.plan.DrivePlan`), and a fresh state's —
-    and ``table_dir`` backs every one of them with ``np.memmap`` slabs (a
-    checkpoint's tables are restored by
+    The one place the engine's tables are born — a one-shot drive's at the
+    drive plan's hints and an empty state's at its birth hints, both in
+    the plan's count blocks (:class:`~repro.core.stages.plan.DrivePlan`),
+    and a fresh state's — and ``table_dir`` backs every one of them with
+    ``np.memmap`` slabs (a checkpoint's tables are restored by
     :meth:`~repro.gpu.segmented.SegmentedHashTable.from_slots`).
     """
     return SegmentedHashTable(hints, seed=seed, table_dir=table_dir)
@@ -501,9 +501,9 @@ class Resident:
         :class:`ExchangedRound`.
         """
         counts, starts = round_.cut()
-        account_alltoallv(counts, stats=sctx.stats, label=label, bytes_per_item=sctx.wire_bytes)
+        account_alltoallv(counts, stats=sctx.stats, label=label, bytes_per_item=sctx.config.wire_bytes)
         if round_.send.lengths is not None:
-            account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.wire_bytes)
+            account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.config.wire_bytes)
         offsets = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=offsets[1:])
         sent = sent_digest(round_, counts, starts)
@@ -543,18 +543,20 @@ class Resident:
         return block_table(hints, self.sched.config.table_seed, self.sched.opts.table_dir)
 
     def tables(self, state, plan) -> list[SegmentedRankView]:
-        """The streamed ``state``'s per-rank views, born again in the plan's count blocks if it holds no key.
+        """The streamed ``state``'s per-rank views, born in the plan's count blocks and at its birth hints if it holds no key.
 
         A state holding keys is counted through the blocks it has,
-        whichever strategy chose them, so a strategy flip copies nothing;
-        one holding none (fresh, or loaded from an empty checkpoint) is
-        born again in this drive's blocks at the capacities it has.
+        whichever strategy chose them, so a strategy flip copies nothing,
+        and a region grows only when a batch needs it to.  One holding none
+        (fresh, or loaded from an empty checkpoint) is born in this drive's
+        blocks at the plan's birth hints (each rank's parsed k-mers of the
+        batch as far as the host budget holds their slots, else 64:
+        :func:`~repro.core.stages.plan.plan_drive`); the empty regions'
+        capacities are not read.
         """
         if any(t.n_entries for t in state.tables):
             return state.tables
-        # A region of c slots holds c * max_load_factor keys: the hint that sizes it c.
-        hints = [int(t.capacity * t.max_load_factor) for t in state.tables]
-        state.tables = [view for r0, r1 in plan.blocks for view in self.born(hints[r0:r1]).views()]
+        state.tables = [view for r0, r1 in plan.blocks for view in self.born(plan.births[r0:r1]).views()]
         return state.tables
 
     def map_blocks(self, fn, blocks: list, sctx) -> list:

@@ -401,7 +401,7 @@ def exchange_time_model(
     seconds)`` breakdown from the routed alltoallv, with host staging
     appended as its own ``host-staging`` link row when it applies.
     """
-    bytes_matrix = counts_matrix.astype(np.float64) * ctx.wire_bytes * ctx.mult
+    bytes_matrix = counts_matrix.astype(np.float64) * ctx.config.wire_bytes * ctx.mult
     timing = ctx.comm_model.alltoallv(bytes_matrix)
     t_a2av = timing.total
     t_net = t_a2av + ctx.comm_model.alltoall_counts()

@@ -213,6 +213,29 @@ class TestMultiFileAndCheckpoint:
         assert ckpt.read_bytes() == saved and not (tmp_path / "mixed.tsv").exists()
 
 
+class TestCountTrace:
+    CHECK_TRACE = Path(__file__).resolve().parent.parent / "tools" / "check_trace.py"
+
+    def test_two_inputs_are_one_span_tree_with_their_batches_apart(self, fastq, tmp_path, capsys):
+        """One root ``run`` region for the job, each input's ``batch<n>`` its child; analyze keeps them apart."""
+        trace, analysis = tmp_path / "t.json", tmp_path / "a.json"
+        argv = ["count", "--input", str(fastq), str(fastq), "-k", "17", "--nodes", "2", "--rounds", "2"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        check = subprocess.run([sys.executable, str(self.CHECK_TRACE), str(trace)], capture_output=True, text=True)
+        assert check.returncode == 0, check.stdout
+        spans = json.loads(trace.read_text())["spans"]
+        (root,) = [s for s in spans if s["parent"] is None]
+        assert (root["name"], root["cat"]) == ("run", "run")
+        assert [s["name"] for s in spans if s["parent"] == root["id"]] == ["batch0", "batch1"]
+        capsys.readouterr()
+        assert main(["analyze", "--trace", str(trace), "--json", str(analysis)]) == 0
+        out = capsys.readouterr().out
+        assert "batch0/round0/exchange" in out and "batch1/round0/exchange" in out
+        rounds = json.loads(analysis.read_text())["critical_path"]["rounds"]
+        assert [r["name"] for r in rounds] == ["batch0", "batch1"]
+        assert all({"parse", "round0/exchange", "round1/exchange", "count"} <= set(r["stages"]) for r in rounds)
+
+
 class TestTableDir:
     """``--table-dir`` backs the tables of every layout, not only ``--fused``'s."""
 

@@ -10,8 +10,9 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages import scheduler
-from repro.core.stages.plan import table_blocks
+from repro.core.stages.plan import TABLE_BYTES_PER_KEY, table_blocks
 from repro.dna.reads import ReadSet
+from repro.gpu.hashtable import MAX_LOAD_FACTOR, fit_capacity, initial_capacity
 from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
@@ -100,6 +101,35 @@ class TestOnePlanPerDrive:
         parsed = result.counts_matrix.sum(axis=1)  # k-mer mode: an item per parsed k-mer
         assert plan.hints == [max(64, int(n) // p + 16) for n in parsed]
 
+    def test_a_streamed_state_is_born_at_its_batch_parsed_kmers_within_the_budget(self, genome_reads, monkeypatch):
+        """Birth hints are each rank's parsed k-mers of the batch, as many as the budget holds slots for, at least 64.
+
+        An empty batch gives 128-slot regions.  With no budget the state is
+        born at 64 and its first insert sizes it at the keys it received,
+        as a one-shot table is: a one-input count is not born ahead of them.
+        """
+        plans = []
+        real = scheduler.plan_drive
+        monkeypatch.setattr(scheduler, "plan_drive", lambda *a, **kw: plans.append(real(*a, **kw)) or plans[-1])
+        n_kmers = run_pipeline(genome_reads, summit_gpu(2), CONFIG).counts_matrix.sum(axis=1)  # an item per k-mer
+        p = n_kmers.shape[0]
+        half = int(n_kmers.max()) // 2
+        for budget, births in (
+            (1 << 30, [max(64, int(n)) for n in n_kmers]),
+            (math.ceil(half * TABLE_BYTES_PER_KEY), [max(64, min(int(n), half)) for n in n_kmers]),
+            (None, [64] * p),
+        ):
+            counter = DistributedCounter(summit_gpu(2), CONFIG, options=EngineOptions(host_memory_budget=budget))
+            counter.add_reads(ReadSet.from_strings(["ACGTACGTAC"]))  # no 17-mer: the state stays empty
+            assert plans[-1].births == [64] * p
+            assert [t.capacity for t in counter.tables] == [128] * p
+            counter.add_reads(genome_reads)  # the first batch with keys births the tables
+            assert plans[-1].births == births
+            caps = [initial_capacity(n, MAX_LOAD_FACTOR) for n in births]
+            if budget is None:  # grown by the first insert, at the keys received
+                caps = [fit_capacity(c, t.n_entries, MAX_LOAD_FACTOR)[0] for c, t in zip(caps, counter.tables)]
+            assert [t.capacity for t in counter.tables] == caps
+
     def test_a_streamed_batch_takes_the_rounds_of_its_own_counts(self, genome_reads):
         """Each batch is planned once, by the one-shot laws, from its own counts: a budget splits every batch."""
         options = EngineOptions(host_memory_budget=20_000)
@@ -117,17 +147,31 @@ class TestOnePlanPerDrive:
         assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat([genome_reads, half]), 17))
 
     @pytest.mark.parametrize("surface", ["one-shot", "streamed"])
-    def test_the_budget_floor_is_one_rule_on_both_surfaces(self, surface):
-        """A sub-floor budget is rejected where an item is received, on both surfaces, and only there."""
-        short = ReadSet.from_strings(["ACGTACGTAC"])  # no 17-mer: nothing is received
+    def test_the_budget_floor_is_one_rule_on_both_surfaces(self, surface, monkeypatch):
+        """A sub-floor budget is rejected by one message on both surfaces before any parse, whatever the input.
+
+        On the streamed surface that holds for options assigned to a
+        running counter's scheduler too: the next batch re-resolves them.
+        """
+        parses = []
+        real = scheduler.Layout.parse
+        monkeypatch.setattr(scheduler.Layout, "parse", lambda *a: parses.append(1) or real(*a))
+        short = ReadSet.from_strings(["ACGTACGTAC"])  # no 17-mer: nothing would be received
+        reads = ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"])
         options = EngineOptions(host_memory_budget=16)
-        if surface == "one-shot":
-            assert run_pipeline(short, summit_gpu(2), CONFIG, options=options).spectrum.n_distinct == 0
-            with pytest.raises(ValueError, match="working-set floor"):
-                run_pipeline(ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"]), summit_gpu(2), CONFIG, options=options)
-            return
-        counter = DistributedCounter(summit_gpu(2), CONFIG, options=options)
-        counter.add_reads(short)
-        assert counter.total_kmers == 0
-        with pytest.raises(ValueError, match="working-set floor"):
-            counter.add_reads(ReadSet.from_strings(["ACGTTGCAAGGCTTACGA"]))
+        message = "host_memory_budget=16 is below the working-set floor"
+        for batch in (short, reads):
+            with pytest.raises(ValueError, match=message):
+                if surface == "one-shot":
+                    run_pipeline(batch, summit_gpu(2), CONFIG, options=options)
+                else:
+                    DistributedCounter(summit_gpu(2), CONFIG, options=options).add_reads(batch)
+        assert parses == []
+        if surface == "streamed":
+            counter = DistributedCounter(summit_gpu(2), CONFIG)
+            counter.add_reads(reads)
+            counter._scheduler.opts = options
+            with pytest.raises(ValueError, match=message):
+                counter.add_reads(reads)
+            assert len(parses) == 1  # the first batch's parse only
+            assert counter.n_batches == 1

@@ -401,6 +401,32 @@ class TestCheckpointAccounting:
                 resumed.add_reads(batch)
             _assert_same_observables(resumed, full)
 
+    @pytest.mark.parametrize("cut", [0, 1, 2])
+    def test_a_state_born_at_its_size_resumes_at_every_cut(self, batches, tmp_path, monkeypatch, cut):
+        """Under a host budget the state is born at its first batch's parsed k-mers (no regrow after it);
+        a checkpoint at any cut, an empty one included, resumes on the other layout to the uninterrupted run."""
+        from repro.gpu import segmented
+
+        monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 19)
+        cfg = PipelineConfig(k=17, mode="supermer")
+        cluster = summit_gpu(2)
+        budgeted = EngineOptions(host_memory_budget=1 << 30)
+        full = DistributedCounter(cluster, cfg, options=budgeted)
+        first = DistributedCounter(cluster, cfg, options=budgeted)
+        for i, batch in enumerate(batches):
+            full.add_reads(batch)
+            if i < cut:
+                first.add_reads(batch)
+        unbudgeted = DistributedCounter(cluster, cfg)
+        for batch in batches:
+            unbudgeted.add_reads(batch)
+        assert full.insert_stats.resizes < unbudgeted.insert_stats.resizes
+        resumed = DistributedCounter(cluster, cfg, options=EngineOptions(host_memory_budget=1 << 30, fused=True))
+        resumed.load(first.save(tmp_path / f"cut{cut}.npz"))
+        for batch in batches[cut:]:
+            resumed.add_reads(batch)
+        _assert_same_observables(resumed, full)
+
     @pytest.mark.parametrize("fused", [False, True], ids=["staged", "fused"])
     def test_a_state_without_keys_is_born_again_in_the_drives_blocks(self, batches, monkeypatch, fused):
         """A fresh state is one table of empty 128-slot regions; each batch until one holds keys

@@ -201,11 +201,11 @@ class TestCheckerDetects:
         assert "scheduler.py:1: '* total // n_shards' is defined once, in dna/reads.py" in proc.stdout
         assert "spmd.py:1: 'code_bytes - config.k + 1' is defined once, in core/stages/standard.py" in proc.stdout
 
-    #: Every text the checker pins to core/stages/plan.py, once: the host law, the table term, the hints.
+    #: Every text the checker pins to core/stages/plan.py, once: the host law, the table term, the hints, the births.
     _PLAN = (
         "host_bytes_per_item = wire * 2 + 8.0 + TABLE_BYTES_PER_KEY\n"
         "TABLE_BYTES_PER_KEY = SLOT_BYTES / MAX_LOAD_FACTOR  # 16 / 0.7\n"
-        "hints = np.maximum(64, summary.n_kmers // max(p, 1) + 16)\n"
+        "hints, births = np.maximum(64, summary.n_kmers // max(p, 1) + 16), np.minimum(summary.n_kmers, room)\n"
     )
 
     def test_flags_second_table_hint(self, tmp_path):
@@ -223,6 +223,24 @@ class TestCheckerDetects:
         assert proc.returncode == 1
         assert "scheduler.py:1: '// max(p, 1) + 16' is defined once, in core/stages/plan.py" in proc.stdout
         assert "spmd.py:1: '// max(p, 1) + 16' is defined once, in core/stages/plan.py" in proc.stdout
+
+    def test_flags_second_birth_hint(self, tmp_path):
+        """A streamed state's birth hint is the drive plan's; a state or counter that re-derives it fails."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        plan = root / "core" / "stages" / "plan.py"
+        plan.write_text(self._PLAN)
+        (root / "core" / "stages" / "checkpoint.py").write_text("table = block_table(plan.births[r0:r1], seed)\n")
+        assert run_checker(root).returncode == 0
+        (root / "core" / "stages" / "checkpoint.py").write_text("hints = np.minimum(summary.n_kmers, room)[r0:r1]\n")
+        (root / "core" / "incremental.py").write_text("births = np.minimum(summary.n_kmers, room).tolist()\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        owner = "is defined once, in core/stages/plan.py"
+        assert f"checkpoint.py:1: 'np.minimum(summary.n_kmers, room)' {owner}" in proc.stdout
+        assert f"incremental.py:1: 'np.minimum(summary.n_kmers, room)' {owner}" in proc.stdout
+        plan.write_text(self._PLAN.replace("np.minimum(summary.n_kmers, room)", "n_kmers"))
+        assert "owner of 'np.minimum(summary.n_kmers, room)' no longer contains it" in run_checker(root).stdout
 
     def test_flags_second_table_term(self, tmp_path):
         """The table term (a slot at the default load) is the drive plan's; a law that writes it out again fails."""

@@ -720,9 +720,8 @@ class TestHostBudgetFloor:
         assert floor > 16
 
     def test_streamed_counter_reports_floor(self, genome_reads, tmp_path):
-        # The CLI counts through DistributedCounter.run_batch, which is
-        # single-round by construction — the floor must still be
-        # reported there, not silently ignored.
+        # The CLI counts through DistributedCounter — the floor must be
+        # reported there too, not silently ignored, before the batch is parsed.
         config = PipelineConfig(k=17, mode="kmer")
         counter = DistributedCounter(
             summit_gpu(2),

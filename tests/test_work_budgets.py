@@ -626,6 +626,46 @@ class TestOneTableBudgets:
         assert base and wider and max(wider) <= max(base) + segmented.INSERT_BLOCK_BYTES
 
 
+class TestStreamedBirthBudgets:
+    """Under a host budget a streamed state is born at its first batch's parsed k-mers per rank, so it regrows only for new keys.
+
+    The regions were born at 128 slots and regrown by every batch that
+    brought keys (12 regrows per ``stream-ooc`` op, 9 of them rehashing
+    live entries).  The drive plan's birth hints bound a balanced batch's
+    distinct keys per rank, so here (12x coverage, later batches of known
+    keys) no batch calls ``_regrow``; the old rule regrew in every one.
+    """
+
+    BUDGET = 1 << 30  # room for every parsed k-mer's slot, one round a batch
+
+    @pytest.mark.parametrize("mode", ["kmer", "supermer"])
+    @pytest.mark.parametrize("spill", [False, True], ids=["staged", "fused-spill"])
+    def test_a_stream_of_known_keys_never_regrows(self, genome_reads, tmp_path, monkeypatch, mode, spill):
+        regrows: list[int] = []
+        real = SegmentedHashTable._regrow
+        monkeypatch.setattr(SegmentedHashTable, "_regrow", lambda self, caps: regrows.append(1) or real(self, caps))
+        options = (
+            EngineOptions(
+                fused=True,
+                spill_dir=tmp_path / "spool",
+                table_dir=tmp_path / "tables",
+                host_memory_budget=self.BUDGET,
+            )
+            if spill
+            else EngineOptions(host_memory_budget=self.BUDGET)
+        )
+        counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17, mode=mode), options=options)
+        half = genome_reads.select(range(genome_reads.n_reads // 2))
+        per_batch = []
+        for batch in (genome_reads, half, genome_reads):  # the later batches bring no new key
+            counter.add_reads(batch)
+            per_batch.append(len(regrows))
+            regrows.clear()
+        assert per_batch == [0, 0, 0]
+        assert counter.insert_stats.resizes == 0
+        assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat([genome_reads, half, genome_reads]), 17))
+
+
 class TestParseInputGrowthLaw:
     """The parse reads the input in place: one view per block, never a copy per shard (ROADMAP 8(b)).
 

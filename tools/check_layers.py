@@ -41,7 +41,9 @@ share), the cut of segments into rounds (``round_cut``), the exchange
 checksum's XOR reduction and its send side's segment XORs
 (``np.bitwise_xor.reduceat(``), the engine's one table birth and its capacity
 hint (the drive plan's, which the round driver and the SPMD rank program
-both read), the pair sort
+both read), a streamed state's birth hint (each rank's parsed k-mers as
+far as the host budget has room for their slots: the drive plan's, which
+``Resident.tables`` reads), the pair sort
 (its packed word and its argsort fallback), the owner reduction
 ``hash mod P``, the one renderer of Chrome span (``X``) events, the
 one wall summary (busy / elapsed / overlap), the one silent fallback
@@ -112,6 +114,7 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("np.argsort(keys)", "", "gpu/hashtable.py", True),
     ("np.floor_divide(h, p, out=q)", "", "hashing/partition.py", True),
     ("// max(p, 1) + 16", "", "core/stages/plan.py", True),
+    ("np.minimum(summary.n_kmers, room)", "", "core/stages/plan.py", True),
     ('"X"', "", "telemetry/spans.py", True),
     (".overlap_factor(", "", "telemetry/spans.py", True),
     ('.fallback"', "", "core/stages/scheduler.py", True),
