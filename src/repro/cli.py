@@ -423,7 +423,7 @@ def _count_and_write(args: argparse.Namespace, counter, options, registry: Metri
             registry.gauge("progress_inputs_total", "Input files in this run", wall=True).set(
                 n_inputs
             )
-        with counter.job():  # one root region: each input's batch<n> region nests in it
+        with counter.job(n_inputs):  # one root region: each input's batch<n> region nests in it
             for i, path in enumerate(args.input):
                 batch_timing = counter.add_reads(_load_one(path, args))
                 print(f"{path}: counted in {batch_timing.total:.3f} model seconds")

@@ -27,7 +27,7 @@ execution core:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import perf_counter
 
@@ -68,6 +68,7 @@ class DistributedCounter:
         self.backend = self._composition.backend
         self._scheduler = RoundScheduler(cluster, self.config, self._composition, self.options)
         self._state = PipelineState.fresh(cluster.n_ranks, self.config.table_seed)
+        self._batches_left: int | None = None  # the open job's batches still to come, when it said
 
     # -- counting -----------------------------------------------------------
 
@@ -82,8 +83,11 @@ class DistributedCounter:
         """
         reg = self.options.telemetry
         ctx = session(reg) if reg is not None else nullcontext()
+        last = self._batches_left == 1
         with ctx:
-            batch_timing = self._scheduler.run_batch(reads, self._state)
+            batch_timing = self._scheduler.run_batch(reads, self._state, last=last)
+        if self._batches_left:
+            self._batches_left -= 1
         event(
             "counter.batch",
             subsystem="engine",
@@ -111,14 +115,24 @@ class DistributedCounter:
             )
         return batch_timing
 
-    def job(self):
+    @contextmanager
+    def job(self, n_batches: int | None = None):
         """The counting job's root ``run`` region on the options' recorder (a no-op when tracing is off).
 
         Batches counted inside it record their ``batch<n>`` regions as its
         children, so a job of many batches is one span tree and
-        ``repro analyze`` tells its batches apart.
+        ``repro analyze`` tells its batches apart.  ``n_batches``, when
+        known, is how many batches the job will add: a state empty at the
+        last of them is then sized by its first insert, not born ahead of
+        batches that will not come (as a budgeted stream's is, at the
+        batch's parsed k-mers: :func:`~repro.core.stages.plan.plan_drive`).
         """
-        return self._scheduler.run_region(self.options.trace)
+        self._batches_left = n_batches
+        try:
+            with self._scheduler.run_region(self.options.trace):
+                yield
+        finally:
+            self._batches_left = None
 
     # -- persistent state (backed by the scheduler's PipelineState) ----------
 

@@ -30,6 +30,7 @@ from ..mpi.stats import TrafficStats
 from ..mpi.topology import ClusterSpec
 from .config import PipelineConfig
 from .parallel import get_pool
+from .stages.buffers import join_kmers
 from .stages.context import EngineOptions, StageContext
 from .stages.plan import plan_drive
 from .stages.registry import StageComposition, build_composition
@@ -75,7 +76,11 @@ def staged_rank_program(
 
     # EXCHANGE: one alltoallv of per-destination views (two in supermer
     # mode — payload words + lengths — like Algorithm 2's pair of ALLTOALLV
-    # calls); what arrives is this rank's receive array, in source order.
+    # calls; k-mers leave their host form first, so Algorithm 1 sends one
+    # payload of whole words); what arrives is this rank's receive array,
+    # in source order.
+    if not ctx.supermer_mode:
+        data, lengths = join_kmers(data, lengths), None
     cuts = np.cumsum(summary.counts_matrix[0])[:-1]
     recv = np.concatenate(comm.alltoallv(np.split(data, cuts)))
     recv_lengths = None if lengths is None else np.concatenate(comm.alltoallv(np.split(lengths, cuts)))

@@ -13,6 +13,13 @@ Every arrow in the stage graph has an explicit record type:
 * parse → round driver: :class:`ParseSummary` (the per-rank statistics
   the driver keeps beside, and after, the send array).
 
+A k-mer item's host form is narrower than its wire form
+(:func:`split_kmers`): the send array, the count's gathers and the spool
+hold a k-mer's low 32-bit word plus, for k of 17 to 20, its high byte in
+a second array, and only the count joins them back into 64-bit keys
+(:func:`join_kmers`).  The model charges the wire bytes
+(``PipelineConfig.wire_bytes``) whatever the host form.
+
 The count hands the round driver plain per-rank arrays (modeled seconds,
 instances seen) and :class:`~repro.gpu.hashtable.InsertStats`.
 
@@ -38,7 +45,33 @@ __all__ = [
     "SendRound",
     "round_cut",
     "send_rounds",
+    "split_kmers",
+    "join_kmers",
 ]
+
+
+def split_kmers(kmers: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Packed ``uint64`` k-mers in their host form ``(words, high bytes)``: the one width rule of the send format.
+
+    A k-mer is 2k bits.  Up to k = 16 it is its low 32-bit word alone;
+    up to k = 20 that word plus its high bits, one ``uint8`` each, in a
+    second array (5 B where the wire charges 8); wider k-mers stay one
+    ``uint64`` (``kmers`` itself, no copy).  :func:`join_kmers` inverts it.
+    """
+    if k > 20:
+        return kmers, None
+    high = (kmers >> np.uint64(32)).astype(np.uint8) if k > 16 else None
+    return kmers.astype(np.uint32), high
+
+
+def join_kmers(words: np.ndarray, high: np.ndarray | None) -> np.ndarray:
+    """The ``uint64`` k-mers of a host form :func:`split_kmers` made (already ``uint64``: no copy)."""
+    if high is None:
+        return np.ascontiguousarray(words, dtype=np.uint64)
+    kmers = high.astype(np.uint64)
+    kmers <<= np.uint64(32)
+    kmers |= words
+    return kmers
 
 
 def round_cut(seg_lens: np.ndarray, rnd, n_rounds: int) -> np.ndarray:
@@ -56,11 +89,13 @@ def round_cut(seg_lens: np.ndarray, rnd, n_rounds: int) -> np.ndarray:
 class ParsedItems:
     """A parse stage's output (one shard's, or a parse block's), before destination ordering.
 
-    ``data`` holds the wire items (packed k-mers in k-mer mode, packed
-    supermer words in supermer mode); ``route_keys`` holds the values the
-    partition stage assigns owners to (the k-mers themselves, or the
-    supermers' minimizers).  ``lengths`` carries per-supermer k-mer counts
-    (``None`` in k-mer mode).
+    ``data`` holds the items as ``uint64`` words (packed k-mers in k-mer
+    mode, packed supermer words in supermer mode); ``route_keys`` holds the
+    values the partition stage assigns owners to (the k-mers themselves,
+    or the supermers' minimizers).  ``lengths`` carries per-supermer k-mer
+    counts (``None`` in k-mer mode).  The parse body then puts the items in
+    the send format (:class:`SendArray`): in k-mer mode a k-mer's host form
+    (:func:`split_kmers`), whose high bytes take the second array's place.
     """
 
     data: np.ndarray
@@ -83,15 +118,20 @@ class SendArray:
     it into a receive array — a resident count gathers each table block's
     receive segments straight out of it, a spooled exchange gathers each
     destination block into the spool.
+
+    ``lengths`` is the second array, parallel to ``data``: a supermer's
+    k-mer count in supermer mode, a k-mer's high byte in k-mer mode at
+    k = 17..20 (:func:`split_kmers`), else ``None``.  Every gather, spool
+    file and checksum treats the two arrays alike.
     """
 
-    data: np.ndarray  # uint64: packed k-mers, or packed supermer words
-    lengths: np.ndarray | None  # uint8 k-mers per supermer (supermer mode), parallel to data
+    data: np.ndarray  # uint64 packed supermer words; k-mers in their host form (uint32 words up to k = 20)
+    lengths: np.ndarray | None  # uint8, parallel to data: k-mers per supermer, or a k-mer's high bits
     counts: np.ndarray  # (sources, P) int64: [src, dst] items
 
     @property
     def arrays(self) -> list[np.ndarray]:
-        """The payload, then (supermer mode) its length bytes: what every gather reads."""
+        """The payload, then its second array when it has one: what every gather reads."""
         return [self.data] if self.lengths is None else [self.data, self.lengths]
 
 

@@ -80,7 +80,7 @@ def table_blocks(expected_keys: np.ndarray) -> list[tuple[int, int]]:
     return segmented.rank_blocks((slots * SLOT_BYTES).astype(np.int64), segmented.INSERT_BLOCK_BYTES)
 
 
-def plan_drive(summary: ParseSummary, sctx: StageContext) -> DrivePlan:
+def plan_drive(summary: ParseSummary, sctx: StageContext, *, last: bool = False) -> DrivePlan:
     """The plan of the drive whose parse gave ``summary``.
 
     Rounds are ⌈worst rank's received items (the counts matrix's column
@@ -97,8 +97,9 @@ def plan_drive(summary: ParseSummary, sctx: StageContext) -> DrivePlan:
     holds table bytes for, at least 64: on a balanced partition an upper
     bound on the distinct keys the batch brings, so later batches of
     mostly known keys need not regrow it.  That spends declared memory
-    ahead of the keys: with no budget the region is born at 64 and sized
-    by its first insert, as a one-shot one is.
+    ahead of the keys: with no budget, or when no batch follows (``last``:
+    the job said so), the region is born at 64 and sized by its first
+    insert, as a one-shot one is.
     """
     opts = sctx.opts
     wire, mult = sctx.config.wire_bytes, opts.work_multiplier
@@ -114,6 +115,6 @@ def plan_drive(summary: ParseSummary, sctx: StageContext) -> DrivePlan:
     p = sctx.n_ranks
     # Python ints, not int64 scalars: a table sizes its regions in a Python loop.
     hints = np.maximum(64, summary.n_kmers // max(p, 1) + 16).tolist()
-    room = 0 if budget is None else int(budget / (TABLE_BYTES_PER_KEY * mult))
+    room = 0 if budget is None or last else int(budget / (TABLE_BYTES_PER_KEY * mult))
     births = np.maximum(64, np.minimum(summary.n_kmers, room)).tolist()
     return DrivePlan(n_rounds=n_rounds, blocks=table_blocks(recv_items), hints=hints, births=births)

@@ -296,7 +296,7 @@ class Layout:
         blocks = rank_blocks(sizes, PARSE_BLOCK_BASES)
         wave = 4 * pool.workers if pool.in_process else len(blocks)
         bases_through = np.cumsum(sizes)
-        arrays: list[np.ndarray] = []  # the send data, then (supermer mode) its lengths
+        arrays: list[np.ndarray] = []  # the send data, then its second array (lengths, or high bytes)
         n, parts = 0, []
         for w0 in range(0, len(blocks), wave):
             outs = pool.map(_parse, blocks[w0 : w0 + wave], recorder=recorder)
@@ -477,7 +477,7 @@ class RoundScheduler:
         )
         return result
 
-    def run_batch(self, reads: ReadSet, state: PipelineState) -> PhaseTiming:
+    def run_batch(self, reads: ReadSet, state: PipelineState, *, last: bool = False) -> PhaseTiming:
         """Fold one batch of reads into ``state``; returns the batch timing.
 
         The same drive as :meth:`run` — rounds planned by the same laws
@@ -487,13 +487,15 @@ class RoundScheduler:
         counts by exactly the batch's parsed k-mers, or the batch raises.  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
         stage/work structure as the one-shot run, inside the job's
-        :meth:`run_region` when the caller opened one.
+        :meth:`run_region` when the caller opened one.  ``last`` says no
+        batch follows, so an empty state is not born ahead of later
+        batches (:func:`~repro.core.stages.plan.plan_drive`).
         """
         recorder = self.opts.trace
         with recording_region(
             recorder, f"batch{state.n_batches}", cat="batch", batch=state.n_batches
         ):
-            return self._drive(reads, state, recorder, None)
+            return self._drive(reads, state, recorder, None, last=last)
 
     # -- the round driver ----------------------------------------------------
 
@@ -503,6 +505,8 @@ class RoundScheduler:
         state: PipelineState | None,
         recorder: SpanRecorder | None,
         reg: MetricRegistry | None,
+        *,
+        last: bool = False,
     ) -> CountResult | PhaseTiming:
         """The one superstep skeleton every strategy and surface runs.
 
@@ -550,7 +554,7 @@ class RoundScheduler:
             send, summary = layout.parse(ranges, sctx)
         del ranges
         t_parse = float(summary.times.max()) if p else 0.0
-        plan = plan_drive(summary, sctx)
+        plan = plan_drive(summary, sctx, last=last)
         n_rounds = plan.n_rounds
         # A round's label is the drive's stem, plus "-round<r>" when it has more rounds than one.
         stem = f"{config.mode}-exchange" if one_shot else f"{config.mode}-batch{state.n_batches}"

@@ -5,7 +5,8 @@ every round, phase two counts one table block at a time.  The receive
 side and the block dumps are what a residency places:
 
 * :class:`SpillSpool` — the spool directory: one append-only segment file
-  per label (plus a ``.lens`` twin in supermer mode) with an in-memory
+  per label (plus a ``.lens`` twin for the send format's second array:
+  length bytes, or a k-mer's high bytes at k = 17..20) with an in-memory
   ``rank → (item offset, count)`` index, filled a round at a time by
   :meth:`SpillSpool.append_round`, and one run file per table block — the
   block's occupied slots, unsorted — indexed by its ranks, entry count and
@@ -73,7 +74,7 @@ from .standard import (
     exchange_outcome,
     fold_digests,
     merge_items,
-    sent_digest,
+    sent_digests,
     verify_exchange,
 )
 
@@ -173,8 +174,9 @@ class SpillSpool:
     """One run's spool directory: a segment file per exchange label, plus runs.
 
     Each exchange label owns one append-only ``<label>.data`` file of raw
-    little-endian dtype bytes (``tofile`` format) and, in supermer mode, a
-    parallel ``<label>.lens`` file of length bytes.  Where a destination
+    little-endian dtype bytes (``tofile`` format) and, when the send format
+    has a second array, a parallel ``<label>.lens`` file of its bytes
+    (supermer length bytes, or k-mer high bytes).  Where a destination
     rank's partition sits inside them is an in-memory index (see
     :class:`_SegmentFile`) — the directory holds a handful of large
     sequential files, not P small ones per round.  A one-shot drive dumps
@@ -443,7 +445,7 @@ def _gather(round_: SendRound, blk: SegmentBlock, take=np.empty) -> list[np.ndar
     The one block gather of both residencies — a resident count block's
     extent (:meth:`Resident._read`) and a spooled exchange's destination
     block (:meth:`SpillSpool.append_round`) — into ``take(items, dtype)``
-    buffers: the payload, then (supermer mode) its length bytes.
+    buffers: the payload, then its second array when the send format has one.
     """
     arrays = round_.send.arrays
     outs = [take(blk.o1 - blk.o0, array.dtype) for array in arrays]
@@ -458,8 +460,8 @@ class ExchangedRound:
     label: str  # its exchange label (a spooled round's segment files are named by it)
     suffix: str  # its work leaves' suffix: "-round<r>" when the drive has more than one round
     offsets: np.ndarray  # the P + 1 destination offsets of its receive side
-    sent: tuple[tuple[int, int], ...]  # the send side of its checksum
     view: SendRound | None  # resident: its view of the send array; spooled: None (read back by label)
+    dtypes: tuple[np.dtype, ...]  # the send format: the payload's dtype, then its second array's
 
 
 class Resident:
@@ -486,28 +488,35 @@ class Resident:
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
         self.merge_leaf = layout.prefix + "merge"
         self.rounds: list[ExchangedRound] = []  # one record per exchanged round, in round order
+        self.sent: list = []  # per round, the send side of its checksum: every round's, taken at the first
         self.dumps: list = []  # per table block, in rank order: what the merge reads
 
     def exchange(self, round_: SendRound, label: str, suffix: str, sctx) -> ExchangeOutcome:
         """Counts alltoall + payload alltoallv of one round: the accounting, the checksum's send side and the time model.
 
-        The round is cut once, here, and that cut feeds the accounting, the
-        send side of the checksum (:func:`~repro.core.stages.standard.sent_digest`,
-        taken while the send array is certainly alive) and :meth:`_place`;
-        it dies with this call.  One logical alltoallv for the payload
+        The round is cut once, here, and that cut feeds the accounting and
+        :meth:`_place`; it dies with this call.  The first round takes every
+        round's send side of the checksum in one pass over the send array
+        (:func:`~repro.core.stages.standard.sent_digests`, while it is
+        certainly alive).  One logical alltoallv for the payload
         (recorded into the traffic stats) and, in supermer mode, a second
         for the length bytes (counters only; their bytes ride in the
-        payload's wire size).  What the count needs of the round is its
+        payload's wire size).  A k-mer's high bytes are host form, not
+        wire: Algorithm 1 sends one payload alltoallv of ``wire_bytes``
+        words.  What the count needs of the round is its
         :class:`ExchangedRound`.
         """
         counts, starts = round_.cut()
         account_alltoallv(counts, stats=sctx.stats, label=label, bytes_per_item=sctx.config.wire_bytes)
-        if round_.send.lengths is not None:
+        if sctx.supermer_mode:
             account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.config.wire_bytes)
         offsets = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=offsets[1:])
-        sent = sent_digest(round_, counts, starts)
-        self.rounds.append(ExchangedRound(label, suffix, offsets, sent, self._place(round_, label, counts, starts)))
+        if not self.rounds:
+            self.sent = sent_digests(round_.send, round_.n_rounds, round_.seg_starts)
+        place = self._place(round_, label, counts, starts)
+        dtypes = tuple(array.dtype for array in round_.send.arrays)
+        self.rounds.append(ExchangedRound(label, suffix, offsets, place, dtypes))
         return exchange_outcome(counts, sctx)
 
     def _place(self, round_: SendRound, label: str, counts: np.ndarray, starts: np.ndarray) -> SendRound | None:
@@ -640,8 +649,10 @@ class Resident:
                     table.close()
 
         counted_blocks = self.map_blocks(_count_block, blocks, sctx)
-        for rnd, rec in enumerate(self.rounds):
-            verify_exchange(rec.label, rec.sent, fold_digests(digests[rnd] for _, digests, _ in counted_blocks))
+        second = "length bytes" if sctx.supermer_mode else "high bytes"
+        for rnd, (rec, sent) in enumerate(zip(self.rounds, self.sent)):
+            received = fold_digests(digests[rnd] for _, digests, _ in counted_blocks)
+            verify_exchange(rec.label, sent, received, second)
         self._drop_rounds()  # the last block is counted
         entries: list[int] = []
         loads: list[float] = []
@@ -693,13 +704,12 @@ class Spooled(Resident):
         _spill_counter("spill_partitions_total", "Exchange partitions spooled to disk", counts.shape[0])
 
     def _read(self, rec: ExchangedRound, r0: int, r1: int, sctx):
-        """Ranks ``[r0, r1)`` of a round, read back from its segment file in one positional read each."""
+        """Ranks ``[r0, r1)`` of a round, read back from its segment files (the send format's) in one positional read each."""
         t0 = perf_counter()
-        recv = self.spool.read_range(rec.label, r0, r1, np.uint64)
-        lengths = self.spool.read_range(rec.label, r0, r1, np.uint8, lens=True) if sctx.supermer_mode else None
+        recv, *second = (self.spool.read_range(rec.label, r0, r1, dt, lens=i > 0) for i, dt in enumerate(rec.dtypes))
         if sctx.recorder is not None:
             sctx.recorder.record("spill:read" + rec.suffix, r0, t0, perf_counter(), ranks=[r0, r1])
-        return recv, lengths
+        return recv, second[0] if second else None
 
     def _release(self, *arrays) -> None:
         self.spool.release(*arrays)

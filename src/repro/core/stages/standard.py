@@ -8,7 +8,7 @@
   assignment, the seam the balanced-partitioning extension plugs into);
 * :func:`exchange_outcome` — the tail of every exchange (the
   Summit-calibrated time model, the outcome), and the exchange checksum
-  (:func:`sent_digest` over the send side, :func:`exchange_digest` per
+  (:func:`sent_digests` over the send side, :func:`exchange_digest` per
   count block, :func:`verify_exchange`); the exchanges and the count loop
   themselves belong to the residencies (:mod:`repro.core.stages.spill`);
 * :class:`TableCount` — destination-side k-mer extraction and
@@ -41,7 +41,7 @@ from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
 from ...mpi import collectives
 from ..config import PipelineConfig
-from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendRound
+from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendArray, join_kmers, round_cut, split_kmers
 from .context import StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
@@ -59,7 +59,7 @@ __all__ = [
     "merge_partitions",
     "outgoing_buffer_hot_fraction",
     "exchange_digest",
-    "sent_digest",
+    "sent_digests",
     "fold_digests",
     "verify_exchange",
     "exchange_time_model",
@@ -257,8 +257,9 @@ def parse_block(
     """The one parse body: shards ``r0 .. r1 - 1`` of the input into their send buffers.
 
     Returns the block's slice of the run's send array (items src-major,
-    dst-segmented; their k-mer counts in supermer mode) and its
-    :class:`ParseSummary`.  The parse stage runs once over the block's one
+    dst-segmented, in the send format: supermers and their k-mer counts, or
+    k-mers in their host form, :func:`~repro.core.stages.buffers.split_kmers`)
+    and its :class:`ParseSummary`.  The parse stage runs once over the block's one
     view of the input's codes (``extract_at`` over
     :meth:`~repro.dna.reads.ShardRanges.view`: one read per piece, so no
     window or supermer spans two shards, and an item's position tells its
@@ -278,13 +279,14 @@ def parse_block(
     key = owners if nb == 1 else np.repeat(np.arange(0, nb * p, p), n_items) + owners
     counts = _destination_counts(key, n_items, owners, p, partition)
     order = stable_order(key, nb * p)
-    data = items.data[order]
-    lengths, n_kmers, n_supermers = None, n_items, np.zeros(nb, dtype=np.int64)
-    if items.lengths is not None:
-        lengths = items.lengths[order]
+    n_kmers, n_supermers = n_items, np.zeros(nb, dtype=np.int64)
+    if ctx.supermer_mode:
+        data, lengths = items.data[order], items.lengths[order]
         kmer_cum = np.zeros(data.shape[0] + 1, dtype=np.int64)
         np.cumsum(items.lengths, dtype=np.int64, out=kmer_cum[1:])
         n_kmers, n_supermers = np.diff(kmer_cum[cuts]), n_items
+    else:
+        data, lengths = split_kmers(items.data[order], config.k)  # high bytes at k = 17..20: not lengths
     code_bytes = ranges.code_bytes[r0:r1]
     threads = np.maximum(code_bytes - config.k + 1, 0)
     times = np.array(
@@ -313,47 +315,62 @@ def parse_block(
 def exchange_digest(arrays) -> tuple[tuple[int, int], ...]:
     """``(items, XOR)`` of each array — what one count block read of a round, one reduction per array.
 
-    ``arrays`` is the payload and, in supermer mode, its length bytes;
-    ``None`` entries (no length bytes) are skipped.
+    ``arrays`` is the payload and its second array (length bytes, or a
+    k-mer's high bytes); ``None`` entries (no second array) are skipped.
     """
     return tuple((int(a.shape[0]), _xor(a)) for a in arrays if a is not None)
 
 
-def sent_digest(round_: SendRound, counts: np.ndarray, starts: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """``(items, XOR)`` of each array of everything ``round_`` sends: the exchange checksum's send side.
+def sent_digests(send: SendArray, n_rounds: int, seg_starts: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Per round, ``(items, XOR)`` of each array of everything it sends: the exchange checksum's send side.
 
-    ``counts`` and ``starts`` are the exchange's one cut of the round
-    (:meth:`~repro.core.stages.buffers.SendRound.cut`).  A lone round is
-    the whole send array: one reduction per array.  Else the round's
-    segments are ranges of the send array, folded in chunks of whole
-    source rows of the cut (row slices: views): a chunk's segments lie in
-    one slice of the src-major array, so one ``reduceat`` over their bounds
-    in that slice gives every segment's XOR (the gaps between them, other
-    rounds' items, land on the odd entries and are skipped), and the
-    chunks' XORs fold into the round's — no copy.  A chunk is sized at ten
-    8 B words a segment (its rows of the cut; the held index, start,
-    length and end; two bounds and two outputs), within
+    Every round's at once, in one pass over the send array: the exchange
+    takes it at its first round (:meth:`~repro.core.stages.spill.Resident.exchange`,
+    while the send array is certainly alive).  A lone round is the whole
+    send array: one reduction per array.  Else each segment is cut into
+    its rounds' pieces (:func:`~repro.core.stages.buffers.round_cut`),
+    which lie back to back, as do the segments of consecutive source rows
+    of the src-major array (``seg_starts``): so one ``reduceat`` over a
+    chunk of whole source rows, bounded at every piece's start, gives every
+    (segment, round) piece's XOR — no gap between a round's pieces is
+    reduced, and nothing is copied — and each round's column folds into
+    its digest.  An empty piece's entry (``reduceat`` gives the item at its
+    bound) is zeroed.  A chunk is sized at 6 + 4 × ``n_rounds`` 8 B words
+    a segment (its rows of the counts and starts; the held index, start
+    and length; per round a piece's start, its length, its bound and its
+    output, plus the segment's end), within
     :data:`~repro.mpi.collectives.SEGMENT_BLOCK_BYTES`, so the fold does
-    not grow with P² (a round is one chunk up to P = 161).
+    not grow with P².
     """
-    arrays = round_.send.arrays
-    if round_.n_rounds == 1:
-        return exchange_digest(arrays)
-    n_src, p = counts.shape
-    rows = max(1, collectives.SEGMENT_BLOCK_BYTES // (80 * p))
-    items, xors = 0, [0] * len(arrays)
+    arrays = send.arrays
+    if n_rounds == 1:
+        return [exchange_digest(arrays)]
+    n_src, p = send.counts.shape
+    rows = max(1, collectives.SEGMENT_BLOCK_BYTES // (8 * (6 + 4 * n_rounds) * p))
+    inner = np.arange(1, n_rounds)
+    items = np.zeros(n_rounds, dtype=np.int64)
+    xors = [[0] * n_rounds for _ in arrays]
     for s0 in range(0, n_src, rows):
-        lens = counts[s0 : s0 + rows].reshape(-1)
+        lens = send.counts[s0 : s0 + rows].reshape(-1)
         held = np.flatnonzero(lens)
         if not held.size:
             continue
-        lo, lens = starts[s0 : s0 + rows].reshape(-1)[held], lens[held]
+        lo, lens = seg_starts[s0 : s0 + rows].reshape(-1)[held], lens[held]
         base, end = int(lo[0]), int(lo[-1] + lens[-1])
-        lo -= base
-        bounds = np.stack((lo, lo + lens), axis=1).reshape(-1)[:-1]  # the last segment runs to `end`
-        items += int(lens.sum())
-        xors = [x ^ _xor(np.bitwise_xor.reduceat(a[base:end], bounds)[::2]) for x, a in zip(xors, arrays)]
-    return tuple((items, x) for x in xors)
+        # Each piece's first item in the chunk, then its segment's end: rounds 1.. are cut, round 0 starts the segment.
+        starts = np.empty((lens.shape[0], n_rounds + 1), dtype=np.int64)
+        starts[:, 0], starts[:, -1] = lo - base, lo - base + lens
+        starts[:, 1:-1] = round_cut(lens[:, None], inner, n_rounds) + starts[:, :1]
+        pieces = np.diff(starts, axis=1)
+        bounds = starts[:, :-1].reshape(-1)
+        empty = pieces.reshape(-1) == 0
+        items += pieces.sum(axis=0)
+        for per_round, a in zip(xors, arrays):
+            x = np.bitwise_xor.reduceat(a[base:end], bounds)
+            x[empty] = 0
+            for r, column in enumerate(x.reshape(-1, n_rounds).T):
+                per_round[r] ^= _xor(column)
+    return [tuple((int(items[r]), per_round[r]) for per_round in xors) for r in range(n_rounds)]
 
 
 def _xor(values: np.ndarray) -> int:
@@ -369,21 +386,22 @@ def fold_digests(digests) -> tuple[tuple[int, int], ...]:
     )
 
 
-def verify_exchange(label: str, sent, received) -> None:
+def verify_exchange(label: str, sent, received, second: str) -> None:
     """End-to-end integrity check over one exchange round.
 
     Production distributed counters checksum their wire traffic (a single
     flipped key silently corrupts the histogram).  The simulator does the
     equivalent: the item count and global XOR of everything sent
-    (:func:`sent_digest`) must equal those of everything the count read
+    (:func:`sent_digests`) must equal those of everything the count read
     (its blocks' :func:`exchange_digest`, folded by :func:`fold_digests`)
-    — the payload and, in supermer mode, its length bytes, since a wrong
-    length byte unpacks the wrong k-mers as surely as a flipped key does.
+    — the payload and its second array, named by ``second`` (supermer
+    mode's length bytes, or k-mer mode's high bytes), since a wrong length
+    byte unpacks the wrong k-mers as surely as a flipped key does.
     Whatever the residency, the received side is what the count was
     handed, so a fault anywhere between the send array and the count —
     the gather, or a spool file changed on disk — is caught.
     """
-    for what, (n_sent, sent_xor), (n_received, received_xor) in zip(("payload", "length bytes"), sent, received):
+    for what, (n_sent, sent_xor), (n_received, received_xor) in zip(("payload", second), sent, received):
         if n_sent != n_received:
             raise AssertionError(f"exchange {label!r} lost items: sent {n_sent}, received {n_received} ({what})")
         if sent_xor != received_xor:
@@ -441,8 +459,9 @@ class TableCount:
         self.plugins = plugins
 
     def extract_kmers(self, recv: np.ndarray, lengths: np.ndarray | None, config: PipelineConfig) -> np.ndarray:
+        """The ``uint64`` k-mers of received items: unpacked supermers, or k-mers joined from their host form."""
         if config.mode != "supermer":
-            return np.ascontiguousarray(recv, dtype=np.uint64)
+            return join_kmers(recv, lengths)
         kmers = (
             extract_kmers_from_packed(recv, lengths, config.k) if recv.size else np.empty(0, dtype=np.uint64)
         )
@@ -460,7 +479,7 @@ class TableCount:
     ) -> tuple[np.ndarray, np.ndarray, list[InsertStats]]:
         """One count round of a block of consecutive ranks: the one count body.
 
-        ``recv`` (and ``lengths`` in supermer mode) holds the received
+        ``recv`` (and its second array, ``lengths``) holds the received
         segments of ranks ``rank0, rank0 + 1, ...`` back to back, bounded
         by ``recv_offsets``; ``table``'s regions are those ranks'
         partitions.  Returns ``(times, n_seen, stats)`` per rank.

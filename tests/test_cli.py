@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -441,6 +442,33 @@ class TestCountRounds:
         limited = self._count(fastq, tmp_path, "limited", "--memory-limit", str(limit))
         assert limited[2] == [f"kmer-batch0-round{r}" for r in range(n)]
         assert rounds[:2] == plain[:2] and limited[:2] == plain[:2]
+
+
+class TestCountBirths:
+    """Under ``--memory-limit`` a stream's tables are born at its first batch's parsed k-mers, unless no batch follows.
+
+    A one-input count's first batch is its last: born ahead of it, its
+    tables were about 5x its keys' (the parsed k-mers count every
+    repeat).  So it is born at 64 and sized by its first insert, as an
+    unbudgeted count is; a count of two inputs is still born ahead.
+    """
+
+    @staticmethod
+    def _capacities(fastq, tmp_path, name: str, inputs: int, *extra) -> tuple[list[int], bytes]:
+        """Every rank's table capacity (read off the checkpoint) and the ``.rkdb`` bytes of one ``repro count``."""
+        ckpt, db = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.rkdb"
+        argv = ["count", "--input", *[str(fastq)] * inputs, "-k", "17", "--mode", "kmer", "--nodes", "2"]
+        assert main([*argv, "--checkpoint", str(ckpt), "--out-db", str(db), *extra]) == 0
+        with np.load(ckpt) as saved:
+            return saved["capacities"].tolist(), db.read_bytes()
+
+    def test_a_one_input_budgeted_count_is_sized_as_an_unbudgeted_one(self, fastq, tmp_path):
+        budget = ("--memory-limit", str(1 << 30))  # one round, and room for every parsed k-mer's slot
+        plain = self._capacities(fastq, tmp_path, "plain", 1)
+        assert self._capacities(fastq, tmp_path, "budgeted", 1, *budget) == plain
+        plain2, db2 = self._capacities(fastq, tmp_path, "plain2", 2)
+        ahead, ahead_db = self._capacities(fastq, tmp_path, "budgeted2", 2, *budget)
+        assert ahead_db == db2 and sum(ahead) > sum(plain2)  # batch 1 of 2 is still born ahead
 
 
 class TestDistance:

@@ -44,7 +44,7 @@ def _run(reads, residency: str, mode: str, tmp_path, **options):
 
 @contextmanager
 def _in_flight(residency: str, fault, *, lengths: bool = False):
-    """Apply ``fault`` to what rank 0's count block reads of the payload (``lengths``: length bytes).
+    """Apply ``fault`` to what rank 0's count block reads of the payload (``lengths``: of its second array).
 
     Resident, to that block's gather out of the send array; spooled, to its
     read back from the segment file.  ``fault`` gets a private copy.  The
@@ -52,7 +52,7 @@ def _in_flight(residency: str, fault, *, lengths: bool = False):
     is hit on every substrate — a forked worker's call count never reaches
     the parent, and two flipped blocks would cancel in the XOR.
     """
-    dtype = np.uint8 if lengths else np.uint64
+    hit = 1 if lengths else 0  # the gather's outputs: the payload, then its second array
     with pytest.MonkeyPatch.context() as patch:
         if residency == "resident":
             original = spill_mod._gather
@@ -60,7 +60,7 @@ def _in_flight(residency: str, fault, *, lengths: bool = False):
             def faulty_gather(round_, blk, take=np.empty):
                 outs = original(round_, blk, take)
                 if blk.d0 == 0 and round_.rnd == 0:
-                    outs = [fault(out.copy()) if out.dtype == dtype else out for out in outs]
+                    outs = [fault(out.copy()) if i == hit else out for i, out in enumerate(outs)]
                 return outs
 
             patch.setattr(spill_mod, "_gather", faulty_gather)
@@ -81,8 +81,8 @@ def _flipped_on_disk(suffix: str):
 
     The payload's byte 0 flips its lowest bit; a length byte is flipped
     only where the result is still a valid length (an odd length of three
-    or more becomes one less), so the count runs and only the checksum can
-    tell.
+    or more becomes one less; a k = 17 high byte of 3 becomes 2, still a
+    17-mer's), so the count runs and only the checksum can tell.
     """
     with pytest.MonkeyPatch.context() as patch:
         original = spill_mod.Spooled.exchange
@@ -101,7 +101,7 @@ def _flipped_on_disk(suffix: str):
 
 
 def _flip_key(buf: np.ndarray) -> np.ndarray:
-    buf[0] ^= np.uint64(1)
+    buf[0] ^= 1
     return buf
 
 
@@ -149,6 +149,13 @@ class TestChecksumVerification:
                 with pytest.raises(AssertionError, match="'supermer-exchange' corrupted length bytes.*checksum"):
                     _run(genome_reads, residency, "supermer", tmp_path, stages=stages)
 
+    @pytest.mark.parametrize("residency", RESIDENCIES)
+    def test_corrupted_high_byte_detected(self, genome_reads, tmp_path, residency):
+        """At k = 17 a k-mer's high bits ride in a second array: a flipped high byte is a wrong key, and is caught."""
+        with _in_flight(residency, _flip_key, lengths=True):
+            with pytest.raises(AssertionError, match="'kmer-exchange' corrupted high bytes.*checksum"):
+                _run(genome_reads, residency, "kmer", tmp_path)
+
     def test_supermer_mode_also_verified(self, genome_reads):
         cfg = PipelineConfig(k=17, mode="supermer", minimizer_len=7, window=15)
         result = run_pipeline(genome_reads, summit_gpu(2), cfg)
@@ -174,6 +181,14 @@ class TestSpoolFileCorruption:
         with _flipped_on_disk(".lens"):
             with pytest.raises(AssertionError, match="'supermer-exchange' corrupted length bytes.*checksum"):
                 run_pipeline(ecoli_reads, summit_gpu(2), _config("supermer"), options=options)
+
+    def test_high_byte_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
+        """A k = 17 spool keeps its k-mers' high bytes in the ``.lens`` twin, and the count's reads cover it."""
+        options = EngineOptions(spill_dir=tmp_path)
+        with _flipped_on_disk(".lens"):
+            with pytest.raises(AssertionError, match="'kmer-exchange' corrupted high bytes.*checksum"):
+                run_pipeline(ecoli_reads, summit_gpu(2), PipelineConfig(k=17), options=options)
+        assert list(tmp_path.iterdir()) == []
 
     def test_streamed_batch_segment_file_flip(self, ecoli_reads, tmp_path):
         """Batches are checked like one-shot runs: the streamed surface checks the same reads."""

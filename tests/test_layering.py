@@ -57,6 +57,12 @@ class TestCheckerDetects:
         "segment_xors = np.bitwise_xor.reduceat(chunk, bounds)[::2]\n"
     )
 
+    #: Every text the checker pins to core/stages/buffers.py, once: the round cut and the host width rule.
+    _BUFFERS = (
+        "def round_cut(seg_lens, rnd, n_rounds):\n    return (seg_lens * rnd) // n_rounds\n"
+        "if k > 20:\n    pass\nhigh = (kmers >> np.uint64(32)).astype(np.uint8)\n"
+    )
+
     #: Every text the checker pins to core/stages/scheduler.py, once.
     _SCHEDULER = (
         'event("engine.process.fallback", subsystem="engine")\n'
@@ -161,7 +167,7 @@ class TestCheckerDetects:
         cut = root / "core" / "stages" / "buffers.py"
         standard.write_text(owned)
         spill.write_text(gathers)
-        cut.write_text("def round_cut(seg_lens, rnd, n_rounds):\n    return (seg_lens * rnd) // n_rounds\n")
+        cut.write_text(self._BUFFERS)
         assert run_checker(root).returncode == 0
         standard.write_text(owned + "blk.take([send.data], [recv])\n")
         (root / "core" / "stages" / "scheduler.py").write_text(
@@ -207,6 +213,25 @@ class TestCheckerDetects:
         "TABLE_BYTES_PER_KEY = SLOT_BYTES / MAX_LOAD_FACTOR  # 16 / 0.7\n"
         "hints, births = np.maximum(64, summary.n_kmers // max(p, 1) + 16), np.minimum(summary.n_kmers, room)\n"
     )
+
+    def test_flags_second_host_width_rule(self, tmp_path):
+        """A k-mer's host form is split by buffers.py's ``split_kmers`` only; a parse or spool that splits again fails."""
+        root = self._tree(tmp_path, "")
+        (root / "core" / "stages").mkdir()
+        buffers = root / "core" / "stages" / "buffers.py"
+        standard = root / "core" / "stages" / "standard.py"
+        buffers.write_text(self._BUFFERS)
+        standard.write_text(self._STANDARD + "words, high = split_kmers(items.data, config.k)\n")
+        assert run_checker(root).returncode == 0
+        standard.write_text(self._STANDARD + "high = (kmers >> np.uint64(32)).astype(np.uint8)\n")
+        (root / "core" / "incremental.py").write_text("if k > 20:\n    dtypes = (np.uint64,)\n")
+        proc = run_checker(root)
+        assert proc.returncode == 1
+        owner = "is defined once, in core/stages/buffers.py"
+        assert f"standard.py:8: '(kmers >> np.uint64(32)).astype(np.uint8)' {owner}" in proc.stdout
+        assert f"incremental.py:1: 'if k > 20:' {owner}" in proc.stdout
+        buffers.write_text(self._BUFFERS.replace("k > 20", "k >= 21"))
+        assert "owner of 'if k > 20:' no longer contains it" in run_checker(root).stdout
 
     def test_flags_second_table_hint(self, tmp_path):
         """A new table's capacity hint is the drive plan's (core/stages/plan.py); the driver and the rank program read it."""

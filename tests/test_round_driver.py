@@ -26,7 +26,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.buffers import SendArray, send_rounds
-from repro.core.stages.standard import TableCount, sent_digest
+from repro.core.stages.standard import TableCount, sent_digests
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
 from repro.gpu.segmented import SegmentedHashTable
@@ -301,11 +301,12 @@ def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
 @pytest.mark.parametrize("n_rounds", [2, 3, 5])
 @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
 def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
-    """A round's send-side digest ≡ its segments, concatenated by the scalar loop, then counted and XORed.
+    """Each round's send-side digest ≡ its segments, concatenated by the scalar loop, then counted and XORed.
 
-    The block size is cut so that every round is folded in several chunks
-    of source rows and ends in a partial one; one chunk holds only empty
-    rows, and segments that hold nothing are spread everywhere.
+    The block size is cut so that the rounds are folded in chunks of three
+    source rows, ending in a partial one; one chunk holds only empty rows,
+    and segments that hold nothing are spread everywhere (so are empty
+    round pieces of short segments).
     """
     p = 13
     rng = np.random.default_rng(7 * n_rounds + with_lengths)
@@ -319,18 +320,22 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
         counts=counts,
     )
     src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 3 * 8 * (6 + 4 * n_rounds) * p)  # three rows a chunk
     chunks = []
 
     class RowChunks(np.ndarray):
-        """The cut's counts, recording each slice of source rows the digest folds."""
+        """The send counts, recording each slice of source rows the digest folds."""
 
         def __getitem__(self, key):
             if isinstance(key, slice):
                 chunks.append((key.start, key.stop))
             return super().__getitem__(key)
 
-    for rnd, view in enumerate(send_rounds(send, n_rounds)):
+    recorded = SendArray(send.data, send.lengths, counts.view(RowChunks))
+    digests = sent_digests(recorded, n_rounds, collectives.segment_starts(counts))
+    assert chunks == [(s0, s0 + 3) for s0 in range(0, p, 3)]  # the last one partial
+    assert len(digests) == n_rounds
+    for rnd in range(n_rounds):
         data, lengths = [], []
         for src in range(p):
             lo, hi = src_base[src], src_base[src + 1]
@@ -339,9 +344,5 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
             data.append(ref_data)
             lengths.append(ref_lengths)
         reference = [np.concatenate(data)] + ([np.concatenate(lengths)] if with_lengths else [])
-        round_counts, round_starts = view.cut()
-        chunks.clear()
-        digest = sent_digest(view, round_counts.view(RowChunks), round_starts)
-        assert digest == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
-        assert len(chunks) >= 3 and chunks[-1][1] > p  # several chunks, the last one partial
+        assert digests[rnd] == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
 

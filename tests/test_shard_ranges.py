@@ -18,6 +18,7 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.parallel import get_pool
 from repro.core.stages import scheduler
+from repro.core.stages.buffers import split_kmers
 from repro.core.stages.registry import build_composition
 from repro.core.stages.context import StageContext
 from repro.dna.reads import ReadSet, ShardRanges
@@ -75,7 +76,7 @@ def _cases() -> dict[str, tuple[ReadSet, int]]:
 
 
 def _reference_parse(reads: ReadSet, nodes: int, config: PipelineConfig):
-    """Per rank: the send buffer (items, supermer lengths) and parse seconds of its fragment copy."""
+    """Per rank: the send buffer (items and their second array) and parse seconds of its fragment copy."""
     cluster = summit_gpu(nodes)
     comp = build_composition("gpu", config, EngineOptions())
     ctx = StageContext(
@@ -89,7 +90,10 @@ def _reference_parse(reads: ReadSet, nodes: int, config: PipelineConfig):
         seconds = comp.substrate.charge_parse(
             comp.parse, items.n_kmers, items.n_supermers, code_bytes, max(code_bytes - config.k + 1, 0), ctx
         )
-        out.append((items.data[order], None if items.lengths is None else items.lengths[order], seconds))
+        data, lengths = items.data, items.lengths
+        if config.mode == "kmer":
+            data, lengths = split_kmers(data, config.k)  # the send format's host form of a k-mer
+        out.append((data[order], None if lengths is None else lengths[order], seconds))
     return out
 
 

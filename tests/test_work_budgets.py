@@ -271,11 +271,11 @@ class TestExchangeGrowthLaw:
     No exchange stages a per-source buffer (``SegmentBlock.gather`` is
     gone) or copies a round into a receive array: the gather indexes of a
     round follow its blocks — the bytes — and so does its checksum: per
-    array, one ``reduceat`` per source chunk (row slices of the exchange's
-    one cut of the round) over its segments of the send array and one fold
-    of each on the send side (at these P, up to 96, a round is one chunk),
-    and one reduction per count block on the received side, whose digests
-    the count folds.  Quadrupling P at fixed input adds
+    array, one ``reduceat`` per source chunk over every round's pieces of
+    its segments of the send array at once, and one fold of each round's
+    column on the send side (at these P, up to 96, the drive is one
+    chunk), and one reduction per count block on the received side, whose
+    digests the count folds.  Quadrupling P at fixed input adds
     none.  The per-source form made P views, P staged slices per block and
     2P XOR reductions a round.
     """
@@ -339,10 +339,10 @@ class TestExchangeGrowthLaw:
     def test_exchange_calls_do_not_grow_with_ranks(self, genome_reads, tmp_path, monkeypatch, mode, spill):
         base = self._run(monkeypatch, genome_reads, 4, mode, tmp_path / "p24" if spill else None)
         wider = self._run(monkeypatch, genome_reads, 16, mode, tmp_path / "p96" if spill else None)  # P x 4
-        arrays = 2 if mode == "supermer" else 1  # the payload, and its length bytes
+        arrays = 2  # the payload, and its second array: length bytes, or (k = 17) a k-mer's high bytes
         for made in (base, wider):
             assert made["gather"] == 0
-            assert made["reduceats"] == arrays  # the send side: one pass over the round's segments
+            assert made["reduceats"] == arrays / 2  # the send side: one pass over both rounds' segments
             assert made["reductions"] == arrays * (1 + made["blocks"])  # its fold, and one per count block
         assert 1 <= base["blocks"] and wider["blocks"] <= base["blocks"]
         assert 1 <= base["index"] and wider["index"] <= base["index"]
@@ -351,12 +351,12 @@ class TestExchangeGrowthLaw:
 class TestSentDigestGrowthLaw:
     """The send side of a multi-round checksum holds O(SEGMENT_BLOCK_BYTES + P), never O(P²).
 
-    It folds a round in chunks of whole source rows of the exchange's one
-    cut of the round (row slices, made before the digest, as the exchange
-    makes it), each chunk's bounds and outputs within about
-    ``SEGMENT_BLOCK_BYTES``.  One ``reduceat`` over all P² segment bounds
-    took 16 MB a round here at P = 512 (and 27.4 MB on the 672-rank
-    spilled workload, while the send array was still live).
+    It folds every round at once in chunks of whole source rows (row
+    slices of the counts and segment starts), each chunk's bounds and
+    outputs within about ``SEGMENT_BLOCK_BYTES``.  One ``reduceat`` over
+    all P² segment bounds took 16 MB a round here at P = 512 (and 27.4 MB
+    on the 672-rank spilled workload, while the send array was still
+    live).
     """
 
     P = 512
@@ -365,17 +365,16 @@ class TestSentDigestGrowthLaw:
         p = self.P
         counts = np.full((p, p), 2, dtype=np.int64)  # every segment gives each of the two rounds an item
         send = SendArray(data=np.arange(int(counts.sum()), dtype=np.uint64), lengths=None, counts=counts)
-        for view in send_rounds(send, 2):
-            counts, starts = view.cut()  # the exchange's one cut of the round, made before the digest
-            tracemalloc.start()
-            try:
-                digest = standard.sent_digest(view, counts, starts)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            half = send.data.reshape(-1, 2)[:, view.rnd]
-            assert digest == ((p * p, int(np.bitwise_xor.reduce(half))),)
-            assert peak <= 2 * collectives.SEGMENT_BLOCK_BYTES + 64 * p, peak
+        seg_starts = collectives.segment_starts(counts)  # made before the digest, as the driver makes them
+        tracemalloc.start()
+        try:
+            digests = standard.sent_digests(send, 2, seg_starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        halves = send.data.reshape(-1, 2).T
+        assert digests == [((p * p, int(np.bitwise_xor.reduce(half))),) for half in halves]
+        assert peak <= 2 * collectives.SEGMENT_BLOCK_BYTES + 64 * p, peak
 
 
 class TestOneCutPerRoundBudget:
@@ -666,6 +665,42 @@ class TestStreamedBirthBudgets:
         assert counter.spectrum().equals(count_kmers_exact(ReadSet.concat([genome_reads, half, genome_reads]), 17))
 
 
+class TestHostBytesPerKmer:
+    """A k-mer's host form is its low 32-bit word, plus a high byte at k = 17..20: 4, 5 or 8 B, not 8 every time.
+
+    The send array held every parsed k-mer as a ``uint64`` (8 B at k = 17,
+    as at k = 21); now it holds 4 B at k = 16 and 5 B at k = 17, and a
+    spooled drive writes its partitions at those bytes per item too (the
+    spool's bytes around each round's appends; the run files it also
+    writes are the tables' dumps, 16 B a key).  The model still charges
+    the wire bytes: 4 up to k = 16, else 8.
+    """
+
+    @pytest.mark.parametrize("k, per_kmer", [(16, 4), (17, 5), (21, 8)])
+    def test_send_array_and_spool_bytes_per_parsed_kmer(self, genome_reads, tmp_path, monkeypatch, k, per_kmer):
+        held, spooled = [], []
+        real_parse, real_append = scheduler.Layout.parse, spill.SpillSpool.append_round
+
+        def parsing(self, *args, **kwargs):
+            send, summary = real_parse(self, *args, **kwargs)
+            held.append((sum(array.nbytes for array in send.arrays), int(summary.n_kmers.sum())))
+            return send, summary
+
+        def appending(self, label, round_, counts, starts):
+            before = self.bytes_written
+            real_append(self, label, round_, counts, starts)
+            spooled.append((self.bytes_written - before, int(counts.sum())))
+
+        monkeypatch.setattr(scheduler.Layout, "parse", parsing)
+        monkeypatch.setattr(spill.SpillSpool, "append_round", appending)
+        config = PipelineConfig(k=k, n_rounds=2)
+        for spill_dir in (None, tmp_path):
+            result = run_pipeline(genome_reads, summit_gpu(2), config, options=EngineOptions(spill_dir=spill_dir))
+            assert result.exchanged_bytes == result.exchanged_items * config.wire_bytes  # the model: wire bytes
+        assert len(held) == 2 and all(nbytes == per_kmer * n_kmers > 0 for nbytes, n_kmers in held), held
+        assert len(spooled) == 2 and all(nbytes == per_kmer * items > 0 for nbytes, items in spooled), spooled
+
+
 class TestParseInputGrowthLaw:
     """The parse reads the input in place: one view per block, never a copy per shard (ROADMAP 8(b)).
 
@@ -950,7 +985,7 @@ class TestZeroCopyExchangeBudgets:
         spill_dir = tmp_path if spooled else None
         made = TestExchangeGrowthLaw._run(monkeypatch, genome_reads, 4, "supermer", spill_dir)
         assert made["blocks"] > 2
-        assert made["reduceats"] == 2 and made["reductions"] == 2 * (1 + made["blocks"])
+        assert made["reduceats"] == 1 and made["reductions"] == 2 * (1 + made["blocks"])
 
 
 class TestPairFoldBudgets:

@@ -54,7 +54,9 @@ residency reads off the round's record) and the one
 declaration of the interconnect (``injection_bw: float``, a
 ``NetworkSpec`` field, so no machine or cluster spec mirrors it again)
 and the FASTQ framing rule's length test (``next_fastq_record``, which
-the byte-range reader's boundary scan calls too)
+the byte-range reader's boundary scan calls too) and the width rule of a
+k-mer's host form (``split_kmers``: its low word, plus a high byte up to
+k = 20, which the parse body calls and the count's join inverts)
 may each appear in their owning file only, so neither the scheduler nor
 the spool nor a report can regrow a private copy.
 
@@ -125,6 +127,8 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("sort_pairs(", "", "gpu/hashtable.py", False),
     ("injection_bw: float", "", "machines/network.py", True),
     ("len(qual) != len(seq)", "", "dna/fastq.py", True),
+    ("if k > 20:", "", "core/stages/buffers.py", True),
+    ("(kmers >> np.uint64(32)).astype(np.uint8)", "", "core/stages/buffers.py", True),
 ]
 
 

@@ -10,8 +10,10 @@ bit for bit.
 
 1. **Staged spill** (``RLIMIT_AS``, k-mer mode, 24 ranks): the staged
    loop with ``spill_dir`` must fit and match under a cap that exhausts
-   the in-memory staged path.  K-mer mode on purpose: 8 wire bytes per
-   instance make the send array (not parse intermediates) the hot spot.
+   the in-memory staged path.  K-mer mode on purpose: 8 bytes per
+   instance make the send array (not parse intermediates) the hot spot
+   (at k = 21 a k-mer's host form is a whole ``uint64``, as on the wire;
+   from k = 17 to 20 it would be 5 bytes, ``buffers.split_kmers``).
    No exchange copies the send array any more, so the two paths differ
    only in the count: a resident count gathers its blocks out of the send
    array, which lives until the last block, beside the block dumps it
@@ -43,9 +45,9 @@ not failures: the identity + spool assertions on the passing side are
 the contract.  Cap defaults were calibrated empirically against the
 default workloads (pass/OOM thresholds bracketed to >= ~20 MB margins).
 The staged probe's brackets (2-core x86-64 Linux host, CPython 3.11,
-``--child`` runs bisected to 4 MB): the spilled run passes above
-(444, 448] MB and the in-memory twin above (488, 492] MB, so the 468 MB
-default clears each by 20 MB.  (On the earlier 2.5 Mb, 8x probe, whose
+``--child`` runs bisected to 4 MB, re-measured since k-mers have a host
+form): the spilled run passes above (441, 444] MB and the in-memory twin
+above (488, 492] MB, so the 468 MB default clears each by 20 MB or more.  (On the earlier 2.5 Mb, 8x probe, whose
 twin kept a whole-round receive array from the exchange to the count,
 the brackets were (455, 458] and (518, 521] MB; since the receive array
 went, both paths pass there above (394, 396] MB — their peak is the
