@@ -32,9 +32,9 @@ send array, a round is a view of it
 is gathered straight out of it.  The one axis that changes behaviour is
 the *residency* (:class:`~repro.core.stages.spill.Resident` |
 :class:`~repro.core.stages.spill.Spooled`), which owns the exchange, the
-count loop, the exchange checksum and the merge, and chooses where a
-round's receive segments and a block's dump live: in the send array and
-RAM, or in the spool's files; ``fused`` changes names only (the
+count loop and the merge, and chooses where a round's receive segments
+and a block's dump live: in the send array and RAM, or in the spool's
+files; ``fused`` changes names only (the
 strategy, ``staged`` | ``fused`` | ``spill`` | ``fused-spill``, and the
 ``fused:`` work-leaf prefix).
 :class:`RoundAccounting` is the one place their outcomes are summed.
@@ -67,7 +67,7 @@ from .plan import check_budget_floor, plan_drive
 from .protocols import PipelinePlugin
 from .registry import StageComposition
 from .spill import Resident, Spooled
-from .standard import parse_block
+from .standard import exchange_digest, parse_block, verify_exchange
 
 __all__ = ["RoundScheduler", "RoundAccounting", "Layout", "Strategy"]
 
@@ -510,15 +510,16 @@ class RoundScheduler:
     ) -> CountResult | PhaseTiming:
         """The one superstep skeleton every strategy and surface runs.
 
-        prepare plugins → shard → parse → plan → per round {view,
-        exchange, span note, accounting} → drop the driver's send array →
-        count, one table block at a time, and the exchange checksum →
-        conservation check, and for the one-shot surface (``state is
-        None``) the merge, final gauges and the
-        :class:`CountResult`.  Every strategy and surface takes this one
-        shape (Gerbil's two phases).  What differs between strategies is
-        behind two objects (:meth:`resolve_strategy`): the *layout* (one
-        class) parses the send array and names the work leaves, and the
+        prepare plugins → shard → parse, and the exchange checksum's send
+        side → plan → per round {view, exchange, span note, accounting} →
+        drop the driver's send array → count, one table block at a time →
+        the exchange checksum, once per drive → the merge (one-shot
+        surface, ``state is None``) → conservation check → final gauges
+        and the :class:`CountResult` (one-shot).  Every strategy and
+        surface takes this one shape (Gerbil's two phases).  What differs
+        between strategies is behind two objects (:meth:`resolve_strategy`):
+        the *layout* (one class) parses the send array and names the work
+        leaves, and the
         *residency* chooses where a round's receive segments and a block's
         dump live — the send array and RAM arrays, or the spool's segment
         and run files.
@@ -553,6 +554,8 @@ class RoundScheduler:
         with recording_region(recorder, "parse", cat="stage"):
             send, summary = layout.parse(ranges, sctx)
         del ranges
+        # The checksum's send side, while the send array is certainly alive: one reduction per array.
+        sent = exchange_digest(send.arrays)
         t_parse = float(summary.times.max()) if p else 0.0
         plan = plan_drive(summary, sctx, last=last)
         n_rounds = plan.n_rounds
@@ -601,7 +604,8 @@ class RoundScheduler:
             check_held = not one_shot and comp.conserves_kmers
             held = _n_counted(state.tables) if check_held else None
             with recording_region(recorder, "count", cat="stage"):
-                fill = residency.count(state, plan, sctx, acct)
+                fill, received = residency.count(state, plan, sctx, acct)
+            verify_exchange(stem, sent, received, "length bytes" if sctx.supermer_mode else "high bytes")
 
             if one_shot:
                 # ---- merge the blocks' dumps into one spectrum ----

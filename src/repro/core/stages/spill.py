@@ -21,9 +21,9 @@ side and the block dumps are what a residency places:
   (:func:`block_table`, a block-local
   :class:`~repro.gpu.segmented.SegmentedHashTable` backed by
   ``table_dir`` when it is set) that is dumped and freed before the next
-  block, or into a streamed state's tables — and check the one exchange
-  checksum over what that loop reads.  They differ only in where things
-  live: :class:`Resident` copies nothing at the exchange — each count
+  block, or into a streamed state's tables — and digest what that loop
+  reads for the driver's one exchange checksum.  They differ only in
+  where things live: :class:`Resident` copies nothing at the exchange — each count
   block gathers its extent of a round straight out of the send array —
   and keeps a block's ``(keys, counts)`` dump in RAM; :class:`Spooled`
   gathers the round into its segment file, reads a block's extent back,
@@ -69,14 +69,7 @@ from ...mpi.collectives import SegmentBlock, account_alltoallv, segment_blocks
 from ...telemetry import active, event
 from ..memory import ScratchArena
 from .buffers import ExchangeOutcome, SendRound
-from .standard import (
-    exchange_digest,
-    exchange_outcome,
-    fold_digests,
-    merge_items,
-    sent_digests,
-    verify_exchange,
-)
+from .standard import exchange_digest, exchange_outcome, fold_digests, merge_items
 
 __all__ = [
     "Resident",
@@ -472,7 +465,7 @@ class Resident:
     :meth:`count` counts one table block at a time — every round of the
     block's ranks, in round order, into a table born for the block (or
     the streamed state's), dumped and freed before the worker's next
-    block — checks every round's checksum, and :meth:`merge` folds the
+    block — digests everything it read, and :meth:`merge` folds the
     dumps by :func:`~repro.core.stages.standard.merge_items`.  A residency
     chooses only where a round's receive segments live (:meth:`_read`)
     and where a block's dump goes (:meth:`_dump`): here nowhere but the
@@ -488,18 +481,14 @@ class Resident:
         self.exchange_leaf = layout.prefix + "exchange"  # work-leaf name of the exchange superstep
         self.merge_leaf = layout.prefix + "merge"
         self.rounds: list[ExchangedRound] = []  # one record per exchanged round, in round order
-        self.sent: list = []  # per round, the send side of its checksum: every round's, taken at the first
         self.dumps: list = []  # per table block, in rank order: what the merge reads
 
     def exchange(self, round_: SendRound, label: str, suffix: str, sctx) -> ExchangeOutcome:
-        """Counts alltoall + payload alltoallv of one round: the accounting, the checksum's send side and the time model.
+        """Counts alltoall + payload alltoallv of one round: the accounting and the time model.
 
         The round is cut once, here, and that cut feeds the accounting and
-        :meth:`_place`; it dies with this call.  The first round takes every
-        round's send side of the checksum in one pass over the send array
-        (:func:`~repro.core.stages.standard.sent_digests`, while it is
-        certainly alive).  One logical alltoallv for the payload
-        (recorded into the traffic stats) and, in supermer mode, a second
+        :meth:`_place`; it dies with this call.  One logical alltoallv for
+        the payload (recorded into the traffic stats) and, in supermer mode, a second
         for the length bytes (counters only; their bytes ride in the
         payload's wire size).  A k-mer's high bytes are host form, not
         wire: Algorithm 1 sends one payload alltoallv of ``wire_bytes``
@@ -512,8 +501,6 @@ class Resident:
             account_alltoallv(counts, stats=None, label=label, bytes_per_item=sctx.config.wire_bytes)
         offsets = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=0), out=offsets[1:])
-        if not self.rounds:
-            self.sent = sent_digests(round_.send, round_.n_rounds, round_.seg_starts)
         place = self._place(round_, label, counts, starts)
         dtypes = tuple(array.dtype for array in round_.send.arrays)
         self.rounds.append(ExchangedRound(label, suffix, offsets, place, dtypes))
@@ -590,8 +577,12 @@ class Resident:
                 table.adopt(*slabs)
         return [out for out, _ in results]
 
-    def count(self, state, plan, sctx, acct) -> tuple[list[int], list[float]]:
-        """Count every round, one table block at a time; returns the dumped tables' per-rank ``(entries, loads)``.
+    def count(self, state, plan, sctx, acct) -> tuple[tuple[list[int], list[float]], tuple]:
+        """Count every round, one table block at a time; returns ``((entries, loads), received)``.
+
+        ``(entries, loads)`` are the dumped tables' per rank; ``received``
+        is the exchange checksum's received side, every block's digests of
+        every round folded into one per array.
 
         Each block's count is private (its own table, its own extent of
         each round), so the pool may run blocks concurrently on any
@@ -606,12 +597,12 @@ class Resident:
 
         Every block takes the checksum of what it read
         (:func:`~repro.core.stages.standard.exchange_digest`) and returns it
-        beside its counts, so every substrate folds the same digests; each
-        round's fold is compared once with its send side
-        (:func:`~repro.core.stages.standard.verify_exchange`), after the
-        last block and before the rounds are dropped and merged.  A block
-        whose read is short is not counted — the count body indexes the
-        extent by the counts matrix — and the check names its round.
+        beside its counts, so every substrate folds the same digests; the
+        driver compares the fold with the send side once
+        (:func:`~repro.core.stages.standard.verify_exchange`).  A block
+        whose read is short, or lacks an array of the send format, is not
+        counted — the count body indexes the extent by the counts matrix —
+        and the check refuses the drive.
         """
         count, recorder = self.sched.comp.count, sctx.recorder
         leaf = self.layout.prefix + "count"
@@ -632,8 +623,8 @@ class Resident:
                 for rec in self.rounds:
                     received = self._read(rec, r0, r1, sctx)
                     block_offsets = rec.offsets[r0 : r1 + 1] - rec.offsets[r0]
-                    digests.append(exchange_digest(received))
-                    if all(n == block_offsets[-1] for n, _ in digests[-1]):
+                    digests.append(digest := exchange_digest(received))
+                    if len(digest) == len(rec.dtypes) and all(n == block_offsets[-1] for n, _ in digest):
                         t0 = perf_counter()
                         counted.append(count.count_block(table, *received, block_offsets, sctx, rank0=r0))
                         if recorder is not None:
@@ -649,10 +640,7 @@ class Resident:
                     table.close()
 
         counted_blocks = self.map_blocks(_count_block, blocks, sctx)
-        second = "length bytes" if sctx.supermer_mode else "high bytes"
-        for rnd, (rec, sent) in enumerate(zip(self.rounds, self.sent)):
-            received = fold_digests(digests[rnd] for _, digests, _ in counted_blocks)
-            verify_exchange(rec.label, sent, received, second)
+        received = fold_digests(digest for _, digests, _ in counted_blocks for digest in digests)
         self._drop_rounds()  # the last block is counted
         entries: list[int] = []
         loads: list[float] = []
@@ -664,7 +652,7 @@ class Resident:
                 self._keep(r0, r1, dump)
                 entries.extend(block_entries)
                 loads.extend(block_loads)
-        return entries, loads
+        return (entries, loads), received
 
     def merge(self) -> tuple[str, KmerSpectrum]:
         """``(work-leaf name, spectrum)``: :func:`~repro.core.stages.standard.merge_items` over the block dumps.

@@ -7,10 +7,12 @@
   hash partitioners (the latter accepts an explicit minimizer→rank
   assignment, the seam the balanced-partitioning extension plugs into);
 * :func:`exchange_outcome` — the tail of every exchange (the
-  Summit-calibrated time model, the outcome), and the exchange checksum
-  (:func:`sent_digests` over the send side, :func:`exchange_digest` per
-  count block, :func:`verify_exchange`); the exchanges and the count loop
-  themselves belong to the residencies (:mod:`repro.core.stages.spill`);
+  Summit-calibrated time model, the outcome), and the exchange checksum,
+  one per drive (:func:`exchange_digest` over the send array and over
+  each count block's reads, :func:`fold_digests`, and
+  :func:`verify_exchange`, which the round driver calls once after the
+  count); the exchanges and the count loop themselves belong to the
+  residencies (:mod:`repro.core.stages.spill`);
 * :class:`TableCount` — destination-side k-mer extraction and
   open-addressing insertion, with the plugin filter seam;
 * :func:`merge_items` — partition merging (duplicate-aware for
@@ -39,9 +41,8 @@ from ...hashing.partition import KmerPartitioner, MinimizerPartitioner
 from ...kmers.extract import window_values
 from ...kmers.spectrum import KmerSpectrum
 from ...kmers.supermers import build_supermers_with_positions, extract_kmers_from_packed
-from ...mpi import collectives
 from ..config import PipelineConfig
-from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, SendArray, join_kmers, round_cut, split_kmers
+from .buffers import ExchangeOutcome, ParsedItems, ParseSummary, join_kmers, split_kmers
 from .context import StageContext
 from .protocols import ParseStage, PartitionStage, PipelinePlugin, Substrate
 
@@ -59,7 +60,6 @@ __all__ = [
     "merge_partitions",
     "outgoing_buffer_hot_fraction",
     "exchange_digest",
-    "sent_digests",
     "fold_digests",
     "verify_exchange",
     "exchange_time_model",
@@ -313,64 +313,15 @@ def parse_block(
 
 
 def exchange_digest(arrays) -> tuple[tuple[int, int], ...]:
-    """``(items, XOR)`` of each array — what one count block read of a round, one reduction per array.
+    """``(items, XOR)`` of each array, one reduction per array: the exchange checksum's one digest.
 
     ``arrays`` is the payload and its second array (length bytes, or a
-    k-mer's high bytes); ``None`` entries (no second array) are skipped.
+    k-mer's high bytes); ``None`` entries (no second array) are skipped,
+    so a read that lost its second array digests one array fewer.  The
+    send side is the whole send array's, taken once per drive; the
+    received side is each count block's read of a round.
     """
     return tuple((int(a.shape[0]), _xor(a)) for a in arrays if a is not None)
-
-
-def sent_digests(send: SendArray, n_rounds: int, seg_starts: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """Per round, ``(items, XOR)`` of each array of everything it sends: the exchange checksum's send side.
-
-    Every round's at once, in one pass over the send array: the exchange
-    takes it at its first round (:meth:`~repro.core.stages.spill.Resident.exchange`,
-    while the send array is certainly alive).  A lone round is the whole
-    send array: one reduction per array.  Else each segment is cut into
-    its rounds' pieces (:func:`~repro.core.stages.buffers.round_cut`),
-    which lie back to back, as do the segments of consecutive source rows
-    of the src-major array (``seg_starts``): so one ``reduceat`` over a
-    chunk of whole source rows, bounded at every piece's start, gives every
-    (segment, round) piece's XOR — no gap between a round's pieces is
-    reduced, and nothing is copied — and each round's column folds into
-    its digest.  An empty piece's entry (``reduceat`` gives the item at its
-    bound) is zeroed.  A chunk is sized at 6 + 4 × ``n_rounds`` 8 B words
-    a segment (its rows of the counts and starts; the held index, start
-    and length; per round a piece's start, its length, its bound and its
-    output, plus the segment's end), within
-    :data:`~repro.mpi.collectives.SEGMENT_BLOCK_BYTES`, so the fold does
-    not grow with P².
-    """
-    arrays = send.arrays
-    if n_rounds == 1:
-        return [exchange_digest(arrays)]
-    n_src, p = send.counts.shape
-    rows = max(1, collectives.SEGMENT_BLOCK_BYTES // (8 * (6 + 4 * n_rounds) * p))
-    inner = np.arange(1, n_rounds)
-    items = np.zeros(n_rounds, dtype=np.int64)
-    xors = [[0] * n_rounds for _ in arrays]
-    for s0 in range(0, n_src, rows):
-        lens = send.counts[s0 : s0 + rows].reshape(-1)
-        held = np.flatnonzero(lens)
-        if not held.size:
-            continue
-        lo, lens = seg_starts[s0 : s0 + rows].reshape(-1)[held], lens[held]
-        base, end = int(lo[0]), int(lo[-1] + lens[-1])
-        # Each piece's first item in the chunk, then its segment's end: rounds 1.. are cut, round 0 starts the segment.
-        starts = np.empty((lens.shape[0], n_rounds + 1), dtype=np.int64)
-        starts[:, 0], starts[:, -1] = lo - base, lo - base + lens
-        starts[:, 1:-1] = round_cut(lens[:, None], inner, n_rounds) + starts[:, :1]
-        pieces = np.diff(starts, axis=1)
-        bounds = starts[:, :-1].reshape(-1)
-        empty = pieces.reshape(-1) == 0
-        items += pieces.sum(axis=0)
-        for per_round, a in zip(xors, arrays):
-            x = np.bitwise_xor.reduceat(a[base:end], bounds)
-            x[empty] = 0
-            for r, column in enumerate(x.reshape(-1, n_rounds).T):
-                per_round[r] ^= _xor(column)
-    return [tuple((int(items[r]), per_round[r]) for per_round in xors) for r in range(n_rounds)]
 
 
 def _xor(values: np.ndarray) -> int:
@@ -379,7 +330,11 @@ def _xor(values: np.ndarray) -> int:
 
 
 def fold_digests(digests) -> tuple[tuple[int, int], ...]:
-    """One round's received ``(items, XOR)`` per array, from every count block's :func:`exchange_digest`."""
+    """The received ``(items, XOR)`` per array, from every round's count blocks' :func:`exchange_digest`.
+
+    Item counts and XOR are order-free, so the fold over a whole drive
+    equals the send array's one digest whatever the rounds and blocks.
+    """
     return tuple(
         (sum(n for n, _ in per_array), functools.reduce(operator.xor, (x for _, x in per_array), 0))
         for per_array in zip(*digests)
@@ -387,20 +342,26 @@ def fold_digests(digests) -> tuple[tuple[int, int], ...]:
 
 
 def verify_exchange(label: str, sent, received, second: str) -> None:
-    """End-to-end integrity check over one exchange round.
+    """End-to-end integrity check over one drive's exchange.
 
     Production distributed counters checksum their wire traffic (a single
     flipped key silently corrupts the histogram).  The simulator does the
-    equivalent: the item count and global XOR of everything sent
-    (:func:`sent_digests`) must equal those of everything the count read
-    (its blocks' :func:`exchange_digest`, folded by :func:`fold_digests`)
-    — the payload and its second array, named by ``second`` (supermer
-    mode's length bytes, or k-mer mode's high bytes), since a wrong length
-    byte unpacks the wrong k-mers as surely as a flipped key does.
-    Whatever the residency, the received side is what the count was
-    handed, so a fault anywhere between the send array and the count —
-    the gather, or a spool file changed on disk — is caught.
+    equivalent: the item count and global XOR of everything sent (the
+    send array's :func:`exchange_digest`) must equal those of everything
+    the count read (every round's blocks' digests, folded by
+    :func:`fold_digests`) — the payload and its second array, named by
+    ``second`` (supermer mode's length bytes, or k-mer mode's high bytes),
+    since a wrong length byte unpacks the wrong k-mers as surely as a
+    flipped key does, and a read without its second array is refused by
+    the array count.  Whatever the residency, the received side is what
+    the count was handed, so a fault anywhere between the send array and
+    the count — the gather, or a spool file changed on disk — is caught.
+    ``label`` is the drive's exchange stem.
     """
+    if len(received) != len(sent):
+        raise AssertionError(
+            f"exchange {label!r} lost {second}: sent {len(sent)} arrays, received {len(received)}"
+        )
     for what, (n_sent, sent_xor), (n_received, received_xor) in zip(("payload", second), sent, received):
         if n_sent != n_received:
             raise AssertionError(f"exchange {label!r} lost items: sent {n_sent}, received {n_received} ({what})")

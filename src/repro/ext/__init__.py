@@ -4,9 +4,6 @@
   partitioner the paper's conclusion calls for (future work);
 * :mod:`repro.ext.bloom` — Bloom-filter singleton suppression from the
   HipMer/diBELLA lineage the paper builds on;
-* :mod:`repro.ext.approximate` — Count-Min sketch approximate counting,
-  the space-frugal alternative the related work surveys (Squeakr, Bloom
-  counters);
 * :mod:`repro.ext.sortcount` — KMC-style sort-based counting (one sort and
   a run count, or a batch accumulator folding sorted runs), the
   related-work alternative to hash tables;
@@ -16,13 +13,11 @@
   it is deliberately *not* imported here.
 """
 
-from .approximate import CountMinSketch
 from .balanced import balanced_minimizer_assignment, lpt_assignment, minimizer_bin_weights
 from .bloom import BloomFilter, PrefilterResult, count_with_prefilter
 from .sortcount import SortingCounter, sort_count
 
 __all__ = [
-    "CountMinSketch",
     "balanced_minimizer_assignment",
     "lpt_assignment",
     "minimizer_bin_weights",

@@ -5,16 +5,19 @@ gathers each table block's extent of a round straight out of it
 (``spill._gather``), a spooled exchange gathers each destination block
 into the spool and the count reads a block's extent back
 (``SpillSpool.read_range``).  The checksum covers what the count is
-handed — each block's ``(items, XOR)``, folded per round and compared
-with the send side after the count — so each fault is injected at that
-hand-over, in both residencies and both modes, and must surface as the
-exchange's own error naming the round's label.  A spool file changed on disk between the
+handed — each block's ``(items, XOR)`` of each round it reads, folded
+over the whole drive and compared once with the send array's digest
+after the count — so each fault is injected at that hand-over, in both
+residencies and both modes, and must surface as the exchange's own error
+naming the drive's stem (``'kmer-exchange'``, ``'supermer-batch0'``),
+whichever round it hit.  A spool file changed on disk between the
 exchange and the count is such a fault too, on the one-shot and on the
-streamed surface alike.
+streamed surface alike, and so is a read that lost its second array.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,9 +40,11 @@ def _config(mode: str) -> PipelineConfig:
     return PipelineConfig(k=17, mode="supermer", minimizer_len=7, window=15)
 
 
-def _run(reads, residency: str, mode: str, tmp_path, **options):
+def _run(reads, residency: str, mode: str, tmp_path, nodes: int = 2, n_rounds: int = 1, **options):
     spill_dir = tmp_path / f"spool-{mode}" if residency == "spooled" else None
-    return run_pipeline(reads, summit_gpu(2), _config(mode), options=EngineOptions(spill_dir=spill_dir, **options))
+    config = dataclasses.replace(_config(mode), n_rounds=n_rounds)
+    options = EngineOptions(spill_dir=spill_dir, **options)
+    return run_pipeline(reads, summit_gpu(nodes), config, options=options)
 
 
 @contextmanager
@@ -76,19 +81,23 @@ def _in_flight(residency: str, fault, *, lengths: bool = False):
 
 
 @contextmanager
-def _flipped_on_disk(suffix: str):
-    """After every spooled exchange returns, flip one bit of its ``<label><suffix>`` file's first usable byte.
+def _flipped_on_disk(suffix: str, rounds: str = ""):
+    """After every spooled exchange whose label ends in ``rounds`` returns, flip one bit of its ``<label><suffix>`` file.
 
     The payload's byte 0 flips its lowest bit; a length byte is flipped
     only where the result is still a valid length (an odd length of three
     or more becomes one less; a k = 17 high byte of 3 becomes 2, still a
-    17-mer's), so the count runs and only the checksum can tell.
+    17-mer's), so the count runs and only the checksum can tell.  Rounds
+    are chosen by label (``"-round1"``): the same flip in two rounds of
+    one drive would cancel in its XOR.
     """
     with pytest.MonkeyPatch.context() as patch:
         original = spill_mod.Spooled.exchange
 
         def exchange_then_flip(self, round_, label, *args):
             outcome = original(self, round_, label, *args)
+            if not label.endswith(rounds):
+                return outcome
             path = self.spool.dir / f"{label}{suffix}"
             raw = bytearray(path.read_bytes())
             i = 0 if suffix == ".data" else next(i for i, b in enumerate(raw) if b >= 3 and b % 2)
@@ -156,6 +165,39 @@ class TestChecksumVerification:
             with pytest.raises(AssertionError, match="'kmer-exchange' corrupted high bytes.*checksum"):
                 _run(genome_reads, residency, "kmer", tmp_path)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("residency", RESIDENCIES)
+    def test_dropped_second_array_detected(self, genome_reads, tmp_path, monkeypatch, residency, mode):
+        """A read that loses its second array is refused by the array count, not checked on the payload alone.
+
+        At k = 17 a k-mer read without its high bytes counts wrong keys while
+        the payload's digest and the k-mer conservation check both pass; a
+        supermer read without its length bytes cannot be unpacked.  The
+        digest of such a read has one array fewer than the send side's.
+        """
+        cls = spill_mod.Spooled if residency == "spooled" else spill_mod.Resident
+        original = cls._read
+
+        def payload_only(self, rec, r0, r1, sctx):
+            recv, _ = original(self, rec, r0, r1, sctx)
+            return recv, None
+
+        monkeypatch.setattr(cls, "_read", payload_only)
+        second = "length bytes" if mode == "supermer" else "high bytes"
+        with pytest.raises(AssertionError, match=f"'{mode}-exchange' lost {second}"):
+            _run(genome_reads, residency, mode, tmp_path, nodes=1, n_rounds=2)
+
+    def test_rounds_read_twice_detected(self, genome_reads, tmp_path, monkeypatch):
+        """A two-round resident drive whose every read returns round 0's extent is caught once, naming the drive."""
+        original = spill_mod.Resident._read
+
+        def first_round(self, rec, r0, r1, sctx):
+            return original(self, self.rounds[0], r0, r1, sctx)
+
+        monkeypatch.setattr(spill_mod.Resident, "_read", first_round)
+        with pytest.raises(AssertionError, match="'kmer-exchange' lost items"):
+            _run(genome_reads, "resident", "kmer", tmp_path, n_rounds=2)
+
     def test_supermer_mode_also_verified(self, genome_reads):
         cfg = PipelineConfig(k=17, mode="supermer", minimizer_len=7, window=15)
         result = run_pipeline(genome_reads, summit_gpu(2), cfg)
@@ -175,6 +217,14 @@ class TestSpoolFileCorruption:
             with pytest.raises(AssertionError, match="'kmer-exchange' corrupted payload.*checksum"):
                 run_pipeline(ecoli_reads, summit_gpu(2), PipelineConfig(k=17), options=options)
         assert list(tmp_path.iterdir()) == []  # the failed drive's spool is reclaimed
+
+    def test_second_round_segment_file_flip(self, ecoli_reads, tmp_path):
+        """A two-round drive is checked once, over every round: a flip in round 1's file names the drive, not the round."""
+        options = EngineOptions(spill_dir=tmp_path)
+        with _flipped_on_disk(".data", rounds="-round1"):
+            with pytest.raises(AssertionError, match="'kmer-exchange' corrupted payload.*checksum"):
+                run_pipeline(ecoli_reads, summit_gpu(2), PipelineConfig(k=17, n_rounds=2), options=options)
+        assert list(tmp_path.iterdir()) == []
 
     def test_length_file_flip_after_the_exchange(self, ecoli_reads, tmp_path):
         options = EngineOptions(spill_dir=tmp_path)

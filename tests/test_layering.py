@@ -54,7 +54,6 @@ class TestCheckerDetects:
         "dt = ctx.substrate.charge_count(n, r, s, ctx)\n"
         "sums = [np.bitwise_xor.reduce(buf) for buf in (sent, received)]\n"
         "values, counts = merge_counts(keys, counts)\n"
-        "segment_xors = np.bitwise_xor.reduceat(chunk, bounds)[::2]\n"
     )
 
     #: Every text the checker pins to core/stages/buffers.py, once: the round cut and the host width rule.
@@ -151,7 +150,7 @@ class TestCheckerDetects:
         standard.write_text(owned + "dt = self.charge_count(inserted, recv_items, ins, ctx)\n")
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:8: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
+        assert "standard.py:7: '.charge_count(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_exchange_gather_and_checksum(self, tmp_path):
         """The one block gather's call lives in the spool module, the checksum reduction in standard.py, the round cut in buffers.py."""
@@ -175,23 +174,9 @@ class TestCheckerDetects:
         )
         proc = run_checker(root)
         assert proc.returncode == 1
-        assert "standard.py:8: 'blk.take(' is defined once, in core/stages/spill.py" in proc.stdout
+        assert "standard.py:7: 'blk.take(' is defined once, in core/stages/spill.py" in proc.stdout
         assert "scheduler.py:1: 'np.bitwise_xor.reduce(' is defined once, in core/stages/standard.py" in proc.stdout
         assert "scheduler.py:2: '(seg_lens * rnd) // n_rounds' is defined once, in core/stages/buffers.py" in proc.stdout
-
-    def test_flags_second_segment_xor(self, tmp_path):
-        """The send side's per-segment XORs are ``sent_digest``'s one ``reduceat`` (standard.py), not a second fold."""
-        root = self._tree(tmp_path, "")
-        (root / "core" / "stages").mkdir()
-        standard = root / "core" / "stages" / "standard.py"
-        standard.write_text(self._STANDARD)
-        assert run_checker(root).returncode == 0
-        standard.write_text(self._STANDARD + "tail = np.bitwise_xor.reduceat(last_chunk, bounds)\n")
-        (root / "core" / "stages" / "spill.py").write_text("xors = np.bitwise_xor.reduceat(segment_file, offsets)\n")
-        proc = run_checker(root)
-        assert proc.returncode == 1
-        assert "standard.py:8: 'np.bitwise_xor.reduceat(' is defined once, in core/stages/standard.py" in proc.stdout
-        assert "spill.py:1: 'np.bitwise_xor.reduceat(' is defined once, in core/stages/standard.py" in proc.stdout
 
     def test_flags_second_shard_cut_and_parse_thread_count(self, tmp_path):
         """The input's shard cut is ``ShardRanges``' (dna/reads.py), the parse kernel's thread count the parse body's."""
@@ -228,7 +213,7 @@ class TestCheckerDetects:
         proc = run_checker(root)
         assert proc.returncode == 1
         owner = "is defined once, in core/stages/buffers.py"
-        assert f"standard.py:8: '(kmers >> np.uint64(32)).astype(np.uint8)' {owner}" in proc.stdout
+        assert f"standard.py:7: '(kmers >> np.uint64(32)).astype(np.uint8)' {owner}" in proc.stdout
         assert f"incremental.py:1: 'if k > 20:' {owner}" in proc.stdout
         buffers.write_text(self._BUFFERS.replace("k > 20", "k >= 21"))
         assert "owner of 'if k > 20:' no longer contains it" in run_checker(root).stdout

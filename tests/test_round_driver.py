@@ -26,11 +26,11 @@ from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.core.stages.buffers import SendArray, send_rounds
-from repro.core.stages.standard import TableCount, sent_digests
+from repro.core.stages.spill import _gather
+from repro.core.stages.standard import TableCount, exchange_digest, fold_digests
 from repro.gpu import segmented
 from repro.gpu.hashtable import InsertStats
 from repro.gpu.segmented import SegmentedHashTable
-from repro.mpi import collectives
 from repro.mpi.topology import summit_gpu
 from repro.telemetry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder, span_payload
@@ -300,13 +300,15 @@ def test_round_slice_matches_scalar_loop(n_rounds, with_lengths, p):
 
 @pytest.mark.parametrize("n_rounds", [2, 3, 5])
 @pytest.mark.parametrize("with_lengths", [False, True], ids=["kmer", "supermer"])
-def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
-    """Each round's send-side digest ≡ its segments, concatenated by the scalar loop, then counted and XORed.
+def test_sent_digest_matches_scalar_loop(n_rounds, with_lengths):
+    """The drive's one send-side digest ≡ every round's segments, cut by the scalar loop, then counted and XORed.
 
-    The block size is cut so that the rounds are folded in chunks of three
-    source rows, ending in a partial one; one chunk holds only empty rows,
-    and segments that hold nothing are spread everywhere (so are empty
-    round pieces of short segments).
+    Item counts and XOR are order-free, so one reduction per array over
+    the whole send array equals the fold of what each round sends, and of
+    what each round's gather hands the count: that is what lets the round
+    driver check the exchange once per drive.  Segments that hold nothing
+    are spread everywhere (so are empty round pieces of short segments),
+    and three sources send nothing.
     """
     p = 13
     rng = np.random.default_rng(7 * n_rounds + with_lengths)
@@ -320,22 +322,8 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
         counts=counts,
     )
     src_base = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    monkeypatch.setattr(collectives, "SEGMENT_BLOCK_BYTES", 3 * 8 * (6 + 4 * n_rounds) * p)  # three rows a chunk
-    chunks = []
-
-    class RowChunks(np.ndarray):
-        """The send counts, recording each slice of source rows the digest folds."""
-
-        def __getitem__(self, key):
-            if isinstance(key, slice):
-                chunks.append((key.start, key.stop))
-            return super().__getitem__(key)
-
-    recorded = SendArray(send.data, send.lengths, counts.view(RowChunks))
-    digests = sent_digests(recorded, n_rounds, collectives.segment_starts(counts))
-    assert chunks == [(s0, s0 + 3) for s0 in range(0, p, 3)]  # the last one partial
-    assert len(digests) == n_rounds
-    for rnd in range(n_rounds):
+    per_round = []
+    for rnd, view in enumerate(send_rounds(send, n_rounds)):
         data, lengths = [], []
         for src in range(p):
             lo, hi = src_base[src], src_base[src + 1]
@@ -344,5 +332,8 @@ def test_sent_digest_matches_scalar_loop(monkeypatch, n_rounds, with_lengths):
             data.append(ref_data)
             lengths.append(ref_lengths)
         reference = [np.concatenate(data)] + ([np.concatenate(lengths)] if with_lengths else [])
-        assert digests[rnd] == tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference)
+        per_round.append(tuple((int(a.shape[0]), int(np.bitwise_xor.reduce(a))) for a in reference))
+        assert exchange_digest(_gather(view, view.block(0, p))) == per_round[-1]
+    assert len(per_round[0]) == len(send.arrays)
+    assert exchange_digest(send.arrays) == fold_digests(per_round)
 

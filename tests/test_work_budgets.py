@@ -271,11 +271,10 @@ class TestExchangeGrowthLaw:
     No exchange stages a per-source buffer (``SegmentBlock.gather`` is
     gone) or copies a round into a receive array: the gather indexes of a
     round follow its blocks — the bytes — and so does its checksum: per
-    array, one ``reduceat`` per source chunk over every round's pieces of
-    its segments of the send array at once, and one fold of each round's
-    column on the send side (at these P, up to 96, the drive is one
-    chunk), and one reduction per count block on the received side, whose
-    digests the count folds.  Quadrupling P at fixed input adds
+    array, one reduction over the whole send array per drive on the send
+    side, whatever the rounds, and one per count block's read of a round
+    on the received side, whose digests the count folds; no ``reduceat``.
+    Quadrupling P at fixed input, or going from two rounds to five, adds
     none.  The per-source form made P views, P staged slices per block and
     2P XOR reductions a round.
     """
@@ -312,8 +311,10 @@ class TestExchangeGrowthLaw:
         return wrapper
 
     @classmethod
-    def _run(cls, monkeypatch, reads, nodes: int, mode: str, spill_dir, **options) -> dict[str, float]:
-        """Per round: staged-slice gathers, gather indexes, count blocks and XOR reductions."""
+    def _run(
+        cls, monkeypatch, reads, nodes: int, mode: str, spill_dir, n_rounds: int = 2, **options
+    ) -> dict[str, float]:
+        """Staged-slice gathers and per round gather indexes and count blocks; per drive, reads and XOR calls."""
         counts: Counter[str] = Counter()
         with monkeypatch.context() as patch:
             for name in ("gather", "index"):  # gather: the per-source staging, where it still exists
@@ -321,17 +322,17 @@ class TestExchangeGrowthLaw:
                     patch.setattr(collectives.SegmentBlock, name, cls._counting(collectives.SegmentBlock, name, counts))
             patch.setattr(spill, "exchange_digest", cls._counting(spill, "exchange_digest", counts))
             patch.setattr(np, "bitwise_xor", cls._CountingXor(np.bitwise_xor, counts))
-            config = PipelineConfig(k=17, mode=mode, n_rounds=2)
+            config = PipelineConfig(k=17, mode=mode, n_rounds=n_rounds)
             options = EngineOptions(parallel=1, spill_dir=spill_dir, **options)
             result = run_pipeline(reads, summit_gpu(nodes), config, options=options)
-        rounds = result.n_rounds_used
-        assert rounds == 2 and result.spectrum.n_distinct > 0
+        assert result.n_rounds_used == n_rounds and result.spectrum.n_distinct > 0
         return {
             "gather": counts["gather"],
-            "index": counts["index"] / rounds,
-            "blocks": counts["exchange_digest"] / rounds,
-            "reductions": counts["reduce"] / rounds,
-            "reduceats": counts["reduceat"] / rounds,
+            "index": counts["index"] / n_rounds,
+            "blocks": counts["exchange_digest"] / n_rounds,
+            "reads": counts["exchange_digest"],  # a count block's read of a round
+            "reductions": counts["reduce"],
+            "reduceats": counts["reduceat"],
         }
 
     @pytest.mark.parametrize("spill", [False, True], ids=["staged", "spill"])
@@ -339,11 +340,15 @@ class TestExchangeGrowthLaw:
     def test_exchange_calls_do_not_grow_with_ranks(self, genome_reads, tmp_path, monkeypatch, mode, spill):
         base = self._run(monkeypatch, genome_reads, 4, mode, tmp_path / "p24" if spill else None)
         wider = self._run(monkeypatch, genome_reads, 16, mode, tmp_path / "p96" if spill else None)  # P x 4
+        longer_dir = tmp_path / "p24r5" if spill else None
+        longer = self._run(monkeypatch, genome_reads, 4, mode, longer_dir, n_rounds=5)  # rounds x 2.5
         arrays = 2  # the payload, and its second array: length bytes, or (k = 17) a k-mer's high bytes
-        for made in (base, wider):
+        for made in (base, wider, longer):
             assert made["gather"] == 0
-            assert made["reduceats"] == arrays / 2  # the send side: one pass over both rounds' segments
-            assert made["reductions"] == arrays * (1 + made["blocks"])  # its fold, and one per count block
+            assert made["reduceats"] == 0
+            # The send side's one per array per drive, and one per array per count block's read of a round.
+            assert made["reductions"] == arrays * (1 + made["reads"])
+        assert longer["blocks"] == base["blocks"]
         assert 1 <= base["blocks"] and wider["blocks"] <= base["blocks"]
         assert 1 <= base["index"] and wider["index"] <= base["index"]
 
@@ -351,12 +356,10 @@ class TestExchangeGrowthLaw:
 class TestSentDigestGrowthLaw:
     """The send side of a multi-round checksum holds O(SEGMENT_BLOCK_BYTES + P), never O(P²).
 
-    It folds every round at once in chunks of whole source rows (row
-    slices of the counts and segment starts), each chunk's bounds and
-    outputs within about ``SEGMENT_BLOCK_BYTES``.  One ``reduceat`` over
-    all P² segment bounds took 16 MB a round here at P = 512 (and 27.4 MB
-    on the 672-rank spilled workload, while the send array was still
-    live).
+    It is one reduction per array over the whole send array, once per
+    drive, and needs no round cut.  One ``reduceat`` over all P² segment
+    bounds took 16 MB a round here at P = 512 (and 27.4 MB on the
+    672-rank spilled workload, while the send array was still live).
     """
 
     P = 512
@@ -365,15 +368,15 @@ class TestSentDigestGrowthLaw:
         p = self.P
         counts = np.full((p, p), 2, dtype=np.int64)  # every segment gives each of the two rounds an item
         send = SendArray(data=np.arange(int(counts.sum()), dtype=np.uint64), lengths=None, counts=counts)
-        seg_starts = collectives.segment_starts(counts)  # made before the digest, as the driver makes them
         tracemalloc.start()
         try:
-            digests = standard.sent_digests(send, 2, seg_starts)
+            digest = standard.exchange_digest(send.arrays)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        halves = send.data.reshape(-1, 2).T
-        assert digests == [((p * p, int(np.bitwise_xor.reduce(half))),) for half in halves]
+        halves = send.data.reshape(-1, 2).T  # each segment's two items: round 0's, then round 1's
+        assert digest == standard.fold_digests([standard.exchange_digest([half]) for half in halves])
+        assert digest == ((2 * p * p, int(np.bitwise_xor.reduce(send.data))),)
         assert peak <= 2 * collectives.SEGMENT_BLOCK_BYTES + 64 * p, peak
 
 
@@ -980,12 +983,12 @@ class TestZeroCopyExchangeBudgets:
 
     @pytest.mark.parametrize("spooled", [False, True], ids=["resident", "spooled"])
     def test_checksum_is_one_reduction_per_count_block(self, genome_reads, tmp_path, monkeypatch, spooled):
-        """Per round and per array: the send side's one fold, then one reduction per count block, many blocks or few."""
+        """Per array: the send side's one reduction per drive, then one per count block's read, many blocks or few."""
         monkeypatch.setattr(segmented, "INSERT_BLOCK_BYTES", 1 << 16)  # many more count blocks than rounds
         spill_dir = tmp_path if spooled else None
         made = TestExchangeGrowthLaw._run(monkeypatch, genome_reads, 4, "supermer", spill_dir)
         assert made["blocks"] > 2
-        assert made["reduceats"] == 1 and made["reductions"] == 2 * (1 + made["blocks"])
+        assert made["reduceats"] == 0 and made["reductions"] == 2 * (1 + made["reads"])
 
 
 class TestPairFoldBudgets:

@@ -38,8 +38,7 @@ the segment gather index, the shard ranges' cut ``total * s // P``
 thread count, the call of the one block gather (``blk.take(`` in
 ``spill._gather``, which a resident count block and a spooled exchange
 share), the cut of segments into rounds (``round_cut``), the exchange
-checksum's XOR reduction and its send side's segment XORs
-(``np.bitwise_xor.reduceat(``), the engine's one table birth and its capacity
+checksum's XOR reduction, the engine's one table birth and its capacity
 hint (the drive plan's, which the round driver and the SPMD rank program
 both read), a streamed state's birth hint (each rank's parsed k-mers as
 far as the host budget has room for their slots: the drive plan's, which
@@ -109,7 +108,6 @@ SINGLE_DEFINITIONS: list[tuple[str, str, str, bool]] = [
     ("blk.take(", "core/stages", "core/stages/spill.py", True),
     ("(seg_lens * rnd) // n_rounds", "", "core/stages/buffers.py", True),
     ("np.bitwise_xor.reduce(", "", "core/stages/standard.py", True),
-    ("np.bitwise_xor.reduceat(", "", "core/stages/standard.py", True),
     ("np.packbits(", "", "gpu/hashtable.py", True),
     ("SegmentedHashTable(", "core/stages", "core/stages/spill.py", True),
     ("np.bitwise_or(packed, counts.view(np.uint64), out=packed)", "", "gpu/hashtable.py", True),
