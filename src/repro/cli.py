@@ -225,11 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-nodes", type=int, default=1, help="skip candidates below this node count"
     )
 
-    p_dist = sub.add_parser("distance", help="k-mer distances between two k-mer databases")
-    p_dist.add_argument("--db-a", required=True)
-    p_dist.add_argument("--db-b", required=True)
-    p_dist.add_argument("--min-count", type=int, default=1, help="compare only k-mers with count >= this")
-
     p_rep = sub.add_parser("report", help="render a saved telemetry run report")
     p_rep.add_argument("--report", required=True, help="JSON report from 'repro count --report'")
 
@@ -569,26 +564,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
-    from .kmers.comparison import compare_spectra
-
-    a = read_kmerdb(args.db_a)
-    b = read_kmerdb(args.db_b)
-    if args.min_count > 1:
-        a, b = a.frequent(args.min_count), b.frequent(args.min_count)
-    cmp = compare_spectra(a, b)
-    print(cmp.describe())
-    rows = [
-        ["jaccard", f"{cmp.jaccard:.4f}"],
-        ["weighted jaccard", f"{cmp.weighted_jaccard:.4f}"],
-        ["containment A in B", f"{cmp.containment_a_in_b:.4f}"],
-        ["containment B in A", f"{cmp.containment_b_in_a:.4f}"],
-        ["mash distance", f"{cmp.mash_distance:.5f}" if cmp.mash_distance != float("inf") else "inf"],
-    ]
-    print(format_table(["measure", "value"], rows))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     print(RunReport.load(args.report).render())
     return 0
@@ -695,7 +670,6 @@ _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "compare": _cmd_compare,
     "plan": _cmd_plan,
-    "distance": _cmd_distance,
     "report": _cmd_report,
     "analyze": _cmd_analyze,
 }

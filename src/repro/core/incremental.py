@@ -23,6 +23,12 @@ execution core:
   fell, which the tests assert.  A file that cannot be read back whole, or
   that an older format wrote, is rejected with one ``ValueError`` naming
   it, and a rejected ``load`` leaves the counter as it was.
+* a batch that raises after its first exchange (a failed checksum, a
+  full disk, an interrupt) has written part of itself into the tables
+  and the traffic log, so the counter then refuses ``add_reads``,
+  ``spectrum`` and ``save`` with one error naming the batch and its
+  cause, until a ``load`` succeeds.  A batch refused before it exchanges
+  (the budget floor, a bad option) leaves the counter usable.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ class DistributedCounter:
         session for the batch, exactly as :func:`repro.core.engine.run_pipeline`
         does.
         """
+        self._check_usable()
         reg = self.options.telemetry
         ctx = session(reg) if reg is not None else nullcontext()
         last = self._batches_left == 1
@@ -172,6 +179,7 @@ class DistributedCounter:
 
     def spectrum(self) -> KmerSpectrum:
         """The current merged global histogram."""
+        self._check_usable()
         return merge_partitions(self.tables, self.config.k, self._composition.plugins)
 
     def load_stats(self) -> LoadStats:
@@ -181,6 +189,7 @@ class DistributedCounter:
 
     def save(self, path: str | Path) -> Path:
         """Persist the counter state (tables + accounting) to an ``.npz``."""
+        self._check_usable()
         t0 = perf_counter()
         path = self._state.save(path, k=self.config.k, canonical=self.config.canonical)
         self._note_checkpoint("save", path, perf_counter() - t0)
@@ -198,6 +207,11 @@ class DistributedCounter:
             path, k=c.k, canonical=c.canonical, table_seed=c.table_seed, table_dir=self.options.table_dir
         )
         self._note_checkpoint("load", Path(path), perf_counter() - t0)
+
+    def _check_usable(self) -> None:
+        """Refuse to count, merge or save a state that holds part of a failed batch."""
+        if self._state.failed is not None:
+            raise RuntimeError(f"counter unusable: {self._state.failed}; load a checkpoint to continue")
 
     def _note_checkpoint(self, op: str, path: Path, seconds: float) -> None:
         n_bytes = path.stat().st_size

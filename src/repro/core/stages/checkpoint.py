@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +98,9 @@ class PipelineState:
     exchanged_items: int
     n_batches: int
     insert_stats: InsertStats
+    #: Why the state may not be used: a batch raised after it began writing
+    #: into it (:meth:`writing`).  Only a successful :meth:`load` clears it.
+    failed: str | None = None
 
     @classmethod
     def fresh(cls, n_ranks: int, table_seed: int) -> "PipelineState":
@@ -115,6 +119,15 @@ class PipelineState:
             n_batches=0,
             insert_stats=InsertStats.zero(),
         )
+
+    @contextmanager
+    def writing(self, batch: str):
+        """The scope in which ``batch`` writes into the state: a raise inside it marks the state failed."""
+        try:
+            yield
+        except BaseException as exc:
+            self.failed = f"batch {batch!r} failed part-way ({type(exc).__name__}: {exc})"
+            raise
 
     def save(self, path: str | Path, *, k: int, canonical: bool) -> Path:
         """Persist the state (tables + accounting) as an ``.npz`` at exactly ``path``.
@@ -250,3 +263,4 @@ class PipelineState:
                 for i, (op, label) in enumerate(meta)
             ]
         )
+        self.failed = None

@@ -484,7 +484,9 @@ class RoundScheduler:
         from the batch's own counts, the same exchange checksum — with
         ``state``'s persistent tables and accounting instead of fresh
         ones.  A composition that conserves k-mers must grow the tables'
-        counts by exactly the batch's parsed k-mers, or the batch raises.  When ``opts.trace``
+        counts by exactly the batch's parsed k-mers, or the batch raises; a
+        batch that raises after its first exchange marks ``state`` failed
+        (:meth:`~repro.core.stages.checkpoint.PipelineState.writing`).  When ``opts.trace``
         is set, the batch records a ``batch{n}`` region with the same
         stage/work structure as the one-shot run, inside the job's
         :meth:`run_region` when the caller opened one.  ``last`` says no
@@ -566,6 +568,10 @@ class RoundScheduler:
         # spool directory is reclaimed on any exit, success or raise.
         with ExitStack() as cleanup:
             residency = strategy.residency(layout, cleanup)
+            if not one_shot:
+                # From its first exchange (the traffic log) through its count (the
+                # tables), a batch writes into the state: a raise leaves it refusing use.
+                cleanup.enter_context(state.writing(stem))
             rounds = send_rounds(send, n_rounds)  # views of the send array: nothing is copied
 
             # ---- phase 2: exchange, possibly in multiple rounds ----

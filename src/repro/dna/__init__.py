@@ -35,7 +35,6 @@ from .encoding import (
     unpack_kmer,
     unpack_kmers_batch,
 )
-from .community import Community, CommunityMember, simulate_community
 from .fastq import SequenceRecord, read_fasta, read_fastq, write_fasta, write_fastq
 from .parallel_io import load_fastq_sharded, partition_fastq, read_fastq_range
 from .quality import QualityFilter, decode_phred, mean_error_probability, trim_ends, trim_sliding_window
@@ -77,9 +76,6 @@ __all__ = [
     "mean_error_probability",
     "trim_ends",
     "trim_sliding_window",
-    "Community",
-    "CommunityMember",
-    "simulate_community",
     "GenomeSimulator",
     "ReadSimulator",
     "ReadLengthProfile",

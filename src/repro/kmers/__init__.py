@@ -1,7 +1,6 @@
 """k-mer machinery: extraction, minimizers, supermers, spectra, and
-downstream consumers (databases, genomic profiling, set comparison)."""
+downstream consumers (databases, genomic profiling)."""
 
-from .comparison import MinHashSketch, SpectrumComparison, compare_spectra, containment, jaccard, mash_distance
 from .extract import KmerWindows, extract_kmers, extract_kmers_scalar, window_values
 from .genomics import SpectrumProfile, coverage_peak, histogram_valley, profile_spectrum
 from .kmerdb import read_kmerdb, read_kmerdb_header, read_tsv, write_kmerdb, write_tsv
@@ -44,10 +43,4 @@ __all__ = [
     "profile_spectrum",
     "coverage_peak",
     "histogram_valley",
-    "jaccard",
-    "containment",
-    "mash_distance",
-    "compare_spectra",
-    "SpectrumComparison",
-    "MinHashSketch",
 ]

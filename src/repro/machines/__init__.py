@@ -33,7 +33,6 @@ from .rates import CpuRates, GpuPipelineModel, epyc_rates, power9_rates
 from .registry import (
     DEFAULT_MACHINES,
     get_machine,
-    machine_descriptions,
     machine_names,
     register_machine,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "register_machine",
     "get_machine",
     "machine_names",
-    "machine_descriptions",
     "DEFAULT_MACHINES",
     "load",
     "spec_from_dict",

@@ -20,7 +20,7 @@ from .network import NetworkSpec
 from .rates import GpuPipelineModel, epyc_rates, power9_rates
 from .spec import MachineSpec
 
-__all__ = ["register_machine", "get_machine", "machine_names", "machine_descriptions", "DEFAULT_MACHINES"]
+__all__ = ["register_machine", "get_machine", "machine_names", "DEFAULT_MACHINES"]
 
 
 def summit_network() -> NetworkSpec:
@@ -205,11 +205,6 @@ def register_machine(spec_or_factory: MachineSpec | Callable[[], MachineSpec], n
 def machine_names() -> tuple[str, ...]:
     """All registered machine names, sorted — CLI choices and error messages."""
     return tuple(sorted(_MACHINES))
-
-
-def machine_descriptions() -> dict[str, str]:
-    """Registered machines: name -> one-line description."""
-    return {name: _MACHINES[name]().description for name in machine_names()}
 
 
 def get_machine(name: str) -> MachineSpec:

@@ -471,27 +471,6 @@ class TestCountBirths:
         assert ahead_db == db2 and sum(ahead) > sum(plain2)  # batch 1 of 2 is still born ahead
 
 
-class TestDistance:
-    def test_distance_between_datasets(self, fastq, tmp_path, capsys):
-        db_a = tmp_path / "a.rkdb"
-        db_b = tmp_path / "b.rkdb"
-        main(["count", "--input", str(fastq), "-k", "15", "--out-db", str(db_a)])
-        # second database: same file counted again -> identical spectrum
-        main(["count", "--input", str(fastq), "-k", "15", "--out-db", str(db_b)])
-        capsys.readouterr()
-        assert main(["distance", "--db-a", str(db_a), "--db-b", str(db_b)]) == 0
-        out = capsys.readouterr().out
-        assert "jaccard" in out
-        assert "1.0000" in out  # identical sets
-
-    def test_distance_k_mismatch_is_error(self, fastq, tmp_path, capsys):
-        db_a = tmp_path / "a.rkdb"
-        db_b = tmp_path / "b.rkdb"
-        main(["count", "--input", str(fastq), "-k", "15", "--out-db", str(db_a)])
-        main(["count", "--input", str(fastq), "-k", "17", "--out-db", str(db_b)])
-        assert main(["distance", "--db-a", str(db_a), "--db-b", str(db_b)]) == 2
-
-
 class TestBadArtefactFiles:
     """A bad report or trace file is one ``error:`` line naming the file, with exit 2."""
 

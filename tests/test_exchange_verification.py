@@ -13,6 +13,9 @@ naming the drive's stem (``'kmer-exchange'``, ``'supermer-batch0'``),
 whichever round it hit.  A spool file changed on disk between the
 exchange and the count is such a fault too, on the one-shot and on the
 streamed surface alike, and so is a read that lost its second array.
+A streamed batch that fails these checks has already counted into the
+counter's tables, so the counter refuses further use until a checkpoint
+loads.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import numpy as np
 import pytest
 
 import repro.core.stages.spill as spill_mod
+from repro.cli import main
 from repro.core.config import PipelineConfig
 from repro.core.engine import EngineOptions, run_pipeline
 from repro.core.incremental import DistributedCounter
 from repro.dna.datasets import load_dataset
+from repro.kmers.spectrum import count_kmers_exact
 from repro.mpi.topology import summit_gpu
 
 RESIDENCIES = ("resident", "spooled")
@@ -248,3 +253,58 @@ class TestSpoolFileCorruption:
         with _flipped_on_disk(".data"):
             with pytest.raises(AssertionError, match="'kmer-batch0' corrupted payload.*checksum"):
                 counter.add_reads(ecoli_reads)
+
+    def test_failed_batch_poisons_the_counter(self, ecoli_reads, tmp_path):
+        """A batch that fails after its count began leaves the counter refusing, until a checkpoint loads.
+
+        Its counts are already in the tables, so a further batch, a
+        spectrum or a save would carry them on as if they were good.
+        """
+        ckpt = tmp_path / "ckpt"
+        counter = DistributedCounter(
+            summit_gpu(2), PipelineConfig(k=17), options=EngineOptions(spill_dir=tmp_path / "spool")
+        )
+        counter.add_reads(ecoli_reads)
+        counter.save(ckpt)
+        saved = ckpt.read_bytes()
+        with _flipped_on_disk(".data"):
+            with pytest.raises(AssertionError, match="'kmer-batch1' corrupted payload"):
+                counter.add_reads(ecoli_reads)
+        for call in (lambda: counter.add_reads(ecoli_reads), counter.spectrum, lambda: counter.save(ckpt)):
+            with pytest.raises(RuntimeError, match="'kmer-batch1' failed part-way.*corrupted payload"):
+                call()
+        assert ckpt.read_bytes() == saved
+        counter.load(ckpt)
+        counter.add_reads(ecoli_reads)
+        assert counter.spectrum().n_total == 2 * count_kmers_exact(ecoli_reads, 17).n_total
+
+    def test_cli_checkpoint_keeps_the_last_good_batch(self, tmp_path, capsys):
+        """``repro count --checkpoint`` fails on its second input and keeps the first.
+
+        Resuming over the second input then counts each input once, as one
+        uninterrupted run does.
+        """
+        inputs = []
+        for seed in ("1", "2"):
+            inputs.append(str(tmp_path / f"reads{seed}.fastq"))
+            simulate = ["simulate", "--genome-length", "8000", "--coverage", "4", "--seed", seed]
+            assert main([*simulate, "--out", inputs[-1]]) == 0
+        count = ["count", "-k", "17", "--mode", "kmer", "--nodes", "1", "--spill", str(tmp_path / "spool")]
+        ckpt = str(tmp_path / "ckpt")
+        with _flipped_on_disk(".data", rounds="batch1"):
+            with pytest.raises(AssertionError, match="'kmer-batch1' corrupted payload"):
+                main([*count, "--input", *inputs, "--checkpoint", ckpt])
+        resumed, whole = tmp_path / "resumed.tsv", tmp_path / "whole.tsv"
+        assert main([*count, "--input", inputs[1], "--checkpoint", ckpt, "--out-tsv", str(resumed)]) == 0
+        assert f"resumed from {ckpt}: 1 batches" in capsys.readouterr().out
+        assert main([*count, "--input", *inputs, "--out-tsv", str(whole)]) == 0
+        assert resumed.read_bytes() == whole.read_bytes()
+
+    def test_refusal_before_the_count_does_not_poison(self, ecoli_reads, tmp_path):
+        """A batch refused before it writes into the state (here the budget floor) leaves the counter usable."""
+        options = EngineOptions(host_memory_budget=16)
+        counter = DistributedCounter(summit_gpu(2), PipelineConfig(k=17), options=options)
+        with pytest.raises(ValueError, match="below the working-set floor"):
+            counter.add_reads(ecoli_reads)
+        assert counter.spectrum().n_total == 0
+        counter.save(tmp_path / "ckpt")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import repro
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: Run in a fresh interpreter: a finder at the head of ``sys.meta_path``
 #: refuses the packages ``pyproject.toml`` does not declare, then the
@@ -89,3 +92,34 @@ class TestDeclaredDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+def _subcommands() -> set[str]:
+    from repro.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices)
+
+
+class TestDocumentationDrift:
+    """The README and the ``repro.cli`` docstring name exactly what exists."""
+
+    def test_readme_examples_table_names_every_example(self):
+        readme = (ROOT / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+\.py)` \|", readme, re.M)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {p.name for p in (ROOT / "examples").glob("*.py")}
+
+    def test_readme_cli_line_names_every_subcommand(self):
+        readme = (ROOT / "README.md").read_text()
+        (line,) = re.findall(r"CLI: `repro ([^`]+)`", readme)
+        names = [name.strip() for name in line.split("|")]
+        assert len(names) == len(set(names))
+        assert set(names) == _subcommands()
+
+    def test_cli_docstring_names_every_subcommand(self):
+        import repro.cli
+
+        names = re.findall(r"^``repro (\w+)``$", repro.cli.__doc__, re.M)
+        assert len(names) == len(set(names))
+        assert set(names) == _subcommands()
